@@ -86,16 +86,15 @@ fn main() {
     let norm = Normalizer::fit(&ds, 4);
     let inputs = Arc::new((0..4).map(|i| ds.sample(i).input).collect::<Vec<_>>());
 
-    for (mode, batching) in [("batched", true), ("unbatched", false)] {
+    for (mode, max_batch) in [("batched", 8), ("unbatched", 1)] {
         // A fresh server (and model twin) per mode so queues and counters
         // start cold; the seeded model is identical across modes.
         let model = ReslimModel::new(ModelConfig::tiny().with_channels(7, 3), 2);
         let cfg = ServerConfig {
-            max_batch: 8,
+            max_batch,
             window_micros: 1_000,
             cache_capacity: 0,
             queue_capacity: 4096,
-            batching,
             ..ServerConfig::default()
         };
         let server =
@@ -117,7 +116,7 @@ fn main() {
     // BENCH_inference.json `session_*` rows for the same split), which is
     // itself the honest result: `--precision` buys throughput in
     // proportion to how weight-stream-bound the deployment is. Batching
-    // is off for these cells (stacking tiles into one forward amortizes
+    // is off for these cells (`max_batch: 1`; stacking tiles into one forward amortizes
     // the weight stream across rows — the same cost reduced precision
     // attacks — so the batched path hides the delta) and the burst is one
     // request per client to keep the 126M cells affordable. The
@@ -126,11 +125,10 @@ fn main() {
     for precision in [SessionPrecision::F32, SessionPrecision::Bf16, SessionPrecision::Int8] {
         let model = ReslimModel::new(ModelConfig::paper_126m().with_channels(7, 3), 2);
         let cfg = ServerConfig {
-            max_batch: 8,
+            max_batch: 1,
             window_micros: 1_000,
             cache_capacity: 0,
             queue_capacity: 4096,
-            batching: false,
             precision,
             ..ServerConfig::default()
         };
@@ -153,11 +151,10 @@ fn main() {
     {
         let model = ReslimModel::new(ModelConfig::paper_126m().with_channels(7, 3), 2);
         let cfg = ServerConfig {
-            max_batch: 8,
+            max_batch: 1,
             window_micros: 1_000,
             cache_capacity: 0,
             queue_capacity: 4096,
-            batching: false,
             precision: SessionPrecision::F32,
             activation: SessionActivation::Bf16,
             ..ServerConfig::default()

@@ -127,7 +127,7 @@ impl BaselineVit {
         z = ex.add(&z, &pos);
 
         for l in 0..cfg.layers {
-            z = transformer_block(ex, cfg, &format!("blk{l}"), &z);
+            z = transformer_block(ex, cfg, &format!("blk{l}"), &z, &[hp * wp]);
         }
 
         // Project back to image space per output variable.

@@ -8,8 +8,9 @@
 //! [`crate::infer::InferenceSession`].
 
 use crate::config::ModelConfig;
-use crate::exec::Exec;
+use crate::exec::{linear_rows, split_rows, stack_rows, Exec};
 use orbit2_autograd::ParamStore;
+use orbit2_tensor::fused::Activation;
 use orbit2_tensor::random::xavier;
 use orbit2_tensor::Tensor;
 
@@ -31,63 +32,87 @@ pub fn init_block_params(store: &mut ParamStore, cfg: &ModelConfig, prefix: &str
     store.insert(format!("{prefix}.mlp.b2"), Tensor::zeros(vec![d]));
 }
 
-/// Multi-head self-attention over `[N, D]` tokens.
+/// Multi-head self-attention over a row stack of token matrices
+/// (`rows[i]` tokens for sample `i`; a single sample is `&[N]`). The
+/// projections run once over the whole stack; the score/softmax/value core
+/// couples rows within a sample, so it runs per (head, sample).
 pub fn self_attention<E: Exec>(
     ex: &E,
     cfg: &ModelConfig,
     prefix: &str,
     x: &E::Value,
+    rows: &[usize],
 ) -> E::Value {
     let d = cfg.embed_dim;
     let dh = cfg.head_dim();
     // Q/K/V projections through the fused linear path (packed `x W^T`
     // kernel, no weight transpose materialized).
-    let q = ex.linear(x, &ex.param(&format!("{prefix}.attn.wq")), None);
-    let k = ex.linear(x, &ex.param(&format!("{prefix}.attn.wk")), None);
-    let v = ex.linear(x, &ex.param(&format!("{prefix}.attn.wv")), None);
+    let proj = |name: &str| {
+        let w = ex.param(&format!("{prefix}.attn.{name}"));
+        linear_rows(ex, x, rows, &w, None, Activation::Identity)
+    };
+    let (q, k, v) = (proj("wq"), proj("wk"), proj("wv"));
     let scale = 1.0 / (dh as f32).sqrt();
     let mut heads = Vec::with_capacity(cfg.heads);
     for h in 0..cfg.heads {
-        let qh = ex.slice_axis(&q, 1, h * dh, dh);
-        let kh = ex.slice_axis(&k, 1, h * dh, dh);
-        let vh = ex.slice_axis(&v, 1, h * dh, dh);
-        // Q K^T straight from row-major storage via the nt kernel.
-        let scores = ex.scale(&ex.matmul_nt(&qh, &kh), scale);
-        let probs = ex.softmax_last(&scores);
-        heads.push(ex.matmul(&probs, &vh));
+        let qh = split_rows(ex, &ex.slice_axis(&q, 1, h * dh, dh), rows);
+        let kh = split_rows(ex, &ex.slice_axis(&k, 1, h * dh, dh), rows);
+        let vh = split_rows(ex, &ex.slice_axis(&v, 1, h * dh, dh), rows);
+        let per_sample = qh
+            .iter()
+            .zip(&kh)
+            .zip(&vh)
+            .map(|((qi, ki), vi)| {
+                // Q K^T straight from row-major storage via the nt kernel.
+                let scores = ex.scale(&ex.matmul_nt(qi, ki), scale);
+                let probs = ex.softmax_last(&scores);
+                ex.matmul(&probs, vi)
+            })
+            .collect();
+        heads.push(stack_rows(ex, per_sample));
     }
     let concat = ex.concat(&heads, 1);
     debug_assert_eq!(ex.shape(&concat)[1], d);
-    ex.linear(
+    linear_rows(
+        ex,
         &concat,
+        rows,
         &ex.param(&format!("{prefix}.attn.wo")),
         Some(&ex.param(&format!("{prefix}.attn.bo"))),
+        Activation::Identity,
     )
 }
 
-/// Two-layer GELU MLP. The first layer runs GEMM + bias + GELU as one
-/// fused kernel (the tape context additionally stores the pre-activation
-/// for backward; the inference context skips that).
-pub fn mlp<E: Exec>(ex: &E, prefix: &str, x: &E::Value) -> E::Value {
-    let h = ex.linear_act(
+/// Two-layer GELU MLP over a row stack. The first layer runs GEMM + bias +
+/// GELU as one fused kernel (the tape context additionally stores the
+/// pre-activation for backward; the inference context skips that).
+pub fn mlp<E: Exec>(ex: &E, prefix: &str, x: &E::Value, rows: &[usize]) -> E::Value {
+    let h = linear_rows(
+        ex,
         x,
+        rows,
         &ex.param(&format!("{prefix}.mlp.w1")),
         Some(&ex.param(&format!("{prefix}.mlp.b1"))),
-        orbit2_tensor::fused::Activation::Gelu,
+        Activation::Gelu,
     );
-    ex.linear(
+    linear_rows(
+        ex,
         &h,
+        rows,
         &ex.param(&format!("{prefix}.mlp.w2")),
         Some(&ex.param(&format!("{prefix}.mlp.b2"))),
+        Activation::Identity,
     )
 }
 
-/// Pre-norm transformer block: `x + Attn(LN(x))`, then `x + MLP(LN(x))`.
+/// Pre-norm transformer block over a row stack: `x + Attn(LN(x))`, then
+/// `x + MLP(LN(x))`.
 pub fn transformer_block<E: Exec>(
     ex: &E,
     cfg: &ModelConfig,
     prefix: &str,
     x: &E::Value,
+    rows: &[usize],
 ) -> E::Value {
     let n1 = ex.layer_norm(
         x,
@@ -95,14 +120,14 @@ pub fn transformer_block<E: Exec>(
         &ex.param(&format!("{prefix}.ln1.b")),
         1e-5,
     );
-    let x = ex.add(x, &self_attention(ex, cfg, prefix, &n1));
+    let x = ex.add(x, &self_attention(ex, cfg, prefix, &n1, rows));
     let n2 = ex.layer_norm(
         &x,
         &ex.param(&format!("{prefix}.ln2.g")),
         &ex.param(&format!("{prefix}.ln2.b")),
         1e-5,
     );
-    ex.add(&x, &mlp(ex, prefix, &n2))
+    ex.add(&x, &mlp(ex, prefix, &n2, rows))
 }
 
 /// Register parameters of the cross-attention variable aggregation.
@@ -118,10 +143,15 @@ pub fn init_xattn_params(store: &mut ParamStore, cfg: &ModelConfig, seed: u64) {
 /// variable-mean query over the `C` per-variable tokens and collapse them
 /// into one (paper: "aggregate multi-variable embeddings into a unified
 /// representation, effectively collapsing the variable dimension").
+///
+/// The "attention" is a per-token softmax over the `C` variables, so every
+/// op is row-wise and a row stack of samples runs through unchanged; `rows`
+/// only feeds the linears' branch-parity gate.
 pub fn cross_attention_aggregate<E: Exec>(
     ex: &E,
     cfg: &ModelConfig,
     tokens: &[E::Value],
+    rows: &[usize],
 ) -> E::Value {
     assert!(!tokens.is_empty());
     let d = cfg.embed_dim;
@@ -132,15 +162,19 @@ pub fn cross_attention_aggregate<E: Exec>(
         sum = ex.add(&sum, t);
     }
     let mean = ex.scale(&sum, 1.0 / c as f32);
-    let q = ex.linear(&mean, &ex.param("xattn.wq"), None);
+    let proj = |x: &E::Value, name: &str| {
+        linear_rows(ex, x, rows, &ex.param(name), None, Activation::Identity)
+    };
+    let q = proj(&mean, "xattn.wq");
     let scale = 1.0 / (d as f32).sqrt();
     let ones = ex.constant(Tensor::ones(vec![d, 1]));
     let mut scores = Vec::with_capacity(c);
     let mut values = Vec::with_capacity(c);
     for t in tokens {
-        let k = ex.linear(t, &ex.param("xattn.wk"), None);
-        values.push(ex.linear(t, &ex.param("xattn.wv"), None));
-        // Row-wise dot product q·k -> [N, 1].
+        let k = proj(t, "xattn.wk");
+        values.push(proj(t, "xattn.wv"));
+        // Row-wise dot product q·k -> [N, 1] via the ones matvec: n = 1 is
+        // below the packed-GEMM lane width at any row count.
         scores.push(ex.scale(&ex.matmul(&ex.mul(&q, &k), &ones), scale));
     }
     let probs = ex.softmax_last(&ex.concat(&scores, 1)); // [N, C]
@@ -153,7 +187,14 @@ pub fn cross_attention_aggregate<E: Exec>(
             None => term,
         });
     }
-    ex.linear(&out.unwrap(), &ex.param("xattn.wo"), Some(&ex.param("xattn.bo")))
+    linear_rows(
+        ex,
+        &out.unwrap(),
+        rows,
+        &ex.param("xattn.wo"),
+        Some(&ex.param("xattn.bo")),
+        Activation::Identity,
+    )
 }
 
 #[cfg(test)]
@@ -178,7 +219,7 @@ mod tests {
         let tape = Tape::new();
         let binder = Binder::new(&tape, &store);
         let x = tape.constant(randn(&[10, cfg.embed_dim], 1));
-        let y = transformer_block(&binder, &cfg, "blk0", &x);
+        let y = transformer_block(&binder, &cfg, "blk0", &x, &[10]);
         assert_eq!(y.shape(), vec![10, cfg.embed_dim]);
         assert!(y.value().all_finite());
     }
@@ -194,11 +235,11 @@ mod tests {
         let tape = Tape::new();
         let binder = Binder::new(&tape, &store);
         let x = tape.constant(input.clone());
-        let taped = transformer_block(&binder, &cfg, "blk0", &x).value();
+        let taped = transformer_block(&binder, &cfg, "blk0", &x, &[10]).value();
 
         let session = InferenceSession::prepare(&store);
         let xs = Exec::constant(&session, input);
-        let free = transformer_block(&session, &cfg, "blk0", &xs).into_tensor();
+        let free = transformer_block(&session, &cfg, "blk0", &xs, &[10]).into_tensor();
 
         assert_eq!(taped.data(), free.data());
     }
@@ -210,7 +251,7 @@ mod tests {
         let tape = Tape::new();
         let binder = Binder::new(&tape, &store);
         let x = tape.constant(randn(&[6, cfg.embed_dim], 2));
-        let y = transformer_block(&binder, &cfg, "blk0", &x);
+        let y = transformer_block(&binder, &cfg, "blk0", &x, &[6]);
         let loss = y.square().sum();
         let grads = tape.backward(loss);
         let gm = binder.grad_map(&grads);
@@ -238,7 +279,7 @@ mod tests {
         let tape = Tape::new();
         let binder = Binder::new(&tape, &store);
         let x = tape.constant(randn(&[5, 32], 3));
-        let y = self_attention(&binder, &cfg, "blk0", &x);
+        let y = self_attention(&binder, &cfg, "blk0", &x, &[5]);
         assert_eq!(y.shape(), vec![5, 32]);
     }
 
@@ -251,7 +292,7 @@ mod tests {
         let tokens: Vec<Var<'_>> = (0..5)
             .map(|i| tape.constant(randn(&[8, cfg.embed_dim], 10 + i)))
             .collect();
-        let agg = cross_attention_aggregate(&binder, &cfg, &tokens);
+        let agg = cross_attention_aggregate(&binder, &cfg, &tokens, &[8]);
         assert_eq!(agg.shape(), vec![8, cfg.embed_dim]);
         assert!(agg.value().all_finite());
     }
@@ -267,7 +308,7 @@ mod tests {
         let tokens: Vec<Var<'_>> = (0..3)
             .map(|i| tape.constant(randn(&[4, cfg.embed_dim], 20 + i).mul_scalar((i + 1) as f32)))
             .collect();
-        let agg = cross_attention_aggregate(&binder, &cfg, &tokens);
+        let agg = cross_attention_aggregate(&binder, &cfg, &tokens, &[4]);
         // Plain mean baseline through the same projections.
         let mut sum = tokens[0];
         for t in &tokens[1..] {
@@ -289,7 +330,7 @@ mod tests {
         let tokens: Vec<Var<'_>> = (0..3)
             .map(|i| tape.constant(randn(&[4, cfg.embed_dim], 30 + i)))
             .collect();
-        let loss = cross_attention_aggregate(&binder, &cfg, &tokens).square().sum();
+        let loss = cross_attention_aggregate(&binder, &cfg, &tokens, &[4]).square().sum();
         let grads = tape.backward(loss);
         let gm = binder.grad_map(&grads);
         for name in ["xattn.wq", "xattn.wk", "xattn.wv", "xattn.wo"] {

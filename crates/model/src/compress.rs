@@ -16,9 +16,8 @@ use orbit2_tensor::Tensor;
 #[derive(Debug, Clone)]
 pub struct CompressionPlan {
     /// For each kept (merged) token: the indices of the uniform-grid tokens
-    /// it pools. Shared (`Arc`) so every forward that replays the plan —
-    /// and the microbatcher that merges plans across samples — clones a
-    /// pointer, not the nested vectors.
+    /// it pools. Shared (`Arc`) so every forward that replays the plan
+    /// clones a pointer, not the nested vectors.
     pub groups: RowGroups,
     /// Token-grid height.
     pub hp: usize,
@@ -83,6 +82,27 @@ impl CompressionPlan {
             })
             .collect();
         Self { groups: groups.into(), hp, wp }
+    }
+
+    /// One plan over a batch of same-grid samples stacked along the row
+    /// axis: `B` grids of `hp x wp` tokens stacked vertically are one
+    /// `(B·hp) x wp` grid, and sample `i`'s token `t` is token
+    /// `i·hp·wp + t` of it, so the merged plan is every sample's group list
+    /// with its indices offset. One sample's plan is its own stack.
+    pub fn stack(plans: &[CompressionPlan]) -> Self {
+        if let [only] = plans {
+            return only.clone();
+        }
+        let (hp, wp) = (plans[0].hp, plans[0].wp);
+        let groups: Vec<Vec<usize>> = plans
+            .iter()
+            .enumerate()
+            .flat_map(|(i, plan)| {
+                assert_eq!((plan.hp, plan.wp), (hp, wp), "stacked plans must share a grid");
+                plan.groups.iter().map(move |g| g.iter().map(|&t| t + i * hp * wp).collect())
+            })
+            .collect();
+        Self { groups: groups.into(), hp: plans.len() * hp, wp }
     }
 
     /// Number of tokens after compression.

@@ -407,7 +407,7 @@ impl Exec for InferenceSession {
         // both sides of the GEMM — no f32 copy of A or C ever exists. The
         // eligibility gate is the same `packed_eligible` the f32 cached path
         // uses, so per-sample and batched rows take the same branch exactly
-        // when the microbatcher's branch-stability check says they may stack.
+        // when `exec::linear_rows`' branch-parity check says they may stack.
         if let Storage::Bf16(xa) = &x.storage {
             if xa.ndim() == 2 {
                 let (m, kx) = (xa.shape()[0], xa.shape()[1]);

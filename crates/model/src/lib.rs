@@ -5,9 +5,6 @@
 //! * [`config`] — model-size configurations, including the paper's four
 //!   (9.5M / 126M / 1B / 10B) used by the profiler and the scaled-down
 //!   trainable twins used for the CPU accuracy experiments;
-//! * [`batch`] — cross-request batched inference: one forward over a
-//!   row-stacked batch of same-shaped tiles, bit-identical to per-sample
-//!   forwards (the serving layer's microbatch kernel);
 //! * [`binder`] — binds a [`orbit2_autograd::ParamStore`] onto a tape,
 //!   memoizing leaf vars so each parameter gets exactly one gradient slot;
 //! * [`exec`] — the execution-context trait ([`exec::Exec`]) every forward
@@ -32,7 +29,6 @@
 //!   the DeepSpeed profiler) feeding the cluster simulator.
 
 pub mod baseline;
-pub mod batch;
 pub mod binder;
 pub mod blocks;
 pub mod compress;
@@ -46,7 +42,6 @@ pub mod profiler;
 pub mod reslim;
 
 pub use baseline::BaselineVit;
-pub use batch::forward_batch;
 pub use binder::Binder;
 pub use config::ModelConfig;
 pub use exec::Exec;

@@ -9,9 +9,10 @@
 
 use crate::config::ModelConfig;
 use crate::embed::unpatchify_permutation;
-use crate::exec::Exec;
+use crate::exec::{linear_rows, split_rows, Exec};
 use orbit2_autograd::ParamStore;
 use orbit2_tensor::conv::ConvGeom;
+use orbit2_tensor::fused::Activation;
 use orbit2_tensor::random::{kaiming, xavier};
 use orbit2_tensor::Tensor;
 
@@ -68,35 +69,51 @@ pub fn permute_elements<E: Exec>(
     ex.reshape(&ex.gather_rows(&flat, perm), out_shape)
 }
 
-/// Decode ViT tokens `[N, D]` on an `hp x wp` grid into a high-resolution
-/// `[C_out, hp*p*factor, wp*p*factor]` image.
+/// Decode a row stack of ViT tokens `[B·N, D]` (each sample a full
+/// `hp x wp` grid) into one high-resolution
+/// `[C_out, hp*p*factor, wp*p*factor]` image per sample. The projection is
+/// one GEMM for the whole stack; the image-space tail (un-patchify,
+/// upsample, conv) runs per sample.
 pub fn decode<E: Exec>(
     ex: &E,
     cfg: &ModelConfig,
     tokens: &E::Value,
     hp: usize,
     wp: usize,
-) -> E::Value {
-    assert_eq!(ex.shape(tokens)[0], hp * wp, "token/grid mismatch");
+) -> Vec<E::Value> {
+    let total = ex.shape(tokens)[0];
+    assert!(total > 0 && total.is_multiple_of(hp * wp), "token/grid mismatch");
+    let rows = vec![hp * wp; total / (hp * wp)];
     let p = cfg.patch;
-    // [N, D] -> [N, p^2 * hidden]
-    let projected =
-        ex.linear(tokens, &ex.param("dec.proj.w"), Some(&ex.param("dec.proj.b")));
-    // Rearrange to [hidden, h, w] at input resolution.
-    let (h, w) = (hp * p, wp * p);
-    let hidden = path_hidden(cfg);
-    let perm = unpatchify_permutation(hp, wp, p, hidden);
-    let img = permute_elements(ex, &projected, perm, vec![1, hidden, h, w]);
-    // Upsample to output resolution and refine with a 3x3 conv.
-    let up = ex.resize_bilinear(&ex.gelu(&img), h * cfg.scale_factor, w * cfg.scale_factor);
-    let out = ex.conv2d(
-        &up,
-        &ex.param("dec.conv.w"),
-        Some(&ex.param("dec.conv.b")),
-        ConvGeom::same(3),
+    // [B·N, D] -> [B·N, p^2 * hidden]
+    let projected = linear_rows(
+        ex,
+        tokens,
+        &rows,
+        &ex.param("dec.proj.w"),
+        Some(&ex.param("dec.proj.b")),
+        Activation::Identity,
     );
+    let (h, w) = (hp * p, wp * p);
     let (oh, ow) = (h * cfg.scale_factor, w * cfg.scale_factor);
-    ex.reshape(&out, vec![cfg.out_channels, oh, ow])
+    let hidden = path_hidden(cfg);
+    split_rows(ex, &projected, &rows)
+        .iter()
+        .map(|sample| {
+            // Rearrange to [hidden, h, w] at input resolution.
+            let perm = unpatchify_permutation(hp, wp, p, hidden);
+            let img = permute_elements(ex, sample, perm, vec![1, hidden, h, w]);
+            // Upsample to output resolution and refine with a 3x3 conv.
+            let up = ex.resize_bilinear(&ex.gelu(&img), oh, ow);
+            let out = ex.conv2d(
+                &up,
+                &ex.param("dec.conv.w"),
+                Some(&ex.param("dec.conv.b")),
+                ConvGeom::same(3),
+            );
+            ex.reshape(&out, vec![cfg.out_channels, oh, ow])
+        })
+        .collect()
 }
 
 /// The residual path: raw input `[C_in, h, w]` → conv → bilinear upsample →
@@ -147,7 +164,7 @@ mod tests {
         let tape = Tape::new();
         let binder = Binder::new(&tape, &s);
         let tokens = tape.constant(randn(&[4 * 6, cfg.embed_dim], 2));
-        let img = decode(&binder, &cfg, &tokens, 4, 6);
+        let img = decode(&binder, &cfg, &tokens, 4, 6).remove(0);
         // hp=4, wp=6, patch=2, factor=4: output 32 x 48.
         assert_eq!(img.shape(), vec![3, 32, 48]);
         assert!(img.value().all_finite());
@@ -206,7 +223,7 @@ mod tests {
         let tape = Tape::new();
         let binder = Binder::new(&tape, &s);
         let tokens = tape.constant(randn(&[24, cfg.embed_dim], 7));
-        let loss = decode(&binder, &cfg, &tokens, 4, 6).square().sum();
+        let loss = decode(&binder, &cfg, &tokens, 4, 6)[0].square().sum();
         let grads = tape.backward(loss);
         let gm = binder.grad_map(&grads);
         assert!(gm["dec.proj.w"].data().iter().any(|&v| v != 0.0));

@@ -13,9 +13,9 @@
 //!   leisure; execution happens on the vendored rayon shim's persistent
 //!   worker registry via detached `rayon::spawn` jobs.
 //! - **Cross-request microbatching** — same-shaped tile jobs from
-//!   different in-flight requests are stacked along the row axis and run
-//!   as one forward (`orbit2_model::forward_batch`), which is
-//!   **bit-identical** to running them separately. A bounded microbatch
+//!   different in-flight requests go to the model's one forward
+//!   (`ReslimModel::forward_batch`) as a batch, which stacks them along
+//!   the row axis and is **bit-identical** to running them separately. A bounded microbatch
 //!   window trades a little latency for the stacking opportunity.
 //! - **Fair tile scheduling** — batches are filled round-robin across
 //!   requests, so a many-tile request cannot starve a small one.

@@ -4,7 +4,7 @@
 //! ```text
 //! orbit2-serve [--addr 127.0.0.1:7878] [--grid 32x64] [--samples 32]
 //!              [--tiles N] [--halo H] [--max-batch N] [--window-us N]
-//!              [--cache N] [--queue N] [--no-batching] [--seed N]
+//!              [--cache N] [--queue N] [--seed N]
 //!              [--precision f32|bf16|int8] [--activation-precision f32|bf16]
 //!              [--default-deadline-ms N]
 //! ```
@@ -40,7 +40,6 @@ struct Args {
     window_micros: u64,
     cache: usize,
     queue: usize,
-    batching: bool,
     seed: u64,
     precision: SessionPrecision,
     activation: SessionActivation,
@@ -59,7 +58,6 @@ impl Default for Args {
             window_micros: 2_000,
             cache: 64,
             queue: 256,
-            batching: true,
             seed: 17,
             precision: SessionPrecision::F32,
             activation: SessionActivation::F32,
@@ -70,7 +68,7 @@ impl Default for Args {
 
 const USAGE: &str = "usage: orbit2-serve [--addr HOST:PORT] [--grid HxW] [--samples N] \
 [--tiles N] [--halo H] [--max-batch N] [--window-us N] [--cache N] [--queue N] \
-[--no-batching] [--seed N] [--precision f32|bf16|int8] [--activation-precision f32|bf16] \
+[--seed N] [--precision f32|bf16|int8] [--activation-precision f32|bf16] \
 [--default-deadline-ms N]";
 
 fn parse_args() -> Result<Args, String> {
@@ -101,7 +99,6 @@ fn parse_args() -> Result<Args, String> {
             }
             "--cache" => args.cache = parse_num(&value("--cache")?, "--cache")?,
             "--queue" => args.queue = parse_num(&value("--queue")?, "--queue")?,
-            "--no-batching" => args.batching = false,
             "--precision" => {
                 let v = value("--precision")?;
                 args.precision = SessionPrecision::parse(&v)
@@ -169,7 +166,6 @@ fn main() {
         window_micros: args.window_micros,
         cache_capacity: args.cache,
         queue_capacity: args.queue,
-        batching: args.batching,
         precision: args.precision,
         activation: args.activation,
         default_deadline_ms: args.default_deadline_ms,
@@ -196,11 +192,10 @@ fn main() {
     let bound = listener.local_addr().map(|a| a.to_string()).unwrap_or(args.addr);
     println!(
         "orbit2-serve listening on {bound} (regions: conus, global; coarse grid {}x{}; \
-         batching {}; max_batch {}; window {}us; cache {}; precision {}; activations {}; \
+         max_batch {}; window {}us; cache {}; precision {}; activations {}; \
          default deadline {})",
         h / factor,
         w / factor,
-        if args.batching { "on" } else { "off" },
         args.max_batch,
         args.window_micros,
         args.cache,

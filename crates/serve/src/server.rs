@@ -8,9 +8,10 @@
 //! resolved to a `[C, h, w]` input, normalized, and split into halo-padded
 //! tile jobs that land on a single submission queue. A dedicated batcher
 //! thread groups **same-shaped tile jobs across requests** into one
-//! stacked forward (`orbit2_model::forward_batch` — bit-identical to
-//! per-request execution), waiting at most a configurable microbatch
-//! window for the batch to fill. Batches are handed to the rayon shim's
+//! `ReslimModel::forward_batch` call — the model's one forward, which
+//! stacks the batch along the row axis and is bit-identical to
+//! per-request execution at any batch size — waiting at most a
+//! configurable microbatch window for the batch to fill. Batches are handed to the rayon shim's
 //! persistent worker registry via detached `rayon::spawn`, so grouping,
 //! execution, and request intake all overlap.
 //!
@@ -55,7 +56,8 @@ pub struct ServerConfig {
     /// How request inputs are split into tile jobs (`None` = whole-sample
     /// jobs). Smaller tiles mean more cross-request batching opportunity.
     pub tile: Option<TileSpec>,
-    /// Most tile jobs stacked into one forward.
+    /// Most tile jobs stacked into one forward (1 = every job runs alone
+    /// and the batcher never holds a window open).
     pub max_batch: usize,
     /// Longest the batcher waits for a batch to fill before dispatching a
     /// partial one (the microbatch window).
@@ -64,9 +66,6 @@ pub struct ServerConfig {
     pub cache_capacity: usize,
     /// Most requests in flight before admission returns `QueueFull`.
     pub queue_capacity: usize,
-    /// Cross-request batching on/off (off = every job runs alone; the
-    /// serving bench compares the two).
-    pub batching: bool,
     /// Weight precision for requests that don't ask for one explicitly.
     /// The session at this precision is prepared eagerly at startup;
     /// sessions for other requested precisions are built on first use.
@@ -96,7 +95,6 @@ impl Default for ServerConfig {
             window_micros: 2_000,
             cache_capacity: 64,
             queue_capacity: 256,
-            batching: true,
             precision: WeightPrecision::F32,
             activation: ActivationPrecision::F32,
             default_deadline_ms: None,
@@ -697,14 +695,13 @@ fn batcher_loop(inner: Arc<Inner>) {
                 let age = front.enqueued.elapsed();
                 let window = Duration::from_micros(inner.cfg.window_micros);
                 let stackable = queue.iter().filter(|j| j.key == key).count();
-                if inner.cfg.batching && stackable < inner.cfg.max_batch && age < window {
+                if stackable < inner.cfg.max_batch && age < window {
                     // Keep the window open: more same-shaped jobs may land.
                     let (guard, _) = inner.work_ready.wait_timeout(queue, window - age).unwrap();
                     queue = guard;
                     continue;
                 }
-                let max = if inner.cfg.batching { inner.cfg.max_batch } else { 1 };
-                break collect_batch(&mut queue, max);
+                break collect_batch(&mut queue, inner.cfg.max_batch);
             }
         };
         let worker = Arc::clone(&inner);
@@ -764,24 +761,19 @@ fn panic_reason(panic: Box<dyn std::any::Any + Send>) -> String {
         .unwrap_or_else(|| "unknown panic".into())
 }
 
-/// Run the (possibly batched) forward for `jobs`, returning one prediction
-/// per job. Stackable jobs share a `JobKey`, hence a single session cell.
+/// Run the forward for `jobs` (any batch size), returning one prediction
+/// per job. Stackable jobs share a `JobKey`, hence a single session cell
+/// and compression target.
 fn run_forward(inner: &Inner, jobs: &[TileJob]) -> Vec<Tensor> {
-    if jobs.len() > 1 {
-        let session = inner.session_for(jobs[0].req.precision, jobs[0].req.activation);
-        let refs: Vec<&Tensor> = jobs.iter().map(|j| &j.input).collect();
-        orbit2_model::forward_batch(&inner.model, session, &refs, jobs[0].req.compression)
-            .into_iter()
-            .map(|(pred, _)| pred)
-            .collect()
-    } else {
-        jobs.iter()
-            .map(|j| {
-                let session = inner.session_for(j.req.precision, j.req.activation);
-                inner.model.forward(session, &j.input, j.req.compression).0.into_tensor()
-            })
-            .collect()
-    }
+    let lead = &jobs[0].req;
+    let session = inner.session_for(lead.precision, lead.activation);
+    let inputs: Vec<&Tensor> = jobs.iter().map(|j| &j.input).collect();
+    inner
+        .model
+        .forward_batch(session, &inputs, lead.compression)
+        .into_iter()
+        .map(|(pred, _)| pred.into_tensor())
+        .collect()
 }
 
 fn execute_batch(inner: &Inner, jobs: Vec<TileJob>) {
@@ -1049,7 +1041,7 @@ mod tests {
     }
 
     #[test]
-    fn collect_batch_without_batching_takes_one_fifo() {
+    fn collect_batch_of_one_takes_the_front_job() {
         let inflight = Arc::new(AtomicUsize::new(0));
         let a = fake_state(0, 2, &inflight);
         let mut queue: VecDeque<TileJob> = VecDeque::new();

@@ -105,11 +105,11 @@ fn tiled_serving_matches_downscale_with() {
 }
 
 /// Unbatched mode must produce the same bits as batched mode (which the
-/// bitwise guarantee implies, but this pins the `batching: false` path).
+/// bitwise guarantee implies, but this pins the `max_batch: 1` path).
 #[test]
 fn unbatched_mode_matches_direct_too() {
     let cfg = ServerConfig {
-        batching: false,
+        max_batch: 1,
         window_micros: 0,
         cache_capacity: 0,
         ..ServerConfig::default()

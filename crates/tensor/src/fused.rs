@@ -647,7 +647,8 @@ mod tests {
             let stacked = Tensor::stack_rows(&[&xa, &xb]);
             // Fused linear (the batched GEMM itself) — only when every part
             // takes the same kernel branch as the stack, which is the
-            // precondition the microbatcher enforces before stacking.
+            // precondition the model forward (`linear_rows`) enforces before
+            // stacking.
             let branch_stable = crate::matmul::packed_eligible(ra, k, n)
                 == crate::matmul::packed_eligible(ra + rb, k, n)
                 && crate::matmul::packed_eligible(rb, k, n)

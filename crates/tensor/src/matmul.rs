@@ -266,12 +266,13 @@ pub(crate) fn gemm_rows_packed_b(
 /// callers route to the scalar reference.
 ///
 /// Public because batched execution must prove it takes the *same* kernel
-/// branch as the per-sample calls it replaces: stacking requests along the
+/// branch as the per-sample calls it replaces: stacking samples along the
 /// row axis grows `m`, and a batch that crosses this threshold while its
 /// constituents did not (or vice versa) would mix packed-FMA and scalar
-/// arithmetic — bit-different results. The serving batcher checks this
-/// predicate per linear layer and falls back to per-sample dispatch on the
-/// (degenerate, tiny-shape) mismatch case.
+/// arithmetic — bit-different results. The model forward checks this
+/// predicate in one place (`orbit2_model::exec::linear_rows`) and falls
+/// back to per-sample dispatch on the (degenerate, tiny-shape) mismatch
+/// case.
 pub fn packed_eligible(m: usize, k: usize, n: usize) -> bool {
     simd::enabled() && n >= LANES && m * n * k >= 2048
 }

@@ -17,10 +17,16 @@
 #      oracles are bit-identical by construction, so the gate must hold
 #      identically under ORBIT2_DISABLE_SIMD=1 — a divergence there means
 #      a kernel/oracle mismatch, not a tolerance problem.
-#   7. bench regression check (scripts/bench_check.sh), split by file:
+#   7. end-to-end benchmark harness (benchmark/, a package of its own that
+#      the workspace build never compiles): its unit tests, then
+#      `benchmark/run.sh --smoke` (~45 s). Any drift in `Exec`,
+#      `ServerConfig` or `ServerStats` that stops the harness building, or
+#      any served reply that stops being bit-equal to `downscale_with`,
+#      fails here instead of in the benchmark pipeline.
+#   8. bench regression check (scripts/bench_check.sh), split by file:
 #      BENCH_kernels.json is STRICT — a >50% median regression fails the
-#      pipeline. 50% sits above the measured noise floor of this box's
-#      sub-millisecond rows (successive full runs under load swing a
+#      pipeline. 50% sits above the measured noise floor of this 2-vCPU
+#      guest's sub-millisecond rows (successive full runs under load swing a
 #      random small bench by ±30-35%) while still catching real kernel
 #      regressions, which historically land at 2x+ (e.g. an accumulator
 #      spill). Set ORBIT2_BENCH_CHECK_STRICT=0 to demote to a warning,
@@ -60,9 +66,13 @@ cargo test --release -q -p orbit2 --test precision_gate
 step "reduced-precision quality gate (SIMD disabled: ORBIT2_DISABLE_SIMD=1)"
 ORBIT2_DISABLE_SIMD=1 cargo test --release -q -p orbit2 --test precision_gate
 
+step "benchmark harness: unit tests + smoke run"
+cargo test -q --manifest-path benchmark/Cargo.toml
+benchmark/run.sh --smoke
+
 step "bench regression check: kernels (STRICT unless ORBIT2_BENCH_CHECK_STRICT=0)"
 # Default tolerance 50%: above the ±30-35% run-to-run noise of the sub-ms
-# rows on this 1-core box, below the 2x+ of any real kernel regression.
+# rows on this 2-vCPU guest, below the 2x+ of any real kernel regression.
 export ORBIT2_BENCH_TOLERANCE_PCT_KERNELS="${ORBIT2_BENCH_TOLERANCE_PCT_KERNELS:-50}"
 if [[ -e BENCH_kernels.json ]]; then
     if scripts/bench_check.sh BENCH_kernels.json; then

@@ -18,8 +18,8 @@ fn downscale_and_evaluate_build_zero_tapes() {
 
     let before = tape_constructions();
 
-    // Whole-sample, tiled, compressed, session-reuse and full-split
-    // evaluation: the complete inference surface.
+    // Whole-sample, tiled, compressed, session-reuse, batched and
+    // full-split evaluation: the complete inference surface.
     let s = ds.sample(0);
     let _ = orbit2::inference::downscale(&model, &norm, &s.input, None, 1.0).unwrap();
     let spec = TileSpec { tiles_y: 2, tiles_x: 2, halo: 2 };
@@ -27,6 +27,9 @@ fn downscale_and_evaluate_build_zero_tapes() {
     let _ = orbit2::inference::downscale(&model, &norm, &s.input, None, 2.0).unwrap();
     let _ = orbit2::inference::downscale_with(&model, &session, &norm, &s.input, None, 1.0)
         .unwrap();
+    // The stacked (B=2) path of the model's forward.
+    let pair = [ds.sample(0).input, ds.sample(1).input];
+    let _ = model.forward_batch(&session, &[&pair[0], &pair[1]], 2.0);
     let test_idx = ds.indices(Split::Test);
     let _ = orbit2::eval::evaluate_model(&model, &norm, &ds, &test_idx, Some(spec), 1.0).unwrap();
 

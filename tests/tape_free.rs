@@ -5,6 +5,7 @@
 //! contexts must agree in both kernel modes.
 
 use orbit2::tiling::{split_stack, stitch_predictions};
+use orbit2_autograd::params::GradMap;
 use orbit2_autograd::Tape;
 use orbit2_imaging::tiles::{TileGeometry, TileSpec};
 use orbit2_model::binder::Binder;
@@ -56,6 +57,73 @@ proptest! {
         let taped = taped_forward(&model, &input, compression);
         let free = model.forward(&session, &input, compression).0.into_tensor();
         prop_assert_eq!(taped.data(), free.data());
+    }
+
+    #[test]
+    fn forward_batch_bit_identical_to_per_sample_forward(
+        cfg_idx in 0usize..3,
+        comp_idx in 0usize..3,
+        b in 1usize..=4,
+        seed in 0u64..1000,
+    ) {
+        let cfg = config(cfg_idx);
+        let compression = [1.0f32, 2.0, 4.0][comp_idx];
+        let model = ReslimModel::new(cfg, seed);
+        let session = model.session();
+        // One smooth sample among noisy ones so adaptive plans go ragged.
+        let inputs: Vec<Tensor> = (0..b)
+            .map(|i| match i {
+                1 => Tensor::full(vec![cfg.in_channels, 8, 16], 0.25),
+                _ => randn(&[cfg.in_channels, 8, 16], seed + 10 + i as u64),
+            })
+            .collect();
+        let refs: Vec<&Tensor> = inputs.iter().collect();
+
+        // Session: values.
+        let batch = model.forward_batch(&session, &refs, compression);
+        prop_assert_eq!(batch.len(), b);
+        for (input, (pred, plan)) in inputs.iter().zip(&batch) {
+            let (solo, solo_plan) = model.forward(&session, input, compression);
+            let (got, want) = (pred.tensor(), solo.into_tensor());
+            prop_assert_eq!(got.data(), want.data());
+            prop_assert_eq!(plan.compressed_len(), solo_plan.compressed_len());
+        }
+
+        // Binder: values, and the gradient of the summed loss over the taped
+        // batch against the sum of per-sample gradients (the weight
+        // gradients reduce over rows, so batching reorders that sum).
+        let tape = Tape::new();
+        let binder = Binder::new(&tape, &model.params);
+        let taped = model.forward_batch(&binder, &refs, compression);
+        let mut solo_grads: Vec<GradMap> = Vec::with_capacity(b);
+        for (input, (pred, _)) in inputs.iter().zip(&taped) {
+            let solo_tape = Tape::new();
+            let solo_binder = Binder::new(&solo_tape, &model.params);
+            let (solo, _) = model.forward(&solo_binder, input, compression);
+            let (got, want) = (pred.value(), solo.value());
+            prop_assert_eq!(got.data(), want.data());
+            let grads = solo_tape.backward(solo.square().sum());
+            solo_grads.push(solo_binder.grad_map(&grads));
+        }
+        let loss = taped
+            .iter()
+            .map(|(pred, _)| pred.square().sum())
+            .reduce(|a, l| a.add(l))
+            .expect("b >= 1");
+        let batch_grads = binder.grad_map(&tape.backward(loss));
+        prop_assert_eq!(batch_grads.len(), solo_grads[0].len());
+        for (name, got) in &batch_grads {
+            let mut want = solo_grads[0][name].clone();
+            for g in &solo_grads[1..] {
+                want.add_(&g[name]);
+            }
+            let scale = want.data().iter().fold(0.0f32, |m, v| m.max(v.abs()));
+            prop_assert!(
+                got.max_abs_diff(&want) <= 1e-5 * scale.max(f32::MIN_POSITIVE),
+                "{name}: batch gradient off by {} at scale {scale}",
+                got.max_abs_diff(&want)
+            );
+        }
     }
 
     #[test]
