@@ -109,18 +109,23 @@ impl<'t> Var<'t> {
         let bt = bias.map(|b| b.value());
         let y = conv2d(&x, &w, bt.as_ref(), geom);
         let (xid, wid) = (self_id(self), self_id(&weight));
-        let bid = bias.as_ref().map(self_id);
         let x_shape = x.shape().to_vec();
         let w_shape = w.shape().to_vec();
-        let tracked = self_tracked(self) || self_tracked(&weight) || bias.map(|b| self_tracked(&b)).unwrap_or(false);
+        // The tape drops gradients of untracked parents, so an operand that
+        // is a constant (the residual path's input) gets none computed.
+        let (x_tracked, w_tracked) = (self_tracked(self), self_tracked(&weight));
+        let bid = bias.filter(self_tracked).as_ref().map(self_id);
         self.tape().record_custom(
             y,
-            tracked,
+            x_tracked || w_tracked || bid.is_some(),
             Box::new(move |g| {
-                let mut grads = vec![
-                    (xid, conv2d_grad_input(g, &w, &x_shape, geom)),
-                    (wid, conv2d_grad_weight(g, &x, &w_shape, geom)),
-                ];
+                let mut grads = Vec::with_capacity(3);
+                if x_tracked {
+                    grads.push((xid, conv2d_grad_input(g, &w, &x_shape, geom)));
+                }
+                if w_tracked {
+                    grads.push((wid, conv2d_grad_weight(g, &x, &w_shape, geom)));
+                }
                 if let Some(bid) = bid {
                     grads.push((bid, conv2d_grad_bias(g)));
                 }
@@ -357,6 +362,26 @@ mod tests {
             3e-2,
             25,
         );
+    }
+
+    #[test]
+    fn conv2d_over_a_constant_input_skips_the_input_gradient() {
+        use orbit2_tensor::random::randn;
+        let geom = ConvGeom::same(3);
+        let (x0, w0, b0) = (randn(&[2, 3, 6, 7], 31), randn(&[4, 3, 3, 3], 32), randn(&[4], 33));
+        let run = |constant_input: bool| {
+            let tape = Tape::new();
+            let x = if constant_input { tape.constant(x0.clone()) } else { tape.leaf(x0.clone()) };
+            let (w, b) = (tape.leaf(w0.clone()), tape.leaf(b0.clone()));
+            let grads = tape.backward(x.conv2d(w, Some(b), geom).square().sum());
+            (grads.get(x).cloned(), grads.get(w).unwrap().clone(), grads.get(b).unwrap().clone())
+        };
+        let (gx_leaf, gw_leaf, gb_leaf) = run(false);
+        let (gx_const, gw_const, gb_const) = run(true);
+        assert!(gx_leaf.is_some() && gx_const.is_none());
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&gw_const), bits(&gw_leaf));
+        assert_eq!(bits(&gb_const), bits(&gb_leaf));
     }
 
     #[test]

@@ -6,13 +6,14 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use orbit2_imaging::quadtree::{QuadTree, QuadTreeParams};
 use orbit2_tensor::bf16::bf16_round_slice;
 use orbit2_tensor::bf16_act::{layer_norm_rows_bf16, softmax_rows_bf16, Bf16Tensor};
-use orbit2_tensor::conv::{conv2d, ConvGeom};
+use orbit2_tensor::conv::{conv2d, conv2d_grad_input, conv2d_grad_weight, ConvGeom};
 use orbit2_tensor::fused::{
     layer_norm_rows, matmul_bias_act, matmul_bias_act_cached, softmax_rows, Activation,
     PackedWeight, WeightPrecision,
 };
 use orbit2_tensor::qgemm::{gemm_bf16_act_fused, PackedWeightBf16};
 use orbit2_tensor::random::randn;
+use orbit2_tensor::resize::{resize, ResizeMode};
 
 fn bench_matmul(c: &mut Criterion) {
     let mut group = c.benchmark_group("matmul");
@@ -248,6 +249,52 @@ fn bench_conv(c: &mut Criterion) {
     group.finish();
 }
 
+/// The convolutions a Reslim forward and backward actually run (the 8→8
+/// cells above are kept for trajectory continuity): the residual path's
+/// skinny 64→3 on a `tiles-field` tile and its wide 7→64 at coarse
+/// resolution, the decoder's 16→3 on the `serve-wire` grid, both gradients
+/// of the 64→3 on a `train-step` tile, and the bilinear upsample between
+/// the two residual convs.
+fn bench_conv_model(c: &mut Criterion) {
+    let g = ConvGeom::same(3);
+    let mut group = c.benchmark_group("conv2d_model");
+    group.sample_size(10);
+    for &(name, ci, co, h, w) in &[
+        ("64to3_272", 64usize, 3usize, 272usize, 272usize),
+        ("16to3_128x256", 16, 3, 128, 256),
+        ("7to64_68", 7, 64, 68, 68),
+    ] {
+        let x = randn(&[1, ci, h, w], 51);
+        let wt = randn(&[co, ci, 3, 3], 52);
+        let b = randn(&[co], 53);
+        group.bench_function(BenchmarkId::from_parameter(name), |bench| {
+            bench.iter(|| conv2d(&x, &wt, Some(&b), g))
+        });
+    }
+    group.finish();
+
+    let x = randn(&[1, 64, 48, 80], 54);
+    let wt = randn(&[3, 64, 3, 3], 55);
+    let go = randn(&[1, 3, 48, 80], 56);
+    let mut group = c.benchmark_group("conv2d_grad");
+    group.sample_size(10);
+    group.bench_function(BenchmarkId::from_parameter("input_64to3_48x80"), |bench| {
+        bench.iter(|| conv2d_grad_input(&go, &wt, x.shape(), g))
+    });
+    group.bench_function(BenchmarkId::from_parameter("weight_64to3_48x80"), |bench| {
+        bench.iter(|| conv2d_grad_weight(&go, &x, wt.shape(), g))
+    });
+    group.finish();
+
+    let hid = randn(&[1, 64, 68, 68], 57);
+    let mut group = c.benchmark_group("resize_bilinear");
+    group.sample_size(10);
+    group.bench_function(BenchmarkId::from_parameter("64x68to272"), |bench| {
+        bench.iter(|| resize(&hid, 272, 272, ResizeMode::Bilinear))
+    });
+    group.finish();
+}
+
 fn bench_quadtree(c: &mut Criterion) {
     let mut group = c.benchmark_group("quadtree_build");
     group.sample_size(10);
@@ -297,6 +344,7 @@ criterion_group!(
     bench_softmax_bf16,
     bench_bf16,
     bench_conv,
+    bench_conv_model,
     bench_quadtree,
     bench_fft,
     bench_synth

@@ -1,12 +1,38 @@
-//! 2-D convolution via im2col + blocked matmul, with the backward kernels
+//! Direct, register-blocked 2-D convolution, with the backward kernels
 //! needed by the autograd crate.
 //!
 //! Layout is NCHW: `input [N, C, H, W]`, `weight [O, C, KH, KW]`. Reslim's
 //! residual path, its decoder, and the baseline model's channel-aggregation
 //! stage are all built from these kernels.
+//!
+//! The stride-1 forward copies the batch once into a zero-padded
+//! `[N·C, H+2p, W+2p]` pooled scratch (plus one strip of slack, ≈1.03× the
+//! input) and then, for every (output-channel block × strip of output
+//! pixels), keeps twelve [`F32x8`] accumulators in registers while it walks
+//! `(ci, ky, kx)` in ascending order: shifted unaligned row loads against
+//! broadcast weights, bias added at the store. Nothing is unfolded, so the
+//! only memory beyond input and output is that padded copy.
+//!
+//! * [`conv2d_grad_input`] is the same kernel run over `grad_out` with the
+//!   spatially flipped, channel-transposed weight and padding `k − 1 − p`.
+//! * [`conv2d_grad_weight`] is a row-dot reduction of `grad_out` against the
+//!   shifted padded input, one task per input channel.
+//!
+//! **Fixed accumulation order.** Every output element is produced by one
+//! task and one accumulator chain whose order does not depend on how the
+//! work was split: a forward or input-gradient element sums its taps in
+//! `(ci, ky, kx)` order; a weight-gradient element sums per-sample totals in
+//! sample order, each total its row dots in row order. So results are
+//! bit-identical across thread counts, and a batched call equals its
+//! per-sample calls (summed, for the weight gradient).
+//!
+//! [`conv2d_ref`] is the scalar oracle (as `matmul_slices` is for GEMM). It
+//! — and the matching scalar gradient loops — also run when
+//! `ORBIT2_DISABLE_SIMD=1` and for `stride != 1`: a strided window has no
+//! contiguous shifted row to load, and no caller outside tests strides.
 
-use crate::matmul::matmul_slices;
 use crate::pool::{self, Buffer};
+use crate::simd::{self, F32x8, LANES};
 use crate::tensor::Tensor;
 use rayon::prelude::*;
 
@@ -25,7 +51,19 @@ pub struct ConvGeom {
 
 impl ConvGeom {
     /// Output spatial size for an input of `(h, w)`.
+    ///
+    /// # Panics
+    /// Panics when the padded input is smaller than the kernel, or the
+    /// stride is zero.
     pub fn out_size(&self, h: usize, w: usize) -> (usize, usize) {
+        assert!(self.stride > 0, "conv stride must be at least 1");
+        assert!(
+            h + 2 * self.pad >= self.kh && w + 2 * self.pad >= self.kw,
+            "conv input {h}x{w} with pad {} is smaller than the {}x{} kernel",
+            self.pad,
+            self.kh,
+            self.kw
+        );
         let oh = (h + 2 * self.pad - self.kh) / self.stride + 1;
         let ow = (w + 2 * self.pad - self.kw) / self.stride + 1;
         (oh, ow)
@@ -36,161 +74,420 @@ impl ConvGeom {
         assert!(k % 2 == 1, "same-padding requires odd kernel");
         Self { kh: k, kw: k, stride: 1, pad: k / 2 }
     }
-}
 
-/// Unfold one `[C, H, W]` plane into a `[C*KH*KW, OH*OW]` column matrix.
-fn im2col_plane(plane: &[f32], c: usize, h: usize, w: usize, g: ConvGeom, cols: &mut [f32]) {
-    let (oh, ow) = g.out_size(h, w);
-    let ncols = oh * ow;
-    debug_assert_eq!(cols.len(), c * g.kh * g.kw * ncols);
-    for ci in 0..c {
-        let src = &plane[ci * h * w..(ci + 1) * h * w];
-        for ky in 0..g.kh {
-            for kx in 0..g.kw {
-                let row = ((ci * g.kh + ky) * g.kw + kx) * ncols;
-                for oy in 0..oh {
-                    let iy = (oy * g.stride + ky) as isize - g.pad as isize;
-                    let drow = row + oy * ow;
-                    if iy < 0 || iy >= h as isize {
-                        cols[drow..drow + ow].fill(0.0);
-                        continue;
-                    }
-                    let srow = iy as usize * w;
-                    for ox in 0..ow {
-                        let ix = (ox * g.stride + kx) as isize - g.pad as isize;
-                        cols[drow + ox] = if ix < 0 || ix >= w as isize { 0.0 } else { src[srow + ix as usize] };
-                    }
-                }
-            }
-        }
+    /// Whether the direct kernels apply; otherwise the scalar reference runs.
+    fn direct(&self) -> bool {
+        simd::enabled() && self.stride == 1
     }
 }
 
-/// Fold a `[C*KH*KW, OH*OW]` column-gradient matrix back onto a `[C, H, W]`
-/// plane (the adjoint of [`im2col_plane`]): overlapping windows accumulate.
-fn col2im_plane(cols: &[f32], c: usize, h: usize, w: usize, g: ConvGeom, plane: &mut [f32]) {
+/// The validated sizes of one convolution call.
+#[derive(Clone, Copy)]
+struct Dims {
+    n: usize,
+    c: usize,
+    h: usize,
+    w: usize,
+    o: usize,
+    oh: usize,
+    ow: usize,
+}
+
+/// Check an `[N,C,H,W]` input shape and an `[O,C,KH,KW]` weight shape
+/// against each other and against `g`.
+fn dims(input_shape: &[usize], weight_shape: &[usize], g: ConvGeom) -> Dims {
+    assert_eq!(input_shape.len(), 4, "conv2d input must be [N,C,H,W]");
+    assert_eq!(weight_shape.len(), 4, "conv2d weight must be [O,C,KH,KW]");
+    let (n, c, h, w) = (input_shape[0], input_shape[1], input_shape[2], input_shape[3]);
+    let (o, wc) = (weight_shape[0], weight_shape[1]);
+    assert_eq!(c, wc, "channel mismatch: input C={c}, weight C={wc}");
+    assert_eq!((weight_shape[2], weight_shape[3]), (g.kh, g.kw), "weight kernel does not match geometry");
     let (oh, ow) = g.out_size(h, w);
-    let ncols = oh * ow;
-    for ci in 0..c {
-        let dst = &mut plane[ci * h * w..(ci + 1) * h * w];
-        for ky in 0..g.kh {
-            for kx in 0..g.kw {
-                let row = ((ci * g.kh + ky) * g.kw + kx) * ncols;
-                for oy in 0..oh {
-                    let iy = (oy * g.stride + ky) as isize - g.pad as isize;
-                    if iy < 0 || iy >= h as isize {
-                        continue;
-                    }
-                    let srow = iy as usize * w;
-                    let crow = row + oy * ow;
-                    for ox in 0..ow {
-                        let ix = (ox * g.stride + kx) as isize - g.pad as isize;
-                        if ix >= 0 && ix < w as isize {
-                            dst[srow + ix as usize] += cols[crow + ox];
+    Dims { n, c, h, w, o, oh, ow }
+}
+
+/// Forward convolution: `input [N,C,H,W] * weight [O,C,KH,KW] (+ bias [O])`.
+pub fn conv2d(input: &Tensor, weight: &Tensor, bias: Option<&Tensor>, g: ConvGeom) -> Tensor {
+    if !g.direct() {
+        return conv2d_ref(input, weight, bias, g);
+    }
+    let d = dims(input.shape(), weight.shape(), g);
+    check_bias(bias, d.o);
+    let pad = g.pad as isize;
+    let out = conv_direct(
+        input.data(),
+        [d.n, d.c, d.h, d.w],
+        weight.data(),
+        [d.o, g.kh, g.kw],
+        (pad, pad),
+        bias.map(Tensor::data),
+    );
+    Tensor::from_vec(vec![d.n, d.o, d.oh, d.ow], out)
+}
+
+/// Scalar reference convolution, any stride: the oracle the direct kernel is
+/// tested against. Each output element sums its in-bounds taps in
+/// `(ci, ky, kx)` order, then adds the bias.
+pub fn conv2d_ref(input: &Tensor, weight: &Tensor, bias: Option<&Tensor>, g: ConvGeom) -> Tensor {
+    let d = dims(input.shape(), weight.shape(), g);
+    check_bias(bias, d.o);
+    let Dims { n, c, h, w, o, oh, ow } = d;
+    let (src, wd) = (input.data(), weight.data());
+    let mut out = pool::alloc_zeroed(n * o * oh * ow);
+    if out.is_empty() {
+        return Tensor::from_vec(vec![n, o, oh, ow], out);
+    }
+    out.par_chunks_mut(oh * ow).enumerate().for_each(|(idx, plane)| {
+        let (ni, oc) = (idx / o, idx % o);
+        for ci in 0..c {
+            let xin = &src[(ni * c + ci) * h * w..][..h * w];
+            for ky in 0..g.kh {
+                for kx in 0..g.kw {
+                    let wv = wd[((oc * c + ci) * g.kh + ky) * g.kw + kx];
+                    for (oy, orow) in plane.chunks_exact_mut(ow).enumerate() {
+                        let Some(iy) = tap(oy, ky, h, g) else { continue };
+                        for (ox, acc) in orow.iter_mut().enumerate() {
+                            if let Some(ix) = tap(ox, kx, w, g) {
+                                *acc = simd::fma(wv, xin[iy * w + ix], *acc);
+                            }
                         }
                     }
                 }
             }
         }
-    }
-}
-
-/// Forward convolution: `input [N,C,H,W] * weight [O,C,KH,KW] (+ bias [O])`.
-pub fn conv2d(input: &Tensor, weight: &Tensor, bias: Option<&Tensor>, g: ConvGeom) -> Tensor {
-    assert_eq!(input.ndim(), 4, "conv2d input must be [N,C,H,W]");
-    assert_eq!(weight.ndim(), 4, "conv2d weight must be [O,C,KH,KW]");
-    let (n, c, h, w) = (input.shape()[0], input.shape()[1], input.shape()[2], input.shape()[3]);
-    let (o, wc, kh, kw) = (weight.shape()[0], weight.shape()[1], weight.shape()[2], weight.shape()[3]);
-    assert_eq!(c, wc, "channel mismatch: input C={c}, weight C={wc}");
-    assert_eq!((kh, kw), (g.kh, g.kw), "weight kernel does not match geometry");
-    if let Some(b) = bias {
-        assert_eq!(b.shape(), &[o], "bias must be [O]");
-    }
-    let (oh, ow) = g.out_size(h, w);
-    let ncols = oh * ow;
-    let krows = c * kh * kw;
-    let mut out = pool::alloc_zeroed(n * o * ncols);
-    let src = input.data();
-    let wd = weight.data();
-    out.par_chunks_mut(o * ncols).enumerate().for_each(|(ni, dst)| {
-        // Per-sample im2col scratch, drawn from (and recycled into) the
-        // persistent worker thread's pool; fully overwritten by im2col.
-        let mut cols = Buffer::uninit(krows * ncols);
-        im2col_plane(&src[ni * c * h * w..(ni + 1) * c * h * w], c, h, w, g, &mut cols);
-        crate::matmul::matmul_block_seq(wd, &cols, dst, o, krows, ncols);
         if let Some(b) = bias {
-            for (oc, chunk) in dst.chunks_mut(ncols).enumerate() {
-                let bv = b.data()[oc];
-                for x in chunk.iter_mut() {
-                    *x += bv;
-                }
-            }
+            let bv = b.data()[oc];
+            plane.iter_mut().for_each(|x| *x += bv);
         }
     });
     Tensor::from_vec(vec![n, o, oh, ow], out)
 }
 
+/// Input coordinate read by output coordinate `out` through kernel offset
+/// `k`, or `None` when it falls in the zero padding.
+#[inline(always)]
+fn tap(out: usize, k: usize, size: usize, g: ConvGeom) -> Option<usize> {
+    (out * g.stride + k).checked_sub(g.pad).filter(|&i| i < size)
+}
+
+fn check_bias(bias: Option<&Tensor>, o: usize) {
+    if let Some(b) = bias {
+        assert_eq!(b.shape(), &[o], "bias must be [O]");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Direct stride-1 kernel
+// ---------------------------------------------------------------------------
+
+/// Output rows per parallel task. Fixed (not derived from the thread count)
+/// so the task list, like the result, is the same on every machine.
+const BAND_ROWS: usize = 8;
+
+/// Widest strip of output pixels any block shape computes at once; also the
+/// slack appended to the padded scratch, which a ragged last strip reads
+/// (and discards) past the end of its row.
+const MAX_STRIP: usize = 4 * LANES;
+
+/// Copy `planes` planes of `[h, w]` into `[h + 2·pad_h, w + 2·pad_w]` planes
+/// with a zero border, followed by `slack` zeros. A negative pad crops
+/// instead. The scratch is pooled and every element is written here.
+fn pad_planes(src: &[f32], planes: usize, h: usize, w: usize, pad: (isize, isize), slack: usize) -> Buffer {
+    let (hp, wp) = (padded(h, pad.0), padded(w, pad.1));
+    let mut buf = Buffer::uninit(planes * hp * wp + slack);
+    let (body, tail) = buf.split_at_mut(planes * hp * wp);
+    tail.fill(0.0);
+    if body.is_empty() {
+        return buf;
+    }
+    // Columns `sx0..sx0 + cw` of a source row land at `dx0..` of its padded row.
+    let (sx0, dx0) = if pad.1 < 0 { (pad.1.unsigned_abs(), 0) } else { (0, pad.1 as usize) };
+    let cw = w.min(wp);
+    body.par_chunks_mut(hp * wp).zip(src.par_chunks(h * w)).for_each(|(dst, plane)| {
+        for (r, drow) in dst.chunks_exact_mut(wp).enumerate() {
+            let sy = r as isize - pad.0;
+            if (0..h as isize).contains(&sy) {
+                drow[..dx0].fill(0.0);
+                drow[dx0..dx0 + cw].copy_from_slice(&plane[sy as usize * w + sx0..][..cw]);
+                drow[dx0 + cw..].fill(0.0);
+            } else {
+                drow.fill(0.0);
+            }
+        }
+    });
+    buf
+}
+
+fn padded(size: usize, pad: isize) -> usize {
+    usize::try_from(size as isize + 2 * pad).expect("conv crop larger than its input")
+}
+
+/// Stride-1 convolution of `src [n,c,h,w]` with `weight [o,c,kh,kw]` under
+/// zero padding `pad` (rows, columns; negative crops), into a fresh
+/// `[n, o, h + 2·pad.0 − kh + 1, w + 2·pad.1 − kw + 1]` buffer.
+///
+/// The block shape comes from `o` alone: three channels × four vectors for
+/// the skinny outputs at fine resolution (64→3, 16→3), four × three for
+/// everything wider (7→64, and 3→64 when this runs as the input gradient).
+fn conv_direct(
+    src: &[f32],
+    [n, c, h, w]: [usize; 4],
+    weight: &[f32],
+    [o, kh, kw]: [usize; 3],
+    pad: (isize, isize),
+    bias: Option<&[f32]>,
+) -> Vec<f32> {
+    if o <= 3 {
+        conv_blocked::<3, 4>(src, [n, c, h, w], weight, [o, kh, kw], pad, bias)
+    } else {
+        conv_blocked::<4, 3>(src, [n, c, h, w], weight, [o, kh, kw], pad, bias)
+    }
+}
+
+/// [`conv_direct`] at one block shape: `OB` output channels × `S` vectors of
+/// output pixels per register tile (`OB · S = 12` accumulators).
+fn conv_blocked<const OB: usize, const S: usize>(
+    src: &[f32],
+    [n, c, h, w]: [usize; 4],
+    weight: &[f32],
+    [o, kh, kw]: [usize; 3],
+    pad: (isize, isize),
+    bias: Option<&[f32]>,
+) -> Vec<f32> {
+    const { assert!(S * LANES <= MAX_STRIP) };
+    let (hp, wp) = (padded(h, pad.0), padded(w, pad.1));
+    let (oh, ow) = (hp + 1 - kh, wp + 1 - kw);
+    // Every element is stored below.
+    let mut out = pool::alloc_uninit(n * o * oh * ow);
+    if out.is_empty() {
+        return out;
+    }
+    let xp = pad_planes(src, n * c, h, w, pad, MAX_STRIP);
+
+    // Weights regrouped per output-channel block as `[block][ci·ky·kx][OB]`,
+    // a ragged last block zero-filled: the k-loop then reads `OB` adjacent
+    // weights per tap and never branches on the channel count.
+    let taps = c * kh * kw;
+    let nblocks = o.div_ceil(OB);
+    let mut wpack = Buffer::zeroed(nblocks * taps * OB);
+    for (oc, wrow) in weight.chunks_exact(taps).enumerate() {
+        let block = &mut wpack[(oc / OB) * taps * OB..][..taps * OB];
+        for (k, &wv) in wrow.iter().enumerate() {
+            block[k * OB + oc % OB] = wv;
+        }
+    }
+
+    // One task per (sample, band of output rows): the band's rows of every
+    // output channel, so a single-sample call still fills every core.
+    let mut tasks: Vec<(usize, usize, Vec<&mut [f32]>)> = Vec::new();
+    for (ni, sample) in out.chunks_mut(o * oh * ow).enumerate() {
+        let mut planes: Vec<_> = sample.chunks_mut(oh * ow).map(|p| p.chunks_mut(BAND_ROWS * ow)).collect();
+        for oy0 in (0..oh).step_by(BAND_ROWS) {
+            let rows = planes.iter_mut().map(|p| p.next().expect("every plane has every band")).collect();
+            tasks.push((ni, oy0, rows));
+        }
+    }
+    let (xp, wpack): (&[f32], &[f32]) = (&xp, &wpack);
+    tasks.par_iter_mut().for_each(|(ni, oy0, rows)| {
+        let sample = &xp[*ni * c * hp * wp..];
+        for (blk, orows) in rows.chunks_mut(OB).enumerate() {
+            let wblk = &wpack[blk * taps * OB..][..taps * OB];
+            let bblk = bias.map(|b| &b[blk * OB..][..orows.len()]);
+            for r in 0..orows[0].len() / ow {
+                for x0 in (0..ow).step_by(S * LANES) {
+                    let acc = tile::<OB, S>(sample, c, hp * wp, wp, kh, kw, wblk, (*oy0 + r) * wp + x0);
+                    let xe = (x0 + S * LANES).min(ow);
+                    for (oi, orow) in orows.iter_mut().enumerate() {
+                        store_strip(&acc[oi], bblk.map(|b| b[oi]), &mut orow[r * ow + x0..r * ow + xe]);
+                    }
+                }
+            }
+        }
+    });
+    out
+}
+
+/// One register tile: `OB` output channels × `S·8` consecutive output pixels
+/// of one row, summed over every `(ci, ky, kx)` tap in ascending order.
+/// `base` is the offset of the tile's top-left tap inside a padded plane.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn tile<const OB: usize, const S: usize>(
+    xp: &[f32],
+    c: usize,
+    plane: usize,
+    wp: usize,
+    kh: usize,
+    kw: usize,
+    wblk: &[f32],
+    base: usize,
+) -> [[F32x8; S]; OB] {
+    let mut acc = [[F32x8::ZERO; S]; OB];
+    let mut wtaps = wblk.chunks_exact(OB);
+    for ci in 0..c {
+        for ky in 0..kh {
+            let row = &xp[ci * plane + ky * wp + base..][..S * LANES + kw - 1];
+            for (kx, wv) in wtaps.by_ref().take(kw).enumerate() {
+                let win = &row[kx..kx + S * LANES];
+                for (s, x) in win.chunks_exact(LANES).enumerate() {
+                    let x = F32x8::load(x);
+                    for (acco, &wo) in acc.iter_mut().zip(wv) {
+                        acco[s] = F32x8::splat(wo).mul_add(x, acco[s]);
+                    }
+                }
+            }
+        }
+    }
+    acc
+}
+
+/// Store the leading `dst.len()` lanes of a tile row, adding the bias.
+#[inline(always)]
+fn store_strip<const S: usize>(acc: &[F32x8; S], bias: Option<f32>, dst: &mut [f32]) {
+    let finish = |v: F32x8| match bias {
+        Some(b) => v.add(F32x8::splat(b)),
+        None => v,
+    };
+    let whole = dst.len() / LANES;
+    let mut full = dst.chunks_exact_mut(LANES);
+    for (d, &v) in full.by_ref().zip(acc) {
+        finish(v).store(d);
+    }
+    let rest = full.into_remainder();
+    if !rest.is_empty() {
+        rest.copy_from_slice(&finish(acc[whole]).to_array()[..rest.len()]);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Gradients
+// ---------------------------------------------------------------------------
+
 /// Gradient of the convolution output w.r.t. the input.
 pub fn conv2d_grad_input(grad_out: &Tensor, weight: &Tensor, input_shape: &[usize], g: ConvGeom) -> Tensor {
-    let (n, c, h, w) = (input_shape[0], input_shape[1], input_shape[2], input_shape[3]);
-    let o = weight.shape()[0];
-    let (oh, ow) = g.out_size(h, w);
-    assert_eq!(grad_out.shape(), &[n, o, oh, ow]);
-    let ncols = oh * ow;
-    let krows = c * g.kh * g.kw;
-    // wT: [krows, O]
-    let wt = weight.reshape(vec![o, krows]).transpose2();
-    let god = grad_out.data();
-    let wtd = wt.data();
-    let mut out = pool::alloc_zeroed(n * c * h * w);
-    out.par_chunks_mut(c * h * w).enumerate().for_each(|(ni, dst)| {
-        // Zeroed: the sequential matmul accumulates into it.
-        let mut cols = Buffer::zeroed(krows * ncols);
-        matmul_slices_seq(wtd, &god[ni * o * ncols..(ni + 1) * o * ncols], &mut cols, krows, o, ncols);
-        col2im_plane(&cols, c, h, w, g, dst);
-    });
+    let d = dims(input_shape, weight.shape(), g);
+    assert_eq!(grad_out.shape(), &[d.n, d.o, d.oh, d.ow], "grad_out does not match the conv output shape");
+    let (god, wd) = (grad_out.data(), weight.data());
+    if !g.direct() {
+        return Tensor::from_vec(input_shape.to_vec(), grad_input_ref(god, wd, d, g));
+    }
+    // gi[c, y, x] = Σ go[o, y + p − ky, x + p − kx] · w[o, c, ky, kx]: a
+    // convolution of `grad_out` with w flipped in space and transposed in
+    // channels, under padding k − 1 − p.
+    let Dims { n, c, o, oh, ow, .. } = d;
+    let taps = g.kh * g.kw;
+    let mut flipped = Buffer::uninit(c * o * taps);
+    for (idx, dst) in flipped.chunks_exact_mut(taps).enumerate() {
+        let (ci, oc) = (idx / o, idx % o);
+        let src = &wd[(oc * c + ci) * taps..][..taps];
+        dst.iter_mut().zip(src.iter().rev()).for_each(|(d, &s)| *d = s);
+    }
+    let pad = (g.kh as isize - 1 - g.pad as isize, g.kw as isize - 1 - g.pad as isize);
+    let out = conv_direct(god, [n, o, oh, ow], &flipped, [c, g.kh, g.kw], pad, None);
     Tensor::from_vec(input_shape.to_vec(), out)
 }
 
 /// Gradient of the convolution output w.r.t. the weight.
+///
+/// Each element is the sum over samples, in index order, of that sample's
+/// total, so a batched call equals the sum of its per-sample calls.
 pub fn conv2d_grad_weight(grad_out: &Tensor, input: &Tensor, weight_shape: &[usize], g: ConvGeom) -> Tensor {
-    let (n, c, h, w) = (input.shape()[0], input.shape()[1], input.shape()[2], input.shape()[3]);
-    let o = weight_shape[0];
-    let (oh, ow) = g.out_size(h, w);
-    let ncols = oh * ow;
-    let krows = c * g.kh * g.kw;
-    let src = input.data();
-    let god = grad_out.data();
-    // Accumulate per-sample weight gradients in parallel, then reduce.
-    let partials: Vec<Vec<f32>> = (0..n)
-        .into_par_iter()
-        .map(|ni| {
-            let mut cols = Buffer::uninit(krows * ncols);
-            im2col_plane(&src[ni * c * h * w..(ni + 1) * c * h * w], c, h, w, g, &mut cols);
-            // grad_w[o, krows] = grad_out[o, ncols] * cols^T[ncols, krows];
-            // the stride-aware kernel packs cols^T straight from `cols`.
-            let mut gw = vec![0.0f32; o * krows];
-            crate::matmul::gemm(
-                &god[ni * o * ncols..(ni + 1) * o * ncols],
-                crate::matmul::MatLayout::row_major(ncols),
-                &cols,
-                crate::matmul::MatLayout::transposed(ncols),
-                &mut gw,
-                o,
-                ncols,
-                krows,
-                false,
-            );
-            gw
-        })
-        .collect();
-    let mut total = pool::alloc_zeroed(o * krows);
-    for p in partials {
-        for (t, x) in total.iter_mut().zip(p) {
-            *t += x;
-        }
+    let d = dims(input.shape(), weight_shape, g);
+    assert_eq!(grad_out.shape(), &[d.n, d.o, d.oh, d.ow], "grad_out does not match the conv output shape");
+    let Dims { n, c, h, w, o, oh, ow } = d;
+    let (god, src) = (grad_out.data(), input.data());
+    let taps = g.kh * g.kw;
+    let mut out = pool::alloc_zeroed(o * c * taps);
+    if out.is_empty() || god.is_empty() {
+        return Tensor::from_vec(weight_shape.to_vec(), out);
     }
-    Tensor::from_vec(weight_shape.to_vec(), total)
+    if !g.direct() {
+        grad_weight_ref(god, src, &mut out, d, g);
+        return Tensor::from_vec(weight_shape.to_vec(), out);
+    }
+    let pad = g.pad as isize;
+    let xp = pad_planes(src, n * c, h, w, (pad, pad), 0);
+    let (hp, wp) = (h + 2 * g.pad, w + 2 * g.pad);
+    // Computed as `[C, O, KH, KW]` so each input channel's task owns a
+    // contiguous slice, then transposed into `[O, C, KH, KW]`.
+    let mut by_ci = Buffer::zeroed(c * o * taps);
+    by_ci.par_chunks_mut(o * taps).enumerate().for_each(|(ci, dst)| {
+        for ni in 0..n {
+            let xplane = &xp[(ni * c + ci) * hp * wp..][..hp * wp];
+            for (oc, dtaps) in dst.chunks_exact_mut(taps).enumerate() {
+                let gplane = &god[(ni * o + oc) * oh * ow..][..oh * ow];
+                for (k, acc) in dtaps.iter_mut().enumerate() {
+                    let (ky, kx) = (k / g.kw, k % g.kw);
+                    let mut total = 0.0f32;
+                    for (oy, grow) in gplane.chunks_exact(ow).enumerate() {
+                        total += simd::dot(grow, &xplane[(oy + ky) * wp + kx..][..ow]);
+                    }
+                    *acc += total;
+                }
+            }
+        }
+    });
+    for (idx, dst) in out.chunks_exact_mut(taps).enumerate() {
+        let (oc, ci) = (idx / c, idx % c);
+        dst.copy_from_slice(&by_ci[(ci * o + oc) * taps..][..taps]);
+    }
+    Tensor::from_vec(weight_shape.to_vec(), out)
+}
+
+/// Scalar input gradient, any stride: scatter of every `grad_out` element
+/// through its in-bounds taps.
+fn grad_input_ref(god: &[f32], wd: &[f32], d: Dims, g: ConvGeom) -> Vec<f32> {
+    let Dims { n, c, h, w, o, oh, ow } = d;
+    let mut out = pool::alloc_zeroed(n * c * h * w);
+    if out.is_empty() {
+        return out;
+    }
+    out.par_chunks_mut(h * w).enumerate().for_each(|(idx, plane)| {
+        let (ni, ci) = (idx / c, idx % c);
+        for oc in 0..o {
+            let gplane = &god[(ni * o + oc) * oh * ow..][..oh * ow];
+            for ky in 0..g.kh {
+                for kx in 0..g.kw {
+                    let wv = wd[((oc * c + ci) * g.kh + ky) * g.kw + kx];
+                    for (oy, grow) in gplane.chunks_exact(ow).enumerate() {
+                        let Some(iy) = tap(oy, ky, h, g) else { continue };
+                        for (ox, &gv) in grow.iter().enumerate() {
+                            if let Some(ix) = tap(ox, kx, w, g) {
+                                plane[iy * w + ix] += gv * wv;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    });
+    out
+}
+
+/// Scalar weight gradient, any stride, into the zeroed `[O, C, KH, KW]`
+/// buffer `out`.
+fn grad_weight_ref(god: &[f32], src: &[f32], out: &mut [f32], d: Dims, g: ConvGeom) {
+    let Dims { n, c, h, w, o, oh, ow } = d;
+    out.par_chunks_mut(g.kh * g.kw).enumerate().for_each(|(idx, dst)| {
+        let (oc, ci) = (idx / c, idx % c);
+        for ni in 0..n {
+            let xin = &src[(ni * c + ci) * h * w..][..h * w];
+            let gplane = &god[(ni * o + oc) * oh * ow..][..oh * ow];
+            for (k, acc) in dst.iter_mut().enumerate() {
+                let (ky, kx) = (k / g.kw, k % g.kw);
+                let mut total = 0.0f32;
+                for (oy, grow) in gplane.chunks_exact(ow).enumerate() {
+                    let Some(iy) = tap(oy, ky, h, g) else { continue };
+                    for (ox, &gv) in grow.iter().enumerate() {
+                        if let Some(ix) = tap(ox, kx, w, g) {
+                            total += gv * xin[iy * w + ix];
+                        }
+                    }
+                }
+                *acc += total;
+            }
+        }
+    });
 }
 
 /// Gradient w.r.t. the bias: sum of `grad_out` over batch and space.
@@ -212,68 +509,52 @@ pub fn conv2d_grad_bias(grad_out: &Tensor) -> Tensor {
     Tensor::from_vec(vec![o], out)
 }
 
-fn matmul_slices_seq(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    // Thin wrapper so call sites inside rayon tasks stay sequential.
-    crate::matmul::matmul_block_seq(a, b, c, m, k, n);
-}
-
-/// Parallel (outer) convenience used by tests comparing against the blocked kernel.
-#[allow(dead_code)]
-fn matmul_par(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    matmul_slices(a, b, c, m, k, n);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::random::randn;
 
-    fn conv_naive(input: &Tensor, weight: &Tensor, g: ConvGeom) -> Tensor {
-        let (n, c, h, w) = (input.shape()[0], input.shape()[1], input.shape()[2], input.shape()[3]);
-        let o = weight.shape()[0];
-        let (oh, ow) = g.out_size(h, w);
-        let mut out = Tensor::zeros(vec![n, o, oh, ow]);
-        for ni in 0..n {
-            for oc in 0..o {
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let mut s = 0.0;
-                        for ci in 0..c {
-                            for ky in 0..g.kh {
-                                for kx in 0..g.kw {
-                                    let iy = (oy * g.stride + ky) as isize - g.pad as isize;
-                                    let ix = (ox * g.stride + kx) as isize - g.pad as isize;
-                                    if iy >= 0 && iy < h as isize && ix >= 0 && ix < w as isize {
-                                        s += input.at(&[ni, ci, iy as usize, ix as usize])
-                                            * weight.at(&[oc, ci, ky, kx]);
-                                    }
-                                }
-                            }
-                        }
-                        out.set(&[ni, oc, oy, ox], s);
-                    }
-                }
-            }
-        }
-        out
+    #[test]
+    fn ref_matches_hand_computed_sums() {
+        // All-ones 3x3 "same" kernel: each output is its neighbourhood sum.
+        let x = Tensor::arange(9).reshape(vec![1, 1, 3, 3]);
+        let w = Tensor::ones(vec![1, 1, 3, 3]);
+        let y = conv2d_ref(&x, &w, None, ConvGeom::same(3));
+        assert_eq!(y.data(), &[8., 15., 12., 21., 36., 27., 20., 33., 24.]);
+        // 2x2 stride 2: each output is one weighted block.
+        let x = Tensor::arange(16).reshape(vec![1, 1, 4, 4]);
+        let w = Tensor::from_vec(vec![1, 1, 2, 2], vec![1., 2., 3., 4.]);
+        let y = conv2d_ref(&x, &w, None, ConvGeom { kh: 2, kw: 2, stride: 2, pad: 0 });
+        assert_eq!(y.data(), &[34., 54., 114., 134.]);
     }
 
     #[test]
-    fn matches_naive_same_padding() {
+    fn matches_ref_same_padding() {
         let g = ConvGeom::same(3);
         let x = randn(&[2, 3, 7, 9], 1);
         let w = randn(&[4, 3, 3, 3], 2);
-        let fast = conv2d(&x, &w, None, g);
-        let slow = conv_naive(&x, &w, g);
-        fast.assert_close(&slow, 1e-4);
+        let b = randn(&[4], 3);
+        conv2d(&x, &w, Some(&b), g).assert_close(&conv2d_ref(&x, &w, Some(&b), g), 1e-4);
     }
 
     #[test]
-    fn matches_naive_strided() {
+    fn matches_ref_at_the_model_block_shapes() {
+        // Skinny (O <= 3) and wide blocks, ragged channel blocks, and widths
+        // below, at and past one strip.
+        let g = ConvGeom::same(3);
+        for &(c, o, h, w) in &[(5usize, 3usize, 9usize, 37usize), (2, 1, 4, 5), (3, 7, 11, 24), (7, 64, 6, 25)] {
+            let x = randn(&[1, c, h, w], 11);
+            let wt = randn(&[o, c, 3, 3], 12);
+            conv2d(&x, &wt, None, g).assert_close(&conv2d_ref(&x, &wt, None, g), 1e-4);
+        }
+    }
+
+    #[test]
+    fn matches_ref_strided() {
         let g = ConvGeom { kh: 2, kw: 2, stride: 2, pad: 0 };
         let x = randn(&[1, 2, 8, 8], 3);
         let w = randn(&[5, 2, 2, 2], 4);
-        conv2d(&x, &w, None, g).assert_close(&conv_naive(&x, &w, g), 1e-4);
+        assert_eq!(conv2d(&x, &w, None, g).data(), conv2d_ref(&x, &w, None, g).data());
     }
 
     #[test]
@@ -327,6 +608,20 @@ mod tests {
     }
 
     #[test]
+    fn grad_input_crops_when_pad_exceeds_the_kernel() {
+        // pad > k - 1: the input gradient convolves a *cropped* grad_out.
+        let g = ConvGeom { kh: 1, kw: 2, stride: 1, pad: 2 };
+        let x = randn(&[2, 2, 4, 5], 9);
+        let w = randn(&[3, 2, 1, 2], 10);
+        let go = randn(conv2d(&x, &w, None, g).shape(), 11);
+        let gi = conv2d_grad_input(&go, &w, x.shape(), g);
+        // <conv(x), go> = <x, grad_input(go)>
+        let lhs = conv2d(&x, &w, None, g).mul(&go).sum();
+        let rhs = x.mul(&gi).sum();
+        assert!((lhs - rhs).abs() < 1e-3 * lhs.abs().max(1.0), "{lhs} vs {rhs}");
+    }
+
+    #[test]
     fn grad_bias_sums_spatially() {
         let go = Tensor::ones(vec![2, 3, 4, 4]);
         let gb = conv2d_grad_bias(&go);
@@ -339,5 +634,33 @@ mod tests {
         assert_eq!(g.out_size(10, 20), (10, 20));
         let g2 = ConvGeom { kh: 2, kw: 2, stride: 2, pad: 0 };
         assert_eq!(g2.out_size(10, 20), (5, 10));
+    }
+
+    #[test]
+    #[should_panic(expected = "is smaller than the 3x3 kernel")]
+    fn input_smaller_than_kernel_is_rejected() {
+        let g = ConvGeom { kh: 3, kw: 3, stride: 1, pad: 0 };
+        let _ = conv2d(&Tensor::zeros(vec![1, 1, 2, 5]), &Tensor::zeros(vec![1, 1, 3, 3]), None, g);
+    }
+
+    #[test]
+    #[should_panic(expected = "weight kernel does not match geometry")]
+    fn grad_input_rejects_weight_that_disagrees_with_geometry() {
+        let go = Tensor::zeros(vec![1, 2, 4, 4]);
+        let _ = conv2d_grad_input(&go, &Tensor::zeros(vec![2, 3, 5, 5]), &[1, 3, 4, 4], ConvGeom::same(3));
+    }
+
+    #[test]
+    #[should_panic(expected = "channel mismatch")]
+    fn grad_weight_rejects_channel_mismatch() {
+        let go = Tensor::zeros(vec![1, 2, 4, 4]);
+        let _ = conv2d_grad_weight(&go, &Tensor::zeros(vec![1, 3, 4, 4]), &[2, 4, 3, 3], ConvGeom::same(3));
+    }
+
+    #[test]
+    #[should_panic(expected = "grad_out does not match the conv output shape")]
+    fn grad_weight_rejects_wrong_grad_out_shape() {
+        let go = Tensor::zeros(vec![1, 2, 3, 4]);
+        let _ = conv2d_grad_weight(&go, &Tensor::zeros(vec![1, 3, 4, 4]), &[2, 3, 3, 3], ConvGeom::same(3));
     }
 }

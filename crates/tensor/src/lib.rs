@@ -6,8 +6,8 @@
 //!
 //! * dense row-major [`Tensor`]s of `f32` with NumPy-style broadcasting,
 //! * rayon-parallel blocked [`matmul`](Tensor::matmul) and batched matmul,
-//! * `conv2d` / transposed convolution via im2col (the residual path of
-//!   Reslim is convolutional),
+//! * direct register-blocked `conv2d` and its two gradients, no unfolded
+//!   column matrix (the residual path of Reslim is convolutional),
 //! * bilinear / nearest resize and area-average downsampling (the
 //!   upsample-first baseline ViT and the synthetic data pipeline),
 //! * naive and Flash-Attention-style cache-blocked attention kernels
@@ -21,7 +21,7 @@
 //! seeded randomness. See `DESIGN.md` ("Memory model") for the ownership
 //! rules and §"Compute model" for the packed GEMM / fused-kernel layer.
 //!
-//! The kernel layer ([`simd`], [`matmul`], [`fused`]) is written entirely in
+//! The kernel layer ([`simd`], [`matmul`], [`fused`], [`conv`]) is written entirely in
 //! safe Rust — explicit lane-array vectors instead of intrinsics — so the
 //! crate forbids `unsafe` outright.
 

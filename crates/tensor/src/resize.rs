@@ -22,6 +22,25 @@ pub enum ResizeMode {
     Bilinear,
 }
 
+/// Source pixel of each output coordinate along one axis (nearest mode).
+fn nearest_taps(out: usize, size: usize) -> Vec<usize> {
+    let scale = size as f32 / out as f32;
+    (0..out).map(|o| (((o as f32 + 0.5) * scale) as usize).min(size - 1)).collect()
+}
+
+/// Bilinear taps of each output coordinate along one axis, half-pixel
+/// centers: `(i0, i1, weight of i1)`.
+fn bilinear_taps(out: usize, size: usize) -> Vec<(usize, usize, f32)> {
+    let scale = size as f32 / out as f32;
+    (0..out)
+        .map(|o| {
+            let f = ((o as f32 + 0.5) * scale - 0.5).clamp(0.0, (size - 1) as f32);
+            let i0 = f.floor() as usize;
+            (i0, (i0 + 1).min(size - 1), f - i0 as f32)
+        })
+        .collect()
+}
+
 /// Resize the trailing two axes of `t` to `(out_h, out_w)`.
 pub fn resize(t: &Tensor, out_h: usize, out_w: usize, mode: ResizeMode) -> Tensor {
     let nd = t.ndim();
@@ -32,44 +51,37 @@ pub fn resize(t: &Tensor, out_h: usize, out_w: usize, mode: ResizeMode) -> Tenso
     let src = t.data();
     // Every output pixel is written below, so the buffer can be uninit.
     let mut out = pool::alloc_uninit(lead * out_h * out_w);
-    let sy = h as f32 / out_h as f32;
-    let sx = w as f32 / out_w as f32;
-    out.par_chunks_mut(out_h * out_w).enumerate().for_each(|(l, dst)| {
-        let plane = &src[l * h * w..(l + 1) * h * w];
-        match mode {
-            ResizeMode::Nearest => {
-                for oy in 0..out_h {
-                    let iy = (((oy as f32 + 0.5) * sy) as usize).min(h - 1);
-                    for ox in 0..out_w {
-                        let ix = (((ox as f32 + 0.5) * sx) as usize).min(w - 1);
-                        dst[oy * out_w + ox] = plane[iy * w + ix];
+    // The taps depend on the output coordinate alone: built once per call,
+    // not once per pixel of every plane.
+    match mode {
+        ResizeMode::Nearest => {
+            let (ys, xs) = (nearest_taps(out_h, h), nearest_taps(out_w, w));
+            out.par_chunks_mut(out_h * out_w).enumerate().for_each(|(l, dst)| {
+                let plane = &src[l * h * w..(l + 1) * h * w];
+                for (drow, &iy) in dst.chunks_exact_mut(out_w).zip(&ys) {
+                    let row = &plane[iy * w..][..w];
+                    for (d, &ix) in drow.iter_mut().zip(&xs) {
+                        *d = row[ix];
                     }
                 }
-            }
-            ResizeMode::Bilinear => {
-                for oy in 0..out_h {
-                    let fy = ((oy as f32 + 0.5) * sy - 0.5).clamp(0.0, (h - 1) as f32);
-                    let y0 = fy.floor() as usize;
-                    let y1 = (y0 + 1).min(h - 1);
-                    let wy = fy - y0 as f32;
-                    for ox in 0..out_w {
-                        let fx = ((ox as f32 + 0.5) * sx - 0.5).clamp(0.0, (w - 1) as f32);
-                        let x0 = fx.floor() as usize;
-                        let x1 = (x0 + 1).min(w - 1);
-                        let wx = fx - x0 as f32;
-                        let v00 = plane[y0 * w + x0];
-                        let v01 = plane[y0 * w + x1];
-                        let v10 = plane[y1 * w + x0];
-                        let v11 = plane[y1 * w + x1];
-                        dst[oy * out_w + ox] = v00 * (1.0 - wy) * (1.0 - wx)
-                            + v01 * (1.0 - wy) * wx
-                            + v10 * wy * (1.0 - wx)
-                            + v11 * wy * wx;
-                    }
-                }
-            }
+            });
         }
-    });
+        ResizeMode::Bilinear => {
+            let (ys, xs) = (bilinear_taps(out_h, h), bilinear_taps(out_w, w));
+            out.par_chunks_mut(out_h * out_w).enumerate().for_each(|(l, dst)| {
+                let plane = &src[l * h * w..(l + 1) * h * w];
+                for (drow, &(y0, y1, wy)) in dst.chunks_exact_mut(out_w).zip(&ys) {
+                    let (r0, r1) = (&plane[y0 * w..][..w], &plane[y1 * w..][..w]);
+                    for (d, &(x0, x1, wx)) in drow.iter_mut().zip(&xs) {
+                        *d = r0[x0] * (1.0 - wy) * (1.0 - wx)
+                            + r0[x1] * (1.0 - wy) * wx
+                            + r1[x0] * wy * (1.0 - wx)
+                            + r1[x1] * wy * wx;
+                    }
+                }
+            });
+        }
+    }
     let mut shape = t.shape().to_vec();
     shape[nd - 2] = out_h;
     shape[nd - 1] = out_w;
@@ -118,6 +130,88 @@ pub fn downsample_area(t: &Tensor, factor: usize) -> Tensor {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The pre-hoisting formulation — taps recomputed at every pixel — kept
+    /// as the oracle [`resize`] must match bit for bit.
+    fn resize_per_pixel(t: &Tensor, out_h: usize, out_w: usize, mode: ResizeMode) -> Tensor {
+        let nd = t.ndim();
+        let (h, w) = (t.shape()[nd - 2], t.shape()[nd - 1]);
+        let lead: usize = t.shape()[..nd - 2].iter().product();
+        let src = t.data();
+        let mut out = vec![0.0f32; lead * out_h * out_w];
+        let sy = h as f32 / out_h as f32;
+        let sx = w as f32 / out_w as f32;
+        for (l, dst) in out.chunks_mut(out_h * out_w).enumerate() {
+            let plane = &src[l * h * w..(l + 1) * h * w];
+            for oy in 0..out_h {
+                for ox in 0..out_w {
+                    dst[oy * out_w + ox] = match mode {
+                        ResizeMode::Nearest => {
+                            let iy = (((oy as f32 + 0.5) * sy) as usize).min(h - 1);
+                            let ix = (((ox as f32 + 0.5) * sx) as usize).min(w - 1);
+                            plane[iy * w + ix]
+                        }
+                        ResizeMode::Bilinear => {
+                            let fy = ((oy as f32 + 0.5) * sy - 0.5).clamp(0.0, (h - 1) as f32);
+                            let y0 = fy.floor() as usize;
+                            let y1 = (y0 + 1).min(h - 1);
+                            let wy = fy - y0 as f32;
+                            let fx = ((ox as f32 + 0.5) * sx - 0.5).clamp(0.0, (w - 1) as f32);
+                            let x0 = fx.floor() as usize;
+                            let x1 = (x0 + 1).min(w - 1);
+                            let wx = fx - x0 as f32;
+                            let v00 = plane[y0 * w + x0];
+                            let v01 = plane[y0 * w + x1];
+                            let v10 = plane[y1 * w + x0];
+                            let v11 = plane[y1 * w + x1];
+                            v00 * (1.0 - wy) * (1.0 - wx)
+                                + v01 * (1.0 - wy) * wx
+                                + v10 * wy * (1.0 - wx)
+                                + v11 * wy * wx
+                        }
+                    };
+                }
+            }
+        }
+        let mut shape = t.shape().to_vec();
+        shape[nd - 2] = out_h;
+        shape[nd - 1] = out_w;
+        Tensor::from_vec(shape, out)
+    }
+
+    #[test]
+    fn hoisted_taps_are_bit_identical_to_per_pixel_taps() {
+        use crate::random::randn;
+        // Up, down, non-integer ratios both ways, 1-pixel axes, then random
+        // shapes from a fixed LCG.
+        let mut cases: Vec<(Vec<usize>, usize, usize)> = vec![
+            (vec![3, 17, 17], 68, 68),
+            (vec![2, 13, 11], 5, 7),
+            (vec![1, 1, 9], 4, 31),
+            (vec![2, 6, 1], 15, 3),
+            (vec![1, 1], 3, 2),
+            (vec![4, 9], 1, 1),
+            (vec![2, 2, 10, 10], 10, 10),
+        ];
+        let mut state = 0x2545_F491u32;
+        let mut next = |bound: u32| {
+            state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+            ((state >> 16) % bound) as usize + 1
+        };
+        for _ in 0..40 {
+            cases.push((vec![next(3), next(24), next(24)], next(40), next(40)));
+        }
+        for (seed, (shape, oh, ow)) in cases.iter().enumerate() {
+            let t = randn(shape, 40 + seed as u64);
+            for mode in [ResizeMode::Bilinear, ResizeMode::Nearest] {
+                let fast = resize(&t, *oh, *ow, mode);
+                let slow = resize_per_pixel(&t, *oh, *ow, mode);
+                assert_eq!(fast.shape(), slow.shape());
+                let same = fast.data().iter().zip(slow.data()).all(|(a, b)| a.to_bits() == b.to_bits());
+                assert!(same, "{mode:?} {shape:?} -> {oh}x{ow}");
+            }
+        }
+    }
 
     #[test]
     fn nearest_upsample_2x_repeats() {

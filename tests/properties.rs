@@ -10,6 +10,36 @@ use orbit2_tensor::attention::{flash_attention, naive_attention, AttentionConfig
 use orbit2_tensor::Tensor;
 use proptest::prelude::*;
 
+/// One random convolution problem: `(input shape, weight shape, geometry,
+/// seed)`. Channel counts straddle both register-block shapes and their
+/// ragged edges; widths run below, at and past one strip of vectors.
+fn conv_case() -> impl Strategy<Value = ([usize; 4], [usize; 4], orbit2_tensor::conv::ConvGeom, u64)> {
+    use orbit2_tensor::conv::ConvGeom;
+    const KERNELS: [(usize, usize); 4] = [(1, 1), (3, 3), (5, 5), (2, 2)];
+    (
+        (1usize..=3, 1usize..=9, 1usize..=13),
+        (3usize..=40, 3usize..=40),
+        (0usize..4, 0usize..=2, 1usize..=2),
+        0u64..1000,
+    )
+        .prop_map(|((n, c, o), (h, w), (k, pad, stride), seed)| {
+            let (kh, kw) = KERNELS[k];
+            // 5x5 on a 3-pixel axis needs at least one ring of padding.
+            let pad = pad.max(kh.saturating_sub(h.min(w)).div_ceil(2));
+            ([n, c, h, w], [o, c, kh, kw], ConvGeom { kh, kw, stride, pad }, seed)
+        })
+}
+
+/// `|a - b| <= tol * max(1, max|b|)` elementwise.
+fn rel_close(a: &Tensor, b: &Tensor, tol: f32) -> bool {
+    let scale = b.data().iter().fold(1.0f32, |m, v| m.max(v.abs()));
+    a.shape() == b.shape() && a.max_abs_diff(b) <= tol * scale
+}
+
+fn inner(a: &Tensor, b: &Tensor) -> f64 {
+    a.data().iter().zip(b.data()).map(|(&x, &y)| x as f64 * y as f64).sum()
+}
+
 fn small_field(max_hw: usize) -> impl Strategy<Value = (Vec<f32>, usize, usize)> {
     (2usize..max_hw, 2usize..max_hw).prop_flat_map(|(h, w)| {
         (
@@ -131,6 +161,65 @@ proptest! {
         let scaled_out = conv2d(&x.mul_scalar(alpha), &w, None, g);
         let out_scaled = conv2d(&x, &w, None, g).mul_scalar(alpha);
         prop_assert!(scaled_out.max_abs_diff(&out_scaled) < 1e-3);
+    }
+
+    #[test]
+    fn direct_conv_matches_reference((xs, ws, g, seed) in conv_case()) {
+        use orbit2_tensor::conv::{conv2d, conv2d_ref};
+        let x = orbit2_tensor::random::randn(&xs, seed);
+        let w = orbit2_tensor::random::randn(&ws, seed + 1);
+        let b = orbit2_tensor::random::randn(&[ws[0]], seed + 2);
+        prop_assert!(rel_close(&conv2d(&x, &w, Some(&b), g), &conv2d_ref(&x, &w, Some(&b), g), 1e-4), "{xs:?} {ws:?} {g:?}");
+        prop_assert!(rel_close(&conv2d(&x, &w, None, g), &conv2d_ref(&x, &w, None, g), 1e-4), "{xs:?} {ws:?} {g:?}");
+    }
+
+    #[test]
+    fn conv_gradients_are_adjoints_of_the_forward((xs, ws, g, seed) in conv_case()) {
+        // <conv(x, w), go> = <x, grad_input(go, w)> = <w, grad_weight(go, x)>
+        use orbit2_tensor::conv::{conv2d, conv2d_grad_input, conv2d_grad_weight};
+        let x = orbit2_tensor::random::randn(&xs, seed);
+        let w = orbit2_tensor::random::randn(&ws, seed + 1);
+        let y = conv2d(&x, &w, None, g);
+        let go = orbit2_tensor::random::randn(y.shape(), seed + 2);
+        let lhs = inner(&y, &go);
+        let via_x = inner(&x, &conv2d_grad_input(&go, &w, &xs, g));
+        let via_w = inner(&w, &conv2d_grad_weight(&go, &x, &ws, g));
+        let tol = 1e-3 * lhs.abs().max(1.0);
+        prop_assert!((lhs - via_x).abs() <= tol, "{xs:?} {ws:?} {g:?}: {lhs} vs grad_input {via_x}");
+        prop_assert!((lhs - via_w).abs() <= tol, "{xs:?} {ws:?} {g:?}: {lhs} vs grad_weight {via_w}");
+    }
+
+    #[test]
+    fn conv_kernels_do_not_depend_on_the_work_split((xs, ws, g, seed) in conv_case()) {
+        use orbit2_tensor::conv::{conv2d, conv2d_grad_input, conv2d_grad_weight};
+        let xs = [2, xs[1], xs[2], xs[3]];
+        let x = orbit2_tensor::random::randn(&xs, seed);
+        let w = orbit2_tensor::random::randn(&ws, seed + 1);
+        let b = orbit2_tensor::random::randn(&[ws[0]], seed + 2);
+        let all = |x: &Tensor, go: Option<&Tensor>| {
+            let y = conv2d(x, &w, Some(&b), g);
+            let go = go.cloned().unwrap_or_else(|| orbit2_tensor::random::randn(y.shape(), seed + 3));
+            let gi = conv2d_grad_input(&go, &w, x.shape(), g);
+            let gw = conv2d_grad_weight(&go, x, &ws, g);
+            (y, go, gi, gw)
+        };
+        // Thread count: one piece per call vs the default pool's split.
+        let (y, go, gi, gw) = all(&x, None);
+        let one = rayon::ThreadPoolBuilder::new().num_threads(1).build().unwrap();
+        let (y1, _, gi1, gw1) = one.install(|| all(&x, Some(&go)));
+        prop_assert_eq!(y.data(), y1.data());
+        prop_assert_eq!(gi.data(), gi1.data());
+        prop_assert_eq!(gw.data(), gw1.data());
+        // Batch: an N=2 call is its two N=1 calls (summed, for the weight).
+        let halves: Vec<_> = (0..2)
+            .map(|i| all(&x.slice_axis(0, i, 1), Some(&go.slice_axis(0, i, 1))))
+            .collect();
+        for (i, (yi, _, gii, _)) in halves.iter().enumerate() {
+            prop_assert!(y.slice_axis(0, i, 1).data() == yi.data());
+            prop_assert!(gi.slice_axis(0, i, 1).data() == gii.data());
+        }
+        let gw_sum = halves[0].3.add(&halves[1].3);
+        prop_assert_eq!(gw.data(), gw_sum.data());
     }
 
     #[test]
