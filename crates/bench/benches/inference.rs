@@ -39,7 +39,7 @@ fn bench_forward(c: &mut Criterion) {
         // Reduced-precision sessions: same tape-free forward, weights held
         // at bf16/int8 (f32 activations and accumulate) — the per-forward
         // win of halved/quartered weight-stream bytes.
-        for precision in [SessionPrecision::Bf16, SessionPrecision::Int8] {
+        for precision in SessionPrecision::ALL.into_iter().filter(|&p| p != SessionPrecision::F32) {
             let reduced = model.session_at(precision);
             let label = format!("session_{}", precision.label());
             group.bench_with_input(BenchmarkId::new(label, name), &input, |b, input| {

@@ -5,13 +5,11 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use orbit2_imaging::quadtree::{QuadTree, QuadTreeParams};
 use orbit2_tensor::bf16::bf16_round_slice;
-use orbit2_tensor::bf16_act::{layer_norm_rows_bf16, softmax_rows_bf16, Bf16Tensor};
 use orbit2_tensor::conv::{conv2d, conv2d_grad_input, conv2d_grad_weight, ConvGeom};
 use orbit2_tensor::fused::{
     layer_norm_rows, matmul_bias_act, matmul_bias_act_cached, softmax_rows, Activation,
     PackedWeight, WeightPrecision,
 };
-use orbit2_tensor::qgemm::{gemm_bf16_act_fused, PackedWeightBf16};
 use orbit2_tensor::random::randn;
 use orbit2_tensor::resize::{resize, ResizeMode};
 
@@ -37,7 +35,7 @@ fn bench_matmul(c: &mut Criterion) {
 /// `BENCH_kernels.json` rows `gemm_f32/N`, `gemm_bf16/N`, `gemm_i8/N`
 /// record the per-precision throughput the serving `--precision` flag buys.
 fn bench_packed_gemm(c: &mut Criterion) {
-    for precision in [WeightPrecision::F32, WeightPrecision::Bf16, WeightPrecision::Int8] {
+    for precision in WeightPrecision::ALL {
         let mut group = c.benchmark_group(format!("gemm_{}", precision.label()));
         group.sample_size(10);
         for &n in &[256usize, 512] {
@@ -93,41 +91,6 @@ fn bench_fused_linear(c: &mut Criterion) {
     group.finish();
 }
 
-/// The bf16-activation GEMM against its f32-activation twin over the SAME
-/// bf16 weight pack, isolating the activation-bandwidth axis: the only
-/// difference between the two rows is whether the A operand streams as u16
-/// bf16 words (widened in-register) or as f32. Sized so the A operand
-/// alone (2048x512 = 4 MB at f32) exceeds L2 on the bench box — below
-/// cache, the halved activation traffic is invisible. `BENCH_kernels.json`
-/// rows `gemm_bf16_act/{f32,bf16}` record the same-run pair.
-fn bench_gemm_bf16_act(c: &mut Criterion) {
-    let (m, k, n) = (2048usize, 512usize, 512usize);
-    let x = randn(&[m, k], 41);
-    let w = randn(&[n, k], 42);
-    let b = randn(&[n], 43);
-    let pack = PackedWeightBf16::pack(&w).expect("bf16 pack at bench size");
-    let full = PackedWeight::pack_at(&w, WeightPrecision::Bf16);
-    let resident =
-        full.as_ref().and_then(PackedWeight::dequantized).unwrap_or_else(|| w.clone());
-    let xa = Bf16Tensor::from_tensor(&x);
-
-    let mut group = c.benchmark_group("gemm_bf16_act");
-    group.sample_size(10);
-    group.bench_function(BenchmarkId::from_parameter("f32"), |bench| {
-        bench.iter(|| {
-            matmul_bias_act_cached(&x, &resident, full.as_ref(), Some(&b), Activation::Gelu)
-        })
-    });
-    group.bench_function(BenchmarkId::from_parameter("bf16"), |bench| {
-        bench.iter(|| {
-            let mut out = vec![0u16; m * n];
-            gemm_bf16_act_fused(xa.words(), m, k, &pack, Some(b.data()), Activation::Gelu, &mut out);
-            out
-        })
-    });
-    group.finish();
-}
-
 fn bench_layer_norm(c: &mut Criterion) {
     let mut group = c.benchmark_group("layer_norm");
     group.sample_size(10);
@@ -139,38 +102,6 @@ fn bench_layer_norm(c: &mut Criterion) {
             |bench, _| bench.iter(|| layer_norm_rows(x.data(), rows, d, 1e-5)),
         );
     }
-    group.finish();
-}
-
-/// bf16-in/bf16-out layer norm (fused affine) against the f32 session's
-/// equivalent (welford pass + gamma/beta application) at a size whose
-/// activation working set (4096x512 = 8 MB at f32, 4 MB at bf16) exceeds
-/// cache. Rows `layer_norm_bf16/{f32,bf16}`.
-fn bench_layer_norm_bf16(c: &mut Criterion) {
-    let (rows, d) = (4096usize, 512usize);
-    let x = randn(&[rows, d], 24);
-    let gamma = randn(&[d], 25);
-    let beta = randn(&[d], 26);
-    let xw = Bf16Tensor::from_tensor(&x);
-
-    let mut group = c.benchmark_group("layer_norm_bf16");
-    group.sample_size(10);
-    group.bench_function(BenchmarkId::from_parameter("f32"), |bench| {
-        bench.iter(|| {
-            let (mut y, _inv_std) = layer_norm_rows(x.data(), rows, d, 1e-5);
-            for row in y.chunks_mut(d) {
-                for ((v, g), b) in row.iter_mut().zip(gamma.data()).zip(beta.data()) {
-                    *v = *v * g + b;
-                }
-            }
-            y
-        })
-    });
-    group.bench_function(BenchmarkId::from_parameter("bf16"), |bench| {
-        bench.iter(|| {
-            layer_norm_rows_bf16(xw.words(), rows, d, 1e-5, gamma.data(), beta.data())
-        })
-    });
     group.finish();
 }
 
@@ -191,32 +122,6 @@ fn bench_softmax(c: &mut Criterion) {
             },
         );
     }
-    group.finish();
-}
-
-/// bf16-in/bf16-out row softmax against the f32 one at the same
-/// beyond-cache size. Rows `softmax_bf16/{f32,bf16}`.
-fn bench_softmax_bf16(c: &mut Criterion) {
-    let (rows, d) = (4096usize, 512usize);
-    let x = randn(&[rows, d], 27);
-    let xw = Bf16Tensor::from_tensor(&x);
-
-    let mut group = c.benchmark_group("softmax_bf16");
-    group.sample_size(10);
-    group.bench_function(BenchmarkId::from_parameter("f32"), |bench| {
-        bench.iter(|| {
-            let mut buf = x.data().to_vec();
-            softmax_rows(&mut buf, d);
-            buf
-        })
-    });
-    group.bench_function(BenchmarkId::from_parameter("bf16"), |bench| {
-        bench.iter(|| {
-            let mut buf = xw.words().to_vec();
-            softmax_rows_bf16(&mut buf, d);
-            buf
-        })
-    });
     group.finish();
 }
 
@@ -336,12 +241,9 @@ criterion_group!(
     benches,
     bench_matmul,
     bench_packed_gemm,
-    bench_gemm_bf16_act,
     bench_fused_linear,
     bench_layer_norm,
-    bench_layer_norm_bf16,
     bench_softmax,
-    bench_softmax_bf16,
     bench_bf16,
     bench_conv,
     bench_conv_model,

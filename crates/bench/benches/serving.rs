@@ -13,7 +13,7 @@
 
 use orbit2::serving::ServeRequest;
 use orbit2_climate::{DownscalingDataset, LatLonGrid, Normalizer, VariableSet};
-use orbit2_model::{ModelConfig, ReslimModel, SessionActivation, SessionPrecision};
+use orbit2_model::{ModelConfig, ReslimModel, SessionPrecision};
 use orbit2_serve::{Handle, Region, Server, ServerConfig};
 use orbit2_tensor::Tensor;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -122,7 +122,7 @@ fn main() {
     // request per client to keep the 126M cells affordable. The
     // `serving/f32|bf16|int8/c16` row triple records what the flag buys a
     // latency-sensitive deployment.
-    for precision in [SessionPrecision::F32, SessionPrecision::Bf16, SessionPrecision::Int8] {
+    for precision in SessionPrecision::ALL {
         let model = ReslimModel::new(ModelConfig::paper_126m().with_channels(7, 3), 2);
         let cfg = ServerConfig {
             max_batch: 1,
@@ -136,32 +136,6 @@ fn main() {
         let _ = run_load(&server, &inputs, 2, 1);
         let label = precision.label();
         measure_precision_cell(&server, &inputs, 16, &format!("serving/{label}/c16"));
-    }
-
-    // Activation-precision cell: the same 126M burst with f32 weights but
-    // bf16 activations streaming through the session — the orthogonal axis
-    // to the weight-precision triple above. Compare against
-    // `serving/f32/c16` from the same run: the delta is what
-    // `--activation-precision bf16` buys when the *activation* working set
-    // (not the weights) is the bandwidth bound. On this model the weights
-    // dominate (~0.5 GB vs MB-scale activations), so a small delta here is
-    // the honest result; the kernel-level `gemm_bf16_act` /
-    // `layer_norm_bf16` / `softmax_bf16` rows isolate the activation axis
-    // where it is actually load-bearing.
-    {
-        let model = ReslimModel::new(ModelConfig::paper_126m().with_channels(7, 3), 2);
-        let cfg = ServerConfig {
-            max_batch: 1,
-            window_micros: 1_000,
-            cache_capacity: 0,
-            queue_capacity: 4096,
-            precision: SessionPrecision::F32,
-            activation: SessionActivation::Bf16,
-            ..ServerConfig::default()
-        };
-        let server = Arc::new(Server::start(model, norm, Vec::<Region>::new(), cfg));
-        let _ = run_load(&server, &inputs, 2, 1);
-        measure_precision_cell(&server, &inputs, 16, "serving/bf16-act/c16");
     }
 }
 

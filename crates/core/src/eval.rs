@@ -5,7 +5,7 @@ use crate::inference::{downscale_with, InferenceError};
 use orbit2_climate::{DownscalingDataset, Normalizer};
 use orbit2_imaging::tiles::TileSpec;
 use orbit2_metrics::regression::EvalReport;
-use orbit2_model::{ReslimModel, SessionActivation, SessionPrecision};
+use orbit2_model::{ReslimModel, SessionPrecision};
 
 /// Metrics for one output variable.
 #[derive(Debug, Clone)]
@@ -49,33 +49,8 @@ pub fn evaluate_model_at(
     compression: f32,
     precision: SessionPrecision,
 ) -> Result<Vec<VariableReport>, InferenceError> {
-    evaluate_model_with(
-        model,
-        normalizer,
-        dataset,
-        indices,
-        tile_spec,
-        compression,
-        precision,
-        SessionActivation::F32,
-    )
-}
-
-/// [`evaluate_model_at`] with the activation precision chosen as well — the
-/// full (weight × activation) axis of the precision quality gate.
-#[allow(clippy::too_many_arguments)]
-pub fn evaluate_model_with(
-    model: &ReslimModel,
-    normalizer: &Normalizer,
-    dataset: &DownscalingDataset,
-    indices: &[usize],
-    tile_spec: Option<TileSpec>,
-    compression: f32,
-    precision: SessionPrecision,
-    activation: SessionActivation,
-) -> Result<Vec<VariableReport>, InferenceError> {
     assert!(!indices.is_empty(), "no samples to evaluate");
-    let session = model.session_with(precision, activation);
+    let session = model.session_at(precision);
     let vs = dataset.variables();
     let c_out = vs.num_outputs();
     let (fh, fw) = (dataset.fine_grid().h, dataset.fine_grid().w);

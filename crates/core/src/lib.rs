@@ -37,7 +37,7 @@ pub use autoplan::{best_plan, search_plans, ScoredPlan};
 pub use checkpoint::{
     load_model, load_trainer_state, save_model, save_trainer_state, TrainerCheckpoint,
 };
-pub use eval::{evaluate_model, evaluate_model_at, evaluate_model_with, VariableReport};
+pub use eval::{evaluate_model, evaluate_model_at, VariableReport};
 pub use fault::{FaultAction, FaultEvent, FaultKind, FaultPlan, SkipReason};
 pub use inference::{downscale, downscale_with, validate_input, InferenceError};
 pub use planner::{max_sequence_row, strong_scaling_series, ScalingPoint, SeqLenRow};

@@ -9,7 +9,7 @@
 //! default instead of erroring, which the derive shim cannot express.
 
 use crate::inference::InferenceError;
-use orbit2_tensor::fused::{ActivationPrecision, WeightPrecision};
+use orbit2_tensor::fused::WeightPrecision;
 use serde::{Deserialize, Error as SerdeError, Serialize, Value};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -51,12 +51,6 @@ pub struct ServeRequest {
     /// the response-cache identity: a bf16 answer is never returned for an
     /// f32 request.
     pub precision: Option<WeightPrecision>,
-    /// Activation precision to stream this request's forward pass at;
-    /// `None` defers to the server's configured default. Like the weight
-    /// precision, the *effective* activation precision is part of both the
-    /// response-cache identity and the batch key — tiles only cobatch with
-    /// tiles of the same (weight, activation) cell.
-    pub activation: Option<ActivationPrecision>,
     /// Server-side deadline in milliseconds, measured from admission.
     /// `None` defers to the server's `--default-deadline-ms` (which may
     /// itself be unset, meaning no deadline). Expired work is shed at
@@ -75,7 +69,6 @@ impl ServeRequest {
             compression: 1.0,
             variables: None,
             precision: None,
-            activation: None,
             deadline_ms: None,
         }
     }
@@ -88,7 +81,6 @@ impl ServeRequest {
             compression: 1.0,
             variables: None,
             precision: None,
-            activation: None,
             deadline_ms: None,
         }
     }
@@ -96,13 +88,6 @@ impl ServeRequest {
     /// Builder-style explicit precision (overrides the server default).
     pub fn at_precision(mut self, precision: WeightPrecision) -> Self {
         self.precision = Some(precision);
-        self
-    }
-
-    /// Builder-style explicit activation precision (overrides the server
-    /// default).
-    pub fn at_activation(mut self, activation: ActivationPrecision) -> Self {
-        self.activation = Some(activation);
         self
     }
 
@@ -133,9 +118,6 @@ impl Serialize for ServeRequest {
         }
         if let Some(p) = self.precision {
             m.insert("precision".into(), p.label().serialize_value());
-        }
-        if let Some(a) = self.activation {
-            m.insert("activation".into(), a.label().serialize_value());
         }
         if let Some(d) = self.deadline_ms {
             m.insert("deadline_ms".into(), d.serialize_value());
@@ -188,22 +170,23 @@ impl Deserialize for ServeRequest {
             }
             None => None,
         };
-        let activation = match obj.get("activation") {
-            Some(a) => {
-                let label = String::deserialize_value(a)?;
-                Some(ActivationPrecision::parse(&label).ok_or_else(|| {
-                    SerdeError::new(format!(
-                        "unknown activation precision {label:?} (expected f32 or bf16)"
-                    ))
-                })?)
+        // `activation` was a per-request precision key, removed with the
+        // bf16-activation datapath. Unknown keys are ignored, so without this
+        // check an old client asking for "bf16" would silently get f32.
+        if let Some(a) = obj.get("activation") {
+            let label = String::deserialize_value(a)?;
+            if label != "f32" {
+                return Err(SerdeError::new(format!(
+                    "`activation` was removed: activations are always f32, got {label:?} \
+                     (drop the key; `precision` selects f32, bf16 or int8 weights)"
+                )));
             }
-            None => None,
-        };
+        }
         let deadline_ms = match obj.get("deadline_ms") {
             Some(d) => Some(u64::deserialize_value(d)?),
             None => None,
         };
-        Ok(Self { id, source, compression, variables, precision, activation, deadline_ms })
+        Ok(Self { id, source, compression, variables, precision, deadline_ms })
     }
 }
 
@@ -249,10 +232,6 @@ pub struct ServeStats {
     pub requests_bf16: u64,
     /// Completed requests served at int8 weights.
     pub requests_int8: u64,
-    /// Completed requests whose forward pass streamed f32 activations.
-    pub requests_act_f32: u64,
-    /// Completed requests whose forward pass streamed bf16 activations.
-    pub requests_act_bf16: u64,
     /// Buffer-pool fresh heap allocations (pool miss or oversized request).
     pub pool_fresh_allocs: u64,
     /// Buffer-pool buffers recycled from the free list.
@@ -274,17 +253,12 @@ pub struct ServeStats {
 }
 
 impl ServeStats {
-    /// Count one completed request at `precision` weights streaming
-    /// `activation` activations.
-    pub fn record(&mut self, precision: WeightPrecision, activation: ActivationPrecision) {
+    /// Count one completed request at `precision` weights.
+    pub fn record(&mut self, precision: WeightPrecision) {
         match precision {
             WeightPrecision::F32 => self.requests_f32 += 1,
             WeightPrecision::Bf16 => self.requests_bf16 += 1,
             WeightPrecision::Int8 => self.requests_int8 += 1,
-        }
-        match activation {
-            ActivationPrecision::F32 => self.requests_act_f32 += 1,
-            ActivationPrecision::Bf16 => self.requests_act_bf16 += 1,
         }
     }
 
@@ -294,14 +268,6 @@ impl ServeStats {
             WeightPrecision::F32 => self.requests_f32,
             WeightPrecision::Bf16 => self.requests_bf16,
             WeightPrecision::Int8 => self.requests_int8,
-        }
-    }
-
-    /// The request counter for `activation`.
-    pub fn requests_at_activation(&self, activation: ActivationPrecision) -> u64 {
-        match activation {
-            ActivationPrecision::F32 => self.requests_act_f32,
-            ActivationPrecision::Bf16 => self.requests_act_bf16,
         }
     }
 }
@@ -526,9 +492,9 @@ mod tests {
     #[test]
     fn stats_roundtrip_and_counters() {
         let mut stats = ServeStats::default();
-        stats.record(WeightPrecision::Bf16, ActivationPrecision::Bf16);
-        stats.record(WeightPrecision::Bf16, ActivationPrecision::F32);
-        stats.record(WeightPrecision::Int8, ActivationPrecision::F32);
+        stats.record(WeightPrecision::Bf16);
+        stats.record(WeightPrecision::Bf16);
+        stats.record(WeightPrecision::Int8);
         stats.cache_hits = 5;
         stats.cache_entries = 2;
         stats.pool_reuses = 7;
@@ -538,8 +504,6 @@ mod tests {
         stats.deadline_expired = 2;
         assert_eq!(stats.requests_at(WeightPrecision::Bf16), 2);
         assert_eq!(stats.requests_at(WeightPrecision::F32), 0);
-        assert_eq!(stats.requests_at_activation(ActivationPrecision::Bf16), 1);
-        assert_eq!(stats.requests_at_activation(ActivationPrecision::F32), 2);
         let line = serde_json::to_string(&stats).unwrap();
         assert!(line.contains("pool_reuses"), "{line}");
         assert!(line.contains("quarantined_jobs"), "{line}");
@@ -549,26 +513,19 @@ mod tests {
     }
 
     #[test]
-    fn request_activation_roundtrips_and_defaults() {
-        let req = ServeRequest::region(3, "conus", 1).at_activation(ActivationPrecision::Bf16);
-        let line = serde_json::to_string(&req).unwrap();
-        assert!(line.contains(r#""activation":"bf16""#), "{line}");
-        let back: ServeRequest = serde_json::from_str(&line).unwrap();
-        assert_eq!(back, req);
-        // Absent field means "server default" and is not emitted on the
-        // wire (pre-activation clients and servers interoperate unchanged).
-        let default_req = ServeRequest::region(3, "conus", 1);
-        assert!(!serde_json::to_string(&default_req).unwrap().contains("activation"));
-        let old: ServeRequest = serde_json::from_str(r#"{"id": 3, "region": "conus"}"#).unwrap();
-        assert_eq!(old.activation, None);
-        // An explicit f32 *is* emitted (it must override a reduced default);
-        // garbage is a hard error.
-        let f32_req = ServeRequest::region(3, "conus", 1).at_activation(ActivationPrecision::F32);
-        assert!(serde_json::to_string(&f32_req).unwrap().contains(r#""activation":"f32""#));
-        assert!(serde_json::from_str::<ServeRequest>(
-            r#"{"id": 1, "region": "x", "activation": "int8"}"#
-        )
-        .is_err());
+    fn removed_activation_key_is_rejected_not_reinterpreted() {
+        // Absent or "f32" parses to the same request...
+        let plain: ServeRequest = serde_json::from_str(r#"{"id": 3, "region": "conus"}"#).unwrap();
+        let f32_req: ServeRequest =
+            serde_json::from_str(r#"{"id": 3, "region": "conus", "activation": "f32"}"#).unwrap();
+        assert_eq!(f32_req, plain);
+        assert!(!serde_json::to_string(&plain).unwrap().contains("activation"));
+        // ...anything else is an error that names the removal.
+        for label in ["bf16", "int8"] {
+            let line = format!(r#"{{"id": 1, "region": "x", "activation": "{label}"}}"#);
+            let err = serde_json::from_str::<ServeRequest>(&line).unwrap_err();
+            assert!(err.to_string().contains("`activation` was removed"), "{err}");
+        }
     }
 
     #[test]

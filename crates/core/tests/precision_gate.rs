@@ -1,17 +1,17 @@
-//! The reduced-precision quality gate: a model served at bf16 or int8
-//! weights — or with bf16 *activations* streaming through the session —
-//! must score the same Table IV metrics as the f32 session within tight
-//! tolerances, on every output variable.
+//! The reduced-precision quality gate: a model served at any reduced weight
+//! precision ([`SessionPrecision::ALL`] minus f32) must score the same
+//! Table IV metrics as the f32 session within tight tolerances, on every
+//! output variable.
 //!
 //! The model is trained briefly first so the metrics sit in their sane
 //! operating range (an untrained model's R² hovers around zero where a tiny
 //! absolute delta would be meaningless next to the paper's 0.9+ regime).
 //! `scripts/ci.sh` runs this test on every pipeline, in both SIMD modes.
 
-use orbit2::eval::{evaluate_model, evaluate_model_at, evaluate_model_with};
+use orbit2::eval::{evaluate_model, evaluate_model_at};
 use orbit2::trainer::{Trainer, TrainerConfig};
 use orbit2_climate::{DownscalingDataset, LatLonGrid, Split, VariableSet};
-use orbit2_model::{ModelConfig, ReslimModel, SessionActivation, SessionPrecision};
+use orbit2_model::{ModelConfig, ReslimModel, SessionPrecision};
 
 /// R² tolerance for both reduced precisions. bf16 carries 8 mantissa bits
 /// (relative step ~2^-8 ≈ 4e-3); int8 per-channel quantization lands in the
@@ -38,28 +38,17 @@ fn reduced_precision_sessions_stay_within_tolerance() {
     let (model, norm) = (trainer.model(), trainer.normalizer());
     let test_idx = ds.indices(Split::Test);
     let base = evaluate_model(model, norm, &ds, &test_idx, None, 1.0).unwrap();
-    // Weight-precision rows (activations stay f32) plus activation-precision
-    // rows: bf16 activations over f32 weights, and the fully reduced
-    // bf16-weights × bf16-activations cell the serving fast path uses.
-    let cells = [
-        (SessionPrecision::Bf16, SessionActivation::F32),
-        (SessionPrecision::Int8, SessionActivation::F32),
-        (SessionPrecision::F32, SessionActivation::Bf16),
-        (SessionPrecision::Bf16, SessionActivation::Bf16),
-    ];
-    for (precision, activation) in cells {
+    for precision in SessionPrecision::ALL.into_iter().filter(|&p| p != SessionPrecision::F32) {
         let reduced =
-            evaluate_model_with(model, norm, &ds, &test_idx, None, 1.0, precision, activation)
-                .unwrap();
+            evaluate_model_at(model, norm, &ds, &test_idx, None, 1.0, precision).unwrap();
         assert_eq!(reduced.len(), base.len());
         for (b, r) in base.iter().zip(&reduced) {
             assert_eq!(b.name, r.name);
             let delta = b.report.delta(&r.report);
             assert!(
                 delta.within(R2_TOL, SSIM_TOL),
-                "w={:?} a={:?} {}: f32 r2={:.4} ssim={:.4} vs {:.4}/{:.4} (delta r2={:.2e} ssim={:.2e})",
+                "{:?} {}: f32 r2={:.4} ssim={:.4} vs {:.4}/{:.4} (delta r2={:.2e} ssim={:.2e})",
                 precision,
-                activation,
                 b.name,
                 b.report.r2,
                 b.report.ssim,

@@ -80,17 +80,6 @@ impl BaselineVit {
         InferenceSession::prepare_at(&self.params, precision)
     }
 
-    /// Like [`session_at`](Self::session_at), additionally choosing the
-    /// activation precision the session streams at (see
-    /// [`InferenceSession::prepare_with`]).
-    pub fn session_with(
-        &self,
-        precision: crate::infer::SessionPrecision,
-        activation: crate::infer::SessionActivation,
-    ) -> InferenceSession {
-        InferenceSession::prepare_with(&self.params, precision, activation)
-    }
-
     /// Forward pass on one `[C_in, h, w]` sample → `[C_out, H, W]`.
     pub fn forward<E: Exec>(&self, ex: &E, input: &Tensor) -> E::Value {
         let cfg = &self.cfg;

@@ -57,17 +57,6 @@ impl ReslimModel {
         InferenceSession::prepare_at(&self.params, precision)
     }
 
-    /// Like [`session_at`](Self::session_at), additionally choosing the
-    /// activation precision the session streams at (see
-    /// [`InferenceSession::prepare_with`]).
-    pub fn session_with(
-        &self,
-        precision: crate::infer::SessionPrecision,
-        activation: crate::infer::SessionActivation,
-    ) -> InferenceSession {
-        InferenceSession::prepare_with(&self.params, precision, activation)
-    }
-
     /// Forward pass on one `[C_in, h, w]` sample: [`Self::forward_batch`]
     /// of one input, which issues no stack or split op.
     ///
@@ -303,40 +292,6 @@ mod tests {
         let session = m.session();
         let smooth = Tensor::full(vec![4, 16, 16], 0.25);
         let noisy = randn(&[4, 16, 16], 9);
-        let batch = m.forward_batch(&session, &[&smooth, &noisy], 2.0);
-        for (input, (pred, plan)) in [&smooth, &noisy].iter().zip(&batch) {
-            let (solo, solo_plan) = m.forward(&session, input, 2.0);
-            assert_eq!(pred.tensor().data(), solo.into_tensor().data());
-            assert_eq!(plan.compressed_len(), solo_plan.compressed_len());
-        }
-    }
-
-    #[test]
-    fn bf16_activation_batch_matches_per_sample_bitwise() {
-        use crate::infer::{SessionActivation, SessionPrecision};
-        // The bit-identity contract must hold when the session streams bf16
-        // activations: every stacked op narrows exactly where the
-        // per-sample ops do. Cover both an f32 and a bf16 weight set.
-        let m = model();
-        for wp in [SessionPrecision::F32, SessionPrecision::Bf16] {
-            let session = m.session_with(wp, SessionActivation::Bf16);
-            let inputs: Vec<Tensor> = (0..3).map(|i| randn(&[4, 8, 16], 200 + i)).collect();
-            let refs: Vec<&Tensor> = inputs.iter().collect();
-            let batch = m.forward_batch(&session, &refs, 1.0);
-            for (input, (pred, _)) in inputs.iter().zip(&batch) {
-                let (solo, _) = m.forward(&session, input, 1.0);
-                assert_eq!(pred.tensor().data(), solo.into_tensor().data(), "weights {wp:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn bf16_activation_batch_matches_under_adaptive_compression() {
-        use crate::infer::{SessionActivation, SessionPrecision};
-        let m = model();
-        let session = m.session_with(SessionPrecision::Bf16, SessionActivation::Bf16);
-        let smooth = Tensor::full(vec![4, 16, 16], 0.25);
-        let noisy = randn(&[4, 16, 16], 31);
         let batch = m.forward_batch(&session, &[&smooth, &noisy], 2.0);
         for (input, (pred, plan)) in [&smooth, &noisy].iter().zip(&batch) {
             let (solo, solo_plan) = m.forward(&session, input, 2.0);

@@ -8,7 +8,7 @@
 //! cheaper than maintaining an intrusive list. Hit/miss counters are
 //! atomics so the hot read path never takes the map lock twice.
 
-use orbit2_tensor::fused::{ActivationPrecision, WeightPrecision};
+use orbit2_tensor::fused::WeightPrecision;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -29,9 +29,6 @@ pub(crate) struct CacheKey {
     /// Effective weight precision the response was computed at — a bf16
     /// prediction must never answer an f32 request.
     pub precision: WeightPrecision,
-    /// Effective activation precision the response was streamed at — the
-    /// same cross-precision isolation, on the activation axis.
-    pub activation: ActivationPrecision,
 }
 
 /// A cached response body.
@@ -146,7 +143,6 @@ mod tests {
             compression_bits: 1.0f32.to_bits(),
             scale: 4,
             precision: WeightPrecision::F32,
-            activation: ActivationPrecision::F32,
         }
     }
 
@@ -194,9 +190,6 @@ mod tests {
         let mut prec = key("a", 0);
         prec.precision = WeightPrecision::Bf16;
         assert!(cache.get(&prec).is_none(), "cross-precision hits must be impossible");
-        let mut act = key("a", 0);
-        act.activation = ActivationPrecision::Bf16;
-        assert!(cache.get(&act).is_none(), "cross-activation hits must be impossible");
     }
 
     #[test]

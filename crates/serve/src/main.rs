@@ -5,8 +5,7 @@
 //! orbit2-serve [--addr 127.0.0.1:7878] [--grid 32x64] [--samples 32]
 //!              [--tiles N] [--halo H] [--max-batch N] [--window-us N]
 //!              [--cache N] [--queue N] [--seed N]
-//!              [--precision f32|bf16|int8] [--activation-precision f32|bf16]
-//!              [--default-deadline-ms N]
+//!              [--precision f32|bf16|int8] [--default-deadline-ms N]
 //! ```
 //!
 //! `--default-deadline-ms` applies a server-side deadline to every
@@ -25,7 +24,7 @@
 
 use orbit2_climate::{DownscalingDataset, LatLonGrid, Normalizer, VariableSet};
 use orbit2_imaging::tiles::TileSpec;
-use orbit2_model::{ModelConfig, ReslimModel, SessionActivation, SessionPrecision};
+use orbit2_model::{ModelConfig, ReslimModel, SessionPrecision};
 use orbit2_serve::{Region, Server, ServerConfig};
 use std::net::TcpListener;
 use std::sync::Arc;
@@ -42,7 +41,6 @@ struct Args {
     queue: usize,
     seed: u64,
     precision: SessionPrecision,
-    activation: SessionActivation,
     default_deadline_ms: Option<u64>,
 }
 
@@ -60,7 +58,6 @@ impl Default for Args {
             queue: 256,
             seed: 17,
             precision: SessionPrecision::F32,
-            activation: SessionActivation::F32,
             default_deadline_ms: None,
         }
     }
@@ -68,8 +65,7 @@ impl Default for Args {
 
 const USAGE: &str = "usage: orbit2-serve [--addr HOST:PORT] [--grid HxW] [--samples N] \
 [--tiles N] [--halo H] [--max-batch N] [--window-us N] [--cache N] [--queue N] \
-[--seed N] [--precision f32|bf16|int8] [--activation-precision f32|bf16] \
-[--default-deadline-ms N]";
+[--seed N] [--precision f32|bf16|int8] [--default-deadline-ms N]";
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args::default();
@@ -103,12 +99,6 @@ fn parse_args() -> Result<Args, String> {
                 let v = value("--precision")?;
                 args.precision = SessionPrecision::parse(&v)
                     .ok_or_else(|| format!("--precision wants f32, bf16 or int8, got {v}"))?;
-            }
-            "--activation-precision" => {
-                let v = value("--activation-precision")?;
-                args.activation = SessionActivation::parse(&v).ok_or_else(|| {
-                    format!("--activation-precision wants f32 or bf16, got {v}")
-                })?;
             }
             "--seed" => args.seed = parse_num(&value("--seed")?, "--seed")? as u64,
             "--default-deadline-ms" => {
@@ -167,7 +157,6 @@ fn main() {
         cache_capacity: args.cache,
         queue_capacity: args.queue,
         precision: args.precision,
-        activation: args.activation,
         default_deadline_ms: args.default_deadline_ms,
         // None arms injection from ORBIT2_SERVE_FAULT_PLAN when set.
         fault_plan: None,
@@ -192,15 +181,13 @@ fn main() {
     let bound = listener.local_addr().map(|a| a.to_string()).unwrap_or(args.addr);
     println!(
         "orbit2-serve listening on {bound} (regions: conus, global; coarse grid {}x{}; \
-         max_batch {}; window {}us; cache {}; precision {}; activations {}; \
-         default deadline {})",
+         max_batch {}; window {}us; cache {}; precision {}; default deadline {})",
         h / factor,
         w / factor,
         args.max_batch,
         args.window_micros,
         args.cache,
         args.precision.label(),
-        args.activation.label(),
         match args.default_deadline_ms {
             Some(ms) => format!("{ms}ms"),
             None => "none".into(),

@@ -42,7 +42,7 @@ use orbit2_climate::{DownscalingDataset, Normalizer};
 use orbit2_imaging::tiles::{TileGeometry, TileSpec};
 use orbit2::serving::{ServeHealth, ServeStats};
 use orbit2_model::{InferenceSession, ReslimModel};
-use orbit2_tensor::fused::{ActivationPrecision, WeightPrecision};
+use orbit2_tensor::fused::WeightPrecision;
 use orbit2_tensor::Tensor;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
@@ -70,10 +70,6 @@ pub struct ServerConfig {
     /// The session at this precision is prepared eagerly at startup;
     /// sessions for other requested precisions are built on first use.
     pub precision: WeightPrecision,
-    /// Activation precision for requests that don't ask for one
-    /// explicitly. Together with `precision` this names the session cell
-    /// warmed at startup.
-    pub activation: ActivationPrecision,
     /// Deadline applied to requests that don't carry a wire `deadline_ms`
     /// of their own (`None` = no deadline). Measured from admission;
     /// expired work is shed at admission, dispatch, and stitch time.
@@ -96,7 +92,6 @@ impl Default for ServerConfig {
             cache_capacity: 64,
             queue_capacity: 256,
             precision: WeightPrecision::F32,
-            activation: ActivationPrecision::F32,
             default_deadline_ms: None,
             fault_plan: None,
         }
@@ -119,8 +114,6 @@ pub(crate) struct RequestState {
     compression: f32,
     /// Effective weight precision (request override or server default).
     precision: WeightPrecision,
-    /// Effective activation precision (request override or server default).
-    activation: ActivationPrecision,
     in_h: usize,
     in_w: usize,
     remaining: AtomicUsize,
@@ -159,9 +152,6 @@ pub(crate) struct JobKey {
     /// A batched forward runs through one session, so only jobs at the
     /// same precision may stack.
     precision: WeightPrecision,
-    /// ... and the session is also fixed to one activation precision, so
-    /// only same-activation tiles may stack.
-    activation: ActivationPrecision,
 }
 
 /// One tile of one request, queued for execution.
@@ -205,10 +195,10 @@ const STOPPED: u8 = 2;
 
 struct Inner {
     model: ReslimModel,
-    /// One session slot per (weight precision × activation precision)
-    /// cell, built on first use (the configured default cell is warmed at
-    /// startup). Indexed by `session_slot`.
-    sessions: [OnceLock<InferenceSession>; 6],
+    /// One session slot per weight precision, built on first use (the
+    /// configured default is warmed at startup). Indexed by
+    /// [`WeightPrecision::index`].
+    sessions: [OnceLock<InferenceSession>; WeightPrecision::ALL.len()],
     normalizer: Normalizer,
     regions: Vec<Region>,
     cfg: ServerConfig,
@@ -229,33 +219,9 @@ struct Inner {
     quarantined_jobs: AtomicU64,
     shed_jobs: AtomicU64,
     deadline_expired: AtomicU64,
-    /// Completed requests (cache hits included) per weight-precision slot.
-    requests_by_precision: [AtomicU64; 3],
-    /// Completed requests (cache hits included) per activation-precision
-    /// slot.
-    requests_by_activation: [AtomicU64; 2],
-}
-
-/// Index of a weight precision's counter slot.
-fn precision_slot(p: WeightPrecision) -> usize {
-    match p {
-        WeightPrecision::F32 => 0,
-        WeightPrecision::Bf16 => 1,
-        WeightPrecision::Int8 => 2,
-    }
-}
-
-/// Index of an activation precision's counter slot.
-fn act_slot(a: ActivationPrecision) -> usize {
-    match a {
-        ActivationPrecision::F32 => 0,
-        ActivationPrecision::Bf16 => 1,
-    }
-}
-
-/// Index of a (weight × activation) cell's session slot.
-fn session_slot(p: WeightPrecision, a: ActivationPrecision) -> usize {
-    precision_slot(p) * 2 + act_slot(a)
+    /// Completed requests (cache hits included), indexed by
+    /// [`WeightPrecision::index`].
+    requests_by_precision: [AtomicU64; WeightPrecision::ALL.len()],
 }
 
 /// A persistent inference server. See the module docs for the lifecycle;
@@ -275,7 +241,7 @@ impl Server {
         regions: Vec<Region>,
         cfg: ServerConfig,
     ) -> Self {
-        let (precision, activation) = (cfg.precision, cfg.activation);
+        let precision = cfg.precision;
         let cache = ResponseCache::new(cfg.cache_capacity);
         // An explicit plan (even `FaultPlan::none()`) beats the env knob.
         let fault_plan = cfg
@@ -304,12 +270,11 @@ impl Server {
             quarantined_jobs: AtomicU64::new(0),
             shed_jobs: AtomicU64::new(0),
             deadline_expired: AtomicU64::new(0),
-            requests_by_precision: [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)],
-            requests_by_activation: [AtomicU64::new(0), AtomicU64::new(0)],
+            requests_by_precision: std::array::from_fn(|_| AtomicU64::new(0)),
         });
-        // Warm the default-cell session so the first request doesn't pay
-        // weight packing.
-        inner.session_for(precision, activation);
+        // Warm the default session so the first request doesn't pay weight
+        // packing.
+        inner.session_for(precision);
         let worker = Arc::clone(&inner);
         let batcher = std::thread::Builder::new()
             .name("orbit2-serve-batcher".into())
@@ -331,23 +296,23 @@ impl Server {
     }
 
     /// The combined wire-stats snapshot for `{"cmd": "stats"}` replies:
-    /// response-cache counters, per-precision request counts (weight and
-    /// activation axes), and the buffer-pool telemetry — observability for
+    /// response-cache counters, per-precision request counts, and the
+    /// buffer-pool telemetry — observability for
     /// how well activation buffers are being recycled under load. The pool
     /// counters are process-wide and monotonic; diff snapshots to attribute
     /// traffic.
     pub fn serve_stats(&self) -> ServeStats {
         let cache = self.inner.cache.stats();
         let pool = orbit2_tensor::pool::global_stats();
+        let requests_at =
+            |p: WeightPrecision| self.inner.requests_by_precision[p.index()].load(Ordering::Relaxed);
         ServeStats {
             cache_hits: cache.hits,
             cache_misses: cache.misses,
             cache_entries: cache.entries as u64,
-            requests_f32: self.inner.requests_by_precision[0].load(Ordering::Relaxed),
-            requests_bf16: self.inner.requests_by_precision[1].load(Ordering::Relaxed),
-            requests_int8: self.inner.requests_by_precision[2].load(Ordering::Relaxed),
-            requests_act_f32: self.inner.requests_by_activation[0].load(Ordering::Relaxed),
-            requests_act_bf16: self.inner.requests_by_activation[1].load(Ordering::Relaxed),
+            requests_f32: requests_at(WeightPrecision::F32),
+            requests_bf16: requests_at(WeightPrecision::Bf16),
+            requests_int8: requests_at(WeightPrecision::Int8),
             pool_fresh_allocs: pool.fresh_allocs,
             pool_reuses: pool.reuses,
             pool_copies: pool.copies,
@@ -451,15 +416,9 @@ impl Drop for Server {
 }
 
 impl Inner {
-    /// The session serving the `(precision, activation)` cell, built on
-    /// first use.
-    fn session_for(
-        &self,
-        precision: WeightPrecision,
-        activation: ActivationPrecision,
-    ) -> &InferenceSession {
-        self.sessions[session_slot(precision, activation)]
-            .get_or_init(|| self.model.session_with(precision, activation))
+    /// The session at `precision`, built on first use.
+    fn session_for(&self, precision: WeightPrecision) -> &InferenceSession {
+        self.sessions[precision.index()].get_or_init(|| self.model.session_at(precision))
     }
 
     pub(crate) fn submit(&self, req: ServeRequest) -> Handle {
@@ -498,7 +457,6 @@ impl Inner {
             }
         }
         let precision = req.precision.unwrap_or(self.cfg.precision);
-        let activation = req.activation.unwrap_or(self.cfg.activation);
         let var_sel = match &req.variables {
             None => None,
             Some(names) => {
@@ -533,7 +491,6 @@ impl Inner {
                     compression_bits: req.compression.to_bits(),
                     scale: self.model.cfg.scale_factor,
                     precision,
-                    activation,
                 };
                 (region.dataset.sample(*time).input, Some(key))
             }
@@ -556,10 +513,7 @@ impl Inner {
 
         if let Some(key) = &cache_key {
             if let Some(hit) = self.cache.get(key) {
-                self.requests_by_precision[precision_slot(precision)]
-                    .fetch_add(1, Ordering::Relaxed);
-                self.requests_by_activation[act_slot(activation)]
-                    .fetch_add(1, Ordering::Relaxed);
+                self.requests_by_precision[precision.index()].fetch_add(1, Ordering::Relaxed);
                 slot.complete(Ok(ServeResponse {
                     id: req.id,
                     shape: hit.shape,
@@ -588,7 +542,6 @@ impl Inner {
             seq: self.next_seq.fetch_add(1, Ordering::SeqCst),
             compression: req.compression,
             precision,
-            activation,
             in_h: h,
             in_w: w,
             remaining: AtomicUsize::new(tiles.len()),
@@ -622,7 +575,6 @@ impl Inner {
                     w: tile_input.shape()[2],
                     compression_bits: req.compression.to_bits(),
                     precision,
-                    activation,
                 };
                 queue.push_back(TileJob {
                     req: Arc::clone(&state),
@@ -762,11 +714,11 @@ fn panic_reason(panic: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// Run the forward for `jobs` (any batch size), returning one prediction
-/// per job. Stackable jobs share a `JobKey`, hence a single session cell
+/// per job. Stackable jobs share a `JobKey`, hence a single session
 /// and compression target.
 fn run_forward(inner: &Inner, jobs: &[TileJob]) -> Vec<Tensor> {
     let lead = &jobs[0].req;
-    let session = inner.session_for(lead.precision, lead.activation);
+    let session = inner.session_for(lead.precision);
     let inputs: Vec<&Tensor> = jobs.iter().map(|j| &j.input).collect();
     inner
         .model
@@ -933,8 +885,7 @@ fn finish_tile(inner: &Inner, job: TileJob, pred: Tensor, batch_size: usize) {
     // reading stats right after `wait()` returns sees them; if a drain
     // won the race instead, roll the speculative ticks back.
     inner.completed.fetch_add(1, Ordering::Relaxed);
-    inner.requests_by_precision[precision_slot(req.precision)].fetch_add(1, Ordering::Relaxed);
-    inner.requests_by_activation[act_slot(req.activation)].fetch_add(1, Ordering::Relaxed);
+    inner.requests_by_precision[req.precision.index()].fetch_add(1, Ordering::Relaxed);
     let won = req.done.complete(Ok(ServeResponse {
         id: req.id,
         shape: output.shape().to_vec(),
@@ -945,8 +896,7 @@ fn finish_tile(inner: &Inner, job: TileJob, pred: Tensor, batch_size: usize) {
     }));
     if !won {
         inner.completed.fetch_sub(1, Ordering::Relaxed);
-        inner.requests_by_precision[precision_slot(req.precision)].fetch_sub(1, Ordering::Relaxed);
-        inner.requests_by_activation[act_slot(req.activation)].fetch_sub(1, Ordering::Relaxed);
+        inner.requests_by_precision[req.precision.index()].fetch_sub(1, Ordering::Relaxed);
     }
 }
 
@@ -970,7 +920,6 @@ mod tests {
             seq,
             compression: 1.0,
             precision: WeightPrecision::F32,
-            activation: ActivationPrecision::F32,
             in_h: 4,
             in_w: 4,
             remaining: AtomicUsize::new(tiles),
@@ -997,7 +946,6 @@ mod tests {
                 w: h,
                 compression_bits: 1.0f32.to_bits(),
                 precision: WeightPrecision::F32,
-                activation: ActivationPrecision::F32,
             },
             enqueued: Instant::now(),
         }

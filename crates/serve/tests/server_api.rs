@@ -4,7 +4,7 @@
 
 use orbit2::inference::downscale_with;
 use orbit2::serving::{ServeError, ServeRequest};
-use orbit2_model::{SessionActivation, SessionPrecision};
+use orbit2_model::SessionPrecision;
 use orbit2_climate::{DownscalingDataset, LatLonGrid, Normalizer, VariableSet};
 use orbit2_imaging::tiles::TileSpec;
 use orbit2_model::{ModelConfig, ReslimModel};
@@ -321,79 +321,6 @@ fn mixed_precision_bursts_do_not_cobatch() {
             resp.data,
             reference.data(),
             "a {precision:?} request must be served by a {precision:?} session even in a mixed burst"
-        );
-    }
-}
-
-/// Per-activation serving: a request carrying `activation: "bf16"` runs
-/// through a session streaming bf16 activations, bitwise-equal to a direct
-/// call through the same session, and the two activation precisions never
-/// share cache entries.
-#[test]
-fn activation_requests_match_bf16_sessions_and_never_share_cache() {
-    let (server, model, norm, ds) =
-        start(ServerConfig { cache_capacity: 8, ..ServerConfig::default() });
-    let input = ds.sample(1).input;
-    let req = ServeRequest::region(1, "conus", 1).at_activation(SessionActivation::Bf16);
-    let resp = server.submit(req).wait().unwrap();
-    let session = model.session_with(SessionPrecision::F32, SessionActivation::Bf16);
-    let reference = downscale_with(&model, &session, &norm, &input, None, 1.0).unwrap();
-    assert_eq!(resp.data, reference.data(), "served bf16-act != direct bf16-act session");
-    assert!(!resp.cached);
-    // The f32-activation default computes its own entry...
-    let f32_resp = server.submit(ServeRequest::region(2, "conus", 1)).wait().unwrap();
-    assert!(!f32_resp.cached, "f32-act must not reuse a bf16-act cache entry");
-    // ...and a repeat bf16-act request hits within its own cell.
-    let warm = server
-        .submit(ServeRequest::region(3, "conus", 1).at_activation(SessionActivation::Bf16))
-        .wait()
-        .unwrap();
-    assert!(warm.cached);
-    assert_eq!(warm.data, resp.data);
-    let stats = server.serve_stats();
-    assert_eq!(stats.cache_misses, 2);
-    assert_eq!(stats.cache_hits, 1);
-    assert_eq!(stats.requests_act_bf16, 2);
-    assert_eq!(stats.requests_act_f32, 1);
-    // All three requests ran at f32 weights: the axes are orthogonal.
-    assert_eq!(stats.requests_f32, 3);
-}
-
-/// Mixed-activation bursts must never stack into one forward: the job key
-/// includes the activation precision, so each batch runs through a single
-/// session cell.
-#[test]
-fn mixed_activation_bursts_do_not_cobatch() {
-    let cfg = ServerConfig {
-        max_batch: 8,
-        window_micros: 200_000,
-        cache_capacity: 0,
-        ..ServerConfig::default()
-    };
-    let (server, model, norm, ds) = start(cfg);
-    let input = ds.sample(2).input;
-    let mk = |id: u64, a: SessionActivation| {
-        ServeRequest::raw(id, input.shape().to_vec(), input.data().to_vec()).at_activation(a)
-    };
-    let handles: Vec<_> = [
-        SessionActivation::F32,
-        SessionActivation::Bf16,
-        SessionActivation::F32,
-        SessionActivation::Bf16,
-    ]
-    .iter()
-    .enumerate()
-    .map(|(i, &a)| (a, server.submit(mk(i as u64, a))))
-    .collect();
-    for (activation, handle) in handles {
-        let resp = handle.wait().unwrap();
-        let session = model.session_with(SessionPrecision::F32, activation);
-        let reference = downscale_with(&model, &session, &norm, &input, None, 1.0).unwrap();
-        assert_eq!(
-            resp.data,
-            reference.data(),
-            "a {activation:?}-activation request must be served by its own session cell \
-             even in a mixed burst"
         );
     }
 }

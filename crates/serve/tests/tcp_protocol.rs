@@ -4,7 +4,7 @@
 
 use orbit2::fault::{FaultKind, FaultPlan};
 use orbit2::serving::ServeRequest;
-use orbit2_model::{SessionActivation, SessionPrecision};
+use orbit2_model::SessionPrecision;
 use orbit2_climate::{DownscalingDataset, LatLonGrid, Normalizer, VariableSet};
 use orbit2_model::{ModelConfig, ReslimModel};
 use orbit2_serve::{Client, Region, RetryPolicy, Server, ServerConfig, ServerReply};
@@ -150,20 +150,15 @@ fn stats_command_reports_counters_over_the_wire() {
     let _ = client
         .roundtrip(&ServeRequest::region(3, "conus", 4).at_precision(SessionPrecision::Bf16))
         .unwrap();
-    let _ = client
-        .roundtrip(&ServeRequest::region(4, "conus", 4).at_activation(SessionActivation::Bf16))
-        .unwrap();
 
     let stats = client.stats().unwrap();
-    assert_eq!(stats.cache_misses, 3, "f32, bf16-weight and bf16-act each computed once");
+    assert_eq!(stats.cache_misses, 2, "f32 and bf16 weights each computed once");
     assert_eq!(stats.cache_hits, 1);
-    assert_eq!(stats.cache_entries, 3);
-    assert_eq!(stats.requests_f32, 3, "bf16 activations still ran f32 weights");
+    assert_eq!(stats.cache_entries, 2);
+    assert_eq!(stats.requests_f32, 2);
     assert_eq!(stats.requests_bf16, 1);
     assert_eq!(stats.requests_int8, 0);
-    assert_eq!(stats.requests_act_f32, 3);
-    assert_eq!(stats.requests_act_bf16, 1);
-    // Pool telemetry rides the same reply; four forwards ran, so buffers
+    // Pool telemetry rides the same reply; two forwards ran, so buffers
     // must have been allocated or recycled.
     assert!(
         stats.pool_fresh_allocs + stats.pool_reuses > 0,
@@ -329,9 +324,37 @@ fn bad_precision_label_is_bad_request() {
         .send_line(r#"{"id": 60, "region": "conus", "time": 0, "precision": "fp64"}"#)
         .unwrap();
     expect_error(client.recv().unwrap(), 60, "bad_request");
-    // Same on the activation axis; int8 activations don't exist.
+}
+
+/// The removed `activation` wire key is rejected, never silently served at
+/// f32: `"bf16"` is a bad_request naming the removal, `"f32"` (what the
+/// server does anyway) is accepted and answers exactly like the bare
+/// request, and the connection and admission bookkeeping survive both.
+#[test]
+fn removed_activation_key_is_rejected_not_reinterpreted() {
+    let (_server, addr) = spawn_server(ServerConfig { cache_capacity: 0, ..Default::default() });
+    let mut client = Client::connect(addr).unwrap();
     client
-        .send_line(r#"{"id": 61, "region": "conus", "time": 0, "activation": "int8"}"#)
+        .send_line(r#"{"id": 61, "region": "conus", "time": 0, "activation": "bf16"}"#)
         .unwrap();
-    expect_error(client.recv().unwrap(), 61, "bad_request");
+    match client.recv().unwrap() {
+        ServerReply::Error { id, error } => {
+            assert_eq!((id, error.kind.as_str()), (61, "bad_request"));
+            assert!(error.message.contains("`activation` was removed"), "{}", error.message);
+        }
+        other => panic!("expected bad_request, got {other:?}"),
+    }
+    client
+        .send_line(r#"{"id": 62, "region": "conus", "time": 0, "activation": "f32"}"#)
+        .unwrap();
+    let with_key = match client.recv().unwrap() {
+        ServerReply::Response(resp) => resp,
+        other => panic!("an explicit f32 must be served, got {other:?}"),
+    };
+    let bare = match client.roundtrip(&ServeRequest::region(63, "conus", 0)).unwrap() {
+        ServerReply::Response(resp) => resp,
+        other => panic!("expected response, got {other:?}"),
+    };
+    assert_eq!((with_key.shape, with_key.data), (bare.shape, bare.data));
+    assert_eq!(client.health().unwrap().inflight, 0);
 }

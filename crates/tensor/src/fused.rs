@@ -86,6 +86,17 @@ pub enum WeightPrecision {
 }
 
 impl WeightPrecision {
+    /// Every precision, in [`index`](Self::index) order. Session slots,
+    /// per-precision counters, the quality gate and the bench cells all
+    /// iterate this list, so adding or removing a cell is a one-line change.
+    pub const ALL: [WeightPrecision; 3] =
+        [WeightPrecision::F32, WeightPrecision::Bf16, WeightPrecision::Int8];
+
+    /// Position of this precision in [`ALL`](Self::ALL).
+    pub fn index(self) -> usize {
+        self as usize
+    }
+
     /// Stable lowercase label used in wire formats and bench row names.
     pub fn label(self) -> &'static str {
         match self {
@@ -101,39 +112,6 @@ impl WeightPrecision {
             "f32" => Some(WeightPrecision::F32),
             "bf16" => Some(WeightPrecision::Bf16),
             "int8" | "i8" => Some(WeightPrecision::Int8),
-            _ => None,
-        }
-    }
-}
-
-/// Storage precision of the *activations* flowing between ops in an
-/// inference session. Orthogonal to [`WeightPrecision`]: weights can sit in
-/// int8 packs while activations stream as bf16 words, and vice versa.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub enum ActivationPrecision {
-    /// Full f32 activation tensors — bit-identical to the tape-free path
-    /// before this knob existed.
-    #[default]
-    F32,
-    /// `u16` BF16 words, widened to f32 at each op's register boundary
-    /// (accumulation stays f32; see [`crate::bf16_act`]).
-    Bf16,
-}
-
-impl ActivationPrecision {
-    /// Stable lowercase label used in wire formats and bench row names.
-    pub fn label(self) -> &'static str {
-        match self {
-            ActivationPrecision::F32 => "f32",
-            ActivationPrecision::Bf16 => "bf16",
-        }
-    }
-
-    /// Parse a [`label`](Self::label) back into a precision.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "f32" => Some(ActivationPrecision::F32),
-            "bf16" => Some(ActivationPrecision::Bf16),
             _ => None,
         }
     }
@@ -564,7 +542,7 @@ pub fn welford_mean_var(row: &[f32]) -> (f32, f32) {
 
 /// Chan's parallel combine for two Welford partials.
 #[inline]
-pub(crate) fn chan_combine(ma: f64, m2a: f64, na: f64, mb: f64, m2b: f64, nb: f64) -> (f64, f64, f64) {
+fn chan_combine(ma: f64, m2a: f64, na: f64, mb: f64, m2b: f64, nb: f64) -> (f64, f64, f64) {
     let n = na + nb;
     let delta = mb - ma;
     let mean = ma + delta * nb / n;
@@ -595,6 +573,14 @@ pub fn softmax_rows(dst: &mut [f32], inner: usize) {
 mod tests {
     use super::*;
     use crate::random::randn;
+
+    #[test]
+    fn precision_list_index_and_labels_agree() {
+        for (i, p) in WeightPrecision::ALL.into_iter().enumerate() {
+            assert_eq!(p.index(), i);
+            assert_eq!(WeightPrecision::parse(p.label()), Some(p));
+        }
+    }
 
     #[test]
     fn fused_linear_matches_unfused_composition() {

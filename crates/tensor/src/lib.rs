@@ -29,7 +29,6 @@
 
 pub mod attention;
 pub mod bf16;
-pub mod bf16_act;
 pub mod conv;
 pub mod fused;
 pub mod matmul;
@@ -44,8 +43,7 @@ pub mod tensor;
 
 pub use attention::{flash_attention, naive_attention, AttentionConfig};
 pub use bf16::{bf16_round, bf16_to_f32, f32_to_bf16, Bf16Mode};
-pub use bf16_act::Bf16Tensor;
-pub use fused::{matmul_bias_act, Activation, ActivationPrecision, PackedWeight, WeightPrecision};
+pub use fused::{matmul_bias_act, Activation, PackedWeight, WeightPrecision};
 pub use qgemm::{PackedWeightBf16, PackedWeightI8};
 pub use matmul::MatLayout;
 pub use pool::{Buffer, PoolStats};

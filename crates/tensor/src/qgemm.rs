@@ -5,11 +5,9 @@
 //! this module keeps them resident in *narrow* storage — [`PackedWeightBf16`]
 //! as `u16` BF16 words (half the bytes), [`PackedWeightI8`] as symmetric
 //! per-output-channel `i8` codes with one `f32` scale per column (a quarter
-//! of the bytes) — and widens them to f32 on the fly. Accumulation is always
-//! f32; the *activation* operands are generic over [`ActElem`], so the A
-//! stream and C store can each be either f32 or BF16 words (`u16`), widened
-//! and narrowed at the register boundary without ever materializing an f32
-//! copy of the activation matrix (the `gemm_*_act_fused` entries).
+//! of the bytes) — and widens them to f32 on the fly. Activations (the A
+//! stream and the C store) and accumulation are always f32; the kernel is
+//! generic over the weight code only.
 //!
 //! ## Kernel shape
 //!
@@ -60,51 +58,6 @@ impl QWeight for i8 {
     #[inline(always)]
     fn widen(self) -> f32 {
         self as f32
-    }
-}
-
-impl QWeight for f32 {
-    #[inline(always)]
-    fn widen(self) -> f32 {
-        self
-    }
-}
-
-/// An activation element the GEMM can stream on either side: read as the A
-/// operand (widened in-register via [`QWeight`]) and written as the C output
-/// (narrowed at store time). `f32` passes through untouched; `u16` holds
-/// BF16 words.
-pub trait ActElem: QWeight {
-    /// Narrow a finished f32 output element to storage.
-    fn narrow(v: f32) -> Self;
-
-    /// Store one full vector of lanes (the identity-activation fast path).
-    fn store_lanes(v: F32x16, dst: &mut [Self]);
-}
-
-impl ActElem for f32 {
-    #[inline(always)]
-    fn narrow(v: f32) -> f32 {
-        v
-    }
-
-    #[inline(always)]
-    fn store_lanes(v: F32x16, dst: &mut [f32]) {
-        v.store(dst);
-    }
-}
-
-impl ActElem for u16 {
-    #[inline(always)]
-    fn narrow(v: f32) -> u16 {
-        f32_to_bf16(v)
-    }
-
-    #[inline(always)]
-    fn store_lanes(v: F32x16, dst: &mut [u16]) {
-        for (d, &x) in dst.iter_mut().zip(&v.to_array()) {
-            *d = f32_to_bf16(x);
-        }
     }
 }
 
@@ -323,8 +276,8 @@ fn finish(mut v: f32, scale: Option<f32>, bias: Option<f32>, act: Activation) ->
 /// accumulator per k step, measured ~2× slower). The zip body has no side
 /// exits, so the accumulators live in registers for the whole k loop.
 #[inline(always)]
-fn micro<A: QWeight, const W: usize>(
-    rows: &[&[A]; QMR],
+fn micro<const W: usize>(
+    rows: &[&[f32]; QMR],
     bw: &[f32],
     kc: usize,
     acc: &mut [[F32x16; W]; QMR],
@@ -340,7 +293,7 @@ fn micro<A: QWeight, const W: usize>(
         }
         let avs = [a0, a1, a2, a3, a4, a5];
         for (accr, &av) in acc.iter_mut().zip(&avs) {
-            let a = F32x16::splat(av.widen());
+            let a = F32x16::splat(av);
             for (acw, &b) in accr.iter_mut().zip(&bv) {
                 *acw = a.mul_add(b, *acw);
             }
@@ -355,8 +308,8 @@ fn micro<A: QWeight, const W: usize>(
 /// Parallel over row chunks; each worker widens each strip once into a
 /// pooled f32 scratch.
 #[allow(clippy::too_many_arguments)] // GEMM plumbing: dims + strips + epilogue
-fn gemm_quant<A: ActElem, Q: QWeight, C: ActElem, const W: usize>(
-    a: &[A],
+fn gemm_quant<Q: QWeight, const W: usize>(
+    a: &[f32],
     m: usize,
     k: usize,
     pack: &[Q],
@@ -364,7 +317,7 @@ fn gemm_quant<A: ActElem, Q: QWeight, C: ActElem, const W: usize>(
     scales: Option<&[f32]>,
     bias: Option<&[f32]>,
     act: Activation,
-    c: &mut [C],
+    c: &mut [f32],
 ) {
     let nr = W * LANES16;
     let nstrips = n.div_ceil(nr);
@@ -392,12 +345,12 @@ fn gemm_quant<A: ActElem, Q: QWeight, C: ActElem, const W: usize>(
                 let mr = QMR.min(rows - rb);
                 // Ragged panels replicate the last row into the dead lanes;
                 // their results are computed and discarded.
-                let rowrefs: [&[A]; QMR] = std::array::from_fn(|i| {
+                let rowrefs: [&[f32]; QMR] = std::array::from_fn(|i| {
                     let r = rb + i.min(mr - 1);
                     &achunk[r * k..r * k + k]
                 });
                 let mut acc = [[F32x16::ZERO; W]; QMR];
-                micro::<A, W>(&rowrefs, &scratch, k, &mut acc);
+                micro::<W>(&rowrefs, &scratch, k, &mut acc);
                 for (r, accr) in acc.iter().enumerate().take(mr) {
                     let crow = &mut cchunk[(rb + r) * n + j0..(rb + r) * n + j0 + cols];
                     for (w, acw) in accr.iter().enumerate() {
@@ -421,22 +374,22 @@ fn gemm_quant<A: ActElem, Q: QWeight, C: ActElem, const W: usize>(
                             }
                             let dst = &mut crow[l0..l0 + LANES16];
                             if act == Activation::Identity {
-                                C::store_lanes(v, dst);
+                                v.store(dst);
                             } else {
                                 for (cv, &x) in dst.iter_mut().zip(&v.to_array()) {
-                                    *cv = C::narrow(act.apply(x));
+                                    *cv = act.apply(x);
                                 }
                             }
                         } else {
                             let vals = acw.to_array();
                             for (l, cv) in crow[l0..l0 + lanes].iter_mut().enumerate() {
                                 let j = j0 + l0 + l;
-                                *cv = C::narrow(finish(
+                                *cv = finish(
                                     vals[l],
                                     scales.map(|sc| sc[j]),
                                     bias.map(|b| b[j]),
                                     act,
-                                ));
+                                );
                             }
                         }
                     }
@@ -450,8 +403,8 @@ fn gemm_quant<A: ActElem, Q: QWeight, C: ActElem, const W: usize>(
 /// by construction (same k-ordered [`simd::fma`] chain per element, same
 /// [`finish`] epilogue). Runs for every call under `ORBIT2_DISABLE_SIMD=1`.
 #[allow(clippy::too_many_arguments)] // GEMM plumbing: dims + strips + epilogue
-fn gemm_quant_ref<A: ActElem, Q: QWeight, C: ActElem>(
-    a: &[A],
+fn gemm_quant_ref<Q: QWeight>(
+    a: &[f32],
     m: usize,
     k: usize,
     pack: &[Q],
@@ -460,7 +413,7 @@ fn gemm_quant_ref<A: ActElem, Q: QWeight, C: ActElem>(
     scales: Option<&[f32]>,
     bias: Option<&[f32]>,
     act: Activation,
-    c: &mut [C],
+    c: &mut [f32],
 ) {
     debug_assert_eq!(c.len(), m * n);
     c.par_chunks_mut(n).enumerate().for_each(|(i, crow)| {
@@ -470,16 +423,16 @@ fn gemm_quant_ref<A: ActElem, Q: QWeight, C: ActElem>(
             let off = j % nr;
             let mut acc = 0.0f32;
             for (p, &av) in arow.iter().enumerate() {
-                acc = simd::fma(av.widen(), strip[p * nr + off].widen(), acc);
+                acc = simd::fma(av, strip[p * nr + off].widen(), acc);
             }
-            *cv = C::narrow(finish(acc, scales.map(|sc| sc[j]), bias.map(|b| b[j]), act));
+            *cv = finish(acc, scales.map(|sc| sc[j]), bias.map(|b| b[j]), act);
         }
     });
 }
 
 #[allow(clippy::too_many_arguments)] // GEMM plumbing: dims + strips + epilogue
-fn dispatch<A: ActElem, Q: QWeight, C: ActElem>(
-    a: &[A],
+fn dispatch<Q: QWeight>(
+    a: &[f32],
     m: usize,
     k: usize,
     pack: &[Q],
@@ -488,7 +441,7 @@ fn dispatch<A: ActElem, Q: QWeight, C: ActElem>(
     scales: Option<&[f32]>,
     bias: Option<&[f32]>,
     act: Activation,
-    c: &mut [C],
+    c: &mut [f32],
 ) {
     assert_eq!(a.len(), m * k, "activation buffer shape");
     assert_eq!(c.len(), m * n, "output buffer shape");
@@ -499,9 +452,9 @@ fn dispatch<A: ActElem, Q: QWeight, C: ActElem>(
         return gemm_quant_ref(a, m, k, pack, n, nr, scales, bias, act, c);
     }
     match nr / LANES16 {
-        1 => gemm_quant::<A, Q, C, 1>(a, m, k, pack, n, scales, bias, act, c),
-        2 => gemm_quant::<A, Q, C, 2>(a, m, k, pack, n, scales, bias, act, c),
-        4 => gemm_quant::<A, Q, C, 4>(a, m, k, pack, n, scales, bias, act, c),
+        1 => gemm_quant::<Q, 1>(a, m, k, pack, n, scales, bias, act, c),
+        2 => gemm_quant::<Q, 2>(a, m, k, pack, n, scales, bias, act, c),
+        4 => gemm_quant::<Q, 4>(a, m, k, pack, n, scales, bias, act, c),
         w => unreachable!("unsupported strip width {}", w * LANES16),
     }
 }
@@ -558,67 +511,6 @@ pub fn gemm_i8_ref(
     bias: Option<&[f32]>,
     act: Activation,
     c: &mut [f32],
-) {
-    assert_eq!(k, pw.k, "i8 pack k mismatch");
-    gemm_quant_ref(a, m, k, &pw.pack, pw.n, pw.nr, Some(&pw.scales), bias, act, c);
-}
-
-/// Fused linear with **bf16 activations on both sides**: `a` and `c` are
-/// BF16 words, widened/narrowed in-register against a resident bf16 pack.
-/// Per element this is exactly `f32_to_bf16` of what [`gemm_bf16_fused`]
-/// computes on the widened A operand (widening is lossless), at half the
-/// activation traffic.
-pub fn gemm_bf16_act_fused(
-    a: &[u16],
-    m: usize,
-    k: usize,
-    pw: &PackedWeightBf16,
-    bias: Option<&[f32]>,
-    act: Activation,
-    c: &mut [u16],
-) {
-    assert_eq!(k, pw.k, "bf16 pack k mismatch");
-    dispatch(a, m, k, &pw.pack, pw.n, pw.nr, None, bias, act, c);
-}
-
-/// Scalar-oracle entry for [`gemm_bf16_act_fused`].
-pub fn gemm_bf16_act_ref(
-    a: &[u16],
-    m: usize,
-    k: usize,
-    pw: &PackedWeightBf16,
-    bias: Option<&[f32]>,
-    act: Activation,
-    c: &mut [u16],
-) {
-    assert_eq!(k, pw.k, "bf16 pack k mismatch");
-    gemm_quant_ref(a, m, k, &pw.pack, pw.n, pw.nr, None, bias, act, c);
-}
-
-/// Fused linear with bf16 activations against a resident **int8** pack:
-/// `c = bf16(act(scale ⊙ (widen(a) · codes^T) + bias))`.
-pub fn gemm_i8_act_fused(
-    a: &[u16],
-    m: usize,
-    k: usize,
-    pw: &PackedWeightI8,
-    bias: Option<&[f32]>,
-    act: Activation,
-    c: &mut [u16],
-) {
-    assert_eq!(k, pw.k, "i8 pack k mismatch");
-    dispatch(a, m, k, &pw.pack, pw.n, pw.nr, Some(&pw.scales), bias, act, c);
-}
-
-/// Scalar-oracle entry for [`gemm_i8_act_fused`].
-pub fn gemm_i8_act_ref(
-    a: &[u16],
-    m: usize,
-    k: usize,
-    pw: &PackedWeightI8,
-    bias: Option<&[f32]>,
-    act: Activation,
-    c: &mut [u16],
 ) {
     assert_eq!(k, pw.k, "i8 pack k mismatch");
     gemm_quant_ref(a, m, k, &pw.pack, pw.n, pw.nr, Some(&pw.scales), bias, act, c);
@@ -719,62 +611,6 @@ mod tests {
             // the k-term accumulation.
             let tol = crate::bf16::BF16_EPS * (k as f32).sqrt() * 4.0;
             assert!((got - want).abs() <= tol.max(1e-3), "{got} vs {want}");
-        }
-    }
-
-    #[test]
-    fn bf16_act_kernels_match_oracle_bitwise() {
-        // Same zero-ulp contract as the f32-activation kernels, with both
-        // the A stream and the C store held as BF16 words.
-        for &(m, k, n) in &[
-            (1usize, 16usize, 16usize),
-            (6, 32, 32),
-            (7, 40, 48),
-            (13, 64, 64),
-            (72, 30, 100),
-            (5, 8, 8),
-        ] {
-            let a = crate::bf16::f32_slice_to_bf16(randn(&[m, k], 41).data());
-            let w = randn(&[n, k], 42);
-            let bias = randn(&[n], 43);
-            let bf = PackedWeightBf16::pack(&w).unwrap();
-            let i8p = PackedWeightI8::pack(&w).unwrap();
-            for act in [Activation::Identity, Activation::Relu, Activation::Gelu] {
-                let mut c_vec = vec![0u16; m * n];
-                let mut c_ref = vec![u16::MAX; m * n];
-                gemm_bf16_act_fused(&a, m, k, &bf, Some(bias.data()), act, &mut c_vec);
-                gemm_bf16_act_ref(&a, m, k, &bf, Some(bias.data()), act, &mut c_ref);
-                assert_eq!(c_vec, c_ref, "bf16-act m={m} k={k} n={n} {act:?}");
-                let mut c_vec = vec![0u16; m * n];
-                let mut c_ref = vec![u16::MAX; m * n];
-                gemm_i8_act_fused(&a, m, k, &i8p, Some(bias.data()), act, &mut c_vec);
-                gemm_i8_act_ref(&a, m, k, &i8p, Some(bias.data()), act, &mut c_ref);
-                assert_eq!(c_vec, c_ref, "i8-act m={m} k={k} n={n} {act:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn bf16_act_gemm_is_narrowed_f32_act_gemm() {
-        // Widening BF16 words is exact, so streaming the words directly must
-        // give bit-identically the narrowed result of running the f32-A
-        // kernel on the widened copy — the no-f32-materialization claim.
-        for &(m, k, n) in &[(6usize, 32usize, 32usize), (7, 40, 48), (13, 64, 64)] {
-            let a_words = crate::bf16::f32_slice_to_bf16(randn(&[m, k], 51).data());
-            let mut a_wide = vec![0.0f32; m * k];
-            crate::bf16::bf16_slice_to_f32(&a_words, &mut a_wide);
-            let w = randn(&[n, k], 52);
-            let bias = randn(&[n], 53);
-            let bf = PackedWeightBf16::pack(&w).unwrap();
-            for act in [Activation::Identity, Activation::Gelu] {
-                let mut c_f32 = vec![0.0f32; m * n];
-                gemm_bf16_fused(&a_wide, m, k, &bf, Some(bias.data()), act, &mut c_f32);
-                let mut c_words = vec![0u16; m * n];
-                gemm_bf16_act_fused(&a_words, m, k, &bf, Some(bias.data()), act, &mut c_words);
-                for (got, &full) in c_words.iter().zip(&c_f32) {
-                    assert_eq!(*got, f32_to_bf16(full), "m={m} k={k} n={n} {act:?}");
-                }
-            }
         }
     }
 

@@ -6,13 +6,14 @@
 # Then run the inference bench (tape vs tape-free forward, whole-sample,
 # 2x2 tiled, and reduced-precision sessions) into BENCH_inference.json,
 # and the serving bench (open-loop load, microbatched vs unbatched, plus
-# f32/bf16/int8 default-precision cells and the bf16-activation cell at
-# c=16) into BENCH_serving.json.
+# f32/bf16/int8 default-precision cells at c=16) into BENCH_serving.json.
 #
-# Snapshots are deduped by revision: re-running on the same commit replaces
-# that commit's record instead of appending a duplicate, so each BENCH file
-# holds at most one snapshot per revision and scripts/bench_check.sh always
-# compares distinct revisions.
+# Snapshots are labelled with the tree that was benchmarked (`git describe
+# --always --dirty`: the commit, plus `-dirty` when uncommitted changes were
+# measured) and deduped by that label: re-running on the same tree replaces
+# its record instead of appending a duplicate, so each BENCH file holds at
+# most one snapshot per revision and scripts/bench_check.sh always compares
+# distinct revisions.
 #
 # Usage: scripts/bench_smoke.sh [extra cargo-bench args]
 set -euo pipefail
@@ -22,7 +23,7 @@ OUT_JSON="$REPO_ROOT/BENCH_kernels.json"
 INFER_JSON="$REPO_ROOT/BENCH_inference.json"
 SERVE_JSON="$REPO_ROOT/BENCH_serving.json"
 BENCHES=(kernels flash_attention)
-REV="$(git -C "$REPO_ROOT" rev-parse --short HEAD 2>/dev/null || echo unknown)"
+REV="$(git -C "$REPO_ROOT" describe --always --dirty 2>/dev/null || echo unknown)"
 
 run_benches() {
     # Prints one BENCH_JSON payload per benchmark to stdout.
@@ -96,20 +97,6 @@ jq -r '
     | "gemm_precision/\($n)\tf32 \($f[$n]) ns\tbf16 \($b[$n]) ns (\(($f[$n] / $b[$n] * 100 | round) / 100)x)\tint8 \($q[$n]) ns (\(($f[$n] / $q[$n] * 100 | round) / 100)x)"
 ' "$OUT_JSON"
 
-# Activation-precision deltas: the bf16-in/bf16-out kernels vs their f32
-# twins from the SAME pool-enabled run — the memory-bandwidth win of
-# halving the activation stream (the `--activation-precision` flag's
-# kernel-level budget). Each pair shares inputs and weight pack; only the
-# activation storage differs.
-jq -r '
-    .[-1].runs[0].results
-    | (map(select(.bench | test("^(gemm_bf16_act|layer_norm_bf16|softmax_bf16)/")))
-       | map({(.bench): .median_ns}) | add // {}) as $m
-    | ["gemm_bf16_act", "layer_norm_bf16", "softmax_bf16"][] | . as $g
-    | select($m["\($g)/f32"] != null and $m["\($g)/bf16"] != null)
-    | "\($g)\tf32-act \($m["\($g)/f32"]) ns\tbf16-act \($m["\($g)/bf16"]) ns\tspeedup \(($m["\($g)/f32"] / $m["\($g)/bf16"] * 100 | round) / 100)x"
-' "$OUT_JSON"
-
 echo "== bench smoke: tape vs tape-free inference =="
 infer_log="$(cargo bench -p orbit2-bench --bench inference "$@" 2>&1)" || {
     echo "bench inference failed:" >&2
@@ -164,12 +151,9 @@ jq -r '
 
 # Per-precision serving throughput at c=16 (126M model, unbatched): the
 # f32 server vs the reduced-precision default servers under the same load.
-# `serving/bf16-act/c16` is the activation axis: f32 weights, bf16
-# activations (compare against the same run's serving/f32/c16).
 jq -r '
     .[-1].results
     | (map(select(.bench == "serving/f32/c16")) | first) as $f
-    | map(select(.bench == "serving/bf16/c16" or .bench == "serving/int8/c16"
-                 or .bench == "serving/bf16-act/c16"))[]
+    | map(select(.bench == "serving/bf16/c16" or .bench == "serving/int8/c16"))[]
     | "\(.bench)\t\(.rps) req/s (p99 \(.p99_us) us)\tvs f32 \($f.rps) req/s\tspeedup \((.rps / $f.rps * 100 | round) / 100)x"
 ' "$SERVE_JSON"
