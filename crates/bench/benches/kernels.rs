@@ -1,16 +1,19 @@
-//! Substrate kernel benchmarks: blocked matmul, conv2d, Canny + quad-tree
-//! construction (the CPU-side cost the compression model charges for), FFT
-//! and the synthetic field generator.
+//! Substrate kernel benchmarks: the GEMM driver, reference attention,
+//! conv2d, Canny + quad-tree construction (the CPU-side cost the
+//! compression model charges for), FFT and the synthetic field generator.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use orbit2_imaging::quadtree::{QuadTree, QuadTreeParams};
+use orbit2_tensor::attention::naive_attention;
 use orbit2_tensor::bf16::bf16_round_slice;
 use orbit2_tensor::conv::{conv2d, conv2d_grad_input, conv2d_grad_weight, ConvGeom};
 use orbit2_tensor::fused::{
     layer_norm_rows, matmul_bias_act, matmul_bias_act_cached, softmax_rows, Activation,
-    PackedWeight, WeightPrecision,
+    WeightPrecision,
 };
+use orbit2_tensor::qgemm::{gemm_strips_ref, PackedWeight};
 use orbit2_tensor::random::randn;
+use orbit2_tensor::MatLayout;
 use orbit2_tensor::resize::{resize, ResizeMode};
 
 fn bench_matmul(c: &mut Criterion) {
@@ -26,30 +29,37 @@ fn bench_matmul(c: &mut Criterion) {
     group.finish();
 }
 
-/// Fused linear+GELU epilogue vs the unfused GEMM → bias → GELU chain:
-/// the BENCH_kernels.json pair `fused_linear_gelu/N` vs
-/// `unfused_linear_gelu/N` records the epilogue-fusion win.
-/// The reduced-precision packed GEMM at each storage format, via the same
-/// session-resident cached path inference uses: weights packed once up
-/// front (f32 / bf16 / int8 strips), activations f32, f32 accumulate.
-/// `BENCH_kernels.json` rows `gemm_f32/N`, `gemm_bf16/N`, `gemm_i8/N`
-/// record the per-precision throughput the serving `--precision` flag buys.
+/// The GEMM driver at each storage format, via the same session-resident
+/// cached path inference uses: weights packed once up front (f32 / bf16 /
+/// int8 strips), activations f32, f32 accumulate. `BENCH_kernels.json` rows
+/// `gemm_f32/*`, `gemm_bf16/*`, `gemm_int8/*` record the per-precision
+/// throughput the serving `--precision` flag buys — at the 256/512 squares
+/// of the trajectory and at the model's real `m×k×n` linears (126M at 32
+/// tokens, both MLP layers; the 9.5M MLP on a `tiles-field` tile). The f32
+/// group adds the per-call-pack products the tape and attention run: the
+/// per-head `Q K^T` of a 612-token tile (`nt`) and the MLP weight gradient
+/// of a 45-token `train-step` tile (`tn`). `gemm_ref/256` is the scalar
+/// oracle on the `gemm_f32/256` operands: the in-run reference for
+/// same-snapshot ratios.
 fn bench_packed_gemm(c: &mut Criterion) {
+    const SHAPES: [(usize, usize, usize); 5] =
+        [(256, 256, 256), (512, 512, 512), (32, 1024, 4096), (32, 4096, 1024), (1156, 256, 1024)];
     for precision in WeightPrecision::ALL {
         let mut group = c.benchmark_group(format!("gemm_{}", precision.label()));
         group.sample_size(10);
-        for &n in &[256usize, 512] {
-            let x = randn(&[n, n], 31);
-            let w = randn(&[n, n], 32);
+        for &(m, k, n) in &SHAPES {
+            let x = randn(&[m, k], 31);
+            let w = randn(&[n, k], 32);
             let b = randn(&[n], 33);
-            let pack = PackedWeight::pack_at(&w, precision);
+            let pack = PackedWeight::pack(&w, precision);
             // Mirror InferenceSession: the resident tensor is the pack's
-            // dequantized snapshot so fallback paths agree with the kernel.
+            // dequantized snapshot so unpacked readers agree with the kernel.
             let resident = pack
                 .as_ref()
                 .and_then(PackedWeight::dequantized)
                 .unwrap_or_else(|| w.clone());
-            group.bench_with_input(BenchmarkId::from_parameter(n), &n, |bench, _| {
+            let name = if m == k && k == n { format!("{n}") } else { format!("{m}x{k}x{n}") };
+            group.bench_function(BenchmarkId::from_parameter(name), |bench| {
                 bench.iter(|| {
                     matmul_bias_act_cached(
                         &x,
@@ -61,10 +71,39 @@ fn bench_packed_gemm(c: &mut Criterion) {
                 })
             });
         }
+        if precision == WeightPrecision::F32 {
+            let (q, kh) = (randn(&[612, 32], 34), randn(&[612, 32], 35));
+            group.bench_function(BenchmarkId::from_parameter("612x32x612_nt"), |bench| {
+                bench.iter(|| q.matmul_nt(&kh))
+            });
+            let (gz, x) = (randn(&[45, 1024], 36), randn(&[45, 256], 37));
+            group.bench_function(BenchmarkId::from_parameter("1024x45x256_tn"), |bench| {
+                bench.iter(|| gz.matmul_tn(&x))
+            });
+        }
         group.finish();
     }
+
+    let mut group = c.benchmark_group("gemm_ref");
+    group.sample_size(10);
+    let n = 256usize;
+    let (x, w, b) = (randn(&[n, n], 31), randn(&[n, n], 32), randn(&[n], 33));
+    let pack = PackedWeight::pack(&w, WeightPrecision::F32).expect("256 output features pack");
+    let mut out = vec![0.0f32; n * n];
+    group.bench_function(BenchmarkId::from_parameter(n), |bench| {
+        bench.iter(|| {
+            let la = MatLayout::row_major(n);
+            let act = Activation::Identity;
+            gemm_strips_ref(x.data(), la, n, &pack, Some(b.data()), act, &mut out, None);
+            out[0]
+        })
+    });
+    group.finish();
 }
 
+/// Fused linear+GELU epilogue vs the unfused GEMM → bias → GELU chain:
+/// the BENCH_kernels.json pair `fused_linear_gelu/N` vs
+/// `unfused_linear_gelu/N` records the epilogue-fusion win.
 fn bench_fused_linear(c: &mut Criterion) {
     let mut group = c.benchmark_group("fused_linear_gelu");
     group.sample_size(10);
@@ -86,6 +125,23 @@ fn bench_fused_linear(c: &mut Criterion) {
         let b = randn(&[n], 13).into_reshape(vec![1, n]);
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |bench, _| {
             bench.iter(|| x.matmul(&w.transpose2()).add(&b).gelu())
+        });
+    }
+    group.finish();
+}
+
+/// The reference attention (`[S, 64]` single head): the cell a fused
+/// attention op will be compared against.
+fn bench_attention(c: &mut Criterion) {
+    let mut group = c.benchmark_group("attention");
+    group.sample_size(10);
+    for &s in &[256usize, 1024, 4096] {
+        let d = 64usize;
+        let q = randn(&[s, d], 1);
+        let k = randn(&[s, d], 2);
+        let v = randn(&[s, d], 3);
+        group.bench_with_input(BenchmarkId::new("naive", s), &s, |b, _| {
+            b.iter(|| naive_attention(&q, &k, &v))
         });
     }
     group.finish();
@@ -242,6 +298,7 @@ criterion_group!(
     bench_matmul,
     bench_packed_gemm,
     bench_fused_linear,
+    bench_attention,
     bench_layer_norm,
     bench_softmax,
     bench_bf16,

@@ -8,7 +8,7 @@
 //! [`crate::infer::InferenceSession`].
 
 use crate::config::ModelConfig;
-use crate::exec::{linear_rows, split_rows, stack_rows, Exec};
+use crate::exec::{split_rows, stack_rows, Exec};
 use orbit2_autograd::ParamStore;
 use orbit2_tensor::fused::Activation;
 use orbit2_tensor::random::xavier;
@@ -49,7 +49,7 @@ pub fn self_attention<E: Exec>(
     // kernel, no weight transpose materialized).
     let proj = |name: &str| {
         let w = ex.param(&format!("{prefix}.attn.{name}"));
-        linear_rows(ex, x, rows, &w, None, Activation::Identity)
+        ex.linear_act(x, &w, None, Activation::Identity)
     };
     let (q, k, v) = (proj("wq"), proj("wk"), proj("wv"));
     let scale = 1.0 / (dh as f32).sqrt();
@@ -73,10 +73,8 @@ pub fn self_attention<E: Exec>(
     }
     let concat = ex.concat(&heads, 1);
     debug_assert_eq!(ex.shape(&concat)[1], d);
-    linear_rows(
-        ex,
+    ex.linear_act(
         &concat,
-        rows,
         &ex.param(&format!("{prefix}.attn.wo")),
         Some(&ex.param(&format!("{prefix}.attn.bo"))),
         Activation::Identity,
@@ -86,19 +84,15 @@ pub fn self_attention<E: Exec>(
 /// Two-layer GELU MLP over a row stack. The first layer runs GEMM + bias +
 /// GELU as one fused kernel (the tape context additionally stores the
 /// pre-activation for backward; the inference context skips that).
-pub fn mlp<E: Exec>(ex: &E, prefix: &str, x: &E::Value, rows: &[usize]) -> E::Value {
-    let h = linear_rows(
-        ex,
+pub fn mlp<E: Exec>(ex: &E, prefix: &str, x: &E::Value) -> E::Value {
+    let h = ex.linear_act(
         x,
-        rows,
         &ex.param(&format!("{prefix}.mlp.w1")),
         Some(&ex.param(&format!("{prefix}.mlp.b1"))),
         Activation::Gelu,
     );
-    linear_rows(
-        ex,
+    ex.linear_act(
         &h,
-        rows,
         &ex.param(&format!("{prefix}.mlp.w2")),
         Some(&ex.param(&format!("{prefix}.mlp.b2"))),
         Activation::Identity,
@@ -127,7 +121,7 @@ pub fn transformer_block<E: Exec>(
         &ex.param(&format!("{prefix}.ln2.b")),
         1e-5,
     );
-    ex.add(&x, &mlp(ex, prefix, &n2, rows))
+    ex.add(&x, &mlp(ex, prefix, &n2))
 }
 
 /// Register parameters of the cross-attention variable aggregation.
@@ -145,13 +139,11 @@ pub fn init_xattn_params(store: &mut ParamStore, cfg: &ModelConfig, seed: u64) {
 /// representation, effectively collapsing the variable dimension").
 ///
 /// The "attention" is a per-token softmax over the `C` variables, so every
-/// op is row-wise and a row stack of samples runs through unchanged; `rows`
-/// only feeds the linears' branch-parity gate.
+/// op is row-wise and a row stack of samples runs through unchanged.
 pub fn cross_attention_aggregate<E: Exec>(
     ex: &E,
     cfg: &ModelConfig,
     tokens: &[E::Value],
-    rows: &[usize],
 ) -> E::Value {
     assert!(!tokens.is_empty());
     let d = cfg.embed_dim;
@@ -163,7 +155,7 @@ pub fn cross_attention_aggregate<E: Exec>(
     }
     let mean = ex.scale(&sum, 1.0 / c as f32);
     let proj = |x: &E::Value, name: &str| {
-        linear_rows(ex, x, rows, &ex.param(name), None, Activation::Identity)
+        ex.linear_act(x, &ex.param(name), None, Activation::Identity)
     };
     let q = proj(&mean, "xattn.wq");
     let scale = 1.0 / (d as f32).sqrt();
@@ -173,8 +165,7 @@ pub fn cross_attention_aggregate<E: Exec>(
     for t in tokens {
         let k = proj(t, "xattn.wk");
         values.push(proj(t, "xattn.wv"));
-        // Row-wise dot product q·k -> [N, 1] via the ones matvec: n = 1 is
-        // below the packed-GEMM lane width at any row count.
+        // Row-wise dot product q·k -> [N, 1] via the ones matvec.
         scores.push(ex.scale(&ex.matmul(&ex.mul(&q, &k), &ones), scale));
     }
     let probs = ex.softmax_last(&ex.concat(&scores, 1)); // [N, C]
@@ -187,10 +178,8 @@ pub fn cross_attention_aggregate<E: Exec>(
             None => term,
         });
     }
-    linear_rows(
-        ex,
+    ex.linear_act(
         &out.unwrap(),
-        rows,
         &ex.param("xattn.wo"),
         Some(&ex.param("xattn.bo")),
         Activation::Identity,
@@ -292,7 +281,7 @@ mod tests {
         let tokens: Vec<Var<'_>> = (0..5)
             .map(|i| tape.constant(randn(&[8, cfg.embed_dim], 10 + i)))
             .collect();
-        let agg = cross_attention_aggregate(&binder, &cfg, &tokens, &[8]);
+        let agg = cross_attention_aggregate(&binder, &cfg, &tokens);
         assert_eq!(agg.shape(), vec![8, cfg.embed_dim]);
         assert!(agg.value().all_finite());
     }
@@ -308,7 +297,7 @@ mod tests {
         let tokens: Vec<Var<'_>> = (0..3)
             .map(|i| tape.constant(randn(&[4, cfg.embed_dim], 20 + i).mul_scalar((i + 1) as f32)))
             .collect();
-        let agg = cross_attention_aggregate(&binder, &cfg, &tokens, &[4]);
+        let agg = cross_attention_aggregate(&binder, &cfg, &tokens);
         // Plain mean baseline through the same projections.
         let mut sum = tokens[0];
         for t in &tokens[1..] {
@@ -330,7 +319,7 @@ mod tests {
         let tokens: Vec<Var<'_>> = (0..3)
             .map(|i| tape.constant(randn(&[4, cfg.embed_dim], 30 + i)))
             .collect();
-        let loss = cross_attention_aggregate(&binder, &cfg, &tokens, &[4]).square().sum();
+        let loss = cross_attention_aggregate(&binder, &cfg, &tokens).square().sum();
         let grads = tape.backward(loss);
         let gm = binder.grad_map(&grads);
         for name in ["xattn.wq", "xattn.wk", "xattn.wv", "xattn.wo"] {

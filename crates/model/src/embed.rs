@@ -3,7 +3,7 @@
 //! predictions resolution-aware (paper Sec. III-A).
 
 use crate::config::ModelConfig;
-use crate::exec::{linear_rows, Exec};
+use crate::exec::Exec;
 use orbit2_autograd::ParamStore;
 use orbit2_tensor::fused::Activation;
 use orbit2_tensor::random::{randn, xavier};
@@ -124,7 +124,6 @@ pub fn tokenize<E: Exec>(ex: &E, cfg: &ModelConfig, inputs: &[&Tensor]) -> Vec<E
     assert_eq!(shape.len(), 3, "input must be [C, h, w]");
     let (c, h, w) = (shape[0], shape[1], shape[2]);
     assert_eq!(c, cfg.in_channels, "input channels {c} != config {}", cfg.in_channels);
-    let rows = vec![(h / cfg.patch) * (w / cfg.patch); inputs.len()];
     let w_embed = ex.param("embed.w");
     let b_embed = ex.param("embed.b");
     let var_embed = ex.param("embed.var");
@@ -138,8 +137,7 @@ pub fn tokenize<E: Exec>(ex: &E, cfg: &ModelConfig, inputs: &[&Tensor]) -> Vec<E
                 })
                 .collect();
             let patches = ex.constant(Tensor::stack_rows(&patches.iter().collect::<Vec<_>>()));
-            let tok =
-                linear_rows(ex, &patches, &rows, &w_embed, Some(&b_embed), Activation::Identity);
+            let tok = ex.linear_act(&patches, &w_embed, Some(&b_embed), Activation::Identity);
             let ve = ex.slice_axis(&var_embed, 0, ci, 1); // [1, D] broadcasts over rows
             ex.add(&tok, &ve)
         })

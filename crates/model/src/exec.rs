@@ -14,15 +14,17 @@
 //! them), so for identical inputs the two contexts produce bit-identical
 //! outputs — the property `tests/tape_free.rs` locks in.
 //!
-//! The row-stack helpers after the trait ([`split_rows`], [`stack_rows`],
-//! [`linear_rows`]) are how the forwards run a batch of samples folded
-//! into the row axis on either context, using only trait ops.
+//! The row-stack helpers after the trait ([`split_rows`], [`stack_rows`])
+//! are how the forwards run a batch of samples folded into the row axis on
+//! either context, using only trait ops. Row-wise ops — `linear_act` above
+//! all: one GEMM against the shared weight for the whole stack — take the
+//! stack as it is: each output row depends on its input row alone and the
+//! GEMM driver's result does not depend on the row count, bit for bit.
 
 use crate::binder::Binder;
 use orbit2_autograd::Var;
 use orbit2_tensor::conv::ConvGeom;
 use orbit2_tensor::fused::Activation;
-use orbit2_tensor::matmul::packed_eligible;
 use orbit2_tensor::Tensor;
 use std::sync::Arc;
 
@@ -153,37 +155,6 @@ pub fn stack_rows<E: Exec>(ex: &E, parts: Vec<E::Value>) -> E::Value {
         Ok([only]) => only,
         Err(parts) => ex.concat(&parts, 0),
     }
-}
-
-/// Fused linear over a row stack of `rows.len()` samples: ONE GEMM against
-/// the shared weight for the whole stack.
-///
-/// Row-wise kernels compute each output row from its input row alone, so
-/// stacking cannot change values *provided the stacked call takes the same
-/// kernel branch as the per-sample calls would*. The one branch that
-/// depends on the row count is the packed-GEMM threshold
-/// ([`packed_eligible`]); this is the single place that checks it, falling
-/// back to per-sample dispatch on a mismatch (only reachable for
-/// degenerately tiny shapes).
-pub fn linear_rows<E: Exec>(
-    ex: &E,
-    x: &E::Value,
-    rows: &[usize],
-    w: &E::Value,
-    bias: Option<&E::Value>,
-    act: Activation,
-) -> E::Value {
-    let wshape = ex.shape(w);
-    let (n, k) = (wshape[0], wshape[1]);
-    let stacked = packed_eligible(rows.iter().sum(), k, n);
-    if rows.iter().all(|&r| packed_eligible(r, k, n) == stacked) {
-        return ex.linear_act(x, w, bias, act);
-    }
-    let outs = split_rows(ex, x, rows)
-        .iter()
-        .map(|part| ex.linear_act(part, w, bias, act))
-        .collect();
-    stack_rows(ex, outs)
 }
 
 /// The training context: every op records a tape node via [`Var`].

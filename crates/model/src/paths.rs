@@ -9,7 +9,7 @@
 
 use crate::config::ModelConfig;
 use crate::embed::unpatchify_permutation;
-use crate::exec::{linear_rows, split_rows, Exec};
+use crate::exec::{split_rows, Exec};
 use orbit2_autograd::ParamStore;
 use orbit2_tensor::conv::ConvGeom;
 use orbit2_tensor::fused::Activation;
@@ -86,10 +86,8 @@ pub fn decode<E: Exec>(
     let rows = vec![hp * wp; total / (hp * wp)];
     let p = cfg.patch;
     // [B·N, D] -> [B·N, p^2 * hidden]
-    let projected = linear_rows(
-        ex,
+    let projected = ex.linear_act(
         tokens,
-        &rows,
         &ex.param("dec.proj.w"),
         Some(&ex.param("dec.proj.b")),
         Activation::Identity,

@@ -92,10 +92,9 @@ impl ReslimModel {
     ///
     /// **Bit-identity contract**: each returned pair equals what
     /// [`Self::forward`] returns for that input alone on the same context.
-    /// Row-wise kernels compute an output row from its input row alone,
-    /// stacking and splitting are pure data movement in both contexts, and
-    /// the one row-count-dependent kernel branch is gated in
-    /// [`crate::exec::linear_rows`].
+    /// Row-wise kernels compute an output row from its input row alone, at
+    /// any row count, and stacking and splitting are pure data movement in
+    /// both contexts.
     pub fn forward_batch<E: Exec>(
         &self,
         ex: &E,
@@ -116,7 +115,7 @@ impl ReslimModel {
         // Main path, step 1: tokenize each variable.
         let tokens = tokenize(ex, cfg, inputs);
         // Step 2: collapse the variable axis via cross attention.
-        let mut agg = cross_attention_aggregate(ex, cfg, &tokens, &rows);
+        let mut agg = cross_attention_aggregate(ex, cfg, &tokens);
         // Step 4 structure decision happens per sample on the *content*
         // features (before positional offsets, which would register as
         // fake edges).

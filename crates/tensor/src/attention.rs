@@ -1,32 +1,13 @@
-//! Attention kernels: a reference quadratic implementation and a
-//! Flash-Attention-style cache-blocked kernel with online softmax.
+//! The reference scaled-dot-product attention.
 //!
 //! The paper uses Flash Attention to map the innermost level of its
 //! parallelism hierarchy onto GPU streaming multiprocessors (Sec. III-C/D).
-//! On CPU the same algorithm trades a materialized `[S, S]` score matrix for
-//! a streaming pass over KV blocks, keeping the working set inside L1/L2 —
-//! the `kernels` bench shows the memory-traffic win, and a property test
-//! proves numerical equivalence to the naive kernel.
+//! This crate holds the quadratic reference only: the model composes
+//! attention from `Exec` ops (`blocks::self_attention`), and a fused
+//! attention op is to be checked against [`naive_attention`] (DESIGN.md,
+//! "Tried and removed", has the streaming-softmax kernel's numbers).
 
-use crate::pool::{self, Buffer};
-use crate::simd;
 use crate::tensor::Tensor;
-use rayon::prelude::*;
-
-/// Block sizes for the cache-blocked kernel.
-#[derive(Debug, Clone, Copy)]
-pub struct AttentionConfig {
-    /// Rows of Q processed per block (Br).
-    pub block_q: usize,
-    /// Rows of K/V streamed per block (Bc).
-    pub block_kv: usize,
-}
-
-impl Default for AttentionConfig {
-    fn default() -> Self {
-        Self { block_q: 64, block_kv: 64 }
-    }
-}
 
 /// Reference scaled-dot-product attention.
 ///
@@ -43,90 +24,6 @@ pub fn naive_attention(q: &Tensor, k: &Tensor, v: &Tensor) -> Tensor {
     scores.softmax_last().matmul(v)
 }
 
-/// Flash-Attention-style attention: streaming softmax over KV blocks.
-///
-/// Numerically equivalent to [`naive_attention`] (up to float reassociation)
-/// but never materializes the score matrix: memory is O(S·D + Br·Bc).
-pub fn flash_attention(q: &Tensor, k: &Tensor, v: &Tensor, cfg: AttentionConfig) -> Tensor {
-    assert_eq!(q.ndim(), 2);
-    let (sq, d) = (q.shape()[0], q.shape()[1]);
-    let sk = k.shape()[0];
-    assert_eq!(k.shape()[1], d);
-    assert_eq!(v.shape(), &[sk, d]);
-    let scale = 1.0 / (d as f32).sqrt();
-    let qd = q.data();
-    let kd = k.data();
-    let vd = v.data();
-    let br = cfg.block_q.max(1);
-    let bc = cfg.block_kv.max(1);
-
-    let mut out = pool::alloc_zeroed(sq * d);
-    out.par_chunks_mut(br * d).enumerate().for_each(|(qb, o_block)| {
-        let q0 = qb * br;
-        let rows = o_block.len() / d;
-        // Per-row running max and normalizer for the online softmax. These
-        // `Buffer`s come from (and recycle into) the worker thread's pool, so
-        // repeated calls on the persistent rayon workers allocate nothing.
-        let mut m = Buffer::filled(rows, f32::NEG_INFINITY);
-        let mut l = Buffer::zeroed(rows);
-        // Scratch score block, reused across KV blocks.
-        let mut s = Buffer::zeroed(rows * bc);
-        for k0 in (0..sk).step_by(bc) {
-            let kc = bc.min(sk - k0);
-            // S = Q_block * K_block^T * scale — one SIMD dot per (q, k) pair.
-            for i in 0..rows {
-                let q_row = &qd[(q0 + i) * d..(q0 + i + 1) * d];
-                for j in 0..kc {
-                    let k_row = &kd[(k0 + j) * d..(k0 + j + 1) * d];
-                    s[i * bc + j] = simd::dot(q_row, k_row) * scale;
-                }
-            }
-            // Online softmax rescale + accumulate O += P * V_block.
-            for i in 0..rows {
-                let row_scores = &s[i * bc..i * bc + kc];
-                let block_max = simd::max_value(row_scores);
-                let new_m = m[i].max(block_max);
-                let correction = (m[i] - new_m).exp();
-                let o_row = &mut o_block[i * d..(i + 1) * d];
-                if correction != 1.0 {
-                    simd::scale(o_row, correction);
-                }
-                let mut block_l = 0.0f32;
-                for j in 0..kc {
-                    let p = (row_scores[j] - new_m).exp();
-                    block_l += p;
-                    let v_row = &vd[(k0 + j) * d..(k0 + j + 1) * d];
-                    simd::axpy(o_row, p, v_row);
-                }
-                l[i] = l[i] * correction + block_l;
-                m[i] = new_m;
-            }
-        }
-        // Final normalization.
-        for i in 0..rows {
-            simd::scale(&mut o_block[i * d..(i + 1) * d], 1.0 / l[i]);
-        }
-    });
-    Tensor::from_vec(vec![sq, d], out)
-}
-
-/// Multi-head convenience: `q, k, v` are `[H, S, D]`; heads run in parallel.
-pub fn multi_head_flash(q: &Tensor, k: &Tensor, v: &Tensor, cfg: AttentionConfig) -> Tensor {
-    assert_eq!(q.ndim(), 3);
-    let (heads, s, d) = (q.shape()[0], q.shape()[1], q.shape()[2]);
-    let outs: Vec<Tensor> = (0..heads)
-        .into_par_iter()
-        .map(|h| {
-            let qh = q.slice_axis(0, h, 1).reshape(vec![s, d]);
-            let kh = k.slice_axis(0, h, 1).reshape(vec![k.shape()[1], d]);
-            let vh = v.slice_axis(0, h, 1).reshape(vec![v.shape()[1], d]);
-            flash_attention(&qh, &kh, &vh, cfg)
-        })
-        .collect();
-    let refs: Vec<&Tensor> = outs.iter().collect();
-    Tensor::concat(&refs, 0).into_reshape(vec![heads, s, d])
-}
-
 /// FLOP count of one scaled-dot-product attention over `s` tokens of width
 /// `d` (forward only): `2*s^2*d` for QK^T plus `2*s^2*d` for PV.
 pub fn attention_flops(s: usize, d: usize) -> u64 {
@@ -139,38 +36,12 @@ mod tests {
     use crate::random::randn;
 
     #[test]
-    fn flash_matches_naive() {
-        let q = randn(&[37, 16], 1);
-        let k = randn(&[37, 16], 2);
-        let v = randn(&[37, 16], 3);
-        let a = naive_attention(&q, &k, &v);
-        let b = flash_attention(&q, &k, &v, AttentionConfig { block_q: 8, block_kv: 8 });
-        assert!(a.max_abs_diff(&b) < 1e-4, "diff {}", a.max_abs_diff(&b));
-    }
-
-    #[test]
-    fn flash_matches_naive_uneven_blocks() {
-        // Sequence length not divisible by either block size.
-        let q = randn(&[53, 8], 4);
-        let k = randn(&[53, 8], 5);
-        let v = randn(&[53, 8], 6);
-        let a = naive_attention(&q, &k, &v);
-        for &(bq, bk) in &[(7usize, 11usize), (64, 64), (1, 1), (53, 5)] {
-            let b = flash_attention(&q, &k, &v, AttentionConfig { block_q: bq, block_kv: bk });
-            assert!(a.max_abs_diff(&b) < 1e-4, "blocks ({bq},{bk})");
-        }
-    }
-
-    #[test]
     fn cross_attention_different_kv_length() {
         // Q has 10 tokens, KV has 23 (variable-aggregation cross attention).
         let q = randn(&[10, 8], 7);
         let k = randn(&[23, 8], 8);
         let v = randn(&[23, 8], 9);
-        let a = naive_attention(&q, &k, &v);
-        let b = flash_attention(&q, &k, &v, AttentionConfig::default());
-        assert_eq!(a.shape(), &[10, 8]);
-        assert!(a.max_abs_diff(&b) < 1e-4);
+        assert_eq!(naive_attention(&q, &k, &v).shape(), &[10, 8]);
     }
 
     #[test]
@@ -194,21 +65,6 @@ mod tests {
         for r in 0..3 {
             let row = o.slice_axis(0, r, 1).reshape(vec![4]);
             row.assert_close(&vmean, 1e-5);
-        }
-    }
-
-    #[test]
-    fn multi_head_matches_per_head() {
-        let q = randn(&[2, 9, 8], 20);
-        let k = randn(&[2, 9, 8], 21);
-        let v = randn(&[2, 9, 8], 22);
-        let mh = multi_head_flash(&q, &k, &v, AttentionConfig::default());
-        for h in 0..2 {
-            let qh = q.slice_axis(0, h, 1).reshape(vec![9, 8]);
-            let kh = k.slice_axis(0, h, 1).reshape(vec![9, 8]);
-            let vh = v.slice_axis(0, h, 1).reshape(vec![9, 8]);
-            let expect = naive_attention(&qh, &kh, &vh);
-            mh.slice_axis(0, h, 1).reshape(vec![9, 8]).assert_close(&expect, 1e-4);
         }
     }
 

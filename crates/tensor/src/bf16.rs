@@ -10,8 +10,8 @@
 //!   trainer, where every value immediately re-enters f32 arithmetic.
 //! * **Storage** ([`f32_to_bf16`], [`bf16_to_f32`]): real 16-bit words (the
 //!   high half of the rounded f32 bit pattern), halving the bytes a weight
-//!   stream moves. The reduced-precision GEMM ([`crate::qgemm`]) keeps
-//!   resident weight packs in this form. Round-tripping storage is
+//!   stream moves. The GEMM driver ([`crate::qgemm`]) keeps resident
+//!   bf16 weight packs in this form. Round-tripping storage is
 //!   bit-identical to [`bf16_round`] for every finite and infinite value;
 //!   NaNs keep their class but not their payload (a 16-bit word cannot hold
 //!   payload bits that live in the low mantissa half, so the quiet bit is

@@ -26,8 +26,8 @@
 //! bit-identical across thread counts, and a batched call equals its
 //! per-sample calls (summed, for the weight gradient).
 //!
-//! [`conv2d_ref`] is the scalar oracle (as `matmul_slices` is for GEMM). It
-//! — and the matching scalar gradient loops — also run when
+//! [`conv2d_ref`] is the scalar oracle (what [`crate::qgemm::gemm_strips_ref`]
+//! is for GEMM). It — and the matching scalar gradient loops — also run when
 //! `ORBIT2_DISABLE_SIMD=1` and for `stride != 1`: a strided window has no
 //! contiguous shifted row to load, and no caller outside tests strides.
 

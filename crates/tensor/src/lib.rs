@@ -5,13 +5,14 @@
 //! this crate provides the equivalent primitives in safe Rust:
 //!
 //! * dense row-major [`Tensor`]s of `f32` with NumPy-style broadcasting,
-//! * rayon-parallel blocked [`matmul`](Tensor::matmul) and batched matmul,
+//! * one register-blocked GEMM driver ([`qgemm`]) behind every matrix
+//!   product — [`matmul`](Tensor::matmul) and its adjoints, batched matmul,
+//!   the fused linear layer — over f32, BF16 or int8 weight strips,
 //! * direct register-blocked `conv2d` and its two gradients, no unfolded
 //!   column matrix (the residual path of Reslim is convolutional),
 //! * bilinear / nearest resize and area-average downsampling (the
 //!   upsample-first baseline ViT and the synthetic data pipeline),
-//! * naive and Flash-Attention-style cache-blocked attention kernels
-//!   ([`attention`]),
+//! * the reference scaled-dot-product attention ([`attention`]),
 //! * BF16 emulation ([`bf16`]) used by the mixed-precision trainer.
 //!
 //! Design follows the HPC-parallel guides for this repo: flat, contiguous
@@ -19,9 +20,9 @@
 //! a thread-local buffer pool so hot loops allocate nothing in steady
 //! state, `rayon` parallel iterators over row blocks, and deterministic
 //! seeded randomness. See `DESIGN.md` ("Memory model") for the ownership
-//! rules and §"Compute model" for the packed GEMM / fused-kernel layer.
+//! rules and §"Compute model" for the GEMM driver / fused-kernel layer.
 //!
-//! The kernel layer ([`simd`], [`matmul`], [`fused`], [`conv`]) is written entirely in
+//! The kernel layer ([`simd`], [`qgemm`], [`fused`], [`conv`]) is written entirely in
 //! safe Rust — explicit lane-array vectors instead of intrinsics — so the
 //! crate forbids `unsafe` outright.
 
@@ -41,17 +42,17 @@ pub mod shape;
 pub mod simd;
 pub mod tensor;
 
-pub use attention::{flash_attention, naive_attention, AttentionConfig};
+pub use attention::naive_attention;
 pub use bf16::{bf16_round, bf16_to_f32, f32_to_bf16, Bf16Mode};
-pub use fused::{matmul_bias_act, Activation, PackedWeight, WeightPrecision};
-pub use qgemm::{PackedWeightBf16, PackedWeightI8};
+pub use fused::{matmul_bias_act, Activation, WeightPrecision};
 pub use matmul::MatLayout;
 pub use pool::{Buffer, PoolStats};
+pub use qgemm::PackedWeight;
 pub use shape::{broadcast_shapes, strides_for, Shape, ShapeHandle};
 pub use tensor::Tensor;
 
 /// Convenience prelude for downstream crates.
 pub mod prelude {
-    pub use crate::attention::{flash_attention, naive_attention};
+    pub use crate::attention::naive_attention;
     pub use crate::tensor::Tensor;
 }

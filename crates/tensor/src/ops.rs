@@ -12,6 +12,34 @@ use rayon::prelude::*;
 /// Below this element count, elementwise kernels stay sequential.
 const PAR_THRESHOLD: usize = 1 << 15;
 
+/// Materialize the strided `rows x cols` view `src[i * rs + j * cs]` as a
+/// row-major matrix in `out` (a transpose is `rs = 1`).
+///
+/// Blocked: each 32x32 tile stays in L1 while being rotated, and the inner
+/// loop walks the *output* row so stores are unit-stride (the strided access
+/// lands on the read side, which caches better than scattered writes).
+pub(crate) fn gather_strided(
+    src: &[f32],
+    rs: usize,
+    cs: usize,
+    rows: usize,
+    cols: usize,
+    out: &mut [f32],
+) {
+    const B: usize = 32;
+    for j0 in (0..cols).step_by(B) {
+        let jmax = (j0 + B).min(cols);
+        for i0 in (0..rows).step_by(B) {
+            for i in i0..(i0 + B).min(rows) {
+                let dst = &mut out[i * cols + j0..i * cols + jmax];
+                for (d, j) in dst.iter_mut().zip(j0..jmax) {
+                    *d = src[i * rs + j * cs];
+                }
+            }
+        }
+    }
+}
+
 fn binary_broadcast(a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32 + Sync + Send) -> Tensor {
     if a.shape() == b.shape() {
         // Fast path: aligned linear scan into a pooled buffer, reusing the
@@ -290,24 +318,8 @@ impl Tensor {
     pub fn transpose2(&self) -> Tensor {
         assert_eq!(self.ndim(), 2, "transpose2 requires 2-d, got {:?}", self.shape());
         let (r, c) = (self.shape()[0], self.shape()[1]);
-        let src = self.data();
         let mut out = pool::alloc_uninit(r * c);
-        // Blocked transpose: each 32x32 tile stays in L1 while being
-        // rotated, and the inner loop walks the *output* row so stores are
-        // unit-stride (the strided access lands on the read side, which
-        // caches better than scattered writes).
-        const B: usize = 32;
-        for i0 in (0..r).step_by(B) {
-            let imax = (i0 + B).min(r);
-            for j0 in (0..c).step_by(B) {
-                for j in j0..(j0 + B).min(c) {
-                    let dst = &mut out[j * r + i0..j * r + imax];
-                    for (d, i) in dst.iter_mut().zip(i0..imax) {
-                        *d = src[i * c + j];
-                    }
-                }
-            }
-        }
+        gather_strided(self.data(), 1, c, c, r, &mut out);
         Tensor::from_vec(vec![c, r], out)
     }
 

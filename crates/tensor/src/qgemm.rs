@@ -1,50 +1,96 @@
-//! Reduced-precision resident-weight GEMM: bf16 and per-channel int8 packs.
+//! The GEMM driver: every matrix product in the crate runs here.
 //!
-//! The f32 packed GEMM ([`crate::matmul`]) re-reads a full-width weight pack
-//! on every forward. For inference sessions the weights never change, so
-//! this module keeps them resident in *narrow* storage — [`PackedWeightBf16`]
-//! as `u16` BF16 words (half the bytes), [`PackedWeightI8`] as symmetric
-//! per-output-channel `i8` codes with one `f32` scale per column (a quarter
-//! of the bytes) — and widens them to f32 on the fly. Activations (the A
-//! stream and the C store) and accumulation are always f32; the kernel is
-//! generic over the weight code only.
+//! `C = act(scale ⊙ (op(A) · op(B)) + bias)` for f32 activations against an
+//! `op(B)` stored as f32, BF16 words or per-channel int8 codes. Precision is
+//! a property of the stored data ([`QWeight`]), not of the algorithm: one
+//! pack format, one register-blocked kernel, one loop nest, one oracle.
 //!
-//! ## Kernel shape
+//! ## Pack format
 //!
-//! Unlike the 6×16 f32 microkernel (sized for AVX2 `ymm`), the quantized
-//! kernel blocks 6 rows × `W`×16 columns with `W ∈ {1, 2, 4}` — up to 24
-//! [`F32x16`] accumulators held in AVX-512 `zmm` registers. Each weight
-//! strip (`nr = 16·W` columns, k-major) is widened **once** into a pooled
-//! f32 scratch and then re-read by every row panel, so the widen cost is
-//! amortized `m / 6` times while the resident pack itself streams at its
-//! narrow width. The activation matrix is read in place (row-major, no
-//! `pack_a` pass), and the store is an overwrite (no C pre-zeroing or
-//! read-add) with the scale/bias/activation epilogue applied at store time.
+//! `op(B)` (`k × n`) is cut into strips of `nr = 16·W` columns
+//! (`W ∈ {1, 2, 4}`, [`choose_nr`]), each strip stored k-major
+//! (`strip[p·nr + c]`), ragged columns zero-padded. [`pack_strips`] builds
+//! strips from any [`MatLayout`], so `W^T` of a `[n, k]` linear weight, a
+//! row-major `B` and a `B^T` all pack straight from their storage. A
+//! [`PackedWeight`] keeps strips resident across calls at one of three
+//! storage widths; [`gemm_per_call`] packs f32 strips into pooled scratch
+//! for one product (the tape's forward and backward, attention).
+//!
+//! ## Kernel
+//!
+//! [`micro`] blocks [`QMR`] rows × `W` [`F32x16`] columns — up to 24
+//! accumulators that stay in registers across the whole k loop. A is read
+//! in place, row by row (a column-contiguous A — the `A^T g` weight
+//! gradient — is transposed once into pooled scratch, the price an A-pack
+//! would charge every call). There is no k blocking: a strip is streamed
+//! once per row panel and each C tile is written exactly once, so the store
+//! overwrites C (no pre-zeroing, no read-add) and the scale / bias /
+//! activation epilogue — plus the pre-activation the tape keeps for `act'` —
+//! runs at store time on values still in registers. Narrow codes are
+//! widened **once** per strip per worker into pooled f32 scratch and re-read
+//! by every row panel; an f32 strip is borrowed as it is.
 //!
 //! ## Determinism and the scalar oracle
 //!
 //! Per output element the accumulation is a single k-ordered FMA chain in
-//! both the vector kernel and the scalar oracle ([`gemm_bf16_ref`],
-//! [`gemm_i8_ref`]) — the same multiplies in the same order through
-//! [`simd::fma`] — so the two paths are **bit-identical**, not merely close.
-//! Under `ORBIT2_DISABLE_SIMD=1` the public entry points dispatch to the
-//! oracle, which therefore serves as both the escape hatch and the property
-//! -test reference.
+//! both the vector kernel and the scalar oracle ([`gemm_strips_ref`]) — the
+//! same multiplies in the same order through [`simd::fma`], the same
+//! [`Epilogue::pre`] — so the two are **bit-identical** for every code, not
+//! merely close. Which of them runs (the oracle under
+//! `ORBIT2_DISABLE_SIMD=1`) therefore never shows in the bits, and neither
+//! does the row count: stacking samples along the row axis cannot change a
+//! row's result. There is no small-shape route to the oracle: down to
+//! `n = 3` the kernel on a zero-padded strip is the faster of the two.
 
 use crate::bf16::{bf16_to_f32, f32_to_bf16};
-use crate::fused::Activation;
-use crate::pool;
+use crate::fused::{Activation, WeightPrecision};
+use crate::matmul::MatLayout;
+use crate::ops::gather_strided;
+use crate::pool::{self, Buffer};
 use crate::simd::{self, F32x16, LANES, LANES16};
 use crate::tensor::Tensor;
 use rayon::prelude::*;
 
-/// Rows per register block (matches the f32 microkernel's MR).
-const QMR: usize = 6;
+/// Rows of C per register block.
+pub const QMR: usize = 6;
 
-/// A weight element storable in a narrow pack and widenable to f32.
+/// The widest strip [`choose_nr`] picks: four [`F32x16`] vectors.
+const MAX_NR: usize = 4 * LANES16;
+
+/// Multiply-adds below which a product is not split across workers: about
+/// 0.3 ms of kernel time, where a two-way split of the rows first repays the
+/// fork/join and the second read of every strip.
+const PAR_MIN_MACS: usize = 1 << 24;
+
+/// What one GELU at store time costs, in multiply-adds of the kernel.
+const GELU_MACS: usize = 512;
+
+/// An element of a packed strip: stored narrow or wide, read as f32.
 pub trait QWeight: Copy + Send + Sync + Default {
     /// Exact widening of the stored code to f32.
     fn widen(self) -> f32;
+
+    /// `strip` as f32s for the kernel: narrow codes are widened into
+    /// `scratch` (pooled, allocated on first use); `f32` borrows the strip.
+    fn widened<'a>(strip: &'a [Self], scratch: &'a mut Option<Buffer>) -> &'a [f32] {
+        let buf = scratch.get_or_insert_with(|| Buffer::uninit(strip.len()));
+        for (d, &q) in buf.iter_mut().zip(strip) {
+            *d = q.widen();
+        }
+        buf
+    }
+}
+
+impl QWeight for f32 {
+    #[inline(always)]
+    fn widen(self) -> f32 {
+        self
+    }
+
+    // A copy here costs 1.2-1.5x on the bytes-bound m = 32 products.
+    fn widened<'a>(strip: &'a [f32], _: &'a mut Option<Buffer>) -> &'a [f32] {
+        strip
+    }
 }
 
 impl QWeight for u16 {
@@ -80,194 +126,276 @@ fn choose_nr(n: usize) -> usize {
     best.1
 }
 
-/// Lay `w` (a `[n, k]` weight, PyTorch `[out, in]` convention) into k-major
-/// strips of `nr` columns of `W^T`, quantizing each element through `f(row,
-/// value)`. Ragged columns are zero-padded.
+/// Lay the `k × n` matrix `op(B)` (`b[p·rs + j·cs]`) into k-major strips of
+/// `nr` columns, storing each element through `f(column, value)`. Ragged
+/// columns are zero-padded.
 fn pack_strips<Q: QWeight>(
-    wd: &[f32],
-    n: usize,
+    b: &[f32],
+    lb: MatLayout,
     k: usize,
+    n: usize,
     nr: usize,
-    mut f: impl FnMut(usize, f32) -> Q,
-) -> Vec<Q> {
-    let nstrips = n.div_ceil(nr);
-    let mut pack = vec![Q::default(); nstrips * k * nr];
-    for s in 0..nstrips {
+    out: &mut [Q],
+    f: impl Fn(usize, f32) -> Q,
+) {
+    /// Columns gathered per pass of the column-contiguous walk: one cache
+    /// line of the strip per row, read from `CB` parallel source streams.
+    const CB: usize = 16;
+    debug_assert_eq!(out.len(), n.div_ceil(nr) * k * nr);
+    for s in 0..n.div_ceil(nr) {
         let j0 = s * nr;
         let cols = nr.min(n - j0);
-        let dst = &mut pack[s * k * nr..(s + 1) * k * nr];
-        for p in 0..k {
-            for c in 0..cols {
-                // W^T[p][j0 + c] == w[j0 + c][p].
-                dst[p * nr + c] = f(j0 + c, wd[(j0 + c) * k + p]);
+        let dst = &mut out[s * k * nr..(s + 1) * k * nr];
+        if cols < nr {
+            dst.fill(Q::default());
+        }
+        if lb.cs == 1 {
+            // Rows of op(B) are contiguous: each strip row is one copy.
+            for (p, d) in dst.chunks_exact_mut(nr).enumerate() {
+                let src = &b[p * lb.rs + j0..p * lb.rs + j0 + cols];
+                for (c, (x, &v)) in d.iter_mut().zip(src).enumerate() {
+                    *x = f(j0 + c, v);
+                }
+            }
+            continue;
+        }
+        // Columns of op(B) are contiguous (`W^T` of a `[n, k]` weight,
+        // `B^T`) or nothing is: gather.
+        for c0 in (0..cols).step_by(CB) {
+            let cw = CB.min(cols - c0);
+            for (p, d) in dst.chunks_exact_mut(nr).enumerate() {
+                for (c, x) in d[c0..c0 + cw].iter_mut().enumerate() {
+                    let j = j0 + c0 + c;
+                    *x = f(j, b[p * lb.rs + j * lb.cs]);
+                }
             }
         }
     }
-    pack
 }
 
-/// Shape gate shared by both quantized packs: 2-d with at least one full
-/// f32-kernel lane of output features. Unlike the f32 pack this does **not**
-/// consult [`simd::enabled`] — the quantized *values* must not depend on the
-/// SIMD mode (the scalar oracle consumes the same pack), only the kernel
-/// choice does.
-fn quant_packable(w: &Tensor) -> Option<(usize, usize)> {
-    if w.ndim() != 2 {
-        return None;
-    }
-    let (n, k) = (w.shape()[0], w.shape()[1]);
-    (n >= LANES && k > 0).then_some((n, k))
-}
-
-/// A `[n, k]` linear weight resident as `u16` BF16 strip words.
+/// Strip storage at one of the three code widths.
 #[derive(Debug, Clone)]
-pub struct PackedWeightBf16 {
-    pack: Vec<u16>,
+enum Codes {
+    F32(Vec<f32>),
+    Bf16(Vec<u16>),
+    I8(Vec<i8>),
+}
+
+/// Evaluate `$e` with `$q` bound to the code vector, whatever its width.
+macro_rules! with_codes {
+    ($codes:expr, $q:ident => $e:expr) => {
+        match $codes {
+            Codes::F32($q) => $e,
+            Codes::Bf16($q) => $e,
+            Codes::I8($q) => $e,
+        }
+    };
+}
+
+/// An `op(B)` packed once into strips and kept resident across calls.
+///
+/// [`matmul_bias_act`](crate::fused::matmul_bias_act) re-packs `W^T` on
+/// every invocation. An inference session that replays the same weights
+/// thousands of times pays that cost once by holding a `PackedWeight` per
+/// linear weight and passing it to
+/// [`matmul_bias_act_cached`](crate::fused::matmul_bias_act_cached). The
+/// [`Bf16`](WeightPrecision::Bf16) and [`Int8`](WeightPrecision::Int8)
+/// packs additionally shrink the resident bytes 2×/4×: `u16` BF16 words
+/// (round-to-nearest-even), or symmetric per-output-channel `i8` codes with
+/// one f32 scale per column (`scale = max|w|/127`, codes `round(w/scale)`,
+/// so the reconstruction error is at most `scale/2` per element).
+/// Activations and accumulation are f32 at every width.
+#[derive(Debug, Clone)]
+pub struct PackedWeight {
+    strips: Codes,
+    /// Per-column scales of the int8 codes; `None` at the other widths.
+    scales: Option<Vec<f32>>,
     n: usize,
     k: usize,
     nr: usize,
 }
 
-impl PackedWeightBf16 {
-    /// Pack a `[n, k]` weight, rounding every element to BF16
-    /// (round-to-nearest-even). Returns `None` for shapes the packed
-    /// kernels never run on.
-    pub fn pack(w: &Tensor) -> Option<Self> {
-        let (n, k) = quant_packable(w)?;
-        let nr = choose_nr(n);
-        let pack = pack_strips(w.data(), n, k, nr, |_, v| f32_to_bf16(v));
-        Some(PackedWeightBf16 { pack, n, k, nr })
+impl PackedWeight {
+    /// Pack a `[n, k]` linear weight (PyTorch `[out, in]` convention) at the
+    /// requested precision. Returns `None` for what no session keeps
+    /// resident: not 2-d, fewer than [`LANES`] output features, or no input
+    /// features. The gate reads the shape only — never the SIMD mode,
+    /// because the scalar oracle consumes the same strips — and is the same
+    /// at every precision.
+    pub fn pack(w: &Tensor, precision: WeightPrecision) -> Option<Self> {
+        if w.ndim() != 2 {
+            return None;
+        }
+        let (n, k) = (w.shape()[0], w.shape()[1]);
+        (n >= LANES && k > 0)
+            .then(|| Self::from_layout(w.data(), MatLayout::transposed(k), k, n, precision))
     }
 
-    /// Output features.
+    /// Pack any `k × n` `op(B)` (element `(p, j)` at `b[p·rs + j·cs]`) at
+    /// the requested precision, with no shape gate.
+    pub fn from_layout(
+        b: &[f32],
+        lb: MatLayout,
+        k: usize,
+        n: usize,
+        precision: WeightPrecision,
+    ) -> Self {
+        let nr = choose_nr(n);
+        let len = n.div_ceil(nr) * k * nr;
+        let mut scales = None;
+        let strips = match precision {
+            WeightPrecision::F32 => {
+                let mut q = vec![0.0f32; len];
+                pack_strips(b, lb, k, n, nr, &mut q, |_, v| v);
+                Codes::F32(q)
+            }
+            WeightPrecision::Bf16 => {
+                let mut q = vec![0u16; len];
+                pack_strips(b, lb, k, n, nr, &mut q, |_, v| f32_to_bf16(v));
+                Codes::Bf16(q)
+            }
+            WeightPrecision::Int8 => {
+                let sc: Vec<f32> = (0..n)
+                    .map(|j| {
+                        let col = (0..k).map(|p| b[p * lb.rs + j * lb.cs].abs());
+                        col.fold(0.0f32, f32::max) / 127.0
+                    })
+                    .collect();
+                let mut q = vec![0i8; len];
+                pack_strips(b, lb, k, n, nr, &mut q, |j, v| {
+                    let s = sc[j];
+                    if s == 0.0 {
+                        0
+                    } else {
+                        (v / s).round().clamp(-127.0, 127.0) as i8
+                    }
+                });
+                scales = Some(sc);
+                Codes::I8(q)
+            }
+        };
+        PackedWeight { strips, scales, n, k, nr }
+    }
+
+    /// The storage precision of this pack.
+    pub fn precision(&self) -> WeightPrecision {
+        match self.strips {
+            Codes::F32(_) => WeightPrecision::F32,
+            Codes::Bf16(_) => WeightPrecision::Bf16,
+            Codes::I8(_) => WeightPrecision::Int8,
+        }
+    }
+
+    /// Output features (columns of `op(B)`).
     pub fn n(&self) -> usize {
         self.n
     }
 
-    /// Input features.
+    /// Input features (rows of `op(B)`).
     pub fn k(&self) -> usize {
         self.k
     }
 
-    /// Pack size in stored words.
+    /// Pack size in stored codes (padding included, scales excluded).
     pub fn len(&self) -> usize {
-        self.pack.len()
+        with_codes!(&self.strips, q => q.len())
     }
 
-    /// True when the pack holds no elements.
+    /// True when the pack holds no codes.
     pub fn is_empty(&self) -> bool {
-        self.pack.is_empty()
+        self.len() == 0
     }
 
-    /// The widened `[n, k]` weight the pack represents — bit-identical to
-    /// `w.to_bf16()` of the original. Fallback (unpacked) matmuls in a bf16
-    /// session run on this tensor so every path sees the same values.
-    pub fn dequantized(&self) -> Tensor {
-        let mut out = pool::alloc_uninit(self.n * self.k);
-        for j in 0..self.n {
-            let (s, c) = (j / self.nr, j % self.nr);
-            let strip = &self.pack[s * self.k * self.nr..];
-            for p in 0..self.k {
-                out[j * self.k + p] = strip[p * self.nr + c].widen();
-            }
+    /// Per-column scales of an int8 pack.
+    pub fn scales(&self) -> Option<&[f32]> {
+        self.scales.as_deref()
+    }
+
+    /// The `[n, k]` f32 weight a reduced pack computes with — BF16-rounded
+    /// values (bit-identical to `w.to_bf16()`) or `code × scale` — so that
+    /// whatever else reads the weight (an unpacked shape, a conv, a norm)
+    /// sees what the kernel widens. `None` for f32: the original is exact.
+    pub fn dequantized(&self) -> Option<Tensor> {
+        if let Codes::F32(_) = self.strips {
+            return None;
         }
-        Tensor::from_vec(vec![self.n, self.k], out)
-    }
-}
-
-/// A `[n, k]` linear weight resident as symmetric per-output-channel `i8`
-/// codes plus one f32 scale per channel.
-#[derive(Debug, Clone)]
-pub struct PackedWeightI8 {
-    pack: Vec<i8>,
-    scales: Vec<f32>,
-    n: usize,
-    k: usize,
-    nr: usize,
-}
-
-impl PackedWeightI8 {
-    /// Quantize and pack a `[n, k]` weight. Each output channel (row of
-    /// `w`) gets `scale = max|w|/127` and codes `round(w/scale)`, so the
-    /// per-element reconstruction error is at most `scale/2`. Returns
-    /// `None` for shapes the packed kernels never run on.
-    pub fn pack(w: &Tensor) -> Option<Self> {
-        let (n, k) = quant_packable(w)?;
-        let wd = w.data();
-        let scales: Vec<f32> = (0..n)
-            .map(|j| {
-                let maxabs =
-                    wd[j * k..(j + 1) * k].iter().fold(0.0f32, |m, &v| m.max(v.abs()));
-                maxabs / 127.0
-            })
-            .collect();
-        let nr = choose_nr(n);
-        let pack = pack_strips(wd, n, k, nr, |j, v| {
-            let s = scales[j];
-            if s == 0.0 {
-                0
-            } else {
-                (v / s).round().clamp(-127.0, 127.0) as i8
+        let (n, k, nr) = (self.n, self.k, self.nr);
+        let mut out = pool::alloc_uninit(n * k);
+        with_codes!(&self.strips, q => {
+            for (j, row) in out.chunks_exact_mut(k).enumerate() {
+                let strip = &q[(j / nr) * k * nr + j % nr..];
+                let scale = self.scales.as_ref().map_or(1.0, |s| s[j]);
+                for (p, o) in row.iter_mut().enumerate() {
+                    *o = strip[p * nr].widen() * scale;
+                }
             }
         });
-        Some(PackedWeightI8 { pack, scales, n, k, nr })
+        Some(Tensor::from_vec(vec![n, k], out))
     }
 
-    /// Output features.
-    pub fn n(&self) -> usize {
-        self.n
+    #[allow(clippy::too_many_arguments)] // GEMM plumbing: operands + epilogue + outputs
+    fn run(
+        &self,
+        a: &[f32],
+        la: MatLayout,
+        m: usize,
+        bias: Option<&[f32]>,
+        act: Activation,
+        c: &mut [f32],
+        pre: Option<&mut [f32]>,
+        vector: bool,
+    ) {
+        let ep = Epilogue { scales: self.scales.as_deref(), bias, act };
+        let (n, k, nr) = (self.n, self.k, self.nr);
+        with_codes!(&self.strips, q => {
+            drive(a, la, m, Strips { codes: q, n, k, nr }, ep, c, pre, true, vector)
+        })
     }
+}
 
-    /// Input features.
-    pub fn k(&self) -> usize {
-        self.k
-    }
+/// A borrowed pack: resident ([`PackedWeight`]) or per-call scratch.
+#[derive(Clone, Copy)]
+struct Strips<'a, Q> {
+    codes: &'a [Q],
+    n: usize,
+    k: usize,
+    nr: usize,
+}
 
-    /// Pack size in stored codes (scales excluded).
-    pub fn len(&self) -> usize {
-        self.pack.len()
-    }
+/// What happens to an accumulator on its way to C.
+#[derive(Clone, Copy)]
+struct Epilogue<'a> {
+    scales: Option<&'a [f32]>,
+    bias: Option<&'a [f32]>,
+    act: Activation,
+}
 
-    /// True when the pack holds no elements.
-    pub fn is_empty(&self) -> bool {
-        self.pack.is_empty()
-    }
-
-    /// Per-output-channel scales.
-    pub fn scales(&self) -> &[f32] {
-        &self.scales
-    }
-
-    /// The reconstructed `[n, k]` weight (`code × scale`). Fallback
-    /// (unpacked) matmuls in an int8 session run on this tensor so every
-    /// path sees the same values.
-    pub fn dequantized(&self) -> Tensor {
-        let mut out = pool::alloc_uninit(self.n * self.k);
-        for j in 0..self.n {
-            let (s, c) = (j / self.nr, j % self.nr);
-            let strip = &self.pack[s * self.k * self.nr..];
-            for p in 0..self.k {
-                out[j * self.k + p] = strip[p * self.nr + c].widen() * self.scales[j];
-            }
+impl Epilogue<'_> {
+    /// The pre-activation of column `j`: scale, then bias — the operation
+    /// order of the vector store, so both round identically.
+    #[inline(always)]
+    fn pre(&self, mut v: f32, j: usize) -> f32 {
+        if let Some(s) = self.scales {
+            v *= s[j];
         }
-        Tensor::from_vec(vec![self.n, self.k], out)
+        if let Some(b) = self.bias {
+            v += b[j];
+        }
+        v
+    }
+
+    /// Turn a run of stored pre-activations into outputs, keeping a copy
+    /// for the tape when it asked for one.
+    #[inline(always)]
+    fn finish(&self, c: &mut [f32], pre: Option<&mut [f32]>) {
+        if let Some(p) = pre {
+            p.copy_from_slice(c);
+        }
+        self.act.apply_in_place(c);
     }
 }
 
-/// Store-time epilogue: per-channel scale, bias, activation — shared by the
-/// vector store and the scalar oracle so both round identically.
-#[inline(always)]
-fn finish(mut v: f32, scale: Option<f32>, bias: Option<f32>, act: Activation) -> f32 {
-    if let Some(s) = scale {
-        v *= s;
-    }
-    if let Some(b) = bias {
-        v += b;
-    }
-    act.apply(v)
-}
-
-/// The register-blocked inner kernel: 6 activation rows against one widened
+/// The register-blocked inner kernel: 6 activation rows against one f32
 /// `16·W`-column strip, k-ordered FMA chains in `6×W` accumulators.
 ///
 /// The six row streams advance through a nested `zip` rather than `row[p]`
@@ -301,219 +429,259 @@ fn micro<const W: usize>(
     }
 }
 
-/// Vectorized quantized GEMM: `c = act(scale ⊙ (a · widen(pack)^T) + bias)`.
-///
-/// `a` is `[m, k]` row-major (read in place), `pack` holds `n` output
-/// columns in `nr`-wide k-major strips, `c` is `[m, n]` overwritten.
-/// Parallel over row chunks; each worker widens each strip once into a
-/// pooled f32 scratch.
-#[allow(clippy::too_many_arguments)] // GEMM plumbing: dims + strips + epilogue
-fn gemm_quant<Q: QWeight, const W: usize>(
+/// The vector loop nest over one chunk of rows: strips → row panels →
+/// [`micro`] → store with the epilogue. `a` is the chunk's first row (rows
+/// `lda` apart), `c` / `pre` its `rows × n` outputs.
+fn kernel<Q: QWeight, const W: usize>(
     a: &[f32],
-    m: usize,
-    k: usize,
-    pack: &[Q],
-    n: usize,
-    scales: Option<&[f32]>,
-    bias: Option<&[f32]>,
-    act: Activation,
+    lda: usize,
+    s: Strips<Q>,
+    ep: Epilogue,
     c: &mut [f32],
+    mut pre: Option<&mut [f32]>,
 ) {
-    let nr = W * LANES16;
-    let nstrips = n.div_ceil(nr);
-    debug_assert_eq!(pack.len(), nstrips * k * nr);
-    if m == 0 {
-        return;
-    }
-    // Row chunks sized so each worker runs the whole strip loop once:
-    // fewer chunks means fewer redundant strip widenings.
-    let chunk_rows = m.div_ceil(rayon::current_num_threads()).div_ceil(QMR) * QMR;
-    c.par_chunks_mut(chunk_rows * n).enumerate().for_each(|(ci, cchunk)| {
-        let r0 = ci * chunk_rows;
-        let rows = cchunk.len() / n;
-        let achunk = &a[r0 * k..(r0 + rows) * k];
-        let mut scratch = pool::alloc_uninit(k * nr);
-        for s in 0..nstrips {
-            let j0 = s * nr;
-            let cols = nr.min(n - j0);
-            let strip = &pack[s * k * nr..(s + 1) * k * nr];
-            for (d, &q) in scratch.iter_mut().zip(strip) {
-                *d = q.widen();
-            }
-            for p in 0..rows.div_ceil(QMR) {
-                let rb = p * QMR;
-                let mr = QMR.min(rows - rb);
-                // Ragged panels replicate the last row into the dead lanes;
-                // their results are computed and discarded.
-                let rowrefs: [&[f32]; QMR] = std::array::from_fn(|i| {
-                    let r = rb + i.min(mr - 1);
-                    &achunk[r * k..r * k + k]
-                });
-                let mut acc = [[F32x16::ZERO; W]; QMR];
-                micro::<W>(&rowrefs, &scratch, k, &mut acc);
-                for (r, accr) in acc.iter().enumerate().take(mr) {
-                    let crow = &mut cchunk[(rb + r) * n + j0..(rb + r) * n + j0 + cols];
-                    for (w, acw) in accr.iter().enumerate() {
-                        let l0 = w * LANES16;
-                        if l0 >= cols {
-                            break;
+    let Strips { codes, n, k, nr } = s;
+    debug_assert_eq!(nr, W * LANES16);
+    let rows = c.len() / n;
+    let mut scratch = None;
+    for si in 0..n.div_ceil(nr) {
+        let j0 = si * nr;
+        let cols = nr.min(n - j0);
+        let bw = Q::widened(&codes[si * k * nr..(si + 1) * k * nr], &mut scratch);
+        for rb in (0..rows).step_by(QMR) {
+            let mr = QMR.min(rows - rb);
+            // Ragged panels replicate the last row into the dead lanes;
+            // their results are computed and discarded.
+            let rowrefs: [&[f32]; QMR] = std::array::from_fn(|i| {
+                let r = rb + i.min(mr - 1);
+                &a[r * lda..r * lda + k]
+            });
+            let mut acc = [[F32x16::ZERO; W]; QMR];
+            micro::<W>(&rowrefs, bw, k, &mut acc);
+            for (r, accr) in acc.iter().enumerate().take(mr) {
+                let at = (rb + r) * n + j0;
+                let crow = &mut c[at..at + cols];
+                // Constant trip counts over `acc` (no zip with the ragged
+                // output): a dynamic index would pin the accumulators to
+                // memory for the whole k loop above.
+                for (w, acw) in accr.iter().enumerate() {
+                    let l0 = w * LANES16;
+                    if l0 >= cols {
+                        break;
+                    }
+                    let dst = &mut crow[l0..cols.min(l0 + LANES16)];
+                    if dst.len() == LANES16 {
+                        // Full lane group: vector scale then bias (mul then
+                        // add, as in `Epilogue::pre`), one vector store.
+                        let mut v = *acw;
+                        if let Some(sc) = ep.scales {
+                            v = v.mul(F32x16::load(&sc[j0 + l0..]));
                         }
-                        let lanes = LANES16.min(cols - l0);
-                        if lanes == LANES16 {
-                            // Full lane group: vector scale then bias (mul
-                            // then add, the same operation order as the
-                            // scalar `finish`, so both round identically)
-                            // and a straight vector store for the identity
-                            // activation.
-                            let mut v = *acw;
-                            if let Some(sc) = scales {
-                                v = v.mul(F32x16::load(&sc[j0 + l0..]));
-                            }
-                            if let Some(b) = bias {
-                                v = v.add(F32x16::load(&b[j0 + l0..]));
-                            }
-                            let dst = &mut crow[l0..l0 + LANES16];
-                            if act == Activation::Identity {
-                                v.store(dst);
-                            } else {
-                                for (cv, &x) in dst.iter_mut().zip(&v.to_array()) {
-                                    *cv = act.apply(x);
-                                }
-                            }
-                        } else {
-                            let vals = acw.to_array();
-                            for (l, cv) in crow[l0..l0 + lanes].iter_mut().enumerate() {
-                                let j = j0 + l0 + l;
-                                *cv = finish(
-                                    vals[l],
-                                    scales.map(|sc| sc[j]),
-                                    bias.map(|b| b[j]),
-                                    act,
-                                );
-                            }
+                        if let Some(b) = ep.bias {
+                            v = v.add(F32x16::load(&b[j0 + l0..]));
+                        }
+                        v.store(dst);
+                    } else {
+                        for (l, (d, &x)) in dst.iter_mut().zip(&acw.to_array()).enumerate() {
+                            *d = ep.pre(x, j0 + l0 + l);
                         }
                     }
                 }
+                ep.finish(crow, pre.as_deref_mut().map(|p| &mut p[at..at + cols]));
             }
         }
-    });
+    }
 }
 
-/// Scalar oracle for the quantized GEMM — bit-identical to [`gemm_quant`]
+/// The scalar oracle over one chunk of rows — bit-identical to [`kernel`]
 /// by construction (same k-ordered [`simd::fma`] chain per element, same
-/// [`finish`] epilogue). Runs for every call under `ORBIT2_DISABLE_SIMD=1`.
-#[allow(clippy::too_many_arguments)] // GEMM plumbing: dims + strips + epilogue
-fn gemm_quant_ref<Q: QWeight>(
+/// [`Epilogue::pre`]). Strip-row-major: for each row of A the inner loop is
+/// a contiguous FMA over one strip row, so it vectorizes and a strip is
+/// streamed once per row rather than once per element.
+fn oracle<Q: QWeight>(
     a: &[f32],
-    m: usize,
-    k: usize,
-    pack: &[Q],
-    n: usize,
-    nr: usize,
-    scales: Option<&[f32]>,
-    bias: Option<&[f32]>,
-    act: Activation,
+    lda: usize,
+    s: Strips<Q>,
+    ep: Epilogue,
     c: &mut [f32],
+    mut pre: Option<&mut [f32]>,
 ) {
-    debug_assert_eq!(c.len(), m * n);
-    c.par_chunks_mut(n).enumerate().for_each(|(i, crow)| {
-        let arow = &a[i * k..(i + 1) * k];
-        for (j, cv) in crow.iter_mut().enumerate() {
-            let strip = &pack[(j / nr) * k * nr..];
-            let off = j % nr;
-            let mut acc = 0.0f32;
-            for (p, &av) in arow.iter().enumerate() {
-                acc = simd::fma(av, strip[p * nr + off].widen(), acc);
+    let Strips { codes, n, k, nr } = s;
+    let mut acc = [0.0f32; MAX_NR];
+    let acc = &mut acc[..nr];
+    for si in 0..n.div_ceil(nr) {
+        let j0 = si * nr;
+        let cols = nr.min(n - j0);
+        let strip = &codes[si * k * nr..(si + 1) * k * nr];
+        for i in 0..c.len() / n {
+            acc.fill(0.0);
+            for (&av, brow) in a[i * lda..i * lda + k].iter().zip(strip.chunks_exact(nr)) {
+                // Indexed on purpose: this loop is most of what the scalar
+                // CI stage executes, unoptimized, where every iterator
+                // adaptor is a call per element.
+                let mut l = 0;
+                while l < nr {
+                    acc[l] = simd::fma(av, brow[l].widen(), acc[l]);
+                    l += 1;
+                }
             }
-            *cv = finish(acc, scales.map(|sc| sc[j]), bias.map(|b| b[j]), act);
+            let at = i * n + j0;
+            let crow = &mut c[at..at + cols];
+            for (l, (cv, &v)) in crow.iter_mut().zip(acc.iter()).enumerate() {
+                *cv = ep.pre(v, j0 + l);
+            }
+            ep.finish(crow, pre.as_deref_mut().map(|p| &mut p[at..at + cols]));
         }
-    });
+    }
 }
 
-#[allow(clippy::too_many_arguments)] // GEMM plumbing: dims + strips + epilogue
-fn dispatch<Q: QWeight>(
+/// The one loop nest's outer level: check the operands, bring A to row
+/// order, split C (and `pre`) into one chunk of rows per worker, and run
+/// each through [`kernel`] or [`oracle`].
+#[allow(clippy::too_many_arguments)] // GEMM plumbing: operands + epilogue + outputs
+fn drive<Q: QWeight>(
     a: &[f32],
+    la: MatLayout,
     m: usize,
-    k: usize,
-    pack: &[Q],
-    n: usize,
-    nr: usize,
-    scales: Option<&[f32]>,
-    bias: Option<&[f32]>,
-    act: Activation,
+    s: Strips<Q>,
+    ep: Epilogue,
     c: &mut [f32],
+    pre: Option<&mut [f32]>,
+    parallel: bool,
+    vector: bool,
 ) {
-    assert_eq!(a.len(), m * k, "activation buffer shape");
+    let Strips { n, k, nr, .. } = s;
     assert_eq!(c.len(), m * n, "output buffer shape");
-    if let Some(b) = bias {
+    if let Some(b) = ep.bias {
         assert_eq!(b.len(), n, "bias length");
     }
-    if !simd::enabled() {
-        return gemm_quant_ref(a, m, k, pack, n, nr, scales, bias, act, c);
+    if let Some(p) = &pre {
+        assert_eq!(p.len(), m * n, "pre-activation buffer shape");
     }
-    match nr / LANES16 {
-        1 => gemm_quant::<Q, 1>(a, m, k, pack, n, scales, bias, act, c),
-        2 => gemm_quant::<Q, 2>(a, m, k, pack, n, scales, bias, act, c),
-        4 => gemm_quant::<Q, 4>(a, m, k, pack, n, scales, bias, act, c),
-        w => unreachable!("unsupported strip width {}", w * LANES16),
+    if m == 0 || n == 0 {
+        return;
+    }
+    // Both kernels read A a row at a time; a column-contiguous A (the
+    // `A^T g` weight gradient) is transposed once, which is what packing A
+    // would cost on every call.
+    let transposed;
+    let (a, lda) = if la.cs == 1 {
+        (a, la.rs)
+    } else {
+        let mut t = Buffer::uninit(m * k);
+        gather_strided(a, la.rs, la.cs, m, k, &mut t);
+        transposed = t;
+        (&transposed[..], k)
+    };
+    assert!(a.len() >= (m - 1) * lda + k, "activation buffer shape");
+
+    // One chunk of rows per worker, so each worker widens each strip once;
+    // a product too small to repay the fork stays on the calling thread.
+    let macs = m * n * (k + if ep.act == Activation::Gelu { GELU_MACS } else { 0 });
+    let chunk_rows = if parallel && m > QMR && macs >= PAR_MIN_MACS {
+        m.div_ceil(rayon::current_num_threads()).div_ceil(QMR) * QMR
+    } else {
+        m
+    };
+    let body = |ci: usize, cc: &mut [f32], pc: Option<&mut [f32]>| {
+        let ac = &a[ci * chunk_rows * lda..];
+        if !vector {
+            return oracle(ac, lda, s, ep, cc, pc);
+        }
+        match nr / LANES16 {
+            1 => kernel::<Q, 1>(ac, lda, s, ep, cc, pc),
+            2 => kernel::<Q, 2>(ac, lda, s, ep, cc, pc),
+            4 => kernel::<Q, 4>(ac, lda, s, ep, cc, pc),
+            w => unreachable!("unsupported strip width {}", w * LANES16),
+        }
+    };
+    let len = chunk_rows * n;
+    if len >= c.len() {
+        return body(0, c, pre);
+    }
+    match pre {
+        Some(p) => c
+            .par_chunks_mut(len)
+            .zip(p.par_chunks_mut(len))
+            .enumerate()
+            .for_each(|(ci, (cc, pc))| body(ci, cc, Some(pc))),
+        None => c.par_chunks_mut(len).enumerate().for_each(|(ci, cc)| body(ci, cc, None)),
     }
 }
 
-/// Fused linear on a resident bf16 pack: `c = act(a · widen(pack)^T + bias)`.
-pub fn gemm_bf16_fused(
+/// `c = act(scale ⊙ (op(A) · strips) + bias)` on the vector kernel,
+/// whatever the shape or SIMD mode. `op(A)` is `m × k` under `la`, `c` is
+/// `[m, n]` row-major and overwritten; `pre`, when given, receives the
+/// pre-activation.
+#[allow(clippy::too_many_arguments)] // GEMM plumbing: operands + epilogue + outputs
+pub fn gemm_strips(
     a: &[f32],
+    la: MatLayout,
     m: usize,
-    k: usize,
-    pw: &PackedWeightBf16,
+    pw: &PackedWeight,
     bias: Option<&[f32]>,
     act: Activation,
     c: &mut [f32],
+    pre: Option<&mut [f32]>,
 ) {
-    assert_eq!(k, pw.k, "bf16 pack k mismatch");
-    dispatch(a, m, k, &pw.pack, pw.n, pw.nr, None, bias, act, c);
+    pw.run(a, la, m, bias, act, c, pre, true);
 }
 
-/// Fused linear on a resident int8 pack:
-/// `c = act(scale ⊙ (a · codes^T) + bias)`.
-pub fn gemm_i8_fused(
+/// [`gemm_strips`] on the scalar oracle: the reference the vector kernel is
+/// property-tested against, bit for bit.
+#[allow(clippy::too_many_arguments)] // GEMM plumbing: operands + epilogue + outputs
+pub fn gemm_strips_ref(
     a: &[f32],
+    la: MatLayout,
     m: usize,
-    k: usize,
-    pw: &PackedWeightI8,
+    pw: &PackedWeight,
     bias: Option<&[f32]>,
     act: Activation,
     c: &mut [f32],
+    pre: Option<&mut [f32]>,
 ) {
-    assert_eq!(k, pw.k, "i8 pack k mismatch");
-    dispatch(a, m, k, &pw.pack, pw.n, pw.nr, Some(&pw.scales), bias, act, c);
+    pw.run(a, la, m, bias, act, c, pre, false);
 }
 
-/// Scalar-oracle entry for the bf16 pack (testing / reference).
-pub fn gemm_bf16_ref(
+/// A row-major `[m, k]` activation against a resident pack (the session's
+/// linear layer).
+pub(crate) fn gemm_resident(
     a: &[f32],
     m: usize,
-    k: usize,
-    pw: &PackedWeightBf16,
+    pw: &PackedWeight,
     bias: Option<&[f32]>,
     act: Activation,
     c: &mut [f32],
 ) {
-    assert_eq!(k, pw.k, "bf16 pack k mismatch");
-    gemm_quant_ref(a, m, k, &pw.pack, pw.n, pw.nr, None, bias, act, c);
+    pw.run(a, MatLayout::row_major(pw.k), m, bias, act, c, None, simd::enabled());
 }
 
-/// Scalar-oracle entry for the int8 pack (testing / reference).
-pub fn gemm_i8_ref(
+/// `op(A) · op(B)` with f32 strips of `op(B)` packed for this one call into
+/// pooled scratch. `parallel = false` keeps the whole product on the calling
+/// thread (for callers that already split the work above it).
+#[allow(clippy::too_many_arguments)] // GEMM plumbing: operands + epilogue + outputs
+pub(crate) fn gemm_per_call(
     a: &[f32],
+    la: MatLayout,
+    b: &[f32],
+    lb: MatLayout,
     m: usize,
     k: usize,
-    pw: &PackedWeightI8,
+    n: usize,
     bias: Option<&[f32]>,
     act: Activation,
     c: &mut [f32],
+    pre: Option<&mut [f32]>,
+    parallel: bool,
 ) {
-    assert_eq!(k, pw.k, "i8 pack k mismatch");
-    gemm_quant_ref(a, m, k, &pw.pack, pw.n, pw.nr, Some(&pw.scales), bias, act, c);
+    if n == 0 {
+        return;
+    }
+    let nr = choose_nr(n);
+    let mut codes = Buffer::uninit(n.div_ceil(nr) * k * nr);
+    pack_strips(b, lb, k, n, nr, &mut codes, |_, v| v);
+    let ep = Epilogue { scales: None, bias, act };
+    drive(a, la, m, Strips { codes: &codes[..], n, k, nr }, ep, c, pre, parallel, simd::enabled());
 }
 
 #[cfg(test)]
@@ -525,8 +693,8 @@ mod tests {
     fn bf16_dequantized_matches_to_bf16_bitwise() {
         for &(n, k) in &[(16usize, 8usize), (48, 33), (64, 64)] {
             let w = randn(&[n, k], 5);
-            let pw = PackedWeightBf16::pack(&w).unwrap();
-            let dq = pw.dequantized();
+            let pw = PackedWeight::pack(&w, WeightPrecision::Bf16).unwrap();
+            let dq = pw.dequantized().unwrap();
             let expect = w.to_bf16();
             assert_eq!(dq.shape(), expect.shape());
             for (a, b) in dq.data().iter().zip(expect.data()) {
@@ -538,10 +706,10 @@ mod tests {
     #[test]
     fn i8_quantization_error_bounded_by_half_scale() {
         let w = randn(&[24, 57], 6);
-        let pw = PackedWeightI8::pack(&w).unwrap();
-        let dq = pw.dequantized();
+        let pw = PackedWeight::pack(&w, WeightPrecision::Int8).unwrap();
+        let dq = pw.dequantized().unwrap();
         for j in 0..24 {
-            let s = pw.scales()[j];
+            let s = pw.scales().unwrap()[j];
             for p in 0..57 {
                 let err = (w.data()[j * 57 + p] - dq.data()[j * 57 + p]).abs();
                 assert!(err <= s * 0.5 + f32::EPSILON, "err {err} vs scale {s}");
@@ -556,15 +724,34 @@ mod tests {
             *v = 0.0;
         }
         let w = Tensor::from_vec(vec![16, 9], w);
-        let pw = PackedWeightI8::pack(&w).unwrap();
-        assert_eq!(pw.scales()[0], 0.0);
-        assert!(pw.dequantized().data()[..9].iter().all(|&v| v == 0.0));
+        let pw = PackedWeight::pack(&w, WeightPrecision::Int8).unwrap();
+        assert_eq!(pw.scales().unwrap()[0], 0.0);
+        assert!(pw.dequantized().unwrap().data()[..9].iter().all(|&v| v == 0.0));
     }
 
     #[test]
-    fn packed_kernels_match_oracle_bitwise() {
+    fn f32_strips_hold_the_weight_unchanged() {
+        // Same strip walk as `dequantized`, which has nothing to return for
+        // f32: column j of W^T must be row j of W, bit for bit.
+        let (n, k) = (37usize, 21usize);
+        let w = randn(&[n, k], 8);
+        let pw = PackedWeight::pack(&w, WeightPrecision::F32).unwrap();
+        assert_eq!(pw.precision(), WeightPrecision::F32);
+        assert!(pw.dequantized().is_none() && pw.scales().is_none());
+        assert_eq!(pw.len(), n.div_ceil(pw.nr) * k * pw.nr);
+        let Codes::F32(q) = &pw.strips else { panic!("f32 pack") };
+        for j in 0..n {
+            for p in 0..k {
+                assert_eq!(q[(j / pw.nr) * k * pw.nr + p * pw.nr + j % pw.nr], w.data()[j * k + p]);
+            }
+        }
+    }
+
+    #[test]
+    fn vector_kernel_matches_oracle_bitwise() {
         // The strongest form of the documented ulp bound: zero ulps. Shapes
-        // cover every strip width and ragged row/column edges.
+        // cover every strip width and ragged row/column edges; the property
+        // test in tests/properties.rs sweeps layouts and the `pre` output.
         for &(m, k, n) in &[
             (1usize, 16usize, 16usize),
             (6, 32, 32),
@@ -576,22 +763,17 @@ mod tests {
             let a = randn(&[m, k], 11);
             let w = randn(&[n, k], 12);
             let bias = randn(&[n], 13);
-            let bf = PackedWeightBf16::pack(&w).unwrap();
-            let i8p = PackedWeightI8::pack(&w).unwrap();
-            for act in [Activation::Identity, Activation::Relu, Activation::Gelu] {
-                let mut c_vec = vec![0.0f32; m * n];
-                let mut c_ref = vec![f32::NAN; m * n];
-                gemm_bf16_fused(a.data(), m, k, &bf, Some(bias.data()), act, &mut c_vec);
-                gemm_bf16_ref(a.data(), m, k, &bf, Some(bias.data()), act, &mut c_ref);
-                for (x, y) in c_vec.iter().zip(&c_ref) {
-                    assert_eq!(x.to_bits(), y.to_bits(), "bf16 m={m} k={k} n={n} {act:?}");
-                }
-                let mut c_vec = vec![0.0f32; m * n];
-                let mut c_ref = vec![f32::NAN; m * n];
-                gemm_i8_fused(a.data(), m, k, &i8p, Some(bias.data()), act, &mut c_vec);
-                gemm_i8_ref(a.data(), m, k, &i8p, Some(bias.data()), act, &mut c_ref);
-                for (x, y) in c_vec.iter().zip(&c_ref) {
-                    assert_eq!(x.to_bits(), y.to_bits(), "i8 m={m} k={k} n={n} {act:?}");
+            for precision in WeightPrecision::ALL {
+                let pw = PackedWeight::pack(&w, precision).unwrap();
+                for act in [Activation::Identity, Activation::Relu, Activation::Gelu] {
+                    let la = MatLayout::row_major(k);
+                    let mut c_vec = vec![0.0f32; m * n];
+                    let mut c_ref = vec![f32::NAN; m * n];
+                    gemm_strips(a.data(), la, m, &pw, Some(bias.data()), act, &mut c_vec, None);
+                    gemm_strips_ref(a.data(), la, m, &pw, Some(bias.data()), act, &mut c_ref, None);
+                    for (x, y) in c_vec.iter().zip(&c_ref) {
+                        assert_eq!(x.to_bits(), y.to_bits(), "{precision:?} m={m} k={k} n={n} {act:?}");
+                    }
                 }
             }
         }
@@ -602,9 +784,9 @@ mod tests {
         let (m, k, n) = (9usize, 65usize, 33usize);
         let a = randn(&[m, k], 21);
         let w = randn(&[n, k], 22);
-        let pw = PackedWeightBf16::pack(&w).unwrap();
+        let pw = PackedWeight::pack(&w, WeightPrecision::Bf16).unwrap();
         let mut c = vec![0.0f32; m * n];
-        gemm_bf16_fused(a.data(), m, k, &pw, None, Activation::Identity, &mut c);
+        gemm_resident(a.data(), m, &pw, None, Activation::Identity, &mut c);
         let expect = a.matmul(&w.transpose2());
         for (got, want) in c.iter().zip(expect.data()) {
             // Weight rounding error ~2^-8 relative per product, amplified by
@@ -616,11 +798,12 @@ mod tests {
 
     #[test]
     fn pack_gates_on_shape_only() {
-        assert!(PackedWeightBf16::pack(&randn(&[4, 16], 31)).is_none());
-        assert!(PackedWeightI8::pack(&randn(&[16], 32)).is_none());
-        // Unlike the f32 pack, SIMD mode does not change packability.
-        assert!(PackedWeightBf16::pack(&randn(&[16, 4], 33)).is_some());
-        assert!(PackedWeightI8::pack(&randn(&[16, 4], 34)).is_some());
+        // One gate for every precision, blind to the SIMD mode.
+        for precision in WeightPrecision::ALL {
+            assert!(PackedWeight::pack(&randn(&[4, 16], 31), precision).is_none());
+            assert!(PackedWeight::pack(&randn(&[16], 32), precision).is_none());
+            assert!(PackedWeight::pack(&randn(&[16, 4], 33), precision).is_some());
+        }
     }
 
     #[test]

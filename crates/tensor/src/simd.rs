@@ -152,8 +152,8 @@ pub const LANES16: usize = 16;
 /// Sixteen `f32` lanes with elementwise arithmetic — one AVX-512 `zmm`
 /// register on targets that have it, a pair of `ymm` ops elsewhere.
 ///
-/// Used by the reduced-precision GEMM microkernel ([`crate::qgemm`]), whose
-/// register blocking is sized around 512-bit accumulators. Note that LLVM's
+/// Used by the GEMM microkernel ([`crate::qgemm`]), whose register
+/// blocking is sized around 512-bit accumulators. Note that LLVM's
 /// `target-cpu=native` tuning on some server parts *prefers* splitting
 /// 512-bit ops into 256-bit pairs; `.cargo/config.toml` disables that
 /// preference so this type actually lowers to `zmm` arithmetic.

@@ -5,18 +5,20 @@
 #
 # Stages (all blocking unless noted):
 #   1. release build of the whole workspace
-#   2. full test suite with the packed-SIMD kernels enabled (default)
-#   3. full test suite again with ORBIT2_DISABLE_SIMD=1 (scalar fallbacks)
+#   2. full test suite with the SIMD kernels enabled (default)
+#   3. full test suite again with ORBIT2_DISABLE_SIMD=1 (scalar fallbacks;
+#      every matrix product runs the GEMM driver's scalar oracle)
 #   4. clippy lint gate (scripts/lint.sh: -D warnings -D unsafe_code)
 #   5. chaos suite (scripts/chaos_smoke.sh: fault injection + recovery,
 #      both SIMD modes)
 #   6. reduced-precision quality gate (crates/core/tests/precision_gate.rs):
 #      bf16/int8 weight sessions must reproduce the f32 Table IV metrics
-#      within tolerance. Runs in release, in BOTH SIMD modes: the packed
-#      kernels and their scalar oracles are bit-identical by construction,
-#      so the gate must hold identically under ORBIT2_DISABLE_SIMD=1 — a
-#      divergence there means a kernel/oracle mismatch, not a tolerance
-#      problem.
+#      within tolerance. Runs in release, in BOTH SIMD modes: the GEMM
+#      kernel and its scalar oracle are bit-identical by construction at
+#      every weight precision, f32 included, so the gate must hold
+#      identically under ORBIT2_DISABLE_SIMD=1 — a divergence there means a
+#      kernel/oracle mismatch (or one of the non-GEMM SIMD kernels), not a
+#      tolerance problem.
 #   7. end-to-end benchmark harness (benchmark/, a package of its own that
 #      the workspace build never compiles): its unit tests, then
 #      `benchmark/run.sh --smoke` (~45 s). Any drift in `Exec`,
@@ -40,7 +42,16 @@ set -euo pipefail
 
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 
+# Every stage reports its wall time when the next one starts.
+stage_name=""
+stage_start=$SECONDS
+close_stage() {
+    [[ -z "$stage_name" ]] || echo "=== ci: $stage_name: $((SECONDS - stage_start)) s ==="
+}
 step() {
+    close_stage
+    stage_name="$*"
+    stage_start=$SECONDS
     echo
     echo "=== ci: $* ==="
 }
@@ -83,5 +94,6 @@ if (( ${#advisory[@]} > 0 )) && ! scripts/bench_check.sh "${advisory[@]}"; then
     echo "ci: benchmark/compare.sh (alternating parent/change pairs) is the gate that resolves a regression." >&2
 fi
 
+close_stage
 echo
 echo "ci: all stages passed"

@@ -6,7 +6,6 @@ use orbit2_imaging::quadtree::{QuadTree, QuadTreeParams};
 use orbit2_imaging::tiles::{split_into_tiles, stitch_tiles, TileSpec};
 use orbit2_metrics::regression::{r2_score, rmse};
 use orbit2_metrics::ssim::ssim;
-use orbit2_tensor::attention::{flash_attention, naive_attention, AttentionConfig};
 use orbit2_tensor::Tensor;
 use proptest::prelude::*;
 
@@ -80,16 +79,6 @@ proptest! {
         prop_assert!(qt.is_exact_partition());
         prop_assert!(qt.token_count() >= 1);
         prop_assert!(qt.token_count() <= h * w);
-    }
-
-    #[test]
-    fn flash_equals_naive_attention(s in 2usize..40, d in 1usize..16, bq in 1usize..16, bk in 1usize..16, seed in 0u64..1000) {
-        let q = orbit2_tensor::random::randn(&[s, d], seed);
-        let k = orbit2_tensor::random::randn(&[s, d], seed + 1);
-        let v = orbit2_tensor::random::randn(&[s, d], seed + 2);
-        let a = naive_attention(&q, &k, &v);
-        let b = flash_attention(&q, &k, &v, AttentionConfig { block_q: bq, block_kv: bk });
-        prop_assert!(a.max_abs_diff(&b) < 1e-3);
     }
 
     #[test]
@@ -257,17 +246,55 @@ proptest! {
     }
 
     #[test]
-    fn packed_matmul_matches_reference_oracle(m in 1usize..80, k in 1usize..96, n in 1usize..80, seed in 0u64..1000) {
-        // Ragged shapes deliberately straddle the MR/NR/KC panel boundaries
-        // of the packed kernel; matmul_slices is the scalar blocked oracle.
-        use orbit2_tensor::matmul::matmul_slices;
-        let a = orbit2_tensor::random::randn(&[m, k], seed);
-        let b = orbit2_tensor::random::randn(&[k, n], seed + 1);
-        let fast = a.matmul(&b);
-        let mut reference = vec![0.0f32; m * n];
-        matmul_slices(a.data(), b.data(), &mut reference, m, k, n);
-        let r = Tensor::from_vec(vec![m, n], reference);
-        prop_assert!(fast.max_abs_diff(&r) < 1e-3 * (k as f32).sqrt());
+    fn packed_matmul_matches_reference_oracle(
+        (m, k, n) in (1usize..20, 1usize..70, 1usize..140),
+        (layout, code, act) in (0usize..3, 0usize..3, 0usize..3),
+        (with_bias, want_pre) in (0usize..2, 0usize..2),
+        seed in 0u64..1000,
+    ) {
+        // The one GEMM driver, vector kernel against scalar oracle, bit for
+        // bit: ragged shapes straddle the 6-row panel, every strip width
+        // (16 / 32 / 64 columns, one strip and several) and the 16-lane
+        // store groups, over every operand layout, stored code and epilogue.
+        use orbit2_tensor::fused::{Activation, WeightPrecision};
+        use orbit2_tensor::qgemm::{gemm_strips, gemm_strips_ref, PackedWeight};
+        use orbit2_tensor::random::randn;
+        use orbit2_tensor::MatLayout;
+        // nn: A [m,k] · B [k,n]; nt: A [m,k] · (B [n,k])^T; tn: (A [k,m])^T · B [k,n].
+        let (la, lb) = match layout {
+            0 => (MatLayout::row_major(k), MatLayout::row_major(n)),
+            1 => (MatLayout::row_major(k), MatLayout::transposed(k)),
+            _ => (MatLayout::transposed(m), MatLayout::row_major(n)),
+        };
+        let a = randn(&[m * k], seed);
+        let b = randn(&[k * n], seed + 1);
+        let bias = randn(&[n], seed + 2);
+        let bias = (with_bias == 1).then(|| bias.data());
+        let act = [Activation::Identity, Activation::Relu, Activation::Gelu][act];
+        let pw = PackedWeight::from_layout(b.data(), lb, k, n, WeightPrecision::ALL[code]);
+
+        let (mut c_vec, mut c_ref) = (vec![f32::NAN; m * n], vec![f32::NAN; m * n]);
+        let (mut p_vec, mut p_ref) = (vec![f32::NAN; m * n], vec![f32::NAN; m * n]);
+        let want_pre = want_pre == 1;
+        gemm_strips(a.data(), la, m, &pw, bias, act, &mut c_vec, want_pre.then_some(&mut p_vec[..]));
+        gemm_strips_ref(a.data(), la, m, &pw, bias, act, &mut c_ref, want_pre.then_some(&mut p_ref[..]));
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&c_vec), bits(&c_ref));
+        prop_assert_eq!(bits(&p_vec), bits(&p_ref));
+        prop_assert!(c_vec.iter().all(|v| !v.is_nan()));
+
+        // The tensor-level product of the same operands is the f32 pack of
+        // that layout, so it carries the oracle's bits too.
+        if code == 0 && n > 1 {
+            let product = match layout {
+                0 => a.reshape(vec![m, k]).matmul(&b.reshape(vec![k, n])),
+                1 => a.reshape(vec![m, k]).matmul_nt(&b.reshape(vec![n, k])),
+                _ => a.reshape(vec![k, m]).matmul_tn(&b.reshape(vec![k, n])),
+            };
+            let mut plain = vec![f32::NAN; m * n];
+            gemm_strips_ref(a.data(), la, m, &pw, None, Activation::Identity, &mut plain, None);
+            prop_assert_eq!(bits(product.data()), bits(&plain));
+        }
     }
 
     #[test]
