@@ -8,10 +8,12 @@
 //! * [`nn`] — fused neural-net ops (linear, layernorm, conv2d, bilinear
 //!   resize) whose backward passes call the hand-written kernels in
 //!   `orbit2-tensor`,
-//! * [`optim`] — SGD / Adam / AdamW over a named [`ParamStore`],
+//! * [`optim`] — SGD / Adam / AdamW over a named [`ParamStore`]; Adam's
+//!   moments are flat arenas and its update one parallel sweep,
 //! * [`scaler`] — dynamic gradient scaling for emulated-BF16 training
 //!   (paper Sec. III-D),
-//! * [`params`] — named parameter storage with JSON checkpointing,
+//! * [`params`] — named parameter storage, the flat training-state layout
+//!   ([`ParamLayout`]) and the gradient reduce ([`GradAccumulator`]),
 //! * [`gradcheck`] — finite-difference gradient verification used across the
 //!   test suite.
 //!
@@ -22,11 +24,13 @@
 pub mod gradcheck;
 pub mod nn;
 pub mod optim;
+#[cfg(test)]
+mod oracle;
 pub mod params;
 pub mod scaler;
 pub mod tape;
 
 pub use optim::{Adam, AdamState, AdamW, Optimizer, Sgd};
-pub use params::{ParamStore, TensorBits};
+pub use params::{GradAccumulator, ParamLayout, ParamStore};
 pub use scaler::{GradScaler, ScalerState};
 pub use tape::{tape_constructions, Gradients, Tape, Var};

@@ -1,8 +1,10 @@
 //! First-order optimizers over a [`ParamStore`].
+//!
+//! [`Adam`] keeps its state flat — see [`crate::params`] for the layout —
+//! and its one update loop ([`AdamRule::apply`]) runs as a parallel sweep.
 
-use crate::params::{tensors_from_bits, tensors_to_bits, BitsMap, GradMap, ParamStore};
+use crate::params::{sweep, GradAccumulator, GradMap, LayoutEntry, ParamLayout, ParamStore, Span};
 use orbit2_tensor::Tensor;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Common optimizer interface: apply one update step from a gradient map.
@@ -64,6 +66,11 @@ impl Optimizer for Sgd {
 /// Adam (Kingma & Ba) with bias correction. Moments are kept in full f32
 /// precision even when the model trains in emulated BF16, mirroring
 /// mixed-precision master weights.
+///
+/// The moments are two flat arenas over the [`ParamLayout`] of the store
+/// the optimizer first steps, not a tensor per parameter: one update is one
+/// [`sweep`] however many parameters there are. A parameter that never gets
+/// a gradient keeps zero moments and is never written.
 pub struct Adam {
     lr: f32,
     beta1: f32,
@@ -72,8 +79,10 @@ pub struct Adam {
     /// Decoupled weight decay (AdamW) coefficient; 0 for plain Adam.
     weight_decay: f32,
     t: u64,
-    m: BTreeMap<String, Tensor>,
-    v: BTreeMap<String, Tensor>,
+    /// Empty until the first step binds the optimizer to a store.
+    layout: ParamLayout,
+    m: Tensor,
+    v: Tensor,
 }
 
 impl Adam {
@@ -86,8 +95,9 @@ impl Adam {
             eps: 1e-8,
             weight_decay: 0.0,
             t: 0,
-            m: BTreeMap::new(),
-            v: BTreeMap::new(),
+            layout: ParamLayout::default(),
+            m: Tensor::zeros(vec![0]),
+            v: Tensor::zeros(vec![0]),
         }
     }
 
@@ -109,73 +119,160 @@ impl Adam {
         self.t
     }
 
-    /// Bit-exact snapshot of the optimizer state for checkpointing.
-    /// Hyper-parameters (lr, betas, weight decay) are configuration, not
-    /// state: the loader reconstructs them and imports only `t`/`m`/`v`.
+    /// Bit-exact snapshot of the optimizer state for checkpointing: handles
+    /// onto the arenas, not copies. Hyper-parameters (lr, betas, weight
+    /// decay) are configuration, not state: the loader reconstructs them
+    /// and imports only `t`/`m`/`v`.
     pub fn export_state(&self) -> AdamState {
         AdamState {
             steps: self.t,
-            m: tensors_to_bits(self.m.iter()),
-            v: tensors_to_bits(self.v.iter()),
+            layout: self.layout.clone(),
+            m: self.m.clone(),
+            v: self.v.clone(),
         }
     }
 
     /// Restore state captured by [`Adam::export_state`].
     pub fn import_state(&mut self, state: &AdamState) -> Result<(), String> {
+        let total = state.layout.total();
+        if state.m.len() != total || state.v.len() != total {
+            return Err(format!(
+                "adam moments hold {} and {} elements, their layout {total}",
+                state.m.len(),
+                state.v.len()
+            ));
+        }
         self.t = state.steps;
-        self.m = tensors_from_bits(&state.m).map_err(|e| format!("adam first moment: {e}"))?;
-        self.v = tensors_from_bits(&state.v).map_err(|e| format!("adam second moment: {e}"))?;
+        self.layout = state.layout.clone();
+        self.m = state.m.clone();
+        self.v = state.v.clone();
         Ok(())
+    }
+
+    /// One step from the total a [`GradAccumulator`] has just finished — the
+    /// trainer's path: no gradient map is built between reduce and update.
+    pub fn step_accumulated(&mut self, params: &mut ParamStore, grads: &GradAccumulator) {
+        assert!(grads.layout().matches(params), "gradient arena was laid out for another parameter set");
+        let mut held = grads.held().peekable();
+        self.update(params, |entry| held.next_if(|(e, _)| e.name() == entry.name()).map(|(_, g)| g));
+    }
+
+    /// The update sweep. `grad_of` is asked once per parameter, in layout
+    /// order; `None` skips the parameter.
+    fn update<'g>(
+        &mut self,
+        params: &mut ParamStore,
+        mut grad_of: impl FnMut(&LayoutEntry) -> Option<&'g [f32]>,
+    ) {
+        if self.layout.is_empty() {
+            self.layout = ParamLayout::of(params);
+            self.m = Tensor::zeros(vec![self.layout.total()]);
+            self.v = Tensor::zeros(vec![self.layout.total()]);
+        }
+        assert!(self.layout.matches(params), "optimizer state was laid out for another parameter set");
+        self.t += 1;
+        let t = self.t as f32;
+        let rule = AdamRule {
+            lr: self.lr,
+            beta1: self.beta1,
+            beta2: self.beta2,
+            eps: self.eps,
+            weight_decay: self.weight_decay,
+            bc1: 1.0 - self.beta1.powf(t),
+            bc2: 1.0 - self.beta2.powf(t),
+        };
+        let (mut m_rest, mut v_rest) = (self.m.data_mut(), self.v.data_mut());
+        let mut spans = Vec::with_capacity(self.layout.entries().len());
+        for (entry, (_, value)) in self.layout.entries().iter().zip(params.iter_mut()) {
+            let (m, m_tail) = std::mem::take(&mut m_rest).split_at_mut(entry.len());
+            let (v, v_tail) = std::mem::take(&mut v_rest).split_at_mut(entry.len());
+            (m_rest, v_rest) = (m_tail, v_tail);
+            if let Some(g) = grad_of(entry) {
+                spans.push(UpdateSpan { p: value.data_mut(), m, v, g });
+            }
+        }
+        sweep(spans, |span| rule.apply(span));
     }
 }
 
-/// Bit-exact serializable Adam state: step count plus first/second moments.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// Bit-exact Adam state: step count plus the two moment arenas and the
+/// layout that indexes them (empty before the first step).
+#[derive(Debug, Clone)]
 pub struct AdamState {
     /// Optimizer steps taken (the `t` in bias correction).
     pub steps: u64,
-    /// First-moment estimates per parameter.
-    pub m: BitsMap,
-    /// Second-moment estimates per parameter.
-    pub v: BitsMap,
+    /// What `m` and `v` are laid out over.
+    pub layout: ParamLayout,
+    /// First-moment estimates, `[layout.total()]`.
+    pub m: Tensor,
+    /// Second-moment estimates, `[layout.total()]`.
+    pub v: Tensor,
 }
 
 /// AdamW = Adam with decoupled weight decay.
 pub type AdamW = Adam;
 
+/// One run of a parameter with its moments and its gradient.
+struct UpdateSpan<'a> {
+    p: &'a mut [f32],
+    m: &'a mut [f32],
+    v: &'a mut [f32],
+    g: &'a [f32],
+}
+
+impl Span for UpdateSpan<'_> {
+    fn len(&self) -> usize {
+        self.p.len()
+    }
+
+    fn split_at(self, at: usize) -> (Self, Self) {
+        let (p0, p1) = self.p.split_at_mut(at);
+        let (m0, m1) = self.m.split_at_mut(at);
+        let (v0, v1) = self.v.split_at_mut(at);
+        let (g0, g1) = self.g.split_at(at);
+        (Self { p: p0, m: m0, v: v0, g: g0 }, Self { p: p1, m: m1, v: v1, g: g1 })
+    }
+}
+
+/// One step's constants.
+struct AdamRule {
+    lr: f32,
+    beta1: f32,
+    beta2: f32,
+    eps: f32,
+    weight_decay: f32,
+    bc1: f32,
+    bc2: f32,
+}
+
+impl AdamRule {
+    /// The Adam update, per element. The operation order is a contract:
+    /// checkpoints resume bit for bit and the benchmark re-derives losses
+    /// from it.
+    fn apply(&self, span: UpdateSpan<'_>) {
+        let UpdateSpan { p, m, v, g } = span;
+        assert!(m.len() == p.len() && v.len() == p.len() && g.len() == p.len());
+        for i in 0..p.len() {
+            m[i] = self.beta1 * m[i] + (1.0 - self.beta1) * g[i];
+            v[i] = self.beta2 * v[i] + (1.0 - self.beta2) * g[i] * g[i];
+            let mhat = m[i] / self.bc1;
+            let vhat = v[i] / self.bc2;
+            let mut update = mhat / (vhat.sqrt() + self.eps);
+            if self.weight_decay > 0.0 {
+                update += self.weight_decay * p[i];
+            }
+            p[i] -= self.lr * update;
+        }
+    }
+}
+
 impl Optimizer for Adam {
     fn step(&mut self, params: &mut ParamStore, grads: &GradMap) {
-        self.t += 1;
-        let t = self.t as f32;
-        let bc1 = 1.0 - self.beta1.powf(t);
-        let bc2 = 1.0 - self.beta2.powf(t);
-        for (name, value) in params.iter_mut() {
-            let Some(g) = grads.get(name) else { continue };
-            assert_eq!(g.shape(), value.shape(), "gradient shape mismatch for {name}");
-            let m = self
-                .m
-                .entry(name.clone())
-                .or_insert_with(|| Tensor::zeros(value.shape().to_vec()));
-            let v = self
-                .v
-                .entry(name.clone())
-                .or_insert_with(|| Tensor::zeros(value.shape().to_vec()));
-            let gd = g.data();
-            let md = m.data_mut();
-            let vd = v.data_mut();
-            let pd = value.data_mut();
-            for i in 0..gd.len() {
-                md[i] = self.beta1 * md[i] + (1.0 - self.beta1) * gd[i];
-                vd[i] = self.beta2 * vd[i] + (1.0 - self.beta2) * gd[i] * gd[i];
-                let mhat = md[i] / bc1;
-                let vhat = vd[i] / bc2;
-                let mut update = mhat / (vhat.sqrt() + self.eps);
-                if self.weight_decay > 0.0 {
-                    update += self.weight_decay * pd[i];
-                }
-                pd[i] -= self.lr * update;
-            }
-        }
+        self.update(params, |entry| {
+            let g = grads.get(entry.name())?;
+            assert_eq!(g.shape(), entry.shape(), "gradient shape mismatch for {}", entry.name());
+            Some(g.data())
+        });
     }
 
     fn learning_rate(&self) -> f32 {

@@ -1,17 +1,31 @@
-//! Named parameter storage with JSON checkpointing.
+//! Named parameter storage, the flat training-state layout, and the
+//! gradient reduce.
 //!
 //! A model owns a [`ParamStore`]; the trainer registers each parameter on a
-//! fresh [`crate::Tape`] per step, and optimizers update the store in place
-//! from a name→gradient map. `BTreeMap` keeps iteration order deterministic
-//! (gradient averaging across tiles must be order-stable).
+//! fresh [`crate::Tape`] per step, and optimizers update the store in place.
+//! `BTreeMap` keeps iteration order deterministic, and that sorted order is
+//! the [`ParamLayout`]: name → contiguous element range.
+//!
+//! What is flat and what is a handle. Parameters and per-job gradients stay
+//! [`Tensor`] handles, because the forward consumes tensors and the tape
+//! produces them; copying either into an arena would add a pass over the
+//! model per job. The state only the optimizer step touches — Adam's
+//! moments ([`crate::optim::Adam`]) and the pending gradient accumulation
+//! ([`GradAccumulator`]) — is one contiguous `f32` arena each, indexed by
+//! the layout, so a step is two sweeps (the reduce here and the Adam update
+//! in `optim`), each one fork/join over element-balanced shares, and a
+//! checkpoint writes them as bytes.
 
-use orbit2_tensor::Tensor;
+use orbit2_tensor::{Buffer, Tensor};
+use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::path::Path;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// A named collection of trainable tensors.
-#[derive(Default, Clone)]
+#[derive(Debug, Default, Clone)]
 pub struct ParamStore {
     entries: BTreeMap<String, Tensor>,
 }
@@ -101,16 +115,6 @@ impl ParamStore {
         std::fs::write(path, json)
     }
 
-    /// Bit-exact snapshot of every parameter for checkpointing.
-    pub fn to_bits(&self) -> BitsMap {
-        tensors_to_bits(self.entries.iter())
-    }
-
-    /// Rebuild a store from a bit-exact snapshot.
-    pub fn from_bits(map: &BitsMap) -> Result<Self, String> {
-        Ok(Self { entries: tensors_from_bits(map)? })
-    }
-
     /// Load from a JSON checkpoint.
     pub fn load(path: &Path) -> std::io::Result<Self> {
         let json = std::fs::read_to_string(path)?;
@@ -123,84 +127,408 @@ impl ParamStore {
     }
 }
 
-/// Bit-exact serializable snapshot of a tensor: shape plus the raw IEEE-754
-/// bit pattern of every element. Unlike the JSON float path (which cannot
-/// represent NaN/Inf), this round-trips *any* tensor exactly — the property
-/// crash-consistent checkpoints need for bit-identical resume.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TensorBits {
+/// Where one parameter lives in every flat training-state arena.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LayoutEntry {
+    name: String,
+    shape: Vec<usize>,
+    offset: usize,
+    len: usize,
+}
+
+impl LayoutEntry {
+    /// Parameter name.
+    pub fn name(&self) -> &str {
+        &self.name
+    }
+
     /// Tensor shape.
-    pub shape: Vec<usize>,
-    /// `f32::to_bits` of every element in row-major order.
-    pub bits: Vec<u32>,
-}
-
-impl TensorBits {
-    /// Snapshot a tensor.
-    pub fn from_tensor(t: &Tensor) -> Self {
-        Self {
-            shape: t.shape().to_vec(),
-            bits: t.data().iter().map(|x| x.to_bits()).collect(),
-        }
+    pub fn shape(&self) -> &[usize] {
+        &self.shape
     }
 
-    /// Reconstruct the tensor, validating that the shape matches the data.
-    pub fn to_tensor(&self) -> Result<Tensor, String> {
-        let expect: usize = self.shape.iter().product();
-        if expect != self.bits.len() {
-            return Err(format!(
-                "tensor snapshot shape {:?} needs {expect} elements, found {}",
-                self.shape,
-                self.bits.len()
-            ));
-        }
-        let data: Vec<f32> = self.bits.iter().map(|b| f32::from_bits(*b)).collect();
-        Ok(Tensor::from_vec(self.shape.clone(), data))
+    /// Element count (the product of the shape).
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True for a zero-element tensor.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The parameter's element range in an arena.
+    pub fn range(&self) -> Range<usize> {
+        self.offset..self.offset + self.len
     }
 }
 
-/// Bit-exact snapshot of a name→tensor map (parameters, gradients, Adam
-/// moments) for checkpointing.
-pub type BitsMap = BTreeMap<String, TensorBits>;
-
-/// Snapshot a name→tensor map bit-exactly.
-pub fn tensors_to_bits<'a>(iter: impl Iterator<Item = (&'a String, &'a Tensor)>) -> BitsMap {
-    iter.map(|(k, v)| (k.clone(), TensorBits::from_tensor(v))).collect()
+/// The flat layout of a parameter set: names in sorted order, each with its
+/// shape and its contiguous element range. One layout indexes every arena of
+/// training state that is stored flat — Adam's moments and the pending
+/// gradient accumulation — and is the index line of a checkpoint's tensor
+/// sections. It is the unit a sharded optimizer would cut.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ParamLayout {
+    entries: Vec<LayoutEntry>,
+    total: usize,
 }
 
-/// Reconstruct a name→tensor map from a bit-exact snapshot.
-pub fn tensors_from_bits(map: &BitsMap) -> Result<BTreeMap<String, Tensor>, String> {
-    map.iter()
-        .map(|(k, v)| {
-            let t = v.to_tensor().map_err(|e| format!("tensor `{k}`: {e}"))?;
-            Ok((k.clone(), t))
-        })
-        .collect()
+impl ParamLayout {
+    /// The layout of a store.
+    pub fn of(store: &ParamStore) -> Self {
+        let index = store.iter().map(|(name, t)| (name.clone(), t.shape().to_vec())).collect();
+        Self::from_index(index).expect("a store's names are sorted and its tensors are allocated")
+    }
+
+    /// Build a layout from `(name, shape)` pairs that may come from outside
+    /// the program: names must be strictly ascending (so no duplicates) and
+    /// neither a shape product nor the running total may overflow.
+    pub fn from_index(index: Vec<(String, Vec<usize>)>) -> Result<Self, String> {
+        let mut entries: Vec<LayoutEntry> = Vec::with_capacity(index.len());
+        let mut total = 0usize;
+        for (name, shape) in index {
+            if entries.last().is_some_and(|prev| prev.name >= name) {
+                return Err(format!("tensor `{name}` is duplicated or out of order"));
+            }
+            let len = shape
+                .iter()
+                .try_fold(1usize, |n, &d| n.checked_mul(d))
+                .ok_or_else(|| format!("tensor `{name}` shape {shape:?} overflows"))?;
+            let end = total
+                .checked_add(len)
+                .ok_or_else(|| format!("tensor `{name}` pushes the layout past usize"))?;
+            entries.push(LayoutEntry { name, shape, offset: total, len });
+            total = end;
+        }
+        Ok(Self { entries, total })
+    }
+
+    /// Entries in name order.
+    pub fn entries(&self) -> &[LayoutEntry] {
+        &self.entries
+    }
+
+    /// Elements in one arena.
+    pub fn total(&self) -> usize {
+        self.total
+    }
+
+    /// True when the layout holds no parameters.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// Where `name` sits in [`ParamLayout::entries`].
+    pub fn position(&self, name: &str) -> Option<usize> {
+        self.entries.binary_search_by(|e| e.name.as_str().cmp(name)).ok()
+    }
+
+    /// Whether `store` holds exactly these names with these shapes.
+    pub fn matches(&self, store: &ParamStore) -> bool {
+        self.entries.len() == store.len()
+            && self
+                .entries
+                .iter()
+                .zip(store.iter())
+                .all(|(e, (name, t))| e.name == *name && e.shape == t.shape())
+    }
 }
 
 /// A name→gradient map as produced by a backward pass over a model.
 pub type GradMap = BTreeMap<String, Tensor>;
 
+/// A splittable run of elements: the unit [`sweep`] balances.
+pub(crate) trait Span: Sized + Send {
+    /// Elements in the run.
+    fn len(&self) -> usize;
+    /// Cut into `[0, at)` and `[at, len)`.
+    fn split_at(self, at: usize) -> (Self, Self);
+}
+
+/// Below this many elements a sweep stays on the calling thread: a
+/// fork/join costs about as much as the arithmetic.
+const PAR_MIN_ELEMS: usize = 1 << 16;
+
+/// Run `f` over every span, in parallel: the spans are cut into one
+/// contiguous share per thread, equal in *elements* (a share boundary may
+/// fall inside a span), so a step is one fork/join however many tensors the
+/// model has. `f` must be elementwise — then the result does not depend on
+/// where the shares are cut, or on the thread count.
+pub(crate) fn sweep<S: Span>(spans: Vec<S>, f: impl Fn(S) + Sync) {
+    let total: usize = spans.iter().map(Span::len).sum();
+    let parts = if total < PAR_MIN_ELEMS { 1 } else { rayon::current_num_threads() };
+    let mut shares: Vec<Vec<S>> = (0..parts).map(|_| Vec::new()).collect();
+    let quota = |part: usize| total * (part + 1) / parts - total * part / parts;
+    let (mut part, mut room) = (0, quota(0));
+    for mut span in spans {
+        while part + 1 < parts && span.len() > room {
+            if room > 0 {
+                let (head, tail) = span.split_at(room);
+                shares[part].push(head);
+                span = tail;
+            }
+            part += 1;
+            room = quota(part);
+        }
+        // The quotas sum to `total`, so what is left always fits the last share.
+        room -= span.len();
+        shares[part].push(span);
+    }
+    shares.par_iter_mut().for_each(|share| std::mem::take(share).into_iter().for_each(&f));
+}
+
+/// Elements the reduce accumulates on the stack between passes: 1 KiB, so
+/// the passes run in L1 and every job's gradient stream advances together
+/// (at 4 KiB — a page of one stream at a time — the sweep measured slower
+/// in three of four alternating runs).
+pub(crate) const REDUCE_BLOCK: usize = 256;
+
+/// One destination run of the reduce and where its sources start.
+pub(crate) struct ReduceSpan<'a> {
+    /// Where the result goes (and, when accumulating, the prior sum).
+    pub(crate) dst: &'a mut [f32],
+    /// Which tensor's sources to read.
+    pub(crate) tensor: usize,
+    /// Offset of `dst[0]` in each source.
+    pub(crate) start: usize,
+}
+
+impl Span for ReduceSpan<'_> {
+    fn len(&self) -> usize {
+        self.dst.len()
+    }
+
+    fn split_at(self, at: usize) -> (Self, Self) {
+        let (head, tail) = self.dst.split_at_mut(at);
+        (
+            Self { dst: head, tensor: self.tensor, start: self.start },
+            Self { dst: tail, tensor: self.tensor, start: self.start + at },
+        )
+    }
+}
+
+/// The gradient reduce: per element, in this order,
+/// `x = (((g₀ + g₁) + …) + gₙ₋₁) · inv_jobs` over the jobs in *job order*,
+/// then `x = prior + x` when accumulating, then `x ·= s` for each `post`
+/// factor, then the finite check, then the store. With no jobs the element
+/// itself is `x` (an in-place scale and check).
+///
+/// The order is a contract. Summing in job order rather than in a
+/// per-worker tree keeps the bits independent of the thread count —
+/// `(g₀+g₁)+(g₂+g₃)` and `((g₀+g₁)+g₂)+g₃` differ — and equal to the
+/// sequential composition this replaced.
+pub(crate) struct Reduce<'a> {
+    /// `srcs[tensor * jobs + j]` is job `j`'s gradient for `tensor`.
+    pub(crate) srcs: Vec<&'a [f32]>,
+    /// Jobs per tensor.
+    pub(crate) jobs: usize,
+    /// Add the mean onto what `dst` already holds.
+    pub(crate) accumulate: bool,
+    /// Factors applied after the sum, in order.
+    pub(crate) post: [Option<f32>; 2],
+}
+
+impl Reduce<'_> {
+    /// Sweep `spans`; true when every stored element is finite.
+    pub(crate) fn run(&self, spans: Vec<ReduceSpan<'_>>) -> bool {
+        let finite = AtomicBool::new(true);
+        sweep(spans, |span| {
+            if !self.span(span) {
+                // A flag, not a publication: the join orders it.
+                finite.store(false, Ordering::Relaxed);
+            }
+        });
+        finite.into_inner()
+    }
+
+    fn span(&self, span: ReduceSpan<'_>) -> bool {
+        let srcs = &self.srcs[span.tensor * self.jobs..][..self.jobs];
+        let inv_jobs = 1.0 / self.jobs as f32;
+        let mut block = [0.0f32; REDUCE_BLOCK];
+        let mut finite = true;
+        for (b, dst) in span.dst.chunks_mut(REDUCE_BLOCK).enumerate() {
+            let at = span.start + b * REDUCE_BLOCK;
+            let acc = &mut block[..dst.len()];
+            if let Some((first, rest)) = srcs.split_first() {
+                acc.copy_from_slice(&first[at..at + dst.len()]);
+                for src in rest {
+                    for (a, &g) in acc.iter_mut().zip(&src[at..at + dst.len()]) {
+                        *a += g;
+                    }
+                }
+                for a in acc.iter_mut() {
+                    *a *= inv_jobs;
+                }
+                if self.accumulate {
+                    for (a, &prior) in acc.iter_mut().zip(dst.iter()) {
+                        // `prior + mean`, the operand order of `acc.add_(g)`.
+                        let mean = *a;
+                        *a = prior + mean;
+                    }
+                }
+            } else {
+                acc.copy_from_slice(dst);
+            }
+            for s in self.post.iter().flatten() {
+                for a in acc.iter_mut() {
+                    *a *= s;
+                }
+            }
+            finite &= acc.iter().fold(true, |ok, x| ok & x.is_finite());
+            dst.copy_from_slice(acc);
+        }
+        finite
+    }
+}
+
+/// Job `job`'s gradient for `name`, checked against the expected shape.
+fn job_grad<'a>(job: &'a GradMap, name: &str, shape: &[usize]) -> &'a [f32] {
+    let g = job.get(name).unwrap_or_else(|| panic!("gradient map missing key {name}"));
+    assert_eq!(g.shape(), shape, "gradient shape mismatch for {name}");
+    g.data()
+}
+
 /// Average several gradient maps elementwise (the TILES once-per-batch
-/// gradient all-reduce). All maps must share the same keys and shapes.
+/// gradient all-reduce). All maps must share the first map's keys and
+/// shapes. One [`Reduce`] sweep: summed in map order, scaled once.
 pub fn average_grad_maps(maps: &[GradMap]) -> GradMap {
     assert!(!maps.is_empty(), "no gradient maps to average");
-    let inv = 1.0 / maps.len() as f32;
-    let mut out = GradMap::new();
-    for key in maps[0].keys() {
-        // COW handle onto the first map's gradient; the first `add_` faults
-        // it into a private buffer and every later tile accumulates in place.
-        let mut acc = maps[0][key].clone();
-        for m in &maps[1..] {
-            let g = m
-                .get(key)
-                .unwrap_or_else(|| panic!("gradient map missing key {key}"));
-            acc.add_(g);
-        }
-        acc.scale_(inv);
-        out.insert(key.clone(), acc);
+    let mut out: GradMap = maps[0]
+        .iter()
+        .map(|(key, g)| (key.clone(), Tensor::from_buffer(g.shape_handle(), Buffer::uninit(g.len()))))
+        .collect();
+    let mut srcs = Vec::with_capacity(out.len() * maps.len());
+    let mut spans = Vec::with_capacity(out.len());
+    for (tensor, (key, dst)) in out.iter_mut().enumerate() {
+        srcs.extend(maps.iter().map(|m| job_grad(m, key, dst.shape())));
+        spans.push(ReduceSpan { dst: dst.data_mut(), tensor, start: 0 });
     }
+    Reduce { srcs, jobs: maps.len(), accumulate: false, post: [None, None] }.run(spans);
     out
+}
+
+/// The trainer's pending gradient accumulation: one arena over a
+/// [`ParamLayout`] holding the running sum of the window's micro-batch
+/// means, plus a count — and, once [`GradAccumulator::finish`] has closed
+/// the window, that step's total gradient. Memory does not grow with the
+/// window length.
+///
+/// Per-job gradients stay `Tensor` handles (the tape produces them); only
+/// their reduction is flat.
+#[derive(Debug, Clone)]
+pub struct GradAccumulator {
+    layout: ParamLayout,
+    sum: Tensor,
+    /// Per layout entry: whether the window's first job had a gradient for
+    /// it. A parameter without one is skipped by the optimizer.
+    held: Vec<bool>,
+    micro_batches: usize,
+}
+
+impl GradAccumulator {
+    /// An empty window over `layout`.
+    pub fn new(layout: ParamLayout) -> Self {
+        let held = vec![false; layout.entries().len()];
+        Self { sum: Tensor::zeros(vec![layout.total()]), layout, held, micro_batches: 0 }
+    }
+
+    /// Rebuild a window saved mid-accumulation: `held` indexes `words`, and
+    /// every tensor in it must be one of `layout`'s, with its shape.
+    pub fn restore(
+        layout: ParamLayout,
+        micro_batches: usize,
+        held: &ParamLayout,
+        words: &[f32],
+    ) -> Result<Self, String> {
+        if words.len() != held.total() {
+            return Err(format!("{} words for {} indexed elements", words.len(), held.total()));
+        }
+        if u32::try_from(micro_batches).is_err() {
+            return Err(format!("an open window of {micro_batches} micro-batches"));
+        }
+        let mut acc = Self::new(layout);
+        acc.micro_batches = micro_batches;
+        let sum = acc.sum.data_mut();
+        for src in held.entries() {
+            let Some(at) = acc.layout.position(src.name()) else {
+                return Err(format!("tensor `{}` is not a parameter", src.name()));
+            };
+            let dst = &acc.layout.entries()[at];
+            if dst.shape() != src.shape() {
+                return Err(format!(
+                    "tensor `{}` has shape {:?}, expected {:?}",
+                    src.name(),
+                    src.shape(),
+                    dst.shape()
+                ));
+            }
+            sum[dst.range()].copy_from_slice(&words[src.range()]);
+            acc.held[at] = true;
+        }
+        Ok(acc)
+    }
+
+    /// The layout the arena follows.
+    pub fn layout(&self) -> &ParamLayout {
+        &self.layout
+    }
+
+    /// Micro-batches folded into the open window.
+    pub fn micro_batches(&self) -> usize {
+        self.micro_batches
+    }
+
+    /// The tensors the arena holds, in layout order: the open window's
+    /// running sums, or after [`GradAccumulator::finish`] the total.
+    pub fn held(&self) -> impl Iterator<Item = (&LayoutEntry, &[f32])> {
+        let sum = self.sum.data();
+        self.layout
+            .entries()
+            .iter()
+            .zip(&self.held)
+            .filter(|(_, &held)| held)
+            .map(move |(e, _)| (e, &sum[e.range()]))
+    }
+
+    /// Fold one micro-batch into the open window: the job-ordered mean of
+    /// `jobs` joins the running sum.
+    pub fn accumulate(&mut self, jobs: &[GradMap]) {
+        self.fold(jobs, [None, None]);
+        self.micro_batches += 1;
+    }
+
+    /// Fold the window's last micro-batch and close it: the arena becomes
+    /// the mean over the window's micro-batches, times `unscale` if given.
+    /// Returns whether every element of that total is finite.
+    pub fn finish(&mut self, jobs: &[GradMap], unscale: Option<f32>) -> bool {
+        let window = 1.0 / (self.micro_batches + 1) as f32;
+        let finite = self.fold(jobs, [Some(window), unscale]);
+        self.micro_batches = 0;
+        finite
+    }
+
+    fn fold(&mut self, jobs: &[GradMap], post: [Option<f32>; 2]) -> bool {
+        assert!(!jobs.is_empty(), "no gradient maps to reduce");
+        let first = self.micro_batches == 0;
+        if first {
+            for (held, e) in self.held.iter_mut().zip(self.layout.entries()) {
+                *held = jobs[0].contains_key(e.name());
+            }
+        }
+        let mut srcs = Vec::with_capacity(self.held.len() * jobs.len());
+        let mut spans = Vec::with_capacity(self.held.len());
+        let mut rest = self.sum.data_mut();
+        for (e, &held) in self.layout.entries().iter().zip(&self.held) {
+            let (dst, tail) = std::mem::take(&mut rest).split_at_mut(e.len());
+            rest = tail;
+            if held {
+                spans.push(ReduceSpan { dst, tensor: spans.len(), start: 0 });
+                srcs.extend(jobs.iter().map(|job| job_grad(job, e.name(), e.shape())));
+            }
+        }
+        Reduce { srcs, jobs: jobs.len(), accumulate: !first, post }.run(spans)
+    }
 }
 
 #[cfg(test)]
@@ -253,34 +581,50 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unknown parameter")]
-    fn missing_param_panics() {
-        ParamStore::new().get("nope");
-    }
-
-    #[test]
-    fn tensor_bits_round_trips_nan_and_negative_zero() {
-        let t = Tensor::from_vec(vec![4], vec![f32::NAN, f32::INFINITY, -0.0, 1.5e-40]);
-        let back = TensorBits::from_tensor(&t).to_tensor().unwrap();
-        let (a, b) = (t.data(), back.data());
-        for i in 0..a.len() {
-            assert_eq!(a[i].to_bits(), b[i].to_bits(), "element {i} not bit-identical");
+    fn sweep_touches_every_element_exactly_once() {
+        // Doubling in place shows a skipped element (1.0) or a repeated one
+        // (4.0). Lengths: empty, below the fork threshold, and long enough
+        // that share boundaries fall inside tensors.
+        for lens in [vec![0, 5, 1], vec![3, 0, 70_000, 1, 65_536, 0, 9], vec![200_001]] {
+            let mut tensors: Vec<Vec<f32>> = lens.iter().map(|&n| vec![1.0; n]).collect();
+            let spans = tensors
+                .iter_mut()
+                .map(|t| ReduceSpan { dst: t.as_mut_slice(), tensor: 0, start: 0 })
+                .collect();
+            let double = Reduce { srcs: Vec::new(), jobs: 0, accumulate: false, post: [Some(2.0), None] };
+            assert!(double.run(spans));
+            assert!(tensors.iter().flatten().all(|&x| x == 2.0), "lens {lens:?}");
         }
     }
 
     #[test]
-    fn tensor_bits_rejects_shape_data_mismatch() {
-        let snap = TensorBits { shape: vec![2, 3], bits: vec![0; 5] };
-        assert!(snap.to_tensor().is_err());
+    fn layout_follows_the_store_and_rejects_bad_indexes() {
+        let mut p = ParamStore::new();
+        p.insert("w", Tensor::zeros(vec![2, 3]));
+        p.insert("b", Tensor::zeros(vec![3]));
+        p.insert("s", Tensor::scalar(1.0));
+        let layout = ParamLayout::of(&p);
+        assert!(layout.matches(&p));
+        assert_eq!(layout.total(), 10);
+        let ranges: Vec<_> = layout.entries().iter().map(|e| (e.name(), e.range())).collect();
+        assert_eq!(ranges, [("b", 0..3), ("s", 3..4), ("w", 4..10)]);
+        assert_eq!(layout.position("w"), Some(2));
+        assert_eq!(layout.position("x"), None);
+        p.insert("w", Tensor::zeros(vec![3, 2]));
+        assert!(!layout.matches(&p));
+
+        let index = |names: &[&str], shape: &[usize]| {
+            names.iter().map(|n| (n.to_string(), shape.to_vec())).collect::<Vec<_>>()
+        };
+        assert!(ParamLayout::from_index(index(&["a", "a"], &[1])).is_err(), "duplicate");
+        assert!(ParamLayout::from_index(index(&["b", "a"], &[1])).is_err(), "unsorted");
+        assert!(ParamLayout::from_index(index(&["a"], &[usize::MAX, 2])).is_err(), "product overflow");
+        assert!(ParamLayout::from_index(index(&["a", "b"], &[usize::MAX / 2 + 1])).is_err(), "sum overflow");
     }
 
     #[test]
-    fn param_store_bits_round_trip() {
-        let mut p = ParamStore::new();
-        p.insert("w", Tensor::from_vec(vec![2, 2], vec![1.0, -2.5, f32::NAN, 0.1]));
-        let q = ParamStore::from_bits(&p.to_bits()).unwrap();
-        assert_eq!(q.get("w").shape(), &[2, 2]);
-        assert_eq!(q.get("w").data()[1], -2.5);
-        assert!(q.get("w").data()[2].is_nan());
+    #[should_panic(expected = "unknown parameter")]
+    fn missing_param_panics() {
+        ParamStore::new().get("nope");
     }
 }

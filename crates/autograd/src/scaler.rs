@@ -7,7 +7,7 @@
 //! scale halves, otherwise the scale doubles every `growth_interval` good
 //! steps.
 
-use crate::params::GradMap;
+use crate::params::{GradMap, Reduce, ReduceSpan};
 use serde::{Deserialize, Serialize};
 
 /// Dynamic loss/gradient scaler.
@@ -79,16 +79,22 @@ impl GradScaler {
     /// When `false` is returned the step must be skipped (the scaler has
     /// already backed off its scale).
     pub fn unscale_and_check(&mut self, grads: &mut GradMap) -> bool {
-        let inv = 1.0 / self.scale;
-        let mut finite = true;
-        for g in grads.values_mut() {
-            for x in g.data_mut() {
-                *x *= inv;
-                if !x.is_finite() {
-                    finite = false;
-                }
-            }
-        }
+        let spans = grads
+            .values_mut()
+            .map(|g| ReduceSpan { dst: g.data_mut(), tensor: 0, start: 0 })
+            .collect();
+        let unscale =
+            Reduce { srcs: Vec::new(), jobs: 0, accumulate: false, post: [Some(1.0 / self.scale), None] };
+        let finite = unscale.run(spans);
+        self.record(finite);
+        finite
+    }
+
+    /// Account for one unscaled step: grow the scale after
+    /// `growth_interval` finite steps in a row, back it off after a
+    /// non-finite one. For callers that fold the unscale (`1 / scale`) into
+    /// their own reduce, as the trainer does.
+    pub fn record(&mut self, finite: bool) {
         if finite {
             self.good_steps += 1;
             if self.good_steps >= self.growth_interval {
@@ -100,7 +106,6 @@ impl GradScaler {
             self.good_steps = 0;
             self.skipped_steps += 1;
         }
-        finite
     }
 }
 

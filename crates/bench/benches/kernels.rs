@@ -1,8 +1,12 @@
 //! Substrate kernel benchmarks: the GEMM driver, reference attention,
 //! conv2d, Canny + quad-tree construction (the CPU-side cost the
-//! compression model charges for), FFT and the synthetic field generator.
+//! compression model charges for), FFT, the synthetic field generator, and
+//! the training step's non-math (gradient reduce + Adam, checkpoint I/O).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use orbit2::checkpoint::{crc32, load_trainer_state, save_trainer_state, ProgressState, TrainerCheckpoint};
+use orbit2_autograd::params::GradMap;
+use orbit2_autograd::{Adam, GradAccumulator, GradScaler, ParamLayout, ParamStore};
 use orbit2_imaging::quadtree::{QuadTree, QuadTreeParams};
 use orbit2_tensor::attention::naive_attention;
 use orbit2_tensor::bf16::bf16_round_slice;
@@ -13,7 +17,9 @@ use orbit2_tensor::fused::{
 };
 use orbit2_tensor::qgemm::{gemm_strips_ref, PackedWeight};
 use orbit2_tensor::random::randn;
+use orbit2_model::{ModelConfig, ReslimModel};
 use orbit2_tensor::MatLayout;
+use orbit2_tensor::Tensor;
 use orbit2_tensor::resize::{resize, ResizeMode};
 
 fn bench_matmul(c: &mut Criterion) {
@@ -293,6 +299,122 @@ fn bench_synth(c: &mut Criterion) {
     group.finish();
 }
 
+/// The sequential composition the fused sweeps replaced, as the in-run
+/// reference for `optim/fused`: `average_grad_maps` over the jobs, again
+/// over the one-entry accumulation window, a finite scan, then Adam over a
+/// tensor per parameter — each a `BTreeMap<String, Tensor>` walk on the
+/// calling thread. (`crates/autograd/src/oracle.rs` holds the same code as
+/// the bit-identity oracle.)
+struct ComposedStep {
+    m: GradMap,
+    v: GradMap,
+    t: u64,
+}
+
+impl ComposedStep {
+    fn average(maps: &[GradMap]) -> GradMap {
+        let inv = 1.0 / maps.len() as f32;
+        maps[0]
+            .iter()
+            .map(|(key, first)| {
+                let mut acc = first.clone();
+                for m in &maps[1..] {
+                    acc.add_(&m[key]);
+                }
+                acc.scale_(inv);
+                (key.clone(), acc)
+            })
+            .collect()
+    }
+
+    fn step(&mut self, params: &mut ParamStore, jobs: &[GradMap]) {
+        let total = Self::average(&[Self::average(jobs)]);
+        assert!(total.values().all(Tensor::all_finite));
+        let (lr, beta1, beta2, eps, weight_decay) = (1e-3f32, 0.9f32, 0.999f32, 1e-8f32, 1e-5f32);
+        self.t += 1;
+        let bc1 = 1.0 - beta1.powf(self.t as f32);
+        let bc2 = 1.0 - beta2.powf(self.t as f32);
+        for (name, value) in params.iter_mut() {
+            let Some(g) = total.get(name) else { continue };
+            let zeros = || Tensor::zeros(value.shape().to_vec());
+            let m = self.m.entry(name.clone()).or_insert_with(zeros);
+            let v = self.v.entry(name.clone()).or_insert_with(zeros);
+            let (gd, md, vd, pd) = (g.data(), m.data_mut(), v.data_mut(), value.data_mut());
+            for i in 0..gd.len() {
+                md[i] = beta1 * md[i] + (1.0 - beta1) * gd[i];
+                vd[i] = beta2 * vd[i] + (1.0 - beta2) * gd[i] * gd[i];
+                let update = (md[i] / bc1) / ((vd[i] / bc2).sqrt() + eps) + weight_decay * pd[i];
+                pd[i] -= lr * update;
+            }
+        }
+    }
+}
+
+/// The part of a `train-step` op that is not a model, on that workload's
+/// own 9.5M-config parameter set (5.07 M elements in 95 tensors) and 4 TILES
+/// jobs: `optim/fused` is what `Trainer::step_batch` runs between backward
+/// and the next forward (one reduce sweep into the accumulation arena, one
+/// Adam sweep); `optim/composed` is the parent's composition on the same
+/// inputs, the cell `fused` is read against. `ckpt/*` is one full-state
+/// save / load of that trainer state, `crc32/16MiB` the checksum alone.
+fn bench_training_state(c: &mut Criterion) {
+    let model = ReslimModel::new(ModelConfig::paper_9_5m().with_channels(7, 3), 1);
+    let jobs: Vec<GradMap> = (0..4)
+        .map(|j| {
+            model
+                .params
+                .iter()
+                .enumerate()
+                .map(|(i, (name, p))| (name.clone(), randn(p.shape(), (100 * j + i) as u64)))
+                .collect()
+        })
+        .collect();
+
+    let mut group = c.benchmark_group("optim");
+    group.sample_size(10);
+    let mut params = model.params.clone();
+    let mut pending = GradAccumulator::new(ParamLayout::of(&params));
+    let mut opt = Adam::new(1e-3).with_weight_decay(1e-5);
+    group.bench_function(BenchmarkId::new("fused", "5M"), |bench| {
+        bench.iter(|| {
+            assert!(pending.finish(&jobs, None));
+            opt.step_accumulated(&mut params, &pending);
+        })
+    });
+    let mut composed_params = model.params.clone();
+    let mut composed = ComposedStep { m: GradMap::new(), v: GradMap::new(), t: 0 };
+    group.bench_function(BenchmarkId::new("composed", "5M"), |bench| {
+        bench.iter(|| composed.step(&mut composed_params, &jobs))
+    });
+    group.finish();
+
+    let ckpt = TrainerCheckpoint {
+        model_cfg: model.cfg,
+        params,
+        adam: opt.export_state(),
+        scaler: GradScaler::default().export_state(),
+        progress: ProgressState { global_step: 1, data_cursor: 1 },
+        pending: GradAccumulator::new(ParamLayout::of(&model.params)),
+    };
+    let path = std::env::temp_dir().join(format!("orbit2_bench_{}.ckpt", std::process::id()));
+    let mut group = c.benchmark_group("ckpt");
+    group.sample_size(10);
+    group.bench_function(BenchmarkId::new("save", "5M"), |bench| {
+        bench.iter(|| save_trainer_state(&ckpt, &path).expect("checkpoint saves"))
+    });
+    group.bench_function(BenchmarkId::new("load", "5M"), |bench| {
+        bench.iter(|| load_trainer_state(&path).expect("checkpoint loads"))
+    });
+    group.finish();
+    let _ = std::fs::remove_file(&path);
+
+    let bytes: Vec<u8> = (0..16usize << 20).map(|i| ((i * 31) >> 3) as u8).collect();
+    let mut group = c.benchmark_group("crc32");
+    group.sample_size(10);
+    group.bench_function(BenchmarkId::from_parameter("16MiB"), |bench| bench.iter(|| crc32(&bytes)));
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_matmul,
@@ -306,6 +428,7 @@ criterion_group!(
     bench_conv_model,
     bench_quadtree,
     bench_fft,
-    bench_synth
+    bench_synth,
+    bench_training_state
 );
 criterion_main!(benches);

@@ -9,33 +9,57 @@
 //! * [`TrainerCheckpoint`] with [`save_trainer_state`] /
 //!   [`load_trainer_state`] — the full-state checkpoint the fault-tolerant
 //!   trainer auto-saves: model config + parameters, Adam moments and step
-//!   count, GradScaler state, the data cursor, and pending accumulated
-//!   gradients, every tensor stored as raw IEEE-754 bit patterns so a
-//!   resumed run is bit-identical to an uninterrupted one.
+//!   count, GradScaler state, the data cursor, and the open gradient
+//!   accumulation window, every tensor stored as its raw IEEE-754 words so
+//!   a resumed run is bit-identical to an uninterrupted one.
 //!
-//! ## On-disk container format (version 1)
+//! ## On-disk container format (version 2)
 //!
 //! ```text
-//! ORBIT2CKPT v1\n
+//! ORBIT2CKPT v2\n
 //! section <name> <payload-bytes> <crc32-hex>\n
 //! <payload>\n
 //! ...one header+payload pair per section...
 //! ```
 //!
-//! Every payload is JSON and carries its own CRC-32 (IEEE), checked before
-//! the payload is parsed — a single flipped bit anywhere in a section is a
-//! descriptive error, not undefined behaviour three layers later. The file
-//! is written to a `*.tmp-<pid>` sibling and atomically renamed into place,
-//! so a crash mid-write leaves the previous checkpoint intact.
+//! Sections, in the order written: `config`, `params`, `adam.m`, `adam.v`,
+//! `scaler`, `progress`, `pending`. `config`, `scaler` and `progress` (every
+//! counter of the run: step, data cursor, Adam's `t`, micro-batches in the
+//! open window) are one line of JSON. The other four are *tensor sections*:
+//!
+//! ```text
+//! [["<name>",[<dim>,...]],...]\n      index: JSON, names strictly ascending
+//! <f32 little-endian words>           every tensor's elements, index order
+//! ```
+//!
+//! `params` comes straight from the store; `adam.m` / `adam.v` are the
+//! optimizer's flat arenas, whose index is the parameters' (or empty before
+//! the first optimizer step); `pending` lists only the tensors the open
+//! window holds, and nothing between windows. The payload is binary — it may
+//! contain newlines — so a reader must take `<payload-bytes>` from the
+//! header, never scan for the terminator.
+//!
+//! Every payload carries its own CRC-32 (IEEE), checked before the payload
+//! is decoded, and a tensor section's index is checked against the bytes
+//! present before anything is allocated for them — a flipped bit or a
+//! hostile count is a descriptive error, not undefined behaviour three
+//! layers later. The file is written to a `*.tmp-<pid>` sibling and
+//! atomically renamed into place, so a crash mid-write leaves the previous
+//! checkpoint intact; a failed save removes the sibling.
+//!
+//! Version 1 stored each tensor section as JSON arrays of decimal bit
+//! patterns (160 MB and seconds to save for a 5 M-parameter model; numbers
+//! in DESIGN.md). It is not read: a `v1` header gets the unsupported-version
+//! error, like any other version this build does not write.
 
 use orbit2_autograd::optim::AdamState;
-use orbit2_autograd::params::BitsMap;
 use orbit2_autograd::scaler::ScalerState;
-use orbit2_autograd::ParamStore;
+use orbit2_autograd::{GradAccumulator, ParamLayout, ParamStore};
 use orbit2_model::{ModelConfig, ReslimModel};
+use orbit2_tensor::Tensor;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::io::{Error, ErrorKind, Result};
+use std::io::{Error, ErrorKind, Result, Write};
 use std::path::Path;
 
 /// Build an [`ErrorKind::InvalidData`] error with a descriptive message.
@@ -99,10 +123,10 @@ pub(crate) fn validate_layout(params: &ParamStore, cfg: ModelConfig) -> Result<(
 /// Magic string opening every trainer checkpoint file.
 pub const CHECKPOINT_MAGIC: &str = "ORBIT2CKPT";
 /// Current trainer checkpoint format version.
-pub const CHECKPOINT_VERSION: u32 = 1;
+pub const CHECKPOINT_VERSION: u32 = 2;
 
 /// Training progress counters captured alongside the weights.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ProgressState {
     /// Micro-batch steps completed so far (`Trainer::train` resumes here).
     pub global_step: u64,
@@ -110,67 +134,158 @@ pub struct ProgressState {
     pub data_cursor: u64,
 }
 
-/// The complete, bit-exact state of a `Trainer` at a step boundary.
+/// The complete, bit-exact state of a `Trainer` at a step boundary. Every
+/// tensor in it is a handle onto the trainer's own storage, so taking one
+/// copies nothing.
 #[derive(Debug, Clone)]
 pub struct TrainerCheckpoint {
     /// Model architecture configuration.
     pub model_cfg: ModelConfig,
-    /// Model parameters (fp32 masters), bit-exact.
-    pub params: BitsMap,
-    /// Adam step count and first/second moments, bit-exact.
+    /// Model parameters (fp32 masters).
+    pub params: ParamStore,
+    /// Adam step count and first/second moment arenas.
     pub adam: AdamState,
     /// Dynamic gradient scaler state.
     pub scaler: ScalerState,
     /// Step and data-cursor counters.
     pub progress: ProgressState,
-    /// Accumulated micro-batch gradients awaiting an optimizer step
-    /// (non-empty only when saved mid accumulation window).
-    pub pending: Vec<BitsMap>,
+    /// The open gradient-accumulation window (holds tensors only when the
+    /// checkpoint was taken mid-window).
+    pub pending: GradAccumulator,
 }
 
-/// CRC-32 (IEEE 802.3, the zlib/PNG polynomial), bitwise.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &byte in data {
-        crc ^= u32::from(byte);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+/// The `progress` section: every counter of the run in one small record.
+#[derive(Serialize, Deserialize)]
+struct Counters {
+    global_step: u64,
+    data_cursor: u64,
+    adam_steps: u64,
+    pending_micro_batches: u64,
+}
+
+/// Slice-by-8 tables for [`crc32`]: `CRC_TABLES[k][b]` is the CRC of byte `b`
+/// followed by `k` zero bytes.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+            bit += 1;
         }
+        tables[0][b] = crc;
+        b += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = tables[k - 1][b];
+            tables[k][b] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    tables
+};
+
+/// CRC-32 (IEEE 802.3, the zlib/PNG polynomial), eight bytes per step.
+pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut crc = 0xFFFF_FFFFu32;
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][w[4] as usize]
+            ^ t[2][w[5] as usize]
+            ^ t[1][w[6] as usize]
+            ^ t[0][w[7] as usize];
+    }
+    for &byte in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(byte)) & 0xFF) as usize];
     }
     !crc
 }
 
-/// Render a checkpoint into the sectioned container format.
-fn render_trainer_state(ckpt: &TrainerCheckpoint) -> Result<Vec<u8>> {
-    fn json<T: Serialize>(label: &str, v: &T) -> Result<String> {
-        serde_json::to_string(v).map_err(|e| invalid(format!("serializing section `{label}`: {e}")))
+/// Write one `section <name> <len> <crc32>` header, the payload and its
+/// terminating newline.
+fn write_section(out: &mut impl Write, name: &str, payload: &[u8]) -> Result<()> {
+    out.write_all(format!("section {name} {} {:08x}\n", payload.len(), crc32(payload)).as_bytes())?;
+    out.write_all(payload)?;
+    out.write_all(b"\n")
+}
+
+fn write_json<T: Serialize>(out: &mut impl Write, name: &str, value: &T) -> Result<()> {
+    let json = serde_json::to_string(value)
+        .map_err(|e| invalid(format!("serializing section `{name}`: {e}")))?;
+    write_section(out, name, json.as_bytes())
+}
+
+/// Write a tensor section: one JSON line of `(name, shape)` pairs, then
+/// every tensor's elements in that order as little-endian `f32` words.
+/// `payload` is scratch, reused from section to section.
+fn write_tensors(
+    out: &mut impl Write,
+    payload: &mut Vec<u8>,
+    name: &str,
+    tensors: &[(&str, &[usize], &[f32])],
+) -> Result<()> {
+    let index: Vec<(String, Vec<usize>)> =
+        tensors.iter().map(|(name, shape, _)| (name.to_string(), shape.to_vec())).collect();
+    let index = serde_json::to_string(&index)
+        .map_err(|e| invalid(format!("serializing the index of section `{name}`: {e}")))?;
+    payload.clear();
+    payload.extend_from_slice(index.as_bytes());
+    payload.push(b'\n');
+    for (_, _, data) in tensors {
+        let at = payload.len();
+        payload.resize(at + data.len() * 4, 0);
+        for (word, x) in payload[at..].chunks_exact_mut(4).zip(data.iter()) {
+            word.copy_from_slice(&x.to_le_bytes());
+        }
     }
-    let sections: Vec<(&str, String)> = vec![
-        ("config", json("config", &ckpt.model_cfg)?),
-        ("params", json("params", &ckpt.params)?),
-        ("adam", json("adam", &ckpt.adam)?),
-        ("scaler", json("scaler", &ckpt.scaler)?),
-        ("progress", json("progress", &ckpt.progress)?),
-        ("pending", json("pending", &ckpt.pending)?),
-    ];
-    let mut out = format!("{CHECKPOINT_MAGIC} v{CHECKPOINT_VERSION}\n").into_bytes();
-    for (name, payload) in sections {
-        let bytes = payload.as_bytes();
-        out.extend_from_slice(
-            format!("section {name} {} {:08x}\n", bytes.len(), crc32(bytes)).as_bytes(),
-        );
-        out.extend_from_slice(bytes);
-        out.push(b'\n');
+    write_section(out, name, payload)
+}
+
+fn write_trainer_state(ckpt: &TrainerCheckpoint, out: &mut impl Write) -> Result<()> {
+    fn arena<'a>(layout: &'a ParamLayout, words: &'a [f32]) -> Vec<(&'a str, &'a [usize], &'a [f32])> {
+        layout.entries().iter().map(|e| (e.name(), e.shape(), &words[e.range()])).collect()
     }
-    Ok(out)
+    let mut payload = Vec::new();
+    out.write_all(format!("{CHECKPOINT_MAGIC} v{CHECKPOINT_VERSION}\n").as_bytes())?;
+    write_json(out, "config", &ckpt.model_cfg)?;
+    let params: Vec<_> =
+        ckpt.params.iter().map(|(name, t)| (name.as_str(), t.shape(), t.data())).collect();
+    write_tensors(out, &mut payload, "params", &params)?;
+    write_tensors(out, &mut payload, "adam.m", &arena(&ckpt.adam.layout, ckpt.adam.m.data()))?;
+    write_tensors(out, &mut payload, "adam.v", &arena(&ckpt.adam.layout, ckpt.adam.v.data()))?;
+    write_json(out, "scaler", &ckpt.scaler)?;
+    let counters = Counters {
+        global_step: ckpt.progress.global_step,
+        data_cursor: ckpt.progress.data_cursor,
+        adam_steps: ckpt.adam.steps,
+        pending_micro_batches: ckpt.pending.micro_batches() as u64,
+    };
+    write_json(out, "progress", &counters)?;
+    // Outside an open window the arena holds the last step's total, which
+    // is not state.
+    let open = ckpt.pending.micro_batches() > 0;
+    let pending: Vec<_> =
+        ckpt.pending.held().filter(|_| open).map(|(e, words)| (e.name(), e.shape(), words)).collect();
+    write_tensors(out, &mut payload, "pending", &pending)
 }
 
 /// Save the full trainer state to `path`, crash-consistently: the bytes are
 /// written to a unique temp sibling and renamed into place, so `path` always
-/// holds either the previous complete checkpoint or the new one.
+/// holds either the previous complete checkpoint or the new one. A failed
+/// save leaves no temp file behind.
 pub fn save_trainer_state(ckpt: &TrainerCheckpoint, path: &Path) -> Result<()> {
-    let bytes = render_trainer_state(ckpt)?;
     if let Some(parent) = path.parent() {
         if !parent.as_os_str().is_empty() {
             std::fs::create_dir_all(parent)?;
@@ -182,14 +297,18 @@ pub fn save_trainer_state(ckpt: &TrainerCheckpoint, path: &Path) -> Result<()> {
         .to_string_lossy()
         .into_owned();
     let tmp = path.with_file_name(format!("{file_name}.tmp-{}", std::process::id()));
-    std::fs::write(&tmp, &bytes)?;
-    std::fs::rename(&tmp, path)?;
-    Ok(())
+    let written = std::fs::File::create(&tmp)
+        .and_then(|mut file| write_trainer_state(ckpt, &mut file))
+        .and_then(|()| std::fs::rename(&tmp, path));
+    if written.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    written
 }
 
 /// Read one `section <name> <len> <crc>` header + payload starting at
 /// `pos`; returns `(name, payload, next_pos)`.
-fn parse_section(bytes: &[u8], pos: usize) -> Result<(String, Vec<u8>, usize)> {
+fn parse_section(bytes: &[u8], pos: usize) -> Result<(&str, &[u8], usize)> {
     let line_end = bytes[pos..]
         .iter()
         .position(|&b| b == b'\n')
@@ -210,13 +329,14 @@ fn parse_section(bytes: &[u8], pos: usize) -> Result<(String, Vec<u8>, usize)> {
     let expect_crc = u32::from_str_radix(crc, 16)
         .map_err(|_| invalid(format!("corrupt checkpoint: bad checksum in header `{header}`")))?;
     let start = line_end + 1;
-    let end = start + len;
-    if end + 1 > bytes.len() {
+    // The claimed length is outside input: `end` is the terminator's index,
+    // and it must exist.
+    let Some(end) = start.checked_add(len).filter(|&end| end < bytes.len()) else {
         return Err(invalid(format!(
             "truncated checkpoint: section `{name}` claims {len} bytes but only {} remain",
-            bytes.len().saturating_sub(start)
+            bytes.len() - start
         )));
-    }
+    };
     if bytes[end] != b'\n' {
         return Err(invalid(format!(
             "corrupt checkpoint: section `{name}` payload is not newline-terminated"
@@ -229,12 +349,44 @@ fn parse_section(bytes: &[u8], pos: usize) -> Result<(String, Vec<u8>, usize)> {
             "CRC mismatch in section `{name}`: stored {expect_crc:08x}, computed {got_crc:08x}"
         )));
     }
-    Ok((name.to_string(), payload.to_vec(), end + 1))
+    Ok((name, payload, end + 1))
+}
+
+/// Split a tensor section into its index and its words, still as bytes.
+/// The index is checked against the bytes that are actually there — sorted
+/// unique names, no overflowing shape, and exactly `4 · Σ lens` payload
+/// bytes — before anything is allocated for the words.
+fn read_tensors<'a>(name: &str, payload: &'a [u8]) -> Result<(ParamLayout, &'a [u8])> {
+    let nl = payload
+        .iter()
+        .position(|&b| b == b'\n')
+        .ok_or_else(|| invalid(format!("section `{name}` has no index line")))?;
+    let index = std::str::from_utf8(&payload[..nl])
+        .map_err(|_| invalid(format!("section `{name}` index is not UTF-8")))?;
+    let index: Vec<(String, Vec<usize>)> = serde_json::from_str(index)
+        .map_err(|e| invalid(format!("section `{name}` index failed to parse: {e}")))?;
+    let layout =
+        ParamLayout::from_index(index).map_err(|e| invalid(format!("section `{name}`: {e}")))?;
+    let words = &payload[nl + 1..];
+    if layout.total().checked_mul(4) != Some(words.len()) {
+        return Err(invalid(format!(
+            "section `{name}` indexes {} elements but holds {} bytes of them",
+            layout.total(),
+            words.len()
+        )));
+    }
+    Ok((layout, words))
+}
+
+/// Little-endian bytes to `f32` words.
+fn words(bytes: &[u8]) -> Vec<f32> {
+    bytes.chunks_exact(4).map(|w| f32::from_le_bytes([w[0], w[1], w[2], w[3]])).collect()
 }
 
 /// Load a full trainer state saved by [`save_trainer_state`]. Truncation, a
-/// flipped byte, a missing section, or an unknown version each produce a
-/// descriptive [`ErrorKind::InvalidData`] error.
+/// flipped byte, a missing section, an index that disagrees with its bytes,
+/// or an unknown version each produce a descriptive
+/// [`ErrorKind::InvalidData`] error.
 pub fn load_trainer_state(path: &Path) -> Result<TrainerCheckpoint> {
     let bytes = std::fs::read(path)?;
     let first_nl = bytes
@@ -258,33 +410,65 @@ pub fn load_trainer_state(path: &Path) -> Result<TrainerCheckpoint> {
         )));
     }
 
-    let mut sections: BTreeMap<String, Vec<u8>> = BTreeMap::new();
+    let mut sections: BTreeMap<&str, &[u8]> = BTreeMap::new();
     let mut pos = first_nl + 1;
     while pos < bytes.len() {
         let (name, payload, next) = parse_section(&bytes, pos)?;
-        sections.insert(name, payload);
+        if sections.insert(name, payload).is_some() {
+            return Err(invalid(format!("corrupt checkpoint: section `{name}` appears twice")));
+        }
         pos = next;
     }
+    let section = |name: &str| {
+        sections.get(name).copied().ok_or_else(|| invalid(format!("checkpoint missing section `{name}`")))
+    };
+    fn json<T: serde::Deserialize>(name: &str, payload: &[u8]) -> Result<T> {
+        let text = std::str::from_utf8(payload)
+            .map_err(|_| invalid(format!("section `{name}` payload is not UTF-8")))?;
+        serde_json::from_str(text).map_err(|e| invalid(format!("section `{name}` failed to parse: {e}")))
+    }
 
-    fn section<'a>(sections: &'a BTreeMap<String, Vec<u8>>, name: &str) -> Result<&'a str> {
-        let payload = sections
-            .get(name)
-            .ok_or_else(|| invalid(format!("checkpoint missing section `{name}`")))?;
-        std::str::from_utf8(payload)
-            .map_err(|_| invalid(format!("section `{name}` payload is not UTF-8")))
+    let counters: Counters = json("progress", section("progress")?)?;
+    let (layout, bytes) = read_tensors("params", section("params")?)?;
+    let mut params = ParamStore::new();
+    for e in layout.entries() {
+        let range = e.range();
+        let data = words(&bytes[4 * range.start..4 * range.end]);
+        params.insert(e.name(), Tensor::from_vec(e.shape().to_vec(), data));
     }
-    fn parse<T: serde::Deserialize>(sections: &BTreeMap<String, Vec<u8>>, name: &str) -> Result<T> {
-        serde_json::from_str(section(sections, name)?)
-            .map_err(|e| invalid(format!("section `{name}` failed to parse: {e}")))
+
+    // Moments are laid out over the parameters, or absent before the first
+    // optimizer step.
+    let moment = |name: &str| {
+        let (index, bytes) = read_tensors(name, section(name)?)?;
+        if !index.is_empty() && index != layout {
+            return Err(invalid(format!("section `{name}` is not laid out over the parameters")));
+        }
+        let arena = Tensor::from_vec(vec![index.total()], words(bytes));
+        Ok((index, arena))
+    };
+    let (adam_layout, m) = moment("adam.m")?;
+    let (v_layout, v) = moment("adam.v")?;
+    if v_layout != adam_layout {
+        return Err(invalid("sections `adam.m` and `adam.v` index different tensors"));
     }
+
+    let (held, bytes) = read_tensors("pending", section("pending")?)?;
+    let micro_batches = usize::try_from(counters.pending_micro_batches)
+        .map_err(|_| invalid("section `progress`: pending micro-batch count out of range"))?;
+    let pending = GradAccumulator::restore(layout, micro_batches, &held, &words(bytes))
+        .map_err(|e| invalid(format!("section `pending`: {e}")))?;
 
     Ok(TrainerCheckpoint {
-        model_cfg: parse(&sections, "config")?,
-        params: parse(&sections, "params")?,
-        adam: parse(&sections, "adam")?,
-        scaler: parse(&sections, "scaler")?,
-        progress: parse(&sections, "progress")?,
-        pending: parse(&sections, "pending")?,
+        model_cfg: json("config", section("config")?)?,
+        params,
+        adam: AdamState { steps: counters.adam_steps, layout: adam_layout, m, v },
+        scaler: json("scaler", section("scaler")?)?,
+        progress: ProgressState {
+            global_step: counters.global_step,
+            data_cursor: counters.data_cursor,
+        },
+        pending,
     })
 }
 
@@ -380,10 +564,229 @@ mod tests {
         assert!(err.to_string().contains("rogue.weight"), "unhelpful error: {err}");
     }
 
+    /// The bitwise loop `crc32` replaced, kept as its oracle.
+    fn crc32_bitwise(data: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &byte in data {
+            crc ^= u32::from(byte);
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            }
+        }
+        !crc
+    }
+
     #[test]
     fn crc32_matches_known_vectors() {
         // Standard IEEE CRC-32 test vector.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn crc32_matches_the_bitwise_oracle_at_every_length_and_alignment() {
+        let mut rng = proptest::TestRng::new(0xC4C);
+        let buf: Vec<u8> = (0..4099 + 8).map(|_| rng.next_u64() as u8).collect();
+        for len in 0..=4099 {
+            let offset = len % 8;
+            let data = &buf[offset..offset + len];
+            assert_eq!(crc32(data), crc32_bitwise(data), "len {len} offset {offset}");
+        }
+        for offset in 0..8 {
+            for len in [0, 1, 7, 8, 9, 63, 64, 65, 4099] {
+                let data = &buf[offset..offset + len];
+                assert_eq!(crc32(data), crc32_bitwise(data), "len {len} offset {offset}");
+            }
+        }
+    }
+
+    fn scratch(name: &str) -> std::path::PathBuf {
+        std::env::temp_dir().join(format!("orbit2_ckpt_{name}_{}", std::process::id()))
+    }
+
+    fn bits(data: &[f32]) -> Vec<u32> {
+        data.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Values JSON floats cannot carry and a text format would mangle.
+    fn awkward(len: usize, salt: u32) -> Vec<f32> {
+        let specials = [
+            f32::NAN,
+            f32::from_bits(0x7FC0_1234),
+            f32::from_bits(0xFFA5_5AA5),
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            -0.0,
+            1.0e-41,
+            f32::from_bits(1),
+            f32::from_bits(0x0A0A_0A0A), // four newline bytes
+        ];
+        (0..len)
+            .map(|i| match specials.get(i % 11) {
+                Some(x) => *x,
+                None => f32::from_bits((i as u32).wrapping_mul(2_654_435_761) ^ salt),
+            })
+            .collect()
+    }
+
+    /// A checkpoint over the tiny model, taken one micro-batch into an
+    /// accumulation window, with awkward bit patterns in every arena.
+    fn awkward_checkpoint() -> TrainerCheckpoint {
+        let model = ReslimModel::new(ModelConfig::tiny().with_channels(4, 3), 12);
+        let mut params = ParamStore::new();
+        let mut grads = BTreeMap::new();
+        for (i, (name, t)) in model.params.iter().enumerate() {
+            params.insert(name.clone(), Tensor::from_vec(t.shape().to_vec(), awkward(t.len(), i as u32)));
+            // One parameter the window holds no gradient for.
+            if name != "xattn.wq" {
+                grads.insert(name.clone(), Tensor::from_vec(t.shape().to_vec(), awkward(t.len(), !(i as u32))));
+            }
+        }
+        let layout = ParamLayout::of(&params);
+        let mut pending = GradAccumulator::new(layout.clone());
+        pending.accumulate(&[grads]);
+        let total = layout.total();
+        TrainerCheckpoint {
+            model_cfg: model.cfg,
+            params,
+            adam: AdamState {
+                steps: 7,
+                m: Tensor::from_vec(vec![total], awkward(total, 0xAAAA)),
+                v: Tensor::from_vec(vec![total], awkward(total, 0x5555)),
+                layout,
+            },
+            scaler: orbit2_autograd::GradScaler::new(512.0).export_state(),
+            progress: ProgressState { global_step: 22, data_cursor: 44 },
+            pending,
+        }
+    }
+
+    #[test]
+    fn v2_round_trips_every_bit_pattern_with_an_open_window() {
+        let ckpt = awkward_checkpoint();
+        let path = scratch("awkward");
+        save_trainer_state(&ckpt, &path).unwrap();
+        let back = load_trainer_state(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+
+        assert_eq!(back.model_cfg, ckpt.model_cfg);
+        assert_eq!(back.params.names(), ckpt.params.names());
+        for (name, t) in ckpt.params.iter() {
+            assert_eq!(back.params.get(name).shape(), t.shape());
+            assert_eq!(bits(back.params.get(name).data()), bits(t.data()), "parameter {name}");
+        }
+        assert_eq!(back.adam.steps, 7);
+        assert_eq!(back.adam.layout, ckpt.adam.layout);
+        assert_eq!(bits(back.adam.m.data()), bits(ckpt.adam.m.data()));
+        assert_eq!(bits(back.adam.v.data()), bits(ckpt.adam.v.data()));
+        assert_eq!(back.scaler.scale_bits, ckpt.scaler.scale_bits);
+        assert_eq!((back.progress.global_step, back.progress.data_cursor), (22, 44));
+        assert_eq!(back.pending.micro_batches(), 1);
+        let held = |c: &TrainerCheckpoint| -> Vec<(String, Vec<u32>)> {
+            c.pending.held().map(|(e, words)| (e.name().to_string(), bits(words))).collect()
+        };
+        assert_eq!(held(&back), held(&ckpt));
+        assert_eq!(held(&back).len(), ckpt.params.len() - 1, "the gradient-less parameter stays absent");
+    }
+
+    #[test]
+    fn closed_window_and_unstepped_optimizer_save_as_empty_sections() {
+        let mut ckpt = awkward_checkpoint();
+        ckpt.pending = GradAccumulator::new(ParamLayout::of(&ckpt.params));
+        ckpt.adam = orbit2_autograd::Adam::new(1e-3).export_state();
+        let path = scratch("empty_sections");
+        save_trainer_state(&ckpt, &path).unwrap();
+        let back = load_trainer_state(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(back.pending.micro_batches(), 0);
+        assert_eq!(back.pending.held().count(), 0);
+        assert!(back.adam.layout.is_empty() && back.adam.m.is_empty() && back.adam.v.is_empty());
+    }
+
+    /// The `(name, payload)` sections of a checkpoint file.
+    fn sections_of(bytes: &[u8]) -> Vec<(String, Vec<u8>)> {
+        let mut pos = bytes.iter().position(|&b| b == b'\n').unwrap() + 1;
+        let mut out = Vec::new();
+        while pos < bytes.len() {
+            let (name, payload, next) = parse_section(bytes, pos).unwrap();
+            out.push((name.to_string(), payload.to_vec()));
+            pos = next;
+        }
+        out
+    }
+
+    /// Save the awkward checkpoint, replace one section's payload (under a
+    /// correct CRC, so only the decoder can object) and load the result.
+    fn load_with_section(name: &str, payload: &[u8]) -> Error {
+        let path = scratch(&format!("hostile_{name}_{}", crc32(payload)));
+        save_trainer_state(&awkward_checkpoint(), &path).unwrap();
+        let mut file = format!("{CHECKPOINT_MAGIC} v{CHECKPOINT_VERSION}\n").into_bytes();
+        for (section, original) in sections_of(&std::fs::read(&path).unwrap()) {
+            let payload = if section == name { payload } else { &original };
+            write_section(&mut file, &section, payload).unwrap();
+        }
+        std::fs::write(&path, file).unwrap();
+        let err = load_trainer_state(&path).expect_err("hostile section must be rejected");
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(err.kind(), ErrorKind::InvalidData, "{err}");
+        err
+    }
+
+    #[test]
+    fn section_length_that_overflows_is_a_truncation_error() {
+        let path = scratch("len_overflow");
+        let header = format!("{CHECKPOINT_MAGIC} v{CHECKPOINT_VERSION}\n");
+        std::fs::write(&path, format!("{header}section params {} 00000000\nxx\n", usize::MAX)).unwrap();
+        let err = load_trainer_state(&path).expect_err("overflowing length must fail");
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(err.kind(), ErrorKind::InvalidData);
+        assert!(err.to_string().contains("truncated checkpoint"), "wrong error: {err}");
+    }
+
+    #[test]
+    fn tensor_index_is_validated_against_the_bytes_present_before_allocating() {
+        // A shape whose product overflows usize.
+        let err = load_with_section("params", b"[[\"a\",[4294967296,4294967296,4294967296]]]\n");
+        assert!(err.to_string().contains("overflows"), "wrong error: {err}");
+        // Shapes whose sum does.
+        let huge = format!("[[\"a\",[{0}]],[\"b\",[{0}]]]\n", usize::MAX / 2 + 1);
+        let err = load_with_section("params", huge.as_bytes());
+        assert!(err.to_string().contains("past usize"), "wrong error: {err}");
+        // A claimed terabyte backed by eight bytes: rejected on the length,
+        // never allocated.
+        let err = load_with_section("adam.m", b"[[\"a\",[250000000000]]]\n12345678");
+        assert!(err.to_string().contains("holds 8 bytes"), "wrong error: {err}");
+        // One word short.
+        let err = load_with_section("params", b"[[\"a\",[3]]]\n12345678");
+        assert!(err.to_string().contains("indexes 3 elements"), "wrong error: {err}");
+        // No index line at all.
+        let err = load_with_section("pending", b"[]");
+        assert!(err.to_string().contains("no index line"), "wrong error: {err}");
+    }
+
+    #[test]
+    fn duplicate_and_unknown_tensor_names_are_rejected() {
+        let err = load_with_section("params", b"[[\"a\",[1]],[\"a\",[1]]]\n12345678");
+        assert!(err.to_string().contains("duplicated or out of order"), "wrong error: {err}");
+        let err = load_with_section("pending", b"[[\"rogue.weight\",[2]]]\n12345678");
+        assert!(err.to_string().contains("`rogue.weight` is not a parameter"), "wrong error: {err}");
+        let err = load_with_section("pending", b"[[\"xattn.wq\",[2]]]\n12345678");
+        assert!(err.to_string().contains("shape"), "wrong error: {err}");
+        let err = load_with_section("adam.v", b"[[\"rogue.weight\",[2]]]\n12345678");
+        assert!(err.to_string().contains("not laid out over the parameters"), "wrong error: {err}");
+    }
+
+    #[test]
+    fn failed_save_leaves_no_temp_file_behind() {
+        // The target is a non-empty directory, so the final rename fails.
+        let dir = scratch("save_fails");
+        let target = dir.join("state.ckpt");
+        std::fs::create_dir_all(target.join("occupied")).unwrap();
+        let err = save_trainer_state(&awkward_checkpoint(), &target).expect_err("rename onto a directory");
+        assert_ne!(err.kind(), ErrorKind::InvalidData, "an I/O error, not a format error: {err}");
+        let left: Vec<_> = std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().file_name()).collect();
+        assert_eq!(left, ["state.ckpt"], "temp file left behind");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -5,8 +5,15 @@
 //! (the thread stands in for the tile's GPU); the per-tile gradient maps are
 //! averaged — the paper's once-per-batch all-reduce — unscaled by the
 //! dynamic gradient scaler, and applied by Adam with a cosine schedule.
-//! Mixed precision is emulated by rounding parameters (and the averaged
+//! Mixed precision is emulated by rounding parameters (and each job's
 //! gradients) to BF16 before use, with fp32 master weights inside Adam.
+//!
+//! The part of a step that is not a model — gradients in, parameters out —
+//! is two parallel sweeps over flat state (`orbit2_autograd::params`): a
+//! reduce that sums the surviving jobs' gradients *in job order* into the
+//! window's arena, scales and finite-checks them, and one Adam update over
+//! the moment arenas. No per-worker partial sums: the result must not
+//! depend on the thread count.
 //!
 //! ## Fault tolerance
 //!
@@ -24,7 +31,8 @@
 //!
 //! With `checkpoint_every > 0` and a checkpoint path set, `train` saves a
 //! crash-consistent [`TrainerCheckpoint`] (params, Adam moments, scaler
-//! state, data cursor, pending accumulation) every N steps;
+//! state, data cursor, the open accumulation window) every N steps, as raw
+//! bytes under per-section checksums;
 //! [`Trainer::resume`] restores it and the continued run is bit-identical
 //! to an uninterrupted one.
 
@@ -34,8 +42,8 @@ use crate::checkpoint::{
 use crate::fault::{FaultAction, FaultEvent, FaultKind, FaultPlan, SkipReason};
 use crate::tiling::split_sample;
 use orbit2_autograd::optim::cosine_schedule;
-use orbit2_autograd::params::{average_grad_maps, tensors_from_bits, tensors_to_bits, GradMap};
-use orbit2_autograd::{Adam, GradScaler, Optimizer, ParamStore, Tape};
+use orbit2_autograd::params::GradMap;
+use orbit2_autograd::{Adam, GradAccumulator, GradScaler, Optimizer, ParamLayout, ParamStore, Tape};
 use orbit2_climate::{DownscalingDataset, Normalizer, Split};
 use orbit2_imaging::tiles::TileSpec;
 use orbit2_model::binder::Binder;
@@ -143,8 +151,8 @@ pub struct Trainer {
     opt: Adam,
     scaler: GradScaler,
     cfg: TrainerConfig,
-    /// Accumulated micro-batch gradients awaiting an optimizer step.
-    pending: Vec<GradMap>,
+    /// The open gradient-accumulation window: one running-sum arena.
+    pending: GradAccumulator,
     /// Deterministic fault-injection schedule (empty unless armed via
     /// [`Trainer::set_fault_plan`] or `ORBIT2_FAULT_PLAN`).
     fault_plan: FaultPlan,
@@ -167,13 +175,14 @@ impl Trainer {
         let opt = Adam::new(cfg.lr).with_weight_decay(1e-5);
         // A short growth interval exercises the scaler during small runs.
         let scaler = GradScaler::new(1024.0).with_growth_interval(200);
+        let pending = GradAccumulator::new(ParamLayout::of(&model.params));
         Self {
             model,
             normalizer,
             opt,
             scaler,
             cfg,
-            pending: Vec::new(),
+            pending,
             fault_plan: FaultPlan::from_env().unwrap_or_default(),
             fault_log: Vec::new(),
             skip_log: Vec::new(),
@@ -215,18 +224,20 @@ impl Trainer {
         self.global_step
     }
 
-    /// Snapshot the complete training state, bit-exactly.
+    /// Snapshot the complete training state, bit-exactly. The snapshot
+    /// holds handles, not copies; drop it before the next step, or that
+    /// step's first write to each buffer copies it.
     pub fn checkpoint(&self) -> TrainerCheckpoint {
         TrainerCheckpoint {
             model_cfg: self.model.cfg,
-            params: self.model.params.to_bits(),
+            params: self.model.params.clone(),
             adam: self.opt.export_state(),
             scaler: self.scaler.export_state(),
             progress: ProgressState {
                 global_step: self.global_step as u64,
                 data_cursor: self.cursor as u64,
             },
-            pending: self.pending.iter().map(|gm| tensors_to_bits(gm.iter())).collect(),
+            pending: self.pending.clone(),
         }
     }
 
@@ -248,20 +259,14 @@ impl Trainer {
     ) -> std::io::Result<Self> {
         let bad = |e: String| std::io::Error::new(std::io::ErrorKind::InvalidData, e);
         let ckpt = load_trainer_state(path)?;
-        let params = ParamStore::from_bits(&ckpt.params).map_err(bad)?;
-        validate_layout(&params, ckpt.model_cfg)?;
-        let model = ReslimModel { cfg: ckpt.model_cfg, params };
+        validate_layout(&ckpt.params, ckpt.model_cfg)?;
+        let model = ReslimModel { cfg: ckpt.model_cfg, params: ckpt.params };
         let mut trainer = Self::new(model, dataset, cfg);
         trainer.opt.import_state(&ckpt.adam).map_err(bad)?;
         trainer.scaler.import_state(&ckpt.scaler);
         trainer.global_step = ckpt.progress.global_step as usize;
         trainer.cursor = ckpt.progress.data_cursor as usize;
-        trainer.pending = ckpt
-            .pending
-            .iter()
-            .map(tensors_from_bits)
-            .collect::<Result<Vec<_>, String>>()
-            .map_err(bad)?;
+        trainer.pending = ckpt.pending;
         Ok(trainer)
     }
 
@@ -346,17 +351,38 @@ impl Trainer {
         assert!(!samples.is_empty(), "empty batch");
         let step = self.global_step;
         self.global_step += 1;
+        let survivors = self.run_jobs(step, samples, lat_field, factor);
+        if survivors.is_empty() {
+            self.skip_log.push((step, SkipReason::AllJobsFailed));
+            return None;
+        }
+        let mean_loss = survivors.iter().map(|(l, _)| *l).sum::<f32>() / survivors.len() as f32;
+        let maps: Vec<GradMap> = survivors.into_iter().map(|(_, g)| g).collect();
+        self.apply_gradients(step, &maps).then_some(mean_loss)
+    }
+
+    /// Forward/backward of every (replica, tile) job of one micro-batch,
+    /// isolated and retried; returns the survivors' `(loss, gradients)` in
+    /// job order. Every handle onto the parameters taken here (the BF16
+    /// copy, the tapes' leaves) is gone when this returns, so the update
+    /// that follows writes the masters in place.
+    fn run_jobs(
+        &mut self,
+        step: usize,
+        samples: &[(&Tensor, &Tensor)],
+        lat_field: &Tensor,
+        factor: usize,
+    ) -> Vec<(f32, GradMap)> {
         // Emulated BF16: the forward/backward sees rounded parameters; Adam
         // keeps fp32 masters in `self.model.params`.
-        let step_params: ParamStore = if self.cfg.bf16 {
+        let rounded: Option<ParamStore> = self.cfg.bf16.then(|| {
             let mut p = self.model.params.clone();
             for (_, t) in p.iter_mut() {
                 *t = t.to_bf16();
             }
             p
-        } else {
-            self.model.params.clone()
-        };
+        });
+        let step_params = rounded.as_ref().unwrap_or(&self.model.params);
 
         let spec = self
             .cfg
@@ -390,7 +416,7 @@ impl Trainer {
                     panic!("injected rank failure");
                 }
                 let tape = Tape::new();
-                let binder = Binder::new(&tape, &step_params);
+                let binder = Binder::new(&tape, step_params);
                 let (pred, _) = model.forward(&binder, &tile.input, compression);
                 let target_tile = tile.target.as_ref().expect("training tile needs target");
                 let weights = crop_weights(lat_field, tile, factor);
@@ -468,34 +494,35 @@ impl Trainer {
             }
         }
         self.fault_log.extend(events);
+        outcomes.into_iter().flatten().collect()
+    }
 
-        // The DDP x TILES gradient all-reduce over the survivors: dropping
-        // a job renormalizes the average over those that remain.
-        let survivors: Vec<(f32, GradMap)> = outcomes.into_iter().flatten().collect();
-        if survivors.is_empty() {
-            self.skip_log.push((step, SkipReason::AllJobsFailed));
-            return None;
+    /// The DDP x TILES gradient all-reduce over the surviving jobs, and at
+    /// the end of an accumulation window the optimizer step: one reduce
+    /// sweep (sum in job order, mean over the jobs, onto the window's
+    /// running sum, mean over the window, unscale, finite check) and, only
+    /// if every element came out finite, one Adam sweep. Dropping a job
+    /// renormalizes the average over those that remain. Returns false when
+    /// the step was skipped (and logged); a skipped step leaves parameters
+    /// and optimizer state untouched.
+    fn apply_gradients(&mut self, step: usize, jobs: &[GradMap]) -> bool {
+        if self.pending.micro_batches() + 1 < self.cfg.grad_accumulation.max(1) {
+            self.pending.accumulate(jobs);
+            return true;
         }
-        let mean_loss = survivors.iter().map(|(l, _)| *l).sum::<f32>() / survivors.len() as f32;
-        let maps: Vec<GradMap> = survivors.into_iter().map(|(_, g)| g).collect();
-        let avg = average_grad_maps(&maps);
-        self.pending.push(avg);
-        if self.pending.len() < self.cfg.grad_accumulation.max(1) {
-            return Some(mean_loss);
-        }
-        let mut total = average_grad_maps(&self.pending);
-        self.pending.clear();
+        let unscale = self.cfg.bf16.then(|| 1.0 / self.scaler.scale());
+        let finite = self.pending.finish(jobs, unscale);
         if self.cfg.bf16 {
-            if !self.scaler.unscale_and_check(&mut total) {
-                self.skip_log.push((step, SkipReason::ScalerOverflow));
-                return None;
-            }
-        } else if total.values().any(|g| !g.all_finite()) {
-            self.skip_log.push((step, SkipReason::NonFiniteAverage));
-            return None;
+            self.scaler.record(finite);
         }
-        self.opt.step(&mut self.model.params, &total);
-        Some(mean_loss)
+        if !finite {
+            let reason =
+                if self.cfg.bf16 { SkipReason::ScalerOverflow } else { SkipReason::NonFiniteAverage };
+            self.skip_log.push((step, reason));
+            return false;
+        }
+        self.opt.step_accumulated(&mut self.model.params, &self.pending);
+        true
     }
 }
 
@@ -683,6 +710,45 @@ mod tests {
             stats.reuses > 0,
             "multi-step training must recycle buffers, stats: {stats:?}"
         );
+    }
+
+    #[test]
+    fn update_writes_the_masters_in_place() {
+        // No handle onto the parameters may outlive the jobs: a live one
+        // makes every `data_mut` of the update a copy-on-write fault — a
+        // full copy of the model per step. The pool's `copies` counter is
+        // per thread and the jobs (4 tiles) run on the workers, so other
+        // tests cannot disturb the reading taken here.
+        let ds = dataset();
+        let spec = TileSpec { tiles_y: 2, tiles_x: 2, halo: 1 };
+        let mut t = Trainer::new(
+            tiny_model(),
+            &ds,
+            TrainerConfig { tile_spec: Some(spec), steps: 0, ..quick_cfg() },
+        );
+        let lat = Tensor::from_vec(
+            vec![ds.fine_grid().h, ds.fine_grid().w],
+            ds.fine_grid().latitude_weight_field(),
+        );
+        let storage = |t: &Trainer| {
+            t.model.params.iter().map(|(_, p)| p.data().as_ptr()).collect::<Vec<_>>()
+        };
+        let at_start = storage(&t);
+        for step in 0..2 {
+            let s = ds.sample(step);
+            let survivors = t.run_jobs(step, &[(&s.input, &s.target)], &lat, ds.factor);
+            let maps: Vec<GradMap> = survivors.into_iter().map(|(_, g)| g).collect();
+            assert_eq!(maps.len(), 4);
+            let before = orbit2_tensor::pool::stats().copies;
+            assert!(t.apply_gradients(step, &maps), "clean step skipped");
+            let copied = orbit2_tensor::pool::stats().copies - before;
+            assert_eq!(copied, 0, "step {step}: the update copied {copied} buffers");
+        }
+        assert_eq!(storage(&t), at_start, "a parameter's storage was re-allocated");
+        // And through the public entry point.
+        let s = ds.sample(2);
+        t.step(&s.input, &s.target, &lat, ds.factor).expect("a loss");
+        assert_eq!(storage(&t), at_start, "a parameter's storage was re-allocated by `step`");
     }
 
     #[test]

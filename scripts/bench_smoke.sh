@@ -98,6 +98,15 @@ jq -r '
     | "gemm_precision/\($n)\tf32 \($f) ns\tbf16 \($r["gemm_bf16/" + $n]) ns (\(($f / $r["gemm_bf16/" + $n] * 100 | round) / 100)x)\tint8 \($r["gemm_int8/" + $n]) ns (\(($f / $r["gemm_int8/" + $n] * 100 | round) / 100)x)"
 ' "$OUT_JSON"
 
+# The training step's non-math, same snapshot: the trainer's two sweeps
+# (reduce into the accumulation arena + Adam over the moment arenas) against
+# the sequential composition they replaced, on the same gradients.
+jq -r '
+    .[-1].runs[0].results
+    | (map({(.bench): .median_ns}) | add) as $r
+    | "optim/fused/5M vs optim/composed/5M\tfused \($r["optim/fused/5M"]) ns\tcomposed \($r["optim/composed/5M"]) ns\tfused / composed \(($r["optim/fused/5M"] / $r["optim/composed/5M"] * 100 | round) / 100)x"
+' "$OUT_JSON"
+
 echo "== bench smoke: tape vs tape-free inference =="
 infer_log="$(cargo bench -p orbit2-bench --bench inference "$@" 2>&1)" || {
     echo "bench inference failed:" >&2
