@@ -7,9 +7,11 @@
 //! the driver spawns client threads that submit raw-source requests
 //! without waiting (open loop within the burst) and then drains all
 //! handles. One `BENCH_JSON` line per (mode, concurrency) cell keeps the
-//! output compatible with `scripts/bench_smoke.sh`; `median_ns` carries
-//! the p50 latency so `scripts/bench_check.sh` tracks it like any other
-//! bench.
+//! output compatible with `scripts/bench_smoke.sh`, which appends it to
+//! `BENCH_serving.json`; `median_ns` carries the p50 latency, like any
+//! other bench row. The f32/bf16/int8 c16 cells (one server per precision)
+//! are the only per-precision serving numbers in the repo — no
+//! `benchmark/` workload runs a reduced-precision server.
 
 use orbit2::serving::ServeRequest;
 use orbit2_climate::{DownscalingDataset, LatLonGrid, Normalizer, VariableSet};
@@ -107,8 +109,8 @@ fn main() {
         }
     }
 
-    // Per-precision serving: the same c=16 burst against servers whose
-    // default weight precision differs, on the paper's 126M model
+    // Per-precision serving: the same c=16 burst against servers deployed
+    // at each weight precision, on the paper's 126M model
     // (embed 1024: ~0.5 GB of f32 weights, far past every cache level) —
     // reduced-precision weights pay exactly when the weight working set
     // exceeds cache and every forward streams it. The tiny/small bench

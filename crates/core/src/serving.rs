@@ -46,10 +46,10 @@ pub struct ServeRequest {
     pub compression: f32,
     /// Output variables to return; `None` returns all model outputs.
     pub variables: Option<Vec<String>>,
-    /// Weight precision to serve this request at; `None` defers to the
-    /// server's configured default. The *effective* precision is part of
-    /// the response-cache identity: a bf16 answer is never returned for an
-    /// f32 request.
+    /// Weight precision the client requires of the server. Precision is a
+    /// deployment setting (`--precision`), not a per-request choice: `None`
+    /// accepts whatever the server runs at, and a value that differs from
+    /// it is refused at admission with a `bad_request` naming both.
     pub precision: Option<WeightPrecision>,
     /// Server-side deadline in milliseconds, measured from admission.
     /// `None` defers to the server's `--default-deadline-ms` (which may
@@ -85,7 +85,7 @@ impl ServeRequest {
         }
     }
 
-    /// Builder-style explicit precision (overrides the server default).
+    /// Builder-style precision requirement (see [`ServeRequest::precision`]).
     pub fn at_precision(mut self, precision: WeightPrecision) -> Self {
         self.precision = Some(precision);
         self
@@ -126,23 +126,50 @@ impl Serialize for ServeRequest {
     }
 }
 
+/// A wire integer under `key`: a finite, non-negative whole number no
+/// larger than 2^53, the range a JSON number holds exactly. The serde
+/// shim's blanket `n as u64` saturates instead (`-1` reads as 0, `1.5` as
+/// 1, `1e30` as `u64::MAX`), which would turn a malformed request into a
+/// different valid one.
+fn wire_uint(value: &Value, key: &str) -> Result<u64, SerdeError> {
+    const MAX: f64 = (1u64 << 53) as f64;
+    match value.as_f64() {
+        Some(n) if (0.0..=MAX).contains(&n) && n.fract() == 0.0 => Ok(n as u64),
+        Some(n) => Err(SerdeError::new(format!(
+            "`{key}` must be a whole number between 0 and 2^53, got {n}"
+        ))),
+        None => Err(SerdeError::new(format!("`{key}` must be a number"))),
+    }
+}
+
+/// [`wire_uint`] narrowed to an index or extent.
+fn wire_usize(value: &Value, key: &str) -> Result<usize, SerdeError> {
+    usize::try_from(wire_uint(value, key)?)
+        .map_err(|_| SerdeError::new(format!("`{key}` does not fit this platform's usize")))
+}
+
 impl Deserialize for ServeRequest {
     fn deserialize_value(value: &Value) -> Result<Self, SerdeError> {
         let obj = value.as_object().ok_or_else(|| SerdeError::new("request must be an object"))?;
         let id = match obj.get("id") {
-            Some(v) => u64::deserialize_value(v)?,
+            Some(v) => wire_uint(v, "id")?,
             None => return Err(SerdeError::new("request is missing `id`")),
         };
         let source = match (obj.get("region"), obj.get("shape"), obj.get("data")) {
             (Some(r), None, None) => RequestSource::Region {
                 name: String::deserialize_value(r)?,
                 time: match obj.get("time") {
-                    Some(t) => usize::deserialize_value(t)?,
+                    Some(t) => wire_usize(t, "time")?,
                     None => 0,
                 },
             },
             (None, Some(s), Some(d)) => RequestSource::Raw {
-                shape: Vec::<usize>::deserialize_value(s)?,
+                shape: s
+                    .as_array()
+                    .ok_or_else(|| SerdeError::new("`shape` must be an array"))?
+                    .iter()
+                    .map(|dim| wire_usize(dim, "shape"))
+                    .collect::<Result<_, _>>()?,
                 data: Vec::<f32>::deserialize_value(d)?,
             },
             _ => {
@@ -183,7 +210,7 @@ impl Deserialize for ServeRequest {
             }
         }
         let deadline_ms = match obj.get("deadline_ms") {
-            Some(d) => Some(u64::deserialize_value(d)?),
+            Some(d) => Some(wire_uint(d, "deadline_ms")?),
             None => None,
         };
         Ok(Self { id, source, compression, variables, precision, deadline_ms })
@@ -208,36 +235,25 @@ pub struct ServeResponse {
     pub micros: u64,
 }
 
-/// Reply to a `{"cmd": "stats"}` control line: response-cache counters,
-/// per-precision request counts since server start, and the process-wide
-/// buffer-pool telemetry (how often activation buffers were recycled vs
-/// freshly allocated).
+/// The server's one counter snapshot: what `Server::stats()` returns and
+/// what a `{"cmd": "stats"}` control line serializes.
 ///
 /// Flat named fields rather than a map keep the derive-shim serialization
-/// stable and the reply greppable; counters are cumulative and only the
-/// entry count can shrink (on eviction). The pool counters are process
-/// globals (they also tick during model warmup and cache stitching), so
-/// consumers should diff snapshots rather than read absolutes.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+/// stable and the reply greppable. Everything is cumulative since server
+/// start except `cache_entries`, a gauge that shrinks on eviction. The
+/// `pool_*` counters are process globals (they also tick during model
+/// warmup and for any other tensor work in the process), so consumers
+/// should diff snapshots rather than read absolutes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct ServeStats {
-    /// Responses answered from the LRU cache.
-    pub cache_hits: u64,
-    /// Cacheable responses that had to be computed.
-    pub cache_misses: u64,
-    /// Entries currently resident in the cache.
-    pub cache_entries: u64,
-    /// Completed requests served at f32 weights.
-    pub requests_f32: u64,
-    /// Completed requests served at bf16 weights.
-    pub requests_bf16: u64,
-    /// Completed requests served at int8 weights.
-    pub requests_int8: u64,
-    /// Buffer-pool fresh heap allocations (pool miss or oversized request).
-    pub pool_fresh_allocs: u64,
-    /// Buffer-pool buffers recycled from the free list.
-    pub pool_reuses: u64,
-    /// Copy-on-write copies of still-shared pooled buffers.
-    pub pool_copies: u64,
+    /// Requests admitted past validation and the cache, i.e. enqueued.
+    pub admitted: u64,
+    /// Requests completed successfully by a forward (cache hits excluded).
+    pub completed: u64,
+    /// Forward passes executed (batched or not).
+    pub batches: u64,
+    /// Tile jobs that ran in a batch of size >= 2.
+    pub batched_jobs: u64,
     /// Tile jobs re-executed in isolation after a batched forward panicked,
     /// and which then completed cleanly (quarantine saved them).
     pub retried_jobs: u64,
@@ -250,26 +266,19 @@ pub struct ServeStats {
     /// Requests that terminated with `deadline_exceeded` (at admission,
     /// dispatch, or stitch time).
     pub deadline_expired: u64,
-}
-
-impl ServeStats {
-    /// Count one completed request at `precision` weights.
-    pub fn record(&mut self, precision: WeightPrecision) {
-        match precision {
-            WeightPrecision::F32 => self.requests_f32 += 1,
-            WeightPrecision::Bf16 => self.requests_bf16 += 1,
-            WeightPrecision::Int8 => self.requests_int8 += 1,
-        }
-    }
-
-    /// The request counter for `precision`.
-    pub fn requests_at(&self, precision: WeightPrecision) -> u64 {
-        match precision {
-            WeightPrecision::F32 => self.requests_f32,
-            WeightPrecision::Bf16 => self.requests_bf16,
-            WeightPrecision::Int8 => self.requests_int8,
-        }
-    }
+    /// Responses answered from the LRU cache.
+    pub cache_hits: u64,
+    /// Cacheable requests that had to be computed (every region request
+    /// when the cache is disabled).
+    pub cache_misses: u64,
+    /// Entries currently resident in the cache.
+    pub cache_entries: u64,
+    /// Buffer-pool fresh heap allocations (pool miss or oversized request).
+    pub pool_fresh_allocs: u64,
+    /// Buffer-pool buffers recycled from the free list.
+    pub pool_reuses: u64,
+    /// Copy-on-write copies of still-shared pooled buffers.
+    pub pool_copies: u64,
 }
 
 /// Reply to a `{"cmd": "health"}` control line: the coarse liveness
@@ -470,13 +479,13 @@ mod tests {
         assert!(line.contains(r#""precision":"bf16""#), "{line}");
         let back: ServeRequest = serde_json::from_str(&line).unwrap();
         assert_eq!(back, req);
-        // Absent field means "server default" and is not emitted on the
+        // Absent field means "no requirement" and is not emitted on the
         // wire (pre-precision clients and servers interoperate unchanged).
         let default_req = ServeRequest::region(2, "conus", 1);
         assert!(!serde_json::to_string(&default_req).unwrap().contains("precision"));
         let old: ServeRequest = serde_json::from_str(r#"{"id": 2, "region": "conus"}"#).unwrap();
         assert_eq!(old.precision, None);
-        // An explicit f32 *is* emitted (it must override a reduced default).
+        // An explicit f32 *is* emitted (a reduced-precision server must refuse it).
         let f32_req = ServeRequest::region(2, "conus", 1).at_precision(WeightPrecision::F32);
         assert!(serde_json::to_string(&f32_req).unwrap().contains(r#""precision":"f32""#));
         // "i8" is an accepted alias; garbage is a hard error.
@@ -490,26 +499,62 @@ mod tests {
     }
 
     #[test]
-    fn stats_roundtrip_and_counters() {
-        let mut stats = ServeStats::default();
-        stats.record(WeightPrecision::Bf16);
-        stats.record(WeightPrecision::Bf16);
-        stats.record(WeightPrecision::Int8);
-        stats.cache_hits = 5;
-        stats.cache_entries = 2;
-        stats.pool_reuses = 7;
-        stats.retried_jobs = 3;
-        stats.quarantined_jobs = 1;
-        stats.shed_jobs = 4;
-        stats.deadline_expired = 2;
-        assert_eq!(stats.requests_at(WeightPrecision::Bf16), 2);
-        assert_eq!(stats.requests_at(WeightPrecision::F32), 0);
+    fn stats_roundtrip() {
+        let stats = ServeStats {
+            admitted: 9,
+            completed: 8,
+            cache_hits: 5,
+            cache_entries: 2,
+            pool_reuses: 7,
+            retried_jobs: 3,
+            quarantined_jobs: 1,
+            shed_jobs: 4,
+            deadline_expired: 2,
+            ..ServeStats::default()
+        };
         let line = serde_json::to_string(&stats).unwrap();
+        assert!(line.contains(r#""admitted":9"#), "{line}");
         assert!(line.contains("pool_reuses"), "{line}");
         assert!(line.contains("quarantined_jobs"), "{line}");
-        assert!(line.contains("deadline_expired"), "{line}");
         let back: ServeStats = serde_json::from_str(&line).unwrap();
         assert_eq!(back, stats);
+    }
+
+    /// Wire integers are validated, not saturating-cast: every malformed
+    /// value is refused with an error naming its key, and the extremes of
+    /// the valid range parse exactly.
+    #[test]
+    fn wire_integers_are_validated_not_saturated() {
+        let rejected = [
+            ("id", r#"{"id": -1, "region": "x"}"#),
+            ("id", r#"{"id": 1.5, "region": "x"}"#),
+            ("id", r#"{"id": 1e30, "region": "x"}"#),
+            ("id", r#"{"id": 9007199254740994, "region": "x"}"#),
+            ("id", r#"{"id": "7", "region": "x"}"#),
+            ("time", r#"{"id": 1, "region": "x", "time": -1}"#),
+            ("time", r#"{"id": 1, "region": "x", "time": 0.25}"#),
+            ("shape", r#"{"id": 1, "shape": [1, -2, 2], "data": []}"#),
+            ("shape", r#"{"id": 1, "shape": [1e30, 1, 1], "data": []}"#),
+            ("shape", r#"{"id": 1, "shape": [1, 2.5, 2], "data": []}"#),
+            ("shape", r#"{"id": 1, "shape": 4, "data": []}"#),
+            ("deadline_ms", r#"{"id": 1, "region": "x", "deadline_ms": -5}"#),
+            ("deadline_ms", r#"{"id": 1, "region": "x", "deadline_ms": 0.5}"#),
+            ("deadline_ms", r#"{"id": 1, "region": "x", "deadline_ms": 1e999}"#),
+        ];
+        for (key, line) in rejected {
+            let err = serde_json::from_str::<ServeRequest>(line)
+                .expect_err(line)
+                .to_string();
+            assert!(err.contains(&format!("`{key}`")), "{line}: error must name the key: {err}");
+        }
+        let edge: ServeRequest = serde_json::from_str(
+            r#"{"id": 9007199254740992, "region": "x", "time": 0, "deadline_ms": 0}"#,
+        )
+        .unwrap();
+        assert_eq!(edge, ServeRequest::region(1 << 53, "x", 0).with_deadline_ms(0));
+        let raw: ServeRequest =
+            serde_json::from_str(r#"{"id": 2, "shape": [1, 4294967296, 0], "data": []}"#).unwrap();
+        assert_eq!(raw, ServeRequest::raw(2, vec![1, 1 << 32, 0], vec![]));
     }
 
     #[test]

@@ -1,16 +1,14 @@
 //! The LRU response cache.
 //!
-//! Region-sourced requests are deterministic given
-//! `(region, time, variable selection, compression, scale)`, so their
-//! finished responses are cacheable verbatim. The cache is a `BTreeMap`
-//! keyed by that tuple with a logical-clock recency stamp per entry —
-//! capacity is tens to hundreds of entries, where a scan-to-evict is
-//! cheaper than maintaining an intrusive list. Hit/miss counters are
-//! atomics so the hot read path never takes the map lock twice.
+//! One server is one (model, weight precision) pair, so region-sourced
+//! requests are deterministic given `(region, time, variable selection,
+//! compression)` and their finished responses are cacheable verbatim. The
+//! cache is a `BTreeMap` keyed by that tuple with a logical-clock recency
+//! stamp per entry — capacity is tens to hundreds of entries, where a
+//! scan-to-evict is cheaper than maintaining an intrusive list. Hits and
+//! misses are counted by the caller, with the server's other counters.
 
-use orbit2_tensor::fused::WeightPrecision;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// Identity of a cacheable response.
@@ -24,11 +22,6 @@ pub(crate) struct CacheKey {
     pub variables: Vec<String>,
     /// Bit pattern of the compression target (f32 keys can't be `Ord`).
     pub compression_bits: u32,
-    /// Refinement factor of the serving model.
-    pub scale: usize,
-    /// Effective weight precision the response was computed at — a bf16
-    /// prediction must never answer an f32 request.
-    pub precision: WeightPrecision,
 }
 
 /// A cached response body.
@@ -40,65 +33,31 @@ pub(crate) struct CachedPayload {
     pub data: Vec<f32>,
 }
 
-/// Cache observability counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Lookups answered from the cache.
-    pub hits: u64,
-    /// Lookups that missed (including lookups while the cache is disabled).
-    pub misses: u64,
-    /// Entries currently resident.
-    pub entries: usize,
-    /// Configured capacity (0 = disabled).
-    pub capacity: usize,
-}
-
 struct CacheInner {
     map: BTreeMap<CacheKey, (u64, CachedPayload)>,
     tick: u64,
 }
 
-/// Least-recently-used response cache with hit/miss accounting.
+/// Least-recently-used response cache.
 pub(crate) struct ResponseCache {
     capacity: usize,
     inner: Mutex<CacheInner>,
-    hits: AtomicU64,
-    misses: AtomicU64,
 }
 
 impl ResponseCache {
     pub(crate) fn new(capacity: usize) -> Self {
-        Self {
-            capacity,
-            inner: Mutex::new(CacheInner { map: BTreeMap::new(), tick: 0 }),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
+        Self { capacity, inner: Mutex::new(CacheInner { map: BTreeMap::new(), tick: 0 }) }
     }
 
-    /// Look up `key`, refreshing its recency on a hit.
+    /// Look up `key`, refreshing its recency on a hit. A disabled cache
+    /// (capacity 0) misses every lookup.
     pub(crate) fn get(&self, key: &CacheKey) -> Option<CachedPayload> {
-        if self.capacity == 0 {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            return None;
-        }
         let mut inner = self.inner.lock().unwrap();
         inner.tick += 1;
         let tick = inner.tick;
-        match inner.map.get_mut(key) {
-            Some((stamp, payload)) => {
-                *stamp = tick;
-                let hit = payload.clone();
-                drop(inner);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(hit)
-            }
-            None => {
-                drop(inner);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        let (stamp, payload) = inner.map.get_mut(key)?;
+        *stamp = tick;
+        Some(payload.clone())
     }
 
     /// Insert `key`, evicting the least-recently-used entry when full.
@@ -121,13 +80,9 @@ impl ResponseCache {
         }
     }
 
-    pub(crate) fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            entries: self.inner.lock().unwrap().map.len(),
-            capacity: self.capacity,
-        }
+    /// Entries currently resident.
+    pub(crate) fn len(&self) -> usize {
+        self.inner.lock().unwrap().map.len()
     }
 }
 
@@ -141,8 +96,6 @@ mod tests {
             time,
             variables: vec![],
             compression_bits: 1.0f32.to_bits(),
-            scale: 4,
-            precision: WeightPrecision::F32,
         }
     }
 
@@ -151,13 +104,12 @@ mod tests {
     }
 
     #[test]
-    fn hit_and_miss_counters() {
+    fn miss_then_hit() {
         let cache = ResponseCache::new(4);
         assert!(cache.get(&key("a", 0)).is_none());
         cache.put(key("a", 0), payload(1.0));
         assert_eq!(cache.get(&key("a", 0)).unwrap().data, vec![1.0]);
-        let s = cache.stats();
-        assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1));
+        assert_eq!(cache.len(), 1);
     }
 
     #[test]
@@ -171,7 +123,7 @@ mod tests {
         assert!(cache.get(&key("a", 0)).is_some(), "recently used entry survived");
         assert!(cache.get(&key("b", 0)).is_none(), "LRU entry evicted");
         assert!(cache.get(&key("c", 0)).is_some());
-        assert_eq!(cache.stats().entries, 2);
+        assert_eq!(cache.len(), 2);
     }
 
     #[test]
@@ -187,9 +139,6 @@ mod tests {
         let mut time = key("a", 1);
         time.time = 1;
         assert!(cache.get(&time).is_none());
-        let mut prec = key("a", 0);
-        prec.precision = WeightPrecision::Bf16;
-        assert!(cache.get(&prec).is_none(), "cross-precision hits must be impossible");
     }
 
     #[test]
@@ -197,8 +146,6 @@ mod tests {
         let cache = ResponseCache::new(0);
         cache.put(key("a", 0), payload(1.0));
         assert!(cache.get(&key("a", 0)).is_none());
-        assert!(cache.get(&key("a", 0)).is_none());
-        let s = cache.stats();
-        assert_eq!((s.hits, s.misses, s.entries), (0, 2, 0));
+        assert_eq!(cache.len(), 0);
     }
 }

@@ -4,7 +4,9 @@
 //! Training amortizes weight preparation across an epoch; ad-hoc
 //! inference pays it per call. This crate closes the gap for serving:
 //! a [`Server`] owns one model and one prepared
-//! [`InferenceSession`](orbit2_model::InferenceSession) for its whole
+//! [`InferenceSession`](orbit2_model::InferenceSession) — at the weight
+//! precision it was deployed with ([`ServerConfig::precision`]; a request
+//! may assert that precision but never choose another) — for its whole
 //! lifetime, and turns a stream of independent requests into batched
 //! work on the shared session:
 //!
@@ -21,9 +23,10 @@
 //!   requests, so a many-tile request cannot starve a small one.
 //! - **LRU response cache** — region-sourced requests are deterministic,
 //!   so finished responses are cached by
-//!   `(region, time, variables, compression, scale)` with hit/miss
-//!   counters exposed through [`Server::cache_stats`].
-//!
+//!   `(region, time, variables, compression)`.
+//! - **One stats snapshot** — [`Server::stats`] returns the single
+//!   [`ServerStats`] struct (admission, batching, resilience, cache and
+//!   buffer-pool counters), which is also what `{"cmd":"stats"}` sends.
 //! - **Resilience** — requests carry optional deadlines checked at
 //!   admission, dispatch (expired queued tiles are shed before any
 //!   forward runs), and stitch time; a panicking tile is quarantined by
@@ -60,7 +63,7 @@ mod oneshot;
 mod server;
 pub mod tcp;
 
-pub use cache::CacheStats;
 pub use oneshot::Handle;
-pub use server::{Region, Server, ServerConfig, ServerStats};
+pub use orbit2::serving::ServeStats as ServerStats;
+pub use server::{Region, Server, ServerConfig};
 pub use tcp::{serve, Client, RetryPolicy, ServerReply};

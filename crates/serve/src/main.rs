@@ -8,7 +8,9 @@
 //!              [--precision f32|bf16|int8] [--default-deadline-ms N]
 //! ```
 //!
-//! `--default-deadline-ms` applies a server-side deadline to every
+//! `--precision` is the deployment's weight precision: the server builds
+//! its one session at it, and a request whose `"precision"` names another
+//! is refused with `bad_request`. `--default-deadline-ms` applies a server-side deadline to every
 //! request that does not carry its own `deadline_ms` field; expired work
 //! is shed before it runs and the request fails with the typed
 //! `deadline_exceeded` error. Setting `ORBIT2_SERVE_FAULT_PLAN` arms

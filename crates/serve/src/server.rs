@@ -2,9 +2,13 @@
 //! response assembly.
 //!
 //! One [`Server`] owns one model and one tape-free
-//! [`InferenceSession`](orbit2_model::InferenceSession) — weights and
-//! packed GEMM operands are prepared once and shared read-only by every
-//! worker that executes on its behalf. A submitted request is validated,
+//! [`InferenceSession`](orbit2_model::InferenceSession) at the configured
+//! weight precision — weights and packed GEMM operands are prepared once,
+//! by [`Server::start`], and shared read-only by every worker that
+//! executes on its behalf. Precision is a deployment setting: a request's
+//! `precision` field can only *assert* it, and a mismatch is refused at
+//! admission, so nothing on the request path ever builds a session. A
+//! submitted request is validated,
 //! resolved to a `[C, h, w]` input, normalized, and split into halo-padded
 //! tile jobs that land on a single submission queue. A dedicated batcher
 //! thread groups **same-shaped tile jobs across requests** into one
@@ -32,21 +36,22 @@
 //! stops admission, lets in-flight work finish, and completes stragglers
 //! with `shutting_down`.
 
-use crate::cache::{CacheKey, CacheStats, CachedPayload, ResponseCache};
+use crate::cache::{CacheKey, CachedPayload, ResponseCache};
 use crate::oneshot::{Handle, Oneshot};
 use orbit2::fault::{FaultKind, FaultPlan};
 use orbit2::inference::validate_input;
-use orbit2::serving::{RequestSource, ServeError, ServeRequest, ServeResponse};
+use orbit2::serving::{
+    RequestSource, ServeError, ServeHealth, ServeRequest, ServeResponse, ServeStats,
+};
 use orbit2::tiling::{split_stack, stitch_predictions};
 use orbit2_climate::{DownscalingDataset, Normalizer};
 use orbit2_imaging::tiles::{TileGeometry, TileSpec};
-use orbit2::serving::{ServeHealth, ServeStats};
 use orbit2_model::{InferenceSession, ReslimModel};
 use orbit2_tensor::fused::WeightPrecision;
 use orbit2_tensor::Tensor;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Serving knobs. The defaults suit the CPU-scale models in this repo;
@@ -66,9 +71,9 @@ pub struct ServerConfig {
     pub cache_capacity: usize,
     /// Most requests in flight before admission returns `QueueFull`.
     pub queue_capacity: usize,
-    /// Weight precision for requests that don't ask for one explicitly.
-    /// The session at this precision is prepared eagerly at startup;
-    /// sessions for other requested precisions are built on first use.
+    /// Weight precision of this deployment: [`Server::start`] prepares the
+    /// server's one session at it. A request naming a different precision
+    /// is rejected with `bad_request`, never served at another one.
     pub precision: WeightPrecision,
     /// Deadline applied to requests that don't carry a wire `deadline_ms`
     /// of their own (`None` = no deadline). Measured from admission;
@@ -112,8 +117,6 @@ pub(crate) struct RequestState {
     /// Admission order; the batcher round-robins over this.
     pub(crate) seq: u64,
     compression: f32,
-    /// Effective weight precision (request override or server default).
-    precision: WeightPrecision,
     in_h: usize,
     in_w: usize,
     remaining: AtomicUsize,
@@ -129,29 +132,43 @@ pub(crate) struct RequestState {
     pub(crate) done: Arc<Oneshot>,
     cache_key: Option<CacheKey>,
     var_sel: Option<Vec<usize>>,
-    /// In-flight accounting: decremented when the state drops, which is
+    /// In-flight accounting: released when the state drops, which is
     /// exactly once per request no matter how it ends (success, shutdown,
     /// or an execution failure with tiles still queued elsewhere).
-    inflight: Arc<AtomicUsize>,
+    _slot: InflightSlot,
 }
 
-impl Drop for RequestState {
+/// One unit of the admission cap, held from the capacity check until it
+/// drops. Admission takes it *as a guard* so that nothing between the cap
+/// and a terminal state — an early return, a panic while normalizing or
+/// splitting — can leak the slot; a leaked slot is permanent, and
+/// `queue_capacity` of them would answer `queue_full` forever.
+pub(crate) struct InflightSlot(Arc<AtomicUsize>);
+
+impl InflightSlot {
+    /// Take a slot, or `None` when `capacity` requests already hold one.
+    fn take(gauge: &Arc<AtomicUsize>, capacity: usize) -> Option<Self> {
+        let held = gauge.fetch_add(1, Ordering::SeqCst);
+        let slot = Self(Arc::clone(gauge));
+        // Over capacity the guard drops right here, undoing the add.
+        (held < capacity).then_some(slot)
+    }
+}
+
+impl Drop for InflightSlot {
     fn drop(&mut self) {
-        self.inflight.fetch_sub(1, Ordering::SeqCst);
+        self.0.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
 /// What makes two tile jobs stackable: same spatial shape and the same
 /// compression target (a batched forward runs one plan search per sample
-/// but a single target). Channel count is fixed by the model.
+/// but a single target). Channel count and session are fixed by the server.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct JobKey {
     h: usize,
     w: usize,
     compression_bits: u32,
-    /// A batched forward runs through one session, so only jobs at the
-    /// same precision may stack.
-    precision: WeightPrecision,
 }
 
 /// One tile of one request, queued for execution.
@@ -164,25 +181,46 @@ pub(crate) struct TileJob {
     enqueued: Instant,
 }
 
-/// Server throughput counters (monotonic since start).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ServerStats {
-    /// Requests admitted past validation and the cache.
-    pub admitted: u64,
-    /// Requests completed successfully.
-    pub completed: u64,
-    /// Forward passes executed (batched or not).
-    pub batches: u64,
-    /// Tile jobs that ran in a batch of size >= 2.
-    pub batched_jobs: u64,
-    /// Tile jobs recovered by an isolated quarantine retry.
-    pub retried_jobs: u64,
-    /// Tile jobs that panicked again in isolation (culprits).
-    pub quarantined_jobs: u64,
-    /// Queued tile jobs shed at dispatch because their deadline expired.
-    pub shed_jobs: u64,
-    /// Requests that terminated with `deadline_exceeded`.
-    pub deadline_expired: u64,
+/// The server's monotonic counters, one atomic per [`ServeStats`] field
+/// that the server itself ticks. `Relaxed` throughout: each is a statistic
+/// that publishes no other data.
+#[derive(Default)]
+struct Counters {
+    admitted: AtomicU64,
+    completed: AtomicU64,
+    batches: AtomicU64,
+    batched_jobs: AtomicU64,
+    retried_jobs: AtomicU64,
+    quarantined_jobs: AtomicU64,
+    shed_jobs: AtomicU64,
+    deadline_expired: AtomicU64,
+    cache_hits: AtomicU64,
+    cache_misses: AtomicU64,
+}
+
+impl Counters {
+    /// The one place a [`ServeStats`] is assembled: these counters, the
+    /// cache's entry gauge, and the process-wide buffer-pool counters.
+    fn snapshot(&self, cache_entries: usize) -> ServeStats {
+        let read = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        let pool = orbit2_tensor::pool::global_stats();
+        ServeStats {
+            admitted: read(&self.admitted),
+            completed: read(&self.completed),
+            batches: read(&self.batches),
+            batched_jobs: read(&self.batched_jobs),
+            retried_jobs: read(&self.retried_jobs),
+            quarantined_jobs: read(&self.quarantined_jobs),
+            shed_jobs: read(&self.shed_jobs),
+            deadline_expired: read(&self.deadline_expired),
+            cache_hits: read(&self.cache_hits),
+            cache_misses: read(&self.cache_misses),
+            cache_entries: cache_entries as u64,
+            pool_fresh_allocs: pool.fresh_allocs,
+            pool_reuses: pool.reuses,
+            pool_copies: pool.copies,
+        }
+    }
 }
 
 /// Lifecycle states: admission is open only while `RUNNING`; `DRAINING`
@@ -195,10 +233,8 @@ const STOPPED: u8 = 2;
 
 struct Inner {
     model: ReslimModel,
-    /// One session slot per weight precision, built on first use (the
-    /// configured default is warmed at startup). Indexed by
-    /// [`WeightPrecision::index`].
-    sessions: [OnceLock<InferenceSession>; WeightPrecision::ALL.len()],
+    /// The server's one session, prepared at `cfg.precision` by `start`.
+    session: InferenceSession,
     normalizer: Normalizer,
     regions: Vec<Region>,
     cfg: ServerConfig,
@@ -211,17 +247,7 @@ struct Inner {
     state: AtomicU8,
     /// The resolved fault-injection schedule (empty when unarmed).
     fault_plan: FaultPlan,
-    admitted: AtomicU64,
-    completed: AtomicU64,
-    batches: AtomicU64,
-    batched_jobs: AtomicU64,
-    retried_jobs: AtomicU64,
-    quarantined_jobs: AtomicU64,
-    shed_jobs: AtomicU64,
-    deadline_expired: AtomicU64,
-    /// Completed requests (cache hits included), indexed by
-    /// [`WeightPrecision::index`].
-    requests_by_precision: [AtomicU64; WeightPrecision::ALL.len()],
+    counters: Counters,
 }
 
 /// A persistent inference server. See the module docs for the lifecycle;
@@ -233,15 +259,17 @@ pub struct Server {
 
 impl Server {
     /// Start a server over `model` with `regions` as its request-resolvable
-    /// data. Spawns the batcher thread; the returned server is `Send + Sync`
-    /// and is usually wrapped in an `Arc` to share with connection threads.
+    /// data: prepares the session at `cfg.precision` (weight snapshot and
+    /// GEMM packs — the only session this server ever builds) and spawns
+    /// the batcher thread. The returned server is `Send + Sync` and is
+    /// usually wrapped in an `Arc` to share with connection threads.
     pub fn start(
         model: ReslimModel,
         normalizer: Normalizer,
         regions: Vec<Region>,
         cfg: ServerConfig,
     ) -> Self {
-        let precision = cfg.precision;
+        let session = model.session_at(cfg.precision);
         let cache = ResponseCache::new(cfg.cache_capacity);
         // An explicit plan (even `FaultPlan::none()`) beats the env knob.
         let fault_plan = cfg
@@ -251,7 +279,7 @@ impl Server {
             .unwrap_or_default();
         let inner = Arc::new(Inner {
             model,
-            sessions: std::array::from_fn(|_| OnceLock::new()),
+            session,
             normalizer,
             regions,
             cfg,
@@ -262,19 +290,8 @@ impl Server {
             next_seq: AtomicU64::new(0),
             state: AtomicU8::new(RUNNING),
             fault_plan,
-            admitted: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-            batched_jobs: AtomicU64::new(0),
-            retried_jobs: AtomicU64::new(0),
-            quarantined_jobs: AtomicU64::new(0),
-            shed_jobs: AtomicU64::new(0),
-            deadline_expired: AtomicU64::new(0),
-            requests_by_precision: std::array::from_fn(|_| AtomicU64::new(0)),
+            counters: Counters::default(),
         });
-        // Warm the default session so the first request doesn't pay weight
-        // packing.
-        inner.session_for(precision);
         let worker = Arc::clone(&inner);
         let batcher = std::thread::Builder::new()
             .name("orbit2-serve-batcher".into())
@@ -290,51 +307,11 @@ impl Server {
         self.inner.submit(req)
     }
 
-    /// Response-cache counters.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.inner.cache.stats()
-    }
-
-    /// The combined wire-stats snapshot for `{"cmd": "stats"}` replies:
-    /// response-cache counters, per-precision request counts, and the
-    /// buffer-pool telemetry — observability for
-    /// how well activation buffers are being recycled under load. The pool
-    /// counters are process-wide and monotonic; diff snapshots to attribute
-    /// traffic.
-    pub fn serve_stats(&self) -> ServeStats {
-        let cache = self.inner.cache.stats();
-        let pool = orbit2_tensor::pool::global_stats();
-        let requests_at =
-            |p: WeightPrecision| self.inner.requests_by_precision[p.index()].load(Ordering::Relaxed);
-        ServeStats {
-            cache_hits: cache.hits,
-            cache_misses: cache.misses,
-            cache_entries: cache.entries as u64,
-            requests_f32: requests_at(WeightPrecision::F32),
-            requests_bf16: requests_at(WeightPrecision::Bf16),
-            requests_int8: requests_at(WeightPrecision::Int8),
-            pool_fresh_allocs: pool.fresh_allocs,
-            pool_reuses: pool.reuses,
-            pool_copies: pool.copies,
-            retried_jobs: self.inner.retried_jobs.load(Ordering::Relaxed),
-            quarantined_jobs: self.inner.quarantined_jobs.load(Ordering::Relaxed),
-            shed_jobs: self.inner.shed_jobs.load(Ordering::Relaxed),
-            deadline_expired: self.inner.deadline_expired.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Server throughput counters.
-    pub fn stats(&self) -> ServerStats {
-        ServerStats {
-            admitted: self.inner.admitted.load(Ordering::Relaxed),
-            completed: self.inner.completed.load(Ordering::Relaxed),
-            batches: self.inner.batches.load(Ordering::Relaxed),
-            batched_jobs: self.inner.batched_jobs.load(Ordering::Relaxed),
-            retried_jobs: self.inner.retried_jobs.load(Ordering::Relaxed),
-            quarantined_jobs: self.inner.quarantined_jobs.load(Ordering::Relaxed),
-            shed_jobs: self.inner.shed_jobs.load(Ordering::Relaxed),
-            deadline_expired: self.inner.deadline_expired.load(Ordering::Relaxed),
-        }
+    /// The server's counters: admission and throughput, resilience, the
+    /// response cache, and the process-wide buffer pool. The only snapshot
+    /// there is — `{"cmd": "stats"}` serializes exactly this.
+    pub fn stats(&self) -> ServeStats {
+        self.inner.counters.snapshot(self.inner.cache.len())
     }
 
     /// The model's refinement factor (output pixels per input pixel).
@@ -416,11 +393,6 @@ impl Drop for Server {
 }
 
 impl Inner {
-    /// The session at `precision`, built on first use.
-    fn session_for(&self, precision: WeightPrecision) -> &InferenceSession {
-        self.sessions[precision.index()].get_or_init(|| self.model.session_at(precision))
-    }
-
     pub(crate) fn submit(&self, req: ServeRequest) -> Handle {
         let started = Instant::now();
         let slot = Oneshot::new();
@@ -440,6 +412,15 @@ impl Inner {
         if self.state.load(Ordering::SeqCst) != RUNNING {
             return Err(ServeError::ShuttingDown);
         }
+        if let Some(required) = req.precision.filter(|&p| p != self.cfg.precision) {
+            return Err(ServeError::BadRequest {
+                reason: format!(
+                    "request requires {} weights but this server is deployed at {}",
+                    required.label(),
+                    self.cfg.precision.label()
+                ),
+            });
+        }
         if req.compression < 1.0 || !req.compression.is_finite() {
             return Err(ServeError::BadCompression { got: req.compression });
         }
@@ -450,13 +431,12 @@ impl Inner {
         let deadline = deadline_ms.map(|ms| started + Duration::from_millis(ms));
         if let Some(d) = deadline {
             if Instant::now() >= d {
-                self.deadline_expired.fetch_add(1, Ordering::Relaxed);
+                self.counters.deadline_expired.fetch_add(1, Ordering::Relaxed);
                 return Err(ServeError::DeadlineExceeded {
                     deadline_ms: deadline_ms.unwrap_or(0),
                 });
             }
         }
-        let precision = req.precision.unwrap_or(self.cfg.precision);
         let var_sel = match &req.variables {
             None => None,
             Some(names) => {
@@ -489,19 +469,17 @@ impl Inner {
                     time: *time,
                     variables: req.variables.clone().unwrap_or_default(),
                     compression_bits: req.compression.to_bits(),
-                    scale: self.model.cfg.scale_factor,
-                    precision,
                 };
                 (region.dataset.sample(*time).input, Some(key))
             }
             RequestSource::Raw { shape, data } => {
-                let elems: usize = shape.iter().product();
-                if elems != data.len() {
+                // Checked: the dims are client-chosen, and a wrapped
+                // product can equal `data.len()`.
+                let elems = shape.iter().try_fold(1usize, |n, &d| n.checked_mul(d));
+                if elems != Some(data.len()) {
                     return Err(ServeError::BadRequest {
                         reason: format!(
-                            "shape {:?} holds {} elements but {} data values were sent",
-                            shape,
-                            elems,
+                            "shape {shape:?} does not hold the {} data values that were sent",
                             data.len()
                         ),
                     });
@@ -510,10 +488,20 @@ impl Inner {
             }
         };
         validate_input(&self.model, &input)?;
+        let (h, w) = (input.shape()[1], input.shape()[2]);
+        let spec = self.cfg.tile.unwrap_or(TileSpec { tiles_y: 1, tiles_x: 1, halo: 0 });
+        if spec.tiles_y > h || spec.tiles_x > w {
+            return Err(ServeError::BadRequest {
+                reason: format!(
+                    "a {h}x{w} input cannot be split into this server's {}x{} tiles",
+                    spec.tiles_y, spec.tiles_x
+                ),
+            });
+        }
 
         if let Some(key) = &cache_key {
             if let Some(hit) = self.cache.get(key) {
-                self.requests_by_precision[precision.index()].fetch_add(1, Ordering::Relaxed);
+                self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
                 slot.complete(Ok(ServeResponse {
                     id: req.id,
                     shape: hit.shape,
@@ -524,24 +512,20 @@ impl Inner {
                 }));
                 return Ok(());
             }
+            self.counters.cache_misses.fetch_add(1, Ordering::Relaxed);
         }
 
-        // Admission control: `inflight` is released by RequestState::drop.
-        if self.inflight.fetch_add(1, Ordering::SeqCst) >= self.cfg.queue_capacity {
-            self.inflight.fetch_sub(1, Ordering::SeqCst);
-            return Err(ServeError::QueueFull { capacity: self.cfg.queue_capacity });
-        }
-        self.admitted.fetch_add(1, Ordering::Relaxed);
+        // Admission control. The slot is a guard from here on: it moves
+        // into the `RequestState` below, and any earlier exit releases it.
+        let inflight = InflightSlot::take(&self.inflight, self.cfg.queue_capacity)
+            .ok_or(ServeError::QueueFull { capacity: self.cfg.queue_capacity })?;
 
-        let (h, w) = (input.shape()[1], input.shape()[2]);
         let normalized = self.normalizer.normalize_input(&input);
-        let spec = self.cfg.tile.unwrap_or(TileSpec { tiles_y: 1, tiles_x: 1, halo: 0 });
         let tiles = split_stack(&normalized, spec);
         let state = Arc::new(RequestState {
             id: req.id,
             seq: self.next_seq.fetch_add(1, Ordering::SeqCst),
             compression: req.compression,
-            precision,
             in_h: h,
             in_w: w,
             remaining: AtomicUsize::new(tiles.len()),
@@ -553,7 +537,7 @@ impl Inner {
             done: Arc::clone(slot),
             cache_key,
             var_sel,
-            inflight: Arc::clone(&self.inflight),
+            _slot: inflight,
         });
         {
             let mut queue = self.queue.lock().unwrap();
@@ -574,7 +558,6 @@ impl Inner {
                     h: tile_input.shape()[1],
                     w: tile_input.shape()[2],
                     compression_bits: req.compression.to_bits(),
-                    precision,
                 };
                 queue.push_back(TileJob {
                     req: Arc::clone(&state),
@@ -585,6 +568,10 @@ impl Inner {
                     enqueued: Instant::now(),
                 });
             }
+            // Ticked only once the request is really queued (the STOPPED
+            // re-check above rejects without it), and still under the
+            // lock, so no snapshot can show it completed but not admitted.
+            self.counters.admitted.fetch_add(1, Ordering::Relaxed);
         }
         self.work_ready.notify_all();
         Ok(())
@@ -596,7 +583,7 @@ impl Inner {
 /// `DeadlineExceeded`, *before* any forward is picked — the client gave
 /// up, so the server spends nothing more on it. Runs under the queue
 /// lock on every batcher wakeup.
-fn shed_expired(shed_jobs: &AtomicU64, deadline_expired: &AtomicU64, queue: &mut VecDeque<TileJob>) {
+fn shed_expired(counters: &Counters, queue: &mut VecDeque<TileJob>) {
     if queue.iter().all(|j| j.req.deadline.is_none()) {
         return;
     }
@@ -609,11 +596,11 @@ fn shed_expired(shed_jobs: &AtomicU64, deadline_expired: &AtomicU64, queue: &mut
             continue;
         }
         let job = queue.remove(i).expect("index checked in range");
-        shed_jobs.fetch_add(1, Ordering::Relaxed);
+        counters.shed_jobs.fetch_add(1, Ordering::Relaxed);
         let err = ServeError::DeadlineExceeded { deadline_ms: job.req.deadline_ms };
-        deadline_expired.fetch_add(1, Ordering::Relaxed);
+        counters.deadline_expired.fetch_add(1, Ordering::Relaxed);
         if !job.req.done.complete(Err(err)) {
-            deadline_expired.fetch_sub(1, Ordering::Relaxed);
+            counters.deadline_expired.fetch_sub(1, Ordering::Relaxed);
         }
     }
 }
@@ -634,7 +621,7 @@ fn batcher_loop(inner: Arc<Inner>) {
                     }
                     return;
                 }
-                shed_expired(&inner.shed_jobs, &inner.deadline_expired, &mut queue);
+                shed_expired(&inner.counters, &mut queue);
                 let Some(front) = queue.front() else {
                     let (guard, _) = inner
                         .work_ready
@@ -713,16 +700,14 @@ fn panic_reason(panic: Box<dyn std::any::Any + Send>) -> String {
         .unwrap_or_else(|| "unknown panic".into())
 }
 
-/// Run the forward for `jobs` (any batch size), returning one prediction
-/// per job. Stackable jobs share a `JobKey`, hence a single session
-/// and compression target.
+/// Run the forward for `jobs` (any batch size) through the server's one
+/// session, returning one prediction per job. Stackable jobs share a
+/// `JobKey`, hence a single compression target.
 fn run_forward(inner: &Inner, jobs: &[TileJob]) -> Vec<Tensor> {
-    let lead = &jobs[0].req;
-    let session = inner.session_for(lead.precision);
     let inputs: Vec<&Tensor> = jobs.iter().map(|j| &j.input).collect();
     inner
         .model
-        .forward_batch(session, &inputs, lead.compression)
+        .forward_batch(&inner.session, &inputs, jobs[0].req.compression)
         .into_iter()
         .map(|(pred, _)| pred.into_tensor())
         .collect()
@@ -740,9 +725,9 @@ fn execute_batch(inner: &Inner, jobs: Vec<TileJob>) {
     // The batch ordinal is the fault plan's first coordinate: assigned
     // once per executed batch, never by retries, so an armed plan draws
     // the same fault for the same (batch, job) on every run.
-    let batch_index = inner.batches.fetch_add(1, Ordering::Relaxed) as usize;
+    let batch_index = inner.counters.batches.fetch_add(1, Ordering::Relaxed) as usize;
     if n > 1 {
-        inner.batched_jobs.fetch_add(n as u64, Ordering::Relaxed);
+        inner.counters.batched_jobs.fetch_add(n as u64, Ordering::Relaxed);
     }
     let faults: Vec<Option<FaultKind>> =
         (0..n).map(|j| inner.fault_plan.lookup(batch_index, j)).collect();
@@ -814,12 +799,12 @@ fn quarantine(inner: &Inner, jobs: Vec<TileJob>, batch_index: usize, first_reaso
         }));
         match retry {
             Ok(pred) => {
-                inner.retried_jobs.fetch_add(1, Ordering::Relaxed);
+                inner.counters.retried_jobs.fetch_add(1, Ordering::Relaxed);
                 // The isolated rerun executed alone: batch size 1.
                 finish_tile(inner, job, pred, 1);
             }
             Err(panic) => {
-                inner.quarantined_jobs.fetch_add(1, Ordering::Relaxed);
+                inner.counters.quarantined_jobs.fetch_add(1, Ordering::Relaxed);
                 let reason = format!(
                     "tile job panicked and failed its isolated retry: {} \
                      (batch failure: {first_reason})",
@@ -847,9 +832,9 @@ fn finish_tile(inner: &Inner, job: TileJob, pred: Tensor, batch_size: usize) {
     if let Some(d) = req.deadline {
         if Instant::now() >= d {
             let err = ServeError::DeadlineExceeded { deadline_ms: req.deadline_ms };
-            inner.deadline_expired.fetch_add(1, Ordering::Relaxed);
+            inner.counters.deadline_expired.fetch_add(1, Ordering::Relaxed);
             if !req.done.complete(Err(err)) {
-                inner.deadline_expired.fetch_sub(1, Ordering::Relaxed);
+                inner.counters.deadline_expired.fetch_sub(1, Ordering::Relaxed);
             }
             return;
         }
@@ -881,11 +866,10 @@ fn finish_tile(inner: &Inner, job: TileJob, pred: Tensor, batch_size: usize) {
             CachedPayload { shape: output.shape().to_vec(), data: output.data().to_vec() },
         );
     }
-    // Counters tick *before* the completion wakes the waiter, so a client
-    // reading stats right after `wait()` returns sees them; if a drain
-    // won the race instead, roll the speculative ticks back.
-    inner.completed.fetch_add(1, Ordering::Relaxed);
-    inner.requests_by_precision[req.precision.index()].fetch_add(1, Ordering::Relaxed);
+    // The counter ticks *before* the completion wakes the waiter, so a
+    // client reading stats right after `wait()` returns sees it; if a drain
+    // won the race instead, roll the speculative tick back.
+    inner.counters.completed.fetch_add(1, Ordering::Relaxed);
     let won = req.done.complete(Ok(ServeResponse {
         id: req.id,
         shape: output.shape().to_vec(),
@@ -895,14 +879,15 @@ fn finish_tile(inner: &Inner, job: TileJob, pred: Tensor, batch_size: usize) {
         micros: req.started.elapsed().as_micros() as u64,
     }));
     if !won {
-        inner.completed.fetch_sub(1, Ordering::Relaxed);
-        inner.requests_by_precision[req.precision.index()].fetch_sub(1, Ordering::Relaxed);
+        inner.counters.completed.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use orbit2_climate::{LatLonGrid, VariableSet};
+    use orbit2_model::ModelConfig;
 
     fn fake_state(seq: u64, tiles: usize, inflight: &Arc<AtomicUsize>) -> Arc<RequestState> {
         fake_state_deadline(seq, tiles, inflight, None)
@@ -914,12 +899,10 @@ mod tests {
         inflight: &Arc<AtomicUsize>,
         deadline: Option<Instant>,
     ) -> Arc<RequestState> {
-        inflight.fetch_add(1, Ordering::SeqCst);
         Arc::new(RequestState {
             id: seq,
             seq,
             compression: 1.0,
-            precision: WeightPrecision::F32,
             in_h: 4,
             in_w: 4,
             remaining: AtomicUsize::new(tiles),
@@ -931,7 +914,7 @@ mod tests {
             done: Oneshot::new(),
             cache_key: None,
             var_sel: None,
-            inflight: Arc::clone(inflight),
+            _slot: InflightSlot::take(inflight, usize::MAX).expect("uncapped"),
         })
     }
 
@@ -941,12 +924,7 @@ mod tests {
             tile_index,
             geom: TileGeometry { ty: 0, tx: 0, core_y0: 0, core_x0: 0, core_h: h, core_w: h, halo: 0 },
             input: Tensor::zeros(vec![1, h, h]),
-            key: JobKey {
-                h,
-                w: h,
-                compression_bits: 1.0f32.to_bits(),
-                precision: WeightPrecision::F32,
-            },
+            key: JobKey { h, w: h, compression_bits: 1.0f32.to_bits() },
             enqueued: Instant::now(),
         }
     }
@@ -1024,17 +1002,13 @@ mod tests {
         queue.push_back(job(&fresh, 0, 4));
         queue.push_back(job(&expired, 1, 4));
         queue.push_back(job(&no_deadline, 0, 4));
-        let shed_jobs = AtomicU64::new(0);
-        let deadline_expired = AtomicU64::new(0);
-        shed_expired(&shed_jobs, &deadline_expired, &mut queue);
+        let counters = Counters::default();
+        shed_expired(&counters, &mut queue);
         assert_eq!(queue.len(), 2, "only the two expired tiles are shed");
         assert!(queue.iter().all(|j| j.req.seq != 0));
-        assert_eq!(shed_jobs.load(Ordering::Relaxed), 2, "shed_jobs counts tiles");
-        assert_eq!(
-            deadline_expired.load(Ordering::Relaxed),
-            1,
-            "deadline_expired counts requests, not tiles"
-        );
+        let stats = counters.snapshot(0);
+        assert_eq!(stats.shed_jobs, 2, "shed_jobs counts tiles");
+        assert_eq!(stats.deadline_expired, 1, "deadline_expired counts requests, not tiles");
         let verdict = crate::oneshot::Handle::new(0, Arc::clone(&expired.done));
         assert_eq!(
             verdict.try_get().unwrap().unwrap_err(),
@@ -1043,9 +1017,9 @@ mod tests {
         assert!(!fresh.done.is_complete());
         assert!(!no_deadline.done.is_complete());
         // Idempotent on the survivors: a second sweep sheds nothing.
-        shed_expired(&shed_jobs, &deadline_expired, &mut queue);
+        shed_expired(&counters, &mut queue);
         assert_eq!(queue.len(), 2);
-        assert_eq!(shed_jobs.load(Ordering::Relaxed), 2);
+        assert_eq!(counters.snapshot(0).shed_jobs, 2);
     }
 
     #[test]
@@ -1053,7 +1027,61 @@ mod tests {
         let inflight = Arc::new(AtomicUsize::new(0));
         let state = fake_state(0, 1, &inflight);
         assert_eq!(inflight.load(Ordering::SeqCst), 1);
+        assert!(InflightSlot::take(&inflight, 1).is_none(), "the cap is enforced");
+        assert_eq!(inflight.load(Ordering::SeqCst), 1, "a refused take holds nothing");
         drop(state);
         assert_eq!(inflight.load(Ordering::SeqCst), 0);
+    }
+
+    /// A 7-input model over the `conus` region, normalized with statistics
+    /// fitted on `fit_on`'s variable set.
+    fn tiny_server(fit_on: VariableSet, cfg: ServerConfig) -> Server {
+        let dataset = |vars| DownscalingDataset::new(LatLonGrid::conus(16, 32), vars, 4, 10, 3);
+        let ds = dataset(VariableSet::daymet_like());
+        let model = ReslimModel::new(ModelConfig::tiny().with_channels(7, 3), 2);
+        let norm = Normalizer::fit(&dataset(fit_on), 4);
+        let cfg = ServerConfig { fault_plan: Some(FaultPlan::none()), ..cfg };
+        Server::start(model, norm, vec![Region { name: "conus".into(), dataset: ds }], cfg)
+    }
+
+    /// A panic between taking the admission slot and enqueueing — injected
+    /// here as a normalizer fitted on 23 channels meeting a 7-channel input,
+    /// which `normalize_input` asserts on — must release the slot: the one
+    /// slot this server has is free again for every later attempt.
+    #[test]
+    fn a_panic_between_admission_and_enqueue_releases_the_slot() {
+        let cfg = ServerConfig { queue_capacity: 1, ..ServerConfig::default() };
+        let server = tiny_server(VariableSet::era5_like(), cfg);
+        for id in 0..3 {
+            let submit = std::panic::AssertUnwindSafe(|| {
+                server.submit(ServeRequest::region(id, "conus", 0))
+            });
+            assert!(std::panic::catch_unwind(submit).is_err(), "the injected panic fires");
+            assert_eq!(server.inflight(), 0, "attempt {id} leaked its admission slot");
+        }
+        assert_eq!(server.stats().admitted, 0);
+    }
+
+    /// The drain race with its interleaving forced: admission passes the
+    /// RUNNING check and takes its slot, the server stops while admission
+    /// waits for the queue lock, and the re-check under that lock rejects.
+    /// The request was never enqueued, so it never counts as admitted.
+    #[test]
+    fn a_request_refused_by_the_stopped_recheck_is_never_counted_admitted() {
+        let server = Arc::new(tiny_server(VariableSet::daymet_like(), ServerConfig::default()));
+        let queue = server.inner.queue.lock().unwrap();
+        let submitter = {
+            let server = Arc::clone(&server);
+            std::thread::spawn(move || server.submit(ServeRequest::region(1, "conus", 0)).wait())
+        };
+        // The slot is taken after the RUNNING check and before the lock.
+        while server.inflight() == 0 {
+            std::thread::yield_now();
+        }
+        server.inner.state.store(STOPPED, Ordering::SeqCst);
+        drop(queue);
+        assert_eq!(submitter.join().unwrap().unwrap_err(), ServeError::ShuttingDown);
+        assert_eq!(server.stats().admitted, 0, "a rejected request must not count as admitted");
+        assert_eq!(server.inflight(), 0);
     }
 }

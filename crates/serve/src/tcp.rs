@@ -13,8 +13,8 @@
 //! one of the stable [`ServeError::kind`] strings.
 //!
 //! Besides requests, a connection may send control lines of the form
-//! `{"cmd": "..."}`. Commands today: `stats` (a serialized
-//! [`ServeStats`] object) and `health` (a serialized [`ServeHealth`]
+//! `{"cmd": "..."}`. Commands today: `stats` (the serialized
+//! [`Server::stats`] snapshot, a [`ServeStats`]) and `health` (a serialized [`ServeHealth`]
 //! for load balancers: `{"status": "ok"|"draining", inflight,
 //! queue_depth}`). Control replies ride the same FIFO as pipelined
 //! request replies, so they arrive in line order.
@@ -98,7 +98,7 @@ enum Outgoing {
 /// Handle a `{"cmd": ...}` control line, returning the reply line.
 fn control_line(server: &Server, cmd: &str) -> String {
     match cmd {
-        "stats" => serde_json::to_string(&server.serve_stats()).expect("stats serialize"),
+        "stats" => serde_json::to_string(&server.stats()).expect("stats serialize"),
         "health" => serde_json::to_string(&server.health()).expect("health serializes"),
         other => response_line(
             0,
@@ -271,7 +271,7 @@ impl Client {
         self.recv()
     }
 
-    /// Query the server's cache/precision/resilience counters.
+    /// Query the server's counter snapshot ([`Server::stats`] over the wire).
     pub fn stats(&mut self) -> std::io::Result<ServeStats> {
         self.send_line(r#"{"cmd":"stats"}"#)?;
         serde_json::from_str(self.recv_line()?.trim_end()).map_err(std::io::Error::other)

@@ -1,6 +1,6 @@
 //! Chaos harness: hammer a fault-injected server from concurrent clients
-//! with mixed precisions, tile shapes, and deadlines, and assert the
-//! serving resilience invariant — **every submitted request reaches
+//! with precision-asserting and unlabelled requests, tiles, and deadlines,
+//! and assert the serving resilience invariant — **every submitted request reaches
 //! exactly one terminal state** (a response or a typed error, never a
 //! hang), and the server's inflight gauge returns to zero (no leaked
 //! permits). Run in both SIMD modes by `scripts/chaos_smoke.sh`, which
@@ -38,8 +38,10 @@ fn await_idle(server: &Server) {
     }
 }
 
-/// One client thread's worth of traffic: mixed sources, precisions, and
-/// deadlines, every handle waited to a terminal state.
+/// One client thread's worth of traffic: mixed deadlines, a third of it
+/// asserting the precision the server is deployed at (which must be
+/// served exactly like the unlabelled rest), every handle waited to a
+/// terminal state.
 fn hammer(
     server: &Server,
     client: u64,
@@ -50,7 +52,7 @@ fn hammer(
         let id = client * 1_000 + i;
         let mut req = ServeRequest::region(id, "conus", (i % 10) as usize);
         if i % 3 == 1 {
-            req = req.at_precision(SessionPrecision::Bf16);
+            req = req.at_precision(SessionPrecision::F32);
         }
         // A third of the traffic carries deadlines, some of them tight
         // enough to trip the checkpoints under straggler injection.

@@ -1,6 +1,7 @@
 //! Knob census: the flags `orbit2-serve --help` prints and the flags the
 //! README's serving section documents must be the same set, so neither can
-//! gain or lose a knob without the other.
+//! gain or lose a knob without the other — and likewise the keys of a
+//! `{"cmd":"stats"}` reply and the keys the README lists.
 
 use std::collections::BTreeSet;
 
@@ -38,4 +39,20 @@ fn usage_flags_and_readme_serving_section_agree() {
     let stale: Vec<_> = readme.difference(&usage).collect();
     assert!(undocumented.is_empty(), "in the usage string but not in README: {undocumented:?}");
     assert!(stale.is_empty(), "in README but not in the usage string: {stale:?}");
+}
+
+#[test]
+fn stats_reply_keys_and_readme_stats_paragraph_agree() {
+    let reply = serde_json::to_string(&orbit2::serving::ServeStats::default()).unwrap();
+    let value: serde::Value = serde_json::from_str(&reply).unwrap();
+    let keys: BTreeSet<&str> = value.as_object().unwrap().keys().map(String::as_str).collect();
+    // Every `snake_case` word in backticks in the README's **Stats.** paragraph.
+    let documented: BTreeSet<&str> = between(README, "**Stats.**", "\n\n")
+        .split('`')
+        .skip(1)
+        .step_by(2)
+        .filter(|t| t.chars().all(|c| c.is_ascii_lowercase() || c == '_'))
+        .collect();
+    assert_eq!(keys.len(), 14, "stats reply keys: {keys:?}");
+    assert_eq!(keys, documented, "stats reply keys vs README **Stats.** paragraph");
 }

@@ -8,7 +8,7 @@ use orbit2_model::SessionPrecision;
 use orbit2_climate::{DownscalingDataset, LatLonGrid, Normalizer, VariableSet};
 use orbit2_imaging::tiles::TileSpec;
 use orbit2_model::{ModelConfig, ReslimModel};
-use orbit2_serve::{Region, Server, ServerConfig};
+use orbit2_serve::{Region, Server, ServerConfig, ServerStats};
 use orbit2_tensor::Tensor;
 
 fn setup() -> (ReslimModel, Normalizer, DownscalingDataset) {
@@ -30,6 +30,12 @@ fn start(cfg: ServerConfig) -> (Server, ReslimModel, Normalizer, DownscalingData
         cfg,
     );
     (server, ref_model, ref_norm, ref_ds)
+}
+
+/// The snapshot minus the buffer-pool counters, which are process-wide and
+/// tick for every test running in this binary.
+fn sans_pool(stats: ServerStats) -> ServerStats {
+    ServerStats { pool_fresh_allocs: 0, pool_reuses: 0, pool_copies: 0, ..stats }
 }
 
 /// Batched serving must be bitwise-equal to direct inference: submit a
@@ -135,16 +141,15 @@ fn cache_serves_repeat_region_requests() {
     assert!(warm.cached, "second identical region request must hit the cache");
     assert_eq!(warm.batch, 0, "cache hits never touch the model");
     assert_eq!(warm.data, cold.data);
-    let stats = server.cache_stats();
-    assert_eq!(stats.hits, 1);
-    assert_eq!(stats.misses, 1);
-    assert_eq!(stats.entries, 1);
+    let stats = server.stats();
+    assert_eq!((stats.cache_hits, stats.cache_misses, stats.cache_entries), (1, 1, 1));
+    assert_eq!((stats.admitted, stats.completed), (1, 1), "a cache hit is never admitted");
     // Different knobs are different cache keys.
     let mut compressed = ServeRequest::region(3, "conus", 2);
     compressed.compression = 2.0;
     let other = server.submit(compressed).wait().unwrap();
     assert!(!other.cached);
-    assert_eq!(server.cache_stats().misses, 2);
+    assert_eq!(server.stats().cache_misses, 2);
 }
 
 #[test]
@@ -219,109 +224,104 @@ fn bad_requests_get_typed_errors() {
 
     let err = server.submit(ServeRequest::raw(8, vec![7, 4, 8], vec![0.0; 3])).wait().unwrap_err();
     assert!(matches!(err, ServeError::BadRequest { .. }), "shape/data mismatch: {err}");
+
+    // Client-chosen dims whose product wraps to `data.len()` (2^64 = 0), and
+    // a well-formed shape with nothing in it: refused, not panicked on.
+    for (id, shape) in [(9, vec![7, 1 << 32, 1 << 32]), (10, vec![7, 0, 0]), (11, vec![7, 4, 0])] {
+        let err = server.submit(ServeRequest::raw(id, shape.clone(), vec![])).wait().unwrap_err();
+        assert!(matches!(err, ServeError::BadRequest { .. }), "shape {shape:?}: {err}");
+    }
+    assert_eq!(server.inflight(), 0);
+    assert_eq!(server.stats().admitted, 0);
 }
 
-/// Per-precision serving: a request carrying `precision` runs through a
-/// session packed at that precision, bitwise-equal to a direct call through
-/// the same reduced session, and distinct precisions never share cache
-/// entries.
+/// An input with fewer pixels than the server has tiles along an axis
+/// cannot be split; that is the client's shape, so it is a `bad_request`
+/// (it used to panic `submit` inside the tile grid).
 #[test]
-fn precision_requests_match_reduced_sessions_and_never_share_cache() {
-    let (server, model, norm, ds) = start(ServerConfig { cache_capacity: 8, ..ServerConfig::default() });
-    let input = ds.sample(1).input;
-    for (precision, label) in
-        [(SessionPrecision::Bf16, "bf16"), (SessionPrecision::Int8, "int8")]
-    {
-        let req = ServeRequest::region(1, "conus", 1).at_precision(precision);
-        let resp = server.submit(req).wait().unwrap();
+fn inputs_smaller_than_the_tile_grid_are_bad_requests() {
+    let cfg = ServerConfig { tile: Some(TileSpec::square(16, 1)), ..ServerConfig::default() };
+    let (server, _, _, _) = start(cfg);
+    let err = server.submit(ServeRequest::raw(1, vec![7, 2, 2], vec![0.0; 28])).wait().unwrap_err();
+    assert!(matches!(err, ServeError::BadRequest { .. }), "2x2 input, 4x4 tiles: {err}");
+    assert_eq!(server.inflight(), 0);
+    let fits = server.submit(ServeRequest::raw(2, vec![7, 8, 8], vec![0.0; 448])).wait();
+    assert_eq!(fits.expect("the server still serves").shape, vec![3, 32, 32]);
+}
+
+/// Precision is a deployment setting a request can only assert. For every
+/// precision `P`, a server started at `P` answers unlabelled and
+/// `at_precision(P)` requests alike — bit-equal to `downscale_with` through
+/// `model.session_at(P)`, sharing cache entries and co-batching — and
+/// refuses `at_precision(Q != P)` before it resolves anything.
+#[test]
+fn precision_is_fixed_at_start_and_a_request_can_only_assert_it() {
+    for precision in SessionPrecision::ALL {
+        let label = precision.label();
+        let cfg = ServerConfig {
+            precision,
+            cache_capacity: 8,
+            max_batch: 4,
+            window_micros: 200_000, // generous: the whole burst lands in one window
+            ..ServerConfig::default()
+        };
+        let (server, model, norm, ds) = start(cfg);
         let session = model.session_at(precision);
+        let input = ds.sample(1).input;
         let reference = downscale_with(&model, &session, &norm, &input, None, 1.0).unwrap();
-        assert_eq!(resp.data, reference.data(), "served {label} != direct {label} session");
-        assert!(!resp.cached, "{label} must not hit another precision's cache entry");
-        // Same request again: now it hits, within its own precision.
+
+        // Any other precision is refused, and refused first: the region
+        // below does not exist, yet the error is the precision mismatch.
+        let before = server.stats();
+        for other in SessionPrecision::ALL.into_iter().filter(|&q| q != precision) {
+            for region in ["atlantis", "conus"] {
+                let err = server
+                    .submit(ServeRequest::region(20, region, 3).at_precision(other))
+                    .wait()
+                    .unwrap_err();
+                match &err {
+                    ServeError::BadRequest { reason } => assert!(
+                        reason.contains(label) && reason.contains(other.label()),
+                        "the mismatch must name both precisions: {reason}"
+                    ),
+                    wrong => panic!("{label} server, {} request: {wrong:?}", other.label()),
+                }
+            }
+        }
+        assert_eq!(server.inflight(), 0);
+        assert_eq!(
+            sans_pool(server.stats()),
+            sans_pool(before),
+            "a refused request is not admitted, looked up, or cached"
+        );
+
+        // One cache entry serves both spellings of the same request.
+        let cold = server.submit(ServeRequest::region(1, "conus", 1)).wait().unwrap();
+        assert_eq!(cold.data, reference.data(), "unlabelled != direct {label} session");
+        assert!(!cold.cached);
         let warm = server
             .submit(ServeRequest::region(2, "conus", 1).at_precision(precision))
             .wait()
             .unwrap();
-        assert!(warm.cached);
-        assert_eq!(warm.data, resp.data);
-    }
-    // The f32 default still computes its own entry: three misses total.
-    let f32_resp = server.submit(ServeRequest::region(3, "conus", 1)).wait().unwrap();
-    assert!(!f32_resp.cached, "f32 must not reuse a reduced-precision entry");
-    let stats = server.serve_stats();
-    assert_eq!(stats.cache_misses, 3);
-    assert_eq!(stats.cache_hits, 2);
-    assert_eq!(stats.requests_bf16, 2);
-    assert_eq!(stats.requests_int8, 2);
-    assert_eq!(stats.requests_f32, 1);
-}
+        assert!(warm.cached, "{label}: labelled and unlabelled requests share cache entries");
+        assert_eq!(warm.data, reference.data());
 
-/// An explicit `precision: "f32"` on the wire overrides a reduced server
-/// default; an omitted precision inherits the default.
-#[test]
-fn server_default_precision_applies_to_unlabelled_requests() {
-    let cfg = ServerConfig {
-        precision: SessionPrecision::Bf16,
-        cache_capacity: 8,
-        ..ServerConfig::default()
-    };
-    let (server, model, norm, ds) = start(cfg);
-    let input = ds.sample(0).input;
+        // A burst alternating the two spellings stacks into one forward.
+        let handles: Vec<_> = (0..4u64)
+            .map(|i| {
+                let req =
+                    ServeRequest::raw(10 + i, input.shape().to_vec(), input.data().to_vec());
+                server.submit(if i % 2 == 0 { req.at_precision(precision) } else { req })
+            })
+            .collect();
+        let mut max_batch = 0;
+        for handle in &handles {
+            let resp = handle.wait().unwrap();
+            assert_eq!(resp.data, reference.data(), "burst reply != direct {label} session");
+            max_batch = max_batch.max(resp.batch);
+        }
+        assert!(max_batch >= 2, "{label}: labelled and unlabelled tiles never co-batched");
 
-    let default_resp = server.submit(ServeRequest::region(1, "conus", 0)).wait().unwrap();
-    let bf16 = model.session_at(SessionPrecision::Bf16);
-    let reference = downscale_with(&model, &bf16, &norm, &input, None, 1.0).unwrap();
-    assert_eq!(default_resp.data, reference.data(), "unlabelled request must use the bf16 default");
-
-    let forced = server
-        .submit(ServeRequest::region(2, "conus", 0).at_precision(SessionPrecision::F32))
-        .wait()
-        .unwrap();
-    let f32_session = model.session();
-    let f32_ref = downscale_with(&model, &f32_session, &norm, &input, None, 1.0).unwrap();
-    assert_eq!(forced.data, f32_ref.data(), "explicit f32 must override the bf16 default");
-    assert!(!forced.cached);
-
-    let stats = server.serve_stats();
-    assert_eq!(stats.requests_bf16, 1);
-    assert_eq!(stats.requests_f32, 1);
-}
-
-/// Mixed-precision bursts must never stack into one forward: the job key
-/// includes the precision, so each batch runs through a single session.
-#[test]
-fn mixed_precision_bursts_do_not_cobatch() {
-    let cfg = ServerConfig {
-        max_batch: 8,
-        window_micros: 200_000,
-        cache_capacity: 0,
-        ..ServerConfig::default()
-    };
-    let (server, model, norm, ds) = start(cfg);
-    let input = ds.sample(2).input;
-    let mk = |id: u64, p: SessionPrecision| {
-        ServeRequest::raw(id, input.shape().to_vec(), input.data().to_vec()).at_precision(p)
-    };
-    let handles: Vec<_> = [
-        SessionPrecision::F32,
-        SessionPrecision::Bf16,
-        SessionPrecision::F32,
-        SessionPrecision::Bf16,
-    ]
-    .iter()
-    .enumerate()
-    .map(|(i, &p)| (p, server.submit(mk(i as u64, p))))
-    .collect();
-    for (precision, handle) in handles {
-        let resp = handle.wait().unwrap();
-        let session = model.session_at(precision);
-        let reference = downscale_with(&model, &session, &norm, &input, None, 1.0).unwrap();
-        assert_eq!(
-            resp.data,
-            reference.data(),
-            "a {precision:?} request must be served by a {precision:?} session even in a mixed burst"
-        );
     }
 }
 
@@ -329,15 +329,15 @@ fn mixed_precision_bursts_do_not_cobatch() {
 /// move the process-wide pool counters (forward passes recycle activation
 /// buffers), observable by diffing snapshots around a request.
 #[test]
-fn serve_stats_expose_pool_telemetry() {
+fn stats_expose_pool_telemetry() {
     let (server, _, _, ds) = start(ServerConfig { cache_capacity: 0, ..ServerConfig::default() });
-    let before = server.serve_stats();
+    let before = server.stats();
     let input = ds.sample(0).input;
     server
         .submit(ServeRequest::raw(1, input.shape().to_vec(), input.data().to_vec()))
         .wait()
         .unwrap();
-    let after = server.serve_stats();
+    let after = server.stats();
     let touched = (after.pool_fresh_allocs + after.pool_reuses + after.pool_copies)
         > (before.pool_fresh_allocs + before.pool_reuses + before.pool_copies);
     assert!(touched, "a forward pass must tick the pool counters: {before:?} -> {after:?}");

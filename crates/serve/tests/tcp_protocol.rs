@@ -32,6 +32,18 @@ fn spawn_server(cfg: ServerConfig) -> (Arc<Server>, std::net::SocketAddr) {
     (server, addr)
 }
 
+/// Poll `{"cmd":"health"}` until the inflight gauge reads zero. A request's
+/// admission slot is released when its bookkeeping drops, which is just
+/// *after* its reply is completed — so a client that asks immediately can
+/// still see it held. Panics if it never frees (a leaked slot).
+fn await_idle(client: &mut Client) {
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while client.health().unwrap().inflight != 0 {
+        assert!(std::time::Instant::now() < deadline, "inflight never returned to zero");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
 fn expect_error(reply: ServerReply, want_id: u64, want_kind: &str) {
     match reply {
         ServerReply::Error { id, error } => {
@@ -78,7 +90,7 @@ fn cache_visible_over_the_wire() {
         }
         other => panic!("expected two responses, got {other:?}"),
     }
-    assert_eq!(server.cache_stats().hits, 1);
+    assert_eq!(server.stats().cache_hits, 1);
 }
 
 #[test]
@@ -135,35 +147,77 @@ fn queue_full_and_shutdown_surface_over_tcp() {
     expect_error(client.recv().unwrap(), 51, "shutting_down");
 }
 
-/// The `{"cmd":"stats"}` control line answers in order with the server's
-/// cache and per-precision counters, interleaved with pipelined requests.
+/// The `{"cmd":"stats"}` control line answers in FIFO order with the
+/// server's one snapshot: on a quiesced server `Client::stats()` is
+/// `Server::stats()` — one path, not two — up to the process-wide pool
+/// counters, which other tests in this binary keep ticking.
 #[test]
-fn stats_command_reports_counters_over_the_wire() {
-    let (_server, addr) = spawn_server(ServerConfig::default());
+fn stats_command_is_the_server_snapshot_over_the_wire() {
+    let (server, addr) = spawn_server(ServerConfig::default());
     let mut client = Client::connect(addr).unwrap();
 
     let zero = client.stats().unwrap();
-    assert_eq!(zero.requests_f32 + zero.requests_bf16 + zero.requests_int8, 0);
+    assert_eq!((zero.admitted, zero.completed, zero.cache_misses), (0, 0, 0));
 
     let _ = client.roundtrip(&ServeRequest::region(1, "conus", 4)).unwrap();
     let _ = client.roundtrip(&ServeRequest::region(2, "conus", 4)).unwrap();
     let _ = client
-        .roundtrip(&ServeRequest::region(3, "conus", 4).at_precision(SessionPrecision::Bf16))
+        .roundtrip(&ServeRequest::region(3, "conus", 4).at_precision(SessionPrecision::F32))
         .unwrap();
+    // A precision the server is not deployed at is refused, not served.
+    client
+        .send(&ServeRequest::region(4, "conus", 4).at_precision(SessionPrecision::Bf16))
+        .unwrap();
+    expect_error(client.recv().unwrap(), 4, "bad_request");
 
-    let stats = client.stats().unwrap();
-    assert_eq!(stats.cache_misses, 2, "f32 and bf16 weights each computed once");
-    assert_eq!(stats.cache_hits, 1);
-    assert_eq!(stats.cache_entries, 2);
-    assert_eq!(stats.requests_f32, 2);
-    assert_eq!(stats.requests_bf16, 1);
-    assert_eq!(stats.requests_int8, 0);
-    // Pool telemetry rides the same reply; two forwards ran, so buffers
-    // must have been allocated or recycled.
-    assert!(
-        stats.pool_fresh_allocs + stats.pool_reuses > 0,
-        "pool counters must be live over the wire: {stats:?}"
-    );
+    let before = server.stats();
+    let wire = client.stats().unwrap();
+    let after = server.stats();
+    assert_eq!((wire.admitted, wire.completed, wire.batches), (1, 1, 1));
+    assert_eq!((wire.cache_misses, wire.cache_hits, wire.cache_entries), (1, 2, 1));
+    let sans_pool = |s: orbit2_serve::ServerStats| orbit2_serve::ServerStats {
+        pool_fresh_allocs: 0,
+        pool_reuses: 0,
+        pool_copies: 0,
+        ..s
+    };
+    assert_eq!(sans_pool(wire), sans_pool(after), "the wire reply is Server::stats()");
+    // Pool telemetry rides the same reply; a forward ran, so buffers must
+    // have been allocated or recycled.
+    let pool_ticks = |s: &orbit2_serve::ServerStats| s.pool_fresh_allocs + s.pool_reuses;
+    assert!(pool_ticks(&wire) > 0, "pool counters must be live over the wire: {wire:?}");
+    assert!(pool_ticks(&before) <= pool_ticks(&wire) && pool_ticks(&wire) <= pool_ticks(&after));
+}
+
+/// A raw shape chosen to wedge the server: the dims multiply to 2^64, which
+/// wraps to 0 = `data.len()` in release and overflows in debug. It used to
+/// kill the connection's reader thread without a reply and leak an
+/// admission slot per line; now each line is a `bad_request`, the
+/// connection keeps serving, and more of them than `queue_capacity` leave
+/// every slot free.
+#[test]
+fn hostile_raw_shapes_are_bad_requests_and_leak_nothing() {
+    let (server, addr) = spawn_server(ServerConfig { queue_capacity: 256, ..Default::default() });
+    let mut client = Client::connect(addr).unwrap();
+    for _ in 0..300 {
+        client.send_line(r#"{"id":1,"shape":[7,4294967296,4294967296],"data":[]}"#).unwrap();
+        expect_error(client.recv().unwrap(), 1, "bad_request");
+    }
+    // Saturating casts are gone too: a dim of 1e30 is named, not read as usize::MAX.
+    client.send_line(r#"{"id":2,"shape":[7,1e30,4],"data":[]}"#).unwrap();
+    match client.recv().unwrap() {
+        ServerReply::Error { id, error } => {
+            assert_eq!((id, error.kind.as_str()), (2, "bad_request"));
+            assert!(error.message.contains("`shape`"), "{}", error.message);
+        }
+        other => panic!("expected bad_request, got {other:?}"),
+    }
+    match client.roundtrip(&ServeRequest::region(3, "conus", 0)).unwrap() {
+        ServerReply::Response(resp) => assert_eq!(resp.id, 3),
+        other => panic!("the connection must survive hostile lines, got {other:?}"),
+    }
+    await_idle(&mut client);
+    assert_eq!(server.inflight(), 0);
 }
 
 /// Unknown commands get a typed bad_request line instead of hanging the
@@ -356,5 +410,5 @@ fn removed_activation_key_is_rejected_not_reinterpreted() {
         other => panic!("expected response, got {other:?}"),
     };
     assert_eq!((with_key.shape, with_key.data), (bare.shape, bare.data));
-    assert_eq!(client.health().unwrap().inflight, 0);
+    await_idle(&mut client);
 }

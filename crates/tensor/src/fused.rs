@@ -92,16 +92,11 @@ pub enum WeightPrecision {
 }
 
 impl WeightPrecision {
-    /// Every precision, in [`index`](Self::index) order. Session slots,
-    /// per-precision counters, the quality gate and the bench cells all
-    /// iterate this list, so adding or removing a cell is a one-line change.
+    /// Every precision. The quality gate, the serving contract tests and
+    /// the bench cells all iterate this list, so adding or removing a cell
+    /// is a one-line change.
     pub const ALL: [WeightPrecision; 3] =
         [WeightPrecision::F32, WeightPrecision::Bf16, WeightPrecision::Int8];
-
-    /// Position of this precision in [`ALL`](Self::ALL).
-    pub fn index(self) -> usize {
-        self as usize
-    }
 
     /// Stable lowercase label used in wire formats and bench row names.
     pub fn label(self) -> &'static str {
@@ -345,9 +340,8 @@ mod tests {
     use crate::random::randn;
 
     #[test]
-    fn precision_list_index_and_labels_agree() {
-        for (i, p) in WeightPrecision::ALL.into_iter().enumerate() {
-            assert_eq!(p.index(), i);
+    fn precision_labels_round_trip() {
+        for p in WeightPrecision::ALL {
             assert_eq!(WeightPrecision::parse(p.label()), Some(p));
         }
     }

@@ -12,8 +12,9 @@
 # --always --dirty`: the commit, plus `-dirty` when uncommitted changes were
 # measured) and deduped by that label: re-running on the same tree replaces
 # its record instead of appending a duplicate, so each BENCH file holds at
-# most one snapshot per revision and scripts/bench_check.sh always compares
-# distinct revisions.
+# most one snapshot per revision. The files are a recorded trajectory, not a
+# gate: nothing compares snapshots across sessions (benchmark/compare.sh's
+# alternating parent/change pairs are the perf gate).
 #
 # Usage: scripts/bench_smoke.sh [extra cargo-bench args]
 set -euo pipefail

@@ -24,18 +24,12 @@
 #      `benchmark/run.sh --smoke` (~45 s). Any drift in `Exec`,
 #      `ServerConfig` or `ServerStats` that stops the harness building, or
 #      any served reply that stops being bit-equal to `downscale_with`,
-#      fails here instead of in the benchmark pipeline.
-#   8. bench regression check (scripts/bench_check.sh), ADVISORY for all
-#      three BENCH_*.json files: a regression prints a prominent warning
-#      and the pipeline still passes. The files compare absolute medians
-#      between snapshots taken weeks apart, possibly on different guests
-#      (BENCH_kernels.json read 1.5-2.5x slower at d0ddaa4 on cells nobody
-#      touched), so they are a recorded trajectory, not a gate; stage 7's
-#      `benchmark/` harness, compared in alternating parent/change pairs,
-#      is the perf gate that can resolve a regression. Kernel rows warn at
-#      50% (above the +-30-35% run-to-run noise of the sub-ms rows on this
-#      2-vCPU guest); override any file with
-#      ORBIT2_BENCH_TOLERANCE_PCT_<NAME>=<pct>.
+#      fails here instead of in the benchmark pipeline. This harness,
+#      compared in alternating parent/change pairs (benchmark/compare.sh),
+#      is the perf gate. The BENCH_*.json files scripts/bench_smoke.sh
+#      appends to are a recorded trajectory only — absolute medians from
+#      snapshots taken weeks apart, possibly on different guests — and no
+#      stage compares them.
 #
 # Usage: scripts/ci.sh
 set -euo pipefail
@@ -80,19 +74,6 @@ ORBIT2_DISABLE_SIMD=1 cargo test --release -q -p orbit2 --test precision_gate
 step "benchmark harness: unit tests + smoke run"
 cargo test -q --manifest-path benchmark/Cargo.toml
 benchmark/run.sh --smoke
-
-step "bench regression check: kernels + inference + serving (advisory)"
-export ORBIT2_BENCH_TOLERANCE_PCT_KERNELS="${ORBIT2_BENCH_TOLERANCE_PCT_KERNELS:-50}"
-advisory=()
-for f in BENCH_kernels.json BENCH_inference.json BENCH_serving.json; do
-    [[ -e "$f" ]] && advisory+=("$f")
-done
-if (( ${#advisory[@]} > 0 )) && ! scripts/bench_check.sh "${advisory[@]}"; then
-    echo
-    echo "ci: WARNING: bench medians regressed beyond tolerance (see above)." >&2
-    echo "ci: these files are advisory — absolute medians across sessions are noisy on shared hardware;" >&2
-    echo "ci: benchmark/compare.sh (alternating parent/change pairs) is the gate that resolves a regression." >&2
-fi
 
 close_stage
 echo
