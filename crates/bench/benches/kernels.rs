@@ -156,7 +156,7 @@ fn bench_attention(c: &mut Criterion) {
 fn bench_layer_norm(c: &mut Criterion) {
     let mut group = c.benchmark_group("layer_norm");
     group.sample_size(10);
-    for &(rows, d) in &[(1024usize, 256usize), (4096, 512)] {
+    for &(rows, d) in &[(1024usize, 256usize), (1156, 256), (4096, 512)] {
         let x = randn(&[rows, d], 21);
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("{rows}x{d}")),
@@ -164,6 +164,39 @@ fn bench_layer_norm(c: &mut Criterion) {
             |bench, _| bench.iter(|| layer_norm_rows(x.data(), rows, d, 1e-5)),
         );
     }
+    group.finish();
+}
+
+/// The session's layer norm as it runs — kernel, then `mul(γ)`, then
+/// `add(β)`, the affine being two row-broadcast passes — to set beside the
+/// bare `layer_norm/1156x256` kernel, and the broadcasting walk itself in
+/// its three run modes (`same`: one run of n; `row`: `[R,D]∘[D]`, the right
+/// operand pinned; `col`: `[R,1]∘[R,D]`, the left operand repeated) at the
+/// `tiles-field` token count. `scripts/bench_smoke.sh` prints `row ÷ same`
+/// and `layer_norm_affine ÷ layer_norm` from the one snapshot.
+fn bench_elementwise(c: &mut Criterion) {
+    let (rows, d) = (1156usize, 256usize);
+    let x = randn(&[rows, d], 31);
+    let y = randn(&[rows, d], 32);
+    let (gamma, beta) = (randn(&[d], 33), randn(&[d], 34));
+    let col = randn(&[rows, 1], 35);
+    let size = format!("{rows}x{d}");
+
+    let mut group = c.benchmark_group("elementwise");
+    group.sample_size(10);
+    group.bench_function(BenchmarkId::new("same", &size), |bench| bench.iter(|| x.mul(&y)));
+    group.bench_function(BenchmarkId::new("row", &size), |bench| bench.iter(|| x.mul(&gamma)));
+    group.bench_function(BenchmarkId::new("col", &size), |bench| bench.iter(|| col.mul(&x)));
+    group.finish();
+
+    let mut group = c.benchmark_group("layer_norm_affine");
+    group.sample_size(10);
+    group.bench_function(BenchmarkId::from_parameter(&size), |bench| {
+        bench.iter(|| {
+            let (norm, _inv_std) = layer_norm_rows(x.data(), rows, d, 1e-5);
+            Tensor::from_vec(vec![rows, d], norm).mul(&gamma).add(&beta)
+        })
+    });
     group.finish();
 }
 
@@ -422,6 +455,7 @@ criterion_group!(
     bench_fused_linear,
     bench_attention,
     bench_layer_norm,
+    bench_elementwise,
     bench_softmax,
     bench_bf16,
     bench_conv,

@@ -7,7 +7,7 @@
 
 use crate::tiling::{split_stack, stitch_predictions};
 use orbit2_climate::Normalizer;
-use orbit2_imaging::tiles::{TileGeometry, TileSpec};
+use orbit2_imaging::tiles::{tile_grid, TileGeometry, TileSpec};
 use orbit2_model::{InferenceSession, ReslimModel};
 use orbit2_tensor::Tensor;
 use rayon::prelude::*;
@@ -37,6 +37,19 @@ pub enum InferenceError {
         /// The model's patch size.
         patch: usize,
     },
+    /// The input cannot be cut into the requested tiles: more tiles than
+    /// pixels along an axis, or a halo-padded tile side the patch size does
+    /// not divide.
+    BadTiling {
+        /// Input height.
+        h: usize,
+        /// Input width.
+        w: usize,
+        /// The tiling that does not fit it.
+        spec: TileSpec,
+        /// The model's patch size.
+        patch: usize,
+    },
 }
 
 impl fmt::Display for InferenceError {
@@ -51,6 +64,12 @@ impl fmt::Display for InferenceError {
             InferenceError::NotPatchAligned { h, w, patch } => {
                 write!(f, "input {h}x{w} is not divisible by the patch size {patch}")
             }
+            InferenceError::BadTiling { h, w, spec, patch } => write!(
+                f,
+                "input {h}x{w} cannot be split into {}x{} tiles with halo {} whose padded sides \
+                 are all divisible by the patch size {patch}",
+                spec.tiles_y, spec.tiles_x, spec.halo
+            ),
         }
     }
 }
@@ -70,6 +89,22 @@ pub fn validate_input(model: &ReslimModel, input: &Tensor) -> Result<(), Inferen
         return Err(InferenceError::NotPatchAligned { h, w, patch: model.cfg.patch });
     }
     Ok(())
+}
+
+/// Check that an `h x w` input this model accepts can also be cut by `spec`:
+/// at least one and at most one tile per pixel along each axis, and every
+/// halo-padded tile again divisible by the patch size (each tile is a model
+/// input of its own).
+pub fn check_tiling(model: &ReslimModel, h: usize, w: usize, spec: TileSpec) -> Result<(), InferenceError> {
+    let patch = model.cfg.patch;
+    let fits = (1..=h).contains(&spec.tiles_y)
+        && (1..=w).contains(&spec.tiles_x)
+        && tile_grid(h, w, spec).iter().all(|g| g.padded_h() % patch == 0 && g.padded_w() % patch == 0);
+    if fits {
+        Ok(())
+    } else {
+        Err(InferenceError::BadTiling { h, w, spec, patch })
+    }
 }
 
 /// Downscale one `[C_in, h, w]` input to `[C_out, h*factor, w*factor]`
@@ -106,9 +141,10 @@ pub fn downscale_with(
 ) -> Result<Tensor, InferenceError> {
     validate_input(model, input)?;
     let (h, w) = (input.shape()[1], input.shape()[2]);
+    let spec = tile_spec.unwrap_or(TileSpec { tiles_y: 1, tiles_x: 1, halo: 0 });
+    check_tiling(model, h, w, spec)?;
     let factor = model.cfg.scale_factor;
     let norm_in = normalizer.normalize_input(input);
-    let spec = tile_spec.unwrap_or(TileSpec { tiles_y: 1, tiles_x: 1, halo: 0 });
     let tiles = split_stack(&norm_in, spec);
     let preds: Vec<(TileGeometry, Tensor)> = tiles
         .par_iter()
@@ -211,6 +247,17 @@ mod tests {
             downscale(&model, &norm, &ragged, None, 1.0).unwrap_err(),
             InferenceError::NotPatchAligned { h: 15, w: 32, patch: 2 }
         );
+        // Tilings the input cannot take: 6 rows halve into 3-row cores that
+        // halo 1 pads to 5, which patch 2 does not divide; 8 tiles, 6 rows.
+        let odd = Tensor::zeros(vec![7, 6, 8]);
+        for spec in [TileSpec { tiles_y: 2, tiles_x: 2, halo: 1 }, TileSpec { tiles_y: 8, tiles_x: 1, halo: 0 }] {
+            assert_eq!(
+                downscale(&model, &norm, &odd, Some(spec), 1.0).unwrap_err(),
+                InferenceError::BadTiling { h: 6, w: 8, spec, patch: 2 }
+            );
+        }
+        assert!(downscale(&model, &norm, &odd, Some(TileSpec { tiles_y: 2, tiles_x: 2, halo: 0 }), 1.0).is_err());
+        assert!(downscale(&model, &norm, &odd, Some(TileSpec { tiles_y: 1, tiles_x: 2, halo: 1 }), 1.0).is_ok());
         // The messages are human-readable.
         let msg = InferenceError::ChannelMismatch { got: 5, expected: 7 }.to_string();
         assert!(msg.contains('5') && msg.contains('7'));

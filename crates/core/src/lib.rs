@@ -39,7 +39,7 @@ pub use checkpoint::{
 };
 pub use eval::{evaluate_model, evaluate_model_at, VariableReport};
 pub use fault::{FaultAction, FaultEvent, FaultKind, FaultPlan, SkipReason};
-pub use inference::{downscale, downscale_with, validate_input, InferenceError};
+pub use inference::{check_tiling, downscale, downscale_with, validate_input, InferenceError};
 pub use planner::{max_sequence_row, strong_scaling_series, ScalingPoint, SeqLenRow};
 pub use serving::{RequestSource, ServeError, ServeRequest, ServeResponse, ServeStats, WireError};
 pub use trainer::{TrainReport, Trainer, TrainerConfig};

@@ -372,6 +372,7 @@ impl ServeError {
             ServeError::Rejected(InferenceError::BadRank { .. }) => "invalid_rank",
             ServeError::Rejected(InferenceError::ChannelMismatch { .. }) => "channel_mismatch",
             ServeError::Rejected(InferenceError::NotPatchAligned { .. }) => "not_patch_aligned",
+            ServeError::Rejected(InferenceError::BadTiling { .. }) => "bad_request",
             ServeError::QueueFull { .. } => "queue_full",
             ServeError::ShuttingDown => "shutting_down",
             ServeError::DeadlineExceeded { .. } => "deadline_exceeded",
@@ -685,6 +686,12 @@ mod tests {
                 | ServeError::Internal { .. } => {}
             }
         }
+        // The one rejection without a kind of its own: a shape the server's
+        // tiling cannot take is the client's shape, an existing kind.
+        let spec = orbit2_imaging::tiles::TileSpec { tiles_y: 2, tiles_x: 2, halo: 1 };
+        let tiling = ServeError::Rejected(InferenceError::BadTiling { h: 6, w: 8, spec, patch: 2 });
+        assert_eq!(tiling.kind(), "bad_request");
+        assert!(!tiling.is_retryable());
         let wire = table[4].0.to_wire();
         assert_eq!(wire.kind, "invalid_rank");
         assert!(wire.message.contains("rank-2"));

@@ -39,7 +39,7 @@
 use crate::cache::{CacheKey, CachedPayload, ResponseCache};
 use crate::oneshot::{Handle, Oneshot};
 use orbit2::fault::{FaultKind, FaultPlan};
-use orbit2::inference::validate_input;
+use orbit2::inference::{check_tiling, validate_input};
 use orbit2::serving::{
     RequestSource, ServeError, ServeHealth, ServeRequest, ServeResponse, ServeStats,
 };
@@ -490,14 +490,7 @@ impl Inner {
         validate_input(&self.model, &input)?;
         let (h, w) = (input.shape()[1], input.shape()[2]);
         let spec = self.cfg.tile.unwrap_or(TileSpec { tiles_y: 1, tiles_x: 1, halo: 0 });
-        if spec.tiles_y > h || spec.tiles_x > w {
-            return Err(ServeError::BadRequest {
-                reason: format!(
-                    "a {h}x{w} input cannot be split into this server's {}x{} tiles",
-                    spec.tiles_y, spec.tiles_x
-                ),
-            });
-        }
+        check_tiling(&self.model, h, w, spec)?;
 
         if let Some(key) = &cache_key {
             if let Some(hit) = self.cache.get(key) {

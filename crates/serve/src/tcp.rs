@@ -77,15 +77,6 @@ impl ServerReply {
     }
 }
 
-/// Extract the request id from a line that may not parse as a full
-/// request, so even malformed-input errors can be attributed.
-fn best_effort_id(line: &str) -> u64 {
-    serde_json::from_str::<Value>(line)
-        .ok()
-        .and_then(|v| v.as_object().and_then(|o| o.get("id").and_then(Value::as_f64)))
-        .unwrap_or(0.0) as u64
-}
-
 /// One unit of the writer thread's FIFO: either a pending request handle
 /// (wait, then render) or an already-rendered line (control replies). The
 /// single queue keeps replies in line order even when control lines are
@@ -132,21 +123,25 @@ fn handle_conn(server: &Arc<Server>, stream: TcpStream) -> std::io::Result<()> {
         if line.trim().is_empty() {
             continue;
         }
-        let cmd = serde_json::from_str::<Value>(&line).ok().and_then(|v| {
-            v.as_object()
-                .and_then(|o| o.get("cmd"))
-                .and_then(Value::as_str)
-                .map(str::to_string)
-        });
-        let item = match cmd {
-            Some(cmd) => Outgoing::Line(control_line(server, &cmd)),
-            None => Outgoing::Pending(match serde_json::from_str::<ServeRequest>(&line) {
-                Ok(req) => server.submit(req),
-                Err(e) => Handle::failed(
-                    best_effort_id(&line),
-                    ServeError::BadRequest { reason: e.to_string() },
-                ),
-            }),
+        // One parse per line: the same `Value` answers "is it a control
+        // line", builds the request, and attributes a malformed request's
+        // error to its `id` (0 when the line is not JSON at all).
+        let refused = |id, e: serde_json::Error| {
+            Outgoing::Pending(Handle::failed(id, ServeError::BadRequest { reason: e.to_string() }))
+        };
+        let item = match serde_json::from_str::<Value>(&line) {
+            Err(e) => refused(0, e),
+            Ok(value) => {
+                let field = |key| value.as_object().and_then(|o| o.get(key));
+                if let Some(cmd) = field("cmd").and_then(Value::as_str) {
+                    Outgoing::Line(control_line(server, cmd))
+                } else {
+                    match ServeRequest::deserialize_value(&value) {
+                        Ok(req) => Outgoing::Pending(server.submit(req)),
+                        Err(e) => refused(field("id").and_then(Value::as_f64).unwrap_or(0.0) as u64, e.into()),
+                    }
+                }
+            }
         };
         if tx.send(item).is_err() {
             break;

@@ -229,24 +229,38 @@ fn bad_requests_get_typed_errors() {
     // a well-formed shape with nothing in it: refused, not panicked on.
     for (id, shape) in [(9, vec![7, 1 << 32, 1 << 32]), (10, vec![7, 0, 0]), (11, vec![7, 4, 0])] {
         let err = server.submit(ServeRequest::raw(id, shape.clone(), vec![])).wait().unwrap_err();
-        assert!(matches!(err, ServeError::BadRequest { .. }), "shape {shape:?}: {err}");
+        assert_eq!(err.kind(), "bad_request", "shape {shape:?}: {err}");
     }
     assert_eq!(server.inflight(), 0);
     assert_eq!(server.stats().admitted, 0);
 }
 
-/// An input with fewer pixels than the server has tiles along an axis
-/// cannot be split; that is the client's shape, so it is a `bad_request`
-/// (it used to panic `submit` inside the tile grid).
+/// An input the server's tiling cannot take — fewer pixels than tiles along
+/// an axis (it used to panic `submit` inside the tile grid), or a padded
+/// tile the patch size does not divide (it used to panic inside a batched
+/// forward) — is the client's shape: the typed error `downscale_with`
+/// returns for it, as a `bad_request`, before anything is admitted.
 #[test]
-fn inputs_smaller_than_the_tile_grid_are_bad_requests() {
-    let cfg = ServerConfig { tile: Some(TileSpec::square(16, 1)), ..ServerConfig::default() };
-    let (server, _, _, _) = start(cfg);
-    let err = server.submit(ServeRequest::raw(1, vec![7, 2, 2], vec![0.0; 28])).wait().unwrap_err();
-    assert!(matches!(err, ServeError::BadRequest { .. }), "2x2 input, 4x4 tiles: {err}");
-    assert_eq!(server.inflight(), 0);
-    let fits = server.submit(ServeRequest::raw(2, vec![7, 8, 8], vec![0.0; 448])).wait();
-    assert_eq!(fits.expect("the server still serves").shape, vec![3, 32, 32]);
+fn inputs_the_tile_grid_cannot_take_are_bad_requests() {
+    let cases = [
+        (TileSpec::square(16, 1), vec![7, 2, 2]), // 4x4 tiles, 2x2 pixels
+        (TileSpec::square(4, 1), vec![7, 6, 8]),  // 3-row cores pad to 5 rows, patch 2
+    ];
+    for (spec, shape) in cases {
+        let cfg = ServerConfig { tile: Some(spec), ..ServerConfig::default() };
+        let (server, model, norm, _) = start(cfg);
+        let input = Tensor::zeros(shape.clone());
+        let err = server.submit(ServeRequest::raw(1, shape, input.data().to_vec())).wait().unwrap_err();
+        assert_eq!(err.kind(), "bad_request", "{:?} on {spec:?}: {err}", input.shape());
+        assert!(!err.is_retryable(), "{err}");
+        let direct = downscale_with(&model, &model.session(), &norm, &input, Some(spec), 1.0);
+        assert_eq!(ServeError::from(direct.unwrap_err()), err, "both entry points, one typed error");
+        let stats = server.stats();
+        assert_eq!((stats.admitted, stats.batches, stats.quarantined_jobs), (0, 0, 0));
+        assert_eq!(server.inflight(), 0);
+        let fits = server.submit(ServeRequest::raw(2, vec![7, 8, 8], vec![0.0; 448])).wait();
+        assert_eq!(fits.expect("the server still serves").shape, vec![3, 32, 32]);
+    }
 }
 
 /// Precision is a deployment setting a request can only assert. For every

@@ -220,6 +220,27 @@ fn hostile_raw_shapes_are_bad_requests_and_leak_nothing() {
     assert_eq!(server.inflight(), 0);
 }
 
+/// A shape the server's tiling cannot take (3-row cores padded to 5 rows
+/// by halo 1, patch 2) is refused at admission: a non-retryable
+/// `bad_request`, no batch formed, nothing quarantined, and the connection
+/// keeps serving. It used to panic inside a batched forward and come back
+/// `internal` — retryable — after re-running each tile alone.
+#[test]
+fn shapes_the_tiling_cannot_take_are_refused_before_any_batch() {
+    let tile = Some(orbit2_imaging::tiles::TileSpec { tiles_y: 2, tiles_x: 2, halo: 1 });
+    let (server, addr) = spawn_server(ServerConfig { tile, ..Default::default() });
+    let mut client = Client::connect(addr).unwrap();
+    client.send(&ServeRequest::raw(1, vec![7, 6, 8], vec![0.0; 7 * 6 * 8])).unwrap();
+    expect_error(client.recv().unwrap(), 1, "bad_request");
+    let stats = client.stats().unwrap();
+    assert_eq!((stats.admitted, stats.batches, stats.quarantined_jobs), (0, 0, 0));
+    assert_eq!(server.inflight(), 0);
+    match client.roundtrip(&ServeRequest::raw(2, vec![7, 8, 8], vec![0.0; 7 * 8 * 8])).unwrap() {
+        ServerReply::Response(resp) => assert_eq!((resp.id, resp.shape), (2, vec![3, 32, 32])),
+        other => panic!("the connection must keep serving, got {other:?}"),
+    }
+}
+
 /// Unknown commands get a typed bad_request line instead of hanging the
 /// connection, and the connection stays usable afterwards.
 #[test]

@@ -5,7 +5,7 @@
 //! is large enough to amortize the fork/join cost.
 
 use crate::pool;
-use crate::shape::{broadcast_index, broadcast_shapes, numel, strides_for, unravel};
+use crate::shape::{broadcast_shapes, numel, ShapeHandle};
 use crate::tensor::Tensor;
 use rayon::prelude::*;
 
@@ -40,87 +40,146 @@ pub(crate) fn gather_strided(
     }
 }
 
-fn binary_broadcast(a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32 + Sync + Send) -> Tensor {
-    if a.shape() == b.shape() {
-        // Fast path: aligned linear scan into a pooled buffer, reusing the
-        // left operand's shape handle (no shape reallocation).
-        let n = a.len();
-        let mut out = pool::alloc_uninit(n);
-        if n >= PAR_THRESHOLD {
-            out.par_iter_mut()
-                .zip(a.data().par_iter().zip(b.data().par_iter()))
-                .for_each(|(o, (&x, &y))| *o = f(x, y));
-        } else {
-            for ((o, &x), &y) in out.iter_mut().zip(a.data()).zip(b.data()) {
-                *o = f(x, y);
+/// One merged axis of a [`Walk`]: its extent, and how far the left and the
+/// right operand move per step along it (0 where that operand broadcasts).
+type Axis = (usize, usize, usize);
+
+/// How a broadcasting binary op traverses its operands (DESIGN.md §7).
+///
+/// Adjacent output axes over which *both* operands keep one mode — advance
+/// densely, or stay put — are merged, so every op is an inner `run` (each
+/// operand either `run.0` consecutive values or one value repeated) under
+/// an odometer over the `outer` axes, innermost first. Same shapes merge to
+/// one run of `n`; `[R,D]∘[D]` is `R` runs with the right offset pinned.
+/// A run always has a dense operand: an axis both broadcast over has
+/// extent 1 and is dropped.
+struct Walk {
+    run: Axis,
+    outer: Vec<Axis>,
+}
+
+impl Walk {
+    /// `a` and `b` must broadcast to `out` (the caller has checked).
+    fn new(a: &[usize], b: &[usize], out: &[usize]) -> Walk {
+        let mut walk = Walk { run: (1, 1, 1), outer: Vec::new() };
+        // Extent of the `i`-th axis from the end, and each operand's dense
+        // stride there in its own layout.
+        let dim = |s: &[usize], i: usize| s.len().checked_sub(i).map_or(1, |j| s[j]);
+        let (mut da, mut db) = (1, 1);
+        for i in 1..=out.len() {
+            let (e, ea, eb) = (dim(out, i), dim(a, i), dim(b, i));
+            if e != 1 {
+                let (sa, sb) = (if ea == 1 { 0 } else { da }, if eb == 1 { 0 } else { db });
+                let cur = walk.outer.last_mut().unwrap_or(&mut walk.run);
+                if cur.0 == 1 {
+                    // Only the still-unset run has extent 1.
+                    *cur = (e, sa, sb);
+                } else if (sa, sb) == (cur.1 * cur.0, cur.2 * cur.0) {
+                    cur.0 *= e;
+                } else {
+                    walk.outer.push((e, sa, sb));
+                }
+            }
+            (da, db) = (da * ea, db * eb);
+        }
+        walk
+    }
+
+    /// Call `piece(dst, left offset, right offset)` once per run (or part
+    /// of one) of `out`. A large op is split over the flat output range,
+    /// one chunk per thread the caller may use (one on a pool worker).
+    fn drive(&self, out: &mut [f32], piece: impl Fn(&mut [f32], usize, usize) + Sync) {
+        if out.is_empty() {
+            return; // a zero extent: nothing to walk, and `run` may be 0
+        }
+        if out.len() < PAR_THRESHOLD {
+            return self.walk_range(0, out, &piece);
+        }
+        let chunk = out.len().div_ceil(rayon::current_num_threads());
+        out.par_chunks_mut(chunk)
+            .enumerate()
+            .for_each(|(i, part)| self.walk_range(i * chunk, part, &piece));
+    }
+
+    /// Walk the flat output range `[start, start + out.len())`, non-empty.
+    fn walk_range(&self, start: usize, out: &mut [f32], piece: &impl Fn(&mut [f32], usize, usize)) {
+        let (run, ra, rb) = self.run;
+        // `start` falls `skip` elements into run number `r`: unravel it once.
+        let (mut skip, mut r) = (start % run, start / run);
+        let mut coord = vec![0; self.outer.len()];
+        let (mut oa, mut ob) = (0, 0);
+        for (c, &(e, sa, sb)) in coord.iter_mut().zip(&self.outer) {
+            (*c, r) = (r % e, r / e);
+            (oa, ob) = (oa + *c * sa, ob + *c * sb);
+        }
+        let mut pos = 0;
+        while pos < out.len() {
+            let len = (run - skip).min(out.len() - pos);
+            piece(&mut out[pos..pos + len], oa + skip * ra, ob + skip * rb);
+            (pos, skip) = (pos + len, 0);
+            for (c, &(e, sa, sb)) in coord.iter_mut().zip(&self.outer) {
+                (*c, oa, ob) = (*c + 1, oa + sa, ob + sb);
+                if *c < e {
+                    break;
+                }
+                (*c, oa, ob) = (0, oa - e * sa, ob - e * sb);
             }
         }
-        return Tensor::from_shape_handle(a.shape_handle(), out);
     }
-    let out_shape = broadcast_shapes(a.shape(), b.shape())
-        .unwrap_or_else(|| panic!("cannot broadcast {:?} with {:?}", a.shape(), b.shape()));
-    let n = numel(&out_shape);
-    let sa = strides_for(a.shape());
-    let sb = strides_for(b.shape());
-    let ad = a.data();
-    let bd = b.data();
-    let kernel = |flat: usize| {
-        let ia = broadcast_index(flat, &out_shape, a.shape(), &sa);
-        let ib = broadcast_index(flat, &out_shape, b.shape(), &sb);
-        f(ad[ia], bd[ib])
-    };
-    let data: Vec<f32> = if n >= PAR_THRESHOLD {
-        (0..n).into_par_iter().map(kernel).collect()
+}
+
+/// `dst[i] = f(x[i], y[i])` over one piece of a run. Each operand is the
+/// slice starting at its offset or, at step 0, the one value there.
+fn apply(dst: &mut [f32], (xs, ra): (&[f32], usize), (ys, rb): (&[f32], usize), f: &impl Fn(f32, f32) -> f32) {
+    let n = dst.len();
+    match (ra, rb) {
+        (0, _) => dst.iter_mut().zip(&ys[..n]).for_each(|(o, &y)| *o = f(xs[0], y)),
+        (_, 0) => dst.iter_mut().zip(&xs[..n]).for_each(|(o, &x)| *o = f(x, ys[0])),
+        _ => dst.iter_mut().zip(&xs[..n]).zip(&ys[..n]).for_each(|((o, &x), &y)| *o = f(x, y)),
+    }
+}
+
+/// [`apply`] with the destination as the left operand: `dst[i] = f(dst[i], y[i])`.
+fn apply_assign(dst: &mut [f32], (ys, rb): (&[f32], usize), f: &impl Fn(f32, f32) -> f32) {
+    let n = dst.len();
+    match rb {
+        0 => dst.iter_mut().for_each(|o| *o = f(*o, ys[0])),
+        _ => dst.iter_mut().zip(&ys[..n]).for_each(|(o, &y)| *o = f(*o, y)),
+    }
+}
+
+fn broadcast_or_panic(a: &[usize], b: &[usize]) -> Vec<usize> {
+    broadcast_shapes(a, b).unwrap_or_else(|| panic!("cannot broadcast {a:?} with {b:?}"))
+}
+
+fn binary_broadcast(a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32 + Sync) -> Tensor {
+    // Equal shapes reuse the left operand's shape handle (no reallocation).
+    let shape = if a.shape() == b.shape() {
+        a.shape_handle()
     } else {
-        (0..n).map(kernel).collect()
+        ShapeHandle::new(broadcast_or_panic(a.shape(), b.shape()))
     };
-    Tensor::from_vec(out_shape, data)
+    let walk = Walk::new(a.shape(), b.shape(), &shape);
+    let (ad, bd, (_, ra, rb)) = (a.data(), b.data(), walk.run);
+    let mut out = pool::alloc_uninit(numel(&shape));
+    walk.drive(&mut out, |dst, oa, ob| apply(dst, (&ad[oa..], ra), (&bd[ob..], rb), &f));
+    Tensor::from_shape_handle(shape, out)
 }
 
 /// In-place counterpart of [`binary_broadcast`]: `a = f(a, b)` where `b`
 /// must broadcast to `a`'s shape (the output shape cannot grow in place).
+/// The same walk with the destination as the left operand.
 ///
 /// Safe even when `a` and `b` share storage: `data_mut` COW-faults `a` onto
 /// a private buffer first, leaving `b`'s view of the original intact.
-fn binary_broadcast_assign(a: &mut Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32 + Sync + Send) {
-    if a.shape() == b.shape() {
-        let n = a.len();
-        let dst = a.data_mut();
-        let bd = b.data();
-        if n >= PAR_THRESHOLD {
-            dst.par_iter_mut().zip(bd.par_iter()).for_each(|(x, &y)| *x = f(*x, y));
-        } else {
-            for (x, &y) in dst.iter_mut().zip(bd.iter()) {
-                *x = f(*x, y);
-            }
-        }
-        return;
+fn binary_broadcast_assign(a: &mut Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32 + Sync) {
+    if a.shape() != b.shape() {
+        let grown = broadcast_or_panic(a.shape(), b.shape());
+        assert!(grown == a.shape(), "in-place op cannot grow {:?} to broadcast result {grown:?}", a.shape());
     }
-    let out_shape = broadcast_shapes(a.shape(), b.shape())
-        .unwrap_or_else(|| panic!("cannot broadcast {:?} with {:?}", a.shape(), b.shape()));
-    assert_eq!(
-        out_shape,
-        a.shape(),
-        "in-place op cannot grow {:?} to broadcast result {:?}",
-        a.shape(),
-        out_shape
-    );
-    let a_shape = a.shape().to_vec();
-    let b_shape = b.shape().to_vec();
-    let sb = strides_for(&b_shape);
-    let dst = a.data_mut();
-    let bd = b.data();
-    let kernel = |flat: usize, x: &mut f32| {
-        let ib = broadcast_index(flat, &a_shape, &b_shape, &sb);
-        *x = f(*x, bd[ib]);
-    };
-    if dst.len() >= PAR_THRESHOLD {
-        dst.par_iter_mut().enumerate().for_each(|(i, x)| kernel(i, x));
-    } else {
-        for (i, x) in dst.iter_mut().enumerate() {
-            kernel(i, x);
-        }
-    }
+    let walk = Walk::new(a.shape(), b.shape(), a.shape());
+    let (bd, rb) = (b.data(), walk.run.2);
+    walk.drive(a.data_mut(), |dst, _, ob| apply_assign(dst, (&bd[ob..], rb), &f));
 }
 
 impl Tensor {
@@ -323,40 +382,6 @@ impl Tensor {
         Tensor::from_vec(vec![c, r], out)
     }
 
-    /// Materialized axis permutation (generalized transpose).
-    pub fn permute(&self, perm: &[usize]) -> Tensor {
-        assert_eq!(perm.len(), self.ndim(), "permute arity mismatch");
-        let mut seen = vec![false; perm.len()];
-        for &p in perm {
-            assert!(p < perm.len() && !seen[p], "invalid permutation {perm:?}");
-            seen[p] = true;
-        }
-        let old_shape = self.shape();
-        let new_shape: Vec<usize> = perm.iter().map(|&p| old_shape[p]).collect();
-        let old_strides = strides_for(old_shape);
-        let n = self.len();
-        let src = self.data();
-        let mut out = pool::alloc_uninit(n);
-        // For each output flat index, compute the source flat index.
-        let new_strides_in_old: Vec<usize> = perm.iter().map(|&p| old_strides[p]).collect();
-        let kernel = |flat: usize, out_elem: &mut f32| {
-            let coord = unravel(flat, &new_shape);
-            let mut si = 0usize;
-            for (c, s) in coord.iter().zip(&new_strides_in_old) {
-                si += c * s;
-            }
-            *out_elem = src[si];
-        };
-        if n >= PAR_THRESHOLD {
-            out.par_iter_mut().enumerate().for_each(|(i, o)| kernel(i, o));
-        } else {
-            for (i, o) in out.iter_mut().enumerate() {
-                kernel(i, o);
-            }
-        }
-        Tensor::from_vec(new_shape, out)
-    }
-
     /// Concatenate along `axis`. All other axes must match.
     pub fn concat(tensors: &[&Tensor], axis: usize) -> Tensor {
         assert!(!tensors.is_empty(), "concat of nothing");
@@ -373,12 +398,13 @@ impl Tensor {
         out_shape[axis] = tensors.iter().map(|t| t.shape()[axis]).sum();
         let outer: usize = first[..axis].iter().product();
         let inner: usize = first[axis + 1..].iter().product();
-        let mut out = Vec::with_capacity(numel(&out_shape));
+        let mut out = pool::alloc_uninit(numel(&out_shape));
+        let mut at = 0;
         for o in 0..outer {
             for t in tensors {
-                let mid = t.shape()[axis];
-                let base = o * mid * inner;
-                out.extend_from_slice(&t.data()[base..base + mid * inner]);
+                let len = t.shape()[axis] * inner;
+                out[at..at + len].copy_from_slice(&t.data()[o * len..(o + 1) * len]);
+                at += len;
             }
         }
         Tensor::from_vec(out_shape, out)
@@ -392,11 +418,12 @@ impl Tensor {
         let outer: usize = shape[..axis].iter().product();
         let mid = shape[axis];
         let inner: usize = shape[axis + 1..].iter().product();
-        let mut out = Vec::with_capacity(outer * len * inner);
+        let mut out = pool::alloc_uninit(outer * len * inner);
         let src = self.data();
+        let run = len * inner;
         for o in 0..outer {
             let base = (o * mid + start) * inner;
-            out.extend_from_slice(&src[base..base + len * inner]);
+            out[o * run..(o + 1) * run].copy_from_slice(&src[base..base + run]);
         }
         let mut new_shape = shape.to_vec();
         new_shape[axis] = len;
@@ -408,10 +435,10 @@ impl Tensor {
         assert_eq!(self.ndim(), 2, "gather_rows requires 2-d");
         let (rows, cols) = (self.shape()[0], self.shape()[1]);
         let src = self.data();
-        let mut out = Vec::with_capacity(indices.len() * cols);
-        for &i in indices {
+        let mut out = pool::alloc_uninit(indices.len() * cols);
+        for (r, &i) in indices.iter().enumerate() {
             assert!(i < rows, "gather index {i} out of bounds ({rows} rows)");
-            out.extend_from_slice(&src[i * cols..(i + 1) * cols]);
+            out[r * cols..(r + 1) * cols].copy_from_slice(&src[i * cols..(i + 1) * cols]);
         }
         Tensor::from_vec(vec![indices.len(), cols], out)
     }
@@ -503,13 +530,13 @@ impl Tensor {
         if rows.len() == 1 {
             return vec![self.clone()];
         }
-        let mut out = Vec::with_capacity(rows.len());
         let mut start = 0;
-        for &r in rows {
-            out.push(self.slice_axis(0, start, r));
-            start += r;
-        }
-        out
+        rows.iter()
+            .map(|&r| {
+                start += r;
+                self.slice_axis(0, start - r, r)
+            })
+            .collect()
     }
 
     /// Zero-pad the last two axes (interpreted as H, W) by the given margins.
@@ -544,12 +571,13 @@ impl Tensor {
         let sw = self.shape()[nd - 1];
         assert!(top + h <= sh && left + w <= sw, "crop out of bounds");
         let lead: usize = self.shape()[..nd - 2].iter().product();
-        let mut out = Vec::with_capacity(lead * h * w);
+        let mut out = pool::alloc_uninit(lead * h * w);
         let src = self.data();
         for l in 0..lead {
             for i in 0..h {
-                let base = (l * sh + top + i) * sw + left;
-                out.extend_from_slice(&src[base..base + w]);
+                let sbase = (l * sh + top + i) * sw + left;
+                let dbase = (l * h + i) * w;
+                out[dbase..dbase + w].copy_from_slice(&src[sbase..sbase + w]);
             }
         }
         let mut shape = self.shape().to_vec();
@@ -578,6 +606,7 @@ pub fn gelu_grad_scalar(x: f32) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shape::{broadcast_index, strides_for};
 
     #[test]
     fn add_same_shape() {
@@ -647,6 +676,173 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "cannot broadcast")]
+    fn in_place_incompatible_broadcast_panics() {
+        Tensor::zeros(vec![2, 3]).mul_(&Tensor::zeros(vec![4]));
+    }
+
+    /// What every broadcasting op means — for each output element, one
+    /// `broadcast_index` per operand: the oracle the walker must equal bit
+    /// for bit.
+    fn oracle_indices(a: &[usize], b: &[usize]) -> Vec<(usize, usize)> {
+        let out = broadcast_shapes(a, b).expect("compatible");
+        let (sa, sb) = (strides_for(a), strides_for(b));
+        (0..numel(&out))
+            .map(|flat| (broadcast_index(flat, &out, a, &sa), broadcast_index(flat, &out, b, &sb)))
+            .collect()
+    }
+
+    fn oracle(a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32) -> Vec<f32> {
+        at(&oracle_indices(a.shape(), b.shape()), a, b, f)
+    }
+
+    fn at(idx: &[(usize, usize)], a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32) -> Vec<f32> {
+        idx.iter().map(|&(ia, ib)| f(a.data()[ia], b.data()[ib])).collect()
+    }
+
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Distinct, sign-mixed, never-zero values (so `div` stays finite).
+    fn filled(shape: &[usize], salt: usize) -> Tensor {
+        let data = (0..numel(shape))
+            .map(|i| ((i * 7 + salt) % 23 + 1) as f32 * if (i + salt).is_multiple_of(3) { -0.37 } else { 0.53 })
+            .collect();
+        Tensor::from_vec(shape.to_vec(), data)
+    }
+
+    type Scalar = fn(f32, f32) -> f32;
+    type Binary = fn(&Tensor, &Tensor) -> Tensor;
+    type Assign = fn(&mut Tensor, &Tensor);
+
+    /// Out-of-place and (where the result keeps `a`'s shape) in-place ops
+    /// on one operand pair against the oracle.
+    fn check_pair(a: &Tensor, b: &Tensor) {
+        let what = format!("{:?} with {:?}", a.shape(), b.shape());
+        let out_shape = broadcast_shapes(a.shape(), b.shape()).expect("compatible");
+        let idx = oracle_indices(a.shape(), b.shape());
+        let binary: [(Binary, Scalar); 5] = [
+            (Tensor::add, |x, y| x + y),
+            (Tensor::sub, |x, y| x - y),
+            (Tensor::mul, |x, y| x * y),
+            (Tensor::div, |x, y| x / y),
+            (Tensor::maximum, f32::max),
+        ];
+        for (i, (op, f)) in binary.iter().enumerate() {
+            let got = op(a, b);
+            assert_eq!(got.shape(), &out_shape[..], "op {i}: {what}");
+            assert_eq!(bits(got.data()), bits(&at(&idx, a, b, f)), "op {i}: {what}");
+        }
+        if a.shape() != &out_shape[..] {
+            return;
+        }
+        let assign: [(Assign, Scalar); 3] = [
+            (Tensor::add_, |x, y| x + y),
+            (Tensor::mul_, |x, y| x * y),
+            (|t, x| t.axpy(-1.75, x), |x, y| (-1.75f32).mul_add(y, x)),
+        ];
+        for (i, (op, f)) in assign.iter().enumerate() {
+            let mut got = a.clone();
+            op(&mut got, b);
+            assert_eq!(bits(got.data()), bits(&at(&idx, a, b, f)), "in-place op {i}: {what}");
+        }
+    }
+
+    #[test]
+    fn walker_matches_the_per_element_oracle() {
+        // Every shape of rank <= 4 over these extents (rank 0 and `[1]`
+        // scalars included), against every other.
+        let mut shapes: Vec<Vec<usize>> = vec![vec![]];
+        let mut from = 0;
+        for _ in 0..4 {
+            let upto = shapes.len();
+            for i in from..upto {
+                for e in [1, 2, 3, 7] {
+                    let mut s = shapes[i].clone();
+                    s.push(e);
+                    shapes.push(s);
+                }
+            }
+            from = upto;
+        }
+        assert_eq!(shapes.len(), 341);
+        let tensors: Vec<Tensor> = shapes.iter().enumerate().map(|(i, s)| filled(s, i)).collect();
+        let mut pairs = 0;
+        for a in &tensors {
+            for b in &tensors {
+                if broadcast_shapes(a.shape(), b.shape()).is_some() {
+                    check_pair(a, b);
+                    pairs += 1;
+                }
+            }
+        }
+        assert!(pairs > 20_000, "only {pairs} compatible pairs walked");
+
+        // A zero-extent axis, broadcast against and alongside.
+        for (a, b) in [(vec![2, 0, 3], vec![3]), (vec![0], vec![1]), (vec![2, 0, 3], vec![2, 1, 1]), (vec![1], vec![0, 2])] {
+            check_pair(&filled(&a, 1), &filled(&b, 2));
+        }
+
+        // Aliased operands: the same tensor on both sides, and an in-place
+        // op whose right operand shares the destination's storage.
+        let t = filled(&[3, 7], 5);
+        assert_eq!(bits(t.mul(&t).data()), bits(&oracle(&t, &t, |x, y| x * y)));
+        let mut a = t.clone();
+        a.add_(&a.clone());
+        assert_eq!(bits(a.data()), bits(&oracle(&t, &t, |x, y| x + y)));
+        assert_eq!(bits(t.data()), bits(filled(&[3, 7], 5).data()), "the shared original is intact");
+    }
+
+    #[test]
+    fn parallel_split_is_bit_identical_to_one_thread() {
+        // Each output is past PAR_THRESHOLD; [3, 11000] puts a chunk
+        // boundary inside a run for 2 and for 3 threads.
+        let cases = [
+            (vec![130, 257], vec![130, 257]),
+            (vec![130, 257], vec![257]),
+            (vec![130, 257], vec![130, 1]),
+            (vec![130, 1], vec![130, 257]),
+            (vec![3, 11000], vec![3, 1]),
+            (vec![2, 3, 5507], vec![3, 1]),
+        ];
+        let on = |threads: usize, f: &(dyn Fn() -> Tensor + Sync)| {
+            rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap().install(f)
+        };
+        for (sa, sb) in cases {
+            let (a, b) = (filled(&sa, 3), filled(&sb, 4));
+            let out_shape = broadcast_shapes(&sa, &sb).unwrap();
+            assert!(numel(&out_shape) >= PAR_THRESHOLD);
+            let one = on(1, &|| a.sub(&b));
+            assert_eq!(bits(one.data()), bits(&oracle(&a, &b, |x, y| x - y)), "{sa:?} {sb:?}");
+            for threads in [2, 3] {
+                assert_eq!(bits(on(threads, &|| a.sub(&b)).data()), bits(one.data()), "{sa:?} {sb:?} x{threads}");
+            }
+            if out_shape == sa {
+                let assign = |threads| {
+                    on(threads, &|| {
+                        let mut t = a.clone();
+                        t.axpy(0.5, &b);
+                        t
+                    })
+                };
+                assert_eq!(bits(assign(2).data()), bits(assign(1).data()), "axpy {sa:?} {sb:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn second_broadcast_call_allocates_nothing_fresh() {
+        let a = filled(&[34, 16], 1);
+        let (row, col) = (filled(&[16], 2), filled(&[34, 1], 3));
+        let run = || (a.mul(&row), col.add(&a), a.slice_axis(1, 4, 8), Tensor::concat(&[&a, &a], 0));
+        drop(run());
+        let before = pool::stats().fresh_allocs;
+        drop(run());
+        assert_eq!(pool::stats().fresh_allocs, before, "outputs must come from the pool");
+    }
+
+    #[test]
     fn elementwise_result_shares_shape_handle() {
         let a = Tensor::zeros(vec![4, 5]);
         let b = Tensor::ones(vec![4, 5]);
@@ -694,16 +890,6 @@ mod tests {
         assert_eq!(t.shape(), &[4, 3]);
         assert_eq!(t.at(&[2, 1]), a.at(&[1, 2]));
         a.assert_close(&t.transpose2(), 0.0);
-    }
-
-    #[test]
-    fn permute_matches_transpose() {
-        let a = Tensor::arange(24).reshape(vec![2, 3, 4]);
-        let p = a.permute(&[2, 0, 1]);
-        assert_eq!(p.shape(), &[4, 2, 3]);
-        assert_eq!(p.at(&[1, 0, 2]), a.at(&[0, 2, 1]));
-        // permute with identity is a no-op
-        a.assert_close(&a.permute(&[0, 1, 2]), 0.0);
     }
 
     #[test]

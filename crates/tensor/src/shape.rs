@@ -53,12 +53,26 @@ pub fn broadcast_shapes(a: &[usize], b: &[usize]) -> Option<Shape> {
     Some(out)
 }
 
+/// Convert a multi-dimensional coordinate to a flat row-major index.
+pub fn ravel(coord: &[usize], shape: &[usize]) -> usize {
+    debug_assert_eq!(coord.len(), shape.len());
+    let mut idx = 0usize;
+    for (c, d) in coord.iter().zip(shape.iter()) {
+        debug_assert!(c < d, "coordinate {c} out of bounds for axis of size {d}");
+        idx = idx * d + c;
+    }
+    idx
+}
+
+#[cfg(test)]
 /// Map a flat row-major index in `out_shape` to the flat index in a tensor of
-/// `src_shape` being broadcast to `out_shape`.
+/// `src_shape` being broadcast to `out_shape`: the per-element definition of
+/// broadcasting, kept as the oracle the run-based walker in `ops.rs` is
+/// tested against.
 ///
 /// `src_shape` must be broadcast-compatible with (and no longer than)
 /// `out_shape`.
-pub fn broadcast_index(flat: usize, out_shape: &[usize], src_shape: &[usize], src_strides: &[usize]) -> usize {
+pub(crate) fn broadcast_index(flat: usize, out_shape: &[usize], src_shape: &[usize], src_strides: &[usize]) -> usize {
     let offset = out_shape.len() - src_shape.len();
     let mut rem = flat;
     let mut idx = 0usize;
@@ -76,28 +90,6 @@ pub fn broadcast_index(flat: usize, out_shape: &[usize], src_shape: &[usize], sr
         }
     }
     idx
-}
-
-/// Convert a multi-dimensional coordinate to a flat row-major index.
-pub fn ravel(coord: &[usize], shape: &[usize]) -> usize {
-    debug_assert_eq!(coord.len(), shape.len());
-    let mut idx = 0usize;
-    for (c, d) in coord.iter().zip(shape.iter()) {
-        debug_assert!(c < d, "coordinate {c} out of bounds for axis of size {d}");
-        idx = idx * d + c;
-    }
-    idx
-}
-
-/// Convert a flat row-major index to a multi-dimensional coordinate.
-pub fn unravel(flat: usize, shape: &[usize]) -> Vec<usize> {
-    let mut coord = vec![0usize; shape.len()];
-    let mut rem = flat;
-    for i in (0..shape.len()).rev() {
-        coord[i] = rem % shape[i];
-        rem /= shape[i];
-    }
-    coord
 }
 
 #[cfg(test)]
@@ -120,12 +112,18 @@ mod tests {
     }
 
     #[test]
-    fn ravel_unravel_roundtrip() {
+    fn ravel_is_row_major() {
         let shape = [3usize, 4, 5];
-        for flat in 0..numel(&shape) {
-            let coord = unravel(flat, &shape);
-            assert_eq!(ravel(&coord, &shape), flat);
+        let mut flat = 0;
+        for i in 0..3 {
+            for j in 0..4 {
+                for k in 0..5 {
+                    assert_eq!(ravel(&[i, j, k], &shape), flat);
+                    flat += 1;
+                }
+            }
         }
+        assert_eq!(flat, numel(&shape));
     }
 
     #[test]

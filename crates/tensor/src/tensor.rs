@@ -16,7 +16,7 @@ use std::sync::Arc;
 /// ([`crate::pool`]).
 ///
 /// All kernels in this crate operate on contiguous storage; views are
-/// materialized explicitly (e.g. [`Tensor::permute`]) which keeps every hot
+/// materialized explicitly (e.g. [`Tensor::transpose2`]) which keeps every hot
 /// loop a linear scan — the access pattern the perf-book guide favours.
 #[derive(Clone)]
 pub struct Tensor {

@@ -99,6 +99,17 @@ jq -r '
     | "gemm_precision/\($n)\tf32 \($f) ns\tbf16 \($r["gemm_bf16/" + $n]) ns (\(($f / $r["gemm_bf16/" + $n] * 100 | round) / 100)x)\tint8 \($r["gemm_int8/" + $n]) ns (\(($f / $r["gemm_int8/" + $n] * 100 | round) / 100)x)"
 ' "$OUT_JSON"
 
+# The broadcasting walk, same snapshot: a row-broadcast pass against the
+# same-shape pass of the same size (about 1x or below while broadcasts stay
+# on the run-based walk; per-element index arithmetic reads 20-40x), and
+# the session's layer norm with its two-pass affine against the bare kernel.
+jq -r '
+    .[-1].runs[0].results
+    | (map({(.bench): .median_ns}) | add) as $r
+    | "elementwise/row vs same/1156x256\trow \($r["elementwise/row/1156x256"]) ns\tsame \($r["elementwise/same/1156x256"]) ns\trow / same \(($r["elementwise/row/1156x256"] / $r["elementwise/same/1156x256"] * 100 | round) / 100)x",
+      "layer_norm_affine vs layer_norm/1156x256\taffine \($r["layer_norm_affine/1156x256"]) ns\tkernel \($r["layer_norm/1156x256"]) ns\taffine / kernel \(($r["layer_norm_affine/1156x256"] / $r["layer_norm/1156x256"] * 100 | round) / 100)x"
+' "$OUT_JSON"
+
 # The training step's non-math, same snapshot: the trainer's two sweeps
 # (reduce into the accumulation arena + Adam over the moment arenas) against
 # the sequential composition they replaced, on the same gradients.
