@@ -2,8 +2,8 @@
 //! topological order (a node is always appended after its parents), so the
 //! backward pass is a single reverse sweep.
 
-use orbit2_tensor::ops::{gelu_grad_scalar, gelu_scalar};
-use orbit2_tensor::Tensor;
+use orbit2_tensor::fused::{act_backward, Activation};
+use orbit2_tensor::{simd, Tensor};
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -304,7 +304,7 @@ impl<'t> Var<'t> {
 
     /// Elementwise exponential.
     pub fn exp(&self) -> Var<'t> {
-        let y = self.value().exp();
+        let y = Tensor::exp(&self.value());
         let yc = y.clone();
         self.unary(y, move |g| g.mul(&yc))
     }
@@ -318,7 +318,7 @@ impl<'t> Var<'t> {
 
     /// Elementwise tanh.
     pub fn tanh(&self) -> Var<'t> {
-        let y = self.value().tanh();
+        let y = Tensor::tanh(&self.value());
         let yc = y.clone();
         self.unary(y, move |g| g.mul(&yc.map(|t| 1.0 - t * t)))
     }
@@ -330,11 +330,12 @@ impl<'t> Var<'t> {
         self.unary(v.relu(), move |g| g.mul(&mask))
     }
 
-    /// GELU (tanh approximation).
+    /// GELU (tanh approximation). The backward closure keeps the (COW)
+    /// input and evaluates `g ⊙ gelu'(x)` when it runs — never for an
+    /// untracked parent, whose closure is dropped unrun.
     pub fn gelu(&self) -> Var<'t> {
         let v = self.value();
-        let dv = v.map(gelu_grad_scalar);
-        self.unary(v.map(gelu_scalar), move |g| g.mul(&dv))
+        self.unary(v.gelu(), move |g| act_backward(g, &v, Activation::Gelu))
     }
 
     /// Logistic sigmoid.
@@ -354,7 +355,7 @@ impl<'t> Var<'t> {
             } else if x < -20.0 {
                 0.0
             } else {
-                (1.0 + x.exp()).ln()
+                (1.0 + simd::exp(x)).ln()
             }
         });
         let d = v.sigmoid();
@@ -573,6 +574,41 @@ mod tests {
         check_gradients(&[vec![6]], |_t, v| v[0].smooth_abs(0.1).sum(), 1e-2, 5);
         check_gradients(&[vec![6]], |_t, v| v[0].sigmoid().sum(), 1e-2, 6);
         check_gradients(&[vec![6]], |_t, v| v[0].softplus().sum(), 1e-2, 7);
+    }
+
+    #[test]
+    fn gelu_derivative_is_evaluated_at_backward_and_only_when_tracked() {
+        use orbit2_tensor::ops::gelu_grad_scalar;
+        use orbit2_tensor::pool;
+        let x = orbit2_tensor::random::randn(&[33, 40], 8).mul_scalar(2.0);
+        let allocs = || {
+            let s = pool::stats();
+            s.fresh_allocs + s.reuses
+        };
+
+        // Untracked parent: the forward allocates its output and nothing
+        // else (the closure holding the input is dropped unrun).
+        let tape = Tape::new();
+        let c = tape.constant(x.clone());
+        let before = allocs();
+        let y = c.gelu();
+        assert_eq!(allocs() - before, 1, "forward of an untracked gelu allocates only its output");
+        assert_eq!(y.value(), x.gelu());
+
+        // Tracked parent: still one allocation at forward time; the
+        // gradient is `g ⊙ gelu'(x)`, bit for bit.
+        let tape = Tape::new();
+        let leaf = tape.leaf(x.clone());
+        let before = allocs();
+        let y = leaf.gelu();
+        assert_eq!(allocs() - before, 1, "no derivative tensor is built at forward time");
+        let w = orbit2_tensor::random::randn(&[33, 40], 9);
+        let loss = y.mul(tape.constant(w.clone())).sum();
+        let grads = tape.backward(loss);
+        let got = grads.get(leaf).expect("gradient reaches the leaf");
+        let want: Vec<u32> =
+            w.data().iter().zip(x.data()).map(|(&g, &v)| (g * gelu_grad_scalar(v)).to_bits()).collect();
+        assert_eq!(got.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>(), want);
     }
 
     #[test]

@@ -12,8 +12,8 @@ use orbit2_tensor::attention::naive_attention;
 use orbit2_tensor::bf16::bf16_round_slice;
 use orbit2_tensor::conv::{conv2d, conv2d_grad_input, conv2d_grad_weight, ConvGeom};
 use orbit2_tensor::fused::{
-    layer_norm_rows, matmul_bias_act, matmul_bias_act_cached, softmax_rows, Activation,
-    WeightPrecision,
+    act_backward, layer_norm_rows, matmul_bias_act, matmul_bias_act_cached, softmax_rows,
+    Activation, WeightPrecision,
 };
 use orbit2_tensor::qgemm::{gemm_strips_ref, PackedWeight};
 use orbit2_tensor::random::randn;
@@ -200,10 +200,33 @@ fn bench_elementwise(c: &mut Criterion) {
     group.finish();
 }
 
+/// The softmax kernel (`1156x1156` is one `tiles-field` head's score
+/// tensor) and what it is made of: `exp/1156x1156` is [`simd::exp`] alone
+/// over the same elements, `gelu/1156x1024` and `act_backward/1156x1024` the
+/// MLP activation of a `tiles-field` tile outside the GEMM epilogue and on
+/// the way back. `scripts/bench_smoke.sh` prints `softmax ÷ layer_norm` at
+/// `1024x256` and `fused_linear_gelu ÷ gemm_f32` at 512 from the one
+/// snapshot.
+///
+/// [`simd::exp`]: orbit2_tensor::simd::exp
 fn bench_softmax(c: &mut Criterion) {
+    let scores = randn(&[1156, 1156], 24);
+    let pre = randn(&[1156, 1024], 25);
+    let g = randn(&[1156, 1024], 26);
+    for (name, size, run) in [
+        ("exp", "1156x1156", &(|| scores.exp()) as &dyn Fn() -> Tensor),
+        ("gelu", "1156x1024", &|| pre.gelu()),
+        ("act_backward", "1156x1024", &|| act_backward(&g, &pre, Activation::Gelu)),
+    ] {
+        let mut group = c.benchmark_group(name);
+        group.sample_size(10);
+        group.bench_function(BenchmarkId::from_parameter(size), |bench| bench.iter(run));
+        group.finish();
+    }
+
     let mut group = c.benchmark_group("softmax");
     group.sample_size(10);
-    for &(rows, d) in &[(1024usize, 256usize), (4096, 512)] {
+    for &(rows, d) in &[(1024usize, 256usize), (1156, 1156), (4096, 512)] {
         let x = randn(&[rows, d], 22);
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("{rows}x{d}")),

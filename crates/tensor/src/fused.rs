@@ -13,17 +13,22 @@
 //! * [`layer_norm_rows`] — mean and variance in a single Welford pass
 //!   (lane-wise, merged with Chan's parallel-combine formula) instead of the
 //!   classic two-pass mean-then-variance sweep.
-//! * [`softmax_rows`] — max, exp and normalize over the last axis with the
-//!   max and scale passes vectorized.
+//! * [`softmax_rows`] — three passes over a row while it is L1-resident:
+//!   vector max scan, one fused `exp(x − max)`-store-and-sum pass on
+//!   [`simd::exp`] with a pinned summation order, vector scale.
+//!   [`softmax_rows_from`] reads a source row instead, so an out-of-place
+//!   softmax never copies its scores first.
 //!
 //! A linear layer with a non-linear activation also returns the
 //! *pre-activation* tensor: the tape needs `act'(pre)` for the backward
 //! pass, and recomputing `x W^T + b` there would cost a second GEMM.
 //! Everything falls back to the scalar reference path under
-//! `ORBIT2_DISABLE_SIMD=1`.
+//! `ORBIT2_DISABLE_SIMD=1`; the exponentials (softmax, the GELU epilogue and
+//! its backward) are one branch-free lane function that is its own scalar
+//! reference, so they have no second path to fall back to.
 
 use crate::matmul::MatLayout;
-use crate::ops::{gelu_grad_scalar, gelu_scalar};
+use crate::ops::{binary_broadcast, gelu_grad_scalar, gelu_scalar};
 use crate::pool;
 use crate::qgemm::{self, PackedWeight};
 use crate::simd::{self, F32x8, LANES};
@@ -38,7 +43,8 @@ pub enum Activation {
     Identity,
     /// `max(0, x)`.
     Relu,
-    /// Tanh-approximated GELU (matches [`Tensor::gelu`]).
+    /// Tanh-approximated GELU ([`gelu_scalar`]: the same bits as
+    /// [`Tensor::gelu`] and the tape's `Var::gelu`).
     Gelu,
 }
 
@@ -53,7 +59,9 @@ impl Activation {
         }
     }
 
-    /// `act` applied to every element in place.
+    /// `act` applied to every element in place. The GEMM epilogue hands it
+    /// one row run of a C tile at a time; the GELU is a branch-free lane
+    /// function, so the loop over a run is vector code.
     pub fn apply_in_place(self, xs: &mut [f32]) {
         match self {
             Activation::Identity => {}
@@ -202,16 +210,12 @@ pub fn matmul_bias_act_cached(
     Tensor::from_vec(vec![m, n], out)
 }
 
-/// `g ⊙ act'(pre)` — the elementwise start of the fused-linear backward.
+/// `g ⊙ act'(pre)` — the elementwise start of the fused-linear backward, on
+/// the elementwise walker (one vectorizable run, split across workers once
+/// it is large enough).
 pub fn act_backward(g: &Tensor, pre: &Tensor, act: Activation) -> Tensor {
     assert_eq!(g.shape(), pre.shape());
-    let gd = g.data();
-    let pd = pre.data();
-    let mut out = pool::alloc_uninit(gd.len());
-    for ((o, &gv), &pv) in out.iter_mut().zip(gd).zip(pd) {
-        *o = gv * act.grad(pv);
-    }
-    Tensor::from_vec(g.shape().to_vec(), out)
+    binary_broadcast(g, pre, move |gv, pv| gv * act.grad(pv))
 }
 
 /// One-pass Welford layer norm over the last axis.
@@ -316,20 +320,30 @@ fn chan_combine(ma: f64, m2a: f64, na: f64, mb: f64, m2b: f64, nb: f64) -> (f64,
 }
 
 /// In-place softmax over contiguous rows of length `inner`: for each row,
-/// subtract the max, exponentiate, and scale by the inverse sum — the max
-/// scan and the normalize pass run on [`F32x8`] lanes.
+/// subtract the max, exponentiate, and scale by the inverse sum. A row is
+/// computed from that row alone ([`simd::exp_sub_sum`] pins the order of its
+/// sum), so the result is independent of the SIMD mode, of the worker split
+/// and of the rows stacked around it. A NaN or `+∞` score makes its whole
+/// row NaN, never a silently finite one.
 pub fn softmax_rows(dst: &mut [f32], inner: usize) {
+    softmax(None, dst, inner);
+}
+
+/// [`softmax_rows`] reading the scores from `src` and writing `dst`.
+pub fn softmax_rows_from(src: &[f32], dst: &mut [f32], inner: usize) {
+    assert_eq!(src.len(), dst.len());
+    softmax(Some(src), dst, inner);
+}
+
+fn softmax(src: Option<&[f32]>, dst: &mut [f32], inner: usize) {
     debug_assert_eq!(dst.len() % inner.max(1), 0);
     if inner == 0 {
         return;
     }
-    dst.par_chunks_mut(inner).for_each(|row| {
-        let mx = simd::max_value(row);
-        let mut sum = 0.0f32;
-        for v in row.iter_mut() {
-            *v = (*v - mx).exp();
-            sum += *v;
-        }
+    dst.par_chunks_mut(inner).enumerate().for_each(|(r, row)| {
+        let src = src.map(|s| &s[r * inner..(r + 1) * inner]);
+        let mx = simd::max_value(src.unwrap_or(row));
+        let sum = simd::exp_sub_sum(row, src, mx);
         simd::scale(row, 1.0 / sum);
     });
 }
@@ -538,6 +552,111 @@ mod tests {
         }
         let sums: f32 = fused[..13].iter().sum();
         assert!((sums - 1.0).abs() < 1e-5);
+    }
+
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    fn on<T: Send>(threads: usize, f: impl Fn() -> T + Sync) -> T {
+        rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap().install(f)
+    }
+
+    #[test]
+    fn softmax_rows_sum_to_one_and_match_an_f64_reference() {
+        // Ragged and whole-block widths, the `tiles-field` 1156 included.
+        for &(rows, d) in &[(7usize, 1usize), (5, 13), (9, 16), (4, 67), (3, 256), (2, 1156)] {
+            let t = randn(&[rows, d], 33).mul_scalar(4.0);
+            let got = t.softmax_last();
+            for (r, row) in t.data().chunks_exact(d).enumerate() {
+                let mx = row.iter().copied().fold(f32::NEG_INFINITY, f32::max) as f64;
+                let den: f64 = row.iter().map(|&x| (x as f64 - mx).exp()).sum();
+                let out = &got.data()[r * d..(r + 1) * d];
+                for (&x, &p) in row.iter().zip(out) {
+                    let want = ((x as f64 - mx).exp() / den) as f32;
+                    assert!((p - want).abs() <= 2e-7, "[{rows},{d}] row {r}: {p} vs {want}");
+                }
+                let sum: f64 = out.iter().map(|&p| p as f64).sum();
+                assert!((sum - 1.0).abs() < 1e-6, "[{rows},{d}] row {r} sums to {sum}");
+            }
+        }
+    }
+
+    #[test]
+    fn softmax_poisoned_scores_poison_their_row_only() {
+        let d = 37;
+        for poison in [f32::NAN, f32::INFINITY] {
+            for at in [0usize, 15, 16, 36] {
+                let mut t = randn(&[3, d], 34).data().to_vec();
+                t[d + at] = poison;
+                softmax_rows(&mut t, d);
+                assert!(t[d..2 * d].iter().all(|p| !p.is_finite()), "{poison} at {at}: {:?}", &t[d..2 * d]);
+                assert!(t[..d].iter().chain(&t[2 * d..]).all(|p| p.is_finite()), "{poison} leaked");
+            }
+        }
+        // A masked (-inf) score is an exact zero, not a poison.
+        let mut row = vec![0.5f32, f32::NEG_INFINITY, -0.25];
+        softmax_rows(&mut row, 3);
+        assert_eq!(row[1].to_bits(), 0);
+        assert!((row[0] + row[2] - 1.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn softmax_bits_do_not_depend_on_threads_or_entry_point() {
+        // Enough rows that the parallel entry splits them; the reference is
+        // row 0 alone, in place, on one thread.
+        let (rows, d) = (64usize, 1156usize);
+        let t = randn(&[rows, d], 35).mul_scalar(3.0);
+        let one = on(1, || t.softmax_last());
+        for threads in [2, 3] {
+            assert_eq!(bits(on(threads, || t.softmax_last()).data()), bits(one.data()), "x{threads}");
+        }
+        let mut in_place = t.data().to_vec();
+        softmax_rows(&mut in_place, d);
+        assert_eq!(bits(&in_place), bits(one.data()), "in place vs source/destination");
+        let mut row0 = t.data()[..d].to_vec();
+        softmax_rows(&mut row0, d);
+        assert_eq!(bits(&row0), bits(&one.data()[..d]), "a row alone vs in the stack");
+    }
+
+    #[test]
+    fn every_gelu_path_is_the_lane_function_bitwise() {
+        // Shapes whose C-tile row runs are whole, ragged and shorter than a
+        // lane block; m = 300 x n = 128 is past the walker's parallel split.
+        for &(m, k, n) in &[(5usize, 7usize, 9usize), (13, 24, 64), (73, 33, 17), (300, 16, 128)] {
+            let x = randn(&[m, k], 61);
+            let w = randn(&[n, k], 62).mul_scalar(3.0);
+            let b = randn(&[n], 63);
+            let (y, pre) = matmul_bias_act(&x, &w, Some(&b), Activation::Gelu);
+            let pre = pre.expect("gelu stores its pre-activation");
+            let lane: Vec<f32> = pre.data().iter().map(|&p| gelu_scalar(std::hint::black_box(p))).collect();
+            assert_eq!(bits(y.data()), bits(&lane), "epilogue, {m}x{k}x{n}");
+            assert_eq!(bits(pre.gelu().data()), bits(&lane), "Tensor::gelu");
+            let mut in_place = pre.data().to_vec();
+            Activation::Gelu.apply_in_place(&mut in_place);
+            assert_eq!(bits(&in_place), bits(&lane), "apply_in_place");
+            assert_eq!(Activation::Gelu.apply(pre.data()[0]).to_bits(), lane[0].to_bits());
+
+            let g = randn(&[m, n], 64);
+            let want: Vec<f32> = g
+                .data()
+                .iter()
+                .zip(pre.data())
+                .map(|(&gv, &pv)| gv * gelu_grad_scalar(std::hint::black_box(pv)))
+                .collect();
+            for threads in [1, 2] {
+                let got = on(threads, || act_backward(&g, &pre, Activation::Gelu));
+                assert_eq!(bits(got.data()), bits(&want), "act_backward x{threads}, {m}x{n}");
+            }
+            assert_eq!(Activation::Gelu.grad(pre.data()[0]).to_bits(), gelu_grad_scalar(pre.data()[0]).to_bits());
+        }
+        // The other activations ride the same walker.
+        let (g, pre) = (randn(&[4, 5], 65), randn(&[4, 5], 66));
+        assert_eq!(act_backward(&g, &pre, Activation::Identity).data(), g.data());
+        let relu = act_backward(&g, &pre, Activation::Relu);
+        for ((&r, &gv), &pv) in relu.data().iter().zip(g.data()).zip(pre.data()) {
+            assert_eq!(r, if pv > 0.0 { gv } else { 0.0 });
+        }
     }
 
     #[test]

@@ -5,6 +5,7 @@
 //! is large enough to amortize the fork/join cost.
 
 use crate::pool;
+use crate::simd;
 use crate::shape::{broadcast_shapes, numel, ShapeHandle};
 use crate::tensor::Tensor;
 use rayon::prelude::*;
@@ -152,7 +153,7 @@ fn broadcast_or_panic(a: &[usize], b: &[usize]) -> Vec<usize> {
     broadcast_shapes(a, b).unwrap_or_else(|| panic!("cannot broadcast {a:?} with {b:?}"))
 }
 
-fn binary_broadcast(a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32 + Sync) -> Tensor {
+pub(crate) fn binary_broadcast(a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32 + Sync) -> Tensor {
     // Equal shapes reuse the left operand's shape handle (no reallocation).
     let shape = if a.shape() == b.shape() {
         a.shape_handle()
@@ -250,9 +251,9 @@ impl Tensor {
         self.map(|x| -x)
     }
 
-    /// Elementwise exponential.
+    /// Elementwise exponential ([`simd::exp`]).
     pub fn exp(&self) -> Tensor {
-        self.map(f32::exp)
+        self.map(simd::exp)
     }
 
     /// Elementwise natural log.
@@ -270,9 +271,11 @@ impl Tensor {
         self.map(move |x| x.powf(p))
     }
 
-    /// Elementwise hyperbolic tangent.
+    /// Elementwise hyperbolic tangent, `1 − 2/(e^{2x} + 1)` on
+    /// [`simd::exp`]: absolute error below 1.2e-7 (the relative error grows
+    /// as `x → 0`, where the subtraction cancels).
     pub fn tanh(&self) -> Tensor {
-        self.map(f32::tanh)
+        self.map(|x| 1.0 - 2.0 / (simd::exp(2.0 * x) + 1.0))
     }
 
     /// Rectified linear unit.
@@ -287,7 +290,7 @@ impl Tensor {
 
     /// Logistic sigmoid.
     pub fn sigmoid(&self) -> Tensor {
-        self.map(|x| 1.0 / (1.0 + (-x).exp()))
+        self.map(sigmoid)
     }
 
     /// Clamp every element into `[lo, hi]`.
@@ -363,13 +366,13 @@ impl Tensor {
 
     /// Softmax along the last axis, numerically stabilized.
     ///
-    /// Delegates to the fused kernel ([`crate::fused::softmax_rows`]): max
-    /// scan and normalize run on SIMD lanes, in place on the output buffer.
+    /// Delegates to the fused kernel ([`crate::fused::softmax_rows_from`]),
+    /// which reads each source row and writes its output row: no copy of the
+    /// scores is made first.
     pub fn softmax_last(&self) -> Tensor {
         let inner = *self.shape().last().expect("softmax on 0-d tensor");
         let mut out = pool::alloc_uninit(self.len());
-        out.copy_from_slice(self.data());
-        crate::fused::softmax_rows(&mut out, inner);
+        crate::fused::softmax_rows_from(self.data(), &mut out, inner);
         Tensor::from_shape_handle(self.shape_handle(), out)
     }
 
@@ -587,20 +590,37 @@ impl Tensor {
     }
 }
 
-/// GELU activation, tanh approximation.
-pub fn gelu_scalar(x: f32) -> f32 {
-    const SQRT_2_OVER_PI: f32 = 0.797_884_6;
-    0.5 * x * (1.0 + (SQRT_2_OVER_PI * (x + 0.044715 * x * x * x)).tanh())
+/// Logistic sigmoid on [`simd::exp`].
+#[inline(always)]
+fn sigmoid(x: f32) -> f32 {
+    1.0 / (1.0 + simd::exp(-x))
 }
 
-/// Derivative of the tanh-approximated GELU, used by the autograd crate.
+/// `2·√(2/π)` and the cubic coefficient of the tanh-approximated GELU.
+const GELU_2S: f32 = 1.595_769_2;
+const GELU_C: f32 = 0.044715;
+
+/// `2u`, `u = √(2/π)·(x + 0.044715·x³)`: the GELU's `½(1 + tanh u)` is `σ(2u)`.
+#[inline(always)]
+fn gelu_2u(x: f32) -> f32 {
+    GELU_2S * (x + GELU_C * x * x * x)
+}
+
+/// GELU activation, tanh approximation, with the `tanh` eliminated:
+/// `½x(1 + tanh u) = x·σ(2u) = x / (1 + exp(−2u))`. Branch-free over
+/// [`simd::exp`], so a loop over it vectorizes, and the one definition every
+/// GELU in the workspace evaluates (GEMM epilogue, `Tensor::gelu`, the tape).
+#[inline(always)]
+pub fn gelu_scalar(x: f32) -> f32 {
+    x / (1.0 + simd::exp(-gelu_2u(x)))
+}
+
+/// Derivative of [`gelu_scalar`] on the same `σ = σ(2u)`:
+/// `σ + x·σ(1 − σ)·(2u)′`.
+#[inline(always)]
 pub fn gelu_grad_scalar(x: f32) -> f32 {
-    const S: f32 = 0.797_884_6;
-    let x3 = x * x * x;
-    let inner = S * (x + 0.044715 * x3);
-    let t = inner.tanh();
-    let sech2 = 1.0 - t * t;
-    0.5 * (1.0 + t) + 0.5 * x * sech2 * S * (1.0 + 3.0 * 0.044715 * x * x)
+    let s = sigmoid(gelu_2u(x));
+    s + x * s * (1.0 - s) * GELU_2S * (1.0 + 3.0 * GELU_C * x * x)
 }
 
 #[cfg(test)]
@@ -931,6 +951,51 @@ mod tests {
         assert!((gelu_scalar(0.0)).abs() < 1e-7);
         assert!((gelu_scalar(1.0) - 0.841192).abs() < 1e-4);
         assert!((gelu_scalar(-1.0) + 0.158808).abs() < 1e-4);
+    }
+
+    /// The tanh-approximated GELU and its derivative in f64.
+    fn gelu_f64(x: f64) -> (f64, f64) {
+        let (s, c) = ((2.0 / std::f64::consts::PI).sqrt(), 0.044715);
+        let t = (s * (x + c * x * x * x)).tanh();
+        (0.5 * x * (1.0 + t), 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * s * (1.0 + 3.0 * c * x * x))
+    }
+
+    #[test]
+    fn gelu_and_its_gradient_match_an_f64_reference() {
+        // Stated max absolute error: 2.4e-7 for the GELU (half an ulp of
+        // the value, at x = 5) and 1.6e-6 for the gradient (also at x = 5,
+        // where σ has just rounded to 1 and `σ(1 − σ)·2u'x` is lost whole).
+        for mag in [0.0f32, 1e-4, 1.0, 5.0, 10.0, 12.0, 20.0, 1e4] {
+            for x in [mag, -mag] {
+                let (y, dy) = gelu_f64(x as f64);
+                let (ey, edy) = ((gelu_scalar(x) as f64 - y).abs(), (gelu_grad_scalar(x) as f64 - dy).abs());
+                assert!(ey <= 2.4e-7, "gelu({x}) = {} vs {y}", gelu_scalar(x));
+                assert!(edy <= 1.6e-6, "gelu'({x}) = {} vs {dy}", gelu_grad_scalar(x));
+            }
+        }
+        // Saturation is exact and finite; a poisoned input stays poisoned.
+        assert_eq!(gelu_scalar(1e4), 1e4);
+        assert_eq!(gelu_scalar(-1e4), 0.0);
+        assert_eq!((gelu_grad_scalar(1e4), gelu_grad_scalar(-1e4)), (1.0, 0.0));
+        assert!(gelu_scalar(f32::NAN).is_nan() && gelu_grad_scalar(f32::NAN).is_nan());
+    }
+
+    #[test]
+    fn exp_sigmoid_tanh_track_libm() {
+        let x = Tensor::from_vec(vec![9], vec![-30.0, -3.0, -0.5, -1e-3, 0.0, 1e-3, 0.5, 3.0, 30.0]);
+        for (&got, &v) in x.exp().data().iter().zip(x.data()) {
+            assert!((got - v.exp()).abs() <= 1.2e-7 * v.exp(), "exp({v})");
+        }
+        for (&got, &v) in x.sigmoid().data().iter().zip(x.data()) {
+            assert!((got - 1.0 / (1.0 + (-v).exp())).abs() <= 1.2e-7, "sigmoid({v})");
+        }
+        for (&got, &v) in x.tanh().data().iter().zip(x.data()) {
+            assert!((got - v.tanh()).abs() <= 1.2e-7, "tanh({v})");
+        }
+        let edge = Tensor::from_vec(vec![3], vec![f32::INFINITY, f32::NEG_INFINITY, f32::NAN]);
+        assert_eq!(&edge.tanh().data()[..2], &[1.0, -1.0]);
+        assert_eq!(&edge.sigmoid().data()[..2], &[1.0, 0.0]);
+        assert!(edge.tanh().data()[2].is_nan() && edge.sigmoid().data()[2].is_nan() && edge.exp().data()[2].is_nan());
     }
 
     #[test]

@@ -110,6 +110,17 @@ jq -r '
       "layer_norm_affine vs layer_norm/1156x256\taffine \($r["layer_norm_affine/1156x256"]) ns\tkernel \($r["layer_norm/1156x256"]) ns\taffine / kernel \(($r["layer_norm_affine/1156x256"] / $r["layer_norm/1156x256"] * 100 | round) / 100)x"
 ' "$OUT_JSON"
 
+# The transcendentals, same snapshot: softmax against layer norm (both
+# three-pass row kernels over the same bytes; at most 2x while the exp pass
+# is `simd::exp`, 3.5x on libm) and the GELU epilogue against the product it
+# is fused into (at most 1.3x; 2.7x with a libm tanh per element).
+jq -r '
+    .[-1].runs[0].results
+    | (map({(.bench): .median_ns}) | add) as $r
+    | "softmax vs layer_norm/1024x256\tsoftmax \($r["softmax/1024x256"]) ns\tlayer_norm \($r["layer_norm/1024x256"]) ns\tsoftmax / layer_norm \(($r["softmax/1024x256"] / $r["layer_norm/1024x256"] * 100 | round) / 100)x",
+      "fused_linear_gelu vs gemm_f32/512\tfused \($r["fused_linear_gelu/512"]) ns\tgemm \($r["gemm_f32/512"]) ns\tfused / gemm \(($r["fused_linear_gelu/512"] / $r["gemm_f32/512"] * 100 | round) / 100)x"
+' "$OUT_JSON"
+
 # The training step's non-math, same snapshot: the trainer's two sweeps
 # (reduce into the accumulation arena + Adam over the moment arenas) against
 # the sequential composition they replaced, on the same gradients.

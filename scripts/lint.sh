@@ -6,6 +6,19 @@
 # `unsafe_code` is denied workspace-wide: the SIMD kernel layer is built on
 # safe lane-array structs (orbit2-tensor is `#![forbid(unsafe_code)]`), and
 # no other crate has a reason to reach for `unsafe` either.
+#
+# libm gate: `simd::exp` is the only exponential on a forward or backward
+# path (DESIGN.md §7), so outside test modules nothing under the tensor and
+# autograd crates may call libm's `exp`, `tanh` or `exp_m1` (`mod tests`,
+# which holds the libm comparison `simd::exp` is measured by, closes each file).
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
+libm="$(for f in crates/tensor/src/*.rs crates/autograd/src/*.rs; do
+    awk -v f="$f" '/^mod tests \{/ { exit } /\.exp\(\)|\.tanh\(\)|exp_m1/ { print f ":" FNR ": " $0 }' "$f"
+done)"
+if [[ -n "$libm" ]]; then
+    echo "lint: libm transcendental outside a test module (use orbit2_tensor::simd::exp):" >&2
+    echo "$libm" >&2
+    exit 1
+fi
 exec cargo clippy --workspace --all-targets -- -D warnings -D unsafe_code -W clippy::redundant_clone "$@"
