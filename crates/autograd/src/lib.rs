@@ -8,7 +8,7 @@
 //! * [`nn`] — fused neural-net ops (linear, layernorm, conv2d, bilinear
 //!   resize) whose backward passes call the hand-written kernels in
 //!   `orbit2-tensor`,
-//! * [`optim`] — SGD / Adam / AdamW over a named [`ParamStore`]; Adam's
+//! * [`optim`] — Adam / AdamW over a named [`ParamStore`]; Adam's
 //!   moments are flat arenas and its update one parallel sweep,
 //! * [`scaler`] — dynamic gradient scaling for emulated-BF16 training
 //!   (paper Sec. III-D),
@@ -30,7 +30,7 @@ pub mod params;
 pub mod scaler;
 pub mod tape;
 
-pub use optim::{Adam, AdamState, AdamW, Optimizer, Sgd};
+pub use optim::{Adam, AdamState, AdamW, Optimizer};
 pub use params::{GradAccumulator, ParamLayout, ParamStore};
 pub use scaler::{GradScaler, ScalerState};
 pub use tape::{tape_constructions, Gradients, Tape, Var};

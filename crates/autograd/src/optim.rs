@@ -5,7 +5,6 @@
 
 use crate::params::{sweep, GradAccumulator, GradMap, LayoutEntry, ParamLayout, ParamStore, Span};
 use orbit2_tensor::Tensor;
-use std::collections::BTreeMap;
 
 /// Common optimizer interface: apply one update step from a gradient map.
 pub trait Optimizer {
@@ -17,50 +16,6 @@ pub trait Optimizer {
 
     /// Override the learning rate (for schedules).
     fn set_learning_rate(&mut self, lr: f32);
-}
-
-/// Plain SGD with optional momentum.
-pub struct Sgd {
-    lr: f32,
-    momentum: f32,
-    velocity: BTreeMap<String, Tensor>,
-}
-
-impl Sgd {
-    /// SGD with learning rate `lr` and momentum coefficient `momentum`
-    /// (0 disables momentum).
-    pub fn new(lr: f32, momentum: f32) -> Self {
-        Self { lr, momentum, velocity: BTreeMap::new() }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, params: &mut ParamStore, grads: &GradMap) {
-        for (name, value) in params.iter_mut() {
-            let Some(g) = grads.get(name) else { continue };
-            assert_eq!(g.shape(), value.shape(), "gradient shape mismatch for {name}");
-            if self.momentum > 0.0 {
-                let v = self
-                    .velocity
-                    .entry(name.clone())
-                    .or_insert_with(|| Tensor::zeros(value.shape().to_vec()));
-                // v = momentum * v + g, updated in place across steps.
-                v.scale_(self.momentum);
-                v.add_(g);
-                value.axpy(-self.lr, v);
-            } else {
-                value.axpy(-self.lr, g);
-            }
-        }
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
 }
 
 /// Adam (Kingma & Ba) with bias correction. Moments are kept in full f32
@@ -306,35 +261,6 @@ mod tests {
         let mut g = GradMap::new();
         g.insert("x".into(), p.get("x").add_scalar(-3.0));
         g
-    }
-
-    #[test]
-    fn sgd_converges_on_quadratic() {
-        let mut p = ParamStore::new();
-        p.insert("x", Tensor::from_vec(vec![2], vec![0.0, 10.0]));
-        let mut opt = Sgd::new(0.1, 0.0);
-        for _ in 0..200 {
-            let g = quadratic_grad(&p);
-            opt.step(&mut p, &g);
-        }
-        for &x in p.get("x").data() {
-            assert!((x - 3.0).abs() < 1e-3);
-        }
-    }
-
-    #[test]
-    fn momentum_accelerates() {
-        let run = |mom: f32| {
-            let mut p = ParamStore::new();
-            p.insert("x", Tensor::from_vec(vec![1], vec![10.0]));
-            let mut opt = Sgd::new(0.01, mom);
-            for _ in 0..50 {
-                let g = quadratic_grad(&p);
-                opt.step(&mut p, &g);
-            }
-            (p.get("x").data()[0] - 3.0).abs()
-        };
-        assert!(run(0.9) < run(0.0));
     }
 
     #[test]

@@ -13,27 +13,22 @@
 //! moments ([`crate::optim::Adam`]) and the pending gradient accumulation
 //! ([`GradAccumulator`]) — is one contiguous `f32` arena each, indexed by
 //! the layout, so a step is two sweeps (the reduce here and the Adam update
-//! in `optim`), each one fork/join over element-balanced shares, and a
-//! checkpoint writes them as bytes.
+//! in `optim`), each one fork/join over element-balanced shares.
+//!
+//! Nothing here touches a file. A checkpoint (`orbit2::checkpoint`) writes
+//! the store and the arenas alike as tensor sections of raw words, with the
+//! layout as each section's index.
 
 use orbit2_tensor::{Buffer, Tensor};
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::ops::Range;
-use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// A named collection of trainable tensors.
 #[derive(Debug, Default, Clone)]
 pub struct ParamStore {
     entries: BTreeMap<String, Tensor>,
-}
-
-/// Serializable snapshot of a parameter store.
-#[derive(Serialize, Deserialize)]
-struct Snapshot {
-    params: BTreeMap<String, (Vec<usize>, Vec<f32>)>,
 }
 
 impl ParamStore {
@@ -100,30 +95,6 @@ impl ParamStore {
     /// Total scalar element count across all parameters (the "model size").
     pub fn num_elements(&self) -> usize {
         self.entries.values().map(|t| t.len()).sum()
-    }
-
-    /// Save to a JSON checkpoint.
-    pub fn save(&self, path: &Path) -> std::io::Result<()> {
-        let snap = Snapshot {
-            params: self
-                .entries
-                .iter()
-                .map(|(k, v)| (k.clone(), (v.shape().to_vec(), v.data().to_vec())))
-                .collect(),
-        };
-        let json = serde_json::to_string(&snap).map_err(std::io::Error::other)?;
-        std::fs::write(path, json)
-    }
-
-    /// Load from a JSON checkpoint.
-    pub fn load(path: &Path) -> std::io::Result<Self> {
-        let json = std::fs::read_to_string(path)?;
-        let snap: Snapshot = serde_json::from_str(&json).map_err(std::io::Error::other)?;
-        let mut store = Self::new();
-        for (name, (shape, data)) in snap.params {
-            store.insert(name, Tensor::from_vec(shape, data));
-        }
-        Ok(store)
     }
 }
 
@@ -555,19 +526,6 @@ mod tests {
         p.insert("m", Tensor::zeros(vec![1]));
         let names: Vec<&String> = p.iter().map(|(n, _)| n).collect();
         assert_eq!(names, ["a", "m", "z"]);
-    }
-
-    #[test]
-    fn save_load_roundtrip() {
-        let dir = std::env::temp_dir().join("orbit2_params_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("ckpt.json");
-        let mut p = ParamStore::new();
-        p.insert("w", Tensor::from_vec(vec![2, 2], vec![1., 2., 3., 4.]));
-        p.save(&path).unwrap();
-        let q = ParamStore::load(&path).unwrap();
-        assert_eq!(q.get("w").data(), &[1., 2., 3., 4.]);
-        assert_eq!(q.get("w").shape(), &[2, 2]);
     }
 
     #[test]

@@ -4,7 +4,9 @@
 //! the training step's non-math (gradient reduce + Adam, checkpoint I/O).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use orbit2::checkpoint::{crc32, load_trainer_state, save_trainer_state, ProgressState, TrainerCheckpoint};
+use orbit2::checkpoint::{
+    crc32, load_model, load_trainer_state, save_model, save_trainer_state, ProgressState, TrainerCheckpoint,
+};
 use orbit2_autograd::params::GradMap;
 use orbit2_autograd::{Adam, GradAccumulator, GradScaler, ParamLayout, ParamStore};
 use orbit2_imaging::quadtree::{QuadTree, QuadTreeParams};
@@ -411,8 +413,10 @@ impl ComposedStep {
 /// jobs: `optim/fused` is what `Trainer::step_batch` runs between backward
 /// and the next forward (one reduce sweep into the accumulation arena, one
 /// Adam sweep); `optim/composed` is the parent's composition on the same
-/// inputs, the cell `fused` is read against. `ckpt/*` is one full-state
-/// save / load of that trainer state, `crc32/16MiB` the checksum alone.
+/// inputs, the cell `fused` is read against. `ckpt/save` / `ckpt/load` is
+/// one full-state save / load of that trainer state, `ckpt/save_model` /
+/// `ckpt/load_model` the same store as a model checkpoint (the container's
+/// first two sections), `crc32/16MiB` the checksum alone.
 fn bench_training_state(c: &mut Criterion) {
     let model = ReslimModel::new(ModelConfig::paper_9_5m().with_channels(7, 3), 1);
     let jobs: Vec<GradMap> = (0..4)
@@ -460,6 +464,13 @@ fn bench_training_state(c: &mut Criterion) {
     });
     group.bench_function(BenchmarkId::new("load", "5M"), |bench| {
         bench.iter(|| load_trainer_state(&path).expect("checkpoint loads"))
+    });
+    let trained = ReslimModel { cfg: ckpt.model_cfg, params: ckpt.params.clone() };
+    group.bench_function(BenchmarkId::new("save_model", "5M"), |bench| {
+        bench.iter(|| save_model(&trained, &path).expect("model saves"))
+    });
+    group.bench_function(BenchmarkId::new("load_model", "5M"), |bench| {
+        bench.iter(|| load_model(&path).expect("model loads"))
     });
     group.finish();
     let _ = std::fs::remove_file(&path);

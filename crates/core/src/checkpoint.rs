@@ -1,17 +1,23 @@
-//! Checkpointing: model save/load plus crash-consistent full trainer state.
+//! Checkpointing: one crash-consistent container, `ORBIT2CKPT v2`, for a
+//! model and for the full state of a training run.
 //!
-//! Two layers live here:
-//!
-//! * [`save_model`] / [`load_model`] — the portable model-only checkpoint
-//!   (`config.json` + `params.json`), validated against the reference
-//!   parameter layout (names *and* shapes) so a corrupt or mismatched
-//!   checkpoint is a recoverable [`std::io::Error`], never a panic;
+//! * [`save_model`] / [`load_model`] — the portable model checkpoint: the
+//!   container's first two sections, `config` and `params`. Loading checks
+//!   the parameters against the reference layout (names *and* shapes), so a
+//!   corrupt or mismatched checkpoint is a recoverable [`std::io::Error`],
+//!   never a panic.
 //! * [`TrainerCheckpoint`] with [`save_trainer_state`] /
-//!   [`load_trainer_state`] — the full-state checkpoint the fault-tolerant
-//!   trainer auto-saves: model config + parameters, Adam moments and step
-//!   count, GradScaler state, the data cursor, and the open gradient
-//!   accumulation window, every tensor stored as its raw IEEE-754 words so
-//!   a resumed run is bit-identical to an uninterrupted one.
+//!   [`load_trainer_state`] — what the fault-tolerant trainer auto-saves:
+//!   those two sections, then Adam's moments and step count, the GradScaler
+//!   state, the data cursor, and the open gradient accumulation window.
+//!
+//! Both go through one section writer, one atomic file writer and one
+//! reader, and every tensor is stored as its raw IEEE-754 words, so a
+//! resumed run is bit-identical to an uninterrupted one and a model holds
+//! `-0.0`, NaN payloads, infinities and subnormals exactly. Sections are
+//! looked up by name: [`load_model`] reads a trainer checkpoint as that
+//! run's model, ignoring the rest, while [`load_trainer_state`] on a model
+//! checkpoint is a "missing section" error.
 //!
 //! ## On-disk container format (version 2)
 //!
@@ -22,10 +28,11 @@
 //! ...one header+payload pair per section...
 //! ```
 //!
-//! Sections, in the order written: `config`, `params`, `adam.m`, `adam.v`,
-//! `scaler`, `progress`, `pending`. `config`, `scaler` and `progress` (every
-//! counter of the run: step, data cursor, Adam's `t`, micro-batches in the
-//! open window) are one line of JSON. The other four are *tensor sections*:
+//! Sections, in the order written: `config`, `params` (a model checkpoint
+//! ends here), `adam.m`, `adam.v`, `scaler`, `progress`, `pending`.
+//! `config`, `scaler` and `progress` (every counter of the run: step, data
+//! cursor, Adam's `t`, micro-batches in the open window) are one line of
+//! JSON. The other four are *tensor sections*:
 //!
 //! ```text
 //! [["<name>",[<dim>,...]],...]\n      index: JSON, names strictly ascending
@@ -43,14 +50,20 @@
 //! is decoded, and a tensor section's index is checked against the bytes
 //! present before anything is allocated for them — a flipped bit or a
 //! hostile count is a descriptive error, not undefined behaviour three
-//! layers later. The file is written to a `*.tmp-<pid>` sibling and
-//! atomically renamed into place, so a crash mid-write leaves the previous
-//! checkpoint intact; a failed save removes the sibling.
+//! layers later.
 //!
-//! Version 1 stored each tensor section as JSON arrays of decimal bit
-//! patterns (160 MB and seconds to save for a 5 M-parameter model; numbers
-//! in DESIGN.md). It is not read: a `v1` header gets the unsupported-version
-//! error, like any other version this build does not write.
+//! A save is crash-consistent: the bytes go to a `*.tmp-<pid>` sibling,
+//! which is `sync_all`ed, renamed over the target, and made durable by
+//! syncing the parent directory — in that order, so the name never points
+//! at bytes that are not on disk, and a crash at any point leaves the
+//! previous checkpoint or the new one. A failed save removes the sibling.
+//!
+//! Earlier formats are not read. Version 1 stored each tensor section as
+//! JSON arrays of decimal bit patterns, and a model checkpoint used to be a
+//! directory of JSON float text (5.2x the bytes, and lossy for `-0.0` and
+//! non-finite values); numbers for both in DESIGN.md §8. A `v1` header
+//! gets the unsupported-version error, like any other version this build
+//! does not write.
 
 use orbit2_autograd::optim::AdamState;
 use orbit2_autograd::scaler::ScalerState;
@@ -59,35 +72,13 @@ use orbit2_model::{ModelConfig, ReslimModel};
 use orbit2_tensor::Tensor;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::fs::File;
 use std::io::{Error, ErrorKind, Result, Write};
 use std::path::Path;
 
 /// Build an [`ErrorKind::InvalidData`] error with a descriptive message.
 fn invalid(msg: impl Into<String>) -> Error {
     Error::new(ErrorKind::InvalidData, msg.into())
-}
-
-// ---------------------------------------------------------------------------
-// Model-only checkpoints
-// ---------------------------------------------------------------------------
-
-/// Save a model checkpoint to `dir` (creates `config.json` + `params.json`).
-pub fn save_model(model: &ReslimModel, dir: &Path) -> Result<()> {
-    std::fs::create_dir_all(dir)?;
-    let cfg_json = serde_json::to_string_pretty(&model.cfg).map_err(Error::other)?;
-    std::fs::write(dir.join("config.json"), cfg_json)?;
-    model.params.save(&dir.join("params.json"))
-}
-
-/// Load a model checkpoint from `dir`, validating the parameter set (names
-/// and shapes) against a freshly-initialized reference layout. Any mismatch
-/// is an [`ErrorKind::InvalidData`] error, never a panic.
-pub fn load_model(dir: &Path) -> Result<ReslimModel> {
-    let cfg_json = std::fs::read_to_string(dir.join("config.json"))?;
-    let cfg: ModelConfig = serde_json::from_str(&cfg_json).map_err(Error::other)?;
-    let params = ParamStore::load(&dir.join("params.json"))?;
-    validate_layout(&params, cfg)?;
-    Ok(ReslimModel { cfg, params })
 }
 
 /// Check `params` against the reference layout for `cfg`: every expected
@@ -116,13 +107,9 @@ pub(crate) fn validate_layout(params: &ParamStore, cfg: ModelConfig) -> Result<(
     Ok(())
 }
 
-// ---------------------------------------------------------------------------
-// Full trainer state
-// ---------------------------------------------------------------------------
-
-/// Magic string opening every trainer checkpoint file.
+/// Magic string opening every checkpoint file.
 pub const CHECKPOINT_MAGIC: &str = "ORBIT2CKPT";
-/// Current trainer checkpoint format version.
+/// Current checkpoint format version.
 pub const CHECKPOINT_VERSION: u32 = 2;
 
 /// Training progress counters captured alongside the weights.
@@ -253,16 +240,26 @@ fn write_tensors(
     write_section(out, name, payload)
 }
 
+/// Write what every checkpoint opens with: the header line, then the
+/// `config` and `params` sections.
+fn write_model(
+    out: &mut impl Write,
+    payload: &mut Vec<u8>,
+    cfg: &ModelConfig,
+    params: &ParamStore,
+) -> Result<()> {
+    out.write_all(format!("{CHECKPOINT_MAGIC} v{CHECKPOINT_VERSION}\n").as_bytes())?;
+    write_json(out, "config", cfg)?;
+    let params: Vec<_> = params.iter().map(|(name, t)| (name.as_str(), t.shape(), t.data())).collect();
+    write_tensors(out, payload, "params", &params)
+}
+
 fn write_trainer_state(ckpt: &TrainerCheckpoint, out: &mut impl Write) -> Result<()> {
     fn arena<'a>(layout: &'a ParamLayout, words: &'a [f32]) -> Vec<(&'a str, &'a [usize], &'a [f32])> {
         layout.entries().iter().map(|e| (e.name(), e.shape(), &words[e.range()])).collect()
     }
     let mut payload = Vec::new();
-    out.write_all(format!("{CHECKPOINT_MAGIC} v{CHECKPOINT_VERSION}\n").as_bytes())?;
-    write_json(out, "config", &ckpt.model_cfg)?;
-    let params: Vec<_> =
-        ckpt.params.iter().map(|(name, t)| (name.as_str(), t.shape(), t.data())).collect();
-    write_tensors(out, &mut payload, "params", &params)?;
+    write_model(out, &mut payload, &ckpt.model_cfg, &ckpt.params)?;
     write_tensors(out, &mut payload, "adam.m", &arena(&ckpt.adam.layout, ckpt.adam.m.data()))?;
     write_tensors(out, &mut payload, "adam.v", &arena(&ckpt.adam.layout, ckpt.adam.v.data()))?;
     write_json(out, "scaler", &ckpt.scaler)?;
@@ -281,29 +278,47 @@ fn write_trainer_state(ckpt: &TrainerCheckpoint, out: &mut impl Write) -> Result
     write_tensors(out, &mut payload, "pending", &pending)
 }
 
-/// Save the full trainer state to `path`, crash-consistently: the bytes are
-/// written to a unique temp sibling and renamed into place, so `path` always
-/// holds either the previous complete checkpoint or the new one. A failed
-/// save leaves no temp file behind.
-pub fn save_trainer_state(ckpt: &TrainerCheckpoint, path: &Path) -> Result<()> {
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)?;
-        }
-    }
+/// Put what `write` produces at `path`, crash-consistently: the bytes go to
+/// a unique temp sibling, which is synced, renamed into place, and made
+/// durable by syncing the directory that names it. `path` always holds
+/// either the previous complete file or the new one, and a failed write
+/// leaves no temp file behind.
+fn write_atomically(path: &Path, write: impl FnOnce(&mut File) -> Result<()>) -> Result<()> {
+    let parent = match path.parent() {
+        Some(parent) if !parent.as_os_str().is_empty() => parent,
+        _ => Path::new("."),
+    };
+    std::fs::create_dir_all(parent)?;
     let file_name = path
         .file_name()
         .ok_or_else(|| invalid(format!("checkpoint path {} has no file name", path.display())))?
         .to_string_lossy()
         .into_owned();
     let tmp = path.with_file_name(format!("{file_name}.tmp-{}", std::process::id()));
-    let written = std::fs::File::create(&tmp)
-        .and_then(|mut file| write_trainer_state(ckpt, &mut file))
-        .and_then(|()| std::fs::rename(&tmp, path));
+    let written = File::create(&tmp)
+        .and_then(|mut file| {
+            write(&mut file)?;
+            file.sync_all()
+        })
+        .and_then(|()| std::fs::rename(&tmp, path))
+        .and_then(|()| File::open(parent)?.sync_all());
     if written.is_err() {
         let _ = std::fs::remove_file(&tmp);
     }
     written
+}
+
+/// Save a model checkpoint — the `config` and `params` sections — to the
+/// file `path`, atomically (see [`save_trainer_state`]).
+pub fn save_model(model: &ReslimModel, path: &Path) -> Result<()> {
+    write_atomically(path, |file| write_model(file, &mut Vec::new(), &model.cfg, &model.params))
+}
+
+/// Save the full trainer state to `path`, crash-consistently: `path` always
+/// holds either the previous complete checkpoint or the new one, and a
+/// failed save leaves no temp file behind.
+pub fn save_trainer_state(ckpt: &TrainerCheckpoint, path: &Path) -> Result<()> {
+    write_atomically(path, |file| write_trainer_state(ckpt, file))
 }
 
 /// Read one `section <name> <len> <crc>` header + payload starting at
@@ -383,64 +398,100 @@ fn words(bytes: &[u8]) -> Vec<f32> {
     bytes.chunks_exact(4).map(|w| f32::from_le_bytes([w[0], w[1], w[2], w[3]])).collect()
 }
 
-/// Load a full trainer state saved by [`save_trainer_state`]. Truncation, a
-/// flipped byte, a missing section, an index that disagrees with its bytes,
-/// or an unknown version each produce a descriptive
-/// [`ErrorKind::InvalidData`] error.
-pub fn load_trainer_state(path: &Path) -> Result<TrainerCheckpoint> {
-    let bytes = std::fs::read(path)?;
-    let first_nl = bytes
-        .iter()
-        .position(|&b| b == b'\n')
-        .ok_or_else(|| invalid("truncated checkpoint: missing header line"))?;
-    let magic_line = std::str::from_utf8(&bytes[..first_nl])
-        .map_err(|_| invalid("not an ORBIT2 checkpoint: header is not UTF-8"))?;
-    let Some(version_str) = magic_line
-        .strip_prefix(CHECKPOINT_MAGIC)
-        .and_then(|rest| rest.trim().strip_prefix('v'))
-    else {
-        return Err(invalid(format!("not an ORBIT2 checkpoint: header `{magic_line}`")));
-    };
-    let version: u32 = version_str
-        .parse()
-        .map_err(|_| invalid(format!("not an ORBIT2 checkpoint: bad version `{version_str}`")))?;
-    if version != CHECKPOINT_VERSION {
-        return Err(invalid(format!(
-            "unsupported checkpoint version {version} (this build reads version {CHECKPOINT_VERSION})"
-        )));
+/// A checkpoint file's sections by name, each already checked against its
+/// CRC.
+struct Sections<'a>(BTreeMap<&'a str, &'a [u8]>);
+
+impl<'a> Sections<'a> {
+    /// Check the header line and split what follows into sections.
+    fn parse(bytes: &'a [u8]) -> Result<Self> {
+        let first_nl = bytes
+            .iter()
+            .position(|&b| b == b'\n')
+            .ok_or_else(|| invalid("truncated checkpoint: missing header line"))?;
+        let magic_line = std::str::from_utf8(&bytes[..first_nl])
+            .map_err(|_| invalid("not an ORBIT2 checkpoint: header is not UTF-8"))?;
+        let Some(version_str) = magic_line
+            .strip_prefix(CHECKPOINT_MAGIC)
+            .and_then(|rest| rest.trim().strip_prefix('v'))
+        else {
+            return Err(invalid(format!("not an ORBIT2 checkpoint: header `{magic_line}`")));
+        };
+        let version: u32 = version_str
+            .parse()
+            .map_err(|_| invalid(format!("not an ORBIT2 checkpoint: bad version `{version_str}`")))?;
+        if version != CHECKPOINT_VERSION {
+            return Err(invalid(format!(
+                "unsupported checkpoint version {version} (this build reads version {CHECKPOINT_VERSION})"
+            )));
+        }
+
+        let mut sections = BTreeMap::new();
+        let mut pos = first_nl + 1;
+        while pos < bytes.len() {
+            let (name, payload, next) = parse_section(bytes, pos)?;
+            if sections.insert(name, payload).is_some() {
+                return Err(invalid(format!("corrupt checkpoint: section `{name}` appears twice")));
+            }
+            pos = next;
+        }
+        Ok(Self(sections))
     }
 
-    let mut sections: BTreeMap<&str, &[u8]> = BTreeMap::new();
-    let mut pos = first_nl + 1;
-    while pos < bytes.len() {
-        let (name, payload, next) = parse_section(&bytes, pos)?;
-        if sections.insert(name, payload).is_some() {
-            return Err(invalid(format!("corrupt checkpoint: section `{name}` appears twice")));
-        }
-        pos = next;
+    fn get(&self, name: &str) -> Result<&'a [u8]> {
+        self.0.get(name).copied().ok_or_else(|| invalid(format!("checkpoint missing section `{name}`")))
     }
-    let section = |name: &str| {
-        sections.get(name).copied().ok_or_else(|| invalid(format!("checkpoint missing section `{name}`")))
-    };
-    fn json<T: serde::Deserialize>(name: &str, payload: &[u8]) -> Result<T> {
-        let text = std::str::from_utf8(payload)
+
+    fn json<T: serde::Deserialize>(&self, name: &str) -> Result<T> {
+        let text = std::str::from_utf8(self.get(name)?)
             .map_err(|_| invalid(format!("section `{name}` payload is not UTF-8")))?;
         serde_json::from_str(text).map_err(|e| invalid(format!("section `{name}` failed to parse: {e}")))
     }
 
-    let counters: Counters = json("progress", section("progress")?)?;
-    let (layout, bytes) = read_tensors("params", section("params")?)?;
-    let mut params = ParamStore::new();
-    for e in layout.entries() {
-        let range = e.range();
-        let data = words(&bytes[4 * range.start..4 * range.end]);
-        params.insert(e.name(), Tensor::from_vec(e.shape().to_vec(), data));
+    fn tensors(&self, name: &str) -> Result<(ParamLayout, &'a [u8])> {
+        read_tensors(name, self.get(name)?)
     }
+
+    /// The `config` and `params` sections, as stored: the caller that makes
+    /// a model of them runs [`validate_layout`].
+    fn model(&self) -> Result<(ModelConfig, ParamLayout, ParamStore)> {
+        let (layout, bytes) = self.tensors("params")?;
+        let mut params = ParamStore::new();
+        for e in layout.entries() {
+            let range = e.range();
+            let data = words(&bytes[4 * range.start..4 * range.end]);
+            params.insert(e.name(), Tensor::from_vec(e.shape().to_vec(), data));
+        }
+        Ok((self.json("config")?, layout, params))
+    }
+}
+
+/// Load the model from a checkpoint written by [`save_model`] or by
+/// [`save_trainer_state`], validating the parameter set (names and shapes)
+/// against a freshly-initialized reference layout. Truncation, a flipped
+/// byte, a missing section or parameter, an index that disagrees with its
+/// bytes, or an unknown version each produce a descriptive
+/// [`ErrorKind::InvalidData`] error, never a panic.
+pub fn load_model(path: &Path) -> Result<ReslimModel> {
+    let bytes = std::fs::read(path)?;
+    let (cfg, _, params) = Sections::parse(&bytes)?.model()?;
+    validate_layout(&params, cfg)?;
+    Ok(ReslimModel { cfg, params })
+}
+
+/// Load a full trainer state saved by [`save_trainer_state`]; malformed
+/// input fails as in [`load_model`]. The parameters come back as stored
+/// ([`crate::trainer::Trainer::resume`] validates them).
+pub fn load_trainer_state(path: &Path) -> Result<TrainerCheckpoint> {
+    let bytes = std::fs::read(path)?;
+    let sections = Sections::parse(&bytes)?;
+    let counters: Counters = sections.json("progress")?;
+    let (model_cfg, layout, params) = sections.model()?;
 
     // Moments are laid out over the parameters, or absent before the first
     // optimizer step.
     let moment = |name: &str| {
-        let (index, bytes) = read_tensors(name, section(name)?)?;
+        let (index, bytes) = sections.tensors(name)?;
         if !index.is_empty() && index != layout {
             return Err(invalid(format!("section `{name}` is not laid out over the parameters")));
         }
@@ -453,17 +504,17 @@ pub fn load_trainer_state(path: &Path) -> Result<TrainerCheckpoint> {
         return Err(invalid("sections `adam.m` and `adam.v` index different tensors"));
     }
 
-    let (held, bytes) = read_tensors("pending", section("pending")?)?;
+    let (held, bytes) = sections.tensors("pending")?;
     let micro_batches = usize::try_from(counters.pending_micro_batches)
         .map_err(|_| invalid("section `progress`: pending micro-batch count out of range"))?;
     let pending = GradAccumulator::restore(layout, micro_batches, &held, &words(bytes))
         .map_err(|e| invalid(format!("section `pending`: {e}")))?;
 
     Ok(TrainerCheckpoint {
-        model_cfg: json("config", section("config")?)?,
+        model_cfg,
         params,
         adam: AdamState { steps: counters.adam_steps, layout: adam_layout, m, v },
-        scaler: json("scaler", section("scaler")?)?,
+        scaler: sections.json("scaler")?,
         progress: ProgressState {
             global_step: counters.global_step,
             data_cursor: counters.data_cursor,
@@ -477,92 +528,6 @@ mod tests {
     use super::*;
     use orbit2_model::ModelConfig;
     use orbit2_tensor::Tensor;
-
-    #[test]
-    fn save_load_roundtrip() {
-        let dir = std::env::temp_dir().join("orbit2_ckpt_test");
-        let model = ReslimModel::new(ModelConfig::tiny().with_channels(4, 3), 7);
-        save_model(&model, &dir).unwrap();
-        let loaded = load_model(&dir).unwrap();
-        assert_eq!(loaded.cfg, model.cfg);
-        assert_eq!(loaded.num_params(), model.num_params());
-        loaded
-            .params
-            .get("xattn.wq")
-            .assert_close(model.params.get("xattn.wq"), 0.0);
-    }
-
-    #[test]
-    fn loaded_model_predicts_identically() {
-        use orbit2_autograd::Tape;
-        use orbit2_model::binder::Binder;
-        use orbit2_tensor::random::randn;
-        let dir = std::env::temp_dir().join("orbit2_ckpt_test2");
-        let model = ReslimModel::new(ModelConfig::tiny().with_channels(4, 3), 8);
-        save_model(&model, &dir).unwrap();
-        let loaded = load_model(&dir).unwrap();
-        let input = randn(&[4, 8, 8], 1);
-        let run = |m: &ReslimModel| {
-            let tape = Tape::new();
-            let binder = Binder::new(&tape, &m.params);
-            m.forward(&binder, &input, 1.0).0.value()
-        };
-        run(&model).assert_close(&run(&loaded), 0.0);
-    }
-
-    #[test]
-    fn missing_parameter_is_an_error_not_a_panic() {
-        let dir = std::env::temp_dir().join("orbit2_ckpt_missing_param");
-        let model = ReslimModel::new(ModelConfig::tiny().with_channels(4, 3), 9);
-        save_model(&model, &dir).unwrap();
-        // Rewrite params.json with one parameter removed.
-        let mut store = ParamStore::load(&dir.join("params.json")).unwrap();
-        let mut pruned = ParamStore::new();
-        for (name, t) in store.iter() {
-            if name != "xattn.wq" {
-                pruned.insert(name.clone(), t.clone());
-            }
-        }
-        store = pruned;
-        store.save(&dir.join("params.json")).unwrap();
-        let err = match load_model(&dir) {
-            Ok(_) => panic!("load_model must fail"),
-            Err(e) => e,
-        };
-        assert_eq!(err.kind(), ErrorKind::InvalidData);
-        assert!(err.to_string().contains("xattn.wq"), "unhelpful error: {err}");
-    }
-
-    #[test]
-    fn wrong_parameter_shape_is_an_error_not_a_panic() {
-        let dir = std::env::temp_dir().join("orbit2_ckpt_bad_shape");
-        let model = ReslimModel::new(ModelConfig::tiny().with_channels(4, 3), 10);
-        save_model(&model, &dir).unwrap();
-        let mut store = ParamStore::load(&dir.join("params.json")).unwrap();
-        store.insert("xattn.wq", Tensor::zeros(vec![2, 2]));
-        store.save(&dir.join("params.json")).unwrap();
-        let err = match load_model(&dir) {
-            Ok(_) => panic!("load_model must fail"),
-            Err(e) => e,
-        };
-        assert_eq!(err.kind(), ErrorKind::InvalidData);
-        assert!(err.to_string().contains("shape"), "unhelpful error: {err}");
-    }
-
-    #[test]
-    fn unknown_extra_parameter_is_an_error() {
-        let dir = std::env::temp_dir().join("orbit2_ckpt_extra_param");
-        let model = ReslimModel::new(ModelConfig::tiny().with_channels(4, 3), 11);
-        save_model(&model, &dir).unwrap();
-        let mut store = ParamStore::load(&dir.join("params.json")).unwrap();
-        store.insert("rogue.weight", Tensor::zeros(vec![3]));
-        store.save(&dir.join("params.json")).unwrap();
-        let err = match load_model(&dir) {
-            Ok(_) => panic!("load_model must fail"),
-            Err(e) => e,
-        };
-        assert!(err.to_string().contains("rogue.weight"), "unhelpful error: {err}");
-    }
 
     /// The bitwise loop `crc32` replaced, kept as its oracle.
     fn crc32_bitwise(data: &[u8]) -> u32 {
@@ -662,6 +627,106 @@ mod tests {
         }
     }
 
+    /// The awkward checkpoint's model: what `save_model` is handed.
+    fn awkward_model() -> ReslimModel {
+        let ckpt = awkward_checkpoint();
+        ReslimModel { cfg: ckpt.model_cfg, params: ckpt.params }
+    }
+
+    /// The error a malformed checkpoint must load as: `InvalidData`, always.
+    fn rejected<T>(loaded: Result<T>) -> Error {
+        let err = loaded.err().expect("a malformed checkpoint must be rejected");
+        assert_eq!(err.kind(), ErrorKind::InvalidData, "{err}");
+        err
+    }
+
+    /// Save `model`, whatever its store holds, and load it back.
+    fn load_saved(name: &str, model: &ReslimModel) -> Error {
+        let path = scratch(name);
+        save_model(model, &path).unwrap();
+        let err = rejected(load_model(&path));
+        std::fs::remove_file(&path).unwrap();
+        err
+    }
+
+    #[test]
+    fn model_round_trips_every_bit_pattern() {
+        // -0.0, NaNs with payloads, infinities, subnormals: what float text
+        // printed as `0` and `null`.
+        let model = awkward_model();
+        let path = scratch("awkward_model");
+        save_model(&model, &path).unwrap();
+        let loaded = load_model(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(loaded.cfg, model.cfg);
+        assert_eq!(loaded.params.names(), model.params.names());
+        for (name, t) in model.params.iter() {
+            assert_eq!(loaded.params.get(name).shape(), t.shape());
+            assert_eq!(bits(loaded.params.get(name).data()), bits(t.data()), "parameter {name}");
+        }
+    }
+
+    #[test]
+    fn model_checkpoint_is_the_first_two_sections_of_a_trainer_checkpoint() {
+        let (model_path, trainer_path) = (scratch("prefix_model"), scratch("prefix_trainer"));
+        save_model(&awkward_model(), &model_path).unwrap();
+        save_trainer_state(&awkward_checkpoint(), &trainer_path).unwrap();
+        let model_bytes = std::fs::read(&model_path).unwrap();
+        let trainer_bytes = std::fs::read(&trainer_path).unwrap();
+        std::fs::remove_file(&model_path).unwrap();
+        std::fs::remove_file(&trainer_path).unwrap();
+        let names: Vec<String> = sections_of(&model_bytes).into_iter().map(|(name, _)| name).collect();
+        assert_eq!(names, ["config", "params"]);
+        assert!(trainer_bytes.starts_with(&model_bytes), "one writer, one byte stream");
+    }
+
+    #[test]
+    fn loaded_model_predicts_identically() {
+        use orbit2_autograd::Tape;
+        use orbit2_model::binder::Binder;
+        use orbit2_tensor::random::randn;
+        let path = scratch("predicts");
+        let model = ReslimModel::new(ModelConfig::tiny().with_channels(4, 3), 8);
+        save_model(&model, &path).unwrap();
+        let loaded = load_model(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(loaded.num_params(), model.num_params());
+        let input = randn(&[4, 8, 8], 1);
+        let run = |m: &ReslimModel| {
+            let tape = Tape::new();
+            let binder = Binder::new(&tape, &m.params);
+            m.forward(&binder, &input, 1.0).0.value()
+        };
+        run(&model).assert_close(&run(&loaded), 0.0);
+    }
+
+    #[test]
+    fn missing_parameter_is_an_error_not_a_panic() {
+        let mut model = awkward_model();
+        let full = std::mem::take(&mut model.params);
+        for (name, t) in full.iter().filter(|(name, _)| *name != "xattn.wq") {
+            model.params.insert(name.clone(), t.clone());
+        }
+        let err = load_saved("missing_param", &model);
+        assert!(err.to_string().contains("missing parameter `xattn.wq`"), "unhelpful error: {err}");
+    }
+
+    #[test]
+    fn wrong_parameter_shape_is_an_error_not_a_panic() {
+        let mut model = awkward_model();
+        model.params.insert("xattn.wq", Tensor::zeros(vec![2, 2]));
+        let err = load_saved("bad_shape", &model);
+        assert!(err.to_string().contains("`xattn.wq` has shape [2, 2]"), "unhelpful error: {err}");
+    }
+
+    #[test]
+    fn unknown_extra_parameter_is_an_error() {
+        let mut model = awkward_model();
+        model.params.insert("rogue.weight", Tensor::zeros(vec![3]));
+        let err = load_saved("extra_param", &model);
+        assert!(err.to_string().contains("`rogue.weight` unknown"), "unhelpful error: {err}");
+    }
+
     #[test]
     fn v2_round_trips_every_bit_pattern_with_an_open_window() {
         let ckpt = awkward_checkpoint();
@@ -717,8 +782,8 @@ mod tests {
     }
 
     /// Save the awkward checkpoint, replace one section's payload (under a
-    /// correct CRC, so only the decoder can object) and load the result.
-    fn load_with_section(name: &str, payload: &[u8]) -> Error {
+    /// correct CRC, so only the decoder can object) and `load` the result.
+    fn load_with_section<T>(load: fn(&Path) -> Result<T>, name: &str, payload: &[u8]) -> Error {
         let path = scratch(&format!("hostile_{name}_{}", crc32(payload)));
         save_trainer_state(&awkward_checkpoint(), &path).unwrap();
         let mut file = format!("{CHECKPOINT_MAGIC} v{CHECKPOINT_VERSION}\n").into_bytes();
@@ -727,9 +792,15 @@ mod tests {
             write_section(&mut file, &section, payload).unwrap();
         }
         std::fs::write(&path, file).unwrap();
-        let err = load_trainer_state(&path).expect_err("hostile section must be rejected");
+        let err = rejected(load(&path));
         std::fs::remove_file(&path).unwrap();
-        assert_eq!(err.kind(), ErrorKind::InvalidData, "{err}");
+        err
+    }
+
+    /// A section both loaders decode must fail both the same way.
+    fn load_either_with_section(name: &str, payload: &[u8]) -> Error {
+        let err = load_with_section(load_trainer_state, name, payload);
+        assert_eq!(load_with_section(load_model, name, payload).to_string(), err.to_string());
         err
     }
 
@@ -738,55 +809,69 @@ mod tests {
         let path = scratch("len_overflow");
         let header = format!("{CHECKPOINT_MAGIC} v{CHECKPOINT_VERSION}\n");
         std::fs::write(&path, format!("{header}section params {} 00000000\nxx\n", usize::MAX)).unwrap();
-        let err = load_trainer_state(&path).expect_err("overflowing length must fail");
+        let err = rejected(load_trainer_state(&path));
+        assert_eq!(rejected(load_model(&path)).to_string(), err.to_string());
         std::fs::remove_file(&path).unwrap();
-        assert_eq!(err.kind(), ErrorKind::InvalidData);
         assert!(err.to_string().contains("truncated checkpoint"), "wrong error: {err}");
     }
 
     #[test]
     fn tensor_index_is_validated_against_the_bytes_present_before_allocating() {
         // A shape whose product overflows usize.
-        let err = load_with_section("params", b"[[\"a\",[4294967296,4294967296,4294967296]]]\n");
+        let err = load_either_with_section("params", b"[[\"a\",[4294967296,4294967296,4294967296]]]\n");
         assert!(err.to_string().contains("overflows"), "wrong error: {err}");
         // Shapes whose sum does.
         let huge = format!("[[\"a\",[{0}]],[\"b\",[{0}]]]\n", usize::MAX / 2 + 1);
-        let err = load_with_section("params", huge.as_bytes());
+        let err = load_either_with_section("params", huge.as_bytes());
         assert!(err.to_string().contains("past usize"), "wrong error: {err}");
         // A claimed terabyte backed by eight bytes: rejected on the length,
         // never allocated.
-        let err = load_with_section("adam.m", b"[[\"a\",[250000000000]]]\n12345678");
+        let err = load_either_with_section("params", b"[[\"a\",[250000000000]]]\n12345678");
+        assert!(err.to_string().contains("holds 8 bytes"), "wrong error: {err}");
+        let err = load_with_section(load_trainer_state, "adam.m", b"[[\"a\",[250000000000]]]\n12345678");
         assert!(err.to_string().contains("holds 8 bytes"), "wrong error: {err}");
         // One word short.
-        let err = load_with_section("params", b"[[\"a\",[3]]]\n12345678");
+        let err = load_either_with_section("params", b"[[\"a\",[3]]]\n12345678");
         assert!(err.to_string().contains("indexes 3 elements"), "wrong error: {err}");
         // No index line at all.
-        let err = load_with_section("pending", b"[]");
+        let err = load_with_section(load_trainer_state, "pending", b"[]");
         assert!(err.to_string().contains("no index line"), "wrong error: {err}");
     }
 
     #[test]
     fn duplicate_and_unknown_tensor_names_are_rejected() {
-        let err = load_with_section("params", b"[[\"a\",[1]],[\"a\",[1]]]\n12345678");
+        let err = load_either_with_section("params", b"[[\"a\",[1]],[\"a\",[1]]]\n12345678");
         assert!(err.to_string().contains("duplicated or out of order"), "wrong error: {err}");
-        let err = load_with_section("pending", b"[[\"rogue.weight\",[2]]]\n12345678");
+        let err = load_with_section(load_trainer_state, "pending", b"[[\"rogue.weight\",[2]]]\n12345678");
         assert!(err.to_string().contains("`rogue.weight` is not a parameter"), "wrong error: {err}");
-        let err = load_with_section("pending", b"[[\"xattn.wq\",[2]]]\n12345678");
+        let err = load_with_section(load_trainer_state, "pending", b"[[\"xattn.wq\",[2]]]\n12345678");
         assert!(err.to_string().contains("shape"), "wrong error: {err}");
-        let err = load_with_section("adam.v", b"[[\"rogue.weight\",[2]]]\n12345678");
+        let err = load_with_section(load_trainer_state, "adam.v", b"[[\"rogue.weight\",[2]]]\n12345678");
         assert!(err.to_string().contains("not laid out over the parameters"), "wrong error: {err}");
     }
 
     #[test]
+    fn config_that_does_not_parse_names_its_section() {
+        let err = load_either_with_section("config", b"{not valid json");
+        assert!(err.to_string().contains("section `config` failed to parse"), "wrong error: {err}");
+    }
+
+    #[test]
     fn failed_save_leaves_no_temp_file_behind() {
-        // The target is a non-empty directory, so the final rename fails.
-        let dir = scratch("save_fails");
-        let target = dir.join("state.ckpt");
-        std::fs::create_dir_all(target.join("occupied")).unwrap();
-        let err = save_trainer_state(&awkward_checkpoint(), &target).expect_err("rename onto a directory");
-        assert_ne!(err.kind(), ErrorKind::InvalidData, "an I/O error, not a format error: {err}");
-        let left: Vec<_> = std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().file_name()).collect();
-        assert_eq!(left, ["state.ckpt"], "temp file left behind");
-        std::fs::remove_dir_all(&dir).unwrap();
+        type Save<'a> = &'a dyn Fn(&Path) -> Result<()>;
+        let (model, ckpt) = (awkward_model(), awkward_checkpoint());
+        let saves: [(&str, Save); 2] =
+            [("model", &|path| save_model(&model, path)), ("trainer", &|path| save_trainer_state(&ckpt, path))];
+        for (what, save) in saves {
+            // The target is a non-empty directory, so the final rename fails.
+            let dir = scratch(&format!("save_fails_{what}"));
+            let target = dir.join("state.ckpt");
+            std::fs::create_dir_all(target.join("occupied")).unwrap();
+            let err = save(&target).expect_err("rename onto a directory");
+            assert_ne!(err.kind(), ErrorKind::InvalidData, "an I/O error, not a format error: {err}");
+            let left: Vec<_> = std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().file_name()).collect();
+            assert_eq!(left, ["state.ckpt"], "{what} save left its temp file behind");
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 }

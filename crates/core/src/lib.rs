@@ -14,8 +14,9 @@
 //!   producing the paper's Table IV metric rows per variable;
 //! * [`fault`] — deterministic fault injection ([`FaultPlan`]) and the
 //!   fault/skip vocabulary used by the trainer's elastic recovery;
-//! * [`checkpoint`] — model save/load plus crash-consistent full-state
-//!   trainer checkpoints (versioned, per-section CRC, atomic rename);
+//! * [`checkpoint`] — the one on-disk tensor container (versioned,
+//!   per-section CRC, synced atomic rename): a model checkpoint is its first
+//!   two sections, a full-state trainer checkpoint all seven;
 //! * [`serving`] — wire types of the serving layer: requests, responses
 //!   and the typed [`ServeError`] vocabulary of the `orbit2-serve`
 //!   newline-delimited JSON protocol;

@@ -100,12 +100,14 @@ pub fn unpatchify_permutation(hp: usize, wp: usize, p: usize, c: usize) -> Vec<u
 pub fn sincos_positions(hp: usize, wp: usize, d: usize) -> Tensor {
     assert!(d.is_multiple_of(4), "embed dim must be divisible by 4 for 2-D sin-cos");
     let quarter = d / 4;
+    // `d / 4` distinct frequencies, not one `powf` per output pair.
+    let freqs: Vec<f32> =
+        (0..quarter).map(|k| 1.0f32 / 10_000f32.powf(k as f32 / quarter as f32)).collect();
     let mut out = Vec::with_capacity(hp * wp * d);
     for y in 0..hp {
         for x in 0..wp {
-            for (coord, _) in [(y as f32, 0usize), (x as f32, 1)] {
-                for k in 0..quarter {
-                    let freq = 1.0f32 / 10_000f32.powf(k as f32 / quarter as f32);
+            for coord in [y as f32, x as f32] {
+                for &freq in &freqs {
                     out.push((coord * freq).sin());
                     out.push((coord * freq).cos());
                 }
@@ -196,6 +198,24 @@ mod tests {
         }
         // Bounded in [-1, 1].
         assert!(pos.max_value() <= 1.0 && pos.min_value() >= -1.0);
+    }
+
+    #[test]
+    fn sincos_positions_match_the_per_element_formula_bit_for_bit() {
+        // The frequency evaluated per element, as it was before the table.
+        for (hp, wp, d) in [(1, 1, 4), (3, 5, 8), (4, 4, 16), (7, 2, 36), (6, 9, 256)] {
+            let quarter = d / 4;
+            let pos = sincos_positions(hp, wp, d);
+            assert_eq!(pos.shape(), &[hp * wp, d]);
+            for (i, &got) in pos.data().iter().enumerate() {
+                let (token, c) = (i / d, i % d);
+                let coord = if c < d / 2 { token / wp } else { token % wp } as f32;
+                let k = (c % (d / 2)) / 2;
+                let angle = coord * (1.0f32 / 10_000f32.powf(k as f32 / quarter as f32));
+                let expect = if c % 2 == 0 { angle.sin() } else { angle.cos() };
+                assert_eq!(got.to_bits(), expect.to_bits(), "({hp}, {wp}, {d}) element {i}");
+            }
+        }
     }
 
     #[test]

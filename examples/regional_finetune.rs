@@ -45,10 +45,10 @@ fn main() {
     );
 
     // Checkpoint round-trip.
-    let dir = std::env::temp_dir().join("orbit2_regional_ckpt");
-    save_model(&trainer.model, &dir).expect("save checkpoint");
-    let restored = load_model(&dir).expect("load checkpoint");
-    println!("checkpoint saved to {} and restored ({} params)", dir.display(), restored.num_params());
+    let path = std::env::temp_dir().join("orbit2_regional.ckpt");
+    save_model(&trainer.model, &path).expect("save checkpoint");
+    let restored = load_model(&path).expect("load checkpoint");
+    println!("checkpoint saved to {} and restored ({} params)", path.display(), restored.num_params());
 
     // Evaluate on the held-out period.
     let test_idx = dataset.indices(Split::Test);

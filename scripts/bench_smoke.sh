@@ -130,6 +130,19 @@ jq -r '
     | "optim/fused/5M vs optim/composed/5M\tfused \($r["optim/fused/5M"]) ns\tcomposed \($r["optim/composed/5M"]) ns\tfused / composed \(($r["optim/fused/5M"] / $r["optim/composed/5M"] * 100 | round) / 100)x"
 ' "$OUT_JSON"
 
+# Checkpoints, same snapshot: a model checkpoint is the first two of the
+# full state's seven sections, over the same 5M-parameter store: a third of
+# the bytes. The save reads about 0.8x, not 0.33x (both pay the same two
+# syncs), and the load about 2x: `load_model` validates the layout against
+# a freshly built reference model, which `load_trainer_state` leaves to
+# `Trainer::resume`.
+jq -r '
+    .[-1].runs[0].results
+    | (map({(.bench): .median_ns}) | add) as $r
+    | "ckpt/save_model vs ckpt/save/5M\tmodel \($r["ckpt/save_model/5M"]) ns\tfull state \($r["ckpt/save/5M"]) ns\tmodel / full \(($r["ckpt/save_model/5M"] / $r["ckpt/save/5M"] * 100 | round) / 100)x",
+      "ckpt/load_model vs ckpt/load/5M\tmodel \($r["ckpt/load_model/5M"]) ns\tfull state \($r["ckpt/load/5M"]) ns\tmodel / full \(($r["ckpt/load_model/5M"] / $r["ckpt/load/5M"] * 100 | round) / 100)x"
+' "$OUT_JSON"
+
 echo "== bench smoke: tape vs tape-free inference =="
 infer_log="$(cargo bench -p orbit2-bench --bench inference "$@" 2>&1)" || {
     echo "bench inference failed:" >&2

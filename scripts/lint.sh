@@ -11,6 +11,11 @@
 # path (DESIGN.md §7), so outside test modules nothing under the tensor and
 # autograd crates may call libm's `exp`, `tanh` or `exp_m1` (`mod tests`,
 # which holds the libm comparison `simd::exp` is measured by, closes each file).
+#
+# JSON checkpoint gate: `ORBIT2CKPT v2` is the only on-disk tensor format, so
+# outside test modules nothing under the autograd crate or in
+# `crates/core/src/checkpoint.rs` may name `params.json`, define a
+# `struct Snapshot`, or `serde_json::to_string` a parameter store or tensor.
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 libm="$(for f in crates/tensor/src/*.rs crates/autograd/src/*.rs; do
@@ -19,6 +24,17 @@ done)"
 if [[ -n "$libm" ]]; then
     echo "lint: libm transcendental outside a test module (use orbit2_tensor::simd::exp):" >&2
     echo "$libm" >&2
+    exit 1
+fi
+# One on-disk tensor format (DESIGN.md §8): the JSON float-text model
+# checkpoint must not come back beside the v2 container.
+json_ckpt="$(for f in crates/autograd/src/*.rs crates/core/src/checkpoint.rs; do
+    awk -v f="$f" '/^mod tests \{/ { exit }
+        /params\.json|struct Snapshot|serde_json::to_string[_a-z]*\([^)]*([Pp]aram|[Ss]tore|[Tt]ensor)/ { print f ":" FNR ": " $0 }' "$f"
+done)"
+if [[ -n "$json_ckpt" ]]; then
+    echo "lint: a JSON tensor checkpoint outside a test module (write a v2 tensor section, crates/core/src/checkpoint.rs):" >&2
+    echo "$json_ckpt" >&2
     exit 1
 fi
 exec cargo clippy --workspace --all-targets -- -D warnings -D unsafe_code -W clippy::redundant_clone "$@"

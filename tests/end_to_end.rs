@@ -54,9 +54,9 @@ fn checkpoint_preserves_trained_behaviour() {
     let mut trainer = Trainer::new(ReslimModel::new(ModelConfig::tiny().with_channels(7, 3), 6), &ds, cfg);
     trainer.train(&ds);
 
-    let dir = std::env::temp_dir().join("orbit2_e2e_ckpt");
-    save_model(&trainer.model, &dir).unwrap();
-    let restored = load_model(&dir).unwrap();
+    let path = std::env::temp_dir().join("orbit2_e2e_model.ckpt");
+    save_model(&trainer.model, &path).unwrap();
+    let restored = load_model(&path).unwrap();
 
     let s = ds.sample(0);
     let a = orbit2::inference::downscale(&trainer.model, &trainer.normalizer, &s.input, None, 1.0)

@@ -1,7 +1,9 @@
 //! Failure-injection tests: the training stack must degrade gracefully
 //! under numerical blow-ups, corrupt checkpoints and pathological inputs.
 
-use orbit2::checkpoint::{load_trainer_state, CHECKPOINT_MAGIC, CHECKPOINT_VERSION};
+use orbit2::checkpoint::{
+    load_model, load_trainer_state, save_model, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+};
 use orbit2::fault::{FaultAction, FaultKind, FaultPlan};
 use orbit2::trainer::{Trainer, TrainerConfig};
 use orbit2_climate::{DownscalingDataset, LatLonGrid, VariableSet};
@@ -54,18 +56,35 @@ fn bf16_scaler_recovers_from_overflow() {
 
 #[test]
 fn corrupt_checkpoint_is_rejected_not_loaded() {
-    let dir = std::env::temp_dir().join("orbit2_corrupt_ckpt");
-    std::fs::create_dir_all(&dir).unwrap();
-    std::fs::write(dir.join("config.json"), "{not valid json").unwrap();
-    std::fs::write(dir.join("params.json"), "{}").unwrap();
-    assert!(orbit2::checkpoint::load_model(&dir).is_err());
+    let model = ReslimModel::new(ModelConfig::tiny().with_channels(7, 3), 3);
+    let path = tmp_path("corrupt_model.ckpt");
+    save_model(&model, &path).unwrap();
+    let good = std::fs::read(&path).unwrap();
+    assert!(load_model(&path).is_ok());
+
+    let mut flipped = good.clone();
+    flipped[good.len() / 2] ^= 0x40;
+    std::fs::write(&path, &flipped).unwrap();
+    let err = load_model(&path).err().expect("flipped byte must fail");
+    assert_eq!(err.kind(), ErrorKind::InvalidData);
+    assert!(err.to_string().contains("CRC mismatch in section `params`"), "should blame the checksum: {err}");
+
+    std::fs::write(&path, &good[..good.len() / 2]).unwrap();
+    let err = load_model(&path).err().expect("truncated checkpoint must fail");
+    assert_eq!(err.kind(), ErrorKind::InvalidData);
+    assert!(err.to_string().contains("section `params` claims"), "should name the section: {err}");
+
+    std::fs::write(&path, "{not a checkpoint").unwrap();
+    let err = load_model(&path).err().expect("garbage must fail");
+    assert_eq!(err.kind(), ErrorKind::InvalidData);
 }
 
 #[test]
 fn missing_checkpoint_directory_errors_cleanly() {
     let dir = std::env::temp_dir().join("orbit2_no_such_ckpt_dir_xyz");
     let _ = std::fs::remove_dir_all(&dir);
-    assert!(orbit2::checkpoint::load_model(&dir).is_err());
+    let err = load_model(&dir.join("model.ckpt")).err().expect("nothing to load");
+    assert_eq!(err.kind(), ErrorKind::NotFound);
 }
 
 #[test]
@@ -383,6 +402,36 @@ fn missing_section_and_wrong_version_are_rejected() {
     let path = tmp_path("not_a.ckpt");
     std::fs::write(&path, "GARBAGE\n").unwrap();
     assert!(load_trainer_state(&path).is_err());
+}
+
+#[test]
+fn either_loader_reads_what_it_needs_from_the_other_save() {
+    let ds = dataset();
+    let cfg = TrainerConfig { steps: 3, lr: 1e-3, warmup: 0, log_every: 1, ..Default::default() };
+    let mut t = Trainer::new(ReslimModel::new(ModelConfig::tiny().with_channels(7, 3), 28), &ds, cfg);
+    t.train(&ds);
+
+    // A trainer checkpoint is a model checkpoint with more sections.
+    let trainer_path = tmp_path("cross_trainer.ckpt");
+    t.save_checkpoint(&trainer_path).unwrap();
+    let model = load_model(&trainer_path).unwrap();
+    let resumed = Trainer::resume(&ds, cfg, &trainer_path).unwrap().model;
+    assert_eq!(model.cfg, resumed.cfg);
+    assert_eq!(model.params.names(), resumed.params.names());
+    let bits = |t: &Tensor| t.data().iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+    for (name, p) in resumed.params.iter() {
+        assert_eq!(model.params.get(name).shape(), p.shape(), "parameter {name}");
+        assert_eq!(bits(model.params.get(name)), bits(p), "parameter {name}");
+    }
+
+    // A model checkpoint is not a run: the first section only a trainer
+    // writes is reported missing.
+    let model_path = tmp_path("cross_model.ckpt");
+    save_model(&t.model, &model_path).unwrap();
+    let err = load_trainer_state(&model_path).expect_err("no run to resume");
+    assert_eq!(err.kind(), ErrorKind::InvalidData);
+    assert!(err.to_string().contains("missing section `progress`"), "unhelpful error: {err}");
+    assert!(Trainer::resume(&ds, TrainerConfig::default(), &model_path).is_err());
 }
 
 #[test]
