@@ -19,7 +19,7 @@
 //! the store and the arenas alike as tensor sections of raw words, with the
 //! layout as each section's index.
 
-use orbit2_tensor::{Buffer, Tensor};
+use orbit2_tensor::{par, Buffer, Tensor};
 use rayon::prelude::*;
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -217,18 +217,17 @@ pub(crate) trait Span: Sized + Send {
     fn split_at(self, at: usize) -> (Self, Self);
 }
 
-/// Below this many elements a sweep stays on the calling thread: a
-/// fork/join costs about as much as the arithmetic.
-const PAR_MIN_ELEMS: usize = 1 << 16;
-
 /// Run `f` over every span, in parallel: the spans are cut into one
-/// contiguous share per thread, equal in *elements* (a share boundary may
-/// fall inside a span), so a step is one fork/join however many tensors the
-/// model has. `f` must be elementwise — then the result does not depend on
-/// where the shares are cut, or on the thread count.
+/// contiguous share per thread that can take one, equal in *elements* (a
+/// share boundary may fall inside a span), so a step is one fork/join
+/// however many tensors the model has. The grain rule
+/// (`orbit2_tensor::par`) counts an element as one visit, though `f`
+/// streams several arrays past it: a sweep too small to split by that
+/// count stays on the calling thread. `f` must be elementwise — then the
+/// result does not depend on where the shares are cut, or on how many.
 pub(crate) fn sweep<S: Span>(spans: Vec<S>, f: impl Fn(S) + Sync) {
     let total: usize = spans.iter().map(Span::len).sum();
-    let parts = if total < PAR_MIN_ELEMS { 1 } else { rayon::current_num_threads() };
+    let parts = par::pieces(total);
     let mut shares: Vec<Vec<S>> = (0..parts).map(|_| Vec::new()).collect();
     let quota = |part: usize| total * (part + 1) / parts - total * part / parts;
     let (mut part, mut room) = (0, quota(0));

@@ -23,6 +23,9 @@ use orbit2_model::{ModelConfig, ReslimModel};
 use orbit2_tensor::MatLayout;
 use orbit2_tensor::Tensor;
 use orbit2_tensor::resize::{resize, ResizeMode};
+use rayon::prelude::*;
+use std::sync::mpsc::channel;
+use std::time::{Duration, Instant};
 
 fn bench_matmul(c: &mut Criterion) {
     let mut group = c.benchmark_group("matmul");
@@ -482,8 +485,66 @@ fn bench_training_state(c: &mut Criterion) {
     group.finish();
 }
 
+/// What a parallel call costs before it does any work: an empty two-piece
+/// call from each position the rayon shim distinguishes. `caller` is off
+/// the registry — both pieces are queued, two workers wake, the caller
+/// blocks until they report back: a full wake-and-join round trip, and the
+/// time a helper needs before it is of any use. `worker_idle` is on a
+/// worker whose siblings are parked: it offers the second piece (one
+/// wake-up) and, the pieces being empty, has taken it back before the
+/// helper arrives. `worker_busy` is on a worker whose siblings are all
+/// held: nobody to offer to, the call runs inline. `orbit2_tensor::par`'s
+/// grain constant is set against these three.
+fn bench_fork_join(c: &mut Criterion) {
+    let fork = || {
+        (0..2usize).into_par_iter().for_each(|i| {
+            criterion::black_box(i);
+        })
+    };
+    // Time `iters` calls on a worker, each made once `threads` pieces could
+    // run there: after an offer the woken sibling counts as busy until it
+    // has parked again, and a back-to-back call would find nobody idle.
+    let on_worker = move |threads: usize, iters: u64| -> Duration {
+        let (done, timed) = channel();
+        rayon::spawn(move || {
+            let mut total = Duration::ZERO;
+            for _ in 0..iters {
+                while rayon::current_num_threads() != threads {
+                    std::hint::spin_loop();
+                }
+                let start = Instant::now();
+                fork();
+                total += start.elapsed();
+            }
+            done.send(total).expect("the bench is waiting");
+        });
+        timed.recv().expect("the timed job ran")
+    };
+    let workers = rayon::current_num_threads();
+    let mut group = c.benchmark_group("fork_join");
+    group.bench_function(BenchmarkId::from_parameter("caller"), |bench| bench.iter(fork));
+    group.bench_function(BenchmarkId::from_parameter("worker_idle"), |bench| {
+        bench.iter_custom(|iters| on_worker(workers, iters))
+    });
+    let held: Vec<_> = (1..workers)
+        .map(|_| {
+            let (release, wait) = channel::<()>();
+            rayon::spawn(move || {
+                let _ = wait.recv();
+            });
+            release
+        })
+        .collect();
+    group.bench_function(BenchmarkId::from_parameter("worker_busy"), |bench| {
+        bench.iter_custom(|iters| on_worker(1, iters))
+    });
+    drop(held);
+    group.finish();
+}
+
 criterion_group!(
     benches,
+    bench_fork_join,
     bench_matmul,
     bench_packed_gemm,
     bench_fused_linear,

@@ -19,7 +19,7 @@ use orbit2_model::{ModelConfig, ReslimModel, SessionPrecision};
 use orbit2_serve::{Handle, Region, Server, ServerConfig};
 use orbit2_tensor::Tensor;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::Barrier;
 use std::time::Instant;
 
 const REQUESTS_PER_CLIENT: usize = 6;
@@ -27,6 +27,9 @@ const REQUESTS_PER_CLIENT: usize = 6;
 /// reported. Open-loop runs on a shared box are noisy — the best trial is
 /// the least-perturbed view of what the server can sustain.
 const TRIALS: usize = 3;
+/// Trials per 126M cell: the model is ~200x the bench models, so its cells
+/// trade sample count for a model big enough to stream weights.
+const TRIALS_126M: usize = 2;
 
 fn percentile(sorted: &[u64], p: f64) -> u64 {
     if sorted.is_empty() {
@@ -36,57 +39,69 @@ fn percentile(sorted: &[u64], p: f64) -> u64 {
     sorted[idx.min(sorted.len() - 1)]
 }
 
-fn run_level(server: &Arc<Server>, inputs: &Arc<Vec<Tensor>>, clients: usize) -> (Vec<u64>, f64) {
+fn run_level(server: &Server, inputs: &[Tensor], clients: usize) -> (Vec<u64>, f64) {
     run_load(server, inputs, clients, REQUESTS_PER_CLIENT)
 }
 
-fn run_load(
-    server: &Arc<Server>,
-    inputs: &Arc<Vec<Tensor>>,
-    clients: usize,
-    requests_per_client: usize,
-) -> (Vec<u64>, f64) {
-    let next_id = Arc::new(AtomicU64::new(1));
+/// Run `client(c)` on a thread of its own for each of `clients` clients and
+/// return their request latencies, sorted, with the requests per second
+/// over the whole run.
+fn run_clients(clients: usize, client: impl Fn(usize) -> Vec<u64> + Sync) -> (Vec<u64>, f64) {
     let wall = Instant::now();
-    let threads: Vec<_> = (0..clients)
-        .map(|c| {
-            let server = Arc::clone(server);
-            let inputs = Arc::clone(inputs);
-            let next_id = Arc::clone(&next_id);
-            std::thread::spawn(move || {
-                // Open loop within the burst: submit everything, then drain.
-                let handles: Vec<Handle> = (0..requests_per_client)
-                    .map(|r| {
-                        let input = &inputs[(c + r) % inputs.len()];
-                        let id = next_id.fetch_add(1, Ordering::Relaxed);
-                        server.submit(ServeRequest::raw(
-                            id,
-                            input.shape().to_vec(),
-                            input.data().to_vec(),
-                        ))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.wait().expect("bench request succeeds").micros)
-                    .collect::<Vec<u64>>()
-            })
-        })
-        .collect();
-    let mut latencies: Vec<u64> = Vec::with_capacity(clients * requests_per_client);
-    for t in threads {
-        latencies.extend(t.join().expect("client thread panicked"));
-    }
-    let elapsed = wall.elapsed().as_secs_f64();
+    let mut latencies: Vec<u64> = std::thread::scope(|scope| {
+        let threads: Vec<_> = (0..clients).map(|c| scope.spawn({
+            let client = &client;
+            move || client(c)
+        })).collect();
+        threads.into_iter().flat_map(|t| t.join().expect("client thread panicked")).collect()
+    });
+    let rps = latencies.len() as f64 / wall.elapsed().as_secs_f64();
     latencies.sort_unstable();
-    (latencies, (clients * requests_per_client) as f64 / elapsed)
+    (latencies, rps)
+}
+
+fn raw_request(id: u64, input: &Tensor) -> ServeRequest {
+    ServeRequest::raw(id, input.shape().to_vec(), input.data().to_vec())
+}
+
+fn run_load(server: &Server, inputs: &[Tensor], clients: usize, requests_per_client: usize) -> (Vec<u64>, f64) {
+    let next_id = AtomicU64::new(1);
+    run_clients(clients, |c| {
+        // Open loop within the burst: submit everything, then drain.
+        let handles: Vec<Handle> = (0..requests_per_client)
+            .map(|r| {
+                let id = next_id.fetch_add(1, Ordering::Relaxed);
+                server.submit(raw_request(id, &inputs[(c + r) % inputs.len()]))
+            })
+            .collect();
+        handles.into_iter().map(|h| h.wait().expect("bench request succeeds").micros).collect()
+    })
+}
+
+/// Closed loop, in lockstep: every client sends one request per round, all
+/// rounds starting on a barrier, and waits for its reply — the load shape of
+/// the `serve-weights` benchmark workload, where the requests of a round
+/// arrive within the batch window of each other.
+fn run_lockstep(server: &Server, inputs: &[Tensor], clients: usize, rounds: usize) -> (Vec<u64>, f64) {
+    let start = Barrier::new(clients);
+    run_clients(clients, |c| {
+        (0..rounds)
+            .map(|r| {
+                let request = raw_request((r * clients + c + 1) as u64, &inputs[(c + r) % inputs.len()]);
+                start.wait();
+                let sent = Instant::now();
+                server.submit(request).wait().expect("bench request succeeds");
+                sent.elapsed().as_micros() as u64
+            })
+            .collect()
+    })
 }
 
 fn main() {
     let ds =
         DownscalingDataset::new(LatLonGrid::conus(16, 32), VariableSet::daymet_like(), 4, 8, 3);
     let norm = Normalizer::fit(&ds, 4);
-    let inputs = Arc::new((0..4).map(|i| ds.sample(i).input).collect::<Vec<_>>());
+    let inputs: Vec<Tensor> = (0..4).map(|i| ds.sample(i).input).collect();
 
     for (mode, max_batch) in [("batched", 8), ("unbatched", 1)] {
         // A fresh server (and model twin) per mode so queues and counters
@@ -99,13 +114,12 @@ fn main() {
             queue_capacity: 4096,
             ..ServerConfig::default()
         };
-        let server =
-            Arc::new(Server::start(model, norm.clone(), Vec::<Region>::new(), cfg));
+        let server = Server::start(model, norm.clone(), Vec::<Region>::new(), cfg);
         // Warm up allocator pools and code paths outside the timed region.
         let _ = run_level(&server, &inputs, 2);
 
         for &clients in &[1usize, 4, 16] {
-            measure_cell(&server, &inputs, clients, &format!("serving/{mode}/c{clients}"));
+            measure_cell(&server, &format!("serving/{mode}/c{clients}"), TRIALS, || run_level(&server, &inputs, clients));
         }
     }
 
@@ -134,53 +148,40 @@ fn main() {
             precision,
             ..ServerConfig::default()
         };
-        let server = Arc::new(Server::start(model, norm.clone(), Vec::<Region>::new(), cfg));
+        let server = Server::start(model, norm.clone(), Vec::<Region>::new(), cfg);
         let _ = run_load(&server, &inputs, 2, 1);
         let label = precision.label();
-        measure_precision_cell(&server, &inputs, 16, &format!("serving/{label}/c16"));
+        measure_cell(&server, &format!("serving/{label}/c16"), TRIALS_126M, || run_load(&server, &inputs, 16, 1));
+    }
+
+    // Microbatching's verdict (ROADMAP item 2), pinned to the regime it is
+    // for: the weight-bound 126M model, two clients in lockstep, the
+    // default 2 ms window against none. With the window the two requests
+    // of a round ride one M = 64 forward, which streams the weights once
+    // and which an idle worker now helps with; without it the first is
+    // dispatched alone and each runs its own M = 32 forward, one per core,
+    // each streaming all of them. `scripts/bench_smoke.sh` prints on / off.
+    for (label, window_micros) in [("window_on", ServerConfig::default().window_micros), ("window_off", 0)] {
+        let model = ReslimModel::new(ModelConfig::paper_126m().with_channels(7, 3), 2);
+        let cfg = ServerConfig { window_micros, cache_capacity: 0, ..ServerConfig::default() };
+        let server = Server::start(model, norm.clone(), Vec::<Region>::new(), cfg);
+        let _ = run_lockstep(&server, &inputs, 2, 1);
+        measure_cell(&server, &format!("serving/126m_{label}/c2"), TRIALS_126M, || run_lockstep(&server, &inputs, 2, 6));
     }
 }
 
-/// Like [`measure_cell`] but one request per client: the 126M model is
-/// ~200x the bench models, so the precision cells trade sample count for
-/// a model big enough to stream weights.
-fn measure_precision_cell(
-    server: &Arc<Server>,
-    inputs: &Arc<Vec<Tensor>>,
-    clients: usize,
-    name: &str,
-) {
-    let mut best: Option<(Vec<u64>, f64)> = None;
-    for _ in 0..2 {
-        let trial = run_load(server, inputs, clients, 1);
-        if best.as_ref().is_none_or(|(_, b)| trial.1 > *b) {
-            best = Some(trial);
-        }
-    }
-    let (latencies, rps) = best.expect("two trials ran");
-    let p50 = percentile(&latencies, 0.50);
-    let p99 = percentile(&latencies, 0.99);
-    println!(
-        "BENCH_JSON {{\"bench\":\"{name}\",\"median_ns\":{},\
-         \"p50_us\":{p50},\"p99_us\":{p99},\"rps\":{rps:.2},\
-         \"batched_share\":0.0,\"avg_batch\":1.00}}",
-        p50 * 1_000,
-    );
-    println!("{name}: p50 {p50} us, p99 {p99} us, {rps:.1} req/s");
-}
-
-/// Run TRIALS bursts at one concurrency level and print the best trial as
-/// one `BENCH_JSON` row plus a human-readable summary line.
-fn measure_cell(server: &Arc<Server>, inputs: &Arc<Vec<Tensor>>, clients: usize, name: &str) {
+/// Run `load` `trials` times and print the best trial as one `BENCH_JSON`
+/// row plus a human-readable summary line.
+fn measure_cell(server: &Server, name: &str, trials: usize, load: impl Fn() -> (Vec<u64>, f64)) {
     let before = server.stats();
     let mut best: Option<(Vec<u64>, f64)> = None;
-    for _ in 0..TRIALS {
-        let trial = run_level(server, inputs, clients);
+    for _ in 0..trials {
+        let trial = load();
         if best.as_ref().is_none_or(|(_, b)| trial.1 > *b) {
             best = Some(trial);
         }
     }
-    let (latencies, rps) = best.expect("TRIALS >= 1");
+    let (latencies, rps) = best.expect("at least one trial");
     let after = server.stats();
     let p50 = percentile(&latencies, 0.50);
     let p99 = percentile(&latencies, 0.99);

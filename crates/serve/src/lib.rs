@@ -13,7 +13,11 @@
 //! - **Async submission** — [`Server::submit`] validates and enqueues,
 //!   returning a [`Handle`] the caller blocks on (or polls) at its
 //!   leisure; execution happens on the vendored rayon shim's persistent
-//!   worker registry via detached `rayon::spawn` jobs.
+//!   worker registry via detached `rayon::spawn` jobs. A batch is its
+//!   worker's own job, so the forward's parallel kernels are shared with
+//!   whichever workers are idle right then: two batches in flight run on a
+//!   core each, a lone batch on all of them, and replies are bit-equal
+//!   either way (the shim's header says why that cannot deadlock).
 //! - **Cross-request microbatching** — same-shaped tile jobs from
 //!   different in-flight requests go to the model's one forward
 //!   (`ReslimModel::forward_batch`) as a batch, which stacks them along

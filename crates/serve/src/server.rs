@@ -17,7 +17,14 @@
 //! per-request execution at any batch size — waiting at most a
 //! configurable microbatch window for the batch to fill. Batches are handed to the rayon shim's
 //! persistent worker registry via detached `rayon::spawn`, so grouping,
-//! execution, and request intake all overlap.
+//! execution, and request intake all overlap. A batch runs as its worker's
+//! own job: every parallel kernel of its forward offers pieces to the
+//! workers that are idle at that instant and takes back what none of them
+//! started, so a lone batch uses every core and two concurrent batches one
+//! each, with no setting here that chooses. It cannot deadlock — a worker
+//! waits only for pieces a helper has started, and a helper never forks —
+//! and it cannot change a reply: no kernel's bits depend on how its call
+//! was split (`tests/split_invariance.rs`).
 //!
 //! Fairness: when more same-shaped jobs are queued than fit one batch, the
 //! batcher picks tiles **round-robin across requests** instead of FIFO —

@@ -132,6 +132,48 @@ fn unbatched_mode_matches_direct_too() {
     assert_eq!(resp.batch, 1);
 }
 
+/// A reply's bits must not depend on who ran the forward's pieces. A
+/// `[7, 32, 32]` request is past the kernels' grain (the decoder works on
+/// 32 channels of 128 x 128), so a worker that finds its siblings idle
+/// shares the forward with them and one that finds them all occupied runs
+/// every piece itself — and either way, at either batch limit, the reply
+/// is `downscale_with`'s.
+#[test]
+fn replies_do_not_depend_on_idle_workers_or_the_batch_limit() {
+    let input = orbit2_tensor::random::randn(&[7, 32, 32], 11);
+    let (model, norm, _) = setup();
+    let reference = downscale_with(&model, &model.session(), &norm, &input, None, 1.0).unwrap();
+    for max_batch in [1, 8] {
+        for siblings_busy in [false, true] {
+            let cfg = ServerConfig { max_batch, window_micros: 0, cache_capacity: 0, ..ServerConfig::default() };
+            let (server, ..) = start(cfg);
+            // Hold every worker but one on a channel until the reply is in.
+            let (started, all_started) = std::sync::mpsc::channel();
+            let held: Vec<_> = (1..if siblings_busy { rayon::current_num_threads() } else { 1 })
+                .map(|_| {
+                    let (release, wait) = std::sync::mpsc::channel::<()>();
+                    let started = started.clone();
+                    rayon::spawn(move || {
+                        started.send(()).expect("the test is waiting");
+                        let _ = wait.recv();
+                    });
+                    release
+                })
+                .collect();
+            held.iter().for_each(|_| all_started.recv().expect("a worker took the blocker"));
+            let resp = server
+                .submit(ServeRequest::raw(1, input.shape().to_vec(), input.data().to_vec()))
+                .wait()
+                .expect("request succeeds");
+            drop(held);
+            assert!(
+                resp.data == reference.data(),
+                "served != direct with max_batch {max_batch}, siblings busy: {siblings_busy}"
+            );
+        }
+    }
+}
+
 #[test]
 fn cache_serves_repeat_region_requests() {
     let (server, _, _, _) = start(ServerConfig { cache_capacity: 8, ..ServerConfig::default() });

@@ -31,6 +31,7 @@
 //! `ORBIT2_DISABLE_SIMD=1` and for `stride != 1`: a strided window has no
 //! contiguous shifted row to load, and no caller outside tests strides.
 
+use crate::par::{self, MACS_PER_VISIT};
 use crate::pool::{self, Buffer};
 use crate::simd::{self, F32x8, LANES};
 use crate::tensor::Tensor;
@@ -137,7 +138,9 @@ pub fn conv2d_ref(input: &Tensor, weight: &Tensor, bias: Option<&Tensor>, g: Con
     if out.is_empty() {
         return Tensor::from_vec(vec![n, o, oh, ow], out);
     }
-    out.par_chunks_mut(oh * ow).enumerate().for_each(|(idx, plane)| {
+    // Scalar: a multiply-add is an element visit.
+    let plane_work = oh * ow * c * g.kh * g.kw;
+    out.par_chunks_mut(oh * ow).enumerate().with_min_len(par::min_items(plane_work)).for_each(|(idx, plane)| {
         let (ni, oc) = (idx / o, idx % o);
         for ci in 0..c {
             let xin = &src[(ni * c + ci) * h * w..][..h * w];
@@ -203,7 +206,7 @@ fn pad_planes(src: &[f32], planes: usize, h: usize, w: usize, pad: (isize, isize
     // Columns `sx0..sx0 + cw` of a source row land at `dx0..` of its padded row.
     let (sx0, dx0) = if pad.1 < 0 { (pad.1.unsigned_abs(), 0) } else { (0, pad.1 as usize) };
     let cw = w.min(wp);
-    body.par_chunks_mut(hp * wp).zip(src.par_chunks(h * w)).for_each(|(dst, plane)| {
+    body.par_chunks_mut(hp * wp).zip(src.par_chunks(h * w)).with_min_len(par::min_items(hp * wp)).for_each(|(dst, plane)| {
         for (r, drow) in dst.chunks_exact_mut(wp).enumerate() {
             let sy = r as isize - pad.0;
             if (0..h as isize).contains(&sy) {
@@ -288,7 +291,8 @@ fn conv_blocked<const OB: usize, const S: usize>(
         }
     }
     let (xp, wpack): (&[f32], &[f32]) = (&xp, &wpack);
-    tasks.par_iter_mut().for_each(|(ni, oy0, rows)| {
+    let band_work = o * BAND_ROWS * ow * taps / MACS_PER_VISIT;
+    tasks.par_iter_mut().with_min_len(par::min_items(band_work)).for_each(|(ni, oy0, rows)| {
         let sample = &xp[*ni * c * hp * wp..];
         for (blk, orows) in rows.chunks_mut(OB).enumerate() {
             let wblk = &wpack[blk * taps * OB..][..taps * OB];
@@ -411,7 +415,8 @@ pub fn conv2d_grad_weight(grad_out: &Tensor, input: &Tensor, weight_shape: &[usi
     // Computed as `[C, O, KH, KW]` so each input channel's task owns a
     // contiguous slice, then transposed into `[O, C, KH, KW]`.
     let mut by_ci = Buffer::zeroed(c * o * taps);
-    by_ci.par_chunks_mut(o * taps).enumerate().for_each(|(ci, dst)| {
+    let channel_work = n * o * taps * oh * ow / MACS_PER_VISIT;
+    by_ci.par_chunks_mut(o * taps).enumerate().with_min_len(par::min_items(channel_work)).for_each(|(ci, dst)| {
         for ni in 0..n {
             let xplane = &xp[(ni * c + ci) * hp * wp..][..hp * wp];
             for (oc, dtaps) in dst.chunks_exact_mut(taps).enumerate() {
@@ -442,7 +447,8 @@ fn grad_input_ref(god: &[f32], wd: &[f32], d: Dims, g: ConvGeom) -> Vec<f32> {
     if out.is_empty() {
         return out;
     }
-    out.par_chunks_mut(h * w).enumerate().for_each(|(idx, plane)| {
+    let plane_work = o * g.kh * g.kw * oh * ow;
+    out.par_chunks_mut(h * w).enumerate().with_min_len(par::min_items(plane_work)).for_each(|(idx, plane)| {
         let (ni, ci) = (idx / c, idx % c);
         for oc in 0..o {
             let gplane = &god[(ni * o + oc) * oh * ow..][..oh * ow];
@@ -468,7 +474,8 @@ fn grad_input_ref(god: &[f32], wd: &[f32], d: Dims, g: ConvGeom) -> Vec<f32> {
 /// buffer `out`.
 fn grad_weight_ref(god: &[f32], src: &[f32], out: &mut [f32], d: Dims, g: ConvGeom) {
     let Dims { n, c, h, w, o, oh, ow } = d;
-    out.par_chunks_mut(g.kh * g.kw).enumerate().for_each(|(idx, dst)| {
+    let pair_work = n * g.kh * g.kw * oh * ow;
+    out.par_chunks_mut(g.kh * g.kw).enumerate().with_min_len(par::min_items(pair_work)).for_each(|(idx, dst)| {
         let (oc, ci) = (idx / c, idx % c);
         for ni in 0..n {
             let xin = &src[(ni * c + ci) * h * w..][..h * w];

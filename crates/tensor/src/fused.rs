@@ -29,6 +29,7 @@
 
 use crate::matmul::MatLayout;
 use crate::ops::{binary_broadcast, gelu_grad_scalar, gelu_scalar};
+use crate::par;
 use crate::pool;
 use crate::qgemm::{self, PackedWeight};
 use crate::simd::{self, F32x8, LANES};
@@ -232,7 +233,7 @@ pub fn layer_norm_rows(src: &[f32], rows: usize, d: usize, eps: f32) -> (Vec<f32
     assert_eq!(src.len(), rows * d);
     let mut norm = pool::alloc_uninit(rows * d);
     let mut inv_std = pool::alloc_uninit(rows);
-    norm.par_chunks_mut(d).zip(inv_std.par_iter_mut()).enumerate().for_each(
+    norm.par_chunks_mut(d).zip(inv_std.par_iter_mut()).enumerate().with_min_len(par::min_items(d)).for_each(
         |(r, (nrow, istd))| {
             let row = &src[r * d..(r + 1) * d];
             let (mean, var) = welford_mean_var(row);
@@ -340,7 +341,7 @@ fn softmax(src: Option<&[f32]>, dst: &mut [f32], inner: usize) {
     if inner == 0 {
         return;
     }
-    dst.par_chunks_mut(inner).enumerate().for_each(|(r, row)| {
+    dst.par_chunks_mut(inner).enumerate().with_min_len(par::min_items(inner)).for_each(|(r, row)| {
         let src = src.map(|s| &s[r * inner..(r + 1) * inner]);
         let mx = simd::max_value(src.unwrap_or(row));
         let sum = simd::exp_sub_sum(row, src, mx);

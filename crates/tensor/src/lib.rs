@@ -34,6 +34,7 @@ pub mod conv;
 pub mod fused;
 pub mod matmul;
 pub mod ops;
+pub mod par;
 pub mod pool;
 pub mod qgemm;
 pub mod random;

@@ -9,6 +9,7 @@
 //! storage without materializing a transpose of B.
 
 use crate::fused::Activation;
+use crate::par::{self, MACS_PER_VISIT};
 use crate::pool;
 use crate::qgemm;
 use crate::simd;
@@ -163,7 +164,8 @@ impl Tensor {
         let mut out = pool::alloc_uninit(batch * m * n);
         let ad = self.data();
         let bd = other.data();
-        out.par_chunks_mut(m * n).enumerate().for_each(|(b, c)| {
+        let product_work = m * n * k / MACS_PER_VISIT;
+        out.par_chunks_mut(m * n).enumerate().with_min_len(par::min_items(product_work)).for_each(|(b, c)| {
             let a_off = if ba == 1 { 0 } else { b * m * k };
             let b_off = if bb == 1 { 0 } else { b * k * n };
             // Sequential inner matmul: parallelism is already taken at the

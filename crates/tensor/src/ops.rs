@@ -1,17 +1,20 @@
 //! Elementwise arithmetic with broadcasting, reductions, axis manipulation,
 //! padding and gather/scatter.
 //!
-//! Heavy elementwise work parallelizes over chunks with rayon once the tensor
-//! is large enough to amortize the fork/join cost.
+//! Heavy elementwise work parallelizes over chunks with rayon once each
+//! chunk is large enough to repay the fork/join ([`crate::par`]).
 
+use crate::par;
 use crate::pool;
 use crate::simd;
 use crate::shape::{broadcast_shapes, numel, ShapeHandle};
 use crate::tensor::Tensor;
 use rayon::prelude::*;
 
-/// Below this element count, elementwise kernels stay sequential.
-const PAR_THRESHOLD: usize = 1 << 15;
+/// Elements per partial of [`Tensor::sum`]: fixed, so the partials — and
+/// the order they are combined in — do not depend on how the blocks were
+/// dealt to threads.
+const SUM_BLOCK: usize = 1 << 12;
 
 /// Materialize the strided `rows x cols` view `src[i * rs + j * cs]` as a
 /// row-major matrix in `out` (a transpose is `rs = 1`).
@@ -88,15 +91,16 @@ impl Walk {
 
     /// Call `piece(dst, left offset, right offset)` once per run (or part
     /// of one) of `out`. A large op is split over the flat output range,
-    /// one chunk per thread the caller may use (one on a pool worker).
+    /// one chunk per thread that can take one ([`par::pieces`]).
     fn drive(&self, out: &mut [f32], piece: impl Fn(&mut [f32], usize, usize) + Sync) {
         if out.is_empty() {
             return; // a zero extent: nothing to walk, and `run` may be 0
         }
-        if out.len() < PAR_THRESHOLD {
+        let parts = par::pieces(out.len());
+        if parts == 1 {
             return self.walk_range(0, out, &piece);
         }
-        let chunk = out.len().div_ceil(rayon::current_num_threads());
+        let chunk = out.len().div_ceil(parts);
         out.par_chunks_mut(chunk)
             .enumerate()
             .for_each(|(i, part)| self.walk_range(i * chunk, part, &piece));
@@ -298,13 +302,17 @@ impl Tensor {
         self.map(move |x| x.clamp(lo, hi))
     }
 
-    /// Sum of all elements.
+    /// Sum of all elements, accumulated in f64: one partial per
+    /// [`SUM_BLOCK`] elements, the partials added in index order — the same
+    /// bits whether one thread summed the blocks or several.
     pub fn sum(&self) -> f32 {
-        if self.len() >= PAR_THRESHOLD {
-            self.data().par_iter().map(|&x| x as f64).sum::<f64>() as f32
-        } else {
-            self.data().iter().map(|&x| x as f64).sum::<f64>() as f32
-        }
+        let partials: Vec<f64> = self
+            .data()
+            .par_chunks(SUM_BLOCK)
+            .with_min_len(par::min_items(SUM_BLOCK))
+            .map(|block| block.iter().map(|&x| x as f64).sum::<f64>())
+            .collect();
+        partials.iter().sum::<f64>() as f32
     }
 
     /// Mean of all elements.
@@ -812,43 +820,6 @@ mod tests {
         a.add_(&a.clone());
         assert_eq!(bits(a.data()), bits(&oracle(&t, &t, |x, y| x + y)));
         assert_eq!(bits(t.data()), bits(filled(&[3, 7], 5).data()), "the shared original is intact");
-    }
-
-    #[test]
-    fn parallel_split_is_bit_identical_to_one_thread() {
-        // Each output is past PAR_THRESHOLD; [3, 11000] puts a chunk
-        // boundary inside a run for 2 and for 3 threads.
-        let cases = [
-            (vec![130, 257], vec![130, 257]),
-            (vec![130, 257], vec![257]),
-            (vec![130, 257], vec![130, 1]),
-            (vec![130, 1], vec![130, 257]),
-            (vec![3, 11000], vec![3, 1]),
-            (vec![2, 3, 5507], vec![3, 1]),
-        ];
-        let on = |threads: usize, f: &(dyn Fn() -> Tensor + Sync)| {
-            rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap().install(f)
-        };
-        for (sa, sb) in cases {
-            let (a, b) = (filled(&sa, 3), filled(&sb, 4));
-            let out_shape = broadcast_shapes(&sa, &sb).unwrap();
-            assert!(numel(&out_shape) >= PAR_THRESHOLD);
-            let one = on(1, &|| a.sub(&b));
-            assert_eq!(bits(one.data()), bits(&oracle(&a, &b, |x, y| x - y)), "{sa:?} {sb:?}");
-            for threads in [2, 3] {
-                assert_eq!(bits(on(threads, &|| a.sub(&b)).data()), bits(one.data()), "{sa:?} {sb:?} x{threads}");
-            }
-            if out_shape == sa {
-                let assign = |threads| {
-                    on(threads, &|| {
-                        let mut t = a.clone();
-                        t.axpy(0.5, &b);
-                        t
-                    })
-                };
-                assert_eq!(bits(assign(2).data()), bits(assign(1).data()), "axpy {sa:?} {sb:?}");
-            }
-        }
     }
 
     #[test]

@@ -46,6 +46,7 @@ use crate::bf16::{bf16_to_f32, f32_to_bf16};
 use crate::fused::{Activation, WeightPrecision};
 use crate::matmul::MatLayout;
 use crate::ops::gather_strided;
+use crate::par::{self, MACS_PER_VISIT};
 use crate::pool::{self, Buffer};
 use crate::simd::{self, F32x16, LANES, LANES16};
 use crate::tensor::Tensor;
@@ -58,8 +59,11 @@ pub const QMR: usize = 6;
 const MAX_NR: usize = 4 * LANES16;
 
 /// Multiply-adds below which a product is not split across workers: about
-/// 0.3 ms of kernel time, where a two-way split of the rows first repays the
-/// fork/join and the second read of every strip.
+/// 0.3 ms of kernel time, sixteen [`par::GRAIN`]s. A GEMM's floor sits that
+/// far above the grain rule's because a split costs more than the fork/join
+/// here: every chunk of rows reads (and, for narrow weights, widens) every
+/// strip again, and this is where a two-way split first repaid both. Above
+/// it [`par::pieces`] decides like everywhere else.
 const PAR_MIN_MACS: usize = 1 << 24;
 
 /// What one GELU at store time costs, in multiply-adds of the kernel:
@@ -583,7 +587,7 @@ fn drive<Q: QWeight>(
     // a product too small to repay the fork stays on the calling thread.
     let macs = m * n * (k + if ep.act == Activation::Gelu { GELU_MACS } else { 0 });
     let chunk_rows = if parallel && m > QMR && macs >= PAR_MIN_MACS {
-        m.div_ceil(rayon::current_num_threads()).div_ceil(QMR) * QMR
+        m.div_ceil(par::pieces(macs / MACS_PER_VISIT)).div_ceil(QMR) * QMR
     } else {
         m
     };

@@ -9,6 +9,7 @@
 //! Tensors are interpreted as `[..., H, W]`: any leading axes are treated as
 //! independent channels.
 
+use crate::par;
 use crate::pool;
 use crate::tensor::Tensor;
 use rayon::prelude::*;
@@ -51,12 +52,13 @@ pub fn resize(t: &Tensor, out_h: usize, out_w: usize, mode: ResizeMode) -> Tenso
     let src = t.data();
     // Every output pixel is written below, so the buffer can be uninit.
     let mut out = pool::alloc_uninit(lead * out_h * out_w);
+    let plane_grain = par::min_items(out_h * out_w);
     // The taps depend on the output coordinate alone: built once per call,
     // not once per pixel of every plane.
     match mode {
         ResizeMode::Nearest => {
             let (ys, xs) = (nearest_taps(out_h, h), nearest_taps(out_w, w));
-            out.par_chunks_mut(out_h * out_w).enumerate().for_each(|(l, dst)| {
+            out.par_chunks_mut(out_h * out_w).enumerate().with_min_len(plane_grain).for_each(|(l, dst)| {
                 let plane = &src[l * h * w..(l + 1) * h * w];
                 for (drow, &iy) in dst.chunks_exact_mut(out_w).zip(&ys) {
                     let row = &plane[iy * w..][..w];
@@ -68,7 +70,7 @@ pub fn resize(t: &Tensor, out_h: usize, out_w: usize, mode: ResizeMode) -> Tenso
         }
         ResizeMode::Bilinear => {
             let (ys, xs) = (bilinear_taps(out_h, h), bilinear_taps(out_w, w));
-            out.par_chunks_mut(out_h * out_w).enumerate().for_each(|(l, dst)| {
+            out.par_chunks_mut(out_h * out_w).enumerate().with_min_len(plane_grain).for_each(|(l, dst)| {
                 let plane = &src[l * h * w..(l + 1) * h * w];
                 for (drow, &(y0, y1, wy)) in dst.chunks_exact_mut(out_w).zip(&ys) {
                     let (r0, r1) = (&plane[y0 * w..][..w], &plane[y1 * w..][..w]);
@@ -106,7 +108,7 @@ pub fn downsample_area(t: &Tensor, factor: usize) -> Tensor {
     let src = t.data();
     let inv = 1.0 / (factor * factor) as f32;
     let mut out = pool::alloc_uninit(lead * oh * ow);
-    out.par_chunks_mut(oh * ow).enumerate().for_each(|(l, dst)| {
+    out.par_chunks_mut(oh * ow).enumerate().with_min_len(par::min_items(h * w)).for_each(|(l, dst)| {
         let plane = &src[l * h * w..(l + 1) * h * w];
         for oy in 0..oh {
             for ox in 0..ow {

@@ -6,7 +6,8 @@
 # Then run the inference bench (tape vs tape-free forward, whole-sample,
 # 2x2 tiled, and reduced-precision sessions) into BENCH_inference.json,
 # and the serving bench (open-loop load, microbatched vs unbatched, plus
-# f32/bf16/int8 default-precision cells at c=16) into BENCH_serving.json.
+# f32/bf16/int8 default-precision cells at c=16 and the 126M batch-window
+# on/off pair at c=2) into BENCH_serving.json.
 #
 # Snapshots are labelled with the tree that was benchmarked (`git describe
 # --always --dirty`: the commit, plus `-dirty` when uncommitted changes were
@@ -202,4 +203,14 @@ jq -r '
     | (map(select(.bench == "serving/f32/c16")) | first) as $f
     | map(select(.bench == "serving/bf16/c16" or .bench == "serving/int8/c16"))[]
     | "\(.bench)\t\(.rps) req/s (p99 \(.p99_us) us)\tvs f32 \($f.rps) req/s\tspeedup \((.rps / $f.rps * 100 | round) / 100)x"
+' "$SERVE_JSON"
+
+# Microbatching's verdict cell (ROADMAP item 2): the 126M model under two
+# lockstep clients, default batch window against none. Keeping the window
+# needs throughput on / off >= 1.15; the latency ratio is what it costs.
+jq -r '
+    .[-1].results
+    | (map(select(.bench == "serving/126m_window_on/c2")) | first) as $on
+    | (map(select(.bench == "serving/126m_window_off/c2")) | first) as $off
+    | "serving/126m window on vs off/c2\ton \($on.rps) req/s (p50 \($on.p50_us) us)\toff \($off.rps) req/s (p50 \($off.p50_us) us)\tthroughput on / off \(($on.rps / $off.rps * 100 | round) / 100)x\tp50 on / off \(($on.p50_us / $off.p50_us * 100 | round) / 100)x"
 ' "$SERVE_JSON"

@@ -16,8 +16,20 @@
 # outside test modules nothing under the autograd crate or in
 # `crates/core/src/checkpoint.rs` may name `params.json`, define a
 # `struct Snapshot`, or `serde_json::to_string` a parameter store or tensor.
+#
+# Float-sum gate: a worker's parallel call is cut into as many pieces as
+# there are idle workers at that instant, so a float sum over per-piece
+# partials rounds differently from run to run. The rayon shim implements
+# `sum` for integers only; this keeps a float one from being written against
+# a future shim (sum fixed-length blocks in index order, like `Tensor::sum`).
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
+float_sum="$(grep -rnE '(into_)?par_(iter|iter_mut|chunks|chunks_mut)\(.*sum::<f(32|64)>' crates/*/src || true)"
+if [[ -n "$float_sum" ]]; then
+    echo "lint: a parallel float sum depends on the piece count (sum fixed blocks in index order, see Tensor::sum):" >&2
+    echo "$float_sum" >&2
+    exit 1
+fi
 libm="$(for f in crates/tensor/src/*.rs crates/autograd/src/*.rs; do
     awk -v f="$f" '/^mod tests \{/ { exit } /\.exp\(\)|\.tanh\(\)|exp_m1/ { print f ":" FNR ": " $0 }' "$f"
 done)"
