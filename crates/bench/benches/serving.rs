@@ -12,12 +12,16 @@
 //! other bench row. The f32/bf16/int8 c16 cells (one server per precision)
 //! are the only per-precision serving numbers in the repo — no
 //! `benchmark/` workload runs a reduced-precision server.
+//!
+//! The `wire/*` cells time the JSON crossings of one `serve-wire` round
+//! trip on their own, single-threaded.
 
-use orbit2::serving::ServeRequest;
+use orbit2::serving::{ServeRequest, ServeResponse};
 use orbit2_climate::{DownscalingDataset, LatLonGrid, Normalizer, VariableSet};
 use orbit2_model::{ModelConfig, ReslimModel, SessionPrecision};
-use orbit2_serve::{Handle, Region, Server, ServerConfig};
+use orbit2_serve::{tcp, Handle, Region, Server, ServerConfig, ServerReply};
 use orbit2_tensor::Tensor;
+use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Barrier;
 use std::time::Instant;
@@ -30,6 +34,8 @@ const TRIALS: usize = 3;
 /// Trials per 126M cell: the model is ~200x the bench models, so its cells
 /// trade sample count for a model big enough to stream weights.
 const TRIALS_126M: usize = 2;
+/// Timed runs per `wire/*` cell, after three warm-ups; the median is reported.
+const WIRE_ITERS: usize = 21;
 
 fn percentile(sorted: &[u64], p: f64) -> u64 {
     if sorted.is_empty() {
@@ -97,7 +103,61 @@ fn run_lockstep(server: &Server, inputs: &[Tensor], clients: usize, rounds: usiz
     })
 }
 
+/// Median wall time of `run`, printed as one `BENCH_JSON` row.
+fn time_cell(name: &str, mut run: impl FnMut()) {
+    let mut nanos: Vec<u64> = (0..WIRE_ITERS + 3)
+        .map(|_| {
+            let start = Instant::now();
+            run();
+            start.elapsed().as_nanos() as u64
+        })
+        .skip(3)
+        .collect();
+    nanos.sort_unstable();
+    let median = nanos[nanos.len() / 2];
+    println!("BENCH_JSON {{\"bench\":\"{name}\",\"median_ns\":{median}}}");
+    println!("{name}: {:.3} ms", median as f64 / 1e6);
+}
+
+/// The float text of `serve-wire`'s round trip: a `[7,32,64]` request and
+/// its `[3,128,256]` reply (98,304 values), the values a real field has.
+fn wire_cells() {
+    let ds =
+        DownscalingDataset::new(LatLonGrid::conus(128, 256), VariableSet::daymet_like(), 4, 2, 3);
+    let sample = ds.sample(0);
+    let field: Vec<f32> = sample.target.data().to_vec();
+    let text = serde_json::to_string(&field).unwrap();
+    time_cell("wire/print_f32/98304", || drop(black_box(serde_json::to_string(black_box(&field)))));
+    time_cell("wire/parse_f32/98304", || {
+        drop(black_box(serde_json::from_str::<Vec<f32>>(black_box(&text))))
+    });
+
+    let resp = ServeResponse {
+        id: 7,
+        shape: sample.target.shape().to_vec(),
+        data: field,
+        cached: false,
+        batch: 1,
+        micros: 9_000,
+    };
+    let result = Ok(resp);
+    let reply = tcp::response_line(7, &result);
+    time_cell("wire/response_line/3x128x256", || {
+        drop(black_box(tcp::response_line(7, black_box(&result))))
+    });
+    time_cell("wire/reply_parse/3x128x256", || drop(black_box(ServerReply::parse(black_box(&reply)))));
+
+    let req = raw_request(7, &sample.input);
+    let line = serde_json::to_string(&req).unwrap();
+    time_cell("wire/request_line/7x32x64", || drop(black_box(serde_json::to_string(black_box(&req)))));
+    time_cell("wire/request_parse/7x32x64", || {
+        drop(black_box(serde_json::from_str::<ServeRequest>(black_box(&line))))
+    });
+}
+
 fn main() {
+    wire_cells();
+
     let ds =
         DownscalingDataset::new(LatLonGrid::conus(16, 32), VariableSet::daymet_like(), 4, 8, 3);
     let norm = Normalizer::fit(&ds, 4);

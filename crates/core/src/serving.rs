@@ -4,14 +4,13 @@
 //! These live in the core crate (not `orbit2-serve`) so that clients —
 //! benches, tests, external tools — can build requests and parse responses
 //! without depending on the server implementation. The wire format is
-//! newline-delimited JSON; [`ServeRequest`] implements a hand-written
-//! `Deserialize` so optional fields (`compression`, `variables`, `time`)
-//! default instead of erroring, which the derive shim cannot express.
+//! newline-delimited JSON: a tensor goes straight between its `Vec<f32>` and
+//! the line. [`ServeRequest`]'s impls are hand-written — an unset option is
+//! an absent key, a wire integer is validated rather than cast.
 
 use crate::inference::InferenceError;
 use orbit2_tensor::fused::WeightPrecision;
-use serde::{Deserialize, Error as SerdeError, Serialize, Value};
-use std::collections::BTreeMap;
+use serde::{Deserialize, Error as SerdeError, Serialize, TextReader, TextWriter};
 use std::fmt;
 
 /// Where the input field of a request comes from.
@@ -99,121 +98,110 @@ impl ServeRequest {
 }
 
 impl Serialize for ServeRequest {
-    fn serialize_value(&self) -> Value {
-        let mut m = BTreeMap::new();
-        m.insert("id".into(), self.id.serialize_value());
+    /// An unset option is an absent key, so older peers interoperate unchanged.
+    fn write_text(&self, w: &mut dyn TextWriter) {
+        w.begin_object();
+        let mut put = |key, value: &dyn Serialize| {
+            w.key(key);
+            value.write_text(w);
+        };
+        put("id", &self.id);
         match &self.source {
             RequestSource::Region { name, time } => {
-                m.insert("region".into(), name.serialize_value());
-                m.insert("time".into(), time.serialize_value());
+                put("region", name);
+                put("time", time);
             }
             RequestSource::Raw { shape, data } => {
-                m.insert("shape".into(), shape.serialize_value());
-                m.insert("data".into(), data.serialize_value());
+                put("shape", shape);
+                put("data", data);
             }
         }
-        m.insert("compression".into(), self.compression.serialize_value());
+        put("compression", &self.compression);
         if let Some(vars) = &self.variables {
-            m.insert("variables".into(), vars.serialize_value());
+            put("variables", vars);
         }
         if let Some(p) = self.precision {
-            m.insert("precision".into(), p.label().serialize_value());
+            put("precision", &p.label());
         }
-        if let Some(d) = self.deadline_ms {
-            m.insert("deadline_ms".into(), d.serialize_value());
+        if let Some(d) = &self.deadline_ms {
+            put("deadline_ms", d);
         }
-        Value::Object(m)
+        w.end_object();
     }
 }
 
-/// A wire integer under `key`: a finite, non-negative whole number no
-/// larger than 2^53, the range a JSON number holds exactly. The serde
-/// shim's blanket `n as u64` saturates instead (`-1` reads as 0, `1.5` as
-/// 1, `1e30` as `u64::MAX`), which would turn a malformed request into a
-/// different valid one.
-fn wire_uint(value: &Value, key: &str) -> Result<u64, SerdeError> {
-    const MAX: f64 = (1u64 << 53) as f64;
-    match value.as_f64() {
-        Some(n) if (0.0..=MAX).contains(&n) && n.fract() == 0.0 => Ok(n as u64),
-        Some(n) => Err(SerdeError::new(format!(
-            "`{key}` must be a whole number between 0 and 2^53, got {n}"
-        ))),
-        None => Err(SerdeError::new(format!("`{key}` must be a number"))),
+/// A wire integer: a whole number from 0 to 2^53 (the range a JSON number
+/// holds exactly) that fits its `T`. The serde shim's blanket `n as u64`
+/// saturates instead (`-1` reads as 0, `1.5` as 1, `1e30` as `u64::MAX`),
+/// which would turn a malformed request into a different valid one.
+struct WireUint<T>(T);
+
+impl<T: TryFrom<u64>> Deserialize for WireUint<T> {
+    fn read_text(r: &mut dyn TextReader) -> Result<Self, SerdeError> {
+        const MAX: f64 = (1u64 << 53) as f64;
+        let n = r.f64()?;
+        if !(0.0..=MAX).contains(&n) || n.fract() != 0.0 {
+            return Err(SerdeError::new(format!("must be a whole number between 0 and 2^53, got {n}")));
+        }
+        let narrow = T::try_from(n as u64).map(Self);
+        narrow.map_err(|_| SerdeError::new(format!("{n} does not fit this platform's usize")))
     }
 }
 
-/// [`wire_uint`] narrowed to an index or extent.
-fn wire_usize(value: &Value, key: &str) -> Result<usize, SerdeError> {
-    usize::try_from(wire_uint(value, key)?)
-        .map_err(|_| SerdeError::new(format!("`{key}` does not fit this platform's usize")))
+/// Every key of a request, read off the wire in one pass: the derive ignores
+/// unknown keys, reads an absent one (or `null`) as `None`, and names the key
+/// in the error of a value it refuses.
+#[derive(Deserialize)]
+struct RequestKeys {
+    cmd: Option<String>,
+    id: Option<WireUint<u64>>,
+    region: Option<String>,
+    time: Option<WireUint<usize>>,
+    shape: Option<Vec<WireUint<usize>>>,
+    data: Option<Vec<f32>>,
+    compression: Option<f32>,
+    variables: Option<Vec<String>>,
+    precision: Option<String>,
+    activation: Option<String>,
+    deadline_ms: Option<WireUint<u64>>,
 }
 
 impl Deserialize for ServeRequest {
-    fn deserialize_value(value: &Value) -> Result<Self, SerdeError> {
-        let obj = value.as_object().ok_or_else(|| SerdeError::new("request must be an object"))?;
-        let id = match obj.get("id") {
-            Some(v) => wire_uint(v, "id")?,
-            None => return Err(SerdeError::new("request is missing `id`")),
-        };
-        let source = match (obj.get("region"), obj.get("shape"), obj.get("data")) {
-            (Some(r), None, None) => RequestSource::Region {
-                name: String::deserialize_value(r)?,
-                time: match obj.get("time") {
-                    Some(t) => wire_usize(t, "time")?,
-                    None => 0,
-                },
-            },
-            (None, Some(s), Some(d)) => RequestSource::Raw {
-                shape: s
-                    .as_array()
-                    .ok_or_else(|| SerdeError::new("`shape` must be an array"))?
-                    .iter()
-                    .map(|dim| wire_usize(dim, "shape"))
-                    .collect::<Result<_, _>>()?,
-                data: Vec::<f32>::deserialize_value(d)?,
-            },
-            _ => {
-                return Err(SerdeError::new(
-                    "request needs either `region` or both `shape` and `data`",
-                ))
+    fn read_text(r: &mut dyn TextReader) -> Result<Self, SerdeError> {
+        let keys = RequestKeys::read_text(r)?;
+        if let Some(cmd) = keys.cmd {
+            return Err(SerdeError::new(format!("a line with `cmd` ({cmd:?}) is a control line")));
+        }
+        let id = keys.id.ok_or_else(|| SerdeError::new("request is missing `id`"))?.0;
+        let source = match (keys.region, keys.shape, keys.data) {
+            (Some(name), None, None) => RequestSource::Region { name, time: keys.time.map_or(0, |t| t.0) },
+            (None, Some(shape), Some(data)) => {
+                RequestSource::Raw { shape: shape.into_iter().map(|dim| dim.0).collect(), data }
             }
+            _ => return Err(SerdeError::new("request needs either `region` or both `shape` and `data`")),
         };
-        let compression = match obj.get("compression") {
-            Some(c) => f32::deserialize_value(c)?,
-            None => 1.0,
-        };
-        let variables = match obj.get("variables") {
-            Some(v) => Some(Vec::<String>::deserialize_value(v)?),
-            None => None,
-        };
-        let precision = match obj.get("precision") {
-            Some(p) => {
-                let label = String::deserialize_value(p)?;
-                Some(WeightPrecision::parse(&label).ok_or_else(|| {
-                    SerdeError::new(format!(
-                        "unknown precision {label:?} (expected f32, bf16 or int8)"
-                    ))
-                })?)
-            }
-            None => None,
-        };
+        let precision = keys.precision.map(|label| {
+            WeightPrecision::parse(&label).ok_or_else(|| {
+                SerdeError::new(format!("unknown precision {label:?} (expected f32, bf16 or int8)"))
+            })
+        });
         // `activation` was a per-request precision key, removed with the
         // bf16-activation datapath. Unknown keys are ignored, so without this
         // check an old client asking for "bf16" would silently get f32.
-        if let Some(a) = obj.get("activation") {
-            let label = String::deserialize_value(a)?;
-            if label != "f32" {
-                return Err(SerdeError::new(format!(
-                    "`activation` was removed: activations are always f32, got {label:?} \
-                     (drop the key; `precision` selects f32, bf16 or int8 weights)"
-                )));
-            }
+        if let Some(label) = keys.activation.filter(|label| label != "f32") {
+            return Err(SerdeError::new(format!(
+                "`activation` was removed: activations are always f32, got {label:?} \
+                 (drop the key; `precision` selects f32, bf16 or int8 weights)"
+            )));
         }
-        let deadline_ms = match obj.get("deadline_ms") {
-            Some(d) => Some(wire_uint(d, "deadline_ms")?),
-            None => None,
-        };
-        Ok(Self { id, source, compression, variables, precision, deadline_ms })
+        Ok(ServeRequest {
+            id,
+            source,
+            compression: keys.compression.unwrap_or(1.0),
+            variables: keys.variables,
+            precision: precision.transpose()?,
+            deadline_ms: keys.deadline_ms.map(|d| d.0),
+        })
     }
 }
 

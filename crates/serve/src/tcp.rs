@@ -30,24 +30,42 @@ use orbit2::serving::{ServeError, ServeHealth, ServeRequest, ServeResponse, Serv
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize, Value};
-use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Duration;
 
+/// The longest line a connection may send, newline excluded: a line is
+/// buffered whole before it is parsed, so this bounds what a newline-free
+/// stream can make the reader hold. Sized for a raw request of 2^21 values
+/// (7 variables on a half-degree 360 × 720 grid are 1,814,400) at the 16
+/// bytes of the longest `f32` with its comma (`-1.17549435e-38,`); real
+/// fields average 10–11, which leaves a third of the line for other keys
+/// and padding. A constant, not a flag: nothing deployed needs another.
+pub const MAX_LINE_BYTES: usize = 32 << 20;
+
+/// The failure line: `{"error": {...}, "id": N}`.
+#[derive(Serialize, Deserialize)]
+struct ErrorLine {
+    id: u64,
+    error: WireError,
+}
+
+/// Append one finished request's wire line (no newline) to `out`.
+fn write_reply(out: &mut Vec<u8>, id: u64, result: &Result<ServeResponse, ServeError>) {
+    match result {
+        Ok(resp) => serde_json::to_writer(out, resp),
+        Err(err) => serde_json::to_writer(out, &ErrorLine { id, error: err.to_wire() }),
+    }
+    .expect("a reply serializes")
+}
+
 /// Render one finished request as a wire line (no trailing newline).
 pub fn response_line(id: u64, result: &Result<ServeResponse, ServeError>) -> String {
-    match result {
-        Ok(resp) => serde_json::to_string(resp).expect("response serializes"),
-        Err(err) => {
-            let mut obj = BTreeMap::new();
-            obj.insert("id".to_string(), Value::Number(id as f64));
-            obj.insert("error".to_string(), err.to_wire().serialize_value());
-            serde_json::to_string(&Value::Object(obj)).expect("error serializes")
-        }
-    }
+    let mut line = Vec::new();
+    write_reply(&mut line, id, result);
+    String::from_utf8(line).expect("JSON text is UTF-8")
 }
 
 /// A parsed server reply line.
@@ -65,15 +83,13 @@ pub enum ServerReply {
 }
 
 impl ServerReply {
-    /// Parse one wire line into a reply.
+    /// Parse one wire line into a reply: a response, read straight into its
+    /// struct, or else the short failure form.
     pub fn parse(line: &str) -> Result<Self, serde_json::Error> {
-        let value: Value = serde_json::from_str(line)?;
-        let obj = value.as_object().ok_or_else(|| serde::Error::new("reply is not an object"))?;
-        if let Some(err) = obj.get("error") {
-            let id = obj.get("id").and_then(Value::as_f64).unwrap_or(0.0) as u64;
-            return Ok(ServerReply::Error { id, error: WireError::deserialize_value(err)? });
-        }
-        Ok(ServerReply::Response(ServeResponse::deserialize_value(&value)?))
+        serde_json::from_str(line).map(ServerReply::Response).or_else(|not_a_response| {
+            let ErrorLine { id, error } = serde_json::from_str(line).map_err(|_| not_a_response)?;
+            Ok(ServerReply::Error { id, error })
+        })
     }
 }
 
@@ -86,69 +102,70 @@ enum Outgoing {
     Line(String),
 }
 
-/// Handle a `{"cmd": ...}` control line, returning the reply line.
-fn control_line(server: &Server, cmd: &str) -> String {
-    match cmd {
-        "stats" => serde_json::to_string(&server.stats()).expect("stats serialize"),
-        "health" => serde_json::to_string(&server.health()).expect("health serializes"),
-        other => response_line(
-            0,
-            &Err(ServeError::BadRequest { reason: format!("unknown cmd {other:?}") }),
-        ),
+/// A refused line's reply, riding the FIFO like any other.
+fn refused(id: u64, reason: impl ToString) -> Outgoing {
+    Outgoing::Pending(Handle::failed(id, ServeError::BadRequest { reason: reason.to_string() }))
+}
+
+/// The one reply a non-blank line gets. A request is parsed once, straight
+/// into a [`ServeRequest`]; only a line that is not one (a `cmd` key makes
+/// it a control line) is read again, as a tree: a control line is answered,
+/// anything else refused under its `id` (0 without one, or if not JSON).
+fn handle_line(server: &Server, line: &[u8]) -> Outgoing {
+    let not_a_request = match serde_json::from_slice(line) {
+        Ok(req) => return Outgoing::Pending(server.submit(req)),
+        Err(e) => e,
+    };
+    let tree = serde_json::from_slice::<Value>(line).ok();
+    let field = |key| tree.as_ref()?.as_object()?.get(key);
+    match field("cmd").and_then(Value::as_str) {
+        Some("stats") => Outgoing::Line(serde_json::to_string(&server.stats()).expect("stats serialize")),
+        Some("health") => Outgoing::Line(serde_json::to_string(&server.health()).expect("health serializes")),
+        Some(other) => refused(0, format!("unknown cmd {other:?}")),
+        None => refused(field("id").and_then(Value::as_f64).unwrap_or(0.0) as u64, not_a_request),
     }
 }
 
 fn handle_conn(server: &Arc<Server>, stream: TcpStream) -> std::io::Result<()> {
-    let reader = BufReader::new(stream.try_clone()?);
+    let mut reader = BufReader::new(stream.try_clone()?);
     let (tx, rx) = mpsc::channel::<Outgoing>();
-    let writer_stream = stream;
     let writer = std::thread::spawn(move || -> std::io::Result<()> {
-        let mut out = writer_stream;
+        let mut out = stream;
+        // One reused buffer, one write per reply: with `TCP_NODELAY` set a
+        // separate newline would be a separate segment.
+        let mut buf = Vec::new();
         for item in rx {
-            let line = match item {
-                Outgoing::Pending(handle) => {
-                    let result = handle.wait();
-                    response_line(handle.id(), &result)
-                }
-                Outgoing::Line(line) => line,
-            };
-            out.write_all(line.as_bytes())?;
-            out.write_all(b"\n")?;
-            out.flush()?;
+            buf.clear();
+            match item {
+                Outgoing::Pending(handle) => write_reply(&mut buf, handle.id(), &handle.wait()),
+                Outgoing::Line(line) => buf.extend_from_slice(line.as_bytes()),
+            }
+            buf.push(b'\n');
+            out.write_all(&buf)?;
         }
         Ok(())
     });
-    for line in reader.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        // One parse per line: the same `Value` answers "is it a control
-        // line", builds the request, and attributes a malformed request's
-        // error to its `id` (0 when the line is not JSON at all).
-        let refused = |id, e: serde_json::Error| {
-            Outgoing::Pending(Handle::failed(id, ServeError::BadRequest { reason: e.to_string() }))
-        };
-        let item = match serde_json::from_str::<Value>(&line) {
-            Err(e) => refused(0, e),
-            Ok(value) => {
-                let field = |key| value.as_object().and_then(|o| o.get(key));
-                if let Some(cmd) = field("cmd").and_then(Value::as_str) {
-                    Outgoing::Line(control_line(server, cmd))
-                } else {
-                    match ServeRequest::deserialize_value(&value) {
-                        Ok(req) => Outgoing::Pending(server.submit(req)),
-                        Err(e) => refused(field("id").and_then(Value::as_f64).unwrap_or(0.0) as u64, e.into()),
-                    }
-                }
-            }
-        };
-        if tx.send(item).is_err() {
+    // One reused line buffer; `take` cuts an over-long line one byte past the bound.
+    let mut buf = Vec::new();
+    while (&mut reader).take(MAX_LINE_BYTES as u64 + 1).read_until(b'\n', &mut buf)? != 0 {
+        let line = buf.strip_suffix(b"\n").unwrap_or(&buf);
+        if line.len() > MAX_LINE_BYTES {
+            // What follows is the line's tail, not a line: refuse once and close.
+            tx.send(refused(0, format!("line exceeds {MAX_LINE_BYTES} bytes"))).ok();
             break;
         }
+        if !line.iter().all(u8::is_ascii_whitespace) && tx.send(handle_line(server, line)).is_err() {
+            break;
+        }
+        buf.clear();
     }
     drop(tx);
-    writer.join().map_err(|_| std::io::Error::other("writer thread panicked"))?
+    let written = writer.join().map_err(|_| std::io::Error::other("writer thread panicked"))?;
+    // After an over-long line the peer is still sending: closing on unread
+    // input would reset the connection under the refusal it has yet to read.
+    reader.get_ref().shutdown(Shutdown::Write).ok();
+    std::io::copy(&mut reader, &mut std::io::sink()).ok();
+    written
 }
 
 /// Serve connections from `listener` until the process exits. Each
@@ -240,24 +257,14 @@ impl Client {
         self.send_line(&serde_json::to_string(req).expect("request serializes"))
     }
 
-    /// Send a raw line verbatim (for protocol-error tests).
+    /// Send a raw line verbatim (for protocol-error tests), in one write.
     pub fn send_line(&mut self, line: &str) -> std::io::Result<()> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()
+        self.writer.write_all(format!("{line}\n").as_bytes())
     }
 
     /// Read and parse the next reply line.
     pub fn recv(&mut self) -> std::io::Result<ServerReply> {
-        let mut line = String::new();
-        let n = self.reader.read_line(&mut line)?;
-        if n == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "server closed the connection",
-            ));
-        }
-        ServerReply::parse(line.trim_end()).map_err(std::io::Error::other)
+        ServerReply::parse(self.recv_line()?.trim_end()).map_err(std::io::Error::other)
     }
 
     /// Send one request and wait for its reply.
@@ -328,19 +335,29 @@ impl Client {
 mod tests {
     use super::*;
 
+    /// Every float of a reply comes back as the same bits — `-0.0`, which
+    /// equals `0.0` and used to travel as `0`, and the shortest forms of
+    /// values no `f64` text is exact for included.
     #[test]
     fn response_lines_round_trip() {
         let resp = ServeResponse {
             id: 9,
             shape: vec![3, 2, 2],
-            data: vec![0.5; 12],
+            data: vec![
+                0.5, -0.0, 0.0, 0.1, -1e-7, 3.4e38, f32::MIN_POSITIVE, 1e-45, 287.4523, 1.0, 16_777_216.0, -2.5e10,
+            ],
             cached: true,
             batch: 4,
             micros: 1234,
         };
         let line = response_line(9, &Ok(resp.clone()));
+        assert!(line.contains("[0.5,-0.0,0,0.1,-1e-7,3.4e38,"), "an f32 travels as its shortest text: {line}");
         match ServerReply::parse(&line).unwrap() {
-            ServerReply::Response(got) => assert_eq!(got, resp),
+            ServerReply::Response(got) => {
+                assert_eq!(got, resp);
+                let bits = |r: &ServeResponse| r.data.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&resp));
+            }
             other => panic!("expected a response, got {other:?}"),
         }
     }

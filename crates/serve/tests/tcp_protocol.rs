@@ -433,3 +433,220 @@ fn removed_activation_key_is_rejected_not_reinterpreted() {
     assert_eq!((with_key.shape, with_key.data), (bare.shape, bare.data));
     await_idle(&mut client);
 }
+
+/// What decides between a control line, a request and a refusal, and under
+/// which id: a string `cmd` makes a control line whatever else the line
+/// holds; any other `cmd` does not, and the line is refused (as the request
+/// it is not) under the `id` it names. An explicit `null` reads as an
+/// absent key, as an unset `Option` does in serde.
+#[test]
+fn control_line_precedence_and_null_keys() {
+    let (_server, addr) = spawn_server(ServerConfig { cache_capacity: 0, ..Default::default() });
+    let mut client = Client::connect(addr).unwrap();
+    client.send_line(r#"{"cmd":"health","id":3,"region":"conus","time":0}"#).unwrap();
+    let reply = client.recv_line().unwrap();
+    assert!(reply.contains(r#""status":"ok""#), "a `cmd` line is a control line: {reply}");
+    client.send_line(r#"{"cmd":5,"id":3}"#).unwrap();
+    expect_error(client.recv().unwrap(), 3, "bad_request");
+    client.send_line(r#"{"cmd":null,"id":4,"region":"conus","shape":null,"compression":null}"#).unwrap();
+    let nulled = match client.recv().unwrap() {
+        ServerReply::Response(resp) => resp,
+        other => panic!("`null` is an absent key, got {other:?}"),
+    };
+    let bare = match client.roundtrip(&ServeRequest::region(4, "conus", 0)).unwrap() {
+        ServerReply::Response(resp) => resp,
+        other => panic!("expected response, got {other:?}"),
+    };
+    assert_eq!((nulled.id, nulled.shape, nulled.data), (bare.id, bare.shape, bare.data));
+    client.send_line(r#"{"id":null,"region":"conus"}"#).unwrap();
+    match client.recv().unwrap() {
+        ServerReply::Error { id, error } => {
+            assert_eq!((id, error.kind.as_str()), (0, "bad_request"));
+            assert!(error.message.contains("missing `id`"), "{}", error.message);
+        }
+        other => panic!("expected bad_request, got {other:?}"),
+    }
+    await_idle(&mut client);
+}
+
+/// A raw connection for lines `Client::send_line` cannot carry: bytes that
+/// are not UTF-8, and a stream with no newline in it.
+struct RawConn {
+    writer: std::net::TcpStream,
+    reader: std::io::BufReader<std::net::TcpStream>,
+}
+
+impl RawConn {
+    fn connect(addr: std::net::SocketAddr) -> Self {
+        let writer = std::net::TcpStream::connect(addr).unwrap();
+        // A server that never answers fails the test instead of hanging it.
+        writer.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+        let reader = std::io::BufReader::new(writer.try_clone().unwrap());
+        Self { writer, reader }
+    }
+
+    fn send(&mut self, bytes: &[u8]) {
+        use std::io::Write;
+        self.writer.write_all(bytes).unwrap();
+    }
+
+    /// The next reply line, or `None` once the server has closed.
+    fn recv(&mut self) -> Option<String> {
+        use std::io::BufRead;
+        let mut line = String::new();
+        match self.reader.read_line(&mut line).expect("the server answers or closes") {
+            0 => None,
+            _ => Some(line),
+        }
+    }
+}
+
+/// The shim's parser used to recurse once per `[` with no bound: 200 KB of
+/// them overflowed the connection thread's stack, which aborts the whole
+/// process — every connection and every queued request with it. Now the
+/// line is a `bad_request`, nested under a key no type knows or not, and
+/// the same connection serves the next request.
+#[test]
+fn deeply_nested_lines_are_bad_requests_not_a_crash() {
+    let (server, addr) = spawn_server(ServerConfig::default());
+    let mut client = Client::connect(addr).unwrap();
+    client.send_line(&"[".repeat(200_000)).unwrap();
+    expect_error(client.recv().unwrap(), 0, "bad_request");
+    let deep = format!("{}{}", "[".repeat(100_000), "]".repeat(100_000));
+    client.send_line(&format!(r#"{{"id":7,"region":"conus","time":0,"x":{deep}}}"#)).unwrap();
+    expect_error(client.recv().unwrap(), 0, "bad_request");
+    client.send_line(&r#"{"id":8,"a":"#.repeat(50_000)).unwrap();
+    expect_error(client.recv().unwrap(), 0, "bad_request");
+    // Within the bound, an unknown key's nesting is skipped and the request served.
+    let shallow = format!("{}{}", "[".repeat(40), "]".repeat(40));
+    client.send_line(&format!(r#"{{"id":9,"region":"conus","time":0,"x":{shallow}}}"#)).unwrap();
+    match client.recv().unwrap() {
+        ServerReply::Response(resp) => assert_eq!(resp.id, 9),
+        other => panic!("the connection and the server must survive, got {other:?}"),
+    }
+    await_idle(&mut client);
+    assert_eq!(server.inflight(), 0);
+}
+
+/// A stream with no newline used to grow one `String` without limit. Now a
+/// line is cut off one byte past `MAX_LINE_BYTES`: it gets one `bad_request`
+/// (id 0) and the connection is closed — what follows is the tail of that
+/// line, not a line. A line of exactly the bound is still served.
+#[test]
+fn an_over_long_line_is_refused_once_and_the_connection_closed() {
+    let (_server, addr) = spawn_server(ServerConfig::default());
+    let max = orbit2_serve::tcp::MAX_LINE_BYTES;
+
+    let mut longest = br#"{"id":5,"region":"conus","time":0"#.to_vec();
+    longest.resize(max - 1, b' ');
+    longest.extend_from_slice(b"}\n");
+    let mut conn = RawConn::connect(addr);
+    conn.send(&longest);
+    match ServerReply::parse(conn.recv().expect("a reply").trim_end()).unwrap() {
+        ServerReply::Response(resp) => assert_eq!(resp.id, 5),
+        other => panic!("a line of exactly the bound is a line, got {other:?}"),
+    }
+
+    // One byte more, no newline at all, and the peer still sending: the
+    // reply must come anyway, and reach a peer that reads only afterwards
+    // (a close on unread input would reset the connection under it).
+    let mut conn = RawConn::connect(addr);
+    conn.send(&vec![b'7'; max + 1]);
+    conn.send(&vec![b'7'; 4 << 20]);
+    let reply = conn.recv().expect("an over-long line gets its one reply");
+    match ServerReply::parse(reply.trim_end()).unwrap() {
+        ServerReply::Error { id, error } => {
+            assert_eq!((id, error.kind.as_str()), (0, "bad_request"));
+            assert!(error.message.contains("exceeds"), "{}", error.message);
+        }
+        other => panic!("expected bad_request, got {other:?}"),
+    }
+    assert_eq!(conn.recv(), None, "the connection is closed after the refusal");
+}
+
+mod fuzz {
+    use super::*;
+    use proptest::prelude::*;
+    use serde::Value;
+    use std::sync::OnceLock;
+
+    /// One server for every case: a case is a burst of lines, not a lifecycle.
+    fn server() -> std::net::SocketAddr {
+        static SERVER: OnceLock<(Arc<Server>, std::net::SocketAddr)> = OnceLock::new();
+        SERVER.get_or_init(|| spawn_server(ServerConfig::default())).1
+    }
+
+    /// A line of one of the hostile families, from three random words.
+    fn line((family, a, b): (u32, u64, Vec<u8>)) -> Vec<u8> {
+        let id = a % 1000;
+        let nest = |k: usize| format!("{}{}", "[".repeat(k), "]".repeat(k));
+        let valid = format!(r#"{{"id":{id},"region":"conus","time":{}}}"#, a % 7);
+        match family {
+            // Arbitrary bytes (a newline would make it two lines).
+            0 => b.into_iter().map(|byte| if byte == b'\n' { b' ' } else { byte }).collect(),
+            1 => valid.into_bytes(),
+            // A valid request cut short anywhere.
+            2 => valid.as_bytes()[..a as usize % (valid.len() + 1)].to_vec(),
+            3 => format!(r#"{{"id":{id},"shape":[7,1e999,4],"data":[1e999,-1E-999,1e+400,0e9999999999999999999]}}"#).into_bytes(),
+            4 => format!(r#"{{"id":{id}e400,"region":"conus","deadline_ms":1e99999}}"#).into_bytes(),
+            // Repeated keys: the last of each counts.
+            5 => format!(r#"{{"id":1,"region":"conus","id":{id},"region":"atlantis","region":"conus"}}"#).into_bytes(),
+            6 => format!(r#"{{"id":{id},"x":{},"region":"conus"}}"#, nest([3, 63, 64, 65, 5000][a as usize % 5])).into_bytes(),
+            7 => format!(r#"{{"id":{id},"shape":[7,4294967296,4294967296],"data":[]}}"#).into_bytes(),
+            8 => [" ", "\t \r", "", "\x0c"][a as usize % 4].as_bytes().to_vec(),
+            9 => format!(r#"{{"id":{},"region":7,"data":[1,"x",null,{{}}]}}"#, [-2.0, 2.5, 1e30, 12.0][a as usize % 4]).into_bytes(),
+            10 => format!(r#"{{"id":{id},"region":"conus","activation":"bf16"}}"#).into_bytes(),
+            _ => [r#"{"cmd":"stats"}"#, r#"{"cmd":"selfdestruct"}"#, r#""cmd""#, "[]", "null", "{}"][a as usize % 6].as_bytes().to_vec(),
+        }
+    }
+
+    /// The id a line's reply must carry: the one the line names, read the
+    /// way the server's failure path reads it; `None` for a control line,
+    /// whose reply carries none.
+    fn owed_id(line: &[u8]) -> Option<u64> {
+        let Ok(Value::Object(keys)) = serde_json::from_str(std::str::from_utf8(line).unwrap_or("")) else {
+            return Some(0);
+        };
+        match keys.contains_key("cmd") {
+            true => None,
+            false => Some(keys.get("id").and_then(Value::as_f64).unwrap_or(0.0) as u64),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        // Whatever a client sends, the connection thread does not panic,
+        // every non-blank line gets exactly one reply, in order, under the
+        // id it named, and the connection stays usable.
+        #[test]
+        fn any_line_gets_exactly_one_reply(
+            words in collection::vec((0u32..12, 0u64..u64::MAX, collection::vec(0u8..=255, 0..48)), 1..12),
+        ) {
+            let lines: Vec<Vec<u8>> = words.into_iter().map(line).collect();
+            let mut conn = RawConn::connect(server());
+            for line in &lines {
+                conn.send(line);
+                conn.send(b"\n");
+            }
+            conn.send(b"{\"cmd\":\"health\"}\n");
+            for line in lines.iter().filter(|l| !l.iter().all(u8::is_ascii_whitespace)) {
+                let shown = String::from_utf8_lossy(line);
+                let reply = conn.recv().ok_or_else(|| TestCaseError::fail(format!("closed before answering {shown}")))?;
+                prop_assert!(!reply.contains("\"status\""), "no reply to {shown}: the sentinel's came first");
+                let Some(owed) = owed_id(line) else { continue };
+                let id = match ServerReply::parse(reply.trim_end()) {
+                    Ok(ServerReply::Response(resp)) => resp.id,
+                    Ok(ServerReply::Error { id, error }) => {
+                        prop_assert!(!error.kind.is_empty() && error.kind != "internal", "{shown}: {error:?}");
+                        id
+                    }
+                    Err(e) => return Err(TestCaseError::fail(format!("{shown}: unreadable reply {reply}: {e}"))),
+                };
+                prop_assert!(id == owed, "reply to {shown} under id {id}, not {owed}");
+            }
+            let sentinel = conn.recv().ok_or_else(|| TestCaseError::fail("closed before the sentinel"))?;
+            prop_assert!(sentinel.contains("\"status\""), "a surplus reply: {sentinel}");
+        }
+    }
+}

@@ -6,8 +6,9 @@
 # Then run the inference bench (tape vs tape-free forward, whole-sample,
 # 2x2 tiled, and reduced-precision sessions) into BENCH_inference.json,
 # and the serving bench (open-loop load, microbatched vs unbatched, plus
-# f32/bf16/int8 default-precision cells at c=16 and the 126M batch-window
-# on/off pair at c=2) into BENCH_serving.json.
+# f32/bf16/int8 default-precision cells at c=16, the 126M batch-window
+# on/off pair at c=2, and the `wire/*` float-text cells) into
+# BENCH_serving.json.
 #
 # Snapshots are labelled with the tree that was benchmarked (`git describe
 # --always --dirty`: the commit, plus `-dirty` when uncommitted changes were
@@ -214,3 +215,8 @@ jq -r '
     | (map(select(.bench == "serving/126m_window_off/c2")) | first) as $off
     | "serving/126m window on vs off/c2\ton \($on.rps) req/s (p50 \($on.p50_us) us)\toff \($off.rps) req/s (p50 \($off.p50_us) us)\tthroughput on / off \(($on.rps / $off.rps * 100 | round) / 100)x\tp50 on / off \(($on.p50_us / $off.p50_us * 100 | round) / 100)x"
 ' "$SERVE_JSON"
+
+# The wire's float text (DESIGN.md §10), same snapshot: each JSON crossing
+# of a `serve-wire` round trip on its own. Through a `Value` tree, as every
+# crossing went before PR 24, they took 2-4x as long (CHANGES.md).
+jq -r '.[-1].results[] | select(.bench | startswith("wire/")) | "\(.bench)\t\(.median_ns) ns"' "$SERVE_JSON"

@@ -8,7 +8,9 @@
 #   2. full test suite with the SIMD kernels enabled (default), then the
 #      rayon shim's tests once more under --release: its work-sharing path
 #      is a race between a forker and the helper it woke, and the optimised
-#      build runs that race at different speeds
+#      build runs that race at different speeds; and the serde_json shim's,
+#      whose float printer and reader are integer arithmetic that debug
+#      builds overflow-check and release builds wrap
 #   3. full test suite again with ORBIT2_DISABLE_SIMD=1 (scalar fallbacks;
 #      every matrix product runs the GEMM driver's scalar oracle)
 #   4. clippy lint gate (scripts/lint.sh: -D warnings -D unsafe_code)
@@ -58,7 +60,7 @@ cargo build --release
 
 step "tests (SIMD enabled)"
 cargo test -q --workspace
-cargo test -q --release -p rayon
+cargo test -q --release -p rayon -p serde_json
 
 step "tests (SIMD disabled: ORBIT2_DISABLE_SIMD=1)"
 ORBIT2_DISABLE_SIMD=1 cargo test -q --workspace

@@ -22,6 +22,14 @@
 # partials rounds differently from run to run. The rayon shim implements
 # `sum` for integers only; this keeps a float one from being written against
 # a future shim (sum fixed-length blocks in index order, like `Tensor::sum`).
+#
+# Wire-text gate (DESIGN.md §10): a tensor crosses the wire as text without a
+# per-number allocation and without a `Value` tree. So the serde_json shim's
+# printers (`float.rs`, and `lib.rs` between its `-- printer` and `-- reader`
+# rules) may not `format!` or `to_string()` anything, and outside its test
+# module `crates/serve/src/tcp.rs` may parse a `::<Value>` only in
+# `handle_line`, after the line that submits an accepted request — a tree
+# is built for a line that was not one, never for one that was.
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 float_sum="$(grep -rnE '(into_)?par_(iter|iter_mut|chunks|chunks_mut)\(.*sum::<f(32|64)>' crates/*/src || true)"
@@ -47,6 +55,25 @@ done)"
 if [[ -n "$json_ckpt" ]]; then
     echo "lint: a JSON tensor checkpoint outside a test module (write a v2 tensor section, crates/core/src/checkpoint.rs):" >&2
     echo "$json_ckpt" >&2
+    exit 1
+fi
+printer_alloc="$(
+    awk '/^mod tests \{/ { exit } /format!\(|\.to_string\(\)/ { print FILENAME ":" FNR ": " $0 }' vendor/serde_json/src/float.rs
+    awk '/^\/\/ -- printer/ { on = 1 } /^\/\/ -- reader/ { on = 0 }
+        on && /format!\(|\.to_string\(\)/ { print FILENAME ":" FNR ": " $0 }' vendor/serde_json/src/lib.rs
+)"
+if [[ -n "$printer_alloc" ]]; then
+    echo "lint: a JSON printer allocates per value (write digits into the output buffer, vendor/serde_json/src/float.rs):" >&2
+    echo "$printer_alloc" >&2
+    exit 1
+fi
+wire_tree="$(awk '/^mod tests \{/ { exit }
+    /^fn handle_line\(/ { inside = 1; submitted = 0 } /^}/ { inside = 0 }
+    inside && /server\.submit\(/ { submitted = 1 }
+    /::<Value>/ && !(inside && submitted) { print FILENAME ":" FNR ": " $0 }' crates/serve/src/tcp.rs)"
+if [[ -n "$wire_tree" ]]; then
+    echo "lint: the wire front end builds a \`Value\` tree on an accepted line (read it straight into its type, DESIGN.md §10):" >&2
+    echo "$wire_tree" >&2
     exit 1
 fi
 exec cargo clippy --workspace --all-targets -- -D warnings -D unsafe_code -W clippy::redundant_clone "$@"
