@@ -10,7 +10,7 @@ use orbit2::checkpoint::{
 use orbit2_autograd::params::GradMap;
 use orbit2_autograd::{Adam, GradAccumulator, GradScaler, ParamLayout, ParamStore};
 use orbit2_imaging::quadtree::{QuadTree, QuadTreeParams};
-use orbit2_tensor::attention::naive_attention;
+use orbit2_tensor::attention::{multi_head_attention, naive_attention};
 use orbit2_tensor::bf16::bf16_round_slice;
 use orbit2_tensor::conv::{conv2d, conv2d_grad_input, conv2d_grad_weight, ConvGeom};
 use orbit2_tensor::fused::{
@@ -47,9 +47,9 @@ fn bench_matmul(c: &mut Criterion) {
 /// throughput the serving `--precision` flag buys — at the 256/512 squares
 /// of the trajectory and at the model's real `m×k×n` linears (126M at 32
 /// tokens, both MLP layers; the 9.5M MLP on a `tiles-field` tile). The f32
-/// group adds the per-call-pack products the tape and attention run: the
-/// per-head `Q K^T` of a 612-token tile (`nt`) and the MLP weight gradient
-/// of a 45-token `train-step` tile (`tn`). `gemm_ref/256` is the scalar
+/// group adds the per-call-pack products the tape runs: the per-head
+/// `Q K^T` of its attention composition on a 612-token tile (`nt`) and the
+/// MLP weight gradient of a 45-token `train-step` tile (`tn`). `gemm_ref/256` is the scalar
 /// oracle on the `gemm_f32/256` operands: the in-run reference for
 /// same-snapshot ratios.
 fn bench_packed_gemm(c: &mut Criterion) {
@@ -141,8 +141,31 @@ fn bench_fused_linear(c: &mut Criterion) {
     group.finish();
 }
 
-/// The reference attention (`[S, 64]` single head): the cell a fused
-/// attention op will be compared against.
+/// `Exec::attention`'s default body, the composition the tape runs, in
+/// tensor ops: per head a slice of each operand, then per sample
+/// `matmul_nt → mul_scalar → softmax_last → matmul`, then a concat.
+fn composed_attention(q: &Tensor, k: &Tensor, v: &Tensor, heads: usize, rows: &[usize]) -> Tensor {
+    let dh = q.shape()[1] / heads;
+    let scale = 1.0 / (dh as f32).sqrt();
+    let per_head: Vec<Tensor> = (0..heads)
+        .map(|h| {
+            let [qh, kh, vh] = [q, k, v].map(|x| Tensor::split_rows(&x.slice_axis(1, h * dh, dh), rows));
+            let samples: Vec<Tensor> = (0..rows.len())
+                .map(|i| qh[i].matmul_nt(&kh[i]).mul_scalar(scale).softmax_last().matmul(&vh[i]))
+                .collect();
+            Tensor::stack_rows(&samples.iter().collect::<Vec<_>>())
+        })
+        .collect();
+    Tensor::concat(&per_head.iter().collect::<Vec<_>>(), 1)
+}
+
+/// The reference attention (`[S, 64]` single head), then the session's
+/// multi-head op against the composition it replaced, on the same operands:
+/// two samples of `N` tokens, `D` wide, `h` heads (`attention/fused/NxDhh`
+/// beside `attention/composed/NxDhh`). `1156x256h4` is a `tiles-field`
+/// tile, `512x32h2` the tiny model on a large tile, and `64x1024h16` the
+/// 126M model's short sequences, where the blocks are too small to fork
+/// (`orbit2_tensor::par::min_items`).
 fn bench_attention(c: &mut Criterion) {
     let mut group = c.benchmark_group("attention");
     group.sample_size(10);
@@ -153,6 +176,17 @@ fn bench_attention(c: &mut Criterion) {
         let v = randn(&[s, d], 3);
         group.bench_with_input(BenchmarkId::new("naive", s), &s, |b, _| {
             b.iter(|| naive_attention(&q, &k, &v))
+        });
+    }
+    for &(n, d, heads) in &[(1156usize, 256usize, 4usize), (512, 32, 2), (64, 1024, 16)] {
+        let rows = [n, n];
+        let [q, k, v] = [4, 5, 6].map(|seed| randn(&[2 * n, d], seed));
+        let name = format!("{n}x{d}h{heads}");
+        group.bench_function(BenchmarkId::new("fused", &name), |b| {
+            b.iter(|| multi_head_attention(&q, &k, &v, heads, &rows))
+        });
+        group.bench_function(BenchmarkId::new("composed", &name), |b| {
+            b.iter(|| composed_attention(&q, &k, &v, heads, &rows))
         });
     }
     group.finish();

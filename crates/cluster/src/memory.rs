@@ -92,6 +92,12 @@ impl TrainingMemoryModel {
             self.layers as f64 * s * self.embed_dim as f64 / self.tp_shard as f64 * self.act_factor * BF16;
         let attention = if self.flash_attention {
             // Streaming softmax: O(block^2) working set per SM — negligible.
+            // The CPU op this repo runs (`orbit2_tensor::attention::
+            // multi_head_attention`) holds workers × 48 × N f32 scores
+            // (222 KB per worker at N = 1156) plus one head's two packs,
+            // `K_hᵀ` and `V_h` (2 × N × d_head f32, 592 KB there): O(N·d),
+            // also far inside this allowance. It keeps an exact per-row
+            // softmax, not a streaming one.
             64.0 * 1024.0 * 1024.0
         } else {
             // Scores + softmax probabilities + their gradients, per head,

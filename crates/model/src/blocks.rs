@@ -8,7 +8,7 @@
 //! [`crate::infer::InferenceSession`].
 
 use crate::config::ModelConfig;
-use crate::exec::{split_rows, stack_rows, Exec};
+use crate::exec::Exec;
 use orbit2_autograd::ParamStore;
 use orbit2_tensor::fused::Activation;
 use orbit2_tensor::random::xavier;
@@ -35,7 +35,7 @@ pub fn init_block_params(store: &mut ParamStore, cfg: &ModelConfig, prefix: &str
 /// Multi-head self-attention over a row stack of token matrices
 /// (`rows[i]` tokens for sample `i`; a single sample is `&[N]`). The
 /// projections run once over the whole stack; the score/softmax/value core
-/// couples rows within a sample, so it runs per (head, sample).
+/// couples rows within a sample and is one [`Exec::attention`] op.
 pub fn self_attention<E: Exec>(
     ex: &E,
     cfg: &ModelConfig,
@@ -43,8 +43,6 @@ pub fn self_attention<E: Exec>(
     x: &E::Value,
     rows: &[usize],
 ) -> E::Value {
-    let d = cfg.embed_dim;
-    let dh = cfg.head_dim();
     // Q/K/V projections through the fused linear path (packed `x W^T`
     // kernel, no weight transpose materialized).
     let proj = |name: &str| {
@@ -52,29 +50,10 @@ pub fn self_attention<E: Exec>(
         ex.linear_act(x, &w, None, Activation::Identity)
     };
     let (q, k, v) = (proj("wq"), proj("wk"), proj("wv"));
-    let scale = 1.0 / (dh as f32).sqrt();
-    let mut heads = Vec::with_capacity(cfg.heads);
-    for h in 0..cfg.heads {
-        let qh = split_rows(ex, &ex.slice_axis(&q, 1, h * dh, dh), rows);
-        let kh = split_rows(ex, &ex.slice_axis(&k, 1, h * dh, dh), rows);
-        let vh = split_rows(ex, &ex.slice_axis(&v, 1, h * dh, dh), rows);
-        let per_sample = qh
-            .iter()
-            .zip(&kh)
-            .zip(&vh)
-            .map(|((qi, ki), vi)| {
-                // Q K^T straight from row-major storage via the nt kernel.
-                let scores = ex.scale(&ex.matmul_nt(qi, ki), scale);
-                let probs = ex.softmax_last(&scores);
-                ex.matmul(&probs, vi)
-            })
-            .collect();
-        heads.push(stack_rows(ex, per_sample));
-    }
-    let concat = ex.concat(&heads, 1);
-    debug_assert_eq!(ex.shape(&concat)[1], d);
+    let attended = ex.attention(&q, &k, &v, cfg.heads, rows);
+    debug_assert_eq!(ex.shape(&attended)[1], cfg.embed_dim);
     ex.linear_act(
-        &concat,
+        &attended,
         &ex.param(&format!("{prefix}.attn.wo")),
         Some(&ex.param(&format!("{prefix}.attn.bo"))),
         Activation::Identity,

@@ -9,10 +9,21 @@
 //! pooled tensors — no tape nodes, no pre-activation storage, and linear
 //! weights packed once per session instead of once per call.
 //!
-//! Both implementations route each op through the *same* underlying
-//! `orbit2-tensor` kernel (the `Var` forwards are thin wrappers over
-//! them), so for identical inputs the two contexts produce bit-identical
-//! outputs — the property `tests/tape_free.rs` locks in.
+//! Both implementations route each op but one through the *same*
+//! underlying `orbit2-tensor` kernel (the `Var` forwards are thin wrappers
+//! over them), so for identical inputs the two contexts produce
+//! bit-identical outputs — the property `tests/tape_free.rs` locks in.
+//!
+//! The one is [`Exec::attention`]. Its default body, which the tape runs
+//! and differentiates, is the per-head composition of the ops above it;
+//! the session overrides it with one blocked kernel
+//! (`orbit2_tensor::attention::multi_head_attention`) that never holds a
+//! whole score matrix. The contract the override keeps is the same one:
+//! every output bit equals the composition's, at any head count, token
+//! count (across the kernel's block boundaries) and row stack. The tensor
+//! crate checks the kernel against `naive_attention` per head;
+//! `tests/tape_free.rs` checks session against tape through whole models;
+//! `tests/split_invariance.rs` checks it under any split of its blocks.
 //!
 //! The row-stack helpers after the trait ([`split_rows`], [`stack_rows`])
 //! are how the forwards run a batch of samples folded into the row axis on
@@ -130,11 +141,51 @@ pub trait Exec {
 
     /// Broadcast grouped rows back to the full token set.
     fn unpool_rows(&self, x: &Self::Value, groups: &RowGroups, total_rows: usize) -> Self::Value;
+
+    /// Multi-head scaled-dot-product attention over a row stack: `q`, `k`
+    /// and `v` are `[sum(rows), D]`, `heads` divides `D`, and sample `i`'s
+    /// `rows[i]` tokens attend to each other only.
+    ///
+    /// The default body is the per-head composition: per head, `slice_axis`
+    /// of each operand, then per sample `matmul_nt → scale(1/√d_h) →
+    /// softmax_last → matmul`, the samples stacked back, then one `concat`
+    /// of the heads. An override must match it bit for bit.
+    fn attention(
+        &self,
+        q: &Self::Value,
+        k: &Self::Value,
+        v: &Self::Value,
+        heads: usize,
+        rows: &[usize],
+    ) -> Self::Value {
+        let d = self.shape(q)[1];
+        assert_eq!(d % heads, 0, "heads must divide embed_dim");
+        let dh = d / heads;
+        let scale = 1.0 / (dh as f32).sqrt();
+        let mut per_head = Vec::with_capacity(heads);
+        for h in 0..heads {
+            let qh = split_rows(self, &self.slice_axis(q, 1, h * dh, dh), rows);
+            let kh = split_rows(self, &self.slice_axis(k, 1, h * dh, dh), rows);
+            let vh = split_rows(self, &self.slice_axis(v, 1, h * dh, dh), rows);
+            let per_sample = qh
+                .iter()
+                .zip(&kh)
+                .zip(&vh)
+                .map(|((qi, ki), vi)| {
+                    // Q K^T straight from row-major storage via the nt kernel.
+                    let scores = self.scale(&self.matmul_nt(qi, ki), scale);
+                    self.matmul(&self.softmax_last(&scores), vi)
+                })
+                .collect();
+            per_head.push(stack_rows(self, per_sample));
+        }
+        self.concat(&per_head, 1)
+    }
 }
 
 /// Split a row stack `[sum(rows), D]` into its per-sample values. A
 /// one-sample stack is returned as is: no op is issued.
-pub fn split_rows<E: Exec>(ex: &E, x: &E::Value, rows: &[usize]) -> Vec<E::Value> {
+pub fn split_rows<E: Exec + ?Sized>(ex: &E, x: &E::Value, rows: &[usize]) -> Vec<E::Value> {
     if rows.len() == 1 {
         return vec![x.clone()];
     }
@@ -150,7 +201,7 @@ pub fn split_rows<E: Exec>(ex: &E, x: &E::Value, rows: &[usize]) -> Vec<E::Value
 
 /// Inverse of [`split_rows`]: stack per-sample values along the row axis.
 /// One sample is its own stack: no op is issued.
-pub fn stack_rows<E: Exec>(ex: &E, parts: Vec<E::Value>) -> E::Value {
+pub fn stack_rows<E: Exec + ?Sized>(ex: &E, parts: Vec<E::Value>) -> E::Value {
     match <[E::Value; 1]>::try_from(parts) {
         Ok([only]) => only,
         Err(parts) => ex.concat(&parts, 0),

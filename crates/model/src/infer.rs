@@ -18,6 +18,7 @@
 
 use crate::exec::{Exec, RowGroups};
 use orbit2_autograd::ParamStore;
+use orbit2_tensor::attention::multi_head_attention;
 use orbit2_tensor::conv::{conv2d, ConvGeom};
 use orbit2_tensor::fused::{layer_norm_rows, matmul_bias_act_cached, Activation};
 use orbit2_tensor::qgemm::PackedWeight;
@@ -247,6 +248,19 @@ impl Exec for InferenceSession {
 
     fn unpool_rows(&self, x: &SessionValue, groups: &RowGroups, total_rows: usize) -> SessionValue {
         SessionValue::plain(x.tensor.unpool_rows(groups, total_rows))
+    }
+
+    /// One blocked kernel in place of the per-head composition, bit for bit
+    /// (the contract in [`crate::exec`]'s header).
+    fn attention(
+        &self,
+        q: &SessionValue,
+        k: &SessionValue,
+        v: &SessionValue,
+        heads: usize,
+        rows: &[usize],
+    ) -> SessionValue {
+        SessionValue::plain(multi_head_attention(&q.tensor, &k.tensor, &v.tensor, heads, rows))
     }
 }
 

@@ -342,11 +342,16 @@ fn softmax(src: Option<&[f32]>, dst: &mut [f32], inner: usize) {
         return;
     }
     dst.par_chunks_mut(inner).enumerate().with_min_len(par::min_items(inner)).for_each(|(r, row)| {
-        let src = src.map(|s| &s[r * inner..(r + 1) * inner]);
-        let mx = simd::max_value(src.unwrap_or(row));
-        let sum = simd::exp_sub_sum(row, src, mx);
-        simd::scale(row, 1.0 / sum);
+        softmax_row(row, src.map(|s| &s[r * inner..(r + 1) * inner]));
     });
+}
+
+/// One row of [`softmax_rows`] (of [`softmax_rows_from`] when `src` is
+/// given): max, exponentiate and sum, scale by the inverse sum.
+pub(crate) fn softmax_row(row: &mut [f32], src: Option<&[f32]>) {
+    let mx = simd::max_value(src.unwrap_or(row));
+    let sum = simd::exp_sub_sum(row, src, mx);
+    simd::scale(row, 1.0 / sum);
 }
 
 #[cfg(test)]

@@ -12,7 +12,8 @@
 //!   column matrix (the residual path of Reslim is convolutional),
 //! * bilinear / nearest resize and area-average downsampling (the
 //!   upsample-first baseline ViT and the synthetic data pipeline),
-//! * the reference scaled-dot-product attention ([`attention`]),
+//! * multi-head attention in L2-sized blocks of query rows, and its
+//!   quadratic reference ([`attention`]),
 //! * BF16 emulation ([`bf16`]) used by the mixed-precision trainer.
 //!
 //! Design follows the HPC-parallel guides for this repo: flat, contiguous

@@ -14,7 +14,9 @@
 //! row-major `B` and a `B^T` all pack straight from their storage. A
 //! [`PackedWeight`] keeps strips resident across calls at one of three
 //! storage widths; [`gemm_per_call`] packs f32 strips into pooled scratch
-//! for one product (the tape's forward and backward, attention).
+//! for one product (the tape's forward and backward), and
+//! [`ScratchStrips`] keeps such a pack for several (the attention op's
+//! per-head `K_hᵀ` and `V_h`).
 //!
 //! ## Kernel
 //!
@@ -664,6 +666,40 @@ pub(crate) fn gemm_resident(
     pw.run(a, MatLayout::row_major(pw.k), m, bias, act, c, None, simd::enabled());
 }
 
+/// f32 strips of one `k × n` `op(B)` (`n > 0`) in pooled scratch: what
+/// [`gemm_per_call`] packs for one product, kept for a caller that runs
+/// several against it (attention packs a head's `K_hᵀ` and `V_h` once for
+/// all of its query blocks).
+pub(crate) struct ScratchStrips {
+    codes: Buffer,
+    n: usize,
+    k: usize,
+    nr: usize,
+}
+
+impl ScratchStrips {
+    /// Pack `op(B)` (element `(p, j)` at `b[p·rs + j·cs]`) straight from its
+    /// storage.
+    pub(crate) fn pack(b: &[f32], lb: MatLayout, k: usize, n: usize) -> Self {
+        let nr = choose_nr(n);
+        let mut codes = Buffer::uninit(n.div_ceil(nr) * k * nr);
+        pack_strips(b, lb, k, n, nr, &mut codes, |_, v| v);
+        ScratchStrips { codes, n, k, nr }
+    }
+
+    fn strips(&self) -> Strips<'_, f32> {
+        Strips { codes: &self.codes, n: self.n, k: self.k, nr: self.nr }
+    }
+
+    /// `c = scales ⊙ (op(A) · strips)` on the calling thread. `scales` is the
+    /// epilogue's per-column slot: one multiply at store time, rounded like
+    /// a separate `mul_scalar` pass over the product.
+    pub(crate) fn gemm_seq(&self, a: &[f32], la: MatLayout, m: usize, scales: Option<&[f32]>, c: &mut [f32]) {
+        let ep = Epilogue { scales, bias: None, act: Activation::Identity };
+        drive(a, la, m, self.strips(), ep, c, None, false, simd::enabled());
+    }
+}
+
 /// `op(A) · op(B)` with f32 strips of `op(B)` packed for this one call into
 /// pooled scratch. `parallel = false` keeps the whole product on the calling
 /// thread (for callers that already split the work above it).
@@ -685,11 +721,9 @@ pub(crate) fn gemm_per_call(
     if n == 0 {
         return;
     }
-    let nr = choose_nr(n);
-    let mut codes = Buffer::uninit(n.div_ceil(nr) * k * nr);
-    pack_strips(b, lb, k, n, nr, &mut codes, |_, v| v);
+    let strips = ScratchStrips::pack(b, lb, k, n);
     let ep = Epilogue { scales: None, bias, act };
-    drive(a, la, m, Strips { codes: &codes[..], n, k, nr }, ep, c, pre, parallel, simd::enabled());
+    drive(a, la, m, strips.strips(), ep, c, pre, parallel, simd::enabled());
 }
 
 #[cfg(test)]

@@ -123,6 +123,17 @@ jq -r '
       "fused_linear_gelu vs gemm_f32/512\tfused \($r["fused_linear_gelu/512"]) ns\tgemm \($r["gemm_f32/512"]) ns\tfused / gemm \(($r["fused_linear_gelu/512"] / $r["gemm_f32/512"] * 100 | round) / 100)x"
 ' "$OUT_JSON"
 
+# Attention, same snapshot: the session's blocked op against the per-head
+# composition the tape runs, on the same operands (two samples of N tokens,
+# D wide, h heads). Below 1x everywhere; at 64x1024h16 the blocks are too
+# small to fork, which the grain rule (`orbit2_tensor::par`) decides.
+jq -r '
+    .[-1].runs[0].results
+    | (map({(.bench): .median_ns}) | add) as $r
+    | $r | keys[] | select(startswith("attention/fused/")) | split("/")[2] as $n
+    | "attention/fused vs composed/\($n)\tfused \($r["attention/fused/" + $n]) ns\tcomposed \($r["attention/composed/" + $n]) ns\tfused / composed \(($r["attention/fused/" + $n] / $r["attention/composed/" + $n] * 100 | round) / 100)x"
+' "$OUT_JSON"
+
 # The training step's non-math, same snapshot: the trainer's two sweeps
 # (reduce into the accumulation arena + Adam over the moment arenas) against
 # the sequential composition they replaced, on the same gradients.

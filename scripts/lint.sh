@@ -30,6 +30,13 @@
 # module `crates/serve/src/tcp.rs` may parse a `::<Value>` only in
 # `handle_line`, after the line that submits an accepted request — a tree
 # is built for a line that was not one, never for one that was.
+#
+# Attention gate (crates/model/src/exec.rs header): the per-head attention
+# composition lives in one place, `Exec::attention`'s default body in
+# `exec.rs`, so outside test modules no other file under `crates/model/src`
+# mentions `matmul_nt` — except inside the session's own `fn matmul_nt`,
+# the trait method `infer.rs` must implement. This keeps the composition
+# from coming back beside the op.
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 float_sum="$(grep -rnE '(into_)?par_(iter|iter_mut|chunks|chunks_mut)\(.*sum::<f(32|64)>' crates/*/src || true)"
@@ -74,6 +81,18 @@ wire_tree="$(awk '/^mod tests \{/ { exit }
 if [[ -n "$wire_tree" ]]; then
     echo "lint: the wire front end builds a \`Value\` tree on an accepted line (read it straight into its type, DESIGN.md §10):" >&2
     echo "$wire_tree" >&2
+    exit 1
+fi
+composed_attn="$(for f in crates/model/src/*.rs; do
+    [[ "$f" == crates/model/src/exec.rs ]] && continue
+    awk -v f="$f" '/^mod tests \{/ { exit }
+        /^    fn matmul_nt\(/ { inside = 1 }
+        /matmul_nt/ && !inside { print f ":" FNR ": " $0 }
+        inside && /^    }/ { inside = 0 }' "$f"
+done)"
+if [[ -n "$composed_attn" ]]; then
+    echo "lint: matmul_nt outside exec.rs under crates/model/src (attention is one op: Exec::attention):" >&2
+    echo "$composed_attn" >&2
     exit 1
 fi
 exec cargo clippy --workspace --all-targets -- -D warnings -D unsafe_code -W clippy::redundant_clone "$@"

@@ -11,6 +11,7 @@
 
 use orbit2_autograd::params::GradMap;
 use orbit2_autograd::{Adam, GradAccumulator, ParamLayout, ParamStore};
+use orbit2_tensor::attention::multi_head_attention;
 use orbit2_tensor::conv::{conv2d, conv2d_grad_input, conv2d_grad_weight, ConvGeom};
 use orbit2_tensor::fused::{layer_norm_rows, matmul_bias_act, matmul_bias_act_cached, Activation, WeightPrecision};
 use orbit2_tensor::par::{GRAIN, MACS_PER_VISIT};
@@ -108,6 +109,19 @@ fn conv(visits: usize) -> Bits {
     bits([y.data(), gi.data(), gw.data()])
 }
 
+fn attention(visits: usize) -> Bits {
+    // One parallel call per (sample, head) over its blocks of query rows:
+    // the first sample's `n` tokens carry `visits`, `5·n²` in the kernel's
+    // grain (two 16-wide products and three softmax passes per score). Two
+    // heads, and a ragged stack behind it.
+    let (heads, dh) = (2, 16);
+    let n = ((visits / 5) as f64).sqrt() as usize + 1;
+    let rows = [n, 7, 49];
+    let t: usize = rows.iter().sum();
+    let (q, k, v) = (randn(&[t, heads * dh], 91), randn(&[t, heads * dh], 92), randn(&[t, heads * dh], 93));
+    bits([multi_head_attention(&q, &k, &v, heads, &rows).data()])
+}
+
 /// `sweep` twice: the gradient reduce over three jobs, then an Adam step.
 fn sweep(visits: usize) -> Bits {
     // Uneven tensors, so a share boundary falls inside one.
@@ -132,7 +146,7 @@ fn sweep(visits: usize) -> Bits {
 #[test]
 fn every_parallel_kernel_is_bit_identical_under_any_split() {
     // The GEMM has a floor of its own, sixteen grains, before it is cut.
-    let table: [Row; 9] = [
+    let table: [Row; 10] = [
         ("elementwise", elementwise, 3),
         ("sum", sum, 3),
         ("gemm", gemm, 17),
@@ -142,6 +156,8 @@ fn every_parallel_kernel_is_bit_identical_under_any_split() {
         ("resize", resizes, 3),
         ("conv", conv, 3),
         ("sweep", sweep, 3),
+        // Blocks are whole items: 4.5 grains is 6 blocks, 2 per piece.
+        ("attention", attention, 4),
     ];
     let on = |threads: usize, run: &(dyn Fn() -> Bits + Sync)| {
         rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap().install(run)

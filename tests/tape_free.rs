@@ -16,14 +16,18 @@ use proptest::prelude::*;
 use rayon::prelude::*;
 
 /// The configuration grid the property tests sample from: both CPU twins
-/// at a couple of channel layouts.
+/// at a couple of channel layouts, and the small twin cut into 8 heads of 8.
 fn config(idx: usize) -> ModelConfig {
     match idx {
         0 => ModelConfig::tiny().with_channels(3, 2),
         1 => ModelConfig::tiny().with_channels(7, 3),
-        _ => ModelConfig::small().with_channels(4, 3),
+        2 => ModelConfig::small().with_channels(4, 3),
+        _ => ModelConfig { heads: 8, ..ModelConfig::small() }.with_channels(3, 2),
     }
 }
+
+/// Configurations in [`config`].
+const CONFIGS: usize = 4;
 
 fn tile_spec(idx: usize) -> TileSpec {
     match idx {
@@ -45,7 +49,7 @@ proptest! {
 
     #[test]
     fn reslim_session_forward_bit_identical_to_tape(
-        cfg_idx in 0usize..3,
+        cfg_idx in 0usize..CONFIGS,
         comp_idx in 0usize..3,
         seed in 0u64..1000,
     ) {
@@ -61,7 +65,7 @@ proptest! {
 
     #[test]
     fn forward_batch_bit_identical_to_per_sample_forward(
-        cfg_idx in 0usize..3,
+        cfg_idx in 0usize..CONFIGS,
         comp_idx in 0usize..3,
         b in 1usize..=4,
         seed in 0u64..1000,
@@ -128,7 +132,7 @@ proptest! {
 
     #[test]
     fn baseline_session_forward_bit_identical_to_tape(
-        cfg_idx in 0usize..3,
+        cfg_idx in 0usize..CONFIGS,
         seed in 0u64..1000,
     ) {
         let cfg = config(cfg_idx);
@@ -146,7 +150,7 @@ proptest! {
 
     #[test]
     fn tiled_session_inference_bit_identical_to_tape(
-        cfg_idx in 0usize..3,
+        cfg_idx in 0usize..CONFIGS,
         spec_idx in 0usize..3,
         comp_idx in 0usize..2,
         seed in 0u64..1000,
@@ -177,5 +181,40 @@ proptest! {
         let taped = run(true);
         let free = run(false);
         prop_assert_eq!(taped.data(), free.data());
+    }
+}
+
+/// Every case above is an 8×16 input, 32 tokens: fewer than one block of
+/// the session's attention op (`orbit2_tensor::attention::BLOCK`, 48 query
+/// rows), so none of them reaches a second block. A 20×28 input is 140
+/// tokens: two whole blocks and a ragged 44-row third. Compressed, the
+/// noisy sample keeps more than a block and the flat one collapses to a
+/// single token, the one-key product.
+#[test]
+fn session_attention_crosses_block_boundaries_bit_identically() {
+    assert_eq!(orbit2_tensor::attention::BLOCK, 48, "the token counts below are chosen against it");
+    // The tiny twin (2 heads of 16) and the many-head one (8 heads of 8).
+    for cfg_idx in [0, CONFIGS - 1] {
+        let cfg = config(cfg_idx);
+        let model = ReslimModel::new(cfg, 40 + cfg_idx as u64);
+        let session = model.session();
+        let inputs = [
+            randn(&[cfg.in_channels, 20, 28], 50 + cfg_idx as u64),
+            Tensor::full(vec![cfg.in_channels, 20, 28], 0.25),
+        ];
+        let refs: Vec<&Tensor> = inputs.iter().collect();
+        for compression in [1.0f32, 2.0] {
+            let batch = model.forward_batch(&session, &refs, compression);
+            let lens: Vec<usize> = batch.iter().map(|(_, plan)| plan.compressed_len()).collect();
+            let crossing = if compression == 1.0 { lens == [140, 140] } else { lens[0] > 48 && lens[1] == 1 };
+            assert!(crossing, "config {cfg_idx}, compression {compression}: {lens:?} tokens per sample");
+            for (input, (pred, _)) in inputs.iter().zip(&batch) {
+                let taped = taped_forward(&model, input, compression);
+                let (solo, _) = model.forward(&session, input, compression);
+                let solo = solo.into_tensor();
+                assert_eq!(taped.data(), solo.data(), "config {cfg_idx}, compression {compression}: tape vs session");
+                assert_eq!(pred.tensor().data(), solo.data(), "config {cfg_idx}, compression {compression}: batched");
+            }
+        }
     }
 }
