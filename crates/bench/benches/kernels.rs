@@ -142,18 +142,15 @@ fn bench_fused_linear(c: &mut Criterion) {
 }
 
 /// `Exec::attention`'s default body, the composition the tape runs, in
-/// tensor ops: per head a slice of each operand, then per sample
-/// `matmul_nt → mul_scalar → softmax_last → matmul`, then a concat.
-fn composed_attention(q: &Tensor, k: &Tensor, v: &Tensor, heads: usize, rows: &[usize]) -> Tensor {
+/// tensor ops: per head a slice of each operand, then `matmul_nt →
+/// mul_scalar → softmax_last → matmul`, then a concat.
+fn composed_attention(q: &Tensor, k: &Tensor, v: &Tensor, heads: usize) -> Tensor {
     let dh = q.shape()[1] / heads;
     let scale = 1.0 / (dh as f32).sqrt();
     let per_head: Vec<Tensor> = (0..heads)
         .map(|h| {
-            let [qh, kh, vh] = [q, k, v].map(|x| Tensor::split_rows(&x.slice_axis(1, h * dh, dh), rows));
-            let samples: Vec<Tensor> = (0..rows.len())
-                .map(|i| qh[i].matmul_nt(&kh[i]).mul_scalar(scale).softmax_last().matmul(&vh[i]))
-                .collect();
-            Tensor::stack_rows(&samples.iter().collect::<Vec<_>>())
+            let [qh, kh, vh] = [q, k, v].map(|x| x.slice_axis(1, h * dh, dh));
+            qh.matmul_nt(&kh).mul_scalar(scale).softmax_last().matmul(&vh)
         })
         .collect();
     Tensor::concat(&per_head.iter().collect::<Vec<_>>(), 1)
@@ -161,11 +158,12 @@ fn composed_attention(q: &Tensor, k: &Tensor, v: &Tensor, heads: usize, rows: &[
 
 /// The reference attention (`[S, 64]` single head), then the session's
 /// multi-head op against the composition it replaced, on the same operands:
-/// two samples of `N` tokens, `D` wide, `h` heads (`attention/fused/NxDhh`
-/// beside `attention/composed/NxDhh`). `1156x256h4` is a `tiles-field`
-/// tile, `512x32h2` the tiny model on a large tile, and `64x1024h16` the
-/// 126M model's short sequences, where the blocks are too small to fork
-/// (`orbit2_tensor::par::min_items`).
+/// one sample of `N` tokens, `D` wide, `h` heads (`attention/fused/NxDhh`
+/// beside `attention/composed/NxDhh`; the earliest `BENCH_kernels.json`
+/// snapshots of these cells ran two samples per call). `1156x256h4` is a
+/// `tiles-field` tile, `512x32h2` the tiny model on a large tile, and
+/// `64x1024h16` the 126M model's short sequences, where the blocks are too
+/// small to fork (`orbit2_tensor::par::min_items`).
 fn bench_attention(c: &mut Criterion) {
     let mut group = c.benchmark_group("attention");
     group.sample_size(10);
@@ -179,14 +177,13 @@ fn bench_attention(c: &mut Criterion) {
         });
     }
     for &(n, d, heads) in &[(1156usize, 256usize, 4usize), (512, 32, 2), (64, 1024, 16)] {
-        let rows = [n, n];
-        let [q, k, v] = [4, 5, 6].map(|seed| randn(&[2 * n, d], seed));
+        let [q, k, v] = [4, 5, 6].map(|seed| randn(&[n, d], seed));
         let name = format!("{n}x{d}h{heads}");
         group.bench_function(BenchmarkId::new("fused", &name), |b| {
-            b.iter(|| multi_head_attention(&q, &k, &v, heads, &rows))
+            b.iter(|| multi_head_attention(&q, &k, &v, heads))
         });
         group.bench_function(BenchmarkId::new("composed", &name), |b| {
-            b.iter(|| composed_attention(&q, &k, &v, heads, &rows))
+            b.iter(|| composed_attention(&q, &k, &v, heads))
         });
     }
     group.finish();

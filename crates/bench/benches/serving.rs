@@ -1,12 +1,11 @@
 //! Open-loop serving load: offered bursts at several concurrency levels,
-//! microbatched vs unbatched, measuring end-to-end request latency
-//! (p50/p99) and sustained throughput.
+//! measuring end-to-end request latency (p50/p99) and sustained throughput.
 //!
 //! Custom harness (not criterion): serving throughput is a property of the
-//! whole server — queue, batcher, worker registry — not of one closure, so
-//! the driver spawns client threads that submit raw-source requests
-//! without waiting (open loop within the burst) and then drains all
-//! handles. One `BENCH_JSON` line per (mode, concurrency) cell keeps the
+//! whole server — admission, worker registry — not of one closure, so the
+//! driver spawns client threads that submit raw-source requests without
+//! waiting (open loop within the burst) and then drains all handles. One
+//! `BENCH_JSON` line per cell keeps the
 //! output compatible with `scripts/bench_smoke.sh`, which appends it to
 //! `BENCH_serving.json`; `median_ns` carries the p50 latency, like any
 //! other bench row. The f32/bf16/int8 c16 cells (one server per precision)
@@ -23,11 +22,10 @@ use orbit2_serve::{tcp, Handle, Region, Server, ServerConfig, ServerReply};
 use orbit2_tensor::Tensor;
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Barrier;
 use std::time::Instant;
 
 const REQUESTS_PER_CLIENT: usize = 6;
-/// Trials per (mode, concurrency) cell; the best-throughput trial is
+/// Trials per concurrency cell; the best-throughput trial is
 /// reported. Open-loop runs on a shared box are noisy — the best trial is
 /// the least-perturbed view of what the server can sustain.
 const TRIALS: usize = 3;
@@ -84,25 +82,6 @@ fn run_load(server: &Server, inputs: &[Tensor], clients: usize, requests_per_cli
     })
 }
 
-/// Closed loop, in lockstep: every client sends one request per round, all
-/// rounds starting on a barrier, and waits for its reply — the load shape of
-/// the `serve-weights` benchmark workload, where the requests of a round
-/// arrive within the batch window of each other.
-fn run_lockstep(server: &Server, inputs: &[Tensor], clients: usize, rounds: usize) -> (Vec<u64>, f64) {
-    let start = Barrier::new(clients);
-    run_clients(clients, |c| {
-        (0..rounds)
-            .map(|r| {
-                let request = raw_request((r * clients + c + 1) as u64, &inputs[(c + r) % inputs.len()]);
-                start.wait();
-                let sent = Instant::now();
-                server.submit(request).wait().expect("bench request succeeds");
-                sent.elapsed().as_micros() as u64
-            })
-            .collect()
-    })
-}
-
 /// Median wall time of `run`, printed as one `BENCH_JSON` row.
 fn time_cell(name: &str, mut run: impl FnMut()) {
     let mut nanos: Vec<u64> = (0..WIRE_ITERS + 3)
@@ -136,8 +115,6 @@ fn wire_cells() {
         id: 7,
         shape: sample.target.shape().to_vec(),
         data: field,
-        cached: false,
-        batch: 1,
         micros: 9_000,
     };
     let result = Ok(resp);
@@ -163,24 +140,13 @@ fn main() {
     let norm = Normalizer::fit(&ds, 4);
     let inputs: Vec<Tensor> = (0..4).map(|i| ds.sample(i).input).collect();
 
-    for (mode, max_batch) in [("batched", 8), ("unbatched", 1)] {
-        // A fresh server (and model twin) per mode so queues and counters
-        // start cold; the seeded model is identical across modes.
-        let model = ReslimModel::new(ModelConfig::tiny().with_channels(7, 3), 2);
-        let cfg = ServerConfig {
-            max_batch,
-            window_micros: 1_000,
-            cache_capacity: 0,
-            queue_capacity: 4096,
-            ..ServerConfig::default()
-        };
-        let server = Server::start(model, norm.clone(), Vec::<Region>::new(), cfg);
-        // Warm up allocator pools and code paths outside the timed region.
-        let _ = run_level(&server, &inputs, 2);
-
-        for &clients in &[1usize, 4, 16] {
-            measure_cell(&server, &format!("serving/{mode}/c{clients}"), TRIALS, || run_level(&server, &inputs, clients));
-        }
+    let model = ReslimModel::new(ModelConfig::tiny().with_channels(7, 3), 2);
+    let cfg = ServerConfig { queue_capacity: 4096, ..ServerConfig::default() };
+    let server = Server::start(model, norm.clone(), Vec::<Region>::new(), cfg);
+    // Warm up allocator pools and code paths outside the timed region.
+    let _ = run_level(&server, &inputs, 2);
+    for &clients in &[1usize, 4, 16] {
+        measure_cell(&format!("serving/c{clients}"), TRIALS, || run_level(&server, &inputs, clients));
     }
 
     // Per-precision serving: the same c=16 burst against servers deployed
@@ -191,49 +157,23 @@ fn main() {
     // models' weights are cache-resident and show no delta (see
     // BENCH_inference.json `session_*` rows for the same split), which is
     // itself the honest result: `--precision` buys throughput in
-    // proportion to how weight-stream-bound the deployment is. Batching
-    // is off for these cells (`max_batch: 1`; stacking tiles into one forward amortizes
-    // the weight stream across rows — the same cost reduced precision
-    // attacks — so the batched path hides the delta) and the burst is one
-    // request per client to keep the 126M cells affordable. The
+    // proportion to how weight-stream-bound the deployment is. The burst
+    // is one request per client to keep the 126M cells affordable. The
     // `serving/f32|bf16|int8/c16` row triple records what the flag buys a
     // latency-sensitive deployment.
     for precision in SessionPrecision::ALL {
         let model = ReslimModel::new(ModelConfig::paper_126m().with_channels(7, 3), 2);
-        let cfg = ServerConfig {
-            max_batch: 1,
-            window_micros: 1_000,
-            cache_capacity: 0,
-            queue_capacity: 4096,
-            precision,
-            ..ServerConfig::default()
-        };
+        let cfg = ServerConfig { queue_capacity: 4096, precision, ..ServerConfig::default() };
         let server = Server::start(model, norm.clone(), Vec::<Region>::new(), cfg);
         let _ = run_load(&server, &inputs, 2, 1);
         let label = precision.label();
-        measure_cell(&server, &format!("serving/{label}/c16"), TRIALS_126M, || run_load(&server, &inputs, 16, 1));
-    }
-
-    // Microbatching's verdict (ROADMAP item 2), pinned to the regime it is
-    // for: the weight-bound 126M model, two clients in lockstep, the
-    // default 2 ms window against none. With the window the two requests
-    // of a round ride one M = 64 forward, which streams the weights once
-    // and which an idle worker now helps with; without it the first is
-    // dispatched alone and each runs its own M = 32 forward, one per core,
-    // each streaming all of them. `scripts/bench_smoke.sh` prints on / off.
-    for (label, window_micros) in [("window_on", ServerConfig::default().window_micros), ("window_off", 0)] {
-        let model = ReslimModel::new(ModelConfig::paper_126m().with_channels(7, 3), 2);
-        let cfg = ServerConfig { window_micros, cache_capacity: 0, ..ServerConfig::default() };
-        let server = Server::start(model, norm.clone(), Vec::<Region>::new(), cfg);
-        let _ = run_lockstep(&server, &inputs, 2, 1);
-        measure_cell(&server, &format!("serving/126m_{label}/c2"), TRIALS_126M, || run_lockstep(&server, &inputs, 2, 6));
+        measure_cell(&format!("serving/{label}/c16"), TRIALS_126M, || run_load(&server, &inputs, 16, 1));
     }
 }
 
 /// Run `load` `trials` times and print the best trial as one `BENCH_JSON`
 /// row plus a human-readable summary line.
-fn measure_cell(server: &Server, name: &str, trials: usize, load: impl Fn() -> (Vec<u64>, f64)) {
-    let before = server.stats();
+fn measure_cell(name: &str, trials: usize, load: impl Fn() -> (Vec<u64>, f64)) {
     let mut best: Option<(Vec<u64>, f64)> = None;
     for _ in 0..trials {
         let trial = load();
@@ -242,26 +182,12 @@ fn measure_cell(server: &Server, name: &str, trials: usize, load: impl Fn() -> (
         }
     }
     let (latencies, rps) = best.expect("at least one trial");
-    let after = server.stats();
     let p50 = percentile(&latencies, 0.50);
     let p99 = percentile(&latencies, 0.99);
-    let jobs = after.completed - before.completed;
-    let forwards = after.batches - before.batches;
-    let batched_share = if jobs == 0 {
-        0.0
-    } else {
-        (after.batched_jobs - before.batched_jobs) as f64 / jobs as f64
-    };
-    let avg_batch = if forwards == 0 { 0.0 } else { jobs as f64 / forwards as f64 };
     println!(
         "BENCH_JSON {{\"bench\":\"{name}\",\"median_ns\":{},\
-         \"p50_us\":{p50},\"p99_us\":{p99},\"rps\":{rps:.2},\
-         \"batched_share\":{batched_share:.3},\"avg_batch\":{avg_batch:.2}}}",
+         \"p50_us\":{p50},\"p99_us\":{p99},\"rps\":{rps:.2}}}",
         p50 * 1_000,
     );
-    println!(
-        "{name}: p50 {p50} us, p99 {p99} us, {rps:.1} req/s, \
-         batched share {batched_share:.0}%, avg batch {avg_batch:.1}",
-        batched_share = batched_share * 100.0,
-    );
+    println!("{name}: p50 {p50} us, p99 {p99} us, {rps:.1} req/s");
 }

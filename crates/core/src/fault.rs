@@ -38,16 +38,16 @@
 //! ## Serving (`ORBIT2_SERVE_FAULT_PLAN`)
 //!
 //! The same plan chaos-tests `orbit2-serve`: the coordinates become
-//! `(batch, job)` — the dispatch ordinal of an executed microbatch and a
-//! tile job's position within it — and the schedule is armed through the
+//! `(dispatch ordinal, 0)` — the ordinal counts requests as workers
+//! dispatch them, one forward each — and the schedule is armed through the
 //! separate `ORBIT2_SERVE_FAULT_PLAN` variable (same value format) so a
 //! process can chaos the trainer and the server independently.
 //! `FaultKind::NaNGradient` has no serving meaning (no gradients flow)
-//! and is ignored there; `panic` exercises the panic-quarantine path and
-//! `straggle` the deadline checkpoints. As in training, `persistent=1`
-//! means a faulty job fails its isolated retry too (the request gets a
-//! typed `internal` error) while the transient default lets the
-//! quarantine retry recover every injected panic.
+//! and is ignored there; `panic` exercises the retry of a panicking
+//! forward and `straggle` the deadline checkpoints. As in training,
+//! `persistent=1` means a faulty request fails its retry too (it gets a
+//! typed `internal` error) while the transient default lets the retry
+//! recover every injected panic.
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;

@@ -17,15 +17,15 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq)]
 pub enum RequestSource {
     /// A named region of the server's world at a time index; the server
-    /// resolves it to a coarse input window. This is the cacheable form.
+    /// resolves it to a coarse input window.
     Region {
         /// Region name, as configured on the server.
         name: String,
         /// Time (sample) index within the region's series.
         time: usize,
     },
-    /// An explicit inline input tensor (escape hatch for ad-hoc fields;
-    /// never cached, validated like any other model input).
+    /// An explicit inline input tensor (escape hatch for ad-hoc fields,
+    /// validated like any other model input).
     Raw {
         /// Tensor shape, expected `[C, h, w]`.
         shape: Vec<usize>,
@@ -53,9 +53,9 @@ pub struct ServeRequest {
     /// Server-side deadline in milliseconds, measured from admission.
     /// `None` defers to the server's `--default-deadline-ms` (which may
     /// itself be unset, meaning no deadline). Expired work is shed at
-    /// three checkpoints — admission, dispatch, and stitch — and the
-    /// request completes with [`ServeError::DeadlineExceeded`]; the
-    /// server never returns a result the client has stopped waiting for.
+    /// three checkpoints — admission, dispatch, and after the forward —
+    /// and the request completes with [`ServeError::DeadlineExceeded`];
+    /// the server never returns a result the client has stopped waiting for.
     pub deadline_ms: Option<u64>,
 }
 
@@ -214,11 +214,6 @@ pub struct ServeResponse {
     pub shape: Vec<usize>,
     /// Row-major prediction data in physical units.
     pub data: Vec<f32>,
-    /// Whether the response came from the LRU cache.
-    pub cached: bool,
-    /// Largest cross-request batch any of this request's tile jobs ran in
-    /// (1 = never batched with another request).
-    pub batch: usize,
     /// Server-side latency in microseconds (admission to completion).
     pub micros: u64,
 }
@@ -228,39 +223,33 @@ pub struct ServeResponse {
 ///
 /// Flat named fields rather than a map keep the derive-shim serialization
 /// stable and the reply greppable. Everything is cumulative since server
-/// start except `cache_entries`, a gauge that shrinks on eviction. The
-/// `pool_*` counters are process globals (they also tick during model
-/// warmup and for any other tensor work in the process), so consumers
+/// start. The `pool_*` counters are process globals (they also tick during
+/// model warmup and for any other tensor work in the process), so consumers
 /// should diff snapshots rather than read absolutes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct ServeStats {
-    /// Requests admitted past validation and the cache, i.e. enqueued.
+    /// Requests admitted past validation, i.e. handed to a worker job.
     pub admitted: u64,
-    /// Requests completed successfully by a forward (cache hits excluded).
+    /// Requests completed successfully by a forward.
     pub completed: u64,
-    /// Forward passes executed (batched or not).
+    /// Forwards run (one per dispatched request). A request's dispatch
+    /// ordinal is this counter's value when it is dispatched.
     pub batches: u64,
-    /// Tile jobs that ran in a batch of size >= 2.
+    /// Always 0: requests are never batched together. Kept only because the
+    /// benchmark harness (`benchmark/src/serve.rs`) names the field.
     pub batched_jobs: u64,
-    /// Tile jobs re-executed in isolation after a batched forward panicked,
-    /// and which then completed cleanly (quarantine saved them).
+    /// Requests whose forward panicked and whose retry, run alone, then
+    /// completed cleanly.
     pub retried_jobs: u64,
-    /// Tile jobs that panicked again in isolation — the actual culprits;
-    /// each one fails exactly its own request with an `internal` error.
+    /// Requests whose retry panicked too; each fails with an `internal`
+    /// error, and no other request with it.
     pub quarantined_jobs: u64,
-    /// Queued tile jobs shed at dispatch because their request's deadline
-    /// had already expired (wasted-work the deadline checkpoints avoided).
+    /// Requests shed at dispatch, before any forward, because their
+    /// deadline had already expired while they waited for a worker.
     pub shed_jobs: u64,
     /// Requests that terminated with `deadline_exceeded` (at admission,
-    /// dispatch, or stitch time).
+    /// at dispatch, or after the forward).
     pub deadline_expired: u64,
-    /// Responses answered from the LRU cache.
-    pub cache_hits: u64,
-    /// Cacheable requests that had to be computed (every region request
-    /// when the cache is disabled).
-    pub cache_misses: u64,
-    /// Entries currently resident in the cache.
-    pub cache_entries: u64,
     /// Buffer-pool fresh heap allocations (pool miss or oversized request).
     pub pool_fresh_allocs: u64,
     /// Buffer-pool buffers recycled from the free list.
@@ -272,7 +261,7 @@ pub struct ServeStats {
 /// Reply to a `{"cmd": "health"}` control line: the coarse liveness
 /// signal a load balancer polls to decide whether to route new traffic
 /// here. `status` is `"ok"` while admitting and `"draining"` once
-/// [`drain`/`shutdown`] has stopped admission; `inflight` and
+/// `drain`/`shutdown` has stopped admission; `inflight` and
 /// `queue_depth` give the balancer a load signal without a full stats
 /// round-trip. FIFO-ordered with pipelined requests, like `stats`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -281,7 +270,7 @@ pub struct ServeHealth {
     pub status: String,
     /// Requests admitted and not yet terminal.
     pub inflight: u64,
-    /// Tile jobs queued and not yet dispatched.
+    /// Requests admitted and not yet started on a worker.
     pub queue_depth: u64,
 }
 
@@ -335,14 +324,14 @@ pub enum ServeError {
     ShuttingDown,
     /// The request's deadline expired before a result could be returned.
     /// The server sheds expired work at admission, at dispatch (before
-    /// any forward runs), and at stitch time.
+    /// any forward runs), and once the forward is done.
     DeadlineExceeded {
         /// The effective deadline that expired, in milliseconds.
         deadline_ms: u64,
     },
-    /// Execution failed server-side (a panicked forward that also failed
-    /// its isolated quarantine retry). Unlike `bad_request`, the client
-    /// did nothing wrong; retrying against a healthy replica is sound.
+    /// Execution failed server-side (a forward that panicked, and panicked
+    /// again on its retry). Unlike `bad_request`, the client did nothing
+    /// wrong; retrying against a healthy replica is sound.
     Internal {
         /// What went wrong, from the panic payload.
         reason: String,
@@ -371,7 +360,7 @@ impl ServeError {
     /// Whether a client should retry this error against the same (or
     /// another) server: load shedding and drains are transient by nature,
     /// and internal failures are server-side, so a retry may land on a
-    /// healthy replica or a clean batch. Client-caused errors
+    /// healthy replica. Client-caused errors
     /// (`bad_request`, validation failures, expired deadlines) are not
     /// retryable — the same request will fail the same way.
     pub fn is_retryable(&self) -> bool {
@@ -492,8 +481,7 @@ mod tests {
         let stats = ServeStats {
             admitted: 9,
             completed: 8,
-            cache_hits: 5,
-            cache_entries: 2,
+            batches: 5,
             pool_reuses: 7,
             retried_jobs: 3,
             quarantined_jobs: 1,
@@ -568,8 +556,6 @@ mod tests {
             id: 9,
             shape: vec![1, 2, 2],
             data: vec![1.0, 2.0, 3.0, 4.0],
-            cached: true,
-            batch: 4,
             micros: 1234,
         };
         let line = serde_json::to_string(&resp).unwrap();

@@ -54,13 +54,11 @@ fn request() -> impl Strategy<Value = ServeRequest> {
 }
 
 fn response() -> impl Strategy<Value = ServeResponse> {
-    (uint(), collection::vec(uint(), 0..4), collection::vec(float(), 0..60), 0u32..2, uint(), uint()).prop_map(
-        |(id, shape, data, cached, batch, micros)| ServeResponse {
+    (uint(), collection::vec(uint(), 0..4), collection::vec(float(), 0..60), uint()).prop_map(
+        |(id, shape, data, micros)| ServeResponse {
             id,
             shape: shape.into_iter().map(|d| d as usize).collect(),
             data,
-            cached: cached == 1,
-            batch: batch as usize,
             micros,
         },
     )
@@ -98,7 +96,7 @@ proptest! {
 
     #[test]
     fn control_replies_and_errors_read_back(
-        counters in collection::vec(uint(), 14),
+        counters in collection::vec(uint(), 11),
         status in string(),
         kind in string(),
         message in string(),
@@ -106,9 +104,8 @@ proptest! {
         let c = &counters;
         reads_back(&ServeStats {
             admitted: c[0], completed: c[1], batches: c[2], batched_jobs: c[3], retried_jobs: c[4],
-            quarantined_jobs: c[5], shed_jobs: c[6], deadline_expired: c[7], cache_hits: c[8],
-            cache_misses: c[9], cache_entries: c[10], pool_fresh_allocs: c[11], pool_reuses: c[12],
-            pool_copies: c[13],
+            quarantined_jobs: c[5], shed_jobs: c[6], deadline_expired: c[7], pool_fresh_allocs: c[8],
+            pool_reuses: c[9], pool_copies: c[10],
         })?;
         reads_back(&ServeHealth { status, inflight: c[0], queue_depth: c[1] })?;
         reads_back(&WireError { kind, message })?;

@@ -116,7 +116,7 @@ impl BaselineVit {
         z = ex.add(&z, &pos);
 
         for l in 0..cfg.layers {
-            z = transformer_block(ex, cfg, &format!("blk{l}"), &z, &[hp * wp]);
+            z = transformer_block(ex, cfg, &format!("blk{l}"), &z);
         }
 
         // Project back to image space per output variable.

@@ -32,17 +32,9 @@ pub fn init_block_params(store: &mut ParamStore, cfg: &ModelConfig, prefix: &str
     store.insert(format!("{prefix}.mlp.b2"), Tensor::zeros(vec![d]));
 }
 
-/// Multi-head self-attention over a row stack of token matrices
-/// (`rows[i]` tokens for sample `i`; a single sample is `&[N]`). The
-/// projections run once over the whole stack; the score/softmax/value core
-/// couples rows within a sample and is one [`Exec::attention`] op.
-pub fn self_attention<E: Exec>(
-    ex: &E,
-    cfg: &ModelConfig,
-    prefix: &str,
-    x: &E::Value,
-    rows: &[usize],
-) -> E::Value {
+/// Multi-head self-attention over one sample's `[N, D]` tokens: the Q/K/V
+/// projections, one [`Exec::attention`] op, the output projection.
+pub fn self_attention<E: Exec>(ex: &E, cfg: &ModelConfig, prefix: &str, x: &E::Value) -> E::Value {
     // Q/K/V projections through the fused linear path (packed `x W^T`
     // kernel, no weight transpose materialized).
     let proj = |name: &str| {
@@ -50,7 +42,7 @@ pub fn self_attention<E: Exec>(
         ex.linear_act(x, &w, None, Activation::Identity)
     };
     let (q, k, v) = (proj("wq"), proj("wk"), proj("wv"));
-    let attended = ex.attention(&q, &k, &v, cfg.heads, rows);
+    let attended = ex.attention(&q, &k, &v, cfg.heads);
     debug_assert_eq!(ex.shape(&attended)[1], cfg.embed_dim);
     ex.linear_act(
         &attended,
@@ -60,9 +52,9 @@ pub fn self_attention<E: Exec>(
     )
 }
 
-/// Two-layer GELU MLP over a row stack. The first layer runs GEMM + bias +
-/// GELU as one fused kernel (the tape context additionally stores the
-/// pre-activation for backward; the inference context skips that).
+/// Two-layer GELU MLP over a token matrix. The first layer runs GEMM +
+/// bias + GELU as one fused kernel (the tape context additionally stores
+/// the pre-activation for backward; the inference context skips that).
 pub fn mlp<E: Exec>(ex: &E, prefix: &str, x: &E::Value) -> E::Value {
     let h = ex.linear_act(
         x,
@@ -78,22 +70,16 @@ pub fn mlp<E: Exec>(ex: &E, prefix: &str, x: &E::Value) -> E::Value {
     )
 }
 
-/// Pre-norm transformer block over a row stack: `x + Attn(LN(x))`, then
-/// `x + MLP(LN(x))`.
-pub fn transformer_block<E: Exec>(
-    ex: &E,
-    cfg: &ModelConfig,
-    prefix: &str,
-    x: &E::Value,
-    rows: &[usize],
-) -> E::Value {
+/// Pre-norm transformer block over one sample's tokens: `x + Attn(LN(x))`,
+/// then `x + MLP(LN(x))`.
+pub fn transformer_block<E: Exec>(ex: &E, cfg: &ModelConfig, prefix: &str, x: &E::Value) -> E::Value {
     let n1 = ex.layer_norm(
         x,
         &ex.param(&format!("{prefix}.ln1.g")),
         &ex.param(&format!("{prefix}.ln1.b")),
         1e-5,
     );
-    let x = ex.add(x, &self_attention(ex, cfg, prefix, &n1, rows));
+    let x = ex.add(x, &self_attention(ex, cfg, prefix, &n1));
     let n2 = ex.layer_norm(
         &x,
         &ex.param(&format!("{prefix}.ln2.g")),
@@ -118,7 +104,7 @@ pub fn init_xattn_params(store: &mut ParamStore, cfg: &ModelConfig, seed: u64) {
 /// representation, effectively collapsing the variable dimension").
 ///
 /// The "attention" is a per-token softmax over the `C` variables, so every
-/// op is row-wise and a row stack of samples runs through unchanged.
+/// op is row-wise.
 pub fn cross_attention_aggregate<E: Exec>(
     ex: &E,
     cfg: &ModelConfig,
@@ -187,7 +173,7 @@ mod tests {
         let tape = Tape::new();
         let binder = Binder::new(&tape, &store);
         let x = tape.constant(randn(&[10, cfg.embed_dim], 1));
-        let y = transformer_block(&binder, &cfg, "blk0", &x, &[10]);
+        let y = transformer_block(&binder, &cfg, "blk0", &x);
         assert_eq!(y.shape(), vec![10, cfg.embed_dim]);
         assert!(y.value().all_finite());
     }
@@ -203,11 +189,11 @@ mod tests {
         let tape = Tape::new();
         let binder = Binder::new(&tape, &store);
         let x = tape.constant(input.clone());
-        let taped = transformer_block(&binder, &cfg, "blk0", &x, &[10]).value();
+        let taped = transformer_block(&binder, &cfg, "blk0", &x).value();
 
         let session = InferenceSession::prepare(&store);
         let xs = Exec::constant(&session, input);
-        let free = transformer_block(&session, &cfg, "blk0", &xs, &[10]).into_tensor();
+        let free = transformer_block(&session, &cfg, "blk0", &xs).into_tensor();
 
         assert_eq!(taped.data(), free.data());
     }
@@ -219,7 +205,7 @@ mod tests {
         let tape = Tape::new();
         let binder = Binder::new(&tape, &store);
         let x = tape.constant(randn(&[6, cfg.embed_dim], 2));
-        let y = transformer_block(&binder, &cfg, "blk0", &x, &[6]);
+        let y = transformer_block(&binder, &cfg, "blk0", &x);
         let loss = y.square().sum();
         let grads = tape.backward(loss);
         let gm = binder.grad_map(&grads);
@@ -247,7 +233,7 @@ mod tests {
         let tape = Tape::new();
         let binder = Binder::new(&tape, &store);
         let x = tape.constant(randn(&[5, 32], 3));
-        let y = self_attention(&binder, &cfg, "blk0", &x, &[5]);
+        let y = self_attention(&binder, &cfg, "blk0", &x);
         assert_eq!(y.shape(), vec![5, 32]);
     }
 

@@ -84,27 +84,6 @@ impl CompressionPlan {
         Self { groups: groups.into(), hp, wp }
     }
 
-    /// One plan over a batch of same-grid samples stacked along the row
-    /// axis: `B` grids of `hp x wp` tokens stacked vertically are one
-    /// `(B·hp) x wp` grid, and sample `i`'s token `t` is token
-    /// `i·hp·wp + t` of it, so the merged plan is every sample's group list
-    /// with its indices offset. One sample's plan is its own stack.
-    pub fn stack(plans: &[CompressionPlan]) -> Self {
-        if let [only] = plans {
-            return only.clone();
-        }
-        let (hp, wp) = (plans[0].hp, plans[0].wp);
-        let groups: Vec<Vec<usize>> = plans
-            .iter()
-            .enumerate()
-            .flat_map(|(i, plan)| {
-                assert_eq!((plan.hp, plan.wp), (hp, wp), "stacked plans must share a grid");
-                plan.groups.iter().map(move |g| g.iter().map(|&t| t + i * hp * wp).collect())
-            })
-            .collect();
-        Self { groups: groups.into(), hp: plans.len() * hp, wp }
-    }
-
     /// Number of tokens after compression.
     pub fn compressed_len(&self) -> usize {
         self.groups.len()

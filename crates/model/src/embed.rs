@@ -117,12 +117,10 @@ pub fn sincos_positions(hp: usize, wp: usize, d: usize) -> Tensor {
     Tensor::from_vec(vec![hp * wp, d], out)
 }
 
-/// Tokenize every variable of a batch of same-shaped `[C, h, w]` inputs:
-/// returns the per-variable token matrices `[B·N, D]` (samples stacked
-/// along the row axis, one patch-embedding GEMM per variable for the whole
-/// batch) with variable embeddings added.
-pub fn tokenize<E: Exec>(ex: &E, cfg: &ModelConfig, inputs: &[&Tensor]) -> Vec<E::Value> {
-    let shape = inputs[0].shape();
+/// Tokenize every variable of a `[C, h, w]` input: returns the
+/// per-variable token matrices `[N, D]` with variable embeddings added.
+pub fn tokenize<E: Exec>(ex: &E, cfg: &ModelConfig, input: &Tensor) -> Vec<E::Value> {
+    let shape = input.shape();
     assert_eq!(shape.len(), 3, "input must be [C, h, w]");
     let (c, h, w) = (shape[0], shape[1], shape[2]);
     assert_eq!(c, cfg.in_channels, "input channels {c} != config {}", cfg.in_channels);
@@ -131,14 +129,8 @@ pub fn tokenize<E: Exec>(ex: &E, cfg: &ModelConfig, inputs: &[&Tensor]) -> Vec<E
     let var_embed = ex.param("embed.var");
     (0..c)
         .map(|ci| {
-            let patches: Vec<Tensor> = inputs
-                .iter()
-                .map(|input| {
-                    let plane = input.slice_axis(0, ci, 1).into_reshape(vec![h, w]);
-                    patchify_plane(&plane, cfg.patch)
-                })
-                .collect();
-            let patches = ex.constant(Tensor::stack_rows(&patches.iter().collect::<Vec<_>>()));
+            let plane = input.slice_axis(0, ci, 1).into_reshape(vec![h, w]);
+            let patches = ex.constant(patchify_plane(&plane, cfg.patch));
             let tok = ex.linear_act(&patches, &w_embed, Some(&b_embed), Activation::Identity);
             let ve = ex.slice_axis(&var_embed, 0, ci, 1); // [1, D] broadcasts over rows
             ex.add(&tok, &ve)
@@ -226,7 +218,7 @@ mod tests {
         let tape = Tape::new();
         let binder = Binder::new(&tape, &store);
         let input = randn(&[3, 8, 8], 2);
-        let tokens = tokenize(&binder, &cfg, &[&input]);
+        let tokens = tokenize(&binder, &cfg, &input);
         assert_eq!(tokens.len(), 3);
         for t in &tokens {
             assert_eq!(t.shape(), vec![16, cfg.embed_dim]);
@@ -237,7 +229,7 @@ mod tests {
             &[&input.slice_axis(0, 0, 1), &input.slice_axis(0, 0, 1), &input.slice_axis(0, 0, 1)],
             0,
         );
-        let tokens2 = tokenize(&binder, &cfg, &[&same]);
+        let tokens2 = tokenize(&binder, &cfg, &same);
         assert!(tokens2[0].value().max_abs_diff(&tokens2[1].value()) > 1e-4);
     }
 

@@ -19,18 +19,14 @@
 //! the session overrides it with one blocked kernel
 //! (`orbit2_tensor::attention::multi_head_attention`) that never holds a
 //! whole score matrix. The contract the override keeps is the same one:
-//! every output bit equals the composition's, at any head count, token
-//! count (across the kernel's block boundaries) and row stack. The tensor
-//! crate checks the kernel against `naive_attention` per head;
-//! `tests/tape_free.rs` checks session against tape through whole models;
+//! every output bit equals the composition's, at any head count and token
+//! count (across the kernel's block boundaries). The tensor crate checks
+//! the kernel against `naive_attention` per head; `tests/tape_free.rs`
+//! checks session against tape through whole models;
 //! `tests/split_invariance.rs` checks it under any split of its blocks.
 //!
-//! The row-stack helpers after the trait ([`split_rows`], [`stack_rows`])
-//! are how the forwards run a batch of samples folded into the row axis on
-//! either context, using only trait ops. Row-wise ops — `linear_act` above
-//! all: one GEMM against the shared weight for the whole stack — take the
-//! stack as it is: each output row depends on its input row alone and the
-//! GEMM driver's result does not depend on the row count, bit for bit.
+//! Every forward takes one sample: a TILES tile is a model input of its
+//! own, and nothing stacks samples from different calls into one pass.
 
 use crate::binder::Binder;
 use orbit2_autograd::Var;
@@ -142,69 +138,27 @@ pub trait Exec {
     /// Broadcast grouped rows back to the full token set.
     fn unpool_rows(&self, x: &Self::Value, groups: &RowGroups, total_rows: usize) -> Self::Value;
 
-    /// Multi-head scaled-dot-product attention over a row stack: `q`, `k`
-    /// and `v` are `[sum(rows), D]`, `heads` divides `D`, and sample `i`'s
-    /// `rows[i]` tokens attend to each other only.
+    /// Multi-head scaled-dot-product attention of one sample: `q`, `k` and
+    /// `v` are `[N, D]` and `heads` divides `D`.
     ///
     /// The default body is the per-head composition: per head, `slice_axis`
-    /// of each operand, then per sample `matmul_nt → scale(1/√d_h) →
-    /// softmax_last → matmul`, the samples stacked back, then one `concat`
-    /// of the heads. An override must match it bit for bit.
-    fn attention(
-        &self,
-        q: &Self::Value,
-        k: &Self::Value,
-        v: &Self::Value,
-        heads: usize,
-        rows: &[usize],
-    ) -> Self::Value {
+    /// of each operand, then `matmul_nt → scale(1/√d_h) → softmax_last →
+    /// matmul`, then one `concat` of the heads. An override must match it
+    /// bit for bit.
+    fn attention(&self, q: &Self::Value, k: &Self::Value, v: &Self::Value, heads: usize) -> Self::Value {
         let d = self.shape(q)[1];
         assert_eq!(d % heads, 0, "heads must divide embed_dim");
         let dh = d / heads;
         let scale = 1.0 / (dh as f32).sqrt();
-        let mut per_head = Vec::with_capacity(heads);
-        for h in 0..heads {
-            let qh = split_rows(self, &self.slice_axis(q, 1, h * dh, dh), rows);
-            let kh = split_rows(self, &self.slice_axis(k, 1, h * dh, dh), rows);
-            let vh = split_rows(self, &self.slice_axis(v, 1, h * dh, dh), rows);
-            let per_sample = qh
-                .iter()
-                .zip(&kh)
-                .zip(&vh)
-                .map(|((qi, ki), vi)| {
-                    // Q K^T straight from row-major storage via the nt kernel.
-                    let scores = self.scale(&self.matmul_nt(qi, ki), scale);
-                    self.matmul(&self.softmax_last(&scores), vi)
-                })
-                .collect();
-            per_head.push(stack_rows(self, per_sample));
-        }
+        let per_head: Vec<Self::Value> = (0..heads)
+            .map(|h| {
+                let [qh, kh, vh] = [q, k, v].map(|x| self.slice_axis(x, 1, h * dh, dh));
+                // Q K^T straight from row-major storage via the nt kernel.
+                let scores = self.scale(&self.matmul_nt(&qh, &kh), scale);
+                self.matmul(&self.softmax_last(&scores), &vh)
+            })
+            .collect();
         self.concat(&per_head, 1)
-    }
-}
-
-/// Split a row stack `[sum(rows), D]` into its per-sample values. A
-/// one-sample stack is returned as is: no op is issued.
-pub fn split_rows<E: Exec + ?Sized>(ex: &E, x: &E::Value, rows: &[usize]) -> Vec<E::Value> {
-    if rows.len() == 1 {
-        return vec![x.clone()];
-    }
-    let mut start = 0;
-    rows.iter()
-        .map(|&r| {
-            let part = ex.slice_axis(x, 0, start, r);
-            start += r;
-            part
-        })
-        .collect()
-}
-
-/// Inverse of [`split_rows`]: stack per-sample values along the row axis.
-/// One sample is its own stack: no op is issued.
-pub fn stack_rows<E: Exec + ?Sized>(ex: &E, parts: Vec<E::Value>) -> E::Value {
-    match <[E::Value; 1]>::try_from(parts) {
-        Ok([only]) => only,
-        Err(parts) => ex.concat(&parts, 0),
     }
 }
 

@@ -252,15 +252,8 @@ impl Exec for InferenceSession {
 
     /// One blocked kernel in place of the per-head composition, bit for bit
     /// (the contract in [`crate::exec`]'s header).
-    fn attention(
-        &self,
-        q: &SessionValue,
-        k: &SessionValue,
-        v: &SessionValue,
-        heads: usize,
-        rows: &[usize],
-    ) -> SessionValue {
-        SessionValue::plain(multi_head_attention(&q.tensor, &k.tensor, &v.tensor, heads, rows))
+    fn attention(&self, q: &SessionValue, k: &SessionValue, v: &SessionValue, heads: usize) -> SessionValue {
+        SessionValue::plain(multi_head_attention(&q.tensor, &k.tensor, &v.tensor, heads))
     }
 }
 

@@ -9,7 +9,7 @@
 
 use crate::config::ModelConfig;
 use crate::embed::unpatchify_permutation;
-use crate::exec::{split_rows, Exec};
+use crate::exec::Exec;
 use orbit2_autograd::ParamStore;
 use orbit2_tensor::conv::ConvGeom;
 use orbit2_tensor::fused::Activation;
@@ -69,23 +69,12 @@ pub fn permute_elements<E: Exec>(
     ex.reshape(&ex.gather_rows(&flat, perm), out_shape)
 }
 
-/// Decode a row stack of ViT tokens `[B·N, D]` (each sample a full
-/// `hp x wp` grid) into one high-resolution
-/// `[C_out, hp*p*factor, wp*p*factor]` image per sample. The projection is
-/// one GEMM for the whole stack; the image-space tail (un-patchify,
-/// upsample, conv) runs per sample.
-pub fn decode<E: Exec>(
-    ex: &E,
-    cfg: &ModelConfig,
-    tokens: &E::Value,
-    hp: usize,
-    wp: usize,
-) -> Vec<E::Value> {
-    let total = ex.shape(tokens)[0];
-    assert!(total > 0 && total.is_multiple_of(hp * wp), "token/grid mismatch");
-    let rows = vec![hp * wp; total / (hp * wp)];
+/// Decode ViT tokens `[N, D]` over a full `hp x wp` grid into the
+/// high-resolution `[C_out, hp*p*factor, wp*p*factor]` image.
+pub fn decode<E: Exec>(ex: &E, cfg: &ModelConfig, tokens: &E::Value, hp: usize, wp: usize) -> E::Value {
+    assert_eq!(ex.shape(tokens)[0], hp * wp, "token/grid mismatch");
     let p = cfg.patch;
-    // [B·N, D] -> [B·N, p^2 * hidden]
+    // [N, D] -> [N, p^2 * hidden]
     let projected = ex.linear_act(
         tokens,
         &ex.param("dec.proj.w"),
@@ -95,23 +84,18 @@ pub fn decode<E: Exec>(
     let (h, w) = (hp * p, wp * p);
     let (oh, ow) = (h * cfg.scale_factor, w * cfg.scale_factor);
     let hidden = path_hidden(cfg);
-    split_rows(ex, &projected, &rows)
-        .iter()
-        .map(|sample| {
-            // Rearrange to [hidden, h, w] at input resolution.
-            let perm = unpatchify_permutation(hp, wp, p, hidden);
-            let img = permute_elements(ex, sample, perm, vec![1, hidden, h, w]);
-            // Upsample to output resolution and refine with a 3x3 conv.
-            let up = ex.resize_bilinear(&ex.gelu(&img), oh, ow);
-            let out = ex.conv2d(
-                &up,
-                &ex.param("dec.conv.w"),
-                Some(&ex.param("dec.conv.b")),
-                ConvGeom::same(3),
-            );
-            ex.reshape(&out, vec![cfg.out_channels, oh, ow])
-        })
-        .collect()
+    // Rearrange to [hidden, h, w] at input resolution.
+    let perm = unpatchify_permutation(hp, wp, p, hidden);
+    let img = permute_elements(ex, &projected, perm, vec![1, hidden, h, w]);
+    // Upsample to output resolution and refine with a 3x3 conv.
+    let up = ex.resize_bilinear(&ex.gelu(&img), oh, ow);
+    let out = ex.conv2d(
+        &up,
+        &ex.param("dec.conv.w"),
+        Some(&ex.param("dec.conv.b")),
+        ConvGeom::same(3),
+    );
+    ex.reshape(&out, vec![cfg.out_channels, oh, ow])
 }
 
 /// The residual path: raw input `[C_in, h, w]` → conv → bilinear upsample →
@@ -162,7 +146,7 @@ mod tests {
         let tape = Tape::new();
         let binder = Binder::new(&tape, &s);
         let tokens = tape.constant(randn(&[4 * 6, cfg.embed_dim], 2));
-        let img = decode(&binder, &cfg, &tokens, 4, 6).remove(0);
+        let img = decode(&binder, &cfg, &tokens, 4, 6);
         // hp=4, wp=6, patch=2, factor=4: output 32 x 48.
         assert_eq!(img.shape(), vec![3, 32, 48]);
         assert!(img.value().all_finite());
@@ -221,7 +205,7 @@ mod tests {
         let tape = Tape::new();
         let binder = Binder::new(&tape, &s);
         let tokens = tape.constant(randn(&[24, cfg.embed_dim], 7));
-        let loss = decode(&binder, &cfg, &tokens, 4, 6)[0].square().sum();
+        let loss = decode(&binder, &cfg, &tokens, 4, 6).square().sum();
         let grads = tape.backward(loss);
         let gm = binder.grad_map(&grads);
         assert!(gm["dec.proj.w"].data().iter().any(|&v| v != 0.0));

@@ -57,8 +57,12 @@ impl ReslimModel {
         InferenceSession::prepare_at(&self.params, precision)
     }
 
-    /// Forward pass on one `[C_in, h, w]` sample: [`Self::forward_batch`]
-    /// of one input, which issues no stack or split op.
+    /// The forward pass on one `[C_in, h, w]` sample.
+    ///
+    /// Generic over the execution context: a [`crate::Binder`] records the
+    /// pass on its tape for training; an [`InferenceSession`] runs the
+    /// identical kernels tape-free. `compression_target` of 1.0 disables
+    /// adaptive compression (the module acts as identity).
     ///
     /// Returns the `[C_out, H, W]` prediction and the compression plan
     /// actually used (for sequence-length accounting).
@@ -68,71 +72,25 @@ impl ReslimModel {
         input: &Tensor,
         compression_target: f32,
     ) -> (E::Value, CompressionPlan) {
-        self.forward_batch(ex, &[input], compression_target)
-            .pop()
-            .expect("one input yields one prediction")
-    }
-
-    /// The forward pass, over a batch of same-shaped `[C_in, h, w]` inputs.
-    ///
-    /// Generic over the execution context: a [`crate::Binder`] records the
-    /// pass on its tape for training; an [`InferenceSession`] runs the
-    /// identical kernels tape-free. `compression_target` of 1.0 disables
-    /// adaptive compression (the module acts as identity).
-    ///
-    /// The samples' token matrices are stacked along the row axis (the
-    /// layout TILES tiles have: a batch of same-shaped windows), so every
-    /// *row-wise* stage — patch embedding, variable aggregation, Q/K/V and
-    /// output projections, layer norms, the MLP, the decoder projection —
-    /// is one kernel call, one GEMM per weight, for the whole batch. Stages
-    /// that couple rows within a sample (attention scores, the compression
-    /// structure decision, convolutions, bilinear resize) run per sample on
-    /// its row slice; samples may disagree on their compressed length, so
-    /// the stack inside the ViT is ragged.
-    ///
-    /// **Bit-identity contract**: each returned pair equals what
-    /// [`Self::forward`] returns for that input alone on the same context.
-    /// Row-wise kernels compute an output row from its input row alone, at
-    /// any row count, and stacking and splitting are pure data movement in
-    /// both contexts.
-    pub fn forward_batch<E: Exec>(
-        &self,
-        ex: &E,
-        inputs: &[&Tensor],
-        compression_target: f32,
-    ) -> Vec<(E::Value, CompressionPlan)> {
         let cfg = &self.cfg;
-        assert!(!inputs.is_empty(), "forward_batch of nothing");
-        let shape = inputs[0].shape();
-        assert_eq!(shape.len(), 3, "inputs must be [C, h, w]");
-        assert!(
-            inputs.iter().all(|t| t.shape() == shape),
-            "forward_batch requires same-shaped inputs"
-        );
+        let shape = input.shape();
+        assert_eq!(shape.len(), 3, "input must be [C, h, w]");
         let (hp, wp) = (shape[1] / cfg.patch, shape[2] / cfg.patch);
-        let rows = vec![hp * wp; inputs.len()];
 
         // Main path, step 1: tokenize each variable.
-        let tokens = tokenize(ex, cfg, inputs);
+        let tokens = tokenize(ex, cfg, input);
         // Step 2: collapse the variable axis via cross attention.
         let mut agg = cross_attention_aggregate(ex, cfg, &tokens);
-        // Step 4 structure decision happens per sample on the *content*
-        // features (before positional offsets, which would register as
-        // fake edges).
-        let plans: Vec<CompressionPlan> = if compression_target > 1.0 {
-            Tensor::split_rows(&ex.tensor(&agg), &rows)
-                .iter()
-                .map(|content| {
-                    let saliency = token_saliency(content, hp, wp);
-                    CompressionPlan::adaptive(&saliency, compression_target)
-                })
-                .collect()
+        // Step 4 structure decision happens on the *content* features
+        // (before positional offsets, which would register as fake edges).
+        let plan = if compression_target > 1.0 {
+            let saliency = token_saliency(&ex.tensor(&agg), hp, wp);
+            CompressionPlan::adaptive(&saliency, compression_target)
         } else {
-            vec![CompressionPlan::identity(hp, wp); inputs.len()]
+            CompressionPlan::identity(hp, wp)
         };
         // Step 3: positional + resolution embeddings.
-        let pos = sincos_positions(hp, wp, cfg.embed_dim);
-        let pos = ex.constant(Tensor::stack_rows(&vec![&pos; inputs.len()]));
+        let pos = ex.constant(sincos_positions(hp, wp, cfg.embed_dim));
         let res_row = ex.slice_axis(
             &ex.param("embed.res"),
             0,
@@ -140,29 +98,20 @@ impl ReslimModel {
             1,
         ); // [1, D] broadcast
         agg = ex.add(&ex.add(&agg, &pos), &res_row);
-        let stacked_plan = CompressionPlan::stack(&plans);
-        let mut z = stacked_plan.compress(ex, &agg);
+        let mut z = plan.compress(ex, &agg);
 
-        // Step 5: ViT blocks on the (compressed, possibly ragged) stack.
-        let z_rows: Vec<usize> = plans.iter().map(CompressionPlan::compressed_len).collect();
+        // Step 5: ViT blocks on the (possibly compressed) sequence.
         for l in 0..cfg.layers {
-            z = transformer_block(ex, cfg, &format!("blk{l}"), &z, &z_rows);
+            z = transformer_block(ex, cfg, &format!("blk{l}"), &z);
         }
 
-        // Step 6: decompress and decode to the high-resolution images.
-        let full = stacked_plan.decompress(ex, &z);
-        let mains = decode(ex, cfg, &full, hp, wp);
+        // Step 6: decompress and decode to the high-resolution image.
+        let full = plan.decompress(ex, &z);
+        let main = decode(ex, cfg, &full, hp, wp);
 
-        // Residual path on each raw input; the prediction is the sum.
-        mains
-            .iter()
-            .zip(inputs)
-            .zip(plans)
-            .map(|((main, input), plan)| {
-                let residual = residual_path(ex, cfg, input);
-                (ex.add(main, &residual), plan)
-            })
-            .collect()
+        // Residual path on the raw input; the prediction is the sum.
+        let residual = residual_path(ex, cfg, input);
+        (ex.add(&main, &residual), plan)
     }
 
     /// Effective ViT sequence length for an input of `h x w` pixels at the
@@ -254,59 +203,6 @@ mod tests {
         // Prediction minus residual (= ViT main output) has bounded scale.
         let vit_part = p.sub(&r);
         assert!(vit_part.data().iter().all(|v| v.abs() < 50.0));
-    }
-
-    // The batch contract: `forward_batch` returns, per input, the bytes
-    // `forward` returns for that input alone on the same session.
-
-    #[test]
-    fn batch_of_one_matches_forward() {
-        let m = model();
-        let session = m.session();
-        let input = randn(&[4, 8, 16], 1);
-        let (solo, _) = m.forward(&session, &input, 1.0);
-        let batch = m.forward_batch(&session, &[&input], 1.0);
-        assert_eq!(batch.len(), 1);
-        assert_eq!(batch[0].0.tensor().data(), solo.into_tensor().data());
-    }
-
-    #[test]
-    fn batch_matches_per_sample_bitwise() {
-        let m = model();
-        let session = m.session();
-        let inputs: Vec<Tensor> = (0..3).map(|i| randn(&[4, 8, 16], 100 + i)).collect();
-        let refs: Vec<&Tensor> = inputs.iter().collect();
-        let batch = m.forward_batch(&session, &refs, 1.0);
-        for (input, (pred, _)) in inputs.iter().zip(&batch) {
-            let (solo, _) = m.forward(&session, input, 1.0);
-            assert_eq!(pred.tensor().data(), solo.into_tensor().data());
-        }
-    }
-
-    #[test]
-    fn batch_matches_under_adaptive_compression() {
-        // Different samples pick different plans (ragged compressed
-        // lengths) and the stack must still match per-sample execution.
-        let m = model();
-        let session = m.session();
-        let smooth = Tensor::full(vec![4, 16, 16], 0.25);
-        let noisy = randn(&[4, 16, 16], 9);
-        let batch = m.forward_batch(&session, &[&smooth, &noisy], 2.0);
-        for (input, (pred, plan)) in [&smooth, &noisy].iter().zip(&batch) {
-            let (solo, solo_plan) = m.forward(&session, input, 2.0);
-            assert_eq!(pred.tensor().data(), solo.into_tensor().data());
-            assert_eq!(plan.compressed_len(), solo_plan.compressed_len());
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "same-shaped")]
-    fn mixed_shapes_rejected() {
-        let m = model();
-        let session = m.session();
-        let a = randn(&[4, 8, 16], 1);
-        let b = randn(&[4, 8, 8], 2);
-        m.forward_batch(&session, &[&a, &b], 1.0);
     }
 
     #[test]

@@ -3,8 +3,7 @@
 //!
 //! ```text
 //! orbit2-serve [--addr 127.0.0.1:7878] [--grid 32x64] [--samples 32]
-//!              [--tiles N] [--halo H] [--max-batch N] [--window-us N]
-//!              [--cache N] [--queue N] [--seed N]
+//!              [--tiles N] [--halo H] [--queue N] [--seed N]
 //!              [--precision f32|bf16|int8] [--default-deadline-ms N]
 //! ```
 //!
@@ -37,9 +36,6 @@ struct Args {
     samples: usize,
     tiles: usize,
     halo: usize,
-    max_batch: usize,
-    window_micros: u64,
-    cache: usize,
     queue: usize,
     seed: u64,
     precision: SessionPrecision,
@@ -54,9 +50,6 @@ impl Default for Args {
             samples: 32,
             tiles: 1,
             halo: 2,
-            max_batch: 8,
-            window_micros: 2_000,
-            cache: 64,
             queue: 256,
             seed: 17,
             precision: SessionPrecision::F32,
@@ -66,8 +59,8 @@ impl Default for Args {
 }
 
 const USAGE: &str = "usage: orbit2-serve [--addr HOST:PORT] [--grid HxW] [--samples N] \
-[--tiles N] [--halo H] [--max-batch N] [--window-us N] [--cache N] [--queue N] \
-[--seed N] [--precision f32|bf16|int8] [--default-deadline-ms N]";
+[--tiles N] [--halo H] [--queue N] [--seed N] [--precision f32|bf16|int8] \
+[--default-deadline-ms N]";
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args::default();
@@ -91,11 +84,6 @@ fn parse_args() -> Result<Args, String> {
             "--samples" => args.samples = parse_num(&value("--samples")?, "--samples")?,
             "--tiles" => args.tiles = parse_num(&value("--tiles")?, "--tiles")?,
             "--halo" => args.halo = parse_num(&value("--halo")?, "--halo")?,
-            "--max-batch" => args.max_batch = parse_num(&value("--max-batch")?, "--max-batch")?,
-            "--window-us" => {
-                args.window_micros = parse_num(&value("--window-us")?, "--window-us")? as u64
-            }
-            "--cache" => args.cache = parse_num(&value("--cache")?, "--cache")?,
             "--queue" => args.queue = parse_num(&value("--queue")?, "--queue")?,
             "--precision" => {
                 let v = value("--precision")?;
@@ -154,9 +142,6 @@ fn main() {
 
     let server_cfg = ServerConfig {
         tile: if args.tiles > 1 { Some(TileSpec::square(args.tiles, args.halo)) } else { None },
-        max_batch: args.max_batch,
-        window_micros: args.window_micros,
-        cache_capacity: args.cache,
         queue_capacity: args.queue,
         precision: args.precision,
         default_deadline_ms: args.default_deadline_ms,
@@ -183,12 +168,10 @@ fn main() {
     let bound = listener.local_addr().map(|a| a.to_string()).unwrap_or(args.addr);
     println!(
         "orbit2-serve listening on {bound} (regions: conus, global; coarse grid {}x{}; \
-         max_batch {}; window {}us; cache {}; precision {}; default deadline {})",
+         queue {}; precision {}; default deadline {})",
         h / factor,
         w / factor,
-        args.max_batch,
-        args.window_micros,
-        args.cache,
+        args.queue,
         args.precision.label(),
         match args.default_deadline_ms {
             Some(ms) => format!("{ms}ms"),

@@ -8,8 +8,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 /// A write-once result slot. The first [`Oneshot::complete`] wins; later
-/// calls are ignored, which is what makes shutdown racing a normal
-/// completion safe.
+/// calls are ignored, so a request can never reach two terminal states.
 pub(crate) struct Oneshot {
     slot: Mutex<Option<Result<ServeResponse, ServeError>>>,
     ready: Condvar,
@@ -21,9 +20,8 @@ impl Oneshot {
     }
 
     /// Fill the slot (first writer wins) and wake every waiter. Returns
-    /// `true` when this call was the one that completed the request —
-    /// callers use it to count terminal outcomes exactly once even when a
-    /// drain races normal completion or a deadline check.
+    /// `true` when this call was the one that completed the request; every
+    /// later call is a no-op.
     pub(crate) fn complete(&self, result: Result<ServeResponse, ServeError>) -> bool {
         let mut slot = self.slot.lock().unwrap();
         if slot.is_none() {
@@ -35,8 +33,8 @@ impl Oneshot {
         }
     }
 
-    /// Whether the request already reached a terminal state (used to skip
-    /// compute for requests a deadline or drain has already failed).
+    /// Whether the request already reached a terminal state (a worker job
+    /// runs no forward for one that has).
     pub(crate) fn is_complete(&self) -> bool {
         self.slot.lock().unwrap().is_some()
     }
@@ -107,7 +105,7 @@ mod tests {
     use super::*;
 
     fn resp(id: u64) -> ServeResponse {
-        ServeResponse { id, shape: vec![1], data: vec![0.0], cached: false, batch: 1, micros: 0 }
+        ServeResponse { id, shape: vec![1], data: vec![0.0], micros: 0 }
     }
 
     #[test]

@@ -346,8 +346,6 @@ mod tests {
             data: vec![
                 0.5, -0.0, 0.0, 0.1, -1e-7, 3.4e38, f32::MIN_POSITIVE, 1e-45, 287.4523, 1.0, 16_777_216.0, -2.5e10,
             ],
-            cached: true,
-            batch: 4,
             micros: 1234,
         };
         let line = response_line(9, &Ok(resp.clone()));

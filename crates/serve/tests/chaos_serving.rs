@@ -1,28 +1,42 @@
 //! Chaos harness: hammer a fault-injected server from concurrent clients
 //! with precision-asserting and unlabelled requests, tiles, and deadlines,
-//! and assert the serving resilience invariant — **every submitted request reaches
-//! exactly one terminal state** (a response or a typed error, never a
-//! hang), and the server's inflight gauge returns to zero (no leaked
-//! permits). Run in both SIMD modes by `scripts/chaos_smoke.sh`, which
-//! also re-runs the default-config test with a canned
-//! `ORBIT2_SERVE_FAULT_PLAN` so the env-armed injection path gets chaos
-//! coverage too.
+//! and assert the serving resilience invariant — **every submitted request
+//! reaches exactly one terminal state** (a response or a typed error, never
+//! a hang), every response is bit-equal to `downscale_with` of its input,
+//! and the server's inflight gauge returns to zero (no leaked permits). Run
+//! in both SIMD modes by `scripts/chaos_smoke.sh`, which also re-runs the
+//! default-config test with a canned `ORBIT2_SERVE_FAULT_PLAN` so the
+//! env-armed injection path gets chaos coverage too.
 
 use orbit2::fault::FaultPlan;
+use orbit2::inference::downscale_with;
 use orbit2::serving::{ServeError, ServeRequest};
 use orbit2_climate::{DownscalingDataset, LatLonGrid, Normalizer, VariableSet};
 use orbit2_imaging::tiles::TileSpec;
 use orbit2_model::{ModelConfig, ReslimModel, SessionPrecision};
 use orbit2_serve::{Region, Server, ServerConfig};
+use orbit2_tensor::Tensor;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-fn start(cfg: ServerConfig) -> Arc<Server> {
+/// Outcomes of a chaos run: request id, its deadline, its terminal state.
+type Outcomes = Vec<(u64, Option<u64>, Result<(), ServeError>)>;
+
+/// A server over the `conus` region, and `downscale_with` of each of the
+/// region's samples on the same model and tiling: what every response
+/// must equal.
+fn start(cfg: ServerConfig) -> (Arc<Server>, Arc<Vec<Tensor>>) {
     let ds =
         DownscalingDataset::new(LatLonGrid::conus(16, 32), VariableSet::daymet_like(), 4, 10, 3);
     let model = ReslimModel::new(ModelConfig::tiny().with_channels(7, 3), 2);
     let norm = Normalizer::fit(&ds, 4);
-    Arc::new(Server::start(model, norm, vec![Region { name: "conus".into(), dataset: ds }], cfg))
+    let session = model.session();
+    let references = (0..ds.num_samples)
+        .map(|t| downscale_with(&model, &session, &norm, &ds.sample(t).input, cfg.tile, 1.0).unwrap())
+        .collect();
+    drop(session);
+    let server = Server::start(model, norm, vec![Region { name: "conus".into(), dataset: ds }], cfg);
+    (Arc::new(server), Arc::new(references))
 }
 
 /// Poll the inflight gauge down to zero; panics if permits leaked.
@@ -41,16 +55,13 @@ fn await_idle(server: &Server) {
 /// One client thread's worth of traffic: mixed deadlines, a third of it
 /// asserting the precision the server is deployed at (which must be
 /// served exactly like the unlabelled rest), every handle waited to a
-/// terminal state.
-fn hammer(
-    server: &Server,
-    client: u64,
-    requests: u64,
-) -> Vec<(u64, Option<u64>, Result<(), ServeError>)> {
+/// terminal state and every response checked against its reference.
+fn hammer(server: &Server, references: &[Tensor], client: u64, requests: u64) -> Outcomes {
     let mut out = Vec::with_capacity(requests as usize);
     for i in 0..requests {
         let id = client * 1_000 + i;
-        let mut req = ServeRequest::region(id, "conus", (i % 10) as usize);
+        let time = (i % 10) as usize;
+        let mut req = ServeRequest::region(id, "conus", time);
         if i % 3 == 1 {
             req = req.at_precision(SessionPrecision::F32);
         }
@@ -68,16 +79,19 @@ fn hammer(
         let result = handle
             .wait_timeout(Duration::from_secs(30))
             .unwrap_or_else(|| panic!("request {id} never reached a terminal state"));
+        if let Ok(resp) = &result {
+            assert!(resp.data == references[time].data(), "request {id}: served != downscale_with");
+        }
         out.push((id, deadline_ms, result.map(|_| ())));
     }
     out
 }
 
-fn run_chaos(server: &Arc<Server>, clients: u64, requests: u64) -> Vec<(u64, Option<u64>, Result<(), ServeError>)> {
+fn run_chaos(server: &Arc<Server>, references: &Arc<Vec<Tensor>>, clients: u64, requests: u64) -> Outcomes {
     let threads: Vec<_> = (0..clients)
         .map(|c| {
-            let server = Arc::clone(server);
-            std::thread::spawn(move || hammer(&server, c, requests))
+            let (server, references) = (Arc::clone(server), Arc::clone(references));
+            std::thread::spawn(move || hammer(&server, &references, c, requests))
         })
         .collect();
     let mut all = Vec::new();
@@ -88,23 +102,20 @@ fn run_chaos(server: &Arc<Server>, clients: u64, requests: u64) -> Vec<(u64, Opt
 }
 
 /// Transient chaos: panics and stragglers at well above the 2% floor.
-/// The quarantine retry runs clean, so every request without a deadline
-/// must *succeed* — an injected panic is never allowed to fail an
-/// innocent (or even the culprit, transiently) — and deadline-carrying
-/// requests may only add `deadline_exceeded` to the outcome set.
+/// The retry runs clean, so every request without a deadline must
+/// *succeed* — an injected panic is never allowed to fail a request, not
+/// even transiently its own — and deadline-carrying requests may only add
+/// `deadline_exceeded` to the outcome set.
 #[test]
 fn transient_chaos_recovers_every_request() {
     let cfg = ServerConfig {
         tile: Some(TileSpec::square(4, 1)),
-        max_batch: 4,
-        window_micros: 500,
-        cache_capacity: 0,
         queue_capacity: 256,
-        fault_plan: Some(FaultPlan::seeded(11, 0.10, 0.0, 0.10).with_straggle_ms(3)),
+        fault_plan: Some(FaultPlan::seeded(3, 0.10, 0.0, 0.10).with_straggle_ms(3)),
         ..ServerConfig::default()
     };
-    let server = start(cfg);
-    let results = run_chaos(&server, 4, 12);
+    let (server, references) = start(cfg);
+    let results = run_chaos(&server, &references, 4, 12);
     assert_eq!(results.len(), 48);
     for (id, deadline_ms, result) in &results {
         match result {
@@ -124,7 +135,7 @@ fn transient_chaos_recovers_every_request() {
     let stats = server.stats();
     assert!(
         stats.retried_jobs > 0,
-        "with 10% panic injection over {} batches some quarantine retry must have fired: {stats:?}",
+        "with 10% panic injection over {} forwards some retry must have fired: {stats:?}",
         stats.batches
     );
     assert_eq!(
@@ -133,23 +144,20 @@ fn transient_chaos_recovers_every_request() {
     );
 }
 
-/// Persistent chaos: culprit tiles stay dead on retry, so their requests
-/// fail with the typed `internal` error — and nothing else. Every
-/// `internal` outcome is backed by at least one quarantined job, and
-/// innocents keep succeeding (quarantine isolation at scale).
+/// Persistent chaos: a request whose dispatch ordinal draws a panic stays
+/// dead on retry, so it fails with the typed `internal` error — and no
+/// other request does. Every `internal` outcome is backed by a quarantined
+/// request, and the concurrent rest keep succeeding (isolation at scale).
 #[test]
 fn persistent_chaos_fails_only_quarantined_culprits() {
     let cfg = ServerConfig {
         tile: Some(TileSpec::square(4, 1)),
-        max_batch: 4,
-        window_micros: 500,
-        cache_capacity: 0,
         queue_capacity: 256,
-        fault_plan: Some(FaultPlan::seeded(23, 0.06, 0.0, 0.06).with_straggle_ms(3).with_persistent()),
+        fault_plan: Some(FaultPlan::seeded(12, 0.06, 0.0, 0.06).with_straggle_ms(3).with_persistent()),
         ..ServerConfig::default()
     };
-    let server = start(cfg);
-    let results = run_chaos(&server, 4, 12);
+    let (server, references) = start(cfg);
+    let results = run_chaos(&server, &references, 4, 12);
     assert_eq!(results.len(), 48);
     let mut internal = 0u64;
     for (id, deadline_ms, result) in &results {
@@ -176,7 +184,7 @@ fn persistent_chaos_fails_only_quarantined_culprits() {
     );
     assert!(
         stats.quarantined_jobs >= internal,
-        "every internal outcome needs a quarantined tile: {internal} internals, {} quarantined",
+        "every internal outcome needs a quarantined request: {internal} internals, {} quarantined",
         stats.quarantined_jobs
     );
     assert!(
@@ -193,14 +201,11 @@ fn persistent_chaos_fails_only_quarantined_culprits() {
 fn chaos_racing_a_drain_still_terminates_every_request() {
     let cfg = ServerConfig {
         tile: Some(TileSpec::square(4, 1)),
-        max_batch: 4,
-        window_micros: 500,
-        cache_capacity: 0,
         queue_capacity: 256,
         fault_plan: Some(FaultPlan::seeded(5, 0.05, 0.0, 0.10).with_straggle_ms(5)),
         ..ServerConfig::default()
     };
-    let server = start(cfg);
+    let (server, references) = start(cfg);
     let drainer = {
         let server = Arc::clone(&server);
         std::thread::spawn(move || {
@@ -208,7 +213,7 @@ fn chaos_racing_a_drain_still_terminates_every_request() {
             server.drain(Duration::from_secs(20));
         })
     };
-    let results = run_chaos(&server, 3, 10);
+    let results = run_chaos(&server, &references, 3, 10);
     drainer.join().unwrap();
     assert_eq!(results.len(), 30);
     for (id, deadline_ms, result) in &results {
@@ -234,17 +239,14 @@ fn chaos_racing_a_drain_still_terminates_every_request() {
 fn default_config_invariant_holds_with_or_without_env_plan() {
     let cfg = ServerConfig {
         tile: Some(TileSpec::square(4, 1)),
-        max_batch: 4,
-        window_micros: 500,
-        cache_capacity: 0,
         queue_capacity: 256,
         // None: resolved from ORBIT2_SERVE_FAULT_PLAN when the harness
         // sets it, empty otherwise.
         fault_plan: None,
         ..ServerConfig::default()
     };
-    let server = start(cfg);
-    let results = run_chaos(&server, 3, 10);
+    let (server, references) = start(cfg);
+    let results = run_chaos(&server, &references, 3, 10);
     assert_eq!(results.len(), 30);
     for (id, deadline_ms, result) in &results {
         match result {

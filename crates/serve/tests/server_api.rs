@@ -1,7 +1,10 @@
 //! End-to-end library-API tests: served predictions must be bit-identical
-//! to direct `downscale_with` calls (cross-request microbatching included),
-//! and the response cache / admission control must behave observably.
+//! to direct `downscale_with` calls (concurrent requests included), and
+//! admission control must behave observably.
 
+mod common;
+
+use common::HeldWorkers;
 use orbit2::inference::downscale_with;
 use orbit2::serving::{ServeError, ServeRequest};
 use orbit2_model::SessionPrecision;
@@ -38,19 +41,13 @@ fn sans_pool(stats: ServerStats) -> ServerStats {
     ServerStats { pool_fresh_allocs: 0, pool_reuses: 0, pool_copies: 0, ..stats }
 }
 
-/// Batched serving must be bitwise-equal to direct inference: submit a
-/// burst of same-shaped raw requests (so they stack into one forward) and
-/// compare every payload against `downscale_with` on the same input.
+/// Serving must be bitwise-equal to direct inference: submit a burst of
+/// raw requests (so their forwards run concurrently) and compare every
+/// payload against `downscale_with` on the same input.
 #[test]
-fn batched_serving_matches_downscale_with_bitwise() {
+fn concurrent_serving_matches_downscale_with_bitwise() {
     for &compression in &[1.0f32, 2.0] {
-        let cfg = ServerConfig {
-            max_batch: 4,
-            window_micros: 200_000, // generous: the whole burst lands in one window
-            cache_capacity: 0,
-            ..ServerConfig::default()
-        };
-        let (server, model, norm, ds) = start(cfg);
+        let (server, model, norm, ds) = start(ServerConfig::default());
         let session = model.session();
         let inputs: Vec<Tensor> = (0..4).map(|i| ds.sample(i).input).collect();
         let handles: Vec<_> = inputs
@@ -63,36 +60,23 @@ fn batched_serving_matches_downscale_with_bitwise() {
                 server.submit(req)
             })
             .collect();
-        let mut max_batch = 0;
         for (handle, input) in handles.iter().zip(&inputs) {
             let resp = handle.wait().expect("request succeeds");
             let reference =
                 downscale_with(&model, &session, &norm, input, None, compression).unwrap();
             assert_eq!(resp.shape, reference.shape().to_vec());
             assert_eq!(resp.data, reference.data(), "served != direct at compression {compression}");
-            assert!(!resp.cached);
-            max_batch = max_batch.max(resp.batch);
         }
-        assert!(
-            max_batch >= 2,
-            "burst of 4 same-shaped requests never batched (max batch {max_batch})"
-        );
-        assert!(server.stats().batched_jobs >= 2);
+        assert_eq!(server.stats().batched_jobs, 0, "requests are never batched together");
     }
 }
 
-/// Tiled serving goes through the same split/stitch as `downscale_with`
-/// with the same spec, so outputs stay bitwise-equal tile-by-tile.
+/// Tiled serving is `downscale_with` with the server's spec, so outputs
+/// stay bitwise-equal tile-by-tile.
 #[test]
 fn tiled_serving_matches_downscale_with() {
     let spec = TileSpec::square(4, 1);
-    let cfg = ServerConfig {
-        tile: Some(spec),
-        max_batch: 8,
-        window_micros: 100_000,
-        cache_capacity: 0,
-        ..ServerConfig::default()
-    };
+    let cfg = ServerConfig { tile: Some(spec), ..ServerConfig::default() };
     let (server, model, norm, ds) = start(cfg);
     let session = model.session();
     let inputs: Vec<Tensor> = (0..2).map(|i| ds.sample(i).input).collect();
@@ -110,88 +94,27 @@ fn tiled_serving_matches_downscale_with() {
     }
 }
 
-/// Unbatched mode must produce the same bits as batched mode (which the
-/// bitwise guarantee implies, but this pins the `max_batch: 1` path).
-#[test]
-fn unbatched_mode_matches_direct_too() {
-    let cfg = ServerConfig {
-        max_batch: 1,
-        window_micros: 0,
-        cache_capacity: 0,
-        ..ServerConfig::default()
-    };
-    let (server, model, norm, ds) = start(cfg);
-    let session = model.session();
-    let input = ds.sample(3).input;
-    let resp = server
-        .submit(ServeRequest::raw(1, input.shape().to_vec(), input.data().to_vec()))
-        .wait()
-        .unwrap();
-    let reference = downscale_with(&model, &session, &norm, &input, None, 1.0).unwrap();
-    assert_eq!(resp.data, reference.data());
-    assert_eq!(resp.batch, 1);
-}
-
 /// A reply's bits must not depend on who ran the forward's pieces. A
 /// `[7, 32, 32]` request is past the kernels' grain (the decoder works on
 /// 32 channels of 128 x 128), so a worker that finds its siblings idle
 /// shares the forward with them and one that finds them all occupied runs
-/// every piece itself — and either way, at either batch limit, the reply
-/// is `downscale_with`'s.
+/// every piece itself — and either way the reply is `downscale_with`'s.
 #[test]
-fn replies_do_not_depend_on_idle_workers_or_the_batch_limit() {
+fn replies_do_not_depend_on_idle_workers() {
     let input = orbit2_tensor::random::randn(&[7, 32, 32], 11);
     let (model, norm, _) = setup();
     let reference = downscale_with(&model, &model.session(), &norm, &input, None, 1.0).unwrap();
-    for max_batch in [1, 8] {
-        for siblings_busy in [false, true] {
-            let cfg = ServerConfig { max_batch, window_micros: 0, cache_capacity: 0, ..ServerConfig::default() };
-            let (server, ..) = start(cfg);
-            // Hold every worker but one on a channel until the reply is in.
-            let (started, all_started) = std::sync::mpsc::channel();
-            let held: Vec<_> = (1..if siblings_busy { rayon::current_num_threads() } else { 1 })
-                .map(|_| {
-                    let (release, wait) = std::sync::mpsc::channel::<()>();
-                    let started = started.clone();
-                    rayon::spawn(move || {
-                        started.send(()).expect("the test is waiting");
-                        let _ = wait.recv();
-                    });
-                    release
-                })
-                .collect();
-            held.iter().for_each(|_| all_started.recv().expect("a worker took the blocker"));
-            let resp = server
-                .submit(ServeRequest::raw(1, input.shape().to_vec(), input.data().to_vec()))
-                .wait()
-                .expect("request succeeds");
-            drop(held);
-            assert!(
-                resp.data == reference.data(),
-                "served != direct with max_batch {max_batch}, siblings busy: {siblings_busy}"
-            );
-        }
+    for siblings_busy in [false, true] {
+        let (server, ..) = start(ServerConfig::default());
+        // Hold every worker but one until the reply is in.
+        let held = siblings_busy.then(|| HeldWorkers::all_but(1));
+        let resp = server
+            .submit(ServeRequest::raw(1, input.shape().to_vec(), input.data().to_vec()))
+            .wait()
+            .expect("request succeeds");
+        drop(held);
+        assert!(resp.data == reference.data(), "served != direct, siblings busy: {siblings_busy}");
     }
-}
-
-#[test]
-fn cache_serves_repeat_region_requests() {
-    let (server, _, _, _) = start(ServerConfig { cache_capacity: 8, ..ServerConfig::default() });
-    let cold = server.submit(ServeRequest::region(1, "conus", 2)).wait().unwrap();
-    assert!(!cold.cached);
-    let warm = server.submit(ServeRequest::region(2, "conus", 2)).wait().unwrap();
-    assert!(warm.cached, "second identical region request must hit the cache");
-    assert_eq!(warm.batch, 0, "cache hits never touch the model");
-    assert_eq!(warm.data, cold.data);
-    let stats = server.stats();
-    assert_eq!((stats.cache_hits, stats.cache_misses, stats.cache_entries), (1, 1, 1));
-    assert_eq!((stats.admitted, stats.completed), (1, 1), "a cache hit is never admitted");
-    // Different knobs are different cache keys.
-    let mut compressed = ServeRequest::region(3, "conus", 2);
-    compressed.compression = 2.0;
-    let other = server.submit(compressed).wait().unwrap();
-    assert!(!other.cached);
-    assert_eq!(server.stats().cache_misses, 2);
 }
 
 #[test]
@@ -279,8 +202,8 @@ fn bad_requests_get_typed_errors() {
 
 /// An input the server's tiling cannot take — fewer pixels than tiles along
 /// an axis (it used to panic `submit` inside the tile grid), or a padded
-/// tile the patch size does not divide (it used to panic inside a batched
-/// forward) — is the client's shape: the typed error `downscale_with`
+/// tile the patch size does not divide (it used to panic inside a forward)
+/// — is the client's shape: the typed error `downscale_with`
 /// returns for it, as a `bad_request`, before anything is admitted.
 #[test]
 fn inputs_the_tile_grid_cannot_take_are_bad_requests() {
@@ -308,19 +231,13 @@ fn inputs_the_tile_grid_cannot_take_are_bad_requests() {
 /// Precision is a deployment setting a request can only assert. For every
 /// precision `P`, a server started at `P` answers unlabelled and
 /// `at_precision(P)` requests alike — bit-equal to `downscale_with` through
-/// `model.session_at(P)`, sharing cache entries and co-batching — and
-/// refuses `at_precision(Q != P)` before it resolves anything.
+/// `model.session_at(P)` — and refuses `at_precision(Q != P)` before it
+/// resolves anything.
 #[test]
 fn precision_is_fixed_at_start_and_a_request_can_only_assert_it() {
     for precision in SessionPrecision::ALL {
         let label = precision.label();
-        let cfg = ServerConfig {
-            precision,
-            cache_capacity: 8,
-            max_batch: 4,
-            window_micros: 200_000, // generous: the whole burst lands in one window
-            ..ServerConfig::default()
-        };
+        let cfg = ServerConfig { precision, ..ServerConfig::default() };
         let (server, model, norm, ds) = start(cfg);
         let session = model.session_at(precision);
         let input = ds.sample(1).input;
@@ -348,21 +265,18 @@ fn precision_is_fixed_at_start_and_a_request_can_only_assert_it() {
         assert_eq!(
             sans_pool(server.stats()),
             sans_pool(before),
-            "a refused request is not admitted, looked up, or cached"
+            "a refused request is not admitted or looked up"
         );
 
-        // One cache entry serves both spellings of the same request.
-        let cold = server.submit(ServeRequest::region(1, "conus", 1)).wait().unwrap();
-        assert_eq!(cold.data, reference.data(), "unlabelled != direct {label} session");
-        assert!(!cold.cached);
-        let warm = server
+        let unlabelled = server.submit(ServeRequest::region(1, "conus", 1)).wait().unwrap();
+        assert_eq!(unlabelled.data, reference.data(), "unlabelled != direct {label} session");
+        let labelled = server
             .submit(ServeRequest::region(2, "conus", 1).at_precision(precision))
             .wait()
             .unwrap();
-        assert!(warm.cached, "{label}: labelled and unlabelled requests share cache entries");
-        assert_eq!(warm.data, reference.data());
+        assert_eq!(labelled.data, reference.data(), "labelled != direct {label} session");
 
-        // A burst alternating the two spellings stacks into one forward.
+        // A concurrent burst alternating the two spellings.
         let handles: Vec<_> = (0..4u64)
             .map(|i| {
                 let req =
@@ -370,14 +284,10 @@ fn precision_is_fixed_at_start_and_a_request_can_only_assert_it() {
                 server.submit(if i % 2 == 0 { req.at_precision(precision) } else { req })
             })
             .collect();
-        let mut max_batch = 0;
         for handle in &handles {
             let resp = handle.wait().unwrap();
             assert_eq!(resp.data, reference.data(), "burst reply != direct {label} session");
-            max_batch = max_batch.max(resp.batch);
         }
-        assert!(max_batch >= 2, "{label}: labelled and unlabelled tiles never co-batched");
-
     }
 }
 
@@ -386,7 +296,7 @@ fn precision_is_fixed_at_start_and_a_request_can_only_assert_it() {
 /// buffers), observable by diffing snapshots around a request.
 #[test]
 fn stats_expose_pool_telemetry() {
-    let (server, _, _, ds) = start(ServerConfig { cache_capacity: 0, ..ServerConfig::default() });
+    let (server, _, _, ds) = start(ServerConfig::default());
     let before = server.stats();
     let input = ds.sample(0).input;
     server

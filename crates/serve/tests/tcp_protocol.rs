@@ -1,6 +1,6 @@
 //! Wire-protocol tests: every `ServeError` kind must surface as a typed
-//! error line over TCP, and well-formed requests must round-trip,
-//! pipeline, and hit the cache exactly as through the library API.
+//! error line over TCP, and well-formed requests must round-trip and
+//! pipeline exactly as through the library API.
 
 use orbit2::fault::{FaultKind, FaultPlan};
 use orbit2::serving::ServeRequest;
@@ -77,23 +77,6 @@ fn round_trip_and_pipelining() {
 }
 
 #[test]
-fn cache_visible_over_the_wire() {
-    let (server, addr) = spawn_server(ServerConfig::default());
-    let mut client = Client::connect(addr).unwrap();
-    let first = client.roundtrip(&ServeRequest::region(1, "conus", 5)).unwrap();
-    let second = client.roundtrip(&ServeRequest::region(2, "conus", 5)).unwrap();
-    match (first, second) {
-        (ServerReply::Response(a), ServerReply::Response(b)) => {
-            assert!(!a.cached);
-            assert!(b.cached);
-            assert_eq!(a.data, b.data);
-        }
-        other => panic!("expected two responses, got {other:?}"),
-    }
-    assert_eq!(server.stats().cache_hits, 1);
-}
-
-#[test]
 fn every_error_kind_surfaces_over_tcp() {
     let (_server, addr) = spawn_server(ServerConfig::default());
     let mut client = Client::connect(addr).unwrap();
@@ -157,7 +140,7 @@ fn stats_command_is_the_server_snapshot_over_the_wire() {
     let mut client = Client::connect(addr).unwrap();
 
     let zero = client.stats().unwrap();
-    assert_eq!((zero.admitted, zero.completed, zero.cache_misses), (0, 0, 0));
+    assert_eq!((zero.admitted, zero.completed, zero.batches), (0, 0, 0));
 
     let _ = client.roundtrip(&ServeRequest::region(1, "conus", 4)).unwrap();
     let _ = client.roundtrip(&ServeRequest::region(2, "conus", 4)).unwrap();
@@ -173,8 +156,7 @@ fn stats_command_is_the_server_snapshot_over_the_wire() {
     let before = server.stats();
     let wire = client.stats().unwrap();
     let after = server.stats();
-    assert_eq!((wire.admitted, wire.completed, wire.batches), (1, 1, 1));
-    assert_eq!((wire.cache_misses, wire.cache_hits, wire.cache_entries), (1, 2, 1));
+    assert_eq!((wire.admitted, wire.completed, wire.batches), (3, 3, 3));
     let sans_pool = |s: orbit2_serve::ServerStats| orbit2_serve::ServerStats {
         pool_fresh_allocs: 0,
         pool_reuses: 0,
@@ -222,11 +204,11 @@ fn hostile_raw_shapes_are_bad_requests_and_leak_nothing() {
 
 /// A shape the server's tiling cannot take (3-row cores padded to 5 rows
 /// by halo 1, patch 2) is refused at admission: a non-retryable
-/// `bad_request`, no batch formed, nothing quarantined, and the connection
-/// keeps serving. It used to panic inside a batched forward and come back
+/// `bad_request`, no forward run, nothing quarantined, and the connection
+/// keeps serving. It used to panic inside a forward and come back
 /// `internal` — retryable — after re-running each tile alone.
 #[test]
-fn shapes_the_tiling_cannot_take_are_refused_before_any_batch() {
+fn shapes_the_tiling_cannot_take_are_refused_before_any_forward() {
     let tile = Some(orbit2_imaging::tiles::TileSpec { tiles_y: 2, tiles_x: 2, halo: 1 });
     let (server, addr) = spawn_server(ServerConfig { tile, ..Default::default() });
     let mut client = Client::connect(addr).unwrap();
@@ -370,7 +352,6 @@ fn server_side_panic_is_internal_over_the_wire() {
         fault_plan: Some(
             FaultPlan::none().with_event(0, 0, FaultKind::Panic).with_persistent(),
         ),
-        cache_capacity: 0,
         ..ServerConfig::default()
     });
     let mut client = Client::connect(addr).unwrap();
@@ -382,8 +363,8 @@ fn server_side_panic_is_internal_over_the_wire() {
         }
         other => panic!("expected internal, got {other:?}"),
     }
-    // The connection survives a quarantined request, and the next batch
-    // (ordinal 1) is clean.
+    // The connection survives a quarantined request, and the next request
+    // (dispatch ordinal 1) is clean.
     match client.roundtrip(&ServeRequest::region(71, "conus", 1)).unwrap() {
         ServerReply::Response(resp) => assert_eq!(resp.id, 71),
         other => panic!("server must keep serving after a quarantine, got {other:?}"),
@@ -407,7 +388,7 @@ fn bad_precision_label_is_bad_request() {
 /// request, and the connection and admission bookkeeping survive both.
 #[test]
 fn removed_activation_key_is_rejected_not_reinterpreted() {
-    let (_server, addr) = spawn_server(ServerConfig { cache_capacity: 0, ..Default::default() });
+    let (_server, addr) = spawn_server(ServerConfig::default());
     let mut client = Client::connect(addr).unwrap();
     client
         .send_line(r#"{"id": 61, "region": "conus", "time": 0, "activation": "bf16"}"#)
@@ -441,7 +422,7 @@ fn removed_activation_key_is_rejected_not_reinterpreted() {
 /// absent key, as an unset `Option` does in serde.
 #[test]
 fn control_line_precedence_and_null_keys() {
-    let (_server, addr) = spawn_server(ServerConfig { cache_capacity: 0, ..Default::default() });
+    let (_server, addr) = spawn_server(ServerConfig::default());
     let mut client = Client::connect(addr).unwrap();
     client.send_line(r#"{"cmd":"health","id":3,"region":"conus","time":0}"#).unwrap();
     let reply = client.recv_line().unwrap();

@@ -4,9 +4,9 @@
 //! The paper uses Flash Attention to map the innermost level of its
 //! parallelism hierarchy onto GPU streaming multiprocessors (Sec. III-C/D),
 //! so that a tile's N×N score matrix never lives in memory.
-//! [`multi_head_attention`] is the CPU form of that here. For each (sample,
-//! head) it packs `K_hᵀ` and `V_h` once into pooled strips, straight from
-//! the strided `[T, d]` projections, then runs blocks of [`BLOCK`] query
+//! [`multi_head_attention`] is the CPU form of that here. For each head it
+//! packs `K_hᵀ` and `V_h` once into pooled strips, straight from the
+//! strided `[N, d]` projections, then runs blocks of [`BLOCK`] query
 //! rows through `Q·K_hᵀ` (the `1/√d_h` scale applied at store time) → row
 //! softmax → `·V_h` on the GEMM driver ([`crate::qgemm`]). A block's scores
 //! stay in L2, and no more than one block per worker exists at a time.
@@ -38,34 +38,26 @@ use rayon::prelude::*;
 /// each). A multiple of the driver's row panel ([`crate::qgemm::QMR`]).
 pub const BLOCK: usize = 48;
 
-/// Multi-head scaled-dot-product attention over a row stack.
+/// Multi-head scaled-dot-product attention of one sample.
 ///
-/// `q`, `k` and `v` are `[T, d]` with `T = rows.iter().sum()`; `heads`
-/// divides `d`. Sample `i`'s `rows[i]` tokens attend to each other only.
-/// Returns `[T, d]`, head `h` in columns `h·d_h .. (h+1)·d_h`: bit for bit
-/// the per-head composition, and `naive_attention` of each head.
-pub fn multi_head_attention(q: &Tensor, k: &Tensor, v: &Tensor, heads: usize, rows: &[usize]) -> Tensor {
+/// `q`, `k` and `v` are `[N, d]`; `heads` divides `d`. Returns `[N, d]`,
+/// head `h` in columns `h·d_h .. (h+1)·d_h`: bit for bit the per-head
+/// composition, and `naive_attention` of each head.
+pub fn multi_head_attention(q: &Tensor, k: &Tensor, v: &Tensor, heads: usize) -> Tensor {
     assert_eq!(q.ndim(), 2, "attention operands must be 2-d, got {:?}", q.shape());
     assert!(q.shape() == k.shape() && k.shape() == v.shape(), "q/k/v shapes differ");
-    let (t, d) = (q.shape()[0], q.shape()[1]);
+    let (n, d) = (q.shape()[0], q.shape()[1]);
     assert!(heads > 0 && d % heads == 0, "{heads} heads do not divide width {d}");
-    assert_eq!(rows.iter().sum::<usize>(), t, "row stack {rows:?} vs {t} rows");
     let dh = d / heads;
-    let mut out = pool::alloc_uninit(t * d);
-    let mut start = 0;
-    for &n in rows {
-        let span = start * d..(start + n) * d;
-        let (qs, ks, vs) = (&q.data()[span.clone()], &k.data()[span.clone()], &v.data()[span.clone()]);
-        for h in 0..heads {
-            head(qs, ks, vs, &mut out[span.clone()], d, h * dh, dh);
-        }
-        start += n;
+    let mut out = pool::alloc_uninit(n * d);
+    for h in 0..heads {
+        head(q.data(), k.data(), v.data(), &mut out, d, h * dh, dh);
     }
-    Tensor::from_vec(vec![t, d], out)
+    Tensor::from_vec(vec![n, d], out)
 }
 
-/// One head over one sample: columns `c0 .. c0 + dh` of the sample's
-/// `[n, d]` operands, written to the same columns of `out`.
+/// One head: columns `c0 .. c0 + dh` of the `[n, d]` operands, written to
+/// the same columns of `out`.
 fn head(q: &[f32], k: &[f32], v: &[f32], out: &mut [f32], d: usize, c0: usize, dh: usize) {
     let n = q.len() / d;
     if n == 0 {
@@ -196,25 +188,20 @@ mod tests {
         assert_eq!(attention_flops(20, 4), 6400); // 2x tokens -> 4x flops
     }
 
-    /// `naive_attention` of every (sample, head), written into its rows and
-    /// columns of a `[T, d]` result.
-    fn per_head_reference(q: &Tensor, k: &Tensor, v: &Tensor, heads: usize, rows: &[usize]) -> Tensor {
-        let (t, d) = (q.shape()[0], q.shape()[1]);
+    /// `naive_attention` of every head, written into its columns of an
+    /// `[n, d]` result.
+    fn per_head_reference(q: &Tensor, k: &Tensor, v: &Tensor, heads: usize) -> Tensor {
+        let (n, d) = (q.shape()[0], q.shape()[1]);
         let dh = d / heads;
-        let mut out = vec![f32::NAN; t * d];
-        let mut start = 0;
-        for &n in rows {
-            for h in 0..heads {
-                let part = |x: &Tensor| x.slice_axis(0, start, n).slice_axis(1, h * dh, dh);
-                let o = naive_attention(&part(q), &part(k), &part(v));
-                for (r, src) in o.data().chunks_exact(dh).enumerate() {
-                    let at = (start + r) * d + h * dh;
-                    out[at..at + dh].copy_from_slice(src);
-                }
+        let mut out = vec![f32::NAN; n * d];
+        for h in 0..heads {
+            let part = |x: &Tensor| x.slice_axis(1, h * dh, dh);
+            let o = naive_attention(&part(q), &part(k), &part(v));
+            for (r, src) in o.data().chunks_exact(dh).enumerate() {
+                out[r * d + h * dh..r * d + (h + 1) * dh].copy_from_slice(src);
             }
-            start += n;
         }
-        Tensor::from_vec(vec![t, d], out)
+        Tensor::from_vec(vec![n, d], out)
     }
 
     fn assert_bitwise(got: &Tensor, want: &Tensor, what: &str) {
@@ -224,12 +211,12 @@ mod tests {
         }
     }
 
-    fn check(rows: &[usize], dh: usize, heads: usize, seed: u64) {
-        let (t, d) = (rows.iter().sum::<usize>(), dh * heads);
-        let (q, k, v) = (randn(&[t, d], seed), randn(&[t, d], seed + 1), randn(&[t, d], seed + 2));
-        let got = multi_head_attention(&q, &k, &v, heads, rows);
-        let want = per_head_reference(&q, &k, &v, heads, rows);
-        assert_bitwise(&got, &want, &format!("rows {rows:?}, d_h {dh}, {heads} heads"));
+    fn check(n: usize, dh: usize, heads: usize, seed: u64) {
+        let d = dh * heads;
+        let (q, k, v) = (randn(&[n, d], seed), randn(&[n, d], seed + 1), randn(&[n, d], seed + 2));
+        let got = multi_head_attention(&q, &k, &v, heads);
+        let want = per_head_reference(&q, &k, &v, heads);
+        assert_bitwise(&got, &want, &format!("{n} tokens, d_h {dh}, {heads} heads"));
     }
 
     #[test]
@@ -240,18 +227,11 @@ mod tests {
         let shapes = [(8, 1), (16, 2), (64, 4), (8, 16), (16, 16), (64, 1), (8, 4)];
         for (i, &n) in [1usize, 5, 47, 48, 49, 97].iter().enumerate() {
             for (j, &(dh, heads)) in shapes.iter().enumerate() {
-                check(&[n], dh, heads, (10 * i + j) as u64);
+                check(n, dh, heads, (10 * i + j) as u64);
             }
         }
-        check(&[1156], 8, 2, 90);
-        check(&[1156], 64, 1, 91);
-    }
-
-    #[test]
-    fn stacked_samples_attend_within_themselves_bitwise() {
-        check(&[5, 49, 97], 16, 4, 100);
-        check(&[48, 1, 49], 8, 2, 101);
-        check(&[97, 0, 5], 64, 1, 102);
+        check(1156, 8, 2, 90);
+        check(1156, 64, 1, 91);
     }
 
     #[test]
@@ -268,8 +248,8 @@ mod tests {
         }
         q.set(&[3, 1], f32::NAN);
         q.set(&[47, 0], f32::INFINITY);
-        let got = multi_head_attention(&q, &k, &v, heads, &[n]);
-        assert_bitwise(&got, &per_head_reference(&q, &k, &v, heads, &[n]), "poisoned rows");
+        let got = multi_head_attention(&q, &k, &v, heads);
+        assert_bitwise(&got, &per_head_reference(&q, &k, &v, heads), "poisoned rows");
         for r in 0..n {
             let head0 = &got.data()[r * d..r * d + dh];
             let head1 = &got.data()[r * d + dh..(r + 1) * d];

@@ -402,12 +402,13 @@ mod tests {
 
     #[test]
     fn row_stacking_is_bitwise_invariant() {
-        // The microbatching contract: every kernel a batched forward runs
-        // over row-stacked inputs must compute each output row from its
-        // input row alone, so stacking two activations and running ONE
-        // kernel call equals the two separate calls, bit for bit. Rows per
-        // part deliberately straddle row panels; `n = 3` has no resident
-        // pack; the last stack is split across workers, its parts are not.
+        // Row independence: every row-wise kernel computes each output row
+        // from its input row alone, so stacking two activations and running
+        // ONE kernel call equals the two separate calls, bit for bit — what
+        // lets the attention op run its query blocks through the same GEMM
+        // driver, and a parallel call cut its rows anywhere. Rows per part
+        // deliberately straddle row panels; `n = 3` has no resident pack;
+        // the last stack is split across workers, its parts are not.
         for &(k, n, ra, rb) in &[
             (48usize, 32usize, 2usize, 3usize),
             (48, 32, 5, 9),
@@ -424,15 +425,14 @@ mod tests {
             let packed = PackedWeight::pack(&w, WeightPrecision::F32);
             let xa = randn(&[ra, k], 73);
             let xb = randn(&[rb, k], 74);
-            let stacked = Tensor::stack_rows(&[&xa, &xb]);
+            let stacked = Tensor::concat(&[&xa, &xb], 0);
             // Fused linear (the batched GEMM itself).
             for act in [Activation::Identity, Activation::Gelu] {
                 let ya = matmul_bias_act_cached(&xa, &w, packed.as_ref(), Some(&b), act);
                 let yb = matmul_bias_act_cached(&xb, &w, packed.as_ref(), Some(&b), act);
                 let ys = matmul_bias_act_cached(&stacked, &w, packed.as_ref(), Some(&b), act);
-                let parts = ys.split_rows(&[ra, rb]);
-                assert_eq!(parts[0].data(), ya.data(), "linear rows ({ra},{rb}) {act:?}");
-                assert_eq!(parts[1].data(), yb.data(), "linear rows ({ra},{rb}) {act:?}");
+                assert_eq!(ys.slice_axis(0, 0, ra).data(), ya.data(), "linear rows ({ra},{rb}) {act:?}");
+                assert_eq!(ys.slice_axis(0, ra, rb).data(), yb.data(), "linear rows ({ra},{rb}) {act:?}");
             }
             // Layer norm.
             let (na, _) = layer_norm_rows(xa.data(), ra, k, 1e-5);
@@ -477,8 +477,8 @@ mod tests {
 
     #[test]
     fn quantized_row_stacking_is_bitwise_invariant() {
-        // The microbatching contract must hold for reduced-precision packs
-        // too: each output row depends on its input row alone.
+        // Row independence must hold for reduced-precision packs too: each
+        // output row depends on its input row alone.
         let (k, n) = (48usize, 64usize);
         let w = randn(&[n, k], 81);
         let b = randn(&[n], 82);
@@ -488,14 +488,13 @@ mod tests {
             for &(ra, rb) in &[(5usize, 9usize), (7, 70), (64, 128)] {
                 let xa = randn(&[ra, k], 83);
                 let xb = randn(&[rb, k], 84);
-                let stacked = Tensor::stack_rows(&[&xa, &xb]);
+                let stacked = Tensor::concat(&[&xa, &xb], 0);
                 let ya = matmul_bias_act_cached(&xa, &dq, Some(&packed), Some(&b), Activation::Gelu);
                 let yb = matmul_bias_act_cached(&xb, &dq, Some(&packed), Some(&b), Activation::Gelu);
                 let ys =
                     matmul_bias_act_cached(&stacked, &dq, Some(&packed), Some(&b), Activation::Gelu);
-                let parts = ys.split_rows(&[ra, rb]);
-                assert_eq!(parts[0].data(), ya.data(), "{prec:?} rows ({ra},{rb})");
-                assert_eq!(parts[1].data(), yb.data(), "{prec:?} rows ({ra},{rb})");
+                assert_eq!(ys.slice_axis(0, 0, ra).data(), ya.data(), "{prec:?} rows ({ra},{rb})");
+                assert_eq!(ys.slice_axis(0, ra, rb).data(), yb.data(), "{prec:?} rows ({ra},{rb})");
             }
         }
     }

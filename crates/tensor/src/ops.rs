@@ -514,42 +514,6 @@ impl Tensor {
         Tensor::from_vec(vec![total_rows, cols], out)
     }
 
-    /// Stack 2-d tensors along the row (batch) axis: `[n_i, D]` parts with a
-    /// common column count become one `[sum(n_i), D]` matrix. This is the
-    /// batch-stacking primitive of the batch-native model forward: row-wise
-    /// kernels (GEMM against a shared weight, layer norm, softmax, GELU)
-    /// compute each output row from its input row alone, so running them
-    /// once over the stack is bit-identical to running them per part. A
-    /// single part is its own stack and comes back as a copy-free clone.
-    pub fn stack_rows(parts: &[&Tensor]) -> Tensor {
-        assert!(!parts.is_empty(), "stack_rows of nothing");
-        for p in parts {
-            assert_eq!(p.ndim(), 2, "stack_rows requires 2-d parts");
-        }
-        if let [only] = parts {
-            return (*only).clone();
-        }
-        Tensor::concat(parts, 0)
-    }
-
-    /// Inverse of [`Tensor::stack_rows`]: split a `[sum(rows), D]` matrix
-    /// back into parts of `rows[i]` rows each.
-    pub fn split_rows(&self, rows: &[usize]) -> Vec<Tensor> {
-        assert_eq!(self.ndim(), 2, "split_rows requires 2-d");
-        let total: usize = rows.iter().sum();
-        assert_eq!(self.shape()[0], total, "split_rows row count mismatch");
-        if rows.len() == 1 {
-            return vec![self.clone()];
-        }
-        let mut start = 0;
-        rows.iter()
-            .map(|&r| {
-                start += r;
-                self.slice_axis(0, start - r, r)
-            })
-            .collect()
-    }
-
     /// Zero-pad the last two axes (interpreted as H, W) by the given margins.
     pub fn pad2d(&self, top: usize, bottom: usize, left: usize, right: usize) -> Tensor {
         let nd = self.ndim();

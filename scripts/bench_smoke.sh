@@ -5,10 +5,9 @@
 # BENCH_kernels.json so pooled-vs-unpooled deltas are tracked over time.
 # Then run the inference bench (tape vs tape-free forward, whole-sample,
 # 2x2 tiled, and reduced-precision sessions) into BENCH_inference.json,
-# and the serving bench (open-loop load, microbatched vs unbatched, plus
-# f32/bf16/int8 default-precision cells at c=16, the 126M batch-window
-# on/off pair at c=2, and the `wire/*` float-text cells) into
-# BENCH_serving.json.
+# and the serving bench (open-loop load at three concurrency levels, plus
+# f32/bf16/int8 default-precision cells at c=16 and the `wire/*` float-text
+# cells) into BENCH_serving.json.
 #
 # Snapshots are labelled with the tree that was benchmarked (`git describe
 # --always --dirty`: the commit, plus `-dirty` when uncommitted changes were
@@ -182,7 +181,7 @@ jq -r '
     | "\($n)\ttape \($t[$n]) ns\tsession \($s[$n]) ns\tspeedup \(($t[$n] / $s[$n] * 100 | round) / 100)x"
 ' "$INFER_JSON"
 
-echo "== bench smoke: serving (microbatched vs unbatched open-loop load) =="
+echo "== bench smoke: serving (open-loop load) =="
 serve_log="$(cargo bench -p orbit2-bench --bench serving "$@" 2>&1)" || {
     echo "bench serving failed:" >&2
     echo "$serve_log" >&2
@@ -198,33 +197,16 @@ serve_record="$(jq -n \
 append_record "$SERVE_JSON" "$serve_record"
 
 echo "appended serving record to $SERVE_JSON"
-# Batched-vs-unbatched throughput per concurrency level: the cross-request
-# microbatching win under load (and its latency cost at low concurrency).
-jq -r '
-    .[-1].results
-    | (map(select(.bench | test("/batched/"))) | map({(.bench | split("/")[2]): .}) | add // {}) as $b
-    | (map(select(.bench | test("/unbatched/"))) | map({(.bench | split("/")[2]): .}) | add // {}) as $u
-    | $b | keys[] | . as $c
-    | "serving/\($c)\tbatched \($b[$c].rps) req/s (p99 \($b[$c].p99_us) us)\tunbatched \($u[$c].rps) req/s (p99 \($u[$c].p99_us) us)\tspeedup \(($b[$c].rps / $u[$c].rps * 100 | round) / 100)x"
-' "$SERVE_JSON"
+# Throughput and latency per concurrency level (tiny model).
+jq -r '.[-1].results[] | select(.bench | test("^serving/c[0-9]+$")) | "\(.bench)\t\(.rps) req/s\tp50 \(.p50_us) us\tp99 \(.p99_us) us"' "$SERVE_JSON"
 
-# Per-precision serving throughput at c=16 (126M model, unbatched): the
+# Per-precision serving throughput at c=16 (126M model): the
 # f32 server vs the reduced-precision default servers under the same load.
 jq -r '
     .[-1].results
     | (map(select(.bench == "serving/f32/c16")) | first) as $f
     | map(select(.bench == "serving/bf16/c16" or .bench == "serving/int8/c16"))[]
     | "\(.bench)\t\(.rps) req/s (p99 \(.p99_us) us)\tvs f32 \($f.rps) req/s\tspeedup \((.rps / $f.rps * 100 | round) / 100)x"
-' "$SERVE_JSON"
-
-# Microbatching's verdict cell (ROADMAP item 2): the 126M model under two
-# lockstep clients, default batch window against none. Keeping the window
-# needs throughput on / off >= 1.15; the latency ratio is what it costs.
-jq -r '
-    .[-1].results
-    | (map(select(.bench == "serving/126m_window_on/c2")) | first) as $on
-    | (map(select(.bench == "serving/126m_window_off/c2")) | first) as $off
-    | "serving/126m window on vs off/c2\ton \($on.rps) req/s (p50 \($on.p50_us) us)\toff \($off.rps) req/s (p50 \($off.p50_us) us)\tthroughput on / off \(($on.rps / $off.rps * 100 | round) / 100)x\tp50 on / off \(($on.p50_us / $off.p50_us * 100 | round) / 100)x"
 ' "$SERVE_JSON"
 
 # The wire's float text (DESIGN.md §10), same snapshot: each JSON crossing

@@ -37,6 +37,13 @@
 # mentions `matmul_nt` — except inside the session's own `fn matmul_nt`,
 # the trait method `infer.rs` must implement. This keeps the composition
 # from coming back beside the op.
+#
+# One-inference-call gate (DESIGN.md §10): the server runs each request
+# through `orbit2::inference::downscale_with` and nothing else, so nothing
+# under `crates/serve/src` names `.forward(`, `forward_batch`, `split_stack`
+# or `stitch_predictions`. And the model forward takes one sample (DESIGN.md
+# §9): `forward_batch` and `CompressionPlan::stack` (its `fn stack`) may not
+# come back anywhere under `crates/`.
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 float_sum="$(grep -rnE '(into_)?par_(iter|iter_mut|chunks|chunks_mut)\(.*sum::<f(32|64)>' crates/*/src || true)"
@@ -93,6 +100,18 @@ done)"
 if [[ -n "$composed_attn" ]]; then
     echo "lint: matmul_nt outside exec.rs under crates/model/src (attention is one op: Exec::attention):" >&2
     echo "$composed_attn" >&2
+    exit 1
+fi
+serve_forward="$(grep -rnE '\.forward\(|forward_batch|split_stack|stitch_predictions' crates/serve/src || true)"
+if [[ -n "$serve_forward" ]]; then
+    echo "lint: the server's only inference call is orbit2::inference::downscale_with:" >&2
+    echo "$serve_forward" >&2
+    exit 1
+fi
+batch_forward="$(grep -rnE 'forward_batch|CompressionPlan::stack|fn stack\(' crates || true)"
+if [[ -n "$batch_forward" ]]; then
+    echo "lint: the row-stacked batch forward was removed (one sample per forward, DESIGN.md §9):" >&2
+    echo "$batch_forward" >&2
     exit 1
 fi
 exec cargo clippy --workspace --all-targets -- -D warnings -D unsafe_code -W clippy::redundant_clone "$@"

@@ -18,7 +18,7 @@ fn downscale_and_evaluate_build_zero_tapes() {
 
     let before = tape_constructions();
 
-    // Whole-sample, tiled, compressed, session-reuse, batched and
+    // Whole-sample, tiled, compressed, session-reuse, direct forwards and
     // full-split evaluation: the complete inference surface.
     let s = ds.sample(0);
     let _ = orbit2::inference::downscale(&model, &norm, &s.input, None, 1.0).unwrap();
@@ -27,9 +27,10 @@ fn downscale_and_evaluate_build_zero_tapes() {
     let _ = orbit2::inference::downscale(&model, &norm, &s.input, None, 2.0).unwrap();
     let _ = orbit2::inference::downscale_with(&model, &session, &norm, &s.input, None, 1.0)
         .unwrap();
-    // The stacked (B=2) path of the model's forward.
-    let pair = [ds.sample(0).input, ds.sample(1).input];
-    let _ = model.forward_batch(&session, &[&pair[0], &pair[1]], 2.0);
+    // The model's forward called directly on the session, twice.
+    for i in 0..2 {
+        let _ = model.forward(&session, &ds.sample(i).input, 2.0);
+    }
     let test_idx = ds.indices(Split::Test);
     let _ = orbit2::eval::evaluate_model(&model, &norm, &ds, &test_idx, Some(spec), 1.0).unwrap();
 

@@ -110,16 +110,13 @@ fn conv(visits: usize) -> Bits {
 }
 
 fn attention(visits: usize) -> Bits {
-    // One parallel call per (sample, head) over its blocks of query rows:
-    // the first sample's `n` tokens carry `visits`, `5·n²` in the kernel's
-    // grain (two 16-wide products and three softmax passes per score). Two
-    // heads, and a ragged stack behind it.
+    // One parallel call per head over its blocks of query rows: `n` tokens
+    // carry `visits`, `5·n²` in the kernel's grain (two 16-wide products
+    // and three softmax passes per score). Two heads.
     let (heads, dh) = (2, 16);
     let n = ((visits / 5) as f64).sqrt() as usize + 1;
-    let rows = [n, 7, 49];
-    let t: usize = rows.iter().sum();
-    let (q, k, v) = (randn(&[t, heads * dh], 91), randn(&[t, heads * dh], 92), randn(&[t, heads * dh], 93));
-    bits([multi_head_attention(&q, &k, &v, heads, &rows).data()])
+    let (q, k, v) = (randn(&[n, heads * dh], 91), randn(&[n, heads * dh], 92), randn(&[n, heads * dh], 93));
+    bits([multi_head_attention(&q, &k, &v, heads).data()])
 }
 
 /// `sweep` twice: the gradient reduce over three jobs, then an Adam step.
