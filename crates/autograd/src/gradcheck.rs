@@ -1,7 +1,7 @@
-//! Finite-difference gradient verification.
+//! Finite-difference gradient verification, compiled for tests only.
 //!
-//! Used throughout the test suite (and by the model crate's tests) to prove
-//! every hand-written adjoint against a central difference.
+//! The `nn` and `tape` tests prove every hand-written adjoint against a
+//! central difference with it.
 
 use crate::tape::{Tape, Var};
 use orbit2_tensor::random::randn;
@@ -15,7 +15,7 @@ use orbit2_tensor::Tensor;
 ///
 /// # Panics
 /// Panics with a diagnostic when any gradient element disagrees.
-pub fn check_gradients<F>(shapes: &[Vec<usize>], f: F, tol: f32, seed: u64)
+pub(crate) fn check_gradients<F>(shapes: &[Vec<usize>], f: F, tol: f32, seed: u64)
 where
     F: for<'t> Fn(&'t Tape, &[Var<'t>]) -> Var<'t>,
 {

@@ -14,14 +14,15 @@
 //!   (paper Sec. III-D),
 //! * [`params`] — named parameter storage, the flat training-state layout
 //!   ([`ParamLayout`]) and the gradient reduce ([`GradAccumulator`]),
-//! * [`gradcheck`] — finite-difference gradient verification used across the
-//!   test suite.
+//! * `gradcheck` (test builds only) — the finite-difference oracle every
+//!   hand-written adjoint in the `nn` and `tape` tests is checked against.
 //!
 //! A [`Tape`] is deliberately `!Sync`: in the TILES trainer every tile
 //! (thread) builds its own tape, mirroring the paper's one-GPU-per-tile
 //! execution, and only gradients cross thread boundaries.
 
-pub mod gradcheck;
+#[cfg(test)]
+mod gradcheck;
 pub mod nn;
 pub mod optim;
 #[cfg(test)]
@@ -30,7 +31,7 @@ pub mod params;
 pub mod scaler;
 pub mod tape;
 
-pub use optim::{Adam, AdamState, AdamW, Optimizer};
+pub use optim::{Adam, Optimizer};
 pub use params::{GradAccumulator, ParamLayout, ParamStore};
-pub use scaler::{GradScaler, ScalerState};
+pub use scaler::GradScaler;
 pub use tape::{tape_constructions, Gradients, Tape, Var};

@@ -211,7 +211,7 @@ impl<'t> Var<'t> {
 /// Adjoint of bilinear interpolation with half-pixel centers: distributes
 /// each output gradient onto its four source pixels with the interpolation
 /// weights.
-pub fn bilinear_adjoint(grad_out: &Tensor, in_h: usize, in_w: usize) -> Tensor {
+fn bilinear_adjoint(grad_out: &Tensor, in_h: usize, in_w: usize) -> Tensor {
     let nd = grad_out.ndim();
     let (oh, ow) = (grad_out.shape()[nd - 2], grad_out.shape()[nd - 1]);
     let lead: usize = grad_out.shape()[..nd - 2].iter().product();

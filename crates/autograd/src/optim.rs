@@ -56,22 +56,10 @@ impl Adam {
         }
     }
 
-    /// Set the exponential-decay coefficients.
-    pub fn with_betas(mut self, beta1: f32, beta2: f32) -> Self {
-        self.beta1 = beta1;
-        self.beta2 = beta2;
-        self
-    }
-
     /// Enable decoupled weight decay (turning this into AdamW).
     pub fn with_weight_decay(mut self, wd: f32) -> Self {
         self.weight_decay = wd;
         self
-    }
-
-    /// Number of steps taken.
-    pub fn steps(&self) -> u64 {
-        self.t
     }
 
     /// Bit-exact snapshot of the optimizer state for checkpointing: handles
@@ -163,9 +151,6 @@ pub struct AdamState {
     /// Second-moment estimates, `[layout.total()]`.
     pub v: Tensor,
 }
-
-/// AdamW = Adam with decoupled weight decay.
-pub type AdamW = Adam;
 
 /// One run of a parameter with its moments and its gradient.
 struct UpdateSpan<'a> {
@@ -275,7 +260,7 @@ mod tests {
         for &x in p.get("x").data() {
             assert!((x - 3.0).abs() < 5e-2, "{x}");
         }
-        assert_eq!(opt.steps(), 500);
+        assert_eq!(opt.t, 500);
     }
 
     #[test]
@@ -327,7 +312,7 @@ mod tests {
         let saved = opt.export_state();
         let mut resumed = Adam::new(0.1).with_weight_decay(0.01);
         resumed.import_state(&saved).unwrap();
-        assert_eq!(resumed.steps(), 10);
+        assert_eq!(resumed.t, 10);
         for _ in 0..10 {
             let g = quadratic_grad(&p);
             resumed.step(&mut p, &g);

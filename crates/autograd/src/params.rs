@@ -55,13 +55,6 @@ impl ParamStore {
         self.entries.get(name)
     }
 
-    /// Mutable access to a parameter by name.
-    pub fn get_mut(&mut self, name: &str) -> &mut Tensor {
-        self.entries
-            .get_mut(name)
-            .unwrap_or_else(|| panic!("unknown parameter {name}"))
-    }
-
     /// Whether a parameter exists.
     pub fn contains(&self, name: &str) -> bool {
         self.entries.contains_key(name)
@@ -119,13 +112,8 @@ impl LayoutEntry {
     }
 
     /// Element count (the product of the shape).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
-    }
-
-    /// True for a zero-element tensor.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// The parameter's element range in an arena.
@@ -191,12 +179,12 @@ impl ParamLayout {
     }
 
     /// Where `name` sits in [`ParamLayout::entries`].
-    pub fn position(&self, name: &str) -> Option<usize> {
+    pub(crate) fn position(&self, name: &str) -> Option<usize> {
         self.entries.binary_search_by(|e| e.name.as_str().cmp(name)).ok()
     }
 
     /// Whether `store` holds exactly these names with these shapes.
-    pub fn matches(&self, store: &ParamStore) -> bool {
+    pub(crate) fn matches(&self, store: &ParamStore) -> bool {
         self.entries.len() == store.len()
             && self
                 .entries
@@ -440,7 +428,7 @@ impl GradAccumulator {
     }
 
     /// The layout the arena follows.
-    pub fn layout(&self) -> &ParamLayout {
+    pub(crate) fn layout(&self) -> &ParamLayout {
         &self.layout
     }
 

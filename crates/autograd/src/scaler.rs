@@ -52,11 +52,6 @@ impl GradScaler {
         self.scale
     }
 
-    /// Multiply a loss value by the current scale (before backward).
-    pub fn scale_loss(&self, loss: f32) -> f32 {
-        loss * self.scale
-    }
-
     /// Bit-exact snapshot of the scaler state for checkpointing. Growth and
     /// backoff factors are configuration, reconstructed by the loader.
     pub fn export_state(&self) -> ScalerState {
@@ -168,12 +163,6 @@ mod tests {
         let mut g = grads_with(vec![f32::NAN]);
         s.unscale_and_check(&mut g);
         assert!(s.scale() >= 1.0);
-    }
-
-    #[test]
-    fn scale_loss_multiplies() {
-        let s = GradScaler::new(8.0);
-        assert_eq!(s.scale_loss(0.5), 4.0);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! backward pass is a single reverse sweep.
 
 use orbit2_tensor::fused::{act_backward, Activation};
-use orbit2_tensor::{simd, Tensor};
+use orbit2_tensor::Tensor;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -152,7 +152,7 @@ impl Tape {
 /// Sum `grad` down to `target` shape, undoing broadcasting (the adjoint of a
 /// broadcast): extra leading axes are summed away and size-1 axes are summed
 /// with keep-dim.
-pub fn reduce_to_shape(grad: &Tensor, target: &[usize]) -> Tensor {
+fn reduce_to_shape(grad: &Tensor, target: &[usize]) -> Tensor {
     let mut g = grad.clone();
     while g.ndim() > target.len() {
         g = g.sum_axis(0);
@@ -192,7 +192,7 @@ pub(crate) mod tape_internals {
 
 impl<'t> Var<'t> {
     /// The tape this var lives on.
-    pub fn tape(&self) -> &'t Tape {
+    pub(crate) fn tape(&self) -> &'t Tape {
         self.tape
     }
 
@@ -267,32 +267,9 @@ impl<'t> Var<'t> {
         })
     }
 
-    /// Elementwise division (with broadcasting).
-    pub fn div(&self, other: Var<'t>) -> Var<'t> {
-        let (av, bv) = (self.value(), other.value());
-        let (ash, bsh) = (av.shape().to_vec(), bv.shape().to_vec());
-        let (ac, bc) = (av.clone(), bv.clone());
-        self.binary(other, av.div(&bv), move |g| {
-            let ga = reduce_to_shape(&g.div(&bc), &ash);
-            // d/db (a/b) = -a / b^2
-            let gb = reduce_to_shape(&g.mul(&ac).div(&bc.mul(&bc)).neg(), &bsh);
-            (ga, gb)
-        })
-    }
-
     /// Multiply by a scalar constant.
     pub fn scale(&self, s: f32) -> Var<'t> {
         self.unary(self.value().mul_scalar(s), move |g| g.mul_scalar(s))
-    }
-
-    /// Add a scalar constant.
-    pub fn shift(&self, s: f32) -> Var<'t> {
-        self.unary(self.value().add_scalar(s), |g| g.clone())
-    }
-
-    /// Negation.
-    pub fn neg(&self) -> Var<'t> {
-        self.scale(-1.0)
     }
 
     /// Elementwise square.
@@ -302,64 +279,12 @@ impl<'t> Var<'t> {
         self.unary(v.mul(&vc), move |g| g.mul(&vc).mul_scalar(2.0))
     }
 
-    /// Elementwise exponential.
-    pub fn exp(&self) -> Var<'t> {
-        let y = Tensor::exp(&self.value());
-        let yc = y.clone();
-        self.unary(y, move |g| g.mul(&yc))
-    }
-
-    /// Elementwise natural log.
-    pub fn ln(&self) -> Var<'t> {
-        let v = self.value();
-        let vc = v.clone();
-        self.unary(v.ln(), move |g| g.div(&vc))
-    }
-
-    /// Elementwise tanh.
-    pub fn tanh(&self) -> Var<'t> {
-        let y = Tensor::tanh(&self.value());
-        let yc = y.clone();
-        self.unary(y, move |g| g.mul(&yc.map(|t| 1.0 - t * t)))
-    }
-
-    /// ReLU.
-    pub fn relu(&self) -> Var<'t> {
-        let v = self.value();
-        let mask = v.map(|x| if x > 0.0 { 1.0 } else { 0.0 });
-        self.unary(v.relu(), move |g| g.mul(&mask))
-    }
-
     /// GELU (tanh approximation). The backward closure keeps the (COW)
     /// input and evaluates `g ⊙ gelu'(x)` when it runs — never for an
     /// untracked parent, whose closure is dropped unrun.
     pub fn gelu(&self) -> Var<'t> {
         let v = self.value();
         self.unary(v.gelu(), move |g| act_backward(g, &v, Activation::Gelu))
-    }
-
-    /// Logistic sigmoid.
-    pub fn sigmoid(&self) -> Var<'t> {
-        let y = self.value().sigmoid();
-        let yc = y.clone();
-        self.unary(y, move |g| g.mul(&yc.map(|s| s * (1.0 - s))))
-    }
-
-    /// Numerically-stable softplus `ln(1 + e^x)` — useful as a nonnegative
-    /// output head (e.g. precipitation).
-    pub fn softplus(&self) -> Var<'t> {
-        let v = self.value();
-        let y = v.map(|x| {
-            if x > 20.0 {
-                x
-            } else if x < -20.0 {
-                0.0
-            } else {
-                (1.0 + simd::exp(x)).ln()
-            }
-        });
-        let d = v.sigmoid();
-        self.unary(y, move |g| g.mul(&d))
     }
 
     /// Smooth (Charbonnier) absolute value `sqrt(x^2 + eps^2)`; the
@@ -567,13 +492,9 @@ mod tests {
 
     #[test]
     fn elementwise_grads_match_fd() {
-        check_gradients(&[vec![6]], |_t, v| v[0].tanh().sum(), 1e-2, 1);
         check_gradients(&[vec![6]], |_t, v| v[0].gelu().sum(), 1e-2, 2);
         check_gradients(&[vec![6]], |_t, v| v[0].square().sum(), 1e-2, 3);
-        check_gradients(&[vec![6]], |_t, v| v[0].exp().mean(), 1e-2, 4);
         check_gradients(&[vec![6]], |_t, v| v[0].smooth_abs(0.1).sum(), 1e-2, 5);
-        check_gradients(&[vec![6]], |_t, v| v[0].sigmoid().sum(), 1e-2, 6);
-        check_gradients(&[vec![6]], |_t, v| v[0].softplus().sum(), 1e-2, 7);
     }
 
     #[test]
@@ -609,30 +530,6 @@ mod tests {
         let want: Vec<u32> =
             w.data().iter().zip(x.data()).map(|(&g, &v)| (g * gelu_grad_scalar(v)).to_bits()).collect();
         assert_eq!(got.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>(), want);
-    }
-
-    #[test]
-    fn softplus_is_nonnegative_and_asymptotic() {
-        let tape = Tape::new();
-        let x = tape.leaf(Tensor::from_vec(vec![3], vec![-30.0, 0.0, 30.0]));
-        let y = x.softplus().value();
-        assert!(y.min_value() >= 0.0);
-        assert!((y.data()[1] - (2.0f32).ln()).abs() < 1e-6);
-        assert!((y.data()[2] - 30.0).abs() < 1e-4, "softplus(x) -> x for large x");
-    }
-
-    #[test]
-    fn div_grad_matches_fd() {
-        check_gradients(
-            &[vec![4], vec![4]],
-            |_t, v| {
-                // Shift denominator away from zero for stability.
-                let denom = v[1].square().shift(1.0);
-                v[0].div(denom).sum()
-            },
-            1e-2,
-            9,
-        );
     }
 
     #[test]
@@ -686,7 +583,7 @@ mod tests {
         // chain must finish backward without a single full-tensor copy.
         let tape = Tape::new();
         let a = tape.leaf(randn(&[64, 64], 17));
-        let loss = a.scale(2.0).shift(1.0).tanh().mean();
+        let loss = a.scale(2.0).gelu().square().mean();
         orbit2_tensor::pool::reset_stats();
         let g = tape.backward(loss);
         assert!(g.get(a).is_some());

@@ -11,10 +11,17 @@
 use orbit2_bench::{fig6, fig7, fig8, halo, setup, step_budget, table1, table2, table3, table4};
 use std::path::PathBuf;
 
+const USAGE: &str =
+    "usage: repro [table1|table2a|table2b|table3|table4|fig6a|fig6b|fig7|fig8|halo|all] [--quick]";
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(flag) = args.iter().find(|a| a.starts_with("--") && *a != "--quick") {
+        eprintln!("unknown flag `{flag}`\n{USAGE}");
+        std::process::exit(2);
+    }
     let quick = args.iter().any(|a| a == "--quick");
-    let which = args.first().map(String::as_str).unwrap_or("all");
+    let which = args.iter().find(|a| !a.starts_with("--")).map(String::as_str).unwrap_or("all");
     let steps = if quick { 10 } else { step_budget(120) };
     let samples = if quick { 16 } else { 60 };
 
@@ -66,9 +73,7 @@ fn main() {
             print!("{}", halo::render(&halo::run(steps)));
         }
         other => {
-            eprintln!(
-                "unknown experiment `{other}`\nusage: repro [table1|table2a|table2b|table3|table4|fig6a|fig6b|fig7|fig8|halo|all] [--quick]"
-            );
+            eprintln!("unknown experiment `{other}`\n{USAGE}");
             std::process::exit(2);
         }
     }

@@ -35,7 +35,7 @@ pub fn render_6a_simulated() -> String {
 
 /// Measured Fig. 6(a): real tiled inference over rayon thread pools of
 /// increasing size. Returns `(threads, seconds)` pairs.
-pub fn measure_6a_threads(max_threads: usize) -> Vec<(usize, f64)> {
+fn measure_6a_threads(max_threads: usize) -> Vec<(usize, f64)> {
     use orbit2::inference::downscale_with;
     use orbit2_imaging::tiles::TileSpec;
     let ds = crate::setup::us_dataset(4, 3);

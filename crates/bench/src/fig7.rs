@@ -3,7 +3,6 @@
 //! truth vs prediction), written as PGM files and ASCII art.
 
 use crate::fmt::Table;
-use crate::table4::Table4Result;
 use orbit2::inference::downscale;
 use orbit2_climate::{DownscalingDataset, Normalizer, Split};
 use orbit2_fft::radial_power_spectrum;
@@ -100,17 +99,6 @@ pub fn render_7b(result_model: (&ReslimModel, &Normalizer), ds: &DownscalingData
     out.push_str(&format!("PGM files written to {}\n", dir.display()));
     Ok(out)
 }
-
-/// Convenience: full Fig. 7 from a Table IV result (re-using its datasets
-/// is not possible since trainers own the models, so this takes them
-/// explicitly).
-pub fn tail_improves_with_capacity(cmp: &SpectrumComparison) -> bool {
-    cmp.tail_distance.1 <= cmp.tail_distance.0
-}
-
-/// Placeholder referencing the Table IV result type so callers see the
-/// intended pairing in the docs.
-pub type UpstreamResult = Table4Result;
 
 #[cfg(test)]
 mod tests {

@@ -1,14 +1,14 @@
 //! Fixed-width table rendering for the `repro` binary.
 
 /// A simple fixed-width table printer.
-pub struct Table {
+pub(crate) struct Table {
     header: Vec<String>,
     rows: Vec<Vec<String>>,
 }
 
 impl Table {
     /// Start a table with column headers.
-    pub fn new(header: &[&str]) -> Self {
+    pub(crate) fn new(header: &[&str]) -> Self {
         Self {
             header: header.iter().map(|s| s.to_string()).collect(),
             rows: Vec::new(),
@@ -16,13 +16,13 @@ impl Table {
     }
 
     /// Append a row (must match the header arity).
-    pub fn row(&mut self, cells: Vec<String>) {
+    pub(crate) fn row(&mut self, cells: Vec<String>) {
         assert_eq!(cells.len(), self.header.len(), "row arity mismatch");
         self.rows.push(cells);
     }
 
     /// Render with per-column widths.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let cols = self.header.len();
         let mut widths: Vec<usize> = self.header.iter().map(|h| h.len()).collect();
         for row in &self.rows {
@@ -53,7 +53,7 @@ impl Table {
 }
 
 /// Format seconds in engineering notation like the paper ("7.3e-4").
-pub fn sci(x: f64) -> String {
+pub(crate) fn sci(x: f64) -> String {
     if x == 0.0 {
         return "0".into();
     }
@@ -61,7 +61,7 @@ pub fn sci(x: f64) -> String {
 }
 
 /// Format a large count with engineering suffixes (25K, 298M, 4.2B).
-pub fn count(x: u64) -> String {
+pub(crate) fn count(x: u64) -> String {
     let xf = x as f64;
     if xf >= 1e9 {
         format!("{:.1}B", xf / 1e9)
@@ -75,7 +75,7 @@ pub fn count(x: u64) -> String {
 }
 
 /// Format FLOP/s with P/E suffixes.
-pub fn flops(x: f64) -> String {
+pub(crate) fn flops(x: f64) -> String {
     if x >= 1e18 {
         format!("{:.1} EFLOPS", x / 1e18)
     } else if x >= 1e15 {

@@ -110,11 +110,6 @@ fn shard_columns(m: &Tensor, shard: usize, cols: usize) -> Tensor {
     m.slice_axis(1, shard * cols, cols)
 }
 
-/// Reference: unsharded chain.
-pub fn chain_reference(inp: &ChainInputs) -> Tensor {
-    inp.x.matmul(&inp.a).matmul(&inp.b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -122,7 +117,8 @@ mod tests {
     #[test]
     fn both_schemes_match_reference() {
         let inp = chain_inputs(16, 32, 1);
-        let reference = chain_reference(&inp);
+        // The unsharded chain.
+        let reference = inp.x.matmul(&inp.a).matmul(&inp.b);
         for shards in [1usize, 2, 4] {
             let h = chain_hybrid_op(&inp, shards);
             let n = chain_naive_tp(&inp, shards);

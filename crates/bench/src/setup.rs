@@ -12,12 +12,12 @@ pub fn us_dataset(samples: usize, seed: u64) -> DownscalingDataset {
 }
 
 /// A smaller dataset for quick smoke experiments.
-pub fn small_dataset(samples: usize, seed: u64) -> DownscalingDataset {
+pub(crate) fn small_dataset(samples: usize, seed: u64) -> DownscalingDataset {
     DownscalingDataset::new(LatLonGrid::conus(32, 64), VariableSet::daymet_like(), 4, samples, seed)
 }
 
 /// Global ERA5-like dataset (23 channels) at reduced scale.
-pub fn global_dataset(samples: usize, seed: u64) -> DownscalingDataset {
+pub(crate) fn global_dataset(samples: usize, seed: u64) -> DownscalingDataset {
     DownscalingDataset::new(LatLonGrid::global(32, 64), VariableSet::era5_like(), 4, samples, seed)
 }
 

@@ -56,7 +56,7 @@ pub fn render_2a_simulated() -> String {
 
 /// Measured Table II(a): real forward-pass wall-clock of the tiny twins on
 /// this CPU, tape-free. Returns `(vit_time_s, reslim_time_s, speedup)`.
-pub fn measure_2a_kernels(h: usize, w: usize, reps: usize) -> (f64, f64, f64) {
+fn measure_2a_kernels(h: usize, w: usize, reps: usize) -> (f64, f64, f64) {
     let cfg = ModelConfig::tiny().with_channels(7, 3);
     let reslim = ReslimModel::new(cfg, 1);
     let vit = BaselineVit::new(cfg, 1);

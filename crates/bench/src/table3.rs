@@ -9,7 +9,7 @@ use orbit2_model::ModelConfig;
 
 /// The nine configuration rows of the paper's Table III, plus the paper's
 /// reported value for side-by-side comparison.
-pub fn rows() -> Vec<(&'static str, Arch, ModelConfig, usize, usize, usize, &'static str)> {
+fn rows() -> Vec<(&'static str, Arch, ModelConfig, usize, usize, usize, &'static str)> {
     vec![
         ("ViT 9.5M", Arch::BaselineVit, ModelConfig::paper_9_5m(), 1, 1, 8, "25K"),
         ("ViT 10B", Arch::BaselineVit, ModelConfig::paper_10b(), 1, 1, 8, "OOM"),

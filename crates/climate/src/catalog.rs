@@ -41,11 +41,6 @@ pub struct DatasetCatalogEntry {
 }
 
 impl DatasetCatalogEntry {
-    /// Spatial refinement factor.
-    pub fn factor(&self) -> f64 {
-        self.res_in_km / self.res_out_km
-    }
-
     /// Storage footprint in GB for f32 samples (inputs + outputs).
     pub fn size_gb(&self) -> f64 {
         let per_sample = (self.in_dims.iter().product::<usize>()
@@ -147,7 +142,8 @@ mod tests {
     fn all_tasks_are_4x_refinement() {
         for e in paper_catalog() {
             // 622 -> 156 km is "4x" at grid level but 3.99x in km.
-            assert!((e.factor() - 4.0).abs() < 0.05, "{}: factor {}", e.name, e.factor());
+            let factor = e.res_in_km / e.res_out_km;
+            assert!((factor - 4.0).abs() < 0.05, "{}: factor {factor}", e.name);
             assert_eq!(e.out_dims[0] / e.in_dims[0], 4);
             assert_eq!(e.out_dims[1] / e.in_dims[1], 4);
         }

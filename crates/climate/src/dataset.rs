@@ -84,7 +84,7 @@ impl DownscalingDataset {
     /// Split membership of sample `i` (time-ordered, like the paper's
     /// by-year split). Every split is guaranteed non-empty once
     /// `num_samples >= 3`.
-    pub fn split_of(&self, i: usize) -> Split {
+    fn split_of(&self, i: usize) -> Split {
         let n = self.num_samples;
         let mut val_end = ((n as f64 * (self.train_frac + self.val_frac)).round() as usize).min(n.saturating_sub(1));
         let mut train_end = ((n as f64 * self.train_frac).round() as usize).min(val_end.saturating_sub(1));
@@ -132,11 +132,6 @@ impl DownscalingDataset {
 
         DownscalingSample { input, target, t }
     }
-
-    /// Generate a batch of samples by index.
-    pub fn batch(&self, indices: &[usize]) -> Vec<DownscalingSample> {
-        indices.iter().map(|&i| self.sample(i)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -169,7 +164,7 @@ mod tests {
         let s = ds.sample(1);
         // Input channel "tmin_in" must equal the 4x area average of the
         // target channel "tmin".
-        let ci = ds.variables().input_index("tmin_in").unwrap();
+        let ci = ds.variables().inputs.iter().position(|v| v.name == "tmin_in").unwrap();
         let co = ds.variables().output_index("tmin").unwrap();
         let coarse = s.input.slice_axis(0, ci, 1);
         let fine = s.target.slice_axis(0, co, 1);
@@ -196,20 +191,12 @@ mod tests {
         let ds = tiny();
         let cg = ds.coarse_grid();
         assert_eq!((cg.h, cg.w), (8, 16));
-        assert!((cg.resolution_km() / ds.fine_grid().resolution_km() - 4.0).abs() < 1e-9);
+        assert_eq!(LatLonGrid { h: 32, w: 64, ..cg }, *ds.fine_grid());
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn out_of_range_sample_panics() {
         tiny().sample(40);
-    }
-
-    #[test]
-    fn batch_matches_individual_samples() {
-        let ds = tiny();
-        let b = ds.batch(&[0, 5]);
-        assert_eq!(b.len(), 2);
-        assert_eq!(b[1].input.data(), ds.sample(5).input.data());
     }
 }

@@ -5,7 +5,7 @@
 
 /// Fraction of pixels above the wet threshold (default 1 mm/day in the
 /// literature).
-pub fn wet_fraction(precip: &[f32], threshold: f32) -> f64 {
+fn wet_fraction(precip: &[f32], threshold: f32) -> f64 {
     if precip.is_empty() {
         return 0.0;
     }
@@ -13,7 +13,7 @@ pub fn wet_fraction(precip: &[f32], threshold: f32) -> f64 {
 }
 
 /// Mean intensity over wet pixels only (the "SDII" index).
-pub fn wet_intensity(precip: &[f32], threshold: f32) -> f64 {
+fn wet_intensity(precip: &[f32], threshold: f32) -> f64 {
     let wet: Vec<f32> = precip.iter().copied().filter(|&p| p >= threshold).collect();
     if wet.is_empty() {
         return 0.0;
@@ -22,7 +22,7 @@ pub fn wet_intensity(precip: &[f32], threshold: f32) -> f64 {
 }
 
 /// Empirical quantile of a field (q in [0, 1]).
-pub fn quantile(field: &[f32], q: f64) -> f32 {
+fn quantile(field: &[f32], q: f64) -> f32 {
     assert!(!field.is_empty());
     assert!((0.0..=1.0).contains(&q));
     let mut sorted = field.to_vec();
@@ -60,22 +60,6 @@ pub fn climatology_errors(pred: &[f32], truth: &[f32], wet_threshold: f32) -> Cl
         p95_err: rel(quantile(pred, 0.95) as f64, quantile(truth, 0.95) as f64),
         p99_err: rel(quantile(pred, 0.99) as f64, quantile(truth, 0.99) as f64),
     }
-}
-
-/// Longest run of consecutive values meeting `pred` along a 1-d series
-/// (dry/wet spell length along time or a transect).
-pub fn longest_spell(series: &[f32], pred: impl Fn(f32) -> bool) -> usize {
-    let mut best = 0usize;
-    let mut run = 0usize;
-    for &v in series {
-        if pred(v) {
-            run += 1;
-            best = best.max(run);
-        } else {
-            run = 0;
-        }
-    }
-    best
 }
 
 #[cfg(test)]
@@ -136,13 +120,5 @@ mod tests {
         let biased: Vec<f32> = truth.iter().map(|&x| 1.5 * x).collect();
         let e = climatology_errors(&biased, &truth, 1.0);
         assert!(e.intensity_err > 0.3, "50% scaling must show up: {e:?}");
-    }
-
-    #[test]
-    fn spells() {
-        let s = [0.0f32, 0.0, 2.0, 2.0, 2.0, 0.0, 2.0];
-        assert_eq!(longest_spell(&s, |v| v >= 1.0), 3);
-        assert_eq!(longest_spell(&s, |v| v < 1.0), 2);
-        assert_eq!(longest_spell(&[], |v| v > 0.0), 0);
     }
 }

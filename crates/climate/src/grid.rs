@@ -6,9 +6,6 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Circumference-derived km per degree at the equator.
-pub const KM_PER_DEGREE: f64 = 111.195;
-
 /// A regular global (or regional) latitude/longitude grid.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LatLonGrid {
@@ -38,20 +35,15 @@ impl LatLonGrid {
     }
 
     /// Latitude at the center of row `i` (degrees, decreasing with `i`).
-    pub fn lat(&self, i: usize) -> f64 {
+    pub(crate) fn lat(&self, i: usize) -> f64 {
         let step = (self.lat_north - self.lat_south) / self.h as f64;
         self.lat_north - (i as f64 + 0.5) * step
     }
 
     /// Longitude at the center of column `j` (degrees).
-    pub fn lon(&self, j: usize) -> f64 {
+    pub(crate) fn lon(&self, j: usize) -> f64 {
         let step = (self.lon_east - self.lon_west) / self.w as f64;
         self.lon_west + (j as f64 + 0.5) * step
-    }
-
-    /// Approximate north-south grid spacing in km.
-    pub fn resolution_km(&self) -> f64 {
-        (self.lat_north - self.lat_south) / self.h as f64 * KM_PER_DEGREE
     }
 
     /// Per-row latitude weights `cos(lat)`, normalized to mean 1 over the
@@ -72,11 +64,6 @@ impl LatLonGrid {
             }
         }
         out
-    }
-
-    /// The grid refined by an integer factor (downscaling target geometry).
-    pub fn refine(&self, factor: usize) -> LatLonGrid {
-        LatLonGrid { h: self.h * factor, w: self.w * factor, ..*self }
     }
 }
 
@@ -114,20 +101,9 @@ mod tests {
     }
 
     #[test]
-    fn refine_multiplies_resolution() {
-        let g = LatLonGrid::global(180, 360);
-        let r = g.refine(4);
-        assert_eq!(r.h, 720);
-        assert_eq!(r.w, 1440);
-        assert!((g.resolution_km() / r.resolution_km() - 4.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn conus_region_bounds() {
         let g = LatLonGrid::conus(26, 59);
         assert!(g.lat(0) < 50.0 && g.lat(25) > 24.0);
         assert!(g.lon(0) > -125.0 && g.lon(58) < -66.0);
-        // ~1 degree cells -> ~111 km
-        assert!((g.resolution_km() - 111.2).abs() < 5.0);
     }
 }

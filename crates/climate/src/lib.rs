@@ -32,10 +32,8 @@ pub mod normalize;
 pub mod synth;
 pub mod variables;
 
-pub use catalog::{paper_catalog, DatasetCatalogEntry, DatasetRole};
-pub use dataset::{DownscalingDataset, DownscalingSample, Split};
+pub use dataset::{DownscalingDataset, Split};
 pub use grid::LatLonGrid;
 pub use mixed::MixedDataset;
-pub use normalize::{ChannelStats, Normalizer};
-pub use synth::{GrfSpec, WorldGenerator};
-pub use variables::{VariableKind, VariableSet};
+pub use normalize::Normalizer;
+pub use variables::VariableSet;

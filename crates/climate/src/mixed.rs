@@ -8,7 +8,7 @@
 //! [`MixedDataset`] interleaves samples from multiple member datasets with
 //! a shared channel layout, so one training loop sees all resolutions.
 
-use crate::dataset::{DownscalingDataset, DownscalingSample, Split};
+use crate::dataset::{DownscalingDataset, DownscalingSample};
 
 /// Several downscaling datasets (same channel layout, same refinement
 /// factor, different grids) presented as one interleaved corpus.
@@ -40,7 +40,7 @@ impl MixedDataset {
     }
 
     /// Total number of samples across members.
-    pub fn num_samples(&self) -> usize {
+    fn num_samples(&self) -> usize {
         self.members.iter().map(|m| m.num_samples).sum()
     }
 
@@ -53,19 +53,6 @@ impl MixedDataset {
         // Round-robin position within the member, wrapping over its length.
         let within = (i / k) % self.members[member].num_samples;
         (member, self.members[member].sample(within))
-    }
-
-    /// Training indices (global) whose member-local counterpart is in the
-    /// training split.
-    pub fn train_indices(&self) -> Vec<usize> {
-        (0..self.num_samples())
-            .filter(|&i| {
-                let k = self.members.len();
-                let member = i % k;
-                let within = (i / k) % self.members[member].num_samples;
-                self.members[member].split_of(within) == Split::Train
-            })
-            .collect()
     }
 }
 
@@ -103,16 +90,6 @@ mod tests {
         let b = DownscalingDataset::new(LatLonGrid::conus(16, 32), VariableSet::daymet_like(), 4, 4, 1);
         let result = std::panic::catch_unwind(|| MixedDataset::new(vec![a, b]));
         assert!(result.is_err(), "mismatched channel layouts must be rejected");
-    }
-
-    #[test]
-    fn train_indices_alternate_resolutions() {
-        let m = mixed();
-        let idx = m.train_indices();
-        assert!(!idx.is_empty());
-        // Both members must be represented.
-        let members: std::collections::BTreeSet<usize> = idx.iter().map(|&i| i % 2).collect();
-        assert_eq!(members.len(), 2);
     }
 
     #[test]

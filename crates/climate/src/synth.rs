@@ -56,7 +56,7 @@ fn normalize_unit(field: &mut [f32]) {
 }
 
 /// Numerically-stable softplus, used to keep precipitation nonnegative.
-pub fn softplus(x: f32) -> f32 {
+fn softplus(x: f32) -> f32 {
     if x > 20.0 {
         x
     } else if x < -20.0 {
@@ -107,16 +107,6 @@ impl WorldGenerator {
         let continents = gaussian_random_field(h, w, GrfSpec { slope: 4.2 }, name_seed(seed, "land", 0));
         let land_mask: Vec<f32> = continents.iter().map(|&c| if c > -0.2 { 1.0 } else { 0.0 }).collect();
         Self { grid, variables, seed, topography_km, land_mask }
-    }
-
-    /// The fixed topography field (km).
-    pub fn topography(&self) -> &[f32] {
-        &self.topography_km
-    }
-
-    /// The fixed land mask.
-    pub fn land_mask(&self) -> &[f32] {
-        &self.land_mask
     }
 
     /// Shared synoptic "weather" field for timestep `t` (unit variance).
@@ -328,16 +318,16 @@ mod tests {
     fn topography_nonnegative_and_deterministic() {
         let w1 = world();
         let w2 = world();
-        assert_eq!(w1.topography(), w2.topography());
-        assert!(w1.topography().iter().all(|&t| t >= 0.0));
-        assert!(w1.topography().iter().any(|&t| t > 0.5), "should have mountains");
+        assert_eq!(w1.topography_km, w2.topography_km);
+        assert!(w1.topography_km.iter().all(|&t| t >= 0.0));
+        assert!(w1.topography_km.iter().any(|&t| t > 0.5), "should have mountains");
     }
 
     #[test]
     fn temperature_cools_on_mountains() {
         let wld = world();
         let t2m = wld.field("t2m", 10);
-        let topo = wld.topography();
+        let topo = &wld.topography_km;
         // Correlation between topography and temperature must be negative.
         let n = t2m.len() as f64;
         let mt: f64 = t2m.iter().map(|&v| v as f64).sum::<f64>() / n;

@@ -111,11 +111,6 @@ impl VariableSet {
         self.outputs.len()
     }
 
-    /// Index of an input channel by name.
-    pub fn input_index(&self, name: &str) -> Option<usize> {
-        self.inputs.iter().position(|v| v.name == name)
-    }
-
     /// Index of an output channel by name.
     pub fn output_index(&self, name: &str) -> Option<usize> {
         self.outputs.iter().position(|v| v.name == name)
@@ -147,10 +142,8 @@ mod tests {
     #[test]
     fn channel_lookup() {
         let vs = VariableSet::era5_like();
-        assert_eq!(vs.input_index("topography"), Some(0));
-        assert!(vs.input_index("t850").is_some());
         assert_eq!(vs.output_index("prcp"), Some(2));
-        assert_eq!(vs.input_index("nope"), None);
+        assert_eq!(vs.output_index("nope"), None);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! `2(n-1)/n · b` per rank; all-gather/reduce-scatter move `(n-1)/n · b`.
 //! Latency contributes one link-latency per ring step. The bandwidth used is
 //! the *bottleneck* of the group's spanning level (see
-//! [`ClusterSpec::effective_bandwidth`]).
+//! `ClusterSpec::effective_bandwidth`).
 
 use crate::topology::ClusterSpec;
 

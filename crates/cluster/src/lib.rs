@@ -19,19 +19,12 @@
 //!   the participating group;
 //! * [`roofline`] — compute-time model: FLOPs / (peak BF16 throughput ×
 //!   an efficiency factor calibrated per model-size bucket against the
-//!   paper's reported sustained throughput);
-//! * [`des`] — a small discrete-event engine used to overlap compute and
-//!   communication streams when estimating step times.
+//!   paper's reported sustained throughput).
+//!
+//! How these terms combine into a step time, including how much
+//! communication hides behind compute, is `orbit2-parallel`'s `estimate`.
 
 pub mod collective;
-pub mod des;
 pub mod memory;
-pub mod pipeline;
 pub mod roofline;
 pub mod topology;
-
-pub use collective::{collective_time, Collective};
-pub use des::{Simulator, TaskId};
-pub use memory::{MemoryBreakdown, TrainingMemoryModel};
-pub use roofline::{compute_time, GpuEfficiency};
-pub use topology::{ClusterSpec, CommLevel, GpuSpec, LinkSpec};

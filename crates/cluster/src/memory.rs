@@ -169,7 +169,7 @@ pub struct MemoryBreakdown {
 impl MemoryBreakdown {
     /// Total bytes (saturating: absurd configurations cap at `u64::MAX`
     /// instead of overflowing, so OOM checks stay correct).
-    pub fn total(&self) -> u64 {
+    fn total(&self) -> u64 {
         self.weights_bytes
             .saturating_add(self.grads_bytes)
             .saturating_add(self.optimizer_bytes)

@@ -46,12 +46,6 @@ pub fn compute_time(flops: f64, gpu: &GpuSpec, eff: GpuEfficiency) -> f64 {
     flops / (gpu.peak_bf16_flops * eff.mfu) + eff.step_overhead
 }
 
-/// Sustained throughput implied by executing `flops` in `seconds` across
-/// `gpus` devices (FLOP/s).
-pub fn sustained_flops(flops_per_gpu: f64, seconds: f64, gpus: usize) -> f64 {
-    flops_per_gpu * gpus as f64 / seconds
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -94,11 +88,5 @@ mod tests {
         let eff = GpuEfficiency { mfu: 0.25, step_overhead: 1e-3 };
         let t = compute_time(1e6, &gpu, eff);
         assert!(t > 0.99e-3 && t < 1.01e-3);
-    }
-
-    #[test]
-    fn sustained_throughput_arithmetic() {
-        let s = sustained_flops(1e12, 0.5, 1000);
-        assert!((s - 2e15).abs() < 1.0);
     }
 }

@@ -83,12 +83,12 @@ impl ClusterSpec {
     }
 
     /// Node index of a global rank.
-    pub fn node_of(&self, rank: usize) -> usize {
+    pub(crate) fn node_of(&self, rank: usize) -> usize {
         rank / self.gpus_per_node
     }
 
     /// Card index (global) of a rank.
-    pub fn card_of(&self, rank: usize) -> usize {
+    fn card_of(&self, rank: usize) -> usize {
         rank / self.gpus_per_card
     }
 
@@ -111,7 +111,7 @@ impl ClusterSpec {
     }
 
     /// Link description for a hierarchy level.
-    pub fn link(&self, level: CommLevel) -> LinkSpec {
+    pub(crate) fn link(&self, level: CommLevel) -> LinkSpec {
         match level {
             CommLevel::IntraCard => self.intra_card,
             CommLevel::InterCard => self.inter_card,
@@ -122,7 +122,7 @@ impl ClusterSpec {
     /// Effective per-GPU bandwidth for a collective over `ranks`: the
     /// bottleneck link's bandwidth, shared by the ranks of this group living
     /// on the same node when crossing node boundaries.
-    pub fn effective_bandwidth(&self, ranks: &[usize]) -> f64 {
+    pub(crate) fn effective_bandwidth(&self, ranks: &[usize]) -> f64 {
         let level = self.group_level(ranks);
         let link = self.link(level);
         if level == CommLevel::InterNode {

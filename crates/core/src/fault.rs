@@ -162,11 +162,6 @@ impl FaultPlan {
         self.persistent
     }
 
-    /// True when the plan can never produce a fault.
-    pub fn is_empty(&self) -> bool {
-        self.explicit.is_empty() && self.random.is_none()
-    }
-
     /// The fault scheduled for `(step, job)`, if any. Pure and
     /// deterministic: the same plan always returns the same answer.
     pub fn lookup(&self, step: usize, job: usize) -> Option<FaultKind> {
@@ -194,7 +189,7 @@ impl FaultPlan {
     }
 
     /// Parse the `ORBIT2_FAULT_PLAN` value format (see the module docs).
-    pub fn parse(spec: &str) -> Result<Self, String> {
+    fn parse(spec: &str) -> Result<Self, String> {
         let mut seed = 0u64;
         let (mut p_panic, mut p_nan, mut p_straggle) = (0.0f64, 0.0f64, 0.0f64);
         let mut straggle_ms = 5u64;
@@ -231,7 +226,7 @@ impl FaultPlan {
     /// Build a plan from the `ORBIT2_FAULT_PLAN` environment variable.
     /// Returns `None` when unset or empty; an invalid value is reported on
     /// stderr and ignored (training must not die to a typo in a chaos knob).
-    pub fn from_env() -> Option<Self> {
+    pub(crate) fn from_env() -> Option<Self> {
         Self::from_env_named("ORBIT2_FAULT_PLAN")
     }
 
@@ -246,7 +241,7 @@ impl FaultPlan {
     /// the `ORBIT2_FAULT_PLAN` value format. Returns `None` when unset or
     /// empty; an invalid value is reported on stderr and ignored (neither
     /// training nor serving must die to a typo in a chaos knob).
-    pub fn from_env_named(var: &str) -> Option<Self> {
+    fn from_env_named(var: &str) -> Option<Self> {
         let spec = std::env::var(var).ok()?;
         if spec.trim().is_empty() {
             return None;
@@ -287,7 +282,6 @@ mod tests {
         assert_eq!(plan.lookup(5, 0), Some(FaultKind::NaNGradient));
         assert_eq!(plan.lookup(3, 0), None);
         assert_eq!(plan.lookup(4, 1), None);
-        assert!(!plan.is_empty());
     }
 
     #[test]
@@ -324,7 +318,6 @@ mod tests {
             FaultPlan::parse("seed=7, panic=0.5, nan=0.25, straggle=0.25, straggle_ms=3, persistent=1")
                 .unwrap();
         assert!(plan.is_persistent());
-        assert!(!plan.is_empty());
         // With total probability 1.0 every (step, job) faults.
         for s in 0..20 {
             assert!(plan.lookup(s, 0).is_some(), "step {s} drew no fault at p=1");
@@ -348,7 +341,6 @@ mod tests {
     #[test]
     fn empty_plan_never_faults() {
         let plan = FaultPlan::none();
-        assert!(plan.is_empty());
         for s in 0..100 {
             assert_eq!(plan.lookup(s, s % 7), None);
         }

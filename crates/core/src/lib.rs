@@ -12,13 +12,13 @@
 //! * [`inference`] — halo-padded tiled inference with core stitching;
 //! * [`eval`] — evaluation of a trained model against a dataset split,
 //!   producing the paper's Table IV metric rows per variable;
-//! * [`fault`] — deterministic fault injection ([`FaultPlan`]) and the
+//! * [`fault`] — deterministic fault injection ([`FaultPlan`](fault::FaultPlan)) and the
 //!   fault/skip vocabulary used by the trainer's elastic recovery;
 //! * [`checkpoint`] — the one on-disk tensor container (versioned,
 //!   per-section CRC, synced atomic rename): a model checkpoint is its first
 //!   two sections, a full-state trainer checkpoint all seven;
 //! * [`serving`] — wire types of the serving layer: requests, responses
-//!   and the typed [`ServeError`] vocabulary of the `orbit2-serve`
+//!   and the typed [`ServeError`](serving::ServeError) vocabulary of the `orbit2-serve`
 //!   newline-delimited JSON protocol;
 //! * [`planner`] — the exascale run planner: drives the cluster simulator
 //!   and parallelism cost models to regenerate the paper's scaling results
@@ -34,13 +34,6 @@ pub mod serving;
 pub mod tiling;
 pub mod trainer;
 
-pub use autoplan::{best_plan, search_plans, ScoredPlan};
-pub use checkpoint::{
-    load_model, load_trainer_state, save_model, save_trainer_state, TrainerCheckpoint,
-};
-pub use eval::{evaluate_model, evaluate_model_at, VariableReport};
-pub use fault::{FaultAction, FaultEvent, FaultKind, FaultPlan, SkipReason};
-pub use inference::{check_tiling, downscale, downscale_with, validate_input, InferenceError};
-pub use planner::{max_sequence_row, strong_scaling_series, ScalingPoint, SeqLenRow};
-pub use serving::{RequestSource, ServeError, ServeRequest, ServeResponse, ServeStats, WireError};
-pub use trainer::{TrainReport, Trainer, TrainerConfig};
+pub use checkpoint::load_trainer_state;
+pub use inference::downscale_with;
+pub use trainer::{Trainer, TrainerConfig};

@@ -67,7 +67,7 @@ const SEQ_SHARD_ALPHA: f64 = 0.45;
 
 /// Minimal sharding (tensor-parallel, FSDP) for a model's static memory to
 /// fit; mirrors how the paper pairs TP within a node with FSDP across it.
-pub fn minimal_sharding(params: u64, cluster: &ClusterSpec, gpus: usize) -> (usize, usize) {
+fn minimal_sharding(params: u64, cluster: &ClusterSpec, gpus: usize) -> (usize, usize) {
     let cfg_layers = 11usize; // conservative (deepest paper config)
     for shard in [1usize, 2, 4, 8, 16, 32, 64, 128] {
         let tp = shard.min(cluster.gpus_per_node);
@@ -179,7 +179,7 @@ pub struct ScalingPoint {
 }
 
 /// Workload of the Fig. 6 experiments: the ERA5 112 -> 28 km task.
-pub fn fig6_workload(cfg: &ModelConfig) -> WorkloadProfile {
+pub(crate) fn fig6_workload(cfg: &ModelConfig) -> WorkloadProfile {
     let acc = SequenceAccounting { out_h: 720, out_w: 1440, out_c: 3, patch: 2, factor: 4 };
     let profile = ModelProfile::of(cfg);
     let eff_seq = acc.reslim_effective_seq(1.0);

@@ -192,11 +192,6 @@ impl Trainer {
         }
     }
 
-    /// Access the trainer configuration.
-    pub fn config(&self) -> &TrainerConfig {
-        &self.cfg
-    }
-
     /// The model in its current training state.
     pub fn model(&self) -> &ReslimModel {
         &self.model
@@ -227,7 +222,7 @@ impl Trainer {
     /// Snapshot the complete training state, bit-exactly. The snapshot
     /// holds handles, not copies; drop it before the next step, or that
     /// step's first write to each buffer copies it.
-    pub fn checkpoint(&self) -> TrainerCheckpoint {
+    fn checkpoint(&self) -> TrainerCheckpoint {
         TrainerCheckpoint {
             model_cfg: self.model.cfg,
             params: self.model.params.clone(),
@@ -347,7 +342,7 @@ impl Trainer {
     /// DDP x TILES all-reduce, renormalized over survivors when jobs were
     /// dropped. The optimizer applies once every `grad_accumulation`
     /// micro-batches.
-    pub fn step_batch(&mut self, samples: &[(&Tensor, &Tensor)], lat_field: &Tensor, factor: usize) -> Option<f32> {
+    fn step_batch(&mut self, samples: &[(&Tensor, &Tensor)], lat_field: &Tensor, factor: usize) -> Option<f32> {
         assert!(!samples.is_empty(), "empty batch");
         let step = self.global_step;
         self.global_step += 1;

@@ -18,26 +18,23 @@ impl Complex {
     }
 
     /// Zero.
-    pub const ZERO: Complex = Complex::new(0.0, 0.0);
+    pub(crate) const ZERO: Complex = Complex::new(0.0, 0.0);
 
     /// One.
-    pub const ONE: Complex = Complex::new(1.0, 0.0);
-
-    /// The imaginary unit.
-    pub const I: Complex = Complex::new(0.0, 1.0);
+    pub(crate) const ONE: Complex = Complex::new(1.0, 0.0);
 
     /// `e^{i theta}`.
-    pub fn cis(theta: f64) -> Self {
+    pub(crate) fn cis(theta: f64) -> Self {
         Self::new(theta.cos(), theta.sin())
     }
 
     /// Complex conjugate.
-    pub fn conj(self) -> Self {
+    pub(crate) fn conj(self) -> Self {
         Self::new(self.re, -self.im)
     }
 
     /// Squared magnitude.
-    pub fn norm_sqr(self) -> f64 {
+    pub(crate) fn norm_sqr(self) -> f64 {
         self.re * self.re + self.im * self.im
     }
 
@@ -110,12 +107,6 @@ mod tests {
         assert_eq!(a + Complex::ZERO, a);
         assert_eq!((a * a.conj()).re, a.norm_sqr());
         assert!((a * a.conj()).im.abs() < 1e-12);
-    }
-
-    #[test]
-    fn i_squared_is_minus_one() {
-        let m = Complex::I * Complex::I;
-        assert!((m.re + 1.0).abs() < 1e-15 && m.im.abs() < 1e-15);
     }
 
     #[test]

@@ -102,13 +102,6 @@ fn bluestein(x: &mut [Complex], inverse: bool) {
     }
 }
 
-/// Forward DFT of a real signal; returns the full complex spectrum.
-pub fn fft_real(signal: &[f32]) -> Vec<Complex> {
-    let mut x: Vec<Complex> = signal.iter().map(|&v| Complex::new(v as f64, 0.0)).collect();
-    fft(&mut x);
-    x
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -181,7 +174,8 @@ mod tests {
         let x: Vec<f32> = (0..n)
             .map(|i| (2.0 * std::f32::consts::PI * freq as f32 * i as f32 / n as f32).cos())
             .collect();
-        let spec = fft_real(&x);
+        let mut spec: Vec<Complex> = x.iter().map(|&v| Complex::new(v as f64, 0.0)).collect();
+        fft(&mut spec);
         // Peak magnitude at bins `freq` and `n - freq`.
         let mags: Vec<f64> = spec.iter().map(|c| c.abs()).collect();
         let peak = mags.iter().cloned().fold(0.0, f64::max);

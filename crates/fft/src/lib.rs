@@ -17,7 +17,5 @@ pub mod fft1;
 pub mod fft2;
 pub mod spectrum;
 
-pub use complex::Complex;
 pub use fft1::{fft, ifft};
-pub use fft2::{fft2, ifft2};
-pub use spectrum::{radial_power_spectrum, PowerSpectrum};
+pub use spectrum::radial_power_spectrum;

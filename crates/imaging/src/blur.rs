@@ -5,7 +5,7 @@ use rayon::prelude::*;
 /// Build a normalized 1-D Gaussian kernel with the given sigma.
 ///
 /// Radius is `ceil(3 * sigma)`, covering >99.7% of the mass.
-pub fn gaussian_kernel(sigma: f32) -> Vec<f32> {
+fn gaussian_kernel(sigma: f32) -> Vec<f32> {
     assert!(sigma > 0.0, "sigma must be positive");
     let radius = (3.0 * sigma).ceil() as i64;
     let mut k: Vec<f32> = (-radius..=radius)
@@ -19,7 +19,7 @@ pub fn gaussian_kernel(sigma: f32) -> Vec<f32> {
 }
 
 /// Gaussian-blur an `h x w` field (row-major), clamping at borders.
-pub fn gaussian_blur(field: &[f32], h: usize, w: usize, sigma: f32) -> Vec<f32> {
+pub(crate) fn gaussian_blur(field: &[f32], h: usize, w: usize, sigma: f32) -> Vec<f32> {
     assert_eq!(field.len(), h * w);
     let k = gaussian_kernel(sigma);
     let r = (k.len() / 2) as i64;

@@ -26,7 +26,7 @@ impl Default for CannyParams {
 }
 
 /// Run Canny edge detection; returns a binary edge map (`true` = edge pixel).
-pub fn canny_edges(field: &[f32], h: usize, w: usize, params: CannyParams) -> Vec<bool> {
+pub(crate) fn canny_edges(field: &[f32], h: usize, w: usize, params: CannyParams) -> Vec<bool> {
     assert_eq!(field.len(), h * w);
     assert!(params.low_frac <= params.high_frac, "low threshold above high");
     let blurred = gaussian_blur(field, h, w, params.sigma);
@@ -46,7 +46,7 @@ pub fn canny_edges(field: &[f32], h: usize, w: usize, params: CannyParams) -> Ve
 
 /// Fraction of edge pixels in the map — the feature-density score used by the
 /// quad-tree splitting criterion.
-pub fn edge_density(edges: &[bool]) -> f32 {
+pub(crate) fn edge_density(edges: &[bool]) -> f32 {
     if edges.is_empty() {
         return 0.0;
     }

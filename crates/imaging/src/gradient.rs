@@ -2,19 +2,15 @@
 
 /// Gradient field: per-pixel magnitude and direction.
 #[derive(Debug, Clone)]
-pub struct GradientField {
+pub(crate) struct GradientField {
     /// Gradient magnitude, row-major `h x w`.
     pub magnitude: Vec<f32>,
     /// Gradient direction in radians, `atan2(gy, gx)`.
     pub direction: Vec<f32>,
-    /// Field height.
-    pub h: usize,
-    /// Field width.
-    pub w: usize,
 }
 
 /// Compute Sobel gradients of an `h x w` field with clamped borders.
-pub fn sobel(field: &[f32], h: usize, w: usize) -> GradientField {
+pub(crate) fn sobel(field: &[f32], h: usize, w: usize) -> GradientField {
     assert_eq!(field.len(), h * w);
     let mut magnitude = vec![0.0f32; h * w];
     let mut direction = vec![0.0f32; h * w];
@@ -34,7 +30,7 @@ pub fn sobel(field: &[f32], h: usize, w: usize) -> GradientField {
             direction[i] = gy.atan2(gx);
         }
     }
-    GradientField { magnitude, direction, h, w }
+    GradientField { magnitude, direction }
 }
 
 #[cfg(test)]

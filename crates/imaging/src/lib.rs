@@ -19,7 +19,3 @@ pub mod gradient;
 pub mod pgm;
 pub mod quadtree;
 pub mod tiles;
-
-pub use canny::{canny_edges, edge_density, CannyParams};
-pub use quadtree::{QuadTree, QuadTreeParams, Patch};
-pub use tiles::{stitch_tiles, split_into_tiles, TileGeometry, TileSpec};

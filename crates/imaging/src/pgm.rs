@@ -1,5 +1,5 @@
 //! Tiny image writers for the visual figures: binary-free ASCII PGM files and
-//! terminal ASCII art (used by `repro fig7b` to render precipitation maps).
+//! terminal ASCII art (used by `repro fig7` to render precipitation maps).
 
 use std::io::Write;
 use std::path::Path;

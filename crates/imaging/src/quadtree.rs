@@ -28,11 +28,6 @@ impl Patch {
     pub fn area(&self) -> usize {
         self.h * self.w
     }
-
-    /// Center coordinates (for positional encodings).
-    pub fn center(&self) -> (f32, f32) {
-        (self.y0 as f32 + self.h as f32 / 2.0, self.x0 as f32 + self.w as f32 / 2.0)
-    }
 }
 
 /// Parameters of the adaptive partition.
@@ -125,39 +120,6 @@ impl QuadTree {
         }
         cover.iter().all(|&c| c == 1)
     }
-
-    /// Mean pixel value of the field inside each patch, in patch order —
-    /// the pooled token content used by the compression module.
-    pub fn pool_means(&self, field: &[f32]) -> Vec<f32> {
-        assert_eq!(field.len(), self.h * self.w);
-        self.patches
-            .iter()
-            .map(|p| {
-                let mut s = 0.0f32;
-                for y in p.y0..p.y0 + p.h {
-                    for x in p.x0..p.x0 + p.w {
-                        s += field[y * self.w + x];
-                    }
-                }
-                s / p.area() as f32
-            })
-            .collect()
-    }
-
-    /// Scatter per-patch values back to the full field (constant per patch) —
-    /// the decompression operator.
-    pub fn unpool(&self, values: &[f32]) -> Vec<f32> {
-        assert_eq!(values.len(), self.patches.len());
-        let mut out = vec![0.0f32; self.h * self.w];
-        for (p, &v) in self.patches.iter().zip(values) {
-            for y in p.y0..p.y0 + p.h {
-                for x in p.x0..p.x0 + p.w {
-                    out[y * self.w + x] = v;
-                }
-            }
-        }
-        out
-    }
 }
 
 fn subdivide(edges: &[bool], stride: usize, rect: Patch, params: &QuadTreeParams, out: &mut Vec<Patch>) {
@@ -200,7 +162,6 @@ fn rect_density(edges: &[bool], stride: usize, rect: &Patch) -> f32 {
 }
 
 // edge_density is re-exported for callers estimating density directly.
-pub use crate::canny::edge_density as patch_edge_density;
 const _: fn(&[bool]) -> f32 = edge_density;
 
 #[cfg(test)]
@@ -259,19 +220,6 @@ mod tests {
         let f = step_field(h, w);
         let qt = QuadTree::build(&f, h, w, QuadTreeParams { max_patch: 16, ..Default::default() });
         assert!(qt.is_exact_partition());
-    }
-
-    #[test]
-    fn pool_unpool_roundtrip_on_patch_constant_field() {
-        let (h, w) = (16, 16);
-        let qt = QuadTree::uniform(h, w, 4);
-        // Build a field constant within each 4x4 patch.
-        let vals: Vec<f32> = (0..qt.token_count()).map(|i| i as f32).collect();
-        let field = qt.unpool(&vals);
-        let pooled = qt.pool_means(&field);
-        for (a, b) in pooled.iter().zip(&vals) {
-            assert!((a - b).abs() < 1e-6);
-        }
     }
 
     #[test]

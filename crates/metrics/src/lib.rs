@@ -10,9 +10,9 @@ pub mod precip;
 pub mod regression;
 pub mod ssim;
 
-pub use precip::{log_precip, log_precip_slice};
-pub use regression::{latitude_weighted_rmse, quantile_rmse, r2_score, rmse, EvalReport, ReportDelta};
-pub use ssim::{psnr, ssim};
+use precip::log_precip_slice;
+use regression::{quantile_rmse, r2_score, rmse};
+use ssim::{psnr, ssim};
 
 /// Compute the full Table IV metric row for a prediction/observation pair.
 ///

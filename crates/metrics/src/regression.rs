@@ -93,7 +93,7 @@ pub fn rmse(pred: &[f32], truth: &[f32]) -> f64 {
 /// RMSE restricted to pixels where the *truth* exceeds its own `q`-quantile
 /// — the paper's "RMSE σ1 > 68%", "σ2 > 95%", "σ3 > 99.7%" extreme-event
 /// columns.
-pub fn quantile_rmse(pred: &[f32], truth: &[f32], q: f64) -> f64 {
+pub(crate) fn quantile_rmse(pred: &[f32], truth: &[f32], q: f64) -> f64 {
     assert_eq!(pred.len(), truth.len());
     assert!((0.0..1.0).contains(&q), "quantile must be in [0,1)");
     let mut sorted: Vec<f32> = truth.to_vec();

@@ -57,27 +57,9 @@ impl BaselineVit {
         Self { cfg, params }
     }
 
-    /// Trainable parameter count.
-    pub fn num_params(&self) -> usize {
-        self.params.num_elements()
-    }
-
-    /// Sequence length the baseline pays for an input of `h x w` pixels:
-    /// the ViT runs at *output* resolution.
-    pub fn sequence_len(&self, h: usize, w: usize) -> usize {
-        let (oh, ow) = (h * self.cfg.scale_factor, w * self.cfg.scale_factor);
-        (oh / self.cfg.patch) * (ow / self.cfg.patch)
-    }
-
     /// Prepare a tape-free inference context over this model's weights.
     pub fn session(&self) -> InferenceSession {
         InferenceSession::prepare(&self.params)
-    }
-
-    /// Like [`session`](Self::session), but with the weight set held at a
-    /// reduced storage precision (see [`InferenceSession::prepare_at`]).
-    pub fn session_at(&self, precision: crate::infer::SessionPrecision) -> InferenceSession {
-        InferenceSession::prepare_at(&self.params, precision)
     }
 
     /// Forward pass on one `[C_in, h, w]` sample → `[C_out, H, W]`.
@@ -165,15 +147,6 @@ mod tests {
         let pred = m.forward(&binder, &input);
         assert_eq!(pred.shape(), vec![3, 16, 32]);
         assert!(pred.value().all_finite());
-    }
-
-    #[test]
-    fn sequence_is_factor_squared_times_reslim() {
-        let m = model();
-        let (h, w) = (8, 16);
-        let baseline_seq = m.sequence_len(h, w);
-        let reslim_seq = (h / m.cfg.patch) * (w / m.cfg.patch);
-        assert_eq!(baseline_seq, reslim_seq * m.cfg.scale_factor * m.cfg.scale_factor);
     }
 
     #[test]

@@ -23,13 +23,8 @@ impl<'t, 's> Binder<'t, 's> {
         Self { tape, store, bound: RefCell::new(BTreeMap::new()) }
     }
 
-    /// The tape being recorded on.
-    pub fn tape(&self) -> &'t Tape {
-        self.tape
-    }
-
     /// Leaf var for a parameter (memoized per name).
-    pub fn param(&self, name: &str) -> Var<'t> {
+    pub(crate) fn param(&self, name: &str) -> Var<'t> {
         if let Some(v) = self.bound.borrow().get(name) {
             return *v;
         }
@@ -39,7 +34,7 @@ impl<'t, 's> Binder<'t, 's> {
     }
 
     /// Constant (non-trainable) tensor on the tape.
-    pub fn constant(&self, t: orbit2_tensor::Tensor) -> Var<'t> {
+    pub(crate) fn constant(&self, t: orbit2_tensor::Tensor) -> Var<'t> {
         self.tape.constant(t)
     }
 

@@ -15,7 +15,7 @@ use orbit2_tensor::random::xavier;
 use orbit2_tensor::Tensor;
 
 /// Register parameters for one transformer block under `prefix`.
-pub fn init_block_params(store: &mut ParamStore, cfg: &ModelConfig, prefix: &str, seed: u64) {
+pub(crate) fn init_block_params(store: &mut ParamStore, cfg: &ModelConfig, prefix: &str, seed: u64) {
     let d = cfg.embed_dim;
     let hidden = cfg.mlp_ratio * d;
     for (i, name) in ["wq", "wk", "wv", "wo"].iter().enumerate() {
@@ -34,7 +34,7 @@ pub fn init_block_params(store: &mut ParamStore, cfg: &ModelConfig, prefix: &str
 
 /// Multi-head self-attention over one sample's `[N, D]` tokens: the Q/K/V
 /// projections, one [`Exec::attention`] op, the output projection.
-pub fn self_attention<E: Exec>(ex: &E, cfg: &ModelConfig, prefix: &str, x: &E::Value) -> E::Value {
+fn self_attention<E: Exec>(ex: &E, cfg: &ModelConfig, prefix: &str, x: &E::Value) -> E::Value {
     // Q/K/V projections through the fused linear path (packed `x W^T`
     // kernel, no weight transpose materialized).
     let proj = |name: &str| {
@@ -55,7 +55,7 @@ pub fn self_attention<E: Exec>(ex: &E, cfg: &ModelConfig, prefix: &str, x: &E::V
 /// Two-layer GELU MLP over a token matrix. The first layer runs GEMM +
 /// bias + GELU as one fused kernel (the tape context additionally stores
 /// the pre-activation for backward; the inference context skips that).
-pub fn mlp<E: Exec>(ex: &E, prefix: &str, x: &E::Value) -> E::Value {
+fn mlp<E: Exec>(ex: &E, prefix: &str, x: &E::Value) -> E::Value {
     let h = ex.linear_act(
         x,
         &ex.param(&format!("{prefix}.mlp.w1")),
@@ -72,7 +72,7 @@ pub fn mlp<E: Exec>(ex: &E, prefix: &str, x: &E::Value) -> E::Value {
 
 /// Pre-norm transformer block over one sample's tokens: `x + Attn(LN(x))`,
 /// then `x + MLP(LN(x))`.
-pub fn transformer_block<E: Exec>(ex: &E, cfg: &ModelConfig, prefix: &str, x: &E::Value) -> E::Value {
+pub(crate) fn transformer_block<E: Exec>(ex: &E, cfg: &ModelConfig, prefix: &str, x: &E::Value) -> E::Value {
     let n1 = ex.layer_norm(
         x,
         &ex.param(&format!("{prefix}.ln1.g")),
@@ -90,7 +90,7 @@ pub fn transformer_block<E: Exec>(ex: &E, cfg: &ModelConfig, prefix: &str, x: &E
 }
 
 /// Register parameters of the cross-attention variable aggregation.
-pub fn init_xattn_params(store: &mut ParamStore, cfg: &ModelConfig, seed: u64) {
+pub(crate) fn init_xattn_params(store: &mut ParamStore, cfg: &ModelConfig, seed: u64) {
     let d = cfg.embed_dim;
     for (i, name) in ["wq", "wk", "wv", "wo"].iter().enumerate() {
         store.insert(format!("xattn.{name}"), xavier(&[d, d], seed ^ (0x20 + i as u64)));
@@ -105,7 +105,7 @@ pub fn init_xattn_params(store: &mut ParamStore, cfg: &ModelConfig, seed: u64) {
 ///
 /// The "attention" is a per-token softmax over the `C` variables, so every
 /// op is row-wise.
-pub fn cross_attention_aggregate<E: Exec>(
+pub(crate) fn cross_attention_aggregate<E: Exec>(
     ex: &E,
     cfg: &ModelConfig,
     tokens: &[E::Value],

@@ -80,12 +80,6 @@ impl ModelConfig {
         self
     }
 
-    /// Per-head dimension.
-    pub fn head_dim(&self) -> usize {
-        assert_eq!(self.embed_dim % self.heads, 0, "heads must divide embed_dim");
-        self.embed_dim / self.heads
-    }
-
     /// Analytic parameter count of the Reslim architecture (transformer
     /// blocks + cross-attention aggregation + embeddings + decoder +
     /// residual path). Matches the standard `12 L D^2` transformer estimate
@@ -153,7 +147,7 @@ mod tests {
             ModelConfig::tiny(),
             ModelConfig::small(),
         ] {
-            assert_eq!(c.head_dim() * c.heads, c.embed_dim);
+            assert_eq!(c.embed_dim % c.heads, 0);
         }
     }
 

@@ -10,7 +10,7 @@ use orbit2_tensor::random::{randn, xavier};
 use orbit2_tensor::Tensor;
 
 /// Register the embedding parameters for `cfg` into `store`.
-pub fn init_embed_params(store: &mut ParamStore, cfg: &ModelConfig, seed: u64) {
+pub(crate) fn init_embed_params(store: &mut ParamStore, cfg: &ModelConfig, seed: u64) {
     let p2 = cfg.patch * cfg.patch;
     store.insert("embed.w", xavier(&[cfg.embed_dim, p2], seed ^ 0x01));
     store.insert("embed.b", Tensor::zeros(vec![cfg.embed_dim]));
@@ -25,7 +25,7 @@ pub fn init_embed_params(store: &mut ParamStore, cfg: &ModelConfig, seed: u64) {
 }
 
 /// Row index of the resolution embedding for a refinement factor.
-pub fn resolution_row(factor: usize) -> usize {
+pub(crate) fn resolution_row(factor: usize) -> usize {
     match factor {
         2 => 0,
         4 => 1,
@@ -37,7 +37,7 @@ pub fn resolution_row(factor: usize) -> usize {
 
 /// Extract non-overlapping `p x p` patches of a single-channel plane as a
 /// `[N, p^2]` matrix (pure tensor op; inputs are constants on the tape).
-pub fn patchify_plane(plane: &Tensor, p: usize) -> Tensor {
+pub(crate) fn patchify_plane(plane: &Tensor, p: usize) -> Tensor {
     assert_eq!(plane.ndim(), 2, "patchify expects [h, w]");
     let (h, w) = (plane.shape()[0], plane.shape()[1]);
     assert!(h % p == 0 && w % p == 0, "{h}x{w} not divisible by patch {p}");
@@ -56,29 +56,10 @@ pub fn patchify_plane(plane: &Tensor, p: usize) -> Tensor {
     Tensor::from_vec(vec![hp * wp, p * p], out)
 }
 
-/// Inverse of [`patchify_plane`]: `[N, p^2]` back to `[h, w]`.
-pub fn unpatchify_plane(tokens: &Tensor, hp: usize, wp: usize, p: usize) -> Tensor {
-    assert_eq!(tokens.shape(), &[hp * wp, p * p]);
-    let (h, w) = (hp * p, wp * p);
-    let src = tokens.data();
-    let mut out = vec![0.0f32; h * w];
-    for py in 0..hp {
-        for px in 0..wp {
-            let row = (py * wp + px) * p * p;
-            for dy in 0..p {
-                for dx in 0..p {
-                    out[(py * p + dy) * w + px * p + dx] = src[row + dy * p + dx];
-                }
-            }
-        }
-    }
-    Tensor::from_vec(vec![h, w], out)
-}
-
 /// The element permutation that rearranges a `[N, p^2 * C]` token matrix
 /// into a `[C, h, w]` image, for use with gather-based reshuffling on the
 /// tape (the decoder's differentiable un-patchify).
-pub fn unpatchify_permutation(hp: usize, wp: usize, p: usize, c: usize) -> Vec<usize> {
+pub(crate) fn unpatchify_permutation(hp: usize, wp: usize, p: usize, c: usize) -> Vec<usize> {
     let (h, w) = (hp * p, wp * p);
     let mut perm = Vec::with_capacity(c * h * w);
     for ci in 0..c {
@@ -97,7 +78,7 @@ pub fn unpatchify_permutation(hp: usize, wp: usize, p: usize, c: usize) -> Vec<u
 
 /// 2-D sinusoidal positional embedding `[N, D]` over an `hp x wp` token
 /// grid: half the channels encode y, half encode x.
-pub fn sincos_positions(hp: usize, wp: usize, d: usize) -> Tensor {
+pub(crate) fn sincos_positions(hp: usize, wp: usize, d: usize) -> Tensor {
     assert!(d.is_multiple_of(4), "embed dim must be divisible by 4 for 2-D sin-cos");
     let quarter = d / 4;
     // `d / 4` distinct frequencies, not one `powf` per output pair.
@@ -119,7 +100,7 @@ pub fn sincos_positions(hp: usize, wp: usize, d: usize) -> Tensor {
 
 /// Tokenize every variable of a `[C, h, w]` input: returns the
 /// per-variable token matrices `[N, D]` with variable embeddings added.
-pub fn tokenize<E: Exec>(ex: &E, cfg: &ModelConfig, input: &Tensor) -> Vec<E::Value> {
+pub(crate) fn tokenize<E: Exec>(ex: &E, cfg: &ModelConfig, input: &Tensor) -> Vec<E::Value> {
     let shape = input.shape();
     assert_eq!(shape.len(), 3, "input must be [C, h, w]");
     let (c, h, w) = (shape[0], shape[1], shape[2]);
@@ -143,6 +124,25 @@ mod tests {
     use super::*;
     use crate::binder::Binder;
     use orbit2_autograd::Tape;
+
+    /// Inverse of [`patchify_plane`]: `[N, p^2]` back to `[h, w]`.
+    fn unpatchify_plane(tokens: &Tensor, hp: usize, wp: usize, p: usize) -> Tensor {
+        assert_eq!(tokens.shape(), &[hp * wp, p * p]);
+        let (h, w) = (hp * p, wp * p);
+        let src = tokens.data();
+        let mut out = vec![0.0f32; h * w];
+        for py in 0..hp {
+            for px in 0..wp {
+                let row = (py * wp + px) * p * p;
+                for dy in 0..p {
+                    for dx in 0..p {
+                        out[(py * p + dy) * w + px * p + dx] = src[row + dy * p + dx];
+                    }
+                }
+            }
+        }
+        Tensor::from_vec(vec![h, w], out)
+    }
 
     #[test]
     fn patchify_roundtrip() {

@@ -50,7 +50,7 @@ impl SessionValue {
     }
 
     /// The value as a tensor (a COW handle clone, no data copy).
-    pub fn tensor(&self) -> Tensor {
+    fn tensor(&self) -> Tensor {
         self.tensor.clone()
     }
 
@@ -63,7 +63,6 @@ impl SessionValue {
 /// Tape-free execution context holding session-resident weights and packs.
 pub struct InferenceSession {
     values: BTreeMap<String, SessionValue>,
-    precision: SessionPrecision,
 }
 
 impl InferenceSession {
@@ -71,7 +70,7 @@ impl InferenceSession {
     /// linear weight (2-d, enough output features for the packed
     /// microkernel) exactly once. Biases, layer-norm gains and conv
     /// kernels are held unpacked — no GEMM ever consumes them as `B`.
-    pub fn prepare(store: &ParamStore) -> Self {
+    pub(crate) fn prepare(store: &ParamStore) -> Self {
         Self::prepare_at(store, SessionPrecision::F32)
     }
 
@@ -90,7 +89,7 @@ impl InferenceSession {
     ///   channel symmetric codes); biases, norm gains and conv kernels stay
     ///   f32 — no kernel consumes int8 for them, so quantizing would cost
     ///   quality for zero bytes saved on the hot path.
-    pub fn prepare_at(store: &ParamStore, precision: SessionPrecision) -> Self {
+    pub(crate) fn prepare_at(store: &ParamStore, precision: SessionPrecision) -> Self {
         let values = store
             .iter()
             .map(|(name, t)| {
@@ -115,17 +114,7 @@ impl InferenceSession {
                 (name.clone(), value)
             })
             .collect();
-        Self { values, precision }
-    }
-
-    /// The weight precision this session was prepared at.
-    pub fn precision(&self) -> SessionPrecision {
-        self.precision
-    }
-
-    /// Number of weights with a resident pack.
-    pub fn packed_weights(&self) -> usize {
-        self.values.values().filter(|v| v.pack.is_some()).count()
+        Self { values }
     }
 }
 
@@ -264,6 +253,11 @@ mod tests {
 
     fn assert_send_sync<T: Send + Sync>() {}
 
+    /// Number of weights with a resident pack.
+    fn packed_weights(session: &InferenceSession) -> usize {
+        session.values.values().filter(|v| v.pack.is_some()).count()
+    }
+
     #[test]
     fn session_is_shareable_across_threads() {
         assert_send_sync::<InferenceSession>();
@@ -278,7 +272,7 @@ mod tests {
         store.insert("conv.w", randn(&[8, 4, 3, 3], 2)); // 4-d: never packed
         store.insert("embed.res", randn(&[4, 32], 3)); // n < LANES: never packed
         // The gate reads shapes only: the same packs in either SIMD mode.
-        assert_eq!(InferenceSession::prepare(&store).packed_weights(), 1);
+        assert_eq!(packed_weights(&InferenceSession::prepare(&store)), 1);
     }
 
     #[test]
@@ -305,7 +299,6 @@ mod tests {
         store.insert("ln.g", randn(&[32], 2));
         store.insert("conv.w", randn(&[8, 4, 3, 3], 3));
         let session = InferenceSession::prepare_at(&store, SessionPrecision::Bf16);
-        assert_eq!(session.precision(), SessionPrecision::Bf16);
         for name in ["mlp.w1", "ln.g", "conv.w"] {
             let got = session.param(name);
             let expect = store.get(name).to_bf16();
@@ -313,7 +306,7 @@ mod tests {
         }
         // The 2-d linear weight is packed regardless of SIMD mode (the
         // quantized values must not depend on it); others never pack.
-        assert_eq!(session.packed_weights(), 1);
+        assert_eq!(packed_weights(&session), 1);
     }
 
     #[test]

@@ -45,7 +45,6 @@ pub use baseline::BaselineVit;
 pub use binder::Binder;
 pub use config::ModelConfig;
 pub use exec::Exec;
-pub use infer::{InferenceSession, SessionPrecision, SessionValue};
+pub use infer::{InferenceSession, SessionPrecision};
 pub use loss::{bayesian_loss, BayesianLossCfg};
-pub use profiler::ModelProfile;
 pub use reslim::ReslimModel;

@@ -53,7 +53,7 @@ pub fn bayesian_loss<'t>(
 }
 
 /// The MRF total-variation prior alone (mean over all neighbour pairs).
-pub fn total_variation<'t>(pred: Var<'t>, cfg: BayesianLossCfg) -> Var<'t> {
+fn total_variation<'t>(pred: Var<'t>, cfg: BayesianLossCfg) -> Var<'t> {
     let shape = pred.shape();
     let (h, w) = (shape[1], shape[2]);
     assert!(h >= 2 && w >= 2, "TV needs at least a 2x2 field");

@@ -19,12 +19,12 @@ use orbit2_tensor::Tensor;
 /// Hidden channel width of the decoder and residual convolutions: scales
 /// with the embedding so model capacity differentiates in the image-space
 /// stages too (the fine-texture memory lives here).
-pub fn path_hidden(cfg: &ModelConfig) -> usize {
+fn path_hidden(cfg: &ModelConfig) -> usize {
     (cfg.embed_dim / 2).clamp(8, 64)
 }
 
 /// Register decoder parameters.
-pub fn init_decoder_params(store: &mut ParamStore, cfg: &ModelConfig, seed: u64) {
+pub(crate) fn init_decoder_params(store: &mut ParamStore, cfg: &ModelConfig, seed: u64) {
     let p2 = cfg.patch * cfg.patch;
     let hidden = path_hidden(cfg);
     store.insert(
@@ -40,7 +40,7 @@ pub fn init_decoder_params(store: &mut ParamStore, cfg: &ModelConfig, seed: u64)
 }
 
 /// Register residual-path parameters.
-pub fn init_residual_params(store: &mut ParamStore, cfg: &ModelConfig, seed: u64) {
+pub(crate) fn init_residual_params(store: &mut ParamStore, cfg: &ModelConfig, seed: u64) {
     let hidden = path_hidden(cfg);
     store.insert(
         "res.conv1.w",
@@ -56,7 +56,7 @@ pub fn init_residual_params(store: &mut ParamStore, cfg: &ModelConfig, seed: u64
 
 /// Rearrange a `[rows, cols]` value into a new flat shape by an element
 /// permutation (`out[i] = flat(in)[perm[i]]`), differentiably on the tape.
-pub fn permute_elements<E: Exec>(
+pub(crate) fn permute_elements<E: Exec>(
     ex: &E,
     v: &E::Value,
     perm: Vec<usize>,
@@ -71,7 +71,7 @@ pub fn permute_elements<E: Exec>(
 
 /// Decode ViT tokens `[N, D]` over a full `hp x wp` grid into the
 /// high-resolution `[C_out, hp*p*factor, wp*p*factor]` image.
-pub fn decode<E: Exec>(ex: &E, cfg: &ModelConfig, tokens: &E::Value, hp: usize, wp: usize) -> E::Value {
+pub(crate) fn decode<E: Exec>(ex: &E, cfg: &ModelConfig, tokens: &E::Value, hp: usize, wp: usize) -> E::Value {
     assert_eq!(ex.shape(tokens)[0], hp * wp, "token/grid mismatch");
     let p = cfg.patch;
     // [N, D] -> [N, p^2 * hidden]
@@ -100,7 +100,7 @@ pub fn decode<E: Exec>(ex: &E, cfg: &ModelConfig, tokens: &E::Value, hp: usize, 
 
 /// The residual path: raw input `[C_in, h, w]` → conv → bilinear upsample →
 /// conv → `[C_out, H, W]` coarse approximation added to the ViT output.
-pub fn residual_path<E: Exec>(ex: &E, cfg: &ModelConfig, input: &Tensor) -> E::Value {
+pub(crate) fn residual_path<E: Exec>(ex: &E, cfg: &ModelConfig, input: &Tensor) -> E::Value {
     assert_eq!(input.ndim(), 3);
     let (c, h, w) = (input.shape()[0], input.shape()[1], input.shape()[2]);
     assert_eq!(c, cfg.in_channels);

@@ -39,7 +39,7 @@ impl ModelProfile {
     }
 
     /// Forward FLOPs of the transformer stack at sequence length `s`.
-    pub fn forward_flops(&self, s: u64) -> f64 {
+    fn forward_flops(&self, s: u64) -> f64 {
         let d = self.embed_dim as f64;
         let sf = s as f64;
         let per_layer = 8.0 * sf * d * d + 4.0 * sf * sf * d + 4.0 * self.mlp_ratio as f64 * sf * d * d;
@@ -49,22 +49,6 @@ impl ModelProfile {
     /// Forward+backward (training) FLOPs at sequence length `s`.
     pub fn train_flops(&self, s: u64) -> f64 {
         3.0 * self.forward_flops(s)
-    }
-
-    /// Fraction of forward FLOPs in the quadratic attention term at `s` —
-    /// drives where tiling pays off.
-    pub fn attention_fraction(&self, s: u64) -> f64 {
-        let d = self.embed_dim as f64;
-        let sf = s as f64;
-        let quad = 4.0 * sf * sf * d;
-        let lin = (8.0 + 4.0 * self.mlp_ratio as f64) * sf * d * d;
-        quad / (quad + lin) * self.layers as f64 / self.layers as f64
-    }
-
-    /// Sequence length at which attention reaches half the FLOPs:
-    /// `s* = (2 + mlp_ratio) · D`.
-    pub fn attention_crossover_seq(&self) -> u64 {
-        ((2 + self.mlp_ratio) * self.embed_dim) as u64
     }
 }
 
@@ -90,12 +74,6 @@ impl SequenceAccounting {
     /// channels.
     pub fn nominal_seq_len(&self) -> u64 {
         (self.out_h as u64 * self.out_w as u64 * self.out_c as u64) / (self.patch * self.patch) as u64
-    }
-
-    /// The sequence the baseline upsample-first ViT actually runs:
-    /// channel-aggregated but at full output resolution.
-    pub fn baseline_vit_seq(&self) -> u64 {
-        (self.out_h as u64 * self.out_w as u64) / (self.patch * self.patch) as u64
     }
 
     /// The effective sequence Reslim's ViT runs: channel aggregation
@@ -145,7 +123,8 @@ mod tests {
     #[test]
     fn flops_scale_quadratically_in_seq_eventually() {
         let p = ModelProfile::of(&ModelConfig::paper_9_5m());
-        let s0 = p.attention_crossover_seq();
+        // Attention reaches half the FLOPs at `s* = (2 + mlp_ratio) · D`.
+        let s0 = ((2 + p.mlp_ratio) * p.embed_dim) as u64;
         // Past the crossover, doubling s costs > 3x.
         let f1 = p.forward_flops(4 * s0);
         let f2 = p.forward_flops(8 * s0);
@@ -169,11 +148,5 @@ mod tests {
         let f126 = ModelProfile::of(&ModelConfig::paper_126m()).forward_flops(s);
         let f10b = ModelProfile::of(&ModelConfig::paper_10b()).forward_flops(s);
         assert!(f95 < f126 && f126 < f10b);
-    }
-
-    #[test]
-    fn crossover_matches_formula() {
-        let p = ModelProfile::of(&ModelConfig::paper_9_5m());
-        assert_eq!(p.attention_crossover_seq(), 6 * 256);
     }
 }

@@ -52,7 +52,7 @@ impl ReslimModel {
     }
 
     /// Like [`session`](Self::session), but with the weight set held at a
-    /// reduced storage precision (see [`InferenceSession::prepare_at`]).
+    /// reduced storage precision (see `InferenceSession::prepare_at`).
     pub fn session_at(&self, precision: crate::infer::SessionPrecision) -> InferenceSession {
         InferenceSession::prepare_at(&self.params, precision)
     }
@@ -113,13 +113,6 @@ impl ReslimModel {
         let residual = residual_path(ex, cfg, input);
         (ex.add(&main, &residual), plan)
     }
-
-    /// Effective ViT sequence length for an input of `h x w` pixels at the
-    /// given compression ratio (the quantity Tables II/III track).
-    pub fn effective_seq_len(&self, h: usize, w: usize, compression: f32) -> usize {
-        let n = (h / self.cfg.patch) * (w / self.cfg.patch);
-        (n as f32 / compression.max(1.0)) as usize
-    }
 }
 
 #[cfg(test)]
@@ -166,7 +159,8 @@ mod tests {
         let input = Tensor::full(vec![4, 16, 16], 0.3);
         let (pred, plan) = m.forward(&binder, &input, 4.0);
         assert_eq!(pred.shape(), vec![3, 64, 64]);
-        assert!(plan.ratio() > 1.5, "smooth input should compress, got {}", plan.ratio());
+        let ratio = (plan.hp * plan.wp) as f32 / plan.compressed_len() as f32;
+        assert!(ratio > 1.5, "smooth input should compress, got {ratio}");
     }
 
     #[test]
@@ -203,13 +197,6 @@ mod tests {
         // Prediction minus residual (= ViT main output) has bounded scale.
         let vit_part = p.sub(&r);
         assert!(vit_part.data().iter().all(|v| v.abs() < 50.0));
-    }
-
-    #[test]
-    fn effective_seq_len_accounting() {
-        let m = model();
-        assert_eq!(m.effective_seq_len(8, 16, 1.0), 32);
-        assert_eq!(m.effective_seq_len(8, 16, 4.0), 8);
     }
 
     #[test]

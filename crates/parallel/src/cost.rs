@@ -72,7 +72,7 @@ impl ReslimCostModel {
 
     /// Time for one *tile* of a sample split into `tiles` tiles with
     /// compression `c`, as a fraction of baseline sample time.
-    pub fn per_tile_time(&self, tiles: usize, compression: usize) -> f64 {
+    fn per_tile_time(&self, tiles: usize, compression: usize) -> f64 {
         assert!(tiles >= 1 && compression >= 1);
         let x = self.params.attention_fraction;
         let t = tiles as f64;
@@ -88,7 +88,7 @@ impl ReslimCostModel {
     /// Wall-clock time per sample on `gpus` GPUs (fraction of baseline):
     /// tiles execute concurrently across GPUs; with more GPUs than tiles the
     /// surplus processes other samples (DDP), so throughput keeps scaling.
-    pub fn sample_time(&self, tiles: usize, compression: usize, gpus: usize) -> f64 {
+    fn sample_time(&self, tiles: usize, compression: usize, gpus: usize) -> f64 {
         assert!(gpus >= 1);
         self.per_tile_time(tiles, compression) * tiles as f64 / gpus as f64
     }

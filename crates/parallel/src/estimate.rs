@@ -4,7 +4,6 @@
 
 use crate::plan::ParallelismPlan;
 use orbit2_cluster::collective::{collective_time, hierarchical_allreduce_time, Collective};
-use orbit2_cluster::des::overlapped_time;
 use orbit2_cluster::memory::{MemoryBreakdown, TrainingMemoryModel};
 use orbit2_cluster::roofline::{compute_time, GpuEfficiency};
 use orbit2_cluster::topology::ClusterSpec;
@@ -205,9 +204,21 @@ pub fn strong_scaling(
     series
 }
 
+/// Step time when `compute` and `comm` can fully overlap except for a
+/// non-overlappable `exposed` fraction of the communication.
+fn overlapped_time(compute: f64, comm: f64, exposed_fraction: f64) -> f64 {
+    let exposed = comm * exposed_fraction.clamp(0.0, 1.0);
+    let hidden = comm - exposed;
+    compute.max(hidden) + exposed
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn ddp_only(ddp: usize) -> ParallelismPlan {
+        ParallelismPlan { ddp, tiles: 1, fsdp: 1, tensor_parallel: 1 }
+    }
 
     fn workload_9_5m() -> WorkloadProfile {
         // 112 -> 28 km task: eff seq after channel-aggregation/low-res.
@@ -246,8 +257,8 @@ mod tests {
     fn ddp_scales_per_sample_time_down() {
         let w = workload_9_5m();
         let c = cluster();
-        let t8 = estimate_step(&ParallelismPlan::ddp_only(8), &w, &c, 1.0).per_sample_s;
-        let t64 = estimate_step(&ParallelismPlan::ddp_only(64), &w, &c, 1.0).per_sample_s;
+        let t8 = estimate_step(&ddp_only(8), &w, &c, 1.0).per_sample_s;
+        let t64 = estimate_step(&ddp_only(64), &w, &c, 1.0).per_sample_s;
         assert!(t64 < t8 / 6.0, "near-linear DDP scaling: {t8} -> {t64}");
     }
 
@@ -276,7 +287,7 @@ mod tests {
     fn sharding_enables_10b_memory_fit() {
         let w = workload_10b();
         let c = cluster();
-        let unsharded = estimate_step(&ParallelismPlan::ddp_only(8), &w, &c, 1.0);
+        let unsharded = estimate_step(&ddp_only(8), &w, &c, 1.0);
         assert!(!unsharded.fits, "10B unsharded must OOM");
         let sharded = estimate_step(
             &ParallelismPlan { ddp: 1, tiles: 1, fsdp: 64, tensor_parallel: 8 },
@@ -340,8 +351,8 @@ mod tests {
     fn grad_allreduce_grows_slowly_with_ddp() {
         let w = workload_9_5m();
         let c = cluster();
-        let small = estimate_step(&ParallelismPlan::ddp_only(16), &w, &c, 1.0);
-        let big = estimate_step(&ParallelismPlan::ddp_only(4096), &w, &c, 1.0);
+        let small = estimate_step(&ddp_only(16), &w, &c, 1.0);
+        let big = estimate_step(&ddp_only(4096), &w, &c, 1.0);
         assert!(big.grad_allreduce_s < small.grad_allreduce_s * 20.0,
             "hierarchical all-reduce must not explode: {} -> {}",
             small.grad_allreduce_s, big.grad_allreduce_s);
@@ -357,5 +368,12 @@ mod tests {
             &cluster(),
             1.0,
         );
+    }
+
+    #[test]
+    fn overlapped_time_limits() {
+        assert_eq!(overlapped_time(3.0, 2.0, 0.0), 3.0); // fully hidden
+        assert_eq!(overlapped_time(3.0, 2.0, 1.0), 5.0); // fully exposed
+        assert_eq!(overlapped_time(1.0, 4.0, 0.5), 2.0f64.max(1.0) + 2.0);
     }
 }

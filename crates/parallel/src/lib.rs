@@ -21,8 +21,8 @@ pub mod plan;
 pub mod seq_parallel;
 pub mod swin;
 
-pub use cost::{CostParams, ReslimCostModel};
+pub use cost::ReslimCostModel;
 pub use estimate::{estimate_step, StepEstimate, WorkloadProfile};
-pub use plan::{ParallelismPlan, RankGroups};
-pub use seq_parallel::{SeqParallelConfig, SeqParallelEstimate};
-pub use swin::{swin_max_tokens, SwinHierarchy};
+pub use plan::ParallelismPlan;
+pub use seq_parallel::SeqParallelConfig;
+pub use swin::swin_max_tokens;

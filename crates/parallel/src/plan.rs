@@ -24,11 +24,6 @@ pub struct ParallelismPlan {
 }
 
 impl ParallelismPlan {
-    /// A pure-DDP plan.
-    pub fn ddp_only(ddp: usize) -> Self {
-        Self { ddp, tiles: 1, fsdp: 1, tensor_parallel: 1 }
-    }
-
     /// Total GPU count the plan occupies.
     pub fn world_size(&self) -> usize {
         self.ddp * self.tiles * self.fsdp * self.tensor_parallel
@@ -36,7 +31,7 @@ impl ParallelismPlan {
 
     /// Number of samples processed concurrently per step (one per DDP
     /// replica; tiles/FSDP/TP all cooperate on the same sample).
-    pub fn samples_per_step(&self) -> usize {
+    pub(crate) fn samples_per_step(&self) -> usize {
         self.ddp
     }
 
@@ -62,20 +57,8 @@ impl ParallelismPlan {
         Ok(())
     }
 
-    /// Decompose a global rank into `(ddp, tile, fsdp, tp)` coordinates.
-    pub fn coords(&self, rank: usize) -> (usize, usize, usize, usize) {
-        assert!(rank < self.world_size());
-        let p = rank % self.tensor_parallel;
-        let rest = rank / self.tensor_parallel;
-        let f = rest % self.fsdp;
-        let rest = rest / self.fsdp;
-        let t = rest % self.tiles;
-        let d = rest / self.tiles;
-        (d, t, f, p)
-    }
-
     /// Inverse of [`ParallelismPlan::coords`].
-    pub fn rank_of(&self, d: usize, t: usize, f: usize, p: usize) -> usize {
+    fn rank_of(&self, d: usize, t: usize, f: usize, p: usize) -> usize {
         ((d * self.tiles + t) * self.fsdp + f) * self.tensor_parallel + p
     }
 
@@ -171,16 +154,6 @@ mod tests {
     #[test]
     fn world_size_product() {
         assert_eq!(plan().world_size(), 32);
-        assert_eq!(ParallelismPlan::ddp_only(8).world_size(), 8);
-    }
-
-    #[test]
-    fn coords_roundtrip() {
-        let p = plan();
-        for r in 0..p.world_size() {
-            let (d, t, f, q) = p.coords(r);
-            assert_eq!(p.rank_of(d, t, f, q), r);
-        }
     }
 
     #[test]

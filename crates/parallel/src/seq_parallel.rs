@@ -33,7 +33,7 @@ pub struct SeqParallelConfig {
 
 /// Cost estimate of one training step under ring sequence parallelism.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct SeqParallelEstimate {
+struct SeqParallelEstimate {
     /// Per-rank attention + MLP compute time (s).
     pub compute_s: f64,
     /// Per-layer ring K/V exchange time, summed over layers, fwd+bwd (s).
@@ -48,7 +48,7 @@ pub struct SeqParallelEstimate {
 
 impl SeqParallelConfig {
     /// Estimate one step at global sequence length `seq` on `cluster`.
-    pub fn estimate(&self, seq: u64, cluster: &ClusterSpec) -> SeqParallelEstimate {
+    fn estimate(&self, seq: u64, cluster: &ClusterSpec) -> SeqParallelEstimate {
         assert!(self.ranks >= 1);
         let p = self.ranks as f64;
         let s = seq as f64;

@@ -14,7 +14,7 @@ use serde::{Deserialize, Serialize};
 
 /// A Swin-style hierarchy derived from an input token grid.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SwinHierarchy {
+struct SwinHierarchy {
     /// Window edge in tokens (e.g. 8 => 64-token windows).
     pub window: usize,
     /// Base channel width at the finest stage.
@@ -27,7 +27,7 @@ impl SwinHierarchy {
     /// Build the hierarchy needed to reduce a `side x side` token grid to a
     /// single window (full receptive field): each stage halves the side and
     /// doubles the channels, the Swin scaling rule.
-    pub fn for_resolution(side: usize, window: usize, base_channels: usize) -> Self {
+    fn for_resolution(side: usize, window: usize, base_channels: usize) -> Self {
         assert!(side >= window, "input smaller than one window");
         let mut stages = Vec::new();
         let mut s = side;
@@ -43,18 +43,11 @@ impl SwinHierarchy {
         Self { window, base_channels, stages }
     }
 
-    /// Number of hierarchy stages (grows with resolution — the paper's
-    /// objection: "layers of architecture hierarchy must scale
-    /// proportionally with higher resolution").
-    pub fn depth(&self) -> usize {
-        self.stages.len()
-    }
-
     /// Parameter count: each stage contributes transformer blocks at its
     /// channel width; channels double per stage, so parameters grow ~4x per
     /// stage — the size blow-up that "shifts the computational bottleneck
     /// from long-sequence processing to large-model scaling".
-    pub fn param_count(&self, blocks_per_stage: usize) -> u64 {
+    fn param_count(&self, blocks_per_stage: usize) -> u64 {
         self.stages
             .iter()
             .map(|&(_, c)| blocks_per_stage as u64 * 12 * (c as u64) * (c as u64))
@@ -63,7 +56,7 @@ impl SwinHierarchy {
 
     /// Peak activation memory in bytes (batch 1, BF16): the finest stage
     /// dominates with `side^2` tokens at `base_channels`.
-    pub fn activation_bytes(&self) -> u64 {
+    fn activation_bytes(&self) -> u64 {
         self.stages
             .iter()
             .map(|&(s, c)| (s as u64) * (s as u64) * (c as u64) * 14 * 2)
@@ -72,7 +65,7 @@ impl SwinHierarchy {
 
     /// Max token count on a 64 GB GPU given the parameter and activation
     /// growth (Adam state 16 B/param like everywhere else).
-    pub fn fits_on(&self, mem_bytes: u64, blocks_per_stage: usize) -> bool {
+    fn fits_on(&self, mem_bytes: u64, blocks_per_stage: usize) -> bool {
         let params = self.param_count(blocks_per_stage) * 16;
         let acts = self.activation_bytes();
         params + acts + (2 << 30) <= mem_bytes
@@ -106,10 +99,10 @@ mod tests {
     fn depth_grows_with_resolution() {
         let small = SwinHierarchy::for_resolution(64, 8, 96);
         let big = SwinHierarchy::for_resolution(1024, 8, 96);
-        assert!(big.depth() > small.depth());
+        assert!(big.stages.len() > small.stages.len());
         // Exactly log2(side/window) + 1 stages.
-        assert_eq!(small.depth(), 4);
-        assert_eq!(big.depth(), 8);
+        assert_eq!(small.stages.len(), 4);
+        assert_eq!(big.stages.len(), 8);
     }
 
     #[test]
@@ -138,7 +131,7 @@ mod tests {
         // different models.
         let a = SwinHierarchy::for_resolution(128, 8, 96);
         let b = SwinHierarchy::for_resolution(512, 8, 96);
-        assert_ne!(a.depth(), b.depth());
+        assert_ne!(a.stages.len(), b.stages.len());
         assert_ne!(a.param_count(2), b.param_count(2));
     }
 

@@ -23,12 +23,18 @@
 //! printf '{"id":1,"region":"conus","time":0}\n' | nc 127.0.0.1 7878
 //! ```
 
+use orbit2::inference::{check_tiling, validate_input};
 use orbit2_climate::{DownscalingDataset, LatLonGrid, Normalizer, VariableSet};
 use orbit2_imaging::tiles::TileSpec;
 use orbit2_model::{ModelConfig, ReslimModel, SessionPrecision};
 use orbit2_serve::{Region, Server, ServerConfig};
+use orbit2_tensor::Tensor;
 use std::net::TcpListener;
 use std::sync::Arc;
+
+/// Refinement factor of the hosted model: a `--grid` side is this many
+/// coarse input cells per fine output cell.
+const FACTOR: usize = 4;
 
 struct Args {
     addr: String,
@@ -103,7 +109,40 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown flag {other}\n{USAGE}")),
         }
     }
+    let (h, w) = args.grid;
+    if h == 0 || w == 0 || h % FACTOR != 0 || w % FACTOR != 0 {
+        return Err(format!(
+            "--grid {h}x{w}: both sides must be positive multiples of the refinement factor {FACTOR}"
+        ));
+    }
+    let side = (args.tiles as f64).sqrt().round() as usize;
+    if args.tiles == 0 || side * side != args.tiles {
+        return Err(format!(
+            "--tiles {}: the tile count must be a perfect square (1, 4, 9, ...)",
+            args.tiles
+        ));
+    }
+    if args.samples == 0 {
+        return Err("--samples 0: each region must hold at least one sample".into());
+    }
+    if args.queue == 0 {
+        return Err("--queue 0: the queue must hold at least one request".into());
+    }
     Ok(args)
+}
+
+/// Refuse a `--grid` / `--tiles` / `--halo` combination under which every
+/// request would be a `bad_request`: the coarse grid must be a valid model
+/// input and, when tiled, so must each tile.
+fn check_servable(model: &ReslimModel, args: &Args, tile: Option<TileSpec>) -> Result<(), String> {
+    let (h, w) = (args.grid.0 / FACTOR, args.grid.1 / FACTOR);
+    validate_input(model, &Tensor::zeros(vec![model.cfg.in_channels, h, w]))
+        .map_err(|e| format!("--grid {}x{}: {e}", args.grid.0, args.grid.1))?;
+    match tile {
+        Some(spec) => check_tiling(model, h, w, spec)
+            .map_err(|e| format!("--tiles {} --halo {}: {e}", args.tiles, args.halo)),
+        None => Ok(()),
+    }
 }
 
 fn parse_num(v: &str, name: &str) -> Result<usize, String> {
@@ -120,28 +159,33 @@ fn main() {
     };
 
     let variables = VariableSet::daymet_like();
-    let factor = 4;
     let cfg = ModelConfig::tiny().with_channels(variables.inputs.len(), variables.outputs.len());
+    let model = ReslimModel::new(cfg, args.seed + 2);
+    let tile = (args.tiles > 1).then(|| TileSpec::square(args.tiles, args.halo));
+    if let Err(e) = check_servable(&model, &args, tile) {
+        eprintln!("{e}");
+        std::process::exit(2);
+    }
+
     let (h, w) = args.grid;
     let conus = DownscalingDataset::new(
         LatLonGrid::conus(h, w),
         variables.clone(),
-        factor,
+        FACTOR,
         args.samples,
         args.seed,
     );
     let global = DownscalingDataset::new(
         LatLonGrid::global(h, w),
         variables,
-        factor,
+        FACTOR,
         args.samples,
         args.seed + 1,
     );
     let normalizer = Normalizer::fit(&conus, args.samples.clamp(1, 8));
-    let model = ReslimModel::new(cfg, args.seed + 2);
 
     let server_cfg = ServerConfig {
-        tile: if args.tiles > 1 { Some(TileSpec::square(args.tiles, args.halo)) } else { None },
+        tile,
         queue_capacity: args.queue,
         precision: args.precision,
         default_deadline_ms: args.default_deadline_ms,
@@ -169,8 +213,8 @@ fn main() {
     println!(
         "orbit2-serve listening on {bound} (regions: conus, global; coarse grid {}x{}; \
          queue {}; precision {}; default deadline {})",
-        h / factor,
-        w / factor,
+        h / FACTOR,
+        w / FACTOR,
         args.queue,
         args.precision.label(),
         match args.default_deadline_ms {

@@ -41,7 +41,7 @@ impl Oneshot {
 }
 
 /// The caller's side of a submitted request: block on [`Handle::wait`] or
-/// poll with [`Handle::try_get`]. Cloneable so a response writer and a
+/// for at most a bound with [`Handle::wait_timeout`]. Cloneable so a response writer and a
 /// latency recorder can both observe the same completion.
 #[derive(Clone)]
 pub struct Handle {
@@ -62,7 +62,7 @@ impl Handle {
     }
 
     /// The request id this handle tracks.
-    pub fn id(&self) -> u64 {
+    pub(crate) fn id(&self) -> u64 {
         self.id
     }
 
@@ -93,11 +93,6 @@ impl Handle {
             slot = guard;
         }
     }
-
-    /// Non-blocking poll.
-    pub fn try_get(&self) -> Option<Result<ServeResponse, ServeError>> {
-        self.slot.slot.lock().unwrap().clone()
-    }
 }
 
 #[cfg(test)]
@@ -112,7 +107,7 @@ mod tests {
     fn wait_sees_completion_from_another_thread() {
         let slot = Oneshot::new();
         let handle = Handle::new(3, Arc::clone(&slot));
-        assert!(handle.try_get().is_none());
+        assert!(handle.wait_timeout(Duration::ZERO).is_none());
         let t = std::thread::spawn(move || slot.complete(Ok(resp(3))));
         let got = handle.wait().unwrap();
         assert_eq!(got.id, 3);
@@ -158,7 +153,8 @@ mod tests {
         let seen = waiter.join().unwrap().expect("waiter must wake with a result");
         assert_eq!(seen.unwrap_err(), ServeError::ShuttingDown);
         assert_eq!(handle.wait().unwrap_err(), ServeError::ShuttingDown);
-        assert_eq!(handle.try_get().unwrap().unwrap_err(), ServeError::ShuttingDown);
+        let polled = handle.wait_timeout(Duration::ZERO).expect("the slot is complete");
+        assert_eq!(polled.unwrap_err(), ServeError::ShuttingDown);
     }
 
     /// Many completers racing one slot: exactly one `complete` call wins,
@@ -191,7 +187,7 @@ mod tests {
                 completers.into_iter().map(|c| c.join().unwrap()).filter(|won| *won).count();
             assert_eq!(wins, 1, "exactly one completion must win (round {round})");
             assert!(slot.is_complete());
-            let winner = handle.try_get().unwrap();
+            let winner = handle.wait_timeout(Duration::ZERO).unwrap();
             for waiter in waiters {
                 let seen = waiter.join().unwrap();
                 assert_eq!(

@@ -264,11 +264,6 @@ impl Server {
         self.inner.counters.snapshot()
     }
 
-    /// The model's refinement factor (output pixels per input pixel).
-    pub fn scale_factor(&self) -> usize {
-        self.inner.model.cfg.scale_factor
-    }
-
     /// Requests admitted and not yet terminal. Returns to zero once every
     /// submitted request has reached exactly one terminal state and its
     /// bookkeeping has left the system — the chaos harness's invariant.
@@ -610,7 +605,8 @@ mod tests {
         assert_eq!(server.inflight(), 1);
         server.shutdown();
         server.inner.run(job);
-        let verdict = Handle::new(1, done).try_get().expect("the job completed its request");
+        let verdict =
+            Handle::new(1, done).wait_timeout(Duration::ZERO).expect("the job completed its request");
         assert_eq!(verdict.unwrap_err(), ServeError::ShuttingDown);
         assert_eq!(server.inflight(), 0, "the job released its slot");
         assert_eq!(server.stats().batches, 0, "no forward ran");
@@ -623,7 +619,8 @@ mod tests {
         let server = tiny_server(VariableSet::daymet_like(), ServerConfig::default());
         let (job, done) = job(&server, Some((Instant::now() - Duration::from_millis(5), 7)));
         server.inner.run(job);
-        let verdict = Handle::new(1, done).try_get().expect("the job completed its request");
+        let verdict =
+            Handle::new(1, done).wait_timeout(Duration::ZERO).expect("the job completed its request");
         assert_eq!(verdict.unwrap_err(), ServeError::DeadlineExceeded { deadline_ms: 7 });
         let stats = server.stats();
         assert_eq!((stats.shed_jobs, stats.deadline_expired, stats.batches), (1, 1, 0));

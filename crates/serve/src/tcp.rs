@@ -222,7 +222,7 @@ impl RetryPolicy {
     /// The jittered sleep before retry attempt `attempt` (1-based count
     /// of retries already earned). Exposed for tests: the schedule is a
     /// pure function of (policy, request id, attempt).
-    pub fn backoff(&self, request_id: u64, attempt: u32) -> Duration {
+    fn backoff(&self, request_id: u64, attempt: u32) -> Duration {
         let exp = attempt.saturating_sub(1).min(32);
         let window = self
             .base_delay

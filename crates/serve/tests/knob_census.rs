@@ -56,3 +56,46 @@ fn stats_reply_keys_and_readme_stats_paragraph_agree() {
     assert_eq!(keys.len(), 11, "stats reply keys: {keys:?}");
     assert_eq!(keys, documented, "stats reply keys vs README **Stats.** paragraph");
 }
+
+/// A configuration that cannot serve is refused at startup with the usage
+/// exit code and a message naming the flag — never a panic, and never a
+/// server that turns every request away.
+#[test]
+fn impossible_configurations_exit_2_without_a_panic() {
+    use std::process::{Command, Stdio};
+    use std::time::{Duration, Instant};
+    for (flags, named) in [
+        (&["--tiles", "3"][..], "--tiles"),
+        (&["--grid", "30x64"], "--grid"),
+        (&["--grid", "0x0"], "--grid"),
+        (&["--grid", "4x4"], "--grid"),
+        (&["--samples", "0"], "--samples"),
+        (&["--queue", "0"], "--queue"),
+        (&["--tiles", "9", "--halo", "2"], "--tiles"),
+    ] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_orbit2-serve"))
+            .args(["--addr", "127.0.0.1:0"])
+            .args(flags)
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn orbit2-serve");
+        // A configuration that slipped through would listen forever.
+        let started = Instant::now();
+        let status = loop {
+            if let Some(status) = child.try_wait().unwrap() {
+                break status;
+            }
+            if started.elapsed() > Duration::from_secs(60) {
+                child.kill().unwrap();
+                panic!("orbit2-serve {flags:?} started instead of refusing");
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        };
+        let mut stderr = String::new();
+        std::io::Read::read_to_string(&mut child.stderr.take().unwrap(), &mut stderr).unwrap();
+        assert!(!stderr.contains("panicked"), "orbit2-serve {flags:?} panicked:\n{stderr}");
+        assert_eq!(status.code(), Some(2), "orbit2-serve {flags:?}: {stderr}");
+        assert!(stderr.contains(named), "orbit2-serve {flags:?} must name {named}: {stderr}");
+    }
+}

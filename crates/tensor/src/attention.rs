@@ -35,7 +35,7 @@ use rayon::prelude::*;
 /// Query rows per block. On a `tiles-field` tile (N = 1156 tokens,
 /// d_h = 64) a block's scores are 48 × 1156 × 4 B = 222 KB, which sit in L2
 /// beside the head's two packs (`K_hᵀ` and `V_h`, 1156 × 64 × 4 B = 296 KB
-/// each). A multiple of the driver's row panel ([`crate::qgemm::QMR`]).
+/// each). A multiple of the driver's row panel (`crate::qgemm::QMR`).
 pub const BLOCK: usize = 48;
 
 /// Multi-head scaled-dot-product attention of one sample.
@@ -138,12 +138,6 @@ pub fn naive_attention(q: &Tensor, k: &Tensor, v: &Tensor) -> Tensor {
     scores.softmax_last().matmul(v)
 }
 
-/// FLOP count of one scaled-dot-product attention over `s` tokens of width
-/// `d` (forward only): `2*s^2*d` for QK^T plus `2*s^2*d` for PV.
-pub fn attention_flops(s: usize, d: usize) -> u64 {
-    4 * (s as u64) * (s as u64) * (d as u64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -180,12 +174,6 @@ mod tests {
             let row = o.slice_axis(0, r, 1).reshape(vec![4]);
             row.assert_close(&vmean, 1e-5);
         }
-    }
-
-    #[test]
-    fn flop_count_is_quadratic() {
-        assert_eq!(attention_flops(10, 4), 1600);
-        assert_eq!(attention_flops(20, 4), 6400); // 2x tokens -> 4x flops
     }
 
     /// `naive_attention` of every head, written into its columns of an
@@ -243,11 +231,11 @@ mod tests {
         // Head 0's key column 0 is positive, so a `+∞` query there scores
         // `+∞` against every key.
         let mut k = randn(&[n, d], 111);
-        for r in 0..n {
-            k.set(&[r, 0], k.at(&[r, 0]).abs() + 0.5);
+        for key in k.data_mut().chunks_mut(d) {
+            key[0] = key[0].abs() + 0.5;
         }
-        q.set(&[3, 1], f32::NAN);
-        q.set(&[47, 0], f32::INFINITY);
+        q.data_mut()[3 * d + 1] = f32::NAN;
+        q.data_mut()[47 * d] = f32::INFINITY;
         let got = multi_head_attention(&q, &k, &v, heads);
         assert_bitwise(&got, &per_head_reference(&q, &k, &v, heads), "poisoned rows");
         for r in 0..n {

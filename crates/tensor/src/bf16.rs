@@ -3,12 +3,12 @@
 //! The paper trains ORBIT-2 in BFLOAT16 with dynamic gradient scaling
 //! (Sec. III-D). Two layers of support live here:
 //!
-//! * **Emulation** ([`bf16_round`], [`Bf16Mode`]): `f32` values rounded to
+//! * **Emulation** ([`bf16_round`], [`bf16_round_slice`]): `f32` values rounded to
 //!   the nearest 8-bit-mantissa value (round-to-nearest-even on the
 //!   truncated bits) while staying 32-bit in memory — the same trick
 //!   PyTorch uses for CPU BF16 emulation. Used by the mixed-precision
 //!   trainer, where every value immediately re-enters f32 arithmetic.
-//! * **Storage** ([`f32_to_bf16`], [`bf16_to_f32`]): real 16-bit words (the
+//! * **Storage** (`f32_to_bf16`, `bf16_to_f32`): real 16-bit words (the
 //!   high half of the rounded f32 bit pattern), halving the bytes a weight
 //!   stream moves. The GEMM driver ([`crate::qgemm`]) keeps resident
 //!   bf16 weight packs in this form. Round-tripping storage is
@@ -19,16 +19,6 @@
 
 use crate::pool;
 use crate::tensor::Tensor;
-
-/// Whether a computation runs in full or emulated-BF16 precision.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Bf16Mode {
-    /// Plain f32; no rounding applied.
-    #[default]
-    Full,
-    /// Values rounded to BF16 precision at layer boundaries.
-    Emulated,
-}
 
 /// Round one `f32` to the nearest BF16-representable value.
 pub fn bf16_round(x: f32) -> f32 {
@@ -71,7 +61,7 @@ pub fn bf16_round_slice(dst: &mut [f32]) {
 /// truncation would yield an infinity encoding; the quiet bit is forced so
 /// the value stays a NaN.
 #[inline]
-pub fn f32_to_bf16(x: f32) -> u16 {
+pub(crate) fn f32_to_bf16(x: f32) -> u16 {
     let bits = x.to_bits();
     if (bits & 0x7F80_0000) == 0x7F80_0000 {
         // Inf or NaN: truncate, forcing the quiet bit for NaNs.
@@ -85,25 +75,8 @@ pub fn f32_to_bf16(x: f32) -> u16 {
 /// Widen one `u16` BF16 word back to `f32` (exact; every BF16 value is
 /// representable).
 #[inline(always)]
-pub fn bf16_to_f32(w: u16) -> f32 {
+pub(crate) fn bf16_to_f32(w: u16) -> f32 {
     f32::from_bits((w as u32) << 16)
-}
-
-/// Convert a slice of `f32` into freshly allocated BF16 words.
-pub fn f32_slice_to_bf16(src: &[f32]) -> Vec<u16> {
-    src.iter().map(|&x| f32_to_bf16(x)).collect()
-}
-
-/// Widen BF16 words into an `f32` destination of the same length.
-///
-/// The body is a zero-extend and a shift per element — LLVM vectorizes it —
-/// and it is the inner widening step of the bf16 GEMM's strip scratch.
-#[inline]
-pub fn bf16_slice_to_f32(src: &[u16], dst: &mut [f32]) {
-    debug_assert_eq!(src.len(), dst.len());
-    for (d, &w) in dst.iter_mut().zip(src) {
-        *d = bf16_to_f32(w);
-    }
 }
 
 impl Tensor {
@@ -119,17 +92,7 @@ impl Tensor {
         }
         Tensor::from_vec(self.shape().to_vec(), out)
     }
-
-    /// Quantize in place when `mode` is [`Bf16Mode::Emulated`].
-    pub fn apply_precision(&mut self, mode: Bf16Mode) {
-        if mode == Bf16Mode::Emulated {
-            bf16_round_slice(self.data_mut());
-        }
-    }
 }
-
-/// Relative precision of BF16 (8 mantissa bits): ~2^-8.
-pub const BF16_EPS: f32 = 1.0 / 256.0;
 
 #[cfg(test)]
 mod tests {
@@ -149,7 +112,8 @@ mod tests {
         let q = t.to_bf16();
         for (&a, &b) in t.data().iter().zip(q.data()) {
             if a != 0.0 {
-                assert!(((a - b) / a).abs() <= BF16_EPS, "{a} -> {b}");
+                // Half a unit in the last of BF16's 8 significand bits.
+                assert!(((a - b) / a).abs() <= 1.0 / 256.0, "{a} -> {b}");
             }
         }
     }
@@ -219,19 +183,6 @@ mod tests {
             let w = f32_to_bf16(nan);
             assert!(bf16_to_f32(w).is_nan(), "word {w:#06x}");
             assert_eq!(bf16_to_f32(w).is_sign_negative(), nan.is_sign_negative());
-        }
-    }
-
-    #[test]
-    fn slice_conversions_roundtrip() {
-        use crate::random::randn;
-        let t = randn(&[97], 13);
-        let words = f32_slice_to_bf16(t.data());
-        let mut wide = vec![0.0f32; words.len()];
-        bf16_slice_to_f32(&words, &mut wide);
-        let expect = t.to_bf16();
-        for (a, b) in wide.iter().zip(expect.data()) {
-            assert_eq!(a.to_bits(), b.to_bits());
         }
     }
 

@@ -8,7 +8,7 @@
 //! The stride-1 forward copies the batch once into a zero-padded
 //! `[N·C, H+2p, W+2p]` pooled scratch (plus one strip of slack, ≈1.03× the
 //! input) and then, for every (output-channel block × strip of output
-//! pixels), keeps twelve [`F32x8`] accumulators in registers while it walks
+//! pixels), keeps twelve `F32x8` accumulators in registers while it walks
 //! `(ci, ky, kx)` in ascending order: shifted unaligned row loads against
 //! broadcast weights, bias added at the store. Nothing is unfolded, so the
 //! only memory beyond input and output is that padded copy.
@@ -56,7 +56,7 @@ impl ConvGeom {
     /// # Panics
     /// Panics when the padded input is smaller than the kernel, or the
     /// stride is zero.
-    pub fn out_size(&self, h: usize, w: usize) -> (usize, usize) {
+    fn out_size(&self, h: usize, w: usize) -> (usize, usize) {
         assert!(self.stride > 0, "conv stride must be at least 1");
         assert!(
             h + 2 * self.pad >= self.kh && w + 2 * self.pad >= self.kw,

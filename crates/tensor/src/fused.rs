@@ -15,8 +15,8 @@
 //!   classic two-pass mean-then-variance sweep.
 //! * [`softmax_rows`] — three passes over a row while it is L1-resident:
 //!   vector max scan, one fused `exp(x − max)`-store-and-sum pass on
-//!   [`simd::exp`] with a pinned summation order, vector scale.
-//!   [`softmax_rows_from`] reads a source row instead, so an out-of-place
+//!   `simd::exp` with a pinned summation order, vector scale.
+//!   `softmax_rows_from` reads a source row instead, so an out-of-place
 //!   softmax never copies its scores first.
 //!
 //! A linear layer with a non-linear activation also returns the
@@ -44,26 +44,16 @@ pub enum Activation {
     Identity,
     /// `max(0, x)`.
     Relu,
-    /// Tanh-approximated GELU ([`gelu_scalar`]: the same bits as
+    /// Tanh-approximated GELU (`gelu_scalar`: the same bits as
     /// [`Tensor::gelu`] and the tape's `Var::gelu`).
     Gelu,
 }
 
 impl Activation {
-    /// `act(x)`.
-    #[inline]
-    pub fn apply(self, x: f32) -> f32 {
-        match self {
-            Activation::Identity => x,
-            Activation::Relu => x.max(0.0),
-            Activation::Gelu => gelu_scalar(x),
-        }
-    }
-
     /// `act` applied to every element in place. The GEMM epilogue hands it
     /// one row run of a C tile at a time; the GELU is a branch-free lane
     /// function, so the loop over a run is vector code.
-    pub fn apply_in_place(self, xs: &mut [f32]) {
+    pub(crate) fn apply_in_place(self, xs: &mut [f32]) {
         match self {
             Activation::Identity => {}
             Activation::Relu => xs.iter_mut().for_each(|x| *x = x.max(0.0)),
@@ -73,7 +63,7 @@ impl Activation {
 
     /// `act'(pre)` evaluated at the stored pre-activation.
     #[inline]
-    pub fn grad(self, pre: f32) -> f32 {
+    fn grad(self, pre: f32) -> f32 {
         match self {
             Activation::Identity => 1.0,
             Activation::Relu => {
@@ -261,7 +251,7 @@ pub fn layer_norm_rows(src: &[f32], rows: usize, d: usize, eps: f32) -> (Vec<f32
 }
 
 /// Single-pass mean and population variance of a slice (Welford).
-pub fn welford_mean_var(row: &[f32]) -> (f32, f32) {
+fn welford_mean_var(row: &[f32]) -> (f32, f32) {
     let d = row.len();
     if d == 0 {
         return (0.0, 0.0);
@@ -322,7 +312,7 @@ fn chan_combine(ma: f64, m2a: f64, na: f64, mb: f64, m2b: f64, nb: f64) -> (f64,
 
 /// In-place softmax over contiguous rows of length `inner`: for each row,
 /// subtract the max, exponentiate, and scale by the inverse sum. A row is
-/// computed from that row alone ([`simd::exp_sub_sum`] pins the order of its
+/// computed from that row alone (`simd::exp_sub_sum` pins the order of its
 /// sum), so the result is independent of the SIMD mode, of the worker split
 /// and of the rows stacked around it. A NaN or `+∞` score makes its whole
 /// row NaN, never a silently finite one.
@@ -331,7 +321,7 @@ pub fn softmax_rows(dst: &mut [f32], inner: usize) {
 }
 
 /// [`softmax_rows`] reading the scores from `src` and writing `dst`.
-pub fn softmax_rows_from(src: &[f32], dst: &mut [f32], inner: usize) {
+pub(crate) fn softmax_rows_from(src: &[f32], dst: &mut [f32], inner: usize) {
     assert_eq!(src.len(), dst.len());
     softmax(Some(src), dst, inner);
 }
@@ -464,7 +454,6 @@ mod tests {
             let b = randn(&[n], 53);
             for prec in [WeightPrecision::Bf16, WeightPrecision::Int8] {
                 let packed = PackedWeight::pack(&w, prec).unwrap();
-                assert_eq!(packed.precision(), prec);
                 let dq = packed.dequantized().unwrap();
                 for act in [Activation::Identity, Activation::Gelu] {
                     let y = matmul_bias_act_cached(&x, &dq, Some(&packed), Some(&b), act);
@@ -640,7 +629,6 @@ mod tests {
             let mut in_place = pre.data().to_vec();
             Activation::Gelu.apply_in_place(&mut in_place);
             assert_eq!(bits(&in_place), bits(&lane), "apply_in_place");
-            assert_eq!(Activation::Gelu.apply(pre.data()[0]).to_bits(), lane[0].to_bits());
 
             let g = randn(&[m, n], 64);
             let want: Vec<f32> = g
@@ -669,7 +657,12 @@ mod tests {
         for act in [Activation::Relu, Activation::Gelu] {
             for &x in &[-1.5f32, -0.3, 0.2, 1.7] {
                 let h = 1e-3;
-                let fd = (act.apply(x + h) - act.apply(x - h)) / (2.0 * h);
+                let apply = |x: f32| {
+                    let mut v = [x];
+                    act.apply_in_place(&mut v);
+                    v[0]
+                };
+                let fd = (apply(x + h) - apply(x - h)) / (2.0 * h);
                 assert!((act.grad(x) - fd).abs() < 1e-2, "{act:?} at {x}");
             }
         }

@@ -44,17 +44,7 @@ pub mod shape;
 pub mod simd;
 pub mod tensor;
 
-pub use attention::naive_attention;
-pub use bf16::{bf16_round, bf16_to_f32, f32_to_bf16, Bf16Mode};
-pub use fused::{matmul_bias_act, Activation, WeightPrecision};
 pub use matmul::MatLayout;
-pub use pool::{Buffer, PoolStats};
+pub use pool::Buffer;
 pub use qgemm::PackedWeight;
-pub use shape::{broadcast_shapes, strides_for, Shape, ShapeHandle};
 pub use tensor::Tensor;
-
-/// Convenience prelude for downstream crates.
-pub mod prelude {
-    pub use crate::attention::naive_attention;
-    pub use crate::tensor::Tensor;
-}

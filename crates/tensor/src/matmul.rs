@@ -2,7 +2,7 @@
 //!
 //! This module owns the operand addressing ([`MatLayout`]) and the tensor
 //! entry points; the arithmetic is the strip driver in [`crate::qgemm`],
-//! which every product here enters through one function ([`gemm`]). A
+//! which every product here enters through one function (`gemm`). A
 //! [`MatLayout`] gives each operand an arbitrary (row, col) stride, so
 //! `A^T B` and `A B^T` products — the adjoints of `matmul` and the `x W^T`
 //! convention of linear layers — are packed straight from the original
@@ -42,7 +42,7 @@ impl MatLayout {
 /// `C[m x n] = op(A) * op(B)` with arbitrary operand strides; `c` is
 /// row-major and overwritten.
 #[allow(clippy::too_many_arguments)]
-pub fn gemm(
+fn gemm(
     a: &[f32],
     la: MatLayout,
     b: &[f32],
@@ -209,7 +209,7 @@ mod tests {
         let a = Tensor::arange(16).reshape(vec![4, 4]);
         let mut eye = Tensor::zeros(vec![4, 4]);
         for i in 0..4 {
-            eye.set(&[i, i], 1.0);
+            eye.data_mut()[i * 4 + i] = 1.0;
         }
         a.matmul(&eye).assert_close(&a, 0.0);
         eye.matmul(&a).assert_close(&a, 0.0);

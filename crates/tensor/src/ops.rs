@@ -203,35 +203,10 @@ impl Tensor {
         binary_broadcast(self, other, |a, b| a * b)
     }
 
-    /// Elementwise division with broadcasting.
-    pub fn div(&self, other: &Tensor) -> Tensor {
-        binary_broadcast(self, other, |a, b| a / b)
-    }
-
-    /// Elementwise maximum with broadcasting.
-    pub fn maximum(&self, other: &Tensor) -> Tensor {
-        binary_broadcast(self, other, f32::max)
-    }
-
-    /// Elementwise minimum with broadcasting.
-    pub fn minimum(&self, other: &Tensor) -> Tensor {
-        binary_broadcast(self, other, f32::min)
-    }
-
     /// In-place addition: `self += other` (other broadcasts to `self`).
     /// COW: copies `self`'s storage first only when shared.
     pub fn add_(&mut self, other: &Tensor) {
         binary_broadcast_assign(self, other, |a, b| a + b);
-    }
-
-    /// In-place subtraction: `self -= other`.
-    pub fn sub_(&mut self, other: &Tensor) {
-        binary_broadcast_assign(self, other, |a, b| a - b);
-    }
-
-    /// In-place multiplication: `self *= other`.
-    pub fn mul_(&mut self, other: &Tensor) {
-        binary_broadcast_assign(self, other, |a, b| a * b);
     }
 
     /// Fused in-place multiply-add: `self += alpha * x`. The workhorse of
@@ -255,51 +230,14 @@ impl Tensor {
         self.map(|x| -x)
     }
 
-    /// Elementwise exponential ([`simd::exp`]).
+    /// Elementwise exponential (`simd::exp`).
     pub fn exp(&self) -> Tensor {
         self.map(simd::exp)
-    }
-
-    /// Elementwise natural log.
-    pub fn ln(&self) -> Tensor {
-        self.map(f32::ln)
-    }
-
-    /// Elementwise square root.
-    pub fn sqrt(&self) -> Tensor {
-        self.map(f32::sqrt)
-    }
-
-    /// Elementwise power.
-    pub fn powf(&self, p: f32) -> Tensor {
-        self.map(move |x| x.powf(p))
-    }
-
-    /// Elementwise hyperbolic tangent, `1 − 2/(e^{2x} + 1)` on
-    /// [`simd::exp`]: absolute error below 1.2e-7 (the relative error grows
-    /// as `x → 0`, where the subtraction cancels).
-    pub fn tanh(&self) -> Tensor {
-        self.map(|x| 1.0 - 2.0 / (simd::exp(2.0 * x) + 1.0))
-    }
-
-    /// Rectified linear unit.
-    pub fn relu(&self) -> Tensor {
-        self.map(|x| x.max(0.0))
     }
 
     /// Gaussian error linear unit (tanh approximation, as used by ViTs).
     pub fn gelu(&self) -> Tensor {
         self.map(gelu_scalar)
-    }
-
-    /// Logistic sigmoid.
-    pub fn sigmoid(&self) -> Tensor {
-        self.map(sigmoid)
-    }
-
-    /// Clamp every element into `[lo, hi]`.
-    pub fn clamp(&self, lo: f32, hi: f32) -> Tensor {
-        self.map(move |x| x.clamp(lo, hi))
     }
 
     /// Sum of all elements, accumulated in f64: one partial per
@@ -344,11 +282,6 @@ impl Tensor {
         self.sum_axis(axis).mul_scalar(1.0 / n)
     }
 
-    /// Max along `axis`, removing it.
-    pub fn max_axis(&self, axis: usize) -> Tensor {
-        self.reduce_axis(axis, f32::NEG_INFINITY, f32::max)
-    }
-
     fn reduce_axis(&self, axis: usize, init: f32, f: impl Fn(f32, f32) -> f32 + Sync) -> Tensor {
         assert!(axis < self.ndim(), "axis {axis} out of range for {:?}", self.shape());
         let shape = self.shape();
@@ -374,7 +307,7 @@ impl Tensor {
 
     /// Softmax along the last axis, numerically stabilized.
     ///
-    /// Delegates to the fused kernel ([`crate::fused::softmax_rows_from`]),
+    /// Delegates to the fused kernel (`crate::fused::softmax_rows_from`),
     /// which reads each source row and writes its output row: no copy of the
     /// scores is made first.
     pub fn softmax_last(&self) -> Tensor {
@@ -513,53 +446,6 @@ impl Tensor {
         }
         Tensor::from_vec(vec![total_rows, cols], out)
     }
-
-    /// Zero-pad the last two axes (interpreted as H, W) by the given margins.
-    pub fn pad2d(&self, top: usize, bottom: usize, left: usize, right: usize) -> Tensor {
-        let nd = self.ndim();
-        assert!(nd >= 2, "pad2d requires at least 2 axes");
-        let h = self.shape()[nd - 2];
-        let w = self.shape()[nd - 1];
-        let lead: usize = self.shape()[..nd - 2].iter().product();
-        let nh = h + top + bottom;
-        let nw = w + left + right;
-        let mut out = pool::alloc_zeroed(lead * nh * nw);
-        let src = self.data();
-        for l in 0..lead {
-            for i in 0..h {
-                let sbase = (l * h + i) * w;
-                let dbase = (l * nh + i + top) * nw + left;
-                out[dbase..dbase + w].copy_from_slice(&src[sbase..sbase + w]);
-            }
-        }
-        let mut shape = self.shape().to_vec();
-        shape[nd - 2] = nh;
-        shape[nd - 1] = nw;
-        Tensor::from_vec(shape, out)
-    }
-
-    /// Crop the last two axes to `[top, top+h) x [left, left+w)`.
-    pub fn crop2d(&self, top: usize, left: usize, h: usize, w: usize) -> Tensor {
-        let nd = self.ndim();
-        assert!(nd >= 2);
-        let sh = self.shape()[nd - 2];
-        let sw = self.shape()[nd - 1];
-        assert!(top + h <= sh && left + w <= sw, "crop out of bounds");
-        let lead: usize = self.shape()[..nd - 2].iter().product();
-        let mut out = pool::alloc_uninit(lead * h * w);
-        let src = self.data();
-        for l in 0..lead {
-            for i in 0..h {
-                let sbase = (l * sh + top + i) * sw + left;
-                let dbase = (l * h + i) * w;
-                out[dbase..dbase + w].copy_from_slice(&src[sbase..sbase + w]);
-            }
-        }
-        let mut shape = self.shape().to_vec();
-        shape[nd - 2] = h;
-        shape[nd - 1] = w;
-        Tensor::from_vec(shape, out)
-    }
 }
 
 /// Logistic sigmoid on [`simd::exp`].
@@ -583,11 +469,11 @@ fn gelu_2u(x: f32) -> f32 {
 /// [`simd::exp`], so a loop over it vectorizes, and the one definition every
 /// GELU in the workspace evaluates (GEMM epilogue, `Tensor::gelu`, the tape).
 #[inline(always)]
-pub fn gelu_scalar(x: f32) -> f32 {
+pub(crate) fn gelu_scalar(x: f32) -> f32 {
     x / (1.0 + simd::exp(-gelu_2u(x)))
 }
 
-/// Derivative of [`gelu_scalar`] on the same `σ = σ(2u)`:
+/// Derivative of `gelu_scalar` on the same `σ = σ(2u)`:
 /// `σ + x·σ(1 − σ)·(2u)′`.
 #[inline(always)]
 pub fn gelu_grad_scalar(x: f32) -> f32 {
@@ -633,14 +519,6 @@ mod tests {
         b.add_(&row);
         b.assert_close(&a.add(&row), 0.0);
 
-        let mut c = a.clone();
-        c.sub_(&row);
-        c.assert_close(&a.sub(&row), 0.0);
-
-        let mut d = a.clone();
-        d.mul_(&row);
-        d.assert_close(&a.mul(&row), 0.0);
-
         let mut e = a.clone();
         e.axpy(2.5, &row);
         e.assert_close(&a.add(&row.mul_scalar(2.5)), 1e-5);
@@ -670,7 +548,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "cannot broadcast")]
     fn in_place_incompatible_broadcast_panics() {
-        Tensor::zeros(vec![2, 3]).mul_(&Tensor::zeros(vec![4]));
+        Tensor::zeros(vec![2, 3]).add_(&Tensor::zeros(vec![4]));
     }
 
     /// What every broadcasting op means — for each output element, one
@@ -696,7 +574,7 @@ mod tests {
         xs.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// Distinct, sign-mixed, never-zero values (so `div` stays finite).
+    /// Distinct, sign-mixed, never-zero values.
     fn filled(shape: &[usize], salt: usize) -> Tensor {
         let data = (0..numel(shape))
             .map(|i| ((i * 7 + salt) % 23 + 1) as f32 * if (i + salt).is_multiple_of(3) { -0.37 } else { 0.53 })
@@ -714,12 +592,10 @@ mod tests {
         let what = format!("{:?} with {:?}", a.shape(), b.shape());
         let out_shape = broadcast_shapes(a.shape(), b.shape()).expect("compatible");
         let idx = oracle_indices(a.shape(), b.shape());
-        let binary: [(Binary, Scalar); 5] = [
+        let binary: [(Binary, Scalar); 3] = [
             (Tensor::add, |x, y| x + y),
             (Tensor::sub, |x, y| x - y),
             (Tensor::mul, |x, y| x * y),
-            (Tensor::div, |x, y| x / y),
-            (Tensor::maximum, f32::max),
         ];
         for (i, (op, f)) in binary.iter().enumerate() {
             let got = op(a, b);
@@ -729,9 +605,8 @@ mod tests {
         if a.shape() != &out_shape[..] {
             return;
         }
-        let assign: [(Assign, Scalar); 3] = [
+        let assign: [(Assign, Scalar); 2] = [
             (Tensor::add_, |x, y| x + y),
-            (Tensor::mul_, |x, y| x * y),
             (|t, x| t.axpy(-1.75, x), |x, y| (-1.75f32).mul_add(y, x)),
         ];
         for (i, (op, f)) in assign.iter().enumerate() {
@@ -812,7 +687,6 @@ mod tests {
         assert!((a.mean() - 3.5).abs() < 1e-6);
         assert_eq!(a.sum_axis(0).data(), &[5., 7., 9.]);
         assert_eq!(a.sum_axis(1).data(), &[6., 15.]);
-        assert_eq!(a.max_axis(1).data(), &[3., 6.]);
         assert_eq!(a.max_value(), 6.0);
         assert_eq!(a.min_value(), 1.0);
     }
@@ -872,15 +746,6 @@ mod tests {
     }
 
     #[test]
-    fn pad_crop_roundtrip() {
-        let a = Tensor::arange(6).reshape(vec![1, 2, 3]);
-        let p = a.pad2d(1, 2, 3, 1);
-        assert_eq!(p.shape(), &[1, 5, 7]);
-        assert_eq!(p.at(&[0, 1, 3]), 0.0); // original (0,0)
-        p.crop2d(1, 3, 2, 3).assert_close(&a, 0.0);
-    }
-
-    #[test]
     fn gelu_matches_reference_points() {
         // Reference values from the tanh-approximated GELU.
         assert!((gelu_scalar(0.0)).abs() < 1e-7);
@@ -916,21 +781,14 @@ mod tests {
     }
 
     #[test]
-    fn exp_sigmoid_tanh_track_libm() {
+    fn exp_tracks_libm() {
         let x = Tensor::from_vec(vec![9], vec![-30.0, -3.0, -0.5, -1e-3, 0.0, 1e-3, 0.5, 3.0, 30.0]);
         for (&got, &v) in x.exp().data().iter().zip(x.data()) {
             assert!((got - v.exp()).abs() <= 1.2e-7 * v.exp(), "exp({v})");
         }
-        for (&got, &v) in x.sigmoid().data().iter().zip(x.data()) {
-            assert!((got - 1.0 / (1.0 + (-v).exp())).abs() <= 1.2e-7, "sigmoid({v})");
-        }
-        for (&got, &v) in x.tanh().data().iter().zip(x.data()) {
-            assert!((got - v.tanh()).abs() <= 1.2e-7, "tanh({v})");
-        }
         let edge = Tensor::from_vec(vec![3], vec![f32::INFINITY, f32::NEG_INFINITY, f32::NAN]);
-        assert_eq!(&edge.tanh().data()[..2], &[1.0, -1.0]);
-        assert_eq!(&edge.sigmoid().data()[..2], &[1.0, 0.0]);
-        assert!(edge.tanh().data()[2].is_nan() && edge.sigmoid().data()[2].is_nan() && edge.exp().data()[2].is_nan());
+        assert_eq!(&edge.exp().data()[..2], &[f32::INFINITY, 0.0]);
+        assert!(edge.exp().data()[2].is_nan());
     }
 
     #[test]

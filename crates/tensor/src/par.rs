@@ -9,7 +9,7 @@
 //! socket threads for nothing. Every `par_*` call site under this crate and
 //! `orbit2-autograd` states its work through the two functions here and
 //! nowhere else: a site that iterates natural items (rows, planes, bands)
-//! passes [`min_items`] to the shim's `with_min_len`; a site that cuts its
+//! passes `min_items` to the shim's `with_min_len`; a site that cuts its
 //! own chunks asks [`pieces`] how many to cut.
 //!
 //! The rule bounds the *split*, never the bits: each output element is
@@ -50,7 +50,7 @@ pub fn pieces(work: usize) -> usize {
 
 /// The fewest items of `work_per_item` element visits that make a piece:
 /// the argument for `with_min_len` at a site that iterates natural items.
-pub fn min_items(work_per_item: usize) -> usize {
+pub(crate) fn min_items(work_per_item: usize) -> usize {
     GRAIN.div_ceil(work_per_item.max(1))
 }
 

@@ -128,7 +128,7 @@ pub fn alloc_uninit(len: usize) -> Vec<f32> {
 }
 
 /// Like [`alloc_uninit`] but every element is `value`.
-pub fn alloc_filled(len: usize, value: f32) -> Vec<f32> {
+pub(crate) fn alloc_filled(len: usize, value: f32) -> Vec<f32> {
     let mut v = alloc_uninit(len);
     v.fill(value);
     v
@@ -165,7 +165,7 @@ pub struct Buffer(Vec<f32>);
 
 impl Buffer {
     /// Wrap an existing vector without copying.
-    pub fn from_vec(v: Vec<f32>) -> Self {
+    pub(crate) fn from_vec(v: Vec<f32>) -> Self {
         Buffer(v)
     }
 
@@ -175,27 +175,27 @@ impl Buffer {
     }
 
     /// A pooled zero-filled buffer.
-    pub fn zeroed(len: usize) -> Self {
+    pub(crate) fn zeroed(len: usize) -> Self {
         Buffer(alloc_zeroed(len))
     }
 
     /// A pooled constant-filled buffer.
-    pub fn filled(len: usize, value: f32) -> Self {
+    pub(crate) fn filled(len: usize, value: f32) -> Self {
         Buffer(alloc_filled(len, value))
     }
 
     /// Steal the underlying vector (it will not be recycled).
-    pub fn into_vec(mut self) -> Vec<f32> {
+    pub(crate) fn into_vec(mut self) -> Vec<f32> {
         std::mem::take(&mut self.0)
     }
 
     /// Immutable element view.
-    pub fn as_slice(&self) -> &[f32] {
+    pub(crate) fn as_slice(&self) -> &[f32] {
         &self.0
     }
 
     /// Mutable element view.
-    pub fn as_mut_slice(&mut self) -> &mut [f32] {
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [f32] {
         &mut self.0
     }
 }

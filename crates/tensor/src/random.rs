@@ -22,7 +22,7 @@ pub fn randn(shape: &[usize], seed: u64) -> Tensor {
 }
 
 /// Uniform `[lo, hi)` tensor with the given seed.
-pub fn rand_uniform(shape: &[usize], lo: f32, hi: f32, seed: u64) -> Tensor {
+pub(crate) fn rand_uniform(shape: &[usize], lo: f32, hi: f32, seed: u64) -> Tensor {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let n: usize = shape.iter().product();
     let mut data = pool::alloc_uninit(n);

@@ -5,17 +5,18 @@
 //! is 1.
 
 /// A tensor shape: the extent of each axis, outermost first.
-pub type Shape = Vec<usize>;
+pub(crate) type Shape = Vec<usize>;
 
 /// Shared, immutable handle to a shape. Tensors hand these out so derived
 /// tensors of identical shape (elementwise results, gradients) share one
 /// allocation instead of re-`to_vec`-ing the extents on every op.
-pub type ShapeHandle = std::sync::Arc<Shape>;
+pub(crate) type ShapeHandle = std::sync::Arc<Shape>;
 
-/// Row-major strides (in elements) for a dense tensor of the given shape.
-///
-/// The stride of the last axis is 1; a zero-dim shape yields an empty vec.
-pub fn strides_for(shape: &[usize]) -> Vec<usize> {
+/// Row-major strides (in elements) for a dense tensor of the given shape:
+/// the stride of the last axis is 1; a zero-dim shape yields an empty vec.
+/// The tests' oracle for [`broadcast_index`].
+#[cfg(test)]
+pub(crate) fn strides_for(shape: &[usize]) -> Vec<usize> {
     let mut strides = vec![0; shape.len()];
     let mut acc = 1usize;
     for (i, &dim) in shape.iter().enumerate().rev() {
@@ -26,7 +27,7 @@ pub fn strides_for(shape: &[usize]) -> Vec<usize> {
 }
 
 /// Total number of elements for a shape.
-pub fn numel(shape: &[usize]) -> usize {
+pub(crate) fn numel(shape: &[usize]) -> usize {
     shape.iter().product()
 }
 
@@ -34,7 +35,7 @@ pub fn numel(shape: &[usize]) -> usize {
 ///
 /// Returns `None` when the shapes are incompatible (some axis differs and
 /// neither side is 1).
-pub fn broadcast_shapes(a: &[usize], b: &[usize]) -> Option<Shape> {
+pub(crate) fn broadcast_shapes(a: &[usize], b: &[usize]) -> Option<Shape> {
     let n = a.len().max(b.len());
     let mut out = vec![0usize; n];
     for i in 0..n {
@@ -54,7 +55,7 @@ pub fn broadcast_shapes(a: &[usize], b: &[usize]) -> Option<Shape> {
 }
 
 /// Convert a multi-dimensional coordinate to a flat row-major index.
-pub fn ravel(coord: &[usize], shape: &[usize]) -> usize {
+pub(crate) fn ravel(coord: &[usize], shape: &[usize]) -> usize {
     debug_assert_eq!(coord.len(), shape.len());
     let mut idx = 0usize;
     for (c, d) in coord.iter().zip(shape.iter()) {

@@ -1,6 +1,6 @@
 //! Explicit-width SIMD abstraction for the kernel layer.
 //!
-//! [`F32x8`] is a portable lane-array vector: a plain `[f32; 8]` with
+//! `F32x8` is a portable lane-array vector: a plain `[f32; 8]` with
 //! alignment, whose per-lane arithmetic the compiler lowers to the widest
 //! vector ISA the target supports (one AVX2 `ymm` op, or a pair of SSE
 //! `xmm` ops on the baseline). No nightly features, no intrinsics, no
@@ -17,11 +17,11 @@
 use std::sync::OnceLock;
 
 /// Lane count of [`F32x8`].
-pub const LANES: usize = 8;
+pub(crate) const LANES: usize = 8;
 
 /// True unless `ORBIT2_DISABLE_SIMD=1` requests the scalar reference
 /// kernels. Read once per process.
-pub fn enabled() -> bool {
+pub(crate) fn enabled() -> bool {
     static DISABLED: OnceLock<bool> = OnceLock::new();
     !*DISABLED.get_or_init(|| {
         std::env::var("ORBIT2_DISABLE_SIMD").map(|v| v == "1" || v == "true").unwrap_or(false)
@@ -34,18 +34,18 @@ pub fn enabled() -> bool {
 /// register-blocked kernels stay on aligned slots.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 #[repr(C, align(32))]
-pub struct F32x8([f32; LANES]);
+pub(crate) struct F32x8([f32; LANES]);
 
 // Named `add`/`sub`/`mul` methods (rather than operator impls) keep kernel
 // code grep-able and match the `std::simd` naming the module emulates.
 #[allow(clippy::should_implement_trait)]
 impl F32x8 {
     /// All lanes zero.
-    pub const ZERO: F32x8 = F32x8([0.0; LANES]);
+    pub(crate) const ZERO: F32x8 = F32x8([0.0; LANES]);
 
     /// Broadcast one value into every lane.
     #[inline(always)]
-    pub fn splat(v: f32) -> Self {
+    pub(crate) fn splat(v: f32) -> Self {
         F32x8([v; LANES])
     }
 
@@ -54,26 +54,26 @@ impl F32x8 {
     /// # Panics
     /// Panics when `src` has fewer than eight elements.
     #[inline(always)]
-    pub fn load(src: &[f32]) -> Self {
+    pub(crate) fn load(src: &[f32]) -> Self {
         let chunk: &[f32; LANES] = src[..LANES].try_into().expect("F32x8::load needs 8 elements");
         F32x8(*chunk)
     }
 
     /// Store the lanes into the first eight elements of `dst`.
     #[inline(always)]
-    pub fn store(self, dst: &mut [f32]) {
+    pub(crate) fn store(self, dst: &mut [f32]) {
         dst[..LANES].copy_from_slice(&self.0);
     }
 
     /// The lanes as an array.
     #[inline(always)]
-    pub fn to_array(self) -> [f32; LANES] {
+    pub(crate) fn to_array(self) -> [f32; LANES] {
         self.0
     }
 
     /// Lanewise addition.
     #[inline(always)]
-    pub fn add(self, o: Self) -> Self {
+    pub(crate) fn add(self, o: Self) -> Self {
         let mut r = self.0;
         for (x, y) in r.iter_mut().zip(&o.0) {
             *x += y;
@@ -83,7 +83,7 @@ impl F32x8 {
 
     /// Lanewise subtraction.
     #[inline(always)]
-    pub fn sub(self, o: Self) -> Self {
+    pub(crate) fn sub(self, o: Self) -> Self {
         let mut r = self.0;
         for (x, y) in r.iter_mut().zip(&o.0) {
             *x -= y;
@@ -93,7 +93,7 @@ impl F32x8 {
 
     /// Lanewise multiplication.
     #[inline(always)]
-    pub fn mul(self, o: Self) -> Self {
+    pub(crate) fn mul(self, o: Self) -> Self {
         let mut r = self.0;
         for (x, y) in r.iter_mut().zip(&o.0) {
             *x *= y;
@@ -103,7 +103,7 @@ impl F32x8 {
 
     /// Lanewise maximum.
     #[inline(always)]
-    pub fn max(self, o: Self) -> Self {
+    fn max(self, o: Self) -> Self {
         let mut r = self.0;
         for (x, y) in r.iter_mut().zip(&o.0) {
             *x = x.max(*y);
@@ -117,7 +117,7 @@ impl F32x8 {
     /// rounding, one instruction); otherwise a separate multiply and add so
     /// the baseline build never falls into the slow `fmaf` libm call.
     #[inline(always)]
-    pub fn mul_add(self, m: Self, a: Self) -> Self {
+    pub(crate) fn mul_add(self, m: Self, a: Self) -> Self {
         if cfg!(target_feature = "fma") {
             let mut r = self.0;
             for ((x, y), z) in r.iter_mut().zip(&m.0).zip(&a.0) {
@@ -131,7 +131,7 @@ impl F32x8 {
 
     /// Horizontal sum of all lanes (pairwise, one tree reduction).
     #[inline(always)]
-    pub fn reduce_sum(self) -> f32 {
+    fn reduce_sum(self) -> f32 {
         let s = self.0;
         let q = [s[0] + s[4], s[1] + s[5], s[2] + s[6], s[3] + s[7]];
         (q[0] + q[2]) + (q[1] + q[3])
@@ -139,7 +139,7 @@ impl F32x8 {
 
     /// Horizontal maximum of all lanes.
     #[inline(always)]
-    pub fn reduce_max(self) -> f32 {
+    fn reduce_max(self) -> f32 {
         let s = self.0;
         let q = [s[0].max(s[4]), s[1].max(s[5]), s[2].max(s[6]), s[3].max(s[7])];
         q[0].max(q[2]).max(q[1].max(q[3]))
@@ -147,7 +147,7 @@ impl F32x8 {
 }
 
 /// Lane count of [`F32x16`].
-pub const LANES16: usize = 16;
+pub(crate) const LANES16: usize = 16;
 
 /// Sixteen `f32` lanes with elementwise arithmetic — one AVX-512 `zmm`
 /// register on targets that have it, a pair of `ymm` ops elsewhere.
@@ -159,16 +159,16 @@ pub const LANES16: usize = 16;
 /// preference so this type actually lowers to `zmm` arithmetic.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 #[repr(C, align(64))]
-pub struct F32x16([f32; LANES16]);
+pub(crate) struct F32x16([f32; LANES16]);
 
 #[allow(clippy::should_implement_trait)]
 impl F32x16 {
     /// All lanes zero.
-    pub const ZERO: F32x16 = F32x16([0.0; LANES16]);
+    pub(crate) const ZERO: F32x16 = F32x16([0.0; LANES16]);
 
     /// Broadcast one value into every lane.
     #[inline(always)]
-    pub fn splat(v: f32) -> Self {
+    pub(crate) fn splat(v: f32) -> Self {
         F32x16([v; LANES16])
     }
 
@@ -177,7 +177,7 @@ impl F32x16 {
     /// # Panics
     /// Panics when `src` has fewer than sixteen elements.
     #[inline(always)]
-    pub fn load(src: &[f32]) -> Self {
+    pub(crate) fn load(src: &[f32]) -> Self {
         let chunk: &[f32; LANES16] =
             src[..LANES16].try_into().expect("F32x16::load needs 16 elements");
         F32x16(*chunk)
@@ -185,19 +185,19 @@ impl F32x16 {
 
     /// Store the lanes into the first sixteen elements of `dst`.
     #[inline(always)]
-    pub fn store(self, dst: &mut [f32]) {
+    pub(crate) fn store(self, dst: &mut [f32]) {
         dst[..LANES16].copy_from_slice(&self.0);
     }
 
     /// The lanes as an array.
     #[inline(always)]
-    pub fn to_array(self) -> [f32; LANES16] {
+    pub(crate) fn to_array(self) -> [f32; LANES16] {
         self.0
     }
 
     /// Lanewise addition.
     #[inline(always)]
-    pub fn add(self, o: Self) -> Self {
+    pub(crate) fn add(self, o: Self) -> Self {
         let mut r = self.0;
         for (x, y) in r.iter_mut().zip(&o.0) {
             *x += y;
@@ -207,7 +207,7 @@ impl F32x16 {
 
     /// Lanewise multiplication.
     #[inline(always)]
-    pub fn mul(self, o: Self) -> Self {
+    pub(crate) fn mul(self, o: Self) -> Self {
         let mut r = self.0;
         for (x, y) in r.iter_mut().zip(&o.0) {
             *x *= y;
@@ -218,7 +218,7 @@ impl F32x16 {
     /// Lanewise fused multiply-add: `self * m + a` (same FMA gating rules as
     /// [`F32x8::mul_add`]).
     #[inline(always)]
-    pub fn mul_add(self, m: Self, a: Self) -> Self {
+    pub(crate) fn mul_add(self, m: Self, a: Self) -> Self {
         if cfg!(target_feature = "fma") {
             let mut r = self.0;
             for ((x, y), z) in r.iter_mut().zip(&m.0).zip(&a.0) {
@@ -236,7 +236,7 @@ impl F32x16 {
 /// add otherwise. Scalar oracles accumulate through this so their per-element
 /// chains are bit-identical to the lane arithmetic of [`F32x8`]/[`F32x16`].
 #[inline(always)]
-pub fn fma(a: f32, b: f32, acc: f32) -> f32 {
+pub(crate) fn fma(a: f32, b: f32, acc: f32) -> f32 {
     if cfg!(target_feature = "fma") {
         a.mul_add(b, acc)
     } else {
@@ -272,7 +272,7 @@ pub fn fma(a: f32, b: f32, acc: f32) -> f32 {
 /// subnormal outputs — so a poisoned score or an overflowing activation
 /// stays non-finite for the trainer's check to find.
 #[inline(always)]
-pub fn exp(x: f32) -> f32 {
+pub(crate) fn exp(x: f32) -> f32 {
     const ROUND: f32 = 12_582_912.0; // 1.5 * 2^23
     const LN2_HI: f32 = 0.693_145_75; // 0x3f317200: 15 significant bits
     const LN2_LO: f32 = 1.428_606_8e-6; // ln2 - LN2_HI
@@ -309,7 +309,7 @@ pub fn exp(x: f32) -> f32 {
 /// += lane `l + w`, `w` = 8, 4, 2, 1), then the tail added in element
 /// order. A row's sum — and so its probabilities — depends on the row alone,
 /// never on the mode, the worker that ran it or the rows stacked around it.
-pub fn exp_sub_sum(dst: &mut [f32], src: Option<&[f32]>, mx: f32) -> f32 {
+pub(crate) fn exp_sub_sum(dst: &mut [f32], src: Option<&[f32]>, mx: f32) -> f32 {
     let body = dst.len() - dst.len() % LANES16;
     let mut acc = [0.0f32; LANES16];
     let mut v = [0.0f32; LANES16];
@@ -392,30 +392,9 @@ pub fn sum(src: &[f32]) -> f32 {
     s
 }
 
-/// `dst += s * src` over equal-length slices (vectorized axpy).
-#[inline]
-pub fn axpy(dst: &mut [f32], s: f32, src: &[f32]) {
-    debug_assert_eq!(dst.len(), src.len());
-    if !enabled() {
-        for (d, &x) in dst.iter_mut().zip(src) {
-            *d += s * x;
-        }
-        return;
-    }
-    let sv = F32x8::splat(s);
-    let mut dc = dst.chunks_exact_mut(LANES);
-    let mut sc = src.chunks_exact(LANES);
-    for (d, x) in dc.by_ref().zip(sc.by_ref()) {
-        F32x8::load(x).mul_add(sv, F32x8::load(d)).store(d);
-    }
-    for (d, &x) in dc.into_remainder().iter_mut().zip(sc.remainder()) {
-        *d += s * x;
-    }
-}
-
 /// `dst *= s` (vectorized in-place scale).
 #[inline]
-pub fn scale(dst: &mut [f32], s: f32) {
+pub(crate) fn scale(dst: &mut [f32], s: f32) {
     if !enabled() {
         for d in dst.iter_mut() {
             *d *= s;
@@ -434,7 +413,7 @@ pub fn scale(dst: &mut [f32], s: f32) {
 
 /// Maximum element of a slice (`-inf` when empty).
 #[inline]
-pub fn max_value(src: &[f32]) -> f32 {
+pub(crate) fn max_value(src: &[f32]) -> f32 {
     if !enabled() {
         return src.iter().copied().fold(f32::NEG_INFINITY, f32::max);
     }
@@ -623,15 +602,12 @@ mod tests {
     }
 
     #[test]
-    fn axpy_and_scale_match_scalar() {
-        let src: Vec<f32> = (0..21).map(|i| i as f32).collect();
-        let mut dst = vec![1.0f32; 21];
-        axpy(&mut dst, 0.5, &src);
-        for (i, &d) in dst.iter().enumerate() {
-            assert!((d - (1.0 + 0.5 * i as f32)).abs() < 1e-6);
-        }
+    fn scale_matches_scalar() {
+        let mut dst: Vec<f32> = (0..21).map(|i| 1.0 + 0.5 * i as f32).collect();
         scale(&mut dst, 2.0);
-        assert!((dst[20] - 22.0).abs() < 1e-6);
+        for (i, &d) in dst.iter().enumerate() {
+            assert_eq!(d, 2.0 + i as f32);
+        }
     }
 
     #[test]

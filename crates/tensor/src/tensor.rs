@@ -1,7 +1,7 @@
 //! The dense `f32` tensor type.
 
 use crate::pool::Buffer;
-use crate::shape::{numel, strides_for, Shape, ShapeHandle};
+use crate::shape::{numel, Shape, ShapeHandle};
 use std::fmt;
 use std::sync::Arc;
 
@@ -45,7 +45,7 @@ impl Tensor {
     /// Like [`Tensor::from_vec`] but reusing an existing shape handle, so
     /// same-shaped results (elementwise ops, gradients) share one shape
     /// allocation.
-    pub fn from_shape_handle(shape: ShapeHandle, data: Vec<f32>) -> Self {
+    pub(crate) fn from_shape_handle(shape: ShapeHandle, data: Vec<f32>) -> Self {
         assert_eq!(numel(&shape), data.len(), "shape {:?} does not match data length", shape);
         Self { shape, data: Arc::new(Buffer::from_vec(data)) }
     }
@@ -61,12 +61,6 @@ impl Tensor {
         let shape = shape.into();
         let n = numel(&shape);
         Self { shape: Arc::new(shape), data: Arc::new(Buffer::zeroed(n)) }
-    }
-
-    /// All-zero tensor with the same shape as `like`, sharing its shape
-    /// handle (no shape reallocation).
-    pub fn zeros_like(like: &Tensor) -> Self {
-        Self { shape: like.shape.clone(), data: Arc::new(Buffer::zeroed(like.len())) }
     }
 
     /// All-one tensor.
@@ -100,7 +94,7 @@ impl Tensor {
         &self.shape
     }
 
-    /// Shared handle to the shape; pass to [`Tensor::from_shape_handle`] /
+    /// Shared handle to the shape; pass to `Tensor::from_shape_handle` /
     /// [`Tensor::from_buffer`] to build same-shaped tensors without
     /// reallocating the extents.
     pub fn shape_handle(&self) -> ShapeHandle {
@@ -108,9 +102,10 @@ impl Tensor {
     }
 
     /// True when `self` and `other` share the same underlying element
-    /// buffer (i.e. a write to one would COW-fault). Diagnostic; used by
-    /// aliasing tests.
-    pub fn shares_storage(&self, other: &Tensor) -> bool {
+    /// buffer (i.e. a write to one would COW-fault). The aliasing tests'
+    /// oracle.
+    #[cfg(test)]
+    pub(crate) fn shares_storage(&self, other: &Tensor) -> bool {
         Arc::ptr_eq(&self.data, &other.data)
     }
 
@@ -166,12 +161,6 @@ impl Tensor {
         self.data[crate::shape::ravel(coord, &self.shape)]
     }
 
-    /// Set the element at a multi-dimensional coordinate.
-    pub fn set(&mut self, coord: &[usize], value: f32) {
-        let i = crate::shape::ravel(coord, &self.shape);
-        self.data_mut()[i] = value;
-    }
-
     /// Reinterpret with a new shape of identical element count. The storage
     /// is shared, not copied.
     pub fn reshape(&self, shape: impl Into<Shape>) -> Self {
@@ -194,11 +183,6 @@ impl Tensor {
         self
     }
 
-    /// Row-major strides of this tensor.
-    pub fn strides(&self) -> Vec<usize> {
-        strides_for(&self.shape)
-    }
-
     /// Apply `f` elementwise, producing a new (pool-allocated) tensor.
     pub fn map(&self, f: impl Fn(f32) -> f32 + Sync) -> Self {
         let mut out = Buffer::uninit(self.len());
@@ -206,20 +190,6 @@ impl Tensor {
             *o = f(x);
         }
         Self { shape: self.shape.clone(), data: Arc::new(out) }
-    }
-
-    /// Apply `f` elementwise in place (COW: copies first when shared).
-    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        for x in self.data_mut() {
-            *x = f(*x);
-        }
-    }
-
-    /// Consuming elementwise map: reuses the storage when uniquely owned,
-    /// so chains like `t.map_into(a).map_into(b)` allocate nothing.
-    pub fn map_into(mut self, f: impl Fn(f32) -> f32) -> Self {
-        self.map_inplace(f);
-        self
     }
 
     /// In-place scalar multiply: `self *= s`.
@@ -336,18 +306,6 @@ mod tests {
     }
 
     #[test]
-    fn map_into_reuses_unique_storage() {
-        crate::pool::reset_stats();
-        let t = Tensor::from_vec(vec![4], vec![1., 2., 3., 4.]);
-        let before = crate::pool::stats();
-        let t = t.map_into(|x| x * 2.0);
-        let after = crate::pool::stats();
-        assert_eq!(t.data(), &[2., 4., 6., 8.]);
-        assert_eq!(after.copies, before.copies, "unique map_into must not copy");
-        assert_eq!(after.fresh_allocs, before.fresh_allocs);
-    }
-
-    #[test]
     fn scale_in_place() {
         let mut t = Tensor::from_vec(vec![3], vec![1., -2., 4.]);
         t.scale_(0.5);
@@ -366,22 +324,5 @@ mod tests {
     #[test]
     fn scalar_item() {
         assert_eq!(Tensor::scalar(7.5).item(), 7.5);
-    }
-
-    #[test]
-    fn set_then_at() {
-        let mut t = Tensor::zeros(vec![2, 2]);
-        t.set(&[1, 0], 9.0);
-        assert_eq!(t.at(&[1, 0]), 9.0);
-        assert_eq!(t.at(&[0, 1]), 0.0);
-    }
-
-    #[test]
-    fn set_on_shared_storage_faults_privately() {
-        let a = Tensor::zeros(vec![2, 2]);
-        let mut b = a.clone();
-        b.set(&[0, 0], 5.0);
-        assert_eq!(a.at(&[0, 0]), 0.0);
-        assert_eq!(b.at(&[0, 0]), 5.0);
     }
 }

@@ -44,6 +44,26 @@
 # or `stitch_predictions`. And the model forward takes one sample (DESIGN.md
 # §9): `forward_batch` and `CompressionPlan::stack` (its `fn stack`) may not
 # come back anywhere under `crates/`.
+#
+# Public-surface gate (ROADMAP item 10): rustc's `dead_code` lint never fires
+# on a `pub` item of a library, so a `pub` item nothing outside its crate
+# names is invisible surface. Narrow such an item to `pub(crate)` or private
+# and `-D warnings` (dead_code) then catches it the day its last caller goes.
+# This check covers what rustc cannot see: it flags a `pub` fn, struct,
+# enum, const, static, trait or type (or a `pub use … as` alias) under
+# `crates/<c>/src`, outside `mod tests`, whose name appears in no `.rs` file
+# outside `crates/<c>/src` — other crates, the root `src/`, `tests/` and
+# `examples/`, `benchmark/src`, the crate's own `tests/` and `benches/`, and
+# its binaries (`src/bin/`, `src/main.rs`) all count as outside. A type named
+# in a `pub` signature, a `pub` field, or the body of a `pub` enum or trait of
+# its own crate counts as named: rustc's `private_interfaces` would refuse to
+# narrow it. `pub_allow` lists the exceptions (at most 5, each with its
+# reason); an entry that no longer suppresses anything fails too.
+#
+# The benchmark harness (`benchmark/`, its own package) is type-checked first:
+# it names `pub` items (`split_stack`, `ServerStats`, `Exec`, `TimedExec`'s
+# trait methods) that the workspace build never sees, so narrowing one fails
+# here instead of after the whole test suite.
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 float_sum="$(grep -rnE '(into_)?par_(iter|iter_mut|chunks|chunks_mut)\(.*sum::<f(32|64)>' crates/*/src || true)"
@@ -114,4 +134,65 @@ if [[ -n "$batch_forward" ]]; then
     echo "$batch_forward" >&2
     exit 1
 fi
+# `file:name`, or `file:*` for every item in the file; the reason follows.
+pub_allow='
+crates/core/src/autoplan.rs:* Fig. 5 plan search, the library API DESIGN.md §4 lists; ROADMAP item 9 decides it
+crates/metrics/src/regression.rs:latitude_weighted_rmse Table IV score ROADMAP item 3 records beside r2_score and rmse
+'
+unreferenced_pub="$(find crates src tests examples benchmark/src -name '*.rs' | sort | xargs awk -v allow="$pub_allow" '
+    function words(s, into, skip,    w) {
+        while (match(s, /[A-Za-z_][A-Za-z0-9_]*/)) {
+            w = substr(s, RSTART, RLENGTH)
+            if (w != skip) into[owner SUBSEP w] = 1
+            s = substr(s, RSTART + RLENGTH)
+        }
+    }
+    BEGIN {
+        n = split(allow, entries, "\n")
+        for (i = 1; i <= n; i++) if (split(entries[i], f, " ") > 0) allowed[f[1]] = 1
+    }
+    FNR == 1 {
+        owner = "outside"; in_tests = 0; sig = 0; body = ""
+        if (FILENAME !~ /\/src\/(bin\/|main\.rs$)/ && match(FILENAME, /^crates\/[^\/]+\/src\//))
+            owner = substr(FILENAME, 1, RLENGTH)
+        owners[owner] = 1
+    }
+    {
+        words($0, seen, "")
+        if (owner == "outside" || in_tests) next
+        if ($0 ~ /^mod tests \{/) { in_tests = 1; next }
+        if (match($0, /^[ \t]*pub ((unsafe|const|async) )*(fn|struct|enum|const|static|trait|type) [A-Za-z_][A-Za-z0-9_]*/) ||
+            match($0, /^[ \t]*pub use .* as [A-Za-z_][A-Za-z0-9_]*/)) {
+            name = substr($0, RSTART, RLENGTH); sub(/.* /, "", name)
+            decl[owner SUBSEP name] = FILENAME ":" FNR
+            sig = 1
+            if ($0 ~ /^[ \t]*pub (enum|trait) /) { body = $0; sub(/[^ \t].*/, "", body); body = body "}" }
+        }
+        # A signature runs to its `{` or `;`; a `pub` field and an
+        # associated type in a trait impl are one line each.
+        if (sig || body != "" || $0 ~ /^[ \t]*(pub [a-z_][a-z0-9_]*:|type [A-Za-z_][A-Za-z0-9_]* = )/)
+            words($0, named, sig ? name : "")
+        if (sig && $0 ~ /[{;]/) sig = 0
+        if (body != "" && $0 == body) body = ""
+    }
+    END {
+        for (k in decl) {
+            split(k, p, SUBSEP)
+            if (k in named) continue
+            hit = 0
+            for (o in owners) if (o != p[1] && ((o SUBSEP p[2]) in seen)) { hit = 1; break }
+            if (hit) continue
+            file = decl[k]; sub(/:[0-9]+$/, "", file)
+            if ((file ":*") in allowed) { used[file ":*"] = 1; continue }
+            if ((file ":" p[2]) in allowed) { used[file ":" p[2]] = 1; continue }
+            print decl[k] ": pub " p[2] " is named nowhere outside its crate"
+        }
+        for (e in allowed) if (!(e in used)) print "scripts/lint.sh: allowlist entry " e " suppresses nothing"
+    }' | sort)"
+if [[ -n "$unreferenced_pub" ]]; then
+    echo "lint: a pub item nothing outside its crate names (narrow it to pub(crate) or private, ROADMAP item 10):" >&2
+    echo "$unreferenced_pub" >&2
+    exit 1
+fi
+cargo check -q --manifest-path benchmark/Cargo.toml --all-targets
 exec cargo clippy --workspace --all-targets -- -D warnings -D unsafe_code -W clippy::redundant_clone "$@"
