@@ -6,7 +6,7 @@
 //! The model is trained briefly first so the metrics sit in their sane
 //! operating range (an untrained model's R² hovers around zero where a tiny
 //! absolute delta would be meaningless next to the paper's 0.9+ regime).
-//! `scripts/ci.sh` runs this test on every pipeline, in both SIMD modes.
+//! `scripts/ci.sh` runs this test on every pipeline, in release.
 
 use orbit2::eval::{evaluate_model, evaluate_model_at};
 use orbit2::trainer::{Trainer, TrainerConfig};

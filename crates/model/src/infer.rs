@@ -271,7 +271,7 @@ mod tests {
         store.insert("ln.g", Tensor::ones(vec![32])); // 1-d: never packed
         store.insert("conv.w", randn(&[8, 4, 3, 3], 2)); // 4-d: never packed
         store.insert("embed.res", randn(&[4, 32], 3)); // n < LANES: never packed
-        // The gate reads shapes only: the same packs in either SIMD mode.
+        // The gate reads shapes only.
         assert_eq!(packed_weights(&InferenceSession::prepare(&store)), 1);
     }
 
@@ -304,8 +304,7 @@ mod tests {
             let expect = store.get(name).to_bf16();
             got.tensor().assert_close(&expect, 0.0);
         }
-        // The 2-d linear weight is packed regardless of SIMD mode (the
-        // quantized values must not depend on it); others never pack.
+        // The 2-d linear weight is packed; others never pack.
         assert_eq!(packed_weights(&session), 1);
     }
 

@@ -4,9 +4,9 @@
 //! reaches exactly one terminal state** (a response or a typed error, never
 //! a hang), every response is bit-equal to `downscale_with` of its input,
 //! and the server's inflight gauge returns to zero (no leaked permits). Run
-//! in both SIMD modes by `scripts/chaos_smoke.sh`, which also re-runs the
-//! default-config test with a canned `ORBIT2_SERVE_FAULT_PLAN` so the
-//! env-armed injection path gets chaos coverage too.
+//! by `scripts/chaos_smoke.sh`, which also re-runs the default-config test
+//! with a canned `ORBIT2_SERVE_FAULT_PLAN` so the env-armed injection path
+//! gets chaos coverage too.
 
 use orbit2::fault::FaultPlan;
 use orbit2::inference::downscale_with;

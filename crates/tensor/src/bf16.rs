@@ -34,14 +34,11 @@ pub fn bf16_round(x: f32) -> f32 {
 
 /// Round every element of a slice to BF16 precision, in place.
 ///
-/// One branchless integer body for both SIMD modes: round bias + mask, with
-/// a select to pass non-finite values through unchanged. The whole loop is
-/// straight-line `u32` arithmetic, so LLVM turns it into wide integer ops
-/// where the scalar [`bf16_round`]'s early return blocks that — and because
-/// it is bit-identical to mapping `bf16_round` (asserted by
-/// `slice_round_matches_scalar_bitwise`), no separate scalar body is needed
-/// under `ORBIT2_DISABLE_SIMD=1`; that escape hatch matters only where the
-/// vector and scalar paths can round differently (the GEMM kernels).
+/// One branchless integer body: round bias + mask, with a select to pass
+/// non-finite values through unchanged. The whole loop is straight-line
+/// `u32` arithmetic, so LLVM turns it into wide integer ops where the scalar
+/// [`bf16_round`]'s early return blocks that — and it is bit-identical to
+/// mapping `bf16_round` (asserted by `slice_round_matches_scalar_bitwise`).
 pub fn bf16_round_slice(dst: &mut [f32]) {
     for v in dst.iter_mut() {
         let bits = v.to_bits();

@@ -5,13 +5,13 @@
 //! residual path, its decoder, and the baseline model's channel-aggregation
 //! stage are all built from these kernels.
 //!
-//! The stride-1 forward copies the batch once into a zero-padded
-//! `[N·C, H+2p, W+2p]` pooled scratch (plus one strip of slack, ≈1.03× the
-//! input) and then, for every (output-channel block × strip of output
-//! pixels), keeps twelve `F32x8` accumulators in registers while it walks
-//! `(ci, ky, kx)` in ascending order: shifted unaligned row loads against
-//! broadcast weights, bias added at the store. Nothing is unfolded, so the
-//! only memory beyond input and output is that padded copy.
+//! Every convolution has stride 1. The forward copies the batch once into a
+//! zero-padded `[N·C, H+2p, W+2p]` pooled scratch (plus one strip of slack,
+//! ≈1.03× the input) and then, for every (output-channel block × strip of
+//! output pixels), keeps twelve `F32x8` accumulators in registers while it
+//! walks `(ci, ky, kx)` in ascending order: shifted unaligned row loads
+//! against broadcast weights, bias added at the store. Nothing is unfolded,
+//! so the only memory beyond input and output is that padded copy.
 //!
 //! * [`conv2d_grad_input`] is the same kernel run over `grad_out` with the
 //!   spatially flipped, channel-transposed weight and padding `k − 1 − p`.
@@ -27,9 +27,10 @@
 //! per-sample calls (summed, for the weight gradient).
 //!
 //! [`conv2d_ref`] is the scalar oracle (what [`crate::qgemm::gemm_strips_ref`]
-//! is for GEMM). It — and the matching scalar gradient loops — also run when
-//! `ORBIT2_DISABLE_SIMD=1` and for `stride != 1`: a strided window has no
-//! contiguous shifted row to load, and no caller outside tests strides.
+//! is for GEMM), and only the tests run it. On finite inputs the direct
+//! forward equals it bit for bit: both sum the taps in `(ci, ky, kx)` order
+//! through `simd::fma` from +0, and a padded tap, which the kernel adds and
+//! the oracle skips, adds ±0 to an accumulator that is never −0.
 
 use crate::par::{self, MACS_PER_VISIT};
 use crate::pool::{self, Buffer};
@@ -37,15 +38,13 @@ use crate::simd::{self, F32x8, LANES};
 use crate::tensor::Tensor;
 use rayon::prelude::*;
 
-/// Spatial geometry of a convolution.
+/// Spatial geometry of a stride-1 convolution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ConvGeom {
     /// Kernel height.
     pub kh: usize,
     /// Kernel width.
     pub kw: usize,
-    /// Stride (same both axes).
-    pub stride: usize,
     /// Zero padding (same all sides).
     pub pad: usize,
 }
@@ -54,10 +53,8 @@ impl ConvGeom {
     /// Output spatial size for an input of `(h, w)`.
     ///
     /// # Panics
-    /// Panics when the padded input is smaller than the kernel, or the
-    /// stride is zero.
+    /// Panics when the padded input is smaller than the kernel.
     fn out_size(&self, h: usize, w: usize) -> (usize, usize) {
-        assert!(self.stride > 0, "conv stride must be at least 1");
         assert!(
             h + 2 * self.pad >= self.kh && w + 2 * self.pad >= self.kw,
             "conv input {h}x{w} with pad {} is smaller than the {}x{} kernel",
@@ -65,20 +62,13 @@ impl ConvGeom {
             self.kh,
             self.kw
         );
-        let oh = (h + 2 * self.pad - self.kh) / self.stride + 1;
-        let ow = (w + 2 * self.pad - self.kw) / self.stride + 1;
-        (oh, ow)
+        (h + 2 * self.pad + 1 - self.kh, w + 2 * self.pad + 1 - self.kw)
     }
 
-    /// "Same" geometry for an odd kernel with stride 1.
+    /// "Same" geometry for an odd kernel.
     pub fn same(k: usize) -> Self {
         assert!(k % 2 == 1, "same-padding requires odd kernel");
-        Self { kh: k, kw: k, stride: 1, pad: k / 2 }
-    }
-
-    /// Whether the direct kernels apply; otherwise the scalar reference runs.
-    fn direct(&self) -> bool {
-        simd::enabled() && self.stride == 1
+        Self { kh: k, kw: k, pad: k / 2 }
     }
 }
 
@@ -109,9 +99,6 @@ fn dims(input_shape: &[usize], weight_shape: &[usize], g: ConvGeom) -> Dims {
 
 /// Forward convolution: `input [N,C,H,W] * weight [O,C,KH,KW] (+ bias [O])`.
 pub fn conv2d(input: &Tensor, weight: &Tensor, bias: Option<&Tensor>, g: ConvGeom) -> Tensor {
-    if !g.direct() {
-        return conv2d_ref(input, weight, bias, g);
-    }
     let d = dims(input.shape(), weight.shape(), g);
     check_bias(bias, d.o);
     let pad = g.pad as isize;
@@ -126,9 +113,9 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, bias: Option<&Tensor>, g: ConvGeo
     Tensor::from_vec(vec![d.n, d.o, d.oh, d.ow], out)
 }
 
-/// Scalar reference convolution, any stride: the oracle the direct kernel is
-/// tested against. Each output element sums its in-bounds taps in
-/// `(ci, ky, kx)` order, then adds the bias.
+/// Scalar reference convolution: the oracle the direct kernel is tested
+/// against. Each output element sums its in-bounds taps in `(ci, ky, kx)`
+/// order, then adds the bias.
 pub fn conv2d_ref(input: &Tensor, weight: &Tensor, bias: Option<&Tensor>, g: ConvGeom) -> Tensor {
     let d = dims(input.shape(), weight.shape(), g);
     check_bias(bias, d.o);
@@ -170,7 +157,7 @@ pub fn conv2d_ref(input: &Tensor, weight: &Tensor, bias: Option<&Tensor>, g: Con
 /// `k`, or `None` when it falls in the zero padding.
 #[inline(always)]
 fn tap(out: usize, k: usize, size: usize, g: ConvGeom) -> Option<usize> {
-    (out * g.stride + k).checked_sub(g.pad).filter(|&i| i < size)
+    (out + k).checked_sub(g.pad).filter(|&i| i < size)
 }
 
 fn check_bias(bias: Option<&Tensor>, o: usize) {
@@ -180,7 +167,7 @@ fn check_bias(bias: Option<&Tensor>, o: usize) {
 }
 
 // ---------------------------------------------------------------------------
-// Direct stride-1 kernel
+// Direct kernel
 // ---------------------------------------------------------------------------
 
 /// Output rows per parallel task. Fixed (not derived from the thread count)
@@ -372,9 +359,6 @@ pub fn conv2d_grad_input(grad_out: &Tensor, weight: &Tensor, input_shape: &[usiz
     let d = dims(input_shape, weight.shape(), g);
     assert_eq!(grad_out.shape(), &[d.n, d.o, d.oh, d.ow], "grad_out does not match the conv output shape");
     let (god, wd) = (grad_out.data(), weight.data());
-    if !g.direct() {
-        return Tensor::from_vec(input_shape.to_vec(), grad_input_ref(god, wd, d, g));
-    }
     // gi[c, y, x] = Σ go[o, y + p − ky, x + p − kx] · w[o, c, ky, kx]: a
     // convolution of `grad_out` with w flipped in space and transposed in
     // channels, under padding k − 1 − p.
@@ -405,10 +389,6 @@ pub fn conv2d_grad_weight(grad_out: &Tensor, input: &Tensor, weight_shape: &[usi
     if out.is_empty() || god.is_empty() {
         return Tensor::from_vec(weight_shape.to_vec(), out);
     }
-    if !g.direct() {
-        grad_weight_ref(god, src, &mut out, d, g);
-        return Tensor::from_vec(weight_shape.to_vec(), out);
-    }
     let pad = g.pad as isize;
     let xp = pad_planes(src, n * c, h, w, (pad, pad), 0);
     let (hp, wp) = (h + 2 * g.pad, w + 2 * g.pad);
@@ -437,64 +417,6 @@ pub fn conv2d_grad_weight(grad_out: &Tensor, input: &Tensor, weight_shape: &[usi
         dst.copy_from_slice(&by_ci[(ci * o + oc) * taps..][..taps]);
     }
     Tensor::from_vec(weight_shape.to_vec(), out)
-}
-
-/// Scalar input gradient, any stride: scatter of every `grad_out` element
-/// through its in-bounds taps.
-fn grad_input_ref(god: &[f32], wd: &[f32], d: Dims, g: ConvGeom) -> Vec<f32> {
-    let Dims { n, c, h, w, o, oh, ow } = d;
-    let mut out = pool::alloc_zeroed(n * c * h * w);
-    if out.is_empty() {
-        return out;
-    }
-    let plane_work = o * g.kh * g.kw * oh * ow;
-    out.par_chunks_mut(h * w).enumerate().with_min_len(par::min_items(plane_work)).for_each(|(idx, plane)| {
-        let (ni, ci) = (idx / c, idx % c);
-        for oc in 0..o {
-            let gplane = &god[(ni * o + oc) * oh * ow..][..oh * ow];
-            for ky in 0..g.kh {
-                for kx in 0..g.kw {
-                    let wv = wd[((oc * c + ci) * g.kh + ky) * g.kw + kx];
-                    for (oy, grow) in gplane.chunks_exact(ow).enumerate() {
-                        let Some(iy) = tap(oy, ky, h, g) else { continue };
-                        for (ox, &gv) in grow.iter().enumerate() {
-                            if let Some(ix) = tap(ox, kx, w, g) {
-                                plane[iy * w + ix] += gv * wv;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    });
-    out
-}
-
-/// Scalar weight gradient, any stride, into the zeroed `[O, C, KH, KW]`
-/// buffer `out`.
-fn grad_weight_ref(god: &[f32], src: &[f32], out: &mut [f32], d: Dims, g: ConvGeom) {
-    let Dims { n, c, h, w, o, oh, ow } = d;
-    let pair_work = n * g.kh * g.kw * oh * ow;
-    out.par_chunks_mut(g.kh * g.kw).enumerate().with_min_len(par::min_items(pair_work)).for_each(|(idx, dst)| {
-        let (oc, ci) = (idx / c, idx % c);
-        for ni in 0..n {
-            let xin = &src[(ni * c + ci) * h * w..][..h * w];
-            let gplane = &god[(ni * o + oc) * oh * ow..][..oh * ow];
-            for (k, acc) in dst.iter_mut().enumerate() {
-                let (ky, kx) = (k / g.kw, k % g.kw);
-                let mut total = 0.0f32;
-                for (oy, grow) in gplane.chunks_exact(ow).enumerate() {
-                    let Some(iy) = tap(oy, ky, h, g) else { continue };
-                    for (ox, &gv) in grow.iter().enumerate() {
-                        if let Some(ix) = tap(ox, kx, w, g) {
-                            total += gv * xin[iy * w + ix];
-                        }
-                    }
-                }
-                *acc += total;
-            }
-        }
-    });
 }
 
 /// Gradient w.r.t. the bias: sum of `grad_out` over batch and space.
@@ -528,11 +450,10 @@ mod tests {
         let w = Tensor::ones(vec![1, 1, 3, 3]);
         let y = conv2d_ref(&x, &w, None, ConvGeom::same(3));
         assert_eq!(y.data(), &[8., 15., 12., 21., 36., 27., 20., 33., 24.]);
-        // 2x2 stride 2: each output is one weighted block.
-        let x = Tensor::arange(16).reshape(vec![1, 1, 4, 4]);
-        let w = Tensor::from_vec(vec![1, 1, 2, 2], vec![1., 2., 3., 4.]);
-        let y = conv2d_ref(&x, &w, None, ConvGeom { kh: 2, kw: 2, stride: 2, pad: 0 });
-        assert_eq!(y.data(), &[34., 54., 114., 134.]);
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|x| x.to_bits()).collect()
     }
 
     #[test]
@@ -541,7 +462,7 @@ mod tests {
         let x = randn(&[2, 3, 7, 9], 1);
         let w = randn(&[4, 3, 3, 3], 2);
         let b = randn(&[4], 3);
-        conv2d(&x, &w, Some(&b), g).assert_close(&conv2d_ref(&x, &w, Some(&b), g), 1e-4);
+        assert_eq!(bits(&conv2d(&x, &w, Some(&b), g)), bits(&conv2d_ref(&x, &w, Some(&b), g)));
     }
 
     #[test]
@@ -552,16 +473,8 @@ mod tests {
         for &(c, o, h, w) in &[(5usize, 3usize, 9usize, 37usize), (2, 1, 4, 5), (3, 7, 11, 24), (7, 64, 6, 25)] {
             let x = randn(&[1, c, h, w], 11);
             let wt = randn(&[o, c, 3, 3], 12);
-            conv2d(&x, &wt, None, g).assert_close(&conv2d_ref(&x, &wt, None, g), 1e-4);
+            assert_eq!(bits(&conv2d(&x, &wt, None, g)), bits(&conv2d_ref(&x, &wt, None, g)), "{c}->{o} {h}x{w}");
         }
-    }
-
-    #[test]
-    fn matches_ref_strided() {
-        let g = ConvGeom { kh: 2, kw: 2, stride: 2, pad: 0 };
-        let x = randn(&[1, 2, 8, 8], 3);
-        let w = randn(&[5, 2, 2, 2], 4);
-        assert_eq!(conv2d(&x, &w, None, g).data(), conv2d_ref(&x, &w, None, g).data());
     }
 
     #[test]
@@ -617,7 +530,7 @@ mod tests {
     #[test]
     fn grad_input_crops_when_pad_exceeds_the_kernel() {
         // pad > k - 1: the input gradient convolves a *cropped* grad_out.
-        let g = ConvGeom { kh: 1, kw: 2, stride: 1, pad: 2 };
+        let g = ConvGeom { kh: 1, kw: 2, pad: 2 };
         let x = randn(&[2, 2, 4, 5], 9);
         let w = randn(&[3, 2, 1, 2], 10);
         let go = randn(conv2d(&x, &w, None, g).shape(), 11);
@@ -637,16 +550,16 @@ mod tests {
 
     #[test]
     fn out_size_arithmetic() {
-        let g = ConvGeom { kh: 3, kw: 3, stride: 1, pad: 1 };
+        let g = ConvGeom { kh: 3, kw: 3, pad: 1 };
         assert_eq!(g.out_size(10, 20), (10, 20));
-        let g2 = ConvGeom { kh: 2, kw: 2, stride: 2, pad: 0 };
-        assert_eq!(g2.out_size(10, 20), (5, 10));
+        let g2 = ConvGeom { kh: 2, kw: 5, pad: 0 };
+        assert_eq!(g2.out_size(10, 20), (9, 16));
     }
 
     #[test]
     #[should_panic(expected = "is smaller than the 3x3 kernel")]
     fn input_smaller_than_kernel_is_rejected() {
-        let g = ConvGeom { kh: 3, kw: 3, stride: 1, pad: 0 };
+        let g = ConvGeom { kh: 3, kw: 3, pad: 0 };
         let _ = conv2d(&Tensor::zeros(vec![1, 1, 2, 5]), &Tensor::zeros(vec![1, 1, 3, 3]), None, g);
     }
 

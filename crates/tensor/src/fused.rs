@@ -22,10 +22,9 @@
 //! A linear layer with a non-linear activation also returns the
 //! *pre-activation* tensor: the tape needs `act'(pre)` for the backward
 //! pass, and recomputing `x W^T + b` there would cost a second GEMM.
-//! Everything falls back to the scalar reference path under
-//! `ORBIT2_DISABLE_SIMD=1`; the exponentials (softmax, the GELU epilogue and
-//! its backward) are one branch-free lane function that is its own scalar
-//! reference, so they have no second path to fall back to.
+//! Each kernel has one production path; the exponentials (softmax, the GELU
+//! epilogue and its backward) are one branch-free lane function that is its
+//! own scalar reference.
 
 use crate::matmul::MatLayout;
 use crate::ops::{binary_broadcast, gelu_grad_scalar, gelu_scalar};
@@ -229,21 +228,15 @@ pub fn layer_norm_rows(src: &[f32], rows: usize, d: usize, eps: f32) -> (Vec<f32
             let (mean, var) = welford_mean_var(row);
             let is = 1.0 / (var + eps).sqrt();
             *istd = is;
-            if simd::enabled() {
-                let mv = F32x8::splat(mean);
-                let sv = F32x8::splat(is);
-                let mut nc = nrow.chunks_exact_mut(LANES);
-                let mut rc = row.chunks_exact(LANES);
-                for (nd, rd) in nc.by_ref().zip(rc.by_ref()) {
-                    F32x8::load(rd).sub(mv).mul(sv).store(nd);
-                }
-                for (nd, &rv) in nc.into_remainder().iter_mut().zip(rc.remainder()) {
-                    *nd = (rv - mean) * is;
-                }
-            } else {
-                for (nd, &rv) in nrow.iter_mut().zip(row) {
-                    *nd = (rv - mean) * is;
-                }
+            let mv = F32x8::splat(mean);
+            let sv = F32x8::splat(is);
+            let mut nc = nrow.chunks_exact_mut(LANES);
+            let mut rc = row.chunks_exact(LANES);
+            for (nd, rd) in nc.by_ref().zip(rc.by_ref()) {
+                F32x8::load(rd).sub(mv).mul(sv).store(nd);
+            }
+            for (nd, &rv) in nc.into_remainder().iter_mut().zip(rc.remainder()) {
+                *nd = (rv - mean) * is;
             }
         },
     );
@@ -256,7 +249,7 @@ fn welford_mean_var(row: &[f32]) -> (f32, f32) {
     if d == 0 {
         return (0.0, 0.0);
     }
-    if !simd::enabled() || d < 2 * LANES {
+    if d < 2 * LANES {
         let mut mean = 0.0f64;
         let mut m2 = 0.0f64;
         for (i, &x) in row.iter().enumerate() {
@@ -313,9 +306,9 @@ fn chan_combine(ma: f64, m2a: f64, na: f64, mb: f64, m2b: f64, nb: f64) -> (f64,
 /// In-place softmax over contiguous rows of length `inner`: for each row,
 /// subtract the max, exponentiate, and scale by the inverse sum. A row is
 /// computed from that row alone (`simd::exp_sub_sum` pins the order of its
-/// sum), so the result is independent of the SIMD mode, of the worker split
-/// and of the rows stacked around it. A NaN or `+∞` score makes its whole
-/// row NaN, never a silently finite one.
+/// sum), so the result is independent of the worker split and of the rows
+/// stacked around it. A NaN or `+∞` score makes its whole row NaN, never a
+/// silently finite one.
 pub fn softmax_rows(dst: &mut [f32], inner: usize) {
     softmax(None, dst, inner);
 }

@@ -38,11 +38,11 @@
 //! both the vector kernel and the scalar oracle ([`gemm_strips_ref`]) — the
 //! same multiplies in the same order through `simd::fma`, the same
 //! [`Epilogue::pre`] — so the two are **bit-identical** for every code, not
-//! merely close. Which of them runs (the oracle under
-//! `ORBIT2_DISABLE_SIMD=1`) therefore never shows in the bits, and neither
-//! does the row count: stacking samples along the row axis cannot change a
-//! row's result. There is no small-shape route to the oracle: down to
-//! `n = 3` the kernel on a zero-padded strip is the faster of the two.
+//! merely close. The oracle is a test reference only: every production
+//! product runs the vector kernel. Neither result depends on the row count:
+//! stacking samples along the row axis cannot change a row's result. There
+//! is no small-shape route to the oracle: down to `n = 3` the kernel on a
+//! zero-padded strip is the faster of the two.
 
 use crate::bf16::{bf16_to_f32, f32_to_bf16};
 use crate::fused::{Activation, WeightPrecision};
@@ -229,9 +229,8 @@ impl PackedWeight {
     /// Pack a `[n, k]` linear weight (PyTorch `[out, in]` convention) at the
     /// requested precision. Returns `None` for what no session keeps
     /// resident: not 2-d, fewer than `LANES` output features, or no input
-    /// features. The gate reads the shape only — never the SIMD mode,
-    /// because the scalar oracle consumes the same strips — and is the same
-    /// at every precision.
+    /// features. The gate reads the shape only — the scalar oracle consumes
+    /// the same strips — and is the same at every precision.
     pub fn pack(w: &Tensor, precision: WeightPrecision) -> Option<Self> {
         if w.ndim() != 2 {
             return None;
@@ -502,9 +501,8 @@ fn oracle<Q: QWeight>(
         for i in 0..c.len() / n {
             acc.fill(0.0);
             for (&av, brow) in a[i * lda..i * lda + k].iter().zip(strip.chunks_exact(nr)) {
-                // Indexed on purpose: this loop is most of what the scalar
-                // CI stage executes, unoptimized, where every iterator
-                // adaptor is a call per element.
+                // Indexed on purpose: the oracle runs in unoptimized test
+                // builds, where every iterator adaptor is a call per element.
                 let mut l = 0;
                 while l < nr {
                     acc[l] = simd::fma(av, brow[l].widen(), acc[l]);
@@ -596,7 +594,7 @@ fn drive<Q: QWeight>(
 }
 
 /// `c = act(scale ⊙ (op(A) · strips) + bias)` on the vector kernel,
-/// whatever the shape or SIMD mode. `op(A)` is `m × k` under `la`, `c` is
+/// whatever the shape. `op(A)` is `m × k` under `la`, `c` is
 /// `[m, n]` row-major and overwritten; `pre`, when given, receives the
 /// pre-activation.
 #[allow(clippy::too_many_arguments)] // GEMM plumbing: operands + epilogue + outputs
@@ -639,7 +637,7 @@ pub(crate) fn gemm_resident(
     act: Activation,
     c: &mut [f32],
 ) {
-    pw.run(a, MatLayout::row_major(pw.k), m, bias, act, c, None, simd::enabled());
+    pw.run(a, MatLayout::row_major(pw.k), m, bias, act, c, None, true);
 }
 
 /// f32 strips of one `k × n` `op(B)` (`n > 0`) in pooled scratch: what
@@ -672,7 +670,7 @@ impl ScratchStrips {
     /// a separate `mul_scalar` pass over the product.
     pub(crate) fn gemm_seq(&self, a: &[f32], la: MatLayout, m: usize, scales: Option<&[f32]>, c: &mut [f32]) {
         let ep = Epilogue { scales, bias: None, act: Activation::Identity };
-        drive(a, la, m, self.strips(), ep, c, None, false, simd::enabled());
+        drive(a, la, m, self.strips(), ep, c, None, false, true);
     }
 }
 
@@ -699,7 +697,7 @@ pub(crate) fn gemm_per_call(
     }
     let strips = ScratchStrips::pack(b, lb, k, n);
     let ep = Epilogue { scales: None, bias, act };
-    drive(a, la, m, strips.strips(), ep, c, pre, parallel, simd::enabled());
+    drive(a, la, m, strips.strips(), ep, c, pre, parallel, true);
 }
 
 #[cfg(test)]
@@ -815,7 +813,7 @@ mod tests {
 
     #[test]
     fn pack_gates_on_shape_only() {
-        // One gate for every precision, blind to the SIMD mode.
+        // One gate for every precision, on the shape alone.
         for precision in WeightPrecision::ALL {
             assert!(PackedWeight::pack(&randn(&[4, 16], 31), precision).is_none());
             assert!(PackedWeight::pack(&randn(&[16], 32), precision).is_none());

@@ -9,24 +9,15 @@
 //! auto-vectorizer gives up on (data-dependent branches, reductions,
 //! register-blocked accumulators).
 //!
-//! `ORBIT2_DISABLE_SIMD=1` routes every kernel built on this module back to
-//! its scalar reference implementation (mirroring `ORBIT2_DISABLE_POOL`):
-//! the escape hatch for debugging numerical drift and the baseline for the
-//! fused-vs-unfused bench deltas.
-
-use std::sync::OnceLock;
+//! Every kernel built on this module has one production path. The lane
+//! arrays are portable, so no platform needs a scalar fallback; the only
+//! selections are the `fma` target feature and input-size cut-offs. The
+//! scalar twins that remain, `qgemm::gemm_strips_ref` and
+//! `conv::conv2d_ref`, are test oracles that the vector kernels must match
+//! bit for bit.
 
 /// Lane count of [`F32x8`].
 pub(crate) const LANES: usize = 8;
-
-/// True unless `ORBIT2_DISABLE_SIMD=1` requests the scalar reference
-/// kernels. Read once per process.
-pub(crate) fn enabled() -> bool {
-    static DISABLED: OnceLock<bool> = OnceLock::new();
-    !*DISABLED.get_or_init(|| {
-        std::env::var("ORBIT2_DISABLE_SIMD").map(|v| v == "1" || v == "true").unwrap_or(false)
-    })
-}
 
 /// Eight `f32` lanes with elementwise arithmetic.
 ///
@@ -248,10 +239,9 @@ pub(crate) fn fma(a: f32, b: f32, acc: f32) -> f32 {
 ///
 /// Branch-free per-lane arithmetic, so a loop over it (a plain slice loop or
 /// the sixteen-lane blocks of [`exp_sub_sum`]) lowers to `zmm`/`ymm` code
-/// with no intrinsics, and every caller — vector loop, scalar tail,
-/// `ORBIT2_DISABLE_SIMD=1` — evaluates the same operations in the same
-/// order: the vector path is this function applied sixteen wide, bit for
-/// bit (DESIGN.md §7).
+/// with no intrinsics, and every caller — vector loop, scalar tail —
+/// evaluates the same operations in the same order: the vector path is this
+/// function applied sixteen wide, bit for bit (DESIGN.md §7).
 ///
 /// * Reduction `x = k·ln2 + r`, `|r| ≤ ln2/2`: `k` is rounded to nearest by
 ///   adding `1.5·2²³` (the integer lands in the sum's low mantissa bits),
@@ -304,11 +294,11 @@ pub(crate) fn exp(x: f32) -> f32 {
 /// The middle pass of a row softmax: `dst[i] = exp(s[i] − mx)` where `s` is
 /// `src`, or `dst` itself when `src` is `None`; returns `Σ dst[i]`.
 ///
-/// The sum's order is pinned and is the same in both SIMD modes: sixteen
-/// lane-striped partials over the whole blocks, folded by halving (lane `l`
-/// += lane `l + w`, `w` = 8, 4, 2, 1), then the tail added in element
-/// order. A row's sum — and so its probabilities — depends on the row alone,
-/// never on the mode, the worker that ran it or the rows stacked around it.
+/// The sum's order is pinned: sixteen lane-striped partials over the whole
+/// blocks, folded by halving (lane `l` += lane `l + w`, `w` = 8, 4, 2, 1),
+/// then the tail added in element order. A row's sum — and so its
+/// probabilities — depends on the row alone, never on the worker that ran
+/// it or the rows stacked around it.
 pub(crate) fn exp_sub_sum(dst: &mut [f32], src: Option<&[f32]>, mx: f32) -> f32 {
     let body = dst.len() - dst.len() % LANES16;
     let mut acc = [0.0f32; LANES16];
@@ -339,17 +329,10 @@ pub(crate) fn exp_sub_sum(dst: &mut [f32], src: Option<&[f32]>, mx: f32) -> f32 
 /// Dot product of two equal-length slices.
 ///
 /// Four independent 8-lane accumulators hide FMA latency; the tail is
-/// scalar. Falls back to the plain sequential loop when SIMD is disabled.
+/// scalar.
 #[inline]
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len());
-    if !enabled() {
-        let mut s = 0.0f32;
-        for (x, y) in a.iter().zip(b) {
-            s += x * y;
-        }
-        return s;
-    }
     let mut acc = [F32x8::ZERO; 4];
     let mut ac = a.chunks_exact(4 * LANES);
     let mut bc = b.chunks_exact(4 * LANES);
@@ -376,9 +359,6 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
 /// Sum of a slice (vectorized, two accumulators).
 #[inline]
 pub fn sum(src: &[f32]) -> f32 {
-    if !enabled() {
-        return src.iter().sum();
-    }
     let mut acc = [F32x8::ZERO; 2];
     let mut c = src.chunks_exact(2 * LANES);
     for ch in c.by_ref() {
@@ -395,12 +375,6 @@ pub fn sum(src: &[f32]) -> f32 {
 /// `dst *= s` (vectorized in-place scale).
 #[inline]
 pub(crate) fn scale(dst: &mut [f32], s: f32) {
-    if !enabled() {
-        for d in dst.iter_mut() {
-            *d *= s;
-        }
-        return;
-    }
     let sv = F32x8::splat(s);
     let mut dc = dst.chunks_exact_mut(LANES);
     for d in dc.by_ref() {
@@ -414,9 +388,6 @@ pub(crate) fn scale(dst: &mut [f32], s: f32) {
 /// Maximum element of a slice (`-inf` when empty).
 #[inline]
 pub(crate) fn max_value(src: &[f32]) -> f32 {
-    if !enabled() {
-        return src.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-    }
     let mut acc = F32x8::splat(f32::NEG_INFINITY);
     let mut c = src.chunks_exact(LANES);
     for ch in c.by_ref() {
@@ -541,8 +512,8 @@ mod tests {
     #[test]
     fn exp_vector_body_matches_the_lane_function_at_every_length() {
         // Ragged tails on both sides of one, two, three and four blocks;
-        // values spread over the whole range, edges included. Holds in
-        // both SIMD modes: the vector body *is* the lane function.
+        // values spread over the whole range, edges included. The vector
+        // body *is* the lane function.
         let specials = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 88.722_84, -87.336_54, -0.0, 1e-40];
         for n in 0..=67usize {
             let mut src: Vec<f32> = (0..n).map(|i| ((i * 37 + n * 11) % 181) as f32 * 0.97 - 88.0).collect();

@@ -1,10 +1,8 @@
 #!/usr/bin/env bash
-# Chaos smoke: run the fault-injection and crash-recovery suite in both
-# SIMD modes. The fault-tolerance layer (per-job catch_unwind isolation,
-# retry/drop recovery, CRC-checked checkpoints, bit-identical resume) must
-# behave identically whether the packed-SIMD kernels or the scalar
-# fallbacks execute the math underneath, so every run here is doubled:
-# once with SIMD enabled (default) and once with ORBIT2_DISABLE_SIMD=1.
+# Chaos smoke: run the fault-injection and crash-recovery suite. The
+# fault-tolerance layer (per-job catch_unwind isolation, retry/drop
+# recovery, CRC-checked checkpoints, bit-identical resume) runs once here,
+# then the two environment-armed fault plans each get a round-trip.
 #
 # Usage: scripts/chaos_smoke.sh [extra cargo-test args]
 set -euo pipefail
@@ -14,18 +12,11 @@ cd "$(dirname "${BASH_SOURCE[0]}")/.."
 # The fault-injection integration tests plus the trainer/checkpoint/fault
 # unit suites that back them, and the serving-side resilience + chaos
 # suites (deadlines, panic quarantine, drain).
-run_suite() {
-    cargo test --release --test failure_injection "$@"
-    cargo test --release -p orbit2 --lib "$@" -- trainer:: checkpoint:: fault::
-    cargo test --release -p orbit2-serve --test resilience "$@"
-    cargo test --release -p orbit2-serve --test chaos_serving "$@"
-}
-
-echo "== chaos smoke: SIMD enabled =="
-ORBIT2_DISABLE_SIMD=0 run_suite "$@"
-
-echo "== chaos smoke: SIMD disabled (scalar fallbacks) =="
-ORBIT2_DISABLE_SIMD=1 run_suite "$@"
+echo "== chaos smoke: fault/checkpoint and serving suites =="
+cargo test --release --test failure_injection "$@"
+cargo test --release -p orbit2 --lib "$@" -- trainer:: checkpoint:: fault::
+cargo test --release -p orbit2-serve --test resilience "$@"
+cargo test --release -p orbit2-serve --test chaos_serving "$@"
 
 # One pass driven purely through the environment knob, checking the
 # ORBIT2_FAULT_PLAN parsing/arming path end to end. Only the fault unit
@@ -45,4 +36,4 @@ echo "== chaos smoke: ORBIT2_SERVE_FAULT_PLAN env round-trip =="
 ORBIT2_SERVE_FAULT_PLAN="seed=42,panic=0.05,straggle=0.05,straggle_ms=3" \
     cargo test --release -p orbit2-serve --test chaos_serving "$@" -- default_config
 
-echo "chaos smoke passed in both SIMD modes"
+echo "chaos smoke passed"

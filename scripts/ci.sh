@@ -5,26 +5,19 @@
 #
 # Stages (all blocking unless noted):
 #   1. release build of the whole workspace
-#   2. full test suite with the SIMD kernels enabled (default), then the
-#      rayon shim's tests once more under --release: its work-sharing path
-#      is a race between a forker and the helper it woke, and the optimised
-#      build runs that race at different speeds; and the serde_json shim's,
-#      whose float printer and reader are integer arithmetic that debug
-#      builds overflow-check and release builds wrap
-#   3. full test suite again with ORBIT2_DISABLE_SIMD=1 (scalar fallbacks;
-#      every matrix product runs the GEMM driver's scalar oracle)
-#   4. clippy lint gate (scripts/lint.sh: -D warnings -D unsafe_code)
-#   5. chaos suite (scripts/chaos_smoke.sh: fault injection + recovery,
-#      both SIMD modes)
-#   6. reduced-precision quality gate (crates/core/tests/precision_gate.rs):
+#   2. full test suite, then the rayon shim's tests once more under
+#      --release: its work-sharing path is a race between a forker and the
+#      helper it woke, and the optimised build runs that race at different
+#      speeds; and the serde_json shim's, whose float printer and reader are
+#      integer arithmetic that debug builds overflow-check and release
+#      builds wrap. Every kernel has one production path, and the suite
+#      compares it against its scalar oracle (DESIGN.md §7).
+#   3. clippy lint gate (scripts/lint.sh: -D warnings -D unsafe_code)
+#   4. chaos suite (scripts/chaos_smoke.sh: fault injection + recovery)
+#   5. reduced-precision quality gate (crates/core/tests/precision_gate.rs):
 #      bf16/int8 weight sessions must reproduce the f32 Table IV metrics
-#      within tolerance. Runs in release, in BOTH SIMD modes: the GEMM
-#      kernel and its scalar oracle are bit-identical by construction at
-#      every weight precision, f32 included, so the gate must hold
-#      identically under ORBIT2_DISABLE_SIMD=1 — a divergence there means a
-#      kernel/oracle mismatch (or one of the non-GEMM SIMD kernels), not a
-#      tolerance problem.
-#   7. end-to-end benchmark harness (benchmark/, a package of its own that
+#      within tolerance. Runs in release.
+#   6. end-to-end benchmark harness (benchmark/, a package of its own that
 #      the workspace build never compiles): its unit tests, then
 #      `benchmark/run.sh --smoke` (~45 s). Any drift in `Exec`,
 #      `ServerConfig` or `ServerStats` that stops the harness building, or
@@ -58,12 +51,9 @@ step() {
 step "release build"
 cargo build --release
 
-step "tests (SIMD enabled)"
+step "tests"
 cargo test -q --workspace
 cargo test -q --release -p rayon -p serde_json
-
-step "tests (SIMD disabled: ORBIT2_DISABLE_SIMD=1)"
-ORBIT2_DISABLE_SIMD=1 cargo test -q --workspace
 
 step "lint"
 scripts/lint.sh
@@ -73,9 +63,6 @@ scripts/chaos_smoke.sh
 
 step "reduced-precision quality gate (bf16/int8 weights vs f32 metrics)"
 cargo test --release -q -p orbit2 --test precision_gate
-
-step "reduced-precision quality gate (SIMD disabled: ORBIT2_DISABLE_SIMD=1)"
-ORBIT2_DISABLE_SIMD=1 cargo test --release -q -p orbit2 --test precision_gate
 
 step "benchmark harness: unit tests + smoke run"
 cargo test -q --manifest-path benchmark/Cargo.toml

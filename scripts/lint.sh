@@ -45,6 +45,14 @@
 # §9): `forward_batch` and `CompressionPlan::stack` (its `fn stack`) may not
 # come back anywhere under `crates/`.
 #
+# Env-knob gate (DESIGN.md §7): each kernel has one production path, and a
+# process-wide environment variable that picks a second one is a program
+# nobody ships. So outside test modules, an `env::var` / `var_os` call under
+# `crates/*/src` may sit only in the three files that read today's knobs:
+# `tensor/src/pool.rs` (ORBIT2_DISABLE_POOL), `core/src/fault.rs` (the
+# fault plans) and `bench/src/lib.rs` (ORBIT2_STEPS). A new one changes
+# this list, in review.
+#
 # Public-surface gate (ROADMAP item 10): rustc's `dead_code` lint never fires
 # on a `pub` item of a library, so a `pub` item nothing outside its crate
 # names is invisible surface. Narrow such an item to `pub(crate)` or private
@@ -132,6 +140,15 @@ batch_forward="$(grep -rnE 'forward_batch|CompressionPlan::stack|fn stack\(' cra
 if [[ -n "$batch_forward" ]]; then
     echo "lint: the row-stacked batch forward was removed (one sample per forward, DESIGN.md §9):" >&2
     echo "$batch_forward" >&2
+    exit 1
+fi
+env_knob="$(find crates/*/src -name '*.rs' | sort | while read -r f; do
+    case "$f" in crates/tensor/src/pool.rs | crates/core/src/fault.rs | crates/bench/src/lib.rs) continue ;; esac
+    awk -v f="$f" '/^mod tests \{/ { exit } /env::var|var_os/ { print f ":" FNR ": " $0 }' "$f"
+done)"
+if [[ -n "$env_knob" ]]; then
+    echo "lint: an environment read outside the three knob sites (one production path per kernel, DESIGN.md §7):" >&2
+    echo "$env_knob" >&2
     exit 1
 fi
 # `file:name`, or `file:*` for every item in the file; the reason follows.

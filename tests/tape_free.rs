@@ -1,8 +1,7 @@
 //! The tape-free inference engine must be *bit-identical* to the training
 //! tape's forward pass: both execution contexts drive the same tensor
 //! kernels in the same order, so there is no tolerance here — `data()`
-//! equality, exactly. Run under `ORBIT2_DISABLE_SIMD=1` as well; the
-//! contexts must agree in both kernel modes.
+//! equality, exactly.
 
 use orbit2::tiling::{split_stack, stitch_predictions};
 use orbit2_autograd::Tape;
