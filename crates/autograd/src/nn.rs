@@ -5,7 +5,7 @@ use crate::tape::{Tape, Var};
 use orbit2_tensor::conv::{conv2d, conv2d_grad_bias, conv2d_grad_input, conv2d_grad_weight, ConvGeom};
 use orbit2_tensor::fused::{act_backward, layer_norm_rows, matmul_bias_act, Activation};
 use orbit2_tensor::pool;
-use orbit2_tensor::resize::{resize, ResizeMode};
+use orbit2_tensor::resize::{bilinear_taps, resize, ResizeMode};
 use orbit2_tensor::simd;
 use orbit2_tensor::Tensor;
 
@@ -210,33 +210,26 @@ impl<'t> Var<'t> {
 
 /// Adjoint of bilinear interpolation with half-pixel centers: distributes
 /// each output gradient onto its four source pixels with the interpolation
-/// weights.
+/// weights, read from the forward's tap table, in `(l, oy, ox)` order.
 fn bilinear_adjoint(grad_out: &Tensor, in_h: usize, in_w: usize) -> Tensor {
     let nd = grad_out.ndim();
     let (oh, ow) = (grad_out.shape()[nd - 2], grad_out.shape()[nd - 1]);
     let lead: usize = grad_out.shape()[..nd - 2].iter().product();
-    let sy = in_h as f32 / oh as f32;
-    let sx = in_w as f32 / ow as f32;
+    let (ys, xs) = (bilinear_taps(oh, in_h), bilinear_taps(ow, in_w));
     let god = grad_out.data();
     let mut out = pool::alloc_zeroed(lead * in_h * in_w);
     for l in 0..lead {
         let gplane = &god[l * oh * ow..(l + 1) * oh * ow];
         let oplane = &mut out[l * in_h * in_w..(l + 1) * in_h * in_w];
-        for oy in 0..oh {
-            let fy = ((oy as f32 + 0.5) * sy - 0.5).clamp(0.0, (in_h - 1) as f32);
-            let y0 = fy.floor() as usize;
-            let y1 = (y0 + 1).min(in_h - 1);
-            let wy = fy - y0 as f32;
-            for ox in 0..ow {
-                let fx = ((ox as f32 + 0.5) * sx - 0.5).clamp(0.0, (in_w - 1) as f32);
-                let x0 = fx.floor() as usize;
-                let x1 = (x0 + 1).min(in_w - 1);
-                let wx = fx - x0 as f32;
-                let g = gplane[oy * ow + ox];
-                oplane[y0 * in_w + x0] += g * (1.0 - wy) * (1.0 - wx);
-                oplane[y0 * in_w + x1] += g * (1.0 - wy) * wx;
-                oplane[y1 * in_w + x0] += g * wy * (1.0 - wx);
-                oplane[y1 * in_w + x1] += g * wy * wx;
+        for (oy, &(y0, y1, wy)) in ys.iter().enumerate() {
+            let (r0, r1) = (y0 * in_w, y1 * in_w);
+            let a = 1.0 - wy;
+            for (&g, &(x0, x1, wx)) in gplane[oy * ow..][..ow].iter().zip(&xs) {
+                let b = 1.0 - wx;
+                oplane[r0 + x0] += g * a * b;
+                oplane[r0 + x1] += g * a * wx;
+                oplane[r1 + x0] += g * wy * b;
+                oplane[r1 + x1] += g * wy * wx;
             }
         }
     }
@@ -392,6 +385,64 @@ mod tests {
             2e-2,
             27,
         );
+    }
+
+    /// The adjoint with its taps recomputed at every pixel of every plane,
+    /// as it was before it read the forward's table: the oracle
+    /// [`bilinear_adjoint`] must match bit for bit.
+    fn bilinear_adjoint_per_pixel(grad_out: &Tensor, in_h: usize, in_w: usize) -> Tensor {
+        let nd = grad_out.ndim();
+        let (oh, ow) = (grad_out.shape()[nd - 2], grad_out.shape()[nd - 1]);
+        let lead: usize = grad_out.shape()[..nd - 2].iter().product();
+        let sy = in_h as f32 / oh as f32;
+        let sx = in_w as f32 / ow as f32;
+        let god = grad_out.data();
+        let mut out = vec![0.0f32; lead * in_h * in_w];
+        for l in 0..lead {
+            let gplane = &god[l * oh * ow..(l + 1) * oh * ow];
+            let oplane = &mut out[l * in_h * in_w..(l + 1) * in_h * in_w];
+            for oy in 0..oh {
+                let fy = ((oy as f32 + 0.5) * sy - 0.5).clamp(0.0, (in_h - 1) as f32);
+                let y0 = fy.floor() as usize;
+                let y1 = (y0 + 1).min(in_h - 1);
+                let wy = fy - y0 as f32;
+                for ox in 0..ow {
+                    let fx = ((ox as f32 + 0.5) * sx - 0.5).clamp(0.0, (in_w - 1) as f32);
+                    let x0 = fx.floor() as usize;
+                    let x1 = (x0 + 1).min(in_w - 1);
+                    let wx = fx - x0 as f32;
+                    let g = gplane[oy * ow + ox];
+                    oplane[y0 * in_w + x0] += g * (1.0 - wy) * (1.0 - wx);
+                    oplane[y0 * in_w + x1] += g * (1.0 - wy) * wx;
+                    oplane[y1 * in_w + x0] += g * wy * (1.0 - wx);
+                    oplane[y1 * in_w + x1] += g * wy * wx;
+                }
+            }
+        }
+        let mut shape = grad_out.shape().to_vec();
+        shape[nd - 2] = in_h;
+        shape[nd - 1] = in_w;
+        Tensor::from_vec(shape, out)
+    }
+
+    #[test]
+    fn tabled_adjoint_is_bit_identical_to_per_pixel_adjoint() {
+        // The tails' 4x up, non-integer ratios both ways, 1-pixel axes.
+        let cases: [(&[usize], usize, usize); 6] = [
+            (&[1, 64, 48, 80], 12, 20),
+            (&[2, 3, 19, 26], 7, 11),
+            (&[1, 4, 9, 14], 20, 33),
+            (&[1, 2, 6, 31], 1, 9),
+            (&[3, 17, 1], 8, 1),
+            (&[1, 1], 1, 1),
+        ];
+        for (i, (shape, in_h, in_w)) in cases.into_iter().enumerate() {
+            let g = randn(shape, 60 + i as u64);
+            let (fast, slow) = (bilinear_adjoint(&g, in_h, in_w), bilinear_adjoint_per_pixel(&g, in_h, in_w));
+            assert_eq!(fast.shape(), slow.shape());
+            let same = fast.data().iter().zip(slow.data()).all(|(a, b)| a.to_bits() == b.to_bits());
+            assert!(same, "{shape:?} <- {in_h}x{in_w}");
+        }
     }
 
     #[test]

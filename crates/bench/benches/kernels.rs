@@ -8,11 +8,11 @@ use orbit2::checkpoint::{
     crc32, load_model, load_trainer_state, save_model, save_trainer_state, ProgressState, TrainerCheckpoint,
 };
 use orbit2_autograd::params::GradMap;
-use orbit2_autograd::{Adam, GradAccumulator, GradScaler, ParamLayout, ParamStore};
+use orbit2_autograd::{Adam, GradAccumulator, GradScaler, ParamLayout, ParamStore, Tape};
 use orbit2_imaging::quadtree::{QuadTree, QuadTreeParams};
 use orbit2_tensor::attention::{multi_head_attention, naive_attention};
 use orbit2_tensor::bf16::bf16_round_slice;
-use orbit2_tensor::conv::{conv2d, conv2d_grad_input, conv2d_grad_weight, ConvGeom};
+use orbit2_tensor::conv::{conv2d, conv2d_grad_input, conv2d_grad_weight, upsample_conv2d, ConvGeom};
 use orbit2_tensor::fused::{
     act_backward, layer_norm_rows, matmul_bias_act, matmul_bias_act_cached, softmax_rows,
     Activation, WeightPrecision,
@@ -351,6 +351,40 @@ fn bench_conv_model(c: &mut Criterion) {
     group.bench_function(BenchmarkId::from_parameter("64x68to272"), |bench| {
         bench.iter(|| resize(&hid, 272, 272, ResizeMode::Bilinear))
     });
+    // The tape's resize on a `train-step` tile: forward, then the adjoint
+    // that reads the forward's tap table.
+    let coarse = randn(&[1, 64, 12, 20], 58);
+    group.bench_function(BenchmarkId::from_parameter("tape_64x12x20to48x80"), |bench| {
+        bench.iter(|| {
+            let tape = Tape::new();
+            let x = tape.leaf(coarse.clone());
+            tape.backward(x.resize_bilinear(48, 80).sum())
+        })
+    });
+    group.finish();
+}
+
+/// The convolution tail as the session runs it (`banded`: one
+/// `upsample_conv2d`, no upsampled image) against the composition the tape
+/// runs (`composed`: `resize` then `conv2d`), on the same operands: a
+/// `tiles-field` tile's 64→3 at 68² → 272², and the `serve-wire` decoder's
+/// 16→3 at 32×64 → 128×256. `scripts/bench_smoke.sh` prints banded ÷
+/// composed.
+fn bench_upsample_conv(c: &mut Criterion) {
+    let g = ConvGeom::same(3);
+    let mut group = c.benchmark_group("upsample_conv");
+    group.sample_size(10);
+    for &(name, ci, h, w) in &[("64x68to272", 64usize, 68usize, 68usize), ("16x32x64to128x256", 16, 32, 64)] {
+        let x = randn(&[1, ci, h, w], 59);
+        let wt = randn(&[3, ci, 3, 3], 60);
+        let b = randn(&[3], 61);
+        group.bench_function(BenchmarkId::new("banded", name), |bench| {
+            bench.iter(|| upsample_conv2d(&x, 4 * h, 4 * w, &wt, Some(&b), g))
+        });
+        group.bench_function(BenchmarkId::new("composed", name), |bench| {
+            bench.iter(|| conv2d(&resize(&x, 4 * h, 4 * w, ResizeMode::Bilinear), &wt, Some(&b), g))
+        });
+    }
     group.finish();
 }
 
@@ -586,6 +620,7 @@ criterion_group!(
     bench_bf16,
     bench_conv,
     bench_conv_model,
+    bench_upsample_conv,
     bench_quadtree,
     bench_fft,
     bench_synth,

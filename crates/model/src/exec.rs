@@ -9,21 +9,31 @@
 //! pooled tensors — no tape nodes, no pre-activation storage, and linear
 //! weights packed once per session instead of once per call.
 //!
-//! Both implementations route each op but one through the *same*
+//! Both implementations route each op but two through the *same*
 //! underlying `orbit2-tensor` kernel (the `Var` forwards are thin wrappers
 //! over them), so for identical inputs the two contexts produce
 //! bit-identical outputs — the property `tests/tape_free.rs` locks in.
 //!
-//! The one is [`Exec::attention`]. Its default body, which the tape runs
-//! and differentiates, is the per-head composition of the ops above it;
-//! the session overrides it with one blocked kernel
-//! (`orbit2_tensor::attention::multi_head_attention`) that never holds a
-//! whole score matrix. The contract the override keeps is the same one:
-//! every output bit equals the composition's, at any head count and token
-//! count (across the kernel's block boundaries). The tensor crate checks
-//! the kernel against `naive_attention` per head; `tests/tape_free.rs`
-//! checks session against tape through whole models;
-//! `tests/split_invariance.rs` checks it under any split of its blocks.
+//! The two are the composites, ops whose default body, which the tape runs
+//! and differentiates, is a composition of the ops above them; the session
+//! overrides each with one kernel that never builds the composition's
+//! largest intermediate. The contract an override keeps is the same one:
+//! every output bit equals the composition's.
+//!
+//! * [`Exec::attention`] is the per-head composition; the session runs one
+//!   blocked kernel (`orbit2_tensor::attention::multi_head_attention`) that
+//!   never holds a whole score matrix, bit-equal at any head count and
+//!   token count (across the kernel's block boundaries). The tensor crate
+//!   checks the kernel against `naive_attention` per head.
+//! * [`Exec::upsample_conv`] is `resize_bilinear → conv2d`; the session
+//!   runs `orbit2_tensor::conv::upsample_conv2d`, which interpolates each
+//!   band's padded rows into its scratch and never builds the upsampled
+//!   image. The tensor crate checks it against the composition across band,
+//!   strip and channel-block boundaries.
+//!
+//! `tests/tape_free.rs` checks session against tape through whole models;
+//! `tests/split_invariance.rs` checks both kernels under any split of
+//! their tasks.
 //!
 //! Every forward takes one sample: a TILES tile is a model input of its
 //! own, and nothing stacks samples from different calls into one pass.
@@ -159,6 +169,23 @@ pub trait Exec {
             })
             .collect();
         self.concat(&per_head, 1)
+    }
+
+    /// A convolution tail: bilinear resize of `x [N,C,H,W]` to `(out_h,
+    /// out_w)`, then `conv2d` with `w` and `bias` under `geom`.
+    ///
+    /// The default body is that composition. An override must match it bit
+    /// for bit.
+    fn upsample_conv(
+        &self,
+        x: &Self::Value,
+        out_h: usize,
+        out_w: usize,
+        w: &Self::Value,
+        bias: Option<&Self::Value>,
+        geom: ConvGeom,
+    ) -> Self::Value {
+        self.conv2d(&self.resize_bilinear(x, out_h, out_w), w, bias, geom)
     }
 }
 

@@ -19,7 +19,7 @@
 use crate::exec::{Exec, RowGroups};
 use orbit2_autograd::ParamStore;
 use orbit2_tensor::attention::multi_head_attention;
-use orbit2_tensor::conv::{conv2d, ConvGeom};
+use orbit2_tensor::conv::{conv2d, upsample_conv2d, ConvGeom};
 use orbit2_tensor::fused::{layer_norm_rows, matmul_bias_act_cached, Activation};
 use orbit2_tensor::qgemm::PackedWeight;
 use orbit2_tensor::resize::{resize, ResizeMode};
@@ -243,6 +243,21 @@ impl Exec for InferenceSession {
     /// (the contract in [`crate::exec`]'s header).
     fn attention(&self, q: &SessionValue, k: &SessionValue, v: &SessionValue, heads: usize) -> SessionValue {
         SessionValue::plain(multi_head_attention(&q.tensor, &k.tensor, &v.tensor, heads))
+    }
+
+    /// One banded kernel in place of `resize_bilinear → conv2d`, bit for bit
+    /// (the contract in [`crate::exec`]'s header).
+    fn upsample_conv(
+        &self,
+        x: &SessionValue,
+        out_h: usize,
+        out_w: usize,
+        w: &SessionValue,
+        bias: Option<&SessionValue>,
+        geom: ConvGeom,
+    ) -> SessionValue {
+        let bias = bias.map(|b| &b.tensor);
+        SessionValue::plain(upsample_conv2d(&x.tensor, out_h, out_w, &w.tensor, bias, geom))
     }
 }
 

@@ -88,9 +88,10 @@ pub(crate) fn decode<E: Exec>(ex: &E, cfg: &ModelConfig, tokens: &E::Value, hp: 
     let perm = unpatchify_permutation(hp, wp, p, hidden);
     let img = permute_elements(ex, &projected, perm, vec![1, hidden, h, w]);
     // Upsample to output resolution and refine with a 3x3 conv.
-    let up = ex.resize_bilinear(&ex.gelu(&img), oh, ow);
-    let out = ex.conv2d(
-        &up,
+    let out = ex.upsample_conv(
+        &ex.gelu(&img),
+        oh,
+        ow,
         &ex.param("dec.conv.w"),
         Some(&ex.param("dec.conv.b")),
         ConvGeom::same(3),
@@ -111,9 +112,10 @@ pub(crate) fn residual_path<E: Exec>(ex: &E, cfg: &ModelConfig, input: &Tensor) 
         Some(&ex.param("res.conv1.b")),
         ConvGeom::same(3),
     ));
-    let up = ex.resize_bilinear(&hid, h * cfg.scale_factor, w * cfg.scale_factor);
-    let out = ex.conv2d(
-        &up,
+    let out = ex.upsample_conv(
+        &hid,
+        h * cfg.scale_factor,
+        w * cfg.scale_factor,
         &ex.param("res.conv2.w"),
         Some(&ex.param("res.conv2.b")),
         ConvGeom::same(3),

@@ -5,18 +5,26 @@
 //! residual path, its decoder, and the baseline model's channel-aggregation
 //! stage are all built from these kernels.
 //!
-//! Every convolution has stride 1. The forward copies the batch once into a
-//! zero-padded `[N·C, H+2p, W+2p]` pooled scratch (plus one strip of slack,
-//! ≈1.03× the input) and then, for every (output-channel block × strip of
+//! Every convolution has stride 1. The forward runs one task per (sample,
+//! band of 8 output rows). A task first fills a pooled band scratch with the
+//! `8 + kh − 1` zero-padded input rows of every channel the band reads (plus
+//! one strip of slack), then, for every (output-channel block × strip of
 //! output pixels), keeps twelve `F32x8` accumulators in registers while it
 //! walks `(ci, ky, kx)` in ascending order: shifted unaligned row loads
 //! against broadcast weights, bias added at the store. Nothing is unfolded,
-//! so the only memory beyond input and output is that padded copy.
+//! and no whole padded image is built: beyond input and output, memory is
+//! one band scratch per running task.
+//!
+//! Only the band filler differs between the convolutions that share this
+//! loop nest: [`conv2d`] and [`conv2d_grad_input`] copy input rows,
+//! [`upsample_conv2d`] interpolates them from a smaller input.
 //!
 //! * [`conv2d_grad_input`] is the same kernel run over `grad_out` with the
-//!   spatially flipped, channel-transposed weight and padding `k − 1 − p`.
+//!   spatially flipped, channel-transposed weight and padding `k − 1 − p`
+//!   (a negative pad crops).
 //! * [`conv2d_grad_weight`] is a row-dot reduction of `grad_out` against the
-//!   shifted padded input, one task per input channel.
+//!   shifted padded input, one task per input channel: the one caller of a
+//!   whole-image padded copy.
 //!
 //! **Fixed accumulation order.** Every output element is produced by one
 //! task and one accumulator chain whose order does not depend on how the
@@ -34,6 +42,7 @@
 
 use crate::par::{self, MACS_PER_VISIT};
 use crate::pool::{self, Buffer};
+use crate::resize::Bilinear;
 use crate::simd::{self, F32x8, LANES};
 use crate::tensor::Tensor;
 use rayon::prelude::*;
@@ -102,7 +111,7 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, bias: Option<&Tensor>, g: ConvGeo
     let d = dims(input.shape(), weight.shape(), g);
     check_bias(bias, d.o);
     let pad = g.pad as isize;
-    let out = conv_direct(
+    let out = conv_copied(
         input.data(),
         [d.n, d.c, d.h, d.w],
         weight.data(),
@@ -110,6 +119,48 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, bias: Option<&Tensor>, g: ConvGeo
         (pad, pad),
         bias.map(Tensor::data),
     );
+    Tensor::from_vec(vec![d.n, d.o, d.oh, d.ow], out)
+}
+
+/// `conv2d(resize(input, out_h, out_w, Bilinear), weight, bias, g)` bit for
+/// bit, without the resized image: each band task interpolates only the
+/// padded rows it reads, through the row routine `resize` itself runs, into
+/// its pooled band scratch. Every output element sums the same `(ci, ky,
+/// kx)` taps in the same order over the same interpolated values.
+pub fn upsample_conv2d(
+    input: &Tensor,
+    out_h: usize,
+    out_w: usize,
+    weight: &Tensor,
+    bias: Option<&Tensor>,
+    g: ConvGeom,
+) -> Tensor {
+    assert_eq!(input.ndim(), 4, "upsample_conv2d input must be [N,C,H,W]");
+    let [n, c, h, w] = [0, 1, 2, 3].map(|i| input.shape()[i]);
+    let d = dims(&[n, c, out_h, out_w], weight.shape(), g);
+    check_bias(bias, d.o);
+    let (src, pad, bl) = (input.data(), g.pad, Bilinear::new(h, w, out_h, out_w));
+    let wp = out_w + 2 * pad;
+    // Padded row `p` is upsampled row `p − pad`; the rest is zero padding.
+    let fill = |ni: usize, p0: usize, band_hp: usize, band: &mut [f32]| {
+        let j0 = pad.saturating_sub(p0).min(band_hp);
+        let j1 = (out_h + pad).saturating_sub(p0).clamp(j0, band_hp);
+        let mut scratch = Buffer::uninit(bl.scratch_len());
+        for (ci, dst) in band.chunks_exact_mut(band_hp * wp).enumerate() {
+            let (top, rest) = dst.split_at_mut(j0 * wp);
+            let (body, bottom) = rest.split_at_mut((j1 - j0) * wp);
+            top.fill(0.0);
+            bottom.fill(0.0);
+            for drow in body.chunks_exact_mut(wp) {
+                drow[..pad].fill(0.0);
+                drow[pad + out_w..].fill(0.0);
+            }
+            let plane = &src[(ni * c + ci) * h * w..][..h * w];
+            let rows = body.chunks_exact_mut(wp).map(|r| &mut r[pad..pad + out_w]);
+            bl.rows(plane, (p0 + j0).saturating_sub(pad), rows, &mut scratch);
+        }
+    };
+    let out = conv_direct(fill, [n, c, out_h + 2 * pad, wp], weight.data(), [d.o, g.kh, g.kw], bias.map(Tensor::data));
     Tensor::from_vec(vec![d.n, d.o, d.oh, d.ow], out)
 }
 
@@ -175,34 +226,39 @@ fn check_bias(bias: Option<&Tensor>, o: usize) {
 const BAND_ROWS: usize = 8;
 
 /// Widest strip of output pixels any block shape computes at once; also the
-/// slack appended to the padded scratch, which a ragged last strip reads
-/// (and discards) past the end of its row.
+/// slack appended to a band scratch, which a ragged last strip reads (and
+/// discards) past the end of its row.
 const MAX_STRIP: usize = 4 * LANES;
 
-/// Copy `planes` planes of `[h, w]` into `[h + 2·pad_h, w + 2·pad_w]` planes
-/// with a zero border, followed by `slack` zeros. A negative pad crops
-/// instead. The scratch is pooled and every element is written here.
-fn pad_planes(src: &[f32], planes: usize, h: usize, w: usize, pad: (isize, isize), slack: usize) -> Buffer {
-    let (hp, wp) = (padded(h, pad.0), padded(w, pad.1));
-    let mut buf = Buffer::uninit(planes * hp * wp + slack);
-    let (body, tail) = buf.split_at_mut(planes * hp * wp);
-    tail.fill(0.0);
-    if body.is_empty() {
+/// Padded row `r` of one `[h, w]` plane under zero padding `pad` (rows,
+/// columns; a negative pad crops instead), written whole into `drow`.
+fn pad_row(plane: &[f32], h: usize, w: usize, pad: (isize, isize), r: usize, drow: &mut [f32]) {
+    let sy = r as isize - pad.0;
+    if !(0..h as isize).contains(&sy) {
+        drow.fill(0.0);
+        return;
+    }
+    // Columns `sx0..sx0 + cw` of the source row land at `dx0..` of `drow`.
+    let (sx0, dx0) = if pad.1 < 0 { (pad.1.unsigned_abs(), 0) } else { (0, pad.1 as usize) };
+    let cw = w.min(drow.len());
+    drow[..dx0].fill(0.0);
+    drow[dx0..dx0 + cw].copy_from_slice(&plane[sy as usize * w + sx0..][..cw]);
+    drow[dx0 + cw..].fill(0.0);
+}
+
+/// Copy `planes` planes of `[h, w]` into `[h + 2·pad, w + 2·pad]` planes
+/// with a zero border: the whole padded image the weight gradient's row
+/// dots read. The scratch is pooled and every element is written here.
+fn pad_planes(src: &[f32], planes: usize, h: usize, w: usize, pad: usize) -> Buffer {
+    let (hp, wp) = (h + 2 * pad, w + 2 * pad);
+    let mut buf = Buffer::uninit(planes * hp * wp);
+    if buf.is_empty() {
         return buf;
     }
-    // Columns `sx0..sx0 + cw` of a source row land at `dx0..` of its padded row.
-    let (sx0, dx0) = if pad.1 < 0 { (pad.1.unsigned_abs(), 0) } else { (0, pad.1 as usize) };
-    let cw = w.min(wp);
-    body.par_chunks_mut(hp * wp).zip(src.par_chunks(h * w)).with_min_len(par::min_items(hp * wp)).for_each(|(dst, plane)| {
+    let pad = (pad as isize, pad as isize);
+    buf.par_chunks_mut(hp * wp).zip(src.par_chunks(h * w)).with_min_len(par::min_items(hp * wp)).for_each(|(dst, plane)| {
         for (r, drow) in dst.chunks_exact_mut(wp).enumerate() {
-            let sy = r as isize - pad.0;
-            if (0..h as isize).contains(&sy) {
-                drow[..dx0].fill(0.0);
-                drow[dx0..dx0 + cw].copy_from_slice(&plane[sy as usize * w + sx0..][..cw]);
-                drow[dx0 + cw..].fill(0.0);
-            } else {
-                drow.fill(0.0);
-            }
+            pad_row(plane, h, w, pad, r, drow);
         }
     });
     buf
@@ -214,12 +270,9 @@ fn padded(size: usize, pad: isize) -> usize {
 
 /// Stride-1 convolution of `src [n,c,h,w]` with `weight [o,c,kh,kw]` under
 /// zero padding `pad` (rows, columns; negative crops), into a fresh
-/// `[n, o, h + 2·pad.0 − kh + 1, w + 2·pad.1 − kw + 1]` buffer.
-///
-/// The block shape comes from `o` alone: three channels × four vectors for
-/// the skinny outputs at fine resolution (64→3, 16→3), four × three for
-/// everything wider (7→64, and 3→64 when this runs as the input gradient).
-fn conv_direct(
+/// `[n, o, h + 2·pad.0 − kh + 1, w + 2·pad.1 − kw + 1]` buffer: the band
+/// filler copies each band's padded rows out of the input.
+fn conv_copied(
     src: &[f32],
     [n, c, h, w]: [usize; 4],
     weight: &[f32],
@@ -227,32 +280,60 @@ fn conv_direct(
     pad: (isize, isize),
     bias: Option<&[f32]>,
 ) -> Vec<f32> {
+    let (hp, wp) = (padded(h, pad.0), padded(w, pad.1));
+    let fill = |ni: usize, p0: usize, band_hp: usize, band: &mut [f32]| {
+        let sample = &src[ni * c * h * w..][..c * h * w];
+        for (plane, dst) in sample.chunks_exact(h * w).zip(band.chunks_exact_mut(band_hp * wp)) {
+            for (r, drow) in (p0..).zip(dst.chunks_exact_mut(wp)) {
+                pad_row(plane, h, w, pad, r, drow);
+            }
+        }
+    };
+    conv_direct(fill, [n, c, hp, wp], weight, [o, kh, kw], bias)
+}
+
+/// Stride-1 convolution of an `[n, c, hp, wp]` padded input, which exists
+/// only as `fill`: `fill(sample, p0, band_hp, band)` writes padded rows
+/// `p0..p0 + band_hp` of each of the sample's `c` planes into `band`, plane
+/// after plane. Into a fresh `[n, o, hp − kh + 1, wp − kw + 1]` buffer.
+///
+/// The block shape comes from `o` alone: three channels × four vectors for
+/// the skinny outputs at fine resolution (64→3, 16→3), four × three for
+/// everything wider (7→64, and 3→64 when this runs as the input gradient).
+fn conv_direct<F>(fill: F, nchw: [usize; 4], weight: &[f32], [o, kh, kw]: [usize; 3], bias: Option<&[f32]>) -> Vec<f32>
+where
+    F: Fn(usize, usize, usize, &mut [f32]) + Sync,
+{
     if o <= 3 {
-        conv_blocked::<3, 4>(src, [n, c, h, w], weight, [o, kh, kw], pad, bias)
+        conv_blocked::<3, 4, F>(&fill, nchw, weight, [o, kh, kw], bias)
     } else {
-        conv_blocked::<4, 3>(src, [n, c, h, w], weight, [o, kh, kw], pad, bias)
+        conv_blocked::<4, 3, F>(&fill, nchw, weight, [o, kh, kw], bias)
     }
 }
 
 /// [`conv_direct`] at one block shape: `OB` output channels × `S` vectors of
 /// output pixels per register tile (`OB · S = 12` accumulators).
-fn conv_blocked<const OB: usize, const S: usize>(
-    src: &[f32],
-    [n, c, h, w]: [usize; 4],
+fn conv_blocked<const OB: usize, const S: usize, F>(
+    fill: &F,
+    [n, c, hp, wp]: [usize; 4],
     weight: &[f32],
     [o, kh, kw]: [usize; 3],
-    pad: (isize, isize),
     bias: Option<&[f32]>,
-) -> Vec<f32> {
+) -> Vec<f32>
+where
+    F: Fn(usize, usize, usize, &mut [f32]) + Sync,
+{
     const { assert!(S * LANES <= MAX_STRIP) };
-    let (hp, wp) = (padded(h, pad.0), padded(w, pad.1));
     let (oh, ow) = (hp + 1 - kh, wp + 1 - kw);
     // Every element is stored below.
     let mut out = pool::alloc_uninit(n * o * oh * ow);
     if out.is_empty() {
         return out;
     }
-    let xp = pad_planes(src, n * c, h, w, pad, MAX_STRIP);
+    // A band's padded rows: its output rows plus the kernel's halo. The
+    // ragged last band fills as many (those past the padded input are never
+    // read), so every task's scratch is one pool size.
+    let band_hp = BAND_ROWS.min(oh) + kh - 1;
 
     // Weights regrouped per output-channel block as `[block][ci·ky·kx][OB]`,
     // a ragged last block zero-filled: the k-loop then reads `OB` adjacent
@@ -268,7 +349,9 @@ fn conv_blocked<const OB: usize, const S: usize>(
     }
 
     // One task per (sample, band of output rows): the band's rows of every
-    // output channel, so a single-sample call still fills every core.
+    // output channel, so a single-sample call still fills every core. Each
+    // task fills its own pooled band scratch, plus one strip of slack that a
+    // ragged last strip reads (and discards) past the end of its row.
     let mut tasks: Vec<(usize, usize, Vec<&mut [f32]>)> = Vec::new();
     for (ni, sample) in out.chunks_mut(o * oh * ow).enumerate() {
         let mut planes: Vec<_> = sample.chunks_mut(oh * ow).map(|p| p.chunks_mut(BAND_ROWS * ow)).collect();
@@ -277,16 +360,19 @@ fn conv_blocked<const OB: usize, const S: usize>(
             tasks.push((ni, oy0, rows));
         }
     }
-    let (xp, wpack): (&[f32], &[f32]) = (&xp, &wpack);
-    let band_work = o * BAND_ROWS * ow * taps / MACS_PER_VISIT;
+    let wpack: &[f32] = &wpack;
+    let band_work = o * BAND_ROWS * ow * taps / MACS_PER_VISIT + c * band_hp * wp;
     tasks.par_iter_mut().with_min_len(par::min_items(band_work)).for_each(|(ni, oy0, rows)| {
-        let sample = &xp[*ni * c * hp * wp..];
+        let mut band = Buffer::uninit(c * band_hp * wp + MAX_STRIP);
+        let (body, slack) = band.split_at_mut(c * band_hp * wp);
+        slack.fill(0.0);
+        fill(*ni, *oy0, band_hp, body);
         for (blk, orows) in rows.chunks_mut(OB).enumerate() {
             let wblk = &wpack[blk * taps * OB..][..taps * OB];
             let bblk = bias.map(|b| &b[blk * OB..][..orows.len()]);
             for r in 0..orows[0].len() / ow {
                 for x0 in (0..ow).step_by(S * LANES) {
-                    let acc = tile::<OB, S>(sample, c, hp * wp, wp, kh, kw, wblk, (*oy0 + r) * wp + x0);
+                    let acc = tile::<OB, S>(&band, c, band_hp * wp, wp, kh, kw, wblk, r * wp + x0);
                     let xe = (x0 + S * LANES).min(ow);
                     for (oi, orow) in orows.iter_mut().enumerate() {
                         store_strip(&acc[oi], bblk.map(|b| b[oi]), &mut orow[r * ow + x0..r * ow + xe]);
@@ -371,7 +457,7 @@ pub fn conv2d_grad_input(grad_out: &Tensor, weight: &Tensor, input_shape: &[usiz
         dst.iter_mut().zip(src.iter().rev()).for_each(|(d, &s)| *d = s);
     }
     let pad = (g.kh as isize - 1 - g.pad as isize, g.kw as isize - 1 - g.pad as isize);
-    let out = conv_direct(god, [n, o, oh, ow], &flipped, [c, g.kh, g.kw], pad, None);
+    let out = conv_copied(god, [n, o, oh, ow], &flipped, [c, g.kh, g.kw], pad, None);
     Tensor::from_vec(input_shape.to_vec(), out)
 }
 
@@ -389,8 +475,7 @@ pub fn conv2d_grad_weight(grad_out: &Tensor, input: &Tensor, weight_shape: &[usi
     if out.is_empty() || god.is_empty() {
         return Tensor::from_vec(weight_shape.to_vec(), out);
     }
-    let pad = g.pad as isize;
-    let xp = pad_planes(src, n * c, h, w, (pad, pad), 0);
+    let xp = pad_planes(src, n * c, h, w, g.pad);
     let (hp, wp) = (h + 2 * g.pad, w + 2 * g.pad);
     // Computed as `[C, O, KH, KW]` so each input channel's task owns a
     // contiguous slice, then transposed into `[O, C, KH, KW]`.
@@ -474,6 +559,46 @@ mod tests {
             let x = randn(&[1, c, h, w], 11);
             let wt = randn(&[o, c, 3, 3], 12);
             assert_eq!(bits(&conv2d(&x, &wt, None, g)), bits(&conv2d_ref(&x, &wt, None, g)), "{c}->{o} {h}x{w}");
+        }
+    }
+
+    #[test]
+    fn upsample_conv_is_bit_identical_to_resize_then_conv() {
+        use crate::resize::{resize, ResizeMode};
+        let same3 = ConvGeom::same(3);
+        // (n, c, o, h, w, out_h, out_w, geometry), against the 8-row band
+        // and the 24/32-pixel strips of the two block shapes.
+        let cases = [
+            // The tails' own shape: 4x up, 64 -> 3, a ragged last band.
+            (1, 64, 3, 17, 20, 68, 80, same3),
+            // out_h < 8: one short band; O > 3 and a ragged pixel strip.
+            (1, 5, 7, 2, 9, 5, 37, same3),
+            // C = 1, N = 2, O > 3 with a ragged channel block.
+            (2, 1, 5, 6, 7, 24, 28, same3),
+            // Non-integer ratios both ways, a ragged band and strip.
+            (2, 3, 3, 7, 11, 19, 26, same3),
+            // A downsampling ratio.
+            (1, 4, 2, 20, 33, 9, 14, same3),
+            // 1-pixel axes: source and output.
+            (1, 2, 4, 1, 9, 6, 31, same3),
+            (1, 3, 3, 8, 1, 17, 1, same3),
+            (1, 2, 1, 1, 1, 1, 1, same3),
+            // Other halos: none, two rows, none padded (a valid conv), and
+            // a pad past the kernel (bands that start in whole zero rows).
+            (1, 3, 4, 5, 6, 11, 13, ConvGeom::same(1)),
+            (1, 3, 3, 5, 6, 18, 21, ConvGeom::same(5)),
+            (1, 2, 5, 4, 4, 12, 30, ConvGeom { kh: 3, kw: 3, pad: 0 }),
+            (1, 2, 3, 4, 4, 10, 9, ConvGeom { kh: 1, kw: 3, pad: 2 }),
+        ];
+        for (i, &(n, c, o, h, w, oh, ow, g)) in cases.iter().enumerate() {
+            let seed = 100 + 4 * i as u64;
+            let (x, wt, b) = (randn(&[n, c, h, w], seed), randn(&[o, c, g.kh, g.kw], seed + 1), randn(&[o], seed + 2));
+            for bias in [Some(&b), None] {
+                let composed = conv2d(&resize(&x, oh, ow, ResizeMode::Bilinear), &wt, bias, g);
+                let banded = upsample_conv2d(&x, oh, ow, &wt, bias, g);
+                assert_eq!(banded.shape(), composed.shape());
+                assert_eq!(bits(&banded), bits(&composed), "case {i}: {n}x{c}x{h}x{w} -> {oh}x{ow}, {c}->{o}, {g:?}");
+            }
         }
     }
 

@@ -10,7 +10,7 @@
 //! independent channels.
 
 use crate::par;
-use crate::pool;
+use crate::pool::{self, Buffer};
 use crate::tensor::Tensor;
 use rayon::prelude::*;
 
@@ -30,8 +30,9 @@ fn nearest_taps(out: usize, size: usize) -> Vec<usize> {
 }
 
 /// Bilinear taps of each output coordinate along one axis, half-pixel
-/// centers: `(i0, i1, weight of i1)`.
-fn bilinear_taps(out: usize, size: usize) -> Vec<(usize, usize, f32)> {
+/// centers: `(i0, i1, weight of i1)`. The forward and its tape adjoint
+/// both read this table.
+pub fn bilinear_taps(out: usize, size: usize) -> Vec<(usize, usize, f32)> {
     let scale = size as f32 / out as f32;
     (0..out)
         .map(|o| {
@@ -40,6 +41,78 @@ fn bilinear_taps(out: usize, size: usize) -> Vec<(usize, usize, f32)> {
             (i0, (i0 + 1).min(size - 1), f - i0 as f32)
         })
         .collect()
+}
+
+/// One `[h, w] → [out_h, out_w]` bilinear resize with its taps built once,
+/// and the one routine that computes its rows: [`resize`] runs it over whole
+/// planes, `conv::upsample_conv2d` over the few rows a band reads.
+pub(crate) struct Bilinear {
+    w: usize,
+    ys: Vec<(usize, usize, f32)>,
+    /// Per output column: the left and right source column, `1 − wx`, `wx`.
+    x0: Vec<usize>,
+    x1: Vec<usize>,
+    bx: Vec<f32>,
+    wx: Vec<f32>,
+}
+
+impl Bilinear {
+    pub(crate) fn new(h: usize, w: usize, out_h: usize, out_w: usize) -> Self {
+        let xs = bilinear_taps(out_w, w);
+        Self {
+            w,
+            ys: bilinear_taps(out_h, h),
+            x0: xs.iter().map(|t| t.0).collect(),
+            x1: xs.iter().map(|t| t.1).collect(),
+            bx: xs.iter().map(|t| 1.0 - t.2).collect(),
+            wx: xs.iter().map(|t| t.2).collect(),
+        }
+    }
+
+    /// Scratch one [`rows`](Self::rows) call needs: two source rows, each
+    /// gathered at both x taps.
+    pub(crate) fn scratch_len(&self) -> usize {
+        4 * self.x0.len()
+    }
+
+    /// Output rows `first, first + 1, …` of one `[h, w]` plane, one per
+    /// `dst` slice (`out_w` long). Each source row is gathered once at the x
+    /// taps into `scratch` (row `y` in slot `y % 2`: the rows read only
+    /// climb, so a slot is refilled only when its row is done); each output
+    /// row is then one unit-stride pass over its two gathered rows, with
+    /// every value the expression and operation order of the per-pixel
+    /// formulation.
+    pub(crate) fn rows<'a>(
+        &self,
+        plane: &[f32],
+        first: usize,
+        dst: impl IntoIterator<Item = &'a mut [f32]>,
+        scratch: &mut [f32],
+    ) {
+        let ow = self.x0.len();
+        let mut held = [usize::MAX; 2];
+        for (oy, drow) in (first..).zip(dst) {
+            let (y0, y1, wy) = self.ys[oy];
+            for y in [y0, y1] {
+                if held[y % 2] != y {
+                    held[y % 2] = y;
+                    let row = &plane[y * self.w..][..self.w];
+                    let (g0, g1) = scratch[y % 2 * 2 * ow..][..2 * ow].split_at_mut(ow);
+                    for (((a, b), &i0), &i1) in g0.iter_mut().zip(g1).zip(&self.x0).zip(&self.x1) {
+                        *a = row[i0];
+                        *b = row[i1];
+                    }
+                }
+            }
+            let (v00, v01) = scratch[y0 % 2 * 2 * ow..][..2 * ow].split_at(ow);
+            let (v10, v11) = scratch[y1 % 2 * 2 * ow..][..2 * ow].split_at(ow);
+            let a = 1.0 - wy;
+            let taps = v00.iter().zip(v01).zip(v10.iter().zip(v11)).zip(self.bx.iter().zip(&self.wx));
+            for (d, (((&p00, &p01), (&p10, &p11)), (&b, &wx))) in drow[..ow].iter_mut().zip(taps) {
+                *d = p00 * a * b + p01 * a * wx + p10 * wy * b + p11 * wy * wx;
+            }
+        }
+    }
 }
 
 /// Resize the trailing two axes of `t` to `(out_h, out_w)`.
@@ -69,18 +142,10 @@ pub fn resize(t: &Tensor, out_h: usize, out_w: usize, mode: ResizeMode) -> Tenso
             });
         }
         ResizeMode::Bilinear => {
-            let (ys, xs) = (bilinear_taps(out_h, h), bilinear_taps(out_w, w));
+            let bl = Bilinear::new(h, w, out_h, out_w);
             out.par_chunks_mut(out_h * out_w).enumerate().with_min_len(plane_grain).for_each(|(l, dst)| {
-                let plane = &src[l * h * w..(l + 1) * h * w];
-                for (drow, &(y0, y1, wy)) in dst.chunks_exact_mut(out_w).zip(&ys) {
-                    let (r0, r1) = (&plane[y0 * w..][..w], &plane[y1 * w..][..w]);
-                    for (d, &(x0, x1, wx)) in drow.iter_mut().zip(&xs) {
-                        *d = r0[x0] * (1.0 - wy) * (1.0 - wx)
-                            + r0[x1] * (1.0 - wy) * wx
-                            + r1[x0] * wy * (1.0 - wx)
-                            + r1[x1] * wy * wx;
-                    }
-                }
+                let mut scratch = Buffer::uninit(bl.scratch_len());
+                bl.rows(&src[l * h * w..(l + 1) * h * w], 0, dst.chunks_exact_mut(out_w), &mut scratch);
             });
         }
     }

@@ -133,6 +133,20 @@ jq -r '
     | "attention/fused vs composed/\($n)\tfused \($r["attention/fused/" + $n]) ns\tcomposed \($r["attention/composed/" + $n]) ns\tfused / composed \(($r["attention/fused/" + $n] / $r["attention/composed/" + $n] * 100 | round) / 100)x"
 ' "$OUT_JSON"
 
+# The convolution tails, same snapshot: the session's banded
+# `upsample_conv2d` against the `resize → conv2d` composition the tape runs,
+# on the same operands. 0.9-1.0x at 64x68to272 and about 1.0x at
+# 16x32x64to128x256 on the reference 2-core guest: what the op saves is
+# the upsampled image's memory (18.9 MB and its padded copy at 64x68to272),
+# and the halo rows each band interpolates again cost about what that
+# image's round trip through memory did.
+jq -r '
+    .[-1].runs[0].results
+    | (map({(.bench): .median_ns}) | add) as $r
+    | $r | keys[] | select(startswith("upsample_conv/banded/")) | split("/")[2] as $n
+    | "upsample_conv/banded vs composed/\($n)\tbanded \($r["upsample_conv/banded/" + $n]) ns\tcomposed \($r["upsample_conv/composed/" + $n]) ns\tbanded / composed \(($r["upsample_conv/banded/" + $n] / $r["upsample_conv/composed/" + $n] * 100 | round) / 100)x"
+' "$OUT_JSON"
+
 # The training step's non-math, same snapshot: the trainer's two sweeps
 # (reduce into the accumulation arena + Adam over the moment arenas) against
 # the sequential composition they replaced, on the same gradients.

@@ -38,6 +38,13 @@
 # the trait method `infer.rs` must implement. This keeps the composition
 # from coming back beside the op.
 #
+# Tail gate (the same header): a convolution tail is one op,
+# `Exec::upsample_conv`, whose default body in `exec.rs` is the composition
+# `resize_bilinear → conv2d`. So outside test modules no file under
+# `crates/model/src` but `exec.rs` (the trait and the tape's method) and
+# `infer.rs` (the session's method) mentions `resize_bilinear`: a model file
+# cannot call the resize beside the op and build the upsampled image again.
+#
 # One-inference-call gate (DESIGN.md §10): the server runs each request
 # through `orbit2::inference::downscale_with` and nothing else, so nothing
 # under `crates/serve/src` names `.forward(`, `forward_batch`, `split_stack`
@@ -128,6 +135,15 @@ done)"
 if [[ -n "$composed_attn" ]]; then
     echo "lint: matmul_nt outside exec.rs under crates/model/src (attention is one op: Exec::attention):" >&2
     echo "$composed_attn" >&2
+    exit 1
+fi
+composed_tail="$(for f in crates/model/src/*.rs; do
+    case "$f" in crates/model/src/exec.rs | crates/model/src/infer.rs) continue ;; esac
+    awk -v f="$f" '/^mod tests \{/ { exit } /resize_bilinear/ { print f ":" FNR ": " $0 }' "$f"
+done)"
+if [[ -n "$composed_tail" ]]; then
+    echo "lint: resize_bilinear outside exec.rs and infer.rs under crates/model/src (a tail is one op: Exec::upsample_conv):" >&2
+    echo "$composed_tail" >&2
     exit 1
 fi
 serve_forward="$(grep -rnE '\.forward\(|forward_batch|split_stack|stitch_predictions' crates/serve/src || true)"

@@ -12,7 +12,7 @@
 use orbit2_autograd::params::GradMap;
 use orbit2_autograd::{Adam, GradAccumulator, ParamLayout, ParamStore};
 use orbit2_tensor::attention::multi_head_attention;
-use orbit2_tensor::conv::{conv2d, conv2d_grad_input, conv2d_grad_weight, ConvGeom};
+use orbit2_tensor::conv::{conv2d, conv2d_grad_input, conv2d_grad_weight, upsample_conv2d, ConvGeom};
 use orbit2_tensor::fused::{layer_norm_rows, matmul_bias_act, matmul_bias_act_cached, Activation, WeightPrecision};
 use orbit2_tensor::par::{GRAIN, MACS_PER_VISIT};
 use orbit2_tensor::random::randn;
@@ -109,6 +109,18 @@ fn conv(visits: usize) -> Bits {
     bits([y.data(), gi.data(), gw.data()])
 }
 
+fn upsample_conv(visits: usize) -> Bits {
+    // The tails' skinny block shape over a 2x upsample: three bands (the
+    // last ragged) of a 28-pixel row. A sample carries its multiply-adds
+    // per vector plus about one interpolated value per input channel and
+    // output pixel.
+    let (c, o, h, w, g) = (8, 3, 10, 14, ConvGeom::same(3));
+    let (oh, ow) = (2 * h, 2 * w);
+    let n = rows_for(visits, (o * c * 9 / MACS_PER_VISIT + c) * oh * ow) + 1;
+    let (x, wt, b) = (randn(&[n, c, h, w], 65), randn(&[o, c, 3, 3], 66), randn(&[o], 67));
+    bits([upsample_conv2d(&x, oh, ow, &wt, Some(&b), g).data()])
+}
+
 fn attention(visits: usize) -> Bits {
     // One parallel call per head over its blocks of query rows: `n` tokens
     // carry `visits`, `5·n²` in the kernel's grain (two 16-wide products
@@ -143,7 +155,7 @@ fn sweep(visits: usize) -> Bits {
 #[test]
 fn every_parallel_kernel_is_bit_identical_under_any_split() {
     // The GEMM has a floor of its own, sixteen grains, before it is cut.
-    let table: [Row; 10] = [
+    let table: [Row; 11] = [
         ("elementwise", elementwise, 3),
         ("sum", sum, 3),
         ("gemm", gemm, 17),
@@ -152,6 +164,7 @@ fn every_parallel_kernel_is_bit_identical_under_any_split() {
         ("layer-norm rows", layer_norm, 3),
         ("resize", resizes, 3),
         ("conv", conv, 3),
+        ("upsample conv", upsample_conv, 3),
         ("sweep", sweep, 3),
         // Blocks are whole items: 4.5 grains is 6 blocks, 2 per piece.
         ("attention", attention, 4),

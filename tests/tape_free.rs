@@ -2,6 +2,12 @@
 //! tape's forward pass: both execution contexts drive the same tensor
 //! kernels in the same order, so there is no tolerance here — `data()`
 //! equality, exactly.
+//!
+//! Where they do not, the composites of `orbit2_model::exec`, every Reslim
+//! case below compares the session's kernel against the tape's
+//! composition: attention in the encoder, and `Exec::upsample_conv` in
+//! both convolution tails, the decoder's and the residual path's, whose
+//! sum is the output.
 
 use orbit2::tiling::{split_stack, stitch_predictions};
 use orbit2_autograd::Tape;
