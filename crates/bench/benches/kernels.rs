@@ -14,8 +14,8 @@ use orbit2_tensor::attention::{multi_head_attention, naive_attention};
 use orbit2_tensor::bf16::bf16_round_slice;
 use orbit2_tensor::conv::{conv2d, conv2d_grad_input, conv2d_grad_weight, upsample_conv2d, ConvGeom};
 use orbit2_tensor::fused::{
-    act_backward, layer_norm_rows, matmul_bias_act, matmul_bias_act_cached, softmax_rows,
-    Activation, WeightPrecision,
+    act_backward, layer_norm_rows, matmul_bias_act, matmul_bias_act_cached, matmul_bias_act_in_place,
+    softmax_rows, Activation, WeightPrecision,
 };
 use orbit2_tensor::qgemm::{gemm_strips_ref, PackedWeight};
 use orbit2_tensor::random::randn;
@@ -51,10 +51,34 @@ fn bench_matmul(c: &mut Criterion) {
 /// `Q K^T` of its attention composition on a 612-token tile (`nt`) and the
 /// MLP weight gradient of a 45-token `train-step` tile (`tn`). `gemm_ref/256` is the scalar
 /// oracle on the `gemm_f32/256` operands: the in-run reference for
-/// same-snapshot ratios.
+/// same-snapshot ratios. The f32 group also times an inference session's
+/// linears with the weight read in place (`gemm_f32/inplace/*`,
+/// `fused::matmul_bias_act_in_place`) beside the resident pack on the same
+/// operands: `m` swept over 1024×1024 around `fused::IN_PLACE_MAX_ROWS`,
+/// the 126M model's MLP at 32 tokens, and the long linears of a TILES
+/// tile (the 9.5M model at 1156 tokens, the tiny one at 512).
 fn bench_packed_gemm(c: &mut Criterion) {
     const SHAPES: [(usize, usize, usize); 5] =
         [(256, 256, 256), (512, 512, 512), (32, 1024, 4096), (32, 4096, 1024), (1156, 256, 1024)];
+    const IN_PLACE: [(usize, usize, usize); 17] = [
+        (8, 1024, 1024),
+        (16, 1024, 1024),
+        (32, 1024, 1024),
+        (48, 1024, 1024),
+        (64, 1024, 1024),
+        (96, 1024, 1024),
+        (128, 1024, 1024),
+        (192, 1024, 1024),
+        (256, 1024, 1024),
+        (32, 1024, 4096),
+        (32, 4096, 1024),
+        (1156, 256, 768),
+        (1156, 256, 1024),
+        (1156, 1024, 256),
+        (512, 32, 96),
+        (512, 32, 128),
+        (512, 128, 32),
+    ];
     for precision in WeightPrecision::ALL {
         let mut group = c.benchmark_group(format!("gemm_{}", precision.label()));
         group.sample_size(10);
@@ -91,6 +115,19 @@ fn bench_packed_gemm(c: &mut Criterion) {
             group.bench_function(BenchmarkId::from_parameter("1024x45x256_tn"), |bench| {
                 bench.iter(|| gz.matmul_tn(&x))
             });
+            for &(m, k, n) in &IN_PLACE {
+                let (x, w, b) = (randn(&[m, k], 31), randn(&[n, k], 32), randn(&[n], 33));
+                let name = format!("{m}x{k}x{n}");
+                if !SHAPES.contains(&(m, k, n)) {
+                    let pack = PackedWeight::pack(&w, precision);
+                    group.bench_function(BenchmarkId::from_parameter(&name), |bench| {
+                        bench.iter(|| matmul_bias_act_cached(&x, &w, pack.as_ref(), Some(&b), Activation::Identity))
+                    });
+                }
+                group.bench_function(BenchmarkId::new("inplace", &name), |bench| {
+                    bench.iter(|| matmul_bias_act_in_place(&x, &w, Some(&b), Activation::Identity))
+                });
+            }
         }
         group.finish();
     }

@@ -7,7 +7,8 @@
 //! instantiates it with [`crate::infer::InferenceSession`]
 //! (`Value = SessionValue`): the same tensor kernels run directly on
 //! pooled tensors — no tape nodes, no pre-activation storage, and linear
-//! weights packed once per session instead of once per call.
+//! weights read in place or packed once per session instead of once per
+//! call.
 //!
 //! Both implementations route each op but two through the *same*
 //! underlying `orbit2-tensor` kernel (the `Var` forwards are thin wrappers

@@ -4,14 +4,28 @@
 //! it implements [`Exec`] directly on pooled tensors, so a forward pass
 //! records no tape nodes, stores no pre-activations, and accumulates no
 //! backward closures. Weights are taken from the model's `ParamStore` once
-//! at session creation; every linear weight additionally gets its `W^T`
-//! packed into microkernel strips right there ([`PackedWeight`]) and the
-//! pack stays resident for the session's lifetime — the per-call pack that
-//! `matmul_bias_act` pays on the tape path disappears entirely.
+//! at session creation, and a linear layer reads its weight one of two
+//! ways, each bit-identical to the tape's `matmul_bias_act`:
+//!
+//! * **in place**: in an f32 session, a product of at most
+//!   [`IN_PLACE_MAX_ROWS`] rows streams the `[n, k]` weight where it lies
+//!   ([`matmul_bias_act_in_place`]). The weight is the store's tensor, a
+//!   COW handle, so a session serving short sequences holds each weight
+//!   once;
+//! * **through a resident `W^T` pack** ([`PackedWeight`]): every longer
+//!   product, and every product of a bf16 or int8 session. A narrow session
+//!   packs at prepare, since its pack is the only narrow copy of the
+//!   weight. An f32 session builds its packs the first time a long product
+//!   needs them, all at once behind one `OnceLock`, and keeps them for its
+//!   lifetime.
 //!
 //! A session is `Send + Sync`: the TILES inference driver shares one
-//! session across its rayon tile workers, so the pack cost is paid once
-//! per *model*, not once per tile or per sample.
+//! session across its rayon tile workers, so a pack is paid once per
+//! *model*, not once per tile or per sample. `downscale_with` asks for the
+//! packs on its own thread before it forks the tiles
+//! ([`ReslimModel::prepare_session`](crate::ReslimModel::prepare_session)):
+//! a pack built on a tile worker lands in that worker's malloc arena and
+//! stays resident there (DESIGN.md §9).
 //!
 //! The one precision axis is the resident *weight* storage
 //! ([`SessionPrecision`]); activations are always f32 tensors.
@@ -20,33 +34,35 @@ use crate::exec::{Exec, RowGroups};
 use orbit2_autograd::ParamStore;
 use orbit2_tensor::attention::multi_head_attention;
 use orbit2_tensor::conv::{conv2d, upsample_conv2d, ConvGeom};
-use orbit2_tensor::fused::{layer_norm_rows, matmul_bias_act_cached, Activation};
+use orbit2_tensor::fused::{
+    layer_norm_rows, matmul_bias_act_cached, matmul_bias_act_in_place, Activation, IN_PLACE_MAX_ROWS,
+};
 use orbit2_tensor::qgemm::PackedWeight;
 use orbit2_tensor::resize::{resize, ResizeMode};
 use orbit2_tensor::Tensor;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::OnceLock;
 
 /// Storage precision of a session's resident weights — re-exported from the
 /// tensor crate so model-level callers need not name the kernel layer.
 pub use orbit2_tensor::fused::WeightPrecision as SessionPrecision;
 
 /// A value flowing through a tape-free forward pass: an f32 tensor plus,
-/// for session-resident weights, the shared `W^T` pack.
+/// for a session weight the pack gate admits, its slot in the session's
+/// `W^T` pack set.
 ///
-/// Cloning is cheap (a COW tensor handle plus an `Arc` bump for the pack).
-/// Intermediate results carry no pack; only values returned by
-/// [`Exec::param`] on a session do, which is exactly where
-/// [`Exec::linear_act`] looks for it.
+/// Cloning is cheap (a COW tensor handle). Intermediate results carry no
+/// slot; only values returned by [`Exec::param`] on a session do, which is
+/// exactly where [`Exec::linear_act`] looks for it.
 #[derive(Clone, Debug)]
 pub struct SessionValue {
     tensor: Tensor,
-    pack: Option<Arc<PackedWeight>>,
+    slot: Option<usize>,
 }
 
 impl SessionValue {
     fn plain(tensor: Tensor) -> Self {
-        SessionValue { tensor, pack: None }
+        SessionValue { tensor, slot: None }
     }
 
     /// The value as a tensor (a COW handle clone, no data copy).
@@ -63,18 +79,25 @@ impl SessionValue {
 /// Tape-free execution context holding session-resident weights and packs.
 pub struct InferenceSession {
     values: BTreeMap<String, SessionValue>,
+    precision: SessionPrecision,
+    /// The `W^T` packs by slot: set at prepare in a bf16 or int8 session,
+    /// built by the first caller of [`Self::packs`] in an f32 one.
+    packs: OnceLock<Vec<PackedWeight>>,
 }
 
 impl InferenceSession {
-    /// Snapshot a parameter store for inference, packing every eligible
-    /// linear weight (2-d, enough output features for the packed
-    /// microkernel) exactly once. Biases, layer-norm gains and conv
-    /// kernels are held unpacked — no GEMM ever consumes them as `B`.
+    /// Snapshot a parameter store for inference at f32. Every linear weight
+    /// the pack gate admits (2-d, enough output features for the packed
+    /// microkernel) gets a slot, and nothing is packed until a product
+    /// longer than [`IN_PLACE_MAX_ROWS`] rows needs it. Biases, layer-norm
+    /// gains and conv kernels never pack — no GEMM consumes them as `B`.
     pub(crate) fn prepare(store: &ParamStore) -> Self {
         Self::prepare_at(store, SessionPrecision::F32)
     }
 
-    /// [`prepare`](Self::prepare) at a reduced weight precision.
+    /// [`prepare`](Self::prepare) at any weight precision. A reduced one
+    /// packs every slot right here: its pack is the session's only narrow
+    /// copy of the weight.
     ///
     /// The resident tensor for every parameter is the *dequantized* value of
     /// whatever the packs hold, so eligible GEMMs (through the pack) and
@@ -90,31 +113,57 @@ impl InferenceSession {
     ///   f32 — no kernel consumes int8 for them, so quantizing would cost
     ///   quality for zero bytes saved on the hot path.
     pub(crate) fn prepare_at(store: &ParamStore, precision: SessionPrecision) -> Self {
-        let values = store
-            .iter()
-            .map(|(name, t)| {
-                let value = match precision {
-                    SessionPrecision::F32 => {
-                        let pack = PackedWeight::pack(t, precision).map(Arc::new);
-                        SessionValue { tensor: t.clone(), pack }
-                    }
-                    SessionPrecision::Bf16 => {
-                        let rounded = t.to_bf16();
-                        let pack = PackedWeight::pack(&rounded, precision).map(Arc::new);
-                        SessionValue { tensor: rounded, pack }
-                    }
-                    SessionPrecision::Int8 => match PackedWeight::pack(t, precision) {
-                        Some(pack) => {
-                            let tensor = pack.dequantized().expect("int8 pack dequantizes");
-                            SessionValue { tensor, pack: Some(Arc::new(pack)) }
-                        }
-                        None => SessionValue::plain(t.clone()),
-                    },
-                };
-                (name.clone(), value)
-            })
-            .collect();
-        Self { values }
+        let mut values = BTreeMap::new();
+        let mut packs = Vec::new();
+        let mut slots = 0;
+        for (name, t) in store.iter() {
+            let (tensor, pack) = match precision {
+                SessionPrecision::F32 => (t.clone(), None),
+                SessionPrecision::Bf16 => {
+                    let rounded = t.to_bf16();
+                    let pack = PackedWeight::pack(&rounded, precision);
+                    (rounded, pack)
+                }
+                SessionPrecision::Int8 => match PackedWeight::pack(t, precision) {
+                    Some(pack) => (pack.dequantized().expect("int8 pack dequantizes"), Some(pack)),
+                    None => (t.clone(), None),
+                },
+            };
+            // Slots go out in name order, the order `packs` walks `values`
+            // in when it builds an f32 set.
+            let slot = PackedWeight::packable(t).then_some(slots);
+            slots += usize::from(slot.is_some());
+            packs.extend(pack);
+            values.insert(name.clone(), SessionValue { tensor, slot });
+        }
+        let packs = match precision {
+            SessionPrecision::F32 => OnceLock::new(),
+            _ => OnceLock::from(packs),
+        };
+        Self { values, precision, packs }
+    }
+
+    /// Get the session ready for products of up to `rows` rows: if those
+    /// read the `W^T` packs, build them now, on the calling thread
+    /// ([`ReslimModel::prepare_session`](crate::ReslimModel::prepare_session)).
+    pub(crate) fn prepare_rows(&self, rows: usize) {
+        if rows > IN_PLACE_MAX_ROWS {
+            self.packs();
+        }
+    }
+
+    /// The `W^T` packs; in an f32 session the first caller builds them all.
+    fn packs(&self) -> &[PackedWeight] {
+        self.packs.get_or_init(|| {
+            let weights = self.values.values().filter(|v| v.slot.is_some());
+            weights
+                .enumerate()
+                .map(|(i, v)| {
+                    debug_assert_eq!(v.slot, Some(i), "slots follow name order");
+                    PackedWeight::pack(&v.tensor, self.precision).expect("a slot's weight packs")
+                })
+                .collect()
+        })
     }
 }
 
@@ -185,6 +234,9 @@ impl Exec for InferenceSession {
         SessionValue::plain(a.tensor.reshape(shape))
     }
 
+    /// An f32 session's short products read the weight in place; any other
+    /// product of a slotted weight runs through its pack, and a weight with
+    /// no slot is packed per call, as the tape packs it.
     fn linear_act(
         &self,
         x: &SessionValue,
@@ -192,13 +244,12 @@ impl Exec for InferenceSession {
         bias: Option<&SessionValue>,
         act: Activation,
     ) -> SessionValue {
-        let y = matmul_bias_act_cached(
-            &x.tensor,
-            &w.tensor,
-            w.pack.as_deref(),
-            bias.map(|b| &b.tensor),
-            act,
-        );
+        let (x, bias) = (&x.tensor, bias.map(|b| &b.tensor));
+        let in_place = self.precision == SessionPrecision::F32 && x.shape()[0] <= IN_PLACE_MAX_ROWS;
+        let y = match w.slot {
+            Some(_) if in_place => matmul_bias_act_in_place(x, &w.tensor, bias, act),
+            slot => matmul_bias_act_cached(x, &w.tensor, slot.map(|s| &self.packs()[s]), bias, act),
+        };
         SessionValue::plain(y)
     }
 
@@ -268,9 +319,9 @@ mod tests {
 
     fn assert_send_sync<T: Send + Sync>() {}
 
-    /// Number of weights with a resident pack.
-    fn packed_weights(session: &InferenceSession) -> usize {
-        session.values.values().filter(|v| v.pack.is_some()).count()
+    /// Packs the session holds.
+    fn resident_packs(session: &InferenceSession) -> usize {
+        session.packs.get().map_or(0, Vec::len)
     }
 
     #[test]
@@ -280,14 +331,31 @@ mod tests {
     }
 
     #[test]
-    fn prepare_packs_linear_weights_only() {
-        let mut store = ParamStore::new();
-        store.insert("mlp.w1", randn(&[64, 32], 1)); // packable linear weight
-        store.insert("ln.g", Tensor::ones(vec![32])); // 1-d: never packed
-        store.insert("conv.w", randn(&[8, 4, 3, 3], 2)); // 4-d: never packed
-        store.insert("embed.res", randn(&[4, 32], 3)); // n < LANES: never packed
-        // The gate reads shapes only.
-        assert_eq!(packed_weights(&InferenceSession::prepare(&store)), 1);
+    fn session_pack_lifetime() {
+        use crate::{ModelConfig, ReslimModel};
+        let model = ReslimModel::new(ModelConfig::tiny().with_channels(2, 1), 3);
+        // The gate reads shapes only: 2-d, at least 8 output features.
+        let packable = model.params.iter().filter(|(_, t)| PackedWeight::packable(t)).count();
+        assert!(packable > 0 && packable < model.params.len());
+        // A bf16 or int8 session packs every one of them at prepare.
+        for precision in [SessionPrecision::Bf16, SessionPrecision::Int8] {
+            assert_eq!(resident_packs(&model.session_at(precision)), packable, "{precision:?}");
+        }
+        // An f32 session packs nothing at prepare, nor in a forward whose
+        // longest product is 64 rows (16x16 at patch 2).
+        let session = model.session();
+        assert_eq!(resident_packs(&session), 0, "an f32 prepare packs nothing");
+        let _ = model.forward(&session, &randn(&[2, 16, 16], 4), 1.0);
+        assert_eq!(resident_packs(&session), 0, "a short forward reads every weight in place");
+        // The first 72-token forward packs each weight once; nothing after
+        // it builds another.
+        let long = randn(&[2, 16, 18], 5);
+        let _ = model.forward(&session, &long, 1.0);
+        assert_eq!(resident_packs(&session), packable, "one pack per packable weight");
+        let built = session.packs.get().map(|p| p.as_ptr());
+        let _ = model.forward(&session, &long, 1.0);
+        session.prepare_rows(10_000);
+        assert_eq!(session.packs.get().map(|p| p.as_ptr()), built, "a second long forward builds none");
     }
 
     #[test]
@@ -320,7 +388,7 @@ mod tests {
             got.tensor().assert_close(&expect, 0.0);
         }
         // The 2-d linear weight is packed; others never pack.
-        assert_eq!(packed_weights(&session), 1);
+        assert_eq!(resident_packs(&session), 1);
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //!   memoizing leaf vars so each parameter gets exactly one gradient slot;
 //! * [`exec`] — the execution-context trait ([`exec::Exec`]) every forward
 //!   is generic over: tape-recording for training, tape-free for inference;
-//! * [`infer`] — the tape-free [`infer::InferenceSession`] context with
-//!   session-resident packed weights;
+//! * [`infer`] — the tape-free [`infer::InferenceSession`] context, whose
+//!   linears read each weight in place or through a resident pack;
 //! * [`embed`] — per-variable patch tokenization, 2-D sinusoidal positions
 //!   and the learnable resolution embedding;
 //! * [`blocks`] — multi-head self-attention, MLP and transformer blocks,

@@ -45,8 +45,9 @@ impl ReslimModel {
     }
 
     /// Prepare a tape-free inference context over this model's weights:
-    /// weights snapshotted and linear packs built once, reusable across
-    /// samples and shareable across tile-worker threads.
+    /// weights snapshotted once (an f32 session's linear packs the first
+    /// time a long forward needs them), reusable across samples and
+    /// shareable across tile-worker threads.
     pub fn session(&self) -> InferenceSession {
         InferenceSession::prepare(&self.params)
     }
@@ -55,6 +56,23 @@ impl ReslimModel {
     /// reduced storage precision (see `InferenceSession::prepare_at`).
     pub fn session_at(&self, precision: crate::infer::SessionPrecision) -> InferenceSession {
         InferenceSession::prepare_at(&self.params, precision)
+    }
+
+    /// Get `session` ready for forwards of inputs shaped like `input`
+    /// (`[C_in, h, w]`), on the calling thread. Every linear of such a
+    /// forward runs one row per token, so an f32 session whose products
+    /// grow past `fused::IN_PLACE_MAX_ROWS` rows builds the packs they read
+    /// now, rather than on whichever worker first needs them.
+    pub fn prepare_session(&self, session: &InferenceSession, input: &Tensor) {
+        let (hp, wp) = self.token_grid(input);
+        session.prepare_rows(hp * wp);
+    }
+
+    /// The patch grid of a `[C_in, h, w]` input.
+    fn token_grid(&self, input: &Tensor) -> (usize, usize) {
+        let shape = input.shape();
+        assert_eq!(shape.len(), 3, "input must be [C, h, w]");
+        (shape[1] / self.cfg.patch, shape[2] / self.cfg.patch)
     }
 
     /// The forward pass on one `[C_in, h, w]` sample.
@@ -73,9 +91,7 @@ impl ReslimModel {
         compression_target: f32,
     ) -> (E::Value, CompressionPlan) {
         let cfg = &self.cfg;
-        let shape = input.shape();
-        assert_eq!(shape.len(), 3, "input must be [C, h, w]");
-        let (hp, wp) = (shape[1] / cfg.patch, shape[2] / cfg.patch);
+        let (hp, wp) = self.token_grid(input);
 
         // Main path, step 1: tokenize each variable.
         let tokens = tokenize(ex, cfg, input);

@@ -3,8 +3,9 @@
 //!
 //! One [`Server`] owns one model and one tape-free
 //! [`InferenceSession`](orbit2_model::InferenceSession) at the configured
-//! weight precision — weights and packed GEMM operands are prepared once,
-//! by [`Server::start`], and shared read-only by every worker that
+//! weight precision — weights are prepared once, by [`Server::start`] (an
+//! f32 session's GEMM packs by the first request long enough to read
+//! them), and shared read-only by every worker that
 //! executes on its behalf. Precision is a deployment setting: a request's
 //! `precision` field can only *assert* it, and a mismatch is refused at
 //! admission, so nothing on the request path ever builds a session.

@@ -19,6 +19,10 @@
 //!   `softmax_rows_from` reads a source row instead, so an out-of-place
 //!   softmax never copies its scores first.
 //!
+//! An inference session's short linears take [`matmul_bias_act_in_place`]
+//! instead: the same product and epilogue, with the weight read where it
+//! lies rather than through a `W^T` pack ([`IN_PLACE_MAX_ROWS`] says when).
+//!
 //! A linear layer with a non-linear activation also returns the
 //! *pre-activation* tensor: the tape needs `act'(pre)` for the backward
 //! pass, and recomputing `x W^T + b` there would cost a second GEMM.
@@ -197,6 +201,49 @@ pub fn matmul_bias_act_cached(
             qgemm::gemm_per_call(x.data(), la, w.data(), lb, m, k, n, bd, act, &mut out, None, true);
         }
     }
+    Tensor::from_vec(vec![m, n], out)
+}
+
+/// Rows up to which an f32 inference session reads a linear weight in
+/// place ([`matmul_bias_act_in_place`]) instead of through a resident
+/// `W^T` pack. This is a memory choice made at a measured time cost, not a
+/// time crossover: what the in-place product saves is the pack, a second
+/// f32 copy of every weight (420 MB for the 126M model). 64 is the widest
+/// strip the driver packs, so up to here `x^T` is one strip and the weight
+/// is streamed exactly once; past it, once per strip.
+///
+/// In place ÷ resident, medians of four runs on the reference 2-core
+/// guest (two threads, `gemm_f32/inplace/*` against `gemm_f32/*`):
+/// * 126M at 32 tokens: 0.71× at 32×4096×1024, where each worker streams
+///   half the weight instead of the whole pack; 1.07× at 32×1024×4096
+///   (runs 0.44–1.82×). End to end, `serve-weights` `op_p50_ms` reads
+///   0.87× the resident build's (10 pairs).
+/// * 1024² sweep: 1.7× at 8 rows (a 16-lane strip, half of it padding),
+///   1.1–1.2× at 16, 32 and 64, 1.5× at 48; past one strip, 1.5× at 96
+///   and 1.1–1.3× from 128 to 256.
+/// * The long products of a TILES tile, where the `x^T` pack and the
+///   transposing store pass are no longer small against `k`: 1.3–1.9× on
+///   the 9.5M model's 1156-row linears, 3.3–5.6× on the tiny model's
+///   512-row ones. A build with every f32 product in place read
+///   `tiles-field` `op_p50_ms` 1.26–1.40× the resident one's (5 pairs),
+///   so longer products keep the pack.
+pub const IN_PLACE_MAX_ROWS: usize = 64;
+
+/// Tape-free fused linear layer reading the `[n, k]` weight in place:
+/// `y = act(x W^T + bias)` computed as `(W · x^T)^T`, with only `x^T`
+/// packed for the call. Bit-identical to [`matmul_bias_act`] and
+/// [`matmul_bias_act_cached`] on the same f32 operands at every shape; what
+/// it saves is the resident pack ([`IN_PLACE_MAX_ROWS`] says what that
+/// costs in time).
+pub fn matmul_bias_act_in_place(
+    x: &Tensor,
+    w: &Tensor,
+    bias: Option<&Tensor>,
+    act: Activation,
+) -> Tensor {
+    let (m, k, n) = linear_dims(x, w, bias);
+    let mut out = pool::alloc_uninit(m * n);
+    qgemm::gemm_weight_in_place(x.data(), m, w.data(), n, k, bias.map(|b| b.data()), act, &mut out);
     Tensor::from_vec(vec![m, n], out)
 }
 
@@ -379,6 +426,30 @@ mod tests {
                 assert_eq!(y_ref.data(), y_cached.data(), "m={m} k={k} n={n} {act:?}");
                 let y_uncached = matmul_bias_act_cached(&x, &w, None, Some(&b), act);
                 assert_eq!(y_ref.data(), y_uncached.data());
+            }
+        }
+    }
+
+    #[test]
+    fn in_place_product_bitwise_matches_resident_pack() {
+        // An inference session's two f32 linears on the same operands: `m`
+        // straddles the resident product's 6-row panels and the 16/32/64-
+        // column strips of the in-place product's `x^T`; every `n` is ragged
+        // against the strips; `k = 1` is a one-step chain.
+        for m in [1usize, 5, 6, 7, 16, 31, 32, 33, 63, 64] {
+            for &(k, n) in &[(1usize, 37usize), (7, 100), (1024, 20)] {
+                let x = randn(&[m, k], 91);
+                let w = randn(&[n, k], 92);
+                let b = randn(&[n], 93);
+                let packed = PackedWeight::pack(&w, WeightPrecision::F32);
+                for act in [Activation::Identity, Activation::Relu, Activation::Gelu] {
+                    for bias in [None, Some(&b)] {
+                        let resident = matmul_bias_act_cached(&x, &w, packed.as_ref(), bias, act);
+                        let in_place = matmul_bias_act_in_place(&x, &w, bias, act);
+                        let case = format!("{m}x{k}x{n} {act:?} bias {}", bias.is_some());
+                        assert_eq!(bits(in_place.data()), bits(resident.data()), "{case}");
+                    }
+                }
             }
         }
     }

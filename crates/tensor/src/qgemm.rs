@@ -15,8 +15,10 @@
 //! [`PackedWeight`] keeps strips resident across calls at one of three
 //! storage widths; [`gemm_per_call`] packs f32 strips into pooled scratch
 //! for one product (the tape's forward and backward), and
-//! [`ScratchStrips`] keeps such a pack for several (the attention op's
-//! per-head `K_hᵀ` and `V_h`).
+//! [`ScratchStrips`] keeps such a pack for a caller of its own (the
+//! attention op's per-head `K_hᵀ` and `V_h`, and the `xᵀ` of
+//! [`gemm_weight_in_place`], which runs a short linear as `(W · xᵀ)ᵀ` so
+//! that the row-major weight is A, read in place, and needs no pack).
 //!
 //! ## Kernel
 //!
@@ -228,16 +230,20 @@ pub struct PackedWeight {
 impl PackedWeight {
     /// Pack a `[n, k]` linear weight (PyTorch `[out, in]` convention) at the
     /// requested precision. Returns `None` for what no session keeps
-    /// resident: not 2-d, fewer than `LANES` output features, or no input
-    /// features. The gate reads the shape only — the scalar oracle consumes
-    /// the same strips — and is the same at every precision.
+    /// resident ([`packable`](Self::packable)).
     pub fn pack(w: &Tensor, precision: WeightPrecision) -> Option<Self> {
-        if w.ndim() != 2 {
-            return None;
-        }
-        let (n, k) = (w.shape()[0], w.shape()[1]);
-        (n >= LANES && k > 0)
-            .then(|| Self::from_layout(w.data(), MatLayout::transposed(k), k, n, precision))
+        Self::packable(w).then(|| {
+            let (n, k) = (w.shape()[0], w.shape()[1]);
+            Self::from_layout(w.data(), MatLayout::transposed(k), k, n, precision)
+        })
+    }
+
+    /// Whether [`pack`](Self::pack) keeps `w`: 2-d, at least `LANES` output
+    /// features and some input features. The gate reads the shape only —
+    /// the scalar oracle consumes the same strips — and is the same at every
+    /// precision.
+    pub fn packable(w: &Tensor) -> bool {
+        w.ndim() == 2 && w.shape()[0] >= LANES && w.shape()[1] > 0
     }
 
     /// Pack any `k × n` `op(B)` (element `(p, j)` at `b[p·rs + j·cs]`) at
@@ -638,6 +644,57 @@ pub(crate) fn gemm_resident(
     c: &mut [f32],
 ) {
     pw.run(a, MatLayout::row_major(pw.k), m, bias, act, c, None, true);
+}
+
+/// `c = act(x Wᵀ + bias)` for a row-major `[m, k]` activation and a
+/// row-major `[n, k]` f32 weight read where it lies: the product runs
+/// swapped, as `(W · xᵀ)ᵀ`. W is the driver's A operand, read in place six
+/// rows at a time, each worker streaming a disjoint share of its rows; only
+/// `xᵀ` (`k × m`) is packed, for this call, into pooled scratch.
+///
+/// Bit-identical to the resident-pack product of the same operands by
+/// construction: every output element is the same k-ordered FMA chain from
+/// zero (`fma(w, x, acc)` is `fma(x, w, acc)`, exactly), written transposed
+/// into pooled scratch with no epilogue; one O(m·n) store pass then adds
+/// the bias and applies the activation, in [`Epilogue::pre`] / `finish`
+/// order.
+#[allow(clippy::too_many_arguments)] // GEMM plumbing: operands + epilogue + outputs
+pub(crate) fn gemm_weight_in_place(
+    x: &[f32],
+    m: usize,
+    w: &[f32],
+    n: usize,
+    k: usize,
+    bias: Option<&[f32]>,
+    act: Activation,
+    c: &mut [f32],
+) {
+    assert_eq!(c.len(), m * n, "output buffer shape");
+    if let Some(b) = bias {
+        assert_eq!(b.len(), n, "bias length");
+    }
+    if m == 0 || n == 0 {
+        return;
+    }
+    let xt = ScratchStrips::pack(x, MatLayout::transposed(k), k, m);
+    let mut ct = Buffer::uninit(n * m);
+    let plain = Epilogue { scales: None, bias: None, act: Activation::Identity };
+    drive(w, MatLayout::row_major(k), n, xt.strips(), plain, &mut ct, None, true, true);
+    // The store pass: a chunk of rows transposed out of `ct` by the blocked
+    // gather, then bias and activation row by row.
+    let ep = Epilogue { scales: None, bias, act };
+    let rows = m.div_ceil(par::pieces(m * n));
+    c.par_chunks_mut(rows * n).enumerate().for_each(|(ci, cc)| {
+        gather_strided(&ct[ci * rows..], 1, m, cc.len() / n, n, cc);
+        for row in cc.chunks_exact_mut(n) {
+            if bias.is_some() {
+                for (j, y) in row.iter_mut().enumerate() {
+                    *y = ep.pre(*y, j);
+                }
+            }
+            ep.finish(row, None);
+        }
+    });
 }
 
 /// f32 strips of one `k × n` `op(B)` (`n > 0`) in pooled scratch: what

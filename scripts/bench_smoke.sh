@@ -147,6 +147,18 @@ jq -r '
     | "upsample_conv/banded vs composed/\($n)\tbanded \($r["upsample_conv/banded/" + $n]) ns\tcomposed \($r["upsample_conv/composed/" + $n]) ns\tbanded / composed \(($r["upsample_conv/banded/" + $n] / $r["upsample_conv/composed/" + $n] * 100 | round) / 100)x"
 ' "$OUT_JSON"
 
+# An f32 session's two linears, same snapshot: the weight read in place
+# against its resident `Wᵀ` pack on the same operands (`gemm_f32/inplace/*`
+# beside `gemm_f32/*`). `fused::IN_PLACE_MAX_ROWS` cites these: in place
+# keeps pace up to 64 rows (one `xᵀ` strip, the weight streamed once) and
+# falls behind past it, most at the long, narrow linears of a TILES tile.
+jq -r '
+    .[-1].runs[0].results
+    | (map({(.bench): .median_ns}) | add) as $r
+    | $r | keys[] | select(startswith("gemm_f32/inplace/")) | split("/")[2] as $n
+    | "gemm_f32/inplace vs resident/\($n)\tin place \($r["gemm_f32/inplace/" + $n]) ns\tresident \($r["gemm_f32/" + $n]) ns\tin place / resident \(($r["gemm_f32/inplace/" + $n] / $r["gemm_f32/" + $n] * 100 | round) / 100)x"
+' "$OUT_JSON"
+
 # The training step's non-math, same snapshot: the trainer's two sweeps
 # (reduce into the accumulation arena + Adam over the moment arenas) against
 # the sequential composition they replaced, on the same gradients.

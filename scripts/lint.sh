@@ -60,6 +60,13 @@
 # fault plans) and `bench/src/lib.rs` (ORBIT2_STEPS). A new one changes
 # this list, in review.
 #
+# Pack gate (DESIGN.md §9): a resident `Wᵀ` pack is built in one place, the
+# inference session, which decides when: at prepare in a bf16 or int8
+# session, at the first product longer than `fused::IN_PLACE_MAX_ROWS` rows
+# in an f32 one. So outside test modules, a `PackedWeight::pack` or
+# `PackedWeight::from_layout` call under `crates/*/src` may sit only in
+# `model/src/infer.rs` and in `tensor/src/qgemm.rs`, which defines them.
+#
 # Public-surface gate (ROADMAP item 10): rustc's `dead_code` lint never fires
 # on a `pub` item of a library, so a `pub` item nothing outside its crate
 # names is invisible surface. Narrow such an item to `pub(crate)` or private
@@ -165,6 +172,15 @@ done)"
 if [[ -n "$env_knob" ]]; then
     echo "lint: an environment read outside the three knob sites (one production path per kernel, DESIGN.md §7):" >&2
     echo "$env_knob" >&2
+    exit 1
+fi
+pack_site="$(find crates/*/src -name '*.rs' | sort | while read -r f; do
+    case "$f" in crates/model/src/infer.rs | crates/tensor/src/qgemm.rs) continue ;; esac
+    awk -v f="$f" '/^mod tests \{/ { exit } /PackedWeight::(pack|from_layout)\(/ { print f ":" FNR ": " $0 }' "$f"
+done)"
+if [[ -n "$pack_site" ]]; then
+    echo "lint: a resident weight pack built outside the inference session (crates/model/src/infer.rs, DESIGN.md §9):" >&2
+    echo "$pack_site" >&2
     exit 1
 fi
 # `file:name`, or `file:*` for every item in the file; the reason follows.

@@ -299,6 +299,29 @@ proptest! {
     }
 
     #[test]
+    fn in_place_linear_matches_resident_pack(
+        (m, k, n) in (1usize..80, 1usize..300, 1usize..140),
+        (act, with_bias) in (0usize..3, 0usize..2),
+        seed in 0u64..1000,
+    ) {
+        // An inference session's two f32 linears on the same operands, bit
+        // for bit: the weight read in place against its resident `W^T`
+        // pack (packed per call below the gate's 8 output features). `m`
+        // runs past the row constant and straddles every strip width of
+        // `x^T`; `n` straddles the weight's 6-row panels.
+        use orbit2_tensor::fused::{matmul_bias_act_cached, matmul_bias_act_in_place, Activation, WeightPrecision};
+        use orbit2_tensor::random::randn;
+        use orbit2_tensor::PackedWeight;
+        let (x, w, b) = (randn(&[m, k], seed), randn(&[n, k], seed + 1), randn(&[n], seed + 2));
+        let bias = (with_bias == 1).then_some(&b);
+        let act = [Activation::Identity, Activation::Relu, Activation::Gelu][act];
+        let pack = PackedWeight::pack(&w, WeightPrecision::F32);
+        let resident = matmul_bias_act_cached(&x, &w, pack.as_ref(), bias, act);
+        let in_place = matmul_bias_act_in_place(&x, &w, bias, act);
+        prop_assert_eq!(bits(in_place.data()), bits(resident.data()));
+    }
+
+    #[test]
     fn nt_tn_kernels_match_materialized_transposes(m in 1usize..40, k in 1usize..48, n in 1usize..40, seed in 0u64..1000) {
         let a = orbit2_tensor::random::randn(&[m, k], seed);
         let bt = orbit2_tensor::random::randn(&[n, k], seed + 1);

@@ -13,7 +13,9 @@ use orbit2_autograd::params::GradMap;
 use orbit2_autograd::{Adam, GradAccumulator, ParamLayout, ParamStore};
 use orbit2_tensor::attention::multi_head_attention;
 use orbit2_tensor::conv::{conv2d, conv2d_grad_input, conv2d_grad_weight, upsample_conv2d, ConvGeom};
-use orbit2_tensor::fused::{layer_norm_rows, matmul_bias_act, matmul_bias_act_cached, Activation, WeightPrecision};
+use orbit2_tensor::fused::{
+    layer_norm_rows, matmul_bias_act, matmul_bias_act_cached, matmul_bias_act_in_place, Activation, WeightPrecision,
+};
 use orbit2_tensor::par::{GRAIN, MACS_PER_VISIT};
 use orbit2_tensor::random::randn;
 use orbit2_tensor::resize::{downsample_area, resize, ResizeMode};
@@ -62,11 +64,12 @@ fn gemm(visits: usize) -> Bits {
     let (x, w, b) = (randn(&[m, k], 11), randn(&[n, k], 12), randn(&[n], 13));
     let pack = PackedWeight::pack(&w, WeightPrecision::F32);
     let resident = matmul_bias_act_cached(&x, &w, pack.as_ref(), Some(&b), Activation::Gelu);
+    let in_place = matmul_bias_act_in_place(&x, &w, Some(&b), Activation::Gelu);
     let (plain, none) = matmul_bias_act(&x, &w, None, Activation::Identity);
     assert!(none.is_none());
     let (gelu, pre) = matmul_bias_act(&x, &w, Some(&b), Activation::Gelu);
     let pre = pre.expect("gelu keeps its pre-activation");
-    bits([resident.data(), plain.data(), gelu.data(), pre.data()])
+    bits([resident.data(), in_place.data(), plain.data(), gelu.data(), pre.data()])
 }
 
 fn bmm(visits: usize) -> Bits {
