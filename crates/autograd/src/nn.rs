@@ -36,23 +36,26 @@ impl<'t> Var<'t> {
         let bt = bias.map(|b| b.value());
         let (y, pre) = matmul_bias_act(&x, &w, bt.as_ref(), act);
         let (xid, wid) = (self_id(self), self_id(&weight));
-        let bid = bias.as_ref().map(self_id);
-        let tracked = self_tracked(self)
-            || self_tracked(&weight)
-            || bias.map(|b| self_tracked(&b)).unwrap_or(false);
+        // As in `conv2d`: an untracked operand (the patch embedding's
+        // constant patches) gets no gradient computed.
+        let (x_tracked, w_tracked) = (self_tracked(self), self_tracked(&weight));
+        let bid = bias.filter(self_tracked).as_ref().map(self_id);
         self.tape().record_custom(
             y,
-            tracked,
+            x_tracked || w_tracked || bid.is_some(),
             Box::new(move |g| {
                 // gz = g ⊙ act'(pre); identity has no stored pre.
                 let gz = match &pre {
                     Some(p) => act_backward(g, p, act),
                     None => g.clone(),
                 };
-                let mut grads = vec![
-                    (xid, gz.matmul(&w)),    // [m,n] @ [n,k] = x-grad
-                    (wid, gz.matmul_tn(&x)), // gz^T x = w-grad [n,k]
-                ];
+                let mut grads = Vec::with_capacity(3);
+                if x_tracked {
+                    grads.push((xid, gz.matmul(&w))); // [m,n] @ [n,k] = x-grad
+                }
+                if w_tracked {
+                    grads.push((wid, gz.matmul_tn(&x))); // gz^T x = w-grad [n,k]
+                }
                 if let Some(bid) = bid {
                     grads.push((bid, gz.sum_axis(0)));
                 }
@@ -367,6 +370,25 @@ mod tests {
             let x = if constant_input { tape.constant(x0.clone()) } else { tape.leaf(x0.clone()) };
             let (w, b) = (tape.leaf(w0.clone()), tape.leaf(b0.clone()));
             let grads = tape.backward(x.conv2d(w, Some(b), geom).square().sum());
+            (grads.get(x).cloned(), grads.get(w).unwrap().clone(), grads.get(b).unwrap().clone())
+        };
+        let (gx_leaf, gw_leaf, gb_leaf) = run(false);
+        let (gx_const, gw_const, gb_const) = run(true);
+        assert!(gx_leaf.is_some() && gx_const.is_none());
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&gw_const), bits(&gw_leaf));
+        assert_eq!(bits(&gb_const), bits(&gb_leaf));
+    }
+
+    #[test]
+    fn linear_act_over_a_constant_input_skips_the_input_gradient() {
+        use orbit2_tensor::random::randn;
+        let (x0, w0, b0) = (randn(&[5, 12], 41), randn(&[7, 12], 42), randn(&[7], 43));
+        let run = |constant_input: bool| {
+            let tape = Tape::new();
+            let x = if constant_input { tape.constant(x0.clone()) } else { tape.leaf(x0.clone()) };
+            let (w, b) = (tape.leaf(w0.clone()), tape.leaf(b0.clone()));
+            let grads = tape.backward(x.linear_act(w, Some(b), Activation::Gelu).square().sum());
             (grads.get(x).cloned(), grads.get(w).unwrap().clone(), grads.get(b).unwrap().clone())
         };
         let (gx_leaf, gw_leaf, gb_leaf) = run(false);

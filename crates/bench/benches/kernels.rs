@@ -1,13 +1,15 @@
 //! Substrate kernel benchmarks: the GEMM driver, reference attention,
 //! conv2d, Canny + quad-tree construction (the CPU-side cost the
-//! compression model charges for), FFT, the synthetic field generator, and
-//! the training step's non-math (gradient reduce + Adam, checkpoint I/O).
+//! compression model charges for), FFT, the synthetic field generator and
+//! one dataset sample, and the training step's non-math (gradient reduce +
+//! Adam, checkpoint I/O).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use orbit2::checkpoint::{
     crc32, load_model, load_trainer_state, save_model, save_trainer_state, ProgressState, TrainerCheckpoint,
 };
 use orbit2_autograd::params::GradMap;
+use orbit2_climate::{DownscalingDataset, LatLonGrid, VariableSet};
 use orbit2_autograd::{Adam, GradAccumulator, GradScaler, ParamLayout, ParamStore, Tape};
 use orbit2_imaging::quadtree::{QuadTree, QuadTreeParams};
 use orbit2_tensor::attention::{multi_head_attention, naive_attention};
@@ -380,6 +382,15 @@ fn bench_conv_model(c: &mut Criterion) {
     group.bench_function(BenchmarkId::from_parameter("weight_64to3_48x80"), |bench| {
         bench.iter(|| conv2d_grad_weight(&go, &x, wt.shape(), g))
     });
+    // The residual path's first conv on a `train-step` tile (12x20 coarse
+    // with its halo): the third weight gradient of a tile job, beside the
+    // two 64→3 tails of `weight_64to3_48x80`.
+    let x = randn(&[1, 7, 12, 20], 57);
+    let wt = randn(&[64, 7, 3, 3], 58);
+    let go = randn(&[1, 64, 12, 20], 59);
+    group.bench_function(BenchmarkId::from_parameter("weight_7to64_12x20"), |bench| {
+        bench.iter(|| conv2d_grad_weight(&go, &x, wt.shape(), g))
+    });
     group.finish();
 
     let hid = randn(&[1, 64, 68, 68], 57);
@@ -459,6 +470,14 @@ fn bench_synth(c: &mut Criterion) {
             bench.iter(|| gaussian_random_field(hw, hw, GrfSpec { slope: 3.0 }, 7))
         });
     }
+    group.finish();
+
+    // One `train-step` sample: what every training step, normalizer fit
+    // and workload set-up generates.
+    let ds = DownscalingDataset::new(LatLonGrid::conus(64, 128), VariableSet::daymet_like(), 4, 40, 1);
+    let mut group = c.benchmark_group("dataset");
+    group.sample_size(10);
+    group.bench_function(BenchmarkId::from_parameter("sample_daymet_64x128"), |bench| bench.iter(|| ds.sample(3)));
     group.finish();
 }
 

@@ -106,17 +106,20 @@ impl DownscalingDataset {
         (0..self.num_samples).filter(|&i| self.split_of(i) == split).collect()
     }
 
-    /// Generate sample `i` (deterministic).
+    /// Generate sample `i` (deterministic). Every field is generated once,
+    /// through [`WorldGenerator::fields`]: an input and its output twin
+    /// (`tmin_in`, `tmin`) share one.
     pub fn sample(&self, i: usize) -> DownscalingSample {
         assert!(i < self.num_samples, "sample {i} out of range ({})", self.num_samples);
         let t = i as u64;
         let (fh, fw) = (self.world.grid.h, self.world.grid.w);
         let vs = &self.world.variables;
+        let names: Vec<&str> = vs.inputs.iter().chain(&vs.outputs).map(|v| v.name.as_str()).collect();
+        let mut fields = self.world.fields(&names, t).into_iter();
 
         let mut input_data = Vec::with_capacity(vs.num_inputs() * (fh / self.factor) * (fw / self.factor));
-        for var in &vs.inputs {
-            let fine = Tensor::from_vec(vec![1, fh, fw], self.world.field(&var.name, t));
-            let coarse = downsample_area(&fine, self.factor);
+        for field in fields.by_ref().take(vs.num_inputs()) {
+            let coarse = downsample_area(&Tensor::from_vec(vec![1, fh, fw], field), self.factor);
             input_data.extend_from_slice(coarse.data());
         }
         let input = Tensor::from_vec(
@@ -125,8 +128,8 @@ impl DownscalingDataset {
         );
 
         let mut target_data = Vec::with_capacity(vs.num_outputs() * fh * fw);
-        for var in &vs.outputs {
-            target_data.extend(self.world.field(&var.name, t));
+        for field in fields {
+            target_data.extend(field);
         }
         let target = Tensor::from_vec(vec![vs.num_outputs(), fh, fw], target_data);
 

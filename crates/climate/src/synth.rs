@@ -13,6 +13,15 @@ use orbit2_fft::complex::Complex;
 use orbit2_fft::fft2::{fft2, ifft2};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use rayon::prelude::*;
+
+/// One Gaussian random field a truth field is built from: with the grid,
+/// its slope and seed determine every bit of it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Grf {
+    slope: f64,
+    seed: u64,
+}
 
 /// Parameters of one Gaussian random field.
 #[derive(Debug, Clone, Copy)]
@@ -110,13 +119,13 @@ impl WorldGenerator {
     }
 
     /// Shared synoptic "weather" field for timestep `t` (unit variance).
-    fn weather(&self, t: u64) -> Vec<f32> {
-        gaussian_random_field(self.grid.h, self.grid.w, GrfSpec { slope: 3.0 }, name_seed(self.seed, "weather", t))
+    fn weather(&self, t: u64) -> Grf {
+        Grf { slope: 3.0, seed: name_seed(self.seed, "weather", t) }
     }
 
     /// Shared moisture field for timestep `t` (rougher than temperature).
-    fn moisture(&self, t: u64) -> Vec<f32> {
-        gaussian_random_field(self.grid.h, self.grid.w, GrfSpec { slope: 2.3 }, name_seed(self.seed, "moisture", t))
+    fn moisture(&self, t: u64) -> Grf {
+        Grf { slope: 2.3, seed: name_seed(self.seed, "moisture", t) }
     }
 
     /// Seasonal temperature anomaly for timestep `t` (days), in Kelvin.
@@ -129,14 +138,76 @@ impl WorldGenerator {
     /// same canonical field as their output counterpart, which is what makes
     /// the coarse input an honest (area-averaged) observation of the truth.
     pub fn field(&self, name: &str, t: u64) -> Vec<f32> {
-        let canonical = name.strip_suffix("_in").unwrap_or(name);
+        self.fields(&[name], t).swap_remove(0)
+    }
+
+    /// [`WorldGenerator::field`] for each of `names` at timestep `t`, in
+    /// order, bit for bit. Each distinct canonical field is composed once
+    /// (`tmin_in` and `tmin` are one field), and each random field they are
+    /// built from — a shared weather or moisture base, each field's own
+    /// detail — is generated once, the distinct ones in parallel.
+    pub(crate) fn fields(&self, names: &[&str], t: u64) -> Vec<Vec<f32>> {
+        let canonical: Vec<&str> = names.iter().map(|n| n.strip_suffix("_in").unwrap_or(n)).collect();
+        let mut distinct: Vec<&str> = Vec::new();
+        let mut grfs: Vec<Grf> = Vec::new();
+        for &c in &canonical {
+            if !distinct.contains(&c) {
+                distinct.push(c);
+                for grf in self.sources(c, t) {
+                    if !grfs.contains(&grf) {
+                        grfs.push(grf);
+                    }
+                }
+            }
+        }
+        let (h, w) = (self.grid.h, self.grid.w);
+        let mut composed: Vec<Option<Vec<f32>>> = {
+            let generated: Vec<Vec<f32>> =
+                grfs.par_iter().map(|g| gaussian_random_field(h, w, GrfSpec { slope: g.slope }, g.seed)).collect();
+            let generated_for = |g: &Grf| generated[grfs.iter().position(|x| x == g).expect("generated above")].as_slice();
+            distinct
+                .iter()
+                .map(|&c| {
+                    let srcs: Vec<&[f32]> = self.sources(c, t).iter().map(generated_for).collect();
+                    Some(self.compose(c, t, &srcs))
+                })
+                .collect()
+        };
+        // The last name that needs a field takes it; earlier ones copy it.
+        canonical
+            .iter()
+            .enumerate()
+            .map(|(k, c)| {
+                let field = &mut composed[distinct.iter().position(|d| d == c).expect("composed above")];
+                let field = if canonical[k + 1..].contains(c) { field.clone() } else { field.take() };
+                field.expect("a field is taken by its last name only")
+            })
+            .collect()
+    }
+
+    /// The random fields canonical field `canonical` is built from at `t`,
+    /// in the order [`WorldGenerator::compose`] reads them: the shared base,
+    /// then the field's own detail.
+    fn sources(&self, canonical: &str, t: u64) -> Vec<Grf> {
+        match canonical {
+            "topography" | "land_mask" | "lat_coord" | "lon_coord" => Vec::new(),
+            "soil_type" => vec![Grf { slope: 2.8, seed: name_seed(self.seed, "soil", 0) }],
+            other => {
+                let shared = if other == "prcp" || other.starts_with('q') { self.moisture(t) } else { self.weather(t) };
+                let local = Grf { slope: self.lookup(other).spectral_slope, seed: name_seed(self.seed, other, t) };
+                vec![shared, local]
+            }
+        }
+    }
+
+    /// Canonical field `canonical` at `t` from its generated
+    /// [`WorldGenerator::sources`], `srcs`.
+    fn compose(&self, canonical: &str, t: u64, srcs: &[&[f32]]) -> Vec<f32> {
         let (h, w) = (self.grid.h, self.grid.w);
         match canonical {
             "topography" => self.topography_km.clone(),
             "land_mask" => self.land_mask.clone(),
-            "soil_type" => {
-                gaussian_random_field(h, w, GrfSpec { slope: 2.8 }, name_seed(self.seed, "soil", 0))
-            }
+            "soil_type" => srcs[0].to_vec(),
             "lat_coord" => {
                 let mut out = Vec::with_capacity(h * w);
                 for i in 0..h {
@@ -153,23 +224,16 @@ impl WorldGenerator {
                 }
                 out
             }
-            "t2m" | "tmin" | "tmax" => self.temperature_family(canonical, t),
-            "prcp" => self.precipitation(t),
-            other => self.generic_variable(other, t),
+            "t2m" | "tmin" | "tmax" => self.temperature_family(canonical, t, srcs[0], srcs[1]),
+            "prcp" => self.precipitation(srcs[0], srcs[1]),
+            other => self.generic_variable(other, t, srcs[0], srcs[1]),
         }
     }
 
     /// Temperature family: shared base (weather + lapse-rate + season) with
     /// per-member offsets and local detail.
-    fn temperature_family(&self, which: &str, t: u64) -> Vec<f32> {
+    fn temperature_family(&self, which: &str, t: u64, weather: &[f32], local: &[f32]) -> Vec<f32> {
         let spec = self.lookup(which);
-        let weather = self.weather(t);
-        let local = gaussian_random_field(
-            self.grid.h,
-            self.grid.w,
-            GrfSpec { slope: spec.spectral_slope },
-            name_seed(self.seed, which, t),
-        );
         let season = self.seasonal(t);
         let offset = match which {
             "tmin" => -5.0,
@@ -182,7 +246,7 @@ impl WorldGenerator {
         // is kept small because it is irreducible from coarse inputs.
         weather
             .iter()
-            .zip(&local)
+            .zip(local)
             .zip(&self.topography_km)
             .map(|((&wx, &lx), &topo)| {
                 spec.mean + offset + season + spec.topo_coupling * topo + spec.sigma * (0.7 * wx + 0.18 * lx)
@@ -192,18 +256,11 @@ impl WorldGenerator {
 
     /// Precipitation: softplus of moisture + orographic enhancement, giving
     /// a skewed, nonnegative field with sharp wet/dry boundaries.
-    fn precipitation(&self, t: u64) -> Vec<f32> {
+    fn precipitation(&self, moisture: &[f32], local: &[f32]) -> Vec<f32> {
         let spec = self.lookup("prcp");
-        let moisture = self.moisture(t);
-        let local = gaussian_random_field(
-            self.grid.h,
-            self.grid.w,
-            GrfSpec { slope: spec.spectral_slope },
-            name_seed(self.seed, "prcp", t),
-        );
         moisture
             .iter()
-            .zip(&local)
+            .zip(local)
             .zip(&self.topography_km)
             .map(|((&m, &l), &topo)| {
                 3.0 * softplus(1.2 * m + 0.3 * l + spec.topo_coupling * topo - 1.0)
@@ -213,15 +270,8 @@ impl WorldGenerator {
 
     /// Any other (atmospheric/surface) variable: mean + topo coupling +
     /// weather/moisture mixture by kind.
-    fn generic_variable(&self, name: &str, t: u64) -> Vec<f32> {
+    fn generic_variable(&self, name: &str, t: u64, shared: &[f32], local: &[f32]) -> Vec<f32> {
         let spec = self.lookup(name);
-        let shared = if name.starts_with('q') { self.moisture(t) } else { self.weather(t) };
-        let local = gaussian_random_field(
-            self.grid.h,
-            self.grid.w,
-            GrfSpec { slope: spec.spectral_slope },
-            name_seed(self.seed, name, t),
-        );
         let season = if spec.kind == VariableKind::Atmospheric && name.starts_with('t') {
             self.seasonal(t)
         } else {
@@ -229,7 +279,7 @@ impl WorldGenerator {
         };
         shared
             .iter()
-            .zip(&local)
+            .zip(local)
             .zip(&self.topography_km)
             .map(|((&s, &l), &topo)| {
                 spec.mean + season + spec.topo_coupling * topo + spec.sigma * (0.5 * s + 0.6 * l)

@@ -7,50 +7,33 @@ use rayon::prelude::*;
 
 /// Forward 2-D DFT of an `h x w` row-major grid.
 pub fn fft2(grid: &mut [Complex], h: usize, w: usize) {
-    assert_eq!(grid.len(), h * w);
-    // Rows in parallel.
-    grid.par_chunks_mut(w).for_each(|row| {
-        let mut r = row.to_vec();
-        fft(&mut r);
-        row.copy_from_slice(&r);
-    });
-    // Columns: transpose, FFT rows, transpose back.
-    let mut t = transpose(grid, h, w);
-    t.par_chunks_mut(h).for_each(|col| {
-        let mut c = col.to_vec();
-        fft(&mut c);
-        col.copy_from_slice(&c);
-    });
-    let back = transpose(&t, w, h);
-    grid.copy_from_slice(&back);
+    rows_then_columns(grid, h, w, fft);
 }
 
 /// Inverse 2-D DFT (normalized).
 pub fn ifft2(grid: &mut [Complex], h: usize, w: usize) {
-    assert_eq!(grid.len(), h * w);
-    grid.par_chunks_mut(w).for_each(|row| {
-        let mut r = row.to_vec();
-        ifft(&mut r);
-        row.copy_from_slice(&r);
-    });
-    let mut t = transpose(grid, h, w);
-    t.par_chunks_mut(h).for_each(|col| {
-        let mut c = col.to_vec();
-        ifft(&mut c);
-        col.copy_from_slice(&c);
-    });
-    let back = transpose(&t, w, h);
-    grid.copy_from_slice(&back);
+    rows_then_columns(grid, h, w, ifft);
 }
 
-fn transpose(grid: &[Complex], h: usize, w: usize) -> Vec<Complex> {
-    let mut out = vec![Complex::ZERO; h * w];
+/// The in-place 1-D transform `f` over every row in parallel, then over
+/// every column: transposed into one scratch grid, transformed as rows,
+/// and transposed back.
+fn rows_then_columns(grid: &mut [Complex], h: usize, w: usize, f: fn(&mut [Complex])) {
+    assert_eq!(grid.len(), h * w);
+    grid.par_chunks_mut(w).for_each(f);
+    let mut t = vec![Complex::ZERO; h * w];
+    transpose_into(grid, h, w, &mut t);
+    t.par_chunks_mut(h).for_each(f);
+    transpose_into(&t, w, h, grid);
+}
+
+/// `dst` (`w x h`) = the transpose of `src` (`h x w`).
+fn transpose_into(src: &[Complex], h: usize, w: usize, dst: &mut [Complex]) {
     for i in 0..h {
         for j in 0..w {
-            out[j * h + i] = grid[i * w + j];
+            dst[j * h + i] = src[i * w + j];
         }
     }
-    out
 }
 
 /// Forward 2-D DFT of a real field, returning the complex spectrum.

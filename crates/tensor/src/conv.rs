@@ -23,8 +23,10 @@
 //!   spatially flipped, channel-transposed weight and padding `k − 1 − p`
 //!   (a negative pad crops).
 //! * [`conv2d_grad_weight`] is a row-dot reduction of `grad_out` against the
-//!   shifted padded input, one task per input channel: the one caller of a
-//!   whole-image padded copy.
+//!   shifted padded input, one task per input channel, which pads its
+//!   channel's plane one sample at a time. Each gradient row is loaded once
+//!   for a kernel row of taps, and eight rows' dots share one reduction
+//!   tree.
 //!
 //! **Fixed accumulation order.** Every output element is produced by one
 //! task and one accumulator chain whose order does not depend on how the
@@ -246,24 +248,6 @@ fn pad_row(plane: &[f32], h: usize, w: usize, pad: (isize, isize), r: usize, dro
     drow[dx0 + cw..].fill(0.0);
 }
 
-/// Copy `planes` planes of `[h, w]` into `[h + 2·pad, w + 2·pad]` planes
-/// with a zero border: the whole padded image the weight gradient's row
-/// dots read. The scratch is pooled and every element is written here.
-fn pad_planes(src: &[f32], planes: usize, h: usize, w: usize, pad: usize) -> Buffer {
-    let (hp, wp) = (h + 2 * pad, w + 2 * pad);
-    let mut buf = Buffer::uninit(planes * hp * wp);
-    if buf.is_empty() {
-        return buf;
-    }
-    let pad = (pad as isize, pad as isize);
-    buf.par_chunks_mut(hp * wp).zip(src.par_chunks(h * w)).with_min_len(par::min_items(hp * wp)).for_each(|(dst, plane)| {
-        for (r, drow) in dst.chunks_exact_mut(wp).enumerate() {
-            pad_row(plane, h, w, pad, r, drow);
-        }
-    });
-    buf
-}
-
 fn padded(size: usize, pad: isize) -> usize {
     usize::try_from(size as isize + 2 * pad).expect("conv crop larger than its input")
 }
@@ -464,8 +448,31 @@ pub fn conv2d_grad_input(grad_out: &Tensor, weight: &Tensor, input_shape: &[usiz
 /// Gradient of the convolution output w.r.t. the weight.
 ///
 /// Each element is the sum over samples, in index order, of that sample's
-/// total, so a batched call equals the sum of its per-sample calls.
+/// total, so a batched call equals the sum of its per-sample calls. A
+/// sample's total for tap `(ky, kx)` is `Σ_oy dot(grad row oy, padded input
+/// row oy + ky shifted by kx)` in ascending `oy`, each dot in
+/// [`simd::dot`]'s operation order; a gradient row is read once for a whole
+/// kernel row of taps ([`sample_taps_by_row`]).
 pub fn conv2d_grad_weight(grad_out: &Tensor, input: &Tensor, weight_shape: &[usize], g: ConvGeom) -> Tensor {
+    grad_weight_with(grad_out, input, weight_shape, g, sample_taps_by_row)
+}
+
+/// One sample's weight-gradient totals for one (input, output) channel
+/// pair: `totals[ky·kw + kx]` (zeroed on entry) gets the tap's row dots of
+/// `gplane` (`[oh, wp − kw + 1]`) against `xplane` (`[oh + kh − 1, wp]`,
+/// the padded input).
+type SampleTaps = fn(gplane: &[f32], xplane: &[f32], wp: usize, g: ConvGeom, totals: &mut [f32]);
+
+/// [`conv2d_grad_weight`] with the per-sample reduction `sample_taps`: the
+/// shapes, the padded input, one task per input channel, the sample-order
+/// sum and the `[C, O] → [O, C]` transpose.
+fn grad_weight_with(
+    grad_out: &Tensor,
+    input: &Tensor,
+    weight_shape: &[usize],
+    g: ConvGeom,
+    sample_taps: SampleTaps,
+) -> Tensor {
     let d = dims(input.shape(), weight_shape, g);
     assert_eq!(grad_out.shape(), &[d.n, d.o, d.oh, d.ow], "grad_out does not match the conv output shape");
     let Dims { n, c, h, w, o, oh, ow } = d;
@@ -475,23 +482,27 @@ pub fn conv2d_grad_weight(grad_out: &Tensor, input: &Tensor, weight_shape: &[usi
     if out.is_empty() || god.is_empty() {
         return Tensor::from_vec(weight_shape.to_vec(), out);
     }
-    let xp = pad_planes(src, n * c, h, w, g.pad);
     let (hp, wp) = (h + 2 * g.pad, w + 2 * g.pad);
+    let pad = (g.pad as isize, g.pad as isize);
     // Computed as `[C, O, KH, KW]` so each input channel's task owns a
     // contiguous slice, then transposed into `[O, C, KH, KW]`.
     let mut by_ci = Buffer::zeroed(c * o * taps);
     let channel_work = n * o * taps * oh * ow / MACS_PER_VISIT;
     by_ci.par_chunks_mut(o * taps).enumerate().with_min_len(par::min_items(channel_work)).for_each(|(ci, dst)| {
+        let mut totals = vec![0.0f32; taps];
+        // The task's own padded plane, one sample at a time: every element
+        // is written by `pad_row`.
+        let mut xplane = Buffer::uninit(hp * wp);
         for ni in 0..n {
-            let xplane = &xp[(ni * c + ci) * hp * wp..][..hp * wp];
+            let plane = &src[(ni * c + ci) * h * w..][..h * w];
+            for (r, drow) in xplane.chunks_exact_mut(wp).enumerate() {
+                pad_row(plane, h, w, pad, r, drow);
+            }
             for (oc, dtaps) in dst.chunks_exact_mut(taps).enumerate() {
                 let gplane = &god[(ni * o + oc) * oh * ow..][..oh * ow];
-                for (k, acc) in dtaps.iter_mut().enumerate() {
-                    let (ky, kx) = (k / g.kw, k % g.kw);
-                    let mut total = 0.0f32;
-                    for (oy, grow) in gplane.chunks_exact(ow).enumerate() {
-                        total += simd::dot(grow, &xplane[(oy + ky) * wp + kx..][..ow]);
-                    }
+                totals.fill(0.0);
+                sample_taps(gplane, &xplane, wp, g, &mut totals);
+                for (acc, &total) in dtaps.iter_mut().zip(&totals) {
                     *acc += total;
                 }
             }
@@ -502,6 +513,116 @@ pub fn conv2d_grad_weight(grad_out: &Tensor, input: &Tensor, weight_shape: &[usi
         dst.copy_from_slice(&by_ci[(ci * o + oc) * taps..][..taps]);
     }
     Tensor::from_vec(weight_shape.to_vec(), out)
+}
+
+/// Kernel-row taps one [`row_taps`] pass computes: three taps keep twelve
+/// `F32x8` accumulators, which fit the 16 vector registers of AVX2.
+const TAPS_PER_PASS: usize = 3;
+
+/// The production [`SampleTaps`]: a kernel row of taps at a time, in passes
+/// of up to [`TAPS_PER_PASS`] shifts that read each gradient vector once for
+/// all of them. Each tap still adds one [`simd::dot`]-ordered row dot per
+/// `oy`, in ascending `oy`, to its total.
+fn sample_taps_by_row(gplane: &[f32], xplane: &[f32], wp: usize, g: ConvGeom, totals: &mut [f32]) {
+    for kx0 in (0..g.kw).step_by(TAPS_PER_PASS) {
+        match (g.kw - kx0).min(TAPS_PER_PASS) {
+            1 => row_taps::<1>(gplane, xplane, wp, g, kx0, totals),
+            2 => row_taps::<2>(gplane, xplane, wp, g, kx0, totals),
+            _ => row_taps::<TAPS_PER_PASS>(gplane, xplane, wp, g, kx0, totals),
+        }
+    }
+}
+
+/// Taps `(ky, kx0 + t)` for every `ky` and `t < T`: `totals[ky·kw + kx0 + t]
+/// += Σ_oy simd::dot(grad row oy, padded row oy + ky from column kx0 + t)`,
+/// the rows in ascending order. Each dot is bit-identical to [`simd::dot`]:
+/// the same lane accumulators ([`row_accumulators`]), the same reduction
+/// tree, here run for eight rows at once ([`F32x8::reduce_sum_each`]), and
+/// the same scalar tail.
+fn row_taps<const T: usize>(gplane: &[f32], xplane: &[f32], wp: usize, g: ConvGeom, kx0: usize, totals: &mut [f32]) {
+    let n = wp + 1 - g.kw;
+    let (oh, vec_end) = (gplane.len() / n, n - n % LANES);
+    // The windows overlap. With their offsets hidden behind `black_box`,
+    // LLVM reads each with plain unaligned loads instead of building its
+    // lanes out of another window's with shuffles.
+    let mut shift = [0; T];
+    for (t, sh) in shift.iter_mut().enumerate() {
+        *sh = kx0 + t;
+    }
+    let shift = std::hint::black_box(shift);
+    for ky in 0..g.kh {
+        let mut tap = [0.0f32; T];
+        tap.copy_from_slice(&totals[ky * g.kw + kx0..][..T]);
+        let xrows = &xplane[ky * wp..];
+        for oy0 in (0..oh).step_by(LANES) {
+            let rows = (oh - oy0).min(LANES);
+            // Row oy0 + r's accumulators, folded as `dot` folds them, in slot r.
+            let mut folded = [[F32x8::ZERO; LANES]; T];
+            for r in 0..rows {
+                let xrow = &xrows[(oy0 + r) * wp..][..wp];
+                let mut xs: [&[f32]; T] = [&[]; T];
+                for (x, &sh) in xs.iter_mut().zip(&shift) {
+                    *x = &xrow[sh..sh + n];
+                }
+                let acc = row_accumulators(&gplane[(oy0 + r) * n..][..n], &xs);
+                for (f, a) in folded.iter_mut().zip(&acc) {
+                    f[r] = a[0].add(a[1]).add(a[2].add(a[3]));
+                }
+            }
+            let mut sums = [[0.0f32; LANES]; T];
+            for (sum, f) in sums.iter_mut().zip(&folded) {
+                *sum = F32x8::reduce_sum_each(f).to_array();
+            }
+            for r in 0..rows {
+                let gtail = &gplane[(oy0 + r) * n + vec_end..][..n - vec_end];
+                let xrow = &xrows[(oy0 + r) * wp..][..wp];
+                for ((total, sum), &sh) in tap.iter_mut().zip(&sums).zip(&shift) {
+                    let mut s = sum[r];
+                    for (gv, xv) in gtail.iter().zip(&xrow[sh + vec_end..]) {
+                        s += gv * xv;
+                    }
+                    *total += s;
+                }
+            }
+        }
+        totals[ky * g.kw + kx0..][..T].copy_from_slice(&tap);
+    }
+}
+
+/// [`simd::dot`]'s four lane accumulators of `g` against each of `xs`:
+/// 32-float chunks across the four, then 8-float remainders into the
+/// first. Only the loads of `g` are shared between the windows.
+#[inline(always)]
+fn row_accumulators<const T: usize>(g: &[f32], xs: &[&[f32]; T]) -> [[F32x8; 4]; T] {
+    let mut acc = [[F32x8::ZERO; 4]; T];
+    let (gc, _) = g.as_chunks::<{ 4 * LANES }>();
+    // Every window cut to the gradient's chunk count, so indexing by `k`
+    // needs no bounds check.
+    let mut xc: [&[[f32; 4 * LANES]]; T] = [&[]; T];
+    for (c, x) in xc.iter_mut().zip(xs) {
+        *c = &x.as_chunks().0[..gc.len()];
+    }
+    for (k, gch) in gc.iter().enumerate() {
+        for j in 0..4 {
+            let gv = F32x8::load(&gch[j * LANES..]);
+            for (a, x) in acc.iter_mut().zip(&xc) {
+                a[j] = gv.mul_add(F32x8::load(&x[k][j * LANES..]), a[j]);
+            }
+        }
+    }
+    let body = gc.len() * 4 * LANES;
+    let (g8, _) = g[body..].as_chunks::<LANES>();
+    let mut x8: [&[[f32; LANES]]; T] = [&[]; T];
+    for (c, x) in x8.iter_mut().zip(xs) {
+        *c = &x[body..].as_chunks().0[..g8.len()];
+    }
+    for (k, gch) in g8.iter().enumerate() {
+        let gv = F32x8::load(gch);
+        for (a, x) in acc.iter_mut().zip(&x8) {
+            a[0] = gv.mul_add(F32x8::load(&x[k]), a[0]);
+        }
+    }
+    acc
 }
 
 /// Gradient w.r.t. the bias: sum of `grad_out` over batch and space.
@@ -649,6 +770,52 @@ mod tests {
             wm.data_mut()[probe] -= eps;
             let fd = (conv2d(&x, &wp, None, g).sum() - conv2d(&x, &wm, None, g).sum()) / (2.0 * eps);
             assert!((gw.data()[probe] - fd).abs() < 2e-2, "probe {probe}");
+        }
+    }
+
+    /// The per-tap weight gradient, the oracle for [`sample_taps_by_row`]:
+    /// one `simd::dot` per (tap, output row), taps in order, rows inside.
+    fn sample_taps_per_tap(gplane: &[f32], xplane: &[f32], wp: usize, g: ConvGeom, totals: &mut [f32]) {
+        let ow = wp + 1 - g.kw;
+        for (k, total) in totals.iter_mut().enumerate() {
+            let (ky, kx) = (k / g.kw, k % g.kw);
+            for (oy, grow) in gplane.chunks_exact(ow).enumerate() {
+                *total += simd::dot(grow, &xplane[(oy + ky) * wp + kx..][..ow]);
+            }
+        }
+    }
+
+    #[test]
+    fn grad_weight_is_bit_identical_to_the_per_tap_oracle() {
+        // Output widths that reach every path of `simd::dot` (no 32-float
+        // chunk, an 8-float remainder, a scalar tail, each combination),
+        // and kernel rows of one pass (1 or 3 taps) and of two (3 + 2).
+        let mut cases = Vec::new();
+        for (i, ow) in [1usize, 7, 8, 31, 32, 33, 72, 80].into_iter().enumerate() {
+            for (j, kw) in [1usize, 3, 5].into_iter().enumerate() {
+                let kh = [3, 1, 5][(i + 2 * j) % 3];
+                // Pad 0, 1 or 2, as far as the input stays at least a pixel
+                // wide; `2 + 2·pad` output rows.
+                let pad = ((i + j) % 3).min((ow + kw - 2) / 2);
+                let (c, o) = [(1, 1), (3, 7), (7, 64), (64, 3), (2, 5)][(i + 2 * j) % 5];
+                let (h, w) = (kh + 1, ow + kw - 1 - 2 * pad);
+                cases.push(([2, c, h, w], o, ConvGeom { kh, kw, pad }));
+            }
+        }
+        // The weight gradients of a `train-step` tile job (both 64→3 tails
+        // at 48x80, the residual path's 7→64 at 12x20), the same tile
+        // without its halo, and both channel counts at 64.
+        for (shape, o) in [([1, 64, 48, 80], 3), ([1, 7, 12, 20], 64), ([1, 64, 40, 72], 3), ([1, 7, 10, 18], 64), ([2, 64, 3, 9], 64)] {
+            cases.push((shape, o, ConvGeom::same(3)));
+        }
+        for (i, &(shape, o, g)) in cases.iter().enumerate() {
+            let x = randn(&shape, 300 + 3 * i as u64);
+            let (oh, ow) = g.out_size(shape[2], shape[3]);
+            let go = randn(&[shape[0], o, oh, ow], 301 + 3 * i as u64);
+            let wshape = [o, shape[1], g.kh, g.kw];
+            let fast = conv2d_grad_weight(&go, &x, &wshape, g);
+            let oracle = grad_weight_with(&go, &x, &wshape, g, sample_taps_per_tap);
+            assert_eq!(bits(&fast), bits(&oracle), "case {i}: {shape:?} -> {o}, {g:?}");
         }
     }
 

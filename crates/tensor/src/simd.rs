@@ -128,6 +128,31 @@ impl F32x8 {
         (q[0] + q[2]) + (q[1] + q[3])
     }
 
+    /// [`F32x8::reduce_sum`] of each of eight vectors, lane `r` for `v[r]`,
+    /// bit for bit: the same three levels of pairwise adds (`s[i] + s[i+4]`,
+    /// then `q[0] + q[2]` and `q[1] + q[3]`, then their sum), each level a
+    /// lanewise add of two shuffles of the previous one, so eight sums cost
+    /// seven vector adds.
+    #[inline(always)]
+    pub(crate) fn reduce_sum_each(v: &[F32x8; LANES]) -> F32x8 {
+        // `[q of a, q of b]`: `s[i] + s[i + 4]` of two vectors side by side.
+        let q = |a: Self, b: Self| {
+            let (a, b) = (a.0, b.0);
+            F32x8([a[0], a[1], a[2], a[3], b[0], b[1], b[2], b[3]])
+                .add(F32x8([a[4], a[5], a[6], a[7], b[4], b[5], b[6], b[7]]))
+        };
+        // `[q0 + q2, q1 + q3]` of the four vectors two `q` results hold.
+        let r = |a: Self, b: Self| {
+            let (a, b) = (a.0, b.0);
+            F32x8([a[0], a[1], a[4], a[5], b[0], b[1], b[4], b[5]])
+                .add(F32x8([a[2], a[3], a[6], a[7], b[2], b[3], b[6], b[7]]))
+        };
+        let lo = r(q(v[0], v[1]), q(v[2], v[3])).0;
+        let hi = r(q(v[4], v[5]), q(v[6], v[7])).0;
+        F32x8([lo[0], lo[2], lo[4], lo[6], hi[0], hi[2], hi[4], hi[6]])
+            .add(F32x8([lo[1], lo[3], lo[5], lo[7], hi[1], hi[3], hi[5], hi[7]]))
+    }
+
     /// Horizontal maximum of all lanes.
     #[inline(always)]
     fn reduce_max(self) -> f32 {
@@ -403,6 +428,18 @@ pub(crate) fn max_value(src: &[f32]) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn reduce_sum_each_is_bit_identical_to_reduce_sum() {
+        // Magnitudes far apart, so a different add order rounds differently.
+        let v: [F32x8; LANES] = std::array::from_fn(|r| {
+            F32x8(std::array::from_fn(|i| ((r * 8 + i) as f32 * 0.77).sin() * 10f32.powi((i as i32 * 3 + r as i32) % 9 - 4)))
+        });
+        let each = F32x8::reduce_sum_each(&v).to_array();
+        for (r, vr) in v.iter().enumerate() {
+            assert_eq!(each[r].to_bits(), vr.reduce_sum().to_bits(), "vector {r}");
+        }
+    }
 
     #[test]
     fn f32x16_lanes_roundtrip_and_arithmetic() {

@@ -5,6 +5,9 @@ use crate::shape::{numel, Shape, ShapeHandle};
 use std::fmt;
 use std::sync::Arc;
 
+/// Elements [`Tensor::all_finite`] checks between early exits.
+const FINITE_BLOCK: usize = 1024;
+
 /// A dense, row-major tensor of `f32` with copy-on-write storage.
 ///
 /// Both the shape and the element buffer live behind `Arc`s: cloning a
@@ -212,8 +215,11 @@ impl Tensor {
     }
 
     /// True when every element is finite.
+    ///
+    /// Branch-free inside blocks of [`FINITE_BLOCK`] elements, so the scan
+    /// vectorizes; a non-finite element stops it at the end of its block.
     pub fn all_finite(&self) -> bool {
-        self.data.iter().all(|x| x.is_finite())
+        self.data.chunks(FINITE_BLOCK).all(|b| b.iter().fold(true, |ok, x| ok & x.is_finite()))
     }
 
     /// Maximum absolute elementwise difference against `other`.
@@ -324,5 +330,34 @@ mod tests {
     #[test]
     fn scalar_item() {
         assert_eq!(Tensor::scalar(7.5).item(), 7.5);
+    }
+
+    #[test]
+    fn all_finite_finds_every_non_finite_value_anywhere() {
+        // Two whole blocks and a partial one.
+        let len = 2 * FINITE_BLOCK + 37;
+        let finite: Vec<f32> = (0..len).map(|i| (i as f32 * 0.37).sin() * 1e3).collect();
+        assert!(Tensor::from_vec(vec![len], finite.clone()).all_finite());
+        // The first element, inside a vector, a block's last element, a
+        // later block's first, and the last element of the partial block.
+        let at = [0, 5, FINITE_BLOCK - 1, FINITE_BLOCK, 2 * FINITE_BLOCK + 3, len - 1];
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -f32::NAN] {
+            for &i in &at {
+                let mut v = finite.clone();
+                v[i] = bad;
+                assert!(!Tensor::from_vec(vec![len], v).all_finite(), "{bad} at {i}");
+            }
+        }
+        // Shorter than one vector and shorter than one block.
+        assert!(!Tensor::from_vec(vec![3], vec![1.0, f32::NAN, 2.0]).all_finite());
+        assert!(!Tensor::from_vec(vec![100], (0..100).map(|i| if i == 99 { f32::INFINITY } else { 0.0 }).collect()).all_finite());
+        assert!(Tensor::from_vec(vec![0], vec![]).all_finite());
+    }
+
+    #[test]
+    fn all_finite_accepts_extreme_finite_values() {
+        let extremes = [f32::MAX, f32::MIN, f32::MIN_POSITIVE, f32::from_bits(1), -f32::from_bits(0x007f_ffff), -0.0, 0.0];
+        let v: Vec<f32> = extremes.iter().copied().cycle().take(FINITE_BLOCK + 11).collect();
+        assert!(Tensor::from_vec(vec![v.len()], v).all_finite());
     }
 }
