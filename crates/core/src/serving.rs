@@ -182,7 +182,10 @@ impl Deserialize for ServeRequest {
         };
         let precision = keys.precision.map(|label| {
             WeightPrecision::parse(&label).ok_or_else(|| {
-                SerdeError::new(format!("unknown precision {label:?} (expected f32, bf16 or int8)"))
+                SerdeError::new(format!(
+                    "unknown precision {label:?} (expected {})",
+                    WeightPrecision::choices()
+                ))
             })
         });
         // `activation` was a per-request precision key, removed with the
@@ -191,7 +194,8 @@ impl Deserialize for ServeRequest {
         if let Some(label) = keys.activation.filter(|label| label != "f32") {
             return Err(SerdeError::new(format!(
                 "`activation` was removed: activations are always f32, got {label:?} \
-                 (drop the key; `precision` selects f32, bf16 or int8 weights)"
+                 (drop the key; `precision` selects {} weights)",
+                WeightPrecision::choices()
             )));
         }
         Ok(ServeRequest {
@@ -470,10 +474,14 @@ mod tests {
         let alias: ServeRequest =
             serde_json::from_str(r#"{"id": 1, "region": "x", "precision": "i8"}"#).unwrap();
         assert_eq!(alias.precision, Some(WeightPrecision::Int8));
-        assert!(serde_json::from_str::<ServeRequest>(
-            r#"{"id": 1, "region": "x", "precision": "fp64"}"#
+        let err = serde_json::from_str::<ServeRequest>(
+            r#"{"id": 1, "region": "x", "precision": "fp64"}"#,
         )
-        .is_err());
+        .unwrap_err()
+        .to_string();
+        for p in WeightPrecision::ALL {
+            assert!(err.contains(p.label()), "{err}");
+        }
     }
 
     #[test]

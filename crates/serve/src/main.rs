@@ -93,8 +93,9 @@ fn parse_args() -> Result<Args, String> {
             "--queue" => args.queue = parse_num(&value("--queue")?, "--queue")?,
             "--precision" => {
                 let v = value("--precision")?;
-                args.precision = SessionPrecision::parse(&v)
-                    .ok_or_else(|| format!("--precision wants f32, bf16 or int8, got {v}"))?;
+                args.precision = SessionPrecision::parse(&v).ok_or_else(|| {
+                    format!("--precision wants {}, got {v}", SessionPrecision::choices())
+                })?;
             }
             "--seed" => args.seed = parse_num(&value("--seed")?, "--seed")? as u64,
             "--default-deadline-ms" => {

@@ -72,6 +72,7 @@ fn impossible_configurations_exit_2_without_a_panic() {
         (&["--samples", "0"], "--samples"),
         (&["--queue", "0"], "--queue"),
         (&["--tiles", "9", "--halo", "2"], "--tiles"),
+        (&["--precision", "fp64"], "--precision"),
     ] {
         let mut child = Command::new(env!("CARGO_BIN_EXE_orbit2-serve"))
             .args(["--addr", "127.0.0.1:0"])
@@ -97,5 +98,10 @@ fn impossible_configurations_exit_2_without_a_panic() {
         assert!(!stderr.contains("panicked"), "orbit2-serve {flags:?} panicked:\n{stderr}");
         assert_eq!(status.code(), Some(2), "orbit2-serve {flags:?}: {stderr}");
         assert!(stderr.contains(named), "orbit2-serve {flags:?} must name {named}: {stderr}");
+        if named == "--precision" {
+            for p in orbit2_model::SessionPrecision::ALL {
+                assert!(stderr.contains(p.label()), "orbit2-serve {flags:?} must name {p:?}: {stderr}");
+            }
+        }
     }
 }

@@ -371,7 +371,8 @@ fn server_side_panic_is_internal_over_the_wire() {
     }
 }
 
-/// A wire request with an unparseable precision label fails as bad_request.
+/// A wire request with an unparseable precision label fails as
+/// bad_request, naming every label it would have accepted.
 #[test]
 fn bad_precision_label_is_bad_request() {
     let (_server, addr) = spawn_server(ServerConfig::default());
@@ -379,7 +380,19 @@ fn bad_precision_label_is_bad_request() {
     client
         .send_line(r#"{"id": 60, "region": "conus", "time": 0, "precision": "fp64"}"#)
         .unwrap();
-    expect_error(client.recv().unwrap(), 60, "bad_request");
+    match client.recv().unwrap() {
+        ServerReply::Error { id, error } => {
+            assert_eq!((id, error.kind.as_str()), (60, "bad_request"));
+            assert_names_every_precision(&error.message);
+        }
+        other => panic!("expected bad_request, got {other:?}"),
+    }
+}
+
+fn assert_names_every_precision(message: &str) {
+    for p in SessionPrecision::ALL {
+        assert!(message.contains(p.label()), "{message:?} does not name {p:?}");
+    }
 }
 
 /// The removed `activation` wire key is rejected, never silently served at
@@ -397,6 +410,7 @@ fn removed_activation_key_is_rejected_not_reinterpreted() {
         ServerReply::Error { id, error } => {
             assert_eq!((id, error.kind.as_str()), (61, "bad_request"));
             assert!(error.message.contains("`activation` was removed"), "{}", error.message);
+            assert_names_every_precision(&error.message);
         }
         other => panic!("expected bad_request, got {other:?}"),
     }

@@ -80,13 +80,8 @@ impl Tensor {
     /// Quantize every element to BF16 precision (returns a new tensor).
     pub fn to_bf16(&self) -> Tensor {
         let mut out = pool::alloc_uninit(self.len());
-        for (o, &x) in out.iter_mut().zip(self.data()) {
-            let bits = x.to_bits();
-            let rounding_bias = 0x7FFF + ((bits >> 16) & 1);
-            let rounded = bits.wrapping_add(rounding_bias) & 0xFFFF_0000;
-            let nonfinite = (bits & 0x7F80_0000) == 0x7F80_0000;
-            *o = f32::from_bits(if nonfinite { bits } else { rounded });
-        }
+        out.copy_from_slice(self.data());
+        bf16_round_slice(&mut out);
         Tensor::from_vec(self.shape().to_vec(), out)
     }
 }
@@ -138,14 +133,29 @@ mod tests {
 
     #[test]
     fn slice_round_matches_scalar_bitwise() {
+        // `bf16_round_slice` and `Tensor::to_bf16`, which is a copy through
+        // it, against the scalar rounding on every class of input.
         use crate::random::randn;
         let t = randn(&[257], 42);
         let mut v = t.data().to_vec();
-        v.extend([f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 0.0, -0.0, f32::MIN_POSITIVE]);
+        v.extend([
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            0.0,
+            -0.0,
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+            1e-42, // subnormal
+            -1e-42,
+        ]);
         let mut rounded = v.clone();
         bf16_round_slice(&mut rounded);
-        for (&orig, &got) in v.iter().zip(&rounded) {
-            assert_eq!(got.to_bits(), bf16_round(orig).to_bits(), "input {orig}");
+        let tensor = Tensor::from_vec(vec![v.len()], v.clone()).to_bf16();
+        for ((&orig, &got), &whole) in v.iter().zip(&rounded).zip(tensor.data()) {
+            let want = bf16_round(orig).to_bits();
+            assert_eq!(got.to_bits(), want, "bf16_round_slice, input {orig}");
+            assert_eq!(whole.to_bits(), want, "to_bf16, input {orig}");
         }
     }
 

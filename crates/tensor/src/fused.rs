@@ -109,6 +109,14 @@ impl WeightPrecision {
         }
     }
 
+    /// Every [`label`](Self::label), listed as an error message offers them
+    /// ("f32, bf16 or int8"), so no message can name a stale set.
+    pub fn choices() -> String {
+        let labels = Self::ALL.map(Self::label);
+        let (last, rest) = labels.split_last().expect("at least one precision");
+        format!("{} or {last}", rest.join(", "))
+    }
+
     /// Parse a [`label`](Self::label) back into a precision.
     pub fn parse(s: &str) -> Option<Self> {
         match s {
@@ -393,6 +401,7 @@ mod tests {
     fn precision_labels_round_trip() {
         for p in WeightPrecision::ALL {
             assert_eq!(WeightPrecision::parse(p.label()), Some(p));
+            assert!(WeightPrecision::choices().contains(p.label()));
         }
     }
 

@@ -185,12 +185,24 @@ fn pack_strips<Q: QWeight>(
     }
 }
 
-/// Strip storage at one of the three code widths.
+/// Strip storage at one of the three code widths; int8 codes carry their
+/// per-column scales.
 #[derive(Debug, Clone)]
 enum Codes {
     F32(Vec<f32>),
     Bf16(Vec<u16>),
-    I8(Vec<i8>),
+    I8 { codes: Vec<i8>, scales: Vec<f32> },
+}
+
+impl Codes {
+    /// The per-column scales the epilogue applies: int8's, and none at the
+    /// other widths.
+    fn scales(&self) -> Option<&[f32]> {
+        match self {
+            Codes::I8 { scales, .. } => Some(scales),
+            Codes::F32(_) | Codes::Bf16(_) => None,
+        }
+    }
 }
 
 /// Evaluate `$e` with `$q` bound to the code vector, whatever its width.
@@ -199,7 +211,7 @@ macro_rules! with_codes {
         match $codes {
             Codes::F32($q) => $e,
             Codes::Bf16($q) => $e,
-            Codes::I8($q) => $e,
+            Codes::I8 { codes: $q, .. } => $e,
         }
     };
 }
@@ -220,8 +232,6 @@ macro_rules! with_codes {
 #[derive(Debug, Clone)]
 pub struct PackedWeight {
     strips: Codes,
-    /// Per-column scales of the int8 codes; `None` at the other widths.
-    scales: Option<Vec<f32>>,
     n: usize,
     k: usize,
     nr: usize,
@@ -257,7 +267,6 @@ impl PackedWeight {
     ) -> Self {
         let nr = choose_nr(n);
         let len = n.div_ceil(nr) * k * nr;
-        let mut scales = None;
         let strips = match precision {
             WeightPrecision::F32 => {
                 let mut q = vec![0.0f32; len];
@@ -270,26 +279,25 @@ impl PackedWeight {
                 Codes::Bf16(q)
             }
             WeightPrecision::Int8 => {
-                let sc: Vec<f32> = (0..n)
+                let scales: Vec<f32> = (0..n)
                     .map(|j| {
                         let col = (0..k).map(|p| b[p * lb.rs + j * lb.cs].abs());
                         col.fold(0.0f32, f32::max) / 127.0
                     })
                     .collect();
-                let mut q = vec![0i8; len];
-                pack_strips(b, lb, k, n, nr, &mut q, |j, v| {
-                    let s = sc[j];
+                let mut codes = vec![0i8; len];
+                pack_strips(b, lb, k, n, nr, &mut codes, |j, v| {
+                    let s = scales[j];
                     if s == 0.0 {
                         0
                     } else {
                         (v / s).round().clamp(-127.0, 127.0) as i8
                     }
                 });
-                scales = Some(sc);
-                Codes::I8(q)
+                Codes::I8 { codes, scales }
             }
         };
-        PackedWeight { strips, scales, n, k, nr }
+        PackedWeight { strips, n, k, nr }
     }
 
     /// Output features (columns of `op(B)`).
@@ -315,7 +323,7 @@ impl PackedWeight {
         with_codes!(&self.strips, q => {
             for (j, row) in out.chunks_exact_mut(k).enumerate() {
                 let strip = &q[(j / nr) * k * nr + j % nr..];
-                let scale = self.scales.as_ref().map_or(1.0, |s| s[j]);
+                let scale = self.strips.scales().map_or(1.0, |s| s[j]);
                 for (p, o) in row.iter_mut().enumerate() {
                     *o = strip[p * nr].widen() * scale;
                 }
@@ -336,7 +344,7 @@ impl PackedWeight {
         pre: Option<&mut [f32]>,
         vector: bool,
     ) {
-        let ep = Epilogue { scales: self.scales.as_deref(), bias, act };
+        let ep = Epilogue { scales: self.strips.scales(), bias, act };
         let (n, k, nr) = (self.n, self.k, self.nr);
         with_codes!(&self.strips, q => {
             drive(a, la, m, Strips { codes: q, n, k, nr }, ep, c, pre, true, vector)
@@ -782,7 +790,7 @@ mod tests {
         let pw = PackedWeight::pack(&w, WeightPrecision::Int8).unwrap();
         let dq = pw.dequantized().unwrap();
         for j in 0..24 {
-            let s = pw.scales.as_ref().unwrap()[j];
+            let s = pw.strips.scales().unwrap()[j];
             for p in 0..57 {
                 let err = (w.data()[j * 57 + p] - dq.data()[j * 57 + p]).abs();
                 assert!(err <= s * 0.5 + f32::EPSILON, "err {err} vs scale {s}");
@@ -798,7 +806,7 @@ mod tests {
         }
         let w = Tensor::from_vec(vec![16, 9], w);
         let pw = PackedWeight::pack(&w, WeightPrecision::Int8).unwrap();
-        assert_eq!(pw.scales.as_ref().unwrap()[0], 0.0);
+        assert_eq!(pw.strips.scales().unwrap()[0], 0.0);
         assert!(pw.dequantized().unwrap().data()[..9].iter().all(|&v| v == 0.0));
     }
 
@@ -809,7 +817,7 @@ mod tests {
         let (n, k) = (37usize, 21usize);
         let w = randn(&[n, k], 8);
         let pw = PackedWeight::pack(&w, WeightPrecision::F32).unwrap();
-        assert!(pw.dequantized().is_none() && pw.scales.is_none());
+        assert!(pw.dequantized().is_none() && pw.strips.scales().is_none());
         let Codes::F32(q) = &pw.strips else { panic!("f32 pack") };
         assert_eq!(q.len(), n.div_ceil(pw.nr) * k * pw.nr);
         for j in 0..n {
