@@ -38,8 +38,8 @@ fn bench_forward(c: &mut Criterion) {
             b.iter(|| model.forward(&session, input, 1.0).0.into_tensor())
         });
         // Reduced-precision sessions: same tape-free forward, weights held
-        // at bf16/int8 (f32 activations and accumulate) — the per-forward
-        // win of halved/quartered weight-stream bytes.
+        // at int8 (f32 activations and accumulate) — the per-forward win of
+        // quartered weight-stream bytes.
         for precision in SessionPrecision::ALL.into_iter().filter(|&p| p != SessionPrecision::F32) {
             let reduced = model.session_at(precision);
             let label = format!("session_{}", precision.label());

@@ -43,9 +43,9 @@ fn bench_matmul(c: &mut Criterion) {
 }
 
 /// The GEMM driver at each storage format, via the same session-resident
-/// cached path inference uses: weights packed once up front (f32 / bf16 /
-/// int8 strips), activations f32, f32 accumulate. `BENCH_kernels.json` rows
-/// `gemm_f32/*`, `gemm_bf16/*`, `gemm_int8/*` record the per-precision
+/// cached path inference uses: weights packed once up front (f32 or int8
+/// strips), activations f32, f32 accumulate. `BENCH_kernels.json` rows
+/// `gemm_f32/*` and `gemm_int8/*` record the per-precision
 /// throughput the serving `--precision` flag buys — at the 256/512 squares
 /// of the trajectory and at the model's real `m×k×n` linears (126M at 32
 /// tokens, both MLP layers; the 9.5M MLP on a `tiles-field` tile). The f32

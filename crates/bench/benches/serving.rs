@@ -8,7 +8,7 @@
 //! `BENCH_JSON` line per cell keeps the
 //! output compatible with `scripts/bench_smoke.sh`, which appends it to
 //! `BENCH_serving.json`; `median_ns` carries the p50 latency, like any
-//! other bench row. The f32/bf16/int8 c16 cells (one server per precision)
+//! other bench row. The f32/int8 c16 cells (one server per precision)
 //! are the only per-precision serving numbers in the repo — no
 //! `benchmark/` workload runs a reduced-precision server.
 //!
@@ -159,7 +159,7 @@ fn main() {
     // itself the honest result: `--precision` buys throughput in
     // proportion to how weight-stream-bound the deployment is. The burst
     // is one request per client to keep the 126M cells affordable. The
-    // `serving/f32|bf16|int8/c16` row triple records what the flag buys a
+    // `serving/f32|int8/c16` row pair records what the flag buys a
     // latency-sensitive deployment.
     for precision in SessionPrecision::ALL {
         let model = ReslimModel::new(ModelConfig::paper_126m().with_channels(7, 3), 2);

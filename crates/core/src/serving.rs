@@ -456,9 +456,9 @@ mod tests {
 
     #[test]
     fn request_precision_roundtrips_and_defaults() {
-        let req = ServeRequest::region(2, "conus", 1).at_precision(WeightPrecision::Bf16);
+        let req = ServeRequest::region(2, "conus", 1).at_precision(WeightPrecision::Int8);
         let line = serde_json::to_string(&req).unwrap();
-        assert!(line.contains(r#""precision":"bf16""#), "{line}");
+        assert!(line.contains(r#""precision":"int8""#), "{line}");
         let back: ServeRequest = serde_json::from_str(&line).unwrap();
         assert_eq!(back, req);
         // Absent field means "no requirement" and is not emitted on the
@@ -470,17 +470,18 @@ mod tests {
         // An explicit f32 *is* emitted (a reduced-precision server must refuse it).
         let f32_req = ServeRequest::region(2, "conus", 1).at_precision(WeightPrecision::F32);
         assert!(serde_json::to_string(&f32_req).unwrap().contains(r#""precision":"f32""#));
-        // "i8" is an accepted alias; garbage is a hard error.
+        // "i8" is an accepted alias; garbage, or the removed "bf16", is a
+        // hard error.
         let alias: ServeRequest =
             serde_json::from_str(r#"{"id": 1, "region": "x", "precision": "i8"}"#).unwrap();
         assert_eq!(alias.precision, Some(WeightPrecision::Int8));
-        let err = serde_json::from_str::<ServeRequest>(
-            r#"{"id": 1, "region": "x", "precision": "fp64"}"#,
-        )
-        .unwrap_err()
-        .to_string();
-        for p in WeightPrecision::ALL {
-            assert!(err.contains(p.label()), "{err}");
+        for label in ["fp64", "bf16"] {
+            let line = format!(r#"{{"id": 1, "region": "x", "precision": "{label}"}}"#);
+            let err = serde_json::from_str::<ServeRequest>(&line).unwrap_err().to_string();
+            assert!(err.contains(&format!("unknown precision {label:?}")), "{err}");
+            for p in WeightPrecision::ALL {
+                assert!(err.contains(p.label()), "{err}");
+            }
         }
     }
 

@@ -1,5 +1,5 @@
-//! The reduced-precision quality gate: a model served at any reduced weight
-//! precision ([`SessionPrecision::ALL`] minus f32) must score the same
+//! The reduced-precision quality gate: a model served at int8 weights (every
+//! precision in [`SessionPrecision::ALL`] but f32) must score the same
 //! Table IV metrics as the f32 session within tight tolerances, on every
 //! output variable.
 //!
@@ -13,9 +13,9 @@ use orbit2::trainer::{Trainer, TrainerConfig};
 use orbit2_climate::{DownscalingDataset, LatLonGrid, Split, VariableSet};
 use orbit2_model::{ModelConfig, ReslimModel, SessionPrecision};
 
-/// R² tolerance for both reduced precisions. bf16 carries 8 mantissa bits
-/// (relative step ~2^-8 ≈ 4e-3); int8 per-channel quantization lands in the
-/// same error band because each channel uses its full code range.
+/// R² tolerance for int8 weights. Per-channel quantization uses each
+/// channel's full code range, so a weight moves by at most half a step of
+/// `max|w|/127` (~4e-3 of the channel's largest weight).
 const R2_TOL: f64 = 0.02;
 /// SSIM is a [0, 1] structural score; weight rounding perturbs it less than
 /// pointwise errors perturb R².

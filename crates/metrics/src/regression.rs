@@ -21,7 +21,7 @@ pub struct EvalReport {
 }
 
 /// Absolute per-metric difference between two [`EvalReport`]s, used by the
-/// reduced-precision quality gate (f32 vs bf16/int8 sessions must agree
+/// reduced-precision quality gate (f32 vs int8 sessions must agree
 /// within tolerance on every Table IV task).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReportDelta {

@@ -13,11 +13,10 @@
 //!   COW handle, so a session serving short sequences holds each weight
 //!   once;
 //! * **through a resident `W^T` pack** ([`PackedWeight`]): every longer
-//!   product, and every product of a bf16 or int8 session. A narrow session
-//!   packs at prepare, since its pack is the only narrow copy of the
-//!   weight. An f32 session builds its packs the first time a long product
-//!   needs them, all at once behind one `OnceLock`, and keeps them for its
-//!   lifetime.
+//!   product, and every product of an int8 session. An int8 session packs
+//!   at prepare, since its pack is the only int8 copy of the weight. An f32
+//!   session builds its packs the first time a long product needs them,
+//!   all at once behind one `OnceLock`, and keeps them for its lifetime.
 //!
 //! A session is `Send + Sync`: the TILES inference driver shares one
 //! session across its rayon tile workers, so a pack is paid once per
@@ -80,7 +79,7 @@ impl SessionValue {
 pub struct InferenceSession {
     values: BTreeMap<String, SessionValue>,
     precision: SessionPrecision,
-    /// The `W^T` packs by slot: set at prepare in a bf16 or int8 session,
+    /// The `W^T` packs by slot: set at prepare in an int8 session,
     /// built by the first caller of [`Self::packs`] in an f32 one.
     packs: OnceLock<Vec<PackedWeight>>,
 }
@@ -95,23 +94,17 @@ impl InferenceSession {
         Self::prepare_at(store, SessionPrecision::F32)
     }
 
-    /// [`prepare`](Self::prepare) at any weight precision. A reduced one
-    /// packs every slot right here: its pack is the session's only narrow
-    /// copy of the weight.
+    /// [`prepare`](Self::prepare) at either weight precision. `Int8` packs
+    /// every slot right here: its pack is the session's only int8 copy of
+    /// the weight.
     ///
-    /// The resident tensor for every parameter is the *dequantized* value of
-    /// whatever the packs hold, so eligible GEMMs (through the pack) and
-    /// every other path (fallback GEMM shapes, convs, layer norms, biases)
-    /// see identical weight values:
-    ///
-    /// * `Bf16` rounds **every** parameter through [`Tensor::to_bf16`] —
-    ///   the whole weight set is bf16 end to end, and the per-layer `u16`
-    ///   packs are exactly those rounded values ([`crate::infer`]'s packs
-    ///   round-trip bit-identically).
-    /// * `Int8` quantizes only the packable 2-d linear weights (per-output-
-    ///   channel symmetric codes); biases, norm gains and conv kernels stay
-    ///   f32 — no kernel consumes int8 for them, so quantizing would cost
-    ///   quality for zero bytes saved on the hot path.
+    /// `Int8` quantizes only the packable 2-d linear weights (per-output-
+    /// channel symmetric codes), and the resident tensor of each is the
+    /// pack's *dequantized* value, so eligible GEMMs (through the pack) and
+    /// every other reader (fallback GEMM shapes, `slice_axis` reads) see
+    /// identical weight values. Biases, norm gains and conv kernels stay
+    /// f32: no kernel consumes int8 for them, so quantizing would cost
+    /// quality for zero bytes saved on the hot path.
     pub(crate) fn prepare_at(store: &ParamStore, precision: SessionPrecision) -> Self {
         let mut values = BTreeMap::new();
         let mut packs = Vec::new();
@@ -119,11 +112,6 @@ impl InferenceSession {
         for (name, t) in store.iter() {
             let (tensor, pack) = match precision {
                 SessionPrecision::F32 => (t.clone(), None),
-                SessionPrecision::Bf16 => {
-                    let rounded = t.to_bf16();
-                    let pack = PackedWeight::pack(&rounded, precision);
-                    (rounded, pack)
-                }
                 SessionPrecision::Int8 => match PackedWeight::pack(t, precision) {
                     Some(pack) => (pack.dequantized().expect("int8 pack dequantizes"), Some(pack)),
                     None => (t.clone(), None),
@@ -138,7 +126,7 @@ impl InferenceSession {
         }
         let packs = match precision {
             SessionPrecision::F32 => OnceLock::new(),
-            _ => OnceLock::from(packs),
+            SessionPrecision::Int8 => OnceLock::from(packs),
         };
         Self { values, precision, packs }
     }
@@ -337,10 +325,8 @@ mod tests {
         // The gate reads shapes only: 2-d, at least 8 output features.
         let packable = model.params.iter().filter(|(_, t)| PackedWeight::packable(t)).count();
         assert!(packable > 0 && packable < model.params.len());
-        // A bf16 or int8 session packs every one of them at prepare.
-        for precision in [SessionPrecision::Bf16, SessionPrecision::Int8] {
-            assert_eq!(resident_packs(&model.session_at(precision)), packable, "{precision:?}");
-        }
+        // An int8 session packs every one of them at prepare.
+        assert_eq!(resident_packs(&model.session_at(SessionPrecision::Int8)), packable);
         // An f32 session packs nothing at prepare, nor in a forward whose
         // longest product is 64 rows (16x16 at patch 2).
         let session = model.session();
@@ -373,22 +359,6 @@ mod tests {
     fn unknown_param_panics_like_store() {
         let session = InferenceSession::prepare(&ParamStore::new());
         let _ = session.param("nope");
-    }
-
-    #[test]
-    fn bf16_session_rounds_every_parameter() {
-        let mut store = ParamStore::new();
-        store.insert("mlp.w1", randn(&[64, 32], 1));
-        store.insert("ln.g", randn(&[32], 2));
-        store.insert("conv.w", randn(&[8, 4, 3, 3], 3));
-        let session = InferenceSession::prepare_at(&store, SessionPrecision::Bf16);
-        for name in ["mlp.w1", "ln.g", "conv.w"] {
-            let got = session.param(name);
-            let expect = store.get(name).to_bf16();
-            got.tensor().assert_close(&expect, 0.0);
-        }
-        // The 2-d linear weight is packed; others never pack.
-        assert_eq!(resident_packs(&session), 1);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! ```text
 //! orbit2-serve [--addr 127.0.0.1:7878] [--grid 32x64] [--samples 32]
 //!              [--tiles N] [--halo H] [--queue N] [--seed N]
-//!              [--precision f32|bf16|int8] [--default-deadline-ms N]
+//!              [--precision f32|int8] [--default-deadline-ms N]
 //! ```
 //!
 //! `--precision` is the deployment's weight precision: the server builds
@@ -65,7 +65,7 @@ impl Default for Args {
 }
 
 const USAGE: &str = "usage: orbit2-serve [--addr HOST:PORT] [--grid HxW] [--samples N] \
-[--tiles N] [--halo H] [--queue N] [--seed N] [--precision f32|bf16|int8] \
+[--tiles N] [--halo H] [--queue N] [--seed N] [--precision f32|int8] \
 [--default-deadline-ms N]";
 
 fn parse_args() -> Result<Args, String> {

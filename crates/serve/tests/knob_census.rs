@@ -73,6 +73,7 @@ fn impossible_configurations_exit_2_without_a_panic() {
         (&["--queue", "0"], "--queue"),
         (&["--tiles", "9", "--halo", "2"], "--tiles"),
         (&["--precision", "fp64"], "--precision"),
+        (&["--precision", "bf16"], "--precision"),
     ] {
         let mut child = Command::new(env!("CARGO_BIN_EXE_orbit2-serve"))
             .args(["--addr", "127.0.0.1:0"])

@@ -149,7 +149,7 @@ fn stats_command_is_the_server_snapshot_over_the_wire() {
         .unwrap();
     // A precision the server is not deployed at is refused, not served.
     client
-        .send(&ServeRequest::region(4, "conus", 4).at_precision(SessionPrecision::Bf16))
+        .send(&ServeRequest::region(4, "conus", 4).at_precision(SessionPrecision::Int8))
         .unwrap();
     expect_error(client.recv().unwrap(), 4, "bad_request");
 
@@ -371,21 +371,23 @@ fn server_side_panic_is_internal_over_the_wire() {
     }
 }
 
-/// A wire request with an unparseable precision label fails as
-/// bad_request, naming every label it would have accepted.
+/// A wire request with an unparseable precision label (garbage, or the
+/// removed `"bf16"`) fails as bad_request, naming every label it would
+/// have accepted.
 #[test]
 fn bad_precision_label_is_bad_request() {
     let (_server, addr) = spawn_server(ServerConfig::default());
     let mut client = Client::connect(addr).unwrap();
-    client
-        .send_line(r#"{"id": 60, "region": "conus", "time": 0, "precision": "fp64"}"#)
-        .unwrap();
-    match client.recv().unwrap() {
-        ServerReply::Error { id, error } => {
-            assert_eq!((id, error.kind.as_str()), (60, "bad_request"));
-            assert_names_every_precision(&error.message);
+    for (id, label) in [(60u64, "fp64"), (63, "bf16")] {
+        let line = format!(r#"{{"id": {id}, "region": "conus", "time": 0, "precision": "{label}"}}"#);
+        client.send_line(&line).unwrap();
+        match client.recv().unwrap() {
+            ServerReply::Error { id: got, error } => {
+                assert_eq!((got, error.kind.as_str()), (id, "bad_request"));
+                assert_names_every_precision(&error.message);
+            }
+            other => panic!("expected bad_request, got {other:?}"),
         }
-        other => panic!("expected bad_request, got {other:?}"),
     }
 }
 

@@ -1,21 +1,11 @@
-//! BF16 emulation and real `u16`-backed BF16 storage.
+//! BF16 emulation for the mixed-precision trainer.
 //!
 //! The paper trains ORBIT-2 in BFLOAT16 with dynamic gradient scaling
-//! (Sec. III-D). Two layers of support live here:
-//!
-//! * **Emulation** ([`bf16_round`], [`bf16_round_slice`]): `f32` values rounded to
-//!   the nearest 8-bit-mantissa value (round-to-nearest-even on the
-//!   truncated bits) while staying 32-bit in memory — the same trick
-//!   PyTorch uses for CPU BF16 emulation. Used by the mixed-precision
-//!   trainer, where every value immediately re-enters f32 arithmetic.
-//! * **Storage** (`f32_to_bf16`, `bf16_to_f32`): real 16-bit words (the
-//!   high half of the rounded f32 bit pattern), halving the bytes a weight
-//!   stream moves. The GEMM driver ([`crate::qgemm`]) keeps resident
-//!   bf16 weight packs in this form. Round-tripping storage is
-//!   bit-identical to [`bf16_round`] for every finite and infinite value;
-//!   NaNs keep their class but not their payload (a 16-bit word cannot hold
-//!   payload bits that live in the low mantissa half, so the quiet bit is
-//!   forced to keep the encoding a NaN rather than decaying to infinity).
+//! (Sec. III-D). [`bf16_round`] and [`bf16_round_slice`] round `f32` values
+//! to the nearest 8-bit-mantissa value (round-to-nearest-even on the
+//! truncated bits) while staying 32-bit in memory — the same trick PyTorch
+//! uses for CPU BF16 emulation. Every rounded value immediately re-enters
+//! f32 arithmetic.
 
 use crate::pool;
 use crate::tensor::Tensor;
@@ -48,32 +38,6 @@ pub fn bf16_round_slice(dst: &mut [f32]) {
         let nonfinite = (bits & 0x7F80_0000) == 0x7F80_0000;
         *v = f32::from_bits(if nonfinite { bits } else { rounded });
     }
-}
-
-/// Convert one `f32` to a `u16` BF16 word (round-to-nearest-even).
-///
-/// The word is the high half of [`bf16_round`]'s bit pattern, so widening it
-/// back with [`bf16_to_f32`] reproduces `bf16_round(x)` bit for bit — except
-/// for NaNs whose payload lives entirely in the low mantissa bits, where
-/// truncation would yield an infinity encoding; the quiet bit is forced so
-/// the value stays a NaN.
-#[inline]
-pub(crate) fn f32_to_bf16(x: f32) -> u16 {
-    let bits = x.to_bits();
-    if (bits & 0x7F80_0000) == 0x7F80_0000 {
-        // Inf or NaN: truncate, forcing the quiet bit for NaNs.
-        let hi = (bits >> 16) as u16;
-        return if bits & 0x007F_FFFF != 0 { hi | 0x0040 } else { hi };
-    }
-    let rounding_bias = 0x7FFF + ((bits >> 16) & 1);
-    (bits.wrapping_add(rounding_bias) >> 16) as u16
-}
-
-/// Widen one `u16` BF16 word back to `f32` (exact; every BF16 value is
-/// representable).
-#[inline(always)]
-pub(crate) fn bf16_to_f32(w: u16) -> f32 {
-    f32::from_bits((w as u32) << 16)
 }
 
 impl Tensor {
@@ -156,40 +120,6 @@ mod tests {
             let want = bf16_round(orig).to_bits();
             assert_eq!(got.to_bits(), want, "bf16_round_slice, input {orig}");
             assert_eq!(whole.to_bits(), want, "to_bf16, input {orig}");
-        }
-    }
-
-    #[test]
-    fn storage_roundtrip_matches_emulation_bitwise() {
-        use crate::random::randn;
-        let t = randn(&[513], 7);
-        let mut v = t.data().to_vec();
-        v.extend([
-            0.0,
-            -0.0,
-            f32::INFINITY,
-            f32::NEG_INFINITY,
-            f32::MIN_POSITIVE,
-            -f32::MIN_POSITIVE,
-            f32::MAX,
-            f32::MIN,
-            1e-42, // subnormal
-            f32::from_bits(0x3F80_8000),
-        ]);
-        for &x in &v {
-            let rt = bf16_to_f32(f32_to_bf16(x));
-            assert_eq!(rt.to_bits(), bf16_round(x).to_bits(), "input {x}");
-        }
-    }
-
-    #[test]
-    fn storage_preserves_nan_class() {
-        // A payload held entirely in the low mantissa bits would truncate to
-        // an infinity encoding; the quiet bit keeps it NaN.
-        for nan in [f32::NAN, f32::from_bits(0x7F80_0001), f32::from_bits(0xFF80_FFFF)] {
-            let w = f32_to_bf16(nan);
-            assert!(bf16_to_f32(w).is_nan(), "word {w:#06x}");
-            assert_eq!(bf16_to_f32(w).is_sign_negative(), nan.is_sign_negative());
         }
     }
 

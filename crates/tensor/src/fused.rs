@@ -87,8 +87,6 @@ pub enum WeightPrecision {
     /// Full f32 strips — the per-call pack, kept.
     #[default]
     F32,
-    /// `u16` BF16 words, widened to f32 inside the kernel.
-    Bf16,
     /// Symmetric per-output-channel `i8` codes with f32 scales.
     Int8,
 }
@@ -97,20 +95,18 @@ impl WeightPrecision {
     /// Every precision. The quality gate, the serving contract tests and
     /// the bench cells all iterate this list, so adding or removing a cell
     /// is a one-line change.
-    pub const ALL: [WeightPrecision; 3] =
-        [WeightPrecision::F32, WeightPrecision::Bf16, WeightPrecision::Int8];
+    pub const ALL: [WeightPrecision; 2] = [WeightPrecision::F32, WeightPrecision::Int8];
 
     /// Stable lowercase label used in wire formats and bench row names.
     pub fn label(self) -> &'static str {
         match self {
             WeightPrecision::F32 => "f32",
-            WeightPrecision::Bf16 => "bf16",
             WeightPrecision::Int8 => "int8",
         }
     }
 
     /// Every [`label`](Self::label), listed as an error message offers them
-    /// ("f32, bf16 or int8"), so no message can name a stale set.
+    /// ("f32 or int8"), so no message can name a stale set.
     pub fn choices() -> String {
         let labels = Self::ALL.map(Self::label);
         let (last, rest) = labels.split_last().expect("at least one precision");
@@ -121,7 +117,6 @@ impl WeightPrecision {
     pub fn parse(s: &str) -> Option<Self> {
         match s {
             "f32" => Some(WeightPrecision::F32),
-            "bf16" => Some(WeightPrecision::Bf16),
             "int8" | "i8" => Some(WeightPrecision::Int8),
             _ => None,
         }
@@ -183,11 +178,10 @@ pub fn matmul_bias_act(
 /// this layer; pass `None` (a weight the shape gate leaves unpacked) to
 /// pack `w` per call.
 ///
-/// **Reduced-precision contract:** a [`Bf16`](WeightPrecision::Bf16) or
-/// [`Int8`](WeightPrecision::Int8) session passes the pack's
-/// [`dequantized`](PackedWeight::dequantized) tensor as `w`, so a weight
-/// with no pack (and every non-GEMM reader of the parameter) computes with
-/// the same values the kernel widens. When `packed` is given, only the
+/// **Reduced-precision contract:** an [`Int8`](WeightPrecision::Int8)
+/// session passes the pack's [`dequantized`](PackedWeight::dequantized)
+/// tensor as `w`, so a weight with no pack (and every non-GEMM reader of
+/// the parameter) computes with the same values the kernel widens. When `packed` is given, only the
 /// shape of `w` is read.
 pub fn matmul_bias_act_cached(
     x: &Tensor,
@@ -517,47 +511,42 @@ mod tests {
 
     #[test]
     fn quantized_cached_path_matches_dequantized_reference() {
-        // A reduced-precision pack must compute the same function as the
-        // plain fused linear on its dequantized tensor: exactly for bf16
-        // (the widened values are the tensor's), within rounding of the
-        // late per-channel scale for int8.
+        // An int8 pack must compute the same function as the plain fused
+        // linear on its dequantized tensor, within rounding of the late
+        // per-channel scale.
         for &(m, k, n) in &[(2usize, 3usize, 16usize), (9, 40, 48), (72, 64, 64)] {
             let x = randn(&[m, k], 51);
             let w = randn(&[n, k], 52);
             let b = randn(&[n], 53);
-            for prec in [WeightPrecision::Bf16, WeightPrecision::Int8] {
-                let packed = PackedWeight::pack(&w, prec).unwrap();
-                let dq = packed.dequantized().unwrap();
-                for act in [Activation::Identity, Activation::Gelu] {
-                    let y = matmul_bias_act_cached(&x, &dq, Some(&packed), Some(&b), act);
-                    let (y_ref, _) = matmul_bias_act(&x, &dq, Some(&b), act);
-                    y.assert_close(&y_ref, 2e-4 * (k as f32).sqrt());
-                }
+            let packed = PackedWeight::pack(&w, WeightPrecision::Int8).unwrap();
+            let dq = packed.dequantized().unwrap();
+            for act in [Activation::Identity, Activation::Gelu] {
+                let y = matmul_bias_act_cached(&x, &dq, Some(&packed), Some(&b), act);
+                let (y_ref, _) = matmul_bias_act(&x, &dq, Some(&b), act);
+                y.assert_close(&y_ref, 2e-4 * (k as f32).sqrt());
             }
         }
     }
 
     #[test]
     fn quantized_row_stacking_is_bitwise_invariant() {
-        // Row independence must hold for reduced-precision packs too: each
-        // output row depends on its input row alone.
+        // Row independence must hold for int8 packs too: each output row
+        // depends on its input row alone.
         let (k, n) = (48usize, 64usize);
         let w = randn(&[n, k], 81);
         let b = randn(&[n], 82);
-        for prec in [WeightPrecision::Bf16, WeightPrecision::Int8] {
-            let packed = PackedWeight::pack(&w, prec).unwrap();
-            let dq = packed.dequantized().unwrap();
-            for &(ra, rb) in &[(5usize, 9usize), (7, 70), (64, 128)] {
-                let xa = randn(&[ra, k], 83);
-                let xb = randn(&[rb, k], 84);
-                let stacked = Tensor::concat(&[&xa, &xb], 0);
-                let ya = matmul_bias_act_cached(&xa, &dq, Some(&packed), Some(&b), Activation::Gelu);
-                let yb = matmul_bias_act_cached(&xb, &dq, Some(&packed), Some(&b), Activation::Gelu);
-                let ys =
-                    matmul_bias_act_cached(&stacked, &dq, Some(&packed), Some(&b), Activation::Gelu);
-                assert_eq!(ys.slice_axis(0, 0, ra).data(), ya.data(), "{prec:?} rows ({ra},{rb})");
-                assert_eq!(ys.slice_axis(0, ra, rb).data(), yb.data(), "{prec:?} rows ({ra},{rb})");
-            }
+        let packed = PackedWeight::pack(&w, WeightPrecision::Int8).unwrap();
+        let dq = packed.dequantized().unwrap();
+        for &(ra, rb) in &[(5usize, 9usize), (7, 70), (64, 128)] {
+            let xa = randn(&[ra, k], 83);
+            let xb = randn(&[rb, k], 84);
+            let stacked = Tensor::concat(&[&xa, &xb], 0);
+            let ya = matmul_bias_act_cached(&xa, &dq, Some(&packed), Some(&b), Activation::Gelu);
+            let yb = matmul_bias_act_cached(&xb, &dq, Some(&packed), Some(&b), Activation::Gelu);
+            let ys =
+                matmul_bias_act_cached(&stacked, &dq, Some(&packed), Some(&b), Activation::Gelu);
+            assert_eq!(ys.slice_axis(0, 0, ra).data(), ya.data(), "rows ({ra},{rb})");
+            assert_eq!(ys.slice_axis(0, ra, rb).data(), yb.data(), "rows ({ra},{rb})");
         }
     }
 

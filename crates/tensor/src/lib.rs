@@ -7,7 +7,7 @@
 //! * dense row-major [`Tensor`]s of `f32` with NumPy-style broadcasting,
 //! * one register-blocked GEMM driver ([`qgemm`]) behind every matrix
 //!   product — [`matmul`](Tensor::matmul) and its adjoints, batched matmul,
-//!   the fused linear layer — over f32, BF16 or int8 weight strips,
+//!   the fused linear layer — over f32 or int8 weight strips,
 //! * direct register-blocked `conv2d` and its two gradients, no unfolded
 //!   column matrix (the residual path of Reslim is convolutional),
 //! * bilinear / nearest resize and area-average downsampling (the

@@ -1,7 +1,7 @@
 //! The GEMM driver: every matrix product in the crate runs here.
 //!
 //! `C = act(scale ⊙ (op(A) · op(B)) + bias)` for f32 activations against an
-//! `op(B)` stored as f32, BF16 words or per-channel int8 codes. Precision is
+//! `op(B)` stored as f32 or per-channel int8 codes. Precision is
 //! a property of the stored data (`QWeight`), not of the algorithm: one
 //! pack format, one register-blocked kernel, one loop nest, one oracle.
 //!
@@ -12,7 +12,7 @@
 //! (`strip[p·nr + c]`), ragged columns zero-padded. [`pack_strips`] builds
 //! strips from any [`MatLayout`], so `W^T` of a `[n, k]` linear weight, a
 //! row-major `B` and a `B^T` all pack straight from their storage. A
-//! [`PackedWeight`] keeps strips resident across calls at one of three
+//! [`PackedWeight`] keeps strips resident across calls at one of two
 //! storage widths; [`gemm_per_call`] packs f32 strips into pooled scratch
 //! for one product (the tape's forward and backward), and
 //! [`ScratchStrips`] keeps such a pack for a caller of its own (the
@@ -46,7 +46,6 @@
 //! is no small-shape route to the oracle: down to `n = 3` the kernel on a
 //! zero-padded strip is the faster of the two.
 
-use crate::bf16::{bf16_to_f32, f32_to_bf16};
 use crate::fused::{Activation, WeightPrecision};
 use crate::matmul::MatLayout;
 use crate::ops::gather_strided;
@@ -102,13 +101,6 @@ impl QWeight for f32 {
     // A copy here costs 1.2-1.5x on the bytes-bound m = 32 products.
     fn widened<'a>(strip: &'a [f32], _: &'a mut Option<Buffer>) -> &'a [f32] {
         strip
-    }
-}
-
-impl QWeight for u16 {
-    #[inline(always)]
-    fn widen(self) -> f32 {
-        bf16_to_f32(self)
     }
 }
 
@@ -185,22 +177,20 @@ fn pack_strips<Q: QWeight>(
     }
 }
 
-/// Strip storage at one of the three code widths; int8 codes carry their
+/// Strip storage at one of the two code widths; int8 codes carry their
 /// per-column scales.
 #[derive(Debug, Clone)]
 enum Codes {
     F32(Vec<f32>),
-    Bf16(Vec<u16>),
     I8 { codes: Vec<i8>, scales: Vec<f32> },
 }
 
 impl Codes {
-    /// The per-column scales the epilogue applies: int8's, and none at the
-    /// other widths.
+    /// The per-column scales the epilogue applies: int8's, and none at f32.
     fn scales(&self) -> Option<&[f32]> {
         match self {
             Codes::I8 { scales, .. } => Some(scales),
-            Codes::F32(_) | Codes::Bf16(_) => None,
+            Codes::F32(_) => None,
         }
     }
 }
@@ -210,7 +200,6 @@ macro_rules! with_codes {
     ($codes:expr, $q:ident => $e:expr) => {
         match $codes {
             Codes::F32($q) => $e,
-            Codes::Bf16($q) => $e,
             Codes::I8 { codes: $q, .. } => $e,
         }
     };
@@ -222,12 +211,11 @@ macro_rules! with_codes {
 /// every invocation. An inference session that replays the same weights
 /// thousands of times pays that cost once by holding a `PackedWeight` per
 /// linear weight and passing it to
-/// [`matmul_bias_act_cached`](crate::fused::matmul_bias_act_cached). The
-/// [`Bf16`](WeightPrecision::Bf16) and [`Int8`](WeightPrecision::Int8)
-/// packs additionally shrink the resident bytes 2×/4×: `u16` BF16 words
-/// (round-to-nearest-even), or symmetric per-output-channel `i8` codes with
-/// one f32 scale per column (`scale = max|w|/127`, codes `round(w/scale)`,
-/// so the reconstruction error is at most `scale/2` per element).
+/// [`matmul_bias_act_cached`](crate::fused::matmul_bias_act_cached). An
+/// [`Int8`](WeightPrecision::Int8) pack additionally shrinks the resident
+/// bytes 4×: symmetric per-output-channel `i8` codes with one f32 scale per
+/// column (`scale = max|w|/127`, codes `round(w/scale)`, so the
+/// reconstruction error is at most `scale/2` per element).
 /// Activations and accumulation are f32 at every width.
 #[derive(Debug, Clone)]
 pub struct PackedWeight {
@@ -273,11 +261,6 @@ impl PackedWeight {
                 pack_strips(b, lb, k, n, nr, &mut q, |_, v| v);
                 Codes::F32(q)
             }
-            WeightPrecision::Bf16 => {
-                let mut q = vec![0u16; len];
-                pack_strips(b, lb, k, n, nr, &mut q, |_, v| f32_to_bf16(v));
-                Codes::Bf16(q)
-            }
             WeightPrecision::Int8 => {
                 let scales: Vec<f32> = (0..n)
                     .map(|j| {
@@ -310,25 +293,22 @@ impl PackedWeight {
         self.k
     }
 
-    /// The `[n, k]` f32 weight a reduced pack computes with — BF16-rounded
-    /// values (bit-identical to `w.to_bf16()`) or `code × scale` — so that
-    /// whatever else reads the weight (an unpacked shape, a conv, a norm)
-    /// sees what the kernel widens. `None` for f32: the original is exact.
+    /// The `[n, k]` f32 weight an int8 pack computes with, `code × scale`,
+    /// so that whatever else reads the weight (an unpacked shape, a conv, a
+    /// norm) sees what the kernel widens. `None` for f32: the original is
+    /// exact.
     pub fn dequantized(&self) -> Option<Tensor> {
-        if let Codes::F32(_) = self.strips {
+        let Codes::I8 { codes, scales } = &self.strips else {
             return None;
-        }
+        };
         let (n, k, nr) = (self.n, self.k, self.nr);
         let mut out = pool::alloc_uninit(n * k);
-        with_codes!(&self.strips, q => {
-            for (j, row) in out.chunks_exact_mut(k).enumerate() {
-                let strip = &q[(j / nr) * k * nr + j % nr..];
-                let scale = self.strips.scales().map_or(1.0, |s| s[j]);
-                for (p, o) in row.iter_mut().enumerate() {
-                    *o = strip[p * nr].widen() * scale;
-                }
+        for ((j, row), &scale) in out.chunks_exact_mut(k).enumerate().zip(scales) {
+            let strip = &codes[(j / nr) * k * nr + j % nr..];
+            for (p, o) in row.iter_mut().enumerate() {
+                *o = strip[p * nr].widen() * scale;
             }
-        });
+        }
         Some(Tensor::from_vec(vec![n, k], out))
     }
 
@@ -771,20 +751,6 @@ mod tests {
     use crate::random::randn;
 
     #[test]
-    fn bf16_dequantized_matches_to_bf16_bitwise() {
-        for &(n, k) in &[(16usize, 8usize), (48, 33), (64, 64)] {
-            let w = randn(&[n, k], 5);
-            let pw = PackedWeight::pack(&w, WeightPrecision::Bf16).unwrap();
-            let dq = pw.dequantized().unwrap();
-            let expect = w.to_bf16();
-            assert_eq!(dq.shape(), expect.shape());
-            for (a, b) in dq.data().iter().zip(expect.data()) {
-                assert_eq!(a.to_bits(), b.to_bits());
-            }
-        }
-    }
-
-    #[test]
     fn i8_quantization_error_bounded_by_half_scale() {
         let w = randn(&[24, 57], 6);
         let pw = PackedWeight::pack(&w, WeightPrecision::Int8).unwrap();
@@ -856,23 +822,6 @@ mod tests {
                     }
                 }
             }
-        }
-    }
-
-    #[test]
-    fn bf16_gemm_close_to_f32_reference() {
-        let (m, k, n) = (9usize, 65usize, 33usize);
-        let a = randn(&[m, k], 21);
-        let w = randn(&[n, k], 22);
-        let pw = PackedWeight::pack(&w, WeightPrecision::Bf16).unwrap();
-        let mut c = vec![0.0f32; m * n];
-        gemm_resident(a.data(), m, &pw, None, Activation::Identity, &mut c);
-        let expect = a.matmul(&w.transpose2());
-        for (got, want) in c.iter().zip(expect.data()) {
-            // Weight rounding error ~2^-8 relative per product, amplified by
-            // the k-term accumulation.
-            let tol = (1.0 / 256.0) * (k as f32).sqrt() * 4.0;
-            assert!((got - want).abs() <= tol.max(1e-3), "{got} vs {want}");
         }
     }
 

@@ -6,7 +6,7 @@
 # Then run the inference bench (tape vs tape-free forward, whole-sample,
 # 2x2 tiled, and reduced-precision sessions) into BENCH_inference.json,
 # and the serving bench (open-loop load at three concurrency levels, plus
-# f32/bf16/int8 default-precision cells at c=16 and the `wire/*` float-text
+# f32/int8 default-precision cells at c=16 and the `wire/*` float-text
 # cells) into BENCH_serving.json.
 #
 # Snapshots are labelled with the tree that was benchmarked (`git describe
@@ -89,15 +89,15 @@ jq -r '
 
 # GEMM ratios from this one snapshot (pool-enabled run), so they mean the
 # same on any box: the vector kernel against the scalar oracle on the same
-# operands, and the bf16/int8 strips against f32 strips per shape — the
+# operands, and the int8 strips against f32 strips per shape — the
 # speedup the serving `--precision` flag buys per GEMM call.
 jq -r '
     .[-1].runs[0].results
     | (map({(.bench): .median_ns}) | add) as $r
     | "gemm_f32/256 vs gemm_ref/256\tkernel \($r["gemm_f32/256"]) ns\toracle \($r["gemm_ref/256"]) ns\tspeedup \(($r["gemm_ref/256"] / $r["gemm_f32/256"] * 100 | round) / 100)x",
-      ( $r | keys[] | select(startswith("gemm_bf16/")) | split("/")[1] ) as $n
+      ( $r | keys[] | select(startswith("gemm_int8/")) | split("/")[1] ) as $n
     | ($r["gemm_f32/" + $n]) as $f
-    | "gemm_precision/\($n)\tf32 \($f) ns\tbf16 \($r["gemm_bf16/" + $n]) ns (\(($f / $r["gemm_bf16/" + $n] * 100 | round) / 100)x)\tint8 \($r["gemm_int8/" + $n]) ns (\(($f / $r["gemm_int8/" + $n] * 100 | round) / 100)x)"
+    | "gemm_precision/\($n)\tf32 \($f) ns\tint8 \($r["gemm_int8/" + $n]) ns (\(($f / $r["gemm_int8/" + $n] * 100 | round) / 100)x)"
 ' "$OUT_JSON"
 
 # The broadcasting walk, same snapshot: a row-broadcast pass against the
@@ -227,11 +227,11 @@ echo "appended serving record to $SERVE_JSON"
 jq -r '.[-1].results[] | select(.bench | test("^serving/c[0-9]+$")) | "\(.bench)\t\(.rps) req/s\tp50 \(.p50_us) us\tp99 \(.p99_us) us"' "$SERVE_JSON"
 
 # Per-precision serving throughput at c=16 (126M model): the
-# f32 server vs the reduced-precision default servers under the same load.
+# f32 server vs the int8 server under the same load.
 jq -r '
     .[-1].results
     | (map(select(.bench == "serving/f32/c16")) | first) as $f
-    | map(select(.bench == "serving/bf16/c16" or .bench == "serving/int8/c16"))[]
+    | map(select(.bench == "serving/int8/c16"))[]
     | "\(.bench)\t\(.rps) req/s (p99 \(.p99_us) us)\tvs f32 \($f.rps) req/s\tspeedup \((.rps / $f.rps * 100 | round) / 100)x"
 ' "$SERVE_JSON"
 

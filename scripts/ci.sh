@@ -15,7 +15,7 @@
 #   3. clippy lint gate (scripts/lint.sh: -D warnings -D unsafe_code)
 #   4. chaos suite (scripts/chaos_smoke.sh: fault injection + recovery)
 #   5. reduced-precision quality gate (crates/core/tests/precision_gate.rs):
-#      bf16/int8 weight sessions must reproduce the f32 Table IV metrics
+#      int8 weight sessions must reproduce the f32 Table IV metrics
 #      within tolerance. Runs in release.
 #   6. end-to-end benchmark harness (benchmark/, a package of its own that
 #      the workspace build never compiles): its unit tests, then
@@ -61,7 +61,7 @@ scripts/lint.sh
 step "chaos suite"
 scripts/chaos_smoke.sh
 
-step "reduced-precision quality gate (bf16/int8 weights vs f32 metrics)"
+step "reduced-precision quality gate (int8 weights vs f32 metrics)"
 cargo test --release -q -p orbit2 --test precision_gate
 
 step "benchmark harness: unit tests + smoke run"

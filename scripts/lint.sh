@@ -61,9 +61,9 @@
 # this list, in review.
 #
 # Pack gate (DESIGN.md §9): a resident `Wᵀ` pack is built in one place, the
-# inference session, which decides when: at prepare in a bf16 or int8
-# session, at the first product longer than `fused::IN_PLACE_MAX_ROWS` rows
-# in an f32 one. So outside test modules, a `PackedWeight::pack` or
+# inference session, which decides when: at prepare in an int8 session, at
+# the first product longer than `fused::IN_PLACE_MAX_ROWS` rows in an f32
+# one. So outside test modules, a `PackedWeight::pack` or
 # `PackedWeight::from_layout` call under `crates/*/src` may sit only in
 # `model/src/infer.rs` and in `tensor/src/qgemm.rs`, which defines them.
 #
@@ -86,6 +86,13 @@
 # it names `pub` items (`split_stack`, `ServerStats`, `Exec`, `TimedExec`'s
 # trait methods) that the workspace build never sees, so narrowing one fails
 # here instead of after the whole test suite.
+#
+# Doc-link gate: `cargo doc` with `rustdoc::broken-intra-doc-links` denied,
+# so a doc link to a deleted or renamed item fails instead of rendering as
+# plain text. It documents the repo's own packages only (every `crates/*`
+# package and the root one): `--workspace` would also document the vendored
+# shims, and the `proptest` shim's docs carry a link of their own that does
+# not resolve.
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 float_sum="$(grep -rnE '(into_)?par_(iter|iter_mut|chunks|chunks_mut)\(.*sum::<f(32|64)>' crates/*/src || true)"
@@ -244,4 +251,9 @@ if [[ -n "$unreferenced_pub" ]]; then
     exit 1
 fi
 cargo check -q --manifest-path benchmark/Cargo.toml --all-targets
+doc_packages=(-p orbit2-repro)
+for manifest in crates/*/Cargo.toml; do
+    doc_packages+=(-p "$(sed -n 's/^name = "\(.*\)"$/\1/p' "$manifest" | head -n 1)")
+done
+RUSTDOCFLAGS="-D rustdoc::broken-intra-doc-links" cargo doc -q --no-deps "${doc_packages[@]}"
 exec cargo clippy --workspace --all-targets -- -D warnings -D unsafe_code -W clippy::redundant_clone "$@"

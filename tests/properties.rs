@@ -250,7 +250,7 @@ proptest! {
     #[test]
     fn packed_matmul_matches_reference_oracle(
         (m, k, n) in (1usize..20, 1usize..70, 1usize..140),
-        (layout, code, act) in (0usize..3, 0usize..3, 0usize..3),
+        (layout, code, act) in (0usize..3, 0usize..orbit2_tensor::fused::WeightPrecision::ALL.len(), 0usize..3),
         (with_bias, want_pre) in (0usize..2, 0usize..2),
         seed in 0u64..1000,
     ) {

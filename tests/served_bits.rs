@@ -2,13 +2,13 @@
 //! small models, whole and tiled, at compression 1 and 2, on tiles of 8 to
 //! 180 tokens — both sides of `orbit2_tensor::fused::IN_PLACE_MAX_ROWS`, so
 //! an f32 session's in-place products and its resident packs both run —
-//! and the same fields from a bf16 and an int8 session, whose every product
-//! reads its resident packs.
+//! and the same fields from an int8 session, whose every product reads its
+//! resident packs.
 //!
 //! Each digest is FNV-1a over the output's f32 bit patterns, computed on an
 //! FMA host (the build is `-C target-cpu=native`, `.cargo/config.toml`):
 //! the f32 digests on the tree before the in-place product existed, the
-//! bf16 and int8 ones before int8's scales moved into `Codes::I8`. A
+//! int8 ones before int8's scales moved into `Codes::I8`. A
 //! kernel, an epilogue or a pack that moves one bit of one reply fails
 //! here; update a digest only in a change that says why its bits moved.
 
@@ -29,14 +29,13 @@ fn fnv1a(values: &[f32]) -> u64 {
 
 /// One served field: the model, the fine grid (the input is a quarter of
 /// each side), the tiling, the tokens of its longest tile, and the digests
-/// at compression 1 and 2 of an f32, a bf16 and an int8 session.
+/// at compression 1 and 2 of an f32 and an int8 session.
 struct Case {
     cfg: fn() -> ModelConfig,
     fine: (usize, usize),
     tiles: Option<TileSpec>,
     tokens: usize,
     digests: [u64; 2],
-    bf16: [u64; 2],
     int8: [u64; 2],
 }
 
@@ -48,7 +47,6 @@ const CASES: [Case; 6] = [
         tiles: None,
         tokens: 8,
         digests: [0x1e3c_8e71_83a4_dd27, 0x991c_ea5e_7da5_b91d],
-        bf16: [0x7256_4aad_0b17_fba2, 0x2169_d909_1221_02f1],
         int8: [0x171e_5b7c_b980_74c7, 0xe10c_80df_83db_31c3],
     },
     Case {
@@ -57,7 +55,6 @@ const CASES: [Case; 6] = [
         tiles: None,
         tokens: 32,
         digests: [0x9a5f_7fbd_09c9_8d93, 0xeb78_6d18_bf98_839b],
-        bf16: [0x9cce_66c8_8ccd_9c90, 0x34c7_325e_bb17_2988],
         int8: [0x4ac8_45ca_850b_0e98, 0xfc60_d8df_8adc_fe19],
     },
     Case {
@@ -66,7 +63,6 @@ const CASES: [Case; 6] = [
         tiles: None,
         tokens: 32,
         digests: [0xcf2e_07ea_fa8f_0c0f, 0x86a5_ed47_54fc_3ba5],
-        bf16: [0xf0ad_27d3_d44a_7cd8, 0xbd3e_fb35_bbb4_cbbe],
         int8: [0x513b_a3e4_400f_fb18, 0x9515_f421_53ec_b483],
     },
     Case {
@@ -75,7 +71,6 @@ const CASES: [Case; 6] = [
         tiles: Some(TileSpec { tiles_y: 2, tiles_x: 2, halo: 2 }),
         tokens: 60,
         digests: [0xf2f9_3bc5_62de_5200, 0xb927_f92b_ffb5_b275],
-        bf16: [0xb947_5c47_dbe6_4d6c, 0x946d_9486_c110_2d28],
         int8: [0x104d_57b9_7ef7_d6d8, 0x08d9_be72_ffb5_a599],
     },
     // Through the f32 resident packs: 128 tokens whole, 1x2 tiles of 180.
@@ -85,7 +80,6 @@ const CASES: [Case; 6] = [
         tiles: None,
         tokens: 128,
         digests: [0xd9eb_587d_b0a8_d443, 0xfa21_f192_699f_0303],
-        bf16: [0x9437_8e48_1fb5_1cd5, 0xa5b7_bb01_f098_afad],
         int8: [0x6269_1ddd_ce5b_d569, 0xd98b_92e3_f6b6_1dc2],
     },
     Case {
@@ -94,7 +88,6 @@ const CASES: [Case; 6] = [
         tiles: Some(TileSpec { tiles_y: 1, tiles_x: 2, halo: 2 }),
         tokens: 180,
         digests: [0x2000_1e3f_5e02_0982, 0x13a2_56a6_1258_4f5d],
-        bf16: [0x6728_9001_a2db_a4c4, 0x32ce_fb4b_0e42_7832],
         int8: [0xe2d9_6631_d917_dec5, 0x691f_73bc_cf33_704b],
     },
 ];
@@ -123,7 +116,6 @@ fn downscale_with_serves_the_committed_bits() {
         assert_eq!(tokens, Some(case.tokens), "{h}x{w} in {spec:?}");
         for (precision, digests) in [
             (SessionPrecision::F32, case.digests),
-            (SessionPrecision::Bf16, case.bf16),
             (SessionPrecision::Int8, case.int8),
         ] {
             let session = model.session_at(precision);
