@@ -130,20 +130,24 @@ impl Serialize for ServeRequest {
     }
 }
 
-/// A wire integer: a whole number from 0 to 2^53 (the range a JSON number
-/// holds exactly) that fits its `T`. The serde shim's blanket `n as u64`
+/// `n` as a wire integer: a whole number from 0 to 2^53 (the range a JSON
+/// number holds exactly), or `None`. The serde shim's blanket `n as u64`
 /// saturates instead (`-1` reads as 0, `1.5` as 1, `1e30` as `u64::MAX`),
 /// which would turn a malformed request into a different valid one.
+pub fn wire_uint(n: f64) -> Option<u64> {
+    const MAX: f64 = (1u64 << 53) as f64;
+    ((0.0..=MAX).contains(&n) && n.fract() == 0.0).then_some(n as u64)
+}
+
+/// A [`wire_uint`] that fits its `T`.
 struct WireUint<T>(T);
 
 impl<T: TryFrom<u64>> Deserialize for WireUint<T> {
     fn read_text(r: &mut dyn TextReader) -> Result<Self, SerdeError> {
-        const MAX: f64 = (1u64 << 53) as f64;
         let n = r.f64()?;
-        if !(0.0..=MAX).contains(&n) || n.fract() != 0.0 {
-            return Err(SerdeError::new(format!("must be a whole number between 0 and 2^53, got {n}")));
-        }
-        let narrow = T::try_from(n as u64).map(Self);
+        let whole = wire_uint(n)
+            .ok_or_else(|| SerdeError::new(format!("must be a whole number between 0 and 2^53, got {n}")))?;
+        let narrow = T::try_from(whole).map(Self);
         narrow.map_err(|_| SerdeError::new(format!("{n} does not fit this platform's usize")))
     }
 }

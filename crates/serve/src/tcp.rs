@@ -26,7 +26,7 @@
 
 use crate::oneshot::Handle;
 use crate::server::Server;
-use orbit2::serving::{ServeError, ServeHealth, ServeRequest, ServeResponse, ServeStats, WireError};
+use orbit2::serving::{wire_uint, ServeError, ServeHealth, ServeRequest, ServeResponse, ServeStats, WireError};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize, Value};
@@ -44,6 +44,18 @@ use std::time::Duration;
 /// fields average 10–11, which leaves a third of the line for other keys
 /// and padding. A constant, not a flag: nothing deployed needs another.
 pub const MAX_LINE_BYTES: usize = 32 << 20;
+
+/// The replies a connection's FIFO holds, finished or not: once it is full
+/// the reader stops reading lines until the writer has sent one. Each held
+/// reply pins its tensor, and a reply to a request line at
+/// [`MAX_LINE_BYTES`] (2^21 input values, so ≈ 14.4 M output values at 16×
+/// the pixels and 3 of 7 variables) is ≈ 58 MB of f32. So a connection that
+/// pipelines and never reads holds ten at the most — these eight, the one
+/// being written and the one the reader waits to queue — ≈ 0.6 GB, where it
+/// held every reply it was owed. `serve-wire`'s reply (98,304 values) is
+/// 0.4 MB. A constant, not a flag: a client more than eight requests ahead
+/// of its reads gains nothing but memory.
+pub const MAX_QUEUED_REPLIES: usize = 8;
 
 /// The failure line: `{"error": {...}, "id": N}`.
 #[derive(Serialize, Deserialize)]
@@ -110,7 +122,9 @@ fn refused(id: u64, reason: impl ToString) -> Outgoing {
 /// The one reply a non-blank line gets. A request is parsed once, straight
 /// into a [`ServeRequest`]; only a line that is not one (a `cmd` key makes
 /// it a control line) is read again, as a tree: a control line is answered,
-/// anything else refused under its `id` (0 without one, or if not JSON).
+/// anything else refused under its `id` — 0 without one, if not JSON, or if
+/// the `id` is no [`wire_uint`] (a cast would answer `2.5` under 2, another
+/// request's id, and `1e30` under `u64::MAX`).
 fn handle_line(server: &Server, line: &[u8]) -> Outgoing {
     let not_a_request = match serde_json::from_slice(line) {
         Ok(req) => return Outgoing::Pending(server.submit(req)),
@@ -122,13 +136,13 @@ fn handle_line(server: &Server, line: &[u8]) -> Outgoing {
         Some("stats") => Outgoing::Line(serde_json::to_string(&server.stats()).expect("stats serialize")),
         Some("health") => Outgoing::Line(serde_json::to_string(&server.health()).expect("health serializes")),
         Some(other) => refused(0, format!("unknown cmd {other:?}")),
-        None => refused(field("id").and_then(Value::as_f64).unwrap_or(0.0) as u64, not_a_request),
+        None => refused(field("id").and_then(Value::as_f64).and_then(wire_uint).unwrap_or(0), not_a_request),
     }
 }
 
 fn handle_conn(server: &Arc<Server>, stream: TcpStream) -> std::io::Result<()> {
     let mut reader = BufReader::new(stream.try_clone()?);
-    let (tx, rx) = mpsc::channel::<Outgoing>();
+    let (tx, rx) = mpsc::sync_channel::<Outgoing>(MAX_QUEUED_REPLIES);
     let writer = std::thread::spawn(move || -> std::io::Result<()> {
         let mut out = stream;
         // One reused buffer, one write per reply: with `TCP_NODELAY` set a

@@ -466,6 +466,32 @@ fn control_line_precedence_and_null_keys() {
     await_idle(&mut client);
 }
 
+/// A refused line is answered under its `id` only when that is a whole
+/// number from 0 to 2^53, the rule a request's `id` is read by; any other
+/// `id` is answered under 0. A cast answered `2.5` under 2 (which can be
+/// another pipelined request's id), `-3` under 0 and `1e30` under
+/// `u64::MAX`.
+#[test]
+fn refused_lines_echo_only_a_wire_integer_id() {
+    let (_server, addr) = spawn_server(ServerConfig::default());
+    let mut client = Client::connect(addr).unwrap();
+    for (id, owed) in [
+        ("12", 12),
+        ("0", 0),
+        ("9007199254740992", 1 << 53),
+        ("2.5", 0),
+        ("-3", 0),
+        ("1e30", 0),
+        ("9007199254740994", 0),
+        ("12.0e0", 12),
+        (r#""7""#, 0),
+    ] {
+        client.send_line(&format!(r#"{{"id":{id},"region":7}}"#)).unwrap();
+        expect_error(client.recv().unwrap(), owed, "bad_request");
+    }
+    await_idle(&mut client);
+}
+
 /// A raw connection for lines `Client::send_line` cannot carry: bytes that
 /// are not UTF-8, and a stream with no newline in it.
 struct RawConn {
@@ -496,6 +522,43 @@ impl RawConn {
             _ => Some(line),
         }
     }
+}
+
+/// A client that pipelines and never reads used to pin every reply it was
+/// owed. Now a connection holds `MAX_QUEUED_REPLIES` replies and stops
+/// reading lines: with the first request straggling, the writer waits on it,
+/// so `admitted`, read over a second connection, stops at that request, the
+/// eight queued behind it and the one the reader holds. Once the straggler
+/// finishes every reply comes back, in order.
+#[test]
+fn pipelining_past_the_reply_bound_stops_admission() {
+    let straggle = FaultPlan::none().with_event(0, 0, FaultKind::Straggler(4_000));
+    let (_server, addr) = spawn_server(ServerConfig { fault_plan: Some(straggle), ..ServerConfig::default() });
+    let sent = 40u64;
+    let mut client = Client::connect(addr).unwrap();
+    for id in 1..=sent {
+        client.send(&ServeRequest::region(id, "conus", 0)).unwrap();
+    }
+    // Reaching the bound is certain; staying there for half a second of the
+    // straggle is the test.
+    let bound = orbit2_serve::tcp::MAX_QUEUED_REPLIES as u64 + 2;
+    let mut probe = Client::connect(addr).unwrap();
+    let deadline = std::time::Instant::now() + Duration::from_secs(60);
+    while probe.stats().unwrap().admitted < bound {
+        assert!(std::time::Instant::now() < deadline, "the reader never filled the reply FIFO");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    std::thread::sleep(Duration::from_millis(500));
+    let admitted = probe.stats().unwrap().admitted;
+    assert_eq!(admitted, bound, "admitted while the first reply was owed (of {sent} sent)");
+    for id in 1..=sent {
+        match client.recv().unwrap() {
+            ServerReply::Response(resp) => assert_eq!(resp.id, id, "replies come back in line order"),
+            other => panic!("expected response {id}, got {other:?}"),
+        }
+    }
+    assert_eq!(probe.stats().unwrap().admitted, sent);
+    await_idle(&mut probe);
 }
 
 /// The shim's parser used to recurse once per `[` with no bound: 200 KB of
@@ -597,16 +660,19 @@ mod fuzz {
         }
     }
 
-    /// The id a line's reply must carry: the one the line names, read the
-    /// way the server's failure path reads it; `None` for a control line,
-    /// whose reply carries none.
+    /// The id a line's reply must carry: the one the line names if it is a
+    /// whole number from 0 to 2^53, else 0; `None` for a control line, whose
+    /// reply carries none.
     fn owed_id(line: &[u8]) -> Option<u64> {
         let Ok(Value::Object(keys)) = serde_json::from_str(std::str::from_utf8(line).unwrap_or("")) else {
             return Some(0);
         };
         match keys.contains_key("cmd") {
             true => None,
-            false => Some(keys.get("id").and_then(Value::as_f64).unwrap_or(0.0) as u64),
+            false => Some(match keys.get("id").and_then(Value::as_f64) {
+                Some(n) if n >= 0.0 && n <= 2f64.powi(53) && n.fract() == 0.0 => n as u64,
+                _ => 0,
+            }),
         }
     }
 

@@ -9,9 +9,11 @@
 #      --release: its work-sharing path is a race between a forker and the
 #      helper it woke, and the optimised build runs that race at different
 #      speeds; and the serde_json shim's, whose float printer and reader are
-#      integer arithmetic that debug builds overflow-check and release
-#      builds wrap. Every kernel has one production path, and the suite
-#      compares it against its scalar oracle (DESIGN.md §7).
+#      integer lane and word arithmetic that debug builds overflow-check and
+#      release builds wrap, with the wire-byte pins (tests/wire_bytes.rs)
+#      beside them: the same text and bits in both builds. Every kernel has
+#      one production path, and the suite compares it against its scalar
+#      oracle (DESIGN.md §7).
 #   3. clippy lint gate (scripts/lint.sh: -D warnings -D unsafe_code)
 #   4. chaos suite (scripts/chaos_smoke.sh: fault injection + recovery)
 #   5. reduced-precision quality gate (crates/core/tests/precision_gate.rs):
@@ -54,6 +56,8 @@ cargo build --release
 step "tests"
 cargo test -q --workspace
 cargo test -q --release -p rayon -p serde_json
+# Its own line: `--test` on the line above would run that target alone.
+cargo test -q --release -p orbit2-repro --test wire_bytes
 
 step "lint"
 scripts/lint.sh
