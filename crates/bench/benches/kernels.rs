@@ -50,8 +50,10 @@ fn bench_matmul(c: &mut Criterion) {
 /// of the trajectory and at the model's real `m×k×n` linears (126M at 32
 /// tokens, both MLP layers; the 9.5M MLP on a `tiles-field` tile). The f32
 /// group adds the per-call-pack products the tape runs: the per-head
-/// `Q K^T` of its attention composition on a 612-token tile (`nt`) and the
-/// MLP weight gradient of a 45-token `train-step` tile (`tn`). `gemm_ref/256` is the scalar
+/// `Q K^T` of its attention composition on a 612-token tile (`nt`), one
+/// 48-query block of the session's attention on a 1156-token tile
+/// (`48x64x1156_nt`, k = d_head), and the MLP weight gradient of a
+/// 45-token `train-step` tile (`tn`). `gemm_ref/256` is the scalar
 /// oracle on the `gemm_f32/256` operands: the in-run reference for
 /// same-snapshot ratios. The f32 group also times an inference session's
 /// linears with the weight read in place (`gemm_f32/inplace/*`,
@@ -112,6 +114,12 @@ fn bench_packed_gemm(c: &mut Criterion) {
             let (q, kh) = (randn(&[612, 32], 34), randn(&[612, 32], 35));
             group.bench_function(BenchmarkId::from_parameter("612x32x612_nt"), |bench| {
                 bench.iter(|| q.matmul_nt(&kh))
+            });
+            // One attention block's `Q_h K_hᵀ`: 48 queries against a
+            // 1156-token tile at d_head = 64, the short k of every head.
+            let (qb, kb) = (randn(&[48, 64], 38), randn(&[1156, 64], 39));
+            group.bench_function(BenchmarkId::from_parameter("48x64x1156_nt"), |bench| {
+                bench.iter(|| qb.matmul_nt(&kb))
             });
             let (gz, x) = (randn(&[45, 1024], 36), randn(&[45, 256], 37));
             group.bench_function(BenchmarkId::from_parameter("1024x45x256_tn"), |bench| {

@@ -35,8 +35,12 @@
 pub const GRAIN: usize = 1 << 16;
 
 /// Multiply-adds of a vectorised kernel (the GEMM microkernel, the direct
-/// convolution, `simd::dot`) that cost one element visit: `gemm_f32/512`
-/// runs at 0.024 ns per multiply-add on one thread.
+/// convolution, `simd::dot`) that cost one element visit. Set when
+/// `gemm_f32/512` ran at 0.024 ns per multiply-add on one thread; on the
+/// 2-core AVX-512 guest it now runs at 0.013 ns (0.014 ns before the GEMM
+/// tile stayed in registers through its store), so a visit here is about
+/// 0.2 ns of kernel. Moving it moves every split: that is a measured
+/// change of its own.
 pub const MACS_PER_VISIT: usize = 16;
 
 /// How many pieces to cut `work` element visits into on this thread: as

@@ -22,17 +22,17 @@
 //!
 //! ## Kernel
 //!
-//! [`micro`] blocks `QMR` rows × `W` `F32x16` columns — up to 24
-//! accumulators that stay in registers across the whole k loop. A is read
-//! in place, row by row (a column-contiguous A — the `A^T g` weight
-//! gradient — is transposed once into pooled scratch, the price an A-pack
-//! would charge every call). There is no k blocking: a strip is streamed
-//! once per row panel and each C tile is written exactly once, so the store
-//! overwrites C (no pre-zeroing, no read-add) and the scale / bias /
-//! activation epilogue — plus the pre-activation the tape keeps for `act'` —
-//! runs at store time on values still in registers. Narrow codes are
-//! widened **once** per strip per worker into pooled f32 scratch and re-read
-//! by every row panel; an f32 strip is borrowed as it is.
+//! [`panel`] blocks `QMR` rows × `W` `F32x16` columns — up to 24
+//! accumulators held in registers from zeroing to store. A is read in
+//! place, row by row (a column-contiguous A — the `A^T g` weight gradient —
+//! is transposed once into pooled scratch, the price an A-pack would charge
+//! every call). There is no k blocking: a strip is streamed once per row
+//! panel and each C tile is written exactly once, so the store overwrites C
+//! (no pre-zeroing, no read-add), applying scale and bias on the way out;
+//! the activation — and the pre-activation the tape keeps for `act'` — then
+//! runs over each stored row. Narrow codes are widened **once** per strip
+//! per worker into pooled f32 scratch and re-read by every row panel; an
+//! f32 strip is borrowed as it is.
 //!
 //! ## Determinism and the scalar oracle
 //!
@@ -70,10 +70,10 @@ const MAX_NR: usize = 4 * LANES16;
 const PAR_MIN_MACS: usize = 1 << 24;
 
 /// What one GELU at store time costs, in multiply-adds of the kernel:
-/// `gelu/1156x1024` runs at 0.66 ns per element against 0.024 ns per
-/// multiply-add of `gemm_f32/512` on one thread. It decides the split only
-/// where `k` is this small — the tiny model's `32 → 128` MLP layer, which
-/// it splits from 2048 stacked rows instead of 4096.
+/// `gelu/1156x1024` runs at 0.43 ns per element against 0.013 ns per
+/// multiply-add of `gemm_f32/512` on one thread of the 2-core AVX-512 guest.
+/// It decides the split only where `k` is this small — the tiny model's
+/// `32 → 128` MLP layer, split from 2048 stacked rows instead of 4096.
 const GELU_MACS: usize = 32;
 
 /// An element of a packed strip: stored narrow or wide, read as f32.
@@ -114,9 +114,10 @@ impl QWeight for i8 {
 /// Pick the strip width (in columns) for `n` output features.
 ///
 /// Wider strips mean more independent accumulator chains (better FMA-latency
-/// hiding) but pad ragged edges with dead lanes. The weights below are the
-/// measured relative throughputs of the W=1/2/4 kernels on the reference
-/// box; the choice maximizes `throughput × useful-lane fraction`.
+/// hiding) but pad ragged edges with dead lanes. The choice maximizes
+/// `throughput × useful-lane fraction`, weighted by an older box's W=1/2/4
+/// throughputs; one thread of the 2-core AVX-512 guest reads 108/163/168
+/// GFLOP/s at k = 256, the same pick at every width the models use.
 fn choose_nr(n: usize) -> usize {
     let mut best = (0.0f64, LANES16);
     for (w, thr) in [(1usize, 65.0f64), (2, 103.0), (4, 113.0)] {
@@ -183,26 +184,6 @@ fn pack_strips<Q: QWeight>(
 enum Codes {
     F32(Vec<f32>),
     I8 { codes: Vec<i8>, scales: Vec<f32> },
-}
-
-impl Codes {
-    /// The per-column scales the epilogue applies: int8's, and none at f32.
-    fn scales(&self) -> Option<&[f32]> {
-        match self {
-            Codes::I8 { scales, .. } => Some(scales),
-            Codes::F32(_) => None,
-        }
-    }
-}
-
-/// Evaluate `$e` with `$q` bound to the code vector, whatever its width.
-macro_rules! with_codes {
-    ($codes:expr, $q:ident => $e:expr) => {
-        match $codes {
-            Codes::F32($q) => $e,
-            Codes::I8 { codes: $q, .. } => $e,
-        }
-    };
 }
 
 /// An `op(B)` packed once into strips and kept resident across calls.
@@ -324,11 +305,15 @@ impl PackedWeight {
         pre: Option<&mut [f32]>,
         vector: bool,
     ) {
-        let ep = Epilogue { scales: self.strips.scales(), bias, act };
         let (n, k, nr) = (self.n, self.k, self.nr);
-        with_codes!(&self.strips, q => {
-            drive(a, la, m, Strips { codes: q, n, k, nr }, ep, c, pre, true, vector)
-        })
+        // int8 codes carry their per-column scales into the epilogue.
+        let ep = |scales| Epilogue { scales, bias, act };
+        match &self.strips {
+            Codes::F32(q) => drive(a, la, m, Strips { codes: q, n, k, nr }, ep(None), c, pre, true, vector),
+            Codes::I8 { codes, scales } => {
+                drive(a, la, m, Strips { codes, n, k, nr }, ep(Some(scales)), c, pre, true, vector)
+            }
+        }
     }
 }
 
@@ -363,6 +348,29 @@ impl Epilogue<'_> {
         v
     }
 
+    /// Store a tile row to `crow`, if the panel has it: scale then bias as in
+    /// [`pre`](Self::pre), a vector store per full lane group, and `pre` lane
+    /// by lane on a ragged one, taken out by value rather than by index.
+    #[inline(always)]
+    fn store<const W: usize>(&self, t: &[F32x16; W], crow: Option<&mut [f32]>) {
+        let Some(crow) = crow else { return };
+        let (cols, mut tail) = (crow.len(), F32x16::ZERO);
+        let (sc, bi) = (self.scales.map(|s| &s[..cols]), self.bias.map(|b| &b[..cols]));
+        for (w, &v) in t.iter().enumerate() {
+            let l0 = w * LANES16;
+            if l0 + LANES16 <= cols {
+                let v = sc.map_or(v, |s| v.mul(F32x16::load(&s[l0..])));
+                bi.map_or(v, |b| v.add(F32x16::load(&b[l0..]))).store(&mut crow[l0..]);
+            } else if l0 < cols {
+                tail = v;
+            }
+        }
+        let l0 = cols - cols % LANES16;
+        for (l, (d, &x)) in crow[l0..].iter_mut().zip(&tail.to_array()).enumerate() {
+            *d = self.pre(x, l0 + l);
+        }
+    }
+
     /// Turn a run of stored pre-activations into outputs, keeping a copy
     /// for the tape when it asked for one.
     #[inline(always)]
@@ -374,25 +382,30 @@ impl Epilogue<'_> {
     }
 }
 
-/// The register-blocked inner kernel: 6 activation rows against one f32
-/// `16·W`-column strip, k-ordered FMA chains in `6×W` accumulators.
-///
-/// The six row streams advance through a nested `zip` rather than `row[p]`
-/// indexing: per-step bounds checks add panic edges on which LLVM keeps the
-/// accumulator array memory-resident (a full spill/reload of every `zmm`
-/// accumulator per k step, measured ~2× slower). The zip body has no side
-/// exits, so the accumulators live in registers for the whole k loop.
+/// One `QMR`-row panel of one f32 `16·W`-column strip, from zero to C:
+/// k-ordered FMA chains in `QMR×W` accumulators, then [`Epilogue::store`]
+/// and [`Epilogue::finish`] per row. `c` / `pre` start at the panel's first
+/// output, rows `n` apart; `ep` is indexed from its first column. The tile
+/// stays in registers only while every access to it has a compile-time
+/// index (DESIGN.md §11): A rows advance through a nested `zip`, stores name
+/// rows by literals, a `FULL` panel (`mr == QMR`, `cols == 16·W`) stores
+/// straight-line, and `finish`, which calls out, runs after the last.
+#[allow(clippy::too_many_arguments)] // GEMM plumbing: operands + epilogue + outputs
 #[inline(always)]
-fn micro<const W: usize>(
+fn panel<const W: usize, const FULL: bool>(
     rows: &[&[f32]; QMR],
     bw: &[f32],
-    kc: usize,
-    acc: &mut [[F32x16; W]; QMR],
+    ep: Epilogue,
+    n: usize,
+    mr: usize,
+    cols: usize,
+    c: &mut [f32],
+    mut pre: Option<&mut [f32]>,
 ) {
-    let nr = W * LANES16;
-    let bw = &bw[..kc * nr];
+    let (mr, cols) = if FULL { (QMR, W * LANES16) } else { (mr, cols) };
+    let mut acc = [[F32x16::ZERO; W]; QMR];
     let [r0, r1, r2, r3, r4, r5] = *rows;
-    let it = bw.chunks_exact(nr).zip(r0).zip(r1).zip(r2).zip(r3).zip(r4).zip(r5);
+    let it = bw.chunks_exact(W * LANES16).zip(r0).zip(r1).zip(r2).zip(r3).zip(r4).zip(r5);
     for ((((((bchunk, &a0), &a1), &a2), &a3), &a4), &a5) in it {
         let mut bv = [F32x16::ZERO; W];
         for (w, b) in bv.iter_mut().enumerate() {
@@ -406,11 +419,22 @@ fn micro<const W: usize>(
             }
         }
     }
+    let mut crows = c.chunks_mut(n).take(mr).map(|row| &mut row[..cols]);
+    let [t0, t1, t2, t3, t4, t5] = &acc;
+    ep.store(t0, crows.next());
+    ep.store(t1, crows.next());
+    ep.store(t2, crows.next());
+    ep.store(t3, crows.next());
+    ep.store(t4, crows.next());
+    ep.store(t5, crows.next());
+    for (r, crow) in c.chunks_mut(n).take(mr).enumerate() {
+        ep.finish(&mut crow[..cols], pre.as_deref_mut().map(|p| &mut p[r * n..r * n + cols]));
+    }
 }
 
 /// The vector loop nest over one chunk of rows: strips → row panels →
-/// [`micro`] → store with the epilogue. `a` is the chunk's first row (rows
-/// `lda` apart), `c` / `pre` its `rows × n` outputs.
+/// [`panel`]. `a` is the chunk's first row (rows `lda` apart), `c` / `pre`
+/// its `rows × n` outputs.
 fn kernel<Q: QWeight, const W: usize>(
     a: &[f32],
     lda: usize,
@@ -427,6 +451,8 @@ fn kernel<Q: QWeight, const W: usize>(
         let j0 = si * nr;
         let cols = nr.min(n - j0);
         let bw = Q::widened(&codes[si * k * nr..(si + 1) * k * nr], &mut scratch);
+        let (scales, bias) = (ep.scales.map(|s| &s[j0..j0 + cols]), ep.bias.map(|b| &b[j0..j0 + cols]));
+        let ep = Epilogue { scales, bias, ..ep };
         for rb in (0..rows).step_by(QMR) {
             let mr = QMR.min(rows - rb);
             // Ragged panels replicate the last row into the dead lanes;
@@ -435,38 +461,12 @@ fn kernel<Q: QWeight, const W: usize>(
                 let r = rb + i.min(mr - 1);
                 &a[r * lda..r * lda + k]
             });
-            let mut acc = [[F32x16::ZERO; W]; QMR];
-            micro::<W>(&rowrefs, bw, k, &mut acc);
-            for (r, accr) in acc.iter().enumerate().take(mr) {
-                let at = (rb + r) * n + j0;
-                let crow = &mut c[at..at + cols];
-                // Constant trip counts over `acc` (no zip with the ragged
-                // output): a dynamic index would pin the accumulators to
-                // memory for the whole k loop above.
-                for (w, acw) in accr.iter().enumerate() {
-                    let l0 = w * LANES16;
-                    if l0 >= cols {
-                        break;
-                    }
-                    let dst = &mut crow[l0..cols.min(l0 + LANES16)];
-                    if dst.len() == LANES16 {
-                        // Full lane group: vector scale then bias (mul then
-                        // add, as in `Epilogue::pre`), one vector store.
-                        let mut v = *acw;
-                        if let Some(sc) = ep.scales {
-                            v = v.mul(F32x16::load(&sc[j0 + l0..]));
-                        }
-                        if let Some(b) = ep.bias {
-                            v = v.add(F32x16::load(&b[j0 + l0..]));
-                        }
-                        v.store(dst);
-                    } else {
-                        for (l, (d, &x)) in dst.iter_mut().zip(&acw.to_array()).enumerate() {
-                            *d = ep.pre(x, j0 + l0 + l);
-                        }
-                    }
-                }
-                ep.finish(crow, pre.as_deref_mut().map(|p| &mut p[at..at + cols]));
+            let at = rb * n + j0;
+            let (cp, pp) = (&mut c[at..], pre.as_deref_mut().map(|p| &mut p[at..]));
+            if mr == QMR && cols == nr {
+                panel::<W, true>(&rowrefs, bw, ep, n, mr, cols, cp, pp);
+            } else {
+                panel::<W, false>(&rowrefs, bw, ep, n, mr, cols, cp, pp);
             }
         }
     }
@@ -750,13 +750,20 @@ mod tests {
     use super::*;
     use crate::random::randn;
 
+    fn scales(pw: &PackedWeight) -> Option<&[f32]> {
+        match &pw.strips {
+            Codes::I8 { scales, .. } => Some(scales),
+            Codes::F32(_) => None,
+        }
+    }
+
     #[test]
     fn i8_quantization_error_bounded_by_half_scale() {
         let w = randn(&[24, 57], 6);
         let pw = PackedWeight::pack(&w, WeightPrecision::Int8).unwrap();
         let dq = pw.dequantized().unwrap();
         for j in 0..24 {
-            let s = pw.strips.scales().unwrap()[j];
+            let s = scales(&pw).unwrap()[j];
             for p in 0..57 {
                 let err = (w.data()[j * 57 + p] - dq.data()[j * 57 + p]).abs();
                 assert!(err <= s * 0.5 + f32::EPSILON, "err {err} vs scale {s}");
@@ -772,7 +779,7 @@ mod tests {
         }
         let w = Tensor::from_vec(vec![16, 9], w);
         let pw = PackedWeight::pack(&w, WeightPrecision::Int8).unwrap();
-        assert_eq!(pw.strips.scales().unwrap()[0], 0.0);
+        assert_eq!(scales(&pw).unwrap()[0], 0.0);
         assert!(pw.dequantized().unwrap().data()[..9].iter().all(|&v| v == 0.0));
     }
 
@@ -783,7 +790,7 @@ mod tests {
         let (n, k) = (37usize, 21usize);
         let w = randn(&[n, k], 8);
         let pw = PackedWeight::pack(&w, WeightPrecision::F32).unwrap();
-        assert!(pw.dequantized().is_none() && pw.strips.scales().is_none());
+        assert!(pw.dequantized().is_none() && scales(&pw).is_none());
         let Codes::F32(q) = &pw.strips else { panic!("f32 pack") };
         assert_eq!(q.len(), n.div_ceil(pw.nr) * k * pw.nr);
         for j in 0..n {
@@ -793,33 +800,72 @@ mod tests {
         }
     }
 
+    /// `randn` values with −0.0, NaN, +∞ and −∞ planted in every third
+    /// row, one per row, so most outputs stay finite; row 4 is all −0.0,
+    /// so its products are +0 and a negative scale stores −0.0.
+    fn with_specials(rows: usize, cols: usize, seed: u64) -> Vec<f32> {
+        const SPECIALS: [f32; 4] = [-0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+        let mut v = randn(&[rows, cols], seed).data().to_vec();
+        for r in (2..rows).step_by(3) {
+            v[r * cols + r % cols] = SPECIALS[r / 3 % 4];
+        }
+        if rows > 4 {
+            v[4 * cols..5 * cols].fill(-0.0);
+        }
+        v
+    }
+
+    fn assert_bits_eq(x: &[f32], y: &[f32], what: &str) {
+        for (i, (a, b)) in x.iter().zip(y).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "{what}: element {i} ({a} vs {b})");
+        }
+    }
+
     #[test]
     fn vector_kernel_matches_oracle_bitwise() {
-        // The strongest form of the documented ulp bound: zero ulps. Shapes
-        // cover every strip width and ragged row/column edges; the property
-        // test in tests/properties.rs sweeps layouts and the `pre` output.
-        for &(m, k, n) in &[
-            (1usize, 16usize, 16usize),
-            (6, 32, 32),
-            (7, 40, 48),
-            (13, 64, 64),
-            (72, 30, 100),
-            (5, 8, 8),
-        ] {
-            let a = randn(&[m, k], 11);
-            let w = randn(&[n, k], 12);
-            let bias = randn(&[n], 13);
-            for precision in WeightPrecision::ALL {
-                let pw = PackedWeight::pack(&w, precision).unwrap();
-                for act in [Activation::Identity, Activation::Relu, Activation::Gelu] {
+        // Zero ulps, through both store paths of `panel`: every strip width
+        // at every ragged column count (the first `n` that `choose_nr`
+        // gives that width and edge), every ragged row count over one and
+        // two panels, and operands holding −0.0, NaN and ±∞. Each shape
+        // takes the next of the 36 (precision, activation, `pre`, k)
+        // epilogues in turn, so every one of those runs on ~37 shapes; and
+        // each also runs the per-column `scales` slot attention uses.
+        let acts = [Activation::Identity, Activation::Relu, Activation::Gelu];
+        let mut case = 0usize;
+        for w in [1usize, 2, 4] {
+            let nr = w * LANES16;
+            for cols in 1..=nr {
+                let n = (1..).find(|&n| choose_nr(n) == nr && (n - 1) % nr + 1 == cols).unwrap();
+                for m in 1..=2 * QMR {
+                    let precision = WeightPrecision::ALL[case % 2];
+                    let act = acts[case / 2 % 3];
+                    let keep_pre = (case / 6).is_multiple_of(2);
+                    let k = [1usize, 5, 23][case / 12 % 3];
+                    let what = format!("{precision:?} {act:?} pre={keep_pre} m={m} k={k} n={n}");
+                    let seed = case as u64;
+                    case += 1;
+                    let (a, wt) = (with_specials(m, k, seed), with_specials(n, k, seed + 1));
+                    let bias = with_specials(n, 1, seed + 2);
                     let la = MatLayout::row_major(k);
+                    let pw = PackedWeight::from_layout(&wt, MatLayout::transposed(k), k, n, precision);
+                    assert_eq!(pw.nr, nr);
                     let mut c_vec = vec![0.0f32; m * n];
                     let mut c_ref = vec![f32::NAN; m * n];
-                    gemm_strips(a.data(), la, m, &pw, Some(bias.data()), act, &mut c_vec, None);
-                    gemm_strips_ref(a.data(), la, m, &pw, Some(bias.data()), act, &mut c_ref, None);
-                    for (x, y) in c_vec.iter().zip(&c_ref) {
-                        assert_eq!(x.to_bits(), y.to_bits(), "{precision:?} m={m} k={k} n={n} {act:?}");
+                    let (mut p_vec, mut p_ref) = (vec![0.0f32; m * n], vec![f32::NAN; m * n]);
+                    let (pv, pr) = if keep_pre { (Some(&mut p_vec[..]), Some(&mut p_ref[..])) } else { (None, None) };
+                    gemm_strips(&a, la, m, &pw, Some(&bias), act, &mut c_vec, pv);
+                    gemm_strips_ref(&a, la, m, &pw, Some(&bias), act, &mut c_ref, pr);
+                    assert_bits_eq(&c_vec, &c_ref, &what);
+                    if keep_pre {
+                        assert_bits_eq(&p_vec, &p_ref, &format!("{what} pre"));
                     }
+
+                    let scales = with_specials(n, 1, seed + 3);
+                    let strips = ScratchStrips::pack(&wt, MatLayout::transposed(k), k, n);
+                    strips.gemm_seq(&a, la, m, Some(&scales), &mut c_vec);
+                    let ep = Epilogue { scales: Some(&scales), bias: None, act: Activation::Identity };
+                    drive(&a, la, m, strips.strips(), ep, &mut c_ref, None, false, false);
+                    assert_bits_eq(&c_vec, &c_ref, &format!("{what} scales"));
                 }
             }
         }

@@ -11,7 +11,9 @@
 #      speeds; and the serde_json shim's, whose float printer and reader are
 #      integer lane and word arithmetic that debug builds overflow-check and
 #      release builds wrap, with the wire-byte pins (tests/wire_bytes.rs)
-#      beside them: the same text and bits in both builds. Every kernel has
+#      beside them: the same text and bits in both builds; and the tensor
+#      crate's, whose GEMM kernel is register-resident only when optimised,
+#      so its oracle comparisons must run against that build. Every kernel has
 #      one production path, and the suite compares it against its scalar
 #      oracle (DESIGN.md §7).
 #   3. clippy lint gate (scripts/lint.sh: -D warnings -D unsafe_code)
@@ -56,6 +58,8 @@ cargo build --release
 step "tests"
 cargo test -q --workspace
 cargo test -q --release -p rayon -p serde_json
+# The GEMM kernel keeps its tile in registers only in the optimised build.
+cargo test -q --release -p orbit2-tensor
 # Its own line: `--test` on the line above would run that target alone.
 cargo test -q --release -p orbit2-repro --test wire_bytes
 
