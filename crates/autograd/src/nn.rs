@@ -1,7 +1,9 @@
 //! Fused neural-network ops with hand-written adjoints: linear layers,
-//! layer normalization, 2-d convolution, bilinear resize and token pooling.
+//! attention, layer normalization, 2-d convolution, bilinear resize and
+//! token pooling.
 
 use crate::tape::{Tape, Var};
+use orbit2_tensor::attention::multi_head_attention;
 use orbit2_tensor::conv::{conv2d, conv2d_grad_bias, conv2d_grad_input, conv2d_grad_weight, ConvGeom};
 use orbit2_tensor::fused::{act_backward, layer_norm_rows, matmul_bias_act, Activation};
 use orbit2_tensor::pool;
@@ -20,11 +22,11 @@ impl<'t> Var<'t> {
 
     /// Fused linear layer: `act(self @ weight^T + bias)` in one kernel.
     ///
-    /// The bias add and activation run as a GEMM epilogue while each C
-    /// block is cache-hot ([`matmul_bias_act`]); the pre-activation is kept
-    /// on the tape so the backward pass evaluates `act'` without recomputing
-    /// the GEMM. Backward products (`gz W`, `gz^T x`) use the stride-aware
-    /// kernels — no transposes materialized anywhere on this path.
+    /// The bias add and activation run in the GEMM's store
+    /// ([`matmul_bias_act`], which reads a short product's weight in place);
+    /// the pre-activation is kept on the tape so the backward pass evaluates
+    /// `act'` without recomputing the GEMM. Backward products (`gz W`,
+    /// `gz^T x`) use the stride-aware kernels.
     pub fn linear_act(
         &self,
         weight: Var<'t>,
@@ -60,6 +62,66 @@ impl<'t> Var<'t> {
                     grads.push((bid, gz.sum_axis(0)));
                 }
                 grads
+            }),
+        )
+    }
+
+    /// Multi-head scaled-dot-product attention of one sample: `self` is Q,
+    /// and Q, K and V are `[N, D]` with `heads` dividing `D`.
+    ///
+    /// One node in place of the per-head composition (per head, `slice_axis`
+    /// of each operand, `matmul_nt → scale(1/√d_h) → softmax_last → matmul`,
+    /// then a `concat`), bit for bit in value and gradients. The forward is
+    /// the session's blocked kernel ([`multi_head_attention`]), and the node
+    /// keeps Q, K and V, no N×N tensor. Backward recomputes one head's
+    /// probabilities at a time with the composition's own tensor calls, then
+    /// runs its adjoints in its order: `dP` and `dV_h` from `P·V_h`, the
+    /// softmax's `(g − Σ g⊙P)⊙P`, the `1/√d_h` scale, `dQ_h` and `dK_h`
+    /// from `Q_h·K_hᵀ`. Each head's gradient goes straight into its columns.
+    /// Q, K and V are three distinct nodes; an aliased pair would get the
+    /// same sum accumulated in another order.
+    pub fn attention(&self, k: Var<'t>, v: Var<'t>, heads: usize) -> Var<'t> {
+        let (qt, kt, vt) = (self.value(), k.value(), v.value());
+        let y = multi_head_attention(&qt, &kt, &vt, heads);
+        let (n, d) = (qt.shape()[0], qt.shape()[1]);
+        let dh = d / heads;
+        let scale = 1.0 / (dh as f32).sqrt();
+        let ids = [self, &k, &v].map(self_id);
+        let tracked = [self, &k, &v].map(self_tracked);
+        // The composition sums zero-padded per-head gradients, so with two or
+        // more heads every column gains a `+ 0.0`, which turns −0.0 into
+        // +0.0; `x + (−0.0)` is `x`, bit for bit.
+        let pad = if heads > 1 { 0.0 } else { -0.0 };
+        self.tape().record_custom(
+            y,
+            tracked.contains(&true),
+            Box::new(move |g| {
+                let mut grads = tracked.map(|t| t.then(|| pool::alloc_uninit(n * d)));
+                for h in 0..heads {
+                    let c0 = h * dh;
+                    let [qh, kh, vh, gh] = [&qt, &kt, &vt, g].map(|x| x.slice_axis(1, c0, dh));
+                    let p = qh.matmul_nt(&kh).mul_scalar(scale).softmax_last();
+                    let mut parts = [None, None, tracked[2].then(|| p.matmul_tn(&gh))];
+                    if tracked[0] || tracked[1] {
+                        let dp = gh.matmul_nt(&vh);
+                        let dot = dp.mul(&p).sum_axis(1).into_reshape(vec![n, 1]);
+                        let ds = dp.sub(&dot).mul(&p).mul_scalar(scale);
+                        parts[0] = tracked[0].then(|| ds.matmul(&kh));
+                        parts[1] = tracked[1].then(|| ds.matmul_tn(&qh));
+                    }
+                    for (full, part) in grads.iter_mut().zip(&parts) {
+                        let (Some(full), Some(part)) = (full, part) else { continue };
+                        for (row, src) in full.chunks_exact_mut(d).zip(part.data().chunks_exact(dh)) {
+                            for (o, &x) in row[c0..c0 + dh].iter_mut().zip(src) {
+                                *o = x + pad;
+                            }
+                        }
+                    }
+                }
+                ids.into_iter()
+                    .zip(grads)
+                    .filter_map(|(id, gr)| Some((id, Tensor::from_vec(vec![n, d], gr?))))
+                    .collect()
             }),
         )
     }
@@ -318,6 +380,128 @@ mod tests {
         let fused = x.linear_act(w, Some(b), Activation::Gelu);
         let unfused = x.matmul(w.transpose2()).add(b).gelu();
         fused.value().assert_close(&unfused.value(), 1e-4);
+    }
+
+    /// `Exec::attention`'s default body, on the tape: per head a slice of
+    /// each operand, `matmul_nt → scale(1/√d_h) → softmax_last → matmul`,
+    /// then a concat. [`Var::attention`] must match it bit for bit.
+    fn composed_attention<'t>(q: Var<'t>, k: Var<'t>, v: Var<'t>, heads: usize) -> Var<'t> {
+        let dh = q.shape()[1] / heads;
+        let scale = 1.0 / (dh as f32).sqrt();
+        let per_head: Vec<Var<'t>> = (0..heads)
+            .map(|h| {
+                let [qh, kh, vh] = [q, k, v].map(|x| x.slice_axis(1, h * dh, dh));
+                qh.matmul_nt(kh).scale(scale).softmax_last().matmul(vh)
+            })
+            .collect();
+        Var::concat(&per_head, 1)
+    }
+
+    /// The value and the `q`, `k`, `v` gradients, as bits, of attention as
+    /// one node or as the composition, under the upstream gradient `ops[3]`.
+    fn attention_bits(ops: &[Tensor; 4], heads: usize, node: bool) -> [Vec<u32>; 4] {
+        let tape = Tape::new();
+        let [q, k, v] = [0, 1, 2].map(|i| tape.leaf(ops[i].clone()));
+        let y = if node { q.attention(k, v, heads) } else { composed_attention(q, k, v, heads) };
+        // `sum(y ⊙ g)` hands `y` the gradient `1.0 × g`: `g`, bit for bit.
+        let grads = tape.backward(y.mul(tape.constant(ops[3].clone())).sum());
+        let bits = |t: &Tensor| t.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        [bits(&y.value()), bits(grads.get(q).unwrap()), bits(grads.get(k).unwrap()), bits(grads.get(v).unwrap())]
+    }
+
+    /// The negative subnormal closest to zero: its product with a
+    /// probability below one half rounds to −0.0 in a fused multiply-add.
+    const TINY: f32 = -f32::from_bits(1);
+
+    /// `q`, `k`, `v` and an upstream gradient, `[n, heads·dh]`. With
+    /// `specials`: −0.0 in every operand; NaN in `q` and `g`, +∞ in `k` and
+    /// −∞ in `v`, all in head 0; and one column of the last head's `g` at
+    /// [`TINY`], whose `dv` underflows to −0.0 within its head.
+    fn attention_operands(n: usize, dh: usize, heads: usize, seed: u64, specials: bool) -> [Tensor; 4] {
+        let d = dh * heads;
+        let mut ops = [0, 1, 2, 3].map(|i| randn(&[n, d], seed + i));
+        if specials {
+            for (i, t) in ops.iter_mut().enumerate() {
+                let x = t.data_mut();
+                for r in (i % 3..n).step_by(3) {
+                    x[r * d + (r * 7 + i) % d] = -0.0;
+                }
+                x[(i + 1) % n * d] = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, f32::NAN][i];
+            }
+            let c = (heads - 1) * dh + dh / 2;
+            for r in 0..n {
+                ops[3].data_mut()[r * d + c] = TINY;
+            }
+        }
+        ops
+    }
+
+    #[test]
+    fn attention_node_is_the_composition_bitwise() {
+        // Token counts on both sides of the session kernel's 48-row blocks,
+        // every head count, head widths rotated so each count meets several
+        // (d_h = 1 takes the products' mat-vec path).
+        let widths = [8usize, 4, 16, 1];
+        for (i, &n) in [1usize, 5, 47, 48, 49, 97, 140].iter().enumerate() {
+            for (j, &heads) in [1usize, 2, 4, 8].iter().enumerate() {
+                let dh = widths[(i + j) % widths.len()];
+                for specials in [false, true] {
+                    let ops = attention_operands(n, dh, heads, (10 * i + j) as u64, specials);
+                    let (node, composed) = (attention_bits(&ops, heads, true), attention_bits(&ops, heads, false));
+                    for (what, (a, b)) in ["value", "dq", "dk", "dv"].iter().zip(node.iter().zip(&composed)) {
+                        let at = a.iter().zip(b).position(|(x, y)| x != y);
+                        assert!(at.is_none(), "{n} tokens, {heads}x{dh}, specials {specials}: {what} differs at {at:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_minus_zero_head_gradient_comes_out_plus_zero() {
+        // Run alone, the last head's `dv` column under a `TINY` gradient is
+        // −0.0; the composition's zero-padded per-head sum makes it +0.0,
+        // and so must the node. Without FMA the product rounds to −0.0 on
+        // its own and the chain's `+ 0.0` makes it +0.0 either way.
+        if !cfg!(target_feature = "fma") {
+            return;
+        }
+        let (n, dh, heads) = (47usize, 8usize, 2usize);
+        let ops = attention_operands(n, dh, heads, 7, true);
+        let c = (heads - 1) * dh + dh / 2;
+        let alone: [Tensor; 4] = ops.clone().map(|t| t.slice_axis(1, (heads - 1) * dh, dh));
+        let dv_alone = attention_bits(&alone, 1, false)[3].clone();
+        let minus_zero = (0..n).filter(|&r| dv_alone[r * dh + dh / 2] == (-0.0f32).to_bits()).count();
+        assert!(minus_zero > n / 2, "only {minus_zero} rows underflow to -0.0");
+        // One head has no padding to add: the node keeps the −0.0.
+        assert_eq!(attention_bits(&alone, 1, true)[3], dv_alone, "one head");
+        let [node, composed] = [true, false].map(|node| attention_bits(&ops, heads, node)[3].clone());
+        for r in 0..n {
+            if dv_alone[r * dh + dh / 2] == (-0.0f32).to_bits() {
+                assert_eq!(composed[r * heads * dh + c], 0, "row {r}: the composition's +0.0");
+                assert_eq!(node[r * heads * dh + c], 0, "row {r}: the node's");
+            }
+        }
+    }
+
+    #[test]
+    fn attention_is_one_node_and_keeps_no_score_tensor() {
+        let tape = Tape::new();
+        let [q, k, v] = [1, 2, 3].map(|seed| tape.leaf(randn(&[60, 32], seed)));
+        let before = tape.len();
+        let y = q.attention(k, v, 4);
+        assert_eq!(tape.len() - before, 1, "no slice, product, softmax or concat nodes");
+        assert_eq!(y.shape(), vec![60, 32]);
+    }
+
+    #[test]
+    fn attention_grads_match_fd() {
+        check_gradients(
+            &[vec![5, 8], vec![5, 8], vec![5, 8]],
+            |_t, v| v[0].attention(v[1], v[2], 2).square().sum(),
+            2e-2,
+            33,
+        );
     }
 
     #[test]

@@ -15,19 +15,24 @@
 //! over them), so for identical inputs the two contexts produce
 //! bit-identical outputs — the property `tests/tape_free.rs` locks in.
 //!
-//! The two are the composites, ops whose default body, which the tape runs
-//! and differentiates, is a composition of the ops above them; the session
-//! overrides each with one kernel that never builds the composition's
-//! largest intermediate. The contract an override keeps is the same one:
-//! every output bit equals the composition's.
+//! The two are the composites, ops whose default body is a composition of
+//! the ops above them; an override runs one kernel that never builds the
+//! composition's largest intermediate. The contract an override keeps is
+//! the same one: every output bit equals the composition's (and, on the
+//! tape, every gradient bit).
 //!
-//! * [`Exec::attention`] is the per-head composition; the session runs one
-//!   blocked kernel (`orbit2_tensor::attention::multi_head_attention`) that
-//!   never holds a whole score matrix, bit-equal at any head count and
-//!   token count (across the kernel's block boundaries). The tensor crate
-//!   checks the kernel against `naive_attention` per head.
-//! * [`Exec::upsample_conv`] is `resize_bilinear → conv2d`; the session
-//!   runs `orbit2_tensor::conv::upsample_conv2d`, which interpolates each
+//! * [`Exec::attention`] is the per-head composition; both contexts
+//!   override it. The session runs one blocked kernel
+//!   (`orbit2_tensor::attention::multi_head_attention`) that never holds a
+//!   whole score matrix, bit-equal at any head count and token count
+//!   (across the kernel's block boundaries); the tensor crate checks it
+//!   against `naive_attention` per head. The tape records one node,
+//!   `Var::attention`, whose forward is that kernel and whose backward
+//!   recomputes each head's probabilities; the autograd crate checks its
+//!   value and gradients against the composition on the tape.
+//! * [`Exec::upsample_conv`] is `resize_bilinear → conv2d`, which the tape
+//!   runs and differentiates as it is; the session runs
+//!   `orbit2_tensor::conv::upsample_conv2d`, which interpolates each
 //!   band's padded rows into its scratch and never builds the upsampled
 //!   image. The tensor crate checks it against the composition across band,
 //!   strip and channel-block boundaries.
@@ -155,7 +160,9 @@ pub trait Exec {
     /// The default body is the per-head composition: per head, `slice_axis`
     /// of each operand, then `matmul_nt → scale(1/√d_h) → softmax_last →
     /// matmul`, then one `concat` of the heads. An override must match it
-    /// bit for bit.
+    /// bit for bit. Both contexts override it, so the body runs only where a
+    /// wrapper context replays the composition (a timing wrapper that
+    /// forwards the primitive ops, and tests).
     fn attention(&self, q: &Self::Value, k: &Self::Value, v: &Self::Value, heads: usize) -> Self::Value {
         let d = self.shape(q)[1];
         assert_eq!(d % heads, 0, "heads must divide embed_dim");
@@ -282,5 +289,11 @@ impl<'t> Exec for Binder<'t, '_> {
 
     fn unpool_rows(&self, x: &Var<'t>, groups: &RowGroups, total_rows: usize) -> Var<'t> {
         x.unpool_rows(Arc::clone(groups), total_rows)
+    }
+
+    /// One tape node in place of the per-head composition, bit for bit
+    /// ([`Var::attention`]).
+    fn attention(&self, q: &Var<'t>, k: &Var<'t>, v: &Var<'t>, heads: usize) -> Var<'t> {
+        q.attention(*k, *v, heads)
     }
 }

@@ -19,9 +19,10 @@
 //!   `softmax_rows_from` reads a source row instead, so an out-of-place
 //!   softmax never copies its scores first.
 //!
-//! An inference session's short linears take [`matmul_bias_act_in_place`]
-//! instead: the same product and epilogue, with the weight read where it
-//! lies rather than through a `W^T` pack ([`IN_PLACE_MAX_ROWS`] says when).
+//! Short linears read the weight where it lies rather than through a `W^T`
+//! pack ([`IN_PLACE_MAX_ROWS`] says when): the tape's through
+//! [`matmul_bias_act`], an inference session's through
+//! [`matmul_bias_act_in_place`], which stores no pre-activation.
 //!
 //! A linear layer with a non-linear activation also returns the
 //! *pre-activation* tensor: the tape needs `act'(pre)` for the backward
@@ -138,11 +139,15 @@ fn linear_dims(x: &Tensor, w: &Tensor, bias: Option<&Tensor>) -> (usize, usize, 
 
 /// Fused linear layer: `y = act(x W^T + bias)`.
 ///
-/// `x` is `[m, k]`, `w` is `[n, k]` (PyTorch `[out, in]` convention — packed
-/// straight from its storage, no transpose materialized), `bias` is `[n]`.
-/// Returns `(y, pre)` where `pre` is the pre-activation `x W^T + bias`,
-/// stored only when a non-identity activation consumed it (the tape needs it
-/// for `act'`; for identity `pre == y` and is elided).
+/// `x` is `[m, k]`, `w` is `[n, k]` (PyTorch `[out, in]` convention — no
+/// transpose materialized), `bias` is `[n]`. Returns `(y, pre)` where `pre`
+/// is the pre-activation `x W^T + bias`, stored only when a non-identity
+/// activation consumed it (the tape needs it for `act'`; for identity
+/// `pre == y` and is elided).
+///
+/// Up to [`IN_PLACE_MAX_ROWS`] rows the weight is read where it lies, as in
+/// [`matmul_bias_act_in_place`]; longer products pack `W^T` per call. Both
+/// give the same bits.
 pub fn matmul_bias_act(
     x: &Tensor,
     w: &Tensor,
@@ -150,22 +155,15 @@ pub fn matmul_bias_act(
     act: Activation,
 ) -> (Tensor, Option<Tensor>) {
     let (m, k, n) = linear_dims(x, w, bias);
+    let bd = bias.map(|b| b.data());
     let mut out = pool::alloc_uninit(m * n);
     let mut pre = (act != Activation::Identity).then(|| pool::alloc_uninit(m * n));
-    qgemm::gemm_per_call(
-        x.data(),
-        MatLayout::row_major(k),
-        w.data(),
-        MatLayout::transposed(k),
-        m,
-        k,
-        n,
-        bias.map(|b| b.data()),
-        act,
-        &mut out,
-        pre.as_deref_mut(),
-        true,
-    );
+    if m <= IN_PLACE_MAX_ROWS {
+        qgemm::gemm_weight_in_place(x.data(), m, w.data(), n, k, bd, act, &mut out, pre.as_deref_mut());
+    } else {
+        let (la, lb) = (MatLayout::row_major(k), MatLayout::transposed(k));
+        qgemm::gemm_per_call(x.data(), la, w.data(), lb, m, k, n, bd, act, &mut out, pre.as_deref_mut(), true);
+    }
     (Tensor::from_vec(vec![m, n], out), pre.map(|p| Tensor::from_vec(vec![m, n], p)))
 }
 
@@ -206,13 +204,23 @@ pub fn matmul_bias_act_cached(
     Tensor::from_vec(vec![m, n], out)
 }
 
-/// Rows up to which an f32 inference session reads a linear weight in
-/// place ([`matmul_bias_act_in_place`]) instead of through a resident
-/// `W^T` pack. This is a memory choice made at a measured time cost, not a
-/// time crossover: what the in-place product saves is the pack, a second
-/// f32 copy of every weight (420 MB for the 126M model). 64 is the widest
-/// strip the driver packs, so up to here `x^T` is one strip and the weight
-/// is streamed exactly once; past it, once per strip.
+/// Rows up to which a linear reads its weight in place instead of through
+/// a `W^T` pack: the tape's ([`matmul_bias_act`]) and an f32 inference
+/// session's ([`matmul_bias_act_in_place`]). 64 is the widest strip the
+/// driver packs, so up to here `x^T` is one strip and the weight is
+/// streamed exactly once; past it, once per strip.
+///
+/// For the tape it is a time win: the alternative is a `W^T` pack on every
+/// call, a transpose of the whole weight. On a `train-step` step (9.5M
+/// model, 60-token tiles, CPU-ms per step over both workers of the 2-core
+/// AVX-512 guest, seed 1, two runs) the linear forwards took 65–69 CPU-ms,
+/// 34–37 of them the `W^T` packs; in place they take 51–52, of which 3 are
+/// the `x^T` packs and 36–37 the products, which now stream the cold
+/// weight themselves.
+///
+/// For a session it is a memory choice made at a measured time cost, not
+/// a time crossover: what the in-place product saves is the resident pack,
+/// a second f32 copy of every weight (420 MB for the 126M model).
 ///
 /// In place ÷ resident, medians of four runs on the reference 2-core
 /// guest (two threads, `gemm_f32/inplace/*` against `gemm_f32/*`):
@@ -233,10 +241,10 @@ pub const IN_PLACE_MAX_ROWS: usize = 64;
 
 /// Tape-free fused linear layer reading the `[n, k]` weight in place:
 /// `y = act(x W^T + bias)` computed as `(W · x^T)^T`, with only `x^T`
-/// packed for the call. Bit-identical to [`matmul_bias_act`] and
-/// [`matmul_bias_act_cached`] on the same f32 operands at every shape; what
-/// it saves is the resident pack ([`IN_PLACE_MAX_ROWS`] says what that
-/// costs in time).
+/// packed for the call and no pre-activation stored. Bit-identical to
+/// [`matmul_bias_act`] and [`matmul_bias_act_cached`] on the same f32
+/// operands at every shape; what it saves is the resident pack
+/// ([`IN_PLACE_MAX_ROWS`] says what that costs in time).
 pub fn matmul_bias_act_in_place(
     x: &Tensor,
     w: &Tensor,
@@ -245,7 +253,7 @@ pub fn matmul_bias_act_in_place(
 ) -> Tensor {
     let (m, k, n) = linear_dims(x, w, bias);
     let mut out = pool::alloc_uninit(m * n);
-    qgemm::gemm_weight_in_place(x.data(), m, w.data(), n, k, bias.map(|b| b.data()), act, &mut out);
+    qgemm::gemm_weight_in_place(x.data(), m, w.data(), n, k, bias.map(|b| b.data()), act, &mut out, None);
     Tensor::from_vec(vec![m, n], out)
 }
 
@@ -435,11 +443,13 @@ mod tests {
 
     #[test]
     fn in_place_product_bitwise_matches_resident_pack() {
-        // An inference session's two f32 linears on the same operands: `m`
-        // straddles the resident product's 6-row panels and the 16/32/64-
-        // column strips of the in-place product's `x^T`; every `n` is ragged
-        // against the strips; `k = 1` is a one-step chain.
-        for m in [1usize, 5, 6, 7, 16, 31, 32, 33, 63, 64] {
+        // An inference session's two f32 linears and the tape's on the same
+        // operands: `m` straddles the resident product's 6-row panels, the
+        // 16/32/64-column strips of the in-place product's `x^T` and
+        // `IN_PLACE_MAX_ROWS`; every `n` is ragged against the strips;
+        // `k = 1` is a one-step chain. The tape's stored pre-activation is
+        // the identity product's output.
+        for m in [1usize, 5, 6, 7, 16, 31, 32, 33, 63, 64, 65, 97] {
             for &(k, n) in &[(1usize, 37usize), (7, 100), (1024, 20)] {
                 let x = randn(&[m, k], 91);
                 let w = randn(&[n, k], 92);
@@ -451,6 +461,12 @@ mod tests {
                         let in_place = matmul_bias_act_in_place(&x, &w, bias, act);
                         let case = format!("{m}x{k}x{n} {act:?} bias {}", bias.is_some());
                         assert_eq!(bits(in_place.data()), bits(resident.data()), "{case}");
+                        let (tape, pre) = matmul_bias_act(&x, &w, bias, act);
+                        assert_eq!(bits(tape.data()), bits(resident.data()), "{case}: tape");
+                        if let Some(pre) = pre {
+                            let plain = matmul_bias_act_cached(&x, &w, packed.as_ref(), bias, Activation::Identity);
+                            assert_eq!(bits(pre.data()), bits(plain.data()), "{case}: pre");
+                        }
                     }
                 }
             }

@@ -16,31 +16,98 @@ use rayon::prelude::*;
 /// dealt to threads.
 const SUM_BLOCK: usize = 1 << 12;
 
-/// Materialize the strided `rows x cols` view `src[i * rs + j * cs]` as a
-/// row-major matrix in `out` (a transpose is `rs = 1`).
+/// Write the transpose of the `cols × rows` matrix at `src` (rows `ld`
+/// apart) to `out` as a row-major `rows × cols` matrix:
+/// `out[i·cols + j] = src[j·ld + i]`. Every unit-stride transpose in the
+/// crate (`Tensor::transpose2`, the GEMM driver's column-contiguous A and
+/// the in-place linear's store pass) runs here, on [`transpose_tiles`].
+pub(crate) fn gather_strided(src: &[f32], ld: usize, rows: usize, cols: usize, out: &mut [f32]) {
+    debug_assert!(out.len() >= rows * cols);
+    transpose_tiles(src, ld, cols, rows, |i, j0, run| {
+        out[i * cols + j0..i * cols + j0 + run.len()].copy_from_slice(run);
+    });
+}
+
+/// Side of the square tile [`transpose_tiles`] moves at a time.
+const TILE: usize = 16;
+
+/// Transpose the `rows × cols` matrix at `src` (element `(i, j)` at
+/// `src[i·ld + j]`) sixteen by sixteen, handing each tile's output rows to
+/// `store(j, i0, run)`: `run[t] = src[(i0 + t)·ld + j]` for the
+/// `min(16, rows − i0)` values of output row `j` from column `i0`.
 ///
-/// Blocked: each 32x32 tile stays in L1 while being rotated, and the inner
-/// loop walks the *output* row so stores are unit-stride (the strided access
-/// lands on the read side, which caches better than scattered writes).
-pub(crate) fn gather_strided(
+/// A tile's sixteen source rows are copied into a 1 KB block, a contiguous
+/// run each; two passes of [`riffle4`] transpose the block in registers;
+/// its rows are handed out as contiguous runs, so no element is read or
+/// written on its own. A ragged tile at the right or bottom edge takes the
+/// same path: its unused block rows hand out nothing.
+#[inline(always)]
+pub(crate) fn transpose_tiles(
     src: &[f32],
-    rs: usize,
-    cs: usize,
+    ld: usize,
     rows: usize,
     cols: usize,
-    out: &mut [f32],
+    mut store: impl FnMut(usize, usize, &[f32]),
 ) {
-    const B: usize = 32;
-    for j0 in (0..cols).step_by(B) {
-        let jmax = (j0 + B).min(cols);
-        for i0 in (0..rows).step_by(B) {
-            for i in i0..(i0 + B).min(rows) {
-                let dst = &mut out[i * cols + j0..i * cols + jmax];
-                for (d, j) in dst.iter_mut().zip(j0..jmax) {
-                    *d = src[i * rs + j * cs];
-                }
+    for j0 in (0..cols).step_by(TILE) {
+        let cw = TILE.min(cols - j0);
+        for i0 in (0..rows).step_by(TILE) {
+            let rh = TILE.min(rows - i0);
+            let at = i0 * ld + j0;
+            if rh == TILE && cw == TILE {
+                transpose_tile::<true>(&src[at..], ld, rh, cw, |j, run| store(j0 + j, i0, run));
+            } else {
+                transpose_tile::<false>(&src[at..], ld, rh, cw, |j, run| store(j0 + j, i0, run));
             }
         }
+    }
+}
+
+/// One tile of [`transpose_tiles`]: `rh × cw` values at `src` (rows `ld`
+/// apart) in, `cw` runs of `rh` out. A `FULL` tile (16 × 16) has constant
+/// trip counts throughout.
+#[inline(always)]
+fn transpose_tile<const FULL: bool>(
+    src: &[f32],
+    ld: usize,
+    rh: usize,
+    cw: usize,
+    mut store: impl FnMut(usize, &[f32]),
+) {
+    let (rh, cw) = if FULL { (TILE, TILE) } else { (rh, cw) };
+    let mut block = [0.0f32; TILE * TILE];
+    for (i, row) in block.chunks_exact_mut(TILE).enumerate().take(rh) {
+        // A narrow tile still reads sixteen floats where the slice has them:
+        // a fixed-size copy, whose extra columns are never handed out.
+        match src.get(i * ld..i * ld + TILE) {
+            Some(whole) => row.copy_from_slice(whole),
+            None => row[..cw].copy_from_slice(&src[i * ld..i * ld + cw]),
+        }
+    }
+    let mut half = [0.0f32; TILE * TILE];
+    riffle4(&block, &mut half);
+    riffle4(&half, &mut block);
+    for (j, run) in block.chunks_exact(TILE).enumerate().take(cw) {
+        store(j, &run[..rh]);
+    }
+}
+
+/// A 4-way perfect shuffle of a 16×16 block: `out[4t + q] = a[t + 64q]`,
+/// which rotates each element's 8-bit index left by two bits. Twice, it
+/// swaps the row and column nibbles: a transpose. The loop vectorizer
+/// lowers each pass to register permutes (`vpermt2ps` on AVX-512). A
+/// transpose written as butterfly stages over sixteen row vectors is not:
+/// LLVM scalarizes the rows and folds the permutation back into the loads,
+/// as per-element gathers, and that measured 2–3× slower than the
+/// element-at-a-time loop this replaced.
+#[inline(always)]
+fn riffle4(a: &[f32; TILE * TILE], out: &mut [f32; TILE * TILE]) {
+    const QUARTER: usize = TILE * TILE / 4;
+    for (t, o) in out.chunks_exact_mut(4).enumerate() {
+        o[0] = a[t];
+        o[1] = a[t + QUARTER];
+        o[2] = a[t + 2 * QUARTER];
+        o[3] = a[t + 3 * QUARTER];
     }
 }
 
@@ -322,7 +389,7 @@ impl Tensor {
         assert_eq!(self.ndim(), 2, "transpose2 requires 2-d, got {:?}", self.shape());
         let (r, c) = (self.shape()[0], self.shape()[1]);
         let mut out = pool::alloc_uninit(r * c);
-        gather_strided(self.data(), 1, c, c, r, &mut out);
+        gather_strided(self.data(), c, c, r, &mut out);
         Tensor::from_vec(vec![c, r], out)
     }
 
@@ -481,10 +548,45 @@ pub fn gelu_grad_scalar(x: f32) -> f32 {
     s + x * s * (1.0 - s) * GELU_2S * (1.0 + 3.0 * GELU_C * x * x)
 }
 
+/// Matrix sides for the transposes' oracle tests, here and in `qgemm`:
+/// both sides of one and two 16×16 tiles, and a 100 that leaves a 4-wide
+/// ragged tile.
+#[cfg(test)]
+pub(crate) const TRANSPOSE_SIDES: [usize; 8] = [1, 15, 16, 17, 31, 33, 64, 100];
+
+/// `len` floats of scattered bit patterns — NaN payloads, −0.0 and
+/// subnormals among them — so that a transpose that computed anything
+/// instead of moving bits would show.
+#[cfg(test)]
+pub(crate) fn scattered_bits(len: usize) -> Vec<f32> {
+    (0..len as u32).map(|i| f32::from_bits(i.wrapping_mul(0x9E37_79B9) ^ 0x8000_0001)).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::shape::{broadcast_index, strides_for};
+
+    #[test]
+    fn tiled_transpose_is_the_index_formula() {
+        // The source slice ends at its last element, so the final tile rows
+        // take the short copy; `ld` is the width or 3 past it.
+        for rows in TRANSPOSE_SIDES {
+            for cols in TRANSPOSE_SIDES {
+                for ld in [rows, rows + 3] {
+                    let src = scattered_bits((cols - 1) * ld + rows);
+                    let mut out = vec![f32::NAN; rows * cols];
+                    gather_strided(&src, ld, rows, cols, &mut out);
+                    for i in 0..rows {
+                        for j in 0..cols {
+                            let (got, want) = (out[i * cols + j].to_bits(), src[j * ld + i].to_bits());
+                            assert_eq!(got, want, "{rows}x{cols} ld {ld}: ({i}, {j})");
+                        }
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn add_same_shape() {

@@ -11,26 +11,28 @@
 //! (`W ∈ {1, 2, 4}`, [`choose_nr`]), each strip stored k-major
 //! (`strip[p·nr + c]`), ragged columns zero-padded. [`pack_strips`] builds
 //! strips from any [`MatLayout`], so `W^T` of a `[n, k]` linear weight, a
-//! row-major `B` and a `B^T` all pack straight from their storage. A
-//! [`PackedWeight`] keeps strips resident across calls at one of two
-//! storage widths; [`gemm_per_call`] packs f32 strips into pooled scratch
-//! for one product (the tape's forward and backward), and
-//! [`ScratchStrips`] keeps such a pack for a caller of its own (the
-//! attention op's per-head `K_hᵀ` and `V_h`, and the `xᵀ` of
-//! [`gemm_weight_in_place`], which runs a short linear as `(W · xᵀ)ᵀ` so
-//! that the row-major weight is A, read in place, and needs no pack).
+//! row-major `B` and a `B^T` all pack straight from their storage (a
+//! column-contiguous `op(B)` through 16×16 register transposes,
+//! [`transpose_tiles`]). A [`PackedWeight`] keeps strips resident across
+//! calls at one of two storage widths; [`gemm_per_call`] packs f32 strips
+//! into pooled scratch for one product (the tape's backward products and
+//! its linears longer than `IN_PLACE_MAX_ROWS`), and [`ScratchStrips`]
+//! keeps such a pack for a caller of its own (the attention op's per-head
+//! `K_hᵀ` and `V_h`, and the `xᵀ` of [`gemm_weight_in_place`], which runs a
+//! short linear — the session's and the tape's — as `(W · xᵀ)ᵀ` so that
+//! the row-major weight is A, read in place, and needs no pack).
 //!
 //! ## Kernel
 //!
 //! [`panel`] blocks `QMR` rows × `W` `F32x16` columns — up to 24
 //! accumulators held in registers from zeroing to store. A is read in
 //! place, row by row (a column-contiguous A — the `A^T g` weight gradient —
-//! is transposed once into pooled scratch, the price an A-pack would charge
-//! every call). There is no k blocking: a strip is streamed once per row
-//! panel and each C tile is written exactly once, so the store overwrites C
-//! (no pre-zeroing, no read-add), applying scale and bias on the way out;
-//! the activation — and the pre-activation the tape keeps for `act'` — then
-//! runs over each stored row. Narrow codes are widened **once** per strip
+//! is transposed once into pooled scratch by the same tiles, the price an
+//! A-pack would charge every call). There is no k blocking: a strip is
+//! streamed once per row panel and each C tile is written exactly once, so
+//! the store overwrites C (no pre-zeroing, no read-add), applying scale and
+//! bias on the way out; the activation — and the pre-activation the tape
+//! keeps for `act'` — then runs over each stored row. Narrow codes are widened **once** per strip
 //! per worker into pooled f32 scratch and re-read by every row panel; an
 //! f32 strip is borrowed as it is.
 //!
@@ -48,7 +50,7 @@
 
 use crate::fused::{Activation, WeightPrecision};
 use crate::matmul::MatLayout;
-use crate::ops::gather_strided;
+use crate::ops::{gather_strided, transpose_tiles};
 use crate::par::{self, MACS_PER_VISIT};
 use crate::pool::{self, Buffer};
 use crate::simd::{self, F32x16, LANES, LANES16};
@@ -133,7 +135,10 @@ fn choose_nr(n: usize) -> usize {
 
 /// Lay the `k × n` matrix `op(B)` (`b[p·rs + j·cs]`) into k-major strips of
 /// `nr` columns, storing each element through `f(column, value)`. Ragged
-/// columns are zero-padded.
+/// columns are zero-padded. `op(B)` is row-contiguous (`cs = 1`: each strip
+/// row is one copy) or column-contiguous (`rs = 1`: `W^T` of a `[n, k]`
+/// weight, `B^T`, `x^T`), which moves through registers 16×16 tiles at a
+/// time ([`transpose_tiles`]).
 fn pack_strips<Q: QWeight>(
     b: &[f32],
     lb: MatLayout,
@@ -143,10 +148,8 @@ fn pack_strips<Q: QWeight>(
     out: &mut [Q],
     f: impl Fn(usize, f32) -> Q,
 ) {
-    /// Columns gathered per pass of the column-contiguous walk: one cache
-    /// line of the strip per row, read from `CB` parallel source streams.
-    const CB: usize = 16;
     debug_assert_eq!(out.len(), n.div_ceil(nr) * k * nr);
+    assert!(lb.cs == 1 || lb.rs == 1, "op(B) must be row- or column-contiguous");
     for s in 0..n.div_ceil(nr) {
         let j0 = s * nr;
         let cols = nr.min(n - j0);
@@ -155,25 +158,20 @@ fn pack_strips<Q: QWeight>(
             dst.fill(Q::default());
         }
         if lb.cs == 1 {
-            // Rows of op(B) are contiguous: each strip row is one copy.
             for (p, d) in dst.chunks_exact_mut(nr).enumerate() {
                 let src = &b[p * lb.rs + j0..p * lb.rs + j0 + cols];
                 for (c, (x, &v)) in d.iter_mut().zip(src).enumerate() {
                     *x = f(j0 + c, v);
                 }
             }
-            continue;
-        }
-        // Columns of op(B) are contiguous (`W^T` of a `[n, k]` weight,
-        // `B^T`) or nothing is: gather.
-        for c0 in (0..cols).step_by(CB) {
-            let cw = CB.min(cols - c0);
-            for (p, d) in dst.chunks_exact_mut(nr).enumerate() {
-                for (c, x) in d[c0..c0 + cw].iter_mut().enumerate() {
-                    let j = j0 + c0 + c;
-                    *x = f(j, b[p * lb.rs + j * lb.cs]);
+        } else {
+            // Column `j` of op(B) is row `j` of the storage, `cs` apart.
+            transpose_tiles(&b[j0 * lb.cs..], lb.cs, cols, k, |p, c0, run| {
+                let d = &mut dst[p * nr + c0..p * nr + c0 + run.len()];
+                for (c, (x, &v)) in d.iter_mut().zip(run).enumerate() {
+                    *x = f(j0 + c0 + c, v);
                 }
-            }
+            });
         }
     }
 }
@@ -188,10 +186,11 @@ enum Codes {
 
 /// An `op(B)` packed once into strips and kept resident across calls.
 ///
-/// [`matmul_bias_act`](crate::fused::matmul_bias_act) re-packs `W^T` on
-/// every invocation. An inference session that replays the same weights
-/// thousands of times pays that cost once by holding a `PackedWeight` per
-/// linear weight and passing it to
+/// [`matmul_bias_act`](crate::fused::matmul_bias_act) past
+/// [`IN_PLACE_MAX_ROWS`](crate::fused::IN_PLACE_MAX_ROWS) rows re-packs
+/// `W^T` on every invocation. An inference session that replays the same
+/// weights thousands of times pays that cost once by holding a
+/// `PackedWeight` per linear weight and passing it to
 /// [`matmul_bias_act_cached`](crate::fused::matmul_bias_act_cached). An
 /// [`Int8`](WeightPrecision::Int8) pack additionally shrinks the resident
 /// bytes 4×: symmetric per-output-channel `i8` codes with one f32 scale per
@@ -546,8 +545,9 @@ fn drive<Q: QWeight>(
     let (a, lda) = if la.cs == 1 {
         (a, la.rs)
     } else {
+        assert_eq!(la.rs, 1, "op(A) must be row- or column-contiguous");
         let mut t = Buffer::uninit(m * k);
-        gather_strided(a, la.rs, la.cs, m, k, &mut t);
+        gather_strided(a, la.cs, m, k, &mut t);
         transposed = t;
         (&transposed[..], k)
     };
@@ -640,12 +640,12 @@ pub(crate) fn gemm_resident(
 /// rows at a time, each worker streaming a disjoint share of its rows; only
 /// `xᵀ` (`k × m`) is packed, for this call, into pooled scratch.
 ///
-/// Bit-identical to the resident-pack product of the same operands by
+/// Bit-identical to the packed-`Wᵀ` product of the same operands by
 /// construction: every output element is the same k-ordered FMA chain from
 /// zero (`fma(w, x, acc)` is `fma(x, w, acc)`, exactly), written transposed
 /// into pooled scratch with no epilogue; one O(m·n) store pass then adds
 /// the bias and applies the activation, in [`Epilogue::pre`] / `finish`
-/// order.
+/// order, copying the pre-activation to `pre` when given.
 #[allow(clippy::too_many_arguments)] // GEMM plumbing: operands + epilogue + outputs
 pub(crate) fn gemm_weight_in_place(
     x: &[f32],
@@ -656,10 +656,14 @@ pub(crate) fn gemm_weight_in_place(
     bias: Option<&[f32]>,
     act: Activation,
     c: &mut [f32],
+    pre: Option<&mut [f32]>,
 ) {
     assert_eq!(c.len(), m * n, "output buffer shape");
     if let Some(b) = bias {
         assert_eq!(b.len(), n, "bias length");
+    }
+    if let Some(p) = &pre {
+        assert_eq!(p.len(), m * n, "pre-activation buffer shape");
     }
     if m == 0 || n == 0 {
         return;
@@ -668,21 +672,29 @@ pub(crate) fn gemm_weight_in_place(
     let mut ct = Buffer::uninit(n * m);
     let plain = Epilogue { scales: None, bias: None, act: Activation::Identity };
     drive(w, MatLayout::row_major(k), n, xt.strips(), plain, &mut ct, None, true, true);
-    // The store pass: a chunk of rows transposed out of `ct` by the blocked
-    // gather, then bias and activation row by row.
+    // The store pass: a chunk of rows transposed out of `ct` by tiles, then
+    // bias and activation row by row.
     let ep = Epilogue { scales: None, bias, act };
     let rows = m.div_ceil(par::pieces(m * n));
-    c.par_chunks_mut(rows * n).enumerate().for_each(|(ci, cc)| {
-        gather_strided(&ct[ci * rows..], 1, m, cc.len() / n, n, cc);
-        for row in cc.chunks_exact_mut(n) {
+    let store = |ci: usize, cc: &mut [f32], mut pc: Option<&mut [f32]>| {
+        gather_strided(&ct[ci * rows..], m, cc.len() / n, n, cc);
+        for (r, row) in cc.chunks_exact_mut(n).enumerate() {
             if bias.is_some() {
                 for (j, y) in row.iter_mut().enumerate() {
                     *y = ep.pre(*y, j);
                 }
             }
-            ep.finish(row, None);
+            ep.finish(row, pc.as_deref_mut().map(|p| &mut p[r * n..(r + 1) * n]));
         }
-    });
+    };
+    match pre {
+        Some(p) => c
+            .par_chunks_mut(rows * n)
+            .zip(p.par_chunks_mut(rows * n))
+            .enumerate()
+            .for_each(|(ci, (cc, pc))| store(ci, cc, Some(pc))),
+        None => c.par_chunks_mut(rows * n).enumerate().for_each(|(ci, cc)| store(ci, cc, None)),
+    }
 }
 
 /// f32 strips of one `k × n` `op(B)` (`n > 0`) in pooled scratch: what
@@ -866,6 +878,41 @@ mod tests {
                     let ep = Epilogue { scales: Some(&scales), bias: None, act: Activation::Identity };
                     drive(&a, la, m, strips.strips(), ep, &mut c_ref, None, false, false);
                     assert_bits_eq(&c_vec, &c_ref, &format!("{what} scales"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn column_contiguous_pack_is_the_index_formula() {
+        // `op(B)` element `(p, j)` at `b[p + j·ld]` — `W^T` of a `[n, k]`
+        // weight when `ld = k` — packed tile by tile: every strip element is
+        // that value, stored through the precision's own closure with its
+        // own column's scale, and every padding column is zero.
+        use crate::ops::{scattered_bits, TRANSPOSE_SIDES};
+        for k in TRANSPOSE_SIDES {
+            for n in TRANSPOSE_SIDES {
+                let ld = k + 2;
+                let bits = scattered_bits((n - 1) * ld + k);
+                // Finite values for the int8 scales, one magnitude per column.
+                let finite: Vec<f32> = (0..bits.len()).map(|i| ((i * 37 % 101) as f32 - 50.0) * (1 + i / ld) as f32).collect();
+                let lb = MatLayout { rs: 1, cs: ld };
+                let strips = ScratchStrips::pack(&bits, lb, k, n);
+                let nr = strips.nr;
+                let at = |p: usize, j: usize| (j / nr) * k * nr + p * nr + j % nr;
+                for p in 0..k {
+                    for j in 0..n.div_ceil(nr) * nr {
+                        let want = if j < n { bits[p + j * ld].to_bits() } else { 0 };
+                        assert_eq!(strips.codes[at(p, j)].to_bits(), want, "f32 k {k} n {n}: ({p}, {j})");
+                    }
+                }
+                let pw = PackedWeight::from_layout(&finite, lb, k, n, WeightPrecision::Int8);
+                let (Codes::I8 { codes, scales }, true) = (&pw.strips, pw.nr == nr) else { panic!("an int8 pack") };
+                for p in 0..k {
+                    for j in 0..n.div_ceil(nr) * nr {
+                        let want = if j < n { (finite[p + j * ld] / scales[j]).round().clamp(-127.0, 127.0) as i8 } else { 0 };
+                        assert_eq!(codes[at(p, j)], want, "int8 k {k} n {n}: ({p}, {j})");
+                    }
                 }
             }
         }

@@ -15,7 +15,10 @@
 #      crate's, whose GEMM kernel is register-resident only when optimised,
 #      so its oracle comparisons must run against that build. Every kernel has
 #      one production path, and the suite compares it against its scalar
-#      oracle (DESIGN.md §7).
+#      oracle (DESIGN.md §7). Then the trained and served bit pins
+#      (tests/trained_bits.rs, tests/served_bits.rs) once more under
+#      --release, where the tape's in-place linears and the tile transposes
+#      run as they do in production.
 #   3. clippy lint gate (scripts/lint.sh: -D warnings -D unsafe_code)
 #   4. chaos suite (scripts/chaos_smoke.sh: fault injection + recovery)
 #   5. reduced-precision quality gate (crates/core/tests/precision_gate.rs):
@@ -62,6 +65,8 @@ cargo test -q --release -p rayon -p serde_json
 cargo test -q --release -p orbit2-tensor
 # Its own line: `--test` on the line above would run that target alone.
 cargo test -q --release -p orbit2-repro --test wire_bytes
+# The tape's in-place linears and the tile transposes are optimised-build code.
+cargo test -q --release -p orbit2-repro --test trained_bits --test served_bits
 
 step "lint"
 scripts/lint.sh
