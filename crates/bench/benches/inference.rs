@@ -2,9 +2,8 @@
 //!
 //! Four variants per size: the full training-style forward (tape + binder
 //! built per call, values unwrapped at the end), the tape-free session
-//! forward (weights prepared once and GEMM packs built by the first call,
-//! both outside the timed samples), and both again through the 2x2 halo-2
-//! tiled inference path.
+//! forward (weights prepared once, outside the timed samples), and both
+//! again through the 2x2 halo-2 tiled inference path.
 //! The tape/session ratio is the cost of autograd bookkeeping that
 //! inference no longer pays.
 

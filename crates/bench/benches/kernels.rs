@@ -55,12 +55,14 @@ fn bench_matmul(c: &mut Criterion) {
 /// (`48x64x1156_nt`, k = d_head), and the MLP weight gradient of a
 /// 45-token `train-step` tile (`tn`). `gemm_ref/256` is the scalar
 /// oracle on the `gemm_f32/256` operands: the in-run reference for
-/// same-snapshot ratios. The f32 group also times an inference session's
-/// linears with the weight read in place (`gemm_f32/inplace/*`,
-/// `fused::matmul_bias_act_in_place`) beside the resident pack on the same
-/// operands: `m` swept over 1024×1024 around `fused::IN_PLACE_MAX_ROWS`,
-/// the 126M model's MLP at 32 tokens, and the long linears of a TILES
-/// tile (the 9.5M model at 1156 tokens, the tiny one at 512).
+/// same-snapshot ratios. The f32 group also times the two halves of the
+/// f32 linear's rule on the same operands, beside the resident pack: the
+/// weight read in place (`gemm_f32/inplace/*`,
+/// `fused::matmul_bias_act_in_place`) and `W^T` packed per call
+/// (`gemm_f32/percall/*`, `Tensor::matmul_nt`). The shapes are `m` swept
+/// over 1024×1024 around `fused::IN_PLACE_MAX_ROWS`, the 126M model's MLP
+/// at 32 tokens, and the long linears of a TILES tile (the 9.5M model at
+/// 1156 tokens, the tiny one at 512).
 fn bench_packed_gemm(c: &mut Criterion) {
     const SHAPES: [(usize, usize, usize); 5] =
         [(256, 256, 256), (512, 512, 512), (32, 1024, 4096), (32, 4096, 1024), (1156, 256, 1024)];
@@ -137,6 +139,7 @@ fn bench_packed_gemm(c: &mut Criterion) {
                 group.bench_function(BenchmarkId::new("inplace", &name), |bench| {
                     bench.iter(|| matmul_bias_act_in_place(&x, &w, Some(&b), Activation::Identity))
                 });
+                group.bench_function(BenchmarkId::new("percall", &name), |bench| bench.iter(|| x.matmul_nt(&w)));
             }
         }
         group.finish();

@@ -23,7 +23,8 @@ pub struct VariableReport {
 /// space per the paper's convention.
 ///
 /// One tape-free session is prepared up front and reused for every sample,
-/// so weight packing is paid once for the whole split.
+/// so the weight snapshot (and an int8 session's packing) is paid once for
+/// the whole split.
 pub fn evaluate_model(
     model: &ReslimModel,
     normalizer: &Normalizer,

@@ -2,9 +2,9 @@
 //! exactly the TILES deployment path of paper Fig. 4.
 //!
 //! Inference never touches the autograd tape: the forward runs through a
-//! tape-free [`InferenceSession`] whose weights (and any packed GEMM
-//! operands, built before the tiles fork) are prepared once and shared
-//! read-only across the tile-worker threads.
+//! tape-free [`InferenceSession`] whose weights (and, at int8, their GEMM
+//! packs) are prepared once and shared read-only across the tile-worker
+//! threads.
 
 use crate::tiling::{split_stack, stitch_predictions};
 use orbit2_climate::Normalizer;
@@ -129,9 +129,9 @@ pub fn downscale(
     downscale_with(model, &session, normalizer, input, tile_spec, compression)
 }
 
-/// [`downscale`] with a caller-prepared session, so the weight snapshot and
-/// packed GEMM operands are reused across calls. The session is shared
-/// read-only by the tile workers.
+/// [`downscale`] with a caller-prepared session, so the weight snapshot is
+/// reused across calls. The session is shared read-only by the tile
+/// workers.
 pub fn downscale_with(
     model: &ReslimModel,
     session: &InferenceSession,
@@ -147,10 +147,6 @@ pub fn downscale_with(
     let factor = model.cfg.scale_factor;
     let norm_in = normalizer.normalize_input(input);
     let tiles = split_stack(&norm_in, spec);
-    // Any pack the tiles read is built here, before they fork.
-    for (_, tile_input) in &tiles {
-        model.prepare_session(session, tile_input);
-    }
     let preds: Vec<(TileGeometry, Tensor)> = tiles
         .par_iter()
         .map(|(geom, tile_input)| {

@@ -24,7 +24,6 @@
 //!   and parallelism cost models to regenerate the paper's scaling results
 //!   (Tables II/III, Fig. 6) for configurations far beyond this machine.
 
-pub mod autoplan;
 pub mod checkpoint;
 pub mod eval;
 pub mod fault;

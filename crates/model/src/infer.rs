@@ -4,27 +4,21 @@
 //! it implements [`Exec`] directly on pooled tensors, so a forward pass
 //! records no tape nodes, stores no pre-activations, and accumulates no
 //! backward closures. Weights are taken from the model's `ParamStore` once
-//! at session creation, and a linear layer reads its weight one of two
-//! ways, each bit-identical to the tape's `matmul_bias_act`:
+//! at session creation, and a linear layer reads its weight as the tape's
+//! `matmul_bias_act` does, bit for bit:
 //!
-//! * **in place**: in an f32 session, a product of at most
-//!   [`IN_PLACE_MAX_ROWS`] rows streams the `[n, k]` weight where it lies
-//!   ([`matmul_bias_act_in_place`]). The weight is the store's tensor, a
-//!   COW handle, so a session serving short sequences holds each weight
-//!   once;
-//! * **through a resident `W^T` pack** ([`PackedWeight`]): every longer
-//!   product, and every product of an int8 session. An int8 session packs
-//!   at prepare, since its pack is the only int8 copy of the weight. An f32
-//!   session builds its packs the first time a long product needs them,
-//!   all at once behind one `OnceLock`, and keeps them for its lifetime.
+//! * **in an f32 session**, by the tape's own rule
+//!   ([`IN_PLACE_MAX_ROWS`](orbit2_tensor::fused::IN_PLACE_MAX_ROWS)): in
+//!   place for a short product, through a `W^T` pack built for the call for
+//!   a long one. The weight is the store's tensor, a COW handle, so an f32
+//!   session holds each weight once, at any sequence length;
+//! * **in an int8 session**, through a resident pack ([`PackedWeight`])
+//!   built at prepare: the pack is the session's only int8 copy of the
+//!   weight.
 //!
 //! A session is `Send + Sync`: the TILES inference driver shares one
-//! session across its rayon tile workers, so a pack is paid once per
-//! *model*, not once per tile or per sample. `downscale_with` asks for the
-//! packs on its own thread before it forks the tiles
-//! ([`ReslimModel::prepare_session`](crate::ReslimModel::prepare_session)):
-//! a pack built on a tile worker lands in that worker's malloc arena and
-//! stays resident there (DESIGN.md §9).
+//! session across its rayon tile workers, and nothing in it is built after
+//! prepare, so no worker ever writes to it.
 //!
 //! The one precision axis is the resident *weight* storage
 //! ([`SessionPrecision`]); activations are always f32 tensors.
@@ -33,35 +27,33 @@ use crate::exec::{Exec, RowGroups};
 use orbit2_autograd::ParamStore;
 use orbit2_tensor::attention::multi_head_attention;
 use orbit2_tensor::conv::{conv2d, upsample_conv2d, ConvGeom};
-use orbit2_tensor::fused::{
-    layer_norm_rows, matmul_bias_act_cached, matmul_bias_act_in_place, Activation, IN_PLACE_MAX_ROWS,
-};
+use orbit2_tensor::fused::{layer_norm_rows, matmul_bias_act_cached, Activation};
 use orbit2_tensor::qgemm::PackedWeight;
 use orbit2_tensor::resize::{resize, ResizeMode};
 use orbit2_tensor::Tensor;
 use std::collections::BTreeMap;
-use std::sync::OnceLock;
+use std::sync::Arc;
 
 /// Storage precision of a session's resident weights — re-exported from the
 /// tensor crate so model-level callers need not name the kernel layer.
 pub use orbit2_tensor::fused::WeightPrecision as SessionPrecision;
 
 /// A value flowing through a tape-free forward pass: an f32 tensor plus,
-/// for a session weight the pack gate admits, its slot in the session's
-/// `W^T` pack set.
+/// for a weight an int8 session packed, its resident pack.
 ///
-/// Cloning is cheap (a COW tensor handle). Intermediate results carry no
-/// slot; only values returned by [`Exec::param`] on a session do, which is
-/// exactly where [`Exec::linear_act`] looks for it.
+/// Cloning is cheap (a COW tensor handle and a reference count).
+/// Intermediate results carry no pack; only values returned by
+/// [`Exec::param`] on an int8 session do, which is exactly where
+/// [`Exec::linear_act`] looks for it.
 #[derive(Clone, Debug)]
 pub struct SessionValue {
     tensor: Tensor,
-    slot: Option<usize>,
+    pack: Option<Arc<PackedWeight>>,
 }
 
 impl SessionValue {
     fn plain(tensor: Tensor) -> Self {
-        SessionValue { tensor, slot: None }
+        SessionValue { tensor, pack: None }
     }
 
     /// The value as a tensor (a COW handle clone, no data copy).
@@ -75,28 +67,23 @@ impl SessionValue {
     }
 }
 
-/// Tape-free execution context holding session-resident weights and packs.
+/// Tape-free execution context holding session-resident weights (and, at
+/// int8, their packs).
 pub struct InferenceSession {
     values: BTreeMap<String, SessionValue>,
-    precision: SessionPrecision,
-    /// The `W^T` packs by slot: set at prepare in an int8 session,
-    /// built by the first caller of [`Self::packs`] in an f32 one.
-    packs: OnceLock<Vec<PackedWeight>>,
 }
 
 impl InferenceSession {
-    /// Snapshot a parameter store for inference at f32. Every linear weight
-    /// the pack gate admits (2-d, enough output features for the packed
-    /// microkernel) gets a slot, and nothing is packed until a product
-    /// longer than [`IN_PLACE_MAX_ROWS`] rows needs it. Biases, layer-norm
-    /// gains and conv kernels never pack — no GEMM consumes them as `B`.
+    /// Snapshot a parameter store for inference at f32: every weight is the
+    /// store's tensor, and nothing is packed.
     pub(crate) fn prepare(store: &ParamStore) -> Self {
         Self::prepare_at(store, SessionPrecision::F32)
     }
 
     /// [`prepare`](Self::prepare) at either weight precision. `Int8` packs
-    /// every slot right here: its pack is the session's only int8 copy of
-    /// the weight.
+    /// every weight the pack gate admits (2-d, enough output features for
+    /// the packed microkernel) right here: its pack is the session's only
+    /// int8 copy of the weight.
     ///
     /// `Int8` quantizes only the packable 2-d linear weights (per-output-
     /// channel symmetric codes), and the resident tensor of each is the
@@ -106,52 +93,21 @@ impl InferenceSession {
     /// f32: no kernel consumes int8 for them, so quantizing would cost
     /// quality for zero bytes saved on the hot path.
     pub(crate) fn prepare_at(store: &ParamStore, precision: SessionPrecision) -> Self {
-        let mut values = BTreeMap::new();
-        let mut packs = Vec::new();
-        let mut slots = 0;
-        for (name, t) in store.iter() {
-            let (tensor, pack) = match precision {
-                SessionPrecision::F32 => (t.clone(), None),
-                SessionPrecision::Int8 => match PackedWeight::pack(t, precision) {
-                    Some(pack) => (pack.dequantized().expect("int8 pack dequantizes"), Some(pack)),
-                    None => (t.clone(), None),
-                },
-            };
-            // Slots go out in name order, the order `packs` walks `values`
-            // in when it builds an f32 set.
-            let slot = PackedWeight::packable(t).then_some(slots);
-            slots += usize::from(slot.is_some());
-            packs.extend(pack);
-            values.insert(name.clone(), SessionValue { tensor, slot });
-        }
-        let packs = match precision {
-            SessionPrecision::F32 => OnceLock::new(),
-            SessionPrecision::Int8 => OnceLock::from(packs),
-        };
-        Self { values, precision, packs }
-    }
-
-    /// Get the session ready for products of up to `rows` rows: if those
-    /// read the `W^T` packs, build them now, on the calling thread
-    /// ([`ReslimModel::prepare_session`](crate::ReslimModel::prepare_session)).
-    pub(crate) fn prepare_rows(&self, rows: usize) {
-        if rows > IN_PLACE_MAX_ROWS {
-            self.packs();
-        }
-    }
-
-    /// The `W^T` packs; in an f32 session the first caller builds them all.
-    fn packs(&self) -> &[PackedWeight] {
-        self.packs.get_or_init(|| {
-            let weights = self.values.values().filter(|v| v.slot.is_some());
-            weights
-                .enumerate()
-                .map(|(i, v)| {
-                    debug_assert_eq!(v.slot, Some(i), "slots follow name order");
-                    PackedWeight::pack(&v.tensor, self.precision).expect("a slot's weight packs")
-                })
-                .collect()
-        })
+        let values = store
+            .iter()
+            .map(|(name, t)| {
+                let pack = match precision {
+                    SessionPrecision::F32 => None,
+                    SessionPrecision::Int8 => PackedWeight::pack(t, SessionPrecision::Int8).map(Arc::new),
+                };
+                let tensor = match &pack {
+                    Some(pack) => pack.dequantized().expect("int8 pack dequantizes"),
+                    None => t.clone(),
+                };
+                (name.clone(), SessionValue { tensor, pack })
+            })
+            .collect();
+        Self { values }
     }
 }
 
@@ -222,9 +178,8 @@ impl Exec for InferenceSession {
         SessionValue::plain(a.tensor.reshape(shape))
     }
 
-    /// An f32 session's short products read the weight in place; any other
-    /// product of a slotted weight runs through its pack, and a weight with
-    /// no slot is packed per call, as the tape packs it.
+    /// A weight an int8 session packed runs through its pack; any other
+    /// weight is read by the tape's rule.
     fn linear_act(
         &self,
         x: &SessionValue,
@@ -232,13 +187,8 @@ impl Exec for InferenceSession {
         bias: Option<&SessionValue>,
         act: Activation,
     ) -> SessionValue {
-        let (x, bias) = (&x.tensor, bias.map(|b| &b.tensor));
-        let in_place = self.precision == SessionPrecision::F32 && x.shape()[0] <= IN_PLACE_MAX_ROWS;
-        let y = match w.slot {
-            Some(_) if in_place => matmul_bias_act_in_place(x, &w.tensor, bias, act),
-            slot => matmul_bias_act_cached(x, &w.tensor, slot.map(|s| &self.packs()[s]), bias, act),
-        };
-        SessionValue::plain(y)
+        let bias = bias.map(|b| &b.tensor);
+        SessionValue::plain(matmul_bias_act_cached(&x.tensor, &w.tensor, w.pack.as_deref(), bias, act))
     }
 
     fn layer_norm(
@@ -309,7 +259,7 @@ mod tests {
 
     /// Packs the session holds.
     fn resident_packs(session: &InferenceSession) -> usize {
-        session.packs.get().map_or(0, Vec::len)
+        session.values.values().filter(|v| v.pack.is_some()).count()
     }
 
     #[test]
@@ -328,20 +278,13 @@ mod tests {
         // An int8 session packs every one of them at prepare.
         assert_eq!(resident_packs(&model.session_at(SessionPrecision::Int8)), packable);
         // An f32 session packs nothing at prepare, nor in a forward whose
-        // longest product is 64 rows (16x16 at patch 2).
+        // longest product is 64 rows (16x16 at patch 2), nor in one of 72.
         let session = model.session();
         assert_eq!(resident_packs(&session), 0, "an f32 prepare packs nothing");
-        let _ = model.forward(&session, &randn(&[2, 16, 16], 4), 1.0);
-        assert_eq!(resident_packs(&session), 0, "a short forward reads every weight in place");
-        // The first 72-token forward packs each weight once; nothing after
-        // it builds another.
-        let long = randn(&[2, 16, 18], 5);
-        let _ = model.forward(&session, &long, 1.0);
-        assert_eq!(resident_packs(&session), packable, "one pack per packable weight");
-        let built = session.packs.get().map(|p| p.as_ptr());
-        let _ = model.forward(&session, &long, 1.0);
-        session.prepare_rows(10_000);
-        assert_eq!(session.packs.get().map(|p| p.as_ptr()), built, "a second long forward builds none");
+        for (w, tokens, seed) in [(16, 64, 4), (18, 72, 5)] {
+            let _ = model.forward(&session, &randn(&[2, 16, w], seed), 1.0);
+            assert_eq!(resident_packs(&session), 0, "a {tokens}-token forward packs nothing");
+        }
     }
 
     #[test]

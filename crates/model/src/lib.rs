@@ -10,7 +10,8 @@
 //! * [`exec`] — the execution-context trait ([`exec::Exec`]) every forward
 //!   is generic over: tape-recording for training, tape-free for inference;
 //! * [`infer`] — the tape-free [`infer::InferenceSession`] context, whose
-//!   linears read each weight in place or through a resident pack;
+//!   linears read each f32 weight by the tape's rule and each int8 weight
+//!   through its resident pack;
 //! * [`embed`] — per-variable patch tokenization, 2-D sinusoidal positions
 //!   and the learnable resolution embedding;
 //! * [`blocks`] — multi-head self-attention, MLP and transformer blocks,

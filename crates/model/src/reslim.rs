@@ -45,9 +45,8 @@ impl ReslimModel {
     }
 
     /// Prepare a tape-free inference context over this model's weights:
-    /// weights snapshotted once (an f32 session's linear packs the first
-    /// time a long forward needs them), reusable across samples and
-    /// shareable across tile-worker threads.
+    /// weights snapshotted once, reusable across samples and shareable
+    /// across tile-worker threads.
     pub fn session(&self) -> InferenceSession {
         InferenceSession::prepare(&self.params)
     }
@@ -56,16 +55,6 @@ impl ReslimModel {
     /// reduced storage precision (see `InferenceSession::prepare_at`).
     pub fn session_at(&self, precision: crate::infer::SessionPrecision) -> InferenceSession {
         InferenceSession::prepare_at(&self.params, precision)
-    }
-
-    /// Get `session` ready for forwards of inputs shaped like `input`
-    /// (`[C_in, h, w]`), on the calling thread. Every linear of such a
-    /// forward runs one row per token, so an f32 session whose products
-    /// grow past `fused::IN_PLACE_MAX_ROWS` rows builds the packs they read
-    /// now, rather than on whichever worker first needs them.
-    pub fn prepare_session(&self, session: &InferenceSession, input: &Tensor) {
-        let (hp, wp) = self.token_grid(input);
-        session.prepare_rows(hp * wp);
     }
 
     /// The patch grid of a `[C_in, h, w]` input.

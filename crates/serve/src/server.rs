@@ -3,12 +3,12 @@
 //!
 //! One [`Server`] owns one model and one tape-free
 //! [`InferenceSession`](orbit2_model::InferenceSession) at the configured
-//! weight precision — weights are prepared once, by [`Server::start`] (an
-//! f32 session's GEMM packs by the first request long enough to read
-//! them), and shared read-only by every worker that
-//! executes on its behalf. Precision is a deployment setting: a request's
-//! `precision` field can only *assert* it, and a mismatch is refused at
-//! admission, so nothing on the request path ever builds a session.
+//! weight precision — weights (and an int8 session's GEMM packs) are
+//! prepared once, by [`Server::start`], and shared read-only by every
+//! worker that executes on its behalf. Precision is a deployment setting:
+//! a request's `precision` field can only *assert* it, and a mismatch is
+//! refused at admission, so nothing on the request path ever builds a
+//! session.
 //!
 //! A submitted request is validated and resolved to a `[C, h, w]` input on
 //! the submitting thread. Admission then hands it to the rayon shim's
@@ -213,10 +213,10 @@ pub struct Server {
 
 impl Server {
     /// Start a server over `model` with `regions` as its request-resolvable
-    /// data: prepares the session at `cfg.precision` (weight snapshot and
-    /// GEMM packs — the only session this server ever builds). The returned
-    /// server is `Send + Sync` and is usually wrapped in an `Arc` to share
-    /// with connection threads.
+    /// data: prepares the session at `cfg.precision` (the weight snapshot,
+    /// and at int8 its GEMM packs — the only session this server ever
+    /// builds). The returned server is `Send + Sync` and is usually wrapped
+    /// in an `Arc` to share with connection threads.
     pub fn start(
         model: ReslimModel,
         normalizer: Normalizer,

@@ -37,10 +37,13 @@
 //! per-sample calls (summed, for the weight gradient).
 //!
 //! [`conv2d_ref`] is the scalar oracle (what [`crate::qgemm::gemm_strips_ref`]
-//! is for GEMM), and only the tests run it. On finite inputs the direct
-//! forward equals it bit for bit: both sum the taps in `(ci, ky, kx)` order
-//! through `simd::fma` from +0, and a padded tap, which the kernel adds and
-//! the oracle skips, adds ±0 to an accumulator that is never −0.
+//! is for GEMM), and only the tests run it. It is the zero-padded
+//! definition: every tap, padded ones included, is one `simd::fma` from +0
+//! in `(ci, ky, kx)` order, a padded tap reading +0. The direct forward
+//! does exactly that, so on finite inputs the two are equal bit for bit.
+//! Skipping a padded tap would not be: an FMA chain from +0 can end at −0
+//! (`fma(p, −2⁻¹⁴⁹, +0)` rounds to −0 for `0 < p < ½`), and a padded tap
+//! with a positive weight then turns that −0 into +0.
 
 use crate::par::{self, MACS_PER_VISIT};
 use crate::pool::{self, Buffer};
@@ -167,8 +170,8 @@ pub fn upsample_conv2d(
 }
 
 /// Scalar reference convolution: the oracle the direct kernel is tested
-/// against. Each output element sums its in-bounds taps in `(ci, ky, kx)`
-/// order, then adds the bias.
+/// against. Each output element sums all its taps in `(ci, ky, kx)` order,
+/// a padded tap as a product with +0, then adds the bias.
 pub fn conv2d_ref(input: &Tensor, weight: &Tensor, bias: Option<&Tensor>, g: ConvGeom) -> Tensor {
     let d = dims(input.shape(), weight.shape(), g);
     check_bias(bias, d.o);
@@ -188,11 +191,11 @@ pub fn conv2d_ref(input: &Tensor, weight: &Tensor, bias: Option<&Tensor>, g: Con
                 for kx in 0..g.kw {
                     let wv = wd[((oc * c + ci) * g.kh + ky) * g.kw + kx];
                     for (oy, orow) in plane.chunks_exact_mut(ow).enumerate() {
-                        let Some(iy) = tap(oy, ky, h, g) else { continue };
+                        let row = tap(oy, ky, h, g).map(|iy| &xin[iy * w..][..w]);
                         for (ox, acc) in orow.iter_mut().enumerate() {
-                            if let Some(ix) = tap(ox, kx, w, g) {
-                                *acc = simd::fma(wv, xin[iy * w + ix], *acc);
-                            }
+                            // A padded tap reads +0, as in the kernel's band.
+                            let xv = row.zip(tap(ox, kx, w, g)).map_or(0.0, |(r, ix)| r[ix]);
+                            *acc = simd::fma(wv, xv, *acc);
                         }
                     }
                 }

@@ -19,10 +19,12 @@
 //!   `softmax_rows_from` reads a source row instead, so an out-of-place
 //!   softmax never copies its scores first.
 //!
-//! Short linears read the weight where it lies rather than through a `W^T`
-//! pack ([`IN_PLACE_MAX_ROWS`] says when): the tape's through
-//! [`matmul_bias_act`], an inference session's through
-//! [`matmul_bias_act_in_place`], which stores no pre-activation.
+//! An f32 linear reads its weight by one rule in both contexts
+//! ([`IN_PLACE_MAX_ROWS`]): where it lies when the product is short,
+//! through a `W^T` pack built for the call when it is long. The tape runs
+//! it through [`matmul_bias_act`], an inference session through
+//! [`matmul_bias_act_cached`] with no pack, which stores no pre-activation.
+//! Only an int8 session holds resident packs ([`PackedWeight`]).
 //!
 //! A linear layer with a non-linear activation also returns the
 //! *pre-activation* tensor: the tape needs `act'(pre)` for the backward
@@ -82,10 +84,11 @@ impl Activation {
     }
 }
 
-/// Storage precision of a resident weight pack.
+/// Storage precision of a session's weights.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum WeightPrecision {
-    /// Full f32 strips — the per-call pack, kept.
+    /// Full f32: a session reads the store's tensor and keeps no pack (an
+    /// f32 [`PackedWeight`] holds f32 strips).
     #[default]
     F32,
     /// Symmetric per-output-channel `i8` codes with f32 scales.
@@ -145,19 +148,64 @@ fn linear_dims(x: &Tensor, w: &Tensor, bias: Option<&Tensor>) -> (usize, usize, 
 /// activation consumed it (the tape needs it for `act'`; for identity
 /// `pre == y` and is elided).
 ///
-/// Up to [`IN_PLACE_MAX_ROWS`] rows the weight is read where it lies, as in
-/// [`matmul_bias_act_in_place`]; longer products pack `W^T` per call. Both
-/// give the same bits.
+/// The weight is read by the f32 rule ([`IN_PLACE_MAX_ROWS`]): in place up
+/// to that many rows, through a per-call `W^T` pack past it. Both give the
+/// same bits.
 pub fn matmul_bias_act(
     x: &Tensor,
     w: &Tensor,
     bias: Option<&Tensor>,
     act: Activation,
 ) -> (Tensor, Option<Tensor>) {
+    linear_f32(x, w, bias, act, true)
+}
+
+/// Tape-free fused linear layer, reading a resident weight pack if it has
+/// one.
+///
+/// Same driver as [`matmul_bias_act`], and no pre-activation is stored
+/// (there is no backward pass to feed). With `packed` (which
+/// [`PackedWeight::pack`] built for this layer) the strips of `W^T` are
+/// taken from it instead of `w`; with `None`, `w` is read by the f32 rule
+/// of [`matmul_bias_act`]. An f32 session passes `None` for every weight:
+/// only an int8 session holds packs.
+///
+/// **Reduced-precision contract:** an [`Int8`](WeightPrecision::Int8)
+/// session passes the pack's [`dequantized`](PackedWeight::dequantized)
+/// tensor as `w`, so a weight with no pack (and every non-GEMM reader of
+/// the parameter) computes with the same values the kernel widens. When
+/// `packed` is given, only the shape of `w` is read.
+pub fn matmul_bias_act_cached(
+    x: &Tensor,
+    w: &Tensor,
+    packed: Option<&PackedWeight>,
+    bias: Option<&Tensor>,
+    act: Activation,
+) -> Tensor {
+    let Some(pw) = packed else {
+        return linear_f32(x, w, bias, act, false).0;
+    };
+    let (m, k, n) = linear_dims(x, w, bias);
+    assert_eq!((pw.n(), pw.k()), (n, k), "resident pack shape mismatch for w {:?}", w.shape());
+    let mut out = pool::alloc_uninit(m * n);
+    qgemm::gemm_resident(x.data(), m, pw, bias.map(|b| b.data()), act, &mut out);
+    Tensor::from_vec(vec![m, n], out)
+}
+
+/// The f32 linear of both contexts: the weight read in place up to
+/// [`IN_PLACE_MAX_ROWS`] rows, `W^T` packed for the call past it; the
+/// pre-activation kept when `keep_pre` and the activation needs it.
+fn linear_f32(
+    x: &Tensor,
+    w: &Tensor,
+    bias: Option<&Tensor>,
+    act: Activation,
+    keep_pre: bool,
+) -> (Tensor, Option<Tensor>) {
     let (m, k, n) = linear_dims(x, w, bias);
     let bd = bias.map(|b| b.data());
     let mut out = pool::alloc_uninit(m * n);
-    let mut pre = (act != Activation::Identity).then(|| pool::alloc_uninit(m * n));
+    let mut pre = (keep_pre && act != Activation::Identity).then(|| pool::alloc_uninit(m * n));
     if m <= IN_PLACE_MAX_ROWS {
         qgemm::gemm_weight_in_place(x.data(), m, w.data(), n, k, bd, act, &mut out, pre.as_deref_mut());
     } else {
@@ -167,84 +215,50 @@ pub fn matmul_bias_act(
     (Tensor::from_vec(vec![m, n], out), pre.map(|p| Tensor::from_vec(vec![m, n], p)))
 }
 
-/// Tape-free fused linear layer reusing a resident weight pack.
-///
-/// Same driver as [`matmul_bias_act`] with two inference-only differences:
-/// the strips of `W^T` are taken from `packed` instead of being rebuilt per
-/// call, and no pre-activation is stored (there is no backward pass to
-/// feed). `packed` must have been produced by [`PackedWeight::pack`] for
-/// this layer; pass `None` (a weight the shape gate leaves unpacked) to
-/// pack `w` per call.
-///
-/// **Reduced-precision contract:** an [`Int8`](WeightPrecision::Int8)
-/// session passes the pack's [`dequantized`](PackedWeight::dequantized)
-/// tensor as `w`, so a weight with no pack (and every non-GEMM reader of
-/// the parameter) computes with the same values the kernel widens. When `packed` is given, only the
-/// shape of `w` is read.
-pub fn matmul_bias_act_cached(
-    x: &Tensor,
-    w: &Tensor,
-    packed: Option<&PackedWeight>,
-    bias: Option<&Tensor>,
-    act: Activation,
-) -> Tensor {
-    let (m, k, n) = linear_dims(x, w, bias);
-    let bd = bias.map(|b| b.data());
-    let mut out = pool::alloc_uninit(m * n);
-    match packed {
-        Some(pw) => {
-            assert_eq!((pw.n(), pw.k()), (n, k), "resident pack shape mismatch for w {:?}", w.shape());
-            qgemm::gemm_resident(x.data(), m, pw, bd, act, &mut out);
-        }
-        None => {
-            let (la, lb) = (MatLayout::row_major(k), MatLayout::transposed(k));
-            qgemm::gemm_per_call(x.data(), la, w.data(), lb, m, k, n, bd, act, &mut out, None, true);
-        }
-    }
-    Tensor::from_vec(vec![m, n], out)
-}
-
-/// Rows up to which a linear reads its weight in place instead of through
-/// a `W^T` pack: the tape's ([`matmul_bias_act`]) and an f32 inference
-/// session's ([`matmul_bias_act_in_place`]). 64 is the widest strip the
+/// Rows up to which an f32 linear reads its weight in place; past it, the
+/// linear packs `W^T` for the call. This is the one f32 rule, run alike by
+/// the tape ([`matmul_bias_act`]) and by an inference session
+/// ([`matmul_bias_act_cached`] with no pack). 64 is the widest strip the
 /// driver packs, so up to here `x^T` is one strip and the weight is
 /// streamed exactly once; past it, once per strip.
 ///
-/// For the tape it is a time win: the alternative is a `W^T` pack on every
-/// call, a transpose of the whole weight. On a `train-step` step (9.5M
-/// model, 60-token tiles, CPU-ms per step over both workers of the 2-core
-/// AVX-512 guest, seed 1, two runs) the linear forwards took 65–69 CPU-ms,
-/// 34–37 of them the `W^T` packs; in place they take 51–52, of which 3 are
-/// the `x^T` packs and 36–37 the products, which now stream the cold
-/// weight themselves.
+/// Per call ÷ in place on the same operands, medians of four runs on the
+/// reference 2-core AVX-512 guest (two threads, `gemm_f32/percall/*`
+/// against `gemm_f32/inplace/*`):
+/// * 1024² sweep: 1.6–2.2× from 8 to 64 rows; past one strip, 1.2× at 96,
+///   1.4× at 128, and 1.06–1.08× at 192 and 256 (single runs 0.67–1.29×).
+/// * 126M at 32 tokens: 2.3× at both MLP shapes.
+/// * The long linears of a TILES tile, where the `x^T` pack and the
+///   transposing store pass are no longer small against `k`: 0.60–0.74× on
+///   the 9.5M model's 1156-row linears, 0.21–0.41× on the tiny model's
+///   512-row ones.
 ///
-/// For a session it is a memory choice made at a measured time cost, not
-/// a time crossover: what the in-place product saves is the resident pack,
-/// a second f32 copy of every weight (420 MB for the 126M model).
+/// So in place wins up to 64 rows and the per-call pack wins on every
+/// longer linear a benchmark workload runs. From 65 to 256 rows, where no
+/// workload runs a linear, in place still leads by 6–42%.
 ///
-/// In place ÷ resident, medians of four runs on the reference 2-core
-/// guest (two threads, `gemm_f32/inplace/*` against `gemm_f32/*`):
-/// * 126M at 32 tokens: 0.71× at 32×4096×1024, where each worker streams
-///   half the weight instead of the whole pack; 1.07× at 32×1024×4096
-///   (runs 0.44–1.82×). End to end, `serve-weights` `op_p50_ms` reads
-///   0.87× the resident build's (10 pairs).
-/// * 1024² sweep: 1.7× at 8 rows (a 16-lane strip, half of it padding),
-///   1.1–1.2× at 16, 32 and 64, 1.5× at 48; past one strip, 1.5× at 96
-///   and 1.1–1.3× from 128 to 256.
-/// * The long products of a TILES tile, where the `x^T` pack and the
-///   transposing store pass are no longer small against `k`: 1.3–1.9× on
-///   the 9.5M model's 1156-row linears, 3.3–5.6× on the tiny model's
-///   512-row ones. A build with every f32 product in place read
-///   `tiles-field` `op_p50_ms` 1.26–1.40× the resident one's (5 pairs),
-///   so longer products keep the pack.
+/// A resident f32 `W^T` pack, which only the kernel bench builds, buys
+/// little over the per-call pack where that runs: per call ÷ resident (the
+/// median of four per-run ratios) reads 0.97–1.07× at the 1156-row linears
+/// and 1.02–1.10× at the 512-row ones, single runs 0.38–2.57×. End to end,
+/// `tiles-field` took the same time without one. So an f32 session keeps
+/// none.
+///
+/// On the tape the in-place read replaced a per-call pack at every length:
+/// on a `train-step` step (9.5M model, 60-token tiles, CPU-ms per step over
+/// both workers of the 2-core AVX-512 guest, seed 1, two runs) the linear
+/// forwards took 65–69 CPU-ms, 34–37 of them the `W^T` packs; in place
+/// they take 51–52, of which 3 are the `x^T` packs and 36–37 the products,
+/// which now stream the cold weight themselves.
 pub const IN_PLACE_MAX_ROWS: usize = 64;
 
-/// Tape-free fused linear layer reading the `[n, k]` weight in place:
-/// `y = act(x W^T + bias)` computed as `(W · x^T)^T`, with only `x^T`
-/// packed for the call and no pre-activation stored. Bit-identical to
+/// Fused linear layer reading the `[n, k]` weight in place at any row
+/// count: `y = act(x W^T + bias)` computed as `(W · x^T)^T`, with only
+/// `x^T` packed for the call and no pre-activation stored. It is the short
+/// half of the f32 rule, exposed on its own so the kernel bench and the
+/// tests can run it past [`IN_PLACE_MAX_ROWS`]. Bit-identical to
 /// [`matmul_bias_act`] and [`matmul_bias_act_cached`] on the same f32
-/// operands at every shape; what it saves is the resident pack
-/// ([`IN_PLACE_MAX_ROWS`] says what that costs in time).
+/// operands at every shape.
 pub fn matmul_bias_act_in_place(
     x: &Tensor,
     w: &Tensor,
@@ -443,12 +457,12 @@ mod tests {
 
     #[test]
     fn in_place_product_bitwise_matches_resident_pack() {
-        // An inference session's two f32 linears and the tape's on the same
-        // operands: `m` straddles the resident product's 6-row panels, the
-        // 16/32/64-column strips of the in-place product's `x^T` and
-        // `IN_PLACE_MAX_ROWS`; every `n` is ragged against the strips;
-        // `k = 1` is a one-step chain. The tape's stored pre-activation is
-        // the identity product's output.
+        // The weight read in place, through a resident pack and by the
+        // f32 rule, on the same operands: `m` straddles the resident
+        // product's 6-row panels, the 16/32/64-column strips of the
+        // in-place product's `x^T` and `IN_PLACE_MAX_ROWS`; every `n` is
+        // ragged against the strips; `k = 1` is a one-step chain. The
+        // tape's stored pre-activation is the identity product's output.
         for m in [1usize, 5, 6, 7, 16, 31, 32, 33, 63, 64, 65, 97] {
             for &(k, n) in &[(1usize, 37usize), (7, 100), (1024, 20)] {
                 let x = randn(&[m, k], 91);

@@ -1,4 +1,4 @@
-//! Matrix products on tensors: `matmul`, the `nt` / `tn` adjoints, `bmm`.
+//! Matrix products on tensors: `matmul` and the `nt` / `tn` adjoints.
 //!
 //! This module owns the operand addressing ([`MatLayout`]) and the tensor
 //! entry points; the arithmetic is the strip driver in [`crate::qgemm`],
@@ -9,12 +9,10 @@
 //! storage without materializing a transpose of B.
 
 use crate::fused::Activation;
-use crate::par::{self, MACS_PER_VISIT};
 use crate::pool;
 use crate::qgemm;
 use crate::simd;
 use crate::tensor::Tensor;
-use rayon::prelude::*;
 
 /// Element addressing for a GEMM operand: element `(i, j)` lives at
 /// `i * rs + j * cs`. Row-major is `rs = cols, cs = 1`; the transpose of a
@@ -142,38 +140,6 @@ impl Tensor {
         );
         Tensor::from_vec(vec![m, n], out)
     }
-
-    /// Batched matrix product of 3-d tensors `[B, m, k] x [B, k, n]`.
-    ///
-    /// The batch axis of either side may be 1 (broadcast).
-    pub fn bmm(&self, other: &Tensor) -> Tensor {
-        assert_eq!(self.ndim(), 3, "bmm lhs must be 3-d");
-        assert_eq!(other.ndim(), 3, "bmm rhs must be 3-d");
-        let (ba, m, k) = (self.shape()[0], self.shape()[1], self.shape()[2]);
-        let (bb, k2, n) = (other.shape()[0], other.shape()[1], other.shape()[2]);
-        assert_eq!(k, k2, "bmm inner dims differ");
-        let batch = if ba == bb {
-            ba
-        } else if ba == 1 {
-            bb
-        } else if bb == 1 {
-            ba
-        } else {
-            panic!("bmm batch dims incompatible: {ba} vs {bb}");
-        };
-        let mut out = pool::alloc_uninit(batch * m * n);
-        let ad = self.data();
-        let bd = other.data();
-        let product_work = m * n * k / MACS_PER_VISIT;
-        out.par_chunks_mut(m * n).enumerate().with_min_len(par::min_items(product_work)).for_each(|(b, c)| {
-            let a_off = if ba == 1 { 0 } else { b * m * k };
-            let b_off = if bb == 1 { 0 } else { b * k * n };
-            // Sequential inner matmul: parallelism is already taken at the
-            // batch level; nested rayon would only add overhead.
-            matmul_block_seq(&ad[a_off..a_off + m * k], &bd[b_off..b_off + k * n], c, m, k, n);
-        });
-        Tensor::from_vec(vec![batch, m, n], out)
-    }
 }
 
 #[cfg(test)]
@@ -259,36 +225,6 @@ mod tests {
             let at = randn(&[k, m], 23); // A stored transposed
             let b = randn(&[k, n], 24);
             at.matmul_tn(&b).assert_close(&at.transpose2().matmul(&b), 2e-4 * (k as f32).sqrt());
-        }
-    }
-
-    #[test]
-    fn bmm_matches_per_batch_matmul() {
-        use crate::random::randn;
-        let a = randn(&[3, 4, 5], 7);
-        let b = randn(&[3, 5, 6], 8);
-        let c = a.bmm(&b);
-        assert_eq!(c.shape(), &[3, 4, 6]);
-        for bi in 0..3 {
-            let ai = a.slice_axis(0, bi, 1).reshape(vec![4, 5]);
-            let bj = b.slice_axis(0, bi, 1).reshape(vec![5, 6]);
-            let ci = c.slice_axis(0, bi, 1).reshape(vec![4, 6]);
-            ci.assert_close(&ai.matmul(&bj), 1e-4);
-        }
-    }
-
-    #[test]
-    fn bmm_broadcast_lhs() {
-        use crate::random::randn;
-        let a = randn(&[1, 2, 3], 9);
-        let b = randn(&[4, 3, 2], 10);
-        let c = a.bmm(&b);
-        assert_eq!(c.shape(), &[4, 2, 2]);
-        let a0 = a.reshape(vec![2, 3]);
-        for bi in 0..4 {
-            let bj = b.slice_axis(0, bi, 1).reshape(vec![3, 2]);
-            let ci = c.slice_axis(0, bi, 1).reshape(vec![2, 2]);
-            ci.assert_close(&a0.matmul(&bj), 1e-4);
         }
     }
 

@@ -14,9 +14,10 @@
 //! row-major `B` and a `B^T` all pack straight from their storage (a
 //! column-contiguous `op(B)` through 16×16 register transposes,
 //! [`transpose_tiles`]). A [`PackedWeight`] keeps strips resident across
-//! calls at one of two storage widths; [`gemm_per_call`] packs f32 strips
-//! into pooled scratch for one product (the tape's backward products and
-//! its linears longer than `IN_PLACE_MAX_ROWS`), and [`ScratchStrips`]
+//! calls at one of two storage widths (an int8 session's weights);
+//! [`gemm_per_call`] packs f32 strips into pooled scratch for one product
+//! (the tape's backward products, and every f32 linear longer than
+//! `IN_PLACE_MAX_ROWS`, the tape's and the session's), and [`ScratchStrips`]
 //! keeps such a pack for a caller of its own (the attention op's per-head
 //! `K_hᵀ` and `V_h`, and the `xᵀ` of [`gemm_weight_in_place`], which runs a
 //! short linear — the session's and the tape's — as `(W · xᵀ)ᵀ` so that
@@ -186,17 +187,17 @@ enum Codes {
 
 /// An `op(B)` packed once into strips and kept resident across calls.
 ///
-/// [`matmul_bias_act`](crate::fused::matmul_bias_act) past
-/// [`IN_PLACE_MAX_ROWS`](crate::fused::IN_PLACE_MAX_ROWS) rows re-packs
-/// `W^T` on every invocation. An inference session that replays the same
-/// weights thousands of times pays that cost once by holding a
-/// `PackedWeight` per linear weight and passing it to
-/// [`matmul_bias_act_cached`](crate::fused::matmul_bias_act_cached). An
-/// [`Int8`](WeightPrecision::Int8) pack additionally shrinks the resident
-/// bytes 4×: symmetric per-output-channel `i8` codes with one f32 scale per
-/// column (`scale = max|w|/127`, codes `round(w/scale)`, so the
-/// reconstruction error is at most `scale/2` per element).
-/// Activations and accumulation are f32 at every width.
+/// An int8 inference session holds one per packable linear weight and
+/// passes it to
+/// [`matmul_bias_act_cached`](crate::fused::matmul_bias_act_cached): its
+/// symmetric per-output-channel `i8` codes with one f32 scale per column
+/// (`scale = max|w|/127`, codes `round(w/scale)`, so the reconstruction
+/// error is at most `scale/2` per element) are the session's only int8 copy
+/// of the weight. An f32 linear keeps no resident pack: it reads its weight
+/// by the rule at [`IN_PLACE_MAX_ROWS`](crate::fused::IN_PLACE_MAX_ROWS), in
+/// place or through a per-call pack. The f32 width is what the kernel
+/// bench's resident cells and the oracle tests pack. Activations and
+/// accumulation are f32 at every width.
 #[derive(Debug, Clone)]
 pub struct PackedWeight {
     strips: Codes,
@@ -207,8 +208,8 @@ pub struct PackedWeight {
 
 impl PackedWeight {
     /// Pack a `[n, k]` linear weight (PyTorch `[out, in]` convention) at the
-    /// requested precision. Returns `None` for what no session keeps
-    /// resident ([`packable`](Self::packable)).
+    /// requested precision. Returns `None` for what the pack gate refuses
+    /// ([`packable`](Self::packable)).
     pub fn pack(w: &Tensor, precision: WeightPrecision) -> Option<Self> {
         Self::packable(w).then(|| {
             let (n, k) = (w.shape()[0], w.shape()[1]);
@@ -621,8 +622,8 @@ pub fn gemm_strips_ref(
     pw.run(a, la, m, bias, act, c, pre, false);
 }
 
-/// A row-major `[m, k]` activation against a resident pack (the session's
-/// linear layer).
+/// A row-major `[m, k]` activation against a resident pack (an int8
+/// session's linear layer).
 pub(crate) fn gemm_resident(
     a: &[f32],
     m: usize,

@@ -147,16 +147,19 @@ jq -r '
     | "upsample_conv/banded vs composed/\($n)\tbanded \($r["upsample_conv/banded/" + $n]) ns\tcomposed \($r["upsample_conv/composed/" + $n]) ns\tbanded / composed \(($r["upsample_conv/banded/" + $n] / $r["upsample_conv/composed/" + $n] * 100 | round) / 100)x"
 ' "$OUT_JSON"
 
-# An f32 session's two linears, same snapshot: the weight read in place
-# against its resident `Wᵀ` pack on the same operands (`gemm_f32/inplace/*`
-# beside `gemm_f32/*`). `fused::IN_PLACE_MAX_ROWS` cites these: in place
-# keeps pace up to 64 rows (one `xᵀ` strip, the weight streamed once) and
-# falls behind past it, most at the long, narrow linears of a TILES tile.
+# The f32 linear's rule, same snapshot: the weight read in place against
+# its resident `Wᵀ` pack on the same operands (`gemm_f32/inplace/*` beside
+# `gemm_f32/*`), and the per-call `Wᵀ` pack against in place
+# (`gemm_f32/percall/*`). `fused::IN_PLACE_MAX_ROWS` cites these: the row
+# constant picks between in place and per call, in the tape and the
+# session alike.
 jq -r '
     .[-1].runs[0].results
     | (map({(.bench): .median_ns}) | add) as $r
-    | $r | keys[] | select(startswith("gemm_f32/inplace/")) | split("/")[2] as $n
-    | "gemm_f32/inplace vs resident/\($n)\tin place \($r["gemm_f32/inplace/" + $n]) ns\tresident \($r["gemm_f32/" + $n]) ns\tin place / resident \(($r["gemm_f32/inplace/" + $n] / $r["gemm_f32/" + $n] * 100 | round) / 100)x"
+    | ($r | keys[] | select(startswith("gemm_f32/inplace/")) | split("/")[2] as $n
+    | "gemm_f32/inplace vs resident/\($n)\tin place \($r["gemm_f32/inplace/" + $n]) ns\tresident \($r["gemm_f32/" + $n]) ns\tin place / resident \(($r["gemm_f32/inplace/" + $n] / $r["gemm_f32/" + $n] * 100 | round) / 100)x"),
+      ($r | keys[] | select(startswith("gemm_f32/percall/")) | split("/")[2] as $n
+    | "gemm_f32/percall vs inplace/\($n)\tper call \($r["gemm_f32/percall/" + $n]) ns\tin place \($r["gemm_f32/inplace/" + $n]) ns\tper call / in place \(($r["gemm_f32/percall/" + $n] / $r["gemm_f32/inplace/" + $n] * 100 | round) / 100)x")
 ' "$OUT_JSON"
 
 # The training step's non-math, same snapshot: the trainer's two sweeps
@@ -198,7 +201,7 @@ append_record "$INFER_JSON" "$infer_record"
 
 echo "appended inference record to $INFER_JSON"
 # Tape vs session medians per (path, model size): the forward-latency win
-# of skipping autograd bookkeeping and reusing session-resident GEMM packs.
+# of skipping autograd bookkeeping (an f32 session runs the tape's kernels).
 jq -r '
     .[-1].results
     | (map(select(.bench | test("/tape/"))) | map({(.bench | split("/") | "\(.[0])/\(.[2])"): .median_ns}) | add // {}) as $t

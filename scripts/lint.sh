@@ -60,12 +60,13 @@
 # fault plans) and `bench/src/lib.rs` (ORBIT2_STEPS). A new one changes
 # this list, in review.
 #
-# Pack gate (DESIGN.md §9): a resident `Wᵀ` pack is built in one place, the
-# inference session, which decides when: at prepare in an int8 session, at
-# the first product longer than `fused::IN_PLACE_MAX_ROWS` rows in an f32
-# one. So outside test modules, a `PackedWeight::pack` or
-# `PackedWeight::from_layout` call under `crates/*/src` may sit only in
-# `model/src/infer.rs` and in `tensor/src/qgemm.rs`, which defines them.
+# Pack gate (DESIGN.md §9): resident packs are int8. An int8 session packs
+# its weights at prepare, because the pack is its only int8 copy; an f32
+# linear reads its weight by the tape's rule (`fused::IN_PLACE_MAX_ROWS`:
+# in place, or a per-call pack) and keeps no second f32 copy. So outside
+# test modules and `tensor/src/qgemm.rs`, which defines them, a
+# `PackedWeight::pack` or `PackedWeight::from_layout` call under
+# `crates/*/src` must name `Int8` on its line.
 #
 # Public-surface gate (ROADMAP item 10): rustc's `dead_code` lint never fires
 # on a `pub` item of a library, so a `pub` item nothing outside its crate
@@ -182,17 +183,16 @@ if [[ -n "$env_knob" ]]; then
     exit 1
 fi
 pack_site="$(find crates/*/src -name '*.rs' | sort | while read -r f; do
-    case "$f" in crates/model/src/infer.rs | crates/tensor/src/qgemm.rs) continue ;; esac
-    awk -v f="$f" '/^mod tests \{/ { exit } /PackedWeight::(pack|from_layout)\(/ { print f ":" FNR ": " $0 }' "$f"
+    [[ "$f" == crates/tensor/src/qgemm.rs ]] && continue
+    awk -v f="$f" '/^mod tests \{/ { exit } /PackedWeight::(pack|from_layout)\(/ && !/Int8/ { print f ":" FNR ": " $0 }' "$f"
 done)"
 if [[ -n "$pack_site" ]]; then
-    echo "lint: a resident weight pack built outside the inference session (crates/model/src/infer.rs, DESIGN.md §9):" >&2
+    echo "lint: a resident f32 weight pack (an f32 linear reads its weight by the fused::IN_PLACE_MAX_ROWS rule, DESIGN.md §9):" >&2
     echo "$pack_site" >&2
     exit 1
 fi
 # `file:name`, or `file:*` for every item in the file; the reason follows.
 pub_allow='
-crates/core/src/autoplan.rs:* Fig. 5 plan search, the library API DESIGN.md §4 lists; ROADMAP item 9 decides it
 crates/metrics/src/regression.rs:latitude_weighted_rmse Table IV score ROADMAP item 3 records beside r2_score and rmse
 '
 unreferenced_pub="$(find crates src tests examples benchmark/src -name '*.rs' | sort | xargs awk -v allow="$pub_allow" '

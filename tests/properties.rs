@@ -153,7 +153,15 @@ proptest! {
     #[test]
     fn direct_conv_matches_reference((xs, ws, g, seed) in conv_case()) {
         // Bit for bit; the header of `crates/tensor/src/conv.rs` says why.
-        use orbit2_tensor::conv::{conv2d, conv2d_ref};
+        use orbit2_tensor::conv::{conv2d, conv2d_ref, ConvGeom};
+        // Planted underflow: every real tap of output (2, 2) rounds to a
+        // signed zero (`fma(-0.25, 2^-149, +0)` is -0.0), so its sign is
+        // decided by the padded taps' zeros, added after the last real tap.
+        let tiny = Tensor::from_vec(vec![1, 1, 3, 3], vec![f32::from_bits(1); 9]);
+        let alt = Tensor::from_vec(vec![1, 1, 3, 3], (0..9).map(|i| [-0.25, 0.25][i % 2]).collect());
+        let g3 = ConvGeom { kh: 3, kw: 3, pad: 1 };
+        let (y, want) = (conv2d(&tiny, &alt, None, g3), conv2d_ref(&tiny, &alt, None, g3));
+        prop_assert!(bits(y.data()) == bits(want.data()), "planted underflow: {:?} vs {:?}", y.data(), want.data());
         let x = orbit2_tensor::random::randn(&xs, seed);
         let w = orbit2_tensor::random::randn(&ws, seed + 1);
         let b = orbit2_tensor::random::randn(&[ws[0]], seed + 2);
@@ -304,21 +312,24 @@ proptest! {
         (act, with_bias) in (0usize..3, 0usize..2),
         seed in 0u64..1000,
     ) {
-        // An inference session's two f32 linears on the same operands, bit
-        // for bit: the weight read in place against its resident `W^T`
-        // pack (packed per call below the gate's 8 output features). `m`
-        // runs past the row constant and straddles every strip width of
-        // `x^T`; `n` straddles the weight's 6-row panels.
+        // The f32 linear's reads on the same operands, bit for bit: the
+        // weight in place, and the session's linear with no pack (in place
+        // up to the row constant, a per-call `W^T` pack past it), against a
+        // resident `W^T` pack (built past the pack gate, so every `n` has
+        // one). `m` runs past the row constant and straddles every strip
+        // width of `x^T`; `n` straddles the weight's 6-row panels.
         use orbit2_tensor::fused::{matmul_bias_act_cached, matmul_bias_act_in_place, Activation, WeightPrecision};
         use orbit2_tensor::random::randn;
-        use orbit2_tensor::PackedWeight;
+        use orbit2_tensor::{MatLayout, PackedWeight};
         let (x, w, b) = (randn(&[m, k], seed), randn(&[n, k], seed + 1), randn(&[n], seed + 2));
         let bias = (with_bias == 1).then_some(&b);
         let act = [Activation::Identity, Activation::Relu, Activation::Gelu][act];
-        let pack = PackedWeight::pack(&w, WeightPrecision::F32);
-        let resident = matmul_bias_act_cached(&x, &w, pack.as_ref(), bias, act);
+        let pack = PackedWeight::from_layout(w.data(), MatLayout::transposed(k), k, n, WeightPrecision::F32);
+        let resident = matmul_bias_act_cached(&x, &w, Some(&pack), bias, act);
         let in_place = matmul_bias_act_in_place(&x, &w, bias, act);
         prop_assert_eq!(bits(in_place.data()), bits(resident.data()));
+        let session = matmul_bias_act_cached(&x, &w, None, bias, act);
+        prop_assert_eq!(bits(session.data()), bits(resident.data()));
     }
 
     #[test]

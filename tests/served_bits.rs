@@ -1,9 +1,9 @@
 //! Committed digests of served bits: `downscale_with` on the tiny and
 //! small models, whole and tiled, at compression 1 and 2, on tiles of 8 to
 //! 180 tokens — both sides of `orbit2_tensor::fused::IN_PLACE_MAX_ROWS`, so
-//! an f32 session's in-place products and its resident packs both run —
-//! and the same fields from an int8 session, whose every product reads its
-//! resident packs.
+//! an f32 session's in-place products and its per-call `Wᵀ` packs both run
+//! — and the same fields from an int8 session, whose every product of a
+//! packed weight reads its resident pack.
 //!
 //! Each digest is FNV-1a over the output's f32 bit patterns, computed on an
 //! FMA host (the build is `-C target-cpu=native`, `.cargo/config.toml`):
@@ -100,7 +100,7 @@ fn downscale_with_serves_the_committed_bits() {
         return;
     }
     assert!(CASES.iter().any(|c| c.tokens <= IN_PLACE_MAX_ROWS), "a case reads its weights in place");
-    assert!(CASES.iter().any(|c| c.tokens > IN_PLACE_MAX_ROWS), "a case reads the resident packs");
+    assert!(CASES.iter().any(|c| c.tokens > IN_PLACE_MAX_ROWS), "a case packs Wᵀ per call");
     let mut moved = Vec::new();
     for case in &CASES {
         let cfg = (case.cfg)().with_channels(7, 3);

@@ -72,13 +72,6 @@ fn gemm(visits: usize) -> Bits {
     bits([resident.data(), in_place.data(), plain.data(), gelu.data(), pre.data()])
 }
 
-fn bmm(visits: usize) -> Bits {
-    let (m, k, n) = (33, 17, 35);
-    let batch = rows_for(visits * MACS_PER_VISIT, m * k * n) + 1;
-    let (a, b) = (randn(&[batch, m, k], 21), randn(&[1, k, n], 22));
-    bits([a.bmm(&b).data()])
-}
-
 fn softmax(visits: usize) -> Bits {
     let d = 1156;
     let t = randn(&[rows_for(visits, d) + 1, d], 31).mul_scalar(3.0);
@@ -158,11 +151,10 @@ fn sweep(visits: usize) -> Bits {
 #[test]
 fn every_parallel_kernel_is_bit_identical_under_any_split() {
     // The GEMM has a floor of its own, sixteen grains, before it is cut.
-    let table: [Row; 11] = [
+    let table: [Row; 10] = [
         ("elementwise", elementwise, 3),
         ("sum", sum, 3),
         ("gemm", gemm, 17),
-        ("bmm", bmm, 3),
         ("softmax rows", softmax, 3),
         ("layer-norm rows", layer_norm, 3),
         ("resize", resizes, 3),
