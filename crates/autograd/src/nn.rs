@@ -2,7 +2,7 @@
 //! attention, layer normalization, 2-d convolution, bilinear resize and
 //! token pooling.
 
-use crate::tape::{Tape, Var};
+use crate::tape::Var;
 use orbit2_tensor::attention::multi_head_attention;
 use orbit2_tensor::conv::{conv2d, conv2d_grad_bias, conv2d_grad_input, conv2d_grad_weight, ConvGeom};
 use orbit2_tensor::fused::{act_backward, layer_norm_rows, matmul_bias_act, Activation};
@@ -37,12 +37,12 @@ impl<'t> Var<'t> {
         let w = weight.value();
         let bt = bias.map(|b| b.value());
         let (y, pre) = matmul_bias_act(&x, &w, bt.as_ref(), act);
-        let (xid, wid) = (self_id(self), self_id(&weight));
+        let (xid, wid) = (self.id(), weight.id());
         // As in `conv2d`: an untracked operand (the patch embedding's
         // constant patches) gets no gradient computed.
-        let (x_tracked, w_tracked) = (self_tracked(self), self_tracked(&weight));
-        let bid = bias.filter(self_tracked).as_ref().map(self_id);
-        self.tape().record_custom(
+        let (x_tracked, w_tracked) = (self.tracked(), weight.tracked());
+        let bid = bias.filter(Var::tracked).as_ref().map(Var::id);
+        self.tape().record(
             y,
             x_tracked || w_tracked || bid.is_some(),
             Box::new(move |g| {
@@ -86,13 +86,13 @@ impl<'t> Var<'t> {
         let (n, d) = (qt.shape()[0], qt.shape()[1]);
         let dh = d / heads;
         let scale = 1.0 / (dh as f32).sqrt();
-        let ids = [self, &k, &v].map(self_id);
-        let tracked = [self, &k, &v].map(self_tracked);
+        let ids = [self, &k, &v].map(Var::id);
+        let tracked = [self, &k, &v].map(Var::tracked);
         // The composition sums zero-padded per-head gradients, so with two or
         // more heads every column gains a `+ 0.0`, which turns −0.0 into
         // +0.0; `x + (−0.0)` is `x`, bit for bit.
         let pad = if heads > 1 { 0.0 } else { -0.0 };
-        self.tape().record_custom(
+        self.tape().record(
             y,
             tracked.contains(&true),
             Box::new(move |g| {
@@ -142,11 +142,11 @@ impl<'t> Var<'t> {
 
         // Record the normalization as a custom op, then the affine part with
         // ordinary tape ops (so gamma/beta grads come for free).
-        let pid = self_id(self);
+        let pid = self.id();
         let shape = v.shape().to_vec();
-        let normalized = self.tape().record_custom(
+        let normalized = self.tape().record(
             norm_t,
-            self_tracked(self),
+            self.tracked(),
             Box::new(move |g| {
                 // d/dx of x_hat: (g - mean(g) - x_hat * mean(g * x_hat)) * inv_std
                 let gd = g.data();
@@ -173,14 +173,14 @@ impl<'t> Var<'t> {
         let w = weight.value();
         let bt = bias.map(|b| b.value());
         let y = conv2d(&x, &w, bt.as_ref(), geom);
-        let (xid, wid) = (self_id(self), self_id(&weight));
+        let (xid, wid) = (self.id(), weight.id());
         let x_shape = x.shape().to_vec();
         let w_shape = w.shape().to_vec();
         // The tape drops gradients of untracked parents, so an operand that
         // is a constant (the residual path's input) gets none computed.
-        let (x_tracked, w_tracked) = (self_tracked(self), self_tracked(&weight));
-        let bid = bias.filter(self_tracked).as_ref().map(self_id);
-        self.tape().record_custom(
+        let (x_tracked, w_tracked) = (self.tracked(), weight.tracked());
+        let bid = bias.filter(Var::tracked).as_ref().map(Var::id);
+        self.tape().record(
             y,
             x_tracked || w_tracked || bid.is_some(),
             Box::new(move |g| {
@@ -205,10 +205,10 @@ impl<'t> Var<'t> {
         let nd = x.ndim();
         let (in_h, in_w) = (x.shape()[nd - 2], x.shape()[nd - 1]);
         let y = resize(&x, out_h, out_w, ResizeMode::Bilinear);
-        let pid = self_id(self);
-        self.tape().record_custom(
+        let pid = self.id();
+        self.tape().record(
             y,
-            self_tracked(self),
+            self.tracked(),
             Box::new(move |g| vec![(pid, bilinear_adjoint(g, in_h, in_w))]),
         )
     }
@@ -223,10 +223,10 @@ impl<'t> Var<'t> {
         let v = self.value();
         let (rows, cols) = (v.shape()[0], v.shape()[1]);
         let y = v.pool_rows(&groups);
-        let pid = self_id(self);
-        self.tape().record_custom(
+        let pid = self.id();
+        self.tape().record(
             y,
-            self_tracked(self),
+            self.tracked(),
             Box::new(move |g| {
                 let gd = g.data();
                 let mut out = pool::alloc_zeroed(rows * cols);
@@ -251,11 +251,11 @@ impl<'t> Var<'t> {
         let v = self.value();
         let cols = v.shape()[1];
         let y = v.unpool_rows(&groups, total_rows);
-        let pid = self_id(self);
+        let pid = self.id();
         let n_groups = groups.len();
-        self.tape().record_custom(
+        self.tape().record(
             y,
-            self_tracked(self),
+            self.tracked(),
             Box::new(move |g| {
                 let gd = g.data();
                 let mut out = pool::alloc_zeroed(n_groups * cols);
@@ -302,25 +302,6 @@ fn bilinear_adjoint(grad_out: &Tensor, in_h: usize, in_w: usize) -> Tensor {
     shape[nd - 2] = in_h;
     shape[nd - 1] = in_w;
     Tensor::from_vec(shape, out)
-}
-
-// Internal accessors used by the fused ops above. Kept crate-private via a
-// sealed extension on Tape.
-use crate::tape::tape_internals::{self, self_id, self_tracked};
-
-/// Boxed adjoint of a custom op: maps the incoming gradient to
-/// (parent id, contribution) pairs.
-pub(crate) type CustomBackward = Box<dyn Fn(&Tensor) -> Vec<(usize, Tensor)>>;
-
-impl Tape {
-    pub(crate) fn record_custom(
-        &self,
-        value: Tensor,
-        tracked: bool,
-        backward: CustomBackward,
-    ) -> Var<'_> {
-        tape_internals::record(self, value, tracked, backward)
-    }
 }
 
 #[cfg(test)]

@@ -7,7 +7,9 @@ use orbit2_tensor::Tensor;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-type BackwardFn = Box<dyn Fn(&Tensor) -> Vec<(usize, Tensor)>>;
+/// Boxed adjoint of a recorded op: maps the gradient flowing into the node
+/// to (parent id, contribution) pairs.
+pub(crate) type BackwardFn = Box<dyn Fn(&Tensor) -> Vec<(usize, Tensor)>>;
 
 /// Process-wide count of [`Tape`] constructions, across all threads.
 ///
@@ -110,7 +112,9 @@ impl Tape {
         self.nodes.borrow()[id].value.clone()
     }
 
-    fn record(&self, value: Tensor, parents_tracked: bool, backward: BackwardFn) -> Var<'_> {
+    /// Record an op's output; `backward` is kept only when a parent is
+    /// tracked.
+    pub(crate) fn record(&self, value: Tensor, parents_tracked: bool, backward: BackwardFn) -> Var<'_> {
         if parents_tracked {
             self.push(Node { value, backward: Some(backward), tracked: true })
         } else {
@@ -168,28 +172,6 @@ fn reduce_to_shape(grad: &Tensor, target: &[usize]) -> Tensor {
     g
 }
 
-/// Crate-internal access used by the fused ops in [`crate::nn`].
-pub(crate) mod tape_internals {
-    use super::{BackwardFn, Node, Tape, Var};
-    use orbit2_tensor::Tensor;
-
-    pub(crate) fn self_id(v: &Var<'_>) -> usize {
-        v.id
-    }
-
-    pub(crate) fn self_tracked(v: &Var<'_>) -> bool {
-        v.tracked()
-    }
-
-    pub(crate) fn record(tape: &Tape, value: Tensor, tracked: bool, backward: BackwardFn) -> Var<'_> {
-        if tracked {
-            tape.push(Node { value, backward: Some(backward), tracked: true })
-        } else {
-            tape.push(Node { value, backward: None, tracked: false })
-        }
-    }
-}
-
 impl<'t> Var<'t> {
     /// The tape this var lives on.
     pub(crate) fn tape(&self) -> &'t Tape {
@@ -206,7 +188,13 @@ impl<'t> Var<'t> {
         self.tape.nodes.borrow()[self.id].value.shape().to_vec()
     }
 
-    fn tracked(&self) -> bool {
+    /// Index of this var's node on its tape.
+    pub(crate) fn id(&self) -> usize {
+        self.id
+    }
+
+    /// Whether gradients flow through this var.
+    pub(crate) fn tracked(&self) -> bool {
         self.tape.nodes.borrow()[self.id].tracked
     }
 

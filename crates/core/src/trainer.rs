@@ -40,7 +40,8 @@ use crate::checkpoint::{
     load_trainer_state, save_trainer_state, validate_layout, ProgressState, TrainerCheckpoint,
 };
 use crate::fault::{FaultAction, FaultEvent, FaultKind, FaultPlan, SkipReason};
-use crate::tiling::split_sample;
+use crate::inference::check_tiling;
+use crate::tiling::{crop, split_sample};
 use orbit2_autograd::optim::cosine_schedule;
 use orbit2_autograd::params::GradMap;
 use orbit2_autograd::{Adam, GradAccumulator, GradScaler, Optimizer, ParamLayout, ParamStore, Tape};
@@ -53,6 +54,9 @@ use orbit2_tensor::Tensor;
 use rayon::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
+
+/// The tiling of an untiled run: one tile, no halo.
+const WHOLE: TileSpec = TileSpec { tiles_y: 1, tiles_x: 1, halo: 0 };
 
 /// Training-run configuration.
 #[derive(Debug, Clone, Copy)]
@@ -170,7 +174,17 @@ pub struct Trainer {
 
 impl Trainer {
     /// Create a trainer, fitting the normalizer on the training split.
+    ///
+    /// # Panics
+    /// Panics with [`check_tiling`]'s `BadTiling` message when the
+    /// model cannot take the configured tiles of the dataset's coarse grid:
+    /// such a tile fails every job of every step, which would otherwise
+    /// read as dead ranks.
     pub fn new(model: ReslimModel, dataset: &DownscalingDataset, cfg: TrainerConfig) -> Self {
+        let coarse = dataset.coarse_grid();
+        if let Err(e) = check_tiling(&model, coarse.h, coarse.w, cfg.tile_spec.unwrap_or(WHOLE)) {
+            panic!("{e}");
+        }
         let normalizer = Normalizer::fit(dataset, 8);
         let opt = Adam::new(cfg.lr).with_weight_decay(1e-5);
         // A short growth interval exercises the scaler during small runs.
@@ -379,10 +393,7 @@ impl Trainer {
         });
         let step_params = rounded.as_ref().unwrap_or(&self.model.params);
 
-        let spec = self
-            .cfg
-            .tile_spec
-            .unwrap_or(TileSpec { tiles_y: 1, tiles_x: 1, halo: 0 });
+        let spec = self.cfg.tile_spec.unwrap_or(WHOLE);
         // Flatten (replica, tile) into one job list.
         let jobs: Vec<crate::tiling::SampleTile> = samples
             .iter()
@@ -392,6 +403,8 @@ impl Trainer {
                 split_sample(&norm_in, Some(&norm_tgt), spec, factor)
             })
             .collect();
+        // Latitude weights are cropped like a one-channel target.
+        let lat_field = lat_field.reshape(vec![1, lat_field.shape()[0], lat_field.shape()[1]]);
         let loss_scale = if self.cfg.bf16 { self.scaler.scale() } else { 1.0 };
         let model = &self.model;
         let loss_cfg = self.cfg.loss;
@@ -414,7 +427,8 @@ impl Trainer {
                 let binder = Binder::new(&tape, step_params);
                 let (pred, _) = model.forward(&binder, &tile.input, compression);
                 let target_tile = tile.target.as_ref().expect("training tile needs target");
-                let weights = crop_weights(lat_field, tile, factor);
+                let sg = tile.geom.scaled(factor);
+                let weights = crop(&lat_field, &sg).into_reshape(vec![sg.padded_h(), sg.padded_w()]);
                 let loss = bayesian_loss(pred, target_tile, &weights, loss_cfg);
                 let scaled = loss.scale(loss_scale);
                 let grads = tape.backward(scaled);
@@ -521,23 +535,6 @@ impl Trainer {
     }
 }
 
-/// Latitude weights for a (padded) target tile: clamped crop of the full
-/// fine-grid weight field at the tile's scaled geometry.
-fn crop_weights(lat_field: &Tensor, tile: &crate::tiling::SampleTile, factor: usize) -> Tensor {
-    let (fh, fw) = (lat_field.shape()[0], lat_field.shape()[1]);
-    let g = tile.geom.scaled(factor);
-    let (ph, pw) = (g.padded_h(), g.padded_w());
-    let mut out = orbit2_tensor::pool::alloc_uninit(ph * pw);
-    for y in 0..ph {
-        let gy = (g.core_y0 as i64 + y as i64 - g.halo as i64).clamp(0, fh as i64 - 1) as usize;
-        for x in 0..pw {
-            let gx = (g.core_x0 as i64 + x as i64 - g.halo as i64).clamp(0, fw as i64 - 1) as usize;
-            out[y * pw + x] = lat_field.data()[gy * fw + gx];
-        }
-    }
-    Tensor::from_vec(vec![ph, pw], out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -554,6 +551,16 @@ mod tests {
 
     fn quick_cfg() -> TrainerConfig {
         TrainerConfig { steps: 12, lr: 1e-3, warmup: 2, log_every: 4, ..Default::default() }
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot be split into 3x2 tiles with halo 1")]
+    fn refuses_a_tiling_the_model_cannot_take() {
+        // The 4x8 coarse grid's three tile rows have cores of 1, 1 and 2
+        // pixels: padded, two of them are 3 high, which the patch size 2
+        // does not divide. Every job would fail, every step be skipped.
+        let cfg = TrainerConfig { tile_spec: Some(TileSpec { tiles_y: 3, tiles_x: 2, halo: 1 }), ..quick_cfg() };
+        let _ = Trainer::new(tiny_model(), &dataset(), cfg);
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //!   drives Reslim's adaptive spatial compression (paper Sec. III-A),
 //! * [`quadtree`] — recursive quadrant partitioning over edge density: the
 //!   adaptive patching of Fig. 3,
-//! * [`tiles`] — tile/halo geometry for TILES (paper Sec. III-B): splitting a
-//!   field into overlapping tiles and stitching the cores back,
+//! * [`tiles`] — tile/halo geometry for TILES (paper Sec. III-B): the grid
+//!   of cores and the halo-padded window of each (the crop and stitch that
+//!   move data through those windows live in `orbit2::tiling`),
 //! * [`pgm`] — tiny PGM/ASCII renderers for the visual figures (Fig. 7(b)).
 
 pub mod blur;

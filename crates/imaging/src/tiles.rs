@@ -5,6 +5,10 @@
 //! (replicated at the domain border), each padded tile is processed
 //! independently (on its own GPU in the paper; its own rayon task here), the
 //! halos are discarded and the cores stitched back together.
+//!
+//! This module holds the geometry only: which windows a tiling cuts. Moving
+//! a `[C, H, W]` stack's data through those windows (the clamp-to-edge crop
+//! and the stitch) is `orbit2::tiling`'s.
 
 use serde::{Deserialize, Serialize};
 
@@ -112,57 +116,6 @@ pub fn tile_grid(h: usize, w: usize, spec: TileSpec) -> Vec<TileGeometry> {
     out
 }
 
-/// Extract the padded tiles of a single-channel `h x w` field.
-///
-/// Halo pixels outside the domain replicate the border (clamp-to-edge), so
-/// every padded tile has the full `(core + 2*halo)` size.
-pub fn split_into_tiles(field: &[f32], h: usize, w: usize, spec: TileSpec) -> Vec<(TileGeometry, Vec<f32>)> {
-    assert_eq!(field.len(), h * w);
-    tile_grid(h, w, spec)
-        .into_iter()
-        .map(|g| {
-            let ph = g.padded_h();
-            let pw = g.padded_w();
-            let mut tile = vec![0.0f32; ph * pw];
-            for py in 0..ph {
-                let gy = (g.core_y0 as i64 + py as i64 - g.halo as i64).clamp(0, h as i64 - 1) as usize;
-                for px in 0..pw {
-                    let gx = (g.core_x0 as i64 + px as i64 - g.halo as i64).clamp(0, w as i64 - 1) as usize;
-                    tile[py * pw + px] = field[gy * w + gx];
-                }
-            }
-            (g, tile)
-        })
-        .collect()
-}
-
-/// Stitch processed padded tiles back into a full `h x w` field, discarding
-/// each tile's halo and writing only its core.
-///
-/// # Panics
-/// Panics when tile sizes are inconsistent with their geometry or the cores
-/// do not exactly cover the field.
-pub fn stitch_tiles(tiles: &[(TileGeometry, Vec<f32>)], h: usize, w: usize) -> Vec<f32> {
-    let mut out = vec![0.0f32; h * w];
-    let mut covered = vec![false; h * w];
-    for (g, data) in tiles {
-        let pw = g.padded_w();
-        assert_eq!(data.len(), g.padded_h() * pw, "tile data does not match geometry");
-        for cy in 0..g.core_h {
-            let gy = g.core_y0 + cy;
-            let src = (cy + g.halo) * pw + g.halo;
-            for cx in 0..g.core_w {
-                let gi = gy * w + g.core_x0 + cx;
-                assert!(!covered[gi], "tile cores overlap at ({gy},{})", g.core_x0 + cx);
-                out[gi] = data[src + cx];
-                covered[gi] = true;
-            }
-        }
-    }
-    assert!(covered.iter().all(|&c| c), "tile cores do not cover the field");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -174,48 +127,6 @@ mod tests {
             let area: usize = grid.iter().map(|g| g.core_h * g.core_w).sum();
             assert_eq!(area, h * w, "({h},{w},{ty},{tx})");
         }
-    }
-
-    #[test]
-    fn split_stitch_identity() {
-        let (h, w) = (16usize, 20usize);
-        let field: Vec<f32> = (0..h * w).map(|i| i as f32 * 0.5).collect();
-        for halo in [0usize, 1, 3] {
-            let spec = TileSpec { tiles_y: 4, tiles_x: 2, halo };
-            let tiles = split_into_tiles(&field, h, w, spec);
-            let back = stitch_tiles(&tiles, h, w);
-            assert_eq!(back, field, "halo={halo}");
-        }
-    }
-
-    #[test]
-    fn halo_contains_neighbor_pixels() {
-        let (h, w) = (8usize, 8usize);
-        let field: Vec<f32> = (0..h * w).map(|i| i as f32).collect();
-        let spec = TileSpec { tiles_y: 2, tiles_x: 2, halo: 1 };
-        let tiles = split_into_tiles(&field, h, w, spec);
-        // Tile (0,1)'s left halo column equals field column 3 (the rightmost
-        // column of tile (0,0)'s core).
-        let (g, data) = &tiles[1];
-        assert_eq!((g.ty, g.tx), (0, 1));
-        let pw = g.padded_w();
-        // padded row 1 = global row 0; padded col 0 = global col core_x0-1 = 3
-        assert_eq!(data[pw], field[3]);
-    }
-
-    #[test]
-    fn border_halo_replicates_edge() {
-        let (h, w) = (4usize, 4usize);
-        let field: Vec<f32> = (0..16).map(|i| i as f32).collect();
-        let spec = TileSpec { tiles_y: 1, tiles_x: 1, halo: 2 };
-        let tiles = split_into_tiles(&field, h, w, spec);
-        let (g, data) = &tiles[0];
-        let pw = g.padded_w();
-        // Top-left padded corner replicates field[0].
-        assert_eq!(data[0], field[0]);
-        assert_eq!(data[pw + 1], field[0]);
-        // Bottom-right padded corner replicates field[15].
-        assert_eq!(data[(g.padded_h() - 1) * pw + pw - 1], field[15]);
     }
 
     #[test]
@@ -244,14 +155,5 @@ mod tests {
     #[should_panic(expected = "not a perfect square")]
     fn square_spec_rejects_non_square() {
         TileSpec::square(12, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "overlap")]
-    fn stitch_rejects_overlapping_cores() {
-        let g0 = TileGeometry { ty: 0, tx: 0, core_y0: 0, core_x0: 0, core_h: 2, core_w: 2, halo: 0 };
-        let g1 = TileGeometry { ty: 0, tx: 1, core_y0: 0, core_x0: 1, core_h: 2, core_w: 2, halo: 0 };
-        let t = vec![(g0, vec![0.0; 4]), (g1, vec![0.0; 4])];
-        let _ = stitch_tiles(&t, 2, 3);
     }
 }

@@ -3,7 +3,8 @@
 use orbit2_fft::complex::Complex;
 use orbit2_fft::{fft, ifft};
 use orbit2_imaging::quadtree::{QuadTree, QuadTreeParams};
-use orbit2_imaging::tiles::{split_into_tiles, stitch_tiles, TileSpec};
+use orbit2::tiling::{split_stack, stitch_predictions};
+use orbit2_imaging::tiles::TileSpec;
 use orbit2_metrics::regression::{r2_score, rmse};
 use orbit2_metrics::ssim::ssim;
 use orbit2_tensor::Tensor;
@@ -62,12 +63,15 @@ proptest! {
     }
 
     #[test]
-    fn tile_split_stitch_is_identity((field, h, w) in small_field(24), ty in 1usize..4, tx in 1usize..4, halo in 0usize..3) {
+    fn tile_split_stitch_is_identity((field, h, w) in small_field(24), c in 1usize..=4, ty in 1usize..4, tx in 1usize..4, halo in 0usize..3) {
         prop_assume!(ty <= h && tx <= w);
+        // C channels, each the field plus its channel index.
+        let data: Vec<f32> = (0..c).flat_map(|ci| field.iter().map(move |&x| x + ci as f32)).collect();
+        let stack = Tensor::from_vec(vec![c, h, w], data);
         let spec = TileSpec { tiles_y: ty, tiles_x: tx, halo };
-        let tiles = split_into_tiles(&field, h, w, spec);
-        let back = stitch_tiles(&tiles, h, w);
-        prop_assert_eq!(back, field);
+        let back = stitch_predictions(&split_stack(&stack, spec), h, w, 1);
+        prop_assert_eq!(back.shape(), stack.shape());
+        prop_assert_eq!(bits(back.data()), bits(stack.data()));
     }
 
     #[test]
