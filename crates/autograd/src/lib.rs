@@ -13,7 +13,8 @@
 //! * [`scaler`] — dynamic gradient scaling for emulated-BF16 training
 //!   (paper Sec. III-D),
 //! * [`params`] — named parameter storage, the flat training-state layout
-//!   ([`ParamLayout`]) and the gradient reduce ([`GradAccumulator`]),
+//!   ([`ParamLayout`]) and the once-per-step gradient reduce
+//!   ([`GradAccumulator`]),
 //! * `gradcheck` (test builds only) — the finite-difference oracle every
 //!   hand-written adjoint in the `nn` and `tape` tests is checked against.
 //!

@@ -1,7 +1,7 @@
 //! The reference the fused training-state sweeps are held to: the
 //! sequential composition they replaced — `average_grad_maps` over the jobs,
-//! again over the accumulation window, a scalar unscale + finite scan, and
-//! Adam over one tensor per parameter — kept verbatim as a scalar oracle.
+//! a scalar unscale + finite scan, and Adam over one tensor per parameter —
+//! kept verbatim as a scalar oracle.
 //! The property tests below drive both through the trainer's control flow
 //! and compare parameters and moments bit for bit.
 
@@ -80,31 +80,24 @@ impl OracleAdam {
     }
 }
 
-/// What one micro-batch did, as the trainer reports it.
+/// What one step did, as the trainer reports it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Outcome {
-    Accumulated,
     Stepped,
     ScalerOverflow,
     NonFiniteAverage,
 }
 
-/// The trainer's gradient handling at the parent commit.
+/// The trainer's gradient handling before the fused sweeps.
 struct Composed {
     params: ParamStore,
-    pending: Vec<GradMap>,
     scaler: GradScaler,
     opt: OracleAdam,
 }
 
 impl Composed {
-    fn micro_batch(&mut self, jobs: &[GradMap], window: usize, bf16: bool) -> Outcome {
-        self.pending.push(average_grad_maps(jobs));
-        if self.pending.len() < window {
-            return Outcome::Accumulated;
-        }
-        let mut total = average_grad_maps(&self.pending);
-        self.pending.clear();
+    fn step(&mut self, jobs: &[GradMap], bf16: bool) -> Outcome {
+        let mut total = average_grad_maps(jobs);
         if bf16 {
             if !unscale_and_check(&mut self.scaler, &mut total) {
                 return Outcome::ScalerOverflow;
@@ -120,25 +113,21 @@ impl Composed {
 /// The trainer's gradient handling now.
 struct Fused {
     params: ParamStore,
-    pending: GradAccumulator,
+    grads: GradAccumulator,
     scaler: GradScaler,
     opt: Adam,
 }
 
 impl Fused {
-    fn micro_batch(&mut self, jobs: &[GradMap], window: usize, bf16: bool) -> Outcome {
-        if self.pending.micro_batches() + 1 < window {
-            self.pending.accumulate(jobs);
-            return Outcome::Accumulated;
-        }
-        let finite = self.pending.finish(jobs, bf16.then(|| 1.0 / self.scaler.scale()));
+    fn step(&mut self, jobs: &[GradMap], bf16: bool) -> Outcome {
+        let finite = self.grads.finish(jobs, bf16.then(|| 1.0 / self.scaler.scale()));
         if bf16 {
             self.scaler.record(finite);
         }
         if !finite {
             return if bf16 { Outcome::ScalerOverflow } else { Outcome::NonFiniteAverage };
         }
-        self.opt.step_accumulated(&mut self.params, &self.pending);
+        self.opt.step_accumulated(&mut self.params, &self.grads);
         Outcome::Stepped
     }
 }
@@ -184,7 +173,6 @@ fn pair(params: ParamStore, weight_decay: f32) -> (Composed, Fused) {
     let scaler = || GradScaler::new(1024.0).with_growth_interval(2);
     let composed = Composed {
         params: params.clone(),
-        pending: Vec::new(),
         scaler: scaler(),
         opt: OracleAdam {
             lr: LR,
@@ -198,7 +186,7 @@ fn pair(params: ParamStore, weight_decay: f32) -> (Composed, Fused) {
         },
     };
     let fused = Fused {
-        pending: GradAccumulator::new(ParamLayout::of(&params)),
+        grads: GradAccumulator::new(ParamLayout::of(&params)),
         params,
         scaler: scaler(),
         opt: Adam::new(LR).with_weight_decay(weight_decay),
@@ -220,7 +208,7 @@ fn assert_same_state(composed: &Composed, fused: &Fused) -> Result<(), TestCaseE
             prop_assert!(composed.opt.m.is_empty());
             continue;
         }
-        let range = state.layout.entries()[state.layout.position(name).expect("laid out")].range();
+        let range = state.layout.entries().iter().find(|e| e.name() == name).expect("laid out").range();
         let zeros = Tensor::zeros(want.shape().to_vec());
         let m = composed.opt.m.get(name).unwrap_or(&zeros);
         let v = composed.opt.v.get(name).unwrap_or(&zeros);
@@ -239,7 +227,6 @@ proptest! {
     fn fused_sweeps_match_the_composition_bit_for_bit(
         seed in 0u64..u64::MAX,
         jobs in 1usize..6,
-        window in 1usize..4,
         bf16 in 0usize..2,
         decay in 0usize..2,
         big in 0usize..2,
@@ -248,12 +235,10 @@ proptest! {
         let bf16 = bf16 == 1;
         let (mut composed, mut fused) = pair(store(&mut rng, big == 1), if decay == 1 { 1e-2 } else { 0.0 });
         for _step in 0..3 {
-            for _micro in 0..window {
-                let scale = if bf16 { composed.scaler.scale() } else { 1.0 };
-                let maps: Vec<GradMap> = (0..jobs).map(|_| job_grads(&mut rng, &composed.params, scale)).collect();
-                let want = composed.micro_batch(&maps, window, bf16);
-                prop_assert_eq!(fused.micro_batch(&maps, window, bf16), want);
-            }
+            let scale = if bf16 { composed.scaler.scale() } else { 1.0 };
+            let maps: Vec<GradMap> = (0..jobs).map(|_| job_grads(&mut rng, &composed.params, scale)).collect();
+            let want = composed.step(&maps, bf16);
+            prop_assert_eq!(fused.step(&maps, bf16), want);
             assert_same_state(&composed, &fused)?;
         }
         prop_assert_eq!(composed.opt.t, 3);
@@ -264,7 +249,6 @@ proptest! {
     fn a_non_finite_element_anywhere_skips_the_step_and_touches_nothing(
         seed in 0u64..u64::MAX,
         jobs in 1usize..5,
-        window in 1usize..4,
         bf16 in 0usize..2,
         big in 0usize..2,
     ) {
@@ -272,29 +256,21 @@ proptest! {
         let bf16 = bf16 == 1;
         let (mut composed, mut fused) = pair(store(&mut rng, big == 1), 1e-2);
         // One clean step so that the moments and `t` are not all zero.
-        for _micro in 0..window {
-            let maps: Vec<GradMap> = (0..jobs).map(|_| job_grads(&mut rng, &composed.params, 1.0)).collect();
-            composed.micro_batch(&maps, window, bf16);
-            fused.micro_batch(&maps, window, bf16);
-        }
+        let maps: Vec<GradMap> = (0..jobs).map(|_| job_grads(&mut rng, &composed.params, 1.0)).collect();
+        composed.step(&maps, bf16);
+        fused.step(&maps, bf16);
         let before = (fused.params.clone(), fused.opt.export_state());
 
-        let poisoned_micro = rng.below(window as u64) as usize;
-        let mut last = Outcome::Accumulated;
-        for micro in 0..window {
-            let mut maps: Vec<GradMap> = (0..jobs).map(|_| job_grads(&mut rng, &composed.params, 1.0)).collect();
-            if micro == poisoned_micro {
-                let job = rng.below(jobs as u64) as usize;
-                let tensor = rng.below(maps[job].len() as u64) as usize;
-                let g = maps[job].values_mut().nth(tensor).expect("in range");
-                let at = rng.below(g.len() as u64) as usize;
-                g.data_mut()[at] = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY][rng.below(3) as usize];
-            }
-            let want = composed.micro_batch(&maps, window, bf16);
-            last = fused.micro_batch(&maps, window, bf16);
-            prop_assert_eq!(last, want);
-        }
-        prop_assert_eq!(last, if bf16 { Outcome::ScalerOverflow } else { Outcome::NonFiniteAverage });
+        let mut maps: Vec<GradMap> = (0..jobs).map(|_| job_grads(&mut rng, &composed.params, 1.0)).collect();
+        let job = rng.below(jobs as u64) as usize;
+        let tensor = rng.below(maps[job].len() as u64) as usize;
+        let g = maps[job].values_mut().nth(tensor).expect("in range");
+        let at = rng.below(g.len() as u64) as usize;
+        g.data_mut()[at] = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY][rng.below(3) as usize];
+        let want = composed.step(&maps, bf16);
+        let got = fused.step(&maps, bf16);
+        prop_assert_eq!(got, want);
+        prop_assert_eq!(got, if bf16 { Outcome::ScalerOverflow } else { Outcome::NonFiniteAverage });
         assert_same_state(&composed, &fused)?;
         let after = fused.opt.export_state();
         prop_assert_eq!(after.steps, before.1.steps);
@@ -303,7 +279,6 @@ proptest! {
         for (name, p) in before.0.iter() {
             prop_assert!(bits(fused.params.get(name).data()) == bits(p.data()), "parameter {} moved", name);
         }
-        prop_assert_eq!(fused.pending.micro_batches(), 0);
     }
 }
 
@@ -315,7 +290,7 @@ fn public_composition_matches_the_oracle() {
     let (mut composed, mut fused) = pair(store(&mut rng, true), 1e-5);
     for _ in 0..3 {
         let maps: Vec<GradMap> = (0..4).map(|_| job_grads(&mut rng, &composed.params, 1.0)).collect();
-        composed.micro_batch(&maps, 1, false);
+        composed.step(&maps, false);
         let total = crate::params::average_grad_maps(&[crate::params::average_grad_maps(&maps)]);
         fused.opt.step(&mut fused.params, &total);
         assert_same_state(&composed, &fused).unwrap();

@@ -10,14 +10,15 @@
 //! [`Tensor`] handles, because the forward consumes tensors and the tape
 //! produces them; copying either into an arena would add a pass over the
 //! model per job. The state only the optimizer step touches — Adam's
-//! moments ([`crate::optim::Adam`]) and the pending gradient accumulation
+//! moments ([`crate::optim::Adam`]) and the step's reduced gradient
 //! ([`GradAccumulator`]) — is one contiguous `f32` arena each, indexed by
 //! the layout, so a step is two sweeps (the reduce here and the Adam update
 //! in `optim`), each one fork/join over element-balanced shares.
 //!
 //! Nothing here touches a file. A checkpoint (`orbit2::checkpoint`) writes
-//! the store and the arenas alike as tensor sections of raw words, with the
-//! layout as each section's index.
+//! the store and Adam's arenas alike as tensor sections of raw words, with
+//! the layout as each section's index. The gradient arena is not state: a
+//! step fills it from its jobs before the update reads it.
 
 use orbit2_tensor::{par, Buffer, Tensor};
 use rayon::prelude::*;
@@ -124,8 +125,8 @@ impl LayoutEntry {
 
 /// The flat layout of a parameter set: names in sorted order, each with its
 /// shape and its contiguous element range. One layout indexes every arena of
-/// training state that is stored flat — Adam's moments and the pending
-/// gradient accumulation — and is the index line of a checkpoint's tensor
+/// training state that is stored flat — Adam's moments and the step's
+/// reduced gradient — and is the index line of a checkpoint's tensor
 /// sections. It is the unit a sharded optimizer would cut.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ParamLayout {
@@ -176,11 +177,6 @@ impl ParamLayout {
     /// True when the layout holds no parameters.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// Where `name` sits in [`ParamLayout::entries`].
-    pub(crate) fn position(&self, name: &str) -> Option<usize> {
-        self.entries.binary_search_by(|e| e.name.as_str().cmp(name)).ok()
     }
 
     /// Whether `store` holds exactly these names with these shapes.
@@ -244,7 +240,7 @@ pub(crate) const REDUCE_BLOCK: usize = 256;
 
 /// One destination run of the reduce and where its sources start.
 pub(crate) struct ReduceSpan<'a> {
-    /// Where the result goes (and, when accumulating, the prior sum).
+    /// Where the result goes.
     pub(crate) dst: &'a mut [f32],
     /// Which tensor's sources to read.
     pub(crate) tensor: usize,
@@ -268,9 +264,8 @@ impl Span for ReduceSpan<'_> {
 
 /// The gradient reduce: per element, in this order,
 /// `x = (((g₀ + g₁) + …) + gₙ₋₁) · inv_jobs` over the jobs in *job order*,
-/// then `x = prior + x` when accumulating, then `x ·= s` for each `post`
-/// factor, then the finite check, then the store. With no jobs the element
-/// itself is `x` (an in-place scale and check).
+/// then `x ·= post` if given, then the finite check, then the store. With
+/// no jobs the element itself is `x` (an in-place scale and check).
 ///
 /// The order is a contract. Summing in job order rather than in a
 /// per-worker tree keeps the bits independent of the thread count —
@@ -281,10 +276,8 @@ pub(crate) struct Reduce<'a> {
     pub(crate) srcs: Vec<&'a [f32]>,
     /// Jobs per tensor.
     pub(crate) jobs: usize,
-    /// Add the mean onto what `dst` already holds.
-    pub(crate) accumulate: bool,
-    /// Factors applied after the sum, in order.
-    pub(crate) post: [Option<f32>; 2],
+    /// The factor applied after the mean.
+    pub(crate) post: Option<f32>,
 }
 
 impl Reduce<'_> {
@@ -318,17 +311,10 @@ impl Reduce<'_> {
                 for a in acc.iter_mut() {
                     *a *= inv_jobs;
                 }
-                if self.accumulate {
-                    for (a, &prior) in acc.iter_mut().zip(dst.iter()) {
-                        // `prior + mean`, the operand order of `acc.add_(g)`.
-                        let mean = *a;
-                        *a = prior + mean;
-                    }
-                }
             } else {
                 acc.copy_from_slice(dst);
             }
-            for s in self.post.iter().flatten() {
+            if let Some(s) = self.post {
                 for a in acc.iter_mut() {
                     *a *= s;
                 }
@@ -362,69 +348,31 @@ pub fn average_grad_maps(maps: &[GradMap]) -> GradMap {
         srcs.extend(maps.iter().map(|m| job_grad(m, key, dst.shape())));
         spans.push(ReduceSpan { dst: dst.data_mut(), tensor, start: 0 });
     }
-    Reduce { srcs, jobs: maps.len(), accumulate: false, post: [None, None] }.run(spans);
+    Reduce { srcs, jobs: maps.len(), post: None }.run(spans);
     out
 }
 
-/// The trainer's pending gradient accumulation: one arena over a
-/// [`ParamLayout`] holding the running sum of the window's micro-batch
-/// means, plus a count — and, once [`GradAccumulator::finish`] has closed
-/// the window, that step's total gradient. Memory does not grow with the
-/// window length.
+/// The step's gradient arena: one buffer over a [`ParamLayout`] that
+/// [`GradAccumulator::finish`] fills with the step's total gradient, which
+/// [`crate::optim::Adam::step_accumulated`] then reads. Between steps it is
+/// scratch, not state.
 ///
 /// Per-job gradients stay `Tensor` handles (the tape produces them); only
 /// their reduction is flat.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct GradAccumulator {
     layout: ParamLayout,
     sum: Tensor,
-    /// Per layout entry: whether the window's first job had a gradient for
+    /// Per layout entry: whether the step's first job had a gradient for
     /// it. A parameter without one is skipped by the optimizer.
     held: Vec<bool>,
-    micro_batches: usize,
 }
 
 impl GradAccumulator {
-    /// An empty window over `layout`.
+    /// An arena over `layout`, holding no gradient yet.
     pub fn new(layout: ParamLayout) -> Self {
         let held = vec![false; layout.entries().len()];
-        Self { sum: Tensor::zeros(vec![layout.total()]), layout, held, micro_batches: 0 }
-    }
-
-    /// Rebuild a window saved mid-accumulation: `held` indexes `words`, and
-    /// every tensor in it must be one of `layout`'s, with its shape.
-    pub fn restore(
-        layout: ParamLayout,
-        micro_batches: usize,
-        held: &ParamLayout,
-        words: &[f32],
-    ) -> Result<Self, String> {
-        if words.len() != held.total() {
-            return Err(format!("{} words for {} indexed elements", words.len(), held.total()));
-        }
-        if u32::try_from(micro_batches).is_err() {
-            return Err(format!("an open window of {micro_batches} micro-batches"));
-        }
-        let mut acc = Self::new(layout);
-        acc.micro_batches = micro_batches;
-        let sum = acc.sum.data_mut();
-        for src in held.entries() {
-            let Some(at) = acc.layout.position(src.name()) else {
-                return Err(format!("tensor `{}` is not a parameter", src.name()));
-            };
-            let dst = &acc.layout.entries()[at];
-            if dst.shape() != src.shape() {
-                return Err(format!(
-                    "tensor `{}` has shape {:?}, expected {:?}",
-                    src.name(),
-                    src.shape(),
-                    dst.shape()
-                ));
-            }
-            sum[dst.range()].copy_from_slice(&words[src.range()]);
-            acc.held[at] = true;
-        }
-        Ok(acc)
+        Self { sum: Tensor::zeros(vec![layout.total()]), layout, held }
     }
 
     /// The layout the arena follows.
@@ -432,13 +380,8 @@ impl GradAccumulator {
         &self.layout
     }
 
-    /// Micro-batches folded into the open window.
-    pub fn micro_batches(&self) -> usize {
-        self.micro_batches
-    }
-
-    /// The tensors the arena holds, in layout order: the open window's
-    /// running sums, or after [`GradAccumulator::finish`] the total.
+    /// The tensors the last [`GradAccumulator::finish`] reduced, in layout
+    /// order.
     pub fn held(&self) -> impl Iterator<Item = (&LayoutEntry, &[f32])> {
         let sum = self.sum.data();
         self.layout
@@ -449,30 +392,13 @@ impl GradAccumulator {
             .map(move |(e, _)| (e, &sum[e.range()]))
     }
 
-    /// Fold one micro-batch into the open window: the job-ordered mean of
-    /// `jobs` joins the running sum.
-    pub fn accumulate(&mut self, jobs: &[GradMap]) {
-        self.fold(jobs, [None, None]);
-        self.micro_batches += 1;
-    }
-
-    /// Fold the window's last micro-batch and close it: the arena becomes
-    /// the mean over the window's micro-batches, times `unscale` if given.
-    /// Returns whether every element of that total is finite.
+    /// Reduce one step's jobs into the arena: their job-ordered mean, times
+    /// `unscale` if given. Returns whether every element of that total is
+    /// finite.
     pub fn finish(&mut self, jobs: &[GradMap], unscale: Option<f32>) -> bool {
-        let window = 1.0 / (self.micro_batches + 1) as f32;
-        let finite = self.fold(jobs, [Some(window), unscale]);
-        self.micro_batches = 0;
-        finite
-    }
-
-    fn fold(&mut self, jobs: &[GradMap], post: [Option<f32>; 2]) -> bool {
         assert!(!jobs.is_empty(), "no gradient maps to reduce");
-        let first = self.micro_batches == 0;
-        if first {
-            for (held, e) in self.held.iter_mut().zip(self.layout.entries()) {
-                *held = jobs[0].contains_key(e.name());
-            }
+        for (held, e) in self.held.iter_mut().zip(self.layout.entries()) {
+            *held = jobs[0].contains_key(e.name());
         }
         let mut srcs = Vec::with_capacity(self.held.len() * jobs.len());
         let mut spans = Vec::with_capacity(self.held.len());
@@ -485,7 +411,7 @@ impl GradAccumulator {
                 srcs.extend(jobs.iter().map(|job| job_grad(job, e.name(), e.shape())));
             }
         }
-        Reduce { srcs, jobs: jobs.len(), accumulate: !first, post }.run(spans)
+        Reduce { srcs, jobs: jobs.len(), post: unscale }.run(spans)
     }
 }
 
@@ -536,7 +462,7 @@ mod tests {
                 .iter_mut()
                 .map(|t| ReduceSpan { dst: t.as_mut_slice(), tensor: 0, start: 0 })
                 .collect();
-            let double = Reduce { srcs: Vec::new(), jobs: 0, accumulate: false, post: [Some(2.0), None] };
+            let double = Reduce { srcs: Vec::new(), jobs: 0, post: Some(2.0) };
             assert!(double.run(spans));
             assert!(tensors.iter().flatten().all(|&x| x == 2.0), "lens {lens:?}");
         }
@@ -553,8 +479,6 @@ mod tests {
         assert_eq!(layout.total(), 10);
         let ranges: Vec<_> = layout.entries().iter().map(|e| (e.name(), e.range())).collect();
         assert_eq!(ranges, [("b", 0..3), ("s", 3..4), ("w", 4..10)]);
-        assert_eq!(layout.position("w"), Some(2));
-        assert_eq!(layout.position("x"), None);
         p.insert("w", Tensor::zeros(vec![3, 2]));
         assert!(!layout.matches(&p));
 

@@ -78,8 +78,7 @@ impl GradScaler {
             .values_mut()
             .map(|g| ReduceSpan { dst: g.data_mut(), tensor: 0, start: 0 })
             .collect();
-        let unscale =
-            Reduce { srcs: Vec::new(), jobs: 0, accumulate: false, post: [Some(1.0 / self.scale), None] };
+        let unscale = Reduce { srcs: Vec::new(), jobs: 0, post: Some(1.0 / self.scale) };
         let finite = unscale.run(spans);
         self.record(finite);
         finite

@@ -546,8 +546,8 @@ fn bench_synth(c: &mut Criterion) {
 
 /// The sequential composition the fused sweeps replaced, as the in-run
 /// reference for `optim/fused`: `average_grad_maps` over the jobs, again
-/// over the one-entry accumulation window, a finite scan, then Adam over a
-/// tensor per parameter — each a `BTreeMap<String, Tensor>` walk on the
+/// over the one-entry accumulation window the trainer then had, a finite
+/// scan, then Adam over a tensor per parameter — each a `BTreeMap<String, Tensor>` walk on the
 /// calling thread. (`crates/autograd/src/oracle.rs` holds the same code as
 /// the bit-identity oracle.)
 struct ComposedStep {
@@ -598,7 +598,7 @@ impl ComposedStep {
 /// The part of a `train-step` op that is not a model, on that workload's
 /// own 9.5M-config parameter set (5.07 M elements in 95 tensors) and 4 TILES
 /// jobs: `optim/fused` is what `Trainer::step_batch` runs between backward
-/// and the next forward (one reduce sweep into the accumulation arena, one
+/// and the next forward (one reduce sweep into the gradient arena, one
 /// Adam sweep); `optim/composed` is the parent's composition on the same
 /// inputs, the cell `fused` is read against. `ckpt/save` / `ckpt/load` is
 /// one full-state save / load of that trainer state, `ckpt/save_model` /
@@ -620,12 +620,12 @@ fn bench_training_state(c: &mut Criterion) {
     let mut group = c.benchmark_group("optim");
     group.sample_size(10);
     let mut params = model.params.clone();
-    let mut pending = GradAccumulator::new(ParamLayout::of(&params));
+    let mut grads = GradAccumulator::new(ParamLayout::of(&params));
     let mut opt = Adam::new(1e-3).with_weight_decay(1e-5);
     group.bench_function(BenchmarkId::new("fused", "5M"), |bench| {
         bench.iter(|| {
-            assert!(pending.finish(&jobs, None));
-            opt.step_accumulated(&mut params, &pending);
+            assert!(grads.finish(&jobs, None));
+            opt.step_accumulated(&mut params, &grads);
         })
     });
     let mut composed_params = model.params.clone();
@@ -641,7 +641,6 @@ fn bench_training_state(c: &mut Criterion) {
         adam: opt.export_state(),
         scaler: GradScaler::default().export_state(),
         progress: ProgressState { global_step: 1, data_cursor: 1 },
-        pending: GradAccumulator::new(ParamLayout::of(&model.params)),
     };
     let path = std::env::temp_dir().join(format!("orbit2_bench_{}.ckpt", std::process::id()));
     let mut group = c.benchmark_group("ckpt");

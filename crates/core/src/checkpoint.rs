@@ -1,4 +1,4 @@
-//! Checkpointing: one crash-consistent container, `ORBIT2CKPT v2`, for a
+//! Checkpointing: one crash-consistent container, `ORBIT2CKPT v3`, for a
 //! model and for the full state of a training run.
 //!
 //! * [`save_model`] / [`load_model`] — the portable model checkpoint: the
@@ -9,7 +9,7 @@
 //! * [`TrainerCheckpoint`] with [`save_trainer_state`] /
 //!   [`load_trainer_state`] — what the fault-tolerant trainer auto-saves:
 //!   those two sections, then Adam's moments and step count, the GradScaler
-//!   state, the data cursor, and the open gradient accumulation window.
+//!   state and the data cursor.
 //!
 //! Both go through one section writer, one atomic file writer and one
 //! reader, and every tensor is stored as its raw IEEE-754 words, so a
@@ -19,20 +19,20 @@
 //! run's model, ignoring the rest, while [`load_trainer_state`] on a model
 //! checkpoint is a "missing section" error.
 //!
-//! ## On-disk container format (version 2)
+//! ## On-disk container format (version 3)
 //!
 //! ```text
-//! ORBIT2CKPT v2\n
+//! ORBIT2CKPT v3\n
 //! section <name> <payload-bytes> <crc32-hex>\n
 //! <payload>\n
 //! ...one header+payload pair per section...
 //! ```
 //!
 //! Sections, in the order written: `config`, `params` (a model checkpoint
-//! ends here), `adam.m`, `adam.v`, `scaler`, `progress`, `pending`.
+//! ends here), `adam.m`, `adam.v`, `scaler`, `progress`.
 //! `config`, `scaler` and `progress` (every counter of the run: step, data
-//! cursor, Adam's `t`, micro-batches in the open window) are one line of
-//! JSON. The other four are *tensor sections*:
+//! cursor, Adam's `t`) are one line of JSON. The other three are *tensor
+//! sections*:
 //!
 //! ```text
 //! [["<name>",[<dim>,...]],...]\n      index: JSON, names strictly ascending
@@ -41,10 +41,10 @@
 //!
 //! `params` comes straight from the store; `adam.m` / `adam.v` are the
 //! optimizer's flat arenas, whose index is the parameters' (or empty before
-//! the first optimizer step); `pending` lists only the tensors the open
-//! window holds, and nothing between windows. The payload is binary — it may
-//! contain newlines — so a reader must take `<payload-bytes>` from the
-//! header, never scan for the terminator.
+//! the first optimizer step). The trainer's gradient arena is not saved:
+//! every step fills it before the update reads it. The payload is binary —
+//! it may contain newlines — so a reader must take `<payload-bytes>` from
+//! the header, never scan for the terminator.
 //!
 //! Every payload carries its own CRC-32 (IEEE), checked before the payload
 //! is decoded, and a tensor section's index is checked against the bytes
@@ -58,16 +58,18 @@
 //! at bytes that are not on disk, and a crash at any point leaves the
 //! previous checkpoint or the new one. A failed save removes the sibling.
 //!
-//! Earlier formats are not read. Version 1 stored each tensor section as
-//! JSON arrays of decimal bit patterns, and a model checkpoint used to be a
-//! directory of JSON float text (5.2x the bytes, and lossy for `-0.0` and
-//! non-finite values); numbers for both in DESIGN.md §8. A `v1` header
-//! gets the unsupported-version error, like any other version this build
-//! does not write.
+//! Earlier formats are not read. Version 2 also saved an open
+//! gradient-accumulation window, which this build's trainer does not have.
+//! Version 1 stored each tensor section as JSON arrays of decimal
+//! bit patterns, and a model checkpoint used to be a directory of JSON
+//! float text (5.2x the bytes, and lossy for `-0.0` and non-finite values);
+//! numbers for both in DESIGN.md §8. A `v1` or `v2` header gets the
+//! unsupported-version error, like any other version this build does not
+//! write.
 
 use orbit2_autograd::optim::AdamState;
 use orbit2_autograd::scaler::ScalerState;
-use orbit2_autograd::{GradAccumulator, ParamLayout, ParamStore};
+use orbit2_autograd::{ParamLayout, ParamStore};
 use orbit2_model::{ModelConfig, ReslimModel};
 use orbit2_tensor::Tensor;
 use serde::{Deserialize, Serialize};
@@ -110,12 +112,12 @@ pub(crate) fn validate_layout(params: &ParamStore, cfg: ModelConfig) -> Result<(
 /// Magic string opening every checkpoint file.
 pub const CHECKPOINT_MAGIC: &str = "ORBIT2CKPT";
 /// Current checkpoint format version.
-pub const CHECKPOINT_VERSION: u32 = 2;
+pub const CHECKPOINT_VERSION: u32 = 3;
 
 /// Training progress counters captured alongside the weights.
 #[derive(Debug, Clone)]
 pub struct ProgressState {
-    /// Micro-batch steps completed so far (`Trainer::train` resumes here).
+    /// Steps completed so far (`Trainer::train` resumes here).
     pub global_step: u64,
     /// Position of the data cursor in the training split.
     pub data_cursor: u64,
@@ -136,9 +138,6 @@ pub struct TrainerCheckpoint {
     pub scaler: ScalerState,
     /// Step and data-cursor counters.
     pub progress: ProgressState,
-    /// The open gradient-accumulation window (holds tensors only when the
-    /// checkpoint was taken mid-window).
-    pub pending: GradAccumulator,
 }
 
 /// The `progress` section: every counter of the run in one small record.
@@ -147,7 +146,6 @@ struct Counters {
     global_step: u64,
     data_cursor: u64,
     adam_steps: u64,
-    pending_micro_batches: u64,
 }
 
 /// Slice-by-8 tables for [`crc32`]: `CRC_TABLES[k][b]` is the CRC of byte `b`
@@ -267,15 +265,8 @@ fn write_trainer_state(ckpt: &TrainerCheckpoint, out: &mut impl Write) -> Result
         global_step: ckpt.progress.global_step,
         data_cursor: ckpt.progress.data_cursor,
         adam_steps: ckpt.adam.steps,
-        pending_micro_batches: ckpt.pending.micro_batches() as u64,
     };
-    write_json(out, "progress", &counters)?;
-    // Outside an open window the arena holds the last step's total, which
-    // is not state.
-    let open = ckpt.pending.micro_batches() > 0;
-    let pending: Vec<_> =
-        ckpt.pending.held().filter(|_| open).map(|(e, words)| (e.name(), e.shape(), words)).collect();
-    write_tensors(out, &mut payload, "pending", &pending)
+    write_json(out, "progress", &counters)
 }
 
 /// Put what `write` produces at `path`, crash-consistently: the bytes go to
@@ -504,12 +495,6 @@ pub fn load_trainer_state(path: &Path) -> Result<TrainerCheckpoint> {
         return Err(invalid("sections `adam.m` and `adam.v` index different tensors"));
     }
 
-    let (held, bytes) = sections.tensors("pending")?;
-    let micro_batches = usize::try_from(counters.pending_micro_batches)
-        .map_err(|_| invalid("section `progress`: pending micro-batch count out of range"))?;
-    let pending = GradAccumulator::restore(layout, micro_batches, &held, &words(bytes))
-        .map_err(|e| invalid(format!("section `pending`: {e}")))?;
-
     Ok(TrainerCheckpoint {
         model_cfg,
         params,
@@ -519,7 +504,6 @@ pub fn load_trainer_state(path: &Path) -> Result<TrainerCheckpoint> {
             global_step: counters.global_step,
             data_cursor: counters.data_cursor,
         },
-        pending,
     })
 }
 
@@ -595,22 +579,15 @@ mod tests {
             .collect()
     }
 
-    /// A checkpoint over the tiny model, taken one micro-batch into an
-    /// accumulation window, with awkward bit patterns in every arena.
+    /// A checkpoint over the tiny model with awkward bit patterns in every
+    /// arena.
     fn awkward_checkpoint() -> TrainerCheckpoint {
         let model = ReslimModel::new(ModelConfig::tiny().with_channels(4, 3), 12);
         let mut params = ParamStore::new();
-        let mut grads = BTreeMap::new();
         for (i, (name, t)) in model.params.iter().enumerate() {
             params.insert(name.clone(), Tensor::from_vec(t.shape().to_vec(), awkward(t.len(), i as u32)));
-            // One parameter the window holds no gradient for.
-            if name != "xattn.wq" {
-                grads.insert(name.clone(), Tensor::from_vec(t.shape().to_vec(), awkward(t.len(), !(i as u32))));
-            }
         }
         let layout = ParamLayout::of(&params);
-        let mut pending = GradAccumulator::new(layout.clone());
-        pending.accumulate(&[grads]);
         let total = layout.total();
         TrainerCheckpoint {
             model_cfg: model.cfg,
@@ -623,7 +600,6 @@ mod tests {
             },
             scaler: orbit2_autograd::GradScaler::new(512.0).export_state(),
             progress: ProgressState { global_step: 22, data_cursor: 44 },
-            pending,
         }
     }
 
@@ -728,7 +704,7 @@ mod tests {
     }
 
     #[test]
-    fn v2_round_trips_every_bit_pattern_with_an_open_window() {
+    fn trainer_state_round_trips_every_bit_pattern() {
         let ckpt = awkward_checkpoint();
         let path = scratch("awkward");
         save_trainer_state(&ckpt, &path).unwrap();
@@ -747,25 +723,16 @@ mod tests {
         assert_eq!(bits(back.adam.v.data()), bits(ckpt.adam.v.data()));
         assert_eq!(back.scaler.scale_bits, ckpt.scaler.scale_bits);
         assert_eq!((back.progress.global_step, back.progress.data_cursor), (22, 44));
-        assert_eq!(back.pending.micro_batches(), 1);
-        let held = |c: &TrainerCheckpoint| -> Vec<(String, Vec<u32>)> {
-            c.pending.held().map(|(e, words)| (e.name().to_string(), bits(words))).collect()
-        };
-        assert_eq!(held(&back), held(&ckpt));
-        assert_eq!(held(&back).len(), ckpt.params.len() - 1, "the gradient-less parameter stays absent");
     }
 
     #[test]
-    fn closed_window_and_unstepped_optimizer_save_as_empty_sections() {
+    fn unstepped_optimizer_saves_as_empty_sections() {
         let mut ckpt = awkward_checkpoint();
-        ckpt.pending = GradAccumulator::new(ParamLayout::of(&ckpt.params));
         ckpt.adam = orbit2_autograd::Adam::new(1e-3).export_state();
         let path = scratch("empty_sections");
         save_trainer_state(&ckpt, &path).unwrap();
         let back = load_trainer_state(&path).unwrap();
         std::fs::remove_file(&path).unwrap();
-        assert_eq!(back.pending.micro_batches(), 0);
-        assert_eq!(back.pending.held().count(), 0);
         assert!(back.adam.layout.is_empty() && back.adam.m.is_empty() && back.adam.v.is_empty());
     }
 
@@ -834,7 +801,7 @@ mod tests {
         let err = load_either_with_section("params", b"[[\"a\",[3]]]\n12345678");
         assert!(err.to_string().contains("indexes 3 elements"), "wrong error: {err}");
         // No index line at all.
-        let err = load_with_section(load_trainer_state, "pending", b"[]");
+        let err = load_with_section(load_trainer_state, "adam.m", b"[]");
         assert!(err.to_string().contains("no index line"), "wrong error: {err}");
     }
 
@@ -842,10 +809,6 @@ mod tests {
     fn duplicate_and_unknown_tensor_names_are_rejected() {
         let err = load_either_with_section("params", b"[[\"a\",[1]],[\"a\",[1]]]\n12345678");
         assert!(err.to_string().contains("duplicated or out of order"), "wrong error: {err}");
-        let err = load_with_section(load_trainer_state, "pending", b"[[\"rogue.weight\",[2]]]\n12345678");
-        assert!(err.to_string().contains("`rogue.weight` is not a parameter"), "wrong error: {err}");
-        let err = load_with_section(load_trainer_state, "pending", b"[[\"xattn.wq\",[2]]]\n12345678");
-        assert!(err.to_string().contains("shape"), "wrong error: {err}");
         let err = load_with_section(load_trainer_state, "adam.v", b"[[\"rogue.weight\",[2]]]\n12345678");
         assert!(err.to_string().contains("not laid out over the parameters"), "wrong error: {err}");
     }

@@ -10,10 +10,11 @@
 //!
 //! The part of a step that is not a model — gradients in, parameters out —
 //! is two parallel sweeps over flat state (`orbit2_autograd::params`): a
-//! reduce that sums the surviving jobs' gradients *in job order* into the
-//! window's arena, scales and finite-checks them, and one Adam update over
-//! the moment arenas. No per-worker partial sums: the result must not
-//! depend on the thread count.
+//! reduce that sums the surviving jobs' gradients *in job order* into one
+//! arena, scales and finite-checks them, and one Adam update over the
+//! moment arenas. No per-worker partial sums: the result must not depend on
+//! the thread count. Every step is one batch — `ddp_replicas` samples, each
+//! cut into its tiles — and ends in exactly one reduce and one update.
 //!
 //! ## Fault tolerance
 //!
@@ -31,10 +32,9 @@
 //!
 //! With `checkpoint_every > 0` and a checkpoint path set, `train` saves a
 //! crash-consistent [`TrainerCheckpoint`] (params, Adam moments, scaler
-//! state, data cursor, the open accumulation window) every N steps, as raw
-//! bytes under per-section checksums;
-//! [`Trainer::resume`] restores it and the continued run is bit-identical
-//! to an uninterrupted one.
+//! state, data cursor) every N steps, as raw bytes under per-section
+//! checksums; [`Trainer::resume`] restores it and the continued run is
+//! bit-identical to an uninterrupted one.
 
 use crate::checkpoint::{
     load_trainer_state, save_trainer_state, validate_layout, ProgressState, TrainerCheckpoint,
@@ -81,8 +81,6 @@ pub struct TrainerConfig {
     /// processed concurrently (threads = simulated DDP ranks) and their
     /// gradients join the same once-per-batch average as the tiles.
     pub ddp_replicas: usize,
-    /// Micro-batches accumulated before each optimizer step.
-    pub grad_accumulation: usize,
     /// Auto-save a full-state checkpoint every N steps during `train`
     /// (0 disables; requires [`Trainer::set_checkpoint_path`]).
     pub checkpoint_every: usize,
@@ -100,7 +98,6 @@ impl Default for TrainerConfig {
             loss: BayesianLossCfg::default(),
             log_every: 10,
             ddp_replicas: 1,
-            grad_accumulation: 1,
             checkpoint_every: 0,
         }
     }
@@ -155,8 +152,8 @@ pub struct Trainer {
     opt: Adam,
     scaler: GradScaler,
     cfg: TrainerConfig,
-    /// The open gradient-accumulation window: one running-sum arena.
-    pending: GradAccumulator,
+    /// The step's reduced gradient: scratch between steps.
+    grads: GradAccumulator,
     /// Deterministic fault-injection schedule (empty unless armed via
     /// [`Trainer::set_fault_plan`] or `ORBIT2_FAULT_PLAN`).
     fault_plan: FaultPlan,
@@ -164,7 +161,7 @@ pub struct Trainer {
     fault_log: Vec<FaultEvent>,
     /// Skipped optimizer steps since the last report, drained by `train`.
     skip_log: Vec<(usize, SkipReason)>,
-    /// Micro-batch steps taken over the trainer's lifetime (resumes count).
+    /// Steps taken over the trainer's lifetime (resumes count).
     global_step: usize,
     /// Position of the data cursor in the training split.
     cursor: usize,
@@ -189,14 +186,14 @@ impl Trainer {
         let opt = Adam::new(cfg.lr).with_weight_decay(1e-5);
         // A short growth interval exercises the scaler during small runs.
         let scaler = GradScaler::new(1024.0).with_growth_interval(200);
-        let pending = GradAccumulator::new(ParamLayout::of(&model.params));
+        let grads = GradAccumulator::new(ParamLayout::of(&model.params));
         Self {
             model,
             normalizer,
             opt,
             scaler,
             cfg,
-            pending,
+            grads,
             fault_plan: FaultPlan::from_env().unwrap_or_default(),
             fault_log: Vec::new(),
             skip_log: Vec::new(),
@@ -228,7 +225,7 @@ impl Trainer {
         self.checkpoint_path = Some(path.into());
     }
 
-    /// Micro-batch steps taken so far (survives save/resume).
+    /// Steps taken so far (survives save/resume).
     pub fn global_step(&self) -> usize {
         self.global_step
     }
@@ -246,7 +243,6 @@ impl Trainer {
                 global_step: self.global_step as u64,
                 data_cursor: self.cursor as u64,
             },
-            pending: self.pending.clone(),
         }
     }
 
@@ -257,10 +253,10 @@ impl Trainer {
 
     /// Restore a trainer from a full-state checkpoint. The continued run is
     /// bit-identical to one that never stopped: parameters, Adam moments
-    /// and step count, scaler state, data cursor and pending accumulation
-    /// all resume exactly. The normalizer is refitted from `dataset`
-    /// (deterministic), and optimizer/scaler hyper-parameters come from
-    /// `cfg`, exactly as in [`Trainer::new`].
+    /// and step count, scaler state and data cursor all resume exactly. The
+    /// normalizer is refitted from `dataset` (deterministic), and
+    /// optimizer/scaler hyper-parameters come from `cfg`, exactly as in
+    /// [`Trainer::new`].
     pub fn resume(
         dataset: &DownscalingDataset,
         cfg: TrainerConfig,
@@ -275,7 +271,6 @@ impl Trainer {
         trainer.scaler.import_state(&ckpt.scaler);
         trainer.global_step = ckpt.progress.global_step as usize;
         trainer.cursor = ckpt.progress.data_cursor as usize;
-        trainer.pending = ckpt.pending;
         Ok(trainer)
     }
 
@@ -287,7 +282,7 @@ impl Trainer {
     }
 
     /// Like [`Trainer::train`] but stop after at most `max_steps`
-    /// micro-batches this call, leaving the run resumable. The learning-rate
+    /// steps this call, leaving the run resumable. The learning-rate
     /// schedule still spans the full `cfg.steps` horizon, so driving
     /// training in slices is bit-identical to one uninterrupted call.
     pub fn train_for(&mut self, dataset: &DownscalingDataset, max_steps: usize) -> TrainReport {
@@ -350,14 +345,26 @@ impl Trainer {
         self.step_batch(&[(input, target)], lat_field, factor)
     }
 
-    /// One micro-batch: every (replica, tile) pair runs forward/backward on
-    /// its own thread (its own simulated GPU) behind `catch_unwind`
-    /// isolation; surviving gradients join a single average — the combined
-    /// DDP x TILES all-reduce, renormalized over survivors when jobs were
-    /// dropped. The optimizer applies once every `grad_accumulation`
-    /// micro-batches.
+    /// One step: every (replica, tile) pair runs forward/backward on its
+    /// own thread (its own simulated GPU) behind `catch_unwind` isolation;
+    /// surviving gradients join a single average — the combined DDP x
+    /// TILES all-reduce, renormalized over survivors when jobs were
+    /// dropped — and the optimizer applies it once.
+    ///
+    /// # Panics
+    /// Panics with [`check_tiling`]'s `BadTiling` message when the model
+    /// cannot take the configured tiles of a sample's grid, as
+    /// [`Trainer::new`] does for the dataset it is given: `train`,
+    /// `train_for` and `step` may be handed another grid.
     fn step_batch(&mut self, samples: &[(&Tensor, &Tensor)], lat_field: &Tensor, factor: usize) -> Option<f32> {
         assert!(!samples.is_empty(), "empty batch");
+        let spec = self.cfg.tile_spec.unwrap_or(WHOLE);
+        for (input, _) in samples {
+            let (h, w) = (input.shape()[1], input.shape()[2]);
+            if let Err(e) = check_tiling(&self.model, h, w, spec) {
+                panic!("{e}");
+            }
+        }
         let step = self.global_step;
         self.global_step += 1;
         let survivors = self.run_jobs(step, samples, lat_field, factor);
@@ -370,7 +377,7 @@ impl Trainer {
         self.apply_gradients(step, &maps).then_some(mean_loss)
     }
 
-    /// Forward/backward of every (replica, tile) job of one micro-batch,
+    /// Forward/backward of every (replica, tile) job of one step,
     /// isolated and retried; returns the survivors' `(loss, gradients)` in
     /// job order. Every handle onto the parameters taken here (the BF16
     /// copy, the tapes' leaves) is gone when this returns, so the update
@@ -506,21 +513,16 @@ impl Trainer {
         outcomes.into_iter().flatten().collect()
     }
 
-    /// The DDP x TILES gradient all-reduce over the surviving jobs, and at
-    /// the end of an accumulation window the optimizer step: one reduce
-    /// sweep (sum in job order, mean over the jobs, onto the window's
-    /// running sum, mean over the window, unscale, finite check) and, only
-    /// if every element came out finite, one Adam sweep. Dropping a job
-    /// renormalizes the average over those that remain. Returns false when
-    /// the step was skipped (and logged); a skipped step leaves parameters
-    /// and optimizer state untouched.
+    /// The DDP x TILES gradient all-reduce over the surviving jobs and the
+    /// optimizer step: one reduce sweep (sum in job order, mean over the
+    /// jobs, unscale, finite check) and, only if every element came out
+    /// finite, one Adam sweep. Dropping a job renormalizes the average over
+    /// those that remain. Returns false when the step was skipped (and
+    /// logged); a skipped step leaves parameters and optimizer state
+    /// untouched.
     fn apply_gradients(&mut self, step: usize, jobs: &[GradMap]) -> bool {
-        if self.pending.micro_batches() + 1 < self.cfg.grad_accumulation.max(1) {
-            self.pending.accumulate(jobs);
-            return true;
-        }
         let unscale = self.cfg.bf16.then(|| 1.0 / self.scaler.scale());
-        let finite = self.pending.finish(jobs, unscale);
+        let finite = self.grads.finish(jobs, unscale);
         if self.cfg.bf16 {
             self.scaler.record(finite);
         }
@@ -530,7 +532,7 @@ impl Trainer {
             self.skip_log.push((step, reason));
             return false;
         }
-        self.opt.step_accumulated(&mut self.model.params, &self.pending);
+        self.opt.step_accumulated(&mut self.model.params, &self.grads);
         true
     }
 }
@@ -561,6 +563,17 @@ mod tests {
         // does not divide. Every job would fail, every step be skipped.
         let cfg = TrainerConfig { tile_spec: Some(TileSpec { tiles_y: 3, tiles_x: 2, halo: 1 }), ..quick_cfg() };
         let _ = Trainer::new(tiny_model(), &dataset(), cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot be split into 2x2 tiles with halo 1")]
+    fn refuses_a_tiling_the_model_cannot_take_on_a_later_grid() {
+        // 2x2 tiles with halo 1 fit the 4x8 coarse grid `new` sees, but not
+        // the 6x8 one `train` is handed: its 3-pixel tile cores pad to 5.
+        let cfg = TrainerConfig { tile_spec: Some(TileSpec { tiles_y: 2, tiles_x: 2, halo: 1 }), ..quick_cfg() };
+        let mut t = Trainer::new(tiny_model(), &dataset(), cfg);
+        let other = DownscalingDataset::new(LatLonGrid::conus(24, 32), VariableSet::daymet_like(), 4, 24, 5);
+        t.train(&other);
     }
 
     #[test]
@@ -642,29 +655,6 @@ mod tests {
         assert_eq!(report.final_loss, None);
         assert_eq!(report.completed_steps, 0);
         assert!(report.losses.is_empty());
-    }
-
-    #[test]
-    fn grad_accumulation_defers_optimizer_steps() {
-        let ds = dataset();
-        let model = tiny_model();
-        let before = model.params.get("xattn.wq").clone();
-        let mut t = Trainer::new(
-            model,
-            &ds,
-            TrainerConfig { grad_accumulation: 3, steps: 2, ..quick_cfg() },
-        );
-        // Two micro-batches < accumulation window: parameters untouched.
-        t.train(&ds);
-        assert_eq!(before.data(), t.model.params.get("xattn.wq").data());
-        // A third micro-batch triggers the optimizer.
-        let s = ds.sample(0);
-        let lat = Tensor::from_vec(
-            vec![ds.fine_grid().h, ds.fine_grid().w],
-            ds.fine_grid().latitude_weight_field(),
-        );
-        t.step(&s.input, &s.target, &lat, ds.factor);
-        assert!(before.max_abs_diff(t.model.params.get("xattn.wq")) > 0.0);
     }
 
     #[test]

@@ -163,7 +163,7 @@ jq -r '
 ' "$OUT_JSON"
 
 # The training step's non-math, same snapshot: the trainer's two sweeps
-# (reduce into the accumulation arena + Adam over the moment arenas) against
+# (reduce into the gradient arena + Adam over the moment arenas) against
 # the sequential composition they replaced, on the same gradients.
 jq -r '
     .[-1].runs[0].results
@@ -172,7 +172,7 @@ jq -r '
 ' "$OUT_JSON"
 
 # Checkpoints, same snapshot: a model checkpoint is the first two of the
-# full state's seven sections, over the same 5M-parameter store: a third of
+# full state's six sections, over the same 5M-parameter store: a third of
 # the bytes. The save reads about 0.8x, not 0.33x (both pay the same two
 # syncs), and the load about 2x: `load_model` validates the layout against
 # a freshly built reference model, which `load_trainer_state` leaves to

@@ -12,7 +12,7 @@
 # autograd crates may call libm's `exp`, `tanh` or `exp_m1` (`mod tests`,
 # which holds the libm comparison `simd::exp` is measured by, closes each file).
 #
-# JSON checkpoint gate: `ORBIT2CKPT v2` is the only on-disk tensor format, so
+# JSON checkpoint gate: the `ORBIT2CKPT` container is the only on-disk tensor format, so
 # outside test modules nothing under the autograd crate or in
 # `crates/core/src/checkpoint.rs` may name `params.json`, define a
 # `struct Snapshot`, or `serde_json::to_string` a parameter store or tensor.
@@ -111,13 +111,13 @@ if [[ -n "$libm" ]]; then
     exit 1
 fi
 # One on-disk tensor format (DESIGN.md §8): the JSON float-text model
-# checkpoint must not come back beside the v2 container.
+# checkpoint must not come back beside the `ORBIT2CKPT` container.
 json_ckpt="$(for f in crates/autograd/src/*.rs crates/core/src/checkpoint.rs; do
     awk -v f="$f" '/^mod tests \{/ { exit }
         /params\.json|struct Snapshot|serde_json::to_string[_a-z]*\([^)]*([Pp]aram|[Ss]tore|[Tt]ensor)/ { print f ":" FNR ": " $0 }' "$f"
 done)"
 if [[ -n "$json_ckpt" ]]; then
-    echo "lint: a JSON tensor checkpoint outside a test module (write a v2 tensor section, crates/core/src/checkpoint.rs):" >&2
+    echo "lint: a JSON tensor checkpoint outside a test module (write an ORBIT2CKPT tensor section, crates/core/src/checkpoint.rs):" >&2
     echo "$json_ckpt" >&2
     exit 1
 fi
