@@ -1,10 +1,11 @@
 //! Fused neural-network ops with hand-written adjoints: linear layers,
-//! attention, layer normalization, 2-d convolution, bilinear resize and
+//! attention, layer normalization, 2-d convolution, the convolution tail
+//! (bilinear upsample, then convolution, as one node), bilinear resize and
 //! token pooling.
 
 use crate::tape::Var;
 use orbit2_tensor::attention::multi_head_attention;
-use orbit2_tensor::conv::{conv2d, conv2d_grad_bias, conv2d_grad_input, conv2d_grad_weight, ConvGeom};
+use orbit2_tensor::conv::{conv2d, conv2d_grad_bias, conv2d_grad_input, conv2d_grad_weight, upsample_conv2d, ConvGeom};
 use orbit2_tensor::fused::{act_backward, layer_norm_rows, matmul_bias_act, Activation};
 use orbit2_tensor::pool;
 use orbit2_tensor::resize::{bilinear_taps, resize, ResizeMode};
@@ -169,12 +170,34 @@ impl<'t> Var<'t> {
 
     /// 2-d convolution: `self [N,C,H,W] * weight [O,C,KH,KW] (+ bias [O])`.
     pub fn conv2d(&self, weight: Var<'t>, bias: Option<Var<'t>>, geom: ConvGeom) -> Var<'t> {
+        self.conv_node(None, weight, bias, geom)
+    }
+
+    /// A convolution tail, `self.resize_bilinear(oh, ow).conv2d(w, bias,
+    /// geom)` as one node, bit for bit in value and gradients. The forward
+    /// is the session's banded kernel ([`upsample_conv2d`]), which never
+    /// builds the upsampled image; backward rebuilds it once for the weight
+    /// gradient. The tape stores the resize node's lone contribution as it
+    /// is, so folding that node away drops no rounding.
+    pub fn upsample_conv(&self, oh: usize, ow: usize, w: Var<'t>, bias: Option<Var<'t>>, geom: ConvGeom) -> Var<'t> {
+        self.conv_node(Some((oh, ow)), w, bias, geom)
+    }
+
+    /// The node of [`Var::conv2d`] and, with `up` the bilinear resize target
+    /// of `self`, of [`Var::upsample_conv`]: the composition's adjoints in
+    /// its order, the resize's last.
+    fn conv_node(&self, up: Option<(usize, usize)>, weight: Var<'t>, bias: Option<Var<'t>>, geom: ConvGeom) -> Var<'t> {
         let x = self.value();
         let w = weight.value();
         let bt = bias.map(|b| b.value());
-        let y = conv2d(&x, &w, bt.as_ref(), geom);
+        let y = match up {
+            Some((oh, ow)) => upsample_conv2d(&x, oh, ow, &w, bt.as_ref(), geom),
+            None => conv2d(&x, &w, bt.as_ref(), geom),
+        };
+        let (in_h, in_w) = (x.shape()[2], x.shape()[3]);
+        let (oh, ow) = up.unwrap_or((in_h, in_w));
         let (xid, wid) = (self.id(), weight.id());
-        let x_shape = x.shape().to_vec();
+        let conv_shape = [x.shape()[0], x.shape()[1], oh, ow];
         let w_shape = w.shape().to_vec();
         // The tape drops gradients of untracked parents, so an operand that
         // is a constant (the residual path's input) gets none computed.
@@ -185,14 +208,16 @@ impl<'t> Var<'t> {
             x_tracked || w_tracked || bid.is_some(),
             Box::new(move |g| {
                 let mut grads = Vec::with_capacity(3);
-                if x_tracked {
-                    grads.push((xid, conv2d_grad_input(g, &w, &x_shape, geom)));
-                }
                 if w_tracked {
-                    grads.push((wid, conv2d_grad_weight(g, &x, &w_shape, geom)));
+                    let img = if up.is_some() { resize(&x, oh, ow, ResizeMode::Bilinear) } else { x.clone() };
+                    grads.push((wid, conv2d_grad_weight(g, &img, &w_shape, geom)));
                 }
                 if let Some(bid) = bid {
                     grads.push((bid, conv2d_grad_bias(g)));
+                }
+                if x_tracked {
+                    let gx = conv2d_grad_input(g, &w, &conv_shape, geom);
+                    grads.push((xid, if up.is_some() { bilinear_adjoint(&gx, in_h, in_w) } else { gx }));
                 }
                 grads
             }),
@@ -562,6 +587,97 @@ mod tests {
         let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&gw_const), bits(&gw_leaf));
         assert_eq!(bits(&gb_const), bits(&gb_leaf));
+    }
+
+    /// The value and the input, weight and bias gradients, as bits, of a
+    /// convolution tail as one node or as `resize_bilinear → conv2d`, under
+    /// the upstream gradient `ops[3]`. An untracked input has no gradient.
+    fn tail_bits(ops: [&Tensor; 4], up: (usize, usize), geom: ConvGeom, x_tracked: bool, node: bool) -> [Vec<u32>; 4] {
+        let tape = Tape::new();
+        let x = if x_tracked { tape.leaf(ops[0].clone()) } else { tape.constant(ops[0].clone()) };
+        let (w, b) = (tape.leaf(ops[1].clone()), tape.leaf(ops[2].clone()));
+        let y = if node {
+            x.upsample_conv(up.0, up.1, w, Some(b), geom)
+        } else {
+            x.resize_bilinear(up.0, up.1).conv2d(w, Some(b), geom)
+        };
+        // `sum(y ⊙ g)` hands `y` the gradient `1.0 × g`: `g`, bit for bit.
+        let grads = tape.backward(y.mul(tape.constant(ops[3].clone())).sum());
+        let bits = |t: Option<&Tensor>| t.map_or(Vec::new(), |t| t.data().iter().map(|x| x.to_bits()).collect());
+        [bits(Some(&y.value())), bits(grads.get(x)), bits(grads.get(w)), bits(grads.get(b))]
+    }
+
+    #[test]
+    fn upsample_conv_node_is_the_composition_bitwise() {
+        let same3 = ConvGeom::same(3);
+        // (n, c, o, h, w, out_h, out_w, geometry): the banded kernel's own
+        // cases (`upsample_conv_is_bit_identical_to_resize_then_conv`),
+        // across its 8-row bands, 24/32-pixel strips and channel blocks.
+        let cases = [
+            (1, 64, 3, 17, 20, 68, 80, same3),
+            (1, 5, 7, 2, 9, 5, 37, same3),
+            (2, 1, 5, 6, 7, 24, 28, same3),
+            (2, 3, 3, 7, 11, 19, 26, same3),
+            (1, 4, 2, 20, 33, 9, 14, same3),
+            (1, 2, 4, 1, 9, 6, 31, same3),
+            (1, 3, 3, 8, 1, 17, 1, same3),
+            (1, 2, 1, 1, 1, 1, 1, same3),
+            (1, 3, 4, 5, 6, 11, 13, ConvGeom::same(1)),
+            (1, 3, 3, 5, 6, 18, 21, ConvGeom::same(5)),
+            (1, 2, 5, 4, 4, 12, 30, ConvGeom { kh: 3, kw: 3, pad: 0 }),
+            (1, 2, 3, 4, 4, 10, 9, ConvGeom { kh: 1, kw: 3, pad: 2 }),
+        ];
+        for (i, &(n, c, o, h, w, oh, ow, g)) in cases.iter().enumerate() {
+            let seed = 200 + 4 * i as u64;
+            let (x, wt, b) = (randn(&[n, c, h, w], seed), randn(&[o, c, g.kh, g.kw], seed + 1), randn(&[o], seed + 2));
+            let (yh, yw) = (oh + 2 * g.pad + 1 - g.kh, ow + 2 * g.pad + 1 - g.kw);
+            let gy = randn(&[n, o, yh, yw], seed + 3);
+            for x_tracked in [true, false] {
+                let ops = [&x, &wt, &b, &gy];
+                let [node, composed] = [true, false].map(|node| tail_bits(ops, (oh, ow), g, x_tracked, node));
+                assert_eq!(node[1].is_empty(), !x_tracked, "case {i}: an untracked input has no gradient");
+                for (what, (a, b)) in ["value", "dx", "dw", "db"].iter().zip(node.iter().zip(&composed)) {
+                    let at = a.iter().zip(b).position(|(x, y)| x != y);
+                    let ok = a.len() == b.len() && at.is_none();
+                    assert!(ok, "case {i} (x tracked {x_tracked}): {what} differs at {at:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_minus_zero_upsampled_gradient_is_kept_as_it_is() {
+        // A gradient of `TINY` under small positive weights: each FMA of the
+        // input gradient's tap chain rounds to −0.0 from a +0.0 accumulator,
+        // so the upsampled image's gradient holds −0.0 away from its border.
+        // The composition's tape stores that lone contribution as it is, and
+        // the node hands it to the resize's adjoint as it is.
+        let (x, up, g) = (randn(&[1, 2, 3, 4], 51), (9, 13), ConvGeom::same(3));
+        let wt = randn(&[3, 2, 3, 3], 52).map(|v| 0.1 * v.abs() + 0.01);
+        let (b, gy) = (randn(&[3], 53), Tensor::full(vec![1, 3, 9, 13], TINY));
+        if cfg!(target_feature = "fma") {
+            let tape = Tape::new();
+            let xv = tape.leaf(x.clone());
+            let img = xv.resize_bilinear(up.0, up.1);
+            let y = img.conv2d(tape.leaf(wt.clone()), Some(tape.leaf(b.clone())), g);
+            let grads = tape.backward(y.mul(tape.constant(gy.clone())).sum());
+            let gimg = grads.get(img).unwrap().data().to_vec();
+            let minus_zero = gimg.iter().filter(|v| v.to_bits() == (-0.0f32).to_bits()).count();
+            assert!(minus_zero >= 2 * 7 * 11, "only {minus_zero} elements of the upsampled gradient are -0.0");
+        }
+        let [node, composed] = [true, false].map(|node| tail_bits([&x, &wt, &b, &gy], up, g, true, node));
+        assert_eq!(node, composed);
+    }
+
+    #[test]
+    fn upsample_conv_grads_match_fd() {
+        let geom = ConvGeom::same(3);
+        check_gradients(
+            &[vec![1, 2, 3, 4], vec![3, 2, 3, 3], vec![3]],
+            move |_t, v| v[0].upsample_conv(7, 9, v[1], Some(v[2]), geom).square().sum(),
+            3e-2,
+            26,
+        );
     }
 
     #[test]

@@ -264,8 +264,7 @@ impl Span for ReduceSpan<'_> {
 
 /// The gradient reduce: per element, in this order,
 /// `x = (((g₀ + g₁) + …) + gₙ₋₁) · inv_jobs` over the jobs in *job order*,
-/// then `x ·= post` if given, then the finite check, then the store. With
-/// no jobs the element itself is `x` (an in-place scale and check).
+/// then `x ·= post` if given, then the finite check, then the store.
 ///
 /// The order is a contract. Summing in job order rather than in a
 /// per-worker tree keeps the bits independent of the thread count —
@@ -295,24 +294,21 @@ impl Reduce<'_> {
 
     fn span(&self, span: ReduceSpan<'_>) -> bool {
         let srcs = &self.srcs[span.tensor * self.jobs..][..self.jobs];
+        let (first, rest) = srcs.split_first().expect("a reduce has at least one job");
         let inv_jobs = 1.0 / self.jobs as f32;
         let mut block = [0.0f32; REDUCE_BLOCK];
         let mut finite = true;
         for (b, dst) in span.dst.chunks_mut(REDUCE_BLOCK).enumerate() {
             let at = span.start + b * REDUCE_BLOCK;
             let acc = &mut block[..dst.len()];
-            if let Some((first, rest)) = srcs.split_first() {
-                acc.copy_from_slice(&first[at..at + dst.len()]);
-                for src in rest {
-                    for (a, &g) in acc.iter_mut().zip(&src[at..at + dst.len()]) {
-                        *a += g;
-                    }
+            acc.copy_from_slice(&first[at..at + dst.len()]);
+            for src in rest {
+                for (a, &g) in acc.iter_mut().zip(&src[at..at + dst.len()]) {
+                    *a += g;
                 }
-                for a in acc.iter_mut() {
-                    *a *= inv_jobs;
-                }
-            } else {
-                acc.copy_from_slice(dst);
+            }
+            for a in acc.iter_mut() {
+                *a *= inv_jobs;
             }
             if let Some(s) = self.post {
                 for a in acc.iter_mut() {
@@ -453,18 +449,24 @@ mod tests {
 
     #[test]
     fn sweep_touches_every_element_exactly_once() {
-        // Doubling in place shows a skipped element (1.0) or a repeated one
-        // (4.0). Lengths: empty, below the fork threshold, and long enough
+        // A one-job reduce that doubles: element `i` of a tensor reads
+        // `i + 1` and stores `2i + 2`. A skipped element keeps its NaN, and
+        // a span cut at the wrong source offset stores another element's
+        // double. Lengths: empty, below the fork threshold, and long enough
         // that share boundaries fall inside tensors.
         for lens in [vec![0, 5, 1], vec![3, 0, 70_000, 1, 65_536, 0, 9], vec![200_001]] {
-            let mut tensors: Vec<Vec<f32>> = lens.iter().map(|&n| vec![1.0; n]).collect();
+            let srcs: Vec<Vec<f32>> = lens.iter().map(|&n| (1..=n).map(|i| i as f32).collect()).collect();
+            let mut tensors: Vec<Vec<f32>> = lens.iter().map(|&n| vec![f32::NAN; n]).collect();
             let spans = tensors
                 .iter_mut()
-                .map(|t| ReduceSpan { dst: t.as_mut_slice(), tensor: 0, start: 0 })
+                .enumerate()
+                .map(|(tensor, t)| ReduceSpan { dst: t.as_mut_slice(), tensor, start: 0 })
                 .collect();
-            let double = Reduce { srcs: Vec::new(), jobs: 0, post: Some(2.0) };
+            let double = Reduce { srcs: srcs.iter().map(Vec::as_slice).collect(), jobs: 1, post: Some(2.0) };
             assert!(double.run(spans));
-            assert!(tensors.iter().flatten().all(|&x| x == 2.0), "lens {lens:?}");
+            for (t, s) in tensors.iter().zip(&srcs) {
+                assert!(t.iter().zip(s).all(|(&x, &v)| x == 2.0 * v), "lens {lens:?}");
+            }
         }
     }
 

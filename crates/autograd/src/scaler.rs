@@ -7,7 +7,6 @@
 //! scale halves, otherwise the scale doubles every `growth_interval` good
 //! steps.
 
-use crate::params::{GradMap, Reduce, ReduceSpan};
 use serde::{Deserialize, Serialize};
 
 /// Dynamic loss/gradient scaler.
@@ -69,25 +68,11 @@ impl GradScaler {
         self.skipped_steps = state.skipped_steps;
     }
 
-    /// Unscale gradients in place and report whether they are all finite.
-    ///
-    /// When `false` is returned the step must be skipped (the scaler has
-    /// already backed off its scale).
-    pub fn unscale_and_check(&mut self, grads: &mut GradMap) -> bool {
-        let spans = grads
-            .values_mut()
-            .map(|g| ReduceSpan { dst: g.data_mut(), tensor: 0, start: 0 })
-            .collect();
-        let unscale = Reduce { srcs: Vec::new(), jobs: 0, post: Some(1.0 / self.scale) };
-        let finite = unscale.run(spans);
-        self.record(finite);
-        finite
-    }
-
     /// Account for one unscaled step: grow the scale after
     /// `growth_interval` finite steps in a row, back it off after a
-    /// non-finite one. For callers that fold the unscale (`1 / scale`) into
-    /// their own reduce, as the trainer does.
+    /// non-finite one. The caller unscales: the trainer folds `1 / scale`
+    /// into its gradient reduce (`GradAccumulator::finish`) and passes on
+    /// whether every element came out finite.
     pub fn record(&mut self, finite: bool) {
         if finite {
             self.good_steps += 1;
@@ -117,69 +102,51 @@ pub struct ScalerState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use orbit2_tensor::Tensor;
-
-    fn grads_with(values: Vec<f32>) -> GradMap {
-        let mut g = GradMap::new();
-        let n = values.len();
-        g.insert("w".into(), Tensor::from_vec(vec![n], values));
-        g
-    }
-
-    #[test]
-    fn unscale_divides_by_scale() {
-        let mut s = GradScaler::new(4.0);
-        let mut g = grads_with(vec![8.0, -2.0]);
-        assert!(s.unscale_and_check(&mut g));
-        assert_eq!(g["w"].data(), &[2.0, -0.5]);
-    }
 
     #[test]
     fn non_finite_backs_off_and_skips() {
         let mut s = GradScaler::new(1024.0);
-        let mut g = grads_with(vec![f32::INFINITY, 1.0]);
-        assert!(!s.unscale_and_check(&mut g));
+        s.record(false);
         assert_eq!(s.scale(), 512.0);
         assert_eq!(s.skipped_steps, 1);
-        let mut g = grads_with(vec![f32::NAN]);
-        assert!(!s.unscale_and_check(&mut g));
+        s.record(false);
         assert_eq!(s.scale(), 256.0);
+        assert_eq!(s.skipped_steps, 2);
     }
 
     #[test]
     fn growth_after_interval() {
         let mut s = GradScaler::new(2.0).with_growth_interval(3);
-        for _ in 0..3 {
-            let mut g = grads_with(vec![1.0]);
-            assert!(s.unscale_and_check(&mut g));
+        for _ in 0..2 {
+            s.record(true);
         }
+        assert_eq!(s.scale(), 2.0);
+        s.record(true);
         assert_eq!(s.scale(), 4.0);
     }
 
     #[test]
     fn scale_floors_at_one() {
         let mut s = GradScaler::new(1.0);
-        let mut g = grads_with(vec![f32::NAN]);
-        s.unscale_and_check(&mut g);
-        assert!(s.scale() >= 1.0);
+        s.record(false);
+        assert_eq!(s.scale(), 1.0);
     }
 
     #[test]
     fn state_round_trip_preserves_growth_progress() {
         let mut s = GradScaler::new(2.0).with_growth_interval(3);
-        let mut g = grads_with(vec![1.0]);
-        assert!(s.unscale_and_check(&mut g));
-        let mut g = grads_with(vec![f32::NAN]);
-        assert!(!s.unscale_and_check(&mut g));
+        s.record(true);
+        s.record(false);
+        s.record(true);
         let saved = s.export_state();
         let mut restored = GradScaler::new(65536.0).with_growth_interval(3);
         restored.import_state(&saved);
         assert_eq!(restored.scale(), s.scale());
         assert_eq!(restored.skipped_steps, 1);
-        // Growth progress continues exactly where it left off.
-        for _ in 0..3 {
-            let mut g = grads_with(vec![1.0]);
-            assert!(restored.unscale_and_check(&mut g));
+        // Growth progress continues exactly where it left off: one good
+        // step is banked, so two more double the scale.
+        for _ in 0..2 {
+            restored.record(true);
         }
         assert_eq!(restored.scale(), s.scale() * 2.0);
     }

@@ -1,8 +1,9 @@
 //! Substrate kernel benchmarks: the GEMM driver, the unit-stride
-//! transposes, attention (reference, session kernel, tape node), conv2d, Canny + quad-tree construction (the CPU-side cost the
-//! compression model charges for), FFT, the synthetic field generator and
-//! one dataset sample, and the training step's non-math (gradient reduce +
-//! Adam, checkpoint I/O).
+//! transposes, attention (reference, session kernel, tape node), conv2d,
+//! the convolution tail (kernel, tape node), Canny + quad-tree construction
+//! (the CPU-side cost the compression model charges for), FFT, the
+//! synthetic field generator and one dataset sample, and the training
+//! step's non-math (gradient reduce + Adam, checkpoint I/O).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use orbit2::checkpoint::{
@@ -191,7 +192,7 @@ fn bench_fused_linear(c: &mut Criterion) {
     group.finish();
 }
 
-/// `Exec::attention`'s default body, the composition the tape runs, in
+/// `Exec::attention`'s default body, the composition both contexts replaced, in
 /// tensor ops: per head a slice of each operand, then `matmul_nt →
 /// mul_scalar → softmax_last → matmul`, then a concat.
 fn composed_attention(q: &Tensor, k: &Tensor, v: &Tensor, heads: usize) -> Tensor {
@@ -475,12 +476,14 @@ fn bench_conv_model(c: &mut Criterion) {
     group.finish();
 }
 
-/// The convolution tail as the session runs it (`banded`: one
-/// `upsample_conv2d`, no upsampled image) against the composition the tape
-/// runs (`composed`: `resize` then `conv2d`), on the same operands: a
-/// `tiles-field` tile's 64→3 at 68² → 272², and the `serve-wire` decoder's
-/// 16→3 at 32×64 → 128×256. `scripts/bench_smoke.sh` prints banded ÷
-/// composed.
+/// The convolution tail's kernel (`banded`: one `upsample_conv2d`, no
+/// upsampled image) against the composition it replaced (`composed`:
+/// `resize` then `conv2d`), on the same operands: a `tiles-field` tile's
+/// 64→3 at 68² → 272², and the `serve-wire` decoder's 16→3 at 32×64 →
+/// 128×256. Then the same tails forward and backward on a fresh tape: the
+/// tape's node (`tape/node`, `Var::upsample_conv`) beside the composition
+/// it replaced (`tape/composed`). `scripts/bench_smoke.sh` prints banded ÷
+/// composed and node ÷ composed.
 fn bench_upsample_conv(c: &mut Criterion) {
     let g = ConvGeom::same(3);
     let mut group = c.benchmark_group("upsample_conv");
@@ -495,6 +498,21 @@ fn bench_upsample_conv(c: &mut Criterion) {
         group.bench_function(BenchmarkId::new("composed", name), |bench| {
             bench.iter(|| conv2d(&resize(&x, 4 * h, 4 * w, ResizeMode::Bilinear), &wt, Some(&b), g))
         });
+        for (cell, node) in [("tape/node", true), ("tape/composed", false)] {
+            group.bench_function(BenchmarkId::new(cell, name), |bench| {
+                bench.iter(|| {
+                    let tape = Tape::new();
+                    let [xv, wv, bv] = [&x, &wt, &b].map(|t| tape.leaf(t.clone()));
+                    let y = if node {
+                        xv.upsample_conv(4 * h, 4 * w, wv, Some(bv), g)
+                    } else {
+                        xv.resize_bilinear(4 * h, 4 * w).conv2d(wv, Some(bv), g)
+                    };
+                    let grads = tape.backward(y.sum());
+                    grads.get(xv).map(|t| t.data()[0])
+                })
+            });
+        }
     }
     group.finish();
 }

@@ -114,8 +114,6 @@ pub struct TrainReport {
     /// Steps that produced a loss (survived isolation and, for optimizer
     /// boundaries, were not skipped).
     pub completed_steps: usize,
-    /// Steps skipped by the gradient scaler (non-finite gradients).
-    pub skipped_steps: u64,
     /// Every skipped optimizer step with why it was skipped — a skipped
     /// batch is recorded, never silently lost.
     pub skipped: Vec<(usize, SkipReason)>,
@@ -201,16 +199,6 @@ impl Trainer {
             cursor: 0,
             checkpoint_path: None,
         }
-    }
-
-    /// The model in its current training state.
-    pub fn model(&self) -> &ReslimModel {
-        &self.model
-    }
-
-    /// The normalizer fitted at construction.
-    pub fn normalizer(&self) -> &Normalizer {
-        &self.normalizer
     }
 
     /// Arm (or disarm, with [`FaultPlan::none`]) deterministic fault
@@ -333,7 +321,6 @@ impl Trainer {
             losses,
             final_loss,
             completed_steps,
-            skipped_steps: self.scaler.skipped_steps,
             skipped: std::mem::take(&mut self.skip_log),
             faults: std::mem::take(&mut self.fault_log),
         }

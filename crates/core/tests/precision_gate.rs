@@ -35,7 +35,7 @@ fn reduced_precision_sessions_stay_within_tolerance() {
     let mut trainer = Trainer::new(model, &ds, cfg);
     trainer.train(&ds);
 
-    let (model, norm) = (trainer.model(), trainer.normalizer());
+    let (model, norm) = (&trainer.model, &trainer.normalizer);
     let test_idx = ds.indices(Split::Test);
     let base = evaluate_model(model, norm, &ds, &test_idx, None, 1.0).unwrap();
     for precision in SessionPrecision::ALL.into_iter().filter(|&p| p != SessionPrecision::F32) {

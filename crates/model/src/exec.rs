@@ -10,32 +10,27 @@
 //! weights read in place or packed once per session instead of once per
 //! call.
 //!
-//! Both implementations route each op but two through the *same*
-//! underlying `orbit2-tensor` kernel (the `Var` forwards are thin wrappers
-//! over them), so for identical inputs the two contexts produce
-//! bit-identical outputs — the property `tests/tape_free.rs` locks in.
+//! Both implementations route every op through the *same* underlying
+//! `orbit2-tensor` kernel (the `Var` forwards are thin wrappers over them),
+//! so for identical inputs the two contexts produce bit-identical outputs —
+//! the property `tests/tape_free.rs` locks in.
 //!
-//! The two are the composites, ops whose default body is a composition of
-//! the ops above them; an override runs one kernel that never builds the
-//! composition's largest intermediate. The contract an override keeps is
-//! the same one: every output bit equals the composition's (and, on the
-//! tape, every gradient bit).
-//!
-//! * [`Exec::attention`] is the per-head composition; both contexts
-//!   override it. The session runs one blocked kernel
-//!   (`orbit2_tensor::attention::multi_head_attention`) that never holds a
-//!   whole score matrix, bit-equal at any head count and token count
-//!   (across the kernel's block boundaries); the tensor crate checks it
-//!   against `naive_attention` per head. The tape records one node,
-//!   `Var::attention`, whose forward is that kernel and whose backward
-//!   recomputes each head's probabilities; the autograd crate checks its
-//!   value and gradients against the composition on the tape.
-//! * [`Exec::upsample_conv`] is `resize_bilinear → conv2d`, which the tape
-//!   runs and differentiates as it is; the session runs
-//!   `orbit2_tensor::conv::upsample_conv2d`, which interpolates each
-//!   band's padded rows into its scratch and never builds the upsampled
-//!   image. The tensor crate checks it against the composition across band,
-//!   strip and channel-block boundaries.
+//! Two ops are composites, whose default body is a composition of the ops
+//! above them: [`Exec::attention`] (per head) and [`Exec::upsample_conv`]
+//! (`resize_bilinear → conv2d`). Both contexts override both with one
+//! kernel that never builds the composition's largest intermediate:
+//! `orbit2_tensor::attention::multi_head_attention` holds no whole score
+//! matrix, and `orbit2_tensor::conv::upsample_conv2d` interpolates each
+//! band's padded rows into its scratch, never the upsampled image. The tape
+//! records each as one node (`Var::attention`, `Var::upsample_conv`) whose
+//! backward recomputes what the kernel skipped: a head's probabilities, or
+//! the image for the weight gradient. An override keeps one contract: every
+//! output bit equals the composition's and, on the tape, every gradient
+//! bit. The tensor crate checks the kernels against the compositions across
+//! their block, band, strip and channel-block boundaries; the autograd
+//! crate checks the nodes on the tape. So no production context runs a
+//! default body: they are the tests' oracle, and the replay of a wrapper
+//! that forwards only the primitive ops (the benchmark's timing wrapper).
 //!
 //! `tests/tape_free.rs` checks session against tape through whole models;
 //! `tests/split_invariance.rs` checks both kernels under any split of
@@ -160,9 +155,7 @@ pub trait Exec {
     /// The default body is the per-head composition: per head, `slice_axis`
     /// of each operand, then `matmul_nt → scale(1/√d_h) → softmax_last →
     /// matmul`, then one `concat` of the heads. An override must match it
-    /// bit for bit. Both contexts override it, so the body runs only where a
-    /// wrapper context replays the composition (a timing wrapper that
-    /// forwards the primitive ops, and tests).
+    /// bit for bit.
     fn attention(&self, q: &Self::Value, k: &Self::Value, v: &Self::Value, heads: usize) -> Self::Value {
         let d = self.shape(q)[1];
         assert_eq!(d % heads, 0, "heads must divide embed_dim");
@@ -295,5 +288,32 @@ impl<'t> Exec for Binder<'t, '_> {
     /// ([`Var::attention`]).
     fn attention(&self, q: &Var<'t>, k: &Var<'t>, v: &Var<'t>, heads: usize) -> Var<'t> {
         q.attention(*k, *v, heads)
+    }
+
+    /// One tape node in place of `resize_bilinear → conv2d` to `h × w` with
+    /// kernel `k`, bit for bit ([`Var::upsample_conv`]).
+    fn upsample_conv(&self, x: &Var<'t>, h: usize, w: usize, k: &Var<'t>, b: Option<&Var<'t>>, g: ConvGeom) -> Var<'t> {
+        x.upsample_conv(h, w, *k, b.copied(), g)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use orbit2_autograd::{ParamStore, Tape};
+    use orbit2_tensor::random::randn;
+
+    #[test]
+    fn a_tape_tail_records_one_node() {
+        let mut store = ParamStore::new();
+        store.insert("w", randn(&[3, 4, 3, 3], 1));
+        store.insert("b", randn(&[3], 2));
+        let tape = Tape::new();
+        let binder = Binder::new(&tape, &store);
+        let (x, w, b) = (tape.leaf(randn(&[1, 4, 5, 6], 3)), binder.param("w"), binder.param("b"));
+        let before = tape.len();
+        let y = Exec::upsample_conv(&binder, &x, 20, 24, &w, Some(&b), ConvGeom::same(3));
+        assert_eq!(tape.len() - before, 1, "no resize node beside the conv");
+        assert_eq!(y.shape(), vec![1, 3, 20, 24]);
     }
 }

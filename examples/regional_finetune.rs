@@ -39,9 +39,9 @@ fn main() {
     let mut trainer = Trainer::new(model, &dataset, cfg);
     let report = trainer.train(&dataset);
     println!(
-        "final loss {:.4} ({} scaler-skipped steps)",
+        "final loss {:.4} ({} skipped steps)",
         report.final_loss.expect("no steps completed"),
-        report.skipped_steps
+        report.skipped.len()
     );
 
     // Checkpoint round-trip.

@@ -122,8 +122,8 @@ jq -r '
       "fused_linear_gelu vs gemm_f32/512\tfused \($r["fused_linear_gelu/512"]) ns\tgemm \($r["gemm_f32/512"]) ns\tfused / gemm \(($r["fused_linear_gelu/512"] / $r["gemm_f32/512"] * 100 | round) / 100)x"
 ' "$OUT_JSON"
 
-# Attention, same snapshot: the session's blocked op against the per-head
-# composition the tape runs, on the same operands (two samples of N tokens,
+# Attention, same snapshot: the blocked op both contexts run against the
+# per-head composition it replaced, on the same operands (two samples of N tokens,
 # D wide, h heads). Below 1x everywhere; at 64x1024h16 the blocks are too
 # small to fork, which the grain rule (`orbit2_tensor::par`) decides.
 jq -r '
@@ -133,18 +133,23 @@ jq -r '
     | "attention/fused vs composed/\($n)\tfused \($r["attention/fused/" + $n]) ns\tcomposed \($r["attention/composed/" + $n]) ns\tfused / composed \(($r["attention/fused/" + $n] / $r["attention/composed/" + $n] * 100 | round) / 100)x"
 ' "$OUT_JSON"
 
-# The convolution tails, same snapshot: the session's banded
-# `upsample_conv2d` against the `resize → conv2d` composition the tape runs,
+# The convolution tails, same snapshot: the banded `upsample_conv2d` that
+# both contexts run against the `resize → conv2d` composition it replaced,
 # on the same operands. 0.9-1.0x at 64x68to272 and about 1.0x at
 # 16x32x64to128x256 on the reference 2-core guest: what the op saves is
 # the upsampled image's memory (18.9 MB and its padded copy at 64x68to272),
 # and the halo rows each band interpolates again cost about what that
-# image's round trip through memory did.
+# image's round trip through memory did. Then the same on a fresh tape,
+# forward and backward: the tape's node (`Var::upsample_conv`, which
+# rebuilds the image once for the weight gradient) against the
+# composition's two nodes.
 jq -r '
     .[-1].runs[0].results
     | (map({(.bench): .median_ns}) | add) as $r
-    | $r | keys[] | select(startswith("upsample_conv/banded/")) | split("/")[2] as $n
-    | "upsample_conv/banded vs composed/\($n)\tbanded \($r["upsample_conv/banded/" + $n]) ns\tcomposed \($r["upsample_conv/composed/" + $n]) ns\tbanded / composed \(($r["upsample_conv/banded/" + $n] / $r["upsample_conv/composed/" + $n] * 100 | round) / 100)x"
+    | ($r | keys[] | select(startswith("upsample_conv/banded/")) | split("/")[2] as $n
+    | "upsample_conv/banded vs composed/\($n)\tbanded \($r["upsample_conv/banded/" + $n]) ns\tcomposed \($r["upsample_conv/composed/" + $n]) ns\tbanded / composed \(($r["upsample_conv/banded/" + $n] / $r["upsample_conv/composed/" + $n] * 100 | round) / 100)x"),
+      ($r | keys[] | select(startswith("upsample_conv/tape/node/")) | split("/")[3] as $n
+    | "upsample_conv/tape node vs composed/\($n)\tnode \($r["upsample_conv/tape/node/" + $n]) ns\tcomposed \($r["upsample_conv/tape/composed/" + $n]) ns\tnode / composed \(($r["upsample_conv/tape/node/" + $n] / $r["upsample_conv/tape/composed/" + $n] * 100 | round) / 100)x")
 ' "$OUT_JSON"
 
 # The f32 linear's rule, same snapshot: the weight read in place against

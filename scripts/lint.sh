@@ -40,10 +40,19 @@
 #
 # Tail gate (the same header): a convolution tail is one op,
 # `Exec::upsample_conv`, whose default body in `exec.rs` is the composition
-# `resize_bilinear → conv2d`. So outside test modules no file under
-# `crates/model/src` but `exec.rs` (the trait and the tape's method) and
-# `infer.rs` (the session's method) mentions `resize_bilinear`: a model file
-# cannot call the resize beside the op and build the upsampled image again.
+# `resize_bilinear → conv2d`, and which both contexts override with one
+# banded kernel (the tape's node runs it too). So outside test modules no
+# file under `crates/model/src` but `exec.rs` (the trait and the tape's
+# method) and `infer.rs` (the session's method) mentions `resize_bilinear`:
+# a model file cannot call the resize beside the op and build the upsampled
+# image again.
+#
+# Composite gate (the same header): a composite's default body is the
+# composition, the tests' oracle and a timing wrapper's replay, and runs in
+# no production context. So `impl Exec for Binder` (`exec.rs`) and
+# `impl Exec for InferenceSession` (`infer.rs`) must each define
+# `fn attention(` and `fn upsample_conv(`: deleting an override would
+# otherwise compile, and quietly put the composition back on that path.
 #
 # One-inference-call gate (DESIGN.md §10): the server runs each request
 # through `orbit2::inference::downscale_with` and nothing else, so nothing
@@ -159,6 +168,20 @@ done)"
 if [[ -n "$composed_tail" ]]; then
     echo "lint: resize_bilinear outside exec.rs and infer.rs under crates/model/src (a tail is one op: Exec::upsample_conv):" >&2
     echo "$composed_tail" >&2
+    exit 1
+fi
+composite="$(for site in crates/model/src/exec.rs:Binder crates/model/src/infer.rs:InferenceSession; do
+    for op in attention upsample_conv; do
+        awk -v ctx="${site#*:}" -v op="$op" '/^mod tests \{/ { exit }
+            $0 ~ "^impl.* Exec for " ctx "[<{ ]" { inside = 1 }
+            inside && /^}/ { inside = 0 }
+            inside && $0 ~ "^    fn " op "\\(" { found = 1 }
+            END { if (!found) print FILENAME ": impl Exec for " ctx " has no fn " op }' "${site%%:*}"
+    done
+done)"
+if [[ -n "$composite" ]]; then
+    echo "lint: a context runs a composite's default body (override both composites in both contexts, crates/model/src/exec.rs):" >&2
+    echo "$composite" >&2
     exit 1
 fi
 serve_forward="$(grep -rnE '\.forward\(|forward_batch|split_stack|stitch_predictions' crates/serve/src || true)"

@@ -421,15 +421,24 @@ proptest! {
 
     #[test]
     fn grad_scaler_unscale_is_inverse(scale_pow in 1u32..16, values in proptest::collection::vec(-100.0f32..100.0, 1..32)) {
-        use orbit2_autograd::GradScaler;
+        // The trainer's unscale: one job's gradient reduced with `1 / scale`
+        // folded in, then the finite flag handed to the scaler.
+        use orbit2_autograd::{GradAccumulator, GradScaler, ParamLayout, ParamStore};
         let scale = (1u32 << scale_pow) as f32;
         let mut scaler = GradScaler::new(scale);
-        let mut grads = orbit2_autograd::params::GradMap::new();
         let n = values.len();
+        let mut store = ParamStore::new();
+        store.insert("w", Tensor::zeros(vec![n]));
+        let mut grads = orbit2_autograd::params::GradMap::new();
         let scaled: Vec<f32> = values.iter().map(|&v| v * scale).collect();
         grads.insert("w".into(), Tensor::from_vec(vec![n], scaled));
-        prop_assert!(scaler.unscale_and_check(&mut grads));
-        for (a, b) in grads["w"].data().iter().zip(&values) {
+        let mut acc = GradAccumulator::new(ParamLayout::of(&store));
+        let finite = acc.finish(&[grads], Some(1.0 / scaler.scale()));
+        scaler.record(finite);
+        prop_assert!(finite);
+        prop_assert_eq!(scaler.scale(), scale);
+        let (_, unscaled) = acc.held().next().unwrap();
+        for (a, b) in unscaled.iter().zip(&values) {
             prop_assert!((a - b).abs() <= 1e-2 * (1.0 + b.abs()));
         }
     }

@@ -81,7 +81,7 @@ fn four_tiled_steps_train_the_committed_bits() {
             let mut trainer = Trainer::new(model, &ds, cfg);
             let report = trainer.train(&ds);
             let losses = report.losses.iter().map(|&(_, l)| l);
-            let params = trainer.model().params.iter().flat_map(|(_, t)| t.data().to_vec());
+            let params = trainer.model.params.iter().flat_map(|(_, t)| t.data().to_vec());
             let got = fnv1a(losses.chain(params));
             if got != want {
                 let d = (run.cfg)().embed_dim;
