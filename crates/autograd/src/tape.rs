@@ -53,13 +53,14 @@ pub struct Var<'t> {
     id: usize,
 }
 
-/// Gradients produced by [`Tape::backward`], indexed by [`Var`].
+/// The leaves' gradients produced by [`Tape::backward`], indexed by [`Var`].
 pub struct Gradients {
     grads: Vec<Option<Tensor>>,
 }
 
 impl Gradients {
-    /// The gradient of the loss w.r.t. `var`, if any flowed to it.
+    /// The gradient of the loss w.r.t. `var`, if it is a leaf and any
+    /// flowed to it.
     pub fn get(&self, var: Var<'_>) -> Option<&Tensor> {
         self.grads.get(var.id).and_then(|g| g.as_ref())
     }
@@ -122,8 +123,10 @@ impl Tape {
         }
     }
 
-    /// Reverse sweep from `loss` (which must be scalar-valued) computing
-    /// gradients for every tracked node.
+    /// Reverse sweep from `loss` (which must be scalar-valued). Every
+    /// tracked node's gradient is computed, but only a leaf's is kept: an
+    /// interior gradient is dropped (its buffer back into this thread's
+    /// pool) as soon as its adjoint has run.
     pub fn backward(&self, loss: Var<'_>) -> Gradients {
         assert!(std::ptr::eq(loss.tape, self), "loss from a different tape");
         let nodes = self.nodes.borrow();
@@ -131,23 +134,21 @@ impl Tape {
         let mut grads: Vec<Option<Tensor>> = vec![None; nodes.len()];
         grads[loss.id] = Some(Tensor::ones(nodes[loss.id].value.shape().to_vec()));
         for id in (0..=loss.id).rev() {
+            let Some(back) = &nodes[id].backward else { continue };
             let Some(grad) = grads[id].take() else { continue };
-            if let Some(back) = &nodes[id].backward {
-                for (pid, contrib) in back(&grad) {
-                    if !nodes[pid].tracked {
-                        continue;
-                    }
-                    match &mut grads[pid] {
-                        // In-place accumulate: the only copy this can trigger
-                        // is a COW fault when the accumulator still shares
-                        // storage (e.g. a pass-through gradient); fan-in
-                        // beyond that reuses the faulted buffer.
-                        Some(acc) => acc.add_(&contrib),
-                        slot @ None => *slot = Some(contrib),
-                    }
+            for (pid, contrib) in back(&grad) {
+                if !nodes[pid].tracked {
+                    continue;
+                }
+                match &mut grads[pid] {
+                    // In-place accumulate: the only copy this can trigger
+                    // is a COW fault when the accumulator still shares
+                    // storage (e.g. a pass-through gradient); fan-in
+                    // beyond that reuses the faulted buffer.
+                    Some(acc) => acc.add_(&contrib),
+                    slot @ None => *slot = Some(contrib),
                 }
             }
-            grads[id] = Some(grad);
         }
         Gradients { grads }
     }
@@ -435,6 +436,32 @@ mod tests {
         let g = tape.backward(loss);
         assert_eq!(g.get(a).unwrap().data(), &[5.0, 8.0]);
         assert_eq!(g.get(b).unwrap().data(), &[1.0, 2.0]);
+    }
+
+    #[test]
+    fn backward_keeps_only_leaf_gradients() {
+        // Fan-in (`h` feeds three ops), a broadcast bias and a pass-through
+        // gradient (`add`), so accumulation and its COW faults all run.
+        let tape = Tape::new();
+        let [x, w, b] = [randn(&[6, 8], 71), randn(&[5, 8], 72), randn(&[5], 73)].map(|t| tape.leaf(t));
+        let h = x.linear_act(w, Some(b), Activation::Gelu);
+        let y = h.mul(h).add(h.scale(0.5)).softmax_last();
+        let loss = y.mul(tape.constant(randn(&[6, 5], 74))).sum();
+        let grads = tape.backward(loss);
+        for interior in [h, y, loss] {
+            assert!(grads.get(interior).is_none(), "an interior gradient was kept");
+        }
+        // FNV-1a over the leaves' gradient bits, pinned from the sweep that
+        // kept every gradient.
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        for leaf in [x, w, b] {
+            for v in grads.get(leaf).expect("a leaf gradient").data() {
+                for byte in v.to_bits().to_le_bytes() {
+                    digest = (digest ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
+                }
+            }
+        }
+        assert_eq!(digest, 0xdfde_1ef9_aaa5_90ea, "leaf gradient bits: {digest:#018x}");
     }
 
     #[test]

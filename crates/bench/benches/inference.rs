@@ -14,7 +14,7 @@ use orbit2_autograd::Tape;
 use orbit2_climate::{DownscalingDataset, LatLonGrid, Normalizer, VariableSet};
 use orbit2_imaging::tiles::{TileGeometry, TileSpec};
 use orbit2_model::binder::Binder;
-use orbit2_model::{ModelConfig, ReslimModel, SessionPrecision};
+use orbit2_model::{ModelConfig, ReslimModel, WeightPrecision};
 use orbit2_tensor::random::randn;
 use orbit2_tensor::Tensor;
 use rayon::prelude::*;
@@ -39,7 +39,7 @@ fn bench_forward(c: &mut Criterion) {
         // Reduced-precision sessions: same tape-free forward, weights held
         // at int8 (f32 activations and accumulate) — the per-forward win of
         // quartered weight-stream bytes.
-        for precision in SessionPrecision::ALL.into_iter().filter(|&p| p != SessionPrecision::F32) {
+        for precision in WeightPrecision::ALL.into_iter().filter(|&p| p != WeightPrecision::F32) {
             let reduced = model.session_at(precision);
             let label = format!("session_{}", precision.label());
             group.bench_with_input(BenchmarkId::new(label, name), &input, |b, input| {

@@ -93,19 +93,15 @@ fn bench_packed_gemm(c: &mut Criterion) {
             let x = randn(&[m, k], 31);
             let w = randn(&[n, k], 32);
             let b = randn(&[n], 33);
+            // As an InferenceSession holds it: the store's tensor, and at
+            // int8 its pack.
             let pack = PackedWeight::pack(&w, precision);
-            // Mirror InferenceSession: the resident tensor is the pack's
-            // dequantized snapshot so unpacked readers agree with the kernel.
-            let resident = pack
-                .as_ref()
-                .and_then(PackedWeight::dequantized)
-                .unwrap_or_else(|| w.clone());
             let name = if m == k && k == n { format!("{n}") } else { format!("{m}x{k}x{n}") };
             group.bench_function(BenchmarkId::from_parameter(name), |bench| {
                 bench.iter(|| {
                     matmul_bias_act_cached(
                         &x,
-                        &resident,
+                        &w,
                         pack.as_ref(),
                         Some(&b),
                         Activation::Identity,

@@ -17,7 +17,7 @@
 
 use orbit2::serving::{ServeRequest, ServeResponse};
 use orbit2_climate::{DownscalingDataset, LatLonGrid, Normalizer, VariableSet};
-use orbit2_model::{ModelConfig, ReslimModel, SessionPrecision};
+use orbit2_model::{ModelConfig, ReslimModel, WeightPrecision};
 use orbit2_serve::{tcp, Handle, Region, Server, ServerConfig, ServerReply};
 use orbit2_tensor::Tensor;
 use std::hint::black_box;
@@ -161,7 +161,7 @@ fn main() {
     // is one request per client to keep the 126M cells affordable. The
     // `serving/f32|int8/c16` row pair records what the flag buys a
     // latency-sensitive deployment.
-    for precision in SessionPrecision::ALL {
+    for precision in WeightPrecision::ALL {
         let model = ReslimModel::new(ModelConfig::paper_126m().with_channels(7, 3), 2);
         let cfg = ServerConfig { queue_capacity: 4096, precision, ..ServerConfig::default() };
         let server = Server::start(model, norm.clone(), Vec::<Region>::new(), cfg);

@@ -5,7 +5,7 @@ use crate::inference::{downscale_with, InferenceError};
 use orbit2_climate::{DownscalingDataset, Normalizer};
 use orbit2_imaging::tiles::TileSpec;
 use orbit2_metrics::regression::EvalReport;
-use orbit2_model::{ReslimModel, SessionPrecision};
+use orbit2_model::{ReslimModel, WeightPrecision};
 
 /// Metrics for one output variable.
 #[derive(Debug, Clone)]
@@ -33,12 +33,12 @@ pub fn evaluate_model(
     tile_spec: Option<TileSpec>,
     compression: f32,
 ) -> Result<Vec<VariableReport>, InferenceError> {
-    evaluate_model_at(model, normalizer, dataset, indices, tile_spec, compression, SessionPrecision::F32)
+    evaluate_model_at(model, normalizer, dataset, indices, tile_spec, compression, WeightPrecision::F32)
 }
 
 /// [`evaluate_model`] with the inference session held at a reduced weight
 /// precision — the measurement half of the precision quality gate: run once
-/// at [`SessionPrecision::F32`] and once at the reduced precision, then
+/// at [`WeightPrecision::F32`] and once at the reduced precision, then
 /// assert the per-variable [`EvalReport`] deltas stay within tolerance.
 #[allow(clippy::too_many_arguments)]
 pub fn evaluate_model_at(
@@ -48,7 +48,7 @@ pub fn evaluate_model_at(
     indices: &[usize],
     tile_spec: Option<TileSpec>,
     compression: f32,
-    precision: SessionPrecision,
+    precision: WeightPrecision,
 ) -> Result<Vec<VariableReport>, InferenceError> {
     assert!(!indices.is_empty(), "no samples to evaluate");
     let session = model.session_at(precision);

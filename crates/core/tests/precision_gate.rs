@@ -1,5 +1,5 @@
 //! The reduced-precision quality gate: a model served at int8 weights (every
-//! precision in [`SessionPrecision::ALL`] but f32) must score the same
+//! precision in [`WeightPrecision::ALL`] but f32) must score the same
 //! Table IV metrics as the f32 session within tight tolerances, on every
 //! output variable.
 //!
@@ -11,7 +11,7 @@
 use orbit2::eval::{evaluate_model, evaluate_model_at};
 use orbit2::trainer::{Trainer, TrainerConfig};
 use orbit2_climate::{DownscalingDataset, LatLonGrid, Split, VariableSet};
-use orbit2_model::{ModelConfig, ReslimModel, SessionPrecision};
+use orbit2_model::{ModelConfig, ReslimModel, WeightPrecision};
 
 /// R² tolerance for int8 weights. Per-channel quantization uses each
 /// channel's full code range, so a weight moves by at most half a step of
@@ -38,7 +38,7 @@ fn reduced_precision_sessions_stay_within_tolerance() {
     let (model, norm) = (&trainer.model, &trainer.normalizer);
     let test_idx = ds.indices(Split::Test);
     let base = evaluate_model(model, norm, &ds, &test_idx, None, 1.0).unwrap();
-    for precision in SessionPrecision::ALL.into_iter().filter(|&p| p != SessionPrecision::F32) {
+    for precision in WeightPrecision::ALL.into_iter().filter(|&p| p != WeightPrecision::F32) {
         let reduced =
             evaluate_model_at(model, norm, &ds, &test_idx, None, 1.0, precision).unwrap();
         assert_eq!(reduced.len(), base.len());
@@ -74,7 +74,7 @@ fn f32_precision_variant_is_bit_identical_to_default() {
     let norm = orbit2_climate::Normalizer::fit(&ds, 4);
     let idx = ds.indices(Split::Test);
     let a = evaluate_model(&model, &norm, &ds, &idx, None, 1.0).unwrap();
-    let b = evaluate_model_at(&model, &norm, &ds, &idx, None, 1.0, SessionPrecision::F32).unwrap();
+    let b = evaluate_model_at(&model, &norm, &ds, &idx, None, 1.0, WeightPrecision::F32).unwrap();
     for (x, y) in a.iter().zip(&b) {
         assert_eq!(x.report, y.report);
     }

@@ -5,7 +5,7 @@
 use orbit2::serving::{
     RequestSource, ServeHealth, ServeRequest, ServeResponse, ServeStats, WireError,
 };
-use orbit2_model::SessionPrecision;
+use orbit2_model::WeightPrecision;
 use proptest::prelude::*;
 use serde::{Deserialize, Serialize, Value};
 use std::collections::BTreeMap;
@@ -47,7 +47,7 @@ fn request() -> impl Strategy<Value = ServeRequest> {
             source,
             compression,
             variables: (has_vars == 1).then_some(vars),
-            precision: SessionPrecision::ALL.get(precision).copied(),
+            precision: WeightPrecision::ALL.get(precision).copied(),
             deadline_ms: (has_deadline == 1).then_some(deadline),
         }
     })

@@ -16,6 +16,7 @@ use crate::infer::InferenceSession;
 use crate::paths::permute_elements;
 use orbit2_autograd::ParamStore;
 use orbit2_tensor::conv::ConvGeom;
+use orbit2_tensor::fused::WeightPrecision;
 use orbit2_tensor::random::{kaiming, xavier};
 use orbit2_tensor::resize::{resize, ResizeMode};
 use orbit2_tensor::Tensor;
@@ -59,7 +60,7 @@ impl BaselineVit {
 
     /// Prepare a tape-free inference context over this model's weights.
     pub fn session(&self) -> InferenceSession {
-        InferenceSession::prepare(&self.params)
+        InferenceSession::prepare(&self.params, WeightPrecision::F32)
     }
 
     /// Forward pass on one `[C_in, h, w]` sample → `[C_out, H, W]`.

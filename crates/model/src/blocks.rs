@@ -156,6 +156,7 @@ mod tests {
     use super::*;
     use crate::binder::Binder;
     use crate::infer::InferenceSession;
+    use orbit2_tensor::fused::WeightPrecision;
     use orbit2_autograd::{Tape, Var};
     use orbit2_tensor::random::randn;
 
@@ -191,7 +192,7 @@ mod tests {
         let x = tape.constant(input.clone());
         let taped = transformer_block(&binder, &cfg, "blk0", &x).value();
 
-        let session = InferenceSession::prepare(&store);
+        let session = InferenceSession::prepare(&store, WeightPrecision::F32);
         let xs = Exec::constant(&session, input);
         let free = transformer_block(&session, &cfg, "blk0", &xs).into_tensor();
 

@@ -14,29 +14,28 @@
 //!   session holds each weight once, at any sequence length;
 //! * **in an int8 session**, through a resident pack ([`PackedWeight`])
 //!   built at prepare: the pack is the session's only int8 copy of the
-//!   weight.
+//!   weight, and every other reader of the parameter reads the store's f32.
+//!
+//! So a session is the parameter store plus, at int8, its packs: every
+//! value [`Exec::param`] returns shares storage with the store's tensor.
 //!
 //! A session is `Send + Sync`: the TILES inference driver shares one
 //! session across its rayon tile workers, and nothing in it is built after
 //! prepare, so no worker ever writes to it.
 //!
 //! The one precision axis is the resident *weight* storage
-//! ([`SessionPrecision`]); activations are always f32 tensors.
+//! ([`WeightPrecision`]); activations are always f32 tensors.
 
 use crate::exec::{Exec, RowGroups};
 use orbit2_autograd::ParamStore;
 use orbit2_tensor::attention::multi_head_attention;
 use orbit2_tensor::conv::{conv2d, upsample_conv2d, ConvGeom};
-use orbit2_tensor::fused::{layer_norm_rows, matmul_bias_act_cached, Activation};
+use orbit2_tensor::fused::{layer_norm_rows, matmul_bias_act_cached, Activation, WeightPrecision};
 use orbit2_tensor::qgemm::PackedWeight;
 use orbit2_tensor::resize::{resize, ResizeMode};
 use orbit2_tensor::Tensor;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-
-/// Storage precision of a session's resident weights — re-exported from the
-/// tensor crate so model-level callers need not name the kernel layer.
-pub use orbit2_tensor::fused::WeightPrecision as SessionPrecision;
 
 /// A value flowing through a tape-free forward pass: an f32 tensor plus,
 /// for a weight an int8 session packed, its resident pack.
@@ -74,37 +73,23 @@ pub struct InferenceSession {
 }
 
 impl InferenceSession {
-    /// Snapshot a parameter store for inference at f32: every weight is the
-    /// store's tensor, and nothing is packed.
-    pub(crate) fn prepare(store: &ParamStore) -> Self {
-        Self::prepare_at(store, SessionPrecision::F32)
-    }
-
-    /// [`prepare`](Self::prepare) at either weight precision. `Int8` packs
-    /// every weight the pack gate admits (2-d, enough output features for
-    /// the packed microkernel) right here: its pack is the session's only
-    /// int8 copy of the weight.
-    ///
-    /// `Int8` quantizes only the packable 2-d linear weights (per-output-
-    /// channel symmetric codes), and the resident tensor of each is the
-    /// pack's *dequantized* value, so eligible GEMMs (through the pack) and
-    /// every other reader (fallback GEMM shapes, `slice_axis` reads) see
-    /// identical weight values. Biases, norm gains and conv kernels stay
-    /// f32: no kernel consumes int8 for them, so quantizing would cost
-    /// quality for zero bytes saved on the hot path.
-    pub(crate) fn prepare_at(store: &ParamStore, precision: SessionPrecision) -> Self {
+    /// Take a parameter store for inference at `precision`. Every
+    /// parameter's value is the store's tensor, a COW handle. At `Int8` each
+    /// weight the pack gate admits (2-d, enough output features for the
+    /// packed microkernel) is also packed here, and only
+    /// [`linear_act`](Exec::linear_act) reads the pack. Every other reader
+    /// (an unpacked GEMM shape, a `slice_axis` of `embed.var`, a bias, a
+    /// norm gain, a conv kernel) reads the store's f32: quantizing what no
+    /// GEMM streams would cost quality for zero bytes saved on the hot path.
+    pub(crate) fn prepare(store: &ParamStore, precision: WeightPrecision) -> Self {
         let values = store
             .iter()
             .map(|(name, t)| {
                 let pack = match precision {
-                    SessionPrecision::F32 => None,
-                    SessionPrecision::Int8 => PackedWeight::pack(t, SessionPrecision::Int8).map(Arc::new),
+                    WeightPrecision::F32 => None,
+                    WeightPrecision::Int8 => PackedWeight::pack(t, WeightPrecision::Int8).map(Arc::new),
                 };
-                let tensor = match &pack {
-                    Some(pack) => pack.dequantized().expect("int8 pack dequantizes"),
-                    None => t.clone(),
-                };
-                (name.clone(), SessionValue { tensor, pack })
+                (name.clone(), SessionValue { tensor: t.clone(), pack })
             })
             .collect();
         Self { values }
@@ -276,7 +261,7 @@ mod tests {
         let packable = model.params.iter().filter(|(_, t)| PackedWeight::packable(t)).count();
         assert!(packable > 0 && packable < model.params.len());
         // An int8 session packs every one of them at prepare.
-        assert_eq!(resident_packs(&model.session_at(SessionPrecision::Int8)), packable);
+        assert_eq!(resident_packs(&model.session_at(WeightPrecision::Int8)), packable);
         // An f32 session packs nothing at prepare, nor in a forward whose
         // longest product is 64 rows (16x16 at patch 2), nor in one of 72.
         let session = model.session();
@@ -289,7 +274,7 @@ mod tests {
 
     #[test]
     fn tensor_of_a_session_value_is_a_handle_not_a_copy() {
-        let session = InferenceSession::prepare(&ParamStore::new());
+        let session = InferenceSession::prepare(&ParamStore::new(), WeightPrecision::F32);
         let v = session.constant(randn(&[64, 64], 4));
         let before = orbit2_tensor::pool::stats();
         let t = session.tensor(&v);
@@ -300,21 +285,48 @@ mod tests {
     #[test]
     #[should_panic(expected = "unknown parameter")]
     fn unknown_param_panics_like_store() {
-        let session = InferenceSession::prepare(&ParamStore::new());
+        let session = InferenceSession::prepare(&ParamStore::new(), WeightPrecision::F32);
         let _ = session.param("nope");
     }
 
     #[test]
-    fn int8_session_resident_tensor_matches_pack() {
-        use orbit2_tensor::fused::WeightPrecision;
-        let mut store = ParamStore::new();
-        store.insert("mlp.w1", randn(&[64, 32], 1));
-        store.insert("bias", randn(&[64], 2));
-        let session = InferenceSession::prepare_at(&store, SessionPrecision::Int8);
-        let w = session.param("mlp.w1");
-        let pw = PackedWeight::pack(store.get("mlp.w1"), WeightPrecision::Int8).unwrap();
-        w.tensor().assert_close(&pw.dequantized().unwrap(), 0.0);
-        // Non-packable parameters stay f32 untouched in an int8 session.
-        session.param("bias").tensor().assert_close(store.get("bias"), 0.0);
+    fn an_int8_session_allocates_no_f32_tensor() {
+        use crate::{ModelConfig, ReslimModel};
+        let model = ReslimModel::new(ModelConfig::tiny().with_channels(2, 1), 3);
+        let before = orbit2_tensor::pool::stats();
+        let session = model.session_at(WeightPrecision::Int8);
+        assert_eq!(orbit2_tensor::pool::stats(), before, "the packs are the only new storage");
+        assert!(resident_packs(&session) > 0);
+    }
+
+    #[test]
+    fn every_session_value_is_the_store_tensor() {
+        use crate::{ModelConfig, ReslimModel};
+        let model = ReslimModel::new(ModelConfig::tiny().with_channels(2, 1), 3);
+        for precision in WeightPrecision::ALL {
+            let session = model.session_at(precision);
+            for (name, t) in model.params.iter() {
+                let v = session.param(name);
+                let same = v.tensor.data().as_ptr() == t.data().as_ptr();
+                assert!(same, "{name} at {}: not the store's tensor", precision.label());
+            }
+        }
+    }
+
+    #[test]
+    fn an_int8_session_reads_a_packed_variable_embedding_as_f32() {
+        use crate::{ModelConfig, ReslimModel};
+        // At 23 input channels `embed.var` is [23, D]: packable, and read by
+        // `slice_axis` in tokenization, never by a GEMM.
+        let model = ReslimModel::new(ModelConfig::tiny().with_channels(23, 1), 5);
+        let store = model.params.get("embed.var");
+        let session = model.session_at(WeightPrecision::Int8);
+        let var = session.param("embed.var");
+        assert!(var.pack.is_some(), "embed.var is packed at 23 channels");
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for ci in [0, 11, 22] {
+            let row = session.tensor(&session.slice_axis(&var, 0, ci, 1));
+            assert_eq!(bits(&row), bits(&store.slice_axis(0, ci, 1)), "embed.var row {ci}");
+        }
     }
 }

@@ -46,6 +46,7 @@ pub use baseline::BaselineVit;
 pub use binder::Binder;
 pub use config::ModelConfig;
 pub use exec::Exec;
-pub use infer::{InferenceSession, SessionPrecision};
+pub use infer::InferenceSession;
 pub use loss::{bayesian_loss, BayesianLossCfg};
+pub use orbit2_tensor::fused::WeightPrecision;
 pub use reslim::ReslimModel;

@@ -7,28 +7,27 @@
 //! The first term is the data likelihood — a latitude-weighted MSE (`D` is
 //! the diagonal cos-latitude weighting). The second is a generalized Markov
 //! Random Field total-variation prior over each pixel's neighbourhood with
-//! weights `b_ij` inversely proportional to pixel distance: it promotes
-//! local smoothness while preserving edges. The L1 norm is smoothed with a
+//! weights `b_ij` inversely proportional to pixel distance (1 for the four
+//! edge neighbours, 1/√2 for the four diagonal ones): it promotes local
+//! smoothness while preserving edges. The L1 norm is smoothed with a
 //! Charbonnier `sqrt(x² + ε²)` so the objective stays differentiable.
 
 use orbit2_autograd::Var;
 use orbit2_tensor::Tensor;
-use serde::{Deserialize, Serialize};
+
+/// Charbonnier smoothing epsilon for |·|.
+const TV_EPS: f32 = 1e-3;
 
 /// Configuration of the Bayesian loss.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct BayesianLossCfg {
     /// Weight of the total-variation prior relative to the likelihood.
     pub tv_weight: f32,
-    /// Charbonnier smoothing epsilon for |·|.
-    pub tv_eps: f32,
-    /// Include diagonal neighbours (weight 1/√2) in the MRF neighbourhood.
-    pub diagonal_neighbors: bool,
 }
 
 impl Default for BayesianLossCfg {
     fn default() -> Self {
-        Self { tv_weight: 0.05, tv_eps: 1e-3, diagonal_neighbors: true }
+        Self { tv_weight: 0.05 }
     }
 }
 
@@ -48,12 +47,13 @@ pub fn bayesian_loss<'t>(
     if cfg.tv_weight == 0.0 {
         return likelihood;
     }
-    let tv = total_variation(pred, cfg);
+    let tv = total_variation(pred);
     likelihood.add(tv.scale(cfg.tv_weight))
 }
 
-/// The MRF total-variation prior alone (mean over all neighbour pairs).
-fn total_variation<'t>(pred: Var<'t>, cfg: BayesianLossCfg) -> Var<'t> {
+/// The MRF total-variation prior alone: the mean over each direction's
+/// neighbour pairs, weighted by inverse distance.
+fn total_variation(pred: Var<'_>) -> Var<'_> {
     let shape = pred.shape();
     let (h, w) = (shape[1], shape[2]);
     assert!(h >= 2 && w >= 2, "TV needs at least a 2x2 field");
@@ -61,29 +61,26 @@ fn total_variation<'t>(pred: Var<'t>, cfg: BayesianLossCfg) -> Var<'t> {
     let dx = pred
         .slice_axis(2, 1, w - 1)
         .sub(pred.slice_axis(2, 0, w - 1))
-        .smooth_abs(cfg.tv_eps);
+        .smooth_abs(TV_EPS);
     // Vertical: x[:, 1:, :] - x[:, :-1, :].
     let dy = pred
         .slice_axis(1, 1, h - 1)
         .sub(pred.slice_axis(1, 0, h - 1))
-        .smooth_abs(cfg.tv_eps);
-    let mut total = dx.mean().add(dy.mean());
-    if cfg.diagonal_neighbors {
-        // b_ij = 1/distance = 1/sqrt(2) for diagonal pairs.
-        let inv_sqrt2 = std::f32::consts::FRAC_1_SQRT_2;
-        let dd = pred
-            .slice_axis(1, 1, h - 1)
-            .slice_axis(2, 1, w - 1)
-            .sub(pred.slice_axis(1, 0, h - 1).slice_axis(2, 0, w - 1))
-            .smooth_abs(cfg.tv_eps);
-        let da = pred
-            .slice_axis(1, 1, h - 1)
-            .slice_axis(2, 0, w - 1)
-            .sub(pred.slice_axis(1, 0, h - 1).slice_axis(2, 1, w - 1))
-            .smooth_abs(cfg.tv_eps);
-        total = total.add(dd.mean().scale(inv_sqrt2)).add(da.mean().scale(inv_sqrt2));
-    }
-    total
+        .smooth_abs(TV_EPS);
+    let edges = dx.mean().add(dy.mean());
+    // b_ij = 1/distance = 1/sqrt(2) for diagonal pairs.
+    let inv_sqrt2 = std::f32::consts::FRAC_1_SQRT_2;
+    let dd = pred
+        .slice_axis(1, 1, h - 1)
+        .slice_axis(2, 1, w - 1)
+        .sub(pred.slice_axis(1, 0, h - 1).slice_axis(2, 0, w - 1))
+        .smooth_abs(TV_EPS);
+    let da = pred
+        .slice_axis(1, 1, h - 1)
+        .slice_axis(2, 0, w - 1)
+        .sub(pred.slice_axis(1, 0, h - 1).slice_axis(2, 1, w - 1))
+        .smooth_abs(TV_EPS);
+    edges.add(dd.mean().scale(inv_sqrt2)).add(da.mean().scale(inv_sqrt2))
 }
 
 #[cfg(test)]
@@ -111,7 +108,7 @@ mod tests {
         let tape = Tape::new();
         let target = Tensor::zeros(vec![1, 2, 2]);
         let pred = tape.leaf(Tensor::from_vec(vec![1, 2, 2], vec![1.0, 1.0, 1.0, 1.0]));
-        let cfg = BayesianLossCfg { tv_weight: 0.0, ..Default::default() };
+        let cfg = BayesianLossCfg { tv_weight: 0.0 };
         let loss = bayesian_loss(pred, &target, &weights(2, 2), cfg);
         assert!((loss.value().item() - 1.0).abs() < 1e-6);
     }
@@ -123,7 +120,7 @@ mod tests {
         // Error only in row 0; weights kill row 0.
         let pred = tape.leaf(Tensor::from_vec(vec![1, 2, 2], vec![5.0, 5.0, 0.0, 0.0]));
         let w = Tensor::from_vec(vec![2, 2], vec![0.0, 0.0, 2.0, 2.0]);
-        let cfg = BayesianLossCfg { tv_weight: 0.0, ..Default::default() };
+        let cfg = BayesianLossCfg { tv_weight: 0.0 };
         let loss = bayesian_loss(pred, &target, &w, cfg);
         assert!(loss.value().item() < 1e-6);
     }
@@ -136,9 +133,8 @@ mod tests {
             (0..16).map(|i| i as f32 * 0.1).collect(),
         ));
         let noisy = tape.leaf(randn(&[1, 4, 4], 1));
-        let cfg = BayesianLossCfg::default();
-        let tv_smooth = total_variation(smooth, cfg).value().item();
-        let tv_noisy = total_variation(noisy, cfg).value().item();
+        let tv_smooth = total_variation(smooth).value().item();
+        let tv_noisy = total_variation(noisy).value().item();
         assert!(tv_noisy > tv_smooth * 2.0, "noisy {tv_noisy} vs smooth {tv_smooth}");
     }
 
@@ -160,27 +156,25 @@ mod tests {
             vec![1, 2, 4],
             ramp_row.iter().chain(ramp_row.iter()).copied().collect(),
         ));
-        let cfg = BayesianLossCfg { diagonal_neighbors: false, ..Default::default() };
-        let tv_step = total_variation(step, cfg).value().item();
-        let tv_ramp = total_variation(ramp, cfg).value().item();
+        // With identical rows each diagonal pair repeats a horizontal one.
+        let tv_step = total_variation(step).value().item();
+        let tv_ramp = total_variation(ramp).value().item();
         // L1 TV treats them (nearly) equally -> no edge penalty.
         assert!((tv_step - tv_ramp).abs() / tv_ramp < 0.01, "step {tv_step} vs ramp {tv_ramp}");
     }
 
     #[test]
-    fn diagonal_neighbors_add_weighted_terms() {
+    fn diagonal_neighbours_weigh_one_over_root_two() {
+        // [[0, 0], [0, 1]]: one of the two horizontal and one of the two
+        // vertical pairs differ by 1, as does the one `\` diagonal pair;
+        // the `/` pair is equal.
         let tape = Tape::new();
-        let x = tape.leaf(randn(&[1, 4, 4], 2));
-        let with = total_variation(x, BayesianLossCfg { diagonal_neighbors: true, ..Default::default() })
-            .value()
-            .item();
-        let without = total_variation(
-            x,
-            BayesianLossCfg { diagonal_neighbors: false, ..Default::default() },
-        )
-        .value()
-        .item();
-        assert!(with > without);
+        let x = tape.leaf(Tensor::from_vec(vec![1, 2, 2], vec![0.0, 0.0, 0.0, 1.0]));
+        let one = (1.0f32 + TV_EPS * TV_EPS).sqrt();
+        let edge = 2.0 * (one + TV_EPS) / 2.0;
+        let want = edge + (one + TV_EPS) * std::f32::consts::FRAC_1_SQRT_2;
+        let got = total_variation(x).value().item();
+        assert!((got - want).abs() < 1e-6, "got {got}, want {want}");
     }
 
     #[test]

@@ -15,6 +15,7 @@ use crate::exec::Exec;
 use crate::infer::InferenceSession;
 use crate::paths::{decode, init_decoder_params, init_residual_params, residual_path};
 use orbit2_autograd::ParamStore;
+use orbit2_tensor::fused::WeightPrecision;
 use orbit2_tensor::Tensor;
 
 /// A Reslim model: configuration plus named parameters.
@@ -44,17 +45,18 @@ impl ReslimModel {
         self.params.num_elements()
     }
 
-    /// Prepare a tape-free inference context over this model's weights:
-    /// weights snapshotted once, reusable across samples and shareable
-    /// across tile-worker threads.
+    /// Prepare a tape-free inference context over this model's weights at
+    /// f32: reusable across samples and shareable across tile-worker
+    /// threads.
     pub fn session(&self) -> InferenceSession {
-        InferenceSession::prepare(&self.params)
+        self.session_at(WeightPrecision::F32)
     }
 
-    /// Like [`session`](Self::session), but with the weight set held at a
-    /// reduced storage precision (see `InferenceSession::prepare_at`).
-    pub fn session_at(&self, precision: crate::infer::SessionPrecision) -> InferenceSession {
-        InferenceSession::prepare_at(&self.params, precision)
+    /// Like [`session`](Self::session), at either weight precision: an
+    /// `Int8` session also packs each linear weight
+    /// (`InferenceSession::prepare`).
+    pub fn session_at(&self, precision: WeightPrecision) -> InferenceSession {
+        InferenceSession::prepare(&self.params, precision)
     }
 
     /// The patch grid of a `[C_in, h, w]` input.

@@ -26,7 +26,7 @@
 use orbit2::inference::{check_tiling, validate_input};
 use orbit2_climate::{DownscalingDataset, LatLonGrid, Normalizer, VariableSet};
 use orbit2_imaging::tiles::TileSpec;
-use orbit2_model::{ModelConfig, ReslimModel, SessionPrecision};
+use orbit2_model::{ModelConfig, ReslimModel, WeightPrecision};
 use orbit2_serve::{Region, Server, ServerConfig};
 use orbit2_tensor::Tensor;
 use std::net::TcpListener;
@@ -44,7 +44,7 @@ struct Args {
     halo: usize,
     queue: usize,
     seed: u64,
-    precision: SessionPrecision,
+    precision: WeightPrecision,
     default_deadline_ms: Option<u64>,
 }
 
@@ -58,7 +58,7 @@ impl Default for Args {
             halo: 2,
             queue: 256,
             seed: 17,
-            precision: SessionPrecision::F32,
+            precision: WeightPrecision::F32,
             default_deadline_ms: None,
         }
     }
@@ -93,8 +93,8 @@ fn parse_args() -> Result<Args, String> {
             "--queue" => args.queue = parse_num(&value("--queue")?, "--queue")?,
             "--precision" => {
                 let v = value("--precision")?;
-                args.precision = SessionPrecision::parse(&v).ok_or_else(|| {
-                    format!("--precision wants {}, got {v}", SessionPrecision::choices())
+                args.precision = WeightPrecision::parse(&v).ok_or_else(|| {
+                    format!("--precision wants {}, got {v}", WeightPrecision::choices())
                 })?;
             }
             "--seed" => args.seed = parse_num(&value("--seed")?, "--seed")? as u64,

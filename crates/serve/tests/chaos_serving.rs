@@ -13,7 +13,7 @@ use orbit2::inference::downscale_with;
 use orbit2::serving::{ServeError, ServeRequest};
 use orbit2_climate::{DownscalingDataset, LatLonGrid, Normalizer, VariableSet};
 use orbit2_imaging::tiles::TileSpec;
-use orbit2_model::{ModelConfig, ReslimModel, SessionPrecision};
+use orbit2_model::{ModelConfig, ReslimModel, WeightPrecision};
 use orbit2_serve::{Region, Server, ServerConfig};
 use orbit2_tensor::Tensor;
 use std::sync::Arc;
@@ -63,7 +63,7 @@ fn hammer(server: &Server, references: &[Tensor], client: u64, requests: u64) ->
         let time = (i % 10) as usize;
         let mut req = ServeRequest::region(id, "conus", time);
         if i % 3 == 1 {
-            req = req.at_precision(SessionPrecision::F32);
+            req = req.at_precision(WeightPrecision::F32);
         }
         // A third of the traffic carries deadlines, some of them tight
         // enough to trip the checkpoints under straggler injection.

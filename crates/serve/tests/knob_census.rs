@@ -100,7 +100,7 @@ fn impossible_configurations_exit_2_without_a_panic() {
         assert_eq!(status.code(), Some(2), "orbit2-serve {flags:?}: {stderr}");
         assert!(stderr.contains(named), "orbit2-serve {flags:?} must name {named}: {stderr}");
         if named == "--precision" {
-            for p in orbit2_model::SessionPrecision::ALL {
+            for p in orbit2_model::WeightPrecision::ALL {
                 assert!(stderr.contains(p.label()), "orbit2-serve {flags:?} must name {p:?}: {stderr}");
             }
         }

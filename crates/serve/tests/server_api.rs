@@ -7,7 +7,7 @@ mod common;
 use common::HeldWorkers;
 use orbit2::inference::downscale_with;
 use orbit2::serving::{ServeError, ServeRequest};
-use orbit2_model::SessionPrecision;
+use orbit2_model::WeightPrecision;
 use orbit2_climate::{DownscalingDataset, LatLonGrid, Normalizer, VariableSet};
 use orbit2_imaging::tiles::TileSpec;
 use orbit2_model::{ModelConfig, ReslimModel};
@@ -235,7 +235,7 @@ fn inputs_the_tile_grid_cannot_take_are_bad_requests() {
 /// resolves anything.
 #[test]
 fn precision_is_fixed_at_start_and_a_request_can_only_assert_it() {
-    for precision in SessionPrecision::ALL {
+    for precision in WeightPrecision::ALL {
         let label = precision.label();
         let cfg = ServerConfig { precision, ..ServerConfig::default() };
         let (server, model, norm, ds) = start(cfg);
@@ -246,7 +246,7 @@ fn precision_is_fixed_at_start_and_a_request_can_only_assert_it() {
         // Any other precision is refused, and refused first: the region
         // below does not exist, yet the error is the precision mismatch.
         let before = server.stats();
-        for other in SessionPrecision::ALL.into_iter().filter(|&q| q != precision) {
+        for other in WeightPrecision::ALL.into_iter().filter(|&q| q != precision) {
             for region in ["atlantis", "conus"] {
                 let err = server
                     .submit(ServeRequest::region(20, region, 3).at_precision(other))

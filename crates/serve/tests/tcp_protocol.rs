@@ -4,7 +4,7 @@
 
 use orbit2::fault::{FaultKind, FaultPlan};
 use orbit2::serving::ServeRequest;
-use orbit2_model::SessionPrecision;
+use orbit2_model::WeightPrecision;
 use orbit2_climate::{DownscalingDataset, LatLonGrid, Normalizer, VariableSet};
 use orbit2_model::{ModelConfig, ReslimModel};
 use orbit2_serve::{Client, Region, RetryPolicy, Server, ServerConfig, ServerReply};
@@ -145,11 +145,11 @@ fn stats_command_is_the_server_snapshot_over_the_wire() {
     let _ = client.roundtrip(&ServeRequest::region(1, "conus", 4)).unwrap();
     let _ = client.roundtrip(&ServeRequest::region(2, "conus", 4)).unwrap();
     let _ = client
-        .roundtrip(&ServeRequest::region(3, "conus", 4).at_precision(SessionPrecision::F32))
+        .roundtrip(&ServeRequest::region(3, "conus", 4).at_precision(WeightPrecision::F32))
         .unwrap();
     // A precision the server is not deployed at is refused, not served.
     client
-        .send(&ServeRequest::region(4, "conus", 4).at_precision(SessionPrecision::Int8))
+        .send(&ServeRequest::region(4, "conus", 4).at_precision(WeightPrecision::Int8))
         .unwrap();
     expect_error(client.recv().unwrap(), 4, "bad_request");
 
@@ -392,7 +392,7 @@ fn bad_precision_label_is_bad_request() {
 }
 
 fn assert_names_every_precision(message: &str) {
-    for p in SessionPrecision::ALL {
+    for p in WeightPrecision::ALL {
         assert!(message.contains(p.label()), "{message:?} does not name {p:?}");
     }
 }

@@ -48,8 +48,6 @@ pub enum Activation {
     /// No activation (plain linear layer).
     #[default]
     Identity,
-    /// `max(0, x)`.
-    Relu,
     /// Tanh-approximated GELU (`gelu_scalar`: the same bits as
     /// [`Tensor::gelu`] and the tape's `Var::gelu`).
     Gelu,
@@ -62,7 +60,6 @@ impl Activation {
     pub(crate) fn apply_in_place(self, xs: &mut [f32]) {
         match self {
             Activation::Identity => {}
-            Activation::Relu => xs.iter_mut().for_each(|x| *x = x.max(0.0)),
             Activation::Gelu => xs.iter_mut().for_each(|x| *x = gelu_scalar(*x)),
         }
     }
@@ -72,13 +69,6 @@ impl Activation {
     fn grad(self, pre: f32) -> f32 {
         match self {
             Activation::Identity => 1.0,
-            Activation::Relu => {
-                if pre > 0.0 {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
             Activation::Gelu => gelu_grad_scalar(pre),
         }
     }
@@ -170,11 +160,8 @@ pub fn matmul_bias_act(
 /// of [`matmul_bias_act`]. An f32 session passes `None` for every weight:
 /// only an int8 session holds packs.
 ///
-/// **Reduced-precision contract:** an [`Int8`](WeightPrecision::Int8)
-/// session passes the pack's [`dequantized`](PackedWeight::dequantized)
-/// tensor as `w`, so a weight with no pack (and every non-GEMM reader of
-/// the parameter) computes with the same values the kernel widens. When
-/// `packed` is given, only the shape of `w` is read.
+/// With `packed`, which is the [`Int8`](WeightPrecision::Int8) form of
+/// `w`, only the shape of `w` is read.
 pub fn matmul_bias_act_cached(
     x: &Tensor,
     w: &Tensor,
@@ -445,7 +432,7 @@ mod tests {
             let w = randn(&[n, k], 42);
             let b = randn(&[n], 43);
             let packed = PackedWeight::pack(&w, WeightPrecision::F32);
-            for act in [Activation::Identity, Activation::Gelu, Activation::Relu] {
+            for act in [Activation::Identity, Activation::Gelu] {
                 let (y_ref, _) = matmul_bias_act(&x, &w, Some(&b), act);
                 let y_cached = matmul_bias_act_cached(&x, &w, packed.as_ref(), Some(&b), act);
                 assert_eq!(y_ref.data(), y_cached.data(), "m={m} k={k} n={n} {act:?}");
@@ -469,7 +456,7 @@ mod tests {
                 let w = randn(&[n, k], 92);
                 let b = randn(&[n], 93);
                 let packed = PackedWeight::pack(&w, WeightPrecision::F32);
-                for act in [Activation::Identity, Activation::Relu, Activation::Gelu] {
+                for act in [Activation::Identity, Activation::Gelu] {
                     for bias in [None, Some(&b)] {
                         let resident = matmul_bias_act_cached(&x, &w, packed.as_ref(), bias, act);
                         let in_place = matmul_bias_act_in_place(&x, &w, bias, act);
@@ -587,15 +574,6 @@ mod tests {
         let (y, pre) = matmul_bias_act(&x, &w, None, Activation::Identity);
         assert!(pre.is_none());
         y.assert_close(&x.matmul(&w.transpose2()), 1e-4);
-    }
-
-    #[test]
-    fn relu_epilogue_clamps() {
-        let x = Tensor::from_vec(vec![1, 2], vec![1.0, -1.0]);
-        let w = Tensor::from_vec(vec![2, 2], vec![1.0, 0.0, 0.0, 1.0]);
-        let (y, pre) = matmul_bias_act(&x, &w, None, Activation::Relu);
-        assert_eq!(y.data(), &[1.0, 0.0]);
-        assert_eq!(pre.unwrap().data(), &[1.0, -1.0]);
     }
 
     #[test]
@@ -735,18 +713,14 @@ mod tests {
             }
             assert_eq!(Activation::Gelu.grad(pre.data()[0]).to_bits(), gelu_grad_scalar(pre.data()[0]).to_bits());
         }
-        // The other activations ride the same walker.
+        // The identity rides the same walker.
         let (g, pre) = (randn(&[4, 5], 65), randn(&[4, 5], 66));
         assert_eq!(act_backward(&g, &pre, Activation::Identity).data(), g.data());
-        let relu = act_backward(&g, &pre, Activation::Relu);
-        for ((&r, &gv), &pv) in relu.data().iter().zip(g.data()).zip(pre.data()) {
-            assert_eq!(r, if pv > 0.0 { gv } else { 0.0 });
-        }
     }
 
     #[test]
     fn activation_grads_match_finite_difference() {
-        for act in [Activation::Relu, Activation::Gelu] {
+        for act in [Activation::Identity, Activation::Gelu] {
             for &x in &[-1.5f32, -0.3, 0.2, 1.7] {
                 let h = 1e-3;
                 let apply = |x: f32| {

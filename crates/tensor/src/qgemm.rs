@@ -53,7 +53,7 @@ use crate::fused::{Activation, WeightPrecision};
 use crate::matmul::MatLayout;
 use crate::ops::{gather_strided, transpose_tiles};
 use crate::par::{self, MACS_PER_VISIT};
-use crate::pool::{self, Buffer};
+use crate::pool::Buffer;
 use crate::simd::{self, F32x16, LANES, LANES16};
 use crate::tensor::Tensor;
 use rayon::prelude::*;
@@ -274,16 +274,16 @@ impl PackedWeight {
         self.k
     }
 
-    /// The `[n, k]` f32 weight an int8 pack computes with, `code × scale`,
-    /// so that whatever else reads the weight (an unpacked shape, a conv, a
-    /// norm) sees what the kernel widens. `None` for f32: the original is
-    /// exact.
-    pub fn dequantized(&self) -> Option<Tensor> {
+    /// The `[n, k]` f32 weight an int8 pack computes with, `code × scale`:
+    /// the int8 oracle the tests compare the kernel against.
+    /// `None` for f32: the original is exact.
+    #[cfg(test)]
+    pub(crate) fn dequantized(&self) -> Option<Tensor> {
         let Codes::I8 { codes, scales } = &self.strips else {
             return None;
         };
         let (n, k, nr) = (self.n, self.k, self.nr);
-        let mut out = pool::alloc_uninit(n * k);
+        let mut out = crate::pool::alloc_uninit(n * k);
         for ((j, row), &scale) in out.chunks_exact_mut(k).enumerate().zip(scales) {
             let strip = &codes[(j / nr) * k * nr + j % nr..];
             for (p, o) in row.iter_mut().enumerate() {
@@ -840,10 +840,10 @@ mod tests {
         // at every ragged column count (the first `n` that `choose_nr`
         // gives that width and edge), every ragged row count over one and
         // two panels, and operands holding −0.0, NaN and ±∞. Each shape
-        // takes the next of the 36 (precision, activation, `pre`, k)
-        // epilogues in turn, so every one of those runs on ~37 shapes; and
+        // takes the next of the 24 (precision, activation, `pre`, k)
+        // epilogues in turn, so every one of those runs on 56 shapes; and
         // each also runs the per-column `scales` slot attention uses.
-        let acts = [Activation::Identity, Activation::Relu, Activation::Gelu];
+        let acts = [Activation::Identity, Activation::Gelu];
         let mut case = 0usize;
         for w in [1usize, 2, 4] {
             let nr = w * LANES16;
@@ -851,9 +851,9 @@ mod tests {
                 let n = (1..).find(|&n| choose_nr(n) == nr && (n - 1) % nr + 1 == cols).unwrap();
                 for m in 1..=2 * QMR {
                     let precision = WeightPrecision::ALL[case % 2];
-                    let act = acts[case / 2 % 3];
-                    let keep_pre = (case / 6).is_multiple_of(2);
-                    let k = [1usize, 5, 23][case / 12 % 3];
+                    let act = acts[case / 2 % 2];
+                    let keep_pre = (case / 4).is_multiple_of(2);
+                    let k = [1usize, 5, 23][case / 8 % 3];
                     let what = format!("{precision:?} {act:?} pre={keep_pre} m={m} k={k} n={n}");
                     let seed = case as u64;
                     case += 1;

@@ -92,6 +92,14 @@
 # narrow it. `pub_allow` lists the exceptions (at most 5, each with its
 # reason); an entry that no longer suppresses anything fails too.
 #
+# Citation gate (ROADMAP item 19(a)): a "ROADMAP item N", "ROADMAP items N"
+# or "ROADMAP N" must name an item of ROADMAP.md's open-items list (the
+# "Done" stubs count as items), and a "DESIGN.md §N" a `## N.` heading of
+# DESIGN.md. A citation may break across a line and its comment marker. Not
+# read: ROADMAP.md itself, CHANGES.md (a history, citing items as they were
+# numbered when each line was written) and `benchmark/` (ROADMAP item 1(a)
+# rewrites its README).
+#
 # The benchmark harness (`benchmark/`, its own package) is type-checked first:
 # it names `pub` items (`split_stack`, `ServerStats`, `Exec`, `TimedExec`'s
 # trait methods) that the workspace build never sees, so narrowing one fails
@@ -271,6 +279,24 @@ unreferenced_pub="$(find crates src tests examples benchmark/src -name '*.rs' | 
 if [[ -n "$unreferenced_pub" ]]; then
     echo "lint: a pub item nothing outside its crate names (narrow it to pub(crate) or private, ROADMAP item 10):" >&2
     echo "$unreferenced_pub" >&2
+    exit 1
+fi
+roadmap_items="$(awk '/^## / { open = ($0 == "## Open items") }
+    open && match($0, /^[0-9]+\. /) { print substr($0, 1, RLENGTH - 2) }' ROADMAP.md)"
+design_sections="$(sed -n 's/^## \([0-9][0-9]*\)\. .*/\1/p' DESIGN.md)"
+stale_cite="$(git ls-files -z --cached --others --exclude-standard -- . ':!benchmark/' ':!ROADMAP.md' ':!CHANGES.md' |
+    ITEMS="$roadmap_items" SECTIONS="$design_sections" xargs -0 perl -0777 -ne '
+        BEGIN { %item = map { $_ => 1 } split " ", $ENV{ITEMS}; %sect = map { $_ => 1 } split " ", $ENV{SECTIONS} }
+        my $gap = qr{(?:\s|//[/!]?|#)+};
+        while (/\bROADMAP$gap(?:items?$gap)?(\d+)|\bDESIGN\.md$gap§(\d+)/g) {
+            my ($cite, $known) = defined $1 ? ("ROADMAP item $1", $item{$1}) : ("DESIGN.md §$2", $sect{$2});
+            next if $known;
+            my $line = 1 + (substr($_, 0, $-[0]) =~ tr/\n//);
+            print "$ARGV:$line: $cite\n";
+        }')"
+if [[ -n "$stale_cite" ]]; then
+    echo "lint: a citation names no ROADMAP.md item or DESIGN.md section:" >&2
+    echo "$stale_cite" >&2
     exit 1
 fi
 cargo check -q --manifest-path benchmark/Cargo.toml --all-targets

@@ -139,7 +139,7 @@ fn zero_tv_weight_and_huge_tv_weight_both_train() {
             lr: 1e-3,
             warmup: 1,
             log_every: 2,
-            loss: orbit2_model::BayesianLossCfg { tv_weight: tv, ..Default::default() },
+            loss: orbit2_model::BayesianLossCfg { tv_weight: tv },
             ..Default::default()
         };
         let mut trainer =

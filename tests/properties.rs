@@ -262,7 +262,7 @@ proptest! {
     #[test]
     fn packed_matmul_matches_reference_oracle(
         (m, k, n) in (1usize..20, 1usize..70, 1usize..140),
-        (layout, code, act) in (0usize..3, 0usize..orbit2_tensor::fused::WeightPrecision::ALL.len(), 0usize..3),
+        (layout, code, act) in (0usize..3, 0usize..orbit2_tensor::fused::WeightPrecision::ALL.len(), 0usize..2),
         (with_bias, want_pre) in (0usize..2, 0usize..2),
         seed in 0u64..1000,
     ) {
@@ -284,7 +284,7 @@ proptest! {
         let b = randn(&[k * n], seed + 1);
         let bias = randn(&[n], seed + 2);
         let bias = (with_bias == 1).then(|| bias.data());
-        let act = [Activation::Identity, Activation::Relu, Activation::Gelu][act];
+        let act = [Activation::Identity, Activation::Gelu][act];
         let pw = PackedWeight::from_layout(b.data(), lb, k, n, WeightPrecision::ALL[code]);
 
         let (mut c_vec, mut c_ref) = (vec![f32::NAN; m * n], vec![f32::NAN; m * n]);
@@ -313,7 +313,7 @@ proptest! {
     #[test]
     fn in_place_linear_matches_resident_pack(
         (m, k, n) in (1usize..80, 1usize..300, 1usize..140),
-        (act, with_bias) in (0usize..3, 0usize..2),
+        (act, with_bias) in (0usize..2, 0usize..2),
         seed in 0u64..1000,
     ) {
         // The f32 linear's reads on the same operands, bit for bit: the
@@ -327,7 +327,7 @@ proptest! {
         use orbit2_tensor::{MatLayout, PackedWeight};
         let (x, w, b) = (randn(&[m, k], seed), randn(&[n, k], seed + 1), randn(&[n], seed + 2));
         let bias = (with_bias == 1).then_some(&b);
-        let act = [Activation::Identity, Activation::Relu, Activation::Gelu][act];
+        let act = [Activation::Identity, Activation::Gelu][act];
         let pack = PackedWeight::from_layout(w.data(), MatLayout::transposed(k), k, n, WeightPrecision::F32);
         let resident = matmul_bias_act_cached(&x, &w, Some(&pack), bias, act);
         let in_place = matmul_bias_act_in_place(&x, &w, bias, act);

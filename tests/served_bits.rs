@@ -15,7 +15,7 @@
 use orbit2::inference::downscale_with;
 use orbit2_climate::{DownscalingDataset, LatLonGrid, Normalizer, VariableSet};
 use orbit2_imaging::tiles::{tile_grid, TileSpec};
-use orbit2_model::{ModelConfig, ReslimModel, SessionPrecision};
+use orbit2_model::{ModelConfig, ReslimModel, WeightPrecision};
 use orbit2_tensor::fused::IN_PLACE_MAX_ROWS;
 
 /// FNV-1a (64-bit) over the little-endian bytes of each value's bits.
@@ -115,8 +115,8 @@ fn downscale_with_serves_the_committed_bits() {
         let tokens = tile_grid(h, w, spec).iter().map(|g| (g.padded_h() / p) * (g.padded_w() / p)).max();
         assert_eq!(tokens, Some(case.tokens), "{h}x{w} in {spec:?}");
         for (precision, digests) in [
-            (SessionPrecision::F32, case.digests),
-            (SessionPrecision::Int8, case.int8),
+            (WeightPrecision::F32, case.digests),
+            (WeightPrecision::Int8, case.int8),
         ] {
             let session = model.session_at(precision);
             for (compression, want) in [1.0, 2.0].into_iter().zip(digests) {
