@@ -1,7 +1,7 @@
 //! First-order optimizers over a [`ParamStore`].
 //!
 //! [`Adam`] keeps its state flat — see [`crate::params`] for the layout —
-//! and its one update loop ([`AdamRule::apply`]) runs as a parallel sweep.
+//! and its one update loop (`AdamRule::apply`) runs as a parallel sweep.
 
 use crate::params::{sweep, GradAccumulator, GradMap, LayoutEntry, ParamLayout, ParamStore, Span};
 use orbit2_tensor::Tensor;
@@ -24,7 +24,7 @@ pub trait Optimizer {
 ///
 /// The moments are two flat arenas over the [`ParamLayout`] of the store
 /// the optimizer first steps, not a tensor per parameter: one update is one
-/// [`sweep`] however many parameters there are. A parameter that never gets
+/// `sweep` however many parameters there are. A parameter that never gets
 /// a gradient keeps zero moments and is never written.
 pub struct Adam {
     lr: f32,

@@ -331,7 +331,7 @@ fn job_grad<'a>(job: &'a GradMap, name: &str, shape: &[usize]) -> &'a [f32] {
 
 /// Average several gradient maps elementwise (the TILES once-per-batch
 /// gradient all-reduce). All maps must share the first map's keys and
-/// shapes. One [`Reduce`] sweep: summed in map order, scaled once.
+/// shapes. One `Reduce` sweep: summed in map order, scaled once.
 pub fn average_grad_maps(maps: &[GradMap]) -> GradMap {
     assert!(!maps.is_empty(), "no gradient maps to average");
     let mut out: GradMap = maps[0]

@@ -1,9 +1,10 @@
 //! # orbit2-bench
 //!
 //! The benchmark harness: one driver per table/figure of the paper's
-//! evaluation section, shared by the `repro` binary (which prints
-//! paper-format rows next to the paper's reported values) and by the
-//! criterion benches (which measure the real CPU kernels).
+//! evaluation section, run by the `repro` binary, which prints
+//! paper-format rows next to the paper's reported values. The criterion
+//! benches (`kernels`, `inference`, `serving`) time the CPU kernels, the
+//! forward and the server; `scripts/bench_smoke.sh` runs them.
 //!
 //! Experiments that need training accept a step budget; the defaults keep
 //! a full `repro all` run in the minutes range on a laptop-class CPU and
@@ -15,7 +16,6 @@ pub mod fig7;
 pub mod fig8;
 pub mod fmt;
 pub mod halo;
-pub mod hybrid;
 pub mod setup;
 pub mod table1;
 pub mod table2;

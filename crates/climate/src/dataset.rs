@@ -107,7 +107,7 @@ impl DownscalingDataset {
     }
 
     /// Generate sample `i` (deterministic). Every field is generated once,
-    /// through [`WorldGenerator::fields`]: an input and its output twin
+    /// through `WorldGenerator::fields`: an input and its output twin
     /// (`tmin_in`, `tmin`) share one.
     pub fn sample(&self, i: usize) -> DownscalingSample {
         assert!(i < self.num_samples, "sample {i} out of range ({})", self.num_samples);

@@ -17,8 +17,6 @@ pub enum Collective {
     AllGather,
     /// Reduce then scatter shards (FSDP gradient reduction).
     ReduceScatter,
-    /// One-to-all broadcast.
-    Broadcast,
     /// Point-to-point halo exchange with direct neighbours.
     HaloExchange,
 }
@@ -42,7 +40,6 @@ pub fn collective_time(op: Collective, bytes: u64, group: &[usize], cluster: &Cl
     match op {
         Collective::AllReduce => 2.0 * (nf - 1.0) / nf * b / bw + 2.0 * lat_steps * lat,
         Collective::AllGather | Collective::ReduceScatter => (nf - 1.0) / nf * b / bw + lat_steps * lat,
-        Collective::Broadcast => b / bw + (nf.log2().ceil()) * lat,
         // Halo exchange: each rank swaps with up to 4 neighbours in
         // parallel; time is one neighbour volume each way.
         Collective::HaloExchange => 2.0 * b / bw + 2.0 * lat,

@@ -15,8 +15,8 @@
 //!   detection, reproducing every OOM / max-sequence-length cell of Tables
 //!   II and III;
 //! * [`collective`] — α-β cost models for ring all-reduce, all-gather,
-//!   reduce-scatter and broadcast, parameterized by the *bottleneck link* of
-//!   the participating group;
+//!   reduce-scatter and halo exchange, parameterized by the *bottleneck
+//!   link* of the participating group;
 //! * [`roofline`] — compute-time model: FLOPs / (peak BF16 throughput ×
 //!   an efficiency factor calibrated per model-size bucket against the
 //!   paper's reported sustained throughput).

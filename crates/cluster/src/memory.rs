@@ -11,9 +11,17 @@ use crate::topology::GpuSpec;
 use serde::{Deserialize, Serialize};
 
 /// Bytes of one BF16 element.
-const BF16: f64 = 2.0;
+pub const BF16: f64 = 2.0;
 /// Adam with fp32 master weights: master + m + v = 12 bytes per parameter.
 const ADAM_BYTES_PER_PARAM: f64 = 12.0;
+/// Training state per parameter: BF16 weights and gradients plus Adam's
+/// 12 bytes, 16 in all.
+pub const TRAIN_BYTES_PER_PARAM: f64 = 2.0 * BF16 + ADAM_BYTES_PER_PARAM;
+/// Activations kept per token per layer, in BF16 elements per embedding
+/// dimension: QKV, attention output, the 4x MLP intermediate and residuals.
+pub const ACT_FACTOR: f64 = 14.0;
+/// Allocator and framework overhead per GPU.
+pub const OVERHEAD_BYTES: u64 = 2 << 30;
 
 /// Static description of a training configuration's memory behaviour.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -32,9 +40,6 @@ pub struct TrainingMemoryModel {
     pub fsdp_shard: usize,
     /// Whether attention uses the flash (streaming) kernel.
     pub flash_attention: bool,
-    /// Activation bytes per token per layer = `act_factor * embed_dim * 2`.
-    /// Covers QKV, attention output, the 4x MLP intermediate and residuals.
-    pub act_factor: f64,
 }
 
 impl TrainingMemoryModel {
@@ -49,7 +54,6 @@ impl TrainingMemoryModel {
             tp_shard: 1,
             fsdp_shard: 1,
             flash_attention: true,
-            act_factor: 14.0,
         }
     }
 
@@ -89,7 +93,7 @@ impl TrainingMemoryModel {
         let optimizer = p / shard * ADAM_BYTES_PER_PARAM;
         let s = seq_per_gpu as f64;
         let activations =
-            self.layers as f64 * s * self.embed_dim as f64 / self.tp_shard as f64 * self.act_factor * BF16;
+            self.layers as f64 * s * self.embed_dim as f64 / self.tp_shard as f64 * ACT_FACTOR * BF16;
         let attention = if self.flash_attention {
             // Streaming softmax: O(block^2) working set per SM — negligible.
             // The CPU op this repo runs (`orbit2_tensor::attention::
@@ -113,7 +117,7 @@ impl TrainingMemoryModel {
             activation_bytes: activations as u64,
             attention_bytes: attention as u64,
             io_bytes: io_buffers as u64,
-            overhead_bytes: 2 * (1 << 30),
+            overhead_bytes: OVERHEAD_BYTES,
         }
     }
 

@@ -9,9 +9,9 @@
 //! * [`arch_comparison`] reproduces the performance half of Table II(a).
 
 use orbit2_cluster::memory::TrainingMemoryModel;
-use orbit2_cluster::roofline::GpuEfficiency;
+use orbit2_cluster::roofline::{compute_time, GpuEfficiency};
 use orbit2_cluster::topology::ClusterSpec;
-use orbit2_model::profiler::{ModelProfile, SequenceAccounting};
+use orbit2_model::profiler::SequenceAccounting;
 use orbit2_model::ModelConfig;
 use orbit2_parallel::{ParallelismPlan, ReslimCostModel, WorkloadProfile};
 use serde::{Deserialize, Serialize};
@@ -181,15 +181,14 @@ pub struct ScalingPoint {
 /// Workload of the Fig. 6 experiments: the ERA5 112 -> 28 km task.
 pub(crate) fn fig6_workload(cfg: &ModelConfig) -> WorkloadProfile {
     let acc = SequenceAccounting { out_h: 720, out_w: 1440, out_c: 3, patch: 2, factor: 4 };
-    let profile = ModelProfile::of(cfg);
     let eff_seq = acc.reslim_effective_seq(1.0);
     WorkloadProfile {
-        params: profile.params,
+        params: cfg.param_count(),
         layers: cfg.layers,
         embed_dim: cfg.embed_dim,
         heads: cfg.heads,
         eff_seq,
-        flops_per_sample: profile.train_flops(eff_seq),
+        flops_per_sample: cfg.train_flops(eff_seq),
         out_elems: 720 * 1440 * 3,
         in_elems: 180 * 360 * 23,
         flash_attention: true,
@@ -229,24 +228,20 @@ pub fn arch_comparison(
     gpus: usize,
     cluster: &ClusterSpec,
 ) -> (f64, bool, f64, f64) {
-    let profile = ModelProfile::of(cfg);
-    let eff = GpuEfficiency::for_model_size(profile.params);
+    let params = cfg.param_count();
+    let eff = GpuEfficiency::for_model_size(params);
 
-    // Baseline ViT: full nominal sequence, quadratic attention memory.
+    // Baseline ViT: full nominal sequence, quadratic attention memory, and
+    // no per-step overhead.
     let vit_seq = acc.nominal_seq_len();
-    let vit_mem = TrainingMemoryModel::new(profile.params, cfg.layers, cfg.embed_dim, cfg.heads)
-        .with_flash(false);
-    let vit_oom = !vit_mem
-        .step_memory(vit_seq, vit_seq * 4, vit_seq * 4)
-        .fits(&cluster.gpu);
-    let vit_flops = profile.train_flops(vit_seq);
-    let vit_time = vit_flops / (cluster.gpu.peak_bf16_flops * eff.mfu) / gpus as f64;
+    let vit_mem = TrainingMemoryModel::new(params, cfg.layers, cfg.embed_dim, cfg.heads).with_flash(false);
+    let vit_oom = !vit_mem.step_memory(vit_seq, vit_seq * 4, vit_seq * 4).fits(&cluster.gpu);
+    let vit_eff = GpuEfficiency { step_overhead: 0.0, ..eff };
+    let vit_time = compute_time(cfg.train_flops(vit_seq), &cluster.gpu, vit_eff) / gpus as f64;
 
     // Reslim: effective sequence (aggregated + low-res).
     let reslim_seq = acc.reslim_effective_seq(1.0);
-    let reslim_flops = profile.train_flops(reslim_seq);
-    let reslim_time = (reslim_flops / (cluster.gpu.peak_bf16_flops * eff.mfu) + eff.step_overhead)
-        / gpus as f64;
+    let reslim_time = compute_time(cfg.train_flops(reslim_seq), &cluster.gpu, eff) / gpus as f64;
     (vit_time, vit_oom, reslim_time, vit_time / reslim_time)
 }
 

@@ -3,7 +3,7 @@
 //! `orbit2_imaging::tiles`' business (`tile_grid`, `TileGeometry`); this
 //! module only copies.
 //!
-//! **One crop.** [`crop`] copies a geometry's halo-padded window out of a
+//! **One crop.** `crop` copies a geometry's halo-padded window out of a
 //! `[C, H, W]` stack into one pooled `[C, ph, pw]` buffer, clamp-to-edge:
 //! each padded row reads its clamped source row as a left edge fill, one
 //! slice copy of the in-domain span and a right edge fill. [`split_stack`]

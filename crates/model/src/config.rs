@@ -3,8 +3,9 @@
 //! The paper's Sec. IV lists four configurations: 9.5M (256-dim, 6 layers,
 //! 4 heads), 126M (1024-dim, 8 layers, 16 heads), 1B (3072-dim, 8 layers,
 //! 24 heads) and 10B (8192-dim, 11 layers, 32 heads). Those are used by the
-//! profiler and the cluster simulator. The CPU accuracy experiments train
-//! *scaled-down twins* (`tiny`/`small`) that preserve the size ordering.
+//! FLOP accounting ([`ModelConfig::train_flops`]) and the cluster
+//! simulator. The CPU accuracy experiments train *scaled-down twins*
+//! (`tiny`/`small`) that preserve the size ordering.
 
 use serde::{Deserialize, Serialize};
 
@@ -102,6 +103,26 @@ impl ModelConfig {
             + self.out_channels as u64;
         blocks + patch_embed + xattn + res_embed + decoder + residual
     }
+
+    /// Forward FLOPs of the transformer stack at sequence length `s`, the
+    /// standard estimates per layer: `8 s D²` for the QKVO projections,
+    /// `4 s² D` for the attention matmuls and `4 · mlp_ratio · s D²` for the
+    /// MLP.
+    fn forward_flops(&self, s: u64) -> f64 {
+        let d = self.embed_dim as f64;
+        let sf = s as f64;
+        let per_layer = 8.0 * sf * d * d + 4.0 * sf * sf * d + 4.0 * self.mlp_ratio as f64 * sf * d * d;
+        per_layer * self.layers as f64
+    }
+
+    /// Forward+backward (training) FLOPs at sequence length `s`: backward
+    /// costs about twice the forward. Reslim runs this at the *effective*
+    /// (aggregated, low-resolution, compressed) sequence; the baseline pays
+    /// the full upsampled sequence. The stand-in for the paper's DeepSpeed
+    /// profiler (Sec. IV "Performance Metrics").
+    pub fn train_flops(&self, s: u64) -> f64 {
+        3.0 * self.forward_flops(s)
+    }
 }
 
 #[cfg(test)]
@@ -149,6 +170,36 @@ mod tests {
         ] {
             assert_eq!(c.embed_dim % c.heads, 0);
         }
+    }
+
+    #[test]
+    fn flops_scale_quadratically_in_seq_eventually() {
+        let c = ModelConfig::paper_9_5m();
+        // Attention reaches half the FLOPs at `s* = (2 + mlp_ratio) · D`.
+        let s0 = ((2 + c.mlp_ratio) * c.embed_dim) as u64;
+        // Past the crossover, doubling s costs > 3x.
+        let f1 = c.forward_flops(4 * s0);
+        let f2 = c.forward_flops(8 * s0);
+        assert!(f2 / f1 > 3.0);
+        // Far below it, roughly linear.
+        let g1 = c.forward_flops(s0 / 64);
+        let g2 = c.forward_flops(s0 / 32);
+        assert!(g2 / g1 < 2.2);
+    }
+
+    #[test]
+    fn train_flops_are_3x_forward() {
+        let c = ModelConfig::paper_126m();
+        assert!((c.train_flops(1000) / c.forward_flops(1000) - 3.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn bigger_models_cost_more() {
+        let s = 16_384u64;
+        let f95 = ModelConfig::paper_9_5m().forward_flops(s);
+        let f126 = ModelConfig::paper_126m().forward_flops(s);
+        let f10b = ModelConfig::paper_10b().forward_flops(s);
+        assert!(f95 < f126 && f126 < f10b);
     }
 
     #[test]

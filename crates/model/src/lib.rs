@@ -3,7 +3,8 @@
 //! The paper's model architectures, built on `orbit2-autograd`:
 //!
 //! * [`config`] — model-size configurations, including the paper's four
-//!   (9.5M / 126M / 1B / 10B) used by the profiler and the scaled-down
+//!   (9.5M / 126M / 1B / 10B) with their analytic parameter and FLOP counts
+//!   (the stand-in for the DeepSpeed profiler) and the scaled-down
 //!   trainable twins used for the CPU accuracy experiments;
 //! * [`binder`] — binds a [`orbit2_autograd::ParamStore`] onto a tape,
 //!   memoizing leaf vars so each parameter gets exactly one gradient slot;
@@ -26,8 +27,8 @@
 //! * [`reslim`] — the assembled Reslim model (paper Sec. III-A);
 //! * [`baseline`] — the upsample-first baseline ViT (paper Fig. 1), the
 //!   comparator of Table II(a);
-//! * [`profiler`] — analytic parameter/FLOP accounting (the stand-in for
-//!   the DeepSpeed profiler) feeding the cluster simulator.
+//! * [`profiler`] — sequence-length accounting (nominal and effective
+//!   token counts) feeding the cluster simulator.
 
 pub mod baseline;
 pub mod binder;

@@ -1,56 +1,9 @@
-//! Analytic parameter/FLOP accounting — the stand-in for the paper's
-//! DeepSpeed profiler (Sec. IV "Performance Metrics").
-//!
-//! FLOP formulas are the standard transformer estimates: per layer,
-//! `8 s D²` for the QKVO projections, `4 s² D` for the attention matmuls,
-//! and `4 · mlp_ratio · s D²` for the MLP; training costs ≈ 3x the forward
-//! pass (backward ≈ 2x). Reslim runs these at the *effective* (aggregated,
-//! low-resolution, compressed) sequence; the baseline pays the full
-//! upsampled sequence.
+//! Sequence-length accounting: the token counts the paper's Tables II and
+//! III report, and the effective sequence Reslim's ViT runs after channel
+//! aggregation, low-resolution operation and adaptive compression. The
+//! FLOPs at either length are [`crate::ModelConfig::train_flops`].
 
-use crate::config::ModelConfig;
 use serde::{Deserialize, Serialize};
-
-/// Analytic profile of one model configuration.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct ModelProfile {
-    /// Parameter count.
-    pub params: u64,
-    /// Transformer depth.
-    pub layers: usize,
-    /// Embedding dimension.
-    pub embed_dim: usize,
-    /// Attention heads.
-    pub heads: usize,
-    /// MLP expansion ratio.
-    pub mlp_ratio: usize,
-}
-
-impl ModelProfile {
-    /// Profile a configuration.
-    pub fn of(cfg: &ModelConfig) -> Self {
-        Self {
-            params: cfg.param_count(),
-            layers: cfg.layers,
-            embed_dim: cfg.embed_dim,
-            heads: cfg.heads,
-            mlp_ratio: cfg.mlp_ratio,
-        }
-    }
-
-    /// Forward FLOPs of the transformer stack at sequence length `s`.
-    fn forward_flops(&self, s: u64) -> f64 {
-        let d = self.embed_dim as f64;
-        let sf = s as f64;
-        let per_layer = 8.0 * sf * d * d + 4.0 * sf * sf * d + 4.0 * self.mlp_ratio as f64 * sf * d * d;
-        per_layer * self.layers as f64
-    }
-
-    /// Forward+backward (training) FLOPs at sequence length `s`.
-    pub fn train_flops(&self, s: u64) -> f64 {
-        3.0 * self.forward_flops(s)
-    }
-}
 
 /// Sequence-length accounting for the downscaling task, following the
 /// paper's conventions (Table II: "outputs of shape [H, W, C] and 2x2 patch
@@ -118,35 +71,5 @@ mod tests {
         let eff = acc.reslim_effective_seq(4.0);
         let per_tile = eff / 16;
         assert!(per_tile > 10_000 && per_tile < 80_000, "per-tile seq {per_tile}");
-    }
-
-    #[test]
-    fn flops_scale_quadratically_in_seq_eventually() {
-        let p = ModelProfile::of(&ModelConfig::paper_9_5m());
-        // Attention reaches half the FLOPs at `s* = (2 + mlp_ratio) · D`.
-        let s0 = ((2 + p.mlp_ratio) * p.embed_dim) as u64;
-        // Past the crossover, doubling s costs > 3x.
-        let f1 = p.forward_flops(4 * s0);
-        let f2 = p.forward_flops(8 * s0);
-        assert!(f2 / f1 > 3.0);
-        // Far below it, roughly linear.
-        let g1 = p.forward_flops(s0 / 64);
-        let g2 = p.forward_flops(s0 / 32);
-        assert!(g2 / g1 < 2.2);
-    }
-
-    #[test]
-    fn train_flops_are_3x_forward() {
-        let p = ModelProfile::of(&ModelConfig::paper_126m());
-        assert!((p.train_flops(1000) / p.forward_flops(1000) - 3.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn bigger_models_cost_more() {
-        let s = 16_384u64;
-        let f95 = ModelProfile::of(&ModelConfig::paper_9_5m()).forward_flops(s);
-        let f126 = ModelProfile::of(&ModelConfig::paper_126m()).forward_flops(s);
-        let f10b = ModelProfile::of(&ModelConfig::paper_10b()).forward_flops(s);
-        assert!(f95 < f126 && f126 < f10b);
     }
 }

@@ -143,16 +143,9 @@ pub fn estimate_step(
     let per_sample_s = step_s / plan.samples_per_step() as f64;
 
     // --- Memory on one GPU.
-    let mem_model = TrainingMemoryModel {
-        params_total: workload.params,
-        layers: workload.layers,
-        embed_dim: workload.embed_dim,
-        heads: workload.heads,
-        tp_shard: plan.tensor_parallel,
-        fsdp_shard: plan.fsdp,
-        flash_attention: workload.flash_attention,
-        act_factor: 14.0,
-    };
+    let mem_model = TrainingMemoryModel::new(workload.params, workload.layers, workload.embed_dim, workload.heads)
+        .with_sharding(plan.tensor_parallel, plan.fsdp)
+        .with_flash(workload.flash_attention);
     let memory = mem_model.step_memory(
         seq_per_tile as u64,
         workload.out_elems / plan.tiles as u64 / plan.tensor_parallel as u64,

@@ -11,6 +11,7 @@
 //! scales past ~10^5 tokens — can be checked against TILES quantitatively.
 
 use orbit2_cluster::collective::{collective_time, Collective};
+use orbit2_cluster::memory::{ACT_FACTOR, BF16, OVERHEAD_BYTES, TRAIN_BYTES_PER_PARAM};
 use orbit2_cluster::roofline::{compute_time, GpuEfficiency};
 use orbit2_cluster::topology::ClusterSpec;
 use serde::{Deserialize, Serialize};
@@ -71,14 +72,14 @@ impl SeqParallelConfig {
         let per_layer = collective_time(Collective::AllGather, kv_bytes, &group, cluster);
         let ring_comm_s = 2.0 * l * per_layer;
 
-        // Memory: replicated model (weights+grads+Adam = 16 B/param), the
+        // Memory: replicated model (weights, gradients and Adam state), the
         // rank's activation shard, and the *gathered K/V* of the full
         // sequence (the structural difference from TILES: global attention
         // needs global keys), plus flash-style working set.
-        let model_bytes = self.params as f64 * 16.0;
-        let act_bytes = l * (s / p) * d * 14.0 * 2.0;
-        let gathered_kv = 2.0 * s * d * 2.0;
-        let memory_bytes = (model_bytes + act_bytes + gathered_kv) as u64 + (2u64 << 30);
+        let model_bytes = self.params as f64 * TRAIN_BYTES_PER_PARAM;
+        let act_bytes = l * (s / p) * d * ACT_FACTOR * BF16;
+        let gathered_kv = 2.0 * s * d * BF16;
+        let memory_bytes = (model_bytes + act_bytes + gathered_kv) as u64 + OVERHEAD_BYTES;
         let fits = memory_bytes <= cluster.gpu.mem_bytes;
 
         SeqParallelEstimate {

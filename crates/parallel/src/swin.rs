@@ -10,6 +10,7 @@
 //! the bottleneck from sequence length to model size. This module models
 //! both effects.
 
+use orbit2_cluster::memory::{ACT_FACTOR, BF16, OVERHEAD_BYTES, TRAIN_BYTES_PER_PARAM};
 use serde::{Deserialize, Serialize};
 
 /// A Swin-style hierarchy derived from an input token grid.
@@ -56,19 +57,15 @@ impl SwinHierarchy {
 
     /// Peak activation memory in bytes (batch 1, BF16): the finest stage
     /// dominates with `side^2` tokens at `base_channels`.
-    fn activation_bytes(&self) -> u64 {
-        self.stages
-            .iter()
-            .map(|&(s, c)| (s as u64) * (s as u64) * (c as u64) * 14 * 2)
-            .sum()
+    fn activation_bytes(&self) -> f64 {
+        self.stages.iter().map(|&(s, c)| s as f64 * s as f64 * c as f64 * ACT_FACTOR * BF16).sum()
     }
 
     /// Max token count on a 64 GB GPU given the parameter and activation
-    /// growth (Adam state 16 B/param like everywhere else).
+    /// growth (the training state per parameter of `cluster::memory`).
     fn fits_on(&self, mem_bytes: u64, blocks_per_stage: usize) -> bool {
-        let params = self.param_count(blocks_per_stage) * 16;
-        let acts = self.activation_bytes();
-        params + acts + (2 << 30) <= mem_bytes
+        let params = self.param_count(blocks_per_stage) as f64 * TRAIN_BYTES_PER_PARAM;
+        params + self.activation_bytes() + OVERHEAD_BYTES as f64 <= mem_bytes as f64
     }
 }
 

@@ -455,7 +455,7 @@ pub fn conv2d_grad_input(grad_out: &Tensor, weight: &Tensor, input_shape: &[usiz
 /// sample's total for tap `(ky, kx)` is `Σ_oy dot(grad row oy, padded input
 /// row oy + ky shifted by kx)` in ascending `oy`, each dot in
 /// [`simd::dot`]'s operation order; a gradient row is read once for a whole
-/// kernel row of taps ([`sample_taps_by_row`]).
+/// kernel row of taps (`sample_taps_by_row`).
 pub fn conv2d_grad_weight(grad_out: &Tensor, input: &Tensor, weight_shape: &[usize], g: ConvGeom) -> Tensor {
     grad_weight_with(grad_out, input, weight_shape, g, sample_taps_by_row)
 }

@@ -197,7 +197,7 @@ fn linear_f32(
         qgemm::gemm_weight_in_place(x.data(), m, w.data(), n, k, bd, act, &mut out, pre.as_deref_mut());
     } else {
         let (la, lb) = (MatLayout::row_major(k), MatLayout::transposed(k));
-        qgemm::gemm_per_call(x.data(), la, w.data(), lb, m, k, n, bd, act, &mut out, pre.as_deref_mut(), true);
+        qgemm::gemm_per_call(x.data(), la, w.data(), lb, m, k, n, bd, act, &mut out, pre.as_deref_mut());
     }
     (Tensor::from_vec(vec![m, n], out), pre.map(|p| Tensor::from_vec(vec![m, n], p)))
 }

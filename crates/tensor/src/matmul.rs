@@ -40,17 +40,7 @@ impl MatLayout {
 /// `C[m x n] = op(A) * op(B)` with arbitrary operand strides; `c` is
 /// row-major and overwritten.
 #[allow(clippy::too_many_arguments)]
-fn gemm(
-    a: &[f32],
-    la: MatLayout,
-    b: &[f32],
-    lb: MatLayout,
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    parallel: bool,
-) {
+fn gemm(a: &[f32], la: MatLayout, b: &[f32], lb: MatLayout, c: &mut [f32], m: usize, k: usize, n: usize) {
     debug_assert_eq!(c.len(), m * n);
     // Mat-vec fast path: one SIMD dot per row when both a row of A and the
     // single column of B are contiguous.
@@ -60,13 +50,7 @@ fn gemm(
         }
         return;
     }
-    qgemm::gemm_per_call(a, la, b, lb, m, k, n, None, Activation::Identity, c, None, parallel);
-}
-
-/// Sequential matmul used inside already-parallel regions (the same kernel,
-/// without taking rayon a second time).
-pub fn matmul_block_seq(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    gemm(a, MatLayout::row_major(k), b, MatLayout::row_major(n), c, m, k, n, false);
+    qgemm::gemm_per_call(a, la, b, lb, m, k, n, None, Activation::Identity, c, None);
 }
 
 impl Tensor {
@@ -78,17 +62,7 @@ impl Tensor {
         let (k2, n) = (other.shape()[0], other.shape()[1]);
         assert_eq!(k, k2, "matmul inner dims differ: {:?} x {:?}", self.shape(), other.shape());
         let mut out = pool::alloc_uninit(m * n);
-        gemm(
-            self.data(),
-            MatLayout::row_major(k),
-            other.data(),
-            MatLayout::row_major(n),
-            &mut out,
-            m,
-            k,
-            n,
-            true,
-        );
+        gemm(self.data(), MatLayout::row_major(k), other.data(), MatLayout::row_major(n), &mut out, m, k, n);
         Tensor::from_vec(vec![m, n], out)
     }
 
@@ -103,17 +77,7 @@ impl Tensor {
         let (n, k2) = (other.shape()[0], other.shape()[1]);
         assert_eq!(k, k2, "matmul_nt inner dims differ: {:?} x {:?}", self.shape(), other.shape());
         let mut out = pool::alloc_uninit(m * n);
-        gemm(
-            self.data(),
-            MatLayout::row_major(k),
-            other.data(),
-            MatLayout::transposed(k),
-            &mut out,
-            m,
-            k,
-            n,
-            true,
-        );
+        gemm(self.data(), MatLayout::row_major(k), other.data(), MatLayout::transposed(k), &mut out, m, k, n);
         Tensor::from_vec(vec![m, n], out)
     }
 
@@ -127,17 +91,7 @@ impl Tensor {
         let (k2, n) = (other.shape()[0], other.shape()[1]);
         assert_eq!(k, k2, "matmul_tn inner dims differ: {:?} x {:?}", self.shape(), other.shape());
         let mut out = pool::alloc_uninit(m * n);
-        gemm(
-            self.data(),
-            MatLayout::transposed(m),
-            other.data(),
-            MatLayout::row_major(n),
-            &mut out,
-            m,
-            k,
-            n,
-            true,
-        );
+        gemm(self.data(), MatLayout::transposed(m), other.data(), MatLayout::row_major(n), &mut out, m, k, n);
         Tensor::from_vec(vec![m, n], out)
     }
 }
@@ -202,17 +156,6 @@ mod tests {
             let slow = naive(&a, &b);
             assert!(fast.max_abs_diff(&slow) < 1e-3 * (k as f32).sqrt(), "({m},{k},{n})");
         }
-    }
-
-    #[test]
-    fn sequential_and_parallel_products_agree_bitwise() {
-        use crate::random::randn;
-        let (m, k, n) = (50usize, 40usize, 30usize);
-        let a = randn(&[m, k], 11);
-        let b = randn(&[k, n], 12);
-        let mut seq = vec![f32::NAN; m * n];
-        matmul_block_seq(a.data(), b.data(), &mut seq, m, k, n);
-        assert_eq!(a.matmul(&b).data(), &seq[..]);
     }
 
     #[test]

@@ -308,7 +308,7 @@ impl Tensor {
     }
 
     /// Sum of all elements, accumulated in f64: one partial per
-    /// [`SUM_BLOCK`] elements, the partials added in index order — the same
+    /// `SUM_BLOCK` elements, the partials added in index order — the same
     /// bits whether one thread summed the blocks or several.
     pub fn sum(&self) -> f32 {
         let partials: Vec<f64> = self

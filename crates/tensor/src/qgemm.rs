@@ -8,24 +8,24 @@
 //! ## Pack format
 //!
 //! `op(B)` (`k × n`) is cut into strips of `nr = 16·W` columns
-//! (`W ∈ {1, 2, 4}`, [`choose_nr`]), each strip stored k-major
-//! (`strip[p·nr + c]`), ragged columns zero-padded. [`pack_strips`] builds
+//! (`W ∈ {1, 2, 4}`, `choose_nr`), each strip stored k-major
+//! (`strip[p·nr + c]`), ragged columns zero-padded. `pack_strips` builds
 //! strips from any [`MatLayout`], so `W^T` of a `[n, k]` linear weight, a
 //! row-major `B` and a `B^T` all pack straight from their storage (a
 //! column-contiguous `op(B)` through 16×16 register transposes,
-//! [`transpose_tiles`]). A [`PackedWeight`] keeps strips resident across
+//! `transpose_tiles`). A [`PackedWeight`] keeps strips resident across
 //! calls at one of two storage widths (an int8 session's weights);
-//! [`gemm_per_call`] packs f32 strips into pooled scratch for one product
+//! `gemm_per_call` packs f32 strips into pooled scratch for one product
 //! (the tape's backward products, and every f32 linear longer than
-//! `IN_PLACE_MAX_ROWS`, the tape's and the session's), and [`ScratchStrips`]
+//! `IN_PLACE_MAX_ROWS`, the tape's and the session's), and `ScratchStrips`
 //! keeps such a pack for a caller of its own (the attention op's per-head
-//! `K_hᵀ` and `V_h`, and the `xᵀ` of [`gemm_weight_in_place`], which runs a
+//! `K_hᵀ` and `V_h`, and the `xᵀ` of `gemm_weight_in_place`, which runs a
 //! short linear — the session's and the tape's — as `(W · xᵀ)ᵀ` so that
 //! the row-major weight is A, read in place, and needs no pack).
 //!
 //! ## Kernel
 //!
-//! [`panel`] blocks `QMR` rows × `W` `F32x16` columns — up to 24
+//! `panel` blocks `QMR` rows × `W` `F32x16` columns — up to 24
 //! accumulators held in registers from zeroing to store. A is read in
 //! place, row by row (a column-contiguous A — the `A^T g` weight gradient —
 //! is transposed once into pooled scratch by the same tiles, the price an
@@ -42,7 +42,7 @@
 //! Per output element the accumulation is a single k-ordered FMA chain in
 //! both the vector kernel and the scalar oracle ([`gemm_strips_ref`]) — the
 //! same multiplies in the same order through `simd::fma`, the same
-//! [`Epilogue::pre`] — so the two are **bit-identical** for every code, not
+//! `Epilogue::pre` — so the two are **bit-identical** for every code, not
 //! merely close. The oracle is a test reference only: every production
 //! product runs the vector kernel. Neither result depends on the row count:
 //! stacking samples along the row axis cannot change a row's result. There
@@ -733,8 +733,7 @@ impl ScratchStrips {
 }
 
 /// `op(A) · op(B)` with f32 strips of `op(B)` packed for this one call into
-/// pooled scratch. `parallel = false` keeps the whole product on the calling
-/// thread (for callers that already split the work above it).
+/// pooled scratch.
 #[allow(clippy::too_many_arguments)] // GEMM plumbing: operands + epilogue + outputs
 pub(crate) fn gemm_per_call(
     a: &[f32],
@@ -748,14 +747,13 @@ pub(crate) fn gemm_per_call(
     act: Activation,
     c: &mut [f32],
     pre: Option<&mut [f32]>,
-    parallel: bool,
 ) {
     if n == 0 {
         return;
     }
     let strips = ScratchStrips::pack(b, lb, k, n);
     let ep = Epilogue { scales: None, bias, act };
-    drive(a, la, m, strips.strips(), ep, c, pre, parallel, true);
+    drive(a, la, m, strips.strips(), ep, c, pre, true, true);
 }
 
 #[cfg(test)]

@@ -216,7 +216,7 @@ impl Tensor {
 
     /// True when every element is finite.
     ///
-    /// Branch-free inside blocks of [`FINITE_BLOCK`] elements, so the scan
+    /// Branch-free inside blocks of `FINITE_BLOCK` elements, so the scan
     /// vectorizes; a non-finite element stops it at the end of its block.
     pub fn all_finite(&self) -> bool {
         self.data.chunks(FINITE_BLOCK).all(|b| b.iter().fold(true, |ok, x| ok & x.is_finite()))

@@ -107,10 +107,17 @@
 #
 # Doc-link gate: `cargo doc` with `rustdoc::broken-intra-doc-links` denied,
 # so a doc link to a deleted or renamed item fails instead of rendering as
-# plain text. It documents the repo's own packages only (every `crates/*`
-# package and the root one): `--workspace` would also document the vendored
-# shims, and the `proptest` shim's docs carry a link of their own that does
-# not resolve.
+# plain text, and with `rustdoc::private-intra-doc-links` denied, so a public
+# item's docs do not link to an item the rendered docs leave out (name a
+# private item in a code span). It documents the repo's own packages only
+# (every `crates/*` package and the root one): `--workspace` would also
+# document the vendored shims, and the `proptest` shim's docs carry a link
+# of their own that does not resolve.
+#
+# Bench gate: every `[[bench]]` target of `crates/bench/Cargo.toml` is one
+# that `scripts/bench_smoke.sh` runs (its `BENCHES=(...)` list or a
+# `--bench NAME`), so each timing the repo reports is taken by a script;
+# a bench nothing runs records no number and goes stale unseen.
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 float_sum="$(grep -rnE '(into_)?par_(iter|iter_mut|chunks|chunks_mut)\(.*sum::<f(32|64)>' crates/*/src || true)"
@@ -222,6 +229,16 @@ if [[ -n "$pack_site" ]]; then
     echo "$pack_site" >&2
     exit 1
 fi
+smoke_benches="$(sed -n -e 's/^BENCHES=(\(.*\))$/\1/p' -e 's/.*--bench \([a-z0-9_][a-z0-9_]*\).*/\1/p' scripts/bench_smoke.sh | tr ' ' '\n')"
+unrun_bench="$(awk '/^\[\[bench\]\]/ { b = 1; next } /^\[/ { b = 0 } b && /^name = / { gsub(/"/, "", $3); print $3 }' crates/bench/Cargo.toml |
+    while read -r bench; do
+        grep -qx "$bench" <<<"$smoke_benches" || echo "crates/bench/Cargo.toml: [[bench]] $bench"
+    done)"
+if [[ -n "$unrun_bench" ]]; then
+    echo "lint: a bench target scripts/bench_smoke.sh does not run (run it there or delete it):" >&2
+    echo "$unrun_bench" >&2
+    exit 1
+fi
 # `file:name`, or `file:*` for every item in the file; the reason follows.
 pub_allow='
 crates/metrics/src/regression.rs:latitude_weighted_rmse Table IV score ROADMAP item 3 records beside r2_score and rmse
@@ -304,5 +321,5 @@ doc_packages=(-p orbit2-repro)
 for manifest in crates/*/Cargo.toml; do
     doc_packages+=(-p "$(sed -n 's/^name = "\(.*\)"$/\1/p' "$manifest" | head -n 1)")
 done
-RUSTDOCFLAGS="-D rustdoc::broken-intra-doc-links" cargo doc -q --no-deps "${doc_packages[@]}"
+RUSTDOCFLAGS="-D rustdoc::broken-intra-doc-links -D rustdoc::private-intra-doc-links" cargo doc -q --no-deps "${doc_packages[@]}"
 exec cargo clippy --workspace --all-targets -- -D warnings -D unsafe_code -W clippy::redundant_clone "$@"
