@@ -19,11 +19,7 @@ pub(crate) fn check_gradients<F>(shapes: &[Vec<usize>], f: F, tol: f32, seed: u6
 where
     F: for<'t> Fn(&'t Tape, &[Var<'t>]) -> Var<'t>,
 {
-    let inputs: Vec<Tensor> = shapes
-        .iter()
-        .enumerate()
-        .map(|(i, s)| randn(s, seed.wrapping_add(i as u64)))
-        .collect();
+    let inputs: Vec<Tensor> = shapes.iter().enumerate().map(|(i, s)| randn(s, seed.wrapping_add(i as u64))).collect();
 
     // Analytic gradients.
     let tape = Tape::new();
@@ -54,10 +50,7 @@ where
             let fd = (eval(eps) - eval(-eps)) / (2.0 * eps);
             let an = analytic[vi].data()[e];
             let scale = 1.0f32.max(an.abs()).max(fd.abs());
-            assert!(
-                (an - fd).abs() <= tol * scale,
-                "gradient mismatch input {vi} elem {e}: analytic {an}, fd {fd}"
-            );
+            assert!((an - fd).abs() <= tol * scale, "gradient mismatch input {vi} elem {e}: analytic {an}, fd {fd}");
         }
     }
 }

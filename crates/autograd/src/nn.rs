@@ -28,12 +28,7 @@ impl<'t> Var<'t> {
     /// the pre-activation is kept on the tape so the backward pass evaluates
     /// `act'` without recomputing the GEMM. Backward products (`gz W`,
     /// `gz^T x`) use the stride-aware kernels.
-    pub fn linear_act(
-        &self,
-        weight: Var<'t>,
-        bias: Option<Var<'t>>,
-        act: Activation,
-    ) -> Var<'t> {
+    pub fn linear_act(&self, weight: Var<'t>, bias: Option<Var<'t>>, act: Activation) -> Var<'t> {
         let x = self.value();
         let w = weight.value();
         let bt = bias.map(|b| b.value());
@@ -231,11 +226,7 @@ impl<'t> Var<'t> {
         let (in_h, in_w) = (x.shape()[nd - 2], x.shape()[nd - 1]);
         let y = resize(&x, out_h, out_w, ResizeMode::Bilinear);
         let pid = self.id();
-        self.tape().record(
-            y,
-            self.tracked(),
-            Box::new(move |g| vec![(pid, bilinear_adjoint(g, in_h, in_w))]),
-        )
+        self.tape().record(y, self.tracked(), Box::new(move |g| vec![(pid, bilinear_adjoint(g, in_h, in_w))]))
     }
 
     /// Pool rows of a 2-d var into groups by averaging: `out[i] = mean of
@@ -445,7 +436,10 @@ mod tests {
                     let (node, composed) = (attention_bits(&ops, heads, true), attention_bits(&ops, heads, false));
                     for (what, (a, b)) in ["value", "dq", "dk", "dv"].iter().zip(node.iter().zip(&composed)) {
                         let at = a.iter().zip(b).position(|(x, y)| x != y);
-                        assert!(at.is_none(), "{n} tokens, {heads}x{dh}, specials {specials}: {what} differs at {at:?}");
+                        assert!(
+                            at.is_none(),
+                            "{n} tokens, {heads}x{dh}, specials {specials}: {what} differs at {at:?}"
+                        );
                     }
                 }
             }
@@ -671,12 +665,7 @@ mod tests {
 
     #[test]
     fn resize_bilinear_grads_match_fd() {
-        check_gradients(
-            &[vec![1, 4, 4]],
-            |_t, v| v[0].resize_bilinear(8, 8).square().sum(),
-            2e-2,
-            27,
-        );
+        check_gradients(&[vec![1, 4, 4]], |_t, v| v[0].resize_bilinear(8, 8).square().sum(), 2e-2, 27);
     }
 
     /// The adjoint with its taps recomputed at every pixel of every plane,
@@ -748,8 +737,7 @@ mod tests {
 
     #[test]
     fn pool_unpool_grads_match_fd() {
-        let groups: std::sync::Arc<[Vec<usize>]> =
-            vec![vec![0, 1], vec![2], vec![3, 4, 5]].into();
+        let groups: std::sync::Arc<[Vec<usize>]> = vec![vec![0, 1], vec![2], vec![3, 4, 5]].into();
         check_gradients(
             &[vec![6, 3]],
             move |_t, v| {

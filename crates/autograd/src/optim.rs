@@ -67,12 +67,7 @@ impl Adam {
     /// decay) are configuration, not state: the loader reconstructs them
     /// and imports only `t`/`m`/`v`.
     pub fn export_state(&self) -> AdamState {
-        AdamState {
-            steps: self.t,
-            layout: self.layout.clone(),
-            m: self.m.clone(),
-            v: self.v.clone(),
-        }
+        AdamState { steps: self.t, layout: self.layout.clone(), m: self.m.clone(), v: self.v.clone() }
     }
 
     /// Restore state captured by [`Adam::export_state`].
@@ -102,11 +97,7 @@ impl Adam {
 
     /// The update sweep. `grad_of` is asked once per parameter, in layout
     /// order; `None` skips the parameter.
-    fn update<'g>(
-        &mut self,
-        params: &mut ParamStore,
-        mut grad_of: impl FnMut(&LayoutEntry) -> Option<&'g [f32]>,
-    ) {
+    fn update<'g>(&mut self, params: &mut ParamStore, mut grad_of: impl FnMut(&LayoutEntry) -> Option<&'g [f32]>) {
         if self.layout.is_empty() {
             self.layout = ParamLayout::of(params);
             self.m = Tensor::zeros(vec![self.layout.total()]);

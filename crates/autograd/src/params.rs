@@ -45,9 +45,7 @@ impl ParamStore {
 
     /// Get a parameter by name.
     pub fn get(&self, name: &str) -> &Tensor {
-        self.entries
-            .get(name)
-            .unwrap_or_else(|| panic!("unknown parameter {name}"))
+        self.entries.get(name).unwrap_or_else(|| panic!("unknown parameter {name}"))
     }
 
     /// Get a parameter by name, returning `None` when absent (the
@@ -155,9 +153,7 @@ impl ParamLayout {
                 .iter()
                 .try_fold(1usize, |n, &d| n.checked_mul(d))
                 .ok_or_else(|| format!("tensor `{name}` shape {shape:?} overflows"))?;
-            let end = total
-                .checked_add(len)
-                .ok_or_else(|| format!("tensor `{name}` pushes the layout past usize"))?;
+            let end = total.checked_add(len).ok_or_else(|| format!("tensor `{name}` pushes the layout past usize"))?;
             entries.push(LayoutEntry { name, shape, offset: total, len });
             total = end;
         }
@@ -182,11 +178,7 @@ impl ParamLayout {
     /// Whether `store` holds exactly these names with these shapes.
     pub(crate) fn matches(&self, store: &ParamStore) -> bool {
         self.entries.len() == store.len()
-            && self
-                .entries
-                .iter()
-                .zip(store.iter())
-                .all(|(e, (name, t))| e.name == *name && e.shape == t.shape())
+            && self.entries.iter().zip(store.iter()).all(|(e, (name, t))| e.name == *name && e.shape == t.shape())
     }
 }
 
@@ -380,12 +372,7 @@ impl GradAccumulator {
     /// order.
     pub fn held(&self) -> impl Iterator<Item = (&LayoutEntry, &[f32])> {
         let sum = self.sum.data();
-        self.layout
-            .entries()
-            .iter()
-            .zip(&self.held)
-            .filter(|(_, &held)| held)
-            .map(move |(e, _)| (e, &sum[e.range()]))
+        self.layout.entries().iter().zip(&self.held).filter(|(_, &held)| held).map(move |(e, _)| (e, &sum[e.range()]))
     }
 
     /// Reduce one step's jobs into the arena: their job-ordered mean, times
@@ -484,9 +471,8 @@ mod tests {
         p.insert("w", Tensor::zeros(vec![3, 2]));
         assert!(!layout.matches(&p));
 
-        let index = |names: &[&str], shape: &[usize]| {
-            names.iter().map(|n| (n.to_string(), shape.to_vec())).collect::<Vec<_>>()
-        };
+        let index =
+            |names: &[&str], shape: &[usize]| names.iter().map(|n| (n.to_string(), shape.to_vec())).collect::<Vec<_>>();
         assert!(ParamLayout::from_index(index(&["a", "a"], &[1])).is_err(), "duplicate");
         assert!(ParamLayout::from_index(index(&["b", "a"], &[1])).is_err(), "unsorted");
         assert!(ParamLayout::from_index(index(&["a"], &[usize::MAX, 2])).is_err(), "product overflow");

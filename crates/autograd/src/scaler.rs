@@ -54,11 +54,7 @@ impl GradScaler {
     /// Bit-exact snapshot of the scaler state for checkpointing. Growth and
     /// backoff factors are configuration, reconstructed by the loader.
     pub fn export_state(&self) -> ScalerState {
-        ScalerState {
-            scale_bits: self.scale.to_bits(),
-            good_steps: self.good_steps,
-            skipped_steps: self.skipped_steps,
-        }
+        ScalerState { scale_bits: self.scale.to_bits(), good_steps: self.good_steps, skipped_steps: self.skipped_steps }
     }
 
     /// Restore state captured by [`GradScaler::export_state`].

@@ -199,22 +199,12 @@ impl<'t> Var<'t> {
         self.tape.nodes.borrow()[self.id].tracked
     }
 
-    fn unary(
-        &self,
-        value: Tensor,
-        back: impl Fn(&Tensor) -> Tensor + 'static,
-    ) -> Var<'t> {
+    fn unary(&self, value: Tensor, back: impl Fn(&Tensor) -> Tensor + 'static) -> Var<'t> {
         let pid = self.id;
-        self.tape
-            .record(value, self.tracked(), Box::new(move |g| vec![(pid, back(g))]))
+        self.tape.record(value, self.tracked(), Box::new(move |g| vec![(pid, back(g))]))
     }
 
-    fn binary(
-        &self,
-        other: Var<'t>,
-        value: Tensor,
-        back: impl Fn(&Tensor) -> (Tensor, Tensor) + 'static,
-    ) -> Var<'t> {
+    fn binary(&self, other: Var<'t>, value: Tensor, back: impl Fn(&Tensor) -> (Tensor, Tensor) + 'static) -> Var<'t> {
         assert!(std::ptr::eq(self.tape, other.tape), "vars from different tapes");
         let (a, b) = (self.id, other.id);
         let tracked = self.tracked() || other.tracked();
@@ -232,18 +222,14 @@ impl<'t> Var<'t> {
     pub fn add(&self, other: Var<'t>) -> Var<'t> {
         let (av, bv) = (self.value(), other.value());
         let (ash, bsh) = (av.shape().to_vec(), bv.shape().to_vec());
-        self.binary(other, av.add(&bv), move |g| {
-            (reduce_to_shape(g, &ash), reduce_to_shape(g, &bsh))
-        })
+        self.binary(other, av.add(&bv), move |g| (reduce_to_shape(g, &ash), reduce_to_shape(g, &bsh)))
     }
 
     /// Elementwise subtraction (with broadcasting).
     pub fn sub(&self, other: Var<'t>) -> Var<'t> {
         let (av, bv) = (self.value(), other.value());
         let (ash, bsh) = (av.shape().to_vec(), bv.shape().to_vec());
-        self.binary(other, av.sub(&bv), move |g| {
-            (reduce_to_shape(g, &ash), reduce_to_shape(&g.neg(), &bsh))
-        })
+        self.binary(other, av.sub(&bv), move |g| (reduce_to_shape(g, &ash), reduce_to_shape(&g.neg(), &bsh)))
     }
 
     /// Elementwise multiplication (with broadcasting).
@@ -288,9 +274,7 @@ impl<'t> Var<'t> {
     /// Sum of all elements (scalar output).
     pub fn sum(&self) -> Var<'t> {
         let shape = self.shape();
-        self.unary(Tensor::scalar(self.value().sum()), move |g| {
-            Tensor::full(shape.clone(), g.item())
-        })
+        self.unary(Tensor::scalar(self.value().sum()), move |g| Tensor::full(shape.clone(), g.item()))
     }
 
     /// Mean of all elements (scalar output).
@@ -302,9 +286,7 @@ impl<'t> Var<'t> {
     /// Reshape (gradient reshapes back).
     pub fn reshape(&self, shape: Vec<usize>) -> Var<'t> {
         let old = self.shape();
-        self.unary(self.value().into_reshape(shape), move |g| {
-            g.reshape(old.clone())
-        })
+        self.unary(self.value().into_reshape(shape), move |g| g.reshape(old.clone()))
     }
 
     /// 2-d transpose.
@@ -488,21 +470,21 @@ mod tests {
 
     #[test]
     fn matmul_grad_matches_fd() {
-        check_gradients(
-            &[vec![3, 4], vec![4, 2]],
-            |_tape, vars| vars[0].matmul(vars[1]).sum(),
-            1e-2,
-            42,
-        );
+        check_gradients(&[vec![3, 4], vec![4, 2]], |_tape, vars| vars[0].matmul(vars[1]).sum(), 1e-2, 42);
     }
 
     #[test]
     fn softmax_grad_matches_fd() {
-        check_gradients(&[vec![3, 5]], |_tape, vars| {
-            // A non-trivial downstream function of the softmax.
-            let s = vars[0].softmax_last();
-            s.square().sum()
-        }, 1e-2, 7);
+        check_gradients(
+            &[vec![3, 5]],
+            |_tape, vars| {
+                // A non-trivial downstream function of the softmax.
+                let s = vars[0].softmax_last();
+                s.square().sum()
+            },
+            1e-2,
+            7,
+        );
     }
 
     #[test]
@@ -563,12 +545,7 @@ mod tests {
 
     #[test]
     fn gather_rows_grad() {
-        check_gradients(
-            &[vec![4, 3]],
-            |_t, v| v[0].gather_rows(vec![1, 1, 3]).square().sum(),
-            1e-2,
-            13,
-        );
+        check_gradients(&[vec![4, 3]], |_t, v| v[0].gather_rows(vec![1, 1, 3]).square().sum(), 1e-2, 13);
     }
 
     #[test]
@@ -602,11 +579,7 @@ mod tests {
         orbit2_tensor::pool::reset_stats();
         let g = tape.backward(loss);
         assert!(g.get(a).is_some());
-        assert_eq!(
-            orbit2_tensor::pool::stats().copies,
-            0,
-            "interior-node backward must not deep-copy tensors"
-        );
+        assert_eq!(orbit2_tensor::pool::stats().copies, 0, "interior-node backward must not deep-copy tensors");
     }
 
     #[test]

@@ -10,22 +10,22 @@ use orbit2::checkpoint::{
     crc32, load_model, load_trainer_state, save_model, save_trainer_state, ProgressState, TrainerCheckpoint,
 };
 use orbit2_autograd::params::GradMap;
-use orbit2_climate::{DownscalingDataset, LatLonGrid, VariableSet};
 use orbit2_autograd::{Adam, GradAccumulator, GradScaler, ParamLayout, ParamStore, Tape, Var};
+use orbit2_climate::{DownscalingDataset, LatLonGrid, VariableSet};
 use orbit2_imaging::quadtree::{QuadTree, QuadTreeParams};
+use orbit2_model::{ModelConfig, ReslimModel};
 use orbit2_tensor::attention::{multi_head_attention, naive_attention};
 use orbit2_tensor::bf16::bf16_round_slice;
 use orbit2_tensor::conv::{conv2d, conv2d_grad_input, conv2d_grad_weight, upsample_conv2d, ConvGeom};
 use orbit2_tensor::fused::{
-    act_backward, layer_norm_rows, matmul_bias_act, matmul_bias_act_cached, matmul_bias_act_in_place,
-    softmax_rows, Activation, WeightPrecision,
+    act_backward, layer_norm_rows, matmul_bias_act, matmul_bias_act_cached, matmul_bias_act_in_place, softmax_rows,
+    Activation, WeightPrecision,
 };
 use orbit2_tensor::qgemm::{gemm_strips_ref, PackedWeight};
 use orbit2_tensor::random::randn;
-use orbit2_model::{ModelConfig, ReslimModel};
+use orbit2_tensor::resize::{resize, ResizeMode};
 use orbit2_tensor::MatLayout;
 use orbit2_tensor::Tensor;
-use orbit2_tensor::resize::{resize, ResizeMode};
 use rayon::prelude::*;
 use std::sync::mpsc::channel;
 use std::time::{Duration, Instant};
@@ -36,9 +36,7 @@ fn bench_matmul(c: &mut Criterion) {
     for &n in &[128usize, 256, 512] {
         let a = randn(&[n, n], 1);
         let b = randn(&[n, n], 2);
-        group.bench_with_input(BenchmarkId::from_parameter(n), &n, |bench, _| {
-            bench.iter(|| a.matmul(&b))
-        });
+        group.bench_with_input(BenchmarkId::from_parameter(n), &n, |bench, _| bench.iter(|| a.matmul(&b)));
     }
     group.finish();
 }
@@ -98,32 +96,20 @@ fn bench_packed_gemm(c: &mut Criterion) {
             let pack = PackedWeight::pack(&w, precision);
             let name = if m == k && k == n { format!("{n}") } else { format!("{m}x{k}x{n}") };
             group.bench_function(BenchmarkId::from_parameter(name), |bench| {
-                bench.iter(|| {
-                    matmul_bias_act_cached(
-                        &x,
-                        &w,
-                        pack.as_ref(),
-                        Some(&b),
-                        Activation::Identity,
-                    )
-                })
+                bench.iter(|| matmul_bias_act_cached(&x, &w, pack.as_ref(), Some(&b), Activation::Identity))
             });
         }
         if precision == WeightPrecision::F32 {
             let (q, kh) = (randn(&[612, 32], 34), randn(&[612, 32], 35));
-            group.bench_function(BenchmarkId::from_parameter("612x32x612_nt"), |bench| {
-                bench.iter(|| q.matmul_nt(&kh))
-            });
+            group.bench_function(BenchmarkId::from_parameter("612x32x612_nt"), |bench| bench.iter(|| q.matmul_nt(&kh)));
             // One attention block's `Q_h K_hᵀ`: 48 queries against a
             // 1156-token tile at d_head = 64, the short k of every head.
             let (qb, kb) = (randn(&[48, 64], 38), randn(&[1156, 64], 39));
-            group.bench_function(BenchmarkId::from_parameter("48x64x1156_nt"), |bench| {
-                bench.iter(|| qb.matmul_nt(&kb))
-            });
+            group
+                .bench_function(BenchmarkId::from_parameter("48x64x1156_nt"), |bench| bench.iter(|| qb.matmul_nt(&kb)));
             let (gz, x) = (randn(&[45, 1024], 36), randn(&[45, 256], 37));
-            group.bench_function(BenchmarkId::from_parameter("1024x45x256_tn"), |bench| {
-                bench.iter(|| gz.matmul_tn(&x))
-            });
+            group
+                .bench_function(BenchmarkId::from_parameter("1024x45x256_tn"), |bench| bench.iter(|| gz.matmul_tn(&x)));
             for &(m, k, n) in &IN_PLACE {
                 let (x, w, b) = (randn(&[m, k], 31), randn(&[n, k], 32), randn(&[n], 33));
                 let name = format!("{m}x{k}x{n}");
@@ -219,19 +205,13 @@ fn bench_attention(c: &mut Criterion) {
         let q = randn(&[s, d], 1);
         let k = randn(&[s, d], 2);
         let v = randn(&[s, d], 3);
-        group.bench_with_input(BenchmarkId::new("naive", s), &s, |b, _| {
-            b.iter(|| naive_attention(&q, &k, &v))
-        });
+        group.bench_with_input(BenchmarkId::new("naive", s), &s, |b, _| b.iter(|| naive_attention(&q, &k, &v)));
     }
     for &(n, d, heads) in &[(1156usize, 256usize, 4usize), (512, 32, 2), (64, 1024, 16)] {
         let [q, k, v] = [4, 5, 6].map(|seed| randn(&[n, d], seed));
         let name = format!("{n}x{d}h{heads}");
-        group.bench_function(BenchmarkId::new("fused", &name), |b| {
-            b.iter(|| multi_head_attention(&q, &k, &v, heads))
-        });
-        group.bench_function(BenchmarkId::new("composed", &name), |b| {
-            b.iter(|| composed_attention(&q, &k, &v, heads))
-        });
+        group.bench_function(BenchmarkId::new("fused", &name), |b| b.iter(|| multi_head_attention(&q, &k, &v, heads)));
+        group.bench_function(BenchmarkId::new("composed", &name), |b| b.iter(|| composed_attention(&q, &k, &v, heads)));
     }
     // The tape's attention, forward and backward, on a `train-step` tile
     // (60 tokens of the 9.5M model): the node (`tape`) beside the
@@ -293,11 +273,9 @@ fn bench_layer_norm(c: &mut Criterion) {
     group.sample_size(10);
     for &(rows, d) in &[(1024usize, 256usize), (1156, 256), (4096, 512)] {
         let x = randn(&[rows, d], 21);
-        group.bench_with_input(
-            BenchmarkId::from_parameter(format!("{rows}x{d}")),
-            &d,
-            |bench, _| bench.iter(|| layer_norm_rows(x.data(), rows, d, 1e-5)),
-        );
+        group.bench_with_input(BenchmarkId::from_parameter(format!("{rows}x{d}")), &d, |bench, _| {
+            bench.iter(|| layer_norm_rows(x.data(), rows, d, 1e-5))
+        });
     }
     group.finish();
 }
@@ -363,17 +341,13 @@ fn bench_softmax(c: &mut Criterion) {
     group.sample_size(10);
     for &(rows, d) in &[(1024usize, 256usize), (1156, 1156), (4096, 512)] {
         let x = randn(&[rows, d], 22);
-        group.bench_with_input(
-            BenchmarkId::from_parameter(format!("{rows}x{d}")),
-            &d,
-            |bench, _| {
-                bench.iter(|| {
-                    let mut buf = x.data().to_vec();
-                    softmax_rows(&mut buf, d);
-                    buf
-                })
-            },
-        );
+        group.bench_with_input(BenchmarkId::from_parameter(format!("{rows}x{d}")), &d, |bench, _| {
+            bench.iter(|| {
+                let mut buf = x.data().to_vec();
+                softmax_rows(&mut buf, d);
+                buf
+            })
+        });
     }
     group.finish();
 }
@@ -425,9 +399,7 @@ fn bench_conv_model(c: &mut Criterion) {
         let x = randn(&[1, ci, h, w], 51);
         let wt = randn(&[co, ci, 3, 3], 52);
         let b = randn(&[co], 53);
-        group.bench_function(BenchmarkId::from_parameter(name), |bench| {
-            bench.iter(|| conv2d(&x, &wt, Some(&b), g))
-        });
+        group.bench_function(BenchmarkId::from_parameter(name), |bench| bench.iter(|| conv2d(&x, &wt, Some(&b), g)));
     }
     group.finish();
 

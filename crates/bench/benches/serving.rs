@@ -53,10 +53,14 @@ fn run_level(server: &Server, inputs: &[Tensor], clients: usize) -> (Vec<u64>, f
 fn run_clients(clients: usize, client: impl Fn(usize) -> Vec<u64> + Sync) -> (Vec<u64>, f64) {
     let wall = Instant::now();
     let mut latencies: Vec<u64> = std::thread::scope(|scope| {
-        let threads: Vec<_> = (0..clients).map(|c| scope.spawn({
-            let client = &client;
-            move || client(c)
-        })).collect();
+        let threads: Vec<_> = (0..clients)
+            .map(|c| {
+                scope.spawn({
+                    let client = &client;
+                    move || client(c)
+                })
+            })
+            .collect();
         threads.into_iter().flat_map(|t| t.join().expect("client thread panicked")).collect()
     });
     let rps = latencies.len() as f64 / wall.elapsed().as_secs_f64();
@@ -101,42 +105,29 @@ fn time_cell(name: &str, mut run: impl FnMut()) {
 /// The float text of `serve-wire`'s round trip: a `[7,32,64]` request and
 /// its `[3,128,256]` reply (98,304 values), the values a real field has.
 fn wire_cells() {
-    let ds =
-        DownscalingDataset::new(LatLonGrid::conus(128, 256), VariableSet::daymet_like(), 4, 2, 3);
+    let ds = DownscalingDataset::new(LatLonGrid::conus(128, 256), VariableSet::daymet_like(), 4, 2, 3);
     let sample = ds.sample(0);
     let field: Vec<f32> = sample.target.data().to_vec();
     let text = serde_json::to_string(&field).unwrap();
     time_cell("wire/print_f32/98304", || drop(black_box(serde_json::to_string(black_box(&field)))));
-    time_cell("wire/parse_f32/98304", || {
-        drop(black_box(serde_json::from_str::<Vec<f32>>(black_box(&text))))
-    });
+    time_cell("wire/parse_f32/98304", || drop(black_box(serde_json::from_str::<Vec<f32>>(black_box(&text)))));
 
-    let resp = ServeResponse {
-        id: 7,
-        shape: sample.target.shape().to_vec(),
-        data: field,
-        micros: 9_000,
-    };
+    let resp = ServeResponse { id: 7, shape: sample.target.shape().to_vec(), data: field, micros: 9_000 };
     let result = Ok(resp);
     let reply = tcp::response_line(7, &result);
-    time_cell("wire/response_line/3x128x256", || {
-        drop(black_box(tcp::response_line(7, black_box(&result))))
-    });
+    time_cell("wire/response_line/3x128x256", || drop(black_box(tcp::response_line(7, black_box(&result)))));
     time_cell("wire/reply_parse/3x128x256", || drop(black_box(ServerReply::parse(black_box(&reply)))));
 
     let req = raw_request(7, &sample.input);
     let line = serde_json::to_string(&req).unwrap();
     time_cell("wire/request_line/7x32x64", || drop(black_box(serde_json::to_string(black_box(&req)))));
-    time_cell("wire/request_parse/7x32x64", || {
-        drop(black_box(serde_json::from_str::<ServeRequest>(black_box(&line))))
-    });
+    time_cell("wire/request_parse/7x32x64", || drop(black_box(serde_json::from_str::<ServeRequest>(black_box(&line)))));
 }
 
 fn main() {
     wire_cells();
 
-    let ds =
-        DownscalingDataset::new(LatLonGrid::conus(16, 32), VariableSet::daymet_like(), 4, 8, 3);
+    let ds = DownscalingDataset::new(LatLonGrid::conus(16, 32), VariableSet::daymet_like(), 4, 8, 3);
     let norm = Normalizer::fit(&ds, 4);
     let inputs: Vec<Tensor> = (0..4).map(|i| ds.sample(i).input).collect();
 

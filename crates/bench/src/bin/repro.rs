@@ -11,8 +11,7 @@
 use orbit2_bench::{fig6, fig7, fig8, halo, setup, step_budget, table1, table2, table3, table4};
 use std::path::PathBuf;
 
-const USAGE: &str =
-    "usage: repro [table1|table2a|table2b|table3|table4|fig6a|fig6b|fig7|fig8|halo|all] [--quick]";
+const USAGE: &str = "usage: repro [table1|table2a|table2b|table3|table4|fig6a|fig6b|fig7|fig8|halo|all] [--quick]";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();

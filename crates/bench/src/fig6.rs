@@ -16,19 +16,9 @@ use std::time::Instant;
 pub fn render_6a_simulated() -> String {
     let model = ReslimCostModel::new();
     let mut t = Table::new(&["GPUs", "Speedup (model)", "Speedup (paper)"]);
-    let paper: &[(usize, &str)] = &[
-        (8, "1.9"),
-        (64, "~15"),
-        (256, "~64"),
-        (1024, "~258"),
-        (2048, "515"),
-    ];
+    let paper: &[(usize, &str)] = &[(8, "1.9"), (64, "~15"), (256, "~64"), (1024, "~258"), (2048, "515")];
     for &(gpus, p) in paper {
-        t.row(vec![
-            gpus.to_string(),
-            format!("{:.1}", model.speedup(16, 1, gpus, 8)),
-            p.into(),
-        ]);
+        t.row(vec![gpus.to_string(), format!("{:.1}", model.speedup(16, 1, gpus, 8)), p.into()]);
     }
     format!("Fig 6(a) [cost model, 16 tiles, vs 8-GPU untiled baseline]:\n{}", t.render())
 }
@@ -49,17 +39,12 @@ fn measure_6a_threads(max_threads: usize) -> Vec<(usize, f64)> {
     let norm = orbit2_climate::Normalizer::fit(&ds, 2);
     let sample = ds.sample(0);
     let spec = TileSpec::square(16, 1);
-    let run = || {
-        downscale_with(&model, &session, &norm, &sample.input, Some(spec), 1.0).expect("valid sample")
-    };
+    let run = || downscale_with(&model, &session, &norm, &sample.input, Some(spec), 1.0).expect("valid sample");
     run();
     let mut out = Vec::new();
     let mut threads = 1usize;
     while threads <= max_threads {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .expect("thread pool");
+        let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().expect("thread pool");
         let secs = pool.install(|| {
             (0..RUNS_6A)
                 .map(|_| {
@@ -85,10 +70,7 @@ pub fn render_6a_measured() -> String {
     for (threads, secs) in &series {
         t.row(vec![threads.to_string(), sci(*secs), format!("{:.2}", base / secs)]);
     }
-    format!(
-        "Fig 6(a) [measured: real 16-tile TILES inference on this CPU's threads]:\n{}",
-        t.render()
-    )
+    format!("Fig 6(a) [measured: real 16-tile TILES inference on this CPU's threads]:\n{}", t.render())
 }
 
 /// Fig. 6(b): strong scaling, all four paper model sizes.

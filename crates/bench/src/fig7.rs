@@ -78,7 +78,11 @@ pub fn render_7a(cmp: &SpectrumComparison) -> String {
 
 /// Fig. 7(b): write ground truth and prediction precipitation maps as PGM
 /// files under `dir` and return ASCII previews.
-pub fn render_7b(result_model: (&ReslimModel, &Normalizer), ds: &DownscalingDataset, dir: &Path) -> std::io::Result<String> {
+pub fn render_7b(
+    result_model: (&ReslimModel, &Normalizer),
+    ds: &DownscalingDataset,
+    dir: &Path,
+) -> std::io::Result<String> {
     std::fs::create_dir_all(dir)?;
     let idx = *ds.indices(Split::Test).first().expect("test split empty");
     let s = ds.sample(idx);
@@ -90,7 +94,8 @@ pub fn render_7b(result_model: (&ReslimModel, &Normalizer), ds: &DownscalingData
     let pred_field = &pred.data()[chan * plane..(chan + 1) * plane];
     write_pgm(&dir.join("fig7b_truth.pgm"), truth, h, w)?;
     write_pgm(&dir.join("fig7b_prediction.pgm"), pred_field, h, w)?;
-    let mut out = String::from("Fig 7(b) [daily total precipitation, ground truth (left) vs ORBIT-2 reproduction (right)]\n");
+    let mut out =
+        String::from("Fig 7(b) [daily total precipitation, ground truth (left) vs ORBIT-2 reproduction (right)]\n");
     let left = ascii_art(truth, h, w, 56);
     let right = ascii_art(pred_field, h, w, 56);
     for (l, r) in left.lines().zip(right.lines()) {

@@ -50,8 +50,7 @@ pub fn run(steps: usize, samples: usize) -> Fig8Result {
     for &i in &test_idx {
         let s = ds.sample(i);
         let pred =
-            downscale_with(&trainer.model, &session, &trainer.normalizer, &s.input, None, 1.0)
-                .expect("valid sample");
+            downscale_with(&trainer.model, &session, &trainer.normalizer, &s.input, None, 1.0).expect("valid sample");
         preds.extend_from_slice(&pred.data()[chan * plane..(chan + 1) * plane]);
         truth.extend_from_slice(&s.target.data()[chan * plane..(chan + 1) * plane]);
         obs.extend(observe_precipitation(ds.world(), s.t, ImergLikeParams::default()));

@@ -9,10 +9,7 @@ pub(crate) struct Table {
 impl Table {
     /// Start a table with column headers.
     pub(crate) fn new(header: &[&str]) -> Self {
-        Self {
-            header: header.iter().map(|s| s.to_string()).collect(),
-            rows: Vec::new(),
-        }
+        Self { header: header.iter().map(|s| s.to_string()).collect(), rows: Vec::new() }
     }
 
     /// Append a row (must match the header arity).

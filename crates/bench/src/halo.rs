@@ -35,19 +35,11 @@ pub fn run(steps: usize) -> Vec<HaloPoint> {
         .iter()
         .map(|&halo| {
             let spec = TileSpec { tiles_y: 2, tiles_x: 2, halo };
-            let reports = evaluate_model(
-                &trainer.model,
-                &trainer.normalizer,
-                &ds,
-                &test_idx,
-                Some(spec),
-                1.0,
-            )
-            .expect("valid test split");
+            let reports = evaluate_model(&trainer.model, &trainer.normalizer, &ds, &test_idx, Some(spec), 1.0)
+                .expect("valid test split");
             let rmse = reports[0].report.rmse; // tmin
             let grid = tile_grid(h, w, spec);
-            let overhead =
-                grid.iter().map(|g| g.halo_overhead()).sum::<f64>() / grid.len() as f64;
+            let overhead = grid.iter().map(|g| g.halo_overhead()).sum::<f64>() / grid.len() as f64;
             HaloPoint { halo, rmse, overhead }
         })
         .collect()
@@ -57,11 +49,7 @@ pub fn run(steps: usize) -> Vec<HaloPoint> {
 pub fn render(points: &[HaloPoint]) -> String {
     let mut t = Table::new(&["Halo (px)", "tmin RMSE (held out)", "Compute overhead"]);
     for p in points {
-        t.row(vec![
-            p.halo.to_string(),
-            format!("{:.4}", p.rmse),
-            format!("{:.2}x", p.overhead),
-        ]);
+        t.row(vec![p.halo.to_string(), format!("{:.4}", p.rmse), format!("{:.2}x", p.overhead)]);
     }
     format!(
         "Halo-width ablation [trained model, 2x2 tiles] (paper Sec. III-B: larger halos\n\
@@ -82,10 +70,7 @@ mod tests {
         // accuracy: border tokens need neighbour context.
         let zero = points[0].rmse;
         let best_with_halo = points[1..].iter().map(|p| p.rmse).fold(f64::INFINITY, f64::min);
-        assert!(
-            best_with_halo <= zero * 1.02,
-            "a halo should not hurt accuracy: zero {zero}, best {best_with_halo}"
-        );
+        assert!(best_with_halo <= zero * 1.02, "a halo should not hurt accuracy: zero {zero}, best {best_with_halo}");
         // Compute overhead grows strictly with halo width.
         for pair in points.windows(2) {
             assert!(pair[1].overhead > pair[0].overhead);

@@ -24,8 +24,5 @@ pub mod table4;
 
 /// Step budget for training experiments: `ORBIT2_STEPS` or the default.
 pub fn step_budget(default: usize) -> usize {
-    std::env::var("ORBIT2_STEPS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
+    std::env::var("ORBIT2_STEPS").ok().and_then(|s| s.parse().ok()).unwrap_or(default)
 }

@@ -7,7 +7,15 @@ use orbit2_climate::catalog::{paper_catalog, DatasetRole};
 pub fn render() -> String {
     let mut out = String::from("Table I: datasets for pretraining, fine-tuning and inference\n");
     let mut t = Table::new(&[
-        "Dataset", "Region", "Res (km)", "In Vars", "Out Vars", "Sample (in -> out)", "Pairs", "Size (GB)", "Role",
+        "Dataset",
+        "Region",
+        "Res (km)",
+        "In Vars",
+        "Out Vars",
+        "Sample (in -> out)",
+        "Pairs",
+        "Size (GB)",
+        "Role",
     ]);
     for e in paper_catalog() {
         let role = match e.role {
@@ -28,7 +36,9 @@ pub fn render() -> String {
         ]);
     }
     out.push_str(&t.render());
-    out.push_str("\n(Sizes are f32 estimates; the paper stores mixed products, e.g. 6,328 GB for the large ERA5 set.)\n");
+    out.push_str(
+        "\n(Sizes are f32 estimates; the paper stores mixed products, e.g. 6,328 GB for the large ERA5 set.)\n",
+    );
     out
 }
 

@@ -22,11 +22,32 @@ pub fn render_2a_simulated() -> String {
     let cluster = ClusterSpec::frontier();
     let cfg = ModelConfig::paper_9_5m();
     let mut t = Table::new(&[
-        "Arch", "Model", "Resolution", "Seq len", "Time/sample (s)", "Speedup", "Paper time", "Paper speedup",
+        "Arch",
+        "Model",
+        "Resolution",
+        "Seq len",
+        "Time/sample (s)",
+        "Speedup",
+        "Paper time",
+        "Paper speedup",
     ]);
     let tasks = [
-        ("622->156 km", SequenceAccounting { out_h: 128, out_w: 256, out_c: 3, patch: 2, factor: 4 }, "7.3e-4", "1", "1.1e-6", "660"),
-        ("112->28 km", SequenceAccounting { out_h: 720, out_w: 1440, out_c: 3, patch: 2, factor: 4 }, "OOM", "NA", "1.2e-3", "NA"),
+        (
+            "622->156 km",
+            SequenceAccounting { out_h: 128, out_w: 256, out_c: 3, patch: 2, factor: 4 },
+            "7.3e-4",
+            "1",
+            "1.1e-6",
+            "660",
+        ),
+        (
+            "112->28 km",
+            SequenceAccounting { out_h: 720, out_w: 1440, out_c: 3, patch: 2, factor: 4 },
+            "OOM",
+            "NA",
+            "1.2e-3",
+            "NA",
+        ),
     ];
     for (res, acc, paper_vit_t, _paper_vit_s, paper_reslim_t, paper_speedup) in tasks {
         let (vit_t, vit_oom, reslim_t, speedup) = arch_comparison(&cfg, &acc, 128, &cluster);

@@ -56,9 +56,8 @@ pub fn render_landscape() -> String {
 /// Render the simulated Table III.
 pub fn render() -> String {
     let cluster = ClusterSpec::frontier();
-    let mut t = Table::new(&[
-        "Architecture", "Compression", "Tiles", "GPUs", "Max seq (sim)", "Output", "Res (km)", "Paper",
-    ]);
+    let mut t =
+        Table::new(&["Architecture", "Compression", "Tiles", "GPUs", "Max seq (sim)", "Output", "Res (km)", "Paper"]);
     for (name, arch, cfg, compression, tiles, gpus, paper) in rows() {
         let row = max_sequence_row(&cfg, arch, compression, tiles, gpus, &cluster);
         t.row(vec![

@@ -28,15 +28,12 @@ pub fn run(steps: usize, samples: usize) -> Table4Result {
     let ds = us_dataset(samples, 77);
     let test_idx = ds.indices(Split::Test);
     let (tiny_tr, tiny_rep) = train_model(tiny_model(7), &ds, steps, 2e-3);
-    let tiny = evaluate_model(&tiny_tr.model, &tiny_tr.normalizer, &ds, &test_idx, None, 1.0)
-        .expect("valid test split");
+    let tiny =
+        evaluate_model(&tiny_tr.model, &tiny_tr.normalizer, &ds, &test_idx, None, 1.0).expect("valid test split");
     let (small_tr, small_rep) = train_model(small_model(7), &ds, steps, 2e-3);
-    let small = evaluate_model(&small_tr.model, &small_tr.normalizer, &ds, &test_idx, None, 1.0)
-        .expect("valid test split");
-    let climatology = (
-        precip_climatology(&tiny_tr, &ds, &test_idx),
-        precip_climatology(&small_tr, &ds, &test_idx),
-    );
+    let small =
+        evaluate_model(&small_tr.model, &small_tr.normalizer, &ds, &test_idx, None, 1.0).expect("valid test split");
+    let climatology = (precip_climatology(&tiny_tr, &ds, &test_idx), precip_climatology(&small_tr, &ds, &test_idx));
     Table4Result {
         tiny,
         small,
@@ -57,15 +54,8 @@ fn precip_climatology(trainer: &Trainer, ds: &DownscalingDataset, idx: &[usize])
     let session = trainer.model.session();
     for &i in idx {
         let s = ds.sample(i);
-        let p = orbit2::inference::downscale_with(
-            &trainer.model,
-            &session,
-            &trainer.normalizer,
-            &s.input,
-            None,
-            1.0,
-        )
-        .expect("valid sample");
+        let p = orbit2::inference::downscale_with(&trainer.model, &session, &trainer.normalizer, &s.input, None, 1.0)
+            .expect("valid sample");
         preds.extend_from_slice(&p.data()[chan * plane..(chan + 1) * plane]);
         truths.extend_from_slice(&s.target.data()[chan * plane..(chan + 1) * plane]);
     }
@@ -74,25 +64,28 @@ fn precip_climatology(trainer: &Trainer, ds: &DownscalingDataset, idx: &[usize])
 
 /// Render the Table IV analog with the paper's reference values.
 pub fn render(result: &Table4Result) -> String {
-    let mut out = String::from(
-        "Table IV [trained on synthetic US analog; paper values in brackets are the real-data results]\n",
-    );
+    let mut out =
+        String::from("Table IV [trained on synthetic US analog; paper values in brackets are the real-data results]\n");
     for (var, paper_tiny, paper_small) in [
         ("tmin", "[R2 0.991, RMSE 3.812, SSIM 0.958, PSNR 29.0]", "[R2 0.999, RMSE 0.505, SSIM 0.987, PSNR 46.0]"),
         ("prcp", "[R2 0.975, RMSE 0.146, SSIM 0.931, PSNR 29.0]", "[R2 0.979, RMSE 0.135, SSIM 0.932, PSNR 30.2]"),
     ] {
         out.push_str(&format!("\n{var}:\n"));
         let mut t = Table::new(&[
-            "Model", "R2", "RMSE", "RMSE s1>68%", "RMSE s2>95%", "RMSE s3>99.7%", "SSIM", "PSNR", "Paper",
+            "Model",
+            "R2",
+            "RMSE",
+            "RMSE s1>68%",
+            "RMSE s2>95%",
+            "RMSE s3>99.7%",
+            "SSIM",
+            "PSNR",
+            "Paper",
         ]);
-        for (label, reports, paper) in [
-            ("tiny (9.5M analog)", &result.tiny, paper_tiny),
-            ("small (126M analog)", &result.small, paper_small),
-        ] {
-            let r = reports
-                .iter()
-                .find(|r| r.name == var)
-                .unwrap_or_else(|| panic!("missing report for {var}"));
+        for (label, reports, paper) in
+            [("tiny (9.5M analog)", &result.tiny, paper_tiny), ("small (126M analog)", &result.small, paper_small)]
+        {
+            let r = reports.iter().find(|r| r.name == var).unwrap_or_else(|| panic!("missing report for {var}"));
             t.row(vec![
                 label.into(),
                 format!("{:.3}", r.report.r2),

@@ -43,9 +43,8 @@ pub struct DatasetCatalogEntry {
 impl DatasetCatalogEntry {
     /// Storage footprint in GB for f32 samples (inputs + outputs).
     pub fn size_gb(&self) -> f64 {
-        let per_sample = (self.in_dims.iter().product::<usize>()
-            + self.out_dims.iter().product::<usize>()) as f64
-            * 4.0;
+        let per_sample =
+            (self.in_dims.iter().product::<usize>() + self.out_dims.iter().product::<usize>()) as f64 * 4.0;
         per_sample * self.sample_pairs as f64 / 1e9
     }
 }

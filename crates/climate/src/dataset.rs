@@ -64,11 +64,7 @@ impl DownscalingDataset {
 
     /// The coarse-resolution (input) grid geometry.
     pub fn coarse_grid(&self) -> LatLonGrid {
-        LatLonGrid {
-            h: self.world.grid.h / self.factor,
-            w: self.world.grid.w / self.factor,
-            ..self.world.grid
-        }
+        LatLonGrid { h: self.world.grid.h / self.factor, w: self.world.grid.w / self.factor, ..self.world.grid }
     }
 
     /// Channel layout.
@@ -122,10 +118,7 @@ impl DownscalingDataset {
             let coarse = downsample_area(&Tensor::from_vec(vec![1, fh, fw], field), self.factor);
             input_data.extend_from_slice(coarse.data());
         }
-        let input = Tensor::from_vec(
-            vec![vs.num_inputs(), fh / self.factor, fw / self.factor],
-            input_data,
-        );
+        let input = Tensor::from_vec(vec![vs.num_inputs(), fh / self.factor, fw / self.factor], input_data);
 
         let mut target_data = Vec::with_capacity(vs.num_outputs() * fh * fw);
         for field in fields {

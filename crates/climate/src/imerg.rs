@@ -27,13 +27,7 @@ pub struct ImergLikeParams {
 
 impl Default for ImergLikeParams {
     fn default() -> Self {
-        Self {
-            noise_sigma: 0.25,
-            gamma: 0.95,
-            gain: 1.08,
-            detection_threshold: 0.1,
-            sensor_seed: 0xD00D,
-        }
+        Self { noise_sigma: 0.25, gamma: 0.95, gain: 1.08, detection_threshold: 0.1, sensor_seed: 0xD00D }
     }
 }
 
@@ -112,11 +106,7 @@ mod tests {
     fn different_sensor_seed_changes_noise() {
         let w = world();
         let a = observe_precipitation(&w, 3, ImergLikeParams::default());
-        let b = observe_precipitation(
-            &w,
-            3,
-            ImergLikeParams { sensor_seed: 99, ..Default::default() },
-        );
+        let b = observe_precipitation(&w, 3, ImergLikeParams { sensor_seed: 99, ..Default::default() });
         assert_ne!(a, b);
     }
 }

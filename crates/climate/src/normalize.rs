@@ -40,10 +40,7 @@ impl Normalizer {
             accumulate(&s.input, &mut in_acc);
             accumulate(&s.target, &mut out_acc);
         }
-        Self {
-            input_stats: finalize(&in_acc),
-            output_stats: finalize(&out_acc),
-        }
+        Self { input_stats: finalize(&in_acc), output_stats: finalize(&out_acc) }
     }
 
     /// Normalize an input stack `[C_in, h, w]` in place.

@@ -35,9 +35,7 @@ pub fn gaussian_random_field(h: usize, w: usize, spec: GrfSpec, seed: u64) -> Ve
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     // White noise -> spectral shaping preserves Hermitian symmetry because
     // the filter depends only on |k|.
-    let mut grid: Vec<Complex> = (0..h * w)
-        .map(|_| Complex::new(rng.gen_range(-1.0..1.0), 0.0))
-        .collect();
+    let mut grid: Vec<Complex> = (0..h * w).map(|_| Complex::new(rng.gen_range(-1.0..1.0), 0.0)).collect();
     fft2(&mut grid, h, w);
     for y in 0..h {
         let ky = if y <= h / 2 { y as f64 } else { y as f64 - h as f64 };
@@ -108,11 +106,8 @@ impl WorldGenerator {
         // smooth component adds continental-scale tilt.
         let ridges = gaussian_random_field(h, w, GrfSpec { slope: 3.4 }, name_seed(seed, "topo_ridges", 0));
         let broad = gaussian_random_field(h, w, GrfSpec { slope: 4.0 }, name_seed(seed, "topo_broad", 0));
-        let topography_km: Vec<f32> = ridges
-            .iter()
-            .zip(&broad)
-            .map(|(&r, &b)| (1.2 * r.abs() + 0.4 * b).max(0.0))
-            .collect();
+        let topography_km: Vec<f32> =
+            ridges.iter().zip(&broad).map(|(&r, &b)| (1.2 * r.abs() + 0.4 * b).max(0.0)).collect();
         let continents = gaussian_random_field(h, w, GrfSpec { slope: 4.2 }, name_seed(seed, "land", 0));
         let land_mask: Vec<f32> = continents.iter().map(|&c| if c > -0.2 { 1.0 } else { 0.0 }).collect();
         Self { grid, variables, seed, topography_km, land_mask }
@@ -164,7 +159,8 @@ impl WorldGenerator {
         let mut composed: Vec<Option<Vec<f32>>> = {
             let generated: Vec<Vec<f32>> =
                 grfs.par_iter().map(|g| gaussian_random_field(h, w, GrfSpec { slope: g.slope }, g.seed)).collect();
-            let generated_for = |g: &Grf| generated[grfs.iter().position(|x| x == g).expect("generated above")].as_slice();
+            let generated_for =
+                |g: &Grf| generated[grfs.iter().position(|x| x == g).expect("generated above")].as_slice();
             distinct
                 .iter()
                 .map(|&c| {
@@ -262,9 +258,7 @@ impl WorldGenerator {
             .iter()
             .zip(local)
             .zip(&self.topography_km)
-            .map(|((&m, &l), &topo)| {
-                3.0 * softplus(1.2 * m + 0.3 * l + spec.topo_coupling * topo - 1.0)
-            })
+            .map(|((&m, &l), &topo)| 3.0 * softplus(1.2 * m + 0.3 * l + spec.topo_coupling * topo - 1.0))
             .collect()
     }
 
@@ -272,18 +266,13 @@ impl WorldGenerator {
     /// weather/moisture mixture by kind.
     fn generic_variable(&self, name: &str, t: u64, shared: &[f32], local: &[f32]) -> Vec<f32> {
         let spec = self.lookup(name);
-        let season = if spec.kind == VariableKind::Atmospheric && name.starts_with('t') {
-            self.seasonal(t)
-        } else {
-            0.0
-        };
+        let season =
+            if spec.kind == VariableKind::Atmospheric && name.starts_with('t') { self.seasonal(t) } else { 0.0 };
         shared
             .iter()
             .zip(local)
             .zip(&self.topography_km)
-            .map(|((&s, &l), &topo)| {
-                spec.mean + season + spec.topo_coupling * topo + spec.sigma * (0.5 * s + 0.6 * l)
-            })
+            .map(|((&s, &l), &topo)| spec.mean + season + spec.topo_coupling * topo + spec.sigma * (0.5 * s + 0.6 * l))
             .collect()
     }
 

@@ -92,12 +92,7 @@ impl VariableSet {
         let era5 = Self::era5_like();
         // 7 inputs: topography, land mask + 5 surface observables.
         let pick = ["topography", "land_mask", "t2m", "tmin_in", "tmax_in", "prcp_in", "w10m"];
-        let inputs = era5
-            .inputs
-            .iter()
-            .filter(|v| pick.contains(&v.name.as_str()))
-            .cloned()
-            .collect();
+        let inputs = era5.inputs.iter().filter(|v| pick.contains(&v.name.as_str())).cloned().collect();
         Self { inputs, outputs: era5.outputs }
     }
 

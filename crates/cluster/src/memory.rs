@@ -46,15 +46,7 @@ impl TrainingMemoryModel {
     /// Reasonable defaults for a ViT trained with activation recomputation
     /// disabled (the paper does not mention checkpointing).
     pub fn new(params_total: u64, layers: usize, embed_dim: usize, heads: usize) -> Self {
-        Self {
-            params_total,
-            layers,
-            embed_dim,
-            heads,
-            tp_shard: 1,
-            fsdp_shard: 1,
-            flash_attention: true,
-        }
+        Self { params_total, layers, embed_dim, heads, tp_shard: 1, fsdp_shard: 1, flash_attention: true }
     }
 
     /// Set sharding degrees.
@@ -77,12 +69,7 @@ impl TrainingMemoryModel {
     ///   channel aggregation / compression / tiling / low-res operation).
     /// * `out_pixels_per_gpu` / `in_pixels_per_gpu` — staging buffer sizes
     ///   (pixels × channels) this GPU touches for decode and tokenize.
-    pub fn step_memory(
-        &self,
-        seq_per_gpu: u64,
-        out_pixels_per_gpu: u64,
-        in_pixels_per_gpu: u64,
-    ) -> MemoryBreakdown {
+    pub fn step_memory(&self, seq_per_gpu: u64, out_pixels_per_gpu: u64, in_pixels_per_gpu: u64) -> MemoryBreakdown {
         let shard = (self.tp_shard * self.fsdp_shard) as f64;
         let p = self.params_total as f64;
         let weights = p / shard * BF16;
@@ -92,8 +79,7 @@ impl TrainingMemoryModel {
         let grads = p / shard * BF16;
         let optimizer = p / shard * ADAM_BYTES_PER_PARAM;
         let s = seq_per_gpu as f64;
-        let activations =
-            self.layers as f64 * s * self.embed_dim as f64 / self.tp_shard as f64 * ACT_FACTOR * BF16;
+        let activations = self.layers as f64 * s * self.embed_dim as f64 / self.tp_shard as f64 * ACT_FACTOR * BF16;
         let attention = if self.flash_attention {
             // Streaming softmax: O(block^2) working set per SM — negligible.
             // The CPU op this repo runs (`orbit2_tensor::attention::
@@ -127,12 +113,8 @@ impl TrainingMemoryModel {
     /// [`TrainingMemoryModel::step_memory`].
     pub fn max_seq_per_gpu(&self, gpu: &GpuSpec, out_pixels_per_token: f64, in_pixels_per_token: f64) -> u64 {
         let fits = |s: u64| {
-            self.step_memory(
-                s,
-                (s as f64 * out_pixels_per_token) as u64,
-                (s as f64 * in_pixels_per_token) as u64,
-            )
-            .fits(gpu)
+            self.step_memory(s, (s as f64 * out_pixels_per_token) as u64, (s as f64 * in_pixels_per_token) as u64)
+                .fits(gpu)
         };
         if !fits(1) {
             return 0;

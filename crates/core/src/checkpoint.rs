@@ -101,9 +101,7 @@ pub(crate) fn validate_layout(params: &ParamStore, cfg: ModelConfig) -> Result<(
     }
     for name in params.names() {
         if !reference.params.contains(&name) {
-            return Err(invalid(format!(
-                "checkpoint has parameter `{name}` unknown to this architecture"
-            )));
+            return Err(invalid(format!("checkpoint has parameter `{name}` unknown to this architecture")));
         }
     }
     Ok(())
@@ -207,8 +205,7 @@ fn write_section(out: &mut impl Write, name: &str, payload: &[u8]) -> Result<()>
 }
 
 fn write_json<T: Serialize>(out: &mut impl Write, name: &str, value: &T) -> Result<()> {
-    let json = serde_json::to_string(value)
-        .map_err(|e| invalid(format!("serializing section `{name}`: {e}")))?;
+    let json = serde_json::to_string(value).map_err(|e| invalid(format!("serializing section `{name}`: {e}")))?;
     write_section(out, name, json.as_bytes())
 }
 
@@ -240,12 +237,7 @@ fn write_tensors(
 
 /// Write what every checkpoint opens with: the header line, then the
 /// `config` and `params` sections.
-fn write_model(
-    out: &mut impl Write,
-    payload: &mut Vec<u8>,
-    cfg: &ModelConfig,
-    params: &ParamStore,
-) -> Result<()> {
+fn write_model(out: &mut impl Write, payload: &mut Vec<u8>, cfg: &ModelConfig, params: &ParamStore) -> Result<()> {
     out.write_all(format!("{CHECKPOINT_MAGIC} v{CHECKPOINT_VERSION}\n").as_bytes())?;
     write_json(out, "config", cfg)?;
     let params: Vec<_> = params.iter().map(|(name, t)| (name.as_str(), t.shape(), t.data())).collect();
@@ -329,9 +321,8 @@ fn parse_section(bytes: &[u8], pos: usize) -> Result<(&str, &[u8], usize)> {
     if *kw != "section" {
         return Err(invalid(format!("corrupt checkpoint: expected `section`, found `{kw}`")));
     }
-    let len: usize = len
-        .parse()
-        .map_err(|_| invalid(format!("corrupt checkpoint: bad length in header `{header}`")))?;
+    let len: usize =
+        len.parse().map_err(|_| invalid(format!("corrupt checkpoint: bad length in header `{header}`")))?;
     let expect_crc = u32::from_str_radix(crc, 16)
         .map_err(|_| invalid(format!("corrupt checkpoint: bad checksum in header `{header}`")))?;
     let start = line_end + 1;
@@ -344,9 +335,7 @@ fn parse_section(bytes: &[u8], pos: usize) -> Result<(&str, &[u8], usize)> {
         )));
     };
     if bytes[end] != b'\n' {
-        return Err(invalid(format!(
-            "corrupt checkpoint: section `{name}` payload is not newline-terminated"
-        )));
+        return Err(invalid(format!("corrupt checkpoint: section `{name}` payload is not newline-terminated")));
     }
     let payload = &bytes[start..end];
     let got_crc = crc32(payload);
@@ -367,12 +356,11 @@ fn read_tensors<'a>(name: &str, payload: &'a [u8]) -> Result<(ParamLayout, &'a [
         .iter()
         .position(|&b| b == b'\n')
         .ok_or_else(|| invalid(format!("section `{name}` has no index line")))?;
-    let index = std::str::from_utf8(&payload[..nl])
-        .map_err(|_| invalid(format!("section `{name}` index is not UTF-8")))?;
-    let index: Vec<(String, Vec<usize>)> = serde_json::from_str(index)
-        .map_err(|e| invalid(format!("section `{name}` index failed to parse: {e}")))?;
-    let layout =
-        ParamLayout::from_index(index).map_err(|e| invalid(format!("section `{name}`: {e}")))?;
+    let index =
+        std::str::from_utf8(&payload[..nl]).map_err(|_| invalid(format!("section `{name}` index is not UTF-8")))?;
+    let index: Vec<(String, Vec<usize>)> =
+        serde_json::from_str(index).map_err(|e| invalid(format!("section `{name}` index failed to parse: {e}")))?;
+    let layout = ParamLayout::from_index(index).map_err(|e| invalid(format!("section `{name}`: {e}")))?;
     let words = &payload[nl + 1..];
     if layout.total().checked_mul(4) != Some(words.len()) {
         return Err(invalid(format!(
@@ -402,9 +390,8 @@ impl<'a> Sections<'a> {
             .ok_or_else(|| invalid("truncated checkpoint: missing header line"))?;
         let magic_line = std::str::from_utf8(&bytes[..first_nl])
             .map_err(|_| invalid("not an ORBIT2 checkpoint: header is not UTF-8"))?;
-        let Some(version_str) = magic_line
-            .strip_prefix(CHECKPOINT_MAGIC)
-            .and_then(|rest| rest.trim().strip_prefix('v'))
+        let Some(version_str) =
+            magic_line.strip_prefix(CHECKPOINT_MAGIC).and_then(|rest| rest.trim().strip_prefix('v'))
         else {
             return Err(invalid(format!("not an ORBIT2 checkpoint: header `{magic_line}`")));
         };
@@ -500,10 +487,7 @@ pub fn load_trainer_state(path: &Path) -> Result<TrainerCheckpoint> {
         params,
         adam: AdamState { steps: counters.adam_steps, layout: adam_layout, m, v },
         scaler: sections.json("scaler")?,
-        progress: ProgressState {
-            global_step: counters.global_step,
-            data_cursor: counters.data_cursor,
-        },
+        progress: ProgressState { global_step: counters.global_step, data_cursor: counters.data_cursor },
     })
 }
 

@@ -60,8 +60,7 @@ pub fn evaluate_model_at(
     let mut truths: Vec<Vec<f32>> = vec![Vec::with_capacity(indices.len() * plane); c_out];
     for &i in indices {
         let s = dataset.sample(i);
-        let pred =
-            downscale_with(model, &session, normalizer, &s.input, tile_spec, compression)?;
+        let pred = downscale_with(model, &session, normalizer, &s.input, tile_spec, compression)?;
         for c in 0..c_out {
             preds[c].extend_from_slice(&pred.data()[c * plane..(c + 1) * plane]);
             truths[c].extend_from_slice(&s.target.data()[c * plane..(c + 1) * plane]);

@@ -195,9 +195,8 @@ impl FaultPlan {
         let mut straggle_ms = 5u64;
         let mut persistent = false;
         for field in spec.split(',').map(str::trim).filter(|f| !f.is_empty()) {
-            let (key, value) = field
-                .split_once('=')
-                .ok_or_else(|| format!("fault plan field `{field}` is not key=value"))?;
+            let (key, value) =
+                field.split_once('=').ok_or_else(|| format!("fault plan field `{field}` is not key=value"))?;
             let bad = |e| format!("fault plan `{key}` has invalid value `{value}`: {e}");
             match key.trim() {
                 "seed" => seed = value.trim().parse().map_err(|e| bad(format!("{e}")))?,
@@ -275,9 +274,7 @@ mod tests {
 
     #[test]
     fn explicit_events_fire_exactly_where_scheduled() {
-        let plan = FaultPlan::none()
-            .with_event(3, 1, FaultKind::Panic)
-            .with_event(5, 0, FaultKind::NaNGradient);
+        let plan = FaultPlan::none().with_event(3, 1, FaultKind::Panic).with_event(5, 0, FaultKind::NaNGradient);
         assert_eq!(plan.lookup(3, 1), Some(FaultKind::Panic));
         assert_eq!(plan.lookup(5, 0), Some(FaultKind::NaNGradient));
         assert_eq!(plan.lookup(3, 0), None);
@@ -306,26 +303,21 @@ mod tests {
     fn different_seeds_give_different_schedules() {
         let a = FaultPlan::seeded(1, 0.2, 0.2, 0.2);
         let b = FaultPlan::seeded(2, 0.2, 0.2, 0.2);
-        let same = (0..100)
-            .filter(|&s| a.lookup(s, 0) == b.lookup(s, 0))
-            .count();
+        let same = (0..100).filter(|&s| a.lookup(s, 0) == b.lookup(s, 0)).count();
         assert!(same < 100, "seeds 1 and 2 produced identical schedules");
     }
 
     #[test]
     fn parse_round_trips_the_documented_convention() {
-        let plan =
-            FaultPlan::parse("seed=7, panic=0.5, nan=0.25, straggle=0.25, straggle_ms=3, persistent=1")
-                .unwrap();
+        let plan = FaultPlan::parse("seed=7, panic=0.5, nan=0.25, straggle=0.25, straggle_ms=3, persistent=1").unwrap();
         assert!(plan.is_persistent());
         // With total probability 1.0 every (step, job) faults.
         for s in 0..20 {
             assert!(plan.lookup(s, 0).is_some(), "step {s} drew no fault at p=1");
         }
-        if let Some(FaultKind::Straggler(ms)) = (0..200).find_map(|s| {
-            plan.lookup(s, 1)
-                .filter(|k| matches!(k, FaultKind::Straggler(_)))
-        }) {
+        if let Some(FaultKind::Straggler(ms)) =
+            (0..200).find_map(|s| plan.lookup(s, 1).filter(|k| matches!(k, FaultKind::Straggler(_))))
+        {
             assert!((1..=3).contains(&ms));
         }
     }

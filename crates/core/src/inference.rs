@@ -224,8 +224,7 @@ mod tests {
         for i in 0..3 {
             let s = ds.sample(i);
             let fresh = downscale(&model, &norm, &s.input, None, 1.0).unwrap();
-            let reused =
-                downscale_with(&model, &session, &norm, &s.input, None, 1.0).unwrap();
+            let reused = downscale_with(&model, &session, &norm, &s.input, None, 1.0).unwrap();
             assert_eq!(fresh.data(), reused.data());
         }
     }
@@ -234,10 +233,7 @@ mod tests {
     fn bad_inputs_are_typed_errors_not_panics() {
         let (model, norm, _) = setup();
         let rank2 = Tensor::zeros(vec![7, 16]);
-        assert_eq!(
-            downscale(&model, &norm, &rank2, None, 1.0).unwrap_err(),
-            InferenceError::BadRank { ndim: 2 }
-        );
+        assert_eq!(downscale(&model, &norm, &rank2, None, 1.0).unwrap_err(), InferenceError::BadRank { ndim: 2 });
         let wrong_c = Tensor::zeros(vec![5, 16, 32]);
         assert_eq!(
             downscale(&model, &norm, &wrong_c, None, 1.0).unwrap_err(),

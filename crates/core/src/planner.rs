@@ -137,11 +137,8 @@ pub fn max_sequence_row(
     // GPUs capacity grows sub-linearly. Tiles partition the *compute*, not
     // the resident sequence — the paper's tiled rows gain only the
     // compression factor in capacity (1.1B / 298M ~ 4x with 4x compression).
-    let shard_mult = if matches!(arch, Arch::Reslim) && gpus > 8 {
-        (gpus as f64 / 8.0).powf(SEQ_SHARD_ALPHA)
-    } else {
-        1.0
-    };
+    let shard_mult =
+        if matches!(arch, Arch::Reslim) && gpus > 8 { (gpus as f64 / 8.0).powf(SEQ_SHARD_ALPHA) } else { 1.0 };
     let eff_total = per_gpu as f64 * shard_mult;
     let nominal = (eff_total * token_expansion) as u64;
 
@@ -271,12 +268,7 @@ mod tests {
         let c = cluster();
         let vit = max_sequence_row(&ModelConfig::paper_9_5m(), Arch::BaselineVit, 1, 1, 8, &c);
         let reslim = max_sequence_row(&ModelConfig::paper_9_5m(), Arch::Reslim, 1, 1, 8, &c);
-        assert!(
-            reslim.max_seq > vit.max_seq * 1000,
-            "Reslim {} vs ViT {}",
-            reslim.max_seq,
-            vit.max_seq
-        );
+        assert!(reslim.max_seq > vit.max_seq * 1000, "Reslim {} vs ViT {}", reslim.max_seq, vit.max_seq);
         // Hundreds of millions of tokens at 8 GPUs (paper: 298M).
         assert!(reslim.max_seq > 50_000_000, "{}", reslim.max_seq);
         // Kilometre-scale global resolution (paper: 3.5 km).
@@ -318,12 +310,9 @@ mod tests {
     #[test]
     fn fig6b_efficiency_band() {
         let c = cluster();
-        for cfg in [
-            ModelConfig::paper_9_5m(),
-            ModelConfig::paper_126m(),
-            ModelConfig::paper_1b(),
-            ModelConfig::paper_10b(),
-        ] {
+        for cfg in
+            [ModelConfig::paper_9_5m(), ModelConfig::paper_126m(), ModelConfig::paper_1b(), ModelConfig::paper_10b()]
+        {
             let series = strong_scaling_series(&cfg, &[512, 2048, 8192, 32_768], &c);
             assert_eq!(series.len(), 4);
             assert_eq!(series[0].efficiency, 1.0);
@@ -355,8 +344,7 @@ mod tests {
         // 622 -> 156 km: paper reports a 660x Reslim speedup.
         let c = cluster();
         let acc = SequenceAccounting { out_h: 128, out_w: 256, out_c: 3, patch: 2, factor: 4 };
-        let (vit_t, vit_oom, reslim_t, speedup) =
-            arch_comparison(&ModelConfig::paper_9_5m(), &acc, 128, &c);
+        let (vit_t, vit_oom, reslim_t, speedup) = arch_comparison(&ModelConfig::paper_9_5m(), &acc, 128, &c);
         assert!(!vit_oom, "24K tokens fit");
         assert!(vit_t > reslim_t);
         assert!(speedup > 200.0 && speedup < 2000.0, "speedup {speedup} (paper: 660)");

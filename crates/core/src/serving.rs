@@ -186,10 +186,7 @@ impl Deserialize for ServeRequest {
         };
         let precision = keys.precision.map(|label| {
             WeightPrecision::parse(&label).ok_or_else(|| {
-                SerdeError::new(format!(
-                    "unknown precision {label:?} (expected {})",
-                    WeightPrecision::choices()
-                ))
+                SerdeError::new(format!("unknown precision {label:?} (expected {})", WeightPrecision::choices()))
             })
         });
         // `activation` was a per-request precision key, removed with the
@@ -372,10 +369,7 @@ impl ServeError {
     /// (`bad_request`, validation failures, expired deadlines) are not
     /// retryable — the same request will fail the same way.
     pub fn is_retryable(&self) -> bool {
-        matches!(
-            self,
-            ServeError::QueueFull { .. } | ServeError::ShuttingDown | ServeError::Internal { .. }
-        )
+        matches!(self, ServeError::QueueFull { .. } | ServeError::ShuttingDown | ServeError::Internal { .. })
     }
 
     /// Convert to the wire representation.
@@ -445,8 +439,7 @@ mod tests {
 
     #[test]
     fn request_defaults_apply() {
-        let back: ServeRequest =
-            serde_json::from_str(r#"{"id": 4, "region": "conus"}"#).unwrap();
+        let back: ServeRequest = serde_json::from_str(r#"{"id": 4, "region": "conus"}"#).unwrap();
         assert_eq!(back, ServeRequest::region(4, "conus", 0));
     }
 
@@ -476,8 +469,7 @@ mod tests {
         assert!(serde_json::to_string(&f32_req).unwrap().contains(r#""precision":"f32""#));
         // "i8" is an accepted alias; garbage, or the removed "bf16", is a
         // hard error.
-        let alias: ServeRequest =
-            serde_json::from_str(r#"{"id": 1, "region": "x", "precision": "i8"}"#).unwrap();
+        let alias: ServeRequest = serde_json::from_str(r#"{"id": 1, "region": "x", "precision": "i8"}"#).unwrap();
         assert_eq!(alias.precision, Some(WeightPrecision::Int8));
         for label in ["fp64", "bf16"] {
             let line = format!(r#"{{"id": 1, "region": "x", "precision": "{label}"}}"#);
@@ -532,18 +524,13 @@ mod tests {
             ("deadline_ms", r#"{"id": 1, "region": "x", "deadline_ms": 1e999}"#),
         ];
         for (key, line) in rejected {
-            let err = serde_json::from_str::<ServeRequest>(line)
-                .expect_err(line)
-                .to_string();
+            let err = serde_json::from_str::<ServeRequest>(line).expect_err(line).to_string();
             assert!(err.contains(&format!("`{key}`")), "{line}: error must name the key: {err}");
         }
-        let edge: ServeRequest = serde_json::from_str(
-            r#"{"id": 9007199254740992, "region": "x", "time": 0, "deadline_ms": 0}"#,
-        )
-        .unwrap();
+        let edge: ServeRequest =
+            serde_json::from_str(r#"{"id": 9007199254740992, "region": "x", "time": 0, "deadline_ms": 0}"#).unwrap();
         assert_eq!(edge, ServeRequest::region(1 << 53, "x", 0).with_deadline_ms(0));
-        let raw: ServeRequest =
-            serde_json::from_str(r#"{"id": 2, "shape": [1, 4294967296, 0], "data": []}"#).unwrap();
+        let raw: ServeRequest = serde_json::from_str(r#"{"id": 2, "shape": [1, 4294967296, 0], "data": []}"#).unwrap();
         assert_eq!(raw, ServeRequest::raw(2, vec![1, 1 << 32, 0], vec![]));
     }
 
@@ -565,12 +552,7 @@ mod tests {
 
     #[test]
     fn response_roundtrip() {
-        let resp = ServeResponse {
-            id: 9,
-            shape: vec![1, 2, 2],
-            data: vec![1.0, 2.0, 3.0, 4.0],
-            micros: 1234,
-        };
+        let resp = ServeResponse { id: 9, shape: vec![1, 2, 2], data: vec![1.0, 2.0, 3.0, 4.0], micros: 1234 };
         let line = serde_json::to_string(&resp).unwrap();
         let back: ServeResponse = serde_json::from_str(&line).unwrap();
         assert_eq!(back, resp);
@@ -598,19 +580,9 @@ mod tests {
             // (variant, wire kind, blame, retryable)
             (ServeError::BadRequest { reason: "x".into() }, "bad_request", Client, false),
             (ServeError::UnknownRegion { region: "x".into() }, "unknown_region", Client, false),
-            (
-                ServeError::UnknownVariable { variable: "x".into() },
-                "unknown_variable",
-                Client,
-                false,
-            ),
+            (ServeError::UnknownVariable { variable: "x".into() }, "unknown_variable", Client, false),
             (ServeError::BadCompression { got: 0.5 }, "bad_compression", Client, false),
-            (
-                ServeError::Rejected(InferenceError::BadRank { ndim: 2 }),
-                "invalid_rank",
-                Client,
-                false,
-            ),
+            (ServeError::Rejected(InferenceError::BadRank { ndim: 2 }), "invalid_rank", Client, false),
             (
                 ServeError::Rejected(InferenceError::ChannelMismatch { got: 1, expected: 2 }),
                 "channel_mismatch",
@@ -627,36 +599,32 @@ mod tests {
             (ServeError::ShuttingDown, "shutting_down", Server, true),
             // The client *chose* the deadline; a resend of the same
             // request would expire the same way under the same load.
-            (
-                ServeError::DeadlineExceeded { deadline_ms: 25 },
-                "deadline_exceeded",
-                Client,
-                false,
-            ),
+            (ServeError::DeadlineExceeded { deadline_ms: 25 }, "deadline_exceeded", Client, false),
             (ServeError::Internal { reason: "boom".into() }, "internal", Server, true),
         ];
-        let kinds: std::collections::BTreeSet<&str> =
-            table.iter().map(|(e, _, _, _)| e.kind()).collect();
+        let kinds: std::collections::BTreeSet<&str> = table.iter().map(|(e, _, _, _)| e.kind()).collect();
         assert_eq!(kinds.len(), table.len(), "kinds must be unique");
         for (err, kind, blame, retryable) in &table {
             assert_eq!(err.kind(), *kind, "wire kind drifted for {err:?}");
             assert_eq!(err.to_wire().kind, *kind);
             assert!(!err.to_string().is_empty());
-            assert_eq!(
-                err.is_retryable(),
-                *retryable,
-                "retryability drifted for {err:?}"
-            );
+            assert_eq!(err.is_retryable(), *retryable, "retryability drifted for {err:?}");
             // Server-caused failures must never reuse a client-blame kind.
-            let client_kinds = ["bad_request", "unknown_region", "unknown_variable",
-                "bad_compression", "invalid_rank", "channel_mismatch", "not_patch_aligned",
-                "deadline_exceeded"];
+            let client_kinds = [
+                "bad_request",
+                "unknown_region",
+                "unknown_variable",
+                "bad_compression",
+                "invalid_rank",
+                "channel_mismatch",
+                "not_patch_aligned",
+                "deadline_exceeded",
+            ];
             match blame {
                 Blame::Client => assert!(client_kinds.contains(kind)),
-                Blame::Server => assert!(
-                    !client_kinds.contains(kind),
-                    "server-caused {err:?} leaked a client-blame kind"
-                ),
+                Blame::Server => {
+                    assert!(!client_kinds.contains(kind), "server-caused {err:?} leaked a client-blame kind")
+                }
             }
         }
         // Exhaustiveness: a new variant must be added to the table above.
@@ -703,8 +671,7 @@ mod tests {
 
     #[test]
     fn health_roundtrip() {
-        let health =
-            ServeHealth { status: "draining".into(), inflight: 3, queue_depth: 7 };
+        let health = ServeHealth { status: "draining".into(), inflight: 3, queue_depth: 7 };
         assert!(!health.is_ok());
         let line = serde_json::to_string(&health).unwrap();
         assert!(line.contains(r#""status":"draining""#), "{line}");

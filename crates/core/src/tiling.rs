@@ -66,10 +66,7 @@ pub(crate) fn crop(stack: &Tensor, g: &TileGeometry) -> Tensor {
 /// Split a `[C, H, W]` stack into halo-padded tiles, channel-consistently.
 pub fn split_stack(stack: &Tensor, spec: TileSpec) -> Vec<(TileGeometry, Tensor)> {
     assert_eq!(stack.ndim(), 3, "expected [C, H, W]");
-    tile_grid(stack.shape()[1], stack.shape()[2], spec)
-        .into_iter()
-        .map(|g| (g, crop(stack, &g)))
-        .collect()
+    tile_grid(stack.shape()[1], stack.shape()[2], spec).into_iter().map(|g| (g, crop(stack, &g))).collect()
 }
 
 /// Build paired input/target tiles for training: the target tile is the
@@ -80,11 +77,7 @@ pub fn split_sample(input: &Tensor, target: Option<&Tensor>, spec: TileSpec, fac
     }
     split_stack(input, spec)
         .into_iter()
-        .map(|(geom, input)| SampleTile {
-            geom,
-            input,
-            target: target.map(|t| crop(t, &geom.scaled(factor))),
-        })
+        .map(|(geom, input)| SampleTile { geom, input, target: target.map(|t| crop(t, &geom.scaled(factor))) })
         .collect()
 }
 
@@ -94,12 +87,7 @@ pub fn split_sample(input: &Tensor, target: Option<&Tensor>, spec: TileSpec, fac
 /// # Panics
 /// Panics when a prediction's shape does not match its scaled geometry, or
 /// when the scaled cores overlap or do not cover the output.
-pub fn stitch_predictions(
-    tiles: &[(TileGeometry, Tensor)],
-    in_h: usize,
-    in_w: usize,
-    factor: usize,
-) -> Tensor {
+pub fn stitch_predictions(tiles: &[(TileGeometry, Tensor)], in_h: usize, in_w: usize, factor: usize) -> Tensor {
     assert!(!tiles.is_empty());
     let c = tiles[0].1.shape()[0];
     let (oh, ow) = (in_h * factor, in_w * factor);

@@ -36,9 +36,7 @@
 //! checksums; [`Trainer::resume`] restores it and the continued run is
 //! bit-identical to an uninterrupted one.
 
-use crate::checkpoint::{
-    load_trainer_state, save_trainer_state, validate_layout, ProgressState, TrainerCheckpoint,
-};
+use crate::checkpoint::{load_trainer_state, save_trainer_state, validate_layout, ProgressState, TrainerCheckpoint};
 use crate::fault::{FaultAction, FaultEvent, FaultKind, FaultPlan, SkipReason};
 use crate::inference::check_tiling;
 use crate::tiling::{crop, split_sample};
@@ -227,10 +225,7 @@ impl Trainer {
             params: self.model.params.clone(),
             adam: self.opt.export_state(),
             scaler: self.scaler.export_state(),
-            progress: ProgressState {
-                global_step: self.global_step as u64,
-                data_cursor: self.cursor as u64,
-            },
+            progress: ProgressState { global_step: self.global_step as u64, data_cursor: self.cursor as u64 },
         }
     }
 
@@ -245,11 +240,7 @@ impl Trainer {
     /// normalizer is refitted from `dataset` (deterministic), and
     /// optimizer/scaler hyper-parameters come from `cfg`, exactly as in
     /// [`Trainer::new`].
-    pub fn resume(
-        dataset: &DownscalingDataset,
-        cfg: TrainerConfig,
-        path: &Path,
-    ) -> std::io::Result<Self> {
+    pub fn resume(dataset: &DownscalingDataset, cfg: TrainerConfig, path: &Path) -> std::io::Result<Self> {
         let bad = |e: String| std::io::Error::new(std::io::ErrorKind::InvalidData, e);
         let ckpt = load_trainer_state(path)?;
         validate_layout(&ckpt.params, ckpt.model_cfg)?;
@@ -297,7 +288,8 @@ impl Trainer {
                 })
                 .collect();
             self.cursor += replicas;
-            let lr = cosine_schedule(step as u64, self.cfg.warmup, self.cfg.steps as u64, self.cfg.lr, self.cfg.lr * 0.05);
+            let lr =
+                cosine_schedule(step as u64, self.cfg.warmup, self.cfg.steps as u64, self.cfg.lr, self.cfg.lr * 0.05);
             self.opt.set_learning_rate(lr);
             let pairs: Vec<(&Tensor, &Tensor)> = batch.iter().map(|(i, t)| (i, t)).collect();
             if let Some(loss) = self.step_batch(&pairs, &lat_field, dataset.factor) {
@@ -407,66 +399,60 @@ impl Trainer {
 
         // One isolated attempt at one job. Injected faults fire inside the
         // unwind boundary, exactly where a real rank would fail.
-        let run_job = |tile: &crate::tiling::SampleTile,
-                       fault: Option<FaultKind>|
-         -> Result<(f32, GradMap), JobFailure> {
-            let compute = || {
-                if let Some(FaultKind::Straggler(ms)) = fault {
-                    std::thread::sleep(std::time::Duration::from_millis(ms));
-                }
-                if matches!(fault, Some(FaultKind::Panic)) {
-                    panic!("injected rank failure");
-                }
-                let tape = Tape::new();
-                let binder = Binder::new(&tape, step_params);
-                let (pred, _) = model.forward(&binder, &tile.input, compression);
-                let target_tile = tile.target.as_ref().expect("training tile needs target");
-                let sg = tile.geom.scaled(factor);
-                let weights = crop(&lat_field, &sg).into_reshape(vec![sg.padded_h(), sg.padded_w()]);
-                let loss = bayesian_loss(pred, target_tile, &weights, loss_cfg);
-                let scaled = loss.scale(loss_scale);
-                let grads = tape.backward(scaled);
-                let mut gm = binder.grad_map(&grads);
-                if bf16 {
-                    for g in gm.values_mut() {
-                        *g = g.to_bf16();
+        let run_job =
+            |tile: &crate::tiling::SampleTile, fault: Option<FaultKind>| -> Result<(f32, GradMap), JobFailure> {
+                let compute = || {
+                    if let Some(FaultKind::Straggler(ms)) = fault {
+                        std::thread::sleep(std::time::Duration::from_millis(ms));
+                    }
+                    if matches!(fault, Some(FaultKind::Panic)) {
+                        panic!("injected rank failure");
+                    }
+                    let tape = Tape::new();
+                    let binder = Binder::new(&tape, step_params);
+                    let (pred, _) = model.forward(&binder, &tile.input, compression);
+                    let target_tile = tile.target.as_ref().expect("training tile needs target");
+                    let sg = tile.geom.scaled(factor);
+                    let weights = crop(&lat_field, &sg).into_reshape(vec![sg.padded_h(), sg.padded_w()]);
+                    let loss = bayesian_loss(pred, target_tile, &weights, loss_cfg);
+                    let scaled = loss.scale(loss_scale);
+                    let grads = tape.backward(scaled);
+                    let mut gm = binder.grad_map(&grads);
+                    if bf16 {
+                        for g in gm.values_mut() {
+                            *g = g.to_bf16();
+                        }
+                    }
+                    if matches!(fault, Some(FaultKind::NaNGradient)) {
+                        for g in gm.values_mut() {
+                            g.data_mut()[0] = f32::NAN;
+                        }
+                    }
+                    (loss.value().item(), gm)
+                };
+                match catch_unwind(AssertUnwindSafe(compute)) {
+                    Err(_) => Err(JobFailure::Panicked),
+                    Ok((loss, gm)) => {
+                        // Per-job health check. In BF16 mode Inf/NaN gradients
+                        // are the scaler's business (overflow backs the scale
+                        // off globally), so only injected poison fails the job;
+                        // in fp32 mode any non-finite output is a dead rank.
+                        let injected_nan = matches!(fault, Some(FaultKind::NaNGradient));
+                        let non_finite = !loss.is_finite() || gm.values().any(|g| !g.all_finite());
+                        if injected_nan || (!bf16 && non_finite) {
+                            Err(JobFailure::NonFinite)
+                        } else {
+                            Ok((loss, gm))
+                        }
                     }
                 }
-                if matches!(fault, Some(FaultKind::NaNGradient)) {
-                    for g in gm.values_mut() {
-                        g.data_mut()[0] = f32::NAN;
-                    }
-                }
-                (loss.value().item(), gm)
             };
-            match catch_unwind(AssertUnwindSafe(compute)) {
-                Err(_) => Err(JobFailure::Panicked),
-                Ok((loss, gm)) => {
-                    // Per-job health check. In BF16 mode Inf/NaN gradients
-                    // are the scaler's business (overflow backs the scale
-                    // off globally), so only injected poison fails the job;
-                    // in fp32 mode any non-finite output is a dead rank.
-                    let injected_nan = matches!(fault, Some(FaultKind::NaNGradient));
-                    let non_finite =
-                        !loss.is_finite() || gm.values().any(|g| !g.all_finite());
-                    if injected_nan || (!bf16 && non_finite) {
-                        Err(JobFailure::NonFinite)
-                    } else {
-                        Ok((loss, gm))
-                    }
-                }
-            }
-        };
 
         // First pass: every job in parallel, each isolated.
         let plan = self.fault_plan.clone();
-        let faults: Vec<Option<FaultKind>> =
-            (0..jobs.len()).map(|j| plan.lookup(step, j)).collect();
-        let mut outcomes: Vec<Result<(f32, GradMap), JobFailure>> = jobs
-            .par_iter()
-            .enumerate()
-            .map(|(j, tile)| run_job(tile, faults[j]))
-            .collect();
+        let faults: Vec<Option<FaultKind>> = (0..jobs.len()).map(|j| plan.lookup(step, j)).collect();
+        let mut outcomes: Vec<Result<(f32, GradMap), JobFailure>> =
+            jobs.par_iter().enumerate().map(|(j, tile)| run_job(tile, faults[j])).collect();
 
         // Elastic recovery: retry each failed job once. Transient faults
         // (the default) retry clean — the rescheduled rank is healthy;
@@ -477,13 +463,7 @@ impl Trainer {
             match outcome {
                 Ok(_) => {
                     if let Some(kind) = fault {
-                        events.push(FaultEvent {
-                            step,
-                            job: j,
-                            kind,
-                            action: FaultAction::Completed,
-                            injected: true,
-                        });
+                        events.push(FaultEvent { step, job: j, kind, action: FaultAction::Completed, injected: true });
                     }
                 }
                 Err(failure) => {
@@ -514,8 +494,7 @@ impl Trainer {
             self.scaler.record(finite);
         }
         if !finite {
-            let reason =
-                if self.cfg.bf16 { SkipReason::ScalerOverflow } else { SkipReason::NonFiniteAverage };
+            let reason = if self.cfg.bf16 { SkipReason::ScalerOverflow } else { SkipReason::NonFiniteAverage };
             self.skip_log.push((step, reason));
             return false;
         }
@@ -581,11 +560,7 @@ mod tests {
     fn tiled_training_matches_untiled_loss_trend() {
         let ds = dataset();
         let spec = TileSpec { tiles_y: 2, tiles_x: 2, halo: 1 };
-        let mut t = Trainer::new(
-            tiny_model(),
-            &ds,
-            TrainerConfig { tile_spec: Some(spec), steps: 20, ..quick_cfg() },
-        );
+        let mut t = Trainer::new(tiny_model(), &ds, TrainerConfig { tile_spec: Some(spec), steps: 20, ..quick_cfg() });
         let report = t.train(&ds);
         let last = report.final_loss.unwrap();
         assert!(last.is_finite());
@@ -596,11 +571,7 @@ mod tests {
     #[test]
     fn bf16_training_learns_with_scaler() {
         let ds = dataset();
-        let mut t = Trainer::new(
-            tiny_model(),
-            &ds,
-            TrainerConfig { bf16: true, steps: 20, ..quick_cfg() },
-        );
+        let mut t = Trainer::new(tiny_model(), &ds, TrainerConfig { bf16: true, steps: 20, ..quick_cfg() });
         let report = t.train(&ds);
         let last = report.final_loss.unwrap();
         assert!(last.is_finite());
@@ -611,11 +582,7 @@ mod tests {
     #[test]
     fn compression_training_runs() {
         let ds = dataset();
-        let mut t = Trainer::new(
-            tiny_model(),
-            &ds,
-            TrainerConfig { compression: 2.0, steps: 8, ..quick_cfg() },
-        );
+        let mut t = Trainer::new(tiny_model(), &ds, TrainerConfig { compression: 2.0, steps: 8, ..quick_cfg() });
         let report = t.train(&ds);
         assert!(report.final_loss.unwrap().is_finite());
     }
@@ -623,11 +590,7 @@ mod tests {
     #[test]
     fn ddp_replicas_training_learns() {
         let ds = dataset();
-        let mut t = Trainer::new(
-            tiny_model(),
-            &ds,
-            TrainerConfig { ddp_replicas: 2, steps: 15, ..quick_cfg() },
-        );
+        let mut t = Trainer::new(tiny_model(), &ds, TrainerConfig { ddp_replicas: 2, steps: 15, ..quick_cfg() });
         let report = t.train(&ds);
         let first = report.losses.first().unwrap().1;
         let last = report.final_loss.unwrap();
@@ -650,10 +613,7 @@ mod tests {
         // gradients: verify the resulting update differs from either
         // single-sample update but matches the two-sample average run.
         let ds = dataset();
-        let lat = Tensor::from_vec(
-            vec![ds.fine_grid().h, ds.fine_grid().w],
-            ds.fine_grid().latitude_weight_field(),
-        );
+        let lat = Tensor::from_vec(vec![ds.fine_grid().h, ds.fine_grid().w], ds.fine_grid().latitude_weight_field());
         let s0 = ds.sample(0);
         let s1 = ds.sample(1);
         let run = |pairs: Vec<(&Tensor, &Tensor)>| {
@@ -676,19 +636,12 @@ mod tests {
         // recycled buffers instead of the system allocator.
         let ds = dataset();
         let spec = TileSpec { tiles_y: 2, tiles_x: 2, halo: 1 };
-        let mut t = Trainer::new(
-            tiny_model(),
-            &ds,
-            TrainerConfig { tile_spec: Some(spec), steps: 4, ..quick_cfg() },
-        );
+        let mut t = Trainer::new(tiny_model(), &ds, TrainerConfig { tile_spec: Some(spec), steps: 4, ..quick_cfg() });
         orbit2_tensor::pool::clear();
         orbit2_tensor::pool::reset_stats();
         t.train(&ds);
         let stats = orbit2_tensor::pool::stats();
-        assert!(
-            stats.reuses > 0,
-            "multi-step training must recycle buffers, stats: {stats:?}"
-        );
+        assert!(stats.reuses > 0, "multi-step training must recycle buffers, stats: {stats:?}");
     }
 
     #[test]
@@ -700,18 +653,9 @@ mod tests {
         // tests cannot disturb the reading taken here.
         let ds = dataset();
         let spec = TileSpec { tiles_y: 2, tiles_x: 2, halo: 1 };
-        let mut t = Trainer::new(
-            tiny_model(),
-            &ds,
-            TrainerConfig { tile_spec: Some(spec), steps: 0, ..quick_cfg() },
-        );
-        let lat = Tensor::from_vec(
-            vec![ds.fine_grid().h, ds.fine_grid().w],
-            ds.fine_grid().latitude_weight_field(),
-        );
-        let storage = |t: &Trainer| {
-            t.model.params.iter().map(|(_, p)| p.data().as_ptr()).collect::<Vec<_>>()
-        };
+        let mut t = Trainer::new(tiny_model(), &ds, TrainerConfig { tile_spec: Some(spec), steps: 0, ..quick_cfg() });
+        let lat = Tensor::from_vec(vec![ds.fine_grid().h, ds.fine_grid().w], ds.fine_grid().latitude_weight_field());
+        let storage = |t: &Trainer| t.model.params.iter().map(|(_, p)| p.data().as_ptr()).collect::<Vec<_>>();
         let at_start = storage(&t);
         for step in 0..2 {
             let s = ds.sample(step);
@@ -748,10 +692,7 @@ mod tests {
         // A transient injected panic is retried clean, so the step's update
         // must be bit-identical to a run with no fault at all.
         let ds = dataset();
-        let lat = Tensor::from_vec(
-            vec![ds.fine_grid().h, ds.fine_grid().w],
-            ds.fine_grid().latitude_weight_field(),
-        );
+        let lat = Tensor::from_vec(vec![ds.fine_grid().h, ds.fine_grid().w], ds.fine_grid().latitude_weight_field());
         let s0 = ds.sample(0);
         let s1 = ds.sample(1);
         let run = |plan: FaultPlan| {
@@ -770,10 +711,7 @@ mod tests {
         // A persistent fault kills job 1 (replica 1) outright: the 2-sample
         // batch must then produce exactly the 1-sample update.
         let ds = dataset();
-        let lat = Tensor::from_vec(
-            vec![ds.fine_grid().h, ds.fine_grid().w],
-            ds.fine_grid().latitude_weight_field(),
-        );
+        let lat = Tensor::from_vec(vec![ds.fine_grid().h, ds.fine_grid().w], ds.fine_grid().latitude_weight_field());
         let s0 = ds.sample(0);
         let s1 = ds.sample(1);
         let run = |pairs: Vec<(&Tensor, &Tensor)>, plan: FaultPlan| {
@@ -785,10 +723,6 @@ mod tests {
         let dead_rank = FaultPlan::none().with_event(0, 1, FaultKind::Panic).with_persistent();
         let dropped = run(vec![(&s0.input, &s0.target), (&s1.input, &s1.target)], dead_rank);
         let solo = run(vec![(&s0.input, &s0.target)], FaultPlan::none());
-        assert_eq!(
-            dropped.data(),
-            solo.data(),
-            "average must renormalize over the surviving job"
-        );
+        assert_eq!(dropped.data(), solo.data(), "average must renormalize over the surviving job");
     }
 }

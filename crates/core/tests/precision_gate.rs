@@ -23,13 +23,7 @@ const SSIM_TOL: f64 = 0.02;
 
 #[test]
 fn reduced_precision_sessions_stay_within_tolerance() {
-    let ds = DownscalingDataset::new(
-        LatLonGrid::conus(16, 32),
-        VariableSet::daymet_like(),
-        4,
-        14,
-        21,
-    );
+    let ds = DownscalingDataset::new(LatLonGrid::conus(16, 32), VariableSet::daymet_like(), 4, 14, 21);
     let model = ReslimModel::new(ModelConfig::tiny().with_channels(7, 3), 5);
     let cfg = TrainerConfig { steps: 12, lr: 2e-3, log_every: 100, ..TrainerConfig::default() };
     let mut trainer = Trainer::new(model, &ds, cfg);
@@ -39,8 +33,7 @@ fn reduced_precision_sessions_stay_within_tolerance() {
     let test_idx = ds.indices(Split::Test);
     let base = evaluate_model(model, norm, &ds, &test_idx, None, 1.0).unwrap();
     for precision in WeightPrecision::ALL.into_iter().filter(|&p| p != WeightPrecision::F32) {
-        let reduced =
-            evaluate_model_at(model, norm, &ds, &test_idx, None, 1.0, precision).unwrap();
+        let reduced = evaluate_model_at(model, norm, &ds, &test_idx, None, 1.0, precision).unwrap();
         assert_eq!(reduced.len(), base.len());
         for (b, r) in base.iter().zip(&reduced) {
             assert_eq!(b.name, r.name);
@@ -63,13 +56,7 @@ fn reduced_precision_sessions_stay_within_tolerance() {
 
 #[test]
 fn f32_precision_variant_is_bit_identical_to_default() {
-    let ds = DownscalingDataset::new(
-        LatLonGrid::conus(16, 32),
-        VariableSet::daymet_like(),
-        4,
-        6,
-        3,
-    );
+    let ds = DownscalingDataset::new(LatLonGrid::conus(16, 32), VariableSet::daymet_like(), 4, 6, 3);
     let model = ReslimModel::new(ModelConfig::tiny().with_channels(7, 3), 9);
     let norm = orbit2_climate::Normalizer::fit(&ds, 4);
     let idx = ds.indices(Split::Test);

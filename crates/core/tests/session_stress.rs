@@ -41,10 +41,7 @@ fn concurrent_sessions_bitwise_match_serial() {
     let reference: Vec<Vec<f32>> = jobs
         .iter()
         .map(|(input, spec, compression)| {
-            downscale_with(&model, &session, &norm, input, *spec, *compression)
-                .expect("valid input")
-                .data()
-                .to_vec()
+            downscale_with(&model, &session, &norm, input, *spec, *compression).expect("valid input").data().to_vec()
         })
         .collect();
     let reference = Arc::new(reference);
@@ -61,8 +58,7 @@ fn concurrent_sessions_bitwise_match_serial() {
                         let j = (t + round + k) % jobs.len();
                         let (input, spec, compression) = &jobs[j];
                         let out =
-                            downscale_with(&model, &session, &norm, input, *spec, *compression)
-                                .expect("valid input");
+                            downscale_with(&model, &session, &norm, input, *spec, *compression).expect("valid input");
                         assert_eq!(
                             out.data(),
                             &reference[j][..],

@@ -2,9 +2,7 @@
 //! pretty, whitespace-padded, or re-printed from the `Value` tree the text
 //! parses to (the tree is one more type on the same printer and reader).
 
-use orbit2::serving::{
-    RequestSource, ServeHealth, ServeRequest, ServeResponse, ServeStats, WireError,
-};
+use orbit2::serving::{RequestSource, ServeHealth, ServeRequest, ServeResponse, ServeStats, WireError};
 use orbit2_model::WeightPrecision;
 use proptest::prelude::*;
 use serde::{Deserialize, Serialize, Value};
@@ -16,16 +14,18 @@ use std::fmt::Debug;
 fn float() -> impl Strategy<Value = f32> {
     (0u32..=u32::MAX).prop_map(|bits| {
         let x = f32::from_bits(bits);
-        if x.is_finite() { x } else { f32::from_bits(bits & 0x807F_FFFF) }
+        if x.is_finite() {
+            x
+        } else {
+            f32::from_bits(bits & 0x807F_FFFF)
+        }
     })
 }
 
 /// Strings that need every escape the printer has, and some it passes through.
 fn string() -> impl Strategy<Value = String> {
-    const ALPHABET: [&str; 12] =
-        ["a", "Z", "7", " ", "\"", "\\", "\n", "\t", "\u{1}", "é", "気", "/"];
-    collection::vec(0usize..ALPHABET.len(), 0..8)
-        .prop_map(|picks| picks.into_iter().map(|i| ALPHABET[i]).collect())
+    const ALPHABET: [&str; 12] = ["a", "Z", "7", " ", "\"", "\\", "\n", "\t", "\u{1}", "é", "気", "/"];
+    collection::vec(0usize..ALPHABET.len(), 0..8).prop_map(|picks| picks.into_iter().map(|i| ALPHABET[i]).collect())
 }
 
 /// A whole number a JSON number holds exactly.
@@ -34,11 +34,12 @@ fn uint() -> impl Strategy<Value = u64> {
 }
 
 fn request() -> impl Strategy<Value = ServeRequest> {
-    let source = (0u32..2, string(), uint(), collection::vec(uint(), 0..4), collection::vec(float(), 0..40))
-        .prop_map(|(raw, name, time, shape, data)| match raw {
+    let source = (0u32..2, string(), uint(), collection::vec(uint(), 0..4), collection::vec(float(), 0..40)).prop_map(
+        |(raw, name, time, shape, data)| match raw {
             0 => RequestSource::Region { name, time: time as usize },
             _ => RequestSource::Raw { shape: shape.into_iter().map(|d| d as usize).collect(), data },
-        });
+        },
+    );
     let knobs = (0u32..2, collection::vec(string(), 0..3), 0usize..4, 0u32..2, uint());
     (uint(), source, float(), knobs).prop_map(|(id, source, compression, knobs)| {
         let (has_vars, vars, precision, has_deadline, deadline) = knobs;
@@ -129,8 +130,7 @@ proptest! {
 fn absent_repeated_and_unknown_keys() {
     let read = |text: &str| serde_json::from_str::<ServeHealth>(text).map_err(|e| e.to_string());
     let want = ServeHealth { status: "ok".into(), inflight: 2, queue_depth: 0 };
-    let got =
-        read(r#"{"inflight":1,"later":{"a":[1,{"b":null}]},"status":"ok","inflight":2,"queue_depth":0}"#);
+    let got = read(r#"{"inflight":1,"later":{"a":[1,{"b":null}]},"status":"ok","inflight":2,"queue_depth":0}"#);
     assert_eq!(got.unwrap(), want);
     assert!(read(r#"{"status":"ok","inflight":2}"#).unwrap_err().contains("missing field `queue_depth`"));
     assert!(read(r#"{"status":7,"inflight":2,"queue_depth":0}"#).unwrap_err().contains("`status`"));

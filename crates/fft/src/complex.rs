@@ -81,10 +81,7 @@ impl Div for Complex {
     type Output = Complex;
     fn div(self, o: Complex) -> Complex {
         let d = o.norm_sqr();
-        Complex::new(
-            (self.re * o.re + self.im * o.im) / d,
-            (self.im * o.re - self.re * o.im) / d,
-        )
+        Complex::new((self.re * o.re + self.im * o.im) / d, (self.im * o.re - self.re * o.im) / d)
     }
 }
 

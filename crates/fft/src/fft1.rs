@@ -171,9 +171,8 @@ mod tests {
     fn pure_tone_concentrates_energy() {
         let n = 32;
         let freq = 5;
-        let x: Vec<f32> = (0..n)
-            .map(|i| (2.0 * std::f32::consts::PI * freq as f32 * i as f32 / n as f32).cos())
-            .collect();
+        let x: Vec<f32> =
+            (0..n).map(|i| (2.0 * std::f32::consts::PI * freq as f32 * i as f32 / n as f32).cos()).collect();
         let mut spec: Vec<Complex> = x.iter().map(|&v| Complex::new(v as f64, 0.0)).collect();
         fft(&mut spec);
         // Peak magnitude at bins `freq` and `n - freq`.

@@ -76,10 +76,7 @@ fn radial_bin(spec: &[Complex], h: usize, w: usize) -> PowerSpectrum {
             *p /= c as f64;
         }
     }
-    PowerSpectrum {
-        wavenumber: (0..=kmax).map(|k| k as f64).collect(),
-        power,
-    }
+    PowerSpectrum { wavenumber: (0..=kmax).map(|k| k as f64).collect(), power }
 }
 
 #[cfg(test)]
@@ -99,17 +96,10 @@ mod tests {
     fn single_mode_lands_in_expected_bin() {
         let (h, w) = (32usize, 32usize);
         let k = 4usize;
-        let field: Vec<f32> = (0..h * w)
-            .map(|i| (2.0 * std::f32::consts::PI * k as f32 * (i % w) as f32 / w as f32).sin())
-            .collect();
+        let field: Vec<f32> =
+            (0..h * w).map(|i| (2.0 * std::f32::consts::PI * k as f32 * (i % w) as f32 / w as f32).sin()).collect();
         let ps = radial_power_spectrum(&field, h, w);
-        let peak = ps
-            .power
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-            .unwrap()
-            .0;
+        let peak = ps.power.iter().enumerate().max_by(|a, b| a.1.partial_cmp(b.1).unwrap()).unwrap().0;
         assert_eq!(peak, k);
     }
 

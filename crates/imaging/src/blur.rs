@@ -8,9 +8,7 @@ use rayon::prelude::*;
 fn gaussian_kernel(sigma: f32) -> Vec<f32> {
     assert!(sigma > 0.0, "sigma must be positive");
     let radius = (3.0 * sigma).ceil() as i64;
-    let mut k: Vec<f32> = (-radius..=radius)
-        .map(|i| (-0.5 * (i as f32 / sigma).powi(2)).exp())
-        .collect();
+    let mut k: Vec<f32> = (-radius..=radius).map(|i| (-0.5 * (i as f32 / sigma).powi(2)).exp()).collect();
     let sum: f32 = k.iter().sum();
     for v in &mut k {
         *v /= sum;

@@ -34,8 +34,8 @@ pub(crate) fn canny_edges(field: &[f32], h: usize, w: usize, params: CannyParams
     // A (near-)constant field has only float-noise gradients; relative
     // thresholds would promote that noise to edges, so floor against the
     // field's dynamic range.
-    let range = field.iter().copied().fold(f32::NEG_INFINITY, f32::max)
-        - field.iter().copied().fold(f32::INFINITY, f32::min);
+    let range =
+        field.iter().copied().fold(f32::NEG_INFINITY, f32::max) - field.iter().copied().fold(f32::INFINITY, f32::min);
     let mag_max = grad.magnitude.iter().copied().fold(0.0f32, f32::max);
     if range <= 0.0 || mag_max < 1e-4 * range {
         return vec![false; h * w];

@@ -22,9 +22,13 @@ pub(crate) fn sobel(field: &[f32], h: usize, w: usize) -> GradientField {
     for y in 0..h as i64 {
         for x in 0..w as i64 {
             let gx = -get(y - 1, x - 1) - 2.0 * get(y, x - 1) - get(y + 1, x - 1)
-                + get(y - 1, x + 1) + 2.0 * get(y, x + 1) + get(y + 1, x + 1);
+                + get(y - 1, x + 1)
+                + 2.0 * get(y, x + 1)
+                + get(y + 1, x + 1);
             let gy = -get(y - 1, x - 1) - 2.0 * get(y - 1, x) - get(y - 1, x + 1)
-                + get(y + 1, x - 1) + 2.0 * get(y + 1, x) + get(y + 1, x + 1);
+                + get(y + 1, x - 1)
+                + 2.0 * get(y + 1, x)
+                + get(y + 1, x + 1);
             let i = (y as usize) * w + x as usize;
             magnitude[i] = (gx * gx + gy * gy).sqrt();
             direction[i] = gy.atan2(gx);

@@ -46,12 +46,7 @@ pub struct QuadTreeParams {
 
 impl Default for QuadTreeParams {
     fn default() -> Self {
-        Self {
-            density_threshold: 0.05,
-            min_patch: 2,
-            max_patch: 64,
-            canny: CannyParams::default(),
-        }
+        Self { density_threshold: 0.05, min_patch: 2, max_patch: 64, canny: CannyParams::default() }
     }
 }
 
@@ -126,9 +121,8 @@ fn subdivide(edges: &[bool], stride: usize, rect: Patch, params: &QuadTreeParams
     let too_small = rect.h.min(rect.w) <= params.min_patch;
     let must_split = rect.h.max(rect.w) > params.max_patch;
     let splittable = rect.h >= 2 && rect.w >= 2;
-    let split = splittable
-        && !too_small
-        && (must_split || rect_density(edges, stride, &rect) > params.density_threshold);
+    let split =
+        splittable && !too_small && (must_split || rect_density(edges, stride, &rect) > params.density_threshold);
     if !split {
         out.push(rect);
         return;

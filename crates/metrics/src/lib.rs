@@ -20,20 +20,11 @@ use ssim::{psnr, ssim};
 /// evaluated samples). When `log_space` is set, both are transformed with
 /// `log(x+1)` before RMSE-family metrics, as the paper does for
 /// precipitation; R², SSIM and PSNR require the caller to pass 2-D geometry.
-pub fn evaluate(
-    pred: &[f32],
-    truth: &[f32],
-    h: usize,
-    w: usize,
-    log_space: bool,
-) -> regression::EvalReport {
+pub fn evaluate(pred: &[f32], truth: &[f32], h: usize, w: usize, log_space: bool) -> regression::EvalReport {
     assert_eq!(pred.len(), truth.len());
     assert_eq!(pred.len() % (h * w), 0, "data not a whole number of {h}x{w} frames");
-    let (p, t): (Vec<f32>, Vec<f32>) = if log_space {
-        (log_precip_slice(pred), log_precip_slice(truth))
-    } else {
-        (pred.to_vec(), truth.to_vec())
-    };
+    let (p, t): (Vec<f32>, Vec<f32>) =
+        if log_space { (log_precip_slice(pred), log_precip_slice(truth)) } else { (pred.to_vec(), truth.to_vec()) };
     let r2 = r2_score(&p, &t);
     let rm = rmse(&p, &t);
     let q1 = quantile_rmse(&p, &t, 0.68);

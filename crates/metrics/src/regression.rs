@@ -49,10 +49,7 @@ impl ReportDelta {
     /// reported for diagnostics but not gated — it is scale-dependent,
     /// while R² and SSIM are normalized).
     pub fn within(&self, r2_tol: f64, ssim_tol: f64) -> bool {
-        self.r2.is_finite()
-            && self.ssim.is_finite()
-            && self.r2 <= r2_tol
-            && self.ssim <= ssim_tol
+        self.r2.is_finite() && self.ssim.is_finite() && self.r2 <= r2_tol && self.ssim <= ssim_tol
     }
 }
 
@@ -81,12 +78,8 @@ pub fn r2_score(pred: &[f32], truth: &[f32]) -> f64 {
 pub fn rmse(pred: &[f32], truth: &[f32]) -> f64 {
     assert_eq!(pred.len(), truth.len());
     assert!(!truth.is_empty());
-    let mse: f64 = pred
-        .iter()
-        .zip(truth)
-        .map(|(&p, &t)| (p as f64 - t as f64).powi(2))
-        .sum::<f64>()
-        / truth.len() as f64;
+    let mse: f64 =
+        pred.iter().zip(truth).map(|(&p, &t)| (p as f64 - t as f64).powi(2)).sum::<f64>() / truth.len() as f64;
     mse.sqrt()
 }
 

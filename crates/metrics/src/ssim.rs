@@ -65,12 +65,8 @@ fn window_ssim(pred: &[f32], truth: &[f32], stride: usize, y0: usize, x0: usize,
 /// peak. Returns a large finite value (120 dB) for an exact match.
 pub fn psnr(pred: &[f32], truth: &[f32]) -> f64 {
     assert_eq!(pred.len(), truth.len());
-    let mse: f64 = pred
-        .iter()
-        .zip(truth)
-        .map(|(&p, &t)| (p as f64 - t as f64).powi(2))
-        .sum::<f64>()
-        / truth.len() as f64;
+    let mse: f64 =
+        pred.iter().zip(truth).map(|(&p, &t)| (p as f64 - t as f64).powi(2)).sum::<f64>() / truth.len() as f64;
     if mse == 0.0 {
         return 120.0;
     }

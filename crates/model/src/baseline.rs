@@ -36,10 +36,7 @@ impl BaselineVit {
     /// Initialize with deterministic weights.
     pub fn new(cfg: ModelConfig, seed: u64) -> Self {
         let mut params = ParamStore::new();
-        params.insert(
-            "agg.conv1.w",
-            kaiming(&[AGG_HIDDEN, cfg.in_channels, 3, 3], seed ^ 0x50),
-        );
+        params.insert("agg.conv1.w", kaiming(&[AGG_HIDDEN, cfg.in_channels, 3, 3], seed ^ 0x50));
         params.insert("agg.conv1.b", Tensor::zeros(vec![AGG_HIDDEN]));
         params.insert("agg.conv2.w", kaiming(&[1, AGG_HIDDEN, 3, 3], seed ^ 0x51));
         params.insert("agg.conv2.b", Tensor::zeros(vec![1]));
@@ -50,10 +47,7 @@ impl BaselineVit {
             init_block_params(&mut params, &cfg, &format!("blk{l}"), seed.wrapping_add(100 + l as u64));
         }
         // Per-variable projection heads back to image space.
-        params.insert(
-            "head.w",
-            xavier(&[p2 * cfg.out_channels, cfg.embed_dim], seed ^ 0x53),
-        );
+        params.insert("head.w", xavier(&[p2 * cfg.out_channels, cfg.embed_dim], seed ^ 0x53));
         params.insert("head.b", Tensor::zeros(vec![p2 * cfg.out_channels]));
         Self { cfg, params }
     }
@@ -77,24 +71,13 @@ impl BaselineVit {
 
         // Shallow convolutional channel aggregation to one feature plane.
         let x = ex.constant(up.into_reshape(vec![1, c, oh, ow]));
-        let hid = ex.gelu(&ex.conv2d(
-            &x,
-            &ex.param("agg.conv1.w"),
-            Some(&ex.param("agg.conv1.b")),
-            ConvGeom::same(3),
-        ));
-        let aggregated = ex.conv2d(
-            &hid,
-            &ex.param("agg.conv2.w"),
-            Some(&ex.param("agg.conv2.b")),
-            ConvGeom::same(3),
-        );
+        let hid = ex.gelu(&ex.conv2d(&x, &ex.param("agg.conv1.w"), Some(&ex.param("agg.conv1.b")), ConvGeom::same(3)));
+        let aggregated = ex.conv2d(&hid, &ex.param("agg.conv2.w"), Some(&ex.param("agg.conv2.b")), ConvGeom::same(3));
 
         // Tokenize the full-resolution plane: the long sequence.
         let (hp, wp) = (oh / cfg.patch, ow / cfg.patch);
         let plane_patches = to_patches(ex, &aggregated, oh, ow, cfg.patch);
-        let mut z =
-            ex.linear(&plane_patches, &ex.param("embed.w"), Some(&ex.param("embed.b")));
+        let mut z = ex.linear(&plane_patches, &ex.param("embed.w"), Some(&ex.param("embed.b")));
         let pos = ex.constant(sincos_positions(hp, wp, cfg.embed_dim));
         z = ex.add(&z, &pos);
 

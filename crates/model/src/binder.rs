@@ -40,11 +40,7 @@ impl<'t, 's> Binder<'t, 's> {
 
     /// Extract the gradient map for every bound parameter after backward.
     pub fn grad_map(&self, grads: &Gradients) -> GradMap {
-        self.bound
-            .borrow()
-            .iter()
-            .map(|(name, &var)| (name.clone(), grads.get_or_zero(var)))
-            .collect()
+        self.bound.borrow().iter().map(|(name, &var)| (name.clone(), grads.get_or_zero(var))).collect()
     }
 }
 

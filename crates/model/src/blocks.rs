@@ -73,19 +73,9 @@ fn mlp<E: Exec>(ex: &E, prefix: &str, x: &E::Value) -> E::Value {
 /// Pre-norm transformer block over one sample's tokens: `x + Attn(LN(x))`,
 /// then `x + MLP(LN(x))`.
 pub(crate) fn transformer_block<E: Exec>(ex: &E, cfg: &ModelConfig, prefix: &str, x: &E::Value) -> E::Value {
-    let n1 = ex.layer_norm(
-        x,
-        &ex.param(&format!("{prefix}.ln1.g")),
-        &ex.param(&format!("{prefix}.ln1.b")),
-        1e-5,
-    );
+    let n1 = ex.layer_norm(x, &ex.param(&format!("{prefix}.ln1.g")), &ex.param(&format!("{prefix}.ln1.b")), 1e-5);
     let x = ex.add(x, &self_attention(ex, cfg, prefix, &n1));
-    let n2 = ex.layer_norm(
-        &x,
-        &ex.param(&format!("{prefix}.ln2.g")),
-        &ex.param(&format!("{prefix}.ln2.b")),
-        1e-5,
-    );
+    let n2 = ex.layer_norm(&x, &ex.param(&format!("{prefix}.ln2.g")), &ex.param(&format!("{prefix}.ln2.b")), 1e-5);
     ex.add(&x, &mlp(ex, prefix, &n2))
 }
 
@@ -105,11 +95,7 @@ pub(crate) fn init_xattn_params(store: &mut ParamStore, cfg: &ModelConfig, seed:
 ///
 /// The "attention" is a per-token softmax over the `C` variables, so every
 /// op is row-wise.
-pub(crate) fn cross_attention_aggregate<E: Exec>(
-    ex: &E,
-    cfg: &ModelConfig,
-    tokens: &[E::Value],
-) -> E::Value {
+pub(crate) fn cross_attention_aggregate<E: Exec>(ex: &E, cfg: &ModelConfig, tokens: &[E::Value]) -> E::Value {
     assert!(!tokens.is_empty());
     let d = cfg.embed_dim;
     let c = tokens.len();
@@ -119,9 +105,7 @@ pub(crate) fn cross_attention_aggregate<E: Exec>(
         sum = ex.add(&sum, t);
     }
     let mean = ex.scale(&sum, 1.0 / c as f32);
-    let proj = |x: &E::Value, name: &str| {
-        ex.linear_act(x, &ex.param(name), None, Activation::Identity)
-    };
+    let proj = |x: &E::Value, name: &str| ex.linear_act(x, &ex.param(name), None, Activation::Identity);
     let q = proj(&mean, "xattn.wq");
     let scale = 1.0 / (d as f32).sqrt();
     let ones = ex.constant(Tensor::ones(vec![d, 1]));
@@ -143,12 +127,7 @@ pub(crate) fn cross_attention_aggregate<E: Exec>(
             None => term,
         });
     }
-    ex.linear_act(
-        &out.unwrap(),
-        &ex.param("xattn.wo"),
-        Some(&ex.param("xattn.bo")),
-        Activation::Identity,
-    )
+    ex.linear_act(&out.unwrap(), &ex.param("xattn.wo"), Some(&ex.param("xattn.bo")), Activation::Identity)
 }
 
 #[cfg(test)]
@@ -156,8 +135,8 @@ mod tests {
     use super::*;
     use crate::binder::Binder;
     use crate::infer::InferenceSession;
-    use orbit2_tensor::fused::WeightPrecision;
     use orbit2_autograd::{Tape, Var};
+    use orbit2_tensor::fused::WeightPrecision;
     use orbit2_tensor::random::randn;
 
     fn setup(cfg: &ModelConfig) -> ParamStore {
@@ -211,13 +190,7 @@ mod tests {
         let grads = tape.backward(loss);
         let gm = binder.grad_map(&grads);
         // Every block parameter receives a non-trivial gradient.
-        for name in [
-            "blk0.attn.wq",
-            "blk0.attn.wo",
-            "blk0.mlp.w1",
-            "blk0.mlp.w2",
-            "blk0.ln1.g",
-        ] {
+        for name in ["blk0.attn.wq", "blk0.attn.wo", "blk0.mlp.w1", "blk0.mlp.w2", "blk0.ln1.g"] {
             let g = &gm[name];
             assert!(g.data().iter().any(|&x| x != 0.0), "{name} has zero gradient");
             assert!(g.all_finite(), "{name} has non-finite gradient");
@@ -244,9 +217,7 @@ mod tests {
         let store = setup(&cfg);
         let tape = Tape::new();
         let binder = Binder::new(&tape, &store);
-        let tokens: Vec<Var<'_>> = (0..5)
-            .map(|i| tape.constant(randn(&[8, cfg.embed_dim], 10 + i)))
-            .collect();
+        let tokens: Vec<Var<'_>> = (0..5).map(|i| tape.constant(randn(&[8, cfg.embed_dim], 10 + i))).collect();
         let agg = cross_attention_aggregate(&binder, &cfg, &tokens);
         assert_eq!(agg.shape(), vec![8, cfg.embed_dim]);
         assert!(agg.value().all_finite());
@@ -260,9 +231,8 @@ mod tests {
         let store = setup(&cfg);
         let tape = Tape::new();
         let binder = Binder::new(&tape, &store);
-        let tokens: Vec<Var<'_>> = (0..3)
-            .map(|i| tape.constant(randn(&[4, cfg.embed_dim], 20 + i).mul_scalar((i + 1) as f32)))
-            .collect();
+        let tokens: Vec<Var<'_>> =
+            (0..3).map(|i| tape.constant(randn(&[4, cfg.embed_dim], 20 + i).mul_scalar((i + 1) as f32))).collect();
         let agg = cross_attention_aggregate(&binder, &cfg, &tokens);
         // Plain mean baseline through the same projections.
         let mut sum = tokens[0];
@@ -282,9 +252,7 @@ mod tests {
         let store = setup(&cfg);
         let tape = Tape::new();
         let binder = Binder::new(&tape, &store);
-        let tokens: Vec<Var<'_>> = (0..3)
-            .map(|i| tape.constant(randn(&[4, cfg.embed_dim], 30 + i)))
-            .collect();
+        let tokens: Vec<Var<'_>> = (0..3).map(|i| tape.constant(randn(&[4, cfg.embed_dim], 30 + i))).collect();
         let loss = cross_attention_aggregate(&binder, &cfg, &tokens).square().sum();
         let grads = tape.backward(loss);
         let gm = binder.grad_map(&grads);

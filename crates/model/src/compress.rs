@@ -29,11 +29,7 @@ impl CompressionPlan {
     /// Identity plan: every token is its own group (compression disabled;
     /// the module "acts as an identity function").
     pub(crate) fn identity(hp: usize, wp: usize) -> Self {
-        Self {
-            groups: (0..hp * wp).map(|i| vec![i]).collect::<Vec<_>>().into(),
-            hp,
-            wp,
-        }
+        Self { groups: (0..hp * wp).map(|i| vec![i]).collect::<Vec<_>>().into(), hp, wp }
     }
 
     /// Build a plan from the aggregated feature image (token-space
@@ -118,10 +114,7 @@ mod tests {
     use orbit2_tensor::random::randn;
 
     fn edge_image(hp: usize, wp: usize) -> Tensor {
-        Tensor::from_vec(
-            vec![hp, wp],
-            (0..hp * wp).map(|i| if i % wp >= wp / 2 { 1.0 } else { 0.0 }).collect(),
-        )
+        Tensor::from_vec(vec![hp, wp], (0..hp * wp).map(|i| if i % wp >= wp / 2 { 1.0 } else { 0.0 }).collect())
     }
 
     #[test]

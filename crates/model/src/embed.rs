@@ -15,10 +15,7 @@ pub(crate) fn init_embed_params(store: &mut ParamStore, cfg: &ModelConfig, seed:
     store.insert("embed.w", xavier(&[cfg.embed_dim, p2], seed ^ 0x01));
     store.insert("embed.b", Tensor::zeros(vec![cfg.embed_dim]));
     // One learned embedding vector per input variable.
-    store.insert(
-        "embed.var",
-        randn(&[cfg.in_channels, cfg.embed_dim], seed ^ 0x02).mul_scalar(0.02),
-    );
+    store.insert("embed.var", randn(&[cfg.in_channels, cfg.embed_dim], seed ^ 0x02).mul_scalar(0.02));
     // Resolution embedding: one row per supported refinement factor
     // (2x, 4x, 8x, 16x).
     store.insert("embed.res", randn(&[4, cfg.embed_dim], seed ^ 0x03).mul_scalar(0.02));
@@ -82,8 +79,7 @@ pub(crate) fn sincos_positions(hp: usize, wp: usize, d: usize) -> Tensor {
     assert!(d.is_multiple_of(4), "embed dim must be divisible by 4 for 2-D sin-cos");
     let quarter = d / 4;
     // `d / 4` distinct frequencies, not one `powf` per output pair.
-    let freqs: Vec<f32> =
-        (0..quarter).map(|k| 1.0f32 / 10_000f32.powf(k as f32 / quarter as f32)).collect();
+    let freqs: Vec<f32> = (0..quarter).map(|k| 1.0f32 / 10_000f32.powf(k as f32 / quarter as f32)).collect();
     let mut out = Vec::with_capacity(hp * wp * d);
     for y in 0..hp {
         for x in 0..wp {
@@ -225,10 +221,8 @@ mod tests {
         }
         // Identical planes still produce different tokens thanks to the
         // per-variable embedding.
-        let same = Tensor::concat(
-            &[&input.slice_axis(0, 0, 1), &input.slice_axis(0, 0, 1), &input.slice_axis(0, 0, 1)],
-            0,
-        );
+        let same =
+            Tensor::concat(&[&input.slice_axis(0, 0, 1), &input.slice_axis(0, 0, 1), &input.slice_axis(0, 0, 1)], 0);
         let tokens2 = tokenize(&binder, &cfg, &same);
         assert!(tokens2[0].value().max_abs_diff(&tokens2[1].value()) > 1e-4);
     }

@@ -114,31 +114,13 @@ pub trait Exec {
     }
 
     /// Fused linear layer `act(x @ w^T + bias)`.
-    fn linear_act(
-        &self,
-        x: &Self::Value,
-        w: &Self::Value,
-        bias: Option<&Self::Value>,
-        act: Activation,
-    ) -> Self::Value;
+    fn linear_act(&self, x: &Self::Value, w: &Self::Value, bias: Option<&Self::Value>, act: Activation) -> Self::Value;
 
     /// Layer norm over the last axis with affine parameters.
-    fn layer_norm(
-        &self,
-        x: &Self::Value,
-        gamma: &Self::Value,
-        beta: &Self::Value,
-        eps: f32,
-    ) -> Self::Value;
+    fn layer_norm(&self, x: &Self::Value, gamma: &Self::Value, beta: &Self::Value, eps: f32) -> Self::Value;
 
     /// 2-d convolution `x [N,C,H,W] * w [O,C,KH,KW] (+ bias [O])`.
-    fn conv2d(
-        &self,
-        x: &Self::Value,
-        w: &Self::Value,
-        bias: Option<&Self::Value>,
-        geom: ConvGeom,
-    ) -> Self::Value;
+    fn conv2d(&self, x: &Self::Value, w: &Self::Value, bias: Option<&Self::Value>, geom: ConvGeom) -> Self::Value;
 
     /// Bilinear resize of the trailing two axes.
     fn resize_bilinear(&self, x: &Self::Value, out_h: usize, out_w: usize) -> Self::Value;
@@ -254,13 +236,7 @@ impl<'t> Exec for Binder<'t, '_> {
         a.reshape(shape)
     }
 
-    fn linear_act(
-        &self,
-        x: &Var<'t>,
-        w: &Var<'t>,
-        bias: Option<&Var<'t>>,
-        act: Activation,
-    ) -> Var<'t> {
+    fn linear_act(&self, x: &Var<'t>, w: &Var<'t>, bias: Option<&Var<'t>>, act: Activation) -> Var<'t> {
         x.linear_act(*w, bias.copied(), act)
     }
 

@@ -100,10 +100,7 @@ impl Exec for InferenceSession {
     type Value = SessionValue;
 
     fn param(&self, name: &str) -> SessionValue {
-        self.values
-            .get(name)
-            .unwrap_or_else(|| panic!("unknown parameter {name}"))
-            .clone()
+        self.values.get(name).unwrap_or_else(|| panic!("unknown parameter {name}")).clone()
     }
 
     fn constant(&self, t: Tensor) -> SessionValue {
@@ -176,13 +173,7 @@ impl Exec for InferenceSession {
         SessionValue::plain(matmul_bias_act_cached(&x.tensor, &w.tensor, w.pack.as_deref(), bias, act))
     }
 
-    fn layer_norm(
-        &self,
-        x: &SessionValue,
-        gamma: &SessionValue,
-        beta: &SessionValue,
-        eps: f32,
-    ) -> SessionValue {
+    fn layer_norm(&self, x: &SessionValue, gamma: &SessionValue, beta: &SessionValue, eps: f32) -> SessionValue {
         let v = &x.tensor;
         let d = v.shape()[v.ndim() - 1];
         let rows = v.len() / d;
@@ -191,13 +182,7 @@ impl Exec for InferenceSession {
         SessionValue::plain(norm_t.mul(&gamma.tensor).add(&beta.tensor))
     }
 
-    fn conv2d(
-        &self,
-        x: &SessionValue,
-        w: &SessionValue,
-        bias: Option<&SessionValue>,
-        geom: ConvGeom,
-    ) -> SessionValue {
+    fn conv2d(&self, x: &SessionValue, w: &SessionValue, bias: Option<&SessionValue>, geom: ConvGeom) -> SessionValue {
         SessionValue::plain(conv2d(&x.tensor, &w.tensor, bias.map(|b| &b.tensor), geom))
     }
 

@@ -34,12 +34,7 @@ impl Default for BayesianLossCfg {
 /// Evaluate the Bayesian loss of a prediction `[C, H, W]` against a target,
 /// with `lat_weights` an `[H, W]` (or broadcastable) weight field normalized
 /// to mean 1.
-pub fn bayesian_loss<'t>(
-    pred: Var<'t>,
-    target: &Tensor,
-    lat_weights: &Tensor,
-    cfg: BayesianLossCfg,
-) -> Var<'t> {
+pub fn bayesian_loss<'t>(pred: Var<'t>, target: &Tensor, lat_weights: &Tensor, cfg: BayesianLossCfg) -> Var<'t> {
     let shape = pred.shape();
     assert_eq!(shape.len(), 3, "prediction must be [C, H, W]");
     assert_eq!(&shape[..], target.shape(), "pred/target shape mismatch");
@@ -58,15 +53,9 @@ fn total_variation(pred: Var<'_>) -> Var<'_> {
     let (h, w) = (shape[1], shape[2]);
     assert!(h >= 2 && w >= 2, "TV needs at least a 2x2 field");
     // Horizontal neighbour differences: x[:, :, 1:] - x[:, :, :-1].
-    let dx = pred
-        .slice_axis(2, 1, w - 1)
-        .sub(pred.slice_axis(2, 0, w - 1))
-        .smooth_abs(TV_EPS);
+    let dx = pred.slice_axis(2, 1, w - 1).sub(pred.slice_axis(2, 0, w - 1)).smooth_abs(TV_EPS);
     // Vertical: x[:, 1:, :] - x[:, :-1, :].
-    let dy = pred
-        .slice_axis(1, 1, h - 1)
-        .sub(pred.slice_axis(1, 0, h - 1))
-        .smooth_abs(TV_EPS);
+    let dy = pred.slice_axis(1, 1, h - 1).sub(pred.slice_axis(1, 0, h - 1)).smooth_abs(TV_EPS);
     let edges = dx.mean().add(dy.mean());
     // b_ij = 1/distance = 1/sqrt(2) for diagonal pairs.
     let inv_sqrt2 = std::f32::consts::FRAC_1_SQRT_2;
@@ -128,10 +117,7 @@ mod tests {
     #[test]
     fn tv_prior_penalizes_noise_more_than_smooth() {
         let tape = Tape::new();
-        let smooth = tape.leaf(Tensor::from_vec(
-            vec![1, 4, 4],
-            (0..16).map(|i| i as f32 * 0.1).collect(),
-        ));
+        let smooth = tape.leaf(Tensor::from_vec(vec![1, 4, 4], (0..16).map(|i| i as f32 * 0.1).collect()));
         let noisy = tape.leaf(randn(&[1, 4, 4], 1));
         let tv_smooth = total_variation(smooth).value().item();
         let tv_noisy = total_variation(noisy).value().item();
@@ -146,16 +132,11 @@ mod tests {
         let tape = Tape::new();
         // Step: one big jump of 4 across a single pair per row (two
         // identical rows so vertical differences vanish).
-        let step = tape.leaf(Tensor::from_vec(
-            vec![1, 2, 4],
-            vec![0.0, 0.0, 4.0, 4.0, 0.0, 0.0, 4.0, 4.0],
-        ));
+        let step = tape.leaf(Tensor::from_vec(vec![1, 2, 4], vec![0.0, 0.0, 4.0, 4.0, 0.0, 0.0, 4.0, 4.0]));
         // Ramp: many small jumps summing to the same total variation.
         let ramp_row = [0.0, 4.0 / 3.0, 8.0 / 3.0, 4.0];
-        let ramp = tape.leaf(Tensor::from_vec(
-            vec![1, 2, 4],
-            ramp_row.iter().chain(ramp_row.iter()).copied().collect(),
-        ));
+        let ramp =
+            tape.leaf(Tensor::from_vec(vec![1, 2, 4], ramp_row.iter().chain(ramp_row.iter()).copied().collect()));
         // With identical rows each diagonal pair repeats a horizontal one.
         let tv_step = total_variation(step).value().item();
         let tv_ramp = total_variation(ramp).value().item();

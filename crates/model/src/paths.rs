@@ -27,41 +27,24 @@ fn path_hidden(cfg: &ModelConfig) -> usize {
 pub(crate) fn init_decoder_params(store: &mut ParamStore, cfg: &ModelConfig, seed: u64) {
     let p2 = cfg.patch * cfg.patch;
     let hidden = path_hidden(cfg);
-    store.insert(
-        "dec.proj.w",
-        xavier(&[p2 * hidden, cfg.embed_dim], seed ^ 0x30),
-    );
+    store.insert("dec.proj.w", xavier(&[p2 * hidden, cfg.embed_dim], seed ^ 0x30));
     store.insert("dec.proj.b", Tensor::zeros(vec![p2 * hidden]));
-    store.insert(
-        "dec.conv.w",
-        kaiming(&[cfg.out_channels, hidden, 3, 3], seed ^ 0x31),
-    );
+    store.insert("dec.conv.w", kaiming(&[cfg.out_channels, hidden, 3, 3], seed ^ 0x31));
     store.insert("dec.conv.b", Tensor::zeros(vec![cfg.out_channels]));
 }
 
 /// Register residual-path parameters.
 pub(crate) fn init_residual_params(store: &mut ParamStore, cfg: &ModelConfig, seed: u64) {
     let hidden = path_hidden(cfg);
-    store.insert(
-        "res.conv1.w",
-        kaiming(&[hidden, cfg.in_channels, 3, 3], seed ^ 0x40),
-    );
+    store.insert("res.conv1.w", kaiming(&[hidden, cfg.in_channels, 3, 3], seed ^ 0x40));
     store.insert("res.conv1.b", Tensor::zeros(vec![hidden]));
-    store.insert(
-        "res.conv2.w",
-        kaiming(&[cfg.out_channels, hidden, 3, 3], seed ^ 0x41),
-    );
+    store.insert("res.conv2.w", kaiming(&[cfg.out_channels, hidden, 3, 3], seed ^ 0x41));
     store.insert("res.conv2.b", Tensor::zeros(vec![cfg.out_channels]));
 }
 
 /// Rearrange a `[rows, cols]` value into a new flat shape by an element
 /// permutation (`out[i] = flat(in)[perm[i]]`), differentiably on the tape.
-pub(crate) fn permute_elements<E: Exec>(
-    ex: &E,
-    v: &E::Value,
-    perm: Vec<usize>,
-    out_shape: Vec<usize>,
-) -> E::Value {
+pub(crate) fn permute_elements<E: Exec>(ex: &E, v: &E::Value, perm: Vec<usize>, out_shape: Vec<usize>) -> E::Value {
     let n: usize = ex.shape(v).iter().product();
     let m: usize = out_shape.iter().product();
     assert_eq!(perm.len(), m);
@@ -75,12 +58,7 @@ pub(crate) fn decode<E: Exec>(ex: &E, cfg: &ModelConfig, tokens: &E::Value, hp: 
     assert_eq!(ex.shape(tokens)[0], hp * wp, "token/grid mismatch");
     let p = cfg.patch;
     // [N, D] -> [N, p^2 * hidden]
-    let projected = ex.linear_act(
-        tokens,
-        &ex.param("dec.proj.w"),
-        Some(&ex.param("dec.proj.b")),
-        Activation::Identity,
-    );
+    let projected = ex.linear_act(tokens, &ex.param("dec.proj.w"), Some(&ex.param("dec.proj.b")), Activation::Identity);
     let (h, w) = (hp * p, wp * p);
     let (oh, ow) = (h * cfg.scale_factor, w * cfg.scale_factor);
     let hidden = path_hidden(cfg);
@@ -106,12 +84,7 @@ pub(crate) fn residual_path<E: Exec>(ex: &E, cfg: &ModelConfig, input: &Tensor) 
     let (c, h, w) = (input.shape()[0], input.shape()[1], input.shape()[2]);
     assert_eq!(c, cfg.in_channels);
     let x = ex.constant(input.reshape(vec![1, c, h, w]));
-    let hid = ex.gelu(&ex.conv2d(
-        &x,
-        &ex.param("res.conv1.w"),
-        Some(&ex.param("res.conv1.b")),
-        ConvGeom::same(3),
-    ));
+    let hid = ex.gelu(&ex.conv2d(&x, &ex.param("res.conv1.w"), Some(&ex.param("res.conv1.b")), ConvGeom::same(3)));
     let out = ex.upsample_conv(
         &hid,
         h * cfg.scale_factor,

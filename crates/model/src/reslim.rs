@@ -75,12 +75,7 @@ impl ReslimModel {
     ///
     /// Returns the `[C_out, H, W]` prediction and the compression plan
     /// actually used (for sequence-length accounting).
-    pub fn forward<E: Exec>(
-        &self,
-        ex: &E,
-        input: &Tensor,
-        compression_target: f32,
-    ) -> (E::Value, CompressionPlan) {
+    pub fn forward<E: Exec>(&self, ex: &E, input: &Tensor, compression_target: f32) -> (E::Value, CompressionPlan) {
         let cfg = &self.cfg;
         let (hp, wp) = self.token_grid(input);
 
@@ -98,12 +93,7 @@ impl ReslimModel {
         };
         // Step 3: positional + resolution embeddings.
         let pos = ex.constant(sincos_positions(hp, wp, cfg.embed_dim));
-        let res_row = ex.slice_axis(
-            &ex.param("embed.res"),
-            0,
-            resolution_row(cfg.scale_factor),
-            1,
-        ); // [1, D] broadcast
+        let res_row = ex.slice_axis(&ex.param("embed.res"), 0, resolution_row(cfg.scale_factor), 1); // [1, D] broadcast
         agg = ex.add(&ex.add(&agg, &pos), &res_row);
         let mut z = plan.compress(ex, &agg);
 
@@ -181,11 +171,8 @@ mod tests {
         let grads = tape.backward(loss);
         let gm = binder.grad_map(&grads);
         assert_eq!(gm.len(), m.params.len(), "every parameter must be bound in forward");
-        let dead: Vec<&String> = gm
-            .iter()
-            .filter(|(_, g)| g.data().iter().all(|&x| x == 0.0))
-            .map(|(n, _)| n)
-            .collect();
+        let dead: Vec<&String> =
+            gm.iter().filter(|(_, g)| g.data().iter().all(|&x| x == 0.0)).map(|(n, _)| n).collect();
         assert!(dead.is_empty(), "parameters with zero gradient: {dead:?}");
     }
 
@@ -211,9 +198,6 @@ mod tests {
         let m = model();
         let analytic = m.cfg.param_count() as f64;
         let actual = m.num_params() as f64;
-        assert!(
-            (actual / analytic - 1.0).abs() < 0.25,
-            "actual {actual} vs analytic {analytic}"
-        );
+        assert!((actual / analytic - 1.0).abs() < 0.25, "actual {actual} vs analytic {analytic}");
     }
 }

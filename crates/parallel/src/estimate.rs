@@ -84,8 +84,7 @@ pub fn estimate_step(
     let attn_untiled = attn_untiled.min(workload.flops_per_sample);
     let linear_flops = workload.flops_per_sample - attn_untiled;
     let sample_flops = linear_flops + attn_untiled / plan.tiles as f64;
-    let flops_per_gpu =
-        sample_flops * halo_overhead / (plan.tiles as f64 * plan.tensor_parallel as f64);
+    let flops_per_gpu = sample_flops * halo_overhead / (plan.tiles as f64 * plan.tensor_parallel as f64);
     let compute_s = compute_time(flops_per_gpu, &cluster.gpu, eff);
 
     // --- Tensor parallel: Megatron issues 4 activation all-reduces per
@@ -120,8 +119,7 @@ pub fn estimate_step(
     // --- Gradient all-reduce: once per batch over DDP x TILES replicas of
     // each shard (paper: "minimal communication frequency ... once per data
     // batch").
-    let grad_bytes =
-        (workload.params as f64 / (plan.tensor_parallel * plan.fsdp) as f64 * 2.0) as u64;
+    let grad_bytes = (workload.params as f64 / (plan.tensor_parallel * plan.fsdp) as f64 * 2.0) as u64;
     let grad_allreduce_s = hierarchical_allreduce_time(grad_bytes, &groups.grad_groups[0], cluster);
 
     // --- Halo exchange between neighbouring tiles (input scatter).
@@ -259,18 +257,8 @@ mod tests {
     fn tensor_parallel_cuts_compute_adds_comm() {
         let w = workload_10b();
         let c = cluster();
-        let solo = estimate_step(
-            &ParallelismPlan { ddp: 1, tiles: 1, fsdp: 8, tensor_parallel: 1 },
-            &w,
-            &c,
-            1.0,
-        );
-        let tp8 = estimate_step(
-            &ParallelismPlan { ddp: 1, tiles: 1, fsdp: 8, tensor_parallel: 8 },
-            &w,
-            &c,
-            1.0,
-        );
+        let solo = estimate_step(&ParallelismPlan { ddp: 1, tiles: 1, fsdp: 8, tensor_parallel: 1 }, &w, &c, 1.0);
+        let tp8 = estimate_step(&ParallelismPlan { ddp: 1, tiles: 1, fsdp: 8, tensor_parallel: 8 }, &w, &c, 1.0);
         assert!(tp8.compute_s < solo.compute_s / 7.0);
         assert!(tp8.tp_comm_s > 0.0);
         assert_eq!(solo.tp_comm_s, 0.0);
@@ -282,12 +270,7 @@ mod tests {
         let c = cluster();
         let unsharded = estimate_step(&ddp_only(8), &w, &c, 1.0);
         assert!(!unsharded.fits, "10B unsharded must OOM");
-        let sharded = estimate_step(
-            &ParallelismPlan { ddp: 1, tiles: 1, fsdp: 64, tensor_parallel: 8 },
-            &w,
-            &c,
-            1.0,
-        );
+        let sharded = estimate_step(&ParallelismPlan { ddp: 1, tiles: 1, fsdp: 64, tensor_parallel: 8 }, &w, &c, 1.0);
         assert!(sharded.fits, "10B with TP8 x FSDP64 must fit");
     }
 
@@ -346,21 +329,19 @@ mod tests {
         let c = cluster();
         let small = estimate_step(&ddp_only(16), &w, &c, 1.0);
         let big = estimate_step(&ddp_only(4096), &w, &c, 1.0);
-        assert!(big.grad_allreduce_s < small.grad_allreduce_s * 20.0,
+        assert!(
+            big.grad_allreduce_s < small.grad_allreduce_s * 20.0,
             "hierarchical all-reduce must not explode: {} -> {}",
-            small.grad_allreduce_s, big.grad_allreduce_s);
+            small.grad_allreduce_s,
+            big.grad_allreduce_s
+        );
     }
 
     #[test]
     #[should_panic(expected = "invalid plan")]
     fn invalid_plan_panics() {
         let w = workload_9_5m();
-        estimate_step(
-            &ParallelismPlan { ddp: 1, tiles: 1, fsdp: 1, tensor_parallel: 64 },
-            &w,
-            &cluster(),
-            1.0,
-        );
+        estimate_step(&ParallelismPlan { ddp: 1, tiles: 1, fsdp: 1, tensor_parallel: 64 }, &w, &cluster(), 1.0);
     }
 
     #[test]

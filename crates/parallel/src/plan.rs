@@ -42,11 +42,7 @@ impl ParallelismPlan {
             return Err("all parallelism degrees must be >= 1".into());
         }
         if self.world_size() > cluster.total_gpus() {
-            return Err(format!(
-                "plan needs {} GPUs, cluster has {}",
-                self.world_size(),
-                cluster.total_gpus()
-            ));
+            return Err(format!("plan needs {} GPUs, cluster has {}", self.world_size(), cluster.total_gpus()));
         }
         if self.tensor_parallel > cluster.gpus_per_node {
             return Err(format!(
@@ -115,12 +111,7 @@ pub struct RankGroups {
 impl RankGroups {
     /// The hierarchy level each group kind lands on — the Fig. 5 check.
     pub fn placement(&self, cluster: &ClusterSpec) -> PlacementReport {
-        let worst = |gs: &[Vec<usize>]| {
-            gs.iter()
-                .map(|g| cluster.group_level(g))
-                .max()
-                .unwrap_or(CommLevel::IntraCard)
-        };
+        let worst = |gs: &[Vec<usize>]| gs.iter().map(|g| cluster.group_level(g)).max().unwrap_or(CommLevel::IntraCard);
         PlacementReport {
             tp_level: worst(&self.tp_groups),
             fsdp_level: worst(&self.fsdp_groups),
@@ -201,18 +192,10 @@ mod tests {
     #[test]
     fn validate_rejects_bad_plans() {
         let cluster = ClusterSpec::frontier();
-        assert!(ParallelismPlan { ddp: 0, tiles: 1, fsdp: 1, tensor_parallel: 1 }
-            .validate(&cluster)
-            .is_err());
-        assert!(ParallelismPlan { ddp: 1, tiles: 1, fsdp: 1, tensor_parallel: 16 }
-            .validate(&cluster)
-            .is_err());
-        assert!(ParallelismPlan { ddp: 1_000_000, tiles: 1, fsdp: 1, tensor_parallel: 1 }
-            .validate(&cluster)
-            .is_err());
-        assert!(ParallelismPlan { ddp: 512, tiles: 16, fsdp: 4, tensor_parallel: 1 }
-            .validate(&cluster)
-            .is_ok());
+        assert!(ParallelismPlan { ddp: 0, tiles: 1, fsdp: 1, tensor_parallel: 1 }.validate(&cluster).is_err());
+        assert!(ParallelismPlan { ddp: 1, tiles: 1, fsdp: 1, tensor_parallel: 16 }.validate(&cluster).is_err());
+        assert!(ParallelismPlan { ddp: 1_000_000, tiles: 1, fsdp: 1, tensor_parallel: 1 }.validate(&cluster).is_err());
+        assert!(ParallelismPlan { ddp: 512, tiles: 16, fsdp: 4, tensor_parallel: 1 }.validate(&cluster).is_ok());
     }
 
     #[test]

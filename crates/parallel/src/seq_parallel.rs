@@ -82,13 +82,7 @@ impl SeqParallelConfig {
         let memory_bytes = (model_bytes + act_bytes + gathered_kv) as u64 + OVERHEAD_BYTES;
         let fits = memory_bytes <= cluster.gpu.mem_bytes;
 
-        SeqParallelEstimate {
-            compute_s,
-            ring_comm_s,
-            step_s: compute_s + ring_comm_s,
-            memory_bytes,
-            fits,
-        }
+        SeqParallelEstimate { compute_s, ring_comm_s, step_s: compute_s + ring_comm_s, memory_bytes, fits }
     }
 
     /// Largest global sequence that fits per the memory model.
@@ -173,10 +167,7 @@ mod tests {
         let cap8 = cfg(8).max_sequence(&c);
         let cap128 = cfg(128).max_sequence(&c);
         assert!(cap128 > cap8);
-        assert!(
-            (cap128 as f64) < cap8 as f64 * 16.0,
-            "capacity must be sublinear in ranks: {cap8} -> {cap128}"
-        );
+        assert!((cap128 as f64) < cap8 as f64 * 16.0, "capacity must be sublinear in ranks: {cap8} -> {cap128}");
     }
 
     #[test]

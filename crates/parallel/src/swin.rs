@@ -49,10 +49,7 @@ impl SwinHierarchy {
     /// stage — the size blow-up that "shifts the computational bottleneck
     /// from long-sequence processing to large-model scaling".
     fn param_count(&self, blocks_per_stage: usize) -> u64 {
-        self.stages
-            .iter()
-            .map(|&(_, c)| blocks_per_stage as u64 * 12 * (c as u64) * (c as u64))
-            .sum()
+        self.stages.iter().map(|&(_, c)| blocks_per_stage as u64 * 12 * (c as u64) * (c as u64)).sum()
     }
 
     /// Peak activation memory in bytes (batch 1, BF16): the finest stage

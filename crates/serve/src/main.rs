@@ -79,9 +79,7 @@ fn parse_args() -> Result<Args, String> {
             "--addr" => args.addr = value("--addr")?,
             "--grid" => {
                 let v = value("--grid")?;
-                let (h, w) = v
-                    .split_once('x')
-                    .ok_or_else(|| format!("--grid wants HxW, got {v}"))?;
+                let (h, w) = v.split_once('x').ok_or_else(|| format!("--grid wants HxW, got {v}"))?;
                 args.grid = (
                     h.parse().map_err(|e| format!("--grid height: {e}"))?,
                     w.parse().map_err(|e| format!("--grid width: {e}"))?,
@@ -93,15 +91,13 @@ fn parse_args() -> Result<Args, String> {
             "--queue" => args.queue = parse_num(&value("--queue")?, "--queue")?,
             "--precision" => {
                 let v = value("--precision")?;
-                args.precision = WeightPrecision::parse(&v).ok_or_else(|| {
-                    format!("--precision wants {}, got {v}", WeightPrecision::choices())
-                })?;
+                args.precision = WeightPrecision::parse(&v)
+                    .ok_or_else(|| format!("--precision wants {}, got {v}", WeightPrecision::choices()))?;
             }
             "--seed" => args.seed = parse_num(&value("--seed")?, "--seed")? as u64,
             "--default-deadline-ms" => {
                 args.default_deadline_ms =
-                    Some(parse_num(&value("--default-deadline-ms")?, "--default-deadline-ms")?
-                        as u64)
+                    Some(parse_num(&value("--default-deadline-ms")?, "--default-deadline-ms")? as u64)
             }
             "--help" | "-h" => {
                 println!("{USAGE}");
@@ -112,16 +108,11 @@ fn parse_args() -> Result<Args, String> {
     }
     let (h, w) = args.grid;
     if h == 0 || w == 0 || h % FACTOR != 0 || w % FACTOR != 0 {
-        return Err(format!(
-            "--grid {h}x{w}: both sides must be positive multiples of the refinement factor {FACTOR}"
-        ));
+        return Err(format!("--grid {h}x{w}: both sides must be positive multiples of the refinement factor {FACTOR}"));
     }
     let side = (args.tiles as f64).sqrt().round() as usize;
     if args.tiles == 0 || side * side != args.tiles {
-        return Err(format!(
-            "--tiles {}: the tile count must be a perfect square (1, 4, 9, ...)",
-            args.tiles
-        ));
+        return Err(format!("--tiles {}: the tile count must be a perfect square (1, 4, 9, ...)", args.tiles));
     }
     if args.samples == 0 {
         return Err("--samples 0: each region must hold at least one sample".into());
@@ -140,8 +131,9 @@ fn check_servable(model: &ReslimModel, args: &Args, tile: Option<TileSpec>) -> R
     validate_input(model, &Tensor::zeros(vec![model.cfg.in_channels, h, w]))
         .map_err(|e| format!("--grid {}x{}: {e}", args.grid.0, args.grid.1))?;
     match tile {
-        Some(spec) => check_tiling(model, h, w, spec)
-            .map_err(|e| format!("--tiles {} --halo {}: {e}", args.tiles, args.halo)),
+        Some(spec) => {
+            check_tiling(model, h, w, spec).map_err(|e| format!("--tiles {} --halo {}: {e}", args.tiles, args.halo))
+        }
         None => Ok(()),
     }
 }
@@ -169,20 +161,8 @@ fn main() {
     }
 
     let (h, w) = args.grid;
-    let conus = DownscalingDataset::new(
-        LatLonGrid::conus(h, w),
-        variables.clone(),
-        FACTOR,
-        args.samples,
-        args.seed,
-    );
-    let global = DownscalingDataset::new(
-        LatLonGrid::global(h, w),
-        variables,
-        FACTOR,
-        args.samples,
-        args.seed + 1,
-    );
+    let conus = DownscalingDataset::new(LatLonGrid::conus(h, w), variables.clone(), FACTOR, args.samples, args.seed);
+    let global = DownscalingDataset::new(LatLonGrid::global(h, w), variables, FACTOR, args.samples, args.seed + 1);
     let normalizer = Normalizer::fit(&conus, args.samples.clamp(1, 8));
 
     let server_cfg = ServerConfig {
@@ -196,10 +176,7 @@ fn main() {
     let server = Arc::new(Server::start(
         model,
         normalizer,
-        vec![
-            Region { name: "conus".into(), dataset: conus },
-            Region { name: "global".into(), dataset: global },
-        ],
+        vec![Region { name: "conus".into(), dataset: conus }, Region { name: "global".into(), dataset: global }],
         server_cfg,
     ));
 

@@ -174,17 +174,12 @@ mod tests {
                 .map(|i| {
                     let slot = Arc::clone(&slot);
                     std::thread::spawn(move || {
-                        let result = if i % 2 == 0 {
-                            Ok(resp(i))
-                        } else {
-                            Err(ServeError::ShuttingDown)
-                        };
+                        let result = if i % 2 == 0 { Ok(resp(i)) } else { Err(ServeError::ShuttingDown) };
                         slot.complete(result)
                     })
                 })
                 .collect();
-            let wins =
-                completers.into_iter().map(|c| c.join().unwrap()).filter(|won| *won).count();
+            let wins = completers.into_iter().map(|c| c.join().unwrap()).filter(|won| *won).count();
             assert_eq!(wins, 1, "exactly one completion must win (round {round})");
             assert!(slot.is_complete());
             let winner = handle.wait_timeout(Duration::ZERO).unwrap();

@@ -37,9 +37,7 @@
 use crate::oneshot::{Handle, Oneshot};
 use orbit2::fault::{FaultKind, FaultPlan};
 use orbit2::inference::{check_tiling, downscale_with, validate_input};
-use orbit2::serving::{
-    RequestSource, ServeError, ServeHealth, ServeRequest, ServeResponse, ServeStats,
-};
+use orbit2::serving::{RequestSource, ServeError, ServeHealth, ServeRequest, ServeResponse, ServeStats};
 use orbit2_climate::{DownscalingDataset, Normalizer};
 use orbit2_imaging::tiles::TileSpec;
 use orbit2_model::{InferenceSession, ReslimModel};
@@ -217,19 +215,10 @@ impl Server {
     /// and at int8 its GEMM packs — the only session this server ever
     /// builds). The returned server is `Send + Sync` and is usually wrapped
     /// in an `Arc` to share with connection threads.
-    pub fn start(
-        model: ReslimModel,
-        normalizer: Normalizer,
-        regions: Vec<Region>,
-        cfg: ServerConfig,
-    ) -> Self {
+    pub fn start(model: ReslimModel, normalizer: Normalizer, regions: Vec<Region>, cfg: ServerConfig) -> Self {
         let session = model.session_at(cfg.precision);
         // An explicit plan (even `FaultPlan::none()`) beats the env knob.
-        let fault_plan = cfg
-            .fault_plan
-            .clone()
-            .or_else(FaultPlan::from_serve_env)
-            .unwrap_or_default();
+        let fault_plan = cfg.fault_plan.clone().or_else(FaultPlan::from_serve_env).unwrap_or_default();
         let inner = Arc::new(Inner {
             model,
             session,
@@ -297,12 +286,7 @@ impl Server {
     /// [`shutdown`]: Server::shutdown
     pub fn drain(&self, timeout: Duration) -> bool {
         // Close admission without downgrading an already-stopped server.
-        let _ = self.inner.state.compare_exchange(
-            RUNNING,
-            DRAINING,
-            Ordering::SeqCst,
-            Ordering::SeqCst,
-        );
+        let _ = self.inner.state.compare_exchange(RUNNING, DRAINING, Ordering::SeqCst, Ordering::SeqCst);
         let deadline = Instant::now() + timeout;
         let drained = loop {
             if self.inner.inflight.load(Ordering::SeqCst) == 0 {
@@ -341,12 +325,7 @@ impl Drop for Server {
 impl Inner {
     /// Every synchronous check, then the admission cap, then one registry
     /// job for the request.
-    fn admit(
-        self: &Arc<Self>,
-        req: ServeRequest,
-        started: Instant,
-        done: &Arc<Oneshot>,
-    ) -> Result<(), ServeError> {
+    fn admit(self: &Arc<Self>, req: ServeRequest, started: Instant, done: &Arc<Oneshot>) -> Result<(), ServeError> {
         if self.state.load(Ordering::SeqCst) != RUNNING {
             return Err(ServeError::ShuttingDown);
         }
@@ -365,10 +344,8 @@ impl Inner {
         // Admission deadline checkpoint: a request whose deadline has
         // already passed (deadline_ms of 0, or a stalled accept queue)
         // never costs a tensor resolve, let alone a forward.
-        let deadline = req
-            .deadline_ms
-            .or(self.cfg.default_deadline_ms)
-            .map(|ms| (started + Duration::from_millis(ms), ms));
+        let deadline =
+            req.deadline_ms.or(self.cfg.default_deadline_ms).map(|ms| (started + Duration::from_millis(ms), ms));
         if let Some((_, deadline_ms)) = deadline.filter(|&(at, _)| Instant::now() >= at) {
             self.counters.deadline_expired.fetch_add(1, Ordering::Relaxed);
             return Err(ServeError::DeadlineExceeded { deadline_ms });
@@ -379,9 +356,9 @@ impl Inner {
                 let vs = self.regions.first().map(|r| r.dataset.variables());
                 let mut sel = Vec::with_capacity(names.len());
                 for name in names {
-                    let idx = vs.and_then(|v| v.output_index(name)).ok_or_else(|| {
-                        ServeError::UnknownVariable { variable: name.clone() }
-                    })?;
+                    let idx = vs
+                        .and_then(|v| v.output_index(name))
+                        .ok_or_else(|| ServeError::UnknownVariable { variable: name.clone() })?;
                     sel.push(idx);
                 }
                 Some(sel)
@@ -408,10 +385,7 @@ impl Inner {
                 let elems = shape.iter().try_fold(1usize, |n, &d| n.checked_mul(d));
                 if elems != Some(data.len()) {
                     return Err(ServeError::BadRequest {
-                        reason: format!(
-                            "shape {shape:?} does not hold the {} data values that were sent",
-                            data.len()
-                        ),
+                        reason: format!("shape {shape:?} does not hold the {} data values that were sent", data.len()),
                     });
                 }
                 Tensor::from_vec(shape, data)
@@ -606,8 +580,7 @@ mod tests {
         assert_eq!(server.inflight(), 1);
         server.shutdown();
         server.inner.run(job);
-        let verdict =
-            Handle::new(1, done).wait_timeout(Duration::ZERO).expect("the job completed its request");
+        let verdict = Handle::new(1, done).wait_timeout(Duration::ZERO).expect("the job completed its request");
         assert_eq!(verdict.unwrap_err(), ServeError::ShuttingDown);
         assert_eq!(server.inflight(), 0, "the job released its slot");
         assert_eq!(server.stats().batches, 0, "no forward ran");
@@ -620,8 +593,7 @@ mod tests {
         let server = tiny_server(VariableSet::daymet_like(), ServerConfig::default());
         let (job, done) = job(&server, Some((Instant::now() - Duration::from_millis(5), 7)));
         server.inner.run(job);
-        let verdict =
-            Handle::new(1, done).wait_timeout(Duration::ZERO).expect("the job completed its request");
+        let verdict = Handle::new(1, done).wait_timeout(Duration::ZERO).expect("the job completed its request");
         assert_eq!(verdict.unwrap_err(), ServeError::DeadlineExceeded { deadline_ms: 7 });
         let stats = server.stats();
         assert_eq!((stats.shed_jobs, stats.deadline_expired, stats.batches), (1, 1, 0));

@@ -238,16 +238,11 @@ impl RetryPolicy {
     /// pure function of (policy, request id, attempt).
     fn backoff(&self, request_id: u64, attempt: u32) -> Duration {
         let exp = attempt.saturating_sub(1).min(32);
-        let window = self
-            .base_delay
-            .saturating_mul(1u32 << exp.min(31))
-            .min(self.max_delay)
-            .as_nanos() as u64;
+        let window = self.base_delay.saturating_mul(1u32 << exp.min(31)).min(self.max_delay).as_nanos() as u64;
         if window == 0 {
             return Duration::ZERO;
         }
-        let mut rng =
-            ChaCha8Rng::seed_from_u64(self.seed ^ request_id ^ (u64::from(attempt) << 48));
+        let mut rng = ChaCha8Rng::seed_from_u64(self.seed ^ request_id ^ (u64::from(attempt) << 48));
         Duration::from_nanos(rng.gen_range(0..window))
     }
 }
@@ -308,11 +303,7 @@ impl Client {
     /// without hammering the server. Non-retryable errors and successful
     /// responses return immediately; when attempts run out the last
     /// retryable error is returned as a normal [`ServerReply::Error`].
-    pub fn submit_with_retry(
-        &mut self,
-        req: &ServeRequest,
-        policy: &RetryPolicy,
-    ) -> std::io::Result<ServerReply> {
+    pub fn submit_with_retry(&mut self, req: &ServeRequest, policy: &RetryPolicy) -> std::io::Result<ServerReply> {
         let attempts = policy.max_attempts.max(1);
         let mut attempt = 0u32;
         loop {
@@ -336,10 +327,7 @@ impl Client {
         let mut line = String::new();
         let n = self.reader.read_line(&mut line)?;
         if n == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "server closed the connection",
-            ));
+            return Err(std::io::Error::new(std::io::ErrorKind::UnexpectedEof, "server closed the connection"));
         }
         Ok(line)
     }
@@ -358,7 +346,18 @@ mod tests {
             id: 9,
             shape: vec![3, 2, 2],
             data: vec![
-                0.5, -0.0, 0.0, 0.1, -1e-7, 3.4e38, f32::MIN_POSITIVE, 1e-45, 287.4523, 1.0, 16_777_216.0, -2.5e10,
+                0.5,
+                -0.0,
+                0.0,
+                0.1,
+                -1e-7,
+                3.4e38,
+                f32::MIN_POSITIVE,
+                1e-45,
+                287.4523,
+                1.0,
+                16_777_216.0,
+                -2.5e10,
             ],
             micros: 1234,
         };
@@ -383,17 +382,10 @@ mod tests {
         for attempt in 1..=6u32 {
             let a = policy.backoff(42, attempt);
             assert_eq!(a, policy.backoff(42, attempt), "same inputs, same jitter");
-            let cap = policy
-                .base_delay
-                .saturating_mul(1u32 << (attempt - 1))
-                .min(policy.max_delay);
+            let cap = policy.base_delay.saturating_mul(1u32 << (attempt - 1)).min(policy.max_delay);
             assert!(a <= cap, "attempt {attempt}: {a:?} exceeds cap {cap:?}");
         }
-        assert_ne!(
-            policy.backoff(1, 3),
-            policy.backoff(2, 3),
-            "different requests draw different jitter"
-        );
+        assert_ne!(policy.backoff(1, 3), policy.backoff(2, 3), "different requests draw different jitter");
         let zero = RetryPolicy { base_delay: Duration::ZERO, ..RetryPolicy::default() };
         assert_eq!(zero.backoff(7, 1), Duration::ZERO);
     }

@@ -26,8 +26,7 @@ type Outcomes = Vec<(u64, Option<u64>, Result<(), ServeError>)>;
 /// region's samples on the same model and tiling: what every response
 /// must equal.
 fn start(cfg: ServerConfig) -> (Arc<Server>, Arc<Vec<Tensor>>) {
-    let ds =
-        DownscalingDataset::new(LatLonGrid::conus(16, 32), VariableSet::daymet_like(), 4, 10, 3);
+    let ds = DownscalingDataset::new(LatLonGrid::conus(16, 32), VariableSet::daymet_like(), 4, 10, 3);
     let model = ReslimModel::new(ModelConfig::tiny().with_channels(7, 3), 2);
     let norm = Normalizer::fit(&ds, 4);
     let session = model.session();
@@ -43,11 +42,7 @@ fn start(cfg: ServerConfig) -> (Arc<Server>, Arc<Vec<Tensor>>) {
 fn await_idle(server: &Server) {
     let deadline = Instant::now() + Duration::from_secs(20);
     while server.inflight() != 0 {
-        assert!(
-            Instant::now() < deadline,
-            "inflight stuck at {} — a request leaked its permit",
-            server.inflight()
-        );
+        assert!(Instant::now() < deadline, "inflight stuck at {} — a request leaked its permit", server.inflight());
         std::thread::sleep(Duration::from_millis(1));
     }
 }
@@ -121,14 +116,9 @@ fn transient_chaos_recovers_every_request() {
         match result {
             Ok(()) => {}
             Err(ServeError::DeadlineExceeded { .. }) => {
-                assert!(
-                    deadline_ms.is_some(),
-                    "request {id} had no deadline but expired"
-                );
+                assert!(deadline_ms.is_some(), "request {id} had no deadline but expired");
             }
-            Err(other) => panic!(
-                "request {id}: transient chaos must recover everything, got {other:?}"
-            ),
+            Err(other) => panic!("request {id}: transient chaos must recover everything, got {other:?}"),
         }
     }
     await_idle(&server);
@@ -138,10 +128,7 @@ fn transient_chaos_recovers_every_request() {
         "with 10% panic injection over {} forwards some retry must have fired: {stats:?}",
         stats.batches
     );
-    assert_eq!(
-        stats.quarantined_jobs, 0,
-        "transient faults must never fail an isolated retry"
-    );
+    assert_eq!(stats.quarantined_jobs, 0, "transient faults must never fail an isolated retry");
 }
 
 /// Persistent chaos: a request whose dispatch ordinal draws a panic stays
@@ -178,19 +165,13 @@ fn persistent_chaos_fails_only_quarantined_culprits() {
     }
     await_idle(&server);
     let stats = server.stats();
-    assert!(
-        stats.quarantined_jobs > 0,
-        "with 6% persistent panics some culprit must have stayed dead: {stats:?}"
-    );
+    assert!(stats.quarantined_jobs > 0, "with 6% persistent panics some culprit must have stayed dead: {stats:?}");
     assert!(
         stats.quarantined_jobs >= internal,
         "every internal outcome needs a quarantined request: {internal} internals, {} quarantined",
         stats.quarantined_jobs
     );
-    assert!(
-        internal < results.len() as u64,
-        "persistent chaos at 6% must not kill every request"
-    );
+    assert!(internal < results.len() as u64, "persistent chaos at 6% must not kill every request");
 }
 
 /// Chaos racing a drain: half-way through the hammering the server

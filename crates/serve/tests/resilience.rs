@@ -17,8 +17,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn setup() -> (ReslimModel, Normalizer, DownscalingDataset) {
-    let ds =
-        DownscalingDataset::new(LatLonGrid::conus(16, 32), VariableSet::daymet_like(), 4, 10, 3);
+    let ds = DownscalingDataset::new(LatLonGrid::conus(16, 32), VariableSet::daymet_like(), 4, 10, 3);
     let model = ReslimModel::new(ModelConfig::tiny().with_channels(7, 3), 2);
     let norm = Normalizer::fit(&ds, 4);
     (model, norm, ds)
@@ -27,8 +26,7 @@ fn setup() -> (ReslimModel, Normalizer, DownscalingDataset) {
 fn start(cfg: ServerConfig) -> (Server, ReslimModel, Normalizer, DownscalingDataset) {
     let (model, norm, ds) = setup();
     let (ref_model, ref_norm, ref_ds) = setup();
-    let server =
-        Server::start(model, norm, vec![Region { name: "conus".into(), dataset: ds }], cfg);
+    let server = Server::start(model, norm, vec![Region { name: "conus".into(), dataset: ds }], cfg);
     (server, ref_model, ref_norm, ref_ds)
 }
 
@@ -208,8 +206,7 @@ fn transient_faults_recover_every_request_via_retry() {
 #[test]
 fn drain_finishes_inflight_work_then_refuses_new_requests() {
     let (server, _, _, _) = start(quiet(ServerConfig::default()));
-    let handles: Vec<_> =
-        (0..3).map(|i| server.submit(ServeRequest::region(i, "conus", i as usize))).collect();
+    let handles: Vec<_> = (0..3).map(|i| server.submit(ServeRequest::region(i, "conus", i as usize))).collect();
     assert!(server.drain(Duration::from_secs(30)), "idle-bound drain must finish cleanly");
     for handle in &handles {
         handle.wait().expect("work admitted before the drain must complete");

@@ -7,16 +7,15 @@ mod common;
 use common::HeldWorkers;
 use orbit2::inference::downscale_with;
 use orbit2::serving::{ServeError, ServeRequest};
-use orbit2_model::WeightPrecision;
 use orbit2_climate::{DownscalingDataset, LatLonGrid, Normalizer, VariableSet};
 use orbit2_imaging::tiles::TileSpec;
+use orbit2_model::WeightPrecision;
 use orbit2_model::{ModelConfig, ReslimModel};
 use orbit2_serve::{Region, Server, ServerConfig, ServerStats};
 use orbit2_tensor::Tensor;
 
 fn setup() -> (ReslimModel, Normalizer, DownscalingDataset) {
-    let ds =
-        DownscalingDataset::new(LatLonGrid::conus(16, 32), VariableSet::daymet_like(), 4, 10, 3);
+    let ds = DownscalingDataset::new(LatLonGrid::conus(16, 32), VariableSet::daymet_like(), 4, 10, 3);
     let model = ReslimModel::new(ModelConfig::tiny().with_channels(7, 3), 2);
     let norm = Normalizer::fit(&ds, 4);
     (model, norm, ds)
@@ -26,12 +25,7 @@ fn start(cfg: ServerConfig) -> (Server, ReslimModel, Normalizer, DownscalingData
     let (model, norm, ds) = setup();
     // An identically-seeded twin of the served model for reference runs.
     let (ref_model, ref_norm, ref_ds) = setup();
-    let server = Server::start(
-        model,
-        norm,
-        vec![Region { name: "conus".into(), dataset: ds }],
-        cfg,
-    );
+    let server = Server::start(model, norm, vec![Region { name: "conus".into(), dataset: ds }], cfg);
     (server, ref_model, ref_norm, ref_ds)
 }
 
@@ -54,16 +48,14 @@ fn concurrent_serving_matches_downscale_with_bitwise() {
             .iter()
             .enumerate()
             .map(|(i, input)| {
-                let mut req =
-                    ServeRequest::raw(i as u64, input.shape().to_vec(), input.data().to_vec());
+                let mut req = ServeRequest::raw(i as u64, input.shape().to_vec(), input.data().to_vec());
                 req.compression = compression;
                 server.submit(req)
             })
             .collect();
         for (handle, input) in handles.iter().zip(&inputs) {
             let resp = handle.wait().expect("request succeeds");
-            let reference =
-                downscale_with(&model, &session, &norm, input, None, compression).unwrap();
+            let reference = downscale_with(&model, &session, &norm, input, None, compression).unwrap();
             assert_eq!(resp.shape, reference.shape().to_vec());
             assert_eq!(resp.data, reference.data(), "served != direct at compression {compression}");
         }
@@ -83,9 +75,7 @@ fn tiled_serving_matches_downscale_with() {
     let handles: Vec<_> = inputs
         .iter()
         .enumerate()
-        .map(|(i, input)| {
-            server.submit(ServeRequest::raw(i as u64, input.shape().to_vec(), input.data().to_vec()))
-        })
+        .map(|(i, input)| server.submit(ServeRequest::raw(i as u64, input.shape().to_vec(), input.data().to_vec())))
         .collect();
     for (handle, input) in handles.iter().zip(&inputs) {
         let resp = handle.wait().expect("request succeeds");
@@ -135,16 +125,10 @@ fn admission_errors_complete_immediately() {
     let (server, _, _, ds) = start(ServerConfig { queue_capacity: 0, ..ServerConfig::default() });
     // queue_capacity 0: every otherwise-valid request is turned away.
     let input = ds.sample(0).input;
-    let err = server
-        .submit(ServeRequest::raw(1, input.shape().to_vec(), input.data().to_vec()))
-        .wait()
-        .unwrap_err();
+    let err = server.submit(ServeRequest::raw(1, input.shape().to_vec(), input.data().to_vec())).wait().unwrap_err();
     assert_eq!(err, ServeError::QueueFull { capacity: 0 });
     // The slot freed on rejection: the error repeats rather than compounds.
-    let err2 = server
-        .submit(ServeRequest::raw(2, input.shape().to_vec(), input.data().to_vec()))
-        .wait()
-        .unwrap_err();
+    let err2 = server.submit(ServeRequest::raw(2, input.shape().to_vec(), input.data().to_vec())).wait().unwrap_err();
     assert_eq!(err2, ServeError::QueueFull { capacity: 0 });
 }
 
@@ -179,12 +163,10 @@ fn bad_requests_get_typed_errors() {
     let err = server.submit(ServeRequest::raw(5, vec![2, 2], vec![0.0; 4])).wait().unwrap_err();
     assert_eq!(err.kind(), "invalid_rank");
 
-    let err =
-        server.submit(ServeRequest::raw(6, vec![2, 4, 8], vec![0.0; 64])).wait().unwrap_err();
+    let err = server.submit(ServeRequest::raw(6, vec![2, 4, 8], vec![0.0; 64])).wait().unwrap_err();
     assert_eq!(err.kind(), "channel_mismatch");
 
-    let err =
-        server.submit(ServeRequest::raw(7, vec![7, 5, 8], vec![0.0; 280])).wait().unwrap_err();
+    let err = server.submit(ServeRequest::raw(7, vec![7, 5, 8], vec![0.0; 280])).wait().unwrap_err();
     assert_eq!(err.kind(), "not_patch_aligned");
 
     let err = server.submit(ServeRequest::raw(8, vec![7, 4, 8], vec![0.0; 3])).wait().unwrap_err();
@@ -248,10 +230,7 @@ fn precision_is_fixed_at_start_and_a_request_can_only_assert_it() {
         let before = server.stats();
         for other in WeightPrecision::ALL.into_iter().filter(|&q| q != precision) {
             for region in ["atlantis", "conus"] {
-                let err = server
-                    .submit(ServeRequest::region(20, region, 3).at_precision(other))
-                    .wait()
-                    .unwrap_err();
+                let err = server.submit(ServeRequest::region(20, region, 3).at_precision(other)).wait().unwrap_err();
                 match &err {
                     ServeError::BadRequest { reason } => assert!(
                         reason.contains(label) && reason.contains(other.label()),
@@ -262,25 +241,17 @@ fn precision_is_fixed_at_start_and_a_request_can_only_assert_it() {
             }
         }
         assert_eq!(server.inflight(), 0);
-        assert_eq!(
-            sans_pool(server.stats()),
-            sans_pool(before),
-            "a refused request is not admitted or looked up"
-        );
+        assert_eq!(sans_pool(server.stats()), sans_pool(before), "a refused request is not admitted or looked up");
 
         let unlabelled = server.submit(ServeRequest::region(1, "conus", 1)).wait().unwrap();
         assert_eq!(unlabelled.data, reference.data(), "unlabelled != direct {label} session");
-        let labelled = server
-            .submit(ServeRequest::region(2, "conus", 1).at_precision(precision))
-            .wait()
-            .unwrap();
+        let labelled = server.submit(ServeRequest::region(2, "conus", 1).at_precision(precision)).wait().unwrap();
         assert_eq!(labelled.data, reference.data(), "labelled != direct {label} session");
 
         // A concurrent burst alternating the two spellings.
         let handles: Vec<_> = (0..4u64)
             .map(|i| {
-                let req =
-                    ServeRequest::raw(10 + i, input.shape().to_vec(), input.data().to_vec());
+                let req = ServeRequest::raw(10 + i, input.shape().to_vec(), input.data().to_vec());
                 server.submit(if i % 2 == 0 { req.at_precision(precision) } else { req })
             })
             .collect();
@@ -299,10 +270,7 @@ fn stats_expose_pool_telemetry() {
     let (server, _, _, ds) = start(ServerConfig::default());
     let before = server.stats();
     let input = ds.sample(0).input;
-    server
-        .submit(ServeRequest::raw(1, input.shape().to_vec(), input.data().to_vec()))
-        .wait()
-        .unwrap();
+    server.submit(ServeRequest::raw(1, input.shape().to_vec(), input.data().to_vec())).wait().unwrap();
     let after = server.stats();
     let touched = (after.pool_fresh_allocs + after.pool_reuses + after.pool_copies)
         > (before.pool_fresh_allocs + before.pool_reuses + before.pool_copies);

@@ -4,8 +4,8 @@
 
 use orbit2::fault::{FaultKind, FaultPlan};
 use orbit2::serving::ServeRequest;
-use orbit2_model::WeightPrecision;
 use orbit2_climate::{DownscalingDataset, LatLonGrid, Normalizer, VariableSet};
+use orbit2_model::WeightPrecision;
 use orbit2_model::{ModelConfig, ReslimModel};
 use orbit2_serve::{Client, Region, RetryPolicy, Server, ServerConfig, ServerReply};
 use std::net::TcpListener;
@@ -13,16 +13,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 fn spawn_server(cfg: ServerConfig) -> (Arc<Server>, std::net::SocketAddr) {
-    let ds =
-        DownscalingDataset::new(LatLonGrid::conus(16, 32), VariableSet::daymet_like(), 4, 10, 3);
+    let ds = DownscalingDataset::new(LatLonGrid::conus(16, 32), VariableSet::daymet_like(), 4, 10, 3);
     let model = ReslimModel::new(ModelConfig::tiny().with_channels(7, 3), 2);
     let norm = Normalizer::fit(&ds, 4);
-    let server = Arc::new(Server::start(
-        model,
-        norm,
-        vec![Region { name: "conus".into(), dataset: ds }],
-        cfg,
-    ));
+    let server = Arc::new(Server::start(model, norm, vec![Region { name: "conus".into(), dataset: ds }], cfg));
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
     let addr = listener.local_addr().unwrap();
     let accept = Arc::clone(&server);
@@ -117,10 +111,7 @@ fn every_error_kind_surfaces_over_tcp() {
 
 #[test]
 fn queue_full_and_shutdown_surface_over_tcp() {
-    let (server, addr) = spawn_server(ServerConfig {
-        queue_capacity: 0,
-        ..ServerConfig::default()
-    });
+    let (server, addr) = spawn_server(ServerConfig { queue_capacity: 0, ..ServerConfig::default() });
     let mut client = Client::connect(addr).unwrap();
     client.send(&ServeRequest::region(50, "conus", 0)).unwrap();
     expect_error(client.recv().unwrap(), 50, "queue_full");
@@ -144,13 +135,9 @@ fn stats_command_is_the_server_snapshot_over_the_wire() {
 
     let _ = client.roundtrip(&ServeRequest::region(1, "conus", 4)).unwrap();
     let _ = client.roundtrip(&ServeRequest::region(2, "conus", 4)).unwrap();
-    let _ = client
-        .roundtrip(&ServeRequest::region(3, "conus", 4).at_precision(WeightPrecision::F32))
-        .unwrap();
+    let _ = client.roundtrip(&ServeRequest::region(3, "conus", 4).at_precision(WeightPrecision::F32)).unwrap();
     // A precision the server is not deployed at is refused, not served.
-    client
-        .send(&ServeRequest::region(4, "conus", 4).at_precision(WeightPrecision::Int8))
-        .unwrap();
+    client.send(&ServeRequest::region(4, "conus", 4).at_precision(WeightPrecision::Int8)).unwrap();
     expect_error(client.recv().unwrap(), 4, "bad_request");
 
     let before = server.stats();
@@ -257,8 +244,7 @@ fn health_command_reports_ok_then_draining() {
         ServerReply::Response(resp) => assert_eq!(resp.id, 1),
         other => panic!("expected the pipelined response first, got {other:?}"),
     }
-    let pipelined: orbit2::serving::ServeHealth =
-        serde_json::from_str(client.recv_line().unwrap().trim_end()).unwrap();
+    let pipelined: orbit2::serving::ServeHealth = serde_json::from_str(client.recv_line().unwrap().trim_end()).unwrap();
     assert!(pipelined.is_ok());
     server.drain(Duration::from_secs(10));
     let draining = client.health().unwrap();
@@ -297,10 +283,7 @@ fn drain_flushes_open_connections_and_refuses_new_ones() {
     }
     // A fresh connection after the drain is closed, not served.
     let mut late = Client::connect(addr).expect("TCP connect itself may still succeed");
-    assert!(
-        late.health().is_err(),
-        "a drained server must close new connections instead of answering"
-    );
+    assert!(late.health().is_err(), "a drained server must close new connections instead of answering");
 }
 
 /// `submit_with_retry` rides out transient rejections: against a
@@ -309,10 +292,7 @@ fn drain_flushes_open_connections_and_refuses_new_ones() {
 /// returns the response on the first attempt.
 #[test]
 fn submit_with_retry_bounds_attempts_and_passes_successes_through() {
-    let (_server, addr) = spawn_server(ServerConfig {
-        queue_capacity: 0,
-        ..ServerConfig::default()
-    });
+    let (_server, addr) = spawn_server(ServerConfig { queue_capacity: 0, ..ServerConfig::default() });
     let mut client = Client::connect(addr).unwrap();
     let policy = RetryPolicy {
         max_attempts: 3,
@@ -349,9 +329,7 @@ fn submit_with_retry_bounds_attempts_and_passes_successes_through() {
 #[test]
 fn server_side_panic_is_internal_over_the_wire() {
     let (_server, addr) = spawn_server(ServerConfig {
-        fault_plan: Some(
-            FaultPlan::none().with_event(0, 0, FaultKind::Panic).with_persistent(),
-        ),
+        fault_plan: Some(FaultPlan::none().with_event(0, 0, FaultKind::Panic).with_persistent()),
         ..ServerConfig::default()
     });
     let mut client = Client::connect(addr).unwrap();
@@ -405,9 +383,7 @@ fn assert_names_every_precision(message: &str) {
 fn removed_activation_key_is_rejected_not_reinterpreted() {
     let (_server, addr) = spawn_server(ServerConfig::default());
     let mut client = Client::connect(addr).unwrap();
-    client
-        .send_line(r#"{"id": 61, "region": "conus", "time": 0, "activation": "bf16"}"#)
-        .unwrap();
+    client.send_line(r#"{"id": 61, "region": "conus", "time": 0, "activation": "bf16"}"#).unwrap();
     match client.recv().unwrap() {
         ServerReply::Error { id, error } => {
             assert_eq!((id, error.kind.as_str()), (61, "bad_request"));
@@ -416,9 +392,7 @@ fn removed_activation_key_is_rejected_not_reinterpreted() {
         }
         other => panic!("expected bad_request, got {other:?}"),
     }
-    client
-        .send_line(r#"{"id": 62, "region": "conus", "time": 0, "activation": "f32"}"#)
-        .unwrap();
+    client.send_line(r#"{"id": 62, "region": "conus", "time": 0, "activation": "f32"}"#).unwrap();
     let with_key = match client.recv().unwrap() {
         ServerReply::Response(resp) => resp,
         other => panic!("an explicit f32 must be served, got {other:?}"),
@@ -647,16 +621,21 @@ mod fuzz {
             1 => valid.into_bytes(),
             // A valid request cut short anywhere.
             2 => valid.as_bytes()[..a as usize % (valid.len() + 1)].to_vec(),
-            3 => format!(r#"{{"id":{id},"shape":[7,1e999,4],"data":[1e999,-1E-999,1e+400,0e9999999999999999999]}}"#).into_bytes(),
+            3 => format!(r#"{{"id":{id},"shape":[7,1e999,4],"data":[1e999,-1E-999,1e+400,0e9999999999999999999]}}"#)
+                .into_bytes(),
             4 => format!(r#"{{"id":{id}e400,"region":"conus","deadline_ms":1e99999}}"#).into_bytes(),
             // Repeated keys: the last of each counts.
             5 => format!(r#"{{"id":1,"region":"conus","id":{id},"region":"atlantis","region":"conus"}}"#).into_bytes(),
-            6 => format!(r#"{{"id":{id},"x":{},"region":"conus"}}"#, nest([3, 63, 64, 65, 5000][a as usize % 5])).into_bytes(),
+            6 => format!(r#"{{"id":{id},"x":{},"region":"conus"}}"#, nest([3, 63, 64, 65, 5000][a as usize % 5]))
+                .into_bytes(),
             7 => format!(r#"{{"id":{id},"shape":[7,4294967296,4294967296],"data":[]}}"#).into_bytes(),
             8 => [" ", "\t \r", "", "\x0c"][a as usize % 4].as_bytes().to_vec(),
-            9 => format!(r#"{{"id":{},"region":7,"data":[1,"x",null,{{}}]}}"#, [-2.0, 2.5, 1e30, 12.0][a as usize % 4]).into_bytes(),
+            9 => format!(r#"{{"id":{},"region":7,"data":[1,"x",null,{{}}]}}"#, [-2.0, 2.5, 1e30, 12.0][a as usize % 4])
+                .into_bytes(),
             10 => format!(r#"{{"id":{id},"region":"conus","activation":"bf16"}}"#).into_bytes(),
-            _ => [r#"{"cmd":"stats"}"#, r#"{"cmd":"selfdestruct"}"#, r#""cmd""#, "[]", "null", "{}"][a as usize % 6].as_bytes().to_vec(),
+            _ => [r#"{"cmd":"stats"}"#, r#"{"cmd":"selfdestruct"}"#, r#""cmd""#, "[]", "null", "{}"][a as usize % 6]
+                .as_bytes()
+                .to_vec(),
         }
     }
 

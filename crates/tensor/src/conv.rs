@@ -630,12 +630,7 @@ fn row_accumulators<const T: usize>(g: &[f32], xs: &[&[f32]; T]) -> [[F32x8; 4];
 
 /// Gradient w.r.t. the bias: sum of `grad_out` over batch and space.
 pub fn conv2d_grad_bias(grad_out: &Tensor) -> Tensor {
-    let (n, o, oh, ow) = (
-        grad_out.shape()[0],
-        grad_out.shape()[1],
-        grad_out.shape()[2],
-        grad_out.shape()[3],
-    );
+    let (n, o, oh, ow) = (grad_out.shape()[0], grad_out.shape()[1], grad_out.shape()[2], grad_out.shape()[3]);
     let mut out = vec![0.0f32; o];
     let god = grad_out.data();
     for ni in 0..n {
@@ -808,7 +803,13 @@ mod tests {
         // The weight gradients of a `train-step` tile job (both 64→3 tails
         // at 48x80, the residual path's 7→64 at 12x20), the same tile
         // without its halo, and both channel counts at 64.
-        for (shape, o) in [([1, 64, 48, 80], 3), ([1, 7, 12, 20], 64), ([1, 64, 40, 72], 3), ([1, 7, 10, 18], 64), ([2, 64, 3, 9], 64)] {
+        for (shape, o) in [
+            ([1, 64, 48, 80], 3),
+            ([1, 7, 12, 20], 64),
+            ([1, 64, 40, 72], 3),
+            ([1, 7, 10, 18], 64),
+            ([2, 64, 3, 9], 64),
+        ] {
             cases.push((shape, o, ConvGeom::same(3)));
         }
         for (i, &(shape, o, g)) in cases.iter().enumerate() {

@@ -141,12 +141,7 @@ fn linear_dims(x: &Tensor, w: &Tensor, bias: Option<&Tensor>) -> (usize, usize, 
 /// The weight is read by the f32 rule ([`IN_PLACE_MAX_ROWS`]): in place up
 /// to that many rows, through a per-call `W^T` pack past it. Both give the
 /// same bits.
-pub fn matmul_bias_act(
-    x: &Tensor,
-    w: &Tensor,
-    bias: Option<&Tensor>,
-    act: Activation,
-) -> (Tensor, Option<Tensor>) {
+pub fn matmul_bias_act(x: &Tensor, w: &Tensor, bias: Option<&Tensor>, act: Activation) -> (Tensor, Option<Tensor>) {
     linear_f32(x, w, bias, act, true)
 }
 
@@ -246,12 +241,7 @@ pub const IN_PLACE_MAX_ROWS: usize = 64;
 /// tests can run it past [`IN_PLACE_MAX_ROWS`]. Bit-identical to
 /// [`matmul_bias_act`] and [`matmul_bias_act_cached`] on the same f32
 /// operands at every shape.
-pub fn matmul_bias_act_in_place(
-    x: &Tensor,
-    w: &Tensor,
-    bias: Option<&Tensor>,
-    act: Activation,
-) -> Tensor {
+pub fn matmul_bias_act_in_place(x: &Tensor, w: &Tensor, bias: Option<&Tensor>, act: Activation) -> Tensor {
     let (m, k, n) = linear_dims(x, w, bias);
     let mut out = pool::alloc_uninit(m * n);
     qgemm::gemm_weight_in_place(x.data(), m, w.data(), n, k, bias.map(|b| b.data()), act, &mut out, None);
@@ -560,8 +550,7 @@ mod tests {
             let stacked = Tensor::concat(&[&xa, &xb], 0);
             let ya = matmul_bias_act_cached(&xa, &dq, Some(&packed), Some(&b), Activation::Gelu);
             let yb = matmul_bias_act_cached(&xb, &dq, Some(&packed), Some(&b), Activation::Gelu);
-            let ys =
-                matmul_bias_act_cached(&stacked, &dq, Some(&packed), Some(&b), Activation::Gelu);
+            let ys = matmul_bias_act_cached(&stacked, &dq, Some(&packed), Some(&b), Activation::Gelu);
             assert_eq!(ys.slice_axis(0, 0, ra).data(), ya.data(), "rows ({ra},{rb})");
             assert_eq!(ys.slice_axis(0, ra, rb).data(), yb.data(), "rows ({ra},{rb})");
         }
@@ -582,8 +571,7 @@ mod tests {
             let t = randn(&[n], 11);
             let row = t.data();
             let mean_ref: f32 = row.iter().sum::<f32>() / n as f32;
-            let var_ref: f32 =
-                row.iter().map(|&x| (x - mean_ref) * (x - mean_ref)).sum::<f32>() / n as f32;
+            let var_ref: f32 = row.iter().map(|&x| (x - mean_ref) * (x - mean_ref)).sum::<f32>() / n as f32;
             let (mean, var) = welford_mean_var(row);
             assert!((mean - mean_ref).abs() < 1e-4, "n={n}: {mean} vs {mean_ref}");
             assert!((var - var_ref).abs() < 1e-3, "n={n}: {var} vs {var_ref}");

@@ -6,8 +6,8 @@
 
 use crate::par;
 use crate::pool;
-use crate::simd;
 use crate::shape::{broadcast_shapes, numel, ShapeHandle};
+use crate::simd;
 use crate::tensor::Tensor;
 use rayon::prelude::*;
 
@@ -168,9 +168,7 @@ impl Walk {
             return self.walk_range(0, out, &piece);
         }
         let chunk = out.len().div_ceil(parts);
-        out.par_chunks_mut(chunk)
-            .enumerate()
-            .for_each(|(i, part)| self.walk_range(i * chunk, part, &piece));
+        out.par_chunks_mut(chunk).enumerate().for_each(|(i, part)| self.walk_range(i * chunk, part, &piece));
     }
 
     /// Walk the flat output range `[start, start + out.len())`, non-empty.
@@ -694,11 +692,8 @@ mod tests {
         let what = format!("{:?} with {:?}", a.shape(), b.shape());
         let out_shape = broadcast_shapes(a.shape(), b.shape()).expect("compatible");
         let idx = oracle_indices(a.shape(), b.shape());
-        let binary: [(Binary, Scalar); 3] = [
-            (Tensor::add, |x, y| x + y),
-            (Tensor::sub, |x, y| x - y),
-            (Tensor::mul, |x, y| x * y),
-        ];
+        let binary: [(Binary, Scalar); 3] =
+            [(Tensor::add, |x, y| x + y), (Tensor::sub, |x, y| x - y), (Tensor::mul, |x, y| x * y)];
         for (i, (op, f)) in binary.iter().enumerate() {
             let got = op(a, b);
             assert_eq!(got.shape(), &out_shape[..], "op {i}: {what}");
@@ -707,10 +702,8 @@ mod tests {
         if a.shape() != &out_shape[..] {
             return;
         }
-        let assign: [(Assign, Scalar); 2] = [
-            (Tensor::add_, |x, y| x + y),
-            (|t, x| t.axpy(-1.75, x), |x, y| (-1.75f32).mul_add(y, x)),
-        ];
+        let assign: [(Assign, Scalar); 2] =
+            [(Tensor::add_, |x, y| x + y), (|t, x| t.axpy(-1.75, x), |x, y| (-1.75f32).mul_add(y, x))];
         for (i, (op, f)) in assign.iter().enumerate() {
             let mut got = a.clone();
             op(&mut got, b);
@@ -749,7 +742,9 @@ mod tests {
         assert!(pairs > 20_000, "only {pairs} compatible pairs walked");
 
         // A zero-extent axis, broadcast against and alongside.
-        for (a, b) in [(vec![2, 0, 3], vec![3]), (vec![0], vec![1]), (vec![2, 0, 3], vec![2, 1, 1]), (vec![1], vec![0, 2])] {
+        for (a, b) in
+            [(vec![2, 0, 3], vec![3]), (vec![0], vec![1]), (vec![2, 0, 3], vec![2, 1, 1]), (vec![1], vec![0, 2])]
+        {
             check_pair(&filled(&a, 1), &filled(&b, 2));
         }
 

@@ -30,9 +30,7 @@ const MAX_POOLED_BYTES: usize = 256 << 20;
 
 fn pool_disabled() -> bool {
     static DISABLED: OnceLock<bool> = OnceLock::new();
-    *DISABLED.get_or_init(|| {
-        std::env::var("ORBIT2_DISABLE_POOL").map(|v| v == "1" || v == "true").unwrap_or(false)
-    })
+    *DISABLED.get_or_init(|| std::env::var("ORBIT2_DISABLE_POOL").map(|v| v == "1" || v == "true").unwrap_or(false))
 }
 
 /// Allocation counters for one thread's pool. Drives the allocation-reuse

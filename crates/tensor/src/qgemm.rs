@@ -227,13 +227,7 @@ impl PackedWeight {
 
     /// Pack any `k × n` `op(B)` (element `(p, j)` at `b[p·rs + j·cs]`) at
     /// the requested precision, with no shape gate.
-    pub fn from_layout(
-        b: &[f32],
-        lb: MatLayout,
-        k: usize,
-        n: usize,
-        precision: WeightPrecision,
-    ) -> Self {
+    pub fn from_layout(b: &[f32], lb: MatLayout, k: usize, n: usize, precision: WeightPrecision) -> Self {
         let nr = choose_nr(n);
         let len = n.div_ceil(nr) * k * nr;
         let strips = match precision {
@@ -477,14 +471,7 @@ fn kernel<Q: QWeight, const W: usize>(
 /// [`Epilogue::pre`]). Strip-row-major: for each row of A the inner loop is
 /// a contiguous FMA over one strip row, so it vectorizes and a strip is
 /// streamed once per row rather than once per element.
-fn oracle<Q: QWeight>(
-    a: &[f32],
-    lda: usize,
-    s: Strips<Q>,
-    ep: Epilogue,
-    c: &mut [f32],
-    mut pre: Option<&mut [f32]>,
-) {
+fn oracle<Q: QWeight>(a: &[f32], lda: usize, s: Strips<Q>, ep: Epilogue, c: &mut [f32], mut pre: Option<&mut [f32]>) {
     let Strips { codes, n, k, nr } = s;
     let mut acc = [0.0f32; MAX_NR];
     let acc = &mut acc[..nr];
@@ -894,7 +881,8 @@ mod tests {
                 let ld = k + 2;
                 let bits = scattered_bits((n - 1) * ld + k);
                 // Finite values for the int8 scales, one magnitude per column.
-                let finite: Vec<f32> = (0..bits.len()).map(|i| ((i * 37 % 101) as f32 - 50.0) * (1 + i / ld) as f32).collect();
+                let finite: Vec<f32> =
+                    (0..bits.len()).map(|i| ((i * 37 % 101) as f32 - 50.0) * (1 + i / ld) as f32).collect();
                 let lb = MatLayout { rs: 1, cs: ld };
                 let strips = ScratchStrips::pack(&bits, lb, k, n);
                 let nr = strips.nr;
@@ -909,7 +897,8 @@ mod tests {
                 let (Codes::I8 { codes, scales }, true) = (&pw.strips, pw.nr == nr) else { panic!("an int8 pack") };
                 for p in 0..k {
                     for j in 0..n.div_ceil(nr) * nr {
-                        let want = if j < n { (finite[p + j * ld] / scales[j]).round().clamp(-127.0, 127.0) as i8 } else { 0 };
+                        let want =
+                            if j < n { (finite[p + j * ld] / scales[j]).round().clamp(-127.0, 127.0) as i8 } else { 0 };
                         assert_eq!(codes[at(p, j)], want, "int8 k {k} n {n}: ({p}, {j})");
                     }
                 }

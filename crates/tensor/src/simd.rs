@@ -194,8 +194,7 @@ impl F32x16 {
     /// Panics when `src` has fewer than sixteen elements.
     #[inline(always)]
     pub(crate) fn load(src: &[f32]) -> Self {
-        let chunk: &[f32; LANES16] =
-            src[..LANES16].try_into().expect("F32x16::load needs 16 elements");
+        let chunk: &[f32; LANES16] = src[..LANES16].try_into().expect("F32x16::load needs 16 elements");
         F32x16(*chunk)
     }
 
@@ -433,7 +432,9 @@ mod tests {
     fn reduce_sum_each_is_bit_identical_to_reduce_sum() {
         // Magnitudes far apart, so a different add order rounds differently.
         let v: [F32x8; LANES] = std::array::from_fn(|r| {
-            F32x8(std::array::from_fn(|i| ((r * 8 + i) as f32 * 0.77).sin() * 10f32.powi((i as i32 * 3 + r as i32) % 9 - 4)))
+            F32x8(std::array::from_fn(|i| {
+                ((r * 8 + i) as f32 * 0.77).sin() * 10f32.powi((i as i32 * 3 + r as i32) % 9 - 4)
+            }))
         });
         let each = F32x8::reduce_sum_each(&v).to_array();
         for (r, vr) in v.iter().enumerate() {

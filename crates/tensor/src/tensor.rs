@@ -34,14 +34,7 @@ impl Tensor {
     /// Panics when `data.len()` does not match the product of `shape`.
     pub fn from_vec(shape: impl Into<Shape>, data: Vec<f32>) -> Self {
         let shape = shape.into();
-        assert_eq!(
-            numel(&shape),
-            data.len(),
-            "shape {:?} wants {} elements, got {}",
-            shape,
-            numel(&shape),
-            data.len()
-        );
+        assert_eq!(numel(&shape), data.len(), "shape {:?} wants {} elements, got {}", shape, numel(&shape), data.len());
         Self { shape: Arc::new(shape), data: Arc::new(Buffer::from_vec(data)) }
     }
 
@@ -168,13 +161,7 @@ impl Tensor {
     /// is shared, not copied.
     pub fn reshape(&self, shape: impl Into<Shape>) -> Self {
         let shape = shape.into();
-        assert_eq!(
-            numel(&shape),
-            self.data.len(),
-            "reshape {:?} -> {:?} changes element count",
-            self.shape,
-            shape
-        );
+        assert_eq!(numel(&shape), self.data.len(), "reshape {:?} -> {:?} changes element count", self.shape, shape);
         Self { shape: Arc::new(shape), data: Arc::clone(&self.data) }
     }
 
@@ -225,11 +212,7 @@ impl Tensor {
     /// Maximum absolute elementwise difference against `other`.
     pub fn max_abs_diff(&self, other: &Self) -> f32 {
         assert_eq!(self.shape, other.shape);
-        self.data
-            .iter()
-            .zip(other.data.iter())
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0f32, f32::max)
+        self.data.iter().zip(other.data.iter()).map(|(a, b)| (a - b).abs()).fold(0.0f32, f32::max)
     }
 
     /// Assert elementwise closeness with absolute tolerance; for tests.
@@ -243,8 +226,7 @@ impl Tensor {
 impl PartialEq for Tensor {
     fn eq(&self, other: &Self) -> bool {
         (Arc::ptr_eq(&self.shape, &other.shape) || *self.shape == *other.shape)
-            && (Arc::ptr_eq(&self.data, &other.data)
-                || self.data.as_slice() == other.data.as_slice())
+            && (Arc::ptr_eq(&self.data, &other.data) || self.data.as_slice() == other.data.as_slice())
     }
 }
 
@@ -350,13 +332,15 @@ mod tests {
         }
         // Shorter than one vector and shorter than one block.
         assert!(!Tensor::from_vec(vec![3], vec![1.0, f32::NAN, 2.0]).all_finite());
-        assert!(!Tensor::from_vec(vec![100], (0..100).map(|i| if i == 99 { f32::INFINITY } else { 0.0 }).collect()).all_finite());
+        assert!(!Tensor::from_vec(vec![100], (0..100).map(|i| if i == 99 { f32::INFINITY } else { 0.0 }).collect())
+            .all_finite());
         assert!(Tensor::from_vec(vec![0], vec![]).all_finite());
     }
 
     #[test]
     fn all_finite_accepts_extreme_finite_values() {
-        let extremes = [f32::MAX, f32::MIN, f32::MIN_POSITIVE, f32::from_bits(1), -f32::from_bits(0x007f_ffff), -0.0, 0.0];
+        let extremes =
+            [f32::MAX, f32::MIN, f32::MIN_POSITIVE, f32::from_bits(1), -f32::from_bits(0x007f_ffff), -0.0, 0.0];
         let v: Vec<f32> = extremes.iter().copied().cycle().take(FINITE_BLOCK + 11).collect();
         assert!(Tensor::from_vec(vec![v.len()], v).all_finite());
     }

@@ -28,12 +28,7 @@ fn main() {
     println!("uniform 2x2 patching: {} tokens", uniform.token_count());
 
     for threshold in [0.01f32, 0.05, 0.15] {
-        let qt = QuadTree::build(
-            &field,
-            h,
-            w,
-            QuadTreeParams { density_threshold: threshold, ..Default::default() },
-        );
+        let qt = QuadTree::build(&field, h, w, QuadTreeParams { density_threshold: threshold, ..Default::default() });
         assert!(qt.is_exact_partition());
         let areas: Vec<usize> = qt.patches.iter().map(|p| p.area()).collect();
         println!(

@@ -50,12 +50,7 @@ fn main() {
         let series = strong_scaling_series(&cfg, &[512, 2048, 8192, 32_768], &cluster);
         print!("{name}: ");
         for p in &series {
-            print!(
-                "{} nodes {:.1e}s/sample ({:.0}%)  ",
-                p.nodes,
-                p.per_sample_s,
-                p.efficiency * 100.0
-            );
+            print!("{} nodes {:.1e}s/sample ({:.0}%)  ", p.nodes, p.per_sample_s, p.efficiency * 100.0);
         }
         println!();
     }

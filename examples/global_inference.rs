@@ -18,13 +18,7 @@ use orbit2_metrics::ssim::{psnr, ssim};
 use orbit2_model::{ModelConfig, ReslimModel};
 
 fn main() {
-    let dataset = DownscalingDataset::new(
-        LatLonGrid::global(32, 64),
-        VariableSet::era5_like(),
-        4,
-        40,
-        31,
-    );
+    let dataset = DownscalingDataset::new(LatLonGrid::global(32, 64), VariableSet::era5_like(), 4, 40, 31);
     let model = ReslimModel::new(ModelConfig::tiny().with_channels(23, 3), 5);
     println!("training on the global ERA5-like task ({} params)...", model.num_params());
     let cfg = TrainerConfig { steps: 60, lr: 2e-3, warmup: 6, log_every: 20, ..Default::default() };
@@ -43,8 +37,7 @@ fn main() {
     for &i in &test_idx {
         let s = dataset.sample(i);
         let pred =
-            downscale_with(&trainer.model, &session, &trainer.normalizer, &s.input, None, 1.0)
-                .expect("valid sample");
+            downscale_with(&trainer.model, &session, &trainer.normalizer, &s.input, None, 1.0).expect("valid sample");
         preds.extend_from_slice(&pred.data()[chan * plane..(chan + 1) * plane]);
         // The satellite sees the same weather through a distorted sensor.
         obs.extend(observe_precipitation(dataset.world(), s.t, ImergLikeParams::default()));

@@ -44,15 +44,8 @@ fn main() {
 
     // Downscale the held-out samples and score them.
     let test_idx = dataset.indices(Split::Test);
-    let reports = orbit2::eval::evaluate_model(
-        &trainer.model,
-        &trainer.normalizer,
-        &dataset,
-        &test_idx,
-        None,
-        1.0,
-    )
-    .expect("valid test split");
+    let reports = orbit2::eval::evaluate_model(&trainer.model, &trainer.normalizer, &dataset, &test_idx, None, 1.0)
+        .expect("valid test split");
     println!("\nheld-out metrics:");
     for r in &reports {
         println!(

@@ -14,13 +14,7 @@ use orbit2_imaging::tiles::TileSpec;
 use orbit2_model::{ModelConfig, ReslimModel};
 
 fn main() {
-    let dataset = DownscalingDataset::new(
-        LatLonGrid::conus(32, 64),
-        VariableSet::daymet_like(),
-        4,
-        48,
-        2024,
-    );
+    let dataset = DownscalingDataset::new(LatLonGrid::conus(32, 64), VariableSet::daymet_like(), 4, 48, 2024);
 
     // Fine-tuning setup: 2x2 TILES with a 1-pixel halo, emulated BF16 with
     // dynamic gradient scaling — the paper's training configuration shrunk

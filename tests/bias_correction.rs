@@ -19,12 +19,7 @@ fn world() -> WorldGenerator {
 /// correction exists for): 60% over-reading with a compressive power law,
 /// and little random noise.
 fn biased_sensor() -> ImergLikeParams {
-    ImergLikeParams {
-        gain: 1.6,
-        gamma: 0.8,
-        noise_sigma: 0.05,
-        ..Default::default()
-    }
+    ImergLikeParams { gain: 1.6, gamma: 0.8, noise_sigma: 0.05, ..Default::default() }
 }
 
 /// Quantile-mapping the model product onto the observation climatology must

@@ -33,13 +33,7 @@ fn training_improves_heldout_metrics() {
     // Training must improve R2 for the temperature channels.
     for (b, a) in before.iter().zip(&after) {
         if b.name.starts_with('t') {
-            assert!(
-                a.report.r2 > b.report.r2,
-                "{}: R2 {} -> {} did not improve",
-                b.name,
-                b.report.r2,
-                a.report.r2
-            );
+            assert!(a.report.r2 > b.report.r2, "{}: R2 {} -> {} did not improve", b.name, b.report.r2, a.report.r2);
         }
     }
     // A trained tiny model on this easy synthetic task should reach a
@@ -59,10 +53,8 @@ fn checkpoint_preserves_trained_behaviour() {
     let restored = load_model(&path).unwrap();
 
     let s = ds.sample(0);
-    let a = orbit2::inference::downscale(&trainer.model, &trainer.normalizer, &s.input, None, 1.0)
-        .unwrap();
-    let b =
-        orbit2::inference::downscale(&restored, &trainer.normalizer, &s.input, None, 1.0).unwrap();
+    let a = orbit2::inference::downscale(&trainer.model, &trainer.normalizer, &s.input, None, 1.0).unwrap();
+    let b = orbit2::inference::downscale(&restored, &trainer.normalizer, &s.input, None, 1.0).unwrap();
     a.assert_close(&b, 0.0);
 }
 

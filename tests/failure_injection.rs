@@ -1,9 +1,7 @@
 //! Failure-injection tests: the training stack must degrade gracefully
 //! under numerical blow-ups, corrupt checkpoints and pathological inputs.
 
-use orbit2::checkpoint::{
-    load_model, load_trainer_state, save_model, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
-};
+use orbit2::checkpoint::{load_model, load_trainer_state, save_model, CHECKPOINT_MAGIC, CHECKPOINT_VERSION};
 use orbit2::fault::{FaultAction, FaultKind, FaultPlan};
 use orbit2::trainer::{Trainer, TrainerConfig};
 use orbit2_climate::{DownscalingDataset, LatLonGrid, VariableSet};
@@ -33,10 +31,7 @@ fn absurd_learning_rate_never_poisons_parameters() {
         assert!(t.all_finite(), "parameter {name} went non-finite");
     }
     // Every step the blow-up suppressed must be on the record, not lost.
-    assert!(
-        !report.skipped.is_empty(),
-        "a 1e12 learning rate must produce recorded skips"
-    );
+    assert!(!report.skipped.is_empty(), "a 1e12 learning rate must produce recorded skips");
     assert_eq!(report.completed_steps + report.skipped.len(), 10);
 }
 
@@ -142,8 +137,7 @@ fn zero_tv_weight_and_huge_tv_weight_both_train() {
             loss: orbit2_model::BayesianLossCfg { tv_weight: tv },
             ..Default::default()
         };
-        let mut trainer =
-            Trainer::new(ReslimModel::new(ModelConfig::tiny().with_channels(7, 3), 6), &ds, cfg);
+        let mut trainer = Trainer::new(ReslimModel::new(ModelConfig::tiny().with_channels(7, 3), 6), &ds, cfg);
         let report = trainer.train(&ds);
         assert!(report.final_loss.unwrap().is_finite(), "tv_weight {tv} broke training");
     }
@@ -177,14 +171,14 @@ fn chaos_run_with_panic_nan_and_straggler_still_converges() {
         log_every: 5,
         ..Default::default()
     };
-    let mut trainer =
-        Trainer::new(ReslimModel::new(ModelConfig::tiny().with_channels(7, 3), 21), &ds, cfg);
+    let mut trainer = Trainer::new(ReslimModel::new(ModelConfig::tiny().with_channels(7, 3), 21), &ds, cfg);
     // 2 replicas x 4 tiles = 8 jobs per step.
     trainer.set_fault_plan(
-        FaultPlan::none()
-            .with_event(3, 2, FaultKind::Panic)
-            .with_event(7, 5, FaultKind::NaNGradient)
-            .with_event(12, 0, FaultKind::Straggler(5)),
+        FaultPlan::none().with_event(3, 2, FaultKind::Panic).with_event(7, 5, FaultKind::NaNGradient).with_event(
+            12,
+            0,
+            FaultKind::Straggler(5),
+        ),
     );
     let report = trainer.train(&ds);
     assert_eq!(report.completed_steps, 20, "no step may be lost to transient faults");
@@ -194,19 +188,12 @@ fn chaos_run_with_panic_nan_and_straggler_still_converges() {
     let kinds: Vec<FaultKind> = report.faults.iter().map(|e| e.kind).collect();
     assert!(kinds.contains(&FaultKind::Panic), "panic not logged: {:?}", report.faults);
     assert!(kinds.contains(&FaultKind::NaNGradient), "NaN not logged: {:?}", report.faults);
-    assert!(
-        kinds.contains(&FaultKind::Straggler(5)),
-        "straggler not logged: {:?}",
-        report.faults
-    );
+    assert!(kinds.contains(&FaultKind::Straggler(5)), "straggler not logged: {:?}", report.faults);
     // Transient faults retry clean; the straggler merely finishes late.
     for e in &report.faults {
         assert!(e.injected);
-        let want = if matches!(e.kind, FaultKind::Straggler(_)) {
-            FaultAction::Completed
-        } else {
-            FaultAction::Retried
-        };
+        let want =
+            if matches!(e.kind, FaultKind::Straggler(_)) { FaultAction::Completed } else { FaultAction::Retried };
         assert_eq!(e.action, want, "unexpected recovery for {e:?}");
     }
     for (name, t) in trainer.model.params.iter() {
@@ -217,17 +204,9 @@ fn chaos_run_with_panic_nan_and_straggler_still_converges() {
 #[test]
 fn seeded_random_fault_plan_is_deterministic_and_survivable() {
     let ds = dataset();
-    let cfg = TrainerConfig {
-        steps: 15,
-        lr: 1e-3,
-        warmup: 2,
-        ddp_replicas: 2,
-        log_every: 5,
-        ..Default::default()
-    };
+    let cfg = TrainerConfig { steps: 15, lr: 1e-3, warmup: 2, ddp_replicas: 2, log_every: 5, ..Default::default() };
     let run = |seed: u64| {
-        let mut t =
-            Trainer::new(ReslimModel::new(ModelConfig::tiny().with_channels(7, 3), 22), &ds, cfg);
+        let mut t = Trainer::new(ReslimModel::new(ModelConfig::tiny().with_channels(7, 3), 22), &ds, cfg);
         t.set_fault_plan(FaultPlan::seeded(seed, 0.08, 0.08, 0.08).with_straggle_ms(3));
         t.train(&ds)
     };
@@ -244,8 +223,7 @@ fn nan_injected_step_is_logged_not_lost() {
     // step completes, and the event is recorded — nothing silently vanishes.
     let ds = dataset();
     let cfg = TrainerConfig { steps: 5, lr: 1e-3, warmup: 1, log_every: 1, ..Default::default() };
-    let mut trainer =
-        Trainer::new(ReslimModel::new(ModelConfig::tiny().with_channels(7, 3), 23), &ds, cfg);
+    let mut trainer = Trainer::new(ReslimModel::new(ModelConfig::tiny().with_channels(7, 3), 23), &ds, cfg);
     trainer.set_fault_plan(FaultPlan::none().with_event(2, 0, FaultKind::NaNGradient));
     let report = trainer.train(&ds);
     assert_eq!(report.completed_steps, 5);
@@ -264,10 +242,8 @@ fn persistent_failure_of_every_job_skips_the_step_with_reason() {
     // and the retry: the step must be skipped and say why.
     let ds = dataset();
     let cfg = TrainerConfig { steps: 3, lr: 1e-3, warmup: 0, log_every: 1, ..Default::default() };
-    let mut trainer =
-        Trainer::new(ReslimModel::new(ModelConfig::tiny().with_channels(7, 3), 24), &ds, cfg);
-    trainer
-        .set_fault_plan(FaultPlan::none().with_event(1, 0, FaultKind::Panic).with_persistent());
+    let mut trainer = Trainer::new(ReslimModel::new(ModelConfig::tiny().with_channels(7, 3), 24), &ds, cfg);
+    trainer.set_fault_plan(FaultPlan::none().with_event(1, 0, FaultKind::Panic).with_persistent());
     let report = trainer.train(&ds);
     assert_eq!(report.completed_steps, 2);
     assert_eq!(report.skipped, vec![(1, SkipReason::AllJobsFailed)]);

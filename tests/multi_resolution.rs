@@ -27,12 +27,7 @@ fn one_model_trains_across_two_resolutions() {
     let lat_fields: Vec<Tensor> = corpus
         .members()
         .iter()
-        .map(|m| {
-            Tensor::from_vec(
-                vec![m.fine_grid().h, m.fine_grid().w],
-                m.fine_grid().latitude_weight_field(),
-            )
-        })
+        .map(|m| Tensor::from_vec(vec![m.fine_grid().h, m.fine_grid().w], m.fine_grid().latitude_weight_field()))
         .collect();
 
     // Interleaved steps across the two resolutions with the SAME model.
@@ -40,9 +35,7 @@ fn one_model_trains_across_two_resolutions() {
     let mut last_losses = [f32::NAN; 2];
     for step in 0..24 {
         let (member, sample) = corpus.sample(step);
-        let loss = trainer
-            .step(&sample.input, &sample.target, &lat_fields[member], 4)
-            .expect("finite step");
+        let loss = trainer.step(&sample.input, &sample.target, &lat_fields[member], 4).expect("finite step");
         if first_losses[member].is_nan() {
             first_losses[member] = loss;
         }

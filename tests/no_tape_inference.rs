@@ -25,8 +25,7 @@ fn downscale_and_evaluate_build_zero_tapes() {
     let spec = TileSpec { tiles_y: 2, tiles_x: 2, halo: 2 };
     let _ = orbit2::inference::downscale(&model, &norm, &s.input, Some(spec), 1.0).unwrap();
     let _ = orbit2::inference::downscale(&model, &norm, &s.input, None, 2.0).unwrap();
-    let _ = orbit2::inference::downscale_with(&model, &session, &norm, &s.input, None, 1.0)
-        .unwrap();
+    let _ = orbit2::inference::downscale_with(&model, &session, &norm, &s.input, None, 1.0).unwrap();
     // The model's forward called directly on the session, twice.
     for i in 0..2 {
         let _ = model.forward(&session, &ds.sample(i).input, 2.0);

@@ -1,9 +1,9 @@
 //! Property-based tests on cross-crate invariants (proptest).
 
+use orbit2::tiling::{split_stack, stitch_predictions};
 use orbit2_fft::complex::Complex;
 use orbit2_fft::{fft, ifft};
 use orbit2_imaging::quadtree::{QuadTree, QuadTreeParams};
-use orbit2::tiling::{split_stack, stitch_predictions};
 use orbit2_imaging::tiles::TileSpec;
 use orbit2_metrics::regression::{r2_score, rmse};
 use orbit2_metrics::ssim::ssim;
@@ -16,12 +16,7 @@ use proptest::prelude::*;
 fn conv_case() -> impl Strategy<Value = ([usize; 4], [usize; 4], orbit2_tensor::conv::ConvGeom, u64)> {
     use orbit2_tensor::conv::ConvGeom;
     const KERNELS: [(usize, usize); 5] = [(1, 1), (3, 3), (5, 5), (2, 2), (1, 2)];
-    (
-        (1usize..=3, 1usize..=9, 1usize..=13),
-        (3usize..=40, 3usize..=40),
-        (0..KERNELS.len(), 0usize..=2),
-        0u64..1000,
-    )
+    ((1usize..=3, 1usize..=9, 1usize..=13), (3usize..=40, 3usize..=40), (0..KERNELS.len(), 0usize..=2), 0u64..1000)
         .prop_map(|((n, c, o), (h, w), (k, pad), seed)| {
             let (kh, kw) = KERNELS[k];
             // 5x5 on a 3-pixel axis needs at least one ring of padding.
@@ -39,13 +34,8 @@ fn inner(a: &Tensor, b: &Tensor) -> f64 {
 }
 
 fn small_field(max_hw: usize) -> impl Strategy<Value = (Vec<f32>, usize, usize)> {
-    (2usize..max_hw, 2usize..max_hw).prop_flat_map(|(h, w)| {
-        (
-            proptest::collection::vec(-10.0f32..10.0, h * w),
-            Just(h),
-            Just(w),
-        )
-    })
+    (2usize..max_hw, 2usize..max_hw)
+        .prop_flat_map(|(h, w)| (proptest::collection::vec(-10.0f32..10.0, h * w), Just(h), Just(w)))
 }
 
 proptest! {
@@ -463,9 +453,6 @@ fn buffer_pool_recycles_freed_buffers() {
         // next iteration's allocations of the same capacity must reuse them.
     }
     let stats = pool::stats();
-    assert!(
-        stats.reuses > 0,
-        "expected pooled buffer reuse after repeated same-shape allocations, got {stats:?}"
-    );
+    assert!(stats.reuses > 0, "expected pooled buffer reuse after repeated same-shape allocations, got {stats:?}");
     assert!(stats.fresh_allocs < 8 * 3, "fresh allocations not amortized: {stats:?}");
 }

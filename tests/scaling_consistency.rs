@@ -58,12 +58,7 @@ fn throughput_hierarchy_matches_fig6b() {
     // Paper: at 4096 nodes the sustained throughput ranks
     // 9.5M (363 PF) < 126M (1.3 EF) < 1B (1.5 EF) < 10B (1.8 EF).
     let c = cluster();
-    let sustained = |cfg: ModelConfig| {
-        strong_scaling_series(&cfg, &[512, 32_768], &c)
-            .last()
-            .unwrap()
-            .sustained_flops
-    };
+    let sustained = |cfg: ModelConfig| strong_scaling_series(&cfg, &[512, 32_768], &c).last().unwrap().sustained_flops;
     let s95 = sustained(ModelConfig::paper_9_5m());
     let s126 = sustained(ModelConfig::paper_126m());
     let s1b = sustained(ModelConfig::paper_1b());

@@ -114,10 +114,7 @@ fn downscale_with_serves_the_committed_bits() {
         let p = cfg.patch;
         let tokens = tile_grid(h, w, spec).iter().map(|g| (g.padded_h() / p) * (g.padded_w() / p)).max();
         assert_eq!(tokens, Some(case.tokens), "{h}x{w} in {spec:?}");
-        for (precision, digests) in [
-            (WeightPrecision::F32, case.digests),
-            (WeightPrecision::Int8, case.int8),
-        ] {
+        for (precision, digests) in [(WeightPrecision::F32, case.digests), (WeightPrecision::Int8, case.int8)] {
             let session = model.session_at(precision);
             for (compression, want) in [1.0, 2.0].into_iter().zip(digests) {
                 let out =

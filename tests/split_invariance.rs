@@ -135,9 +135,8 @@ fn sweep(visits: usize) -> Bits {
     for (i, (name, len)) in shapes.iter().enumerate() {
         params.insert(*name, randn(&[*len], 70 + i as u64));
     }
-    let jobs: Vec<GradMap> = (0..3)
-        .map(|j| shapes.iter().map(|(name, len)| (name.to_string(), randn(&[*len], 80 + j))).collect())
-        .collect();
+    let jobs: Vec<GradMap> =
+        (0..3).map(|j| shapes.iter().map(|(name, len)| (name.to_string(), randn(&[*len], 80 + j))).collect()).collect();
     let mut acc = GradAccumulator::new(ParamLayout::of(&params));
     assert!(acc.finish(&jobs, Some(0.5)));
     let mut adam = Adam::new(1e-2);

@@ -135,17 +135,19 @@ fn session_attention_crosses_block_boundaries_bit_identically() {
         let cfg = config(cfg_idx);
         let model = ReslimModel::new(cfg, 40 + cfg_idx as u64);
         let session = model.session();
-        let inputs = [
-            randn(&[cfg.in_channels, 20, 28], 50 + cfg_idx as u64),
-            Tensor::full(vec![cfg.in_channels, 20, 28], 0.25),
-        ];
+        let inputs =
+            [randn(&[cfg.in_channels, 20, 28], 50 + cfg_idx as u64), Tensor::full(vec![cfg.in_channels, 20, 28], 0.25)];
         for compression in [1.0f32, 2.0] {
             let mut lens = Vec::new();
             for input in &inputs {
                 let (free, plan) = model.forward(&session, input, compression);
                 lens.push(plan.compressed_len());
                 let taped = taped_forward(&model, input, compression);
-                assert_eq!(taped.data(), free.into_tensor().data(), "config {cfg_idx}, compression {compression}: tape vs session");
+                assert_eq!(
+                    taped.data(),
+                    free.into_tensor().data(),
+                    "config {cfg_idx}, compression {compression}: tape vs session"
+                );
             }
             let crossing = if compression == 1.0 { lens == [140, 140] } else { lens[0] > 48 && lens[1] == 1 };
             assert!(crossing, "config {cfg_idx}, compression {compression}: {lens:?} tokens per sample");
