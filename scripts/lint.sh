@@ -114,12 +114,21 @@
 # document the vendored shims, and the `proptest` shim's docs carry a link
 # of their own that does not resolve.
 #
+# Format gate (ROADMAP item 19): the tree is what `cargo fmt --all` leaves
+# under `rustfmt.toml`, so a change carries no formatting drift for the next
+# one to sweep up. `benchmark/` is its own package and is not covered.
+#
 # Bench gate: every `[[bench]]` target of `crates/bench/Cargo.toml` is one
 # that `scripts/bench_smoke.sh` runs (its `BENCHES=(...)` list or a
 # `--bench NAME`), so each timing the repo reports is taken by a script;
 # a bench nothing runs records no number and goes stale unseen.
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
+if ! unformatted="$(cargo fmt --all -- --check -l)"; then
+    echo "lint: the tree is not rustfmt-clean (run \`cargo fmt --all\`):" >&2
+    echo "$unformatted" >&2
+    exit 1
+fi
 float_sum="$(grep -rnE '(into_)?par_(iter|iter_mut|chunks|chunks_mut)\(.*sum::<f(32|64)>' crates/*/src || true)"
 if [[ -n "$float_sum" ]]; then
     echo "lint: a parallel float sum depends on the piece count (sum fixed blocks in index order, see Tensor::sum):" >&2
