@@ -6,19 +6,18 @@
 //! exactly the TILES execution model with threads standing in for GPUs.
 
 use crate::fmt::{flops, sci, Table};
-use orbit2::planner::strong_scaling_series;
-use orbit2_cluster::topology::ClusterSpec;
 use orbit2_model::ModelConfig;
-use orbit2_parallel::ReslimCostModel;
+use orbit2_sim::cost::speedup;
+use orbit2_sim::planner::{fig6_workload, strong_scaling};
+use orbit2_sim::topology::ClusterSpec;
 use std::time::Instant;
 
 /// Simulated Fig. 6(a): speedup vs the 8-GPU untiled baseline, 16 tiles.
 pub fn render_6a_simulated() -> String {
-    let model = ReslimCostModel::new();
     let mut t = Table::new(&["GPUs", "Speedup (model)", "Speedup (paper)"]);
     let paper: &[(usize, &str)] = &[(8, "1.9"), (64, "~15"), (256, "~64"), (1024, "~258"), (2048, "515")];
     for &(gpus, p) in paper {
-        t.row(vec![gpus.to_string(), format!("{:.1}", model.speedup(16, 1, gpus, 8)), p.into()]);
+        t.row(vec![gpus.to_string(), format!("{:.1}", speedup(16, 1, gpus, 8)), p.into()]);
     }
     format!("Fig 6(a) [cost model, 16 tiles, vs 8-GPU untiled baseline]:\n{}", t.render())
 }
@@ -85,7 +84,7 @@ pub fn render_6b() -> String {
         ("10B", ModelConfig::paper_10b(), "92-98% eff, 1.8 EFLOPS"),
     ];
     for (name, cfg, paper) in configs {
-        let series = strong_scaling_series(&cfg, &gpu_counts, &cluster);
+        let series = strong_scaling(&cfg, &fig6_workload(), &gpu_counts, &cluster);
         let mut t = Table::new(&["Nodes", "GPUs", "Time/sample (s)", "Efficiency", "Sustained"]);
         for p in &series {
             t.row(vec![

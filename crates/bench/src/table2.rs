@@ -9,11 +9,10 @@
 //!   shape is real, not an artifact of the calibration.
 
 use crate::fmt::{sci, Table};
-use orbit2::planner::arch_comparison;
-use orbit2_cluster::topology::ClusterSpec;
-use orbit2_model::profiler::SequenceAccounting;
 use orbit2_model::{BaselineVit, ModelConfig, ReslimModel};
-use orbit2_parallel::ReslimCostModel;
+use orbit2_sim::cost::{compression_speedup, tiling_speedup};
+use orbit2_sim::planner::{arch_comparison, SequenceAccounting};
+use orbit2_sim::topology::ClusterSpec;
 use orbit2_tensor::random::randn;
 use std::time::Instant;
 
@@ -120,14 +119,13 @@ pub fn render_2a_measured() -> String {
 /// Table II(b): compression / tiling speedups from the calibrated cost
 /// model, next to the paper's values.
 pub fn render_2b() -> String {
-    let model = ReslimCostModel::new();
     let mut t = Table::new(&["Config", "Compression", "Tiles", "Speedup (model)", "Speedup (paper)"]);
     for (c, paper) in [(8usize, "3.3"), (16, "6.6"), (32, "7.1")] {
         t.row(vec![
             "Reslim 112->28".into(),
             format!("{c}x"),
             "1".into(),
-            format!("{:.1}", model.compression_speedup(c)),
+            format!("{:.1}", compression_speedup(c)),
             paper.into(),
         ]);
     }
@@ -136,7 +134,7 @@ pub fn render_2b() -> String {
             "Reslim 112->28".into(),
             "1x".into(),
             format!("{tiles}"),
-            format!("{:.1}", model.tiling_speedup(tiles)),
+            format!("{:.1}", tiling_speedup(tiles)),
             paper.into(),
         ]);
     }

@@ -3,9 +3,9 @@
 //! configurations need up to 512 Frontier GPUs).
 
 use crate::fmt::{count, Table};
-use orbit2::planner::{max_sequence_row, Arch};
-use orbit2_cluster::topology::ClusterSpec;
 use orbit2_model::ModelConfig;
+use orbit2_sim::planner::{max_sequence_row, Arch};
+use orbit2_sim::topology::ClusterSpec;
 
 /// The nine configuration rows of the paper's Table III, plus the paper's
 /// reported value for side-by-side comparison.
@@ -27,10 +27,11 @@ fn rows() -> Vec<(&'static str, Arch, ModelConfig, usize, usize, usize, &'static
 /// two prior approaches it displaces (ring sequence parallelism, capped at
 /// 188K tokens, and Swin-style hierarchies, capped at 147K).
 pub fn render_landscape() -> String {
-    use orbit2_parallel::{swin_max_tokens, SeqParallelConfig};
+    use orbit2_sim::seq_parallel::SeqParallelConfig;
+    use orbit2_sim::swin::swin_max_tokens;
     let cluster = ClusterSpec::frontier();
     let mut t = Table::new(&["Approach", "Max tokens (sim)", "Literature", "Limiting mechanism"]);
-    let seqp = SeqParallelConfig { ranks: 16, layers: 6, embed_dim: 256, heads: 4, params: 9_500_000 };
+    let seqp = SeqParallelConfig { ranks: 16, layers: 6, embed_dim: 256, params: 9_500_000 };
     t.row(vec![
         "ring sequence parallelism (16 GPUs)".into(),
         count(seqp.max_sequence(&cluster)),

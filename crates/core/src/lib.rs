@@ -1,7 +1,7 @@
 //! # orbit2
 //!
 //! The public API of the ORBIT-2 reproduction, tying the model, data,
-//! imaging, parallelism and cluster crates together:
+//! imaging and metrics crates together:
 //!
 //! * [`tiling`] — multi-channel TILES splitting/stitching (halo-padded
 //!   tiles over `[C, H, W]` stacks);
@@ -16,19 +16,18 @@
 //!   fault/skip vocabulary used by the trainer's elastic recovery;
 //! * [`checkpoint`] — the one on-disk tensor container (versioned,
 //!   per-section CRC, synced atomic rename): a model checkpoint is its first
-//!   two sections, a full-state trainer checkpoint all seven;
+//!   two sections, a full-state trainer checkpoint all six;
 //! * [`serving`] — wire types of the serving layer: requests, responses
 //!   and the typed [`ServeError`](serving::ServeError) vocabulary of the `orbit2-serve`
-//!   newline-delimited JSON protocol;
-//! * [`planner`] — the exascale run planner: drives the cluster simulator
-//!   and parallelism cost models to regenerate the paper's scaling results
-//!   (Tables II/III, Fig. 6) for configurations far beyond this machine.
+//!   newline-delimited JSON protocol.
+//!
+//! The simulated scaling results (Tables II/III, Fig. 6) come from
+//! `orbit2-sim`, which neither the trainer nor the server links.
 
 pub mod checkpoint;
 pub mod eval;
 pub mod fault;
 pub mod inference;
-pub mod planner;
 pub mod serving;
 pub mod tiling;
 pub mod trainer;

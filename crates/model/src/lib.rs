@@ -26,9 +26,7 @@
 //!   likelihood + Markov-Random-Field total-variation prior;
 //! * [`reslim`] — the assembled Reslim model (paper Sec. III-A);
 //! * [`baseline`] — the upsample-first baseline ViT (paper Fig. 1), the
-//!   comparator of Table II(a);
-//! * [`profiler`] — sequence-length accounting (nominal and effective
-//!   token counts) feeding the cluster simulator.
+//!   comparator of Table II(a).
 
 pub mod baseline;
 pub mod binder;
@@ -40,7 +38,6 @@ pub mod exec;
 pub mod infer;
 pub mod loss;
 pub mod paths;
-pub mod profiler;
 pub mod reslim;
 
 pub use baseline::BaselineVit;

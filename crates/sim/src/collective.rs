@@ -10,7 +10,7 @@ use crate::topology::ClusterSpec;
 
 /// The collective operations the parallelism layer issues.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Collective {
+pub(crate) enum Collective {
     /// Sum-reduce to all ranks (gradient averaging, tensor-parallel sync).
     AllReduce,
     /// Gather shards to all ranks (FSDP parameter gathering).
@@ -24,7 +24,7 @@ pub enum Collective {
 /// Time in seconds for a collective of `bytes` over the ranks in `group`.
 ///
 /// Returns 0 for single-rank groups (no communication needed).
-pub fn collective_time(op: Collective, bytes: u64, group: &[usize], cluster: &ClusterSpec) -> f64 {
+pub(crate) fn collective_time(op: Collective, bytes: u64, group: &[usize], cluster: &ClusterSpec) -> f64 {
     let n = group.len();
     if n <= 1 {
         return 0.0;
@@ -49,7 +49,7 @@ pub fn collective_time(op: Collective, bytes: u64, group: &[usize], cluster: &Cl
 /// A convenience: time for a hierarchical all-reduce that reduces within
 /// nodes first, then across nodes, then broadcasts back — the standard
 /// optimization for gradient averaging over many nodes.
-pub fn hierarchical_allreduce_time(bytes: u64, group: &[usize], cluster: &ClusterSpec) -> f64 {
+pub(crate) fn hierarchical_allreduce_time(bytes: u64, group: &[usize], cluster: &ClusterSpec) -> f64 {
     let n = group.len();
     if n <= 1 {
         return 0.0;

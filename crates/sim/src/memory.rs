@@ -8,49 +8,57 @@
 //! buffers at image resolution.
 
 use crate::topology::GpuSpec;
-use serde::{Deserialize, Serialize};
+use orbit2_model::ModelConfig;
 
 /// Bytes of one BF16 element.
-pub const BF16: f64 = 2.0;
+pub(crate) const BF16: f64 = 2.0;
 /// Adam with fp32 master weights: master + m + v = 12 bytes per parameter.
 const ADAM_BYTES_PER_PARAM: f64 = 12.0;
 /// Training state per parameter: BF16 weights and gradients plus Adam's
 /// 12 bytes, 16 in all.
-pub const TRAIN_BYTES_PER_PARAM: f64 = 2.0 * BF16 + ADAM_BYTES_PER_PARAM;
+pub(crate) const TRAIN_BYTES_PER_PARAM: f64 = 2.0 * BF16 + ADAM_BYTES_PER_PARAM;
 /// Activations kept per token per layer, in BF16 elements per embedding
 /// dimension: QKV, attention output, the 4x MLP intermediate and residuals.
-pub const ACT_FACTOR: f64 = 14.0;
+pub(crate) const ACT_FACTOR: f64 = 14.0;
 /// Allocator and framework overhead per GPU.
-pub const OVERHEAD_BYTES: u64 = 2 << 30;
+pub(crate) const OVERHEAD_BYTES: u64 = 2 << 30;
 
 /// Static description of a training configuration's memory behaviour.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct TrainingMemoryModel {
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct TrainingMemoryModel {
     /// Total model parameters.
-    pub params_total: u64,
+    params_total: u64,
     /// Transformer depth.
-    pub layers: usize,
+    layers: usize,
     /// Embedding dimension.
-    pub embed_dim: usize,
+    embed_dim: usize,
     /// Attention heads.
-    pub heads: usize,
+    heads: usize,
     /// Tensor-parallel degree (parameters stay sharded).
-    pub tp_shard: usize,
+    tp_shard: usize,
     /// FSDP degree (parameters sharded, gathered one layer at a time).
-    pub fsdp_shard: usize,
+    fsdp_shard: usize,
     /// Whether attention uses the flash (streaming) kernel.
-    pub flash_attention: bool,
+    flash_attention: bool,
 }
 
 impl TrainingMemoryModel {
-    /// Reasonable defaults for a ViT trained with activation recomputation
-    /// disabled (the paper does not mention checkpointing).
-    pub fn new(params_total: u64, layers: usize, embed_dim: usize, heads: usize) -> Self {
-        Self { params_total, layers, embed_dim, heads, tp_shard: 1, fsdp_shard: 1, flash_attention: true }
+    /// `cfg` unsharded, with flash attention, trained without activation
+    /// recomputation (the paper does not mention checkpointing).
+    pub(crate) fn new(cfg: &ModelConfig) -> Self {
+        Self {
+            params_total: cfg.param_count(),
+            layers: cfg.layers,
+            embed_dim: cfg.embed_dim,
+            heads: cfg.heads,
+            tp_shard: 1,
+            fsdp_shard: 1,
+            flash_attention: true,
+        }
     }
 
     /// Set sharding degrees.
-    pub fn with_sharding(mut self, tp: usize, fsdp: usize) -> Self {
+    pub(crate) fn with_sharding(mut self, tp: usize, fsdp: usize) -> Self {
         assert!(tp >= 1 && fsdp >= 1);
         self.tp_shard = tp;
         self.fsdp_shard = fsdp;
@@ -58,7 +66,7 @@ impl TrainingMemoryModel {
     }
 
     /// Select the attention kernel.
-    pub fn with_flash(mut self, flash: bool) -> Self {
+    pub(crate) fn with_flash(mut self, flash: bool) -> Self {
         self.flash_attention = flash;
         self
     }
@@ -69,7 +77,12 @@ impl TrainingMemoryModel {
     ///   channel aggregation / compression / tiling / low-res operation).
     /// * `out_pixels_per_gpu` / `in_pixels_per_gpu` — staging buffer sizes
     ///   (pixels × channels) this GPU touches for decode and tokenize.
-    pub fn step_memory(&self, seq_per_gpu: u64, out_pixels_per_gpu: u64, in_pixels_per_gpu: u64) -> MemoryBreakdown {
+    pub(crate) fn step_memory(
+        &self,
+        seq_per_gpu: u64,
+        out_pixels_per_gpu: u64,
+        in_pixels_per_gpu: u64,
+    ) -> MemoryBreakdown {
         let shard = (self.tp_shard * self.fsdp_shard) as f64;
         let p = self.params_total as f64;
         let weights = p / shard * BF16;
@@ -111,45 +124,50 @@ impl TrainingMemoryModel {
     /// holding the staging buffers proportional to the sequence via
     /// `pixels_per_token` factors. Binary search over the monotone
     /// [`TrainingMemoryModel::step_memory`].
-    pub fn max_seq_per_gpu(&self, gpu: &GpuSpec, out_pixels_per_token: f64, in_pixels_per_token: f64) -> u64 {
-        let fits = |s: u64| {
+    pub(crate) fn max_seq_per_gpu(&self, gpu: &GpuSpec, out_pixels_per_token: f64, in_pixels_per_token: f64) -> u64 {
+        largest_fitting(|s| {
             self.step_memory(s, (s as f64 * out_pixels_per_token) as u64, (s as f64 * in_pixels_per_token) as u64)
                 .fits(gpu)
-        };
-        if !fits(1) {
-            return 0;
-        }
-        let mut lo = 1u64;
-        let mut hi = 1u64 << 40;
-        while lo + 1 < hi {
-            let mid = lo + (hi - lo) / 2;
-            if fits(mid) {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        lo
+        })
     }
 }
 
+/// The largest `s` in `1..2^40` for which the monotone `fits` holds, by
+/// bisection; 0 when not even `s = 1` fits.
+pub(crate) fn largest_fitting(fits: impl Fn(u64) -> bool) -> u64 {
+    if !fits(1) {
+        return 0;
+    }
+    let mut lo = 1u64;
+    let mut hi = 1u64 << 40;
+    while lo + 1 < hi {
+        let mid = lo + (hi - lo) / 2;
+        if fits(mid) {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
+}
+
 /// Itemized per-GPU memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct MemoryBreakdown {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct MemoryBreakdown {
     /// Sharded BF16 weights plus the transiently gathered FSDP layer.
-    pub weights_bytes: u64,
+    weights_bytes: u64,
     /// Sharded BF16 gradients.
-    pub grads_bytes: u64,
+    grads_bytes: u64,
     /// Adam master weights and moments (fp32).
-    pub optimizer_bytes: u64,
+    optimizer_bytes: u64,
     /// Layer activations kept for backward.
-    pub activation_bytes: u64,
+    activation_bytes: u64,
     /// Attention working set (quadratic without flash).
-    pub attention_bytes: u64,
+    attention_bytes: u64,
     /// Input/output staging buffers.
-    pub io_bytes: u64,
+    io_bytes: u64,
     /// Allocator and framework overhead.
-    pub overhead_bytes: u64,
+    overhead_bytes: u64,
 }
 
 impl MemoryBreakdown {
@@ -166,7 +184,7 @@ impl MemoryBreakdown {
     }
 
     /// Does this fit on the GPU?
-    pub fn fits(&self, gpu: &GpuSpec) -> bool {
+    pub(crate) fn fits(&self, gpu: &GpuSpec) -> bool {
         self.total() <= gpu.mem_bytes
     }
 }
@@ -182,11 +200,11 @@ mod tests {
 
     /// Paper model configs (Sec. IV "Model Configuration").
     fn model_9_5m() -> TrainingMemoryModel {
-        TrainingMemoryModel::new(9_500_000, 6, 256, 4)
+        TrainingMemoryModel::new(&ModelConfig::paper_9_5m())
     }
 
     fn model_10b() -> TrainingMemoryModel {
-        TrainingMemoryModel::new(10_000_000_000, 11, 8192, 32)
+        TrainingMemoryModel::new(&ModelConfig::paper_10b())
     }
 
     #[test]

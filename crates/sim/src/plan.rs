@@ -7,11 +7,10 @@
 //! the TILES tile index, and `d` the DDP replica (outermost, across the
 //! cluster).
 
-use orbit2_cluster::topology::{ClusterSpec, CommLevel};
-use serde::{Deserialize, Serialize};
+use crate::topology::{ClusterSpec, CommLevel};
 
 /// Degrees of each orthogonal parallelism.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParallelismPlan {
     /// Data-parallel replicas (outermost).
     pub ddp: usize,

@@ -4,20 +4,56 @@
 //!
 //! * [`max_sequence_row`] reproduces Table III (maximum sequence length per
 //!   architecture / model size / compression / tiles / GPU count),
-//! * [`strong_scaling_series`] reproduces Fig. 6(b) (per-sample time,
+//! * [`strong_scaling`] reproduces Fig. 6(b) (per-sample time,
 //!   strong-scaling efficiency and sustained throughput),
-//! * [`arch_comparison`] reproduces the performance half of Table II(a).
+//! * [`arch_comparison`] reproduces the performance half of Table II(a),
+//!
+//! counting tokens the paper's way ([`SequenceAccounting`]).
 
-use orbit2_cluster::memory::TrainingMemoryModel;
-use orbit2_cluster::roofline::{compute_time, GpuEfficiency};
-use orbit2_cluster::topology::ClusterSpec;
-use orbit2_model::profiler::SequenceAccounting;
+use crate::cost::halo_overhead;
+use crate::estimate::{estimate_step, WorkloadProfile};
+use crate::memory::TrainingMemoryModel;
+use crate::plan::ParallelismPlan;
+use crate::roofline::{compute_time, GpuEfficiency};
+use crate::topology::ClusterSpec;
 use orbit2_model::ModelConfig;
-use orbit2_parallel::{ParallelismPlan, ReslimCostModel, WorkloadProfile};
-use serde::{Deserialize, Serialize};
+
+/// Sequence-length accounting for the downscaling task, following the
+/// paper's conventions (Table II: "outputs of shape [H, W, C] and 2x2 patch
+/// size yield sequence length H·W·C/4"). The FLOPs at either length are
+/// [`ModelConfig::train_flops`].
+#[derive(Debug, Clone, Copy)]
+pub struct SequenceAccounting {
+    /// Output height.
+    pub out_h: usize,
+    /// Output width.
+    pub out_w: usize,
+    /// Output channels.
+    pub out_c: usize,
+    /// Patch edge.
+    pub patch: usize,
+    /// Spatial refinement factor.
+    pub factor: usize,
+}
+
+impl SequenceAccounting {
+    /// The paper's headline "sequence length": output tokens across all
+    /// channels.
+    pub fn nominal_seq_len(&self) -> u64 {
+        (self.out_h as u64 * self.out_w as u64 * self.out_c as u64) / (self.patch * self.patch) as u64
+    }
+
+    /// The effective sequence Reslim's ViT runs: channel aggregation
+    /// (x `out_c`), low-resolution operation (x `factor^2`) and adaptive
+    /// compression (x `compression`).
+    fn reslim_effective_seq(&self, compression: f64) -> u64 {
+        let reduction = self.out_c as f64 * (self.factor * self.factor) as f64 * compression.max(1.0);
+        (self.nominal_seq_len() as f64 / reduction).ceil() as u64
+    }
+}
 
 /// Which architecture a row describes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Arch {
     /// Upsample-first baseline ViT (quadratic attention at full output
     /// resolution, no flash benefit for the score matrices).
@@ -28,7 +64,7 @@ pub enum Arch {
 }
 
 /// One row of Table III.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SeqLenRow {
     /// Architecture.
     pub arch: Arch,
@@ -67,8 +103,7 @@ const SEQ_SHARD_ALPHA: f64 = 0.45;
 
 /// Minimal sharding (tensor-parallel, FSDP) for a model's static memory to
 /// fit; mirrors how the paper pairs TP within a node with FSDP across it.
-fn minimal_sharding(params: u64, cluster: &ClusterSpec, gpus: usize) -> (usize, usize) {
-    let cfg_layers = 11usize; // conservative (deepest paper config)
+fn minimal_sharding(cfg: &ModelConfig, cluster: &ClusterSpec, gpus: usize) -> (usize, usize) {
     for shard in [1usize, 2, 4, 8, 16, 32, 64, 128] {
         let tp = shard.min(cluster.gpus_per_node);
         let fsdp = shard / tp.min(shard).max(1);
@@ -76,7 +111,7 @@ fn minimal_sharding(params: u64, cluster: &ClusterSpec, gpus: usize) -> (usize, 
         if tp * fsdp > gpus {
             break;
         }
-        let m = TrainingMemoryModel::new(params, cfg_layers, 8192, 32).with_sharding(tp, fsdp);
+        let m = TrainingMemoryModel::new(cfg).with_sharding(tp, fsdp);
         if m.step_memory(1, 1, 1).fits(&cluster.gpu) {
             return (tp, fsdp);
         }
@@ -97,11 +132,9 @@ pub fn max_sequence_row(
     let params = cfg.param_count();
     let (tp, fsdp) = match arch {
         Arch::BaselineVit => (1, 1),
-        Arch::Reslim => minimal_sharding(params, cluster, gpus),
+        Arch::Reslim => minimal_sharding(cfg, cluster, gpus),
     };
-    let mem = TrainingMemoryModel::new(params, cfg.layers, cfg.embed_dim, cfg.heads)
-        .with_sharding(tp, fsdp)
-        .with_flash(matches!(arch, Arch::Reslim));
+    let mem = TrainingMemoryModel::new(cfg).with_sharding(tp, fsdp).with_flash(matches!(arch, Arch::Reslim));
 
     // Staging ratios per *effective* token.
     let c = TABLE3_CHANNELS as f64;
@@ -161,7 +194,7 @@ pub fn max_sequence_row(
 }
 
 /// One point of the Fig. 6(b) strong-scaling study.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ScalingPoint {
     /// Node count (8 GPUs per node).
     pub nodes: usize,
@@ -175,43 +208,43 @@ pub struct ScalingPoint {
     pub sustained_flops: f64,
 }
 
-/// Workload of the Fig. 6 experiments: the ERA5 112 -> 28 km task.
-pub(crate) fn fig6_workload(cfg: &ModelConfig) -> WorkloadProfile {
+/// The sample geometry of the Fig. 6 experiments: the ERA5 112 -> 28 km
+/// task, `[720, 1440, 3]` out of `[180, 360, 23]`.
+pub fn fig6_workload() -> WorkloadProfile {
     let acc = SequenceAccounting { out_h: 720, out_w: 1440, out_c: 3, patch: 2, factor: 4 };
-    let eff_seq = acc.reslim_effective_seq(1.0);
-    WorkloadProfile {
-        params: cfg.param_count(),
-        layers: cfg.layers,
-        embed_dim: cfg.embed_dim,
-        heads: cfg.heads,
-        eff_seq,
-        flops_per_sample: cfg.train_flops(eff_seq),
-        out_elems: 720 * 1440 * 3,
-        in_elems: 180 * 360 * 23,
-        flash_attention: true,
-    }
+    WorkloadProfile { eff_seq: acc.reslim_effective_seq(1.0), out_elems: 720 * 1440 * 3, in_elems: 180 * 360 * 23 }
 }
 
-/// Strong-scaling series for a model configuration over the given GPU
-/// counts (paper: 512 / 2048 / 8192 / 32768 = 64..4096 nodes).
-pub fn strong_scaling_series(cfg: &ModelConfig, gpu_counts: &[usize], cluster: &ClusterSpec) -> Vec<ScalingPoint> {
-    let workload = fig6_workload(cfg);
-    let (tp, fsdp) = minimal_sharding(workload.params, cluster, gpu_counts[0]);
+/// Strong scaling of `cfg` on `workload` over the given GPU counts (paper:
+/// 512 / 2048 / 8192 / 32768 = 64..4096 nodes). Each point runs 2 TILES
+/// tiles on the smallest sharding that fits the first count and spends
+/// every added GPU on DDP. Efficiency is relative to the first count (the
+/// paper's 100% is 512 GPUs).
+pub fn strong_scaling(
+    cfg: &ModelConfig,
+    workload: &WorkloadProfile,
+    gpu_counts: &[usize],
+    cluster: &ClusterSpec,
+) -> Vec<ScalingPoint> {
+    let (tensor_parallel, fsdp) = minimal_sharding(cfg, cluster, gpu_counts[0]);
     let tiles = 2usize;
-    let base = ParallelismPlan { ddp: 1, tiles, fsdp, tensor_parallel: tp };
-    let halo = ReslimCostModel::new().halo_overhead(tiles);
-    // FLOPs actually executed per sample (constant across the sweep: only
-    // the DDP degree changes).
-    let executed = orbit2_parallel::estimate_step(&base, &workload, cluster, halo).executed_flops_per_sample;
-    let series = orbit2_parallel::estimate::strong_scaling(&base, &workload, cluster, halo, gpu_counts);
-    series
-        .into_iter()
-        .map(|(gpus, per_sample_s, efficiency)| ScalingPoint {
-            nodes: gpus / cluster.gpus_per_node,
-            gpus,
-            per_sample_s,
-            efficiency,
-            sustained_flops: executed / per_sample_s,
+    let halo = halo_overhead(tiles);
+    let group = tiles * fsdp * tensor_parallel;
+    let mut first_work = None;
+    gpu_counts
+        .iter()
+        .map(|&gpus| {
+            assert!(gpus % group == 0, "GPU count {gpus} not divisible by group size {group}");
+            let plan = ParallelismPlan { ddp: gpus / group, tiles, fsdp, tensor_parallel };
+            let est = estimate_step(&plan, cfg, workload, cluster, halo);
+            let work = est.per_sample_s * gpus as f64; // GPU-seconds per sample
+            ScalingPoint {
+                nodes: gpus / cluster.gpus_per_node,
+                gpus,
+                per_sample_s: est.per_sample_s,
+                efficiency: *first_work.get_or_insert(work) / work,
+                sustained_flops: est.executed_flops_per_sample / est.per_sample_s,
+            }
         })
         .collect()
 }
@@ -225,13 +258,12 @@ pub fn arch_comparison(
     gpus: usize,
     cluster: &ClusterSpec,
 ) -> (f64, bool, f64, f64) {
-    let params = cfg.param_count();
-    let eff = GpuEfficiency::for_model_size(params);
+    let eff = GpuEfficiency::for_model_size(cfg.param_count());
 
     // Baseline ViT: full nominal sequence, quadratic attention memory, and
     // no per-step overhead.
     let vit_seq = acc.nominal_seq_len();
-    let vit_mem = TrainingMemoryModel::new(params, cfg.layers, cfg.embed_dim, cfg.heads).with_flash(false);
+    let vit_mem = TrainingMemoryModel::new(cfg).with_flash(false);
     let vit_oom = !vit_mem.step_memory(vit_seq, vit_seq * 4, vit_seq * 4).fits(&cluster.gpu);
     let vit_eff = GpuEfficiency { step_overhead: 0.0, ..eff };
     let vit_time = compute_time(cfg.train_flops(vit_seq), &cluster.gpu, vit_eff) / gpus as f64;
@@ -313,7 +345,7 @@ mod tests {
         for cfg in
             [ModelConfig::paper_9_5m(), ModelConfig::paper_126m(), ModelConfig::paper_1b(), ModelConfig::paper_10b()]
         {
-            let series = strong_scaling_series(&cfg, &[512, 2048, 8192, 32_768], &c);
+            let series = strong_scaling(&cfg, &fig6_workload(), &[512, 2048, 8192, 32_768], &c);
             assert_eq!(series.len(), 4);
             assert_eq!(series[0].efficiency, 1.0);
             for p in &series[1..] {
@@ -332,8 +364,8 @@ mod tests {
     fn fig6b_throughput_ordering_matches_paper() {
         // At 32,768 GPUs: 9.5M ~ 363 PF; 10B ~ 1.8 EF.
         let c = cluster();
-        let small = strong_scaling_series(&ModelConfig::paper_9_5m(), &[512, 32_768], &c);
-        let big = strong_scaling_series(&ModelConfig::paper_10b(), &[512, 32_768], &c);
+        let small = strong_scaling(&ModelConfig::paper_9_5m(), &fig6_workload(), &[512, 32_768], &c);
+        let big = strong_scaling(&ModelConfig::paper_10b(), &fig6_workload(), &[512, 32_768], &c);
         let sf = small.last().unwrap().sustained_flops * 32_768.0 / 1.0; // per-sample basis
         let bf = big.last().unwrap().sustained_flops * 32_768.0;
         assert!(bf > sf, "larger model must sustain more FLOP/s");
@@ -358,10 +390,41 @@ mod tests {
     #[test]
     fn minimal_sharding_scales_with_model() {
         let c = cluster();
-        let (tp_s, fsdp_s) = minimal_sharding(9_500_000, &c, 8);
+        let (tp_s, fsdp_s) = minimal_sharding(&ModelConfig::paper_9_5m(), &c, 8);
         assert_eq!((tp_s, fsdp_s), (1, 1));
-        let (tp_b, fsdp_b) = minimal_sharding(10_000_000_000, &c, 512);
+        let (tp_b, fsdp_b) = minimal_sharding(&ModelConfig::paper_10b(), &c, 512);
         assert!(tp_b * fsdp_b >= 4, "10B needs real sharding, got {tp_b}x{fsdp_b}");
         assert!(tp_b <= c.gpus_per_node);
+    }
+
+    #[test]
+    fn table2a_sequence_lengths() {
+        // 622 -> 156 km: [128, 256, 3] with 2x2 patches -> 24,576 tokens.
+        let acc = SequenceAccounting { out_h: 128, out_w: 256, out_c: 3, patch: 2, factor: 4 };
+        assert_eq!(acc.nominal_seq_len(), 24_576);
+        // 112 -> 28 km: [720, 1440, 3] -> 777,600 tokens ("777,660" in the
+        // paper's table, which rounds).
+        let acc2 = SequenceAccounting { out_h: 720, out_w: 1440, out_c: 3, patch: 2, factor: 4 };
+        assert_eq!(acc2.nominal_seq_len(), 777_600);
+        assert_eq!(fig6_workload().eff_seq, 16_200);
+    }
+
+    #[test]
+    fn table3_sequence_lengths() {
+        // [5760, 11520, 18] -> 298.6M; [21600, 43200, 18] -> 4.2B.
+        let a = SequenceAccounting { out_h: 5760, out_w: 11520, out_c: 18, patch: 2, factor: 4 };
+        assert!((a.nominal_seq_len() as f64 / 298.6e6 - 1.0).abs() < 0.01);
+        let b = SequenceAccounting { out_h: 21_600, out_w: 43_200, out_c: 18, patch: 2, factor: 4 };
+        assert!((b.nominal_seq_len() as f64 / 4.199e9 - 1.0).abs() < 0.01);
+    }
+
+    #[test]
+    fn reslim_reduction_factors() {
+        // Paper Sec. V-B: channel aggregation 18x, low-res 16x (4x per
+        // axis), compression 4x -> 1.1B tokens become ~17k per tile after
+        // also dividing by 16 tiles.
+        let acc = SequenceAccounting { out_h: 11_520, out_w: 23_040, out_c: 18, patch: 2, factor: 4 };
+        let per_tile = acc.reslim_effective_seq(4.0) / 16;
+        assert!(per_tile > 10_000 && per_tile < 80_000, "per-tile seq {per_tile}");
     }
 }

@@ -9,16 +9,15 @@
 //! per-GPU workloads.
 
 use crate::topology::GpuSpec;
-use serde::{Deserialize, Serialize};
 
 /// Calibrated fraction of peak BF16 throughput a model sustains, plus the
 /// fixed per-step kernel-launch overhead.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct GpuEfficiency {
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct GpuEfficiency {
     /// Fraction of peak FLOP/s sustained by the main kernels.
-    pub mfu: f64,
+    pub(crate) mfu: f64,
     /// Fixed overhead per training step (kernel launches, host sync), s.
-    pub step_overhead: f64,
+    pub(crate) step_overhead: f64,
 }
 
 impl GpuEfficiency {
@@ -26,7 +25,7 @@ impl GpuEfficiency {
     /// throughput numbers at 4096 nodes:
     /// 9.5M → 363 PFLOPS, 126M → 1.3 EF, 1B → 1.5 EF, 10B → 1.8 EF
     /// over 32,768 GPUs × 191.5 TF peak = 6.27 EF total peak.
-    pub fn for_model_size(params: u64) -> Self {
+    pub(crate) fn for_model_size(params: u64) -> Self {
         let mfu = if params < 50_000_000 {
             0.058
         } else if params < 500_000_000 {
@@ -41,7 +40,7 @@ impl GpuEfficiency {
 }
 
 /// Time in seconds to execute `flops` on one GPU at the given efficiency.
-pub fn compute_time(flops: f64, gpu: &GpuSpec, eff: GpuEfficiency) -> f64 {
+pub(crate) fn compute_time(flops: f64, gpu: &GpuSpec, eff: GpuEfficiency) -> f64 {
     assert!(flops >= 0.0);
     flops / (gpu.peak_bf16_flops * eff.mfu) + eff.step_overhead
 }

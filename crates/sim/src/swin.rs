@@ -10,16 +10,11 @@
 //! the bottleneck from sequence length to model size. This module models
 //! both effects.
 
-use orbit2_cluster::memory::{ACT_FACTOR, BF16, OVERHEAD_BYTES, TRAIN_BYTES_PER_PARAM};
-use serde::{Deserialize, Serialize};
+use crate::memory::{ACT_FACTOR, BF16, OVERHEAD_BYTES, TRAIN_BYTES_PER_PARAM};
 
 /// A Swin-style hierarchy derived from an input token grid.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct SwinHierarchy {
-    /// Window edge in tokens (e.g. 8 => 64-token windows).
-    pub window: usize,
-    /// Base channel width at the finest stage.
-    pub base_channels: usize,
     /// Stage descriptions, finest first: `(tokens_per_side, channels)`.
     pub stages: Vec<(usize, usize)>,
 }
@@ -41,7 +36,7 @@ impl SwinHierarchy {
             s = s.div_ceil(2);
             c *= 2;
         }
-        Self { window, base_channels, stages }
+        Self { stages }
     }
 
     /// Parameter count: each stage contributes transformer blocks at its
@@ -59,7 +54,7 @@ impl SwinHierarchy {
     }
 
     /// Max token count on a 64 GB GPU given the parameter and activation
-    /// growth (the training state per parameter of `cluster::memory`).
+    /// growth (the training state per parameter of the memory model).
     fn fits_on(&self, mem_bytes: u64, blocks_per_stage: usize) -> bool {
         let params = self.param_count(blocks_per_stage) as f64 * TRAIN_BYTES_PER_PARAM;
         params + self.activation_bytes() + OVERHEAD_BYTES as f64 <= mem_bytes as f64

@@ -6,10 +6,8 @@
 //! Infinity Fabric, cards over 50 GB/s Infinity Fabric links, nodes over
 //! 100 GB/s Slingshot-11.
 
-use serde::{Deserialize, Serialize};
-
 /// One GPU (MI250X GCD).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpuSpec {
     /// HBM capacity in bytes.
     pub mem_bytes: u64,
@@ -20,7 +18,7 @@ pub struct GpuSpec {
 }
 
 /// A communication link.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkSpec {
     /// Bandwidth in bytes/s.
     pub bandwidth: f64,
@@ -29,7 +27,7 @@ pub struct LinkSpec {
 }
 
 /// Hierarchy level over which a group of ranks communicates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum CommLevel {
     /// Same MI250X card (two GCDs).
     IntraCard,
@@ -40,7 +38,7 @@ pub enum CommLevel {
 }
 
 /// The whole cluster.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterSpec {
     /// GPU (GCD) description.
     pub gpu: GpuSpec,
@@ -78,7 +76,7 @@ impl ClusterSpec {
     }
 
     /// Total GPU count.
-    pub fn total_gpus(&self) -> usize {
+    pub(crate) fn total_gpus(&self) -> usize {
         self.num_nodes * self.gpus_per_node
     }
 
@@ -94,7 +92,7 @@ impl ClusterSpec {
 
     /// The widest hierarchy level spanned by a group of ranks — this is the
     /// bottleneck link for a collective over the group.
-    pub fn group_level(&self, ranks: &[usize]) -> CommLevel {
+    pub(crate) fn group_level(&self, ranks: &[usize]) -> CommLevel {
         assert!(!ranks.is_empty());
         let node0 = self.node_of(ranks[0]);
         let card0 = self.card_of(ranks[0]);

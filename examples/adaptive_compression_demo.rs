@@ -9,7 +9,7 @@
 use orbit2_climate::synth::{gaussian_random_field, GrfSpec};
 use orbit2_imaging::pgm::ascii_art;
 use orbit2_imaging::quadtree::{QuadTree, QuadTreeParams};
-use orbit2_parallel::ReslimCostModel;
+use orbit2_sim::cost::{compression_speedup, tiling_speedup};
 
 fn main() {
     let (h, w) = (64usize, 64usize);
@@ -42,12 +42,11 @@ fn main() {
     }
 
     // What the compression buys at training time (Table II(b) model).
-    let cost = ReslimCostModel::new();
     println!("\npredicted training speedups (calibrated cost model):");
     for c in [4usize, 8, 16, 32] {
-        println!("  {c:>2}x compression -> {:.1}x speedup", cost.compression_speedup(c));
+        println!("  {c:>2}x compression -> {:.1}x speedup", compression_speedup(c));
     }
     for t in [4usize, 16, 36] {
-        println!("  {t:>2} tiles        -> {:.1}x speedup", cost.tiling_speedup(t));
+        println!("  {t:>2} tiles        -> {:.1}x speedup", tiling_speedup(t));
     }
 }

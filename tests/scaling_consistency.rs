@@ -2,11 +2,12 @@
 //! parallelism cost models and the cluster simulator must tell a mutually
 //! consistent story that matches the paper's qualitative claims.
 
-use orbit2::planner::{arch_comparison, max_sequence_row, strong_scaling_series, Arch};
-use orbit2_cluster::topology::ClusterSpec;
-use orbit2_model::profiler::SequenceAccounting;
 use orbit2_model::ModelConfig;
-use orbit2_parallel::{estimate_step, ParallelismPlan, ReslimCostModel, WorkloadProfile};
+use orbit2_sim::cost::{compression_speedup, halo_overhead, speedup};
+use orbit2_sim::estimate::{estimate_step, WorkloadProfile};
+use orbit2_sim::plan::ParallelismPlan;
+use orbit2_sim::planner::{arch_comparison, fig6_workload, max_sequence_row, strong_scaling, Arch, SequenceAccounting};
+use orbit2_sim::topology::{ClusterSpec, CommLevel};
 
 fn cluster() -> ClusterSpec {
     ClusterSpec::frontier()
@@ -43,7 +44,7 @@ fn table2a_and_table3_are_consistent_on_oom() {
 fn strong_scaling_monotone_and_band() {
     let c = cluster();
     for cfg in [ModelConfig::paper_126m(), ModelConfig::paper_10b()] {
-        let series = strong_scaling_series(&cfg, &[512, 2048, 8192, 32_768], &c);
+        let series = strong_scaling(&cfg, &fig6_workload(), &[512, 2048, 8192, 32_768], &c);
         for pair in series.windows(2) {
             assert!(pair[1].per_sample_s < pair[0].per_sample_s, "time/sample must fall with GPUs");
             assert!(pair[1].sustained_flops > pair[0].sustained_flops);
@@ -58,7 +59,8 @@ fn throughput_hierarchy_matches_fig6b() {
     // Paper: at 4096 nodes the sustained throughput ranks
     // 9.5M (363 PF) < 126M (1.3 EF) < 1B (1.5 EF) < 10B (1.8 EF).
     let c = cluster();
-    let sustained = |cfg: ModelConfig| strong_scaling_series(&cfg, &[512, 32_768], &c).last().unwrap().sustained_flops;
+    let sustained =
+        |cfg: ModelConfig| strong_scaling(&cfg, &fig6_workload(), &[512, 32_768], &c).last().unwrap().sustained_flops;
     let s95 = sustained(ModelConfig::paper_9_5m());
     let s126 = sustained(ModelConfig::paper_126m());
     let s1b = sustained(ModelConfig::paper_1b());
@@ -72,27 +74,19 @@ fn tiles_cost_model_agrees_with_step_estimator() {
     // and the estimate_step simulator must agree that 16 tiles on 16 GPUs
     // beats 1 tile on 1 GPU by more than 10x per sample.
     let c = cluster();
-    let cost = ReslimCostModel::new();
-    let analytic = cost.speedup(16, 1, 16, 1);
+    let analytic = speedup(16, 1, 16, 1);
     assert!(analytic > 10.0);
 
-    let workload = WorkloadProfile {
-        params: 9_500_000,
-        layers: 6,
-        embed_dim: 256,
-        heads: 4,
-        eff_seq: 16_200,
-        flops_per_sample: 2e14,
-        out_elems: 720 * 1440 * 3,
-        in_elems: 180 * 360 * 23,
-        flash_attention: true,
-    };
-    let single = estimate_step(&ParallelismPlan { ddp: 1, tiles: 1, fsdp: 1, tensor_parallel: 1 }, &workload, &c, 1.0);
+    let cfg = ModelConfig::paper_9_5m();
+    let workload = WorkloadProfile { eff_seq: 16_200, out_elems: 720 * 1440 * 3, in_elems: 180 * 360 * 23 };
+    let single =
+        estimate_step(&ParallelismPlan { ddp: 1, tiles: 1, fsdp: 1, tensor_parallel: 1 }, &cfg, &workload, &c, 1.0);
     let tiled = estimate_step(
         &ParallelismPlan { ddp: 1, tiles: 16, fsdp: 1, tensor_parallel: 1 },
+        &cfg,
         &workload,
         &c,
-        cost.halo_overhead(16),
+        halo_overhead(16),
     );
     assert!(
         single.per_sample_s / tiled.per_sample_s > 5.0,
@@ -107,14 +101,13 @@ fn compression_capacity_and_speed_tradeoff() {
     // More compression -> longer max sequences (Table III) AND faster
     // samples (Table II(b)); both must hold simultaneously.
     let c = cluster();
-    let cost = ReslimCostModel::new();
     let mut prev_seq = 0u64;
     let mut prev_speed = 0.0f64;
     for compression in [1usize, 4, 8] {
         let row = max_sequence_row(&ModelConfig::paper_9_5m(), Arch::Reslim, compression, 1, 8, &c);
         assert!(row.max_seq > prev_seq, "compression {compression}x must extend capacity");
         prev_seq = row.max_seq;
-        let speed = if compression == 1 { 1.0 } else { cost.compression_speedup(compression) };
+        let speed = if compression == 1 { 1.0 } else { compression_speedup(compression) };
         assert!(speed >= prev_speed, "compression {compression}x must not slow down");
         prev_speed = speed;
     }
@@ -129,6 +122,6 @@ fn fig5_placement_is_respected_at_scale() {
     assert_eq!(plan.world_size(), 32_768);
     plan.validate(&c).unwrap();
     let placement = plan.groups().placement(&c);
-    assert!(placement.tp_level <= orbit2_cluster::topology::CommLevel::InterCard);
-    assert_eq!(placement.grad_level, orbit2_cluster::topology::CommLevel::InterNode);
+    assert!(placement.tp_level <= CommLevel::InterCard);
+    assert_eq!(placement.grad_level, CommLevel::InterNode);
 }

@@ -10,11 +10,14 @@
 //! as 0/1). A refactor of the simulator must leave every digest as it is;
 //! update one only in a change that says why its numbers moved.
 
-use orbit2::planner::{arch_comparison, max_sequence_row, strong_scaling_series, Arch, SeqLenRow};
-use orbit2_cluster::topology::ClusterSpec;
-use orbit2_model::profiler::SequenceAccounting;
 use orbit2_model::ModelConfig;
-use orbit2_parallel::{swin_max_tokens, ReslimCostModel, SeqParallelConfig};
+use orbit2_sim::cost::{compression_speedup, speedup, tiling_speedup};
+use orbit2_sim::planner::{
+    arch_comparison, fig6_workload, max_sequence_row, strong_scaling, Arch, SeqLenRow, SequenceAccounting,
+};
+use orbit2_sim::seq_parallel::SeqParallelConfig;
+use orbit2_sim::swin::swin_max_tokens;
+use orbit2_sim::topology::ClusterSpec;
 
 /// FNV-1a (64-bit) over the little-endian bytes of each pushed word.
 struct Fnv(u64);
@@ -67,13 +70,12 @@ fn table2a_simulated() {
 
 #[test]
 fn table2b_speedups() {
-    let model = ReslimCostModel::new();
     let mut h = Fnv::new();
     for c in [8, 16, 32] {
-        h.f(model.compression_speedup(c));
+        h.f(compression_speedup(c));
     }
     for tiles in [4, 16, 36] {
-        h.f(model.tiling_speedup(tiles));
+        h.f(tiling_speedup(tiles));
     }
     assert_eq!(h.0, 0x4fea_dbdb_e50a_f5e1, "table2b digest {:#018x}", h.0);
 }
@@ -104,7 +106,7 @@ fn table3_rows() {
 fn table3_landscape() {
     let cluster = ClusterSpec::frontier();
     let mut h = Fnv::new();
-    let seqp = SeqParallelConfig { ranks: 16, layers: 6, embed_dim: 256, heads: 4, params: 9_500_000 };
+    let seqp = SeqParallelConfig { ranks: 16, layers: 6, embed_dim: 256, params: 9_500_000 };
     h.u(seqp.max_sequence(&cluster));
     h.u(swin_max_tokens(8, 96, 2, cluster.gpu.mem_bytes));
     h.row(&max_sequence_row(&ModelConfig::paper_9_5m(), Arch::Reslim, 4, 16, 128, &cluster));
@@ -113,10 +115,9 @@ fn table3_landscape() {
 
 #[test]
 fn fig6a_simulated() {
-    let model = ReslimCostModel::new();
     let mut h = Fnv::new();
     for gpus in [8, 64, 256, 1024, 2048] {
-        h.f(model.speedup(16, 1, gpus, 8));
+        h.f(speedup(16, 1, gpus, 8));
     }
     assert_eq!(h.0, 0x776e_63b7_9fa7_72fa, "fig6a digest {:#018x}", h.0);
 }
@@ -127,7 +128,7 @@ fn fig6b_strong_scaling() {
     let mut h = Fnv::new();
     for cfg in [ModelConfig::paper_9_5m(), ModelConfig::paper_126m(), ModelConfig::paper_1b(), ModelConfig::paper_10b()]
     {
-        for p in strong_scaling_series(&cfg, &[512, 2048, 8192, 32_768], &cluster) {
+        for p in strong_scaling(&cfg, &fig6_workload(), &[512, 2048, 8192, 32_768], &cluster) {
             h.u(p.nodes as u64);
             h.u(p.gpus as u64);
             h.f(p.per_sample_s);
