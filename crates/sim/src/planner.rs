@@ -106,8 +106,7 @@ const SEQ_SHARD_ALPHA: f64 = 0.45;
 fn minimal_sharding(cfg: &ModelConfig, cluster: &ClusterSpec, gpus: usize) -> (usize, usize) {
     for shard in [1usize, 2, 4, 8, 16, 32, 64, 128] {
         let tp = shard.min(cluster.gpus_per_node);
-        let fsdp = shard / tp.min(shard).max(1);
-        let fsdp = fsdp.max(1);
+        let fsdp = shard / tp;
         if tp * fsdp > gpus {
             break;
         }

@@ -16,7 +16,7 @@ use crate::memory::{ACT_FACTOR, BF16, OVERHEAD_BYTES, TRAIN_BYTES_PER_PARAM};
 #[derive(Debug, Clone)]
 struct SwinHierarchy {
     /// Stage descriptions, finest first: `(tokens_per_side, channels)`.
-    pub stages: Vec<(usize, usize)>,
+    stages: Vec<(usize, usize)>,
 }
 
 impl SwinHierarchy {
