@@ -8,7 +8,7 @@
 use crate::fmt::{flops, sci, Table};
 use orbit2_model::ModelConfig;
 use orbit2_sim::cost::speedup;
-use orbit2_sim::planner::{fig6_workload, strong_scaling};
+use orbit2_sim::planner::strong_scaling;
 use orbit2_sim::topology::ClusterSpec;
 use std::time::Instant;
 
@@ -84,7 +84,7 @@ pub fn render_6b() -> String {
         ("10B", ModelConfig::paper_10b(), "92-98% eff, 1.8 EFLOPS"),
     ];
     for (name, cfg, paper) in configs {
-        let series = strong_scaling(&cfg, &fig6_workload(), &gpu_counts, &cluster);
+        let series = strong_scaling(&cfg, &gpu_counts, &cluster);
         let mut t = Table::new(&["Nodes", "GPUs", "Time/sample (s)", "Efficiency", "Sustained"]);
         for p in &series {
             t.row(vec![

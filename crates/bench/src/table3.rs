@@ -31,7 +31,7 @@ pub fn render_landscape() -> String {
     use orbit2_sim::swin::swin_max_tokens;
     let cluster = ClusterSpec::frontier();
     let mut t = Table::new(&["Approach", "Max tokens (sim)", "Literature", "Limiting mechanism"]);
-    let seqp = SeqParallelConfig { ranks: 16, layers: 6, embed_dim: 256, params: 9_500_000 };
+    let seqp = SeqParallelConfig { model: ModelConfig::paper_9_5m(), ranks: 16, params: 9_500_000 };
     t.row(vec![
         "ring sequence parallelism (16 GPUs)".into(),
         count(seqp.max_sequence(&cluster)),

@@ -205,6 +205,27 @@ mod tests {
     }
 
     #[test]
+    fn strong_scaling_efficiency_in_paper_band() {
+        // Paper Fig. 6(b): 92-98% efficiency from 512 to 32,768 GPUs, on a
+        // fixed TP8 x FSDP32 x 2-tile plan that spends every added GPU on DDP.
+        let (cfg, w, c) = (ModelConfig::paper_10b(), workload(), cluster());
+        let per_sample = |gpus: usize| {
+            let plan = ParallelismPlan { ddp: gpus / 512, tiles: 2, fsdp: 32, tensor_parallel: 8 };
+            estimate_step(&plan, &cfg, &w, &c, 1.1).per_sample_s
+        };
+        let mut prev = per_sample(512);
+        let base_work = prev * 512.0;
+        for gpus in [2048, 8192, 32_768] {
+            let t = per_sample(gpus);
+            let eff = base_work / (t * gpus as f64);
+            assert!(eff > 0.85 && eff <= 1.001, "{gpus} GPUs: efficiency {eff}");
+            // Per-sample time strictly decreases.
+            assert!(t < prev, "{gpus} GPUs: {t} s after {prev} s");
+            prev = t;
+        }
+    }
+
+    #[test]
     fn halo_overhead_increases_compute() {
         // A compute-heavy workload, so the fixed step overhead does not
         // mask the halo multiplier.

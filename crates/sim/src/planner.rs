@@ -209,22 +209,18 @@ pub struct ScalingPoint {
 
 /// The sample geometry of the Fig. 6 experiments: the ERA5 112 -> 28 km
 /// task, `[720, 1440, 3]` out of `[180, 360, 23]`.
-pub fn fig6_workload() -> WorkloadProfile {
+fn fig6_workload() -> WorkloadProfile {
     let acc = SequenceAccounting { out_h: 720, out_w: 1440, out_c: 3, patch: 2, factor: 4 };
     WorkloadProfile { eff_seq: acc.reslim_effective_seq(1.0), out_elems: 720 * 1440 * 3, in_elems: 180 * 360 * 23 }
 }
 
-/// Strong scaling of `cfg` on `workload` over the given GPU counts (paper:
-/// 512 / 2048 / 8192 / 32768 = 64..4096 nodes). Each point runs 2 TILES
+/// Strong scaling of `cfg` on the Fig. 6 workload over the given GPU counts
+/// (paper: 512 / 2048 / 8192 / 32768 = 64..4096 nodes). Each point runs 2 TILES
 /// tiles on the smallest sharding that fits the first count and spends
 /// every added GPU on DDP. Efficiency is relative to the first count (the
 /// paper's 100% is 512 GPUs).
-pub fn strong_scaling(
-    cfg: &ModelConfig,
-    workload: &WorkloadProfile,
-    gpu_counts: &[usize],
-    cluster: &ClusterSpec,
-) -> Vec<ScalingPoint> {
+pub fn strong_scaling(cfg: &ModelConfig, gpu_counts: &[usize], cluster: &ClusterSpec) -> Vec<ScalingPoint> {
+    let workload = fig6_workload();
     let (tensor_parallel, fsdp) = minimal_sharding(cfg, cluster, gpu_counts[0]);
     let tiles = 2usize;
     let halo = halo_overhead(tiles);
@@ -235,7 +231,7 @@ pub fn strong_scaling(
         .map(|&gpus| {
             assert!(gpus % group == 0, "GPU count {gpus} not divisible by group size {group}");
             let plan = ParallelismPlan { ddp: gpus / group, tiles, fsdp, tensor_parallel };
-            let est = estimate_step(&plan, cfg, workload, cluster, halo);
+            let est = estimate_step(&plan, cfg, &workload, cluster, halo);
             let work = est.per_sample_s * gpus as f64; // GPU-seconds per sample
             ScalingPoint {
                 nodes: gpus / cluster.gpus_per_node,
@@ -344,7 +340,7 @@ mod tests {
         for cfg in
             [ModelConfig::paper_9_5m(), ModelConfig::paper_126m(), ModelConfig::paper_1b(), ModelConfig::paper_10b()]
         {
-            let series = strong_scaling(&cfg, &fig6_workload(), &[512, 2048, 8192, 32_768], &c);
+            let series = strong_scaling(&cfg, &[512, 2048, 8192, 32_768], &c);
             assert_eq!(series.len(), 4);
             assert_eq!(series[0].efficiency, 1.0);
             for p in &series[1..] {
@@ -363,8 +359,8 @@ mod tests {
     fn fig6b_throughput_ordering_matches_paper() {
         // At 32,768 GPUs: 9.5M ~ 363 PF; 10B ~ 1.8 EF.
         let c = cluster();
-        let small = strong_scaling(&ModelConfig::paper_9_5m(), &fig6_workload(), &[512, 32_768], &c);
-        let big = strong_scaling(&ModelConfig::paper_10b(), &fig6_workload(), &[512, 32_768], &c);
+        let small = strong_scaling(&ModelConfig::paper_9_5m(), &[512, 32_768], &c);
+        let big = strong_scaling(&ModelConfig::paper_10b(), &[512, 32_768], &c);
         let sf = small.last().unwrap().sustained_flops * 32_768.0 / 1.0; // per-sample basis
         let bf = big.last().unwrap().sustained_flops * 32_768.0;
         assert!(bf > sf, "larger model must sustain more FLOP/s");

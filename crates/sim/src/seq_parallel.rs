@@ -4,30 +4,75 @@
 //!
 //! Sequence parallelism shards the token axis across GPUs but keeps
 //! *global* attention: every token still attends to every other token, so
-//! each rank exchanges K/V shards with all others every layer, its
-//! attention FLOPs stay quadratic in the full sequence, and it must hold
-//! the gathered K/V of the whole sequence. This module models that memory,
-//! so the paper's claim — sequence parallelism does not scale past ~10^5
-//! tokens — can be checked against TILES quantitatively.
+//! each of the `P` ranks must exchange its K/V shards with all other ranks
+//! every layer (ring pass), and the attention FLOPs stay quadratic in the
+//! full sequence. This module models that cost and memory so the paper's
+//! claim — sequence parallelism neither removes the quadratic compute nor
+//! scales past ~10^5 tokens — can be checked against TILES quantitatively.
 
 use crate::memory::{largest_fitting, ACT_FACTOR, BF16, OVERHEAD_BYTES, TRAIN_BYTES_PER_PARAM};
 use crate::topology::ClusterSpec;
+use orbit2_model::ModelConfig;
 
 /// A sequence-parallel training configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct SeqParallelConfig {
+    /// The model; its depth and width size the activations and the K/V.
+    pub model: ModelConfig,
     /// Number of ranks the sequence is sharded over.
     pub ranks: usize,
-    /// Transformer depth.
-    pub layers: usize,
-    /// Embedding dimension.
-    pub embed_dim: usize,
-    /// Total model parameters (replicated on every rank — sequence
-    /// parallelism does not shard the model).
+    /// Total model parameters, replicated on every rank (sequence
+    /// parallelism does not shard the model). This is the paper's label
+    /// for the model's size, `9_500_000` for [`ModelConfig::paper_9_5m`],
+    /// not its exact `param_count()`.
     pub params: u64,
 }
 
+/// Time of one training step under ring sequence parallelism. No table
+/// prints it: the tests read it to back the limiter `repro table3` names
+/// for ring SP (quadratic compute) and the paper's point that its ring
+/// traffic grows with the rank count.
+#[cfg(test)]
+struct SeqParallelEstimate {
+    /// Per-rank attention + MLP compute time (s).
+    compute_s: f64,
+    /// Per-layer ring K/V exchange time, summed over layers, fwd+bwd (s).
+    ring_comm_s: f64,
+    /// Total step time (s).
+    step_s: f64,
+}
+
 impl SeqParallelConfig {
+    /// Estimate the time of one step at global sequence length `seq` on
+    /// `cluster`.
+    #[cfg(test)]
+    fn estimate(&self, seq: u64, cluster: &ClusterSpec) -> SeqParallelEstimate {
+        use crate::collective::{collective_time, Collective};
+        use crate::roofline::{compute_time, GpuEfficiency};
+        assert!(self.ranks >= 1);
+        let p = self.ranks as f64;
+        let s = seq as f64;
+        let d = self.model.embed_dim as f64;
+        let l = self.model.layers as f64;
+        // Compute: attention is quadratic in the *global* sequence; each
+        // rank owns s/P query rows attending to all s keys, plus its MLP
+        // share. Training = 3x forward.
+        let attn = 4.0 * (s / p) * s * d;
+        let mlp = 24.0 * (s / p) * d * d;
+        let flops = 3.0 * l * (attn + mlp);
+        let compute_s = compute_time(flops, &cluster.gpu, GpuEfficiency::for_model_size(self.params));
+
+        // Ring exchange: every layer, every rank sends/receives the full
+        // K/V set in P-1 ring steps => ~2 * s * d * 2 bytes crossing each
+        // rank per layer, forward and backward.
+        let group: Vec<usize> = (0..self.ranks).collect();
+        let kv_bytes = (2.0 * s * d * 2.0) as u64;
+        let per_layer = collective_time(Collective::AllGather, kv_bytes, &group, cluster);
+        let ring_comm_s = 2.0 * l * per_layer;
+
+        SeqParallelEstimate { compute_s, ring_comm_s, step_s: compute_s + ring_comm_s }
+    }
+
     /// Per-rank memory of one training step at global sequence length
     /// `seq`: the replicated model (weights, gradients and Adam state), the
     /// rank's activation shard, and the *gathered K/V* of the full sequence
@@ -37,8 +82,8 @@ impl SeqParallelConfig {
         assert!(self.ranks >= 1);
         let p = self.ranks as f64;
         let s = seq as f64;
-        let d = self.embed_dim as f64;
-        let l = self.layers as f64;
+        let d = self.model.embed_dim as f64;
+        let l = self.model.layers as f64;
         let model_bytes = self.params as f64 * TRAIN_BYTES_PER_PARAM;
         let act_bytes = l * (s / p) * d * ACT_FACTOR * BF16;
         let gathered_kv = 2.0 * s * d * BF16;
@@ -57,7 +102,7 @@ mod tests {
 
     fn cfg(ranks: usize) -> SeqParallelConfig {
         // The 9.5M paper configuration.
-        SeqParallelConfig { ranks, layers: 6, embed_dim: 256, params: 9_500_000 }
+        SeqParallelConfig { model: ModelConfig::paper_9_5m(), ranks, params: 9_500_000 }
     }
 
     fn cluster() -> ClusterSpec {
@@ -76,6 +121,37 @@ mod tests {
     }
 
     #[test]
+    fn compute_stays_quadratic_despite_more_ranks() {
+        // Doubling ranks halves per-rank compute, but doubling the sequence
+        // still quadruples attention work: the fundamental non-fix.
+        let c = cluster();
+        let e1 = cfg(16).estimate(100_000, &c);
+        let e2 = cfg(16).estimate(200_000, &c);
+        assert!(
+            e2.compute_s / e1.compute_s > 3.0,
+            "attention must stay quadratic: {} -> {}",
+            e1.compute_s,
+            e2.compute_s
+        );
+    }
+
+    #[test]
+    fn ring_comm_grows_with_sequence_and_ranks() {
+        let c = cluster();
+        let small = cfg(8).estimate(50_000, &c).ring_comm_s;
+        let longer = cfg(8).estimate(200_000, &c).ring_comm_s;
+        assert!(longer > 3.0 * small);
+        // Communication overhead fraction grows with rank count at fixed
+        // sequence (the paper: "substantial inter-GPU communication
+        // overhead ... limits its scalability").
+        let few = cfg(4).estimate(100_000, &c);
+        let many = cfg(64).estimate(100_000, &c);
+        let frac_few = few.ring_comm_s / few.step_s;
+        let frac_many = many.ring_comm_s / many.step_s;
+        assert!(frac_many > frac_few, "comm fraction must grow: {frac_few} -> {frac_many}");
+    }
+
+    #[test]
     fn more_ranks_extend_capacity_sublinearly() {
         // The gathered-KV term is not sharded, so capacity saturates.
         let c = cluster();
@@ -91,7 +167,7 @@ mod tests {
         // cannot even host the large model (needs the orthogonal model
         // parallelisms TILES composes with).
         let c = cluster();
-        let big = SeqParallelConfig { ranks: 64, layers: 11, embed_dim: 8192, params: 10_000_000_000 };
+        let big = SeqParallelConfig { model: ModelConfig::paper_10b(), ranks: 64, params: 10_000_000_000 };
         assert_eq!(big.max_sequence(&c), 0);
     }
 }

@@ -7,7 +7,7 @@
 //! ```
 
 use orbit2_model::ModelConfig;
-use orbit2_sim::planner::{fig6_workload, max_sequence_row, strong_scaling, Arch};
+use orbit2_sim::planner::{max_sequence_row, strong_scaling, Arch};
 use orbit2_sim::topology::ClusterSpec;
 
 fn main() {
@@ -47,7 +47,7 @@ fn main() {
         ("1B  ", ModelConfig::paper_1b()),
         ("10B ", ModelConfig::paper_10b()),
     ] {
-        let series = strong_scaling(&cfg, &fig6_workload(), &[512, 2048, 8192, 32_768], &cluster);
+        let series = strong_scaling(&cfg, &[512, 2048, 8192, 32_768], &cluster);
         print!("{name}: ");
         for p in &series {
             print!("{} nodes {:.1e}s/sample ({:.0}%)  ", p.nodes, p.per_sample_s, p.efficiency * 100.0);

@@ -6,7 +6,7 @@ use orbit2_model::ModelConfig;
 use orbit2_sim::cost::{compression_speedup, halo_overhead, speedup};
 use orbit2_sim::estimate::{estimate_step, WorkloadProfile};
 use orbit2_sim::plan::ParallelismPlan;
-use orbit2_sim::planner::{arch_comparison, fig6_workload, max_sequence_row, strong_scaling, Arch, SequenceAccounting};
+use orbit2_sim::planner::{arch_comparison, max_sequence_row, strong_scaling, Arch, SequenceAccounting};
 use orbit2_sim::topology::{ClusterSpec, CommLevel};
 
 fn cluster() -> ClusterSpec {
@@ -44,7 +44,7 @@ fn table2a_and_table3_are_consistent_on_oom() {
 fn strong_scaling_monotone_and_band() {
     let c = cluster();
     for cfg in [ModelConfig::paper_126m(), ModelConfig::paper_10b()] {
-        let series = strong_scaling(&cfg, &fig6_workload(), &[512, 2048, 8192, 32_768], &c);
+        let series = strong_scaling(&cfg, &[512, 2048, 8192, 32_768], &c);
         for pair in series.windows(2) {
             assert!(pair[1].per_sample_s < pair[0].per_sample_s, "time/sample must fall with GPUs");
             assert!(pair[1].sustained_flops > pair[0].sustained_flops);
@@ -59,8 +59,7 @@ fn throughput_hierarchy_matches_fig6b() {
     // Paper: at 4096 nodes the sustained throughput ranks
     // 9.5M (363 PF) < 126M (1.3 EF) < 1B (1.5 EF) < 10B (1.8 EF).
     let c = cluster();
-    let sustained =
-        |cfg: ModelConfig| strong_scaling(&cfg, &fig6_workload(), &[512, 32_768], &c).last().unwrap().sustained_flops;
+    let sustained = |cfg: ModelConfig| strong_scaling(&cfg, &[512, 32_768], &c).last().unwrap().sustained_flops;
     let s95 = sustained(ModelConfig::paper_9_5m());
     let s126 = sustained(ModelConfig::paper_126m());
     let s1b = sustained(ModelConfig::paper_1b());

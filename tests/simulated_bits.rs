@@ -12,9 +12,7 @@
 
 use orbit2_model::ModelConfig;
 use orbit2_sim::cost::{compression_speedup, speedup, tiling_speedup};
-use orbit2_sim::planner::{
-    arch_comparison, fig6_workload, max_sequence_row, strong_scaling, Arch, SeqLenRow, SequenceAccounting,
-};
+use orbit2_sim::planner::{arch_comparison, max_sequence_row, strong_scaling, Arch, SeqLenRow, SequenceAccounting};
 use orbit2_sim::seq_parallel::SeqParallelConfig;
 use orbit2_sim::swin::swin_max_tokens;
 use orbit2_sim::topology::ClusterSpec;
@@ -106,7 +104,7 @@ fn table3_rows() {
 fn table3_landscape() {
     let cluster = ClusterSpec::frontier();
     let mut h = Fnv::new();
-    let seqp = SeqParallelConfig { ranks: 16, layers: 6, embed_dim: 256, params: 9_500_000 };
+    let seqp = SeqParallelConfig { model: ModelConfig::paper_9_5m(), ranks: 16, params: 9_500_000 };
     h.u(seqp.max_sequence(&cluster));
     h.u(swin_max_tokens(8, 96, 2, cluster.gpu.mem_bytes));
     h.row(&max_sequence_row(&ModelConfig::paper_9_5m(), Arch::Reslim, 4, 16, 128, &cluster));
@@ -128,7 +126,7 @@ fn fig6b_strong_scaling() {
     let mut h = Fnv::new();
     for cfg in [ModelConfig::paper_9_5m(), ModelConfig::paper_126m(), ModelConfig::paper_1b(), ModelConfig::paper_10b()]
     {
-        for p in strong_scaling(&cfg, &fig6_workload(), &[512, 2048, 8192, 32_768], &cluster) {
+        for p in strong_scaling(&cfg, &[512, 2048, 8192, 32_768], &cluster) {
             h.u(p.nodes as u64);
             h.u(p.gpus as u64);
             h.f(p.per_sample_s);
