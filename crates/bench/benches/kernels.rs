@@ -41,27 +41,26 @@ fn bench_matmul(c: &mut Criterion) {
     group.finish();
 }
 
-/// The GEMM driver at each storage format, via the same session-resident
-/// cached path inference uses: weights packed once up front (f32 or int8
-/// strips), activations f32, f32 accumulate. `BENCH_kernels.json` rows
-/// `gemm_f32/*` and `gemm_int8/*` record the per-precision
-/// throughput the serving `--precision` flag buys — at the 256/512 squares
-/// of the trajectory and at the model's real `m×k×n` linears (126M at 32
-/// tokens, both MLP layers; the 9.5M MLP on a `tiles-field` tile). The f32
-/// group adds per-call-pack products: the per-head `Q K^T` of the
-/// attention composition on a 612-token tile (`nt`), one
-/// 48-query block of the session's attention on a 1156-token tile
-/// (`48x64x1156_nt`, k = d_head), and the MLP weight gradient of a
-/// 45-token `train-step` tile (`tn`). `gemm_ref/256` is the scalar
-/// oracle on the `gemm_f32/256` operands: the in-run reference for
-/// same-snapshot ratios. The f32 group also times the two halves of the
-/// f32 linear's rule on the same operands, beside the resident pack: the
-/// weight read in place (`gemm_f32/inplace/*`,
-/// `fused::matmul_bias_act_in_place`) and `W^T` packed per call
-/// (`gemm_f32/percall/*`, `Tensor::matmul_nt`). The shapes are `m` swept
-/// over 1024×1024 around `fused::IN_PLACE_MAX_ROWS`, the 126M model's MLP
-/// at 32 tokens, and the long linears of a TILES tile (the 9.5M model at
-/// 1156 tokens, the tiny one at 512).
+/// The GEMM driver at each storage format, as an `InferenceSession` runs
+/// its linears: at f32 the store's tensor, read by the
+/// `fused::IN_PLACE_MAX_ROWS` rule; at int8 its resident pack, built once
+/// up front. Activations f32, f32 accumulate. `BENCH_kernels.json` rows
+/// `gemm_f32/*` and `gemm_int8/*` record the per-precision throughput the
+/// serving `--precision` flag buys — at the 256/512 squares of the
+/// trajectory and at the model's real `m×k×n` linears (126M at 32 tokens,
+/// both MLP layers; the 9.5M MLP on a `tiles-field` tile). The f32 group
+/// adds per-call-pack products: the per-head `Q K^T` of the attention
+/// composition on a 612-token tile (`nt`), one 48-query block of the
+/// session's attention on a 1156-token tile (`48x64x1156_nt`, k = d_head),
+/// and the MLP weight gradient of a 45-token `train-step` tile (`tn`).
+/// `gemm_ref/256` is the scalar oracle on the `gemm_int8/256` operands: the
+/// in-run reference for same-snapshot ratios. The f32 group also times the
+/// two halves of the f32 linear's rule on the same operands: the weight
+/// read in place (`gemm_f32/inplace/*`, `fused::matmul_bias_act_in_place`)
+/// and `W^T` packed per call (`gemm_f32/percall/*`, `Tensor::matmul_nt`).
+/// The shapes are `m` swept over 1024×1024 around `fused::IN_PLACE_MAX_ROWS`,
+/// the 126M model's MLP at 32 tokens, and the long linears of a TILES tile
+/// (the 9.5M model at 1156 tokens, the tiny one at 512).
 fn bench_packed_gemm(c: &mut Criterion) {
     const SHAPES: [(usize, usize, usize); 5] =
         [(256, 256, 256), (512, 512, 512), (32, 1024, 4096), (32, 4096, 1024), (1156, 256, 1024)];
@@ -93,7 +92,7 @@ fn bench_packed_gemm(c: &mut Criterion) {
             let b = randn(&[n], 33);
             // As an InferenceSession holds it: the store's tensor, and at
             // int8 its pack.
-            let pack = PackedWeight::pack(&w, precision);
+            let pack = (precision == WeightPrecision::Int8).then(|| PackedWeight::pack(&w).expect("shape packs"));
             let name = if m == k && k == n { format!("{n}") } else { format!("{m}x{k}x{n}") };
             group.bench_function(BenchmarkId::from_parameter(name), |bench| {
                 bench.iter(|| matmul_bias_act_cached(&x, &w, pack.as_ref(), Some(&b), Activation::Identity))
@@ -113,12 +112,6 @@ fn bench_packed_gemm(c: &mut Criterion) {
             for &(m, k, n) in &IN_PLACE {
                 let (x, w, b) = (randn(&[m, k], 31), randn(&[n, k], 32), randn(&[n], 33));
                 let name = format!("{m}x{k}x{n}");
-                if !SHAPES.contains(&(m, k, n)) {
-                    let pack = PackedWeight::pack(&w, precision);
-                    group.bench_function(BenchmarkId::from_parameter(&name), |bench| {
-                        bench.iter(|| matmul_bias_act_cached(&x, &w, pack.as_ref(), Some(&b), Activation::Identity))
-                    });
-                }
                 group.bench_function(BenchmarkId::new("inplace", &name), |bench| {
                     bench.iter(|| matmul_bias_act_in_place(&x, &w, Some(&b), Activation::Identity))
                 });
@@ -132,7 +125,7 @@ fn bench_packed_gemm(c: &mut Criterion) {
     group.sample_size(10);
     let n = 256usize;
     let (x, w, b) = (randn(&[n, n], 31), randn(&[n, n], 32), randn(&[n], 33));
-    let pack = PackedWeight::pack(&w, WeightPrecision::F32).expect("256 output features pack");
+    let pack = PackedWeight::pack(&w).expect("256 output features pack");
     let mut out = vec![0.0f32; n * n];
     group.bench_function(BenchmarkId::from_parameter(n), |bench| {
         bench.iter(|| {
@@ -247,19 +240,18 @@ fn tape_composed_attention<'t>(q: Var<'t>, k: Var<'t>, v: Var<'t>, heads: usize)
     Var::concat(&per_head, 1)
 }
 
-/// The two unit-stride transposes the tape pays per call: the
-/// column-contiguous `W^T` pack of a `[1024, 256]` linear weight
-/// (`pack/wt_1024x256`, the 9.5M model's MLP; a resident pack here, the
-/// per-call pack of a tape linear past `fused::IN_PLACE_MAX_ROWS` rows),
-/// and the `[60, 1024]` transpose of a weight gradient's A operand
-/// (`transpose/60x1024`, `gz^T` of that MLP layer on a 60-token tile).
+/// The two unit-stride transposes: the column-contiguous `W^T` pack of a
+/// `[1024, 256]` linear weight (`pack/wt_1024x256`, the 9.5M model's MLP,
+/// packed to int8 as an int8 session's prepare does; the per-call f32 pack
+/// of a linear past `fused::IN_PLACE_MAX_ROWS` rows walks the same
+/// transposes), and the `[60, 1024]` transpose of a weight gradient's A
+/// operand (`transpose/60x1024`, `gz^T` of that MLP layer on a 60-token
+/// tile), which the tape pays per call.
 fn bench_transposes(c: &mut Criterion) {
     let mut group = c.benchmark_group("pack");
     group.sample_size(10);
     let w = randn(&[1024, 256], 41);
-    group.bench_function(BenchmarkId::from_parameter("wt_1024x256"), |bench| {
-        bench.iter(|| PackedWeight::pack(&w, WeightPrecision::F32))
-    });
+    group.bench_function(BenchmarkId::from_parameter("wt_1024x256"), |bench| bench.iter(|| PackedWeight::pack(&w)));
     group.finish();
     let mut group = c.benchmark_group("transpose");
     group.sample_size(10);

@@ -27,13 +27,11 @@ pub mod dataset;
 pub mod diagnostics;
 pub mod grid;
 pub mod imerg;
-pub mod mixed;
 pub mod normalize;
 pub mod synth;
 pub mod variables;
 
 pub use dataset::{DownscalingDataset, Split};
 pub use grid::LatLonGrid;
-pub use mixed::MixedDataset;
 pub use normalize::Normalizer;
 pub use variables::VariableSet;

@@ -1,9 +1,9 @@
-//! Channel normalization and quantile-mapping bias correction.
+//! Channel normalization.
 //!
 //! The paper's pipeline feeds "normalized and bias corrected" inputs
 //! (Sec. II). Normalization is per-channel z-scoring with statistics
-//! estimated from training samples; bias correction is empirical quantile
-//! mapping between a model distribution and an observation distribution.
+//! estimated from training samples. The synthetic inputs carry no model
+//! bias to correct, so no bias-correction operator is kept.
 
 use crate::dataset::DownscalingDataset;
 use orbit2_tensor::Tensor;
@@ -99,46 +99,6 @@ fn apply(stack: &Tensor, stats: &[ChannelStats], invert: bool) -> Tensor {
     out
 }
 
-/// Empirical quantile mapping: transform `source` values so their CDF
-/// matches `reference`'s, using `n_quantiles` knots with linear
-/// interpolation. The standard statistical bias-correction operator.
-pub fn quantile_map(source: &[f32], reference: &[f32], values: &[f32], n_quantiles: usize) -> Vec<f32> {
-    assert!(n_quantiles >= 2);
-    assert!(!source.is_empty() && !reference.is_empty());
-    let src_q = quantiles(source, n_quantiles);
-    let ref_q = quantiles(reference, n_quantiles);
-    values
-        .iter()
-        .map(|&v| {
-            // Locate v in the source quantile knots.
-            let pos = src_q.partition_point(|&q| q < v);
-            if pos == 0 {
-                ref_q[0]
-            } else if pos >= src_q.len() {
-                *ref_q.last().unwrap()
-            } else {
-                let (lo, hi) = (src_q[pos - 1], src_q[pos]);
-                let t = if hi > lo { (v - lo) / (hi - lo) } else { 0.0 };
-                ref_q[pos - 1] + t * (ref_q[pos] - ref_q[pos - 1])
-            }
-        })
-        .collect()
-}
-
-fn quantiles(data: &[f32], n: usize) -> Vec<f32> {
-    let mut sorted = data.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    (0..n)
-        .map(|i| {
-            let f = i as f64 / (n - 1) as f64 * (sorted.len() - 1) as f64;
-            let lo = f.floor() as usize;
-            let hi = f.ceil() as usize;
-            let t = (f - lo as f64) as f32;
-            sorted[lo] * (1.0 - t) + sorted[hi] * t
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -171,38 +131,5 @@ mod tests {
         let s = d.sample(1);
         let round = norm.denormalize_target(&norm.normalize_target(&s.target));
         round.assert_close(&s.target, 1e-2);
-    }
-
-    #[test]
-    fn quantile_map_matches_target_distribution() {
-        // Source ~ N(0,1) values; reference ~ N(10, 2). Mapping source onto
-        // reference should land near the reference stats.
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(1);
-        let source: Vec<f32> = (0..2000).map(|_| rng.gen_range(-3.0f32..3.0)).collect();
-        let reference: Vec<f32> = (0..2000).map(|_| 10.0 + 2.0 * rng.gen_range(-3.0f32..3.0)).collect();
-        let mapped = quantile_map(&source, &reference, &source, 101);
-        let mean: f32 = mapped.iter().sum::<f32>() / mapped.len() as f32;
-        assert!((mean - 10.0).abs() < 0.5, "mapped mean {mean}");
-    }
-
-    #[test]
-    fn quantile_map_clamps_out_of_range() {
-        let source = vec![0.0f32, 1.0, 2.0, 3.0];
-        let reference = vec![10.0f32, 11.0, 12.0, 13.0];
-        let mapped = quantile_map(&source, &reference, &[-5.0, 8.0], 5);
-        assert_eq!(mapped[0], 10.0);
-        assert_eq!(mapped[1], 13.0);
-    }
-
-    #[test]
-    fn quantile_map_is_monotone() {
-        let source: Vec<f32> = (0..100).map(|i| (i as f32 * 0.37).sin() * 5.0).collect();
-        let reference: Vec<f32> = (0..100).map(|i| i as f32).collect();
-        let values: Vec<f32> = (-10..10).map(|i| i as f32 * 0.5).collect();
-        let mapped = quantile_map(&source, &reference, &values, 21);
-        for pair in mapped.windows(2) {
-            assert!(pair[0] <= pair[1] + 1e-5, "mapping must be monotone");
-        }
     }
 }

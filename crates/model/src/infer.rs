@@ -87,7 +87,7 @@ impl InferenceSession {
             .map(|(name, t)| {
                 let pack = match precision {
                     WeightPrecision::F32 => None,
-                    WeightPrecision::Int8 => PackedWeight::pack(t, WeightPrecision::Int8).map(Arc::new),
+                    WeightPrecision::Int8 => PackedWeight::pack(t).map(Arc::new),
                 };
                 (name.clone(), SessionValue { tensor: t.clone(), pack })
             })

@@ -1,9 +1,10 @@
 //! The GEMM driver: every matrix product in the crate runs here.
 //!
 //! `C = act(scale ⊙ (op(A) · op(B)) + bias)` for f32 activations against an
-//! `op(B)` stored as f32 or per-channel int8 codes. Precision is
-//! a property of the stored data (`QWeight`), not of the algorithm: one
-//! pack format, one register-blocked kernel, one loop nest, one oracle.
+//! `op(B)` stored as f32 strips packed for the call or as resident
+//! per-channel int8 codes. Precision is a property of the stored data
+//! (`QWeight`), not of the algorithm: one pack format, one register-blocked
+//! kernel, one loop nest, one oracle.
 //!
 //! ## Pack format
 //!
@@ -13,15 +14,16 @@
 //! strips from any [`MatLayout`], so `W^T` of a `[n, k]` linear weight, a
 //! row-major `B` and a `B^T` all pack straight from their storage (a
 //! column-contiguous `op(B)` through 16×16 register transposes,
-//! `transpose_tiles`). A [`PackedWeight`] keeps strips resident across
-//! calls at one of two storage widths (an int8 session's weights);
-//! `gemm_per_call` packs f32 strips into pooled scratch for one product
+//! `transpose_tiles`). Strips are resident only as int8: a [`PackedWeight`]
+//! holds an int8 session's weight across calls. f32 strips live for one
+//! caller in pooled scratch: `gemm_per_call` packs them for one product
 //! (the tape's backward products, and every f32 linear longer than
 //! `IN_PLACE_MAX_ROWS`, the tape's and the session's), and `ScratchStrips`
-//! keeps such a pack for a caller of its own (the attention op's per-head
-//! `K_hᵀ` and `V_h`, and the `xᵀ` of `gemm_weight_in_place`, which runs a
-//! short linear — the session's and the tape's — as `(W · xᵀ)ᵀ` so that
-//! the row-major weight is A, read in place, and needs no pack).
+//! keeps such a pack for a caller that runs several products against it
+//! (the attention op's per-head `K_hᵀ` and `V_h`, and the `xᵀ` of
+//! `gemm_weight_in_place`, which runs a short linear — the session's and
+//! the tape's — as `(W · xᵀ)ᵀ` so that the row-major weight is A, read in
+//! place, and needs no pack).
 //!
 //! ## Kernel
 //!
@@ -49,7 +51,7 @@
 //! is no small-shape route to the oracle: down to `n = 3` the kernel on a
 //! zero-padded strip is the faster of the two.
 
-use crate::fused::{Activation, WeightPrecision};
+use crate::fused::Activation;
 use crate::matmul::MatLayout;
 use crate::ops::{gather_strided, transpose_tiles};
 use crate::par::{self, MACS_PER_VISIT};
@@ -177,15 +179,7 @@ fn pack_strips<Q: QWeight>(
     }
 }
 
-/// Strip storage at one of the two code widths; int8 codes carry their
-/// per-column scales.
-#[derive(Debug, Clone)]
-enum Codes {
-    F32(Vec<f32>),
-    I8 { codes: Vec<i8>, scales: Vec<f32> },
-}
-
-/// An `op(B)` packed once into strips and kept resident across calls.
+/// An `op(B)` packed once into int8 strips and kept resident across calls.
 ///
 /// An int8 inference session holds one per packable linear weight and
 /// passes it to
@@ -193,69 +187,57 @@ enum Codes {
 /// symmetric per-output-channel `i8` codes with one f32 scale per column
 /// (`scale = max|w|/127`, codes `round(w/scale)`, so the reconstruction
 /// error is at most `scale/2` per element) are the session's only int8 copy
-/// of the weight. An f32 linear keeps no resident pack: it reads its weight
-/// by the rule at [`IN_PLACE_MAX_ROWS`](crate::fused::IN_PLACE_MAX_ROWS), in
-/// place or through a per-call pack. The f32 width is what the kernel
-/// bench's resident cells and the oracle tests pack. Activations and
-/// accumulation are f32 at every width.
+/// of the weight. A resident pack is int8 by its type: an f32 linear reads
+/// its weight by the rule at
+/// [`IN_PLACE_MAX_ROWS`](crate::fused::IN_PLACE_MAX_ROWS), in place or
+/// through a per-call pack. Activations and accumulation are f32.
 #[derive(Debug, Clone)]
 pub struct PackedWeight {
-    strips: Codes,
+    codes: Vec<i8>,
+    scales: Vec<f32>,
     n: usize,
     k: usize,
     nr: usize,
 }
 
 impl PackedWeight {
-    /// Pack a `[n, k]` linear weight (PyTorch `[out, in]` convention) at the
-    /// requested precision. Returns `None` for what the pack gate refuses
+    /// Pack a `[n, k]` linear weight (PyTorch `[out, in]` convention).
+    /// Returns `None` for what the pack gate refuses
     /// ([`packable`](Self::packable)).
-    pub fn pack(w: &Tensor, precision: WeightPrecision) -> Option<Self> {
+    pub fn pack(w: &Tensor) -> Option<Self> {
         Self::packable(w).then(|| {
             let (n, k) = (w.shape()[0], w.shape()[1]);
-            Self::from_layout(w.data(), MatLayout::transposed(k), k, n, precision)
+            Self::from_layout(w.data(), MatLayout::transposed(k), k, n)
         })
     }
 
     /// Whether [`pack`](Self::pack) keeps `w`: 2-d, at least `LANES` output
     /// features and some input features. The gate reads the shape only —
-    /// the scalar oracle consumes the same strips — and is the same at every
-    /// precision.
+    /// the scalar oracle consumes the same strips.
     pub fn packable(w: &Tensor) -> bool {
         w.ndim() == 2 && w.shape()[0] >= LANES && w.shape()[1] > 0
     }
 
-    /// Pack any `k × n` `op(B)` (element `(p, j)` at `b[p·rs + j·cs]`) at
-    /// the requested precision, with no shape gate.
-    pub fn from_layout(b: &[f32], lb: MatLayout, k: usize, n: usize, precision: WeightPrecision) -> Self {
+    /// Pack any `k × n` `op(B)` (element `(p, j)` at `b[p·rs + j·cs]`), with
+    /// no shape gate.
+    pub fn from_layout(b: &[f32], lb: MatLayout, k: usize, n: usize) -> Self {
         let nr = choose_nr(n);
-        let len = n.div_ceil(nr) * k * nr;
-        let strips = match precision {
-            WeightPrecision::F32 => {
-                let mut q = vec![0.0f32; len];
-                pack_strips(b, lb, k, n, nr, &mut q, |_, v| v);
-                Codes::F32(q)
+        let scales: Vec<f32> = (0..n)
+            .map(|j| {
+                let col = (0..k).map(|p| b[p * lb.rs + j * lb.cs].abs());
+                col.fold(0.0f32, f32::max) / 127.0
+            })
+            .collect();
+        let mut codes = vec![0i8; n.div_ceil(nr) * k * nr];
+        pack_strips(b, lb, k, n, nr, &mut codes, |j, v| {
+            let s = scales[j];
+            if s == 0.0 {
+                0
+            } else {
+                (v / s).round().clamp(-127.0, 127.0) as i8
             }
-            WeightPrecision::Int8 => {
-                let scales: Vec<f32> = (0..n)
-                    .map(|j| {
-                        let col = (0..k).map(|p| b[p * lb.rs + j * lb.cs].abs());
-                        col.fold(0.0f32, f32::max) / 127.0
-                    })
-                    .collect();
-                let mut codes = vec![0i8; len];
-                pack_strips(b, lb, k, n, nr, &mut codes, |j, v| {
-                    let s = scales[j];
-                    if s == 0.0 {
-                        0
-                    } else {
-                        (v / s).round().clamp(-127.0, 127.0) as i8
-                    }
-                });
-                Codes::I8 { codes, scales }
-            }
-        };
-        PackedWeight { strips, n, k, nr }
+        });
+        PackedWeight { codes, scales, n, k, nr }
     }
 
     /// Output features (columns of `op(B)`).
@@ -268,23 +250,19 @@ impl PackedWeight {
         self.k
     }
 
-    /// The `[n, k]` f32 weight an int8 pack computes with, `code × scale`:
-    /// the int8 oracle the tests compare the kernel against.
-    /// `None` for f32: the original is exact.
+    /// The `[n, k]` f32 weight the pack computes with, `code × scale`: the
+    /// int8 oracle the tests compare the kernel against.
     #[cfg(test)]
-    pub(crate) fn dequantized(&self) -> Option<Tensor> {
-        let Codes::I8 { codes, scales } = &self.strips else {
-            return None;
-        };
+    pub(crate) fn dequantized(&self) -> Tensor {
         let (n, k, nr) = (self.n, self.k, self.nr);
         let mut out = crate::pool::alloc_uninit(n * k);
-        for ((j, row), &scale) in out.chunks_exact_mut(k).enumerate().zip(scales) {
-            let strip = &codes[(j / nr) * k * nr + j % nr..];
+        for ((j, row), &scale) in out.chunks_exact_mut(k).enumerate().zip(&self.scales) {
+            let strip = &self.codes[(j / nr) * k * nr + j % nr..];
             for (p, o) in row.iter_mut().enumerate() {
                 *o = strip[p * nr].widen() * scale;
             }
         }
-        Some(Tensor::from_vec(vec![n, k], out))
+        Tensor::from_vec(vec![n, k], out)
     }
 
     #[allow(clippy::too_many_arguments)] // GEMM plumbing: operands + epilogue + outputs
@@ -299,15 +277,10 @@ impl PackedWeight {
         pre: Option<&mut [f32]>,
         vector: bool,
     ) {
-        let (n, k, nr) = (self.n, self.k, self.nr);
-        // int8 codes carry their per-column scales into the epilogue.
-        let ep = |scales| Epilogue { scales, bias, act };
-        match &self.strips {
-            Codes::F32(q) => drive(a, la, m, Strips { codes: q, n, k, nr }, ep(None), c, pre, true, vector),
-            Codes::I8 { codes, scales } => {
-                drive(a, la, m, Strips { codes, n, k, nr }, ep(Some(scales)), c, pre, true, vector)
-            }
-        }
+        let s = Strips { codes: &self.codes[..], n: self.n, k: self.k, nr: self.nr };
+        // The codes carry their per-column scales into the epilogue.
+        let ep = Epilogue { scales: Some(&self.scales), bias, act };
+        drive(a, la, m, s, ep, c, pre, true, vector);
     }
 }
 
@@ -748,20 +721,33 @@ mod tests {
     use super::*;
     use crate::random::randn;
 
-    fn scales(pw: &PackedWeight) -> Option<&[f32]> {
-        match &pw.strips {
-            Codes::I8 { scales, .. } => Some(scales),
-            Codes::F32(_) => None,
+    impl ScratchStrips {
+        /// What [`PackedWeight::run`] is to a resident pack: the f32
+        /// product every unpacked GEMM runs, on the vector kernel or the
+        /// scalar oracle.
+        #[allow(clippy::too_many_arguments)] // GEMM plumbing: operands + epilogue + outputs
+        fn run(
+            &self,
+            a: &[f32],
+            la: MatLayout,
+            m: usize,
+            bias: Option<&[f32]>,
+            act: Activation,
+            c: &mut [f32],
+            pre: Option<&mut [f32]>,
+            vector: bool,
+        ) {
+            drive(a, la, m, self.strips(), Epilogue { scales: None, bias, act }, c, pre, true, vector);
         }
     }
 
     #[test]
     fn i8_quantization_error_bounded_by_half_scale() {
         let w = randn(&[24, 57], 6);
-        let pw = PackedWeight::pack(&w, WeightPrecision::Int8).unwrap();
-        let dq = pw.dequantized().unwrap();
+        let pw = PackedWeight::pack(&w).unwrap();
+        let dq = pw.dequantized();
         for j in 0..24 {
-            let s = scales(&pw).unwrap()[j];
+            let s = pw.scales[j];
             for p in 0..57 {
                 let err = (w.data()[j * 57 + p] - dq.data()[j * 57 + p]).abs();
                 assert!(err <= s * 0.5 + f32::EPSILON, "err {err} vs scale {s}");
@@ -776,24 +762,23 @@ mod tests {
             *v = 0.0;
         }
         let w = Tensor::from_vec(vec![16, 9], w);
-        let pw = PackedWeight::pack(&w, WeightPrecision::Int8).unwrap();
-        assert_eq!(scales(&pw).unwrap()[0], 0.0);
-        assert!(pw.dequantized().unwrap().data()[..9].iter().all(|&v| v == 0.0));
+        let pw = PackedWeight::pack(&w).unwrap();
+        assert_eq!(pw.scales[0], 0.0);
+        assert!(pw.dequantized().data()[..9].iter().all(|&v| v == 0.0));
     }
 
     #[test]
     fn f32_strips_hold_the_weight_unchanged() {
-        // Same strip walk as `dequantized`, which has nothing to return for
-        // f32: column j of W^T must be row j of W, bit for bit.
+        // The strip walk of `dequantized`, on the f32 scratch pack of `W^T`:
+        // column j of W^T must be row j of W, bit for bit.
         let (n, k) = (37usize, 21usize);
         let w = randn(&[n, k], 8);
-        let pw = PackedWeight::pack(&w, WeightPrecision::F32).unwrap();
-        assert!(pw.dequantized().is_none() && scales(&pw).is_none());
-        let Codes::F32(q) = &pw.strips else { panic!("f32 pack") };
-        assert_eq!(q.len(), n.div_ceil(pw.nr) * k * pw.nr);
+        let strips = ScratchStrips::pack(w.data(), MatLayout::transposed(k), k, n);
+        let (q, nr) = (&strips.codes, strips.nr);
+        assert_eq!(q.len(), n.div_ceil(nr) * k * nr);
         for j in 0..n {
             for p in 0..k {
-                assert_eq!(q[(j / pw.nr) * k * pw.nr + p * pw.nr + j % pw.nr], w.data()[j * k + p]);
+                assert_eq!(q[(j / nr) * k * nr + p * nr + j % nr], w.data()[j * k + p]);
             }
         }
     }
@@ -825,9 +810,10 @@ mod tests {
         // at every ragged column count (the first `n` that `choose_nr`
         // gives that width and edge), every ragged row count over one and
         // two panels, and operands holding −0.0, NaN and ±∞. Each shape
-        // takes the next of the 24 (precision, activation, `pre`, k)
-        // epilogues in turn, so every one of those runs on 56 shapes; and
-        // each also runs the per-column `scales` slot attention uses.
+        // takes the next of the 24 (stored width, activation, `pre`, k)
+        // epilogues in turn — f32 scratch strips or a resident int8 pack —
+        // so every one of those runs on 56 shapes; and each also runs the
+        // per-column `scales` slot attention uses.
         let acts = [Activation::Identity, Activation::Gelu];
         let mut case = 0usize;
         for w in [1usize, 2, 4] {
@@ -835,31 +821,37 @@ mod tests {
             for cols in 1..=nr {
                 let n = (1..).find(|&n| choose_nr(n) == nr && (n - 1) % nr + 1 == cols).unwrap();
                 for m in 1..=2 * QMR {
-                    let precision = WeightPrecision::ALL[case % 2];
+                    let int8 = case % 2 == 1;
                     let act = acts[case / 2 % 2];
                     let keep_pre = (case / 4).is_multiple_of(2);
                     let k = [1usize, 5, 23][case / 8 % 3];
-                    let what = format!("{precision:?} {act:?} pre={keep_pre} m={m} k={k} n={n}");
+                    let what = format!("int8={int8} {act:?} pre={keep_pre} m={m} k={k} n={n}");
                     let seed = case as u64;
                     case += 1;
                     let (a, wt) = (with_specials(m, k, seed), with_specials(n, k, seed + 1));
                     let bias = with_specials(n, 1, seed + 2);
-                    let la = MatLayout::row_major(k);
-                    let pw = PackedWeight::from_layout(&wt, MatLayout::transposed(k), k, n, precision);
-                    assert_eq!(pw.nr, nr);
+                    let (la, lb) = (MatLayout::row_major(k), MatLayout::transposed(k));
+                    let (pw, strips) = (PackedWeight::from_layout(&wt, lb, k, n), ScratchStrips::pack(&wt, lb, k, n));
+                    assert_eq!((pw.nr, strips.nr), (nr, nr));
+                    let run = |vector: bool, c: &mut [f32], pre: Option<&mut [f32]>| {
+                        if int8 {
+                            pw.run(&a, la, m, Some(&bias), act, c, pre, vector)
+                        } else {
+                            strips.run(&a, la, m, Some(&bias), act, c, pre, vector)
+                        }
+                    };
                     let mut c_vec = vec![0.0f32; m * n];
                     let mut c_ref = vec![f32::NAN; m * n];
                     let (mut p_vec, mut p_ref) = (vec![0.0f32; m * n], vec![f32::NAN; m * n]);
                     let (pv, pr) = if keep_pre { (Some(&mut p_vec[..]), Some(&mut p_ref[..])) } else { (None, None) };
-                    gemm_strips(&a, la, m, &pw, Some(&bias), act, &mut c_vec, pv);
-                    gemm_strips_ref(&a, la, m, &pw, Some(&bias), act, &mut c_ref, pr);
+                    run(true, &mut c_vec, pv);
+                    run(false, &mut c_ref, pr);
                     assert_bits_eq(&c_vec, &c_ref, &what);
                     if keep_pre {
                         assert_bits_eq(&p_vec, &p_ref, &format!("{what} pre"));
                     }
 
                     let scales = with_specials(n, 1, seed + 3);
-                    let strips = ScratchStrips::pack(&wt, MatLayout::transposed(k), k, n);
                     strips.gemm_seq(&a, la, m, Some(&scales), &mut c_vec);
                     let ep = Epilogue { scales: Some(&scales), bias: None, act: Activation::Identity };
                     drive(&a, la, m, strips.strips(), ep, &mut c_ref, None, false, false);
@@ -870,11 +862,70 @@ mod tests {
     }
 
     #[test]
+    fn f32_strips_match_the_oracle_on_every_layout() {
+        // The f32 product every unpacked GEMM runs, vector kernel against
+        // scalar oracle, bit for bit: ragged shapes straddle the 6-row
+        // panel, every strip width (16 / 32 / 64 columns, one strip and
+        // several) and the 16-lane store groups, over the three operand
+        // layouts, each shape taking the next of the eight (activation,
+        // bias, `pre`) epilogues, on operands holding −0.0, NaN and ±∞.
+        // The tensor-level product of the same operands packs the same
+        // strips, so it carries the oracle's bits too.
+        let mut case = 0usize;
+        for m in [1usize, 5, 6, 7, 12, 13, 19] {
+            for k in [1usize, 2, 17, 69] {
+                for n in [1usize, 2, 15, 16, 17, 31, 32, 33, 47, 48, 63, 64, 65, 100, 129, 139] {
+                    for layout in 0..3 {
+                        let act = [Activation::Identity, Activation::Gelu][case % 2];
+                        let (with_bias, keep_pre) = (case / 2 % 2 == 1, case / 4 % 2 == 1);
+                        let seed = case as u64;
+                        case += 1;
+                        // nn: A [m,k] · B [k,n]; nt: A [m,k] · (B [n,k])^T;
+                        // tn: (A [k,m])^T · B [k,n].
+                        let (la, lb) = match layout {
+                            0 => (MatLayout::row_major(k), MatLayout::row_major(n)),
+                            1 => (MatLayout::row_major(k), MatLayout::transposed(k)),
+                            _ => (MatLayout::transposed(m), MatLayout::row_major(n)),
+                        };
+                        let (a, b) = (with_specials(m, k, seed), with_specials(n, k, seed + 1));
+                        let bias = with_specials(n, 1, seed + 2);
+                        let bias = with_bias.then_some(&bias[..]);
+                        let what = format!("layout {layout} {act:?} bias={with_bias} pre={keep_pre} m={m} k={k} n={n}");
+                        let strips = ScratchStrips::pack(&b, lb, k, n);
+                        let (mut c_vec, mut c_ref) = (vec![0.0f32; m * n], vec![f32::NAN; m * n]);
+                        let (mut p_vec, mut p_ref) = (vec![0.0f32; m * n], vec![f32::NAN; m * n]);
+                        let (pv, pr) =
+                            if keep_pre { (Some(&mut p_vec[..]), Some(&mut p_ref[..])) } else { (None, None) };
+                        strips.run(&a, la, m, bias, act, &mut c_vec, pv, true);
+                        strips.run(&a, la, m, bias, act, &mut c_ref, pr, false);
+                        assert_bits_eq(&c_vec, &c_ref, &what);
+                        if keep_pre {
+                            assert_bits_eq(&p_vec, &p_ref, &format!("{what} pre"));
+                        }
+                        // `n = 1` on a contiguous column is the mat-vec path.
+                        if n > 1 {
+                            let (a, b) = (Tensor::from_vec(vec![m * k], a), Tensor::from_vec(vec![k * n], b));
+                            let product = match layout {
+                                0 => a.reshape(vec![m, k]).matmul(&b.reshape(vec![k, n])),
+                                1 => a.reshape(vec![m, k]).matmul_nt(&b.reshape(vec![n, k])),
+                                _ => a.reshape(vec![k, m]).matmul_tn(&b.reshape(vec![k, n])),
+                            };
+                            let mut plain = vec![f32::NAN; m * n];
+                            strips.run(a.data(), la, m, None, Activation::Identity, &mut plain, None, false);
+                            assert_bits_eq(product.data(), &plain, &format!("{what} tensor"));
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn column_contiguous_pack_is_the_index_formula() {
         // `op(B)` element `(p, j)` at `b[p + j·ld]` — `W^T` of a `[n, k]`
         // weight when `ld = k` — packed tile by tile: every strip element is
-        // that value, stored through the precision's own closure with its
-        // own column's scale, and every padding column is zero.
+        // that value, stored through each width's own closure (int8 with
+        // its own column's scale), and every padding column is zero.
         use crate::ops::{scattered_bits, TRANSPOSE_SIDES};
         for k in TRANSPOSE_SIDES {
             for n in TRANSPOSE_SIDES {
@@ -893,8 +944,9 @@ mod tests {
                         assert_eq!(strips.codes[at(p, j)].to_bits(), want, "f32 k {k} n {n}: ({p}, {j})");
                     }
                 }
-                let pw = PackedWeight::from_layout(&finite, lb, k, n, WeightPrecision::Int8);
-                let (Codes::I8 { codes, scales }, true) = (&pw.strips, pw.nr == nr) else { panic!("an int8 pack") };
+                let pw = PackedWeight::from_layout(&finite, lb, k, n);
+                let (codes, scales) = (&pw.codes, &pw.scales);
+                assert_eq!(pw.nr, nr);
                 for p in 0..k {
                     for j in 0..n.div_ceil(nr) * nr {
                         let want =
@@ -908,12 +960,9 @@ mod tests {
 
     #[test]
     fn pack_gates_on_shape_only() {
-        // One gate for every precision, on the shape alone.
-        for precision in WeightPrecision::ALL {
-            assert!(PackedWeight::pack(&randn(&[4, 16], 31), precision).is_none());
-            assert!(PackedWeight::pack(&randn(&[16], 32), precision).is_none());
-            assert!(PackedWeight::pack(&randn(&[16, 4], 33), precision).is_some());
-        }
+        assert!(PackedWeight::pack(&randn(&[4, 16], 31)).is_none());
+        assert!(PackedWeight::pack(&randn(&[16], 32)).is_none());
+        assert!(PackedWeight::pack(&randn(&[16, 4], 33)).is_some());
     }
 
     #[test]

@@ -89,12 +89,12 @@ jq -r '
 
 # GEMM ratios from this one snapshot (pool-enabled run), so they mean the
 # same on any box: the vector kernel against the scalar oracle on the same
-# operands, and the int8 strips against f32 strips per shape — the
-# speedup the serving `--precision` flag buys per GEMM call.
+# int8 pack, and an int8 session's linear against an f32 session's per
+# shape — the speedup the serving `--precision` flag buys per GEMM call.
 jq -r '
     .[-1].runs[0].results
     | (map({(.bench): .median_ns}) | add) as $r
-    | "gemm_f32/256 vs gemm_ref/256\tkernel \($r["gemm_f32/256"]) ns\toracle \($r["gemm_ref/256"]) ns\tspeedup \(($r["gemm_ref/256"] / $r["gemm_f32/256"] * 100 | round) / 100)x",
+    | "gemm_int8/256 vs gemm_ref/256\tkernel \($r["gemm_int8/256"]) ns\toracle \($r["gemm_ref/256"]) ns\tspeedup \(($r["gemm_ref/256"] / $r["gemm_int8/256"] * 100 | round) / 100)x",
       ( $r | keys[] | select(startswith("gemm_int8/")) | split("/")[1] ) as $n
     | ($r["gemm_f32/" + $n]) as $f
     | "gemm_precision/\($n)\tf32 \($f) ns\tint8 \($r["gemm_int8/" + $n]) ns (\(($f / $r["gemm_int8/" + $n] * 100 | round) / 100)x)"
@@ -152,19 +152,16 @@ jq -r '
     | "upsample_conv/tape node vs composed/\($n)\tnode \($r["upsample_conv/tape/node/" + $n]) ns\tcomposed \($r["upsample_conv/tape/composed/" + $n]) ns\tnode / composed \(($r["upsample_conv/tape/node/" + $n] / $r["upsample_conv/tape/composed/" + $n] * 100 | round) / 100)x")
 ' "$OUT_JSON"
 
-# The f32 linear's rule, same snapshot: the weight read in place against
-# its resident `Wᵀ` pack on the same operands (`gemm_f32/inplace/*` beside
-# `gemm_f32/*`), and the per-call `Wᵀ` pack against in place
-# (`gemm_f32/percall/*`). `fused::IN_PLACE_MAX_ROWS` cites these: the row
+# The f32 linear's rule, same snapshot: the per-call `Wᵀ` pack against the
+# weight read in place on the same operands (`gemm_f32/percall/*` beside
+# `gemm_f32/inplace/*`). `fused::IN_PLACE_MAX_ROWS` cites these: the row
 # constant picks between in place and per call, in the tape and the
 # session alike.
 jq -r '
     .[-1].runs[0].results
     | (map({(.bench): .median_ns}) | add) as $r
-    | ($r | keys[] | select(startswith("gemm_f32/inplace/")) | split("/")[2] as $n
-    | "gemm_f32/inplace vs resident/\($n)\tin place \($r["gemm_f32/inplace/" + $n]) ns\tresident \($r["gemm_f32/" + $n]) ns\tin place / resident \(($r["gemm_f32/inplace/" + $n] / $r["gemm_f32/" + $n] * 100 | round) / 100)x"),
-      ($r | keys[] | select(startswith("gemm_f32/percall/")) | split("/")[2] as $n
-    | "gemm_f32/percall vs inplace/\($n)\tper call \($r["gemm_f32/percall/" + $n]) ns\tin place \($r["gemm_f32/inplace/" + $n]) ns\tper call / in place \(($r["gemm_f32/percall/" + $n] / $r["gemm_f32/inplace/" + $n] * 100 | round) / 100)x")
+    | $r | keys[] | select(startswith("gemm_f32/percall/")) | split("/")[2] as $n
+    | "gemm_f32/percall vs inplace/\($n)\tper call \($r["gemm_f32/percall/" + $n]) ns\tin place \($r["gemm_f32/inplace/" + $n]) ns\tper call / in place \(($r["gemm_f32/percall/" + $n] / $r["gemm_f32/inplace/" + $n] * 100 | round) / 100)x"
 ' "$OUT_JSON"
 
 # The training step's non-math, same snapshot: the trainer's two sweeps

@@ -69,13 +69,10 @@
 # fault plans) and `bench/src/lib.rs` (ORBIT2_STEPS). A new one changes
 # this list, in review.
 #
-# Pack gate (DESIGN.md §9): resident packs are int8. An int8 session packs
-# its weights at prepare, because the pack is its only int8 copy; an f32
-# linear reads its weight by the tape's rule (`fused::IN_PLACE_MAX_ROWS`:
-# in place, or a per-call pack) and keeps no second f32 copy. So outside
-# test modules and `tensor/src/qgemm.rs`, which defines them, a
-# `PackedWeight::pack` or `PackedWeight::from_layout` call under
-# `crates/*/src` must name `Int8` on its line.
+# Dependency gate: every `[dependencies]` or `[dev-dependencies]` key of a
+# `crates/*` package must be named, as its Rust identifier (`-` read as
+# `_`), in some `.rs` file of that package. An edge no source file uses
+# costs build time and lock-file churn and hides what a crate really needs.
 #
 # Public-surface gate (ROADMAP item 10): rustc's `dead_code` lint never fires
 # on a `pub` item of a library, so a `pub` item nothing outside its crate
@@ -127,6 +124,18 @@ cd "$(dirname "${BASH_SOURCE[0]}")/.."
 if ! unformatted="$(cargo fmt --all -- --check -l)"; then
     echo "lint: the tree is not rustfmt-clean (run \`cargo fmt --all\`):" >&2
     echo "$unformatted" >&2
+    exit 1
+fi
+unused_dep="$(for manifest in crates/*/Cargo.toml; do
+    awk '/^\[/ { sec = $0; next }
+        (sec == "[dependencies]" || sec == "[dev-dependencies]") && match($0, /^[A-Za-z0-9_-]+/) { print sec, substr($0, 1, RLENGTH) }' "$manifest" |
+        while read -r sec dep; do
+            grep -rqw --include='*.rs' -- "${dep//-/_}" "${manifest%/Cargo.toml}" || echo "$manifest: $sec $dep"
+        done
+done)"
+if [[ -n "$unused_dep" ]]; then
+    echo "lint: a dependency no .rs file of its package names (delete the edge):" >&2
+    echo "$unused_dep" >&2
     exit 1
 fi
 float_sum="$(grep -rnE '(into_)?par_(iter|iter_mut|chunks|chunks_mut)\(.*sum::<f(32|64)>' crates/*/src || true)"
@@ -227,15 +236,6 @@ done)"
 if [[ -n "$env_knob" ]]; then
     echo "lint: an environment read outside the three knob sites (one production path per kernel, DESIGN.md §7):" >&2
     echo "$env_knob" >&2
-    exit 1
-fi
-pack_site="$(find crates/*/src -name '*.rs' | sort | while read -r f; do
-    [[ "$f" == crates/tensor/src/qgemm.rs ]] && continue
-    awk -v f="$f" '/^mod tests \{/ { exit } /PackedWeight::(pack|from_layout)\(/ && !/Int8/ { print f ":" FNR ": " $0 }' "$f"
-done)"
-if [[ -n "$pack_site" ]]; then
-    echo "lint: a resident f32 weight pack (an f32 linear reads its weight by the fused::IN_PLACE_MAX_ROWS rule, DESIGN.md §9):" >&2
-    echo "$pack_site" >&2
     exit 1
 fi
 smoke_benches="$(sed -n -e 's/^BENCHES=(\(.*\))$/\1/p' -e 's/.*--bench \([a-z0-9_][a-z0-9_]*\).*/\1/p' scripts/bench_smoke.sh | tr ' ' '\n')"

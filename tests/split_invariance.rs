@@ -14,7 +14,7 @@ use orbit2_autograd::{Adam, GradAccumulator, ParamLayout, ParamStore};
 use orbit2_tensor::attention::multi_head_attention;
 use orbit2_tensor::conv::{conv2d, conv2d_grad_input, conv2d_grad_weight, upsample_conv2d, ConvGeom};
 use orbit2_tensor::fused::{
-    layer_norm_rows, matmul_bias_act, matmul_bias_act_cached, matmul_bias_act_in_place, Activation, WeightPrecision,
+    layer_norm_rows, matmul_bias_act, matmul_bias_act_cached, matmul_bias_act_in_place, Activation,
 };
 use orbit2_tensor::par::{GRAIN, MACS_PER_VISIT};
 use orbit2_tensor::random::randn;
@@ -62,14 +62,16 @@ fn gemm(visits: usize) -> Bits {
     let (k, n) = (129, 515);
     let m = rows_for(visits * MACS_PER_VISIT, k * n) + 7;
     let (x, w, b) = (randn(&[m, k], 11), randn(&[n, k], 12), randn(&[n], 13));
-    let pack = PackedWeight::pack(&w, WeightPrecision::F32);
-    let resident = matmul_bias_act_cached(&x, &w, pack.as_ref(), Some(&b), Activation::Gelu);
+    // The int8 product every packable linear of an int8 session runs.
+    let pack = PackedWeight::pack(&w).expect("515 output features pack");
+    let int8 = matmul_bias_act_cached(&x, &w, Some(&pack), Some(&b), Activation::Gelu);
+    let session = matmul_bias_act_cached(&x, &w, None, Some(&b), Activation::Gelu);
     let in_place = matmul_bias_act_in_place(&x, &w, Some(&b), Activation::Gelu);
     let (plain, none) = matmul_bias_act(&x, &w, None, Activation::Identity);
     assert!(none.is_none());
     let (gelu, pre) = matmul_bias_act(&x, &w, Some(&b), Activation::Gelu);
     let pre = pre.expect("gelu keeps its pre-activation");
-    bits([resident.data(), in_place.data(), plain.data(), gelu.data(), pre.data()])
+    bits([int8.data(), session.data(), in_place.data(), plain.data(), gelu.data(), pre.data()])
 }
 
 fn softmax(visits: usize) -> Bits {
